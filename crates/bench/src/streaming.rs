@@ -668,6 +668,9 @@ pub struct ServingCell {
     /// state deterministically (1.0 once the mix contains cacheable
     /// shapes, 0.0 at N=1 where it doesn't).
     pub cache_hit_rate: f64,
+    /// Admissions answered by an equal earlier query's execution
+    /// (`packed + solo + coalesced == concurrent`).
+    pub coalesced: u64,
     /// Queries that shared a packed scan.
     pub packed: u64,
     /// Queries dispatched solo (includes spills).
@@ -755,6 +758,7 @@ pub fn run_concurrent_serving(uv_rows: usize, reps: usize) -> Vec<ServingCell> {
             concurrent: n,
             queries_per_sec: best.queries_per_sec(),
             cache_hit_rate: best.cache_hit_rate(),
+            coalesced: best.coalesced,
             packed: best.packed,
             solo: best.solo,
             spilled: best.spilled,
@@ -984,10 +988,11 @@ pub fn to_json(
     out.push_str("  \"concurrent_serving\": [\n");
     for (i, c) in concurrent_serving.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"concurrent\": {}, \"queries_per_sec\": {:.0}, \"cache_hit_rate\": {:.4}, \"packed\": {}, \"solo\": {}, \"spilled\": {}, \"shared_scans\": {}, \"wall_s\": {:.6}}}{}\n",
+            "    {{\"concurrent\": {}, \"queries_per_sec\": {:.0}, \"cache_hit_rate\": {:.4}, \"coalesced\": {}, \"packed\": {}, \"solo\": {}, \"spilled\": {}, \"shared_scans\": {}, \"wall_s\": {:.6}}}{}\n",
             c.concurrent,
             c.queries_per_sec,
             c.cache_hit_rate,
+            c.coalesced,
             c.packed,
             c.solo,
             c.spilled,
@@ -1270,11 +1275,18 @@ mod tests {
                 cell.concurrent
             );
             assert_eq!(
-                cell.packed + cell.solo,
+                cell.packed + cell.solo + cell.coalesced,
                 cell.concurrent as u64,
                 "N={}: admission must partition the batch",
                 cell.concurrent
             );
+            assert_eq!(
+                cell.coalesced,
+                cell.concurrent.saturating_sub(6) as u64,
+                "N={}: the six-query mix executes once however often it cycles",
+                cell.concurrent
+            );
+            assert!(cell.spilled <= cell.solo, "a spill runs solo: {cell:?}");
             if cell.concurrent == 1 {
                 assert_eq!(cell.packed, 0, "a batch of one has nothing to pack");
                 assert_eq!(cell.cache_hit_rate, 0.0, "the N=1 shape is not cacheable");

@@ -22,7 +22,7 @@ use crate::decision::{Decision, RowPruner};
 use crate::resources::{table2, ResourceUsage};
 
 /// Comparison operators available to switch ALUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -71,7 +71,7 @@ impl CmpOp {
 /// atoms (standing in for `LIKE`, UDFs, non-power-of-two arithmetic) are
 /// still evaluable here so tests can compute ground truth, but the
 /// decomposition replaces them with `True`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Index of the packet value the predicate reads.
     pub col: usize,
@@ -125,7 +125,7 @@ impl Atom {
 /// A Boolean formula over atoms in negation normal form: negations appear
 /// only as [`Formula::NotAtom`] literals, keeping the connective structure
 /// monotone as §4.1 requires for tautology substitution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Formula {
     /// Positive literal: atom `i` holds.
     Atom(usize),

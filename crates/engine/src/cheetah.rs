@@ -31,7 +31,7 @@ use crate::multipass::{
 };
 use crate::query::{fetch_checksum, pair_checksum, Agg, FetchSpec, Projection, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::stream::{EntryStream, BLOCK_ENTRIES};
+use crate::stream::{LaneArena, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
 use crate::threaded::{
     run_phases, run_phases_each, run_stream, Lane, LanePartition, PhaseInput, PrunerStage,
@@ -133,11 +133,14 @@ pub struct CheetahExecutor {
     pub config: PrunerConfig,
 }
 
-/// Interleave partition streams round-robin into a flat column-major
-/// [`EntryStream`] — the deterministic model of several workers feeding
-/// one switch port-by-port, with zero per-row allocation.
-fn interleave(table: &Table, columns: &[usize], workers: usize) -> EntryStream {
-    EntryStream::interleaved(table, columns, workers)
+/// The switch state of a two-pass flow once its observation pass is done —
+/// what [`CheetahExecutor::execute_in`] hands back after a HAVING / JOIN,
+/// and what it accepts pre-armed to skip that pass.
+pub(crate) enum ArmedFlow {
+    /// A HAVING flow whose Count-Min sketch has seen the whole table.
+    Having(HavingFlow),
+    /// A JOIN flow whose Bloom pair has seen both key columns.
+    Join(JoinFlow),
 }
 
 /// §7.1 late materialization, shared by the deterministic, threaded,
@@ -268,13 +271,32 @@ impl CheetahExecutor {
 
     /// Run the query through the switch; real results, modeled timing.
     pub fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
+        self.execute_in(db, query, &LaneArena::default(), None).0
+    }
+
+    /// [`Self::execute`] with its two seams open, for a caller that runs
+    /// many queries over one borrowed database ([`crate::serve`]). Streams
+    /// are drawn from `lanes`, so queries sharing an arena gather each lane
+    /// once (a fresh arena is a plain gather). A HAVING / JOIN given its
+    /// `armed` flow — switch state that already observed these exact
+    /// tables — skips the observation pass and reports one pass; either
+    /// way the flow comes back armed.
+    pub(crate) fn execute_in<'t>(
+        &self,
+        db: &'t Database,
+        query: &Query,
+        lanes: &LaneArena<'t>,
+        armed: Option<ArmedFlow>,
+    ) -> (ExecutionReport, Option<ArmedFlow>) {
         let workers = self.model.workers;
         let cfg = &self.config;
-        match query {
+        let interleave = |t: &'t Table, cols: &[usize]| lanes.stream(t, cols, workers);
+        let mut armed_out = None;
+        let report = match query {
             Query::FilterCount { table, predicate } => {
                 let t = db.table(table);
                 let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let stream = interleave(t, &cols, workers);
+                let stream = interleave(t, &cols);
                 let mut pruner = backend::filter(cfg, predicate);
                 let mut stats = PruneStats::default();
                 let mut count = 0u64;
@@ -298,7 +320,7 @@ impl CheetahExecutor {
             Query::Filter { table, predicate } => {
                 let t = db.table(table);
                 let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let stream = interleave(t, &cols, workers);
+                let stream = interleave(t, &cols);
                 let mut pruner = backend::filter(cfg, predicate);
                 let mut stats = PruneStats::default();
                 let mut ids = Vec::new();
@@ -319,7 +341,7 @@ impl CheetahExecutor {
             }
             Query::Distinct { table, column } => {
                 let t = db.table(table);
-                let stream = interleave(t, &[t.col_index(column)], workers);
+                let stream = interleave(t, &[t.col_index(column)]);
                 let mut pruner = backend::distinct(cfg);
                 let mut stats = PruneStats::default();
                 let mut survivors = Vec::new();
@@ -337,7 +359,7 @@ impl CheetahExecutor {
                 // a harmful collision vanishingly unlikely here).
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let mut stream = interleave(t, &cols, workers);
+                let mut stream = interleave(t, &cols);
                 stream.fingerprint_lane(&Fingerprinter::new(cfg.seed ^ 0xf1f1, 64));
                 let mut pruner = backend::distinct(cfg);
                 let mut stats = PruneStats::default();
@@ -350,7 +372,7 @@ impl CheetahExecutor {
             }
             Query::TopN { table, order_by, n } => {
                 let t = db.table(table);
-                let stream = interleave(t, &[t.col_index(order_by)], workers);
+                let stream = interleave(t, &[t.col_index(order_by)]);
                 let mut stats = PruneStats::default();
                 let mut survivors = Vec::new();
                 let mut pruner = backend::topn(cfg, *n);
@@ -368,7 +390,7 @@ impl CheetahExecutor {
             } => {
                 let t = db.table(table);
                 let cols = [t.col_index(key), t.col_index(val)];
-                let stream = interleave(t, &cols, workers);
+                let stream = interleave(t, &cols);
                 match agg {
                     Agg::Max | Agg::Min => {
                         let ext = if *agg == Agg::Max {
@@ -440,15 +462,22 @@ impl CheetahExecutor {
             } => {
                 let t = db.table(table);
                 let cols = [t.col_index(key), t.col_index(val)];
-                let stream = interleave(t, &cols, workers);
-                let mut flow = HavingFlow::new(cfg, *threshold);
+                let stream = interleave(t, &cols);
                 let mut stats = PruneStats::default();
                 let (keys, vals) = (stream.col(0), stream.col(1));
-                // Pass 1: sketch + candidate announcements (straight off
-                // the column lanes — no per-row materialization).
-                for (&k, &v) in keys.iter().zip(vals) {
-                    stats.record(flow.pass_one(k, v));
-                }
+                let (mut flow, passes) = match armed {
+                    Some(ArmedFlow::Having(flow)) => (flow, 1),
+                    _ => {
+                        // Pass 1: sketch + candidate announcements
+                        // (straight off the column lanes — no per-row
+                        // materialization).
+                        let mut flow = HavingFlow::new(cfg, *threshold);
+                        for (&k, &v) in keys.iter().zip(vals) {
+                            stats.record(flow.pass_one(k, v));
+                        }
+                        (flow, 2)
+                    }
+                };
                 // Pass 2: candidate entries to the master.
                 flow.begin_pass_two();
                 let mut sums: HashMap<u64, u64> = HashMap::new();
@@ -465,7 +494,9 @@ impl CheetahExecutor {
                         .map(|(k, _)| k)
                         .collect(),
                 );
-                self.report(query, 2 * t.rows() as u64, stats, 2, 0, result)
+                armed_out = Some(ArmedFlow::Having(flow));
+                let streamed = u64::from(passes) * t.rows() as u64;
+                self.report(query, streamed, stats, passes, 0, result)
             }
             Query::Join {
                 left,
@@ -475,16 +506,23 @@ impl CheetahExecutor {
             } => {
                 let l = db.table(left);
                 let r = db.table(right);
-                let lstream = interleave(l, &[l.col_index(left_col)], workers);
-                let rstream = interleave(r, &[r.col_index(right_col)], workers);
-                let mut flow = JoinFlow::new(cfg);
-                // Pass 1: build both filters (input-column stream, §4.3).
-                for &k in lstream.col(0) {
-                    flow.observe(Side::Left, k);
-                }
-                for &k in rstream.col(0) {
-                    flow.observe(Side::Right, k);
-                }
+                let lstream = interleave(l, &[l.col_index(left_col)]);
+                let rstream = interleave(r, &[r.col_index(right_col)]);
+                let (mut flow, passes) = match armed {
+                    Some(ArmedFlow::Join(flow)) => (flow, 1),
+                    _ => {
+                        // Pass 1: build both filters (input-column
+                        // stream, §4.3).
+                        let mut flow = JoinFlow::new(cfg);
+                        for &k in lstream.col(0) {
+                            flow.observe(Side::Left, k);
+                        }
+                        for &k in rstream.col(0) {
+                            flow.observe(Side::Right, k);
+                        }
+                        (flow, 2)
+                    }
+                };
                 // Pass 2: prune each side against the other's filter.
                 let mut stats = PruneStats::default();
                 let mut left_fwd: Vec<(u64, u64)> = Vec::new();
@@ -504,14 +542,15 @@ impl CheetahExecutor {
                     }
                 }
                 let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
-                let rows = (l.rows() + r.rows()) as u64;
+                armed_out = Some(ArmedFlow::Join(flow));
+                let streamed = u64::from(passes) * (l.rows() + r.rows()) as u64;
                 let result = QueryResult::JoinSummary { pairs, checksum };
-                self.report(query, 2 * rows, stats, 2, pairs, result)
+                self.report(query, streamed, stats, passes, pairs, result)
             }
             Query::Skyline { table, columns } => {
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let stream = interleave(t, &cols, workers);
+                let stream = interleave(t, &cols);
                 let mut pruner = backend::skyline(cfg, cols.len());
                 let mut stats = PruneStats::default();
                 let mut survivors = Vec::new();
@@ -521,7 +560,8 @@ impl CheetahExecutor {
                 let result = QueryResult::points(skyline_of(&survivors));
                 self.report(query, t.rows() as u64, stats, 1, 0, result)
             }
-        }
+        };
+        (report, armed_out)
     }
 
     /// Execute on the real-threads pipeline: a persistent worker pool,

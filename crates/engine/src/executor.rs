@@ -135,24 +135,35 @@ pub struct ResilienceReport {
 /// telemetry — the "queries/sec at N concurrent" number the bench sweeps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeReport {
-    /// Queries admitted in the batch.
+    /// Queries admitted in the batch. Every one is answered exactly one
+    /// way: `packed + solo + coalesced == queries`.
     pub queries: u64,
+    /// Answers served by another admission's execution: the batch held
+    /// an equal query earlier, which ran for both. The counters below
+    /// count *executions* — the batch's distinct queries.
+    pub coalesced: u64,
     /// Queries that ran inside a shared `EntryStream` pass (a pass needs
     /// at least two co-resident flows to count as packed).
     pub packed: u64,
     /// Queries dispatched one-per-executor-call across the bounded pool
     /// (multi-pass shapes, spilled flows, and singleton groups).
     pub solo: u64,
-    /// Shareable queries refused by the switch resource budget and
-    /// spilled to software (they also count in `solo`).
+    /// Shareable queries the switch resource budget refused a place
+    /// beside their co-residents; each ran the switch path alone (they
+    /// also count in `solo`, so `spilled <= solo`).
     pub spilled: u64,
     /// Shared stream passes executed (one scan serving ≥ 2 queries).
     pub shared_scans: u64,
-    /// Cacheable flows completed from a cached Bloom/Count-Min state,
-    /// skipping their observation pass.
+    /// Column lanes gathered for the whole batch: its distinct
+    /// (table, column) pairs, however many flows streamed each.
+    pub lanes_gathered: u64,
+    /// Cacheable executions completed from a cached Bloom/Count-Min
+    /// state, skipping their observation pass.
     pub cache_hits: u64,
-    /// Cacheable flows that ran their observation pass and (re)populated
-    /// the cache — including lookups invalidated by a table-epoch bump.
+    /// Cacheable executions that ran their observation pass and
+    /// (re)populated the cache — including lookups invalidated by a
+    /// table-epoch bump. `cache_hits + cache_misses` is the number of
+    /// cacheable executions.
     pub cache_misses: u64,
     /// Measured wall clock of serving the whole batch.
     pub wall: std::time::Duration,

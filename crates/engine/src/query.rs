@@ -13,7 +13,7 @@ use cheetah_core::filter::{Atom, Formula};
 use crate::table::Table;
 
 /// Aggregate functions for GROUP BY.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Agg {
     /// Per-group maximum.
     Max,
@@ -29,7 +29,7 @@ pub enum Agg {
 ///
 /// `atoms[i].col` indexes into `columns`, the list of column names the
 /// predicate reads (what the CWorker serializes for the metadata pass).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Predicate {
     /// Columns the predicate reads, in atom `col` order.
     pub columns: Vec<String>,
@@ -57,8 +57,11 @@ impl Predicate {
     }
 }
 
-/// One query over a [`crate::table::Database`].
-#[derive(Debug, Clone)]
+/// One query over a [`crate::table::Database`]. Equality and hashing are
+/// structural — two values are equal iff they are the same shape over the
+/// same tables, columns and constants — which is the one query identity
+/// the serving layer coalesces and caches on.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Query {
     /// `SELECT COUNT(*) FROM t WHERE …` (Big Data query A / App. B q1).
     FilterCount {

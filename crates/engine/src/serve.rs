@@ -1,5 +1,6 @@
-//! Concurrent multi-query serving: admission, §6 TCAM packing, a bounded
-//! executor pool, and a cross-query filter cache.
+//! Concurrent multi-query serving: in-flight coalescing, admission, §6
+//! TCAM packing and a bounded executor pool over one batch-scoped lane
+//! arena, plus a cross-query filter cache.
 //!
 //! Every executor in this engine runs exactly one query per call; a
 //! switch serves *many* (§6: queries share the pipeline, split ALU/SRAM,
@@ -7,7 +8,13 @@
 //! [`ServeExecutor`] is the front-end that turns a batch of queries into
 //! switch work:
 //!
-//! 1. **Admission** groups compatible single-pass shapes (filter,
+//! 1. **Coalescing** collapses the batch to its *execution set*: the
+//!    distinct queries, by [`Query`] value equality. Only those run;
+//!    every duplicate is answered with a clone of its leader's report,
+//!    in admission order ([`ServeReport::coalesced`]). Sharing is scoped
+//!    to one [`ServeExecutor::serve`] call — the database is borrowed, so
+//!    no epoch can change under it — and no result outlives the call.
+//! 2. **Admission** groups compatible single-pass shapes (filter,
 //!    distinct, top-n, group-by max/min, skyline) by table. Each group
 //!    makes **one** shared [`EntryStream`] pass — one scan of the union
 //!    of the member queries' metadata columns — with per-query
@@ -16,43 +23,48 @@
 //!    interleave permutation and block boundaries depend only on the
 //!    table and worker count, so every packed query's decisions (and
 //!    result) are bit-identical to a solo [`CheetahExecutor`] run.
-//! 2. **Packing** admits each flow against the switch resource budget
-//!    ([`SwitchModel`], Table 2 costs). Flows that don't fit spill to
-//!    software: they run solo and are counted in
-//!    [`ServeReport::spilled`].
-//! 3. **Dispatch** runs everything that can't share a scan (two-pass
+//! 3. **Packing** admits each flow against the switch resource budget
+//!    ([`SwitchModel`], Table 2 costs). A flow that doesn't fit beside
+//!    its co-residents is *spilled*: it still runs on the switch path,
+//!    but alone — one solo [`CheetahExecutor`] pass with the pipeline to
+//!    itself — and is counted in [`ServeReport::spilled`].
+//! 4. **Dispatch** runs everything that can't share a scan (two-pass
 //!    JOIN/HAVING, register-aggregating GROUP BY SUM/COUNT, spills,
 //!    singleton groups) across a bounded worker pool, one executor call
-//!    per query, results delivered in admission order.
-//! 4. **The filter cache** keys the Bloom-filter pair of a JOIN and the
-//!    Count-Min sketch of a HAVING on `(table epochs, predicate
-//!    fingerprint)`. A repeated predicate skips its observation pass and
-//!    probes the cached state — correct because Bloom filters admit no
-//!    false negatives and Count-Min never underestimates, so the cached
-//!    pass-2 candidate sets are supersets that the master's exact
-//!    completion filters identically. A table-epoch bump
-//!    ([`crate::table::Table::epoch`]) invalidates the entry.
+//!    per query.
+//!
+//! Shared scans and solo flows all draw their streams from one lane
+//! arena that lives exactly as long as the call: one interleave
+//! permutation per table and one gathered lane per (table, column)
+//! however many flows read it ([`ServeReport::lanes_gathered`]).
+//!
+//! **The filter cache** is the one thing that persists across calls. It
+//! keys the Bloom-filter pair of a JOIN and the Count-Min sketch of a
+//! HAVING on the [`Query`] value, guarded by the epochs of the tables it
+//! read. A repeated predicate starts from the cached state and skips its
+//! observation pass — correct because Bloom filters admit no false
+//! negatives and Count-Min never underestimates, so the cached pass-2
+//! candidate sets are supersets that the master's exact completion
+//! filters identically. A table-epoch bump
+//! ([`crate::table::Table::epoch`]) invalidates the entry.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::Extremum;
-use cheetah_core::having::CountMinSketch;
-use cheetah_core::join::{BloomFilter, Side};
 use cheetah_core::multiquery::MultiQueryPruner;
-use cheetah_core::resources::ResourceUsage;
 use cheetah_core::SwitchModel;
 
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
-use crate::cheetah::{fetch_and_checksum, join_survivors, CheetahExecutor};
+use crate::cheetah::{fetch_and_checksum, ArmedFlow, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
 use crate::query::{Agg, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::stream::{fingerprint_rows, EntryStream, BLOCK_ENTRIES};
+use crate::stream::{fingerprint_rows, EntryStream, LaneArena, BLOCK_ENTRIES};
 use crate::table::Database;
 
 /// Report label for everything this front-end produces.
@@ -72,6 +84,11 @@ pub struct ServeExecutor {
     pool: usize,
     cache: Mutex<FilterCache>,
 }
+
+/// The cross-query filter cache: the flow a two-pass [`Query`] left armed,
+/// with the epochs of the tables it observed. An entry whose epochs have
+/// moved is a miss, and the miss's own flow replaces it.
+type FilterCache = HashMap<Query, (Vec<u64>, ArmedFlow)>;
 
 impl std::fmt::Debug for ServeExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -116,27 +133,55 @@ impl ServeExecutor {
 
     /// Drop every cached filter/sketch (e.g. between benchmark reps).
     pub fn clear_cache(&self) {
-        self.cache.lock().unwrap().entries.clear();
+        self.cache().clear();
     }
 
-    /// Serve a batch: admission → packing → shared scans + pool dispatch,
-    /// with per-query reports returned **in admission order** plus the
-    /// batch-level [`ServeReport`]. Every report's result is bit-identical
-    /// to running that query alone through [`CheetahExecutor::execute`].
+    /// The filter cache. Entries are inserted whole, so the map a
+    /// panicking holder leaves behind is still a valid one.
+    fn cache(&self) -> MutexGuard<'_, FilterCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Serve a batch: coalescing → admission → packing → shared scans +
+    /// pool dispatch, with per-query reports returned **in admission
+    /// order** plus the batch-level [`ServeReport`]. Every report —
+    /// result, prune counters, passes, fetch — is bit-identical to
+    /// running that query alone through [`CheetahExecutor::execute`]
+    /// (or, for a cache hit, its pass-2 half).
     pub fn serve(&self, db: &Database, queries: &[Query]) -> (Vec<ExecutionReport>, ServeReport) {
         let started = Instant::now();
+
+        // Coalescing: `first[d]` is the admission index of the d-th
+        // distinct query, `leader[i]` the distinct query that answers
+        // admission i. Everything up to the final fan-out sees only the
+        // execution set and speaks its indices.
+        let mut first: Vec<usize> = Vec::new();
+        let mut seen: HashMap<&Query, usize> = HashMap::with_capacity(queries.len());
+        let leader: Vec<usize> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                *seen.entry(q).or_insert_with(|| {
+                    first.push(i);
+                    first.len() - 1
+                })
+            })
+            .collect();
+        let distinct: Vec<&Query> = first.iter().map(|&i| &queries[i]).collect();
         let mut agg = ServeReport {
             queries: queries.len() as u64,
+            coalesced: (queries.len() - distinct.len()) as u64,
             ..ServeReport::default()
         };
-        let slots: Vec<Mutex<Option<ExecutionReport>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
+        let cfg = &self.cheetah.config;
+        let lanes = LaneArena::default();
+        let mut done: Vec<(usize, ExecutionReport)> = Vec::with_capacity(distinct.len());
 
         // Admission: group shareable single-pass shapes by table; the
         // rest go straight to the solo pool.
         let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut solo: Vec<usize> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
+        for (i, q) in distinct.iter().enumerate() {
             match shareable_table(q) {
                 Some(t) => groups.entry(t).or_default().push(i),
                 None => solo.push(i),
@@ -152,8 +197,9 @@ impl ServeExecutor {
             let mut mq = MultiQueryPruner::new();
             let mut packed: Vec<usize> = Vec::new();
             for &i in &members {
-                let pruner = self.packed_pruner(&queries[i]);
-                let res = self.packed_resources(&queries[i]);
+                let pruner = self.packed_pruner(distinct[i]);
+                // One Table 2 mapping for the whole engine: the planner's.
+                let res = crate::plan::query_resources(cfg, &self.switch, distinct[i]);
                 match mq.try_add(i as u16, pruner, res, &self.switch) {
                     Ok(()) => packed.push(i),
                     Err(_) => {
@@ -169,58 +215,84 @@ impl ServeExecutor {
             }
             agg.packed += packed.len() as u64;
             agg.shared_scans += 1;
-            self.shared_scan(db, tname, queries, &packed, &mut mq, &slots);
+            done.extend(self.shared_scan(db, tname, &distinct, &packed, &mut mq, &lanes));
         }
 
-        // Bounded pool: workers pull indices off one queue; results land
-        // in per-index slots, so scheduling order never affects output.
+        // Bounded pool: workers pull indices off one queue and hand their
+        // `(index, report)` pairs back through their join handles, so
+        // scheduling order never affects output.
         agg.solo = solo.len() as u64;
         let hits = AtomicU64::new(0);
         let misses = AtomicU64::new(0);
-        if solo.len() == 1 {
-            let i = solo[0];
-            *slots[i].lock().unwrap() = Some(self.run_solo(db, &queries[i], &hits, &misses));
-        } else if !solo.is_empty() {
-            let queue: Mutex<VecDeque<usize>> = Mutex::new(solo.iter().copied().collect());
+        let width = self.pool.min(solo.len());
+        let queue: Mutex<VecDeque<usize>> = Mutex::new(solo.into());
+        let drain = || {
+            let mut ran = Vec::new();
+            loop {
+                // Popping is all that happens under the lock.
+                let next = queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .pop_front();
+                let Some(i) = next else { break ran };
+                ran.push((i, self.run_solo(db, distinct[i], &lanes, &hits, &misses)));
+            }
+        };
+        if width <= 1 {
+            done.extend(drain());
+        } else {
             std::thread::scope(|scope| {
-                for _ in 0..self.pool.min(solo.len()) {
-                    scope.spawn(|| loop {
-                        let next = queue.lock().unwrap().pop_front();
-                        let Some(i) = next else { break };
-                        let report = self.run_solo(db, &queries[i], &hits, &misses);
-                        *slots[i].lock().unwrap() = Some(report);
-                    });
+                let workers: Vec<_> = (0..width).map(|_| scope.spawn(drain)).collect();
+                for worker in workers {
+                    // A solo query's panic is the batch's panic.
+                    done.extend(
+                        worker
+                            .join()
+                            .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                    );
                 }
             });
         }
         agg.cache_hits = hits.load(Ordering::Relaxed);
         agg.cache_misses = misses.load(Ordering::Relaxed);
+        agg.lanes_gathered = lanes.lanes_gathered();
+
+        // Fan-out. A leader is its query's first admission, so leaders
+        // come up in execution-set order and every duplicate's leader is
+        // already answered.
+        done.sort_unstable_by_key(|&(d, _)| d);
+        assert!(
+            done.iter().map(|&(d, _)| d).eq(0..distinct.len()),
+            "every distinct query completes exactly once"
+        );
+        let mut executed = done.into_iter().map(|(_, report)| report);
+        let mut reports: Vec<ExecutionReport> = Vec::with_capacity(queries.len());
+        for (i, &d) in leader.iter().enumerate() {
+            let report = if first[d] == i {
+                executed.next().expect("one report per distinct query")
+            } else {
+                reports[first[d]].clone()
+            };
+            reports.push(report);
+        }
         agg.wall = started.elapsed();
-        let reports = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every admitted query completes")
-            })
-            .collect();
         (reports, agg)
     }
 
-    /// One shared stream pass over `members` (batch indices, all on table
-    /// `tname`): union-column gather, per-flow block routing through the
-    /// packed pruner, per-shape master completion. Mirrors
+    /// One shared stream pass over `members` (execution-set indices, all
+    /// on table `tname`): union-column stream, per-flow block routing
+    /// through the packed pruner, per-shape master completion. Mirrors
     /// [`EntryStream::prune`]'s block loop exactly, so each flow's
     /// decision sequence is bit-identical to its solo run.
-    fn shared_scan(
+    fn shared_scan<'t>(
         &self,
-        db: &Database,
+        db: &'t Database,
         tname: &str,
-        queries: &[Query],
+        queries: &[&Query],
         members: &[usize],
         mq: &mut MultiQueryPruner,
-        slots: &[Mutex<Option<ExecutionReport>>],
-    ) {
+        arena: &LaneArena<'t>,
+    ) -> Vec<(usize, ExecutionReport)> {
         let t = db.table(tname);
         let workers = self.cheetah.model.workers;
         let cfg = &self.cheetah.config;
@@ -231,7 +303,7 @@ impl ServeExecutor {
         let lanes: Vec<Vec<usize>> = members
             .iter()
             .map(|&i| {
-                query_columns(&queries[i], t)
+                query_columns(queries[i], t)
                     .into_iter()
                     .map(|c| match union_cols.iter().position(|&u| u == c) {
                         Some(l) => l,
@@ -243,7 +315,7 @@ impl ServeExecutor {
                     .collect()
             })
             .collect();
-        let stream = EntryStream::interleaved(t, &union_cols, workers);
+        let stream = arena.stream(t, &union_cols, workers);
 
         // DistinctMulti flows prune on a fingerprint of their columns
         // (§5, Example 8) — derive each member's lane exactly as the solo
@@ -252,7 +324,7 @@ impl ServeExecutor {
             .iter()
             .zip(&lanes)
             .map(|(&i, member_lanes)| {
-                matches!(&queries[i], Query::DistinctMulti { .. }).then(|| {
+                matches!(queries[i], Query::DistinctMulti { .. }).then(|| {
                     let cols: Vec<&[u64]> = member_lanes.iter().map(|&l| stream.col(l)).collect();
                     let fp = Fingerprinter::new(cfg.seed ^ 0xf1f1, 64);
                     let mut lane = Vec::with_capacity(stream.len());
@@ -266,7 +338,7 @@ impl ServeExecutor {
         let mut stats: Vec<PruneStats> = members.iter().map(|_| PruneStats::default()).collect();
         let mut states: Vec<Completion<'_>> = members
             .iter()
-            .map(|&i| Completion::for_query(&queries[i]))
+            .map(|&i| Completion::for_query(queries[i]))
             .collect();
 
         // The block loop: same BLOCK_ENTRIES partitioning as the solo
@@ -298,233 +370,84 @@ impl ServeExecutor {
             start += len;
         }
 
-        for (m, &i) in members.iter().enumerate() {
-            let query = &queries[i];
-            let rows = t.rows() as u64;
-            let state = std::mem::replace(&mut states[m], Completion::Done);
-            let mut report = match state {
-                Completion::Count { count, .. } => {
-                    self.cheetah
-                        .report(query, rows, stats[m], 1, 0, QueryResult::Count(count))
-                }
-                Completion::Fetch { ids, .. } => {
-                    let fetch = ids.len() as u64;
-                    let proj = query.projection(t, &cfg.fetch);
-                    let checksum = fetch_and_checksum(t, &proj, &ids);
-                    let result = QueryResult::row_ids(ids);
-                    let mut r = self.cheetah.report(query, rows, stats[m], 1, fetch, result);
-                    r.fetch_checksum = Some(checksum);
-                    r
-                }
-                Completion::Values(v) => {
-                    if let Query::TopN { n, .. } = query {
-                        let result = QueryResult::top_values(v, *n);
-                        self.cheetah
-                            .report(query, rows, stats[m], 1, *n as u64, result)
-                    } else {
-                        self.cheetah
-                            .report(query, rows, stats[m], 1, 0, QueryResult::values(v))
+        let rows = t.rows() as u64;
+        members
+            .iter()
+            .zip(states)
+            .zip(stats)
+            .map(|((&i, state), stats)| {
+                let query = queries[i];
+                let (fetch, result, checksum) = match state {
+                    Completion::Count { count, .. } => (0, QueryResult::Count(count), None),
+                    Completion::Fetch { ids, .. } => {
+                        let proj = query.projection(t, &cfg.fetch);
+                        let checksum = fetch_and_checksum(t, &proj, &ids);
+                        (ids.len() as u64, QueryResult::row_ids(ids), Some(checksum))
                     }
-                }
-                Completion::Points(v) => {
-                    let result = if matches!(query, Query::Skyline { .. }) {
-                        QueryResult::points(skyline_of(&v))
-                    } else {
-                        QueryResult::points(v)
-                    };
-                    self.cheetah.report(query, rows, stats[m], 1, 0, result)
-                }
-                Completion::Groups { groups, .. } => {
-                    self.cheetah
-                        .report(query, rows, stats[m], 1, 0, QueryResult::Groups(groups))
-                }
-                Completion::Done => unreachable!("completion consumed once"),
-            };
-            report.executor = NAME;
-            *slots[i].lock().unwrap() = Some(report);
-        }
+                    Completion::Values(v) => match query {
+                        Query::TopN { n, .. } => (*n as u64, QueryResult::top_values(v, *n), None),
+                        _ => (0, QueryResult::values(v), None),
+                    },
+                    Completion::Points(v) if matches!(query, Query::Skyline { .. }) => {
+                        (0, QueryResult::points(skyline_of(&v)), None)
+                    }
+                    Completion::Points(v) => (0, QueryResult::points(v), None),
+                    Completion::Groups { groups, .. } => (0, QueryResult::Groups(groups), None),
+                };
+                let mut report = self.cheetah.report(query, rows, stats, 1, fetch, result);
+                report.fetch_checksum = checksum;
+                report.executor = NAME;
+                (i, report)
+            })
+            .collect()
     }
 
-    /// One solo query on a pool worker: cacheable two-pass flows go
-    /// through the filter cache; everything else is a plain relabeled
-    /// [`CheetahExecutor::execute`] call.
-    fn run_solo(
+    /// One solo query on a pool worker: a relabeled
+    /// [`CheetahExecutor::execute_in`] call over the batch's lanes. A
+    /// cacheable two-pass flow starts from its cached switch state when
+    /// the cache holds it (a hit) and leaves its state there when not.
+    fn run_solo<'t>(
         &self,
-        db: &Database,
+        db: &'t Database,
         query: &Query,
+        lanes: &LaneArena<'t>,
         hits: &AtomicU64,
         misses: &AtomicU64,
     ) -> ExecutionReport {
-        // The cache stores reference-backend state; metered pisa runs
-        // keep their registers inside the program and bypass it.
-        if self.cheetah.config.backend == SwitchBackend::Reference {
-            match query {
-                Query::Having { .. } => return self.run_having_cached(db, query, hits, misses),
-                Query::Join { .. } => return self.run_join_cached(db, query, hits, misses),
-                _ => {}
-            }
-        }
-        let mut report = self.cheetah.execute(db, query);
-        report.executor = NAME;
-        report
-    }
-
-    /// HAVING with sketch reuse: a hit re-arms the cached Count-Min and
-    /// runs pass 2 only; a miss runs both passes and caches the sketch.
-    /// Identical sketch state ⇒ identical candidate decisions ⇒ the
-    /// master's exact sums produce the same keys either way.
-    fn run_having_cached(
-        &self,
-        db: &Database,
-        query: &Query,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> ExecutionReport {
-        let Query::Having {
-            table,
-            key,
-            val,
-            threshold,
-        } = query
-        else {
-            unreachable!("caller matched Having")
-        };
-        let t = db.table(table);
-        let cfg = &self.cheetah.config;
-        let cache_key = query_fingerprint(query);
-        let epochs = vec![(table.clone(), t.epoch())];
-        let cached = self.cache.lock().unwrap().get_sketch(cache_key, &epochs);
-        let stream = EntryStream::interleaved(
-            t,
-            &[t.col_index(key), t.col_index(val)],
-            self.cheetah.model.workers,
-        );
-        let (keys, vals) = (stream.col(0), stream.col(1));
-        let mut stats = PruneStats::default();
-        let (mut flow, passes, streamed) = match cached {
-            Some(sketch) => {
+        let epochs = self.cacheable_epochs(db, query);
+        let armed = epochs.as_ref().and_then(|epochs| {
+            let cache = self.cache();
+            let (_, flow) = cache.get(query).filter(|(cached, _)| cached == epochs)?;
+            rearmed(flow, query)
+        });
+        let hit = armed.is_some();
+        let (mut report, flow) = self.cheetah.execute_in(db, query, lanes, armed);
+        if let Some(epochs) = epochs {
+            if hit {
                 hits.fetch_add(1, Ordering::Relaxed);
-                (
-                    HavingFlow::from_sketch(sketch, *threshold),
-                    1,
-                    t.rows() as u64,
-                )
-            }
-            None => {
+            } else {
                 misses.fetch_add(1, Ordering::Relaxed);
-                let mut flow = HavingFlow::new(cfg, *threshold);
-                for (&k, &v) in keys.iter().zip(vals) {
-                    stats.record(flow.pass_one(k, v));
+                if let Some(flow) = flow {
+                    self.cache().insert(query.clone(), (epochs, flow));
                 }
-                (flow, 2, 2 * t.rows() as u64)
-            }
-        };
-        flow.begin_pass_two();
-        let mut sums: HashMap<u64, u64> = HashMap::new();
-        for (&k, &v) in keys.iter().zip(vals) {
-            let d = flow.pass_two(k, v);
-            stats.record(d);
-            if d.is_forward() {
-                *sums.entry(k).or_insert(0) += v;
             }
         }
-        if let Some(sketch) = flow.sketch() {
-            self.cache
-                .lock()
-                .unwrap()
-                .put(cache_key, epochs, CachedState::Having(sketch.clone()));
-        }
-        let result = QueryResult::keys(
-            sums.into_iter()
-                .filter(|&(_, s)| s > *threshold)
-                .map(|(k, _)| k)
-                .collect(),
-        );
-        let mut report = self
-            .cheetah
-            .report(query, streamed, stats, passes, 0, result);
         report.executor = NAME;
         report
     }
 
-    /// JOIN with Bloom-pair reuse: a hit probes the cached filters and
-    /// skips the build pass. Bloom filters have no false negatives, so
-    /// the cached probe forwards a superset that pairs to exactly the
-    /// same `(pairs, checksum)` summary.
-    fn run_join_cached(
-        &self,
-        db: &Database,
-        query: &Query,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> ExecutionReport {
-        let Query::Join {
-            left,
-            right,
-            left_col,
-            right_col,
-        } = query
-        else {
-            unreachable!("caller matched Join")
-        };
-        let l = db.table(left);
-        let r = db.table(right);
-        let cfg = &self.cheetah.config;
-        let workers = self.cheetah.model.workers;
-        let cache_key = query_fingerprint(query);
-        let epochs = vec![(left.clone(), l.epoch()), (right.clone(), r.epoch())];
-        let cached = self.cache.lock().unwrap().get_filters(cache_key, &epochs);
-        let lstream = EntryStream::interleaved(l, &[l.col_index(left_col)], workers);
-        let rstream = EntryStream::interleaved(r, &[r.col_index(right_col)], workers);
-        let rows = (l.rows() + r.rows()) as u64;
-        let (mut flow, passes, streamed) = match cached {
-            Some((fa, fb)) => {
-                hits.fetch_add(1, Ordering::Relaxed);
-                (JoinFlow::from_filters(fa, fb), 1, rows)
-            }
-            None => {
-                misses.fetch_add(1, Ordering::Relaxed);
-                let mut flow = JoinFlow::new(cfg);
-                for &k in lstream.col(0) {
-                    flow.observe(Side::Left, k);
-                }
-                for &k in rstream.col(0) {
-                    flow.observe(Side::Right, k);
-                }
-                (flow, 2, 2 * rows)
-            }
-        };
-        let mut stats = PruneStats::default();
-        let mut left_fwd: Vec<(u64, u64)> = Vec::new();
-        for (&rid, &k) in lstream.row_ids().iter().zip(lstream.col(0)) {
-            let d = flow.probe(Side::Left, k);
-            stats.record(d);
-            if d.is_forward() {
-                left_fwd.push((k, rid));
-            }
+    /// The epochs of the tables a cacheable query reads, in query order.
+    /// Cacheable are the two-pass shapes on the reference backend: the
+    /// cache stores its state, while metered pisa runs keep their
+    /// registers inside the program and bypass it.
+    fn cacheable_epochs(&self, db: &Database, q: &Query) -> Option<Vec<u64>> {
+        let epoch = |table: &str| db.table(table).epoch();
+        match q {
+            _ if self.cheetah.config.backend != SwitchBackend::Reference => None,
+            Query::Having { table, .. } => Some(vec![epoch(table)]),
+            Query::Join { left, right, .. } => Some(vec![epoch(left), epoch(right)]),
+            _ => None,
         }
-        let mut right_fwd: Vec<(u64, u64)> = Vec::new();
-        for (&rid, &k) in rstream.row_ids().iter().zip(rstream.col(0)) {
-            let d = flow.probe(Side::Right, k);
-            stats.record(d);
-            if d.is_forward() {
-                right_fwd.push((k, rid));
-            }
-        }
-        if let Some((fa, fb)) = flow.filters() {
-            self.cache.lock().unwrap().put(
-                cache_key,
-                epochs,
-                CachedState::Join(fa.clone(), fb.clone()),
-            );
-        }
-        let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
-        let result = QueryResult::JoinSummary { pairs, checksum };
-        let mut report = self
-            .cheetah
-            .report(query, streamed, stats, passes, pairs, result);
-        report.executor = NAME;
-        report
     }
 
     /// The switch pruner a shareable query packs under its flow id —
@@ -548,14 +471,6 @@ impl ServeExecutor {
             Query::Skyline { columns, .. } => backend::skyline(cfg, columns.len()),
             _ => unreachable!("only shareable shapes are packed"),
         }
-    }
-
-    /// The Table 2 resource declaration the packing admits the flow with.
-    fn packed_resources(&self, query: &Query) -> ResourceUsage {
-        // One Table 2 mapping for the whole engine: the planner's total
-        // resource declaration (shareable shapes only reach here, so the
-        // two-pass arms of that mapping are never hit from this path).
-        crate::plan::query_resources(&self.cheetah.config, &self.switch, query)
     }
 }
 
@@ -632,8 +547,6 @@ enum Completion<'q> {
         groups: BTreeMap<u64, u64>,
         max: bool,
     },
-    /// Consumed (report already built).
-    Done,
 }
 
 impl<'q> Completion<'q> {
@@ -693,75 +606,27 @@ impl<'q> Completion<'q> {
                 let e = groups.entry(k).or_insert(if *max { 0 } else { u64::MAX });
                 *e = if *max { (*e).max(val) } else { (*e).min(val) };
             }
-            Completion::Done => unreachable!("forward after completion"),
         }
     }
 }
 
-/// The cross-query filter cache: switch state keyed by the query's
-/// structural fingerprint, guarded by the `(table, epoch)` set captured
-/// at insert. Stale epochs evict on lookup.
-#[derive(Default)]
-struct FilterCache {
-    entries: HashMap<u64, CacheEntry>,
-}
-
-struct CacheEntry {
-    epochs: Vec<(String, u64)>,
-    state: CachedState,
-}
-
-enum CachedState {
-    Join(BloomFilter, BloomFilter),
-    Having(CountMinSketch),
-}
-
-impl FilterCache {
-    fn get_sketch(&mut self, key: u64, epochs: &[(String, u64)]) -> Option<CountMinSketch> {
-        match self.lookup(key, epochs)? {
-            CachedState::Having(s) => Some(s.clone()),
-            CachedState::Join(..) => None,
+/// A fresh flow armed with a copy of `cached`'s pass-1 state, for the
+/// query it was cached under (pass 2 never writes that state, so the
+/// cached flow stays as pass 1 left it). `None` under the pisa backend,
+/// whose state lives inside the metered program.
+fn rearmed(cached: &ArmedFlow, query: &Query) -> Option<ArmedFlow> {
+    match (cached, query) {
+        (ArmedFlow::Having(flow), Query::Having { threshold, .. }) => {
+            let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), *threshold);
+            Some(ArmedFlow::Having(flow))
         }
-    }
-
-    fn get_filters(
-        &mut self,
-        key: u64,
-        epochs: &[(String, u64)],
-    ) -> Option<(BloomFilter, BloomFilter)> {
-        match self.lookup(key, epochs)? {
-            CachedState::Join(a, b) => Some((a.clone(), b.clone())),
-            CachedState::Having(_) => None,
+        (ArmedFlow::Join(flow), Query::Join { .. }) => {
+            let (a, b) = flow.filters()?;
+            let flow = JoinFlow::from_filters(a.clone(), b.clone());
+            Some(ArmedFlow::Join(flow))
         }
+        _ => None,
     }
-
-    fn lookup(&mut self, key: u64, epochs: &[(String, u64)]) -> Option<&CachedState> {
-        if let Some(entry) = self.entries.get(&key) {
-            if entry.epochs != epochs {
-                // The table changed underneath the cached state.
-                self.entries.remove(&key);
-                return None;
-            }
-        }
-        self.entries.get(&key).map(|e| &e.state)
-    }
-
-    fn put(&mut self, key: u64, epochs: Vec<(String, u64)>, state: CachedState) {
-        self.entries.insert(key, CacheEntry { epochs, state });
-    }
-}
-
-/// FNV-1a over the query's structural debug form — two queries share
-/// cached state iff they are the same shape over the same columns,
-/// thresholds and tables.
-fn query_fingerprint(q: &Query) -> u64 {
-    let s = format!("{q:?}");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@
 //! decision scratch lives on the stack and the per-block column slices
 //! reuse one spare vector.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
 
@@ -22,17 +25,42 @@ use crate::table::Table;
 /// dispatch to nothing.
 pub const BLOCK_ENTRIES: usize = 1024;
 
+/// One gathered lane in stream (interleaved) order. Immutable once built
+/// and held by shared reference, so a stream gathered for one query and
+/// one drawn from a [`LaneArena`] a whole batch shares are the same type.
+type SharedLane = Arc<[u64]>;
+
 /// A query's switch-bound entries in column-major layout: one `u64` lane
 /// per metadata column plus a row-id lane, all in stream (interleaved)
 /// order.
 #[derive(Debug, Clone)]
 pub struct EntryStream {
-    row_ids: Vec<u64>,
-    cols: Vec<Vec<u64>>,
+    row_ids: SharedLane,
+    cols: Vec<SharedLane>,
     /// When set, the pruner sees only this derived single-column lane
     /// (e.g. the DistinctMulti fingerprint); consumers still read the
     /// original columns.
     key_lane: Option<Vec<u64>>,
+}
+
+/// The round-robin interleave of `workers` partition streams as a row-id
+/// lane. [`Table::partition_bounds`] gives every partition `rows / workers`
+/// rows and the first `rows % workers` of them one more, so the
+/// port-by-port order is that many full rounds over all partitions plus
+/// one partial round over the longer ones.
+fn interleave_permutation(table: &Table, workers: usize) -> SharedLane {
+    let bounds = table.partition_bounds(workers);
+    let (per, extra) = (table.rows() / workers, table.rows() % workers);
+    let mut row_ids = Vec::with_capacity(table.rows());
+    for round in 0..per {
+        row_ids.extend(bounds.iter().map(|&(start, _)| (start + round) as u64));
+    }
+    row_ids.extend(
+        bounds[..extra]
+            .iter()
+            .map(|&(start, _)| (start + per) as u64),
+    );
+    row_ids.into()
 }
 
 impl EntryStream {
@@ -40,32 +68,7 @@ impl EntryStream {
     /// `workers` partition streams (same permutation the old per-row
     /// interleave produced, one contiguous lane per column).
     pub fn interleaved(table: &Table, columns: &[usize], workers: usize) -> Self {
-        let rows = table.rows();
-        let bounds = table.partition_bounds(workers);
-        let mut row_ids = Vec::with_capacity(rows);
-        let mut cursors: Vec<usize> = bounds.iter().map(|(s, _)| *s).collect();
-        let mut remaining = rows;
-        while remaining > 0 {
-            for (w, &(_, end)) in bounds.iter().enumerate() {
-                if cursors[w] < end {
-                    row_ids.push(cursors[w] as u64);
-                    cursors[w] += 1;
-                    remaining -= 1;
-                }
-            }
-        }
-        let cols = columns
-            .iter()
-            .map(|&c| {
-                let src = table.col_at(c);
-                row_ids.iter().map(|&r| src[r as usize]).collect()
-            })
-            .collect();
-        EntryStream {
-            row_ids,
-            cols,
-            key_lane: None,
-        }
+        LaneArena::default().stream(table, columns, workers)
     }
 
     /// Number of entries in the stream.
@@ -97,7 +100,7 @@ impl EntryStream {
     /// fingerprint over all metadata columns (§5, Example 8: wide keys
     /// travel as fingerprints; the master still dedups the real tuples).
     pub fn fingerprint_lane(&mut self, fp: &Fingerprinter) {
-        let cols: Vec<&[u64]> = self.cols.iter().map(Vec::as_slice).collect();
+        let cols: Vec<&[u64]> = self.cols.iter().map(|c| &c[..]).collect();
         let mut lane = Vec::with_capacity(self.len());
         let mut scratch = Vec::with_capacity(self.cols.len());
         fingerprint_rows(&cols, 0, self.len(), fp, &mut lane, &mut scratch);
@@ -162,6 +165,74 @@ impl EntryStream {
             }
             start += len;
         }
+    }
+}
+
+/// The gathered lanes of one scope — a single query, or a whole served
+/// batch — built lazily and shared by reference: one interleave
+/// permutation per (table, workers) and one gathered lane per column of
+/// it, each gathered by whichever [`LaneArena::stream`] call asks first
+/// and handed to every later one as the same allocation. Dropping the
+/// arena drops the lanes (streams still alive keep theirs).
+///
+/// The arena borrows its tables for `'t`, so no table can be replaced or
+/// mutated — no epoch can move — under the lanes it holds. Tables are
+/// told apart by name: one arena serves one [`crate::table::Database`].
+#[derive(Default)]
+pub(crate) struct LaneArena<'t> {
+    /// The map lock only guards slot lookup — a gather runs outside it,
+    /// inside its own slot's [`OnceLock`], so concurrent streams block
+    /// each other only when they want the very same lane.
+    slots: Mutex<LaneSlots<'t>>,
+}
+
+/// (table name, workers, column); column `None` is the permutation.
+type LaneKey<'t> = (&'t str, usize, Option<usize>);
+type LaneSlots<'t> = HashMap<LaneKey<'t>, Arc<OnceLock<SharedLane>>>;
+
+impl<'t> LaneArena<'t> {
+    /// The stream of `columns` of `table` under the `workers`-way
+    /// interleave, drawing every lane this arena already holds.
+    pub(crate) fn stream(
+        &self,
+        table: &'t Table,
+        columns: &[usize],
+        workers: usize,
+    ) -> EntryStream {
+        let row_ids = self.lane((table.name(), workers, None), || {
+            interleave_permutation(table, workers)
+        });
+        let cols = columns
+            .iter()
+            .map(|&c| {
+                self.lane((table.name(), workers, Some(c)), || {
+                    let src = table.col_at(c);
+                    row_ids.iter().map(|&r| src[r as usize]).collect()
+                })
+            })
+            .collect();
+        EntryStream {
+            row_ids,
+            cols,
+            key_lane: None,
+        }
+    }
+
+    fn lane(&self, key: LaneKey<'t>, gather: impl FnOnce() -> SharedLane) -> SharedLane {
+        let slot = Arc::clone(self.slots().entry(key).or_default());
+        Arc::clone(slot.get_or_init(gather))
+    }
+
+    /// Inserting an empty slot is the only thing ever done under the
+    /// lock, so a poisoned map is still a valid one.
+    fn slots(&self) -> MutexGuard<'_, LaneSlots<'t>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Column lanes held (permutations not counted): the number of
+    /// distinct (table, column) pairs streamed through here.
+    pub(crate) fn lanes_gathered(&self) -> u64 {
+        self.slots().keys().filter(|key| key.2.is_some()).count() as u64
     }
 }
 
@@ -290,7 +361,7 @@ pub fn fingerprint_rows(
 /// A zero-copy view of one forwarded entry's metadata columns.
 #[derive(Debug, Clone, Copy)]
 pub struct EntryRef<'a> {
-    cols: &'a [Vec<u64>],
+    cols: &'a [SharedLane],
     idx: usize,
 }
 
@@ -356,21 +427,44 @@ mod tests {
 
     #[test]
     fn interleave_permutation_matches_legacy_layout() {
-        let t = table();
-        for workers in [1usize, 2, 5, 7] {
-            let stream = EntryStream::interleaved(&t, &[0, 1], workers);
-            let legacy = legacy_interleave(&t, &[0, 1], workers);
-            assert_eq!(stream.len(), legacy.len());
-            for (i, (rid, vals)) in legacy.iter().enumerate() {
-                assert_eq!(
-                    stream.row_ids()[i],
-                    *rid,
-                    "row id at {i}, {workers} workers"
-                );
-                assert_eq!(stream.col(0)[i], vals[0]);
-                assert_eq!(stream.col(1)[i], vals[1]);
+        // 103 rows: full rounds plus a partial one; 3 rows: fewer rows
+        // than workers, so some partitions are empty.
+        let tiny = Table::new("t", vec![("a", vec![5, 6, 7]), ("b", vec![8, 9, 10])]);
+        for t in [table(), tiny] {
+            for workers in [1usize, 2, 5, 7] {
+                let stream = EntryStream::interleaved(&t, &[0, 1], workers);
+                let legacy = legacy_interleave(&t, &[0, 1], workers);
+                assert_eq!(stream.len(), legacy.len());
+                for (i, (rid, vals)) in legacy.iter().enumerate() {
+                    assert_eq!(
+                        stream.row_ids()[i],
+                        *rid,
+                        "row id at {i}, {workers} workers"
+                    );
+                    assert_eq!(stream.col(0)[i], vals[0]);
+                    assert_eq!(stream.col(1)[i], vals[1]);
+                }
             }
         }
+    }
+
+    #[test]
+    fn arena_streams_equal_fresh_gathers_and_share_their_lanes() {
+        let (t, u) = (table(), Table::new("u", vec![("a", vec![3, 1, 2])]));
+        let arena = LaneArena::default();
+        let ab = arena.stream(&t, &[0, 1], 5);
+        let ba = arena.stream(&t, &[1, 0], 5);
+        let fresh = EntryStream::interleaved(&t, &[1, 0], 5);
+        assert_eq!(ba.row_ids(), fresh.row_ids());
+        assert_eq!((ba.col(0), ba.col(1)), (fresh.col(0), fresh.col(1)));
+        assert!(Arc::ptr_eq(&ab.row_ids, &ba.row_ids), "one permutation");
+        assert!(Arc::ptr_eq(&ab.cols[0], &ba.cols[1]), "one lane per column");
+        assert_eq!(arena.lanes_gathered(), 2);
+        // Another worker count or another table is another set of lanes.
+        let two = arena.stream(&t, &[0], 2);
+        assert_eq!(two.col(0), EntryStream::interleaved(&t, &[0], 2).col(0));
+        assert_eq!(arena.stream(&u, &[0], 5).col(0), &[3, 1, 2]);
+        assert_eq!(arena.lanes_gathered(), 4);
     }
 
     #[test]

@@ -397,6 +397,85 @@ fn warm_queries_allocate_o1_not_o_rows() {
         );
     }
 
+    // Coalescing and the batch-scoped lane arena: a batch that cycles six
+    // queries to 32 executes six and clones the rest, so its peak is the
+    // six-query batch's plus the bytes of the extra answers; the arena
+    // gathers each distinct (table, column) once and dies with the call,
+    // so a warm call leaves the heap where it found it and a cold one
+    // leaves only the filter cache behind. Same pool-of-one executor as
+    // above (solo flows run inline, so the watermark is deterministic),
+    // its cache emptied first.
+    serving.clear_cache();
+    let distinct: Vec<Query> = queries()
+        .into_iter()
+        .map(|(_, q)| q)
+        .chain([
+            Query::Distinct {
+                table: "t".into(),
+                column: "k".into(),
+            },
+            Query::Having {
+                table: "t".into(),
+                key: "k".into(),
+                val: "v".into(),
+                threshold: 100_000,
+            },
+            Query::Join {
+                left: "t".into(),
+                right: "s".into(),
+                left_col: "k".into(),
+                right_col: "k".into(),
+            },
+        ])
+        .collect();
+    let cycled: Vec<Query> = (0..32)
+        .map(|i| distinct[i % distinct.len()].clone())
+        .collect();
+    // Peak growth over one serve, the bytes its returned answers hold,
+    // and what stays live once they are dropped.
+    let measure = |batch: &[Query]| {
+        let before = LIVE.load(Ordering::Relaxed);
+        let mut served = None;
+        let peak = peak_bytes_during(|| served = Some(serving.serve(&db, batch)));
+        let (reports, agg) = served.expect("ran");
+        let holding = LIVE.load(Ordering::Relaxed);
+        drop(reports);
+        let after = LIVE.load(Ordering::Relaxed);
+        (peak, holding - after, after.saturating_sub(before), agg)
+    };
+    let cfg = &exec.config;
+    let cache_bound =
+        2 * cfg.join_m_bits / 8 + (cfg.having_d * cfg.having_w * 8) as u64 + 64 * 1024;
+    let lane_bytes = (ROWS * 8) as u64;
+    let (_, _, cold_left, cold) = measure(&cycled);
+    assert_eq!(cold.cache_misses, 2, "{cold:?}");
+    assert!(
+        cold_left > cache_bound - lane_bytes && cold_left < cache_bound,
+        "a cold serve left {cold_left} B behind; the filter cache alone is \
+         just under {cache_bound} B (a retained lane would add {lane_bytes} B)"
+    );
+    let (peak6, answers6, left6, agg6) = measure(&distinct);
+    let (peak32, answers32, left32, agg32) = measure(&cycled);
+    for (agg, left) in [(&agg6, left6), (&agg32, left32)] {
+        assert_eq!(agg.cache_hits, 2, "{agg:?}");
+        assert_eq!(
+            agg.lanes_gathered, 4,
+            "t.v, t.w, t.k, s.k — each gathered once per batch: {agg:?}"
+        );
+        assert!(
+            left < 4096,
+            "a warm serve left {left} B behind; the lane arena must die with the call"
+        );
+    }
+    assert_eq!((agg6.coalesced, agg32.coalesced), (0, 26));
+    assert!(
+        peak32 <= peak6 + (answers32 - answers6) + 4096,
+        "32 admissions of 6 queries peaked at {peak32} B vs {peak6} B for the 6 \
+         alone plus {} B of cloned answers; what a batch holds must grow \
+         with its distinct queries, not its admissions",
+        answers32 - answers6
+    );
+
     // Projection pushdown peak-memory pin: a fetch-heavy Filter over a
     // 64-column table where the query touches one lane. The distributed
     // path ships the fetched rows over the wire, so the flat payload is

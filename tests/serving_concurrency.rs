@@ -8,13 +8,15 @@
 //! interleaving is real thread nondeterminism, which is exactly why the
 //! per-slot result delivery has to make it unobservable.
 
+use std::collections::HashSet;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::serve::ServeExecutor;
-use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, Table};
+use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, ServeReport, Table};
 
 /// A database over explicit column data (so proptest owns the values).
 fn db_from(t_cols: (Vec<u64>, Vec<u64>, Vec<u64>), s_cols: (Vec<u64>, Vec<u64>)) -> Database {
@@ -135,11 +137,49 @@ fn executors(pool: usize, workers: usize, seed: u64) -> (CheetahExecutor, ServeE
     (solo, serving)
 }
 
+/// The accounting identities every batch must satisfy: each admission is
+/// answered exactly one way, coalescing takes exactly the repeats, only
+/// solo flows can be spills, and the cache sees one lookup per cacheable
+/// *execution* (a coalesced HAVING/JOIN never reaches it).
+fn assert_accounting(batch: &[Query], agg: &ServeReport) {
+    let distinct: HashSet<&Query> = batch.iter().collect();
+    let cacheable = distinct
+        .iter()
+        .filter(|q| matches!(q, Query::Having { .. } | Query::Join { .. }))
+        .count() as u64;
+    assert_eq!(agg.queries, batch.len() as u64);
+    assert_eq!(
+        agg.coalesced,
+        (batch.len() - distinct.len()) as u64,
+        "coalescing must take exactly the repeats: {agg:?}"
+    );
+    assert_eq!(
+        agg.packed + agg.solo + agg.coalesced,
+        agg.queries,
+        "admission must partition: {agg:?}"
+    );
+    assert!(agg.spilled <= agg.solo, "a spill runs solo: {agg:?}");
+    assert_eq!(
+        agg.cache_hits + agg.cache_misses,
+        cacheable,
+        "one cache lookup per cacheable execution: {agg:?}"
+    );
+}
+
 /// Serve `mix` (template indices) in batches of `chunk`, asserting every
-/// report equals the solo run and nothing is lost or reordered. The
-/// cache persists across batches, so later batches re-exercise every
-/// repeated HAVING/JOIN through cached state.
-fn assert_mix_equals_solo(db: &Database, mix: &[usize], chunk: usize, pool: usize, seed: u64) {
+/// report equals the solo run and nothing is lost or reordered. Warm,
+/// the cache persists across batches, so later batches re-exercise every
+/// repeated HAVING/JOIN through cached state; `cold` clears it before
+/// each batch, and then the whole report — prune counters, passes,
+/// fetch — must equal the solo run's, for leaders and duplicates alike.
+fn assert_mix_equals_solo(
+    db: &Database,
+    mix: &[usize],
+    chunk: usize,
+    pool: usize,
+    seed: u64,
+    cold: bool,
+) {
     let (solo, serving) = executors(pool, 2, seed);
     let pool_q = templates();
     let queries: Vec<Query> = mix
@@ -147,14 +187,12 @@ fn assert_mix_equals_solo(db: &Database, mix: &[usize], chunk: usize, pool: usiz
         .map(|&i| pool_q[i % pool_q.len()].clone())
         .collect();
     for batch in queries.chunks(chunk.max(1)) {
+        if cold {
+            serving.clear_cache();
+        }
         let (reports, agg) = serving.serve(db, batch);
         assert_eq!(reports.len(), batch.len(), "lost or duplicated a query");
-        assert_eq!(agg.queries, batch.len() as u64);
-        assert_eq!(
-            agg.packed + agg.solo,
-            agg.queries,
-            "admission must partition"
-        );
+        assert_accounting(batch, &agg);
         for (q, r) in batch.iter().zip(&reports) {
             let solo_r = solo.execute(db, q);
             assert_eq!(
@@ -165,8 +203,22 @@ fn assert_mix_equals_solo(db: &Database, mix: &[usize], chunk: usize, pool: usiz
             );
             assert_eq!(r.fetch_checksum, solo_r.fetch_checksum, "{}", q.kind());
             assert_eq!(r.executor, "serving");
+            if cold {
+                assert_eq!(r.prune, solo_r.prune, "{} prune counters", q.kind());
+                assert_eq!(r.passes, solo_r.passes, "{} passes", q.kind());
+                assert_eq!(r.fetch_rows, solo_r.fetch_rows, "{} fetch", q.kind());
+            }
         }
     }
+}
+
+/// Proptest-owned rows → the two-table fixture.
+fn db_from_rows(t_rows: &[(u64, u64, u64)], s_keys: Vec<u64>) -> Database {
+    let tk = t_rows.iter().map(|r| r.0).collect();
+    let tv = t_rows.iter().map(|r| r.1).collect();
+    let tw = t_rows.iter().map(|r| r.2).collect();
+    let sx = s_keys.iter().map(|&k| k * 3 % 97).collect();
+    db_from((tk, tv, tw), (s_keys, sx))
 }
 
 proptest! {
@@ -183,12 +235,29 @@ proptest! {
         pool in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let (tk, rest): (Vec<u64>, Vec<(u64, u64)>) =
-            t_rows.iter().map(|&(k, v, w)| (k, (v, w))).unzip();
-        let (tv, tw): (Vec<u64>, Vec<u64>) = rest.into_iter().unzip();
-        let sx: Vec<u64> = s_keys.iter().map(|&k| k * 3 % 97).collect();
-        let db = db_from((tk, tv, tw), (s_keys, sx));
-        assert_mix_equals_solo(&db, &mix, chunk, pool, seed);
+        let db = db_from_rows(&t_rows, s_keys);
+        assert_mix_equals_solo(&db, &mix, chunk, pool, seed, false);
+    }
+
+    /// Coalescing and the lane arena are invisible: mixes drawn from a
+    /// handful of templates (so most admissions repeat an earlier one),
+    /// any batch boundary, pool widths {1, 2, 8}, a cold cache — every
+    /// answer, duplicate or leader, is the whole solo report, in
+    /// admission order, and exactly the repeats are coalesced.
+    #[test]
+    fn duplicate_heavy_mixes_coalesce_and_equal_solo_runs(
+        t_rows in vec((1u64..50, 1u64..2_000, 1u64..400), 1..200),
+        s_keys in vec(20u64..80, 0..100),
+        offset in 0usize..12,
+        mix in vec(0usize..5, 1..40),
+        chunk in 1usize..41,
+        pool in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let db = db_from_rows(&t_rows, s_keys);
+        // Five consecutive templates starting anywhere in the pool.
+        let mix: Vec<usize> = mix.iter().map(|&i| i + offset).collect();
+        assert_mix_equals_solo(&db, &mix, chunk, [1, 2, 8][pool], seed, true);
     }
 }
 
@@ -219,34 +288,28 @@ fn pool_of_one_drains_the_full_shapes_matrix_without_deadlock() {
     let batch = templates();
     let (reports, agg) = serving.serve(&db, &batch);
     assert_eq!(reports.len(), batch.len());
-    assert_eq!(agg.packed + agg.solo, agg.queries);
+    assert_accounting(&batch, &agg);
+    assert_eq!(agg.coalesced, 0, "the templates are pairwise distinct");
     for (q, r) in batch.iter().zip(&reports) {
         assert_eq!(r.result, solo.execute(&db, q).result, "{}", q.kind());
     }
 }
 
 /// 128 queries in one batch across an 8-wide pool: every admission must
-/// come back (no lost slots), in admission order, each equal to its solo
-/// run, with the cache accounting covering exactly the cacheable shapes.
+/// come back (none lost), in admission order, each equal to its solo
+/// run — twelve executions answering 128 admissions, with the cache
+/// accounting covering exactly the two cacheable executions.
 #[test]
 fn no_lost_queries_at_128_in_flight() {
     let db = stress_db(2_000);
     let (solo, serving) = executors(8, 2, 7);
     let pool_q = templates();
     let batch: Vec<Query> = (0..128).map(|i| pool_q[i % pool_q.len()].clone()).collect();
-    let cacheable = batch
-        .iter()
-        .filter(|q| matches!(q, Query::Having { .. } | Query::Join { .. }))
-        .count() as u64;
     let (reports, agg) = serving.serve(&db, &batch);
-    assert_eq!(reports.len(), 128, "a slot came back empty");
-    assert_eq!(agg.queries, 128);
-    assert_eq!(agg.packed + agg.solo, 128);
-    assert_eq!(
-        agg.cache_hits + agg.cache_misses,
-        cacheable,
-        "every cacheable run must be accounted as hit or miss"
-    );
+    assert_eq!(reports.len(), 128, "an admission came back unanswered");
+    assert_accounting(&batch, &agg);
+    assert_eq!(agg.coalesced, 128 - 12);
+    assert_eq!(agg.cache_misses, 2, "one HAVING + one JOIN execution");
     for (q, r) in batch.iter().zip(&reports) {
         let solo_r = solo.execute(&db, q);
         assert_eq!(r.result, solo_r.result, "{} lost under load", q.kind());
@@ -269,6 +332,74 @@ fn warm_cache_serves_repeats_across_batches() {
     assert_eq!(warm.cache_hits, 2, "one HAVING + one JOIN template");
     for (q, r) in batch.iter().zip(&reports) {
         assert_eq!(r.result, solo.execute(&db, q).result, "{}", q.kind());
+    }
+}
+
+/// N identical JOINs are one execution: a cold cache records exactly one
+/// miss (not a race of N), the next batch exactly one hit, and all N
+/// answers are the solo report.
+#[test]
+fn identical_joins_cost_one_cache_lookup_per_batch() {
+    let db = stress_db(2_000);
+    let (solo, serving) = executors(8, 2, 11);
+    let join = Query::Join {
+        left: "t".into(),
+        right: "s".into(),
+        left_col: "k".into(),
+        right_col: "k".into(),
+    };
+    let batch = vec![join.clone(); 9];
+    let truth = solo.execute(&db, &join);
+    let (cold_reports, cold) = serving.serve(&db, &batch);
+    assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1), "{cold:?}");
+    let (warm_reports, warm) = serving.serve(&db, &batch);
+    assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0), "{warm:?}");
+    for agg in [&cold, &warm] {
+        assert_accounting(&batch, agg);
+        assert_eq!((agg.coalesced, agg.solo, agg.packed), (8, 1, 0));
+        assert_eq!(agg.lanes_gathered, 2, "one key lane per side: {agg:?}");
+    }
+    for r in &cold_reports {
+        assert_eq!(r.result, truth.result);
+        assert_eq!(r.prune, truth.prune, "a cold duplicate is the solo report");
+    }
+    for r in &warm_reports {
+        assert_eq!(r.result, truth.result);
+        assert_eq!(r.passes, 1, "a hit skips the build pass");
+    }
+}
+
+/// Nothing but the filter cache outlives a `serve` call: replace a table
+/// between two batches of the same repeated queries and the second
+/// batch's answers — leaders and duplicates — track the new data.
+#[test]
+fn answers_do_not_outlive_the_call_that_computed_them() {
+    let mut db = stress_db(1_500);
+    let (solo, serving) = executors(2, 2, 5);
+    let pool_q = templates();
+    let batch: Vec<Query> = (0..36).map(|i| pool_q[i % pool_q.len()].clone()).collect();
+    let (before, _) = serving.serve(&db, &batch);
+
+    let rows = db.table("t").rows() as u64;
+    db.add(Table::new(
+        "t",
+        vec![
+            ("k", (0..rows).map(|i| i * 5 % 61 + 2).collect()),
+            ("v", (0..rows).map(|i| i * 17 % 7_919 + 3).collect()),
+            ("w", (0..rows).map(|i| i * 29 % 311 + 1).collect()),
+        ],
+    ));
+    let (after, agg) = serving.serve(&db, &batch);
+    assert_accounting(&batch, &agg);
+    assert_eq!(agg.cache_hits, 0, "the epoch moved under every cached flow");
+    for ((q, old), new) in batch.iter().zip(&before).zip(&after) {
+        assert_eq!(new.result, solo.execute(&db, q).result, "{}", q.kind());
+        assert_ne!(
+            new.result,
+            old.result,
+            "{} answered from the past",
+            q.kind()
+        );
     }
 }
 
@@ -313,11 +444,7 @@ proptest! {
         reps in 2usize..5,
         seed in any::<u64>(),
     ) {
-        let (tk, rest): (Vec<u64>, Vec<(u64, u64)>) =
-            t_rows.iter().map(|&(k, v, w)| (k, (v, w))).unzip();
-        let (tv, tw): (Vec<u64>, Vec<u64>) = rest.into_iter().unzip();
-        let sx: Vec<u64> = s_keys.iter().map(|&k| k * 3 % 97).collect();
-        let db = db_from((tk, tv, tw), (s_keys, sx));
+        let db = db_from_rows(&t_rows, s_keys);
         let (solo, serving) = executors(2, 2, seed);
         let batch = [
             Query::Having {
