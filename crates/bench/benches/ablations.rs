@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out: each
+//! Ablation benches for the paper's design choices: each
 //! group compares the paper's chosen design against its alternatives on
 //! identical streams, reporting both speed (criterion) and — via the
 //! printed side-channel — the pruning quality the choice buys.

@@ -13,7 +13,6 @@
 //! describes; Filter/TopN queries requesting full rows pay a late
 //! materialization fetch (§7.1) that the switch does not touch.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
@@ -26,10 +25,11 @@ use cheetah_core::join::{BloomFilter, JoinPassTwo, JoinPruner, Side};
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
 use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
 use crate::executor::ExecutionReport;
+use crate::master::{fetch_and_checksum, GroupRun, GroupSink, TupleRun};
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingPhases, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
 };
-use crate::query::{fetch_checksum, pair_checksum, Agg, FetchSpec, Projection, Query, QueryResult};
+use crate::query::{pair_checksum, Agg, FetchSpec, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::stream::{LaneArena, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
@@ -141,22 +141,6 @@ pub(crate) enum ArmedFlow {
     Having(HavingFlow),
     /// A JOIN flow whose Bloom pair has seen both key columns.
     Join(JoinFlow),
-}
-
-/// §7.1 late materialization, shared by the deterministic, threaded,
-/// sharded and serving Filter arms: fetch `ids` through one reused
-/// buffer — gathering only the projected lanes — and fold the
-/// order-independent checksum. Under a full projection the gathered row
-/// is exactly [`Table::row_into`]'s, so the checksum is bit-identical to
-/// the unprojected engine.
-pub(crate) fn fetch_and_checksum(t: &Table, proj: &Projection, ids: &[u64]) -> u64 {
-    let mut buf = Vec::with_capacity(proj.width());
-    let mut checksum = 0u64;
-    for &rid in ids {
-        t.row_into_cols(rid as usize, proj.cols(), &mut buf);
-        checksum = fetch_checksum(checksum, rid, &buf);
-    }
-    checksum
 }
 
 /// CMaster join completion, shared by the deterministic, threaded and
@@ -333,7 +317,7 @@ impl CheetahExecutor {
                 });
                 let fetch = ids.len() as u64;
                 let proj = query.projection(t, &cfg.fetch);
-                let checksum = fetch_and_checksum(t, &proj, &ids);
+                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
                 let result = QueryResult::row_ids(ids);
                 let mut report = self.report(query, t.rows() as u64, stats, 1, fetch, result);
                 report.fetch_checksum = Some(checksum);
@@ -363,11 +347,11 @@ impl CheetahExecutor {
                 stream.fingerprint_lane(&Fingerprinter::new(cfg.seed ^ 0xf1f1, 64));
                 let mut pruner = backend::distinct(cfg);
                 let mut stats = PruneStats::default();
-                let mut survivors: Vec<Vec<u64>> = Vec::new();
+                let mut flat = Vec::new();
                 stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                    survivors.push(entry.to_vec());
+                    entry.extend_into(&mut flat);
                 });
-                let result = QueryResult::points(survivors);
+                let result = TupleRun::canonical(cols.len(), flat).into_points();
                 self.report(query, t.rows() as u64, stats, 1, 0, result)
             }
             Query::TopN { table, order_by, n } => {
@@ -400,18 +384,11 @@ impl CheetahExecutor {
                         };
                         let mut pruner = backend::groupby(cfg, ext);
                         let mut stats = PruneStats::default();
-                        let mut groups = std::collections::BTreeMap::new();
+                        let mut groups = GroupSink::new(*agg);
                         stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                            let e = groups
-                                .entry(entry.get(0))
-                                .or_insert(if ext == Extremum::Max { 0 } else { u64::MAX });
-                            *e = if ext == Extremum::Max {
-                                (*e).max(entry.get(1))
-                            } else {
-                                (*e).min(entry.get(1))
-                            };
+                            groups.push(entry.get(0), entry.get(1));
                         });
-                        let result = QueryResult::Groups(groups);
+                        let result = QueryResult::Groups(groups.finish().into_groups());
                         self.report(query, t.rows() as u64, stats, 1, 0, result)
                     }
                     Agg::Sum | Agg::Count => {
@@ -420,7 +397,7 @@ impl CheetahExecutor {
                         let mut pruner =
                             GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
                         let mut stats = PruneStats::default();
-                        let mut groups = std::collections::BTreeMap::new();
+                        let mut groups = GroupSink::new(*agg);
                         let keys = stream.col(0);
                         // COUNT folds 1 per entry: blocks never exceed
                         // BLOCK_ENTRIES, so one static lane of 1s serves
@@ -441,15 +418,13 @@ impl CheetahExecutor {
                                 &keys[start..start + len],
                                 vals,
                                 out,
-                                |key, partial| *groups.entry(key).or_insert(0) += partial,
+                                |key, partial| groups.push(key, partial),
                             );
                             stats.record_block(out);
                             start += len;
                         }
-                        for (key, partial) in pruner.drain() {
-                            *groups.entry(key).or_insert(0) += partial;
-                        }
-                        let result = QueryResult::Groups(groups);
+                        groups.fill(|partials| partials.extend(pruner.drain()));
+                        let result = QueryResult::Groups(groups.finish().into_groups());
                         self.report(query, t.rows() as u64, stats, 1, 0, result)
                     }
                 }
@@ -480,20 +455,15 @@ impl CheetahExecutor {
                 };
                 // Pass 2: candidate entries to the master.
                 flow.begin_pass_two();
-                let mut sums: HashMap<u64, u64> = HashMap::new();
+                let mut sums = GroupSink::new(Agg::Sum);
                 for (&k, &v) in keys.iter().zip(vals) {
                     let d = flow.pass_two(k, v);
                     stats.record(d);
                     if d.is_forward() {
-                        *sums.entry(k).or_insert(0) += v;
+                        sums.push(k, v);
                     }
                 }
-                let result = QueryResult::keys(
-                    sums.into_iter()
-                        .filter(|&(_, s)| s > *threshold)
-                        .map(|(k, _)| k)
-                        .collect(),
-                );
+                let result = sums.finish().keys_above(*threshold);
                 armed_out = Some(ArmedFlow::Having(flow));
                 let streamed = u64::from(passes) * t.rows() as u64;
                 self.report(query, streamed, stats, passes, 0, result)
@@ -622,10 +592,11 @@ impl CheetahExecutor {
                         LanePartition { rows: e - s, lanes }
                     })
                     .collect();
-                // Streaming master: materialize each survivor block's
-                // real tuples as it arrives (batched per-block loops —
-                // no accumulate-then-rescan); QueryResult::points dedups.
-                let mut survivors: Vec<Vec<u64>> = Vec::new();
+                // Streaming master: append each survivor block's real
+                // tuples to one flat buffer as it arrives (batched
+                // per-block loops — no accumulate-then-rescan); the
+                // tuple run dedups.
+                let mut flat = Vec::new();
                 let run = run_phases_each(
                     vec![PhaseInput {
                         partitions,
@@ -633,12 +604,12 @@ impl CheetahExecutor {
                     }],
                     &mut PrunerStage::new(backend::distinct(cfg)),
                     |_, _, block| {
-                        block.for_each_row(|row| survivors.push(row[1..].to_vec()));
+                        block.for_each_row(|row| flat.extend_from_slice(&row[1..]));
                     },
                 )
                 .pop()
                 .expect("one phase");
-                let result = QueryResult::points(survivors);
+                let result = TupleRun::canonical(cols.len(), flat).into_points();
                 let mut report = self.report(query, t.rows() as u64, run.stats, 1, 0, result);
                 report.pass_walls = vec![run.wall];
                 report
@@ -670,18 +641,8 @@ impl CheetahExecutor {
                     Extremum::Min
                 };
                 let run = run_stream(parts, backend::groupby(cfg, ext));
-                let mut groups = std::collections::BTreeMap::new();
-                for (&k, &v) in run.forwarded.cols[0].iter().zip(&run.forwarded.cols[1]) {
-                    let e =
-                        groups
-                            .entry(k)
-                            .or_insert(if ext == Extremum::Max { 0 } else { u64::MAX });
-                    *e = if ext == Extremum::Max {
-                        (*e).max(v)
-                    } else {
-                        (*e).min(v)
-                    };
-                }
+                let fwd = &run.forwarded.cols;
+                let groups = GroupRun::from_lanes(&fwd[0], &fwd[1], *agg).into_groups();
                 let mut report = self.report(
                     query,
                     t.rows() as u64,
@@ -738,10 +699,8 @@ impl CheetahExecutor {
                 )
                 .pop()
                 .expect("one phase");
-                let mut groups = std::collections::BTreeMap::new();
-                for (&k, &p) in run.forwarded.cols[0].iter().zip(&run.forwarded.cols[1]) {
-                    *groups.entry(k).or_insert(0) += p;
-                }
+                let fwd = &run.forwarded.cols;
+                let groups = GroupRun::from_lanes(&fwd[0], &fwd[1], *agg).into_groups();
                 let mut report = self.report(
                     query,
                     t.rows() as u64,
@@ -779,9 +738,8 @@ impl CheetahExecutor {
             Query::Filter { table, predicate } => {
                 // Switch pass over the predicate lanes (synthesized row
                 // ids ride switch-blind), then the §7.1
-                // late-materialization fetch of the surviving row ids
-                // through [`Table::row_into_cols`] — projected lanes
-                // only.
+                // late-materialization fetch of the surviving row ids —
+                // projected lanes only.
                 let t = db.table(table);
                 let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
                 let run = run_phases(
@@ -805,7 +763,7 @@ impl CheetahExecutor {
                     .collect();
                 let fetch = ids.len() as u64;
                 let proj = query.projection(t, &cfg.fetch);
-                let checksum = fetch_and_checksum(t, &proj, &ids);
+                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
                 let result = QueryResult::row_ids(ids);
                 let mut report = self.report(query, t.rows() as u64, run.stats, 1, fetch, result);
                 report.fetch_checksum = Some(checksum);
@@ -834,16 +792,9 @@ impl CheetahExecutor {
                 let pass1 = runs.pop().expect("pass 1");
                 let mut stats = pass1.stats;
                 stats.merge(pass2.stats);
-                let mut sums: HashMap<u64, u64> = HashMap::new();
-                for (&k, &v) in pass2.forwarded.cols[0].iter().zip(&pass2.forwarded.cols[1]) {
-                    *sums.entry(k).or_insert(0) += v;
-                }
-                let result = QueryResult::keys(
-                    sums.into_iter()
-                        .filter(|&(_, s)| s > *threshold)
-                        .map(|(k, _)| k)
-                        .collect(),
-                );
+                let fwd = &pass2.forwarded.cols;
+                let result =
+                    GroupRun::from_lanes(&fwd[0], &fwd[1], Agg::Sum).keys_above(*threshold);
                 let mut report = self.report(query, 2 * t.rows() as u64, stats, 2, 0, result);
                 report.pass_walls = vec![pass1.wall, pass2.wall];
                 report

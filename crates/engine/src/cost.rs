@@ -1,7 +1,7 @@
 //! The completion-time model and hardware envelopes.
 //!
 //! No Tofino testbed exists here, so *times* are modeled while *results
-//! and pruning rates* are computed for real (see DESIGN.md). The model's
+//! and pruning rates* are computed for real. The model's
 //! constants come from the paper where quoted — 5 workers, 10G/20G NIC
 //! caps, ~10–12 Mpps CWorker serialization at one entry per 64 B minimum
 //! frame (§7.1), sub-millisecond rule installation (§3), Spark first-run

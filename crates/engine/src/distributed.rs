@@ -37,7 +37,6 @@
 //! Every run reports its fault telemetry in
 //! [`crate::executor::ExecutionReport::resilience`].
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,15 +53,18 @@ use crate::backend;
 use crate::backend::JoinFlow;
 use crate::cheetah::{join_survivors, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ResilienceReport};
+use crate::master::{
+    explode, fetch_rows_flat, rows_payload_checksum, GroupRun, GroupSink, TupleRun,
+};
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
     SIDE_LEFT, SIDE_RIGHT,
 };
-use crate::query::{fetch_checksum, Agg, Projection, Query, QueryResult};
+use crate::query::{Agg, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::sharded::{
-    join_side_parts, join_sink, merge_extrema, merge_sorted_dedup, merge_top, range_parts,
-    run_shard, JoinSides, ShardYield, SHARD_SALT,
+    join_side_parts, join_sink, merge_top, range_parts, run_shard, JoinSides, ShardYield,
+    SHARD_SALT,
 };
 use crate::stream::{gather_hash_shard, split_range};
 use crate::table::{Database, Table};
@@ -436,38 +438,6 @@ impl ShardOutput {
         };
         c.finish(v)
     }
-}
-
-/// Shard-side §7.1 fetch for the wire: gather each surviving row's
-/// projected lanes into one flat row-major payload (what
-/// [`ShardOutput::Rows`] ships) while folding the order-independent
-/// checksum. The distributed counterpart of the in-process
-/// `fetch_and_checksum` — here the fetched rows really leave the shard,
-/// so projection pushdown directly shrinks the packet count.
-fn fetch_rows_flat(t: &Table, proj: &Projection, ids: &[u64]) -> (Vec<u64>, u64) {
-    let mut flat = Vec::with_capacity(ids.len() * proj.width());
-    let mut checksum = 0u64;
-    for &rid in ids {
-        let start = flat.len();
-        for &c in proj.cols() {
-            flat.push(t.col_at(c)[rid as usize]);
-        }
-        checksum = fetch_checksum(checksum, rid, &flat[start..]);
-    }
-    (flat, checksum)
-}
-
-/// Master-side recomputation of the fetch checksum from a shipped
-/// [`ShardOutput::Rows`] payload: the delivered projected rows — not the
-/// shard's summary word — are the source of truth, and the shipped
-/// checksum becomes an end-to-end integrity cross-check.
-fn rows_payload_checksum(width: u64, ids: &[u64], flat: &[u64]) -> u64 {
-    let w = width as usize;
-    let mut checksum = 0u64;
-    for (i, &rid) in ids.iter().enumerate() {
-        checksum = fetch_checksum(checksum, rid, &flat[i * w..(i + 1) * w]);
-    }
-    checksum
 }
 
 // ---------------------------------------------------------------------------
@@ -947,22 +917,47 @@ fn stats_sum(yields: &[ShardYield<ShardOutput>]) -> PruneStats {
 }
 
 /// Fold decoded shard outputs in the order the master completed them:
-/// the first unpacks into the accumulator, each later one merges in,
-/// with the per-step merge span recorded.
+/// each unpacks into the shape's mergeable value, the first becomes the
+/// accumulator and every later one merges in, with the per-step span
+/// (unpack + merge) recorded.
 fn fold_decoded<T>(
     decoded: Vec<ShardOutput>,
-    unpack: impl FnOnce(ShardOutput) -> T,
-    mut fold: impl FnMut(&mut T, ShardOutput),
+    unpack: impl Fn(ShardOutput) -> T,
+    mut merge: impl FnMut(&mut T, T),
     merge_walls: &mut Vec<Duration>,
 ) -> T {
     let mut it = decoded.into_iter();
     let mut acc = unpack(it.next().expect("at least one shard output"));
     for o in it {
         let t0 = Instant::now();
-        fold(&mut acc, o);
+        merge(&mut acc, unpack(o));
         merge_walls.push(t0.elapsed());
     }
     acc
+}
+
+/// Unpack a delivered [`ShardOutput::Rows`] into its row ids and fetch
+/// checksum. The delivered projected rows — not the shard's summary word
+/// — are the source of truth: the checksum is recomputed from the payload
+/// and must agree with the shipped word, in every build profile (end-to-end
+/// payload integrity; a mismatch is a corrupted payload the codec could
+/// not see).
+fn verified_rows(o: ShardOutput) -> (Vec<u64>, u64) {
+    let ShardOutput::Rows {
+        width,
+        ids,
+        flat,
+        checksum,
+    } = o
+    else {
+        wrong(&o)
+    };
+    let delivered = rows_payload_checksum(width as usize, &ids, &flat);
+    assert_eq!(
+        delivered, checksum,
+        "shipped fetch payload diverged from shard checksum"
+    );
+    (ids, delivered)
 }
 
 /// A shard shipped a variant its query shape never encodes — only
@@ -970,14 +965,6 @@ fn fold_decoded<T>(
 /// rejected that).
 fn wrong(o: &ShardOutput) -> ! {
     panic!("shard shipped a mismatched output variant: {o:?}")
-}
-
-/// Regroup a flat row-major lane into owned tuples.
-fn tuples_of(width: u64, flat: Vec<u64>) -> Vec<Vec<u64>> {
-    if width == 0 {
-        return Vec::new();
-    }
-    flat.chunks(width as usize).map(<[u64]>::to_vec).collect()
 }
 
 impl DistributedExecutor {
@@ -1040,10 +1027,7 @@ impl DistributedExecutor {
                         ShardOutput::Count(c) => c,
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::Count(c) => *acc += c,
-                        other => wrong(&other),
-                    },
+                    |acc, c| *acc += c,
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1087,7 +1071,7 @@ impl DistributedExecutor {
                         // ship to the master, and the checksum fold is
                         // commutative, so shard partials just sum.
                         |_, ids| {
-                            let (flat, checksum) = fetch_rows_flat(t, proj, &ids);
+                            let (flat, checksum) = fetch_rows_flat(t, proj.cols(), &ids);
                             ShardOutput::Rows {
                                 width: proj.width() as u64,
                                 ids,
@@ -1103,43 +1087,12 @@ impl DistributedExecutor {
                 let decoded = self.ship(&outputs, 0, true, &mut res);
                 let mut merge_walls = Vec::new();
                 let combine_t0 = Instant::now();
-                // The master rebuilds each shard's fetch checksum from
-                // the delivered projected rows; the shipped word must
-                // agree (end-to-end payload integrity).
-                let verify = |width: u64, ids: &[u64], flat: &[u64], shipped: u64| -> u64 {
-                    let local = rows_payload_checksum(width, ids, flat);
-                    debug_assert_eq!(
-                        local, shipped,
-                        "shipped fetch payload diverged from shard checksum"
-                    );
-                    local
-                };
                 let (ids, checksum) = fold_decoded(
                     decoded,
-                    |o| match o {
-                        ShardOutput::Rows {
-                            width,
-                            ids,
-                            flat,
-                            checksum,
-                        } => {
-                            let local = verify(width, &ids, &flat, checksum);
-                            (ids, local)
-                        }
-                        other => wrong(&other),
-                    },
-                    |acc, o| match o {
-                        ShardOutput::Rows {
-                            width,
-                            mut ids,
-                            flat,
-                            checksum,
-                        } => {
-                            let local = verify(width, &ids, &flat, checksum);
-                            acc.0.append(&mut ids);
-                            acc.1 = acc.1.wrapping_add(local);
-                        }
-                        other => wrong(&other),
+                    verified_rows,
+                    |acc, (mut ids, checksum)| {
+                        acc.0.append(&mut ids);
+                        acc.1 = acc.1.wrapping_add(checksum);
                     },
                     &mut merge_walls,
                 );
@@ -1193,10 +1146,7 @@ impl DistributedExecutor {
                         ShardOutput::Values(v) => v,
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::Values(mut v) => acc.append(&mut v),
-                        other => wrong(&other),
-                    },
+                    |acc, mut v| acc.append(&mut v),
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1244,17 +1194,11 @@ impl DistributedExecutor {
                         |flat, _, block| {
                             block.for_each_row(|row| flat.extend_from_slice(&row[1..]));
                         },
-                        // Sort + dedup per shard, then re-flatten: the
+                        // Sort + dedup per shard in the flat buffer: the
                         // canonical run is what ships.
                         |_, flat| {
-                            let mut tuples: Vec<Vec<u64>> =
-                                flat.chunks(width).map(<[u64]>::to_vec).collect();
-                            tuples.sort();
-                            tuples.dedup();
-                            ShardOutput::Tuples {
-                                width: width as u64,
-                                flat: tuples.into_iter().flatten().collect(),
-                            }
+                            let (width, flat) = TupleRun::canonical(width, flat).into_parts();
+                            ShardOutput::Tuples { width, flat }
                         },
                     )
                 });
@@ -1264,18 +1208,16 @@ impl DistributedExecutor {
                 let decoded = self.ship(&outputs, 0, true, &mut res);
                 let mut merge_walls = Vec::new();
                 let combine_t0 = Instant::now();
+                // A delivered run is re-verified canonical, not trusted.
                 let tuples = fold_decoded(
                     decoded,
                     |o| match o {
-                        ShardOutput::Tuples { width, flat } => tuples_of(width, flat),
-                        other => wrong(&other),
-                    },
-                    |acc, o| match o {
                         ShardOutput::Tuples { width, flat } => {
-                            merge_sorted_dedup(acc, tuples_of(width, flat));
+                            TupleRun::canonical(width as usize, flat)
                         }
                         other => wrong(&other),
                     },
+                    TupleRun::merge,
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1284,7 +1226,7 @@ impl DistributedExecutor {
                     stats,
                     1,
                     0,
-                    QueryResult::Points(tuples),
+                    tuples.into_points(),
                     walls,
                     merge_walls,
                     combine_t0.elapsed(),
@@ -1325,10 +1267,7 @@ impl DistributedExecutor {
                         ShardOutput::TopCandidates(v) => v,
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::TopCandidates(v) => merge_top(acc, v, *n),
-                        other => wrong(&other),
-                    },
+                    |acc, v| merge_top(acc, v, *n),
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1357,32 +1296,22 @@ impl DistributedExecutor {
                     Extremum::Min
                 };
                 let bounds = t.partition_bounds(shards);
-                let yields =
-                    compute_shards(shards, &resumable, &mut res, |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: 2,
-                            }],
-                            self.pruner_stage(s, backend::groupby(cfg, ext), &ctx),
-                            BTreeMap::<u64, u64>::new(),
-                            // Exact extrema recomputed over the forwarded
-                            // superset — reboot-safe by construction.
-                            |groups, _, block| {
-                                block.for_each_row(|row| {
-                                    let e = groups
-                                        .entry(row[0])
-                                        .or_insert(if ext == Extremum::Max { 0 } else { u64::MAX });
-                                    *e = if ext == Extremum::Max {
-                                        (*e).max(row[1])
-                                    } else {
-                                        (*e).min(row[1])
-                                    };
-                                });
-                            },
-                            |_, groups| ShardOutput::Extrema(groups.into_iter().collect()),
-                        )
-                    });
+                let yields = compute_shards(shards, &resumable, &mut res, |s| {
+                    run_shard(
+                        vec![PhaseInput {
+                            partitions: range_parts(t, &cols, bounds[s], workers, false),
+                            visible_cols: 2,
+                        }],
+                        self.pruner_stage(s, backend::groupby(cfg, ext), &ctx),
+                        GroupSink::new(*agg),
+                        |groups, _, block| {
+                            groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
+                        },
+                        // Exact extrema recomputed over the forwarded
+                        // superset — reboot-safe by construction.
+                        |_, groups| ShardOutput::Extrema(groups.finish().into_pairs()),
+                    )
+                });
                 let stats = stats_sum(&yields);
                 let walls = phase_major_walls(&yields);
                 let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
@@ -1392,17 +1321,10 @@ impl DistributedExecutor {
                 let groups = fold_decoded(
                     decoded,
                     |o| match o {
-                        ShardOutput::Extrema(pairs) => {
-                            pairs.into_iter().collect::<BTreeMap<_, _>>()
-                        }
+                        ShardOutput::Extrema(pairs) => GroupRun::fold(pairs, *agg),
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::Extrema(pairs) => {
-                            merge_extrema(acc, pairs.into_iter().collect(), ext);
-                        }
-                        other => wrong(&other),
-                    },
+                    GroupRun::merge,
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1411,7 +1333,7 @@ impl DistributedExecutor {
                     stats,
                     1,
                     0,
-                    QueryResult::Groups(groups),
+                    QueryResult::Groups(groups.into_groups()),
                     walls,
                     merge_walls,
                     combine_t0.elapsed(),
@@ -1478,9 +1400,7 @@ impl DistributedExecutor {
                                 sums.absorb(k, p);
                             }
                         },
-                        |_, (sums, _)| {
-                            ShardOutput::SumDrain(sums.into_totals().into_iter().collect())
-                        },
+                        |_, (sums, _)| ShardOutput::SumDrain(sums.into_run().into_pairs()),
                     )
                 });
                 let stats = stats_sum(&yields);
@@ -1492,19 +1412,10 @@ impl DistributedExecutor {
                 let totals = fold_decoded(
                     decoded,
                     |o| match o {
-                        ShardOutput::SumDrain(pairs) => {
-                            pairs.into_iter().collect::<BTreeMap<_, _>>()
-                        }
+                        ShardOutput::SumDrain(pairs) => GroupRun::fold(pairs, Agg::Sum),
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::SumDrain(pairs) => {
-                            for (k, v) in pairs {
-                                *acc.entry(k).or_insert(0) += v;
-                            }
-                        }
-                        other => wrong(&other),
-                    },
+                    GroupRun::merge,
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1513,7 +1424,7 @@ impl DistributedExecutor {
                     stats,
                     1,
                     0,
-                    QueryResult::Groups(totals),
+                    QueryResult::Groups(totals.into_groups()),
                     walls,
                     merge_walls,
                     combine_t0.elapsed(),
@@ -1568,13 +1479,6 @@ impl DistributedExecutor {
                 let outputs: Vec<ShardOutput> = sketches.into_iter().map(|y| y.value).collect();
                 let decoded = self.ship(&outputs, 0, true, &mut res);
                 let mut merge_walls = Vec::new();
-                let from_sketch =
-                    |d: u64, w: u64, threshold: u64, seed: u64, counters: Vec<u64>| {
-                        HavingPruner::from_sketch(
-                            CountMinSketch::from_parts(d as usize, w as usize, seed, counters),
-                            threshold,
-                        )
-                    };
                 let merged = fold_decoded(
                     decoded,
                     |o| match o {
@@ -1584,19 +1488,13 @@ impl DistributedExecutor {
                             threshold,
                             seed,
                             counters,
-                        } => from_sketch(d, w, threshold, seed, counters),
-                        other => wrong(&other),
-                    },
-                    |acc, o| match o {
-                        ShardOutput::Sketch {
-                            d,
-                            w,
+                        } => HavingPruner::from_sketch(
+                            CountMinSketch::from_parts(d as usize, w as usize, seed, counters),
                             threshold,
-                            seed,
-                            counters,
-                        } => acc.merge(&from_sketch(d, w, threshold, seed, counters)),
+                        ),
                         other => wrong(&other),
                     },
+                    |acc, sketch| acc.merge(&sketch),
                     &mut merge_walls,
                 );
                 let probes = compute_shards(shards, &[], &mut res, |s| {
@@ -1606,15 +1504,9 @@ impl DistributedExecutor {
                             visible_cols: 2,
                         }],
                         HavingShardProbe::new(merged.clone()),
-                        Vec::<(u64, u64)>::new(),
-                        |pairs, _, block| block.extend_pairs_into(0, 1, pairs),
-                        |_, pairs| {
-                            let mut sums: BTreeMap<u64, u64> = BTreeMap::new();
-                            for (k, v) in pairs {
-                                *sums.entry(k).or_insert(0) += v;
-                            }
-                            ShardOutput::CandidateSums(sums.into_iter().collect())
-                        },
+                        GroupSink::new(Agg::Sum),
+                        |sums, _, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
+                        |_, sums| ShardOutput::CandidateSums(sums.finish().into_pairs()),
                     )
                 });
                 stats.merge(stats_sum(&probes));
@@ -1625,33 +1517,19 @@ impl DistributedExecutor {
                 let sums = fold_decoded(
                     decoded,
                     |o| match o {
-                        ShardOutput::CandidateSums(pairs) => {
-                            pairs.into_iter().collect::<BTreeMap<_, _>>()
-                        }
+                        ShardOutput::CandidateSums(pairs) => GroupRun::fold(pairs, Agg::Sum),
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::CandidateSums(pairs) => {
-                            for (k, v) in pairs {
-                                *acc.entry(k).or_insert(0) += v;
-                            }
-                        }
-                        other => wrong(&other),
-                    },
+                    GroupRun::merge,
                     &mut merge_walls,
                 );
-                let keys: Vec<u64> = sums
-                    .into_iter()
-                    .filter(|&(_, s)| s > *threshold)
-                    .map(|(k, _)| k)
-                    .collect();
                 self.finish(
                     query,
                     2 * t.rows() as u64,
                     stats,
                     2,
                     0,
-                    QueryResult::keys(keys),
+                    sums.keys_above(*threshold),
                     walls,
                     merge_walls,
                     combine_t0.elapsed(),
@@ -1779,12 +1657,9 @@ impl DistributedExecutor {
                         ShardOutput::JoinAgg { pairs, checksum } => (pairs, checksum),
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::JoinAgg { pairs, checksum } => {
-                            acc.0 += pairs;
-                            acc.1 = acc.1.wrapping_add(checksum);
-                        }
-                        other => wrong(&other),
+                    |acc, (pairs, checksum)| {
+                        acc.0 += pairs;
+                        acc.1 = acc.1.wrapping_add(checksum);
                     },
                     &mut merge_walls,
                 );
@@ -1833,15 +1708,10 @@ impl DistributedExecutor {
                 let union = fold_decoded(
                     decoded,
                     |o| match o {
-                        ShardOutput::Tuples { width, flat } => tuples_of(width, flat),
+                        ShardOutput::Tuples { flat, .. } => flat,
                         other => wrong(&other),
                     },
-                    |acc, o| match o {
-                        ShardOutput::Tuples { width, flat } => {
-                            acc.append(&mut tuples_of(width, flat));
-                        }
-                        other => wrong(&other),
-                    },
+                    |acc, mut flat| acc.append(&mut flat),
                     &mut merge_walls,
                 );
                 self.finish(
@@ -1850,7 +1720,7 @@ impl DistributedExecutor {
                     stats,
                     1,
                     0,
-                    QueryResult::points(skyline_of(&union)),
+                    QueryResult::points(skyline_of(&explode(dims, &union))),
                     walls,
                     merge_walls,
                     combine_t0.elapsed(),
@@ -1986,6 +1856,40 @@ mod tests {
             let rejoined: Vec<u64> = chunk_payload(&words).into_iter().flatten().collect();
             assert_eq!(rejoined, words);
         }
+    }
+
+    /// A shard's `Rows` output for rows 3, 1 and 99 of `t`, both lanes.
+    fn shipped_rows() -> ShardOutput {
+        let db = db();
+        let ids = vec![3, 1, 99];
+        let (flat, checksum) = fetch_rows_flat(db.table("t"), &[0, 1], &ids);
+        ShardOutput::Rows {
+            width: 2,
+            ids,
+            flat,
+            checksum,
+        }
+    }
+
+    #[test]
+    fn intact_rows_payload_verifies() {
+        let ShardOutput::Rows { checksum, .. } = shipped_rows() else {
+            unreachable!()
+        };
+        assert_eq!(verified_rows(shipped_rows()), (vec![3, 1, 99], checksum));
+    }
+
+    /// `assert_eq!`, not `debug_assert_eq!`: this fails in release too.
+    #[test]
+    #[should_panic(expected = "shipped fetch payload diverged")]
+    fn one_flipped_payload_word_fails_the_integrity_check() {
+        let mut rows = shipped_rows();
+        let ShardOutput::Rows { flat, .. } = &mut rows else {
+            unreachable!()
+        };
+        flat[4] ^= 1;
+        let rows = ShardOutput::decode(&rows.encode()).expect("still a well-formed frame");
+        verified_rows(rows);
     }
 
     #[test]

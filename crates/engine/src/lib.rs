@@ -20,7 +20,9 @@
 //!   model (first-run penalty, compressed shuffle);
 //! * [`cheetah`] — the Cheetah executor: CWorker serialization → switch
 //!   pruning ([`cheetah-core`] pruners) → CMaster completion, plus late
-//!   materialization and the 10G/20G network model;
+//!   materialization and the 10G/20G network model (the master's fetch
+//!   kernel, group fold and tuple runs are one private `master` module
+//!   every arm below calls);
 //! * [`threaded`] — a bounded-channel cluster running real worker/
 //!   switch/master threads (wall-clock, non-deterministic interleaving);
 //! * [`sharded`] — the multi-switch executor: N independent pool +
@@ -38,10 +40,10 @@
 //!   dispatch pool, and the cross-query Bloom/Count-Min filter cache;
 //! * [`cost`] — the shared cost model and Table 3's hardware envelopes.
 //!
-//! Completion *times* are modeled (no testbed here — see DESIGN.md), but
-//! every executor computes **real query results** over real data, and the
-//! integration tests require Spark-baseline ≡ Cheetah ≡ reference for
-//! every query type.
+//! Completion *times* are modeled (no testbed here), but every executor
+//! computes **real query results** over real data, and the integration
+//! tests require Spark-baseline ≡ Cheetah ≡ reference for every query
+//! type.
 //!
 //! [`cheetah-core`]: cheetah_core
 //! [`cheetah-net`]: cheetah_net
@@ -55,6 +57,7 @@ pub mod cost;
 pub mod dag;
 pub mod distributed;
 pub mod executor;
+mod master;
 pub mod multipass;
 pub mod netaccel;
 pub mod plan;

@@ -24,24 +24,22 @@
 //! backend-dispatching flows from [`crate::backend`].
 //!
 //! The second half of this module is the **cross-shard combine layer**
-//! behind [`crate::sharded::ShardedExecutor`]: shard-local phase programs
-//! ([`JoinShardBuild`], [`SmallSideBuild`], [`ShardProbe`],
-//! [`HavingShardSketch`], [`HavingShardProbe`]) whose per-shard state is
-//! exported after the stream drains, plus the master-side combiners that
-//! merge it — Bloom-filter unions ([`union_filters`]), Count-Min sketch
-//! summation ([`merge_sketches`]) and GROUP BY SUM register
-//! re-aggregation with packet-riding evictions ([`ShardSums`] /
-//! [`combine_shard_sums`]).
+//! behind [`crate::sharded::ShardedExecutor`]: the shard-local HAVING
+//! programs ([`HavingShardSketch`], [`HavingShardProbe`]) whose sketches
+//! are summed across shards between the passes, and GROUP BY SUM register
+//! re-aggregation with packet-riding evictions ([`ShardSums`]). (JOIN
+//! needs nothing here: both sides are hash-sharded by key, so every
+//! shard runs the whole [`JoinPhases`] flow locally.)
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use cheetah_core::decision::Decision;
 use cheetah_core::groupby::{GroupBySumPruner, SumAction};
 use cheetah_core::having::HavingPruner;
-use cheetah_core::join::{BloomFilter, JoinPruner, KeyFilter};
 
 use crate::backend::{HavingFlow, JoinFlow};
+use crate::master::GroupRun;
+use crate::query::Agg;
 use crate::threaded::{ColumnChunk, SwitchPhases};
 
 /// Flow-id value tagging left-side (build A / probe A) join entries.
@@ -227,148 +225,11 @@ impl SwitchPhases for GroupBySumStage {
 // phase programs + the master-side merges of their exported switch state.
 // --------------------------------------------------------------------------
 
-/// Shard-local **symmetric** JOIN build pass: populate this shard's
-/// `F_A`/`F_B` from `[side, key]` entries, forwarding nothing. After the
-/// stream drains, [`JoinShardBuild::into_filters`] exports the pair for
-/// the cross-shard [`union_filters`] merge — the union behaves exactly
-/// like one filter that observed every shard, so a key matching across a
-/// shard boundary can never be Bloom-pruned.
-pub struct JoinShardBuild {
-    pruner: JoinPruner<BloomFilter>,
-}
-
-impl JoinShardBuild {
-    /// Fresh shard-local filter pair with the same geometry/seeds every
-    /// shard uses (a prerequisite of the union).
-    pub fn new(m_bits: u64, h: usize, seed: u64) -> Self {
-        JoinShardBuild {
-            pruner: JoinPruner::new(
-                BloomFilter::new(m_bits, h, seed),
-                BloomFilter::new(m_bits, h, seed ^ 1),
-            ),
-        }
-    }
-
-    /// Export this shard's `(F_A, F_B)` for the combine layer.
-    pub fn into_filters(self) -> (BloomFilter, BloomFilter) {
-        self.pruner.into_filters()
-    }
-}
-
-impl SwitchPhases for JoinShardBuild {
-    fn process_cols(
-        &mut self,
-        _phase: usize,
-        cols: &[&[u64]],
-        _visible_cols: usize,
-        out: &mut [Decision],
-    ) {
-        self.pruner.observe_block(cols[0], cols[1]);
-        out.fill(Decision::Prune);
-    }
-}
-
-/// Shard-local **asymmetric** build pass (§4.3): this shard's slice of
-/// the *small* join side streams once, inserting every key into a
-/// shard-local filter while forwarding every entry unpruned. The shard
-/// filters then union into the one filter that is broadcast to every
-/// shard's big-side probe pass.
-pub struct SmallSideBuild {
-    filter: BloomFilter,
-}
-
-impl SmallSideBuild {
-    /// Fresh shard-local small-side filter (same geometry/seed on every
-    /// shard).
-    pub fn new(m_bits: u64, h: usize, seed: u64) -> Self {
-        SmallSideBuild {
-            filter: BloomFilter::new(m_bits, h, seed),
-        }
-    }
-
-    /// Export this shard's filter for the cross-shard union.
-    pub fn into_filter(self) -> BloomFilter {
-        self.filter
-    }
-}
-
-impl SwitchPhases for SmallSideBuild {
-    fn process_cols(
-        &mut self,
-        _phase: usize,
-        cols: &[&[u64]],
-        _visible_cols: usize,
-        out: &mut [Decision],
-    ) {
-        for &k in cols[1] {
-            self.filter.insert(k);
-        }
-        out.fill(Decision::Forward);
-    }
-}
-
-/// Shard-local probe pass over **broadcast** merged filters: `[side,
-/// key, …]` entries probe the filter installed for their side. The
-/// symmetric flow broadcasts `(F_B, F_A)` (each side probes the other's
-/// union); the asymmetric flow broadcasts the small side's union to the
-/// big side's stream on both tags. `Arc`-shared, so N shards probe one
-/// filter copy instead of N clones.
-pub struct ShardProbe {
-    probe_left: Arc<BloomFilter>,
-    probe_right: Arc<BloomFilter>,
-}
-
-impl ShardProbe {
-    /// Probe pass where left-tagged entries probe `probe_left` and
-    /// right-tagged entries probe `probe_right`.
-    pub fn new(probe_left: Arc<BloomFilter>, probe_right: Arc<BloomFilter>) -> Self {
-        ShardProbe {
-            probe_left,
-            probe_right,
-        }
-    }
-}
-
-impl SwitchPhases for ShardProbe {
-    fn process_cols(
-        &mut self,
-        _phase: usize,
-        cols: &[&[u64]],
-        _visible_cols: usize,
-        out: &mut [Decision],
-    ) {
-        let (sides, keys) = (cols[0], cols[1]);
-        // Shard partitions are single-sided, so walk runs of equal flow
-        // id and hoist the filter dispatch out of the per-entry loop.
-        let mut i = 0;
-        while i < keys.len() {
-            let side = sides[i];
-            let mut j = i + 1;
-            while j < keys.len() && sides[j] == side {
-                j += 1;
-            }
-            let filter = if side == SIDE_LEFT {
-                &self.probe_left
-            } else {
-                &self.probe_right
-            };
-            for (d, &k) in out[i..j].iter_mut().zip(&keys[i..j]) {
-                *d = if filter.contains(k) {
-                    Decision::Forward
-                } else {
-                    Decision::Prune
-                };
-            }
-            i = j;
-        }
-    }
-}
-
 /// Shard-local HAVING pass 1: fold this shard's `(key, value)` entries
 /// into a shard-local Count-Min sketch (announcement forwards are made
 /// but the sharded master ignores them — candidates are recomputed from
 /// the merged sketch). [`HavingShardSketch::into_pruner`] exports the
-/// populated sketch for [`merge_sketches`].
+/// populated sketch for the cross-shard [`HavingPruner::merge`].
 pub struct HavingShardSketch {
     pruner: HavingPruner,
 }
@@ -401,7 +262,7 @@ impl SwitchPhases for HavingShardSketch {
 /// forwards candidate-key entries so the master computes exact sums.
 /// Running pass 2 against a shard-local sketch would under-estimate keys
 /// whose mass straddles shards and lose output keys — the summation must
-/// happen first ([`merge_sketches`]).
+/// happen first ([`HavingPruner::merge`]).
 pub struct HavingShardProbe {
     pruner: HavingPruner,
 }
@@ -423,29 +284,6 @@ impl SwitchPhases for HavingShardProbe {
     ) {
         self.pruner.pass_two_block(cols[0], out);
     }
-}
-
-/// Union per-shard Bloom filters into the broadcast filter (bitwise OR —
-/// see [`BloomFilter::union`]). Panics on an empty shard set: every
-/// query has at least one shard.
-pub fn union_filters(filters: Vec<BloomFilter>) -> BloomFilter {
-    let mut iter = filters.into_iter();
-    let mut merged = iter.next().expect("at least one shard filter");
-    for f in iter {
-        merged.union(&f);
-    }
-    merged
-}
-
-/// Sum per-shard Count-Min sketches into the global pass-2 sketch
-/// (cell-wise — see [`HavingPruner::merge`]).
-pub fn merge_sketches(pruners: Vec<HavingPruner>) -> HavingPruner {
-    let mut iter = pruners.into_iter();
-    let mut merged = iter.next().expect("at least one shard sketch");
-    for p in iter {
-        merged.merge(&p);
-    }
-    merged
 }
 
 /// One shard's GROUP BY SUM partial state at the combine layer: a
@@ -497,30 +335,16 @@ impl ShardSums {
     /// Drain the surviving registers and replay the overflow into exact
     /// global totals — the last serial step after the tree has reduced
     /// every shard into one `ShardSums`.
-    pub fn into_totals(mut self) -> BTreeMap<u64, u64> {
-        let mut totals: BTreeMap<u64, u64> = BTreeMap::new();
-        for (key, partial) in self.registers.drain() {
-            *totals.entry(key).or_insert(0) += partial;
-        }
-        for (key, partial) in self.overflow.drain(..) {
-            *totals.entry(key).or_insert(0) += partial;
-        }
-        totals
+    pub fn into_totals(self) -> BTreeMap<u64, u64> {
+        self.into_run().into_groups()
     }
-}
 
-/// Merge every shard's partial registers into exact global totals: fold
-/// pairwise through [`ShardSums::merge`], then [`ShardSums::into_totals`]
-/// drains the survivor. The sharded executor now performs the same fold
-/// across a reduction tree instead of this serial chain; this stays as
-/// the one-line serial reference the tree must match.
-pub fn combine_shard_sums(shards: Vec<ShardSums>) -> BTreeMap<u64, u64> {
-    let mut iter = shards.into_iter();
-    let mut merged = iter.next().expect("at least one shard");
-    for shard in iter {
-        merged.merge(shard);
+    /// [`ShardSums::into_totals`] as the sorted run the wire ships.
+    pub(crate) fn into_run(mut self) -> GroupRun {
+        let mut partials = self.registers.drain();
+        partials.append(&mut self.overflow);
+        GroupRun::fold(partials, Agg::Sum)
     }
-    merged.into_totals()
 }
 
 #[cfg(test)]
@@ -671,59 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_build_then_broadcast_probe_keeps_cross_shard_matches() {
-        // Left keys 0..50 on shard 0 only; right keys 30..80 on shard 1
-        // only: every match straddles the shard boundary. Shard-local
-        // filters alone would prune everything; the union must not.
-        let m_bits = 1 << 14;
-        let mut shard0 = JoinShardBuild::new(m_bits, 3, 5);
-        let mut shard1 = JoinShardBuild::new(m_bits, 3, 5);
-        let left: Vec<u64> = (0..50).collect();
-        let right: Vec<u64> = (30..80).collect();
-        let build = |shard: &mut JoinShardBuild, tag: u64, keys: &[u64]| {
-            let sides = vec![tag; keys.len()];
-            let mut out = vec![Decision::Forward; keys.len()];
-            shard.process_cols(0, &[&sides, keys], 2, &mut out);
-            assert!(out.iter().all(|d| d.is_prune()), "build forwards nothing");
-        };
-        build(&mut shard0, SIDE_LEFT, &left);
-        build(&mut shard1, SIDE_RIGHT, &right);
-        let (fa0, fb0) = shard0.into_filters();
-        let (fa1, fb1) = shard1.into_filters();
-        let fa = Arc::new(union_filters(vec![fa0, fa1]));
-        let fb = Arc::new(union_filters(vec![fb0, fb1]));
-        // Each side probes the other side's union.
-        let mut probe = ShardProbe::new(fb, fa);
-        let sides = vec![SIDE_LEFT; left.len()];
-        let mut out = vec![Decision::Prune; left.len()];
-        probe.process_cols(1, &[&sides, &left], 2, &mut out);
-        for (k, d) in left.iter().zip(&out) {
-            if (30..50).contains(k) {
-                assert!(d.is_forward(), "cross-shard match {k} was pruned");
-            }
-        }
-        assert!(
-            out.iter().filter(|d| d.is_prune()).count() > 20,
-            "disjoint prefix should still prune"
-        );
-    }
-
-    #[test]
-    fn small_side_build_forwards_all_and_exports_its_filter() {
-        let mut b = SmallSideBuild::new(1 << 12, 3, 7);
-        let keys: Vec<u64> = (100..200).collect();
-        let sides = vec![SIDE_RIGHT; keys.len()];
-        let mut out = vec![Decision::Prune; keys.len()];
-        b.process_cols(0, &[&sides, &keys], 2, &mut out);
-        assert!(
-            out.iter().all(|d| d.is_forward()),
-            "small side ships unpruned"
-        );
-        let f = b.into_filter();
-        assert!(keys.iter().all(|&k| f.contains(k)));
-    }
-
-    #[test]
     fn merged_sketches_keep_cross_shard_having_winners() {
         let threshold = 1_000u64;
         let mk = || HavingShardSketch::new(HavingPruner::new(3, 256, threshold, 11));
@@ -736,12 +507,14 @@ mod tests {
             let mut out = [Decision::Prune; 2];
             s.process_cols(0, &[&keys, &vals], 2, &mut out);
         }
-        let merged = merge_sketches(
-            shards
-                .into_iter()
-                .map(HavingShardSketch::into_pruner)
-                .collect(),
-        );
+        let merged = shards
+            .into_iter()
+            .map(HavingShardSketch::into_pruner)
+            .reduce(|mut a, b| {
+                a.merge(&b);
+                a
+            })
+            .expect("four shards");
         let mut probe = HavingShardProbe::new(merged);
         let keys = [5u64, 6];
         let vals = [1u64, 1];
@@ -752,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn combine_shard_sums_is_exact_under_register_pressure() {
+    fn shard_sums_merge_is_exact_under_register_pressure() {
         // Starved 2×1 combine registers: constant merge-time evictions.
         let keys: Vec<u64> = (0..6_000u64).map(|i| i * 13 % 251).collect();
         let vals: Vec<u64> = (0..6_000u64).map(|i| i % 97).collect();
@@ -762,8 +535,14 @@ mod tests {
             *truth.entry(k).or_insert(0) += v;
             shards[i % 3].absorb(k, v);
         }
-        let totals = combine_shard_sums(shards);
-        let as_map: HashMap<u64, u64> = totals.into_iter().collect();
+        let merged = shards
+            .into_iter()
+            .reduce(|mut a, b| {
+                a.merge(b);
+                a
+            })
+            .expect("three shards");
+        let as_map: HashMap<u64, u64> = merged.into_totals().into_iter().collect();
         assert_eq!(as_map, truth, "combine must re-aggregate exactly");
     }
 

@@ -212,8 +212,8 @@ impl Query {
     }
 
     /// Resolve the late-materialization fetch projection for this query
-    /// over `t` under `spec` — what [`crate::table::Table::row_into_cols`]
-    /// gathers per surviving row.
+    /// over `t` under `spec` — the lanes the fetch reads per surviving
+    /// row.
     pub fn projection(&self, t: &Table, spec: &FetchSpec) -> Projection {
         match spec {
             FetchSpec::All => Projection::all(t),
@@ -396,11 +396,26 @@ pub fn pair_checksum(acc: u64, key: u64, left_row: u64, right_row: u64) -> u64 {
 /// that fetches the same row set (whatever the fetch order) reports the
 /// same value in [`crate::executor::ExecutionReport::fetch_checksum`].
 pub fn fetch_checksum(acc: u64, row_id: u64, row: &[u64]) -> u64 {
-    let mut h = cheetah_core::hash::mix64(row_id.wrapping_add(0x9e37_79b9_7f4a_7c15));
-    for &v in row {
-        h = cheetah_core::hash::mix64(h ^ v);
-    }
+    let h = row
+        .iter()
+        .fold(fetch_chain_seed(row_id), |h, &v| fetch_chain_step(h, v));
     acc.wrapping_add(h)
+}
+
+/// Where a fetched row's hash chain starts. [`fetch_checksum`] is this
+/// seed, one [`fetch_chain_step`] per projected word in order, and a
+/// wrapping add; the master's block kernel runs the same two functions
+/// with many rows' chains advancing in lock-step, so the two can never
+/// disagree.
+#[inline]
+pub(crate) fn fetch_chain_seed(row_id: u64) -> u64 {
+    cheetah_core::hash::mix64(row_id.wrapping_add(0x9e37_79b9_7f4a_7c15))
+}
+
+/// Absorb one projected word into a fetched row's hash chain.
+#[inline]
+pub(crate) fn fetch_chain_step(h: u64, word: u64) -> u64 {
+    cheetah_core::hash::mix64(h ^ word)
 }
 
 #[cfg(test)]

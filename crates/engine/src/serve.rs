@@ -60,8 +60,9 @@ use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
 
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
-use crate::cheetah::{fetch_and_checksum, ArmedFlow, CheetahExecutor};
+use crate::cheetah::{ArmedFlow, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
+use crate::master::{fetch_and_checksum, GroupSink, TupleRun};
 use crate::query::{Agg, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::stream::{fingerprint_rows, EntryStream, LaneArena, BLOCK_ENTRIES};
@@ -381,18 +382,21 @@ impl ServeExecutor {
                     Completion::Count { count, .. } => (0, QueryResult::Count(count), None),
                     Completion::Fetch { ids, .. } => {
                         let proj = query.projection(t, &cfg.fetch);
-                        let checksum = fetch_and_checksum(t, &proj, &ids);
+                        let checksum = fetch_and_checksum(t, proj.cols(), &ids);
                         (ids.len() as u64, QueryResult::row_ids(ids), Some(checksum))
                     }
                     Completion::Values(v) => match query {
                         Query::TopN { n, .. } => (*n as u64, QueryResult::top_values(v, *n), None),
                         _ => (0, QueryResult::values(v), None),
                     },
-                    Completion::Points(v) if matches!(query, Query::Skyline { .. }) => {
-                        (0, QueryResult::points(skyline_of(&v)), None)
+                    Completion::Points(v) => (0, QueryResult::points(skyline_of(&v)), None),
+                    Completion::Tuples { width, flat } => {
+                        (0, TupleRun::canonical(width, flat).into_points(), None)
                     }
-                    Completion::Points(v) => (0, QueryResult::points(v), None),
-                    Completion::Groups { groups, .. } => (0, QueryResult::Groups(groups), None),
+                    Completion::Groups(groups) => {
+                        let groups = groups.finish().into_groups();
+                        (0, QueryResult::Groups(groups), None)
+                    }
                 };
                 let mut report = self.cheetah.report(query, rows, stats, 1, fetch, result);
                 report.fetch_checksum = checksum;
@@ -540,13 +544,12 @@ enum Completion<'q> {
     },
     /// Distinct / TopN: single-column survivors.
     Values(Vec<u64>),
-    /// DistinctMulti / Skyline: survivor tuples.
+    /// Skyline: survivor points.
     Points(Vec<Vec<u64>>),
-    /// GroupBy MAX/MIN register re-aggregation.
-    Groups {
-        groups: BTreeMap<u64, u64>,
-        max: bool,
-    },
+    /// DistinctMulti: survivor tuples back to back in one flat buffer.
+    Tuples { width: usize, flat: Vec<u64> },
+    /// GroupBy MAX/MIN: survivor `(key, value)` pairs, folding as they come.
+    Groups(GroupSink),
 }
 
 impl<'q> Completion<'q> {
@@ -563,11 +566,12 @@ impl<'q> Completion<'q> {
                 ids: Vec::new(),
             },
             Query::Distinct { .. } | Query::TopN { .. } => Completion::Values(Vec::new()),
-            Query::DistinctMulti { .. } | Query::Skyline { .. } => Completion::Points(Vec::new()),
-            Query::GroupBy { agg, .. } => Completion::Groups {
-                groups: BTreeMap::new(),
-                max: *agg == Agg::Max,
+            Query::Skyline { .. } => Completion::Points(Vec::new()),
+            Query::DistinctMulti { columns, .. } => Completion::Tuples {
+                width: columns.len(),
+                flat: Vec::new(),
             },
+            Query::GroupBy { agg, .. } => Completion::Groups(GroupSink::new(*agg)),
             _ => unreachable!("only shareable shapes complete here"),
         }
     }
@@ -600,11 +604,11 @@ impl<'q> Completion<'q> {
             Completion::Points(v) => {
                 v.push(lanes.iter().map(|&l| stream.col(l)[idx]).collect());
             }
-            Completion::Groups { groups, max } => {
-                let k = stream.col(lanes[0])[idx];
-                let val = stream.col(lanes[1])[idx];
-                let e = groups.entry(k).or_insert(if *max { 0 } else { u64::MAX });
-                *e = if *max { (*e).max(val) } else { (*e).min(val) };
+            Completion::Tuples { flat, .. } => {
+                flat.extend(lanes.iter().map(|&l| stream.col(l)[idx]));
+            }
+            Completion::Groups(groups) => {
+                groups.push(stream.col(lanes[0])[idx], stream.col(lanes[1])[idx]);
             }
         }
     }

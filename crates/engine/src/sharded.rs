@@ -53,7 +53,6 @@
 //! sampled cost race over the {1, 2, 4, 8} grid that includes the
 //! measured merge cost ([`ShardedExecutor::with_adaptive_shards`]).
 
-use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -64,8 +63,9 @@ use cheetah_core::having::HavingPruner;
 
 use crate::backend;
 use crate::backend::JoinFlow;
-use crate::cheetah::{fetch_and_checksum, join_survivors, CheetahExecutor, PrunerConfig};
+use crate::cheetah::{join_survivors, CheetahExecutor, PrunerConfig};
 use crate::executor::{ExecutionReport, Executor};
+use crate::master::{fetch_and_checksum, GroupRun, GroupSink, TupleRun};
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
     SIDE_LEFT, SIDE_RIGHT,
@@ -504,57 +504,6 @@ pub(crate) fn merge_top(a: &mut Vec<u64>, b: Vec<u64>, n: usize) {
     *a = merged;
 }
 
-/// Merge two sorted, deduplicated tuple runs (dedup across runs) — the
-/// associative DistinctMulti reduce. One buffer allocation per merge;
-/// the tuples themselves move as pointers.
-pub(crate) fn merge_sorted_dedup(a: &mut Vec<Vec<u64>>, b: Vec<Vec<u64>>) {
-    if b.is_empty() {
-        return;
-    }
-    if a.is_empty() {
-        *a = b;
-        return;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut left = std::mem::take(a).into_iter().peekable();
-    let mut right = b.into_iter().peekable();
-    loop {
-        // Each run is internally deduped, so an equal pair means one
-        // tuple from each side: drop the right copy, keep the left.
-        let pick_left = match (left.peek(), right.peek()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => {
-                    right.next();
-                    true
-                }
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let item = if pick_left { left.next() } else { right.next() };
-        out.push(item.expect("peeked side is non-empty"));
-    }
-    *a = out;
-}
-
-/// Fold one shard's per-key extrema into another — the associative
-/// GROUP BY MAX/MIN reduce.
-pub(crate) fn merge_extrema(a: &mut BTreeMap<u64, u64>, b: BTreeMap<u64, u64>, ext: Extremum) {
-    for (k, v) in b {
-        let e = a
-            .entry(k)
-            .or_insert(if ext == Extremum::Max { 0 } else { u64::MAX });
-        *e = if ext == Extremum::Max {
-            (*e).max(v)
-        } else {
-            (*e).min(v)
-        };
-    }
-}
-
 impl ShardedExecutor {
     /// Run the query across `planned_shards` independent shard pipelines
     /// and tree-reduce. Total over every [`Query`] shape; the returned
@@ -641,7 +590,7 @@ impl ShardedExecutor {
                             // is commutative, so shard partials just sum.
                             // Only the projected lanes are gathered.
                             |_, ids| {
-                                let checksum = fetch_and_checksum(t, proj, &ids);
+                                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
                                 (ids, checksum)
                             },
                         )
@@ -707,11 +656,11 @@ impl ShardedExecutor {
             Query::DistinctMulti { table, columns } => {
                 // Fingerprint-union: each shard's workers compute the §5
                 // fingerprint lane, each shard's switch dedups its own
-                // fingerprints, and each shard materializes + canonicalizes
-                // (sorts, dedups) its surviving tuples on its own thread,
-                // so the tree merges are sorted pointer merges and the
-                // master's serial tail does no per-row work at all — the
-                // root's run is already the canonical result.
+                // fingerprints, and each shard canonicalizes (sorts,
+                // dedups) its surviving tuples in their flat buffer on its
+                // own thread, so the tree merges are linear flat-to-flat
+                // merges and the master's serial tail only explodes the
+                // root's run — already canonical — into owned tuples.
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
                 let width = cols.len();
@@ -746,16 +695,10 @@ impl ShardedExecutor {
                             |flat, _, block| {
                                 block.for_each_row(|row| flat.extend_from_slice(&row[1..]));
                             },
-                            |_, flat| -> Vec<Vec<u64>> {
-                                let mut tuples: Vec<Vec<u64>> =
-                                    flat.chunks(width).map(<[u64]>::to_vec).collect();
-                                tuples.sort();
-                                tuples.dedup();
-                                tuples
-                            },
+                            |_, flat| TupleRun::canonical(width, flat),
                         )
                     },
-                    merge_sorted_dedup,
+                    TupleRun::merge,
                 );
                 let stats = outcome.stats_total();
                 let combine_t0 = Instant::now();
@@ -765,7 +708,7 @@ impl ShardedExecutor {
                     stats,
                     1,
                     0,
-                    QueryResult::Points(outcome.value),
+                    outcome.value.into_points(),
                     outcome.pass_walls,
                     outcome.merge_walls,
                     combine_t0.elapsed(),
@@ -837,27 +780,18 @@ impl ShardedExecutor {
                                 visible_cols: 2,
                             }],
                             PrunerStage::new(backend::groupby(cfg, ext)),
-                            BTreeMap::<u64, u64>::new(),
+                            GroupSink::new(*agg),
                             |groups, _, block| {
-                                block.for_each_row(|row| {
-                                    let e = groups
-                                        .entry(row[0])
-                                        .or_insert(if ext == Extremum::Max { 0 } else { u64::MAX });
-                                    *e = if ext == Extremum::Max {
-                                        (*e).max(row[1])
-                                    } else {
-                                        (*e).min(row[1])
-                                    };
-                                });
+                                groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
                             },
-                            |_, groups| groups,
+                            |_, groups| groups.finish(),
                         )
                     },
-                    |a, b| merge_extrema(a, b, ext),
+                    GroupRun::merge,
                 );
                 let stats = outcome.stats_total();
                 let combine_t0 = Instant::now();
-                let result = QueryResult::Groups(outcome.value);
+                let result = QueryResult::Groups(outcome.value.into_groups());
                 self.finish(
                     query,
                     t.rows() as u64,
@@ -1011,40 +945,27 @@ impl ShardedExecutor {
                                 visible_cols: 2,
                             }],
                             HavingShardProbe::new(merged.clone()),
-                            Vec::<(u64, u64)>::new(),
-                            |pairs, _, block| block.extend_pairs_into(0, 1, pairs),
-                            |_, pairs| {
-                                let mut sums: BTreeMap<u64, u64> = BTreeMap::new();
-                                for (k, v) in pairs {
-                                    *sums.entry(k).or_insert(0) += v;
-                                }
-                                sums
+                            GroupSink::new(Agg::Sum),
+                            |sums, _, block| {
+                                sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
                             },
+                            |_, sums| sums.finish(),
                         )
                     },
-                    |a, b| {
-                        for (k, v) in b {
-                            *a.entry(k).or_insert(0) += v;
-                        }
-                    },
+                    GroupRun::merge,
                 );
                 stats.merge(probes.stats_total());
                 walls.extend(probes.pass_walls);
                 merge_walls.extend(probes.merge_walls);
                 let combine_t0 = Instant::now();
-                let keys: Vec<u64> = probes
-                    .value
-                    .into_iter()
-                    .filter(|&(_, s)| s > *threshold)
-                    .map(|(k, _)| k)
-                    .collect();
+                let result = probes.value.keys_above(*threshold);
                 self.finish(
                     query,
                     2 * t.rows() as u64,
                     stats,
                     2,
                     0,
-                    QueryResult::keys(keys),
+                    result,
                     walls,
                     merge_walls,
                     combine_t0.elapsed(),

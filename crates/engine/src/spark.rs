@@ -14,6 +14,7 @@ use crate::cost::{
     FALLBACK_TASK_RATE,
 };
 use crate::executor::ExecutionReport;
+use crate::master::fetch_and_checksum;
 use crate::query::{pair_checksum, Agg, FetchSpec, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::table::Database;
@@ -74,17 +75,12 @@ impl SparkExecutor {
                             .map(|r| r as u64),
                     );
                 }
-                // Late materialization: fetch matching rows through one
-                // reused buffer — projected lanes only — checksummed
-                // order-independently so every executor's fetch can be
+                // Late materialization: the same fetch kernel the pruned
+                // executors run — projected lanes only — so the baseline
+                // is not handicapped and every executor's checksum can be
                 // cross-checked.
                 let proj = query.projection(t, &self.fetch);
-                let mut buf = Vec::with_capacity(proj.width());
-                let mut checksum = 0u64;
-                for &rid in &ids {
-                    t.row_into_cols(rid as usize, proj.cols(), &mut buf);
-                    checksum = crate::query::fetch_checksum(checksum, rid, &buf);
-                }
+                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
                 let shuffle = ids.len() as u64;
                 let result = QueryResult::row_ids(ids);
                 let mut report = self.report(query, t.rows() as u64, shuffle, shuffle, result);

@@ -380,6 +380,12 @@ impl EntryRef<'_> {
     /// Copy the entry's values into `buf`, reusing its capacity.
     pub fn gather_into(&self, buf: &mut Vec<u64>) {
         buf.clear();
+        self.extend_into(buf);
+    }
+
+    /// Append the entry's values onto `buf` — how a sink collects
+    /// survivor tuples back to back in one flat buffer.
+    pub fn extend_into(&self, buf: &mut Vec<u64>) {
         buf.extend(self.cols.iter().map(|c| c[self.idx]));
     }
 

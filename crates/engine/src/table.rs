@@ -80,8 +80,8 @@ impl Table {
     }
 
     /// One full row (across all columns), freshly allocated. Test-only
-    /// convenience: production fetch loops go through [`Table::row_into`]
-    /// or [`Table::row_into_cols`], which reuse one buffer per loop.
+    /// convenience: row loops go through [`Table::row_into`] or
+    /// [`Table::row_into_cols`], which reuse one buffer per loop.
     #[doc(hidden)]
     pub fn row(&self, r: usize) -> Vec<u64> {
         let mut buf = Vec::new();
@@ -89,10 +89,8 @@ impl Table {
         buf
     }
 
-    /// Fill `buf` with row `r` across all columns, reusing its capacity —
-    /// what the late-materialization fetch loops (§7.1) use, on both the
-    /// deterministic and the threaded Filter path, so a fetch of `k`
-    /// rows costs one buffer, not `k` allocations.
+    /// Fill `buf` with row `r` across all columns, reusing its capacity,
+    /// so a loop over `k` rows costs one buffer, not `k` allocations.
     ///
     /// # Examples
     ///
@@ -114,10 +112,12 @@ impl Table {
 
     /// Fill `buf` with row `r` gathered over just the columns in `cols`
     /// (schema indices, caller order) — the projected form of
-    /// [`Table::row_into`] that projection pushdown uses so a Filter
-    /// fetch over a 100-column table touches only the lanes the query
-    /// references. Passing every column index in schema order produces
-    /// exactly the [`Table::row_into`] row.
+    /// [`Table::row_into`]. Passing every column index in schema order
+    /// produces exactly the [`Table::row_into`] row. The §7.1 fetch no
+    /// longer comes through here (the executors read the same lanes a
+    /// block of rows at a time, lane by lane); this is the row-at-a-time
+    /// definition that kernel is tested against, and what streams a
+    /// table's rows into a [`crate::dag`] pipeline.
     ///
     /// # Examples
     ///

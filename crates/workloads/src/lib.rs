@@ -16,8 +16,7 @@
 //! The paper's samples hold 31.7M uservisits / 18M rankings rows and TPC-H
 //! at default scale; the generators reproduce the schema, key
 //! cardinalities, skew and orderings at any row count, so the *fractional*
-//! metrics (pruning rates, relative completion times) transfer (see
-//! DESIGN.md on substitutions).
+//! metrics (pruning rates, relative completion times) transfer.
 //!
 //! # Examples
 //!

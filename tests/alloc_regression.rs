@@ -542,4 +542,84 @@ fn warm_queries_allocate_o1_not_o_rows() {
          full-row ({WIDE_COLS} columns, 1 referenced); late materialization \
          is carrying never-read lanes again"
     );
+
+    // The in-process fetch kernel materialises nothing: the same Filter
+    // fetching all 64 lanes of its ~10k survivors may cost a constant few
+    // allocations and a few block-sized buffers more than fetching one
+    // lane. A `Vec` per row would add ~10k allocations; a `width × k`
+    // arena 5 MB, a lane-major tile of one block 2 MB.
+    let fetch_cost = |fetch: FetchSpec| {
+        let exec = CheetahExecutor::new(
+            CostModel::default(),
+            PrunerConfig {
+                fetch,
+                ..PrunerConfig::default()
+            },
+        );
+        let warm = exec.execute(&wide, &wide_query);
+        let mut allocs = 0;
+        let peak = peak_bytes_during(|| {
+            allocs = allocs_during(|| {
+                exec.execute(&wide, &wide_query);
+            });
+        });
+        (allocs, peak, warm.fetch_rows)
+    };
+    let (full_allocs, full_peak, fetched) = fetch_cost(FetchSpec::All);
+    let (lane_allocs, lane_peak, _) = fetch_cost(FetchSpec::Referenced);
+    assert!(
+        fetched > 5_000,
+        "the pin needs a real fetch, got {fetched} rows"
+    );
+    assert!(
+        full_allocs <= lane_allocs + 8,
+        "fetching {WIDE_COLS} lanes of {fetched} rows made {full_allocs} allocations \
+         vs {lane_allocs} for one lane; the fetch allocates per row again"
+    );
+    let few_blocks = 16 * (BLOCK_ENTRIES * 8) as u64;
+    assert!(
+        full_peak <= lane_peak + few_blocks,
+        "fetching {WIDE_COLS} lanes of {fetched} rows peaked at {full_peak} B vs \
+         {lane_peak} B for one lane (allowance {few_blocks} B); the fetch is \
+         materialising rows again"
+    );
+
+    // Flat tuple runs: a DistinctMulti allocates per *output* tuple, not
+    // per survivor. 20,011 distinct pairs, each three times and too far
+    // apart for the switch's DISTINCT matrix to remember, so survivors
+    // outnumber outputs about three to one.
+    const DISTINCT_PAIRS: u64 = 20_011;
+    let mut dups = Database::new();
+    dups.add(Table::new(
+        "d",
+        vec![
+            ("p", (0..ROWS as u64).map(|i| i % DISTINCT_PAIRS).collect()),
+            (
+                "q",
+                (0..ROWS as u64)
+                    .map(|i| i % DISTINCT_PAIRS * 7 % 499)
+                    .collect(),
+            ),
+        ],
+    ));
+    let dup_query = Query::DistinctMulti {
+        table: "d".into(),
+        columns: vec!["p".into(), "q".into()],
+    };
+    let warm = exec.execute(&dups, &dup_query);
+    let (outputs, survivors) = (warm.result.output_size(), warm.prune_stats().forwarded());
+    assert_eq!(outputs, DISTINCT_PAIRS);
+    assert!(
+        survivors > 2 * outputs,
+        "the pin needs survivors to outnumber outputs, got {survivors} for {outputs}"
+    );
+    let allocs = allocs_during(|| {
+        exec.execute(&dups, &dup_query);
+    });
+    assert!(
+        allocs <= outputs + budget,
+        "DistinctMulti made {allocs} allocations for {outputs} output tuples out of \
+         {survivors} survivors (allowance {budget}); survivors are being \
+         materialised one `Vec` each again"
+    );
 }
