@@ -120,58 +120,6 @@ impl BloomFilter {
         BloomFilter::new(m.max(64 * h as u64), h, seed)
     }
 
-    /// The raw register words, segment-major (`seg_words` words per hash).
-    ///
-    /// This is the filter's entire soft state as a flat `u64` array — the
-    /// serialization surface for shipping a shard-built filter to the
-    /// master over the wire protocol.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// `(segment words, hash count)` — with the seed, everything needed
-    /// to reconstruct an identical filter via [`BloomFilter::from_parts`].
-    pub fn geometry(&self) -> (usize, usize) {
-        (self.seg_words, self.hashes.len())
-    }
-
-    /// Rebuild a filter from its shipped parts: geometry, the seed its
-    /// hash functions were derived from, and the raw register words.
-    /// Inverse of [`BloomFilter::words`]/[`BloomFilter::geometry`] for a
-    /// filter built with the same `seed` (hash derivation matches
-    /// [`BloomFilter::new`]).
-    pub fn from_parts(seg_words: usize, h: usize, seed: u64, words: Vec<u64>) -> Self {
-        assert!(h >= 1, "need at least one hash function");
-        assert!(seg_words >= 1, "each segment needs ≥1 word");
-        assert_eq!(words.len(), seg_words * h, "word count must match geometry");
-        BloomFilter {
-            words,
-            seg_words,
-            hashes: (0..h)
-                .map(|i| HashFn::new(seed ^ ((i as u64) << 32)))
-                .collect(),
-        }
-    }
-
-    /// Union another filter into this one (bitwise OR of the bit arrays).
-    ///
-    /// This is the multi-switch combine primitive: when each shard builds
-    /// its own filter over its slice of a join side, the union behaves
-    /// exactly like one filter that observed every shard's keys — a key
-    /// inserted on *any* shard is contained in the union, so the merged
-    /// filter keeps the no-false-negative guarantee across shards. Both
-    /// filters must share geometry and seeds (same control-plane install).
-    pub fn union(&mut self, other: &BloomFilter) {
-        assert_eq!(
-            (self.seg_words, &self.hashes),
-            (other.seg_words, &other.hashes),
-            "bloom union requires identical geometry and seeds"
-        );
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// Bit position of `key` within segment `i`: `(word_index, mask)`,
     /// with `word_index` relative to the whole filter.
     #[inline]
@@ -383,13 +331,6 @@ impl<F: KeyFilter> JoinPruner<F> {
     pub fn clear(&mut self) {
         self.filter_a.clear();
         self.filter_b.clear();
-    }
-
-    /// Take the `(F_A, F_B)` pair out of the pruner — how a shard's build
-    /// pass exports its local filters to the cross-shard combine layer
-    /// (see [`BloomFilter::union`]).
-    pub fn into_filters(self) -> (F, F) {
-        (self.filter_a, self.filter_b)
     }
 
     /// Borrow the `(F_A, F_B)` pair without consuming the pruner — how a
@@ -606,33 +547,44 @@ mod tests {
         assert!(pruned > 9_900, "low-FPR filter should prune ~all: {pruned}");
     }
 
-    #[test]
-    fn block_loops_match_per_entry_decisions() {
+    /// Block loops against the per-entry calls, over the same lanes
+    /// (mixed-side blocks included).
+    fn check_block_loops<F: KeyFilter>(mk: impl Fn() -> JoinPruner<F>) {
         let mut rng = StdRng::seed_from_u64(11);
         let sides: Vec<u64> = (0..4_000).map(|i| u64::from(i >= 2_000)).collect();
         let keys: Vec<u64> = (0..4_000).map(|_| rng.gen_range(0..3_000)).collect();
-        let mk = || {
-            JoinPruner::new(
-                BloomFilter::new(1 << 14, 3, 5),
-                BloomFilter::new(1 << 14, 3, 6),
-            )
-        };
-        // Per-entry oracle.
+        let side = |s: u64| if s == 0 { Side::Left } else { Side::Right };
         let mut a = mk();
         for (&s, &k) in sides.iter().zip(&keys) {
-            a.observe(if s == 0 { Side::Left } else { Side::Right }, k);
+            a.observe(side(s), k);
         }
         let expected: Vec<Decision> = sides
             .iter()
             .zip(&keys)
-            .map(|(&s, &k)| a.prune_decision(if s == 0 { Side::Left } else { Side::Right }, k))
+            .map(|(&s, &k)| a.prune_decision(side(s), k))
             .collect();
-        // Block path over the same lanes (mixed-side block included).
         let mut b = mk();
         b.observe_block(&sides, &keys);
         let mut out = vec![Decision::Prune; keys.len()];
         b.probe_block(&sides, &keys, &mut out);
         assert_eq!(out, expected, "block loops must be bit-identical");
+    }
+
+    #[test]
+    fn block_loops_match_per_entry_decisions() {
+        check_block_loops(|| {
+            JoinPruner::new(
+                BloomFilter::new(1 << 14, 3, 5),
+                BloomFilter::new(1 << 14, 3, 6),
+            )
+        });
+        // The engine's pair: register filters, each side its own size.
+        check_block_loops(|| {
+            JoinPruner::new(
+                RegisterBloomFilter::new(1 << 16, 3, 5),
+                RegisterBloomFilter::new(64, 3, 6),
+            )
+        });
     }
 
     #[test]
@@ -658,46 +610,6 @@ mod tests {
         assert_eq!(r.stages, 1);
         assert_eq!(r.alus, 1);
         assert_eq!(r.sram_bits, 4 * 8 * 1024 * 1024 + 22 * 64);
-    }
-
-    #[test]
-    fn union_is_equivalent_to_one_filter_observing_everything() {
-        // Two shards insert disjoint halves; the union must contain every
-        // key either shard saw, bit-for-bit like a single filter would.
-        let mut whole = BloomFilter::new(1 << 12, 3, 9);
-        let mut shard_a = BloomFilter::new(1 << 12, 3, 9);
-        let mut shard_b = BloomFilter::new(1 << 12, 3, 9);
-        for k in 0..500u64 {
-            whole.insert(k);
-            if k % 2 == 0 {
-                shard_a.insert(k);
-            } else {
-                shard_b.insert(k);
-            }
-        }
-        shard_a.union(&shard_b);
-        assert_eq!(shard_a.words, whole.words, "union must equal one filter");
-        for k in 0..500u64 {
-            assert!(shard_a.contains(k), "union lost shard key {k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "identical geometry")]
-    fn union_rejects_mismatched_seeds() {
-        let mut a = BloomFilter::new(1 << 10, 3, 0);
-        let b = BloomFilter::new(1 << 10, 3, 1);
-        a.union(&b);
-    }
-
-    #[test]
-    fn into_filters_exports_build_state() {
-        let mut jp = JoinPruner::new(BloomFilter::new(256, 2, 0), BloomFilter::new(256, 2, 1));
-        jp.observe(Side::Left, 7);
-        jp.observe(Side::Right, 9);
-        let (fa, fb) = jp.into_filters();
-        assert!(fa.contains(7) && !fa.contains(9));
-        assert!(fb.contains(9) && !fb.contains(7));
     }
 
     #[test]

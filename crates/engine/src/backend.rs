@@ -9,14 +9,13 @@ use cheetah_core::distinct::DistinctPruner;
 use cheetah_core::filter::FilterPruner;
 use cheetah_core::groupby::{Extremum, GroupByPruner};
 use cheetah_core::having::{CountMinSketch, HavingPruner};
-use cheetah_core::join::{BloomFilter, JoinPruner, Side};
+use cheetah_core::join::{JoinPruner, RegisterBloomFilter};
 use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
 use cheetah_core::SwitchModel;
 use cheetah_pisa::programs::{
-    BloomJoinProgram, DetTopNProgram, DistinctLruProgram, FilterProgram, GroupByProgram,
-    HavingPhase, HavingProgram, JoinMode, RandTopNProgram, SkylineProgram, SkylineScoring,
-    SwitchProgram,
+    DetTopNProgram, DistinctLruProgram, FilterProgram, GroupByProgram, HavingPhase, HavingProgram,
+    JoinMode, RandTopNProgram, RbfJoinProgram, SkylineProgram, SkylineScoring, SwitchProgram,
 };
 use cheetah_pisa::ProgramPruner;
 
@@ -212,14 +211,6 @@ impl HavingFlow {
         }
     }
 
-    /// Pass 1: fold an entry; forward = candidate announcement.
-    pub fn pass_one(&mut self, key: u64, value: u64) -> Decision {
-        match self {
-            HavingFlow::Core(p) => p.pass_one(key, value),
-            HavingFlow::Pisa(p) => p.process(&[key, value]).expect("no violations"),
-        }
-    }
-
     /// Switch to pass 2 (control-plane phase flip for the program).
     pub fn begin_pass_two(&mut self) {
         if let HavingFlow::Pisa(p) = self {
@@ -227,17 +218,9 @@ impl HavingFlow {
         }
     }
 
-    /// Pass 2: forward candidate-key entries.
-    pub fn pass_two(&mut self, key: u64, value: u64) -> Decision {
-        match self {
-            HavingFlow::Core(p) => p.pass_two(key),
-            HavingFlow::Pisa(p) => p.process(&[key, value]).expect("no violations"),
-        }
-    }
-
-    /// Pass-1 block loop: the backend dispatch happens once per block
-    /// instead of once per entry. Bit-identical to per-entry
-    /// [`Self::pass_one`] calls.
+    /// Pass 1 over a block: fold each entry into the sketch; a forward is
+    /// a candidate announcement. The backend dispatch happens once per
+    /// block instead of once per entry.
     pub fn pass_one_block(&mut self, keys: &[u64], vals: &[u64], out: &mut [Decision]) {
         match self {
             HavingFlow::Core(p) => p.pass_one_block(keys, vals, out),
@@ -249,7 +232,7 @@ impl HavingFlow {
         }
     }
 
-    /// Pass-2 block loop, bit-identical to per-entry [`Self::pass_two`].
+    /// Pass 2 over a block: forward candidate-key entries.
     pub fn pass_two_block(&mut self, keys: &[u64], vals: &[u64], out: &mut [Decision]) {
         match self {
             HavingFlow::Core(p) => p.pass_two_block(keys, out),
@@ -279,61 +262,65 @@ impl HavingFlow {
     }
 }
 
-/// Two-pass JOIN flow under either backend.
+/// Filter bits the control plane provisions per row it expects to insert
+/// on a join side. A register filter setting 3 bits of one 64-bit register
+/// passes a never-inserted key 0.18% of the time at 32 bits a row (0.80%
+/// at 16, 0.05% at 64; measured over 400k keys): at 32 the false positives
+/// add under 0.1% to what the master receives on every benchmark workload
+/// and both filters of a 400k ⋈ 80k join (1.9 MB) stay cache-resident.
+const JOIN_BITS_PER_ROW: u64 = 32;
+
+/// Two-pass JOIN flow under either backend: one register Bloom filter per
+/// side (Table 2's JOIN/RBF row — one stage, one stateful ALU, one memory
+/// access per key), each sized from the rows its side will insert.
 pub enum JoinFlow {
-    /// Core partitioned Bloom filters.
-    Core(JoinPruner<BloomFilter>),
+    /// Core register Bloom filters.
+    Core(JoinPruner<RegisterBloomFilter>),
     /// Metered pipeline program.
-    Pisa(BloomJoinProgram),
+    Pisa(RbfJoinProgram),
 }
 
 impl JoinFlow {
-    /// Build with `m_bits` per side and `h` hashes.
+    /// A flow with both filters at the per-side cap `cfg.join_m_bits` —
+    /// what a caller that knows neither cardinality gets.
     pub fn new(cfg: &PrunerConfig) -> Self {
+        Self::sized(cfg, usize::MAX, usize::MAX)
+    }
+
+    /// A flow whose filters are sized for a `left_rows` ⋈ `right_rows`
+    /// join (see [`Self::side_bits`]). Any size is exact — a Bloom filter
+    /// has no false negatives — so sizing only trades filter memory for
+    /// false-positive forwards.
+    pub fn sized(cfg: &PrunerConfig, left_rows: usize, right_rows: usize) -> Self {
+        let (bits_a, bits_b) = (
+            Self::side_bits(cfg, left_rows),
+            Self::side_bits(cfg, right_rows),
+        );
+        let h = cfg.join_h as u32;
         match cfg.backend {
             SwitchBackend::Reference => JoinFlow::Core(JoinPruner::new(
-                BloomFilter::new(cfg.join_m_bits, cfg.join_h, cfg.seed),
-                BloomFilter::new(cfg.join_m_bits, cfg.join_h, cfg.seed ^ 1),
+                RegisterBloomFilter::new(bits_a, h, cfg.seed),
+                RegisterBloomFilter::new(bits_b, h, cfg.seed ^ 1),
             )),
             SwitchBackend::Pisa => JoinFlow::Pisa(
-                BloomJoinProgram::new(spec(), cfg.join_m_bits, cfg.join_h, cfg.seed, cfg.seed ^ 1)
+                RbfJoinProgram::new(spec(), bits_a, bits_b, h, cfg.seed, cfg.seed ^ 1)
                     .expect("join program fits"),
             ),
         }
     }
 
-    /// Pass 1: record a key on one side.
-    pub fn observe(&mut self, side: Side, key: u64) {
-        match self {
-            JoinFlow::Core(p) => p.observe(side, key),
-            JoinFlow::Pisa(p) => {
-                p.set_mode(match side {
-                    Side::Left => JoinMode::BuildA,
-                    Side::Right => JoinMode::BuildB,
-                });
-                p.process(&[key]).expect("no violations");
-            }
-        }
-    }
-
-    /// Pass 2: prune a key against the opposite filter.
-    pub fn probe(&mut self, side: Side, key: u64) -> Decision {
-        match self {
-            JoinFlow::Core(p) => p.prune_decision(side, key),
-            JoinFlow::Pisa(p) => {
-                p.set_mode(match side {
-                    Side::Left => JoinMode::ProbeA,
-                    Side::Right => JoinMode::ProbeB,
-                });
-                p.process(&[key]).expect("no violations")
-            }
-        }
+    /// Filter bits for a side inserting `rows` keys: 32 a row (a constant,
+    /// not a knob), in whole 64-bit registers, at least one register and
+    /// at most the per-side budget `cfg.join_m_bits` (Table 2's `M`).
+    pub fn side_bits(cfg: &PrunerConfig, rows: usize) -> u64 {
+        let cap = (cfg.join_m_bits / 64).max(1);
+        let registers = (rows as u64).saturating_mul(JOIN_BITS_PER_ROW).div_ceil(64);
+        64 * registers.clamp(1, cap)
     }
 
     /// Pass-1 block loop over `(flow id, key)` lanes (`sides[i]`: 0 = A,
     /// 1 = B): the backend dispatch happens once per block, and the core
-    /// path inserts by runs of equal flow id. Bit-identical to per-entry
-    /// [`Self::observe`] calls.
+    /// path inserts by runs of equal flow id.
     pub fn observe_block(&mut self, sides: &[u64], keys: &[u64]) {
         match self {
             JoinFlow::Core(p) => p.observe_block(sides, keys),
@@ -350,10 +337,10 @@ impl JoinFlow {
         }
     }
 
-    /// Borrow the `(F_A, F_B)` Bloom pair for export into a cross-query
+    /// Borrow the `(F_A, F_B)` filter pair for export into a cross-query
     /// cache. `None` on the pisa backend, whose filter state lives inside
     /// the metered program — those runs bypass the cache.
-    pub fn filters(&self) -> Option<(&BloomFilter, &BloomFilter)> {
+    pub fn filters(&self) -> Option<(&RegisterBloomFilter, &RegisterBloomFilter)> {
         match self {
             JoinFlow::Core(p) => {
                 let (a, b) = p.filters();
@@ -366,11 +353,12 @@ impl JoinFlow {
     /// Rebuild a core flow from cached pass-1 filters, already armed for
     /// the probe pass: a serving layer that cached this join's filters can
     /// skip the observation pass entirely.
-    pub fn from_filters(filter_a: BloomFilter, filter_b: BloomFilter) -> Self {
+    pub fn from_filters(filter_a: RegisterBloomFilter, filter_b: RegisterBloomFilter) -> Self {
         JoinFlow::Core(JoinPruner::new(filter_a, filter_b))
     }
 
-    /// Pass-2 block loop, bit-identical to per-entry [`Self::probe`].
+    /// Pass-2 block loop: `out[i]` decides entry `i` against the opposite
+    /// side's filter.
     pub fn probe_block(&mut self, sides: &[u64], keys: &[u64], out: &mut [Decision]) {
         match self {
             JoinFlow::Core(p) => p.probe_block(sides, keys, out),
@@ -436,19 +424,62 @@ mod tests {
                 join_m_bits: 3 * (1 << 14),
                 ..PrunerConfig::default()
             };
-            let mut j = JoinFlow::new(&cfg);
-            for k in 0..500u64 {
-                j.observe(Side::Left, k);
-                j.observe(Side::Right, k + 400);
-            }
-            (0..1_000u64)
-                .map(|k| j.probe(Side::Left, k).is_forward())
-                .collect::<Vec<bool>>()
+            // Lopsided on purpose: each side lands in a filter of its own
+            // size on both backends.
+            let mut j = JoinFlow::sized(&cfg, 500, 40);
+            let sides: Vec<u64> = (0..1_000).map(|i| i % 2).collect();
+            let keys: Vec<u64> = (0..1_000).map(|i| i / 2 + 400 * (i % 2)).collect();
+            j.observe_block(&sides, &keys);
+            let probes: Vec<u64> = (0..1_000).collect();
+            let mut out = vec![Decision::Prune; 2_000];
+            j.probe_block(&[0; 1_000], &probes, &mut out[..1_000]);
+            j.probe_block(&[1; 1_000], &probes, &mut out[1_000..]);
+            out
         };
         assert_eq!(
             run(SwitchBackend::Reference),
             run(SwitchBackend::Pisa),
             "join decisions must match across backends"
+        );
+    }
+
+    #[test]
+    fn join_filters_are_sized_from_rows_within_the_cap() {
+        use cheetah_core::join::KeyFilter;
+        let bits = JoinFlow::side_bits;
+        let cfg = PrunerConfig::default();
+        assert_eq!(bits(&cfg, 0), 64, "an empty side still owns a register");
+        assert_eq!(bits(&cfg, 2), 64);
+        assert_eq!(bits(&cfg, 3), 128, "96 bits round up to whole registers");
+        assert_eq!(bits(&cfg, 400_000), 400_000 * JOIN_BITS_PER_ROW);
+        assert_eq!(bits(&cfg, usize::MAX), cfg.join_m_bits, "the cap holds");
+        // The tiny-switch configs of the equivalence suites keep their
+        // three registers; a cap that is no whole register rounds down,
+        // but never below one.
+        let capped = |join_m_bits| PrunerConfig {
+            join_m_bits,
+            ..PrunerConfig::default()
+        };
+        assert_eq!(bits(&capped(192), 3_000), 192);
+        assert_eq!(bits(&capped(192), 1), 64);
+        assert_eq!(bits(&capped(200), 3_000), 192);
+        assert_eq!(bits(&capped(0), 3_000), 64);
+        let geometry = |flow: JoinFlow| match flow {
+            JoinFlow::Core(p) => {
+                let (a, b) = p.filters();
+                (a.bits(), b.bits())
+            }
+            JoinFlow::Pisa(_) => unreachable!("reference backend"),
+        };
+        assert_eq!(
+            geometry(JoinFlow::sized(&cfg, 400_000, 80_000)),
+            (12_800_000, 2_560_000),
+            "each side sized on its own"
+        );
+        assert_eq!(
+            geometry(JoinFlow::new(&cfg)),
+            (cfg.join_m_bits, cfg.join_m_bits),
+            "`new` is `sized` at the cap"
         );
     }
 
@@ -461,14 +492,12 @@ mod tests {
                 ..PrunerConfig::default()
             };
             let mut h = HavingFlow::new(&cfg, 1_500);
-            let mut decisions = Vec::new();
-            for &(k, v) in &entries {
-                decisions.push(h.pass_one(k, v).is_forward());
-            }
+            let (keys, vals): (Vec<u64>, Vec<u64>) = entries.iter().copied().unzip();
+            let mut decisions = vec![Decision::Prune; 2 * entries.len()];
+            let (one, two) = decisions.split_at_mut(entries.len());
+            h.pass_one_block(&keys, &vals, one);
             h.begin_pass_two();
-            for &(k, v) in &entries {
-                decisions.push(h.pass_two(k, v).is_forward());
-            }
+            h.pass_two_block(&keys, &vals, two);
             decisions
         };
         assert_eq!(run(SwitchBackend::Reference), run(SwitchBackend::Pisa));

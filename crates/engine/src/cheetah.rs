@@ -20,16 +20,17 @@ use cheetah_core::distinct::EvictionPolicy;
 use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::{HavingPassOne, HavingPruner};
-use cheetah_core::join::{BloomFilter, JoinPassTwo, JoinPruner, Side};
 
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
 use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
 use crate::executor::ExecutionReport;
-use crate::master::{fetch_and_checksum, GroupRun, GroupSink, TupleRun};
+use crate::master::{
+    fetch_and_checksum, join_sink, join_survivors, GroupRun, GroupSink, JoinSides, TupleRun,
+};
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingPhases, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
 };
-use crate::query::{pair_checksum, Agg, FetchSpec, Query, QueryResult};
+use crate::query::{Agg, FetchSpec, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::stream::{LaneArena, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
@@ -56,9 +57,11 @@ pub struct PrunerConfig {
     pub groupby_d: usize,
     /// GROUP BY matrix columns.
     pub groupby_w: usize,
-    /// JOIN Bloom filter bits per side.
+    /// JOIN filter budget per side, in bits (Table 2's `M`): each side's
+    /// register Bloom filter is sized from its rows and capped here
+    /// ([`JoinFlow::sized`]).
     pub join_m_bits: u64,
-    /// JOIN Bloom filter hash count.
+    /// Bits a JOIN key sets in its filter register (Table 2's `H`, 1–10).
     pub join_h: usize,
     /// HAVING Count-Min rows.
     pub having_d: usize,
@@ -143,40 +146,27 @@ pub(crate) enum ArmedFlow {
     Join(JoinFlow),
 }
 
-/// CMaster join completion, shared by the deterministic, threaded and
-/// sharded JOIN arms: sort both sides' forwarded `(key, row)` pairs and
-/// pair matching key runs in one batched merge sweep — no per-entry
-/// hash-map probes — counting pairs and folding the order-independent
-/// checksum. The sharded executor runs this sweep per shard over
-/// hash-partitioned sides (every occurrence of a key co-locates on one
-/// shard, so each match pairs exactly once locally) and sums the
-/// commutative counts and checksums up its reduction tree — no global
-/// sort-merge ever materializes.
-pub(crate) fn join_survivors(mut left: Vec<(u64, u64)>, mut right: Vec<(u64, u64)>) -> (u64, u64) {
-    left.sort_unstable();
-    right.sort_unstable();
-    let (mut pairs, mut checksum) = (0u64, 0u64);
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < left.len() && ri < right.len() {
-        let k = left[li].0;
-        match k.cmp(&right[ri].0) {
-            std::cmp::Ordering::Less => li += 1,
-            std::cmp::Ordering::Greater => ri += 1,
-            std::cmp::Ordering::Equal => {
-                let le = li + left[li..].iter().take_while(|p| p.0 == k).count();
-                let re = ri + right[ri..].iter().take_while(|p| p.0 == k).count();
-                for &(_, lrow) in &left[li..le] {
-                    for &(_, rrow) in &right[ri..re] {
-                        pairs += 1;
-                        checksum = pair_checksum(checksum, k, lrow, rrow);
-                    }
-                }
-                li = le;
-                ri = re;
-            }
-        }
+/// A JOIN flow's probe pass as a [`RowPruner`] over `[flow id, key]` lanes —
+/// the form [`CheetahExecutor::sample_throughput`] times. Probing writes
+/// nothing, so there is no state to reset.
+struct JoinProbe(JoinFlow);
+
+impl RowPruner for JoinProbe {
+    fn process_row(&mut self, row: &[u64]) -> Decision {
+        let mut out = [Decision::Prune];
+        self.process_block(&[&row[..1], &row[1..2]], &mut out);
+        out[0]
     }
-    (pairs, checksum)
+
+    fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
+        self.0.probe_block(cols[0], cols[1], out);
+    }
+
+    fn reset(&mut self) {}
+
+    fn name(&self) -> &'static str {
+        "join"
+    }
 }
 
 /// Per-worker partition **views** of `columns`: borrowed lane slices, no
@@ -440,6 +430,8 @@ impl CheetahExecutor {
                 let stream = interleave(t, &cols);
                 let mut stats = PruneStats::default();
                 let (keys, vals) = (stream.col(0), stream.col(1));
+                let blocks = || keys.chunks(BLOCK_ENTRIES).zip(vals.chunks(BLOCK_ENTRIES));
+                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
                 let (mut flow, passes) = match armed {
                     Some(ArmedFlow::Having(flow)) => (flow, 1),
                     _ => {
@@ -447,8 +439,10 @@ impl CheetahExecutor {
                         // (straight off the column lanes — no per-row
                         // materialization).
                         let mut flow = HavingFlow::new(cfg, *threshold);
-                        for (&k, &v) in keys.iter().zip(vals) {
-                            stats.record(flow.pass_one(k, v));
+                        for (k, v) in blocks() {
+                            let out = &mut decisions[..k.len()];
+                            flow.pass_one_block(k, v, out);
+                            stats.record_block(out);
                         }
                         (flow, 2)
                     }
@@ -456,12 +450,15 @@ impl CheetahExecutor {
                 // Pass 2: candidate entries to the master.
                 flow.begin_pass_two();
                 let mut sums = GroupSink::new(Agg::Sum);
-                for (&k, &v) in keys.iter().zip(vals) {
-                    let d = flow.pass_two(k, v);
-                    stats.record(d);
-                    if d.is_forward() {
-                        sums.push(k, v);
-                    }
+                for (k, v) in blocks() {
+                    let out = &mut decisions[..k.len()];
+                    flow.pass_two_block(k, v, out);
+                    stats.record_block(out);
+                    sums.fill(|pending| {
+                        let entries = out.iter().zip(k.iter().zip(v));
+                        let forwarded = entries.filter(|(d, _)| d.is_forward());
+                        pending.extend(forwarded.map(|(_, (&k, &v))| (k, v)));
+                    });
                 }
                 let result = sums.finish().keys_above(*threshold);
                 armed_out = Some(ArmedFlow::Having(flow));
@@ -478,39 +475,41 @@ impl CheetahExecutor {
                 let r = db.table(right);
                 let lstream = interleave(l, &[l.col_index(left_col)]);
                 let rstream = interleave(r, &[r.col_index(right_col)]);
+                // §7.2 flow-id lanes: a stream is single-sided, so one
+                // constant block of tags serves all of its blocks.
+                static TAGS: [[u64; BLOCK_ENTRIES]; 2] =
+                    [[SIDE_LEFT; BLOCK_ENTRIES], [SIDE_RIGHT; BLOCK_ENTRIES]];
+                let sides = [(&TAGS[0], &lstream), (&TAGS[1], &rstream)];
                 let (mut flow, passes) = match armed {
                     Some(ArmedFlow::Join(flow)) => (flow, 1),
                     _ => {
                         // Pass 1: build both filters (input-column
                         // stream, §4.3).
-                        let mut flow = JoinFlow::new(cfg);
-                        for &k in lstream.col(0) {
-                            flow.observe(Side::Left, k);
-                        }
-                        for &k in rstream.col(0) {
-                            flow.observe(Side::Right, k);
+                        let mut flow = JoinFlow::sized(cfg, l.rows(), r.rows());
+                        for (tags, stream) in sides {
+                            for keys in stream.col(0).chunks(BLOCK_ENTRIES) {
+                                flow.observe_block(&tags[..keys.len()], keys);
+                            }
                         }
                         (flow, 2)
                     }
                 };
                 // Pass 2: prune each side against the other's filter.
                 let mut stats = PruneStats::default();
-                let mut left_fwd: Vec<(u64, u64)> = Vec::new();
-                for (&rid, &k) in lstream.row_ids().iter().zip(lstream.col(0)) {
-                    let d = flow.probe(Side::Left, k);
-                    stats.record(d);
-                    if d.is_forward() {
-                        left_fwd.push((k, rid));
+                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+                let [left_fwd, right_fwd] = sides.map(|(tags, stream)| {
+                    let mut fwd: Vec<(u64, u64)> = Vec::new();
+                    let blocks = stream.col(0).chunks(BLOCK_ENTRIES);
+                    for (keys, rids) in blocks.zip(stream.row_ids().chunks(BLOCK_ENTRIES)) {
+                        let out = &mut decisions[..keys.len()];
+                        flow.probe_block(&tags[..keys.len()], keys, out);
+                        stats.record_block(out);
+                        let entries = out.iter().zip(keys.iter().zip(rids));
+                        let forwarded = entries.filter(|(d, _)| d.is_forward());
+                        fwd.extend(forwarded.map(|(_, (&k, &rid))| (k, rid)));
                     }
-                }
-                let mut right_fwd: Vec<(u64, u64)> = Vec::new();
-                for (&rid, &k) in rstream.row_ids().iter().zip(rstream.col(0)) {
-                    let d = flow.probe(Side::Right, k);
-                    stats.record(d);
-                    if d.is_forward() {
-                        right_fwd.push((k, rid));
-                    }
-                }
+                    fwd
+                });
                 let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
                 armed_out = Some(ArmedFlow::Join(flow));
                 let streamed = u64::from(passes) * (l.rows() + r.rows()) as u64;
@@ -841,40 +840,23 @@ impl CheetahExecutor {
                         },
                     ]
                 };
+                let flow = JoinFlow::sized(cfg, l.rows(), r.rows());
                 let mut sym_program;
                 let mut asym_program;
                 let program: &mut dyn crate::threaded::SwitchPhases = if asymmetric {
-                    asym_program = AsymJoinPhases::new(JoinFlow::new(cfg));
+                    asym_program = AsymJoinPhases::new(flow);
                     &mut asym_program
                 } else {
-                    sym_program = JoinPhases::new(JoinFlow::new(cfg));
+                    sym_program = JoinPhases::new(flow);
                     &mut sym_program
                 };
                 // Streaming master: split each survivor block into
                 // per-side (key, row) pairs as it arrives — batched
-                // per-block sweeps, overlapping the switch stream. Join
-                // partitions are single-sided, so the flow id resolves
-                // once per block on the zero-copy path.
-                let mut left_fwd: Vec<(u64, u64)> = Vec::new();
-                let mut right_fwd: Vec<(u64, u64)> = Vec::new();
-                let mut runs =
-                    run_phases_each(phases, program, |_, _, block| match block.const_lane(0) {
-                        Some(tag) => {
-                            let dst = if tag == SIDE_LEFT {
-                                &mut left_fwd
-                            } else {
-                                &mut right_fwd
-                            };
-                            block.extend_pairs_into(1, 2, dst);
-                        }
-                        None => block.for_each_row(|row| {
-                            if row[0] == SIDE_LEFT {
-                                left_fwd.push((row[1], row[2]));
-                            } else {
-                                right_fwd.push((row[1], row[2]));
-                            }
-                        }),
-                    });
+                // per-block sweeps, overlapping the switch stream.
+                let mut fwd = JoinSides::default();
+                let mut runs = run_phases_each(phases, program, |_, _, block| {
+                    join_sink(&mut fwd, block);
+                });
                 let pass2 = runs.pop().expect("second pass");
                 let pass1 = runs.pop().expect("first pass");
                 // Symmetric: build-pass decisions are not probe
@@ -886,7 +868,7 @@ impl CheetahExecutor {
                 if asymmetric {
                     stats.merge(pass1.stats);
                 }
-                let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
+                let (pairs, checksum) = join_survivors(fwd.0, fwd.1);
                 let rows = (l.rows() + r.rows()) as u64;
                 let streamed = if asymmetric { rows } else { 2 * rows };
                 let result = QueryResult::JoinSummary { pairs, checksum };
@@ -984,19 +966,19 @@ impl CheetahExecutor {
                     ))),
                 )
             }
-            Query::Join { left, left_col, .. } => {
-                // Probe an empty filter pair: the Bloom memory traffic is
-                // what the sample needs to see.
+            Query::Join {
+                left,
+                right,
+                left_col,
+                ..
+            } => {
+                // Probe an empty filter pair of the size the query will
+                // run with: the filter's memory traffic is what the
+                // sample needs to see.
                 let t = db.table(left);
                 let c = t.col_index(left_col);
-                (
-                    t,
-                    vec![c, c],
-                    Box::new(JoinPassTwo::new(JoinPruner::new(
-                        BloomFilter::new(cfg.join_m_bits, cfg.join_h, cfg.seed),
-                        BloomFilter::new(cfg.join_m_bits, cfg.join_h, cfg.seed ^ 1),
-                    ))),
-                )
+                let flow = JoinFlow::sized(cfg, t.rows(), db.table(right).rows());
+                (t, vec![c, c], Box::new(JoinProbe(flow)))
             }
             Query::Skyline { table, columns } => {
                 let t = db.table(table);

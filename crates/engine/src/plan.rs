@@ -42,6 +42,7 @@ use cheetah_core::decision::{Decision, RowPruner};
 use cheetah_core::distinct::EvictionPolicy;
 use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 
+use crate::backend::JoinFlow;
 use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
 use crate::dag::{DagPipeline, DagStage};
@@ -360,7 +361,7 @@ impl PlannerExecutor {
         // costing. The deterministic arm survives as the software
         // fallback (the §6 spill path `serve` already takes).
         let mut infeasible = 0;
-        if !self.fits_switch(query) {
+        if !self.fits_switch(db, query) {
             candidates.retain(|c| c.arm == ExecutorArm::Deterministic);
             infeasible = total - candidates.len();
         }
@@ -385,8 +386,8 @@ impl PlannerExecutor {
     /// Whether the query's Table 2 program packs onto this planner's
     /// switch budget — [`DagPipeline::check_packing`] over a single-edge
     /// pipeline declaring the program's [`ResourceUsage`].
-    pub fn fits_switch(&self, query: &Query) -> bool {
-        let usage = query_resources(&self.inner.config, &self.switch, query);
+    pub fn fits_switch(&self, db: &Database, query: &Query) -> bool {
+        let usage = query_resources(&self.inner.config, &self.switch, db, query);
         let dag = DagPipeline::new(vec![DagStage {
             name: format!("{}-edge", query.kind()),
             task: Box::new(|row| Some(row.to_vec())),
@@ -498,6 +499,7 @@ fn threaded_factor(query: &Query, asymmetric: bool) -> f64 {
 pub(crate) fn query_resources(
     cfg: &PrunerConfig,
     switch: &SwitchModel,
+    db: &Database,
     query: &Query,
 ) -> ResourceUsage {
     match query {
@@ -527,7 +529,14 @@ pub(crate) fn query_resources(
             cfg.having_d as u32,
             switch.alus_per_stage,
         ),
-        Query::Join { .. } => table2::join_bf(cfg.join_m_bits, cfg.join_h as u32),
+        Query::Join { left, right, .. } => {
+            // What runs: one register filter per side, sized from its rows.
+            let side = |t: &str| {
+                let bits = JoinFlow::side_bits(cfg, db.table(t).rows());
+                table2::join_rbf(bits, cfg.join_h as u32)
+            };
+            side(left).plus(side(right))
+        }
         Query::Skyline { columns, .. } => {
             table2::skyline_aph(columns.len() as u32, cfg.skyline_w as u32)
         }
@@ -608,7 +617,7 @@ mod tests {
             table: "t".into(),
             columns: vec!["k".into(), "v".into()],
         };
-        assert!(!exec.fits_switch(&q));
+        assert!(!exec.fits_switch(&db, &q));
         let plan = exec.plan(&db, &q);
         assert_eq!(plan.chosen.arm, ExecutorArm::Deterministic);
         assert_eq!(plan.infeasible, 3, "three switch-window arms rejected");
@@ -631,6 +640,14 @@ mod tests {
         let plan = exec.plan(&db, &q);
         assert!(plan.chosen.asymmetric_join);
         assert_eq!(plan.candidates, 4);
+        // The Table 2 row is what runs: a register filter per side, each
+        // a stage, a stateful ALU and its rows' bits plus a pattern table.
+        let cfg = &exec.inner.config;
+        let usage = query_resources(cfg, &exec.switch, &db, &q);
+        let filters = JoinFlow::side_bits(cfg, 4_000) + JoinFlow::side_bits(cfg, 1_000);
+        assert_eq!((usage.stages, usage.alus), (2, 2));
+        assert_eq!(usage.sram_bits, filters + 2 * 22 * 64);
+        assert_eq!((plan.infeasible, exec.fits_switch(&db, &q)), (0, true));
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl ServeExecutor {
             for &i in &members {
                 let pruner = self.packed_pruner(distinct[i]);
                 // One Table 2 mapping for the whole engine: the planner's.
-                let res = crate::plan::query_resources(cfg, &self.switch, distinct[i]);
+                let res = crate::plan::query_resources(cfg, &self.switch, db, distinct[i]);
                 match mq.try_add(i as u16, pruner, res, &self.switch) {
                     Ok(()) => packed.push(i),
                     Err(_) => {

@@ -31,10 +31,10 @@
 //! * **JOIN** — **partition-local pairing**: both sides are
 //!   hash-sharded by join key with one salt, so every occurrence of a
 //!   key co-locates on one shard and each shard runs its *own* complete
-//!   two-phase build/probe flow and its own sort-merge pairing sweep.
-//!   The reduction then just sums the commutative pair counts and
-//!   checksums — the global sort-merge (and the cross-shard Bloom
-//!   union broadcast) disappear from the combine path entirely.
+//!   two-phase build/probe flow — its filters sized from the rows the
+//!   shard gathered — and its own pairing (`join_shard`). The
+//!   reduction then just sums the commutative pair counts and checksums:
+//!   no global pairing and no cross-shard filter broadcast.
 //!   Lopsided tables take the §4.3 asymmetric flow inside each shard;
 //! * **HAVING** — per-shard Count-Min sketches tree-merge cell-wise
 //!   ([`cheetah_core::having::HavingPruner::merge`]) **before** any
@@ -63,9 +63,11 @@ use cheetah_core::having::HavingPruner;
 
 use crate::backend;
 use crate::backend::JoinFlow;
-use crate::cheetah::{join_survivors, CheetahExecutor, PrunerConfig};
+use crate::cheetah::{CheetahExecutor, PrunerConfig};
 use crate::executor::{ExecutionReport, Executor};
-use crate::master::{fetch_and_checksum, GroupRun, GroupSink, TupleRun};
+use crate::master::{
+    fetch_and_checksum, join_sink, join_survivors, GroupRun, GroupSink, JoinSides, TupleRun,
+};
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
     SIDE_LEFT, SIDE_RIGHT,
@@ -424,7 +426,7 @@ fn side_parts_range<'a>(
 /// tag, gathered key lane, gathered global-row-id lane. `None` means
 /// single-shard mode, where the gather is skipped and the side streams
 /// as zero-copy range slices.
-pub(crate) fn join_side_parts<'a>(
+fn join_side_parts<'a>(
     tag: u64,
     gathered: Option<&'a (Vec<u64>, Vec<u64>)>,
     t: &'a Table,
@@ -447,30 +449,82 @@ pub(crate) fn join_side_parts<'a>(
     }
 }
 
-/// A shard's forwarded `(key, rid)` pair buffers, left side then right.
-pub(crate) type JoinSides = (Vec<(u64, u64)>, Vec<(u64, u64)>);
-
-/// Demux one survivor block of `[side, key, rid]` rows into per-side
-/// `(key, rid)` pair streams — the per-block join sink every shard's
-/// pipeline shares.
-pub(crate) fn join_sink(acc: &mut JoinSides, block: SurvivorBlock<'_>) {
-    let (left_fwd, right_fwd) = acc;
-    match block.const_lane(0) {
-        Some(tag) => {
-            let dst = if tag == SIDE_LEFT {
-                left_fwd
-            } else {
-                right_fwd
-            };
-            block.extend_pairs_into(1, 2, dst);
-        }
-        None => block.for_each_row(|row| {
-            if row[0] == SIDE_LEFT {
-                left_fwd.push((row[1], row[2]));
-            } else {
-                right_fwd.push((row[1], row[2]));
-            }
-        }),
+/// One shard's whole JOIN, as the sharded and the distributed executor
+/// both run it: hash-gather the shard's slice of both sides (a single
+/// shard streams the tables where they lie), size the flow from the rows
+/// gathered, stream the §4.3 asymmetric build-while-forwarding flow
+/// (`asymmetric`, decided on *global* sizes so every shard agrees) or the
+/// symmetric build-then-probe flow, and pair the survivors locally — on
+/// the shard's own thread, overlapping other shards' streams.
+pub(crate) fn join_shard(
+    cfg: &PrunerConfig,
+    (l, lc): (&Table, usize),
+    (r, rc): (&Table, usize),
+    asymmetric: bool,
+    (s, shards): (usize, usize),
+    workers: usize,
+) -> ShardYield<(u64, u64)> {
+    let gather = |t: &Table, c: usize| {
+        let seed = cfg.seed ^ SHARD_SALT;
+        let mut g = gather_hash_shard(&[t.col_at(c)], 0, s, shards, seed, true);
+        let rids = g.pop().expect("rid lane");
+        let keys = g.pop().expect("key lane");
+        (keys, rids)
+    };
+    let lg = (shards > 1).then(|| gather(l, lc));
+    let rg = (shards > 1).then(|| gather(r, rc));
+    let left = (SIDE_LEFT, lg.as_ref(), l, lc);
+    let right = (SIDE_RIGHT, rg.as_ref(), r, rc);
+    let flow = JoinFlow::sized(
+        cfg,
+        lg.as_ref().map_or(l.rows(), |(keys, _)| keys.len()),
+        rg.as_ref().map_or(r.rows(), |(keys, _)| keys.len()),
+    );
+    let inputs: Vec<PhaseInput<'_>> = if asymmetric {
+        // Phase 0 streams the small side once, unpruned, building its
+        // filter; phase 1 probes the big side.
+        let (small, big) = if l.rows() <= r.rows() {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        [small, big]
+            .into_iter()
+            .map(|(tag, g, t, c)| PhaseInput {
+                partitions: join_side_parts(tag, g, t, c, workers, true),
+                visible_cols: 2,
+            })
+            .collect()
+    } else {
+        // Both sides build in phase 0 (row ids not needed), both probe
+        // in phase 1.
+        (0..2)
+            .map(|phase| PhaseInput {
+                partitions: [left, right]
+                    .into_iter()
+                    .flat_map(|(tag, g, t, c)| join_side_parts(tag, g, t, c, workers, phase == 1))
+                    .collect(),
+                visible_cols: 2,
+            })
+            .collect()
+    };
+    let acc = JoinSides::default();
+    if asymmetric {
+        run_shard(
+            inputs,
+            AsymJoinPhases::new(flow),
+            acc,
+            |a, _, block| join_sink(a, block),
+            |_, (lf, rf)| join_survivors(lf, rf),
+        )
+    } else {
+        run_shard(
+            inputs,
+            JoinPhases::new(flow),
+            acc,
+            |a, _, block| join_sink(a, block),
+            |_, (lf, rf)| join_survivors(lf, rf),
+        )
     }
 }
 
@@ -1028,13 +1082,9 @@ impl ShardedExecutor {
     /// Sharded JOIN with **partition-local pairing**: both sides are
     /// hash-sharded by join key under one salt, so every occurrence of a
     /// key (left or right) lands on shard `h(k) mod shards` and pairs
-    /// there. Each shard runs its own complete two-phase flow —
-    /// the §4.3 asymmetric build-while-forwarding flow for lopsided
-    /// tables (decided on *global* sizes so every shard agrees), the
-    /// symmetric build-then-probe flow otherwise — and its own
-    /// sort-merge pairing sweep over its local survivors. The reduction
-    /// then sums the commutative pair counts and checksums; no global
-    /// sort-merge and no cross-shard filter broadcast remain.
+    /// there. Each shard runs [`join_shard`] — its own complete two-phase
+    /// flow and its own pairing of its local survivors — and the
+    /// reduction sums the commutative pair counts and checksums.
     #[allow(clippy::too_many_arguments)]
     fn execute_join(
         &self,
@@ -1054,82 +1104,9 @@ impl ShardedExecutor {
         let rc = r.col_index(right_col);
         let rows = (l.rows() + r.rows()) as u64;
         let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
-        let shard_seed = cfg.seed ^ SHARD_SALT;
         let outcome = sharded_tree(
             shards,
-            |s| {
-                let gather = |t: &Table, c: usize| {
-                    let mut g = gather_hash_shard(&[t.col_at(c)], 0, s, shards, shard_seed, true);
-                    let rids = g.pop().expect("rid lane");
-                    let keys = g.pop().expect("key lane");
-                    (keys, rids)
-                };
-                let lg = (shards > 1).then(|| gather(l, lc));
-                let rg = (shards > 1).then(|| gather(r, rc));
-                let inputs: Vec<PhaseInput<'_>> = if asymmetric {
-                    // Phase 0 streams the small side once, unpruned,
-                    // building its filter; phase 1 probes the big side.
-                    let (small, big) = if l.rows() <= r.rows() {
-                        (
-                            (SIDE_LEFT, lg.as_ref(), l, lc),
-                            (SIDE_RIGHT, rg.as_ref(), r, rc),
-                        )
-                    } else {
-                        (
-                            (SIDE_RIGHT, rg.as_ref(), r, rc),
-                            (SIDE_LEFT, lg.as_ref(), l, lc),
-                        )
-                    };
-                    [small, big]
-                        .into_iter()
-                        .map(|(tag, g, t, c)| PhaseInput {
-                            partitions: join_side_parts(tag, g, t, c, workers, true),
-                            visible_cols: 2,
-                        })
-                        .collect()
-                } else {
-                    // Both sides build in phase 0 (row ids not needed),
-                    // both probe in phase 1.
-                    (0..2)
-                        .map(|phase| {
-                            let mut partitions =
-                                join_side_parts(SIDE_LEFT, lg.as_ref(), l, lc, workers, phase == 1);
-                            partitions.extend(join_side_parts(
-                                SIDE_RIGHT,
-                                rg.as_ref(),
-                                r,
-                                rc,
-                                workers,
-                                phase == 1,
-                            ));
-                            PhaseInput {
-                                partitions,
-                                visible_cols: 2,
-                            }
-                        })
-                        .collect()
-                };
-                let acc = (Vec::<(u64, u64)>::new(), Vec::<(u64, u64)>::new());
-                // Shard-local pairing sweep in `finish`: it runs on the
-                // shard's own thread, overlapping other shards' streams.
-                if asymmetric {
-                    run_shard(
-                        inputs,
-                        AsymJoinPhases::new(JoinFlow::new(cfg)),
-                        acc,
-                        |a, _, block| join_sink(a, block),
-                        |_, (lf, rf)| join_survivors(lf, rf),
-                    )
-                } else {
-                    run_shard(
-                        inputs,
-                        JoinPhases::new(JoinFlow::new(cfg)),
-                        acc,
-                        |a, _, block| join_sink(a, block),
-                        |_, (lf, rf)| join_survivors(lf, rf),
-                    )
-                }
-            },
+            |s| join_shard(cfg, (l, lc), (r, rc), asymmetric, (s, shards), workers),
             |a, b| {
                 a.0 += b.0;
                 a.1 = a.1.wrapping_add(b.1);

@@ -95,6 +95,8 @@ pub struct NetStats {
     pub completion_us: u64,
     /// Whether all flows completed within the event budget.
     pub completed: bool,
+    /// Whether the session was abandoned at [`FaultPlan::deadline_us`].
+    pub deadline_expired: bool,
 }
 
 /// Scripted faults injected into one [`Simulation::run_session`] call.
@@ -281,6 +283,7 @@ impl Simulation {
             }
             now = ev.time;
             if faults.deadline_us.is_some_and(|d| now > d) {
+                stats.deadline_expired = true;
                 break;
             }
             match ev.site {
@@ -654,6 +657,7 @@ mod tests {
             &faults,
         );
         assert!(!stats.completed, "total loss cannot complete");
+        assert!(stats.deadline_expired);
         assert!(stats.losses > 0);
     }
 

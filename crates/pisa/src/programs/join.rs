@@ -158,7 +158,9 @@ impl SwitchProgram for BloomJoinProgram {
     }
 }
 
-/// Register Bloom filters for both sides: one array and one RMW per side.
+/// Register Bloom filters for both sides: one array and one RMW per
+/// side, each side in its own stage and sized on its own (the control
+/// plane knows both cardinalities before it installs the program).
 #[derive(Debug)]
 pub struct RbfJoinProgram {
     pipe: SwitchPipeline,
@@ -166,32 +168,40 @@ pub struct RbfJoinProgram {
     side_b: RegId,
     hash_a: HashFn,
     hash_b: HashFn,
-    blocks: usize,
+    blocks_a: usize,
+    blocks_b: usize,
     h: u32,
     mode: JoinMode,
 }
 
 impl RbfJoinProgram {
-    /// Configure with `m_bits` per side, `h` bits set per key.
+    /// Configure with `bits_a` / `bits_b` filter bits for sides A / B
+    /// (each rounded up to whole 64-bit registers) and `h` bits set per
+    /// key; seeds match the core
+    /// [`RegisterBloomFilter`](cheetah_core::join::RegisterBloomFilter)
+    /// construction for differential equivalence.
     pub fn new(
         spec: SwitchModel,
-        m_bits: u64,
+        bits_a: u64,
+        bits_b: u64,
         h: u32,
         seed_a: u64,
         seed_b: u64,
     ) -> Result<Self, PipelineViolation> {
-        assert!((1..=10).contains(&h) && m_bits >= 64);
-        let blocks = m_bits.div_ceil(64) as usize;
+        assert!((1..=10).contains(&h) && bits_a >= 64 && bits_b >= 64);
+        let blocks_a = bits_a.div_ceil(64) as usize;
+        let blocks_b = bits_b.div_ceil(64) as usize;
         let mut pipe = SwitchPipeline::new(spec);
-        let side_a = pipe.alloc_register("join-rbf-a", 0, blocks, 0)?;
-        let side_b = pipe.alloc_register("join-rbf-b", 0, blocks, 0)?;
+        let side_a = pipe.alloc_register("join-rbf-a", 0, blocks_a, 0)?;
+        let side_b = pipe.alloc_register("join-rbf-b", 1, blocks_b, 0)?;
         Ok(RbfJoinProgram {
             pipe,
             side_a,
             side_b,
             hash_a: HashFn::new(seed_a),
             hash_b: HashFn::new(seed_b),
-            blocks,
+            blocks_a,
+            blocks_b,
             h,
             mode: JoinMode::BuildA,
         })
@@ -203,9 +213,13 @@ impl RbfJoinProgram {
     }
 
     fn slot(&self, side_b: bool, key: u64) -> (usize, u64) {
-        let hash = if side_b { &self.hash_b } else { &self.hash_a };
+        let (hash, blocks) = if side_b {
+            (&self.hash_b, self.blocks_b)
+        } else {
+            (&self.hash_a, self.blocks_a)
+        };
         let hv = hash.hash(key);
-        let block = ((u128::from(hv) * self.blocks as u128) >> 64) as usize;
+        let block = ((u128::from(hv) * blocks as u128) >> 64) as usize;
         let mut mask = 0u64;
         for i in 0..self.h {
             mask |= 1u64 << ((hv >> (6 * i)) & 63);
@@ -244,8 +258,8 @@ impl SwitchProgram for RbfJoinProgram {
     }
 
     fn layout(&self) -> ResourceUsage {
-        let per_side = table2::join_rbf(self.blocks as u64 * 64, self.h);
-        per_side.plus(per_side)
+        table2::join_rbf(self.blocks_a as u64 * 64, self.h)
+            .plus(table2::join_rbf(self.blocks_b as u64 * 64, self.h))
     }
 
     fn name(&self) -> &'static str {
@@ -283,7 +297,8 @@ mod tests {
 
     #[test]
     fn rbf_two_pass_no_false_negatives() {
-        let mut p = RbfJoinProgram::new(SwitchModel::tofino_like(), 1 << 14, 3, 0, 1).unwrap();
+        let mut p =
+            RbfJoinProgram::new(SwitchModel::tofino_like(), 1 << 14, 1 << 10, 3, 0, 1).unwrap();
         p.set_mode(JoinMode::BuildB);
         for k in 0..500u64 {
             p.process(&[k * 3]).unwrap();
@@ -300,7 +315,7 @@ mod tests {
 
     #[test]
     fn reset_clears_filters() {
-        let mut p = RbfJoinProgram::new(SwitchModel::tofino_like(), 1 << 10, 3, 0, 1).unwrap();
+        let mut p = RbfJoinProgram::new(SwitchModel::tofino_like(), 1 << 10, 64, 3, 0, 1).unwrap();
         p.set_mode(JoinMode::BuildB);
         p.process(&[42]).unwrap();
         p.set_mode(JoinMode::ProbeA);
@@ -317,7 +332,7 @@ mod tests {
         let p = BloomJoinProgram::new(SwitchModel::tofino_like(), m, 3, 0, 1).unwrap();
         assert_eq!(p.layout().stages, 4); // 2 per side
         assert_eq!(p.layout().sram_bits, 2 * m);
-        let p = RbfJoinProgram::new(SwitchModel::tofino_like(), m, 3, 0, 1).unwrap();
+        let p = RbfJoinProgram::new(SwitchModel::tofino_like(), m, m, 3, 0, 1).unwrap();
         assert_eq!(p.layout().stages, 2); // 1 per side
         assert_eq!(p.layout().alus, 2);
     }

@@ -20,6 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cheetah::core::filter::{Atom, CmpOp, Formula};
+use cheetah::engine::backend::JoinFlow;
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::serve::ServeExecutor;
 use cheetah::engine::{
@@ -171,6 +172,27 @@ fn warm_queries_allocate_o1_not_o_rows() {
              (budget {budget}); a per-row allocation is back in the hot path"
         );
     }
+
+    // A warm deterministic JOIN's peak: its two lanes with their row ids,
+    // two filters sized from 60k and 30k rows, the survivor pairs and the
+    // pairing table. The two cap-sized filters this replaced were
+    // `2 × join_m_bits / 8` bytes before the first key was read, so half
+    // of that is under half of any peak the old flow could reach.
+    let join = Query::Join {
+        left: "t".into(),
+        right: "s".into(),
+        left_col: "k".into(),
+        right_col: "k".into(),
+    };
+    exec.execute(&db, &join);
+    let peak = peak_bytes_during(|| {
+        exec.execute(&db, &join);
+    });
+    let old_filters = 2 * exec.config.join_m_bits / 8;
+    assert!(
+        peak < old_filters / 2,
+        "a warm JOIN peaked at {peak} B; the two cap-sized filters alone were {old_filters} B"
+    );
 
     // The threaded multi-pass path: the persistent pool plus borrowed
     // lane partitions make warm JOIN/HAVING runs O(1) allocations **per
@@ -443,16 +465,18 @@ fn warm_queries_allocate_o1_not_o_rows() {
         let after = LIVE.load(Ordering::Relaxed);
         (peak, holding - after, after.saturating_sub(before), agg)
     };
+    // What the cache holds: the JOIN's two filters as `sized` builds them
+    // for t ⋈ s, the HAVING sketch, and under 64 KB of keys and map.
     let cfg = &exec.config;
-    let cache_bound =
-        2 * cfg.join_m_bits / 8 + (cfg.having_d * cfg.having_w * 8) as u64 + 64 * 1024;
+    let join_bytes = (JoinFlow::side_bits(cfg, ROWS) + JoinFlow::side_bits(cfg, ROWS / 2)) / 8;
+    let cached = join_bytes + (cfg.having_d * cfg.having_w * 8) as u64;
     let lane_bytes = (ROWS * 8) as u64;
     let (_, _, cold_left, cold) = measure(&cycled);
     assert_eq!(cold.cache_misses, 2, "{cold:?}");
     assert!(
-        cold_left > cache_bound - lane_bytes && cold_left < cache_bound,
+        cold_left >= cached && cold_left < cached + 64 * 1024,
         "a cold serve left {cold_left} B behind; the filter cache alone is \
-         just under {cache_bound} B (a retained lane would add {lane_bytes} B)"
+         {cached} B (a retained lane would add {lane_bytes} B)"
     );
     let (peak6, answers6, left6, agg6) = measure(&distinct);
     let (peak32, answers32, left32, agg32) = measure(&cycled);

@@ -14,6 +14,8 @@ use cheetah::engine::{
     Agg, CostModel, Database, DistributedExecutor, Executor, FailurePlan, NetAccelExecutor,
     PlannerExecutor, Predicate, Query, ShardedExecutor, Table, ThreadedExecutor,
 };
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 /// A database hitting every query shape: skewed keys for the aggregates,
 /// a second table for the join, multiple value columns for skyline and
@@ -175,8 +177,12 @@ struct Fleet {
 
 impl Fleet {
     fn new() -> Self {
+        Self::with_config(PrunerConfig::default())
+    }
+
+    fn with_config(config: PrunerConfig) -> Self {
         let model = CostModel::default();
-        let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
+        let cheetah = CheetahExecutor::new(model, config);
         Fleet {
             spark: SparkExecutor::new(model),
             cheetah: cheetah.clone(),
@@ -566,6 +572,56 @@ fn two_pass_flows_report_their_passes_through_the_trait() {
                 "[{label}] wrong pass count from {}",
                 r.executor
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// JOIN is superset-exact at any filter size, on every executor: one
+    /// register per side (`join_m_bits: 64` — nearly every probe is a
+    /// false positive) and the default cap, over sides that may be empty,
+    /// shorter than the worker count, or duplicate-heavy.
+    #[test]
+    fn join_is_exact_at_any_filter_size_and_side_length(
+        keys in (vec(0u64..40, 0..300), vec(20u64..60, 0..300)),
+        shape in 0usize..4,
+    ) {
+        let (mut left, mut right) = keys;
+        match shape {
+            0 => left.clear(),
+            1 => right.clear(),
+            2 => {
+                left.truncate(3);
+                right.truncate(2);
+            }
+            _ => {}
+        }
+        let mut db = Database::new();
+        db.add(Table::new("l", vec![("k", left)]));
+        db.add(Table::new("r", vec![("k", right)]));
+        let join = Query::Join {
+            left: "l".into(),
+            right: "r".into(),
+            left_col: "k".into(),
+            right_col: "k".into(),
+        };
+        let truth = reference::evaluate(&db, &join);
+        for join_m_bits in [64, PrunerConfig::default().join_m_bits] {
+            let fleet = Fleet::with_config(PrunerConfig {
+                join_m_bits,
+                ..PrunerConfig::default()
+            });
+            for exec in fleet.all() {
+                prop_assert_eq!(
+                    &exec.execute(&db, &join).result,
+                    &truth,
+                    "{} at {} filter bits a side",
+                    exec.name(),
+                    join_m_bits
+                );
+            }
         }
     }
 }

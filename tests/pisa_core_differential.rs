@@ -6,7 +6,7 @@
 use cheetah::core::distinct::{DistinctPruner, EvictionPolicy};
 use cheetah::core::groupby::{Extremum, GroupByPruner};
 use cheetah::core::having::HavingPruner;
-use cheetah::core::join::{BloomFilter, JoinPruner, KeyFilter, RegisterBloomFilter, Side};
+use cheetah::core::join::{BloomFilter, JoinPruner, RegisterBloomFilter, Side};
 use cheetah::core::skyline::{Heuristic, SkylinePruner};
 use cheetah::core::topn::{DeterministicTopN, RandomizedTopN};
 use cheetah::core::SwitchModel;
@@ -149,28 +149,40 @@ fn bloom_join_program_equals_core() {
 
 #[test]
 fn rbf_join_program_equals_core() {
+    // The pair the engine runs: one register filter per side, each side
+    // its own size — equal sides, a lopsided pair, and a single register.
     let a_keys = keys(5_000, 30_000, 9);
     let b_keys = keys(5_000, 30_000, 10);
-    let m_bits = 1u64 << 14;
-    let mut fa = RegisterBloomFilter::new(m_bits, 3, SEED);
-    let mut fb = RegisterBloomFilter::new(m_bits, 3, SEED ^ 1);
-    let mut prog =
-        RbfJoinProgram::new(SwitchModel::tofino_like(), m_bits, 3, SEED, SEED ^ 1).unwrap();
-    prog.set_mode(JoinMode::BuildA);
-    for &k in &a_keys {
-        fa.insert(k);
-        prog.process(&[k]).unwrap();
-    }
-    prog.set_mode(JoinMode::BuildB);
-    for &k in &b_keys {
-        fb.insert(k);
-        prog.process(&[k]).unwrap();
-    }
-    prog.set_mode(JoinMode::ProbeA);
-    for (i, &k) in a_keys.iter().enumerate() {
-        let core_fwd = fb.contains(k);
-        let prog_fwd = prog.process(&[k]).unwrap().is_forward();
-        assert_eq!(core_fwd, prog_fwd, "A probe {i} diverged");
+    for (bits_a, bits_b) in [(1u64 << 14, 1u64 << 14), (1 << 16, 5 * 64), (64, 1 << 12)] {
+        let mut core = JoinPruner::new(
+            RegisterBloomFilter::new(bits_a, 3, SEED),
+            RegisterBloomFilter::new(bits_b, 3, SEED ^ 1),
+        );
+        let model = SwitchModel::tofino_like();
+        let mut prog = RbfJoinProgram::new(model, bits_a, bits_b, 3, SEED, SEED ^ 1).unwrap();
+        prog.set_mode(JoinMode::BuildA);
+        for &k in &a_keys {
+            core.observe(Side::Left, k);
+            prog.process(&[k]).unwrap();
+        }
+        prog.set_mode(JoinMode::BuildB);
+        for &k in &b_keys {
+            core.observe(Side::Right, k);
+            prog.process(&[k]).unwrap();
+        }
+        for (mode, side, probes) in [
+            (JoinMode::ProbeA, Side::Left, &a_keys),
+            (JoinMode::ProbeB, Side::Right, &b_keys),
+        ] {
+            prog.set_mode(mode);
+            for (i, &k) in probes.iter().enumerate() {
+                assert_eq!(
+                    core.prune_decision(side, k),
+                    prog.process(&[k]).unwrap(),
+                    "{side:?} probe {i} diverged at {bits_a}/{bits_b} bits"
+                );
+            }
+        }
     }
 }
 
