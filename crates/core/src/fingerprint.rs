@@ -50,6 +50,15 @@ impl Fingerprinter {
         self.mask(self.hash.hash_words(words))
     }
 
+    /// [`Self::fp_words`] of rows `rows` of a column set, one fingerprint
+    /// per row into `out` (see [`HashFn::hash_columns`]).
+    pub fn fp_columns(&self, cols: &[&[u64]], rows: std::ops::Range<usize>, out: &mut [u64]) {
+        self.hash.hash_columns(cols, rows, out);
+        if self.bits < 64 {
+            out.iter_mut().for_each(|h| *h = self.mask(*h));
+        }
+    }
+
     /// Fingerprint of a variable-width (string) key.
     pub fn fp_bytes(&self, bytes: &[u8]) -> u64 {
         self.mask(self.hash.hash_bytes(bytes))
@@ -121,6 +130,18 @@ mod tests {
         assert!(f.fp_words(&[1, 2, 3]) < (1 << 32));
         assert!(f.fp_bytes(b"userAgent=Mozilla") < (1 << 32));
         assert_ne!(f.fp_words(&[1, 2]), f.fp_words(&[2, 1]));
+    }
+
+    #[test]
+    fn fp_columns_is_fp_words_of_every_row() {
+        let (a, b) = ([1u64, 2, 3, 4], [9u64, 8, 7, 6]);
+        for bits in [12, 64] {
+            let f = Fingerprinter::new(3, bits);
+            let mut out = [0u64; 3];
+            f.fp_columns(&[&a, &b], 1..4, &mut out);
+            let rows = [[2, 8], [3, 7], [4, 6]];
+            assert_eq!(out, rows.map(|row| f.fp_words(&row)));
+        }
     }
 
     #[test]

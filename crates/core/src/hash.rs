@@ -52,6 +52,23 @@ impl HashFn {
         mix64(acc)
     }
 
+    /// [`Self::hash_words`] of rows `rows` of a column set, one hash per
+    /// row into `out` (`out.len() == rows.len()`). The chain advances one
+    /// column at a time across all the rows, so each lane is walked once
+    /// and no row is ever gathered.
+    pub fn hash_columns(&self, cols: &[&[u64]], rows: std::ops::Range<usize>, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), rows.len(), "one hash per row");
+        out.fill(self.seed);
+        for col in cols {
+            for (acc, &w) in out.iter_mut().zip(&col[rows.clone()]) {
+                *acc = mix64(*acc ^ w).rotate_left(17);
+            }
+        }
+        for acc in out {
+            *acc = mix64(*acc);
+        }
+    }
+
     /// Hash a byte string (variable-width columns) — FNV-1a folding into
     /// 64-bit lanes, finished with the mixer.
     pub fn hash_bytes(&self, data: &[u8]) -> u64 {
@@ -119,6 +136,21 @@ mod tests {
         let h = HashFn::new(3);
         assert_ne!(h.hash_words(&[1, 2]), h.hash_words(&[2, 1]));
         assert_eq!(h.hash_words(&[1, 2]), h.hash_words(&[1, 2]));
+    }
+
+    #[test]
+    fn hash_columns_is_hash_words_of_every_row() {
+        let h = HashFn::new(5);
+        let a: Vec<u64> = (0..40).map(|i| i * 7 % 11).collect();
+        let b: Vec<u64> = (0..40).map(|i| i * 13 % 5).collect();
+        for cols in [&[&a[..], &b[..]][..], &[&b[..]][..], &[][..]] {
+            let mut out = [0u64; 30];
+            h.hash_columns(cols, 3..33, &mut out);
+            for (i, &got) in out.iter().enumerate() {
+                let row: Vec<u64> = cols.iter().map(|c| c[3 + i]).collect();
+                assert_eq!(got, h.hash_words(&row), "row {i}");
+            }
+        }
     }
 
     #[test]

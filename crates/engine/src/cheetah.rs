@@ -30,9 +30,9 @@ use crate::master::{
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingPhases, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
 };
-use crate::query::{Agg, FetchSpec, Query, QueryResult};
+use crate::query::{Agg, FetchSpec, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::stream::{LaneArena, BLOCK_ENTRIES};
+use crate::stream::{Block, EntryStream, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
 use crate::threaded::{
     run_phases, run_phases_each, run_stream, Lane, LanePartition, PhaseInput, PrunerStage,
@@ -169,6 +169,194 @@ impl RowPruner for JoinProbe {
     }
 }
 
+/// The table a query streams in one row-pruned pass, `None` for shapes
+/// with a dataflow of their own (two-pass flows; GROUP BY SUM/COUNT's
+/// register evictions speak a different block protocol). These are the
+/// shapes [`crate::serve`] can pack into one shared scan.
+pub(crate) fn single_pass_table(q: &Query) -> Option<&str> {
+    match q {
+        Query::FilterCount { table, .. }
+        | Query::Filter { table, .. }
+        | Query::Distinct { table, .. }
+        | Query::DistinctMulti { table, .. }
+        | Query::TopN { table, .. }
+        | Query::Skyline { table, .. }
+        | Query::GroupBy {
+            table,
+            agg: Agg::Max | Agg::Min,
+            ..
+        } => Some(table),
+        _ => None,
+    }
+}
+
+/// A single-pass query's metadata columns, in query order (the stream's
+/// column order, which fingerprints and predicate rows rely on).
+pub(crate) fn query_columns(q: &Query, t: &Table) -> Vec<usize> {
+    match q {
+        Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
+            predicate.columns.iter().map(|c| t.col_index(c)).collect()
+        }
+        Query::Distinct { column, .. } => vec![t.col_index(column)],
+        Query::DistinctMulti { columns, .. } | Query::Skyline { columns, .. } => {
+            columns.iter().map(|c| t.col_index(c)).collect()
+        }
+        Query::TopN { order_by, .. } => vec![t.col_index(order_by)],
+        Query::GroupBy { key, val, .. } => vec![t.col_index(key), t.col_index(val)],
+        _ => unreachable!("only single-pass shapes stream"),
+    }
+}
+
+/// The switch pruner a single-pass query installs.
+pub(crate) fn single_pass_pruner(cfg: &PrunerConfig, q: &Query) -> Box<dyn RowPruner + Send> {
+    match q {
+        Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
+            backend::filter(cfg, predicate)
+        }
+        Query::Distinct { .. } | Query::DistinctMulti { .. } => backend::distinct(cfg),
+        Query::TopN { n, .. } => backend::topn(cfg, *n),
+        Query::GroupBy { agg, .. } => backend::groupby(
+            cfg,
+            if *agg == Agg::Max {
+                Extremum::Max
+            } else {
+                Extremum::Min
+            },
+        ),
+        Query::Skyline { columns, .. } => backend::skyline(cfg, columns.len()),
+        _ => unreachable!("only single-pass shapes install a row pruner"),
+    }
+}
+
+/// The fingerprinter a DistinctMulti's tuples travel under (§5, Example
+/// 8): wide/multi-column keys cross the switch as fingerprints, the
+/// switch dedups fingerprints, the master dedups the surviving real
+/// tuples (correct with probability 1−δ per Theorem 4; 64-bit
+/// fingerprints make a harmful collision vanishingly unlikely here).
+pub(crate) fn tuple_fingerprinter(cfg: &PrunerConfig) -> Fingerprinter {
+    Fingerprinter::new(cfg.seed ^ 0xf1f1, 64)
+}
+
+/// A single-pass query's master completion: what the CMaster does with
+/// each survivor and how the survivors become the result — defined once
+/// for a solo stream and for a member of a shared scan.
+pub(crate) enum Completion<'q> {
+    /// FilterCount: re-check the full predicate, count matches.
+    Count {
+        predicate: &'q Predicate,
+        row: Vec<u64>,
+        count: u64,
+    },
+    /// Filter: re-check, collect row ids for the §7.1 fetch.
+    Fetch {
+        predicate: &'q Predicate,
+        row: Vec<u64>,
+        ids: Vec<u64>,
+    },
+    /// Distinct / TopN: single-column survivors.
+    Values(Vec<u64>),
+    /// Skyline: survivor points.
+    Points(Vec<Vec<u64>>),
+    /// DistinctMulti: survivor tuples back to back in one flat buffer.
+    Tuples { width: usize, flat: Vec<u64> },
+    /// GroupBy MAX/MIN: survivor `(key, value)` pairs, folding as they come.
+    Groups(GroupSink),
+}
+
+impl<'q> Completion<'q> {
+    pub(crate) fn for_query(q: &'q Query) -> Self {
+        match q {
+            Query::FilterCount { predicate, .. } => Completion::Count {
+                predicate,
+                row: Vec::with_capacity(predicate.columns.len()),
+                count: 0,
+            },
+            Query::Filter { predicate, .. } => Completion::Fetch {
+                predicate,
+                row: Vec::with_capacity(predicate.columns.len()),
+                ids: Vec::new(),
+            },
+            Query::Distinct { .. } | Query::TopN { .. } => Completion::Values(Vec::new()),
+            Query::Skyline { .. } => Completion::Points(Vec::new()),
+            Query::DistinctMulti { columns, .. } => Completion::Tuples {
+                width: columns.len(),
+                flat: Vec::new(),
+            },
+            Query::GroupBy { agg, .. } => Completion::Groups(GroupSink::new(*agg)),
+            _ => unreachable!("only single-pass shapes complete here"),
+        }
+    }
+
+    /// Take a block's survivors: the entries `decisions` forward, whose
+    /// columns in query order are `cols` (a solo stream's `block.cols`, a
+    /// shared scan's selection of them). One dispatch a block, so each
+    /// shape's survivor loop is its own tight loop.
+    pub(crate) fn take(&mut self, block: &Block<'_>, cols: &[&[u64]], decisions: &[Decision]) {
+        let survivors = (0..decisions.len()).filter(|&i| decisions[i].is_forward());
+        let matches = |predicate: &Predicate, row: &mut Vec<u64>, i: usize| {
+            // Master re-checks the full predicate on survivors.
+            row.clear();
+            row.extend(cols.iter().map(|c| c[i]));
+            predicate.eval(row)
+        };
+        match self {
+            Completion::Count {
+                predicate,
+                row,
+                count,
+            } => *count += survivors.filter(|&i| matches(predicate, row, i)).count() as u64,
+            Completion::Fetch {
+                predicate,
+                row,
+                ids,
+            } => {
+                let fetched = survivors.filter(|&i| matches(predicate, row, i));
+                ids.extend(fetched.map(|i| block.row_id(i)));
+            }
+            Completion::Values(v) => v.extend(survivors.map(|i| cols[0][i])),
+            Completion::Points(v) => {
+                v.extend(survivors.map(|i| cols.iter().map(|c| c[i]).collect::<Vec<_>>()))
+            }
+            Completion::Tuples { flat, .. } => {
+                survivors.for_each(|i| flat.extend(cols.iter().map(|c| c[i])))
+            }
+            Completion::Groups(groups) => {
+                survivors.for_each(|i| groups.push(cols[0][i], cols[1][i]))
+            }
+        }
+    }
+
+    /// The survivors as `query`'s result: `(fetched rows, result, fetch
+    /// checksum)`. A Filter pays its §7.1 late-materialization fetch here.
+    pub(crate) fn finish(
+        self,
+        query: &Query,
+        t: &Table,
+        cfg: &PrunerConfig,
+    ) -> (u64, QueryResult, Option<u64>) {
+        match self {
+            Completion::Count { count, .. } => (0, QueryResult::Count(count), None),
+            Completion::Fetch { ids, .. } => {
+                let proj = query.projection(t, &cfg.fetch);
+                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
+                (ids.len() as u64, QueryResult::row_ids(ids), Some(checksum))
+            }
+            Completion::Values(v) => match query {
+                Query::TopN { n, .. } => (*n as u64, QueryResult::top_values(v, *n), None),
+                _ => (0, QueryResult::values(v), None),
+            },
+            Completion::Points(v) => (0, QueryResult::points(skyline_of(&v)), None),
+            Completion::Tuples { width, flat } => {
+                (0, TupleRun::canonical(width, flat).into_points(), None)
+            }
+            Completion::Groups(groups) => {
+                let groups = groups.finish().into_groups();
+                (0, QueryResult::Groups(groups), None)
+            }
+        }
+    }
+}
+
 /// Per-worker partition **views** of `columns`: borrowed lane slices, no
 /// copies — the pool workers serialize blocks straight out of the
 /// table's column storage.
@@ -245,179 +433,92 @@ impl CheetahExecutor {
 
     /// Run the query through the switch; real results, modeled timing.
     pub fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        self.execute_in(db, query, &LaneArena::default(), None).0
+        self.execute_in(db, query, None).0
     }
 
-    /// [`Self::execute`] with its two seams open, for a caller that runs
-    /// many queries over one borrowed database ([`crate::serve`]). Streams
-    /// are drawn from `lanes`, so queries sharing an arena gather each lane
-    /// once (a fresh arena is a plain gather). A HAVING / JOIN given its
-    /// `armed` flow — switch state that already observed these exact
-    /// tables — skips the observation pass and reports one pass; either
-    /// way the flow comes back armed.
-    pub(crate) fn execute_in<'t>(
+    /// [`Self::execute`] with its seam open, for a caller that keeps
+    /// switch state across queries ([`crate::serve`]). A HAVING / JOIN
+    /// given its `armed` flow — switch state that already observed these
+    /// exact tables — skips the observation pass and reports one pass;
+    /// either way the flow comes back armed.
+    pub(crate) fn execute_in(
         &self,
-        db: &'t Database,
+        db: &Database,
         query: &Query,
-        lanes: &LaneArena<'t>,
         armed: Option<ArmedFlow>,
     ) -> (ExecutionReport, Option<ArmedFlow>) {
         let workers = self.model.workers;
         let cfg = &self.config;
-        let interleave = |t: &'t Table, cols: &[usize]| lanes.stream(t, cols, workers);
+        let interleave = |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, workers);
         let mut armed_out = None;
         let report = match query {
-            Query::FilterCount { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let stream = interleave(t, &cols);
-                let mut pruner = backend::filter(cfg, predicate);
+            Query::FilterCount { .. }
+            | Query::Filter { .. }
+            | Query::Distinct { .. }
+            | Query::DistinctMulti { .. }
+            | Query::TopN { .. }
+            | Query::Skyline { .. }
+            | Query::GroupBy {
+                agg: Agg::Max | Agg::Min,
+                ..
+            } => {
+                let t = db.table(single_pass_table(query).expect("a single-pass shape"));
+                let mut stream = interleave(t, &query_columns(query, t));
+                if matches!(query, Query::DistinctMulti { .. }) {
+                    stream.fingerprint_lane(&tuple_fingerprinter(cfg));
+                }
+                let mut pruner = single_pass_pruner(cfg, query);
                 let mut stats = PruneStats::default();
-                let mut count = 0u64;
-                let mut row = Vec::with_capacity(cols.len());
-                stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                    // Master re-checks the full predicate on survivors.
-                    entry.gather_into(&mut row);
-                    if predicate.eval(&row) {
-                        count += 1;
-                    }
-                });
-                self.report(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::Count(count),
-                )
-            }
-            Query::Filter { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let stream = interleave(t, &cols);
-                let mut pruner = backend::filter(cfg, predicate);
-                let mut stats = PruneStats::default();
-                let mut ids = Vec::new();
-                let mut row = Vec::with_capacity(cols.len());
-                stream.prune(pruner.as_mut(), &mut stats, |rid, entry| {
-                    entry.gather_into(&mut row);
-                    if predicate.eval(&row) {
-                        ids.push(rid);
-                    }
-                });
-                let fetch = ids.len() as u64;
-                let proj = query.projection(t, &cfg.fetch);
-                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
-                let result = QueryResult::row_ids(ids);
+                let mut master = Completion::for_query(query);
+                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+                let mut blocks = stream.blocks();
+                while let Some(block) = blocks.next_block() {
+                    let out = &mut decisions[..block.len];
+                    pruner.process_block(block.visible(), out);
+                    stats.record_block(out);
+                    master.take(&block, &block.cols, out);
+                }
+                let (fetch, result, checksum) = master.finish(query, t, cfg);
                 let mut report = self.report(query, t.rows() as u64, stats, 1, fetch, result);
-                report.fetch_checksum = Some(checksum);
+                report.fetch_checksum = checksum;
                 report
-            }
-            Query::Distinct { table, column } => {
-                let t = db.table(table);
-                let stream = interleave(t, &[t.col_index(column)]);
-                let mut pruner = backend::distinct(cfg);
-                let mut stats = PruneStats::default();
-                let mut survivors = Vec::new();
-                stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                    survivors.push(entry.get(0));
-                });
-                let result = QueryResult::values(survivors);
-                self.report(query, t.rows() as u64, stats, 1, 0, result)
-            }
-            Query::DistinctMulti { table, columns } => {
-                // §5, Example 8: wide/multi-column keys travel as
-                // fingerprints; the switch dedups fingerprints, the master
-                // dedups the surviving real tuples (correct with
-                // probability 1−δ per Theorem 4; 64-bit fingerprints make
-                // a harmful collision vanishingly unlikely here).
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let mut stream = interleave(t, &cols);
-                stream.fingerprint_lane(&Fingerprinter::new(cfg.seed ^ 0xf1f1, 64));
-                let mut pruner = backend::distinct(cfg);
-                let mut stats = PruneStats::default();
-                let mut flat = Vec::new();
-                stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                    entry.extend_into(&mut flat);
-                });
-                let result = TupleRun::canonical(cols.len(), flat).into_points();
-                self.report(query, t.rows() as u64, stats, 1, 0, result)
-            }
-            Query::TopN { table, order_by, n } => {
-                let t = db.table(table);
-                let stream = interleave(t, &[t.col_index(order_by)]);
-                let mut stats = PruneStats::default();
-                let mut survivors = Vec::new();
-                let mut pruner = backend::topn(cfg, *n);
-                stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                    survivors.push(entry.get(0));
-                });
-                let result = QueryResult::top_values(survivors, *n);
-                self.report(query, t.rows() as u64, stats, 1, *n as u64, result)
             }
             Query::GroupBy {
                 table,
                 key,
                 val,
-                agg,
+                agg: agg @ (Agg::Sum | Agg::Count),
             } => {
+                // §6: partial aggregation in switch registers; evictions
+                // ride packets, residuals drain at FIN.
                 let t = db.table(table);
                 let cols = [t.col_index(key), t.col_index(val)];
-                let stream = interleave(t, &cols);
-                match agg {
-                    Agg::Max | Agg::Min => {
-                        let ext = if *agg == Agg::Max {
-                            Extremum::Max
-                        } else {
-                            Extremum::Min
-                        };
-                        let mut pruner = backend::groupby(cfg, ext);
-                        let mut stats = PruneStats::default();
-                        let mut groups = GroupSink::new(*agg);
-                        stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                            groups.push(entry.get(0), entry.get(1));
-                        });
-                        let result = QueryResult::Groups(groups.finish().into_groups());
-                        self.report(query, t.rows() as u64, stats, 1, 0, result)
-                    }
-                    Agg::Sum | Agg::Count => {
-                        // §6: partial aggregation in switch registers;
-                        // evictions ride packets, residuals drain at FIN.
-                        let mut pruner =
-                            GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
-                        let mut stats = PruneStats::default();
-                        let mut groups = GroupSink::new(*agg);
-                        let keys = stream.col(0);
-                        // COUNT folds 1 per entry: blocks never exceed
-                        // BLOCK_ENTRIES, so one static lane of 1s serves
-                        // every block of every query.
-                        static ONES: [u64; BLOCK_ENTRIES] = [1; BLOCK_ENTRIES];
-                        let mut decisions =
-                            [cheetah_core::Decision::Prune; crate::stream::BLOCK_ENTRIES];
-                        let mut start = 0;
-                        while start < stream.len() {
-                            let len = (stream.len() - start).min(BLOCK_ENTRIES);
-                            let vals = if *agg == Agg::Sum {
-                                &stream.col(1)[start..start + len]
-                            } else {
-                                &ONES[..len]
-                            };
-                            let out = &mut decisions[..len];
-                            pruner.process_block(
-                                &keys[start..start + len],
-                                vals,
-                                out,
-                                |key, partial| groups.push(key, partial),
-                            );
-                            stats.record_block(out);
-                            start += len;
-                        }
-                        groups.fill(|partials| partials.extend(pruner.drain()));
-                        let result = QueryResult::Groups(groups.finish().into_groups());
-                        self.report(query, t.rows() as u64, stats, 1, 0, result)
-                    }
+                let mut pruner = GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
+                let mut stats = PruneStats::default();
+                let mut groups = GroupSink::new(*agg);
+                // COUNT folds 1 per entry and never reads the value lane:
+                // blocks never exceed BLOCK_ENTRIES, so one static lane of
+                // 1s serves every block of every query.
+                static ONES: [u64; BLOCK_ENTRIES] = [1; BLOCK_ENTRIES];
+                let sum = *agg == Agg::Sum;
+                let stream = interleave(t, if sum { &cols } else { &cols[..1] });
+                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+                let mut blocks = stream.blocks();
+                while let Some(block) = blocks.next_block() {
+                    let vals = if sum {
+                        block.cols[1]
+                    } else {
+                        &ONES[..block.len]
+                    };
+                    let out = &mut decisions[..block.len];
+                    pruner.process_block(block.cols[0], vals, out, |key, partial| {
+                        groups.push(key, partial)
+                    });
+                    stats.record_block(out);
                 }
+                groups.fill(|partials| partials.extend(pruner.drain()));
+                let result = QueryResult::Groups(groups.finish().into_groups());
+                self.report(query, t.rows() as u64, stats, 1, 0, result)
             }
             Query::Having {
                 table,
@@ -429,8 +530,6 @@ impl CheetahExecutor {
                 let cols = [t.col_index(key), t.col_index(val)];
                 let stream = interleave(t, &cols);
                 let mut stats = PruneStats::default();
-                let (keys, vals) = (stream.col(0), stream.col(1));
-                let blocks = || keys.chunks(BLOCK_ENTRIES).zip(vals.chunks(BLOCK_ENTRIES));
                 let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
                 let (mut flow, passes) = match armed {
                     Some(ArmedFlow::Having(flow)) => (flow, 1),
@@ -439,19 +538,23 @@ impl CheetahExecutor {
                         // (straight off the column lanes — no per-row
                         // materialization).
                         let mut flow = HavingFlow::new(cfg, *threshold);
-                        for (k, v) in blocks() {
-                            let out = &mut decisions[..k.len()];
-                            flow.pass_one_block(k, v, out);
+                        let mut blocks = stream.blocks();
+                        while let Some(block) = blocks.next_block() {
+                            let out = &mut decisions[..block.len];
+                            flow.pass_one_block(block.cols[0], block.cols[1], out);
                             stats.record_block(out);
                         }
                         (flow, 2)
                     }
                 };
-                // Pass 2: candidate entries to the master.
+                // Pass 2: the table lanes stream again, candidate entries
+                // go to the master.
                 flow.begin_pass_two();
                 let mut sums = GroupSink::new(Agg::Sum);
-                for (k, v) in blocks() {
-                    let out = &mut decisions[..k.len()];
+                let mut blocks = stream.blocks();
+                while let Some(block) = blocks.next_block() {
+                    let (k, v) = (block.cols[0], block.cols[1]);
+                    let out = &mut decisions[..block.len];
                     flow.pass_two_block(k, v, out);
                     stats.record_block(out);
                     sums.fill(|pending| {
@@ -487,8 +590,9 @@ impl CheetahExecutor {
                         // stream, §4.3).
                         let mut flow = JoinFlow::sized(cfg, l.rows(), r.rows());
                         for (tags, stream) in sides {
-                            for keys in stream.col(0).chunks(BLOCK_ENTRIES) {
-                                flow.observe_block(&tags[..keys.len()], keys);
+                            let mut blocks = stream.blocks();
+                            while let Some(block) = blocks.next_block() {
+                                flow.observe_block(&tags[..block.len], block.cols[0]);
                             }
                         }
                         (flow, 2)
@@ -499,14 +603,14 @@ impl CheetahExecutor {
                 let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
                 let [left_fwd, right_fwd] = sides.map(|(tags, stream)| {
                     let mut fwd: Vec<(u64, u64)> = Vec::new();
-                    let blocks = stream.col(0).chunks(BLOCK_ENTRIES);
-                    for (keys, rids) in blocks.zip(stream.row_ids().chunks(BLOCK_ENTRIES)) {
-                        let out = &mut decisions[..keys.len()];
-                        flow.probe_block(&tags[..keys.len()], keys, out);
+                    let mut blocks = stream.blocks();
+                    while let Some(block) = blocks.next_block() {
+                        let keys = block.cols[0];
+                        let out = &mut decisions[..block.len];
+                        flow.probe_block(&tags[..block.len], keys, out);
                         stats.record_block(out);
-                        let entries = out.iter().zip(keys.iter().zip(rids));
-                        let forwarded = entries.filter(|(d, _)| d.is_forward());
-                        fwd.extend(forwarded.map(|(_, (&k, &rid))| (k, rid)));
+                        let forwarded = (0..block.len).filter(|&i| out[i].is_forward());
+                        fwd.extend(forwarded.map(|i| (keys[i], block.row_id(i))));
                     }
                     fwd
                 });
@@ -515,19 +619,6 @@ impl CheetahExecutor {
                 let streamed = u64::from(passes) * (l.rows() + r.rows()) as u64;
                 let result = QueryResult::JoinSummary { pairs, checksum };
                 self.report(query, streamed, stats, passes, pairs, result)
-            }
-            Query::Skyline { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let stream = interleave(t, &cols);
-                let mut pruner = backend::skyline(cfg, cols.len());
-                let mut stats = PruneStats::default();
-                let mut survivors = Vec::new();
-                stream.prune(pruner.as_mut(), &mut stats, |_, entry| {
-                    survivors.push(entry.to_vec());
-                });
-                let result = QueryResult::points(skyline_of(&survivors));
-                self.report(query, t.rows() as u64, stats, 1, 0, result)
             }
         };
         (report, armed_out)
@@ -576,7 +667,7 @@ impl CheetahExecutor {
                 // switch-blind behind the fingerprint lane.
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let fp = Fingerprinter::new(cfg.seed ^ 0xf1f1, 64);
+                let fp = tuple_fingerprinter(cfg);
                 let partitions = t
                     .partition_bounds(workers)
                     .into_iter()
@@ -916,28 +1007,15 @@ impl CheetahExecutor {
         const SAMPLE_BLOCKS: usize = 4;
         let cfg = &self.config;
         let (t, cols, mut pruner): (&Table, Vec<usize>, Box<dyn RowPruner + Send>) = match query {
-            Query::FilterCount { table, predicate } | Query::Filter { table, predicate } => {
-                let t = db.table(table);
-                (
-                    t,
-                    predicate.columns.iter().map(|c| t.col_index(c)).collect(),
-                    backend::filter(cfg, predicate),
-                )
-            }
-            Query::Distinct { table, column } => {
-                let t = db.table(table);
-                (t, vec![t.col_index(column)], backend::distinct(cfg))
-            }
             Query::DistinctMulti { table, columns } => {
                 let t = db.table(table);
                 (t, vec![t.col_index(&columns[0])], backend::distinct(cfg))
             }
-            Query::TopN { table, order_by, n } => {
-                let t = db.table(table);
-                (t, vec![t.col_index(order_by)], backend::topn(cfg, *n))
-            }
             Query::GroupBy {
-                table, key, val, ..
+                table,
+                key,
+                val,
+                agg: Agg::Sum | Agg::Count,
             } => {
                 // The MAX register matrix doubles as the SUM/COUNT
                 // accumulator-cost proxy: same row scan, same memory.
@@ -980,11 +1058,9 @@ impl CheetahExecutor {
                 let flow = JoinFlow::sized(cfg, t.rows(), db.table(right).rows());
                 (t, vec![c, c], Box::new(JoinProbe(flow)))
             }
-            Query::Skyline { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let dims = cols.len();
-                (t, cols, backend::skyline(cfg, dims))
+            _ => {
+                let t = db.table(single_pass_table(query).expect("a single-pass shape"));
+                (t, query_columns(query, t), single_pass_pruner(cfg, query))
             }
         };
         let sample = t.rows().min(SAMPLE_BLOCKS * BLOCK_ENTRIES);

@@ -43,7 +43,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
-use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 use cheetah_net::sim::FaultPlan;
@@ -51,7 +50,7 @@ use cheetah_net::wire::chunk_payload;
 use cheetah_net::{MasterRx, Simulation, SimulationConfig, SwitchNode, WorkerTx};
 
 use crate::backend;
-use crate::cheetah::CheetahExecutor;
+use crate::cheetah::{tuple_fingerprinter, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::{
     explode, fetch_rows_flat, rows_payload_checksum, GroupRun, GroupSink, TupleRun,
@@ -1175,7 +1174,7 @@ impl DistributedExecutor {
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
                 let width = cols.len();
-                let fp = Fingerprinter::new(cfg.seed ^ 0xf1f1, 64);
+                let fp = tuple_fingerprinter(cfg);
                 let bounds = t.partition_bounds(shards);
                 let yields = compute_shards(shards, &resumable, &mut res, |s| {
                     let partitions = split_range(bounds[s].0, bounds[s].1, workers)

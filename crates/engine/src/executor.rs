@@ -158,9 +158,6 @@ pub struct ServeReport {
     pub spilled: u64,
     /// Shared stream passes executed (one scan serving ≥ 2 queries).
     pub shared_scans: u64,
-    /// Column lanes gathered for the whole batch: its distinct
-    /// (table, column) pairs, however many flows streamed each.
-    pub lanes_gathered: u64,
     /// Cacheable executions completed from a cached Bloom/Count-Min
     /// state, skipping their observation pass.
     pub cache_hits: u64,

@@ -82,5 +82,5 @@ pub use query::{Agg, FetchSpec, Predicate, Projection, Query, QueryResult};
 pub use serve::ServeExecutor;
 pub use sharded::ShardedExecutor;
 pub use spark::SparkExecutor;
-pub use stream::{EntryRef, EntryStream, BLOCK_ENTRIES};
+pub use stream::{Block, Blocks, EntryRef, EntryStream, BLOCK_ENTRIES};
 pub use table::{Database, Table};

@@ -1,6 +1,6 @@
 //! Concurrent multi-query serving: in-flight coalescing, admission, §6
-//! TCAM packing and a bounded executor pool over one batch-scoped lane
-//! arena, plus a cross-query filter cache.
+//! TCAM packing and a bounded executor pool over zero-copy stream views,
+//! plus a cross-query filter cache.
 //!
 //! Every executor in this engine runs exactly one query per call; a
 //! switch serves *many* (§6: queries share the pipeline, split ALU/SRAM,
@@ -16,13 +16,13 @@
 //!    no epoch can change under it — and no result outlives the call.
 //! 2. **Admission** groups compatible single-pass shapes (filter,
 //!    distinct, top-n, group-by max/min, skyline) by table. Each group
-//!    makes **one** shared [`EntryStream`] pass — one scan of the union
-//!    of the member queries' metadata columns — with per-query
-//!    [`Decision`] lanes routed through
+//!    makes **one** shared [`EntryStream`] pass — each block of the
+//!    union of the member queries' metadata columns gathered once — with
+//!    per-query [`Decision`] lanes routed through
 //!    [`cheetah_core::multiquery::MultiQueryPruner`] by flow id. The
-//!    interleave permutation and block boundaries depend only on the
-//!    table and worker count, so every packed query's decisions (and
-//!    result) are bit-identical to a solo [`CheetahExecutor`] run.
+//!    interleave order and block boundaries depend only on the table and
+//!    worker count, so every packed query's decisions (and result) are
+//!    bit-identical to a solo [`CheetahExecutor`] run.
 //! 3. **Packing** admits each flow against the switch resource budget
 //!    ([`SwitchModel`], Table 2 costs). A flow that doesn't fit beside
 //!    its co-residents is *spilled*: it still runs on the switch path,
@@ -33,10 +33,10 @@
 //!    singleton groups) across a bounded worker pool, one executor call
 //!    per query.
 //!
-//! Shared scans and solo flows all draw their streams from one lane
-//! arena that lives exactly as long as the call: one interleave
-//! permutation per table and one gathered lane per (table, column)
-//! however many flows read it ([`ServeReport::lanes_gathered`]).
+//! Shared scans and solo flows all stream views of the table's own
+//! lanes ([`crate::stream`]), one block in flight each: a batch holds no
+//! `rows`-sized buffer besides its results and filter-cache entries, so
+//! there is no gathered lane to share between flows.
 //!
 //! **The filter cache** is the one thing that persists across calls. It
 //! keys the Bloom-filter pair of a JOIN and the Count-Min sketch of a
@@ -53,19 +53,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use cheetah_core::decision::{Decision, PruneStats, RowPruner};
-use cheetah_core::fingerprint::Fingerprinter;
-use cheetah_core::groupby::Extremum;
+use cheetah_core::decision::{Decision, PruneStats};
 use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
 
-use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
-use crate::cheetah::{ArmedFlow, CheetahExecutor};
+use crate::backend::{HavingFlow, JoinFlow, SwitchBackend};
+use crate::cheetah::{
+    query_columns, single_pass_pruner, single_pass_table, tuple_fingerprinter, ArmedFlow,
+    CheetahExecutor, Completion,
+};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
-use crate::master::{fetch_and_checksum, GroupSink, TupleRun};
-use crate::query::{Agg, Predicate, Query, QueryResult};
-use crate::reference::skyline_of;
-use crate::stream::{fingerprint_rows, EntryStream, LaneArena, BLOCK_ENTRIES};
+use crate::query::Query;
+use crate::stream::{fingerprint_rows, EntryStream, SpareRefs, BLOCK_ENTRIES};
 use crate::table::Database;
 
 /// Report label for everything this front-end produces.
@@ -175,7 +174,6 @@ impl ServeExecutor {
             ..ServeReport::default()
         };
         let cfg = &self.cheetah.config;
-        let lanes = LaneArena::default();
         let mut done: Vec<(usize, ExecutionReport)> = Vec::with_capacity(distinct.len());
 
         // Admission: group shareable single-pass shapes by table; the
@@ -183,7 +181,7 @@ impl ServeExecutor {
         let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut solo: Vec<usize> = Vec::new();
         for (i, q) in distinct.iter().enumerate() {
-            match shareable_table(q) {
+            match single_pass_table(q) {
                 Some(t) => groups.entry(t).or_default().push(i),
                 None => solo.push(i),
             }
@@ -198,7 +196,7 @@ impl ServeExecutor {
             let mut mq = MultiQueryPruner::new();
             let mut packed: Vec<usize> = Vec::new();
             for &i in &members {
-                let pruner = self.packed_pruner(distinct[i]);
+                let pruner = single_pass_pruner(cfg, distinct[i]);
                 // One Table 2 mapping for the whole engine: the planner's.
                 let res = crate::plan::query_resources(cfg, &self.switch, db, distinct[i]);
                 match mq.try_add(i as u16, pruner, res, &self.switch) {
@@ -216,7 +214,7 @@ impl ServeExecutor {
             }
             agg.packed += packed.len() as u64;
             agg.shared_scans += 1;
-            done.extend(self.shared_scan(db, tname, &distinct, &packed, &mut mq, &lanes));
+            done.extend(self.shared_scan(db, tname, &distinct, &packed, &mut mq));
         }
 
         // Bounded pool: workers pull indices off one queue and hand their
@@ -236,7 +234,7 @@ impl ServeExecutor {
                     .unwrap_or_else(PoisonError::into_inner)
                     .pop_front();
                 let Some(i) = next else { break ran };
-                ran.push((i, self.run_solo(db, distinct[i], &lanes, &hits, &misses)));
+                ran.push((i, self.run_solo(db, distinct[i], &hits, &misses)));
             }
         };
         if width <= 1 {
@@ -256,7 +254,6 @@ impl ServeExecutor {
         }
         agg.cache_hits = hits.load(Ordering::Relaxed);
         agg.cache_misses = misses.load(Ordering::Relaxed);
-        agg.lanes_gathered = lanes.lanes_gathered();
 
         // Fan-out. A leader is its query's first admission, so leaders
         // come up in execution-set order and every duplicate's leader is
@@ -281,18 +278,17 @@ impl ServeExecutor {
     }
 
     /// One shared stream pass over `members` (execution-set indices, all
-    /// on table `tname`): union-column stream, per-flow block routing
+    /// on table `tname`): union-column blocks, per-flow block routing
     /// through the packed pruner, per-shape master completion. Mirrors
     /// [`EntryStream::prune`]'s block loop exactly, so each flow's
     /// decision sequence is bit-identical to its solo run.
-    fn shared_scan<'t>(
+    fn shared_scan(
         &self,
-        db: &'t Database,
+        db: &Database,
         tname: &str,
         queries: &[&Query],
         members: &[usize],
         mq: &mut MultiQueryPruner,
-        arena: &LaneArena<'t>,
     ) -> Vec<(usize, ExecutionReport)> {
         let t = db.table(tname);
         let workers = self.cheetah.model.workers;
@@ -316,25 +312,13 @@ impl ServeExecutor {
                     .collect()
             })
             .collect();
-        let stream = arena.stream(t, &union_cols, workers);
+        let stream = EntryStream::interleaved(t, &union_cols, workers);
 
         // DistinctMulti flows prune on a fingerprint of their columns
-        // (§5, Example 8) — derive each member's lane exactly as the solo
-        // path does, over its columns in query order.
-        let fp_lanes: Vec<Option<Vec<u64>>> = members
-            .iter()
-            .zip(&lanes)
-            .map(|(&i, member_lanes)| {
-                matches!(queries[i], Query::DistinctMulti { .. }).then(|| {
-                    let cols: Vec<&[u64]> = member_lanes.iter().map(|&l| stream.col(l)).collect();
-                    let fp = Fingerprinter::new(cfg.seed ^ 0xf1f1, 64);
-                    let mut lane = Vec::with_capacity(stream.len());
-                    let mut scratch = Vec::with_capacity(cols.len());
-                    fingerprint_rows(&cols, 0, stream.len(), &fp, &mut lane, &mut scratch);
-                    lane
-                })
-            })
-            .collect();
+        // (§5, Example 8) — derived per block exactly as the solo path
+        // does, over the member's columns in query order.
+        let fp = tuple_fingerprinter(cfg);
+        let mut fp_lane = Vec::with_capacity(BLOCK_ENTRIES);
 
         let mut stats: Vec<PruneStats> = members.iter().map(|_| PruneStats::default()).collect();
         let mut states: Vec<Completion<'_>> = members
@@ -342,33 +326,33 @@ impl ServeExecutor {
             .map(|&i| Completion::for_query(queries[i]))
             .collect();
 
-        // The block loop: same BLOCK_ENTRIES partitioning as the solo
-        // stream (block boundaries depend only on stream length), one
-        // decision scratch and one column-slice vector reused throughout.
-        let n = stream.len();
+        // The block loop: the solo stream's own blocks (boundaries depend
+        // only on stream length), one decision scratch and one
+        // column-slice buffer reused throughout.
         let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-        let mut colrefs: Vec<&[u64]> = Vec::with_capacity(union_cols.len().max(1));
-        let mut start = 0;
-        while start < n {
-            let len = (n - start).min(BLOCK_ENTRIES);
+        let mut spare = SpareRefs::default();
+        let mut blocks = stream.blocks();
+        while let Some(block) = blocks.next_block() {
             for (m, &i) in members.iter().enumerate() {
-                colrefs.clear();
-                match &fp_lanes[m] {
-                    Some(lane) => colrefs.push(&lane[start..start + len]),
-                    None => {
-                        colrefs.extend(lanes[m].iter().map(|&l| &stream.col(l)[start..start + len]))
-                    }
-                }
-                let out = &mut decisions[..len];
-                mq.process_block(i as u16, &colrefs, out);
+                // The member's columns, in its query order: the block a
+                // solo stream of this query would see.
+                let mut cols = spare.take();
+                cols.extend(lanes[m].iter().map(|&l| block.cols[l]));
+                let key;
+                let visible: &[&[u64]] = if matches!(queries[i], Query::DistinctMulti { .. }) {
+                    fp_lane.clear();
+                    fingerprint_rows(&cols, 0, block.len, &fp, &mut fp_lane);
+                    key = [&fp_lane[..]];
+                    &key
+                } else {
+                    &cols
+                };
+                let out = &mut decisions[..block.len];
+                mq.process_block(i as u16, visible, out);
                 stats[m].record_block(out);
-                for (o, d) in out.iter().enumerate() {
-                    if d.is_forward() {
-                        states[m].on_forward(&stream, &lanes[m], start + o);
-                    }
-                }
+                states[m].take(&block, &cols, out);
+                spare.put(cols);
             }
-            start += len;
         }
 
         let rows = t.rows() as u64;
@@ -378,26 +362,7 @@ impl ServeExecutor {
             .zip(stats)
             .map(|((&i, state), stats)| {
                 let query = queries[i];
-                let (fetch, result, checksum) = match state {
-                    Completion::Count { count, .. } => (0, QueryResult::Count(count), None),
-                    Completion::Fetch { ids, .. } => {
-                        let proj = query.projection(t, &cfg.fetch);
-                        let checksum = fetch_and_checksum(t, proj.cols(), &ids);
-                        (ids.len() as u64, QueryResult::row_ids(ids), Some(checksum))
-                    }
-                    Completion::Values(v) => match query {
-                        Query::TopN { n, .. } => (*n as u64, QueryResult::top_values(v, *n), None),
-                        _ => (0, QueryResult::values(v), None),
-                    },
-                    Completion::Points(v) => (0, QueryResult::points(skyline_of(&v)), None),
-                    Completion::Tuples { width, flat } => {
-                        (0, TupleRun::canonical(width, flat).into_points(), None)
-                    }
-                    Completion::Groups(groups) => {
-                        let groups = groups.finish().into_groups();
-                        (0, QueryResult::Groups(groups), None)
-                    }
-                };
+                let (fetch, result, checksum) = state.finish(query, t, cfg);
                 let mut report = self.cheetah.report(query, rows, stats, 1, fetch, result);
                 report.fetch_checksum = checksum;
                 report.executor = NAME;
@@ -407,14 +372,13 @@ impl ServeExecutor {
     }
 
     /// One solo query on a pool worker: a relabeled
-    /// [`CheetahExecutor::execute_in`] call over the batch's lanes. A
-    /// cacheable two-pass flow starts from its cached switch state when
-    /// the cache holds it (a hit) and leaves its state there when not.
-    fn run_solo<'t>(
+    /// [`CheetahExecutor::execute_in`] call. A cacheable two-pass flow
+    /// starts from its cached switch state when the cache holds it (a
+    /// hit) and leaves its state there when not.
+    fn run_solo(
         &self,
-        db: &'t Database,
+        db: &Database,
         query: &Query,
-        lanes: &LaneArena<'t>,
         hits: &AtomicU64,
         misses: &AtomicU64,
     ) -> ExecutionReport {
@@ -425,7 +389,7 @@ impl ServeExecutor {
             rearmed(flow, query)
         });
         let hit = armed.is_some();
-        let (mut report, flow) = self.cheetah.execute_in(db, query, lanes, armed);
+        let (mut report, flow) = self.cheetah.execute_in(db, query, armed);
         if let Some(epochs) = epochs {
             if hit {
                 hits.fetch_add(1, Ordering::Relaxed);
@@ -453,29 +417,6 @@ impl ServeExecutor {
             _ => None,
         }
     }
-
-    /// The switch pruner a shareable query packs under its flow id —
-    /// exactly the solo path's [`backend`] factory output.
-    fn packed_pruner(&self, query: &Query) -> Box<dyn RowPruner + Send> {
-        let cfg = &self.cheetah.config;
-        match query {
-            Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
-                backend::filter(cfg, predicate)
-            }
-            Query::Distinct { .. } | Query::DistinctMulti { .. } => backend::distinct(cfg),
-            Query::TopN { n, .. } => backend::topn(cfg, *n),
-            Query::GroupBy { agg, .. } => backend::groupby(
-                cfg,
-                if *agg == Agg::Max {
-                    Extremum::Max
-                } else {
-                    Extremum::Min
-                },
-            ),
-            Query::Skyline { columns, .. } => backend::skyline(cfg, columns.len()),
-            _ => unreachable!("only shareable shapes are packed"),
-        }
-    }
 }
 
 impl Executor for ServeExecutor {
@@ -486,131 +427,6 @@ impl Executor for ServeExecutor {
     fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
         let (mut reports, _) = self.serve(db, std::slice::from_ref(query));
         reports.pop().expect("batch of one yields one report")
-    }
-}
-
-/// The table a query can share a single-pass scan on, `None` for shapes
-/// that need their own dispatch (two-pass flows; GROUP BY SUM/COUNT's
-/// register evictions speak a different block protocol).
-fn shareable_table(q: &Query) -> Option<&str> {
-    match q {
-        Query::FilterCount { table, .. }
-        | Query::Filter { table, .. }
-        | Query::Distinct { table, .. }
-        | Query::DistinctMulti { table, .. }
-        | Query::TopN { table, .. }
-        | Query::Skyline { table, .. } => Some(table),
-        Query::GroupBy {
-            table,
-            agg: Agg::Max | Agg::Min,
-            ..
-        } => Some(table),
-        _ => None,
-    }
-}
-
-/// A shareable query's metadata columns, in query order (the solo
-/// stream's column order, which fingerprints and predicate rows rely on).
-fn query_columns(q: &Query, t: &crate::table::Table) -> Vec<usize> {
-    match q {
-        Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
-            predicate.columns.iter().map(|c| t.col_index(c)).collect()
-        }
-        Query::Distinct { column, .. } => vec![t.col_index(column)],
-        Query::DistinctMulti { columns, .. } | Query::Skyline { columns, .. } => {
-            columns.iter().map(|c| t.col_index(c)).collect()
-        }
-        Query::TopN { order_by, .. } => vec![t.col_index(order_by)],
-        Query::GroupBy { key, val, .. } => vec![t.col_index(key), t.col_index(val)],
-        _ => unreachable!("only shareable shapes stream"),
-    }
-}
-
-/// Per-member master-completion state during a shared scan — the same
-/// survivor handling as the solo arms, reading lanes straight off the
-/// shared stream.
-enum Completion<'q> {
-    /// FilterCount: re-check the full predicate, count matches.
-    Count {
-        predicate: &'q Predicate,
-        row: Vec<u64>,
-        count: u64,
-    },
-    /// Filter: re-check, collect row ids for the §7.1 fetch.
-    Fetch {
-        predicate: &'q Predicate,
-        row: Vec<u64>,
-        ids: Vec<u64>,
-    },
-    /// Distinct / TopN: single-column survivors.
-    Values(Vec<u64>),
-    /// Skyline: survivor points.
-    Points(Vec<Vec<u64>>),
-    /// DistinctMulti: survivor tuples back to back in one flat buffer.
-    Tuples { width: usize, flat: Vec<u64> },
-    /// GroupBy MAX/MIN: survivor `(key, value)` pairs, folding as they come.
-    Groups(GroupSink),
-}
-
-impl<'q> Completion<'q> {
-    fn for_query(q: &'q Query) -> Self {
-        match q {
-            Query::FilterCount { predicate, .. } => Completion::Count {
-                predicate,
-                row: Vec::with_capacity(predicate.columns.len()),
-                count: 0,
-            },
-            Query::Filter { predicate, .. } => Completion::Fetch {
-                predicate,
-                row: Vec::with_capacity(predicate.columns.len()),
-                ids: Vec::new(),
-            },
-            Query::Distinct { .. } | Query::TopN { .. } => Completion::Values(Vec::new()),
-            Query::Skyline { .. } => Completion::Points(Vec::new()),
-            Query::DistinctMulti { columns, .. } => Completion::Tuples {
-                width: columns.len(),
-                flat: Vec::new(),
-            },
-            Query::GroupBy { agg, .. } => Completion::Groups(GroupSink::new(*agg)),
-            _ => unreachable!("only shareable shapes complete here"),
-        }
-    }
-
-    fn on_forward(&mut self, stream: &EntryStream, lanes: &[usize], idx: usize) {
-        match self {
-            Completion::Count {
-                predicate,
-                row,
-                count,
-            } => {
-                row.clear();
-                row.extend(lanes.iter().map(|&l| stream.col(l)[idx]));
-                if predicate.eval(row) {
-                    *count += 1;
-                }
-            }
-            Completion::Fetch {
-                predicate,
-                row,
-                ids,
-            } => {
-                row.clear();
-                row.extend(lanes.iter().map(|&l| stream.col(l)[idx]));
-                if predicate.eval(row) {
-                    ids.push(stream.row_ids()[idx]);
-                }
-            }
-            Completion::Values(v) => v.push(stream.col(lanes[0])[idx]),
-            Completion::Points(v) => {
-                v.push(lanes.iter().map(|&l| stream.col(l)[idx]).collect());
-            }
-            Completion::Tuples { flat, .. } => {
-                flat.extend(lanes.iter().map(|&l| stream.col(l)[idx]));
-            }
-            Completion::Groups(groups) => {
-                groups.push(stream.col(lanes[0])[idx], stream.col(lanes[1])[idx]);
-            }
-        }
     }
 }
 
@@ -638,6 +454,7 @@ mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
+    use crate::query::Predicate;
     use crate::reference;
     use crate::table::Table;
     use cheetah_core::filter::{Atom, CmpOp, Formula};

@@ -57,13 +57,12 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use cheetah_core::decision::PruneStats;
-use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::HavingPruner;
 
 use crate::backend;
 use crate::backend::JoinFlow;
-use crate::cheetah::{CheetahExecutor, PrunerConfig};
+use crate::cheetah::{tuple_fingerprinter, CheetahExecutor, PrunerConfig};
 use crate::executor::{ExecutionReport, Executor};
 use crate::master::{
     fetch_and_checksum, join_sink, join_survivors, GroupRun, GroupSink, JoinSides, TupleRun,
@@ -718,7 +717,7 @@ impl ShardedExecutor {
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
                 let width = cols.len();
-                let fp = Fingerprinter::new(cfg.seed ^ 0xf1f1, 64);
+                let fp = tuple_fingerprinter(cfg);
                 let bounds = t.partition_bounds(shards);
                 let outcome = sharded_tree(
                     shards,

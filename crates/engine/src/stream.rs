@@ -1,19 +1,27 @@
-//! Flat, structure-of-arrays entry streams — the zero-allocation switch
-//! hot path.
+//! Entry streams as views — the zero-copy, zero-allocation switch hot path.
 //!
-//! The CWorker-side serialization used to materialize one heap
-//! `Vec<u64>` per table row. [`EntryStream`] instead gathers each
-//! metadata column once per query into its own contiguous lane (plus a
-//! row-id lane), applying the round-robin interleave permutation during
-//! the gather — the deterministic stand-in for several worker NICs
-//! feeding one switch port-by-port. Pruners then consume the stream in
-//! cache-friendly blocks through [`cheetah_core::RowPruner::process_block`],
-//! so the steady-state loop performs no heap allocation at all: the
-//! decision scratch lives on the stack and the per-block column slices
-//! reuse one spare vector.
+//! Cheetah's entries stream *through* the switch; nothing on that path is
+//! stored. An [`EntryStream`] is therefore a view, not a copy: it shares
+//! the table's own column lanes and remembers where each of the `W`
+//! worker partitions starts. The round-robin interleave — the
+//! deterministic stand-in for several worker NICs feeding one switch
+//! port-by-port — is closed-form (entry `i` is row `starts[i % W] + i / W`),
+//! so the block cursor ([`EntryStream::blocks`]) gathers one
+//! [`BLOCK_ENTRIES`]-entry block at a time into a per-lane scratch that
+//! stays in L1: `W` sequential reads of the table lane, written at stride
+//! `W`, immediately before [`cheetah_core::RowPruner::process_block`]
+//! reads it.
+//! A DistinctMulti fingerprint lane is derived from that scratch per
+//! block, and row ids are computed for survivors only. The steady-state
+//! loop performs no heap allocation, and no `rows`-sized buffer exists
+//! anywhere on the path.
+//!
+//! [`EntryStream::col`] and [`EntryStream::row_ids`] are the *materialised
+//! reference*: whole interleaved lanes, built on first call, for replays,
+//! benches and the tests that pin the block cursor against them. No
+//! engine executor reads them.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
@@ -25,93 +33,138 @@ use crate::table::Table;
 /// dispatch to nothing.
 pub const BLOCK_ENTRIES: usize = 1024;
 
-/// One gathered lane in stream (interleaved) order. Immutable once built
-/// and held by shared reference, so a stream gathered for one query and
-/// one drawn from a [`LaneArena`] a whole batch shares are the same type.
-type SharedLane = Arc<[u64]>;
-
-/// A query's switch-bound entries in column-major layout: one `u64` lane
-/// per metadata column plus a row-id lane, all in stream (interleaved)
-/// order.
+/// A query's switch-bound entries: a view of one table's column lanes
+/// under the round-robin interleave of `W` worker partitions.
+///
+/// Building one is O(1) — the lanes are shared with the table, never
+/// copied — and the stream is a **snapshot**: it streams exactly the
+/// lanes and row count it was built over, whatever happens to the table
+/// afterwards ([`Table::add_column`], replacement under the same name in
+/// a [`crate::table::Database`]). A stream built after such a change sees
+/// the new epoch's table.
 #[derive(Debug, Clone)]
 pub struct EntryStream {
-    row_ids: SharedLane,
-    cols: Vec<SharedLane>,
-    /// When set, the pruner sees only this derived single-column lane
-    /// (e.g. the DistinctMulti fingerprint); consumers still read the
-    /// original columns.
-    key_lane: Option<Vec<u64>>,
+    /// The table's own lanes, one per stream column.
+    lanes: Vec<Arc<Vec<u64>>>,
+    /// Entries in the stream: the table's rows when it was built.
+    rows: usize,
+    /// First row of each of the `W` partitions: entry `i` is row
+    /// `starts[i % W] + i / W`.
+    starts: Vec<usize>,
+    /// When set, the pruner sees only the fingerprint of each entry's
+    /// columns, derived per block (the DistinctMulti key lane);
+    /// consumers still read the original columns.
+    fingerprint: Option<Fingerprinter>,
+    reference: OnceLock<Reference>,
 }
 
-/// The round-robin interleave of `workers` partition streams as a row-id
-/// lane. [`Table::partition_bounds`] gives every partition `rows / workers`
-/// rows and the first `rows % workers` of them one more, so the
+/// The whole stream materialised in stream order.
+#[derive(Debug, Clone)]
+struct Reference {
+    row_ids: Vec<u64>,
+    cols: Vec<Vec<u64>>,
+}
+
+/// The round-robin interleave of the partitions starting at `starts` as
+/// a row-id lane. [`Table::partition_bounds`] gives every partition
+/// `rows / W` rows and the first `rows % W` of them one more, so the
 /// port-by-port order is that many full rounds over all partitions plus
 /// one partial round over the longer ones.
-fn interleave_permutation(table: &Table, workers: usize) -> SharedLane {
-    let bounds = table.partition_bounds(workers);
-    let (per, extra) = (table.rows() / workers, table.rows() % workers);
-    let mut row_ids = Vec::with_capacity(table.rows());
+fn interleave_permutation(starts: &[usize], rows: usize) -> Vec<u64> {
+    let (per, extra) = (rows / starts.len(), rows % starts.len());
+    let mut row_ids = Vec::with_capacity(rows);
     for round in 0..per {
-        row_ids.extend(bounds.iter().map(|&(start, _)| (start + round) as u64));
+        row_ids.extend(starts.iter().map(|&start| (start + round) as u64));
     }
-    row_ids.extend(
-        bounds[..extra]
-            .iter()
-            .map(|&(start, _)| (start + per) as u64),
-    );
-    row_ids.into()
+    row_ids.extend(starts[..extra].iter().map(|&start| (start + per) as u64));
+    row_ids
 }
 
 impl EntryStream {
-    /// Gather `columns` of `table` through the round-robin interleave of
-    /// `workers` partition streams (same permutation the old per-row
-    /// interleave produced, one contiguous lane per column).
+    /// View `columns` of `table` through the round-robin interleave of
+    /// `workers` partition streams. O(1): nothing is gathered until a
+    /// block is asked for.
     pub fn interleaved(table: &Table, columns: &[usize], workers: usize) -> Self {
-        LaneArena::default().stream(table, columns, workers)
+        EntryStream {
+            lanes: columns.iter().map(|&c| table.lane(c)).collect(),
+            rows: table.rows(),
+            starts: table
+                .partition_bounds(workers)
+                .into_iter()
+                .map(|(start, _)| start)
+                .collect(),
+            fingerprint: None,
+            reference: OnceLock::new(),
+        }
     }
 
     /// Number of entries in the stream.
     pub fn len(&self) -> usize {
-        self.row_ids.len()
+        self.rows
     }
 
     /// `true` if the stream has no entries.
     pub fn is_empty(&self) -> bool {
-        self.row_ids.is_empty()
+        self.rows == 0
     }
 
     /// Number of metadata columns.
     pub fn width(&self) -> usize {
-        self.cols.len()
+        self.lanes.len()
     }
 
-    /// The row-id lane, in stream order.
+    /// The materialised reference's row-id lane, in stream order.
     pub fn row_ids(&self) -> &[u64] {
-        &self.row_ids
+        &self.reference().row_ids
     }
 
-    /// One metadata column's lane, in stream order.
+    /// One metadata column of the materialised reference, in stream
+    /// order.
     pub fn col(&self, c: usize) -> &[u64] {
-        &self.cols[c]
+        &self.reference().cols[c]
     }
 
-    /// Derive the single-column lane the pruner will see from a
-    /// fingerprint over all metadata columns (§5, Example 8: wide keys
-    /// travel as fingerprints; the master still dedups the real tuples).
+    /// The whole stream gathered through the interleave permutation,
+    /// built on first use — the oracle [`EntryStream::blocks`] is pinned
+    /// against, and what replays that want whole lanes read.
+    fn reference(&self) -> &Reference {
+        self.reference.get_or_init(|| {
+            let row_ids = interleave_permutation(&self.starts, self.rows);
+            let gather = |lane: &Arc<Vec<u64>>| row_ids.iter().map(|&r| lane[r as usize]).collect();
+            let cols = self.lanes.iter().map(gather).collect();
+            Reference { row_ids, cols }
+        })
+    }
+
+    /// Have the pruner see one derived lane — the fingerprint over all
+    /// metadata columns — instead of the columns themselves (§5,
+    /// Example 8: wide keys travel as fingerprints; the master still
+    /// dedups the real tuples). The lane is computed block by block.
     pub fn fingerprint_lane(&mut self, fp: &Fingerprinter) {
-        let cols: Vec<&[u64]> = self.cols.iter().map(|c| &c[..]).collect();
-        let mut lane = Vec::with_capacity(self.len());
-        let mut scratch = Vec::with_capacity(self.cols.len());
-        fingerprint_rows(&cols, 0, self.len(), fp, &mut lane, &mut scratch);
-        self.key_lane = Some(lane);
+        self.fingerprint = Some(fp.clone());
+    }
+
+    /// A cursor over the stream's blocks, in stream order. Each pass over
+    /// the stream takes a fresh cursor (two-pass flows re-walk the table
+    /// lanes on pass 2, as the paper's dataflow does).
+    pub fn blocks(&self) -> Blocks<'_> {
+        // A block and up to a round's worth on either side of it.
+        let stride = BLOCK_ENTRIES + 2 * self.starts.len();
+        Blocks {
+            stream: self,
+            next: 0,
+            scratch: vec![0; self.lanes.len() * stride],
+            stride,
+            keys: Vec::new(),
+            spare: SpareRefs::default(),
+        }
     }
 
     /// Stream every entry through `pruner` in [`BLOCK_ENTRIES`]-sized
     /// blocks, recording each decision into `stats` and calling
     /// `on_forward(row_id, entry)` for every survivor. The loop body is
-    /// allocation-free: decisions live in a stack scratch and the block's
-    /// column slices reuse one spare vector across blocks.
+    /// allocation-free: decisions live in a stack scratch and every block
+    /// is gathered into the cursor's one scratch.
     ///
     /// # Examples
     ///
@@ -137,102 +190,187 @@ impl EntryStream {
     where
         F: FnMut(u64, EntryRef<'_>),
     {
-        let n = self.len();
         let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-        let mut colrefs: Vec<&[u64]> = Vec::with_capacity(self.cols.len().max(1));
-        let mut start = 0;
-        while start < n {
-            let len = (n - start).min(BLOCK_ENTRIES);
-            colrefs.clear();
-            match &self.key_lane {
-                Some(lane) => colrefs.push(&lane[start..start + len]),
-                None => colrefs.extend(self.cols.iter().map(|c| &c[start..start + len])),
-            }
-            let out = &mut decisions[..len];
-            pruner.process_block(&colrefs, out);
+        let mut blocks = self.blocks();
+        while let Some(block) = blocks.next_block() {
+            let out = &mut decisions[..block.len];
+            pruner.process_block(block.visible(), out);
             stats.record_block(out);
             for (i, d) in out.iter().enumerate() {
                 if d.is_forward() {
-                    let idx = start + i;
-                    on_forward(
-                        self.row_ids[idx],
-                        EntryRef {
-                            cols: &self.cols,
-                            idx,
-                        },
-                    );
+                    on_forward(block.row_id(i), block.entry(i));
                 }
             }
-            start += len;
         }
     }
 }
 
-/// The gathered lanes of one scope — a single query, or a whole served
-/// batch — built lazily and shared by reference: one interleave
-/// permutation per (table, workers) and one gathered lane per column of
-/// it, each gathered by whichever [`LaneArena::stream`] call asks first
-/// and handed to every later one as the same allocation. Dropping the
-/// arena drops the lanes (streams still alive keep theirs).
-///
-/// The arena borrows its tables for `'t`, so no table can be replaced or
-/// mutated — no epoch can move — under the lanes it holds. Tables are
-/// told apart by name: one arena serves one [`crate::table::Database`].
-#[derive(Default)]
-pub(crate) struct LaneArena<'t> {
-    /// The map lock only guards slot lookup — a gather runs outside it,
-    /// inside its own slot's [`OnceLock`], so concurrent streams block
-    /// each other only when they want the very same lane.
-    slots: Mutex<LaneSlots<'t>>,
+/// A lending cursor over an [`EntryStream`]'s blocks: every
+/// [`Blocks::next_block`] overwrites the one scratch the previous block
+/// was read from, so a block cannot outlive the next call.
+#[derive(Debug)]
+pub struct Blocks<'s> {
+    stream: &'s EntryStream,
+    /// Stream index of the next block's first entry.
+    next: usize,
+    /// One `stride`-entry lane per stream column, back to back, each
+    /// holding the whole interleave rounds a block touches.
+    scratch: Vec<u64>,
+    stride: usize,
+    /// The block's fingerprint lane, when the stream has one.
+    keys: Vec<u64>,
+    spare: SpareRefs,
 }
 
-/// (table name, workers, column); column `None` is the permutation.
-type LaneKey<'t> = (&'t str, usize, Option<usize>);
-type LaneSlots<'t> = HashMap<LaneKey<'t>, Arc<OnceLock<SharedLane>>>;
-
-impl<'t> LaneArena<'t> {
-    /// The stream of `columns` of `table` under the `workers`-way
-    /// interleave, drawing every lane this arena already holds.
-    pub(crate) fn stream(
-        &self,
-        table: &'t Table,
-        columns: &[usize],
-        workers: usize,
-    ) -> EntryStream {
-        let row_ids = self.lane((table.name(), workers, None), || {
-            interleave_permutation(table, workers)
-        });
-        let cols = columns
+impl Blocks<'_> {
+    /// Gather and lend the next block, `None` once the stream is drained.
+    pub fn next_block(&mut self) -> Option<Block<'_>> {
+        let stream = self.stream;
+        let first = self.next;
+        if first >= stream.rows {
+            return None;
+        }
+        let len = (stream.rows - first).min(BLOCK_ENTRIES);
+        self.next += len;
+        // The block is entries `phase..phase + len` of the interleave
+        // rounds `round..round + rounds`. Every partition has a row in
+        // each of the first `rows / W` rounds; the one after is ragged —
+        // only the first `rows % W` partitions reach it.
+        let w = stream.starts.len();
+        let (phase, round) = (first % w, first / w);
+        let rounds = (phase + len).div_ceil(w);
+        let whole = rounds.min(stream.rows / w - round);
+        let lanes = stream
+            .lanes
             .iter()
-            .map(|&c| {
-                self.lane((table.name(), workers, Some(c)), || {
-                    let src = table.col_at(c);
-                    row_ids.iter().map(|&r| src[r as usize]).collect()
-                })
-            })
-            .collect();
-        EntryStream {
-            row_ids,
+            .zip(self.scratch.chunks_mut(self.stride));
+        for (lane, scratch) in lanes {
+            gather_rounds(
+                lane,
+                &stream.starts,
+                round..round + whole,
+                &mut scratch[..whole * w],
+            );
+            if whole < rounds {
+                let ragged = stream.starts[..stream.rows % w].iter();
+                for (entry, start) in scratch[whole * w..].iter_mut().zip(ragged) {
+                    *entry = lane[start + round + whole];
+                }
+            }
+        }
+        let mut cols = self.spare.take();
+        let lanes = self.scratch.chunks(self.stride);
+        cols.extend(lanes.map(|lane| &lane[phase..phase + len]));
+        let key = stream.fingerprint.as_ref().map(|fp| {
+            self.keys.clear();
+            fingerprint_rows(&cols, 0, len, fp, &mut self.keys);
+            [&self.keys[..]]
+        });
+        Some(Block {
             cols,
-            key_lane: None,
+            len,
+            key,
+            phase,
+            round,
+            starts: &stream.starts,
+            spare: &mut self.spare,
+        })
+    }
+}
+
+/// Fill `out` with interleave rounds `rounds` of `lane`, whole ones only:
+/// entry `p` of round `r` is row `starts[p] + r`, so each partition is
+/// one sequential read written at stride `W`. Two partitions go a pass —
+/// half the loop overhead, adjacent stores.
+fn gather_rounds(lane: &[u64], starts: &[usize], rounds: std::ops::Range<usize>, out: &mut [u64]) {
+    let w = starts.len();
+    let rows = |p: usize| &lane[starts[p] + rounds.start..starts[p] + rounds.end];
+    for p in (0..w - w % 2).step_by(2) {
+        let pairs = rows(p).iter().zip(rows(p + 1));
+        for (entries, (&a, &b)) in out.chunks_exact_mut(w).zip(pairs) {
+            entries[p] = a;
+            entries[p + 1] = b;
+        }
+    }
+    if w % 2 == 1 {
+        for (entries, &a) in out.chunks_exact_mut(w).zip(rows(w - 1)) {
+            entries[w - 1] = a;
+        }
+    }
+}
+
+/// One gathered block of an [`EntryStream`], lent until the cursor moves.
+#[derive(Debug)]
+pub struct Block<'b> {
+    /// The block's window of every stream column, in stream order.
+    pub cols: Vec<&'b [u64]>,
+    /// Entries in the block (at most [`BLOCK_ENTRIES`], never zero).
+    pub len: usize,
+    key: Option<[&'b [u64]; 1]>,
+    /// The block's first entry is entry `round * W + phase` of the
+    /// stream, `phase < W`.
+    phase: usize,
+    round: usize,
+    starts: &'b [usize],
+    spare: &'b mut SpareRefs,
+}
+
+impl Block<'_> {
+    /// The lanes the pruner sees: the fingerprint lane when the stream
+    /// has one, else the columns.
+    pub fn visible(&self) -> &[&[u64]] {
+        match &self.key {
+            Some(key) => key,
+            None => &self.cols,
         }
     }
 
-    fn lane(&self, key: LaneKey<'t>, gather: impl FnOnce() -> SharedLane) -> SharedLane {
-        let slot = Arc::clone(self.slots().entry(key).or_default());
-        Arc::clone(slot.get_or_init(gather))
+    /// The table row behind the block's `i`-th entry.
+    #[inline]
+    pub fn row_id(&self, i: usize) -> u64 {
+        let (at, w) = (self.phase + i, self.starts.len());
+        (self.starts[at % w] + self.round + at / w) as u64
     }
 
-    /// Inserting an empty slot is the only thing ever done under the
-    /// lock, so a poisoned map is still a valid one.
-    fn slots(&self) -> MutexGuard<'_, LaneSlots<'t>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    /// A view of the block's `i`-th entry across the columns.
+    #[inline]
+    pub fn entry(&self, i: usize) -> EntryRef<'_> {
+        EntryRef {
+            cols: &self.cols,
+            idx: i,
+        }
+    }
+}
+
+impl Drop for Block<'_> {
+    fn drop(&mut self) {
+        self.spare.put(std::mem::take(&mut self.cols));
+    }
+}
+
+/// The allocation of an emptied `Vec<&[u64]>`, parked between borrows
+/// that cannot share a lifetime: a block's column slices borrow a scratch
+/// the next block overwrites, so the vector holding them cannot simply be
+/// cleared and refilled — but its buffer can.
+#[derive(Debug, Default)]
+pub(crate) struct SpareRefs(Vec<&'static [u64]>);
+
+impl SpareRefs {
+    /// The parked vector, empty, for slices of any lifetime.
+    pub(crate) fn take<'a>(&mut self) -> Vec<&'a [u64]> {
+        std::mem::take(&mut self.0)
     }
 
-    /// Column lanes held (permutations not counted): the number of
-    /// distinct (table, column) pairs streamed through here.
-    pub(crate) fn lanes_gathered(&self) -> u64 {
-        self.slots().keys().filter(|key| key.2.is_some()).count() as u64
+    /// Park `refs`' buffer. An emptied vector borrows nothing, and
+    /// collecting it through `into_iter` re-types it in place (same
+    /// element layout), so the allocation carries over; the allocation
+    /// pins in `tests/alloc_regression.rs` hold that to zero per block.
+    pub(crate) fn put(&mut self, mut refs: Vec<&[u64]>) {
+        refs.clear();
+        self.0 = refs
+            .into_iter()
+            .map(|_| -> &'static [u64] { &[] })
+            .collect();
     }
 }
 
@@ -257,48 +395,13 @@ pub fn split_range(start: usize, end: usize, parts: usize) -> Vec<(usize, usize)
     out
 }
 
-/// Hash-partition a column set into `shards` gathered column groups by
-/// the `key` column: row `i` lands in shard `h(cols[key][i]) mod shards`,
+/// Gather **one shard's** rows of a column set, hash-partitioned by the
+/// `key` column: row `i` belongs to shard `h(cols[key][i]) mod shards`,
 /// so **every occurrence of a key is co-located on one shard** — the
 /// key-partitioned shard mode for register-aggregating shapes (GROUP BY
 /// SUM/COUNT), where scattering a key across shards would multiply its
-/// eviction traffic. Returns `shards` groups, each holding one gathered
-/// lane per input column, in input order within the shard. Two passes:
-/// a counting pass sizes every lane exactly, so the gather costs
-/// `shards × cols` allocations however large the table is.
-pub fn hash_shard_columns(
-    cols: &[&[u64]],
-    key: usize,
-    shards: usize,
-    seed: u64,
-) -> Vec<Vec<Vec<u64>>> {
-    assert!(shards > 0, "need at least one shard");
-    assert!(key < cols.len(), "key column out of range");
-    let hash = cheetah_core::hash::HashFn::new(seed);
-    let keys = cols[key];
-    let mut counts = vec![0usize; shards];
-    for &k in keys {
-        counts[hash.bucket(k, shards)] += 1;
-    }
-    let mut out: Vec<Vec<Vec<u64>>> = counts
-        .iter()
-        .map(|&n| cols.iter().map(|_| Vec::with_capacity(n)).collect())
-        .collect();
-    for i in 0..keys.len() {
-        let s = hash.bucket(keys[i], shards);
-        for (lane, col) in out[s].iter_mut().zip(cols) {
-            lane.push(col[i]);
-        }
-    }
-    out
-}
-
-/// Gather **one shard's** rows of a column set, hash-partitioned by the
-/// `key` column: row `i` belongs to shard `h(cols[key][i]) mod shards`,
-/// so every occurrence of a key is co-located on one shard. The
-/// partition-local counterpart of [`hash_shard_columns`]: each shard
-/// runner gathers its own slice concurrently with the others instead of
-/// the master gathering all of them serially before any shard can start.
+/// eviction traffic. Each shard runner gathers its own slice
+/// concurrently with the others, so no shard waits on a serial gather.
 /// Returns one exact-capacity lane per input column (two passes: count,
 /// then gather — O(1) allocations however large the table), plus a
 /// trailing lane of global row indices when `with_rids` is set (the
@@ -339,29 +442,27 @@ pub fn gather_hash_shard(
 }
 
 /// Append the §5 fingerprints of rows `start..start + len` of `cols`
-/// onto `out`, gathering each row across the column slices through one
-/// reused `scratch` buffer — the shared worker-side serialization loop
-/// behind [`EntryStream::fingerprint_lane`] and the threaded pipeline's
-/// fingerprint lanes ([`crate::threaded::Lane::Fingerprint`]).
+/// onto `out`, a lane at a time — the shared worker-side serialization
+/// loop behind a block's fingerprint lane
+/// ([`EntryStream::fingerprint_lane`]) and the threaded pipeline's
+/// ([`crate::threaded::Lane::Fingerprint`]).
 pub fn fingerprint_rows(
     cols: &[&[u64]],
     start: usize,
     len: usize,
     fp: &Fingerprinter,
     out: &mut Vec<u64>,
-    scratch: &mut Vec<u64>,
 ) {
-    for i in start..start + len {
-        scratch.clear();
-        scratch.extend(cols.iter().map(|c| c[i]));
-        out.push(fp.fp_words(scratch));
-    }
+    let at = out.len();
+    out.resize(at + len, 0);
+    fp.fp_columns(cols, start..start + len, &mut out[at..]);
 }
 
-/// A zero-copy view of one forwarded entry's metadata columns.
+/// A zero-copy view of one forwarded entry's metadata columns, inside
+/// the block that forwarded it.
 #[derive(Debug, Clone, Copy)]
 pub struct EntryRef<'a> {
-    cols: &'a [SharedLane],
+    cols: &'a [&'a [u64]],
     idx: usize,
 }
 
@@ -399,7 +500,9 @@ impl EntryRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Database;
     use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
+    use proptest::prelude::*;
 
     fn table() -> Table {
         Table::new(
@@ -454,23 +557,120 @@ mod tests {
         }
     }
 
+    /// Every block of `stream`: its columns, row ids and pruner-visible
+    /// lanes, concatenated back into whole lanes.
+    fn drain(stream: &EntryStream) -> (Vec<Vec<u64>>, Vec<u64>, Vec<Vec<u64>>) {
+        let mut cols = vec![Vec::new(); stream.width()];
+        let (mut row_ids, mut visible) = (Vec::new(), Vec::new());
+        let mut blocks = stream.blocks();
+        while let Some(block) = blocks.next_block() {
+            assert!((1..=BLOCK_ENTRIES).contains(&block.len));
+            assert_eq!(block.cols.len(), stream.width());
+            for (lane, col) in cols.iter_mut().zip(&block.cols) {
+                assert_eq!(col.len(), block.len);
+                lane.extend_from_slice(col);
+            }
+            row_ids.extend((0..block.len).map(|i| block.row_id(i)));
+            visible.resize(block.visible().len(), Vec::new());
+            for (lane, col) in visible.iter_mut().zip(block.visible()) {
+                assert_eq!(col.len(), block.len);
+                lane.extend_from_slice(col);
+            }
+        }
+        (cols, row_ids, visible)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The block cursor against the materialised reference: rows
+        /// below, at and across block boundaries (incl. none, fewer than
+        /// workers, a ragged last round), one to eight workers.
+        #[test]
+        fn blocks_equal_the_materialised_reference(
+            rows in 0usize..=3 * BLOCK_ENTRIES + 7,
+            workers in 1usize..=8,
+            width in 1usize..=3,
+            fingerprinted in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let hash = cheetah_core::hash::HashFn::new(seed);
+            let lane = |c: usize| (0..rows as u64).map(|r| hash.hash(r * 3 + c as u64) % 61).collect();
+            let t = Table::new("t", vec![("a", lane(0)), ("b", lane(1)), ("c", lane(2))]);
+            let columns: Vec<usize> = (0..width).map(|c| (c + seed as usize) % 3).collect();
+            let mut stream = EntryStream::interleaved(&t, &columns, workers);
+            let fp = Fingerprinter::new(seed ^ 0xf1f1, 64);
+            if fingerprinted {
+                stream.fingerprint_lane(&fp);
+            }
+            prop_assert_eq!(stream.len(), rows);
+
+            let (cols, row_ids, visible) = drain(&stream);
+            prop_assert_eq!(&row_ids[..], stream.row_ids());
+            let reference: Vec<&[u64]> = (0..width).map(|c| stream.col(c)).collect();
+            for (c, lane) in cols.iter().enumerate() {
+                prop_assert_eq!(&lane[..], reference[c], "column {}", c);
+            }
+            // What the pruner sees: the columns, or the fingerprint of
+            // the whole reference lanes.
+            let mut whole = Vec::new();
+            fingerprint_rows(&reference, 0, rows, &fp, &mut whole);
+            let expected = if fingerprinted { vec![whole] } else { cols.clone() };
+            if rows > 0 {
+                prop_assert_eq!(&visible, &expected);
+            }
+
+            // A stateful pruner decides the same entries either way.
+            let pruner = || DistinctPruner::new(16, 2, EvictionPolicy::Lru, seed);
+            let (mut fused, mut fused_stats) = (Vec::new(), PruneStats::default());
+            stream.prune(&mut pruner(), &mut fused_stats, |rid, e| fused.push((rid, e.to_vec())));
+            let (mut looped, mut loop_stats) = (Vec::new(), PruneStats::default());
+            let mut oracle = pruner();
+            for i in 0..rows {
+                let key: Vec<u64> = expected.iter().map(|lane| lane[i]).collect();
+                let decision = oracle.process_row(&key);
+                loop_stats.record(decision);
+                if decision.is_forward() {
+                    let values = reference.iter().map(|lane| lane[i]).collect();
+                    looped.push((stream.row_ids()[i], values));
+                }
+            }
+            prop_assert_eq!(fused_stats, loop_stats);
+            prop_assert_eq!(fused, looped);
+        }
+    }
+
     #[test]
-    fn arena_streams_equal_fresh_gathers_and_share_their_lanes() {
-        let (t, u) = (table(), Table::new("u", vec![("a", vec![3, 1, 2])]));
-        let arena = LaneArena::default();
-        let ab = arena.stream(&t, &[0, 1], 5);
-        let ba = arena.stream(&t, &[1, 0], 5);
-        let fresh = EntryStream::interleaved(&t, &[1, 0], 5);
-        assert_eq!(ba.row_ids(), fresh.row_ids());
-        assert_eq!((ba.col(0), ba.col(1)), (fresh.col(0), fresh.col(1)));
-        assert!(Arc::ptr_eq(&ab.row_ids, &ba.row_ids), "one permutation");
-        assert!(Arc::ptr_eq(&ab.cols[0], &ba.cols[1]), "one lane per column");
-        assert_eq!(arena.lanes_gathered(), 2);
-        // Another worker count or another table is another set of lanes.
-        let two = arena.stream(&t, &[0], 2);
-        assert_eq!(two.col(0), EntryStream::interleaved(&t, &[0], 2).col(0));
-        assert_eq!(arena.stream(&u, &[0], 5).col(0), &[3, 1, 2]);
-        assert_eq!(arena.lanes_gathered(), 4);
+    fn a_stream_is_a_snapshot_of_the_lanes_it_was_built_over() {
+        let mut db = Database::new();
+        db.add(table());
+        let before = EntryStream::interleaved(db.table("t"), &[0, 1], 3);
+        let snapshot = drain(&before);
+
+        // A derived column: the old stream streams what it did, a new
+        // one sees the new epoch's table.
+        db.table_mut("t").add_column("c", vec![9; 103]);
+        assert_eq!(drain(&before), snapshot);
+        let added = EntryStream::interleaved(db.table("t"), &[2], 3);
+        assert_eq!(drain(&added).0, vec![vec![9; 103]]);
+
+        // A replacement under the same name, with other rows.
+        db.add(Table::new("t", vec![("a", vec![4, 5]), ("b", vec![6, 7])]));
+        assert_eq!(before.len(), 103);
+        assert_eq!(drain(&before), snapshot);
+        let after = EntryStream::interleaved(db.table("t"), &[0, 1], 3);
+        assert_eq!(after.len(), 2);
+        assert_eq!(drain(&after).0, vec![vec![4, 5], vec![6, 7]]);
+    }
+
+    #[test]
+    fn a_zero_column_stream_still_has_the_tables_entries() {
+        let stream = EntryStream::interleaved(&table(), &[], 4);
+        assert_eq!((stream.len(), stream.width()), (103, 0));
+        let (cols, row_ids, visible) = drain(&stream);
+        assert!(cols.is_empty() && visible.is_empty());
+        assert_eq!(row_ids, stream.row_ids());
+        assert_eq!(row_ids.len(), 103);
     }
 
     #[test]
@@ -562,8 +762,9 @@ mod tests {
     fn hash_shards_colocate_keys_and_permute_rows() {
         let keys: Vec<u64> = (0..2_000u64).map(|i| i * 31 % 97).collect();
         let vals: Vec<u64> = (0..2_000u64).collect();
-        let shards = hash_shard_columns(&[&keys, &vals], 0, 4, 9);
-        assert_eq!(shards.len(), 4);
+        let shards: Vec<Vec<Vec<u64>>> = (0..4)
+            .map(|shard| gather_hash_shard(&[&keys, &vals], 0, shard, 4, 9, true))
+            .collect();
         // Every row lands in exactly one shard: the gathered (key, val)
         // multiset is a permutation of the input.
         let mut gathered: Vec<(u64, u64)> = shards
@@ -580,10 +781,10 @@ mod tests {
             let homes = shards.iter().filter(|g| g[0].contains(&key)).count();
             assert!(homes <= 1, "key {key} straddles {homes} hash shards");
         }
-        // Gathered rows keep their relative (stream) order within a
-        // shard: vals are unique and ascending in the input, so the
-        // filtered input order must match the gathered lane exactly.
         for g in &shards {
+            // Gathered rows keep their relative (stream) order within a
+            // shard: vals are unique and ascending in the input, so the
+            // filtered input order must match the gathered lane exactly.
             let expect_vals: Vec<u64> = vals
                 .iter()
                 .zip(&keys)
@@ -591,7 +792,13 @@ mod tests {
                 .map(|(&v, _)| v)
                 .collect();
             assert_eq!(g[1], expect_vals, "gather scrambled in-shard order");
+            // The trailing lane addresses the input rows (vals are the
+            // row indices here); without it there are only the columns.
+            assert_eq!(g.len(), 3);
+            assert_eq!(g[2], g[1], "row-id lane");
         }
+        let bare = gather_hash_shard(&[&keys, &vals], 0, 2, 4, 9, false);
+        assert_eq!(bare[..], shards[2][..2]);
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //! the Spark setup of §8.2 (five workers, one partition each).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A named, columnar, u64-typed table.
+///
+/// Column lanes are immutable once built and held by shared reference:
+/// [`Table::clone`] and every [`crate::stream::EntryStream`] over the
+/// table share them instead of copying, and [`Table::add_column`] only
+/// ever appends a lane. A stream is therefore a *snapshot* — it keeps
+/// streaming the lanes and row count it was built over whatever happens
+/// to the table (or its name in a [`Database`]) afterwards.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Vec<String>,
-    columns: Vec<Vec<u64>>,
+    columns: Vec<Arc<Vec<u64>>>,
     rows: usize,
     epoch: u64,
 }
@@ -27,7 +35,7 @@ impl Table {
         Table {
             name: name.into(),
             schema: cols.iter().map(|(n, _)| (*n).to_string()).collect(),
-            columns: cols.into_iter().map(|(_, c)| c).collect(),
+            columns: cols.into_iter().map(|(_, c)| Arc::new(c)).collect(),
             rows,
             epoch: 0,
         }
@@ -77,6 +85,11 @@ impl Table {
     /// A column's data by index.
     pub fn col_at(&self, idx: usize) -> &[u64] {
         &self.columns[idx]
+    }
+
+    /// A column's lane by index, to share rather than copy.
+    pub(crate) fn lane(&self, idx: usize) -> Arc<Vec<u64>> {
+        Arc::clone(&self.columns[idx])
     }
 
     /// One full row (across all columns), freshly allocated. Test-only
@@ -150,7 +163,7 @@ impl Table {
     pub fn add_column(&mut self, name: &str, data: Vec<u64>) {
         assert_eq!(data.len(), self.rows, "column length mismatch");
         self.schema.push(name.to_string());
-        self.columns.push(data);
+        self.columns.push(Arc::new(data));
         self.epoch += 1;
     }
 
@@ -294,6 +307,24 @@ mod tests {
         assert_eq!(t.width(), 3);
         assert_eq!(t.col("c")[3], 1);
         assert_eq!(t.epoch(), 1, "mutation must bump the epoch");
+    }
+
+    #[test]
+    fn clone_shares_lanes_and_keeps_the_epoch() {
+        let mut original = t();
+        original.add_column("c", vec![0; 5]);
+        let copy = original.clone();
+        assert_eq!(copy.epoch(), 1);
+        for c in 0..original.width() {
+            assert!(
+                std::ptr::eq(original.col_at(c), copy.col_at(c)),
+                "column {c} was copied"
+            );
+        }
+        // Appending to one leaves the other's lanes and schema alone.
+        original.add_column("d", vec![1; 5]);
+        assert_eq!((original.width(), copy.width()), (4, 3));
+        assert!(std::ptr::eq(original.col_at(2), copy.col_at(2)));
     }
 
     #[test]

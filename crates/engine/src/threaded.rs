@@ -122,8 +122,7 @@ pub enum Lane<'a> {
 
 impl Lane<'_> {
     /// Append entries `start..start + len` of this lane onto `out`.
-    /// `scratch` is the worker's reused row-gather buffer.
-    fn fill(&self, start: usize, len: usize, out: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    fn fill(&self, start: usize, len: usize, out: &mut Vec<u64>) {
         match self {
             Lane::Slice(s) => out.extend_from_slice(&s[start..start + len]),
             Lane::Owned(v) => out.extend_from_slice(&v[start..start + len]),
@@ -132,7 +131,7 @@ impl Lane<'_> {
                 let lo = base + start as u64;
                 out.extend(lo..lo + len as u64);
             }
-            Lane::Fingerprint { cols, fp } => fingerprint_rows(cols, start, len, fp, out, scratch),
+            Lane::Fingerprint { cols, fp } => fingerprint_rows(cols, start, len, fp, out),
         }
     }
 }
@@ -657,7 +656,6 @@ fn worker_loop<'a>(
     tx: &mpsc::SyncSender<SwitchMsg<'a>>,
     materialize_all: bool,
 ) {
-    let mut scratch = Vec::new();
     for (phase, part) in jobs {
         let mut start = 0;
         while start < part.rows {
@@ -668,7 +666,7 @@ fn worker_loop<'a>(
                 };
                 for lane in &part.lanes {
                     let mut col = Vec::with_capacity(len);
-                    lane.fill(start, len, &mut col, &mut scratch);
+                    lane.fill(start, len, &mut col);
                     chunk.cols.push(col);
                 }
                 BlockMsg::Owned(chunk)
@@ -682,7 +680,7 @@ fn worker_loop<'a>(
                         Lane::Iota(base) => LaneView::Iota(base + start as u64),
                         Lane::Owned(_) | Lane::Fingerprint { .. } => {
                             let mut col = Vec::with_capacity(len);
-                            lane.fill(start, len, &mut col, &mut scratch);
+                            lane.fill(start, len, &mut col);
                             LaneView::Owned(col)
                         }
                     })

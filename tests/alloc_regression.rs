@@ -1,16 +1,19 @@
 //! Allocation-count regression pin for the switch hot path.
 //!
 //! The block-streaming refactor's contract: a warm `CheetahExecutor`
-//! query performs O(1) heap allocations — the `EntryStream` lanes, the
+//! query performs O(1) heap allocations — one block scratch, the
 //! pruner state, and O(output) bookkeeping — never O(rows). Before the
 //! refactor the interleave built one `Vec<u64>` per table row, so a
 //! 60 000-row query cost >60 000 allocations; this test fails loudly if
 //! any per-row allocation sneaks back into the loop.
 //!
 //! The allocator also tracks **live bytes** and a resettable **peak
-//! watermark**, pinning the projection-pushdown contract: a projected
-//! wide-table fetch must peak at a fraction of the full-row fetch's
-//! memory, because the never-read lanes are never gathered or shipped.
+//! watermark**, pinning two contracts. The switch path stores nothing:
+//! an `EntryStream` is a view of the table's lanes, so what a
+//! deterministic query holds does not grow with the table's rows. And
+//! projection pushdown: a projected wide-table fetch must peak at a
+//! fraction of the full-row fetch's memory, because the never-read lanes
+//! are never gathered or shipped.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one #[test] (integration tests in one binary run concurrently and
@@ -173,25 +176,114 @@ fn warm_queries_allocate_o1_not_o_rows() {
         );
     }
 
-    // A warm deterministic JOIN's peak: its two lanes with their row ids,
-    // two filters sized from 60k and 30k rows, the survivor pairs and the
-    // pairing table. The two cap-sized filters this replaced were
-    // `2 × join_m_bits / 8` bytes before the first key was read, so half
-    // of that is under half of any peak the old flow could reach.
+    // A stream is a view: what a deterministic query holds is a block
+    // scratch, its pruner and its survivors, whatever the table's rows.
+    // The same keys cycled to 50k and to 200k rows leave equal survivors
+    // and equal pruner state, so the two peaks must agree (a gathered
+    // lane would add `8 × 150k` bytes) — and so must the allocation
+    // counts: 147 more blocks, not one more allocation.
+    let cycled = |rows: u64| {
+        let mut db = Database::new();
+        db.add(Table::new(
+            "c",
+            vec![
+                ("k", (0..rows).map(|i| i % 83 + 1).collect()),
+                ("v", (0..rows).map(|i| (i % 83 + 1) * 3).collect()),
+                ("w", (0..rows).map(|i| i % 499 + 1).collect()),
+                ("g", (0..rows).map(|i| i % 83 % 13 + 1).collect()),
+            ],
+        ));
+        // No key of `d` is a key of `c`: their JOIN has no survivors.
+        db.add(Table::new(
+            "d",
+            vec![("k", (0..rows / 2).map(|i| i % 50 + 1_000).collect())],
+        ));
+        db
+    };
+    let (small, large) = (cycled(50_000), cycled(200_000));
+    let rows_free = [
+        (
+            "distinct",
+            Query::Distinct {
+                table: "c".into(),
+                column: "k".into(),
+            },
+        ),
+        (
+            "filter-count",
+            Query::FilterCount {
+                table: "c".into(),
+                predicate: Predicate {
+                    columns: vec!["v".into(), "w".into()],
+                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 100), Atom::cmp(1, CmpOp::Gt, 450)],
+                    formula: Formula::Or(vec![Formula::Atom(0), Formula::Atom(1)]),
+                },
+            },
+        ),
+        (
+            "groupby-max",
+            Query::GroupBy {
+                table: "c".into(),
+                key: "k".into(),
+                val: "v".into(),
+                agg: Agg::Max,
+            },
+        ),
+        (
+            "distinct-multi",
+            Query::DistinctMulti {
+                table: "c".into(),
+                columns: vec!["k".into(), "g".into()],
+            },
+        ),
+    ];
+    for (name, q) in &rows_free {
+        let cost = |db: &Database| {
+            exec.execute(db, q);
+            let mut allocs = 0;
+            let peak = peak_bytes_during(|| {
+                allocs = allocs_during(|| {
+                    exec.execute(db, q);
+                });
+            });
+            (peak, allocs)
+        };
+        let ((small_peak, small_allocs), (large_peak, large_allocs)) = (cost(&small), cost(&large));
+        assert!(
+            large_peak.abs_diff(small_peak) <= 16 * 1024,
+            "[{name}] peaked at {small_peak} B over 50k rows and {large_peak} B over 200k; \
+             the switch path is holding something `rows`-sized again"
+        );
+        assert!(
+            large_allocs <= small_allocs + 4,
+            "[{name}] made {small_allocs} allocations over 50k rows and {large_allocs} over \
+             200k; the block loop allocates per block again"
+        );
+    }
+
+    // A warm deterministic JOIN's peak: two filters sized from 60k and
+    // 30k rows, the survivor pairs (two growing vectors, so up to twice
+    // their 16 bytes each) and the pairing table over the shorter side
+    // (a `u32` chain link per pair and at most four `u32` heads). No key
+    // lane and no permutation: with the two of each it used to hold
+    // (`4 × 8 × 45k` bytes) the flow would not fit under this.
     let join = Query::Join {
         left: "t".into(),
         right: "s".into(),
         left_col: "k".into(),
         right_col: "k".into(),
     };
-    exec.execute(&db, &join);
+    let survivors = exec.execute(&db, &join).prune_stats().forwarded();
     let peak = peak_bytes_during(|| {
         exec.execute(&db, &join);
     });
-    let old_filters = 2 * exec.config.join_m_bits / 8;
+    let cfg = &exec.config;
+    let join_bytes = (JoinFlow::side_bits(cfg, ROWS) + JoinFlow::side_bits(cfg, ROWS / 2)) / 8;
+    let bound = join_bytes + (2 * 16 + 20) * survivors + 64 * 1024;
     assert!(
-        peak < old_filters / 2,
-        "a warm JOIN peaked at {peak} B; the two cap-sized filters alone were {old_filters} B"
+        peak < bound,
+        "a warm JOIN peaked at {peak} B; its filters are {join_bytes} B and its {survivors} \
+         survivors allow {bound} B"
     );
 
     // The threaded multi-pass path: the persistent pool plus borrowed
@@ -367,7 +459,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
 
     // The serving cache-hit path: a warmed `ServeExecutor` re-serving a
     // repeated JOIN/HAVING replays cached filter state — one cloned
-    // Bloom pair / sketch, the stream lanes, amortized survivor growth —
+    // Bloom pair / sketch, a block scratch, amortized survivor growth —
     // so a hit stays O(1) allocations per block, never a rebuilt
     // observation pass or any per-row bookkeeping.
     let serving = ServeExecutor::with_pool(exec.clone(), 1);
@@ -419,14 +511,13 @@ fn warm_queries_allocate_o1_not_o_rows() {
         );
     }
 
-    // Coalescing and the batch-scoped lane arena: a batch that cycles six
-    // queries to 32 executes six and clones the rest, so its peak is the
-    // six-query batch's plus the bytes of the extra answers; the arena
-    // gathers each distinct (table, column) once and dies with the call,
-    // so a warm call leaves the heap where it found it and a cold one
-    // leaves only the filter cache behind. Same pool-of-one executor as
-    // above (solo flows run inline, so the watermark is deterministic),
-    // its cache emptied first.
+    // Coalescing: a batch that cycles six queries to 32 executes six and
+    // clones the rest, so its peak is the six-query batch's plus the
+    // bytes of the extra answers; nothing but the filter cache outlives
+    // the call, so a warm call leaves the heap where it found it and a
+    // cold one leaves only the filter cache behind. Same pool-of-one
+    // executor as above (solo flows run inline, so the watermark is
+    // deterministic), its cache emptied first.
     serving.clear_cache();
     let distinct: Vec<Query> = queries()
         .into_iter()
@@ -467,9 +558,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
     };
     // What the cache holds: the JOIN's two filters as `sized` builds them
     // for t ⋈ s, the HAVING sketch, and under 64 KB of keys and map.
-    let cfg = &exec.config;
-    let join_bytes = (JoinFlow::side_bits(cfg, ROWS) + JoinFlow::side_bits(cfg, ROWS / 2)) / 8;
-    let cached = join_bytes + (cfg.having_d * cfg.having_w * 8) as u64;
+    let sketch_bytes = (cfg.having_d * cfg.having_w * 8) as u64;
+    let cached = join_bytes + sketch_bytes;
     let lane_bytes = (ROWS * 8) as u64;
     let (_, _, cold_left, cold) = measure(&cycled);
     assert_eq!(cold.cache_misses, 2, "{cold:?}");
@@ -482,13 +572,9 @@ fn warm_queries_allocate_o1_not_o_rows() {
     let (peak32, answers32, left32, agg32) = measure(&cycled);
     for (agg, left) in [(&agg6, left6), (&agg32, left32)] {
         assert_eq!(agg.cache_hits, 2, "{agg:?}");
-        assert_eq!(
-            agg.lanes_gathered, 4,
-            "t.v, t.w, t.k, s.k — each gathered once per batch: {agg:?}"
-        );
         assert!(
             left < 4096,
-            "a warm serve left {left} B behind; the lane arena must die with the call"
+            "a warm serve left {left} B behind; only the filter cache may outlive the call"
         );
     }
     assert_eq!((agg6.coalesced, agg32.coalesced), (0, 26));
@@ -498,6 +584,48 @@ fn warm_queries_allocate_o1_not_o_rows() {
          alone plus {} B of cloned answers; what a batch holds must grow \
          with its distinct queries, not its admissions",
         answers32 - answers6
+    );
+
+    // A served batch of 32 makes no `rows`-sized allocation other than
+    // its results and filter-cache entries. Six shapes over the 200k-row
+    // cycled tables whose survivors and answers stay small (the HAVING
+    // passes no candidate, the JOIN no pair), cycled to 32 and served
+    // warm: the batch may hold the cached filters' working copies and
+    // well under one 1.6 MB lane besides, where it used to hold every
+    // lane its flows read plus two permutations.
+    let warm_batch: Vec<Query> = rows_free
+        .iter()
+        .map(|(_, q)| q.clone())
+        .chain([
+            Query::Having {
+                table: "c".into(),
+                key: "k".into(),
+                val: "v".into(),
+                threshold: u64::MAX / 2,
+            },
+            Query::Join {
+                left: "c".into(),
+                right: "d".into(),
+                left_col: "k".into(),
+                right_col: "k".into(),
+            },
+        ])
+        .collect();
+    let warm_batch: Vec<Query> = (0..32)
+        .map(|i| warm_batch[i % warm_batch.len()].clone())
+        .collect();
+    serving.clear_cache();
+    serving.serve(&large, &warm_batch);
+    let mut served = None;
+    let peak = peak_bytes_during(|| served = Some(serving.serve(&large, &warm_batch)));
+    let (_, agg) = served.expect("ran");
+    assert_eq!((agg.cache_hits, agg.coalesced), (2, 26), "{agg:?}");
+    let filters = (JoinFlow::side_bits(cfg, 200_000) + JoinFlow::side_bits(cfg, 100_000)) / 8;
+    let lane_bytes = 200_000 * 8;
+    assert!(
+        peak < filters + sketch_bytes + lane_bytes / 2,
+        "a warm batch of 32 peaked at {peak} B over 200k rows; its filter copies are \
+         {filters} + {sketch_bytes} B and one lane is {lane_bytes} B"
     );
 
     // Projection pushdown peak-memory pin: a fetch-heavy Filter over a

@@ -239,7 +239,7 @@ proptest! {
         assert_mix_equals_solo(&db, &mix, chunk, pool, seed, false);
     }
 
-    /// Coalescing and the lane arena are invisible: mixes drawn from a
+    /// Coalescing is invisible: mixes drawn from a
     /// handful of templates (so most admissions repeat an earlier one),
     /// any batch boundary, pool widths {1, 2, 8}, a cold cache — every
     /// answer, duplicate or leader, is the whole solo report, in
@@ -357,7 +357,6 @@ fn identical_joins_cost_one_cache_lookup_per_batch() {
     for agg in [&cold, &warm] {
         assert_accounting(&batch, agg);
         assert_eq!((agg.coalesced, agg.solo, agg.packed), (8, 1, 0));
-        assert_eq!(agg.lanes_gathered, 2, "one key lane per side: {agg:?}");
     }
     for r in &cold_reports {
         assert_eq!(r.result, truth.result);
