@@ -877,14 +877,20 @@ impl CheetahExecutor {
                     partitions: lane_parts(t, &cols, workers),
                     visible_cols: 2,
                 };
-                let mut runs = run_phases(vec![phase(), phase()], &mut program);
+                // Streaming master: pass-2 candidates fold into the sink a
+                // block at a time (pass-1 announcements carry no sums).
+                let mut sums = GroupSink::new(Agg::Sum);
+                let mut runs =
+                    run_phases_each(vec![phase(), phase()], &mut program, |pass, _, block| {
+                        if pass == 1 {
+                            sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
+                        }
+                    });
                 let pass2 = runs.pop().expect("pass 2");
                 let pass1 = runs.pop().expect("pass 1");
                 let mut stats = pass1.stats;
                 stats.merge(pass2.stats);
-                let fwd = &pass2.forwarded.cols;
-                let result =
-                    GroupRun::from_lanes(&fwd[0], &fwd[1], Agg::Sum).keys_above(*threshold);
+                let result = sums.finish().keys_above(*threshold);
                 let mut report = self.report(query, 2 * t.rows() as u64, stats, 2, 0, result);
                 report.pass_walls = vec![pass1.wall, pass2.wall];
                 report

@@ -55,12 +55,14 @@ use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::{
     explode, fetch_rows_flat, rows_payload_checksum, GroupRun, GroupSink, TupleRun,
 };
-use crate::multipass::{GroupBySumStage, HavingShardProbe, HavingShardSketch, ShardSums};
+use crate::multipass::{GroupBySumStage, HavingShardProbe, HavingShardSketch};
 use crate::query::{Agg, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::sharded::{join_shard, merge_top, range_parts, run_shard, ShardYield, SHARD_SALT};
-use crate::stream::{gather_hash_shard, split_range};
-use crate::table::Database;
+use crate::sharded::{
+    join_shard, key_partition, merge_top, range_parts, run_shard, sum_shard, ShardYield,
+};
+use crate::stream::split_range;
+use crate::table::{Database, Table};
 use crate::threaded::{ColumnChunk, Lane, LanePartition, PhaseInput, PrunerStage, SwitchPhases};
 
 /// Sliding-window size for shard-output shipping sessions.
@@ -1356,61 +1358,22 @@ impl DistributedExecutor {
             } => {
                 // Hash-sharded mode (§6 register aggregation): keys are
                 // disjoint across shards, so the drained totals ship as
-                // plain pairs and the fold is a disjoint map union.
+                // plain pairs and the fold is a disjoint map union. The
+                // partition is computed once; a re-dispatched shard
+                // streams the same lanes again.
                 let t = db.table(table);
-                let ki = t.col_index(key);
-                let vi = t.col_index(val);
-                let sum = *agg == Agg::Sum;
-                let gather_cols: Vec<&[u64]> = if sum {
-                    vec![t.col_at(ki), t.col_at(vi)]
-                } else {
-                    vec![t.col_at(ki)]
-                };
-                let shard_seed = cfg.seed ^ SHARD_SALT;
+                let mut lanes = vec![t.col_at(t.col_index(key))];
+                if *agg == Agg::Sum {
+                    lanes.push(t.col_at(t.col_index(val)));
+                }
+                let partition = key_partition(cfg, &lanes, shards, false);
                 let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    let gathered = (shards > 1)
-                        .then(|| gather_hash_shard(&gather_cols, 0, s, shards, shard_seed, false));
-                    let (keys, vals): (&[u64], &[u64]) = match (&gathered, sum) {
-                        (Some(g), true) => (&g[0], &g[1]),
-                        (Some(g), false) => (&g[0], &[]),
-                        (None, true) => (t.col_at(ki), t.col_at(vi)),
-                        (None, false) => (t.col_at(ki), &[]),
-                    };
-                    let partitions = split_range(0, keys.len(), workers)
-                        .into_iter()
-                        .map(|(a, b)| LanePartition {
-                            rows: b - a,
-                            lanes: if sum {
-                                vec![Lane::Slice(&keys[a..b]), Lane::Slice(&vals[a..b])]
-                            } else {
-                                vec![Lane::Slice(&keys[a..b]), Lane::Const(1)]
-                            },
-                        })
-                        .collect();
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions,
-                            visible_cols: 2,
-                        }],
-                        self.sum_stage(s, &ctx),
-                        (
-                            ShardSums::new(cfg.groupby_d, cfg.groupby_w, cfg.seed),
-                            Vec::<(u64, u64)>::new(),
-                        ),
-                        // Forwarded entries carry evicted (key,
-                        // partial) pairs; the FIN drain — including a
-                        // rebooted shard's pre-reboot drain — arrives
-                        // the same way.
-                        |acc, _, block| {
-                            let (sums, scratch) = acc;
-                            scratch.clear();
-                            block.extend_pairs_into(0, 1, scratch);
-                            for &(k, p) in scratch.iter() {
-                                sums.absorb(k, p);
-                            }
-                        },
-                        |_, (sums, _)| ShardOutput::SumDrain(sums.into_run().into_pairs()),
-                    )
+                    let stage = self.sum_stage(s, &ctx);
+                    match &partition {
+                        Some(p) => sum_shard(cfg, &p[s], stage, workers),
+                        None => sum_shard(cfg, &lanes, stage, workers),
+                    }
+                    .map(|sums| ShardOutput::SumDrain(sums.into_run().into_pairs()))
                 });
                 let stats = stats_sum(&yields);
                 let walls = phase_major_walls(&yields);
@@ -1554,7 +1517,8 @@ impl DistributedExecutor {
                 // only the commutative (pairs, checksum) aggregates
                 // cross the wire. Build filters are not soft state
                 // under the two-phase contract, so scheduled shard
-                // reboots re-dispatch.
+                // reboots re-dispatch — over the same key partition,
+                // computed once.
                 let l = db.table(left);
                 let r = db.table(right);
                 let lc = l.col_index(left_col);
@@ -1562,15 +1526,12 @@ impl DistributedExecutor {
                 let rows = (l.rows() + r.rows()) as u64;
                 let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
                 let redisp = self.non_resumable_redispatch(shards, &resumable, &mut res);
+                let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], shards, true);
+                let sides = side(l, lc).zip(side(r, rc));
                 let yields = compute_shards(shards, &redisp, &mut res, |s| {
-                    let at = (s, shards);
-                    let y = join_shard(cfg, (l, lc), (r, rc), asymmetric, at, workers);
-                    let (pairs, checksum) = y.value;
-                    ShardYield {
-                        value: ShardOutput::JoinAgg { pairs, checksum },
-                        phase_stats: y.phase_stats,
-                        phase_walls: y.phase_walls,
-                    }
+                    let lanes = sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
+                    join_shard(cfg, (l, lc), (r, rc), asymmetric, lanes, workers)
+                        .map(|(pairs, checksum)| ShardOutput::JoinAgg { pairs, checksum })
                 });
                 // Symmetric: only the probe pass makes real decisions;
                 // asymmetric: both single-stream passes do.

@@ -5,11 +5,11 @@
 //! (§7–§8's Spark integration; §9's switch trees). This module is that
 //! design at engine scale: [`ShardedExecutor`] splits a query's entry
 //! stream into `N` shard-local [`LanePartition`] views — zero-copy range
-//! splits by default ([`crate::stream::split_range`]), a **per-shard**
-//! hash gather for key-partitioned shapes
-//! ([`crate::stream::gather_hash_shard`], each shard gathering its own
-//! slice in parallel) — and runs each shard as an independent
-//! persistent-pool + watermark pipeline, reusing
+//! splits by default ([`crate::stream::split_range`]); for the
+//! key-partitioned shapes the lanes of **one hash partition a query**
+//! ([`crate::stream::hash_partition`]: each key hashed once, every shard
+//! fed from the same pass, before any shard starts) — and runs each shard
+//! as an independent persistent-pool + watermark pipeline, reusing
 //! [`crate::threaded::run_phases_each`] verbatim per shard.
 //!
 //! What a single switch gets for free, a shard set must *combine* — and
@@ -22,8 +22,9 @@
 //!
 //! * **Top-N** — bounded sorted merge of per-shard candidate lists
 //!   (every global winner is a shard winner);
-//! * **GROUP BY SUM/COUNT** — keys are hash-partitioned per shard, so
-//!   register partials re-aggregate pairwise through
+//! * **GROUP BY SUM/COUNT** — keys are hash-partitioned across shards
+//!   (`sum_shard`, shared with the distributed arm), so register
+//!   partials re-aggregate pairwise through
 //!   [`crate::multipass::ShardSums::merge`], merge-time evictions riding
 //!   the overflow exactly like §6's packet-riding evictions;
 //! * **DistinctMulti** — fingerprint-union over flat per-shard tuple
@@ -31,8 +32,8 @@
 //! * **JOIN** — **partition-local pairing**: both sides are
 //!   hash-sharded by join key with one salt, so every occurrence of a
 //!   key co-locates on one shard and each shard runs its *own* complete
-//!   two-phase build/probe flow — its filters sized from the rows the
-//!   shard gathered — and its own pairing (`join_shard`). The
+//!   two-phase build/probe flow — its filters sized from the rows of
+//!   its partition — and its own pairing (`join_shard`). The
 //!   reduction then just sums the commutative pair counts and checksums:
 //!   no global pairing and no cross-shard filter broadcast.
 //!   Lopsided tables take the §4.3 asymmetric flow inside each shard;
@@ -73,7 +74,7 @@ use crate::multipass::{
 };
 use crate::query::{Agg, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::stream::{gather_hash_shard, split_range};
+use crate::stream::{hash_partition, split_range, HashPartition};
 use crate::table::{Database, Table};
 use crate::threaded::{
     credit_worker_spawns, run_phases_each, worker_threads_spawned, Lane, LanePartition, PhaseInput,
@@ -82,7 +83,7 @@ use crate::threaded::{
 
 /// Salt for the hash-shard row assignment, so the shard hash is
 /// independent of the switch structures' hashes at the same seed.
-pub(crate) const SHARD_SALT: u64 = 0x5a4d_0c4e;
+const SHARD_SALT: u64 = 0x5a4d_0c4e;
 
 pub use crate::plan::{SHARD_GRID, SHARD_SETUP_S};
 
@@ -211,6 +212,18 @@ pub(crate) struct ShardYield<R> {
     pub(crate) value: R,
     pub(crate) phase_stats: Vec<PruneStats>,
     pub(crate) phase_walls: Vec<Duration>,
+}
+
+impl<R> ShardYield<R> {
+    /// The same telemetry around `f(value)` — how the distributed arm
+    /// turns a shared shard body's value into its wire form.
+    pub(crate) fn map<T>(self, f: impl FnOnce(R) -> T) -> ShardYield<T> {
+        ShardYield {
+            value: f(self.value),
+            phase_stats: self.phase_stats,
+            phase_walls: self.phase_walls,
+        }
+    }
 }
 
 /// One message up the reduction tree: a node's value with every merged
@@ -399,86 +412,66 @@ pub(crate) fn range_parts<'a>(
         .collect()
 }
 
-/// One join side's shard-slice partitions: §7.2 flow-id tag, borrowed
-/// key column, optional global row ids.
-fn side_parts_range<'a>(
+/// One join side's partitions on one shard: §7.2 flow-id tag, key lane
+/// and, when asked for, global row ids — the side's partitioned row-id
+/// lane, or (`None`: the key lane is the table's own) its positions.
+fn join_side_parts<'a>(
     tag: u64,
-    t: &'a Table,
-    c: usize,
-    range: (usize, usize),
+    keys: &'a [u64],
+    rids: Option<&'a [u64]>,
     workers: usize,
     with_rids: bool,
 ) -> Vec<LanePartition<'a>> {
-    split_range(range.0, range.1, workers)
+    split_range(0, keys.len(), workers)
         .into_iter()
         .map(|(s, e)| {
-            let mut lanes = vec![Lane::Const(tag), Lane::Slice(&t.col_at(c)[s..e])];
+            let mut lanes = vec![Lane::Const(tag), Lane::Slice(&keys[s..e])];
             if with_rids {
-                lanes.push(Lane::Iota(s as u64));
+                lanes.push(rids.map_or(Lane::Iota(s as u64), |r| Lane::Slice(&r[s..e])));
             }
             LanePartition { rows: e - s, lanes }
         })
         .collect()
 }
 
-/// One join side's partitions for a **hash-gathered** shard: flow-id
-/// tag, gathered key lane, gathered global-row-id lane. `None` means
-/// single-shard mode, where the gather is skipped and the side streams
-/// as zero-copy range slices.
-fn join_side_parts<'a>(
-    tag: u64,
-    gathered: Option<&'a (Vec<u64>, Vec<u64>)>,
-    t: &'a Table,
-    c: usize,
-    workers: usize,
+/// `cols` hash-partitioned by their first lane across `shards`, under the
+/// one salt every hash-sharded shape shares — computed **once per query**,
+/// before the shards start; a shard (and a re-dispatched shard) borrows
+/// its lanes. `None` on a single shard, which streams the table where it
+/// lies.
+pub(crate) fn key_partition(
+    cfg: &PrunerConfig,
+    cols: &[&[u64]],
+    shards: usize,
     with_rids: bool,
-) -> Vec<LanePartition<'a>> {
-    match gathered {
-        Some((keys, rids)) => split_range(0, keys.len(), workers)
-            .into_iter()
-            .map(|(s, e)| {
-                let mut lanes = vec![Lane::Const(tag), Lane::Slice(&keys[s..e])];
-                if with_rids {
-                    lanes.push(Lane::Slice(&rids[s..e]));
-                }
-                LanePartition { rows: e - s, lanes }
-            })
-            .collect(),
-        None => side_parts_range(tag, t, c, (0, t.rows()), workers, with_rids),
-    }
+) -> Option<HashPartition> {
+    (shards > 1).then(|| hash_partition(cols, 0, shards, cfg.seed ^ SHARD_SALT, with_rids))
 }
 
 /// One shard's whole JOIN, as the sharded and the distributed executor
-/// both run it: hash-gather the shard's slice of both sides (a single
-/// shard streams the tables where they lie), size the flow from the rows
-/// gathered, stream the §4.3 asymmetric build-while-forwarding flow
-/// (`asymmetric`, decided on *global* sizes so every shard agrees) or the
-/// symmetric build-then-probe flow, and pair the survivors locally — on
-/// the shard's own thread, overlapping other shards' streams.
+/// both run it, over the shard's lanes of the two sides' key partitions
+/// (`None`: a single shard streams the tables where they lie): size the
+/// flow from the shard's rows, stream the §4.3 asymmetric
+/// build-while-forwarding flow (`asymmetric`, decided on *global* sizes so
+/// every shard agrees) or the symmetric build-then-probe flow, and pair
+/// the survivors locally — on the shard's own thread, overlapping other
+/// shards' streams.
 pub(crate) fn join_shard(
     cfg: &PrunerConfig,
     (l, lc): (&Table, usize),
     (r, rc): (&Table, usize),
     asymmetric: bool,
-    (s, shards): (usize, usize),
+    lanes: Option<[&[Vec<u64>]; 2]>,
     workers: usize,
 ) -> ShardYield<(u64, u64)> {
-    let gather = |t: &Table, c: usize| {
-        let seed = cfg.seed ^ SHARD_SALT;
-        let mut g = gather_hash_shard(&[t.col_at(c)], 0, s, shards, seed, true);
-        let rids = g.pop().expect("rid lane");
-        let keys = g.pop().expect("key lane");
-        (keys, rids)
+    // A side is (tag, keys, row ids): its `[keys, rids]` partition lanes,
+    // or the table's own key lane under positional ids.
+    let (lk, lr, rk, rr) = match lanes {
+        Some([lp, rp]) => (&lp[0][..], Some(&lp[1][..]), &rp[0][..], Some(&rp[1][..])),
+        None => (l.col_at(lc), None, r.col_at(rc), None),
     };
-    let lg = (shards > 1).then(|| gather(l, lc));
-    let rg = (shards > 1).then(|| gather(r, rc));
-    let left = (SIDE_LEFT, lg.as_ref(), l, lc);
-    let right = (SIDE_RIGHT, rg.as_ref(), r, rc);
-    let flow = JoinFlow::sized(
-        cfg,
-        lg.as_ref().map_or(l.rows(), |(keys, _)| keys.len()),
-        rg.as_ref().map_or(r.rows(), |(keys, _)| keys.len()),
-    );
+    let (left, right) = ((SIDE_LEFT, lk, lr), (SIDE_RIGHT, rk, rr));
+    let flow = JoinFlow::sized(cfg, left.1.len(), right.1.len());
     let inputs: Vec<PhaseInput<'_>> = if asymmetric {
         // Phase 0 streams the small side once, unpruned, building its
         // filter; phase 1 probes the big side.
@@ -489,8 +482,8 @@ pub(crate) fn join_shard(
         };
         [small, big]
             .into_iter()
-            .map(|(tag, g, t, c)| PhaseInput {
-                partitions: join_side_parts(tag, g, t, c, workers, true),
+            .map(|(tag, keys, rids)| PhaseInput {
+                partitions: join_side_parts(tag, keys, rids, workers, true),
                 visible_cols: 2,
             })
             .collect()
@@ -501,7 +494,9 @@ pub(crate) fn join_shard(
             .map(|phase| PhaseInput {
                 partitions: [left, right]
                     .into_iter()
-                    .flat_map(|(tag, g, t, c)| join_side_parts(tag, g, t, c, workers, phase == 1))
+                    .flat_map(|(tag, keys, rids)| {
+                        join_side_parts(tag, keys, rids, workers, phase == 1)
+                    })
                     .collect(),
                 visible_cols: 2,
             })
@@ -525,6 +520,54 @@ pub(crate) fn join_shard(
             |_, (lf, rf)| join_survivors(lf, rf),
         )
     }
+}
+
+/// One shard's whole GROUP BY SUM/COUNT, as the sharded and the
+/// distributed executor both run it (they differ in `stage`: the bare §6
+/// register stage, or the one that drains before a scripted reboot).
+/// `lanes` is the shard's key lane and, for SUM, its value lane — COUNT's
+/// ones are synthesized by the workers.
+pub(crate) fn sum_shard<P: SwitchPhases>(
+    cfg: &PrunerConfig,
+    lanes: &[impl AsRef<[u64]>],
+    stage: P,
+    workers: usize,
+) -> ShardYield<ShardSums> {
+    let keys = lanes[0].as_ref();
+    let vals = lanes.get(1).map(AsRef::as_ref);
+    let partitions = split_range(0, keys.len(), workers)
+        .into_iter()
+        .map(|(a, b)| LanePartition {
+            rows: b - a,
+            lanes: vec![
+                Lane::Slice(&keys[a..b]),
+                vals.map_or(Lane::Const(1), |vals| Lane::Slice(&vals[a..b])),
+            ],
+        })
+        .collect();
+    run_shard(
+        vec![PhaseInput {
+            partitions,
+            visible_cols: 2,
+        }],
+        stage,
+        (
+            ShardSums::new(cfg.groupby_d, cfg.groupby_w, cfg.seed),
+            Vec::<(u64, u64)>::new(),
+        ),
+        // Forwarded entries carry evicted (key, partial) pairs; the FIN
+        // drain — a rebooted shard's pre-reboot drain included — arrives
+        // the same way.
+        |acc, _, block| {
+            let (sums, scratch) = acc;
+            scratch.clear();
+            block.extend_pairs_into(0, 1, scratch);
+            for &(k, p) in scratch.iter() {
+                sums.absorb(k, p);
+            }
+        },
+        |_, (sums, _)| sums,
+    )
 }
 
 /// Merge two descending candidate lists, keeping the global top `n` —
@@ -865,69 +908,26 @@ impl ShardedExecutor {
             } => {
                 // Hash-sharded mode (§6 register aggregation): co-locate
                 // every occurrence of a key on one shard, so a key's
-                // eviction churn never multiplies across shards. Each
-                // shard gathers its own key-partition in parallel — the
-                // old serial master gather was half the combine wall.
+                // eviction churn never multiplies across shards. The
+                // table is partitioned once, before the shards start.
                 let t = db.table(table);
-                let ki = t.col_index(key);
-                let vi = t.col_index(val);
-                let sum = *agg == Agg::Sum;
-                let gather_cols: Vec<&[u64]> = if sum {
-                    vec![t.col_at(ki), t.col_at(vi)]
-                } else {
-                    vec![t.col_at(ki)]
-                };
-                let shard_seed = cfg.seed ^ SHARD_SALT;
+                let mut lanes = vec![t.col_at(t.col_index(key))];
+                if *agg == Agg::Sum {
+                    lanes.push(t.col_at(t.col_index(val)));
+                }
+                let partition = key_partition(cfg, &lanes, shards, false);
                 let outcome = sharded_tree(
                     shards,
                     |s| {
-                        let gathered = (shards > 1).then(|| {
-                            gather_hash_shard(&gather_cols, 0, s, shards, shard_seed, false)
-                        });
-                        let (keys, vals): (&[u64], &[u64]) = match (&gathered, sum) {
-                            (Some(g), true) => (&g[0], &g[1]),
-                            (Some(g), false) => (&g[0], &[]),
-                            (None, true) => (t.col_at(ki), t.col_at(vi)),
-                            (None, false) => (t.col_at(ki), &[]),
-                        };
-                        let partitions = split_range(0, keys.len(), workers)
-                            .into_iter()
-                            .map(|(a, b)| LanePartition {
-                                rows: b - a,
-                                lanes: if sum {
-                                    vec![Lane::Slice(&keys[a..b]), Lane::Slice(&vals[a..b])]
-                                } else {
-                                    vec![Lane::Slice(&keys[a..b]), Lane::Const(1)]
-                                },
-                            })
-                            .collect();
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions,
-                                visible_cols: 2,
-                            }],
-                            GroupBySumStage::new(GroupBySumPruner::new(
-                                cfg.groupby_d,
-                                cfg.groupby_w,
-                                cfg.seed,
-                            )),
-                            (
-                                ShardSums::new(cfg.groupby_d, cfg.groupby_w, cfg.seed),
-                                Vec::<(u64, u64)>::new(),
-                            ),
-                            // Forwarded entries carry evicted (key,
-                            // partial) pairs; the FIN drain arrives the
-                            // same way.
-                            |acc, _, block| {
-                                let (sums, scratch) = acc;
-                                scratch.clear();
-                                block.extend_pairs_into(0, 1, scratch);
-                                for &(k, p) in scratch.iter() {
-                                    sums.absorb(k, p);
-                                }
-                            },
-                            |_, (sums, _)| sums,
-                        )
+                        let stage = GroupBySumStage::new(GroupBySumPruner::new(
+                            cfg.groupby_d,
+                            cfg.groupby_w,
+                            cfg.seed,
+                        ));
+                        match &partition {
+                            Some(p) => sum_shard(cfg, &p[s], stage, workers),
+                            None => sum_shard(cfg, &lanes, stage, workers),
+                        }
                     },
                     |a, b| a.merge(b),
                 );
@@ -1103,9 +1103,16 @@ impl ShardedExecutor {
         let rc = r.col_index(right_col);
         let rows = (l.rows() + r.rows()) as u64;
         let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
+        // Both sides by join key under one salt: every occurrence of a
+        // key, left or right, lands on one shard and pairs there.
+        let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], shards, true);
+        let sides = side(l, lc).zip(side(r, rc));
         let outcome = sharded_tree(
             shards,
-            |s| join_shard(cfg, (l, lc), (r, rc), asymmetric, (s, shards), workers),
+            |s| {
+                let lanes = sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
+                join_shard(cfg, (l, lc), (r, rc), asymmetric, lanes, workers)
+            },
             |a, b| {
                 a.0 += b.0;
                 a.1 = a.1.wrapping_add(b.1);
@@ -1246,6 +1253,60 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Each shard of a hash-sharded shape streams exactly its lanes of
+    /// the query's one partition — every pass's `processed` is the
+    /// shard's partition size — and the shards together tile the tables.
+    #[test]
+    fn hash_sharded_shards_process_exactly_their_partition() {
+        let db = db();
+        let cfg = PrunerConfig::default();
+        let (t, s) = (db.table("t"), db.table("s"));
+        let processed =
+            |stats: &[PruneStats]| -> Vec<u64> { stats.iter().map(|p| p.processed).collect() };
+        for shards in [2usize, 3, 5] {
+            let lanes = [t.col_at(0), t.col_at(1)];
+            let partition = key_partition(&cfg, &lanes, shards, false).expect("sharded");
+            let mut total = 0;
+            for (shard, lanes) in partition.iter().enumerate() {
+                let stage = GroupBySumStage::new(GroupBySumPruner::new(16, 2, cfg.seed));
+                let y = sum_shard(&cfg, lanes, stage, 2);
+                let rows = lanes[0].len() as u64;
+                assert_eq!(
+                    processed(&y.phase_stats),
+                    [rows],
+                    "sum shard {shard}/{shards}"
+                );
+                total += rows;
+            }
+            assert_eq!(total, t.rows() as u64);
+
+            // 6,000 ⋈ 2,000 rows: the asymmetric flow streams the small
+            // (right) side in phase 0 and the big side in phase 1; the
+            // symmetric flow streams both sides in both.
+            let side = |t: &Table| key_partition(&cfg, &[t.col_at(0)], shards, true);
+            let (lp, rp) = side(t).zip(side(s)).expect("sharded");
+            let mut total = [0; 2];
+            for shard in 0..shards {
+                let sides = [&lp[shard][..], &rp[shard][..]];
+                let [l, r] = sides.map(|lanes| lanes[0].len() as u64);
+                let asym = join_shard(&cfg, (t, 0), (s, 0), true, Some(sides), 2);
+                assert_eq!(
+                    processed(&asym.phase_stats),
+                    [r, l],
+                    "join shard {shard}/{shards}"
+                );
+                let sym = join_shard(&cfg, (t, 0), (s, 0), false, Some(sides), 2);
+                assert_eq!(
+                    processed(&sym.phase_stats),
+                    [l + r, l + r],
+                    "join shard {shard}/{shards}"
+                );
+                total = [total[0] + l, total[1] + r];
+            }
+            assert_eq!(total, [t.rows() as u64, s.rows() as u64]);
         }
     }
 

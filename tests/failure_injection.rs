@@ -278,6 +278,50 @@ fn distributed_shard_crash_mid_phase_redispatches_and_stays_exact() {
     assert!(!res.degraded, "recovery must not fall back");
 }
 
+/// The hash-sharded shapes under a compute crash: the key partition is
+/// computed once per query and the re-dispatched shard streams the same
+/// lanes again, so the result matches the reference and the processed
+/// count equals the clean run's — a discarded first run leaking into the
+/// stats, or a partition re-derived differently, would move it. (Pruned
+/// counts race with the pool's arrival order and are not compared.)
+#[test]
+fn distributed_redispatch_reuses_the_key_partition() {
+    let db = fault_db(3_000, 24);
+    let queries = [
+        Query::Join {
+            left: "t".into(),
+            right: "s".into(),
+            left_col: "k".into(),
+            right_col: "k".into(),
+        },
+        Query::GroupBy {
+            table: "t".into(),
+            key: "k".into(),
+            val: "v".into(),
+            agg: Agg::Sum,
+        },
+    ];
+    for q in &queries {
+        let clean = DistributedExecutor::with_shards(base_exec(), 3).execute(&db, q);
+        let plan = FailurePlan {
+            compute_crashes: vec![1],
+            seed: 104,
+            ..FailurePlan::default()
+        };
+        let crashed = DistributedExecutor::with_failure_plan(base_exec(), 3, plan).execute(&db, q);
+        assert_eq!(crashed.result, reference::evaluate(&db, q), "{}", q.kind());
+        assert_eq!(
+            crashed.prune_stats().processed,
+            clean.prune_stats().processed,
+            "{}",
+            q.kind()
+        );
+        let res = crashed.resilience.expect("resilience telemetry");
+        assert_eq!(res.redispatches, 1, "{}: shard 1 ran twice", q.kind());
+        assert!(!res.degraded, "recovery must not fall back");
+    }
+}
+
 /// A switch reboot between passes resumes with empty soft state (§3):
 /// pruning-only state is lost, results stay exact; the §6 SUM registers
 /// are drained first and the drain is visible in telemetry.

@@ -20,7 +20,8 @@ use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
-    Agg, CostModel, Database, Executor, Predicate, Query, ShardedExecutor, Table,
+    Agg, CostModel, Database, DistributedExecutor, Executor, Predicate, Query, ShardedExecutor,
+    Table,
 };
 
 /// A database over explicit column data (so proptest owns the values).
@@ -318,6 +319,50 @@ fn assert_join_equivalent(db: &Database, shards: usize, seed: u64) {
         det.prune_stats().processed,
         "hash-sharded join must still decide each entry exactly once"
     );
+}
+
+/// The two hash-sharded shapes on both shard arms: the table is
+/// partitioned once per query and the shards' partitions tile it, so the
+/// arms agree with the reference and together decide every streamed row
+/// exactly once — the deterministic arm's count — at any shard count.
+/// (That each shard processes exactly its own partition is pinned beside
+/// the shard bodies, in `sharded.rs`.)
+#[test]
+fn hash_sharded_shapes_stream_every_row_once_on_both_shard_arms() {
+    let tk: Vec<u64> = (0..900u64).map(|i| i * 7 % 61).collect();
+    let tv: Vec<u64> = (0..900u64).map(|i| i * 17 % 401 + 1).collect();
+    let tw: Vec<u64> = (0..900u64).map(|i| i % 89 + 1).collect();
+    // 600 rows: the symmetric JOIN flow; 200: the asymmetric one.
+    for s_rows in [600u64, 200] {
+        let sk: Vec<u64> = (0..s_rows).map(|i| i * 3 % 97).collect();
+        let sx: Vec<u64> = (0..s_rows).map(|i| i % 31).collect();
+        let db = db_from((tk.clone(), tv.clone(), tw.clone()), (sk, sx));
+        let cheetah = CheetahExecutor::new(CostModel::default(), test_config(29));
+        let hash_sharded = |q: &Query| match q {
+            Query::GroupBy { agg, .. } => matches!(agg, Agg::Sum | Agg::Count),
+            q => matches!(q, Query::Join { .. }),
+        };
+        let queries = all_shapes().into_iter().filter(|(_, q)| hash_sharded(q));
+        for (label, q) in queries {
+            let det = Executor::execute(&cheetah, &db, &q);
+            for shards in [2usize, 3, 5] {
+                let arms: [&dyn Executor; 2] = [
+                    &ShardedExecutor::with_shards(cheetah.clone(), shards),
+                    &DistributedExecutor::with_shards(cheetah.clone(), shards),
+                ];
+                for arm in arms {
+                    let run = arm.execute(&db, &q);
+                    let at = format!("[{label}] {} at {shards} shards", arm.name());
+                    assert_eq!(run.result, reference::evaluate(&db, &q), "{at}");
+                    assert_eq!(
+                        run.prune_stats().processed,
+                        det.prune_stats().processed,
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Hash-sharded join, join keys spanning every hash bucket: with keys
