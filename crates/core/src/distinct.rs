@@ -135,6 +135,52 @@ impl CacheMatrix {
         }
     }
 
+    /// [`Self::process_in_row`] over a block: key `keys[i]` stores value
+    /// `v` in row `r`, where `(r, v) = place(keys[i])`, decided into
+    /// `out[i]`, in order. Table 2's default geometry — `w = 2` under LRU,
+    /// the rolling replacement of two stages — runs without a
+    /// data-dependent branch: stage 1 always ends up holding the value,
+    /// stage 2 keeps its cell on a stage-1 hit and takes the displaced
+    /// stage-1 cell otherwise, the length grows on a miss, and a hit only
+    /// counts on a filled cell (a cleared row's stale cells, or a zero key
+    /// against a never-filled one, never hit). Cells past a row's length
+    /// may then differ from the general loop's; no decision reads them.
+    /// Every other geometry runs the general loop.
+    ///
+    /// Each key is placed inside the loop, not into a row lane first. On
+    /// 400k zipfian `userAgent` keys this loop measured 1.4 ms, a
+    /// lane-first one 3.0 and the general loop 1.7; on their
+    /// `(userAgent, languageCode)` fingerprints 1.4, 3.7 and 4.8.
+    pub fn process_placed(
+        &mut self,
+        keys: &[u64],
+        out: &mut [Decision],
+        place: impl Fn(u64) -> (usize, u64),
+    ) {
+        if self.w != 2 || self.policy != EvictionPolicy::Lru {
+            for (d, &key) in out.iter_mut().zip(keys) {
+                let (row, value) = place(key);
+                *d = self.process_in_row(row, value);
+            }
+            return;
+        }
+        let (cells, _) = self.cells.as_chunks_mut::<2>();
+        for (d, &key) in out.iter_mut().zip(keys) {
+            let (row, value) = place(key);
+            let [c0, c1] = cells[row];
+            let len = self.lens[row];
+            let hit0 = (len >= 1) & (c0 == value);
+            let hit = hit0 | ((len >= 2) & (c1 == value));
+            cells[row] = [value, if hit0 { c1 } else { c0 }];
+            self.lens[row] = (len + u16::from(!hit)).min(2);
+            *d = if hit {
+                Decision::Prune
+            } else {
+                Decision::Forward
+            };
+        }
+    }
+
     /// Forget everything (control-plane table clear).
     pub fn clear(&mut self) {
         self.lens.fill(0);
@@ -210,21 +256,16 @@ impl DistinctPruner {
     /// Key-lane block loop: identical decisions to per-entry
     /// [`Self::process`] calls, with the fingerprint branch hoisted out
     /// of the loop — the switch hot path for DISTINCT / DistinctMulti
-    /// blocks.
+    /// blocks, through [`CacheMatrix::process_placed`].
     pub fn process_keys(&mut self, keys: &[u64], out: &mut [Decision]) {
+        let (row_hash, d) = (self.row_hash, self.matrix.rows());
         match &self.fingerprinter {
-            None => {
-                for (d, &k) in out.iter_mut().zip(keys) {
-                    let row = self.row_hash.bucket(k, self.matrix.rows());
-                    *d = self.matrix.process_in_row(row, k);
-                }
-            }
-            Some(f) => {
-                for (d, &k) in out.iter_mut().zip(keys) {
-                    let row = self.row_hash.bucket(k, self.matrix.rows());
-                    *d = self.matrix.process_in_row(row, f.fp(k));
-                }
-            }
+            None => self
+                .matrix
+                .process_placed(keys, out, |k| (row_hash.bucket(k, d), k)),
+            Some(f) => self
+                .matrix
+                .process_placed(keys, out, |k| (row_hash.bucket(k, d), f.fp(k))),
         }
     }
 
@@ -463,6 +504,59 @@ mod tests {
             b.process_keys(&keys, &mut got);
             assert_eq!(got, expected, "fingerprinted={fingerprinted}");
         }
+    }
+
+    #[test]
+    fn two_way_lru_block_path_equals_process_in_row() {
+        // The branch-free w = 2 LRU row loop against the general one, on
+        // the cases it special-cases: one row (every key collides), a zero
+        // key at an empty row (cells start at zero), hits in slot 1 (the
+        // swap) and slot 0 (no move), stale cells after a clear, and a
+        // random small-domain stream over a few rows.
+        let mut rng = StdRng::seed_from_u64(29);
+        let random: Vec<u64> = (0..5_000).map(|_| rng.gen_range(0..9u64)).collect();
+        let streams: [(usize, &[u64]); 5] = [
+            (1, &[0, 0, 0]),
+            (1, &[5, 0, 5, 0, 0, 7, 5, 7, 7, 0]),
+            (1, &[1, 2, 1, 1, 2, 2, 1, 3, 2, 3]),
+            (1, &[0, 4, 9, 4, 0, 9, 9, 4]),
+            (3, &random),
+        ];
+        for (d, stream) in streams {
+            for cleared in [false, true] {
+                let mut general = CacheMatrix::new(d, 2, EvictionPolicy::Lru, 4);
+                let mut block = general.clone();
+                if cleared {
+                    // Stale cells a cleared row must not hit on.
+                    for m in [&mut general, &mut block] {
+                        for v in [0, 1, 5, 7, 9] {
+                            m.process(v);
+                        }
+                        m.clear();
+                    }
+                }
+                let place = |v: u64| ((v as usize * 7) % d, v);
+                let expected: Vec<Decision> = stream
+                    .iter()
+                    .map(|&v| {
+                        let (row, value) = place(v);
+                        general.process_in_row(row, value)
+                    })
+                    .collect();
+                let mut got = vec![Decision::Prune; stream.len()];
+                block.process_placed(stream, &mut got, place);
+                assert_eq!(got, expected, "d = {d}, cleared = {cleared}, {stream:?}");
+                // And the state each leaves behind decides alike.
+                let probe: Vec<Decision> = (0..10).map(|v| general.process_in_row(0, v)).collect();
+                let mut again = vec![Decision::Prune; 10];
+                let keys: Vec<u64> = (0..10).collect();
+                block.process_placed(&keys, &mut again, |v| (0, v));
+                assert_eq!(again, probe, "d = {d}, cleared = {cleared}: state diverged");
+            }
+        }
+        let mut first = [Decision::Prune];
+        CacheMatrix::new(1, 2, EvictionPolicy::Lru, 0).process_placed(&[0], &mut first, |v| (0, v));
+        assert_eq!(first, [Decision::Forward], "a zero key hit an empty row");
     }
 
     #[test]

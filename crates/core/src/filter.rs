@@ -283,23 +283,91 @@ impl TruthTable {
         self.table[v / 64] & (1u64 << (v % 64)) != 0
     }
 
-    /// Evaluate entry `i` of a column-major block (`cols[atom.col][i]`)
-    /// without materializing the row — the block-streaming fast path.
-    #[inline]
-    pub fn eval_entry(&self, atoms: &[Atom], cols: &[&[u64]], i: usize) -> bool {
-        let mut v = 0usize;
-        for (j, &id) in self.atom_ids.iter().enumerate() {
-            let a = &atoms[id];
-            if a.op.eval(cols[a.col][i], a.constant) {
-                v |= 1 << j;
-            }
+    /// Evaluate every entry of a column-major block (`cols[atom.col][i]`
+    /// for entry `i`, `out.len()` entries) — the switch's block path.
+    /// Atom-major: one pass per atom ORs its bit into a stack lane of
+    /// assignments with the operator resolved once per pass, then one
+    /// table lookup per entry; no data-dependent branch anywhere.
+    pub fn eval_block(&self, atoms: &[Atom], cols: &[&[u64]], out: &mut [Decision]) {
+        for (c, out) in out.chunks_mut(EVAL_CHUNK).enumerate() {
+            let (base, n) = (c * EVAL_CHUNK, out.len());
+            let values = |col: usize| cols[col][base..base + n].iter().copied();
+            self.eval_lanes(atoms, n, values, |i, hit| {
+                out[i] = if hit {
+                    Decision::Forward
+                } else {
+                    Decision::Prune
+                };
+            });
         }
-        self.table[v / 64] & (1u64 << (v % 64)) != 0
+    }
+
+    /// [`Self::eval_block`] over the entries `idx` of the block only:
+    /// `out[k]` is the formula on entry `idx[k]`. The master's re-check of
+    /// a block's survivors.
+    pub fn eval_indexed(&self, atoms: &[Atom], cols: &[&[u64]], idx: &[u16], out: &mut [bool]) {
+        assert_eq!(idx.len(), out.len(), "one verdict per indexed entry");
+        for (idx, out) in idx.chunks(EVAL_CHUNK).zip(out.chunks_mut(EVAL_CHUNK)) {
+            let values = |col: usize| idx.iter().map(move |&i| cols[col][usize::from(i)]);
+            self.eval_lanes(atoms, idx.len(), values, |k, hit| out[k] = hit);
+        }
+    }
+
+    /// The shared kernel: the assignment lane of `n ≤ EVAL_CHUNK` entries
+    /// whose lane `col` reads `values(col)`, looked up entry by entry into
+    /// `emit(entry, formula value)`.
+    fn eval_lanes<I: Iterator<Item = u64>>(
+        &self,
+        atoms: &[Atom],
+        n: usize,
+        values: impl Fn(usize) -> I,
+        mut emit: impl FnMut(usize, bool),
+    ) {
+        let mut lane = [0u16; EVAL_CHUNK];
+        let lane = &mut lane[..n];
+        for (j, &id) in self.atom_ids.iter().enumerate() {
+            let Atom {
+                col, op, constant, ..
+            } = atoms[id];
+            or_bits(lane, j, op, constant, values(col));
+        }
+        for (i, &v) in lane.iter().enumerate() {
+            let v = usize::from(v);
+            emit(i, self.table[v / 64] >> (v % 64) & 1 != 0);
+        }
     }
 
     /// Number of atoms (bit-vector width).
     pub fn arity(&self) -> usize {
         self.atom_ids.len()
+    }
+}
+
+/// Entries a [`TruthTable`] block evaluation assigns at a time: a 2 KB
+/// stack lane of `u16` assignments, L1-resident across the atom passes.
+const EVAL_CHUNK: usize = 1024;
+
+/// OR bit `j` of `lane[i]` with `values[i] op constant`. The operator is
+/// matched once, outside the loop, so each arm is a tight compare-and-OR
+/// loop of its own.
+fn or_bits(lane: &mut [u16], j: usize, op: CmpOp, c: u64, values: impl Iterator<Item = u64>) {
+    fn pass(
+        lane: &mut [u16],
+        j: usize,
+        values: impl Iterator<Item = u64>,
+        holds: impl Fn(u64) -> bool,
+    ) {
+        for (bits, v) in lane.iter_mut().zip(values) {
+            *bits |= u16::from(holds(v)) << j;
+        }
+    }
+    match op {
+        CmpOp::Lt => pass(lane, j, values, |v| v < c),
+        CmpOp::Le => pass(lane, j, values, |v| v <= c),
+        CmpOp::Gt => pass(lane, j, values, |v| v > c),
+        CmpOp::Ge => pass(lane, j, values, |v| v >= c),
+        CmpOp::Eq => pass(lane, j, values, |v| v == c),
+        CmpOp::Ne => pass(lane, j, values, |v| v != c),
     }
 }
 
@@ -365,13 +433,7 @@ impl RowPruner for FilterPruner {
     }
 
     fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
-        for (i, d) in out.iter_mut().enumerate() {
-            *d = if self.table.eval_entry(&self.atoms, cols, i) {
-                Decision::Forward
-            } else {
-                Decision::Prune
-            };
-        }
+        self.table.eval_block(&self.atoms, cols, out);
     }
 
     fn reset(&mut self) {}
@@ -525,6 +587,45 @@ mod tests {
                 rng.gen_range(0..10u64),
             ];
             assert_eq!(t.eval(&atoms, &row), f.eval(&atoms, &row));
+        }
+    }
+
+    #[test]
+    fn block_and_indexed_eval_match_row_eval_across_chunks() {
+        // Every operator, a negated literal, constants on the data's
+        // edges; 2.5 evaluation chunks so the kernel's chunking is crossed.
+        let atoms = vec![
+            Atom::cmp(0, CmpOp::Lt, 3),
+            Atom::cmp(1, CmpOp::Le, 0),
+            Atom::cmp(2, CmpOp::Gt, 5),
+            Atom::cmp(0, CmpOp::Ge, 7),
+            Atom::cmp(1, CmpOp::Eq, 4),
+            Atom::unsupported(2, CmpOp::Ne, 9),
+        ];
+        let f = Formula::Or(vec![
+            Formula::And(vec![Formula::Atom(0), Formula::NotAtom(1)]),
+            Formula::And(vec![Formula::Atom(2), Formula::Atom(5)]),
+            Formula::Atom(3),
+            Formula::Atom(4),
+        ]);
+        let t = TruthTable::compile(&f).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 2 * EVAL_CHUNK + EVAL_CHUNK / 2;
+        let lanes: Vec<Vec<u64>> = (0..3)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..10u64)).collect())
+            .collect();
+        let cols: Vec<&[u64]> = lanes.iter().map(Vec::as_slice).collect();
+        let row = |i: usize| [lanes[0][i], lanes[1][i], lanes[2][i]];
+        let mut block = vec![Decision::Prune; n];
+        t.eval_block(&atoms, &cols, &mut block);
+        let idx: Vec<u16> = (0..n as u16).filter(|i| i % 3 != 1).collect();
+        let mut indexed = vec![false; idx.len()];
+        t.eval_indexed(&atoms, &cols, &idx, &mut indexed);
+        for (i, d) in block.iter().enumerate() {
+            assert_eq!(d.is_forward(), f.eval(&atoms, &row(i)), "entry {i}");
+        }
+        for (&i, &ok) in idx.iter().zip(&indexed) {
+            assert_eq!(ok, f.eval(&atoms, &row(usize::from(i))), "index {i}");
         }
     }
 

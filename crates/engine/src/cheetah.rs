@@ -17,6 +17,7 @@ use std::time::Instant;
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::distinct::EvictionPolicy;
+use cheetah_core::filter::TruthTable;
 use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::{HavingPassOne, HavingPruner};
@@ -25,7 +26,8 @@ use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
 use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
 use crate::executor::ExecutionReport;
 use crate::master::{
-    fetch_and_checksum, join_sink, join_survivors, GroupRun, GroupSink, JoinSides, TupleRun,
+    fetch_and_checksum, join_sink, join_survivors, survivors, GroupRun, GroupSink, JoinSides,
+    TupleRun,
 };
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingPhases, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
@@ -237,22 +239,52 @@ pub(crate) fn tuple_fingerprinter(cfg: &PrunerConfig) -> Fingerprinter {
     Fingerprinter::new(cfg.seed ^ 0xf1f1, 64)
 }
 
+/// The master's re-check of a Filter's full predicate (§4.1: the switch
+/// only evaluated its relaxation): the *original* formula — unsupported
+/// atoms included — compiled to a truth table and evaluated atom-major
+/// over a block's survivors; a formula too wide for a table (more than
+/// 16 atoms) is evaluated survivor by survivor.
+pub(crate) struct Recheck<'q> {
+    predicate: &'q Predicate,
+    table: Option<TruthTable>,
+}
+
+impl<'q> Recheck<'q> {
+    fn new(predicate: &'q Predicate) -> Self {
+        let table = TruthTable::compile(&predicate.formula).ok();
+        Recheck { predicate, table }
+    }
+
+    /// Keep the entries of `idx` (block indices into `cols`) the full
+    /// predicate accepts, in order, compacted without a branch.
+    fn retain<'i>(&self, cols: &[&[u64]], idx: &'i mut [u16]) -> &'i [u16] {
+        let mut accepted = [false; BLOCK_ENTRIES];
+        let accepted = &mut accepted[..idx.len()];
+        match &self.table {
+            Some(table) => table.eval_indexed(&self.predicate.atoms, cols, idx, accepted),
+            None => {
+                for (ok, &i) in accepted.iter_mut().zip(idx.iter()) {
+                    *ok = self.predicate.eval_at(cols, usize::from(i));
+                }
+            }
+        }
+        let mut kept = 0;
+        for (j, &ok) in accepted.iter().enumerate() {
+            idx[kept] = idx[j];
+            kept += usize::from(ok);
+        }
+        &idx[..kept]
+    }
+}
+
 /// A single-pass query's master completion: what the CMaster does with
 /// each survivor and how the survivors become the result — defined once
 /// for a solo stream and for a member of a shared scan.
 pub(crate) enum Completion<'q> {
     /// FilterCount: re-check the full predicate, count matches.
-    Count {
-        predicate: &'q Predicate,
-        row: Vec<u64>,
-        count: u64,
-    },
+    Count { check: Recheck<'q>, count: u64 },
     /// Filter: re-check, collect row ids for the §7.1 fetch.
-    Fetch {
-        predicate: &'q Predicate,
-        row: Vec<u64>,
-        ids: Vec<u64>,
-    },
+    Fetch { check: Recheck<'q>, ids: Vec<u64> },
     /// Distinct / TopN: single-column survivors.
     Values(Vec<u64>),
     /// Skyline: survivor points.
@@ -267,13 +299,11 @@ impl<'q> Completion<'q> {
     pub(crate) fn for_query(q: &'q Query) -> Self {
         match q {
             Query::FilterCount { predicate, .. } => Completion::Count {
-                predicate,
-                row: Vec::with_capacity(predicate.columns.len()),
+                check: Recheck::new(predicate),
                 count: 0,
             },
             Query::Filter { predicate, .. } => Completion::Fetch {
-                predicate,
-                row: Vec::with_capacity(predicate.columns.len()),
+                check: Recheck::new(predicate),
                 ids: Vec::new(),
             },
             Query::Distinct { .. } | Query::TopN { .. } => Completion::Values(Vec::new()),
@@ -290,39 +320,39 @@ impl<'q> Completion<'q> {
     /// Take a block's survivors: the entries `decisions` forward, whose
     /// columns in query order are `cols` (a solo stream's `block.cols`, a
     /// shared scan's selection of them). One dispatch a block, so each
-    /// shape's survivor loop is its own tight loop.
+    /// shape's survivor loop is its own tight loop over the block's
+    /// survivor indices.
     pub(crate) fn take(&mut self, block: &Block<'_>, cols: &[&[u64]], decisions: &[Decision]) {
-        let survivors = (0..decisions.len()).filter(|&i| decisions[i].is_forward());
-        let matches = |predicate: &Predicate, row: &mut Vec<u64>, i: usize| {
-            // Master re-checks the full predicate on survivors.
-            row.clear();
-            row.extend(cols.iter().map(|c| c[i]));
-            predicate.eval(row)
-        };
+        let mut idx = [0u16; BLOCK_ENTRIES];
+        let survivors = survivors(decisions, &mut idx);
+        let at = |c: usize, i: u16| cols[c][usize::from(i)];
         match self {
-            Completion::Count {
-                predicate,
-                row,
-                count,
-            } => *count += survivors.filter(|&i| matches(predicate, row, i)).count() as u64,
-            Completion::Fetch {
-                predicate,
-                row,
-                ids,
-            } => {
-                let fetched = survivors.filter(|&i| matches(predicate, row, i));
-                ids.extend(fetched.map(|i| block.row_id(i)));
+            Completion::Count { check, count } => {
+                *count += check.retain(cols, survivors).len() as u64
             }
-            Completion::Values(v) => v.extend(survivors.map(|i| cols[0][i])),
-            Completion::Points(v) => {
-                v.extend(survivors.map(|i| cols.iter().map(|c| c[i]).collect::<Vec<_>>()))
+            Completion::Fetch { check, ids } => {
+                let fetched = check.retain(cols, survivors);
+                ids.extend(fetched.iter().map(|&i| block.row_id(usize::from(i))));
             }
-            Completion::Tuples { flat, .. } => {
-                survivors.for_each(|i| flat.extend(cols.iter().map(|c| c[i])))
+            Completion::Values(v) => v.extend(survivors.iter().map(|&i| at(0, i))),
+            Completion::Points(v) => v.extend(
+                survivors
+                    .iter()
+                    .map(|&i| (0..cols.len()).map(|c| at(c, i)).collect::<Vec<_>>()),
+            ),
+            Completion::Tuples { width, flat } => {
+                // Lane by lane into the tuples' new tail.
+                let start = flat.len();
+                flat.resize(start + survivors.len() * *width, 0);
+                for c in 0..*width {
+                    let tuples = flat[start..].chunks_exact_mut(*width);
+                    for (tuple, &i) in tuples.zip(survivors.iter()) {
+                        tuple[c] = at(c, i);
+                    }
+                }
             }
-            Completion::Groups(groups) => {
-                survivors.for_each(|i| groups.push(cols[0][i], cols[1][i]))
-            }
+            Completion::Groups(groups) => groups
+                .fill(|pending| pending.extend(survivors.iter().map(|&i| (at(0, i), at(1, i))))),
         }
     }
 
@@ -551,17 +581,15 @@ impl CheetahExecutor {
                 // go to the master.
                 flow.begin_pass_two();
                 let mut sums = GroupSink::new(Agg::Sum);
+                let mut idx = [0u16; BLOCK_ENTRIES];
                 let mut blocks = stream.blocks();
                 while let Some(block) = blocks.next_block() {
                     let (k, v) = (block.cols[0], block.cols[1]);
                     let out = &mut decisions[..block.len];
                     flow.pass_two_block(k, v, out);
                     stats.record_block(out);
-                    sums.fill(|pending| {
-                        let entries = out.iter().zip(k.iter().zip(v));
-                        let forwarded = entries.filter(|(d, _)| d.is_forward());
-                        pending.extend(forwarded.map(|(_, (&k, &v))| (k, v)));
-                    });
+                    let forwarded = survivors(out, &mut idx).iter().map(|&i| usize::from(i));
+                    sums.fill(|pending| pending.extend(forwarded.map(|i| (k[i], v[i]))));
                 }
                 let result = sums.finish().keys_above(*threshold);
                 armed_out = Some(ArmedFlow::Having(flow));
@@ -601,6 +629,7 @@ impl CheetahExecutor {
                 // Pass 2: prune each side against the other's filter.
                 let mut stats = PruneStats::default();
                 let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+                let mut idx = [0u16; BLOCK_ENTRIES];
                 let [left_fwd, right_fwd] = sides.map(|(tags, stream)| {
                     let mut fwd: Vec<(u64, u64)> = Vec::new();
                     let mut blocks = stream.blocks();
@@ -609,7 +638,7 @@ impl CheetahExecutor {
                         let out = &mut decisions[..block.len];
                         flow.probe_block(&tags[..block.len], keys, out);
                         stats.record_block(out);
-                        let forwarded = (0..block.len).filter(|&i| out[i].is_forward());
+                        let forwarded = survivors(out, &mut idx).iter().map(|&i| usize::from(i));
                         fwd.extend(forwarded.map(|i| (keys[i], block.row_id(i))));
                     }
                     fwd
@@ -1454,5 +1483,96 @@ mod tests {
             "20G should nearly halve the network phase (Fig 8)"
         );
         assert_eq!(r10.result, r20.result);
+    }
+
+    #[test]
+    fn tuple_completion_takes_empty_full_and_sparse_blocks() {
+        // DistinctMulti survivors are written lane by lane into the flat
+        // buffer's new tail: a block with no survivors at width ≥ 2 must
+        // append nothing (and slice nothing past the tail), before and
+        // after a block that did append.
+        let rows = 5 * BLOCK_ENTRIES - 100;
+        let lane = |m: usize| (0..rows).map(|r| (r * m % 97) as u64).collect::<Vec<_>>();
+        let t = Table::new("t", vec![("a", lane(3)), ("b", lane(5)), ("c", lane(11))]);
+        let names = ["a", "b", "c"];
+        for width in 1..=3 {
+            let query = Query::DistinctMulti {
+                table: "t".into(),
+                columns: names[..width].iter().map(|&c| c.into()).collect(),
+            };
+            let cols: Vec<usize> = (0..width).collect();
+            let stream = EntryStream::interleaved(&t, &cols, 3);
+            let mut master = Completion::for_query(&query);
+            let mut expected = Vec::new();
+            let mut blocks = stream.blocks();
+            let mut b = 0;
+            while let Some(block) = blocks.next_block() {
+                let decisions: Vec<Decision> = (0..block.len)
+                    .map(|i| match b % 3 {
+                        0 => Decision::Prune,
+                        1 => Decision::Forward,
+                        _ if i % 3 == 0 => Decision::Forward,
+                        _ => Decision::Prune,
+                    })
+                    .collect();
+                for i in (0..block.len).filter(|&i| decisions[i].is_forward()) {
+                    expected.extend(block.cols.iter().map(|c| c[i]));
+                }
+                master.take(&block, &block.cols, &decisions);
+                b += 1;
+            }
+            let Completion::Tuples { flat, .. } = master else {
+                unreachable!("a DistinctMulti completes as tuples")
+            };
+            assert_eq!(flat, expected, "width {width}");
+        }
+    }
+
+    #[test]
+    fn recheck_keeps_exactly_what_the_full_predicate_accepts() {
+        // The original formula, unsupported atoms included, through a
+        // truth table at 3 atoms and survivor by survivor at 17 (past the
+        // table's 16-atom cap).
+        let mut rng = StdRng::seed_from_u64(9);
+        let lanes: Vec<Vec<u64>> = (0..2)
+            .map(|_| {
+                (0..BLOCK_ENTRIES)
+                    .map(|_| rng.gen_range(0..20u64))
+                    .collect()
+            })
+            .collect();
+        let cols: Vec<&[u64]> = lanes.iter().map(Vec::as_slice).collect();
+        for arity in [3usize, 17] {
+            let atoms: Vec<Atom> = (0..arity)
+                .map(|a| match a % 3 {
+                    0 => Atom::cmp(0, CmpOp::Lt, 4 + a as u64 % 7),
+                    1 => Atom::cmp(1, CmpOp::Ge, 12 + a as u64 % 5),
+                    _ => Atom::unsupported(a % 2, CmpOp::Ne, a as u64 % 20),
+                })
+                .collect();
+            let pairs = (0..arity).step_by(2).map(|a| {
+                let pair = (a..(a + 2).min(arity)).map(Formula::Atom).collect();
+                Formula::And(pair)
+            });
+            let predicate = crate::query::Predicate {
+                columns: vec!["x".into(), "y".into()],
+                atoms,
+                formula: Formula::Or(pairs.collect()),
+            };
+            let check = Recheck::new(&predicate);
+            assert_eq!(check.table.is_some(), arity <= 16);
+            let mut idx: Vec<u16> = (0..BLOCK_ENTRIES as u16).filter(|i| i % 5 != 0).collect();
+            let expected: Vec<u16> = idx
+                .iter()
+                .copied()
+                .filter(|&i| predicate.eval_at(&cols, usize::from(i)))
+                .collect();
+            assert!(!expected.is_empty() && expected.len() < idx.len());
+            assert_eq!(
+                check.retain(&cols, &mut idx),
+                &expected[..],
+                "{arity} atoms"
+            );
+        }
     }
 }

@@ -6,6 +6,13 @@
 //! query the same four ways. Each lives here exactly once; the arms only
 //! differ in how survivors reach it.
 //!
+//! * **Hand-off**: a block's decisions become its survivors through
+//!   [`survivors`], a branch-free index compaction; the sinks below loop
+//!   over that index list, never over the decisions. At the 10–60%
+//!   forward rates the paper's queries produce, a `filter(is_forward)`
+//!   loop mispredicts on a large share of entries — `scan_det`'s JOIN
+//!   cell (57% of its probes forwarded) measured 14.2 ms that way and
+//!   11.8 over the index list, with the switch's own time unchanged.
 //! * **Fetch** (§7.1 late materialization): [`fetch_and_checksum`] folds
 //!   the order-independent [`crate::query::fetch_checksum`] over the
 //!   surviving rows' projected lanes. A row's checksum is a *serial*
@@ -31,20 +38,42 @@
 //!   `(key, row)` lists and [`join_survivors`] pairs them through one
 //!   open-addressed table over the shorter list — neither list is sorted.
 //! * **Tuple runs**: [`TupleRun`] keeps multi-column DISTINCT survivors
-//!   in one flat row-major buffer, sorts and deduplicates them there,
-//!   merges flat-to-flat up a reduction tree, is what the wire ships, and
-//!   becomes owned tuples exactly once — one allocation per *output*
-//!   tuple, none per survivor.
+//!   in one flat row-major buffer, sorts them there on a tuple key (not
+//!   the array's slice comparison) and deduplicates, merges flat-to-flat
+//!   up a reduction tree, is what the wire ships, and becomes owned
+//!   tuples exactly once — one allocation per *output* tuple, none per
+//!   survivor.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
+use cheetah_core::decision::Decision;
 use cheetah_core::hash::mix64;
 
 use crate::multipass::SIDE_LEFT;
 use crate::query::{fetch_chain_seed, fetch_chain_step, pair_checksum, Agg, QueryResult};
+use crate::stream::BLOCK_ENTRIES;
 use crate::table::Table;
 use crate::threaded::SurvivorBlock;
+
+/// The hand-off every block-wise arm makes from the switch to the master:
+/// the block indices of the entries `decisions` forward, ascending, in
+/// the front of `idx`. Branch-free — every index is written and the
+/// cursor advances by the decision — so a forward rate anywhere between
+/// 0 and 1 costs the same, where a `filter(is_forward)` loop mispredicts
+/// on every coin flip the switch made.
+pub(crate) fn survivors<'a>(
+    decisions: &[Decision],
+    idx: &'a mut [u16; BLOCK_ENTRIES],
+) -> &'a mut [u16] {
+    assert!(decisions.len() <= BLOCK_ENTRIES, "one block of decisions");
+    let mut kept = 0;
+    for (i, d) in decisions.iter().enumerate() {
+        idx[kept] = i as u16;
+        kept += usize::from(d.is_forward());
+    }
+    &mut idx[..kept]
+}
 
 /// Row ids whose hash chains advance together: 32 KB of chain heads on
 /// the stack. Every lane switch restarts the hardware's read streams, so
@@ -387,18 +416,23 @@ impl TupleRun {
     /// Canonicalize `flat` (`width`-word tuples back to back, any order,
     /// repeats allowed — raw survivors and another shard's decoded run
     /// both enter here). Tuples of up to four words sort in place as
-    /// fixed-width arrays, which measured twice as fast as sorting
-    /// indices into the buffer; wider ones sort by index and compact
-    /// once. Panics on a zero width (a DISTINCT over no columns has no
-    /// flat form) or a ragged buffer.
+    /// fixed-width arrays keyed by a *tuple* of their words: the array's
+    /// own `Ord` compares through a slice loop, the tuple compares word
+    /// by word in straight-line code, in the same lexicographic order.
+    /// On 112k two-word survivors that halves the sort (4.7 → 2.5 ms);
+    /// on 120k near-unique three-word tuples it still wins (4.7 → 4.2),
+    /// where a comparator folding every word's `cmp` with `then` loses
+    /// (4.9). Wider tuples sort by index and compact once. Panics on a
+    /// zero width (a DISTINCT over no columns has no flat form) or a
+    /// ragged buffer.
     pub(crate) fn canonical(width: usize, mut flat: Vec<u64>) -> Self {
         assert!(width > 0, "a tuple run needs at least one column");
         assert_eq!(flat.len() % width, 0, "ragged tuple buffer");
         match width {
-            1 => sort_dedup_arrays::<1>(&mut flat),
-            2 => sort_dedup_arrays::<2>(&mut flat),
-            3 => sort_dedup_arrays::<3>(&mut flat),
-            4 => sort_dedup_arrays::<4>(&mut flat),
+            1 => sort_dedup_arrays(&mut flat, |&[a]: &[u64; 1]| a),
+            2 => sort_dedup_arrays(&mut flat, |&[a, b]: &[u64; 2]| (a, b)),
+            3 => sort_dedup_arrays(&mut flat, |&[a, b, c]: &[u64; 3]| (a, b, c)),
+            4 => sort_dedup_arrays(&mut flat, |&[a, b, c, d]: &[u64; 4]| (a, b, c, d)),
             _ => flat = sort_dedup_by_index(width, &flat),
         }
         TupleRun { width, flat }
@@ -444,10 +478,11 @@ impl TupleRun {
     }
 }
 
-/// Sort and deduplicate `W`-word tuples where they lie.
-fn sort_dedup_arrays<const W: usize>(flat: &mut Vec<u64>) {
+/// Sort and deduplicate `W`-word tuples where they lie, ordered by `key`
+/// (which must order them as `[u64; W]` does).
+fn sort_dedup_arrays<const W: usize, K: Ord>(flat: &mut Vec<u64>, key: impl Fn(&[u64; W]) -> K) {
     let (tuples, _) = flat.as_chunks_mut::<W>();
-    tuples.sort_unstable();
+    tuples.sort_unstable_by_key(key);
     let mut kept = 0;
     for i in 0..tuples.len() {
         if kept == 0 || tuples[i] != tuples[kept - 1] {

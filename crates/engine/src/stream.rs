@@ -26,6 +26,7 @@ use std::sync::{Arc, OnceLock};
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
 
+use crate::master::survivors;
 use crate::table::Table;
 
 /// Entries per [`RowPruner::process_block`] call. 1024 entries × 8 bytes
@@ -191,15 +192,15 @@ impl EntryStream {
         F: FnMut(u64, EntryRef<'_>),
     {
         let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+        let mut idx = [0u16; BLOCK_ENTRIES];
         let mut blocks = self.blocks();
         while let Some(block) = blocks.next_block() {
             let out = &mut decisions[..block.len];
             pruner.process_block(block.visible(), out);
             stats.record_block(out);
-            for (i, d) in out.iter().enumerate() {
-                if d.is_forward() {
-                    on_forward(block.row_id(i), block.entry(i));
-                }
+            for &i in survivors(out, &mut idx).iter() {
+                let i = usize::from(i);
+                on_forward(block.row_id(i), block.entry(i));
             }
         }
     }

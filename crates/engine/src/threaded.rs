@@ -785,7 +785,9 @@ struct Scratch {
 /// Decide one block and forward its survivors. Materialized blocks are
 /// compacted **in place** (the spent block is reused as the survivor
 /// block); view blocks ship back as a **survivor index mask** over the
-/// shared lanes — no survivor value is copied at all.
+/// shared lanes — no survivor value is copied at all. Both hand-offs are
+/// branch-free, like [`crate::master::survivors`]: every entry is written
+/// (or ORed in) and the cursor advances by the decision.
 fn decide_block<'a>(
     switch: &mut dyn SwitchPhases,
     phase: usize,
@@ -811,10 +813,8 @@ fn decide_block<'a>(
             for col in &mut block.cols {
                 kept = 0;
                 for (i, d) in out.iter().enumerate() {
-                    if d.is_forward() {
-                        col[kept] = col[i];
-                        kept += 1;
-                    }
+                    col[kept] = col[i];
+                    kept += usize::from(d.is_forward());
                 }
                 col.truncate(kept);
             }
@@ -862,13 +862,10 @@ fn decide_block<'a>(
             switch.process_cols(phase, &colrefs, visible, out);
             stats.record_block(out);
             let mut mask = vec![0u64; n.div_ceil(64)];
-            let mut kept = 0usize;
             for (i, d) in out.iter().enumerate() {
-                if d.is_forward() {
-                    mask[i / 64] |= 1 << (i % 64);
-                    kept += 1;
-                }
+                mask[i / 64] |= u64::from(d.is_forward()) << (i % 64);
             }
+            let kept = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             if kept > 0 {
                 let _ = fwd.send(MasterMsg::Survivors(
                     phase,

@@ -121,27 +121,67 @@ proptest! {
         );
     }
 
+    /// Random formulas over 1–16 atoms: a random operator per atom (all
+    /// six occur), negated literals, unsupported atoms. `kind` 0 makes
+    /// every atom unsupported (no switch atom: every entry forwards),
+    /// kind 1 makes all sixteen supported (the widest truth table), kind
+    /// 2 mixes. Streams run past one 1,024-entry evaluation chunk and
+    /// the block sizes include ones past it, so the atom-major kernel's
+    /// chunking is crossed.
     #[test]
     fn filter_block_equivalence(
-        xs in vec(0u64..1000, 1..1500),
-        ys in vec(0u64..1000, 1500..1501),
-        c1 in 0u64..1000,
-        c2 in 0u64..1000,
+        lanes in (vec(0u64..40, 1..3000), vec(0u64..40, 3000..3001), vec(0u64..40, 3000..3001)),
+        specs in vec((0usize..6, 0usize..3, 0u64..40, 0u8..4), 1..17),
+        shape in any::<u64>(),
+        kind in 0u8..3,
     ) {
-        let n = xs.len();
-        let atoms = vec![
-            Atom::cmp(0, CmpOp::Lt, c1),
-            Atom::cmp(1, CmpOp::Ge, c2),
-            Atom::unsupported(1, CmpOp::Ne, 7),
-        ];
-        let formula = Formula::Or(vec![
-            Formula::Atom(0),
-            Formula::And(vec![Formula::Atom(1), Formula::Atom(2)]),
-        ]);
-        assert_equivalent(
-            || Box::new(FilterPruner::new(atoms.clone(), formula.clone()).unwrap()),
-            &[xs.clone(), ys[..n].to_vec()],
-        );
+        const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        let n = lanes.0.len();
+        let cols = [lanes.0.clone(), lanes.1[..n].to_vec(), lanes.2[..n].to_vec()];
+        let specs = if kind == 1 {
+            (0..16).map(|a| specs[a % specs.len()]).collect()
+        } else {
+            specs
+        };
+        let atoms: Vec<Atom> = specs
+            .iter()
+            .map(|&(op, col, constant, flags)| Atom {
+                col,
+                op: OPS[op],
+                constant,
+                supported: match kind {
+                    0 => false,
+                    1 => true,
+                    _ => flags & 1 == 0,
+                },
+            })
+            .collect();
+        // Literals in runs of one to four under one connective, the runs
+        // under the other; `shape` picks the run lengths and which is
+        // outer.
+        let literal = |a: usize| if specs[a].3 & 2 == 0 { Formula::Atom(a) } else { Formula::NotAtom(a) };
+        let (mut runs, mut a, mut bits) = (Vec::new(), 0, shape);
+        while a < atoms.len() {
+            let len = (1 + (bits & 3) as usize).min(atoms.len() - a);
+            let run: Vec<Formula> = (a..a + len).map(literal).collect();
+            runs.push(if shape >> 63 == 0 { Formula::And(run) } else { Formula::Or(run) });
+            a += len;
+            bits >>= 2;
+        }
+        let formula = if shape >> 63 == 0 { Formula::Or(runs) } else { Formula::And(runs) };
+        let mk = || FilterPruner::new(atoms.clone(), formula.clone()).unwrap();
+        let reference = row_decisions(&mut mk(), &cols, n);
+        if kind == 0 {
+            prop_assert!(reference.iter().all(|d| d.is_forward()), "no switch atom, yet pruned");
+        }
+        for chunk in [1usize, 7, 64, 1024, 1500, 4096] {
+            prop_assert_eq!(
+                &block_decisions(&mut mk(), &cols, n, chunk),
+                &reference,
+                "block size {} diverged from the row path",
+                chunk
+            );
+        }
     }
 
     #[test]
