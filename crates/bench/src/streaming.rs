@@ -445,8 +445,8 @@ pub struct WorkerScaling {
 }
 
 /// Sweep the threaded pool size over {1, 2, 4} workers for the
-/// pruning-heavy multi-pass shapes — the measured basis for the adaptive
-/// worker-count knob (`ThreadedExecutor::with_adaptive_workers`).
+/// pruning-heavy multi-pass shapes — the measured basis for the planner's
+/// worker-count grid (`PlanContext::adaptive_workers`).
 pub fn run_worker_scaling(uv_rows: usize, reps: usize) -> Vec<WorkerScaling> {
     let db = bigdata_db(uv_rows, uv_rows / 5, 2_000, 0.5, 42);
     let sweep_queries: Vec<(&str, Query)> = multipass_queries()
@@ -500,8 +500,8 @@ pub struct ShardScaling {
 
 /// Sweep the sharded multi-switch executor over {1, 2, 4, 8} shards for
 /// the combine-heavy shapes (`join`, `groupby_sum`, `distinct_multi`) —
-/// the measured basis for shard-count planning (and the adaptive shard
-/// knob, `ShardedExecutor::with_adaptive_shards`).
+/// the measured basis for shard-count planning
+/// (`PlanContext::planned_shards`).
 pub fn run_shard_scaling(uv_rows: usize, reps: usize) -> Vec<ShardScaling> {
     let db = bigdata_db(uv_rows, uv_rows / 5, 2_000, 0.5, 42);
     let sweep_queries: Vec<(&str, Query)> = multipass_queries()

@@ -25,15 +25,11 @@ use cheetah_core::having::{HavingPassOne, HavingPruner};
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
 use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
 use crate::executor::ExecutionReport;
-use crate::master::{
-    fetch_and_checksum, join_sink, join_survivors, survivors, GroupRun, GroupSink, JoinSides,
-    TupleRun,
-};
-use crate::multipass::{
-    AsymJoinPhases, GroupBySumStage, HavingPhases, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
-};
+use crate::master::{fetch_and_checksum, join_survivors, survivors, GroupRun, GroupSink, TupleRun};
+use crate::multipass::{GroupBySumStage, HavingPhases, SIDE_LEFT, SIDE_RIGHT};
 use crate::query::{Agg, FetchSpec, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
+use crate::sharded::{fingerprint_parts, join_shard, range_parts};
 use crate::stream::{Block, EntryStream, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
 use crate::threaded::{
@@ -108,7 +104,7 @@ impl Default for PrunerConfig {
     }
 }
 
-/// One sampled-block throughput probe — the measured basis the adaptive
+/// One sampled-block throughput probe — the measured basis the planner's
 /// worker and shard grids share (Cuttlefish-style tuning on real
 /// samples, not a static model).
 #[derive(Debug, Clone, Copy)]
@@ -387,74 +383,6 @@ impl<'q> Completion<'q> {
     }
 }
 
-/// Per-worker partition **views** of `columns`: borrowed lane slices, no
-/// copies — the pool workers serialize blocks straight out of the
-/// table's column storage.
-fn lane_parts<'a>(t: &'a Table, columns: &[usize], workers: usize) -> Vec<LanePartition<'a>> {
-    t.partition_bounds(workers)
-        .into_iter()
-        .map(|(s, e)| LanePartition {
-            rows: e - s,
-            lanes: columns
-                .iter()
-                .map(|&c| Lane::Slice(&t.col_at(c)[s..e]))
-                .collect(),
-        })
-        .collect()
-}
-
-/// Same views, plus a trailing switch-blind synthesized row-id lane for
-/// flows whose master must address table rows (fetch, join pairing).
-fn lane_parts_with_rids<'a>(
-    t: &'a Table,
-    columns: &[usize],
-    workers: usize,
-) -> Vec<LanePartition<'a>> {
-    let mut parts = lane_parts(t, columns, workers);
-    for (part, (s, _)) in parts.iter_mut().zip(t.partition_bounds(workers)) {
-        part.lanes.push(Lane::Iota(s as u64));
-    }
-    parts
-}
-
-/// Both join sides' partitions for one pass: a synthesized §7.2 flow-id
-/// lane, the borrowed key column, and (on the probe pass) synthesized
-/// row ids for master pairing. Everything is a view or generated on the
-/// fly — no per-pass partition copies.
-fn join_parts<'a>(
-    l: &'a Table,
-    r: &'a Table,
-    lc: usize,
-    rc: usize,
-    workers: usize,
-    with_rids: bool,
-) -> Vec<LanePartition<'a>> {
-    let mut parts = side_parts(SIDE_LEFT, l, lc, workers, with_rids);
-    parts.extend(side_parts(SIDE_RIGHT, r, rc, workers, with_rids));
-    parts
-}
-
-/// One join side's partitions: flow-id tag, borrowed key column, and
-/// optionally synthesized row ids.
-fn side_parts(
-    tag: u64,
-    t: &Table,
-    c: usize,
-    workers: usize,
-    with_rids: bool,
-) -> Vec<LanePartition<'_>> {
-    t.partition_bounds(workers)
-        .into_iter()
-        .map(|(s, e)| {
-            let mut lanes = vec![Lane::Const(tag), Lane::Slice(&t.col_at(c)[s..e])];
-            if with_rids {
-                lanes.push(Lane::Iota(s as u64));
-            }
-            LanePartition { rows: e - s, lanes }
-        })
-        .collect()
-}
-
 impl CheetahExecutor {
     /// An executor with the given model and switch configuration.
     pub fn new(model: CostModel, config: PrunerConfig) -> Self {
@@ -679,7 +607,7 @@ impl CheetahExecutor {
             Query::Distinct { table, column } => {
                 let t = db.table(table);
                 let mut run = run_stream(
-                    lane_parts(t, &[t.col_index(column)], workers),
+                    range_parts(t, &[t.col_index(column)], (0, t.rows()), workers, false),
                     backend::distinct(cfg),
                 );
                 let result = QueryResult::values(std::mem::take(&mut run.forwarded.cols[0]));
@@ -697,20 +625,7 @@ impl CheetahExecutor {
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
                 let fp = tuple_fingerprinter(cfg);
-                let partitions = t
-                    .partition_bounds(workers)
-                    .into_iter()
-                    .map(|(s, e)| {
-                        let slices: Vec<&[u64]> =
-                            cols.iter().map(|&c| &t.col_at(c)[s..e]).collect();
-                        let mut lanes = vec![Lane::Fingerprint {
-                            cols: slices.clone(),
-                            fp: &fp,
-                        }];
-                        lanes.extend(slices.into_iter().map(Lane::Slice));
-                        LanePartition { rows: e - s, lanes }
-                    })
-                    .collect();
+                let partitions = fingerprint_parts(t, &cols, (0, t.rows()), workers, &fp);
                 // Streaming master: append each survivor block's real
                 // tuples to one flat buffer as it arrives (batched
                 // per-block loops — no accumulate-then-rescan); the
@@ -736,7 +651,7 @@ impl CheetahExecutor {
             Query::TopN { table, order_by, n } => {
                 let t = db.table(table);
                 let mut run = run_stream(
-                    lane_parts(t, &[t.col_index(order_by)], workers),
+                    range_parts(t, &[t.col_index(order_by)], (0, t.rows()), workers, false),
                     backend::topn(cfg, *n),
                 );
                 let result =
@@ -753,7 +668,8 @@ impl CheetahExecutor {
                 agg: agg @ (Agg::Max | Agg::Min),
             } => {
                 let t = db.table(table);
-                let parts = lane_parts(t, &[t.col_index(key), t.col_index(val)], workers);
+                let cols = [t.col_index(key), t.col_index(val)];
+                let parts = range_parts(t, &cols, (0, t.rows()), workers, false);
                 let ext = if *agg == Agg::Max {
                     Extremum::Max
                 } else {
@@ -835,7 +751,7 @@ impl CheetahExecutor {
                 let t = db.table(table);
                 let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
                 let run = run_stream(
-                    lane_parts(t, &cols, workers),
+                    range_parts(t, &cols, (0, t.rows()), workers, false),
                     backend::filter(cfg, predicate),
                 );
                 let fwd_cols: Vec<&[u64]> =
@@ -863,7 +779,7 @@ impl CheetahExecutor {
                 let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
                 let run = run_phases(
                     vec![PhaseInput {
-                        partitions: lane_parts_with_rids(t, &cols, workers),
+                        partitions: range_parts(t, &cols, (0, t.rows()), workers, true),
                         visible_cols: cols.len(),
                     }],
                     &mut PrunerStage::new(backend::filter(cfg, predicate)),
@@ -903,7 +819,7 @@ impl CheetahExecutor {
                 // and the pool starts serializing pass 2 while the switch
                 // still drains pass 1.
                 let phase = || PhaseInput {
-                    partitions: lane_parts(t, &cols, workers),
+                    partitions: range_parts(t, &cols, (0, t.rows()), workers, false),
                     visible_cols: 2,
                 };
                 // Streaming master: pass-2 candidates fold into the sink a
@@ -940,73 +856,32 @@ impl CheetahExecutor {
                 // Each table crosses the switch exactly once (vs twice
                 // in the symmetric build-then-probe flow), the master
                 // pairs the same survivors, and the result is identical.
+                // This is one shard's JOIN over the whole tables.
                 let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
-                let phases = if asymmetric {
-                    let (small, big) = if l.rows() <= r.rows() {
-                        ((SIDE_LEFT, l, lc), (SIDE_RIGHT, r, rc))
-                    } else {
-                        ((SIDE_RIGHT, r, rc), (SIDE_LEFT, l, lc))
-                    };
-                    [small, big]
-                        .into_iter()
-                        .map(|(tag, t, c)| PhaseInput {
-                            partitions: side_parts(tag, t, c, workers, true),
-                            visible_cols: 2,
-                        })
-                        .collect()
-                } else {
-                    vec![
-                        PhaseInput {
-                            partitions: join_parts(l, r, lc, rc, workers, false),
-                            visible_cols: 2,
-                        },
-                        PhaseInput {
-                            partitions: join_parts(l, r, lc, rc, workers, true),
-                            visible_cols: 2,
-                        },
-                    ]
-                };
-                let flow = JoinFlow::sized(cfg, l.rows(), r.rows());
-                let mut sym_program;
-                let mut asym_program;
-                let program: &mut dyn crate::threaded::SwitchPhases = if asymmetric {
-                    asym_program = AsymJoinPhases::new(flow);
-                    &mut asym_program
-                } else {
-                    sym_program = JoinPhases::new(flow);
-                    &mut sym_program
-                };
-                // Streaming master: split each survivor block into
-                // per-side (key, row) pairs as it arrives — batched
-                // per-block sweeps, overlapping the switch stream.
-                let mut fwd = JoinSides::default();
-                let mut runs = run_phases_each(phases, program, |_, _, block| {
-                    join_sink(&mut fwd, block);
-                });
-                let pass2 = runs.pop().expect("second pass");
-                let pass1 = runs.pop().expect("first pass");
+                let shard = join_shard(cfg, (l, lc), (r, rc), asymmetric, None, workers);
                 // Symmetric: build-pass decisions are not probe
                 // decisions, so only the probe pass counts (as in the
                 // deterministic flow). Asymmetric: both single-stream
                 // passes make real decisions — together they decide each
                 // entry exactly once, the same total.
-                let mut stats = pass2.stats;
+                let mut stats = shard.phase_stats[1];
                 if asymmetric {
-                    stats.merge(pass1.stats);
+                    stats.merge(shard.phase_stats[0]);
                 }
-                let (pairs, checksum) = join_survivors(fwd.0, fwd.1);
+                let (pairs, checksum) = shard.value;
                 let rows = (l.rows() + r.rows()) as u64;
                 let streamed = if asymmetric { rows } else { 2 * rows };
                 let result = QueryResult::JoinSummary { pairs, checksum };
                 let mut report = self.report(query, streamed, stats, 2, pairs, result);
-                report.pass_walls = vec![pass1.wall, pass2.wall];
+                report.pass_walls = shard.phase_walls;
                 report
             }
             Query::Skyline { table, columns } => {
                 let t = db.table(table);
                 let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
                 let dims = cols.len();
-                let run = run_stream(lane_parts(t, &cols, workers), backend::skyline(cfg, dims));
+                let parts = range_parts(t, &cols, (0, t.rows()), workers, false);
+                let run = run_stream(parts, backend::skyline(cfg, dims));
                 let result = QueryResult::points(skyline_of(&run.forwarded.to_rows()));
                 let mut report = self.report(query, t.rows() as u64, run.stats, 1, 0, result);
                 report.pass_walls = vec![run.wall];
@@ -1017,25 +892,9 @@ impl CheetahExecutor {
         report
     }
 
-    /// Pick a per-query worker count ∈ {1, 2, 4, 8} from sampled block
-    /// throughput — the Cuttlefish-style tuning knob behind
-    /// [`crate::executor::ThreadedExecutor::with_adaptive_workers`].
-    ///
-    /// Streams the first few blocks of the query's metadata columns
-    /// through a fresh instance of (a proxy for) the query's switch
-    /// program and times them, then sizes the pool to the estimated
-    /// serialized switch wall: short streams get one worker (thread
-    /// setup would dominate), long streams get the full pool so
-    /// serialization and master completion overlap the pruning.
-    /// Delegates to the planner's shared [`crate::plan::PlanContext`], so
-    /// the worker and shard grids read one probe instead of re-sampling.
-    pub fn adaptive_workers(&self, db: &Database, query: &Query) -> usize {
-        crate::plan::PlanContext::probe(self, db, query).adaptive_workers()
-    }
-
     /// Stream the first few blocks of the query's metadata columns
     /// through a fresh instance of (a proxy for) the query's switch
-    /// program and time them — the measured basis both adaptive grids
+    /// program and time them — the measured basis the planner's grids
     /// (worker count, shard count) share. `None` on an empty table,
     /// where any grid should pick the minimum arm.
     pub fn sample_throughput(&self, db: &Database, query: &Query) -> Option<ThroughputSample> {

@@ -1,14 +1,15 @@
 //! Distributed shards over the wire protocol, with failure injection
 //! and retry/recovery.
 //!
-//! [`crate::sharded`] merges its shard pipelines through in-process
-//! channels. This module is the same shard decomposition run the way
-//! the paper actually deploys it (§3 Figure 1/3, §7.2): every shard's
-//! phase output is **encoded to plain `u64` words** ([`ShardOutput`]),
-//! chunked into §7.2 data packets, and shipped over the
-//! [`cheetah_net`] master/worker/switch state machines on the
-//! discrete-event fabric — the master folds *decoded* messages, in
-//! completion order, instead of channel values.
+//! [`crate::sharded`] defines one shard program per query shape and runs
+//! it over an in-process transport. This module is the second transport,
+//! the way the paper actually deploys it (§3 Figure 1/3, §7.2): every
+//! shard's partial is **encoded to plain `u64` words** ([`ShardOutput`]),
+//! chunked into §7.2 data packets, and shipped over the [`cheetah_net`]
+//! master/worker/switch state machines on the discrete-event fabric — the
+//! master folds *decoded* partials, in completion order, instead of
+//! channel values. The programs, their merges and their roots are the
+//! sharded executor's own; only the stages and the travel differ.
 //!
 //! On top of that sits the failure story the paper's guarantees imply:
 //!
@@ -20,15 +21,19 @@
 //!   the dispatcher re-ships the *same* shard output under a fresh flow
 //!   id in the next attempt; a shard that exhausts
 //!   [`FailurePlan::max_attempts`] falls back to its locally computed
-//!   output and the report says so ([`ResilienceReport::degraded`]).
+//!   partial and the report says so ([`ResilienceReport::degraded`]).
+//! * **Bad deliveries** — a delivered payload that does not decode, names
+//!   a variant its shape never ships, or fails its shape's checks (a
+//!   FILTER payload whose recomputed checksum differs from the shipped
+//!   one: [`CodecError::Checksum`]) takes the same fallback instead of
+//!   panicking.
 //! * **Mid-query switch reboot** — §3's guarantee: pruning state is
 //!   soft, so a rebooted switch resumes empty and merely forwards a
-//!   superset; every per-shard output is canonicalized before encoding,
-//!   so the result stays exact. The §6 exception is honored where it
-//!   must be: GROUP BY SUM/COUNT registers hold *real data*, so a
-//!   scheduled shard reboot drains them first
-//!   ([`ResilienceReport::register_drains`]) and the drained partials
-//!   ride the FIN residual like any §6 eviction.
+//!   superset; every partial is canonical before it is encoded, so the
+//!   result stays exact. The §6 exception is honored where it must be:
+//!   GROUP BY SUM/COUNT registers hold *real data*, so a scheduled shard
+//!   reboot drains them first ([`ResilienceReport::register_drains`]) and
+//!   the drained partials ride the FIN residual like any §6 eviction.
 //! * **Shard compute crash** — re-dispatch: the first run's work is
 //!   discarded and the shard recomputes, so processed counts match the
 //!   deterministic reference exactly. Multi-pass programs whose
@@ -40,30 +45,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
-use cheetah_core::groupby::{Extremum, GroupBySumPruner};
-use cheetah_core::having::{CountMinSketch, HavingPruner};
+use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_net::sim::FaultPlan;
 use cheetah_net::wire::chunk_payload;
 use cheetah_net::{MasterRx, Simulation, SimulationConfig, SwitchNode, WorkerTx};
 
-use crate::backend;
-use crate::cheetah::{tuple_fingerprinter, CheetahExecutor};
+use crate::cheetah::{CheetahExecutor, PrunerConfig};
 use crate::executor::{ExecutionReport, Executor, ResilienceReport};
-use crate::master::{
-    explode, fetch_rows_flat, rows_payload_checksum, GroupRun, GroupSink, TupleRun,
-};
-use crate::multipass::{GroupBySumStage, HavingShardProbe, HavingShardSketch};
-use crate::query::{Agg, Query, QueryResult};
-use crate::reference::skyline_of;
-use crate::sharded::{
-    join_shard, key_partition, merge_top, range_parts, run_shard, sum_shard, ShardYield,
-};
-use crate::stream::split_range;
-use crate::table::{Database, Table};
-use crate::threaded::{ColumnChunk, Lane, LanePartition, PhaseInput, PrunerStage, SwitchPhases};
+use crate::master::rows_payload_checksum;
+use crate::multipass::GroupBySumStage;
+use crate::query::Query;
+use crate::sharded::{execute_on, Reduced, ShardProgram, Site, Transport};
+use crate::table::Database;
+use crate::threaded::{ColumnChunk, PrunerStage, SwitchPhases};
 
 /// Sliding-window size for shard-output shipping sessions.
 const SHIP_WINDOW: u32 = 32;
@@ -82,7 +79,7 @@ const BASE_RTO_US: u64 = 400;
 const SHIP_DEADLINE_RTOS: u64 = 256;
 
 // ---------------------------------------------------------------------------
-// Wire codec: shard phase outputs as self-describing u64 payloads.
+// Wire codec: shard partials as self-describing u64 payloads.
 // ---------------------------------------------------------------------------
 
 const TAG_COUNT: u64 = 1;
@@ -95,43 +92,47 @@ const TAG_SUM_DRAIN: u64 = 7;
 const TAG_SKETCH: u64 = 8;
 const TAG_CANDIDATE_SUMS: u64 = 9;
 const TAG_JOIN_AGG: u64 = 10;
-const TAG_FILTER: u64 = 11;
 
-/// Why a [`ShardOutput`] payload failed to decode. Decoding never
-/// panics: arbitrary garbage maps to one of these.
+/// Why a [`ShardOutput`] payload failed to decode, or a decoded one was
+/// refused by the query's shard program. Decoding never panics:
+/// arbitrary garbage maps to one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// The payload ended before the advertised structure was complete.
     Truncated,
-    /// The leading tag word names no known variant.
+    /// The leading tag word names no variant the decoder accepts: an
+    /// unknown tag, or a variant the query's shape never ships.
     BadTag(u64),
-    /// A structurally impossible header: zero sketch/filter geometry,
-    /// a length product overflowing `u64`, or a tuple run misaligned
-    /// with its width.
+    /// A structurally impossible header: zero sketch geometry, a length
+    /// product overflowing `u64`, a tuple run misaligned with its width —
+    /// or a well-formed one whose geometry is not the query's.
     Malformed,
     /// A well-formed value followed by trailing garbage words.
     Trailing,
+    /// Shipped rows whose recomputed checksum differs from the shipped
+    /// checksum word: a corruption the framing could not see.
+    Checksum,
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::Truncated => write!(f, "payload truncated"),
-            CodecError::BadTag(t) => write!(f, "unknown shard-output tag {t}"),
+            CodecError::BadTag(t) => write!(f, "unexpected shard-output tag {t}"),
             CodecError::Malformed => write!(f, "malformed shard-output header"),
             CodecError::Trailing => write!(f, "trailing words after shard output"),
+            CodecError::Checksum => write!(f, "shipped rows fail their checksum"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// One shard's mergeable phase output, as shipped over the wire: every
-/// variant has a flat `u64`-word encoding ([`ShardOutput::encode`])
-/// that survives §7.2 packetization and decodes without panicking
-/// ([`ShardOutput::decode`]). Outputs are canonicalized per shard
-/// *before* encoding, so a rebooted switch's forwarded superset ships
-/// the same exact value.
+/// One shard's partial, as shipped over the wire: every variant has a
+/// flat `u64`-word encoding ([`ShardOutput::encode`]) that survives §7.2
+/// packetization and decodes without panicking
+/// ([`ShardOutput::decode`]). Partials are canonical *before* encoding,
+/// so a rebooted switch's forwarded superset ships the same exact value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardOutput {
     /// FILTER COUNT: the shard's re-checked survivor count.
@@ -158,8 +159,8 @@ pub enum ShardOutput {
     Values(Vec<u64>),
     /// TOP-N: the shard's descending candidate list (length ≤ n).
     TopCandidates(Vec<u64>),
-    /// Multi-column DISTINCT / SKYLINE: a canonicalized tuple run,
-    /// row-major in one flat lane.
+    /// Multi-column DISTINCT / SKYLINE: a tuple run, row-major in one
+    /// flat lane.
     Tuples {
         /// Tuple width in words.
         width: u64,
@@ -194,18 +195,6 @@ pub enum ShardOutput {
         pairs: u64,
         /// Wrapping checksum over the matched pairs.
         checksum: u64,
-    },
-    /// A Bloom filter's raw state (segmented geometry + word array) —
-    /// the broadcast payload for cross-shard membership filters.
-    Filter {
-        /// Words per hash segment.
-        seg_words: u64,
-        /// Number of hash functions / segments.
-        hashes: u64,
-        /// Hash seed the filter was built with.
-        seed: u64,
-        /// `seg_words × hashes` filter words.
-        words: Vec<u64>,
     },
 }
 
@@ -251,59 +240,57 @@ impl Cursor<'_> {
 }
 
 impl ShardOutput {
+    /// The variant's leading tag word.
+    fn tag(&self) -> u64 {
+        match self {
+            ShardOutput::Count(_) => TAG_COUNT,
+            ShardOutput::Rows { .. } => TAG_ROWS,
+            ShardOutput::Values(_) => TAG_VALUES,
+            ShardOutput::TopCandidates(_) => TAG_TOP,
+            ShardOutput::Tuples { .. } => TAG_TUPLES,
+            ShardOutput::Extrema(_) => TAG_EXTREMA,
+            ShardOutput::SumDrain(_) => TAG_SUM_DRAIN,
+            ShardOutput::Sketch { .. } => TAG_SKETCH,
+            ShardOutput::CandidateSums(_) => TAG_CANDIDATE_SUMS,
+            ShardOutput::JoinAgg { .. } => TAG_JOIN_AGG,
+        }
+    }
+
+    /// The error a shard program's decode returns for this variant when
+    /// its shape never ships it.
+    pub(crate) fn unexpected(&self) -> CodecError {
+        CodecError::BadTag(self.tag())
+    }
+
     /// Flatten to the wire words. The layout is self-describing: a tag
     /// word, explicit lengths/geometry, then the data lanes.
     pub fn encode(&self) -> Vec<u64> {
-        let mut out = Vec::new();
+        let mut out = vec![self.tag()];
         match self {
-            ShardOutput::Count(v) => {
-                out.push(TAG_COUNT);
-                out.push(*v);
-            }
+            ShardOutput::Count(v) => out.push(*v),
             ShardOutput::Rows {
                 width,
                 ids,
                 flat,
                 checksum,
             } => {
-                out.push(TAG_ROWS);
-                out.push(*checksum);
-                out.push(*width);
-                out.push(ids.len() as u64);
+                out.extend([*checksum, *width, ids.len() as u64]);
                 out.extend_from_slice(ids);
                 out.extend_from_slice(flat);
             }
-            ShardOutput::Values(values) => {
-                out.push(TAG_VALUES);
-                out.push(values.len() as u64);
-                out.extend_from_slice(values);
-            }
-            ShardOutput::TopCandidates(values) => {
-                out.push(TAG_TOP);
+            ShardOutput::Values(values) | ShardOutput::TopCandidates(values) => {
                 out.push(values.len() as u64);
                 out.extend_from_slice(values);
             }
             ShardOutput::Tuples { width, flat } => {
-                out.push(TAG_TUPLES);
-                out.push(*width);
-                out.push(flat.len() as u64);
+                out.extend([*width, flat.len() as u64]);
                 out.extend_from_slice(flat);
             }
-            ShardOutput::Extrema(pairs) => {
-                out.push(TAG_EXTREMA);
+            ShardOutput::Extrema(pairs)
+            | ShardOutput::SumDrain(pairs)
+            | ShardOutput::CandidateSums(pairs) => {
                 out.push(pairs.len() as u64);
-                for &(k, v) in pairs {
-                    out.push(k);
-                    out.push(v);
-                }
-            }
-            ShardOutput::SumDrain(pairs) => {
-                out.push(TAG_SUM_DRAIN);
-                out.push(pairs.len() as u64);
-                for &(k, v) in pairs {
-                    out.push(k);
-                    out.push(v);
-                }
+                out.extend(pairs.iter().flat_map(|&(k, v)| [k, v]));
             }
             ShardOutput::Sketch {
                 d,
@@ -313,39 +300,10 @@ impl ShardOutput {
                 counters,
             } => {
                 debug_assert_eq!(d * w, counters.len() as u64);
-                out.push(TAG_SKETCH);
-                out.push(*d);
-                out.push(*w);
-                out.push(*threshold);
-                out.push(*seed);
+                out.extend([*d, *w, *threshold, *seed]);
                 out.extend_from_slice(counters);
             }
-            ShardOutput::CandidateSums(pairs) => {
-                out.push(TAG_CANDIDATE_SUMS);
-                out.push(pairs.len() as u64);
-                for &(k, v) in pairs {
-                    out.push(k);
-                    out.push(v);
-                }
-            }
-            ShardOutput::JoinAgg { pairs, checksum } => {
-                out.push(TAG_JOIN_AGG);
-                out.push(*pairs);
-                out.push(*checksum);
-            }
-            ShardOutput::Filter {
-                seg_words,
-                hashes,
-                seed,
-                words,
-            } => {
-                debug_assert_eq!(seg_words * hashes, words.len() as u64);
-                out.push(TAG_FILTER);
-                out.push(*seg_words);
-                out.push(*hashes);
-                out.push(*seed);
-                out.extend_from_slice(words);
-            }
+            ShardOutput::JoinAgg { pairs, checksum } => out.extend([*pairs, *checksum]),
         }
         out
     }
@@ -423,25 +381,34 @@ impl ShardOutput {
                 let checksum = c.take()?;
                 ShardOutput::JoinAgg { pairs, checksum }
             }
-            TAG_FILTER => {
-                let seg_words = c.take()?;
-                let hashes = c.take()?;
-                let seed = c.take()?;
-                if seg_words == 0 || hashes == 0 {
-                    return Err(CodecError::Malformed);
-                }
-                let n = seg_words.checked_mul(hashes).ok_or(CodecError::Malformed)?;
-                ShardOutput::Filter {
-                    seg_words,
-                    hashes,
-                    seed,
-                    words: c.take_n(n)?,
-                }
-            }
             other => return Err(CodecError::BadTag(other)),
         };
         c.finish(v)
     }
+}
+
+/// Unpack a delivered [`ShardOutput::Rows`] of `width`-word projected
+/// rows into its row ids and fetch checksum. The delivered rows — not the
+/// shard's summary word — are the source of truth: the checksum is
+/// recomputed from the payload and must agree with the shipped word, in
+/// every build profile.
+pub(crate) fn verified_rows(o: ShardOutput, width: usize) -> Result<(Vec<u64>, u64), CodecError> {
+    let ShardOutput::Rows {
+        width: shipped,
+        ids,
+        flat,
+        checksum,
+    } = o
+    else {
+        return Err(o.unexpected());
+    };
+    if shipped != width as u64 {
+        return Err(CodecError::Malformed);
+    }
+    if rows_payload_checksum(width, &ids, &flat) != checksum {
+        return Err(CodecError::Checksum);
+    }
+    Ok((ids, checksum))
 }
 
 // ---------------------------------------------------------------------------
@@ -502,14 +469,6 @@ impl Default for FailurePlan {
     }
 }
 
-/// Shared fault counters the in-stream harnesses bump; folded into the
-/// report's resilience block after the query completes.
-#[derive(Clone, Default)]
-struct FaultCtx {
-    reboots: Arc<AtomicU64>,
-    drains: Arc<AtomicU64>,
-}
-
 /// Wraps a [`RowPruner`] so a scheduled mid-stream reboot clears its
 /// soft state exactly once (§3): decisions after the reboot start from
 /// an empty structure, forwarding a superset the master's exact
@@ -522,15 +481,45 @@ struct RebootPruner {
     reboots: Arc<AtomicU64>,
 }
 
+impl RebootPruner {
+    fn reboot(&mut self) {
+        self.fired = true;
+        self.inner.reset();
+        self.reboots.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 impl RowPruner for RebootPruner {
     fn process_row(&mut self, row: &[u64]) -> Decision {
         if !self.fired && self.seen >= self.reboot_after {
-            self.fired = true;
-            self.inner.reset();
-            self.reboots.fetch_add(1, Ordering::Relaxed);
+            self.reboot();
         }
         self.seen += 1;
         self.inner.process_row(row)
+    }
+
+    /// The inner pruner's own block path, split once where the scheduled
+    /// reboot falls inside the block — the row path's decisions, without
+    /// its per-entry call.
+    fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
+        let n = out.len();
+        let at = if self.fired {
+            n
+        } else {
+            self.reboot_after.saturating_sub(self.seen).min(n as u64) as usize
+        };
+        self.seen += n as u64;
+        if at == n {
+            return self.inner.process_block(cols, out);
+        }
+        let (head, tail) = out.split_at_mut(at);
+        if at > 0 {
+            let before: Vec<&[u64]> = cols.iter().map(|c| &c[..at]).collect();
+            self.inner.process_block(&before, head);
+        }
+        self.reboot();
+        let after: Vec<&[u64]> = cols.iter().map(|c| &c[at..]).collect();
+        self.inner.process_block(&after, tail);
     }
 
     fn reset(&mut self) {
@@ -546,7 +535,7 @@ impl RowPruner for RebootPruner {
 /// the §6 exception: the registers hold real data, so they are drained
 /// *before* the soft state clears, and the drained partials ride the
 /// FIN residual exactly like §6's packet-riding evictions.
-struct RebootSumStage {
+pub(crate) struct RebootSumStage {
     inner: GroupBySumStage,
     reboot_after: u64,
     seen: u64,
@@ -589,14 +578,14 @@ impl SwitchPhases for RebootSumStage {
 }
 
 // ---------------------------------------------------------------------------
-// The distributed executor.
+// The distributed executor and its wire transport.
 // ---------------------------------------------------------------------------
 
-/// The distributed executor: [`crate::sharded`]'s shard pipelines with
-/// the master-side combine fed by **decoded wire messages** instead of
+/// The distributed executor: [`crate::sharded`]'s shard programs with the
+/// master-side combine fed by **decoded wire messages** instead of
 /// channels, under an injectable [`FailurePlan`]. Result-equivalent to
 /// every other executor at any fault rate short of degraded fallback —
-/// and even degraded shards substitute their exact local outputs, so
+/// and even degraded shards substitute their exact local partials, so
 /// results stay correct; only the transport guarantee weakens.
 #[derive(Debug, Clone)]
 pub struct DistributedExecutor {
@@ -643,6 +632,44 @@ impl DistributedExecutor {
         &self.plan
     }
 
+    /// Run the query's shard program(s) on the wire transport under the
+    /// failure plan. Total over every [`Query`] shape; the returned
+    /// report carries the measured whole-query wall, one switch span per
+    /// shard per pass, the per-fold merge spans, the serial combine tail,
+    /// and the resilience telemetry.
+    pub fn execute_distributed(&self, db: &Database, query: &Query) -> ExecutionReport {
+        let mut wire = Wire::new(&self.plan, self.shards);
+        let mut report = execute_on(&self.inner, &mut wire, db, query);
+        let mut res = wire.res;
+        res.shard_reboots += wire.faults.reboots.load(Ordering::Relaxed);
+        res.register_drains += wire.faults.drains.load(Ordering::Relaxed);
+        report.resilience = Some(res);
+        report
+    }
+}
+
+impl Executor for DistributedExecutor {
+    fn name(&self) -> &'static str {
+        "distributed"
+    }
+
+    fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
+        let mut report = self.execute_distributed(db, query);
+        report.executor = self.name();
+        report
+    }
+}
+
+/// The wire transport's stages: reboot-wrapped per the failure plan
+/// (inert unless it schedules a reboot for the shard), counting into the
+/// shared fault counters.
+struct Faults<'a> {
+    plan: &'a FailurePlan,
+    reboots: Arc<AtomicU64>,
+    drains: Arc<AtomicU64>,
+}
+
+impl Faults<'_> {
     /// The scheduled reboot row for shard `s`, or `u64::MAX` (never).
     fn reboot_after(&self, s: usize) -> u64 {
         self.plan
@@ -651,28 +678,23 @@ impl DistributedExecutor {
             .find(|&&(shard, _)| shard == s)
             .map_or(u64::MAX, |&(_, after)| after)
     }
+}
 
-    /// Shard `s`'s single-phase pruner stage, reboot-wrapped (inert
-    /// unless the plan schedules a reboot for `s`).
-    fn pruner_stage(
-        &self,
-        s: usize,
-        inner: Box<dyn RowPruner + Send>,
-        ctx: &FaultCtx,
-    ) -> PrunerStage {
+impl Site for Faults<'_> {
+    type SumStage = RebootSumStage;
+    const SHIPS: bool = true;
+
+    fn pruner_stage(&self, s: usize, inner: Box<dyn RowPruner + Send>) -> PrunerStage {
         PrunerStage::new(Box::new(RebootPruner {
             inner,
             reboot_after: self.reboot_after(s),
             seen: 0,
             fired: false,
-            reboots: Arc::clone(&ctx.reboots),
+            reboots: Arc::clone(&self.reboots),
         }))
     }
 
-    /// Shard `s`'s GROUP BY SUM/COUNT stage, reboot-wrapped with the
-    /// §6 register drain.
-    fn sum_stage(&self, s: usize, ctx: &FaultCtx) -> RebootSumStage {
-        let cfg = &self.inner.config;
+    fn sum_stage(&self, s: usize, cfg: &PrunerConfig) -> RebootSumStage {
         RebootSumStage {
             inner: GroupBySumStage::new(GroupBySumPruner::new(
                 cfg.groupby_d,
@@ -683,48 +705,73 @@ impl DistributedExecutor {
             seen: 0,
             fired: false,
             drained: Vec::new(),
-            reboots: Arc::clone(&ctx.reboots),
-            drains: Arc::clone(&ctx.drains),
+            reboots: Arc::clone(&self.reboots),
+            drains: Arc::clone(&self.drains),
+        }
+    }
+}
+
+/// The wire transport: compute every shard serially (each shard still
+/// drives its own worker pool), re-dispatching the scripted crashes;
+/// ship every encoded partial through one §7.2 round; fold the decoded
+/// partials in master completion order. Program `k` of a query runs in
+/// round `k`; only round 0 takes the scripted faults.
+struct Wire<'a> {
+    faults: Faults<'a>,
+    shards: usize,
+    round: u16,
+    res: ResilienceReport,
+}
+
+impl<'a> Wire<'a> {
+    fn new(plan: &'a FailurePlan, shards: usize) -> Self {
+        Wire {
+            faults: Faults {
+                plan,
+                reboots: Arc::default(),
+                drains: Arc::default(),
+            },
+            shards,
+            round: 0,
+            res: ResilienceReport::default(),
         }
     }
 
-    /// For multi-pass programs whose in-stream state is not soft (JOIN
-    /// filters, HAVING sketches), a scheduled shard reboot cannot
-    /// resume in-stream — the shard is re-dispatched instead: its
-    /// reboots join the re-dispatch list alongside the scripted compute
-    /// crashes.
-    fn non_resumable_redispatch(
-        &self,
-        shards: usize,
-        resumable: &[usize],
-        res: &mut ResilienceReport,
-    ) -> Vec<usize> {
-        let mut redisp = resumable.to_vec();
-        for &(s, _) in &self.plan.shard_reboots {
-            if s < shards {
-                res.shard_reboots += 1;
-                if !redisp.contains(&s) {
-                    redisp.push(s);
+    /// Shards whose first compute dispatch is discarded: the scripted
+    /// compute crashes, plus — for programs whose in-stream state is not
+    /// soft and so cannot resume in-stream — the scheduled reboots.
+    fn redispatch(&mut self, resumable: bool) -> Vec<usize> {
+        let plan = self.faults.plan;
+        let shards = self.shards;
+        let mut redisp: Vec<usize> = plan
+            .compute_crashes
+            .iter()
+            .copied()
+            .filter(|&s| s < shards)
+            .collect();
+        if !resumable {
+            for &(s, _) in &plan.shard_reboots {
+                if s < shards {
+                    self.res.shard_reboots += 1;
+                    if !redisp.contains(&s) {
+                        redisp.push(s);
+                    }
                 }
             }
         }
         redisp
     }
 
-    /// Ship every shard's encoded output through one §7.2 transport
+    /// Ship every shard's encoded partial through one §7.2 transport
     /// round: chunk to data packets, run worker flows against a
-    /// transparent persistent switch and master, retry incomplete
-    /// flows on fresh flow ids with doubled RTO, and return the
-    /// **decoded** outputs in master completion order (degraded local
-    /// fallbacks, if any, appended in shard order).
-    fn ship(
-        &self,
-        outputs: &[ShardOutput],
-        round: u16,
-        scripted: bool,
-        res: &mut ResilienceReport,
-    ) -> Vec<ShardOutput> {
+    /// transparent persistent switch and master, retry incomplete flows
+    /// on fresh flow ids with doubled RTO. Returns `(shard, delivered
+    /// words)` in master completion order, then every shard that
+    /// exhausted its attempts with `None`.
+    fn ship(&mut self, outputs: &[ShardOutput], round: u16) -> Vec<(usize, Option<Vec<u64>>)> {
         debug_assert!(round <= 3, "flow-id packing supports rounds 0..=3");
+        let plan = self.faults.plan;
+        let res = &mut self.res;
         let shards = outputs.len();
         let payloads: Vec<Vec<Vec<u64>>> =
             outputs.iter().map(|o| chunk_payload(&o.encode())).collect();
@@ -732,7 +779,7 @@ impl DistributedExecutor {
         let mut switch = SwitchNode::transparent();
         let mut pending: Vec<usize> = (0..shards).collect();
         let mut winner: Vec<Option<u16>> = vec![None; shards];
-        for attempt in 0..self.plan.max_attempts {
+        for attempt in 0..plan.max_attempts {
             if pending.is_empty() {
                 break;
             }
@@ -743,12 +790,12 @@ impl DistributedExecutor {
                 .map(|&s| WorkerTx::new(fid(s), payloads[s].clone(), SHIP_WINDOW, rto))
                 .collect();
             let cfg = SimulationConfig {
-                loss_rate: self.plan.loss_rate,
-                dup_rate: self.plan.dup_rate,
-                reorder_rate: self.plan.reorder_rate,
+                loss_rate: plan.loss_rate,
+                dup_rate: plan.dup_rate,
+                reorder_rate: plan.reorder_rate,
                 rto_us: rto,
                 window: SHIP_WINDOW,
-                seed: self.plan.seed
+                seed: plan.seed
                     ^ (u64::from(round) << 32)
                     ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 ..SimulationConfig::default()
@@ -767,10 +814,10 @@ impl DistributedExecutor {
                 deadline_us: Some(SHIP_DEADLINE_RTOS * rto * windows),
                 ..FaultPlan::default()
             };
-            if scripted && attempt == 0 {
-                faults.worker_crashes = self.plan.worker_crashes.clone();
-                faults.switch_reboots = self.plan.switch_reboots.clone();
-                faults.drop_first_fins = self.plan.drop_first_fins;
+            if round == 0 && attempt == 0 {
+                faults.worker_crashes = plan.worker_crashes.clone();
+                faults.switch_reboots = plan.switch_reboots.clone();
+                faults.drop_first_fins = plan.drop_first_fins;
             }
             let stats =
                 Simulation::new(cfg).run_session(&mut workers, &mut switch, &mut master, &faults);
@@ -791,846 +838,115 @@ impl DistributedExecutor {
                     true
                 }
             });
-            if !pending.is_empty() && attempt + 1 < self.plan.max_attempts {
+            if !pending.is_empty() && attempt + 1 < plan.max_attempts {
                 res.retries += pending.len() as u64;
             }
-        }
-        if !pending.is_empty() {
-            res.degraded = true;
         }
         // Completion order: sort finished shards by when their last
         // packet landed at the master. Stale deliveries from earlier
         // (crashed/incomplete) attempts carry other flow ids and are
         // simply never read.
         let delivered = master.delivered();
-        let mut done: Vec<(usize, usize)> = winner
+        let mut done = Vec::with_capacity(shards);
+        for (s, fid) in winner
             .iter()
             .enumerate()
-            .filter_map(|(s, w)| {
-                w.map(|fid| {
-                    let key = delivered
-                        .iter()
-                        .rposition(|&(f, _, _)| f == fid)
-                        .expect("finished flow delivered at least one packet");
-                    (key, s)
-                })
-            })
-            .collect();
+            .filter_map(|(s, w)| Some((s, (*w)?)))
+        {
+            match delivered.iter().rposition(|&(f, _, _)| f == fid) {
+                Some(last) => done.push((last, s, fid)),
+                None => pending.push(s),
+            }
+        }
         done.sort_unstable();
         let mut out = Vec::with_capacity(shards);
-        for (_, s) in done {
-            let fid = winner[s].expect("sorted over finished shards");
+        for (_, s, fid) in done {
             let mut entries: Vec<(u32, &[u64])> = delivered
                 .iter()
                 .filter(|&&(f, _, _)| f == fid)
                 .map(|(_, seq, vals)| (*seq, vals.as_slice()))
                 .collect();
             entries.sort_unstable_by_key(|&(seq, _)| seq);
-            let words: Vec<u64> = entries
-                .into_iter()
-                .flat_map(|(_, v)| v.iter().copied())
-                .collect();
-            out.push(ShardOutput::decode(&words).expect("shipped shard payload round-trips"));
+            let words = entries.into_iter().flat_map(|(_, v)| v.iter().copied());
+            out.push((s, Some(words.collect())));
         }
-        for &s in &pending {
-            out.push(outputs[s].clone());
-        }
+        out.extend(pending.into_iter().map(|s| (s, None)));
         out
     }
-
-    /// Assemble the distributed report: the shared cost-model pricing
-    /// plus the per-shard pass spans, the per-fold merge spans, and the
-    /// serial combine tail. The resilience block attaches afterwards,
-    /// once the whole query (all rounds) has run.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        query: &Query,
-        streamed_rows: u64,
-        stats: PruneStats,
-        passes: u32,
-        fetch_rows: u64,
-        result: QueryResult,
-        pass_walls: Vec<Duration>,
-        merge_walls: Vec<Duration>,
-        combine_wall: Duration,
-    ) -> ExecutionReport {
-        let mut report = self
-            .inner
-            .report(query, streamed_rows, stats, passes, fetch_rows, result);
-        report.pass_walls = pass_walls;
-        report.combine_wall = Some(combine_wall);
-        report.merge_walls = merge_walls;
-        report
-    }
 }
 
-impl Executor for DistributedExecutor {
-    fn name(&self) -> &'static str {
-        "distributed"
+impl Transport for Wire<'_> {
+    fn shards(&self) -> usize {
+        self.shards
     }
 
-    fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let mut report = self.execute_distributed(db, query);
-        report.executor = self.name();
-        report
-    }
-}
-
-/// Run every shard's compute serially (each shard still drives its own
-/// worker pool internally), re-dispatching the scripted crash list:
-/// a re-dispatched shard's first run is computed and **discarded** — as
-/// if the shard died after the work but before shipping — then run
-/// again, so only the successful run's stats enter the report and
-/// processed counts match the deterministic reference exactly.
-fn compute_shards<F>(
-    shards: usize,
-    redispatch: &[usize],
-    res: &mut ResilienceReport,
-    mut compute: F,
-) -> Vec<ShardYield<ShardOutput>>
-where
-    F: FnMut(usize) -> ShardYield<ShardOutput>,
-{
-    (0..shards)
-        .map(|s| {
-            if redispatch.contains(&s) {
-                drop(compute(s));
-                res.redispatches += 1;
-            }
-            compute(s)
-        })
-        .collect()
-}
-
-/// Pass walls in phase-major, shard-minor order — the same layout
-/// [`crate::sharded`] reports, so report consumers need no new cases.
-fn phase_major_walls(yields: &[ShardYield<ShardOutput>]) -> Vec<Duration> {
-    let phases = yields.first().map_or(0, |y| y.phase_walls.len());
-    let mut walls = Vec::with_capacity(phases * yields.len());
-    for p in 0..phases {
-        for y in yields {
-            walls.push(y.phase_walls[p]);
-        }
-    }
-    walls
-}
-
-/// All shards' per-phase stats folded into one total.
-fn stats_sum(yields: &[ShardYield<ShardOutput>]) -> PruneStats {
-    let mut total = PruneStats::default();
-    for y in yields {
-        for s in &y.phase_stats {
-            total.merge(*s);
-        }
-    }
-    total
-}
-
-/// Fold decoded shard outputs in the order the master completed them:
-/// each unpacks into the shape's mergeable value, the first becomes the
-/// accumulator and every later one merges in, with the per-step span
-/// (unpack + merge) recorded.
-fn fold_decoded<T>(
-    decoded: Vec<ShardOutput>,
-    unpack: impl Fn(ShardOutput) -> T,
-    mut merge: impl FnMut(&mut T, T),
-    merge_walls: &mut Vec<Duration>,
-) -> T {
-    let mut it = decoded.into_iter();
-    let mut acc = unpack(it.next().expect("at least one shard output"));
-    for o in it {
-        let t0 = Instant::now();
-        merge(&mut acc, unpack(o));
-        merge_walls.push(t0.elapsed());
-    }
-    acc
-}
-
-/// Unpack a delivered [`ShardOutput::Rows`] into its row ids and fetch
-/// checksum. The delivered projected rows — not the shard's summary word
-/// — are the source of truth: the checksum is recomputed from the payload
-/// and must agree with the shipped word, in every build profile (end-to-end
-/// payload integrity; a mismatch is a corrupted payload the codec could
-/// not see).
-fn verified_rows(o: ShardOutput) -> (Vec<u64>, u64) {
-    let ShardOutput::Rows {
-        width,
-        ids,
-        flat,
-        checksum,
-    } = o
-    else {
-        wrong(&o)
-    };
-    let delivered = rows_payload_checksum(width as usize, &ids, &flat);
-    assert_eq!(
-        delivered, checksum,
-        "shipped fetch payload diverged from shard checksum"
-    );
-    (ids, delivered)
-}
-
-/// A shard shipped a variant its query shape never encodes — only
-/// reachable through a bug, never through wire garbage (decode already
-/// rejected that).
-fn wrong(o: &ShardOutput) -> ! {
-    panic!("shard shipped a mismatched output variant: {o:?}")
-}
-
-impl DistributedExecutor {
-    /// Run the query across the shard pipelines, ship every shard's
-    /// encoded phase output over the §7.2 transport under the failure
-    /// plan, and fold the decoded messages in completion order. Total
-    /// over every [`Query`] shape; the returned report carries the
-    /// measured whole-query wall, one switch span per shard per pass,
-    /// the per-fold merge spans, the serial combine tail, and the
-    /// resilience telemetry.
-    pub fn execute_distributed(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let shards = self.shards;
-        let workers = self.inner.model.workers;
-        let cfg = &self.inner.config;
-        let started = Instant::now();
-        let mut res = ResilienceReport::default();
-        let ctx = FaultCtx::default();
-        let resumable: Vec<usize> = self
-            .plan
-            .compute_crashes
-            .iter()
-            .copied()
-            .filter(|&s| s < shards)
-            .collect();
-        let mut report = match query {
-            Query::FilterCount { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: cols.len(),
-                        }],
-                        self.pruner_stage(s, backend::filter(cfg, predicate), &ctx),
-                        0u64,
-                        // Master re-checks the full predicate on
-                        // survivors, so a rebooted switch's extra
-                        // forwards change nothing.
-                        |count, _, block| {
-                            block.for_each_row(|row| {
-                                if predicate.eval(row) {
-                                    *count += 1;
-                                }
-                            });
-                        },
-                        |_, count| ShardOutput::Count(count),
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let total = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::Count(c) => c,
-                        other => wrong(&other),
-                    },
-                    |acc, c| *acc += c,
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::Count(total),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Filter { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let npred = cols.len();
-                let proj = query.projection(t, &cfg.fetch);
-                let proj = &proj;
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, true),
-                            visible_cols: npred,
-                        }],
-                        self.pruner_stage(s, backend::filter(cfg, predicate), &ctx),
-                        Vec::<u64>::new(),
-                        // Rows arrive [pred cols…, rid]; the trailing
-                        // row id rode switch-blind.
-                        |ids, _, block| {
-                            block.for_each_row(|row| {
-                                if predicate.eval(row) {
-                                    ids.push(row[npred]);
-                                }
-                            });
-                        },
-                        // §7.1 late materialization runs per shard
-                        // before encoding: the projected rows themselves
-                        // ship to the master, and the checksum fold is
-                        // commutative, so shard partials just sum.
-                        |_, ids| {
-                            let (flat, checksum) = fetch_rows_flat(t, proj.cols(), &ids);
-                            ShardOutput::Rows {
-                                width: proj.width() as u64,
-                                ids,
-                                flat,
-                                checksum,
-                            }
-                        },
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let (ids, checksum) = fold_decoded(
-                    decoded,
-                    verified_rows,
-                    |acc, (mut ids, checksum)| {
-                        acc.0.append(&mut ids);
-                        acc.1 = acc.1.wrapping_add(checksum);
-                    },
-                    &mut merge_walls,
-                );
-                let fetch = ids.len() as u64;
-                let mut report = self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    fetch,
-                    QueryResult::row_ids(ids),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                );
-                report.fetch_checksum = Some(checksum);
-                report
-            }
-            Query::Distinct { table, column } => {
-                let t = db.table(table);
-                let cols = [t.col_index(column)];
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: 1,
-                        }],
-                        self.pruner_stage(s, backend::distinct(cfg), &ctx),
-                        Vec::<u64>::new(),
-                        |values, _, block| block.extend_lane_into(0, values),
-                        // Canonicalize per shard: a rebooted switch's
-                        // re-forwarded duplicates vanish here, so the
-                        // wire ships the same exact run either way.
-                        |_, mut values| {
-                            values.sort_unstable();
-                            values.dedup();
-                            ShardOutput::Values(values)
-                        },
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let values = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::Values(v) => v,
-                        other => wrong(&other),
-                    },
-                    |acc, mut v| acc.append(&mut v),
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::values(values),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::DistinctMulti { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let width = cols.len();
-                let fp = tuple_fingerprinter(cfg);
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    let partitions = split_range(bounds[s].0, bounds[s].1, workers)
-                        .into_iter()
-                        .map(|(ws, we)| {
-                            let slices: Vec<&[u64]> =
-                                cols.iter().map(|&c| &t.col_at(c)[ws..we]).collect();
-                            let mut lanes = vec![Lane::Fingerprint {
-                                cols: slices.clone(),
-                                fp: &fp,
-                            }];
-                            lanes.extend(slices.into_iter().map(Lane::Slice));
-                            LanePartition {
-                                rows: we - ws,
-                                lanes,
-                            }
-                        })
-                        .collect();
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions,
-                            visible_cols: 1,
-                        }],
-                        self.pruner_stage(s, backend::distinct(cfg), &ctx),
-                        Vec::<u64>::new(),
-                        |flat, _, block| {
-                            block.for_each_row(|row| flat.extend_from_slice(&row[1..]));
-                        },
-                        // Sort + dedup per shard in the flat buffer: the
-                        // canonical run is what ships.
-                        |_, flat| {
-                            let (width, flat) = TupleRun::canonical(width, flat).into_parts();
-                            ShardOutput::Tuples { width, flat }
-                        },
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                // A delivered run is re-verified canonical, not trusted.
-                let tuples = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::Tuples { width, flat } => {
-                            TupleRun::canonical(width as usize, flat)
-                        }
-                        other => wrong(&other),
-                    },
-                    TupleRun::merge,
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    tuples.into_points(),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::TopN { table, order_by, n } => {
-                let t = db.table(table);
-                let cols = [t.col_index(order_by)];
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: 1,
-                        }],
-                        self.pruner_stage(s, backend::topn(cfg, *n), &ctx),
-                        Vec::<u64>::new(),
-                        |values, _, block| block.extend_lane_into(0, values),
-                        // Every true shard winner is in the forwarded
-                        // superset, so sort-desc + truncate is exact
-                        // even after a reboot.
-                        |_, mut values| {
-                            values.sort_unstable_by(|a, b| b.cmp(a));
-                            values.truncate(*n);
-                            ShardOutput::TopCandidates(values)
-                        },
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let top = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::TopCandidates(v) => v,
-                        other => wrong(&other),
-                    },
-                    |acc, v| merge_top(acc, v, *n),
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    *n as u64,
-                    QueryResult::top_values(top, *n),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Max | Agg::Min),
-            } => {
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let ext = if *agg == Agg::Max {
-                    Extremum::Max
-                } else {
-                    Extremum::Min
-                };
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: 2,
-                        }],
-                        self.pruner_stage(s, backend::groupby(cfg, ext), &ctx),
-                        GroupSink::new(*agg),
-                        |groups, _, block| {
-                            groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
-                        },
-                        // Exact extrema recomputed over the forwarded
-                        // superset — reboot-safe by construction.
-                        |_, groups| ShardOutput::Extrema(groups.finish().into_pairs()),
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let groups = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::Extrema(pairs) => GroupRun::fold(pairs, *agg),
-                        other => wrong(&other),
-                    },
-                    GroupRun::merge,
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::Groups(groups.into_groups()),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Sum | Agg::Count),
-            } => {
-                // Hash-sharded mode (§6 register aggregation): keys are
-                // disjoint across shards, so the drained totals ship as
-                // plain pairs and the fold is a disjoint map union. The
-                // partition is computed once; a re-dispatched shard
-                // streams the same lanes again.
-                let t = db.table(table);
-                let mut lanes = vec![t.col_at(t.col_index(key))];
-                if *agg == Agg::Sum {
-                    lanes.push(t.col_at(t.col_index(val)));
-                }
-                let partition = key_partition(cfg, &lanes, shards, false);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    let stage = self.sum_stage(s, &ctx);
-                    match &partition {
-                        Some(p) => sum_shard(cfg, &p[s], stage, workers),
-                        None => sum_shard(cfg, &lanes, stage, workers),
-                    }
-                    .map(|sums| ShardOutput::SumDrain(sums.into_run().into_pairs()))
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let totals = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::SumDrain(pairs) => GroupRun::fold(pairs, Agg::Sum),
-                        other => wrong(&other),
-                    },
-                    GroupRun::merge,
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::Groups(totals.into_groups()),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Having {
-                table,
-                key,
-                val,
-                threshold,
-            } => {
-                // Round 0 ships the per-shard sketches; the master
-                // rebuilds and cell-merges them, then round 1 ships
-                // exact candidate sums. Sketch state is not soft under
-                // the two-pass contract, so scheduled shard reboots
-                // re-dispatch instead of resuming.
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let bounds = t.partition_bounds(shards);
-                let redisp = self.non_resumable_redispatch(shards, &resumable, &mut res);
-                let sketches = compute_shards(shards, &redisp, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: 2,
-                        }],
-                        HavingShardSketch::new(HavingPruner::new(
-                            cfg.having_d,
-                            cfg.having_w,
-                            *threshold,
-                            cfg.seed,
-                        )),
-                        (),
-                        // Shard-local announcements are not global
-                        // candidates; the merged sketch recomputes
-                        // them in pass 2.
-                        |(), _, _block| {},
-                        |program, ()| {
-                            let pruner = program.into_pruner();
-                            ShardOutput::Sketch {
-                                d: cfg.having_d as u64,
-                                w: cfg.having_w as u64,
-                                threshold: pruner.threshold(),
-                                seed: cfg.seed,
-                                counters: pruner.sketch().counters().to_vec(),
-                            }
-                        },
-                    )
-                });
-                let mut stats = stats_sum(&sketches);
-                let mut walls = phase_major_walls(&sketches);
-                let outputs: Vec<ShardOutput> = sketches.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let merged = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::Sketch {
-                            d,
-                            w,
-                            threshold,
-                            seed,
-                            counters,
-                        } => HavingPruner::from_sketch(
-                            CountMinSketch::from_parts(d as usize, w as usize, seed, counters),
-                            threshold,
-                        ),
-                        other => wrong(&other),
-                    },
-                    |acc, sketch| acc.merge(&sketch),
-                    &mut merge_walls,
-                );
-                let probes = compute_shards(shards, &[], &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: 2,
-                        }],
-                        HavingShardProbe::new(merged.clone()),
-                        GroupSink::new(Agg::Sum),
-                        |sums, _, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
-                        |_, sums| ShardOutput::CandidateSums(sums.finish().into_pairs()),
-                    )
-                });
-                stats.merge(stats_sum(&probes));
-                walls.extend(phase_major_walls(&probes));
-                let outputs: Vec<ShardOutput> = probes.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 1, false, &mut res);
-                let combine_t0 = Instant::now();
-                let sums = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::CandidateSums(pairs) => GroupRun::fold(pairs, Agg::Sum),
-                        other => wrong(&other),
-                    },
-                    GroupRun::merge,
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    2 * t.rows() as u64,
-                    stats,
-                    2,
-                    0,
-                    sums.keys_above(*threshold),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                // Partition-local pairing, as on the sharded executor;
-                // only the commutative (pairs, checksum) aggregates
-                // cross the wire. Build filters are not soft state
-                // under the two-phase contract, so scheduled shard
-                // reboots re-dispatch — over the same key partition,
-                // computed once.
-                let l = db.table(left);
-                let r = db.table(right);
-                let lc = l.col_index(left_col);
-                let rc = r.col_index(right_col);
-                let rows = (l.rows() + r.rows()) as u64;
-                let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
-                let redisp = self.non_resumable_redispatch(shards, &resumable, &mut res);
-                let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], shards, true);
-                let sides = side(l, lc).zip(side(r, rc));
-                let yields = compute_shards(shards, &redisp, &mut res, |s| {
-                    let lanes = sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
-                    join_shard(cfg, (l, lc), (r, rc), asymmetric, lanes, workers)
-                        .map(|(pairs, checksum)| ShardOutput::JoinAgg { pairs, checksum })
-                });
-                // Symmetric: only the probe pass makes real decisions;
-                // asymmetric: both single-stream passes do.
-                let stats = if asymmetric {
-                    stats_sum(&yields)
-                } else {
-                    let mut total = PruneStats::default();
-                    for y in &yields {
-                        total.merge(y.phase_stats[1]);
-                    }
-                    total
-                };
-                let streamed = if asymmetric { rows } else { 2 * rows };
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let (pairs, checksum) = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::JoinAgg { pairs, checksum } => (pairs, checksum),
-                        other => wrong(&other),
-                    },
-                    |acc, (pairs, checksum)| {
-                        acc.0 += pairs;
-                        acc.1 = acc.1.wrapping_add(checksum);
-                    },
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    streamed,
-                    stats,
-                    2,
-                    pairs,
-                    QueryResult::JoinSummary { pairs, checksum },
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Skyline { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let dims = cols.len();
-                let bounds = t.partition_bounds(shards);
-                let yields = compute_shards(shards, &resumable, &mut res, |s| {
-                    run_shard(
-                        vec![PhaseInput {
-                            partitions: range_parts(t, &cols, bounds[s], workers, false),
-                            visible_cols: dims,
-                        }],
-                        self.pruner_stage(s, backend::skyline(cfg, dims), &ctx),
-                        Vec::<Vec<u64>>::new(),
-                        |points, _, block| {
-                            block.for_each_row(|row| points.push(row.to_vec()));
-                        },
-                        // The local frontier of the forwarded superset
-                        // is the shard's exact frontier.
-                        |_, points| ShardOutput::Tuples {
-                            width: dims as u64,
-                            flat: skyline_of(&points).into_iter().flatten().collect(),
-                        },
-                    )
-                });
-                let stats = stats_sum(&yields);
-                let walls = phase_major_walls(&yields);
-                let outputs: Vec<ShardOutput> = yields.into_iter().map(|y| y.value).collect();
-                let decoded = self.ship(&outputs, 0, true, &mut res);
-                let mut merge_walls = Vec::new();
-                let combine_t0 = Instant::now();
-                let union = fold_decoded(
-                    decoded,
-                    |o| match o {
-                        ShardOutput::Tuples { flat, .. } => flat,
-                        other => wrong(&other),
-                    },
-                    |acc, mut flat| acc.append(&mut flat),
-                    &mut merge_walls,
-                );
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::points(skyline_of(&explode(dims, &union))),
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
+    fn run<P: ShardProgram>(&mut self, program: &P) -> Reduced<P::Partial> {
+        let round = self.round;
+        self.round += 1;
+        let redispatch = if round == 0 {
+            self.redispatch(program.resumable())
+        } else {
+            Vec::new()
         };
-        res.shard_reboots += ctx.reboots.load(Ordering::Relaxed);
-        res.register_drains += ctx.drains.load(Ordering::Relaxed);
-        report.resilience = Some(res);
-        report.wall = Some(started.elapsed());
-        report
+        // A re-dispatched shard's first run is computed and **discarded**
+        // — as if the shard died after the work but before shipping —
+        // then run again, so only the successful run's stats enter the
+        // report and processed counts match the reference exactly.
+        let (faults, res) = (&self.faults, &mut self.res);
+        let yields: Vec<_> = (0..self.shards)
+            .map(|s| {
+                if redispatch.contains(&s) {
+                    drop(program.shard(s, faults));
+                    res.redispatches += 1;
+                }
+                program.shard(s, faults)
+            })
+            .collect();
+        // Pass walls phase-major, shard-minor: the in-process layout.
+        let phases = yields.first().map_or(0, |y| y.phase_walls.len());
+        let mut phase_stats = vec![PruneStats::default(); phases];
+        let mut pass_walls = Vec::with_capacity(phases * yields.len());
+        for (p, stats) in phase_stats.iter_mut().enumerate() {
+            for y in &yields {
+                stats.merge(y.phase_stats[p]);
+                pass_walls.push(y.phase_walls[p]);
+            }
+        }
+        let local: Vec<ShardOutput> = yields
+            .into_iter()
+            .map(|y| program.encode(y.value))
+            .collect();
+        // Fold in completion order, timing each step (decode + merge). A
+        // shard that never arrived, or arrived as something its program
+        // refuses, degrades to its exact local partial.
+        let mut merge_walls = Vec::new();
+        let mut merged = None;
+        for (s, words) in self.ship(&local, round) {
+            let t0 = Instant::now();
+            let delivered = words.map(|w| ShardOutput::decode(&w).and_then(|o| program.decode(o)));
+            let partial = match delivered {
+                Some(Ok(partial)) => partial,
+                _ => {
+                    self.res.degraded = true;
+                    program
+                        .decode(local[s].clone())
+                        .expect("a shard's own partial decodes")
+                }
+            };
+            match &mut merged {
+                None => merged = Some(partial),
+                Some(acc) => {
+                    program.merge(acc, partial);
+                    merge_walls.push(t0.elapsed());
+                }
+            }
+        }
+        Reduced {
+            value: merged.expect("at least one shard"),
+            phase_stats,
+            pass_walls,
+            merge_walls,
+        }
     }
 }
 
@@ -1639,27 +955,13 @@ mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
+    use crate::master::fetch_rows_flat;
+    use crate::query::Agg;
     use crate::reference;
-    use crate::table::Table;
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.add(Table::new(
-            "t",
-            vec![
-                ("k", (0..6_000u64).map(|i| i * 7 % 83 + 1).collect()),
-                ("v", (0..6_000u64).map(|i| i * 31 % 9_973).collect()),
-            ],
-        ));
-        db.add(Table::new(
-            "s",
-            vec![
-                ("k", (0..2_000u64).map(|i| i * 11 % 140 + 40).collect()),
-                ("x", (0..2_000u64).map(|i| i * 3 % 97).collect()),
-            ],
-        ));
-        db
-    }
+    use crate::sharded::tests::db;
+    use crate::sharded::ShardYield;
+    use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
+    use std::time::Duration;
 
     fn shapes() -> Vec<Query> {
         vec![
@@ -1741,12 +1043,6 @@ mod tests {
                 pairs: 12,
                 checksum: 0x55,
             },
-            ShardOutput::Filter {
-                seg_words: 2,
-                hashes: 2,
-                seed: 3,
-                words: vec![0xff, 0, 1, 2],
-            },
         ];
         for v in variants {
             let words = v.encode();
@@ -1775,12 +1071,20 @@ mod tests {
         let ShardOutput::Rows { checksum, .. } = shipped_rows() else {
             unreachable!()
         };
-        assert_eq!(verified_rows(shipped_rows()), (vec![3, 1, 99], checksum));
+        assert_eq!(
+            verified_rows(shipped_rows(), 2),
+            Ok((vec![3, 1, 99], checksum))
+        );
+        // Another shape's variant, or rows of another width, are refused.
+        assert_eq!(
+            verified_rows(ShardOutput::Count(3), 2),
+            Err(CodecError::BadTag(TAG_COUNT))
+        );
+        assert_eq!(verified_rows(shipped_rows(), 3), Err(CodecError::Malformed));
     }
 
-    /// `assert_eq!`, not `debug_assert_eq!`: this fails in release too.
+    /// The check runs in every build profile and reports, not panics.
     #[test]
-    #[should_panic(expected = "shipped fetch payload diverged")]
     fn one_flipped_payload_word_fails_the_integrity_check() {
         let mut rows = shipped_rows();
         let ShardOutput::Rows { flat, .. } = &mut rows else {
@@ -1788,7 +1092,7 @@ mod tests {
         };
         flat[4] ^= 1;
         let rows = ShardOutput::decode(&rows.encode()).expect("still a well-formed frame");
-        verified_rows(rows);
+        assert_eq!(verified_rows(rows, 2), Err(CodecError::Checksum));
     }
 
     #[test]
@@ -1839,6 +1143,89 @@ mod tests {
             ShardOutput::decode(&[TAG_COUNT, 7, 8]),
             Err(CodecError::Trailing)
         );
+    }
+
+    /// The reboot wrapper's block path makes the row path's decisions and
+    /// reboots as often, wherever the scheduled reboot falls: never, on
+    /// the first entry, mid-block, exactly on a block boundary, or on the
+    /// last entry.
+    #[test]
+    fn reboot_block_path_equals_the_row_path() {
+        const BLOCK: usize = 64;
+        let keys: Vec<u64> = (0..5 * BLOCK as u64).map(|i| i * 7 % 23).collect();
+        let last = keys.len() as u64 - 1;
+        for reboot_after in [u64::MAX, 0, 100, 2 * BLOCK as u64, last] {
+            let wrapped = || {
+                let reboots = Arc::new(AtomicU64::new(0));
+                let pruner = RebootPruner {
+                    inner: Box::new(DistinctPruner::new(8, 2, EvictionPolicy::Lru, 5)),
+                    reboot_after,
+                    seen: 0,
+                    fired: false,
+                    reboots: Arc::clone(&reboots),
+                };
+                (pruner, reboots)
+            };
+            let (mut rows, row_reboots) = wrapped();
+            let by_row: Vec<Decision> = keys.iter().map(|&k| rows.process_row(&[k])).collect();
+            let (mut blocks, block_reboots) = wrapped();
+            let mut by_block = vec![Decision::Prune; keys.len()];
+            for (lane, out) in keys.chunks(BLOCK).zip(by_block.chunks_mut(BLOCK)) {
+                blocks.process_block(&[lane], out);
+            }
+            assert_eq!(by_block, by_row, "reboot after {reboot_after}");
+            let count = |r: &Arc<AtomicU64>| r.load(Ordering::Relaxed);
+            assert_eq!(count(&block_reboots), count(&row_reboots));
+            assert_eq!(count(&row_reboots), u64::from(reboot_after != u64::MAX));
+        }
+    }
+
+    /// Shard `s` contributes `s + 1`; the first delivery decoded is
+    /// refused, as a payload corrupted in flight would be.
+    struct RefuseFirst(AtomicU64);
+
+    impl ShardProgram for RefuseFirst {
+        type Partial = u64;
+        type Root = u64;
+
+        fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<u64> {
+            ShardYield {
+                value: s as u64 + 1,
+                phase_stats: vec![PruneStats::default()],
+                phase_walls: vec![Duration::ZERO],
+            }
+        }
+
+        fn merge(&self, acc: &mut u64, other: u64) {
+            *acc += other;
+        }
+
+        fn encode(&self, v: u64) -> ShardOutput {
+            ShardOutput::Count(v)
+        }
+
+        fn decode(&self, output: ShardOutput) -> Result<u64, CodecError> {
+            match output {
+                _ if self.0.fetch_add(1, Ordering::Relaxed) == 0 => Err(CodecError::Checksum),
+                ShardOutput::Count(v) => Ok(v),
+                other => Err(other.unexpected()),
+            }
+        }
+
+        fn root(&self, v: u64) -> u64 {
+            v
+        }
+    }
+
+    #[test]
+    fn a_refused_delivery_degrades_to_the_local_partial() {
+        let plan = FailurePlan::default();
+        let mut wire = Wire::new(&plan, 3);
+        let reduced = wire.run(&RefuseFirst(AtomicU64::new(0)));
+        assert_eq!(reduced.value, 1 + 2 + 3, "the local partial stands in");
+        assert!(wire.res.degraded, "a refused delivery is reported");
+        assert_eq!(wire.res.retries, 0, "the wire itself delivered everything");
+        assert_eq!(reduced.pass_walls.len(), 3);
     }
 
     #[test]

@@ -281,36 +281,13 @@ impl Executor for CheetahExecutor {
 pub struct ThreadedExecutor {
     /// Configuration shared with the deterministic executor.
     pub inner: CheetahExecutor,
-    /// Pick the pool size per query from sampled block throughput
-    /// instead of `inner.model.workers` (off by default).
-    adaptive: bool,
 }
 
 impl ThreadedExecutor {
-    /// Wrap a configured Cheetah executor (fixed worker count from its
-    /// cost model).
+    /// Wrap a configured Cheetah executor (worker count from its cost
+    /// model).
     pub fn new(inner: CheetahExecutor) -> Self {
-        ThreadedExecutor {
-            inner,
-            adaptive: false,
-        }
-    }
-
-    /// Cuttlefish-style per-query tuning knob: sample the first few
-    /// blocks' switch throughput and pick the worker count from
-    /// {1, 2, 4, 8} per query (see
-    /// [`CheetahExecutor::adaptive_workers`]), instead of the cost
-    /// model's fixed constant.
-    pub fn with_adaptive_workers(inner: CheetahExecutor) -> Self {
-        ThreadedExecutor {
-            inner,
-            adaptive: true,
-        }
-    }
-
-    /// Whether this executor tunes its pool size per query.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
+        ThreadedExecutor { inner }
     }
 }
 
@@ -320,19 +297,7 @@ impl Executor for ThreadedExecutor {
     }
 
     fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let mut report = if self.adaptive {
-            let workers = self.inner.adaptive_workers(db, query);
-            let tuned = CheetahExecutor {
-                model: crate::cost::CostModel {
-                    workers,
-                    ..self.inner.model
-                },
-                config: self.inner.config.clone(),
-            };
-            tuned.execute_threaded(db, query)
-        } else {
-            self.inner.execute_threaded(db, query)
-        };
+        let mut report = self.inner.execute_threaded(db, query);
         report.executor = self.name();
         report
     }

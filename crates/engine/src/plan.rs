@@ -1,11 +1,9 @@
 //! Cost-based query planning: pick the executor, its grid knobs, and the
 //! join flow per query — then measure how wrong the estimate was.
 //!
-//! The engine has seven ways to complete a query but, until this module,
-//! nothing that *chooses* among them: callers hardcoded an executor and
-//! the Cuttlefish-style samplers ([`CheetahExecutor::adaptive_workers`],
-//! [`crate::sharded::ShardedExecutor::with_adaptive_shards`]) each probed
-//! the stream in isolation. [`PlannerExecutor`] closes the loop, Bonsai
+//! The engine has seven ways to complete a query, and this module is the
+//! one place that *chooses* among them and sizes their grid knobs (worker
+//! count, shard count). [`PlannerExecutor`] closes the loop, Bonsai
 //! style — compile the whole configuration up front from measured
 //! calibration inputs, then record estimate-vs-actual so a misprediction
 //! is visible telemetry, not a silent slowdown:
@@ -40,6 +38,7 @@ use std::time::Instant;
 
 use cheetah_core::decision::{Decision, RowPruner};
 use cheetah_core::distinct::EvictionPolicy;
+use cheetah_core::having::HavingPruner;
 use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 
 use crate::backend::JoinFlow;
@@ -48,12 +47,12 @@ use crate::cost::CostModel;
 use crate::dag::{DagPipeline, DagStage};
 use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
+use crate::master::GroupRun;
 use crate::query::{Agg, FetchSpec, Query};
-use crate::sharded::{sampled_merge_cost, ShardedExecutor};
+use crate::sharded::{merge_top, ShardedExecutor};
 use crate::table::Database;
 
-/// The worker-count grid the threaded arm races (same arms as
-/// [`CheetahExecutor::adaptive_workers`] always used).
+/// The worker-count grid the threaded arm races.
 pub const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// The shard-count grid the sharded/distributed arms race.
@@ -76,10 +75,8 @@ pub const DIST_SETUP_S: f64 = 2.0e-3;
 pub const DIST_WIRE_FACTOR: f64 = 3.0;
 
 /// The shared per-query calibration context: one throughput probe + one
-/// timed representative merge, read by **every** grid. Hoisting the probe
-/// here is what deduplicates the sampling path — before,
-/// `adaptive_workers` and `with_adaptive_shards` each re-sampled the
-/// same first blocks.
+/// timed representative merge, read by **every** grid, so the stream is
+/// sampled once per query however many grids ask.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanContext {
     sample: Option<ThroughputSample>,
@@ -128,9 +125,8 @@ impl PlanContext {
     }
 
     /// The worker-count arm from [`WORKER_GRID`]: short streams get one
-    /// worker (thread setup would dominate), long streams the full pool.
-    /// Same thresholds [`CheetahExecutor::adaptive_workers`] always used;
-    /// both now read this shared context.
+    /// worker (thread setup would dominate), long streams the full pool so
+    /// serialization and master completion overlap the pruning.
     pub fn adaptive_workers(&self) -> usize {
         match self.est_switch_s() {
             s if s < 0.5e-3 => 1,
@@ -142,10 +138,9 @@ impl PlanContext {
 
     /// The shard-count arm minimizing
     /// `switch_wall / min(n, cores) + merge_cost × log2(n) + setup × (n − 1)`
-    /// over [`SHARD_GRID`] — the race behind
-    /// [`crate::sharded::ShardedExecutor::with_adaptive_shards`], now
-    /// capped by the measured core count: shards beyond the cores can
-    /// only time-slice, so they are charged setup without speedup.
+    /// over [`SHARD_GRID`], capped by the measured core count: shards
+    /// beyond the cores can only time-slice, so they are charged setup
+    /// without speedup.
     pub fn planned_shards(&self) -> usize {
         if self.sample.is_none() {
             return 1;
@@ -162,6 +157,43 @@ impl PlanContext {
             }
         }
         best.1
+    }
+}
+
+/// Time one representative merge of the query shape's shard partials —
+/// the per-stage cost the reduction tree pays per level. Shapes whose
+/// merge is a buffer append or an integer sum (partition-local JOIN, the
+/// range shapes) are effectively free per stage.
+fn sampled_merge_cost(cfg: &PrunerConfig, query: &Query) -> f64 {
+    match query {
+        Query::GroupBy {
+            agg: Agg::Sum | Agg::Count,
+            ..
+        } => {
+            // Two register matrices' worth of disjoint-ish keys: the
+            // worst-case run a tree stage can see.
+            let cells = (cfg.groupby_d * cfg.groupby_w) as u64;
+            let run = |salt| GroupRun::fold((0..cells).map(|i| (i ^ salt, 1)).collect(), Agg::Sum);
+            let (mut a, b) = (run(0), run(0x5555));
+            let t0 = Instant::now();
+            a.merge(b);
+            t0.elapsed().as_secs_f64()
+        }
+        Query::Having { threshold, .. } => {
+            let mut a = HavingPruner::new(cfg.having_d, cfg.having_w, *threshold, cfg.seed);
+            let b = HavingPruner::new(cfg.having_d, cfg.having_w, *threshold, cfg.seed);
+            let t0 = Instant::now();
+            a.merge(&b);
+            t0.elapsed().as_secs_f64()
+        }
+        Query::TopN { n, .. } => {
+            let mut a: Vec<u64> = (0..*n as u64).rev().collect();
+            let b: Vec<u64> = (0..*n as u64).rev().collect();
+            let t0 = Instant::now();
+            merge_top(&mut a, b, *n);
+            t0.elapsed().as_secs_f64()
+        }
+        _ => 0.0,
     }
 }
 

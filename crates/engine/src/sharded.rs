@@ -1,78 +1,62 @@
-//! Sharded multi-switch execution behind the [`Executor`] seam.
+//! Sharded multi-switch execution behind the [`Executor`] seam: one shard
+//! program per query shape, run over one of two transports.
 //!
 //! The paper scales past one switch by partitioning data across workers
 //! that each run the same pruning program, with a master-side combine
-//! (§7–§8's Spark integration; §9's switch trees). This module is that
-//! design at engine scale: [`ShardedExecutor`] splits a query's entry
-//! stream into `N` shard-local [`LanePartition`] views — zero-copy range
-//! splits by default ([`crate::stream::split_range`]); for the
-//! key-partitioned shapes the lanes of **one hash partition a query**
-//! ([`crate::stream::hash_partition`]: each key hashed once, every shard
-//! fed from the same pass, before any shard starts) — and runs each shard
-//! as an independent persistent-pool + watermark pipeline, reusing
-//! [`crate::threaded::run_phases_each`] verbatim per shard.
+//! (§7–§8's Spark integration; §9's switch trees). The deployment decides
+//! only how the partial results travel, so this module writes the program
+//! once and the travel twice:
 //!
-//! What a single switch gets for free, a shard set must *combine* — and
-//! the combine used to be a wall: a barrier on every shard, then one
-//! serial master loop over all shard state. It is now a **streaming
-//! binomial reduction** (`sharded_tree`): shards form a reduction
-//! tree, every node merges child state *as it arrives* (overlapping
-//! shards still streaming), and the per-shape merges are the associative
-//! operators the shapes already had:
-//!
-//! * **Top-N** — bounded sorted merge of per-shard candidate lists
-//!   (every global winner is a shard winner);
-//! * **GROUP BY SUM/COUNT** — keys are hash-partitioned across shards
-//!   (`sum_shard`, shared with the distributed arm), so register
-//!   partials re-aggregate pairwise through
-//!   [`crate::multipass::ShardSums::merge`], merge-time evictions riding
-//!   the overflow exactly like §6's packet-riding evictions;
-//! * **DistinctMulti** — fingerprint-union over flat per-shard tuple
-//!   lanes (one buffer per shard, no per-row allocation);
-//! * **JOIN** — **partition-local pairing**: both sides are
-//!   hash-sharded by join key with one salt, so every occurrence of a
-//!   key co-locates on one shard and each shard runs its *own* complete
-//!   two-phase build/probe flow — its filters sized from the rows of
-//!   its partition — and its own pairing (`join_shard`). The
-//!   reduction then just sums the commutative pair counts and checksums:
-//!   no global pairing and no cross-shard filter broadcast.
-//!   Lopsided tables take the §4.3 asymmetric flow inside each shard;
-//! * **HAVING** — per-shard Count-Min sketches tree-merge cell-wise
-//!   ([`cheetah_core::having::HavingPruner::merge`]) **before** any
-//!   shard runs pass 2, so candidates reflect global key mass (a key
-//!   whose sum straddles shards is never lost);
-//! * **Skyline** — each shard reduces its forwarded superset to its
-//!   local frontier before merging (a global skyline point dominates
-//!   within its shard too, so nothing exact is lost).
+//! * A `ShardProgram` is one query shape's shard body (phase inputs →
+//!   switch stage → master sink → finish, yielding a *partial* that is
+//!   canonical before it leaves the shard), the associative `merge` of
+//!   two partials, their wire form (`encode` / `decode` over
+//!   [`ShardOutput`], typed errors instead of panics) and the `root` that
+//!   turns the merged partial into the answer. HAVING is two programs
+//!   joined by the merged-sketch broadcast. Shards stream shard-local
+//!   [`LanePartition`] views: zero-copy range splits
+//!   ([`crate::stream::split_range`]), or, for the key-partitioned shapes
+//!   (JOIN, GROUP BY SUM/COUNT), the lanes of **one hash partition a
+//!   query** ([`crate::stream::hash_partition`]: each key hashed once,
+//!   before any shard starts).
+//! * A `Transport` runs every shard of a program and reduces the
+//!   partials, lending the shard bodies their stages (`Site`).
+//!   `InProcess` ([`ShardedExecutor`]) runs one thread per shard on the
+//!   plain stages and merges through a **streaming binomial reduction**
+//!   (`sharded_tree`): every node merges child partials as they arrive,
+//!   overlapping shards still streaming. The wire transport
+//!   ([`crate::distributed`]) runs reboot-injecting stages, ships each
+//!   encoded partial over the §7.2 protocol and folds the decoded ones in
+//!   completion order.
 //!
 //! Reports carry one measured switch span per shard per pass in
 //! [`ExecutionReport::pass_walls`] (shard-major within each pass), the
-//! per-node merge spans in [`ExecutionReport::merge_walls`], and the
-//! serial master tail (result canonicalization after the reduction
-//! root yields) in [`ExecutionReport::combine_wall`]. Shard count comes
-//! from [`ShardedExecutor::with_shards`] or, Cuttlefish style, from a
-//! sampled cost race over the {1, 2, 4, 8} grid that includes the
-//! measured merge cost ([`ShardedExecutor::with_adaptive_shards`]).
+//! merge spans in [`ExecutionReport::merge_walls`], and the serial root
+//! (result canonicalization after the last merge) in
+//! [`ExecutionReport::combine_wall`].
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use cheetah_core::decision::PruneStats;
+use cheetah_core::decision::{PruneStats, RowPruner};
+use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::{Extremum, GroupBySumPruner};
-use cheetah_core::having::HavingPruner;
+use cheetah_core::having::{CountMinSketch, HavingPruner};
 
 use crate::backend;
 use crate::backend::JoinFlow;
 use crate::cheetah::{tuple_fingerprinter, CheetahExecutor, PrunerConfig};
+use crate::distributed::{verified_rows, CodecError, ShardOutput};
 use crate::executor::{ExecutionReport, Executor};
 use crate::master::{
-    fetch_and_checksum, join_sink, join_survivors, GroupRun, GroupSink, JoinSides, TupleRun,
+    explode, fetch_and_checksum, fetch_rows_flat, join_sink, join_survivors, GroupRun, GroupSink,
+    JoinSides, TupleRun,
 };
 use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
     SIDE_LEFT, SIDE_RIGHT,
 };
-use crate::query::{Agg, Query, QueryResult};
+use crate::query::{Agg, Predicate, Projection, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::stream::{hash_partition, split_range, HashPartition};
 use crate::table::{Database, Table};
@@ -99,98 +83,26 @@ pub struct ShardedExecutor {
     /// switch dimensions, worker count per shard pool, cost model).
     pub inner: CheetahExecutor,
     shards: usize,
-    adaptive: bool,
 }
 
 impl ShardedExecutor {
     /// A sharded executor with a fixed shard count.
     pub fn with_shards(inner: CheetahExecutor, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        ShardedExecutor {
-            inner,
-            shards,
-            adaptive: false,
-        }
+        ShardedExecutor { inner, shards }
     }
 
-    /// Cuttlefish-style shard-count tuning: race the {1, 2, 4, 8} grid
-    /// on a per-arm completion estimate built from two measurements —
-    /// the sampled-throughput primitive behind
-    /// [`CheetahExecutor::adaptive_workers`] for the switch wall, and a
-    /// timed representative merge of the query shape's combine state for
-    /// the reduction cost. Short streams stay on one shard (spin-up
-    /// would dominate), long streams split across switches, and shapes
-    /// with expensive merges are charged `log2(n)` tree stages for them.
-    pub fn with_adaptive_shards(inner: CheetahExecutor) -> Self {
-        ShardedExecutor {
-            inner,
-            shards: 1,
-            adaptive: true,
-        }
-    }
-
-    /// The fixed shard count (ignored when adaptive).
+    /// The shard count.
     pub fn shards(&self) -> usize {
         self.shards
     }
 
-    /// Whether this executor tunes its shard count per query.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The shard count this executor will run `query` with: the fixed
-    /// count, or the adaptive pick — the grid arm minimizing
-    /// `switch_wall / min(n, cores) + merge_cost × log2(n) + setup × (n − 1)`,
-    /// with both the switch wall and the merge cost measured, not
-    /// modeled. The adaptive path delegates to the planner's shared
-    /// [`crate::plan::PlanContext`], so the stream is probed exactly
-    /// once per query whichever grid asks.
-    pub fn planned_shards(&self, db: &Database, query: &Query) -> usize {
-        if !self.adaptive {
-            return self.shards;
-        }
-        crate::plan::PlanContext::probe(&self.inner, db, query).planned_shards()
-    }
-}
-
-/// Time one representative merge of the query shape's combine state —
-/// the per-stage cost the reduction tree pays per level. Shapes whose
-/// merge is a buffer append or an integer sum (partition-local JOIN,
-/// the range shapes) are effectively free per stage.
-pub(crate) fn sampled_merge_cost(cfg: &PrunerConfig, query: &Query) -> f64 {
-    match query {
-        Query::GroupBy {
-            agg: Agg::Sum | Agg::Count,
-            ..
-        } => {
-            // Two full register matrices, disjoint-ish keys: the
-            // worst-case re-aggregation a tree stage can see.
-            let mut a = ShardSums::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
-            let mut b = ShardSums::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
-            for i in 0..(cfg.groupby_d * cfg.groupby_w) as u64 {
-                a.absorb(i, 1);
-                b.absorb(i ^ 0x5555, 1);
-            }
-            let t0 = Instant::now();
-            a.merge(b);
-            t0.elapsed().as_secs_f64()
-        }
-        Query::Having { threshold, .. } => {
-            let mut a = HavingPruner::new(cfg.having_d, cfg.having_w, *threshold, cfg.seed);
-            let b = HavingPruner::new(cfg.having_d, cfg.having_w, *threshold, cfg.seed);
-            let t0 = Instant::now();
-            a.merge(&b);
-            t0.elapsed().as_secs_f64()
-        }
-        Query::TopN { n, .. } => {
-            let mut a: Vec<u64> = (0..*n as u64).rev().collect();
-            let b: Vec<u64> = (0..*n as u64).rev().collect();
-            let t0 = Instant::now();
-            merge_top(&mut a, b, *n);
-            t0.elapsed().as_secs_f64()
-        }
-        _ => 0.0,
+    /// Run the query's shard program(s) on the in-process transport. Total
+    /// over every [`Query`] shape; the returned report carries the
+    /// measured whole-query wall, one switch span per shard per pass, the
+    /// per-node merge spans, and the serial combine tail.
+    pub fn execute_sharded(&self, db: &Database, query: &Query) -> ExecutionReport {
+        execute_on(&self.inner, &mut InProcess(self.shards), db, query)
     }
 }
 
@@ -214,18 +126,6 @@ pub(crate) struct ShardYield<R> {
     pub(crate) phase_walls: Vec<Duration>,
 }
 
-impl<R> ShardYield<R> {
-    /// The same telemetry around `f(value)` — how the distributed arm
-    /// turns a shared shard body's value into its wire form.
-    pub(crate) fn map<T>(self, f: impl FnOnce(R) -> T) -> ShardYield<T> {
-        ShardYield {
-            value: f(self.value),
-            phase_stats: self.phase_stats,
-            phase_walls: self.phase_walls,
-        }
-    }
-}
-
 /// One message up the reduction tree: a node's value with every merged
 /// descendant's telemetry folded in.
 struct TreePacket<R> {
@@ -238,26 +138,17 @@ struct TreePacket<R> {
     merge_spans: Vec<(usize, Duration)>,
 }
 
-/// The root's view of a completed tree reduction.
-struct TreeOutcome<R> {
-    value: R,
+/// Every shard of a program run and reduced to one partial, whichever
+/// transport carried it.
+pub(crate) struct Reduced<R> {
+    pub(crate) value: R,
     /// Per-phase stats, each summed over every shard.
-    stats: Vec<PruneStats>,
+    pub(crate) phase_stats: Vec<PruneStats>,
     /// Switch spans, shard-major within each pass.
-    pass_walls: Vec<Duration>,
-    /// Per-node merge spans, ascending node index (leaf nodes absent).
-    merge_walls: Vec<Duration>,
-}
-
-impl<R> TreeOutcome<R> {
-    /// All phases' stats folded into one total.
-    fn stats_total(&self) -> PruneStats {
-        let mut total = PruneStats::default();
-        for s in &self.stats {
-            total.merge(*s);
-        }
-        total
-    }
+    pub(crate) pass_walls: Vec<Duration>,
+    /// Merge spans: per tree node (ascending node index, leaves absent)
+    /// in process, per fold step on the wire.
+    pub(crate) merge_walls: Vec<Duration>,
 }
 
 /// Lowest set bit of `s` — the binomial tree's parent/child geometry.
@@ -272,11 +163,11 @@ fn lowbit(s: usize) -> usize {
 /// across nodes and overlap shards still streaming; no global barrier
 /// ever forms). `merge` must be associative and commutative over shard
 /// order, which every per-shape combine here is (canonicalized results,
-/// wrapping-sum checksums, cell-wise sketch sums, register
-/// re-aggregation). Worker spawns observed on the node threads are
-/// credited back to the calling thread's counter so the per-query spawn
-/// contract stays testable.
-fn sharded_tree<R, Node, Merge>(shards: usize, node: Node, merge: Merge) -> TreeOutcome<R>
+/// wrapping-sum checksums, cell-wise sketch sums, sorted-run merges).
+/// Worker spawns observed on the node threads are credited back to the
+/// calling thread's counter so the per-query spawn contract stays
+/// testable.
+fn sharded_tree<R, Node, Merge>(shards: usize, node: Node, merge: Merge) -> Reduced<R>
 where
     R: Send,
     Node: Fn(usize) -> ShardYield<R> + Sync,
@@ -354,9 +245,9 @@ where
     });
     packet.walls.sort_unstable_by_key(|&(p, s, _)| (p, s));
     packet.merge_spans.sort_unstable_by_key(|&(n, _)| n);
-    TreeOutcome {
+    Reduced {
         value: packet.value,
-        stats: packet.phase_stats,
+        phase_stats: packet.phase_stats,
         pass_walls: packet.walls.into_iter().map(|(_, _, w)| w).collect(),
         merge_walls: packet.merge_spans.into_iter().map(|(_, w)| w).collect(),
     }
@@ -412,6 +303,30 @@ pub(crate) fn range_parts<'a>(
         .collect()
 }
 
+/// Rows `range` of `t` as `workers` partitions whose leading lane is the
+/// §5 fingerprint of `cols`, computed by the workers (the hashing runs in
+/// the pool); the columns themselves ride switch-blind behind it.
+pub(crate) fn fingerprint_parts<'a>(
+    t: &'a Table,
+    cols: &[usize],
+    range: (usize, usize),
+    workers: usize,
+    fp: &'a Fingerprinter,
+) -> Vec<LanePartition<'a>> {
+    split_range(range.0, range.1, workers)
+        .into_iter()
+        .map(|(s, e)| {
+            let slices: Vec<&[u64]> = cols.iter().map(|&c| &t.col_at(c)[s..e]).collect();
+            let mut lanes = vec![Lane::Fingerprint {
+                cols: slices.clone(),
+                fp,
+            }];
+            lanes.extend(slices.into_iter().map(Lane::Slice));
+            LanePartition { rows: e - s, lanes }
+        })
+        .collect()
+}
+
 /// One join side's partitions on one shard: §7.2 flow-id tag, key lane
 /// and, when asked for, global row ids — the side's partitioned row-id
 /// lane, or (`None`: the key lane is the table's own) its positions.
@@ -448,10 +363,9 @@ pub(crate) fn key_partition(
     (shards > 1).then(|| hash_partition(cols, 0, shards, cfg.seed ^ SHARD_SALT, with_rids))
 }
 
-/// One shard's whole JOIN, as the sharded and the distributed executor
-/// both run it, over the shard's lanes of the two sides' key partitions
-/// (`None`: a single shard streams the tables where they lie): size the
-/// flow from the shard's rows, stream the §4.3 asymmetric
+/// One shard's whole JOIN over the shard's lanes of the two sides' key
+/// partitions (`None`: a single shard streams the tables where they lie):
+/// size the flow from the shard's rows, stream the §4.3 asymmetric
 /// build-while-forwarding flow (`asymmetric`, decided on *global* sizes so
 /// every shard agrees) or the symmetric build-then-probe flow, and pair
 /// the survivors locally — on the shard's own thread, overlapping other
@@ -522,17 +436,16 @@ pub(crate) fn join_shard(
     }
 }
 
-/// One shard's whole GROUP BY SUM/COUNT, as the sharded and the
-/// distributed executor both run it (they differ in `stage`: the bare §6
-/// register stage, or the one that drains before a scripted reboot).
-/// `lanes` is the shard's key lane and, for SUM, its value lane — COUNT's
-/// ones are synthesized by the workers.
+/// One shard's whole GROUP BY SUM/COUNT on `stage` (the bare §6 register
+/// stage, or the one that drains before a scripted reboot), as its exact
+/// per-key totals. `lanes` is the shard's key lane and, for SUM, its
+/// value lane — COUNT's ones are synthesized by the workers.
 pub(crate) fn sum_shard<P: SwitchPhases>(
     cfg: &PrunerConfig,
     lanes: &[impl AsRef<[u64]>],
     stage: P,
     workers: usize,
-) -> ShardYield<ShardSums> {
+) -> ShardYield<GroupRun> {
     let keys = lanes[0].as_ref();
     let vals = lanes.get(1).map(AsRef::as_ref);
     let partitions = split_range(0, keys.len(), workers)
@@ -566,7 +479,7 @@ pub(crate) fn sum_shard<P: SwitchPhases>(
                 sums.absorb(k, p);
             }
         },
-        |_, (sums, _)| sums,
+        |_, (sums, _)| sums.into_run(),
     )
 }
 
@@ -600,584 +513,960 @@ pub(crate) fn merge_top(a: &mut Vec<u64>, b: Vec<u64>, n: usize) {
     *a = merged;
 }
 
-impl ShardedExecutor {
-    /// Run the query across `planned_shards` independent shard pipelines
-    /// and tree-reduce. Total over every [`Query`] shape; the returned
-    /// report carries the measured whole-query wall, one switch span per
-    /// shard per pass, the per-node merge spans, and the serial combine
-    /// tail.
-    pub fn execute_sharded(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let shards = self.planned_shards(db, query);
-        let workers = self.inner.model.workers;
-        let cfg = &self.inner.config;
-        let started = Instant::now();
-        let mut report = match query {
-            Query::FilterCount { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let bounds = t.partition_bounds(shards);
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: cols.len(),
-                            }],
-                            PrunerStage::new(backend::filter(cfg, predicate)),
-                            0u64,
-                            // Master re-checks the full predicate on
-                            // survivors.
-                            |count, _, block| {
-                                block.for_each_row(|row| {
-                                    if predicate.eval(row) {
-                                        *count += 1;
-                                    }
-                                });
-                            },
-                            |_, count| count,
-                        )
-                    },
-                    |a, b| *a += b,
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let result = QueryResult::Count(outcome.value);
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    result,
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Filter { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let npred = cols.len();
-                let proj = query.projection(t, &cfg.fetch);
-                let proj = &proj;
-                let bounds = t.partition_bounds(shards);
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, true),
-                                visible_cols: npred,
-                            }],
-                            PrunerStage::new(backend::filter(cfg, predicate)),
-                            Vec::<u64>::new(),
-                            // Rows arrive [pred cols…, rid]; the trailing
-                            // row id rode switch-blind.
-                            |ids, _, block| {
-                                block.for_each_row(|row| {
-                                    if predicate.eval(row) {
-                                        ids.push(row[npred]);
-                                    }
-                                });
-                            },
-                            // §7.1 late materialization runs per shard, in
-                            // parallel, before the tree: the checksum fold
-                            // is commutative, so shard partials just sum.
-                            // Only the projected lanes are gathered.
-                            |_, ids| {
-                                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
-                                (ids, checksum)
-                            },
-                        )
-                    },
-                    |a, mut b| {
-                        a.0.append(&mut b.0);
-                        a.1 = a.1.wrapping_add(b.1);
-                    },
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let (ids, checksum) = outcome.value;
-                let fetch = ids.len() as u64;
-                let mut report = self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    fetch,
-                    QueryResult::row_ids(ids),
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                );
-                report.fetch_checksum = Some(checksum);
-                report
-            }
-            Query::Distinct { table, column } => {
-                let t = db.table(table);
-                let cols = [t.col_index(column)];
-                let bounds = t.partition_bounds(shards);
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: 1,
-                            }],
-                            PrunerStage::new(backend::distinct(cfg)),
-                            Vec::<u64>::new(),
-                            |values, _, block| block.extend_lane_into(0, values),
-                            |_, values| values,
-                        )
-                    },
-                    |a, mut b| a.append(&mut b),
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let result = QueryResult::values(outcome.value);
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    result,
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::DistinctMulti { table, columns } => {
-                // Fingerprint-union: each shard's workers compute the §5
-                // fingerprint lane, each shard's switch dedups its own
-                // fingerprints, and each shard canonicalizes (sorts,
-                // dedups) its surviving tuples in their flat buffer on its
-                // own thread, so the tree merges are linear flat-to-flat
-                // merges and the master's serial tail only explodes the
-                // root's run — already canonical — into owned tuples.
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let width = cols.len();
-                let fp = tuple_fingerprinter(cfg);
-                let bounds = t.partition_bounds(shards);
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        let partitions = split_range(bounds[s].0, bounds[s].1, workers)
-                            .into_iter()
-                            .map(|(ws, we)| {
-                                let slices: Vec<&[u64]> =
-                                    cols.iter().map(|&c| &t.col_at(c)[ws..we]).collect();
-                                let mut lanes = vec![Lane::Fingerprint {
-                                    cols: slices.clone(),
-                                    fp: &fp,
-                                }];
-                                lanes.extend(slices.into_iter().map(Lane::Slice));
-                                LanePartition {
-                                    rows: we - ws,
-                                    lanes,
-                                }
-                            })
-                            .collect();
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions,
-                                visible_cols: 1,
-                            }],
-                            PrunerStage::new(backend::distinct(cfg)),
-                            Vec::<u64>::new(),
-                            |flat, _, block| {
-                                block.for_each_row(|row| flat.extend_from_slice(&row[1..]));
-                            },
-                            |_, flat| TupleRun::canonical(width, flat),
-                        )
-                    },
-                    TupleRun::merge,
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    outcome.value.into_points(),
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::TopN { table, order_by, n } => {
-                let t = db.table(table);
-                let cols = [t.col_index(order_by)];
-                let bounds = t.partition_bounds(shards);
-                // Each shard's forwarded superset collapses to its local
-                // top-n candidate list before entering the tree; merges
-                // are bounded sorted merges (every global winner is a
-                // shard winner, so nothing can be lost).
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: 1,
-                            }],
-                            PrunerStage::new(backend::topn(cfg, *n)),
-                            Vec::<u64>::new(),
-                            |values, _, block| block.extend_lane_into(0, values),
-                            |_, mut values| {
-                                values.sort_unstable_by(|a, b| b.cmp(a));
-                                values.truncate(*n);
-                                values
-                            },
-                        )
-                    },
-                    |a, b| merge_top(a, b, *n),
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let result = QueryResult::top_values(outcome.value, *n);
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    *n as u64,
-                    result,
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Max | Agg::Min),
-            } => {
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let ext = if *agg == Agg::Max {
-                    Extremum::Max
-                } else {
-                    Extremum::Min
-                };
-                let bounds = t.partition_bounds(shards);
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: 2,
-                            }],
-                            PrunerStage::new(backend::groupby(cfg, ext)),
-                            GroupSink::new(*agg),
-                            |groups, _, block| {
-                                groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
-                            },
-                            |_, groups| groups.finish(),
-                        )
-                    },
-                    GroupRun::merge,
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let result = QueryResult::Groups(outcome.value.into_groups());
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    result,
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Sum | Agg::Count),
-            } => {
-                // Hash-sharded mode (§6 register aggregation): co-locate
-                // every occurrence of a key on one shard, so a key's
-                // eviction churn never multiplies across shards. The
-                // table is partitioned once, before the shards start.
-                let t = db.table(table);
-                let mut lanes = vec![t.col_at(t.col_index(key))];
-                if *agg == Agg::Sum {
-                    lanes.push(t.col_at(t.col_index(val)));
-                }
-                let partition = key_partition(cfg, &lanes, shards, false);
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        let stage = GroupBySumStage::new(GroupBySumPruner::new(
-                            cfg.groupby_d,
-                            cfg.groupby_w,
-                            cfg.seed,
-                        ));
-                        match &partition {
-                            Some(p) => sum_shard(cfg, &p[s], stage, workers),
-                            None => sum_shard(cfg, &lanes, stage, workers),
-                        }
-                    },
-                    |a, b| a.merge(b),
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let totals = outcome.value.into_totals();
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    QueryResult::Groups(totals),
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Having {
-                table,
-                key,
-                val,
-                threshold,
-            } => {
-                // Pass 1: shard-local sketches, tree-merged cell-wise as
-                // shards finish. Pass 2 must see global key mass, so the
-                // merged sketch is broadcast in between.
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let bounds = t.partition_bounds(shards);
-                let sketches = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: 2,
-                            }],
-                            HavingShardSketch::new(HavingPruner::new(
-                                cfg.having_d,
-                                cfg.having_w,
-                                *threshold,
-                                cfg.seed,
-                            )),
-                            (),
-                            // Shard-local announcements are not global
-                            // candidates; the merged sketch recomputes
-                            // them in pass 2.
-                            |(), _, _block| {},
-                            |program, ()| program.into_pruner(),
-                        )
-                    },
-                    |a, b| a.merge(&b),
-                );
-                let mut stats = sketches.stats_total();
-                let TreeOutcome {
-                    value: merged,
-                    pass_walls: mut walls,
-                    mut merge_walls,
-                    ..
-                } = sketches;
-                let probes = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: 2,
-                            }],
-                            HavingShardProbe::new(merged.clone()),
-                            GroupSink::new(Agg::Sum),
-                            |sums, _, block| {
-                                sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
-                            },
-                            |_, sums| sums.finish(),
-                        )
-                    },
-                    GroupRun::merge,
-                );
-                stats.merge(probes.stats_total());
-                walls.extend(probes.pass_walls);
-                merge_walls.extend(probes.merge_walls);
-                let combine_t0 = Instant::now();
-                let result = probes.value.keys_above(*threshold);
-                self.finish(
-                    query,
-                    2 * t.rows() as u64,
-                    stats,
-                    2,
-                    0,
-                    result,
-                    walls,
-                    merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-            Query::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => self.execute_join(db, query, left, right, left_col, right_col, shards, workers),
-            Query::Skyline { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let dims = cols.len();
-                let bounds = t.partition_bounds(shards);
-                // A global skyline point is dominated by nothing — in
-                // particular by nothing in its own shard — so each shard
-                // reduces its forwarded superset to its local frontier
-                // before merging, and the root re-runs the exact frontier
-                // over the (much smaller) union.
-                let outcome = sharded_tree(
-                    shards,
-                    |s| {
-                        run_shard(
-                            vec![PhaseInput {
-                                partitions: range_parts(t, &cols, bounds[s], workers, false),
-                                visible_cols: dims,
-                            }],
-                            PrunerStage::new(backend::skyline(cfg, dims)),
-                            Vec::<Vec<u64>>::new(),
-                            |points, _, block| {
-                                block.for_each_row(|row| points.push(row.to_vec()));
-                            },
-                            |_, points| skyline_of(&points),
-                        )
-                    },
-                    |a, mut b| a.append(&mut b),
-                );
-                let stats = outcome.stats_total();
-                let combine_t0 = Instant::now();
-                let result = QueryResult::points(skyline_of(&outcome.value));
-                self.finish(
-                    query,
-                    t.rows() as u64,
-                    stats,
-                    1,
-                    0,
-                    result,
-                    outcome.pass_walls,
-                    outcome.merge_walls,
-                    combine_t0.elapsed(),
-                )
-            }
-        };
-        report.wall = Some(started.elapsed());
-        report
+// ---------------------------------------------------------------------------
+// Programs and transports.
+// ---------------------------------------------------------------------------
+
+/// One query shape's shard program, written once for every transport.
+pub(crate) trait ShardProgram: Sync {
+    /// What a shard contributes — canonical before it leaves the shard.
+    type Partial: Send;
+    /// What the root makes of the fully merged partial.
+    type Root;
+
+    /// Shard `s`'s body: its phase inputs through the stage `site` lends,
+    /// survivors into the master sink, finished into the partial.
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Self::Partial>;
+
+    /// Fold `other` into `acc`; associative and commutative over shards.
+    fn merge(&self, acc: &mut Self::Partial, other: Self::Partial);
+
+    /// The partial's wire form.
+    fn encode(&self, partial: Self::Partial) -> ShardOutput;
+
+    /// A delivered wire form back to a partial. A variant this program
+    /// never encodes, or one failing its checks, is a [`CodecError`].
+    fn decode(&self, output: ShardOutput) -> Result<Self::Partial, CodecError>;
+
+    /// The merged partial's answer.
+    fn root(&self, merged: Self::Partial) -> Self::Root;
+
+    /// Whether a scheduled mid-compute reboot can resume in-stream. The
+    /// multi-pass programs whose in-stream state is not soft (JOIN build
+    /// filters, HAVING sketches) re-dispatch the shard instead.
+    fn resumable(&self) -> bool {
+        true
     }
 
-    /// Sharded JOIN with **partition-local pairing**: both sides are
-    /// hash-sharded by join key under one salt, so every occurrence of a
-    /// key (left or right) lands on shard `h(k) mod shards` and pairs
-    /// there. Each shard runs [`join_shard`] — its own complete two-phase
-    /// flow and its own pairing of its local survivors — and the
-    /// reduction sums the commutative pair counts and checksums.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_join(
-        &self,
-        db: &Database,
-        query: &Query,
-        left: &str,
-        right: &str,
-        left_col: &str,
-        right_col: &str,
-        shards: usize,
-        workers: usize,
-    ) -> ExecutionReport {
-        let cfg = &self.inner.config;
-        let l = db.table(left);
-        let r = db.table(right);
-        let lc = l.col_index(left_col);
-        let rc = r.col_index(right_col);
-        let rows = (l.rows() + r.rows()) as u64;
-        let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
-        // Both sides by join key under one salt: every occurrence of a
-        // key, left or right, lands on one shard and pairs there.
-        let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], shards, true);
-        let sides = side(l, lc).zip(side(r, rc));
-        let outcome = sharded_tree(
-            shards,
-            |s| {
-                let lanes = sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
-                join_shard(cfg, (l, lc), (r, rc), asymmetric, lanes, workers)
-            },
-            |a, b| {
-                a.0 += b.0;
-                a.1 = a.1.wrapping_add(b.1);
-            },
-        );
-        // Symmetric: build-pass decisions are not probe decisions, so
-        // only the probe pass counts (as on the other executors).
-        // Asymmetric: both single-stream passes make real decisions —
-        // together they decide each entry exactly once.
-        let stats = if asymmetric {
-            outcome.stats_total()
-        } else {
-            outcome.stats[1]
-        };
-        let streamed = if asymmetric { rows } else { 2 * rows };
-        let combine_t0 = Instant::now();
-        let (pairs, checksum) = outcome.value;
-        self.finish(
-            query,
-            streamed,
-            stats,
-            2,
-            pairs,
-            QueryResult::JoinSummary { pairs, checksum },
-            outcome.pass_walls,
-            outcome.merge_walls,
-            combine_t0.elapsed(),
-        )
-    }
-
-    /// Assemble the sharded report: the shared cost-model pricing plus
-    /// the per-shard pass spans, the per-node merge spans, and the
-    /// serial combine tail.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        query: &Query,
-        streamed_rows: u64,
-        stats: PruneStats,
-        passes: u32,
-        fetch_rows: u64,
-        result: QueryResult,
-        pass_walls: Vec<Duration>,
-        merge_walls: Vec<Duration>,
-        combine_wall: Duration,
-    ) -> ExecutionReport {
-        let mut report = self
-            .inner
-            .report(query, streamed_rows, stats, passes, fetch_rows, result);
-        report.pass_walls = pass_walls;
-        report.combine_wall = Some(combine_wall);
-        report.merge_walls = merge_walls;
-        report
+    /// The decisions the report counts, given each pass's stats summed
+    /// over shards: every pass's, unless the shape says otherwise.
+    fn decisions(&self, passes: &[PruneStats]) -> PruneStats {
+        total(passes)
     }
 }
 
+/// Stats summed over passes.
+fn total(passes: &[PruneStats]) -> PruneStats {
+    passes.iter().fold(PruneStats::default(), |mut sum, s| {
+        sum.merge(*s);
+        sum
+    })
+}
+
+/// The stages a transport lends a shard body.
+pub(crate) trait Site: Sync {
+    /// GROUP BY SUM/COUNT's register stage.
+    type SumStage: SwitchPhases;
+
+    /// Shard `s`'s single-pass stage around `pruner`.
+    fn pruner_stage(&self, s: usize, pruner: Box<dyn RowPruner + Send>) -> PrunerStage;
+
+    /// Shard `s`'s §6 register stage.
+    fn sum_stage(&self, s: usize, cfg: &PrunerConfig) -> Self::SumStage;
+
+    /// Whether partials leave the process — a FILTER shard then keeps the
+    /// rows it fetches, to ship them.
+    const SHIPS: bool;
+}
+
+/// How a program's partials travel from the shards to the root.
+pub(crate) trait Transport {
+    /// Shards every program runs on.
+    fn shards(&self) -> usize;
+
+    /// Run every shard of `program` and reduce their partials.
+    fn run<P: ShardProgram>(&mut self, program: &P) -> Reduced<P::Partial>;
+}
+
+/// The in-process transport over this many shards: one thread per shard,
+/// partials merged up the streaming binomial tree, on the plain stages.
+struct InProcess(usize);
+
+impl Site for InProcess {
+    type SumStage = GroupBySumStage;
+    const SHIPS: bool = false;
+
+    fn pruner_stage(&self, _: usize, pruner: Box<dyn RowPruner + Send>) -> PrunerStage {
+        PrunerStage::new(pruner)
+    }
+
+    fn sum_stage(&self, _: usize, cfg: &PrunerConfig) -> GroupBySumStage {
+        GroupBySumStage::new(GroupBySumPruner::new(
+            cfg.groupby_d,
+            cfg.groupby_w,
+            cfg.seed,
+        ))
+    }
+}
+
+impl Transport for InProcess {
+    fn shards(&self) -> usize {
+        self.0
+    }
+
+    fn run<P: ShardProgram>(&mut self, program: &P) -> Reduced<P::Partial> {
+        let site = &*self;
+        sharded_tree(
+            self.0,
+            |s| program.shard(s, site),
+            |a, b| program.merge(a, b),
+        )
+    }
+}
+
+/// A finished query at the root, with what its report is priced by.
+struct Answer {
+    result: QueryResult,
+    streamed: u64,
+    passes: u32,
+    fetch_rows: u64,
+    fetch_checksum: Option<u64>,
+}
+
+impl Answer {
+    /// A one-pass answer over `streamed` entries that fetched nothing.
+    fn single(result: QueryResult, streamed: u64) -> Self {
+        Answer {
+            result,
+            streamed,
+            passes: 1,
+            fetch_rows: 0,
+            fetch_checksum: None,
+        }
+    }
+}
+
+/// What the report keeps of a query's program runs.
+#[derive(Default)]
+struct Spans {
+    stats: PruneStats,
+    pass_walls: Vec<Duration>,
+    merge_walls: Vec<Duration>,
+}
+
+impl Spans {
+    /// Run `program` over `transport`, keep its spans, and root the merged
+    /// partial; the root's own span is returned beside it.
+    fn run<T: Transport, P: ShardProgram>(
+        &mut self,
+        transport: &mut T,
+        program: &P,
+    ) -> (P::Root, Duration) {
+        let reduced = transport.run(program);
+        self.stats.merge(program.decisions(&reduced.phase_stats));
+        self.pass_walls.extend(reduced.pass_walls);
+        self.merge_walls.extend(reduced.merge_walls);
+        let t0 = Instant::now();
+        let root = program.root(reduced.value);
+        (root, t0.elapsed())
+    }
+}
+
+/// Run `query` through its shard program(s) over `transport` — the one
+/// place a shape picks its program — and price the report.
+pub(crate) fn execute_on<T: Transport>(
+    inner: &CheetahExecutor,
+    transport: &mut T,
+    db: &Database,
+    query: &Query,
+) -> ExecutionReport {
+    let started = Instant::now();
+    let env = Env {
+        cfg: &inner.config,
+        workers: inner.model.workers,
+        shards: transport.shards(),
+    };
+    let mut spans = Spans::default();
+    let (answer, combine) = match query {
+        Query::FilterCount { table, predicate } => {
+            let scan = Scan::over(env, db.table(table), &predicate.columns);
+            spans.run(transport, &CountProgram { scan, predicate })
+        }
+        Query::Filter { table, predicate } => {
+            let t = db.table(table);
+            let program = FilterProgram {
+                proj: query.projection(t, &env.cfg.fetch),
+                scan: Scan::over(env, t, &predicate.columns),
+                predicate,
+            };
+            spans.run(transport, &program)
+        }
+        Query::Distinct { table, column } => {
+            let scan = Scan::over(env, db.table(table), [column]);
+            spans.run(transport, &DistinctProgram(scan))
+        }
+        Query::DistinctMulti { table, columns } => {
+            let program = DistinctMultiProgram {
+                scan: Scan::over(env, db.table(table), columns),
+                fp: tuple_fingerprinter(env.cfg),
+            };
+            spans.run(transport, &program)
+        }
+        Query::TopN { table, order_by, n } => {
+            let scan = Scan::over(env, db.table(table), [order_by]);
+            spans.run(transport, &TopNProgram { scan, n: *n })
+        }
+        Query::GroupBy {
+            table,
+            key,
+            val,
+            agg: agg @ (Agg::Max | Agg::Min),
+        } => {
+            let scan = Scan::over(env, db.table(table), [key, val]);
+            spans.run(transport, &ExtremumProgram { scan, agg: *agg })
+        }
+        Query::GroupBy {
+            table,
+            key,
+            val,
+            agg,
+        } => {
+            let t = db.table(table);
+            let summed = (*agg == Agg::Sum).then_some(val);
+            let lanes: Vec<&[u64]> = [key].into_iter().chain(summed).map(|c| t.col(c)).collect();
+            let program = SumProgram {
+                env,
+                rows: t.rows() as u64,
+                partition: key_partition(env.cfg, &lanes, env.shards, false),
+                lanes,
+            };
+            spans.run(transport, &program)
+        }
+        Query::Having {
+            table,
+            key,
+            val,
+            threshold,
+        } => {
+            // Pass 2 must see global key mass, so the merged sketch is
+            // broadcast between the two programs.
+            let scan = Scan::over(env, db.table(table), [key, val]);
+            let sketch = HavingSketchProgram {
+                scan: &scan,
+                threshold: *threshold,
+            };
+            let (merged, _) = spans.run(transport, &sketch);
+            let probe = HavingProbeProgram {
+                scan: &scan,
+                merged,
+            };
+            spans.run(transport, &probe)
+        }
+        Query::Join {
+            left,
+            right,
+            left_col,
+            right_col,
+        } => {
+            let (l, r) = (db.table(left), db.table(right));
+            let (lc, rc) = (l.col_index(left_col), r.col_index(right_col));
+            // Both sides by join key under one salt: every occurrence of
+            // a key, left or right, lands on one shard and pairs there.
+            let side = |t: &Table, c| key_partition(env.cfg, &[t.col_at(c)], env.shards, true);
+            let program = JoinProgram {
+                env,
+                left: (l, lc),
+                right: (r, rc),
+                asymmetric: 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows()),
+                sides: side(l, lc).zip(side(r, rc)),
+            };
+            spans.run(transport, &program)
+        }
+        Query::Skyline { table, columns } => {
+            let scan = Scan::over(env, db.table(table), columns);
+            spans.run(transport, &SkylineProgram(scan))
+        }
+    };
+    let mut report = inner.report(
+        query,
+        answer.streamed,
+        spans.stats,
+        answer.passes,
+        answer.fetch_rows,
+        answer.result,
+    );
+    report.fetch_checksum = answer.fetch_checksum;
+    report.pass_walls = spans.pass_walls;
+    report.merge_walls = spans.merge_walls;
+    report.combine_wall = Some(combine);
+    report.wall = Some(started.elapsed());
+    report
+}
+
+/// What every program is built against.
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    cfg: &'a PrunerConfig,
+    /// Pool workers per shard.
+    workers: usize,
+    shards: usize,
+}
+
+/// A range-sharded scan: shard `s` streams rows `bounds[s]` of `t` over
+/// the lanes `cols`, every one switch-visible.
+struct Scan<'a> {
+    env: Env<'a>,
+    t: &'a Table,
+    cols: Vec<usize>,
+    bounds: Vec<(usize, usize)>,
+}
+
+impl<'a> Scan<'a> {
+    fn over<'c>(env: Env<'a>, t: &'a Table, names: impl IntoIterator<Item = &'c String>) -> Self {
+        Scan {
+            env,
+            t,
+            cols: names.into_iter().map(|c| t.col_index(c)).collect(),
+            bounds: t.partition_bounds(env.shards),
+        }
+    }
+
+    /// Shard `s`'s one pass, with a trailing switch-blind row-id lane
+    /// when asked for.
+    fn pass(&self, s: usize, with_rids: bool) -> Vec<PhaseInput<'a>> {
+        let Env { workers, .. } = self.env;
+        vec![PhaseInput {
+            partitions: range_parts(self.t, &self.cols, self.bounds[s], workers, with_rids),
+            visible_cols: self.cols.len(),
+        }]
+    }
+
+    fn rows(&self) -> u64 {
+        self.t.rows() as u64
+    }
+}
+
+/// FILTER COUNT: each shard counts the survivors the full predicate
+/// accepts.
+struct CountProgram<'a> {
+    scan: Scan<'a>,
+    predicate: &'a Predicate,
+}
+
+impl ShardProgram for CountProgram<'_> {
+    type Partial = u64;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<u64> {
+        run_shard(
+            self.scan.pass(s, false),
+            site.pruner_stage(s, backend::filter(self.scan.env.cfg, self.predicate)),
+            0u64,
+            // The master re-checks the full predicate on survivors, so a
+            // rebooted switch's extra forwards change nothing.
+            |count, _, block| {
+                block.for_each_row(|row| *count += u64::from(self.predicate.eval(row)))
+            },
+            |_, count| count,
+        )
+    }
+
+    fn merge(&self, acc: &mut u64, other: u64) {
+        *acc += other;
+    }
+
+    fn encode(&self, count: u64) -> ShardOutput {
+        ShardOutput::Count(count)
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<u64, CodecError> {
+        match output {
+            ShardOutput::Count(count) => Ok(count),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, count: u64) -> Answer {
+        Answer::single(QueryResult::Count(count), self.scan.rows())
+    }
+}
+
+/// A FILTER shard's survivors: global row ids, the §7.1 fetch checksum
+/// over their projected rows, and — only when the partial ships — those
+/// rows, row-major.
+struct Fetched {
+    ids: Vec<u64>,
+    rows: Vec<u64>,
+    checksum: u64,
+}
+
+/// FILTER: each shard re-checks its survivors and late-materializes them
+/// (§7.1) on its own thread, once; only the projected lanes are read.
+struct FilterProgram<'a> {
+    scan: Scan<'a>,
+    predicate: &'a Predicate,
+    proj: Projection,
+}
+
+impl ShardProgram for FilterProgram<'_> {
+    type Partial = Fetched;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Fetched> {
+        let npred = self.scan.cols.len();
+        run_shard(
+            self.scan.pass(s, true),
+            site.pruner_stage(s, backend::filter(self.scan.env.cfg, self.predicate)),
+            Vec::<u64>::new(),
+            // Rows arrive [pred cols…, rid]; the trailing row id rode
+            // switch-blind.
+            |ids, _, block| {
+                block.for_each_row(|row| {
+                    if self.predicate.eval(row) {
+                        ids.push(row[npred]);
+                    }
+                });
+            },
+            |_, ids| {
+                let (t, cols) = (self.scan.t, self.proj.cols());
+                let (rows, checksum) = if S::SHIPS {
+                    fetch_rows_flat(t, cols, &ids)
+                } else {
+                    (Vec::new(), fetch_and_checksum(t, cols, &ids))
+                };
+                Fetched {
+                    ids,
+                    rows,
+                    checksum,
+                }
+            },
+        )
+    }
+
+    /// The checksum fold is commutative, so shard partials just add.
+    fn merge(&self, acc: &mut Fetched, mut other: Fetched) {
+        acc.ids.append(&mut other.ids);
+        acc.checksum = acc.checksum.wrapping_add(other.checksum);
+    }
+
+    fn encode(&self, fetched: Fetched) -> ShardOutput {
+        ShardOutput::Rows {
+            width: self.proj.width() as u64,
+            ids: fetched.ids,
+            flat: fetched.rows,
+            checksum: fetched.checksum,
+        }
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<Fetched, CodecError> {
+        let (ids, checksum) = verified_rows(output, self.proj.width())?;
+        Ok(Fetched {
+            ids,
+            rows: Vec::new(),
+            checksum,
+        })
+    }
+
+    fn root(&self, fetched: Fetched) -> Answer {
+        Answer {
+            fetch_rows: fetched.ids.len() as u64,
+            fetch_checksum: Some(fetched.checksum),
+            ..Answer::single(QueryResult::row_ids(fetched.ids), self.scan.rows())
+        }
+    }
+}
+
+/// DISTINCT: each shard's forwarded values, sorted and deduplicated — a
+/// rebooted switch's re-forwarded duplicates vanish before the merge.
+struct DistinctProgram<'a>(Scan<'a>);
+
+impl ShardProgram for DistinctProgram<'_> {
+    type Partial = Vec<u64>;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
+        run_shard(
+            self.0.pass(s, false),
+            site.pruner_stage(s, backend::distinct(self.0.env.cfg)),
+            Vec::<u64>::new(),
+            |values, _, block| block.extend_lane_into(0, values),
+            |_, mut values| {
+                values.sort_unstable();
+                values.dedup();
+                values
+            },
+        )
+    }
+
+    fn merge(&self, acc: &mut Vec<u64>, mut other: Vec<u64>) {
+        acc.append(&mut other);
+    }
+
+    fn encode(&self, values: Vec<u64>) -> ShardOutput {
+        ShardOutput::Values(values)
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<Vec<u64>, CodecError> {
+        match output {
+            ShardOutput::Values(values) => Ok(values),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, values: Vec<u64>) -> Answer {
+        Answer::single(QueryResult::values(values), self.0.rows())
+    }
+}
+
+/// DistinctMulti, a fingerprint union: each shard's workers compute the
+/// §5 fingerprint lane, its switch dedups its own fingerprints, and it
+/// canonicalizes its surviving tuples in one flat buffer, so merges are
+/// linear flat-to-flat merges and the root only explodes the last run.
+struct DistinctMultiProgram<'a> {
+    scan: Scan<'a>,
+    fp: Fingerprinter,
+}
+
+impl ShardProgram for DistinctMultiProgram<'_> {
+    type Partial = TupleRun;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<TupleRun> {
+        let Scan {
+            env,
+            t,
+            cols,
+            bounds,
+            ..
+        } = &self.scan;
+        let partitions = fingerprint_parts(t, cols, bounds[s], env.workers, &self.fp);
+        run_shard(
+            vec![PhaseInput {
+                partitions,
+                visible_cols: 1,
+            }],
+            site.pruner_stage(s, backend::distinct(env.cfg)),
+            Vec::<u64>::new(),
+            |flat, _, block| block.for_each_row(|row| flat.extend_from_slice(&row[1..])),
+            |_, flat| TupleRun::canonical(cols.len(), flat),
+        )
+    }
+
+    fn merge(&self, acc: &mut TupleRun, other: TupleRun) {
+        acc.merge(other);
+    }
+
+    fn encode(&self, run: TupleRun) -> ShardOutput {
+        let (width, flat) = run.into_parts();
+        ShardOutput::Tuples { width, flat }
+    }
+
+    /// A delivered run is re-canonicalized, not trusted.
+    fn decode(&self, output: ShardOutput) -> Result<TupleRun, CodecError> {
+        match output {
+            ShardOutput::Tuples { width, flat } if width == self.scan.cols.len() as u64 => {
+                Ok(TupleRun::canonical(width as usize, flat))
+            }
+            ShardOutput::Tuples { .. } => Err(CodecError::Malformed),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, run: TupleRun) -> Answer {
+        Answer::single(run.into_points(), self.scan.rows())
+    }
+}
+
+/// TOP-N: each shard's forwarded superset collapses to its local top-n
+/// candidates (every true shard winner was forwarded, reboot or not).
+struct TopNProgram<'a> {
+    scan: Scan<'a>,
+    n: usize,
+}
+
+impl TopNProgram<'_> {
+    fn top(&self, mut values: Vec<u64>) -> Vec<u64> {
+        values.sort_unstable_by(|a, b| b.cmp(a));
+        values.truncate(self.n);
+        values
+    }
+}
+
+impl ShardProgram for TopNProgram<'_> {
+    type Partial = Vec<u64>;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
+        run_shard(
+            self.scan.pass(s, false),
+            site.pruner_stage(s, backend::topn(self.scan.env.cfg, self.n)),
+            Vec::<u64>::new(),
+            |values, _, block| block.extend_lane_into(0, values),
+            |_, values| self.top(values),
+        )
+    }
+
+    fn merge(&self, acc: &mut Vec<u64>, other: Vec<u64>) {
+        merge_top(acc, other, self.n);
+    }
+
+    fn encode(&self, top: Vec<u64>) -> ShardOutput {
+        ShardOutput::TopCandidates(top)
+    }
+
+    /// A delivered list is re-sorted and re-cut, not trusted.
+    fn decode(&self, output: ShardOutput) -> Result<Vec<u64>, CodecError> {
+        match output {
+            ShardOutput::TopCandidates(values) => Ok(self.top(values)),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, top: Vec<u64>) -> Answer {
+        Answer {
+            fetch_rows: self.n as u64,
+            ..Answer::single(QueryResult::top_values(top, self.n), self.scan.rows())
+        }
+    }
+}
+
+/// GROUP BY MAX/MIN: exact per-key extrema over each shard's forwarded
+/// superset — reboot-safe by construction.
+struct ExtremumProgram<'a> {
+    scan: Scan<'a>,
+    agg: Agg,
+}
+
+impl ShardProgram for ExtremumProgram<'_> {
+    type Partial = GroupRun;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
+        let ext = if self.agg == Agg::Max {
+            Extremum::Max
+        } else {
+            Extremum::Min
+        };
+        run_shard(
+            self.scan.pass(s, false),
+            site.pruner_stage(s, backend::groupby(self.scan.env.cfg, ext)),
+            GroupSink::new(self.agg),
+            |groups, _, block| groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
+            |_, groups| groups.finish(),
+        )
+    }
+
+    fn merge(&self, acc: &mut GroupRun, other: GroupRun) {
+        acc.merge(other);
+    }
+
+    fn encode(&self, run: GroupRun) -> ShardOutput {
+        ShardOutput::Extrema(run.into_pairs())
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<GroupRun, CodecError> {
+        match output {
+            ShardOutput::Extrema(pairs) => Ok(GroupRun::fold(pairs, self.agg)),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, run: GroupRun) -> Answer {
+        Answer::single(QueryResult::Groups(run.into_groups()), self.scan.rows())
+    }
+}
+
+/// GROUP BY SUM/COUNT (§6 register aggregation), hash-sharded: every
+/// occurrence of a key lands on one shard, so a key's eviction churn
+/// never multiplies across shards and each shard's drained totals are
+/// exact and disjoint from every other shard's. The table is partitioned
+/// once, before the shards start; a re-dispatched shard streams the same
+/// lanes again.
+struct SumProgram<'a> {
+    env: Env<'a>,
+    rows: u64,
+    /// The key lane and, for SUM, the value lane.
+    lanes: Vec<&'a [u64]>,
+    partition: Option<HashPartition>,
+}
+
+impl ShardProgram for SumProgram<'_> {
+    type Partial = GroupRun;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
+        let Env { cfg, workers, .. } = self.env;
+        let stage = site.sum_stage(s, cfg);
+        match &self.partition {
+            Some(p) => sum_shard(cfg, &p[s], stage, workers),
+            None => sum_shard(cfg, &self.lanes, stage, workers),
+        }
+    }
+
+    fn merge(&self, acc: &mut GroupRun, other: GroupRun) {
+        acc.merge(other);
+    }
+
+    fn encode(&self, run: GroupRun) -> ShardOutput {
+        ShardOutput::SumDrain(run.into_pairs())
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<GroupRun, CodecError> {
+        match output {
+            ShardOutput::SumDrain(pairs) => Ok(GroupRun::fold(pairs, Agg::Sum)),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, run: GroupRun) -> Answer {
+        Answer::single(QueryResult::Groups(run.into_groups()), self.rows)
+    }
+}
+
+/// HAVING pass 1: shard-local Count-Min sketches, merged cell-wise. Its
+/// root is the merged sketch the second program probes against.
+struct HavingSketchProgram<'s, 'a> {
+    scan: &'s Scan<'a>,
+    threshold: u64,
+}
+
+impl ShardProgram for HavingSketchProgram<'_, '_> {
+    type Partial = HavingPruner;
+    type Root = HavingPruner;
+
+    fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<HavingPruner> {
+        let cfg = self.scan.env.cfg;
+        run_shard(
+            self.scan.pass(s, false),
+            HavingShardSketch::new(HavingPruner::new(
+                cfg.having_d,
+                cfg.having_w,
+                self.threshold,
+                cfg.seed,
+            )),
+            (),
+            // Shard-local announcements are not global candidates; the
+            // merged sketch recomputes them in pass 2.
+            |(), _, _block| {},
+            |program, ()| program.into_pruner(),
+        )
+    }
+
+    fn merge(&self, acc: &mut HavingPruner, other: HavingPruner) {
+        acc.merge(&other);
+    }
+
+    fn encode(&self, sketch: HavingPruner) -> ShardOutput {
+        let cfg = self.scan.env.cfg;
+        ShardOutput::Sketch {
+            d: cfg.having_d as u64,
+            w: cfg.having_w as u64,
+            threshold: sketch.threshold(),
+            seed: cfg.seed,
+            counters: sketch.sketch().counters().to_vec(),
+        }
+    }
+
+    /// Rebuilt cell-exact, and only from this query's geometry.
+    fn decode(&self, output: ShardOutput) -> Result<HavingPruner, CodecError> {
+        let cfg = self.scan.env.cfg;
+        match output {
+            ShardOutput::Sketch {
+                d,
+                w,
+                threshold,
+                seed,
+                counters,
+            } if (d, w, threshold, seed)
+                == (
+                    cfg.having_d as u64,
+                    cfg.having_w as u64,
+                    self.threshold,
+                    cfg.seed,
+                ) =>
+            {
+                let sketch = CountMinSketch::from_parts(d as usize, w as usize, seed, counters);
+                Ok(HavingPruner::from_sketch(sketch, threshold))
+            }
+            ShardOutput::Sketch { .. } => Err(CodecError::Malformed),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, merged: HavingPruner) -> HavingPruner {
+        merged
+    }
+
+    fn resumable(&self) -> bool {
+        false
+    }
+}
+
+/// HAVING pass 2: every shard probes the merged sketch and sums its
+/// candidates' values exactly.
+struct HavingProbeProgram<'s, 'a> {
+    scan: &'s Scan<'a>,
+    merged: HavingPruner,
+}
+
+impl ShardProgram for HavingProbeProgram<'_, '_> {
+    type Partial = GroupRun;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<GroupRun> {
+        run_shard(
+            self.scan.pass(s, false),
+            HavingShardProbe::new(self.merged.clone()),
+            GroupSink::new(Agg::Sum),
+            |sums, _, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
+            |_, sums| sums.finish(),
+        )
+    }
+
+    fn merge(&self, acc: &mut GroupRun, other: GroupRun) {
+        acc.merge(other);
+    }
+
+    fn encode(&self, run: GroupRun) -> ShardOutput {
+        ShardOutput::CandidateSums(run.into_pairs())
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<GroupRun, CodecError> {
+        match output {
+            ShardOutput::CandidateSums(pairs) => Ok(GroupRun::fold(pairs, Agg::Sum)),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, sums: GroupRun) -> Answer {
+        Answer {
+            passes: 2,
+            ..Answer::single(
+                sums.keys_above(self.merged.threshold()),
+                2 * self.scan.rows(),
+            )
+        }
+    }
+}
+
+/// JOIN with **partition-local pairing**: each shard runs [`join_shard`]
+/// — its own complete two-phase flow over its lanes of both sides' key
+/// partitions and its own pairing — and the partials add.
+struct JoinProgram<'a> {
+    env: Env<'a>,
+    left: (&'a Table, usize),
+    right: (&'a Table, usize),
+    asymmetric: bool,
+    sides: Option<(HashPartition, HashPartition)>,
+}
+
+impl ShardProgram for JoinProgram<'_> {
+    type Partial = (u64, u64);
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<(u64, u64)> {
+        let lanes = self.sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
+        let Env { cfg, workers, .. } = self.env;
+        join_shard(cfg, self.left, self.right, self.asymmetric, lanes, workers)
+    }
+
+    fn merge(&self, acc: &mut (u64, u64), other: (u64, u64)) {
+        acc.0 += other.0;
+        acc.1 = acc.1.wrapping_add(other.1);
+    }
+
+    fn encode(&self, (pairs, checksum): (u64, u64)) -> ShardOutput {
+        ShardOutput::JoinAgg { pairs, checksum }
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<(u64, u64), CodecError> {
+        match output {
+            ShardOutput::JoinAgg { pairs, checksum } => Ok((pairs, checksum)),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, (pairs, checksum): (u64, u64)) -> Answer {
+        let rows = (self.left.0.rows() + self.right.0.rows()) as u64;
+        Answer {
+            result: QueryResult::JoinSummary { pairs, checksum },
+            streamed: if self.asymmetric { rows } else { 2 * rows },
+            passes: 2,
+            fetch_rows: pairs,
+            fetch_checksum: None,
+        }
+    }
+
+    fn resumable(&self) -> bool {
+        false
+    }
+
+    /// Symmetric: build-pass decisions are not probe decisions, so only
+    /// the probe pass counts (as on the other executors). Asymmetric: both
+    /// single-stream passes decide each entry exactly once between them.
+    fn decisions(&self, passes: &[PruneStats]) -> PruneStats {
+        if self.asymmetric {
+            total(passes)
+        } else {
+            passes[1]
+        }
+    }
+}
+
+/// SKYLINE: each shard's forwarded superset reduced to its local frontier
+/// — one flat, `dims`-wide run — and the root re-runs the exact frontier
+/// over the (much smaller) union.
+struct SkylineProgram<'a>(Scan<'a>);
+
+impl ShardProgram for SkylineProgram<'_> {
+    type Partial = Vec<u64>;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
+        let dims = self.0.cols.len();
+        run_shard(
+            self.0.pass(s, false),
+            site.pruner_stage(s, backend::skyline(self.0.env.cfg, dims)),
+            Vec::<Vec<u64>>::new(),
+            |points, _, block| block.for_each_row(|row| points.push(row.to_vec())),
+            |_, points| skyline_of(&points).into_iter().flatten().collect(),
+        )
+    }
+
+    fn merge(&self, acc: &mut Vec<u64>, mut other: Vec<u64>) {
+        acc.append(&mut other);
+    }
+
+    fn encode(&self, flat: Vec<u64>) -> ShardOutput {
+        ShardOutput::Tuples {
+            width: self.0.cols.len() as u64,
+            flat,
+        }
+    }
+
+    fn decode(&self, output: ShardOutput) -> Result<Vec<u64>, CodecError> {
+        match output {
+            ShardOutput::Tuples { width, flat } if width == self.0.cols.len() as u64 => Ok(flat),
+            ShardOutput::Tuples { .. } => Err(CodecError::Malformed),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    fn root(&self, flat: Vec<u64>) -> Answer {
+        let frontier = skyline_of(&explode(self.0.cols.len(), &flat));
+        Answer::single(QueryResult::points(frontier), self.0.rows())
+    }
+}
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
     use crate::reference;
     use crate::table::Table;
 
-    fn db() -> Database {
+    /// The two-table fixture the shard-arm unit tests share.
+    pub(crate) fn db() -> Database {
         let mut db = Database::new();
         db.add(Table::new(
             "t",
@@ -1349,29 +1638,5 @@ mod tests {
         let r = Executor::execute(&e, &tiny, &q);
         assert_eq!(r.result, QueryResult::Values(vec![3, 9]));
         assert_eq!(r.pass_walls.len(), 8, "empty shards still report spans");
-    }
-
-    #[test]
-    fn adaptive_shards_stay_on_grid() {
-        let db = db();
-        let e = ShardedExecutor::with_adaptive_shards(CheetahExecutor::new(
-            CostModel::default(),
-            PrunerConfig::default(),
-        ));
-        assert!(e.is_adaptive());
-        assert!(!exec(2).is_adaptive());
-        let q = Query::Distinct {
-            table: "t".into(),
-            column: "k".into(),
-        };
-        let picked = e.planned_shards(&db, &q);
-        assert!(
-            SHARD_GRID.contains(&picked),
-            "off-grid shard count {picked}"
-        );
-        assert_eq!(
-            Executor::execute(&e, &db, &q).result,
-            reference::evaluate(&db, &q)
-        );
     }
 }

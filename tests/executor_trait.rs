@@ -356,33 +356,6 @@ fn threaded_reports_one_switch_span_per_pass() {
 }
 
 #[test]
-fn adaptive_worker_tuning_stays_correct_and_on_grid() {
-    let db = appendix_b_db(5_000, 27);
-    let model = CostModel::default();
-    let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
-    let adaptive = ThreadedExecutor::with_adaptive_workers(cheetah.clone());
-    assert!(adaptive.is_adaptive());
-    assert!(
-        !ThreadedExecutor::new(cheetah.clone()).is_adaptive(),
-        "tuning must be off by default"
-    );
-    for (label, q) in appendix_b_queries() {
-        let picked = cheetah.adaptive_workers(&db, &q);
-        assert!(
-            [1, 2, 4, 8].contains(&picked),
-            "[{label}] picked {picked} workers, outside the tuning grid"
-        );
-        let r = Executor::execute(&adaptive, &db, &q);
-        assert_eq!(
-            r.result,
-            reference::evaluate(&db, &q),
-            "[{label}] adaptive pool diverged"
-        );
-        assert!(r.wall.is_some(), "[{label}] adaptive run measures wall");
-    }
-}
-
-#[test]
 fn sharded_executor_matrix_over_shard_counts_and_query_shapes() {
     // The sharded backend's contract: over shards ∈ {1, 2, 4} × every
     // Appendix-B shape, the result equals the reference, the wall is a
@@ -438,46 +411,6 @@ fn sharded_executor_matrix_over_shard_counts_and_query_shapes() {
                 "[{label}] single-switch path fabricated merge spans"
             );
         }
-    }
-}
-
-#[test]
-fn adaptive_shard_tuning_stays_correct_and_on_grid() {
-    let db = appendix_b_db(5_000, 30);
-    let model = CostModel::default();
-    let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
-    let adaptive = ShardedExecutor::with_adaptive_shards(cheetah.clone());
-    assert!(adaptive.is_adaptive());
-    assert!(
-        !ShardedExecutor::with_shards(cheetah, 2).is_adaptive(),
-        "tuning must be off by default"
-    );
-    for (label, q) in appendix_b_queries() {
-        let picked = adaptive.planned_shards(&db, &q);
-        assert!(
-            [1, 2, 4].contains(&picked),
-            "[{label}] picked {picked} shards, outside the tuning grid"
-        );
-        let r = Executor::execute(&adaptive, &db, &q);
-        assert_eq!(
-            r.result,
-            reference::evaluate(&db, &q),
-            "[{label}] adaptive sharding diverged"
-        );
-        assert!(r.wall.is_some(), "[{label}] adaptive run measures wall");
-        // The run re-samples throughput, so its pick may differ from the
-        // probe above — but it must land on the same grid, and the spans
-        // must tile it exactly (one per shard per pass).
-        assert_eq!(
-            r.pass_walls.len() % r.passes as usize,
-            0,
-            "[{label}] spans must tile the passes"
-        );
-        let spans_per_pass = r.pass_walls.len() / r.passes as usize;
-        assert!(
-            [1, 2, 4].contains(&spans_per_pass),
-            "[{label}] ran {spans_per_pass} shards, outside the tuning grid"
-        );
     }
 }
 

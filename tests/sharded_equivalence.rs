@@ -1,5 +1,5 @@
-//! Sharded ≡ deterministic, for every pruner, under arbitrary shard
-//! boundaries and pathological skew.
+//! Sharded ≡ distributed ≡ deterministic, for every pruner, under
+//! arbitrary shard boundaries and pathological skew.
 //!
 //! The sharded executor runs the same pruning programs per shard and
 //! merges with the combine layer; Cheetah's correctness equation
@@ -175,10 +175,23 @@ fn assert_equivalent(db: &Database, shards: usize, workers: usize, seed: u64) {
     };
     let cheetah = CheetahExecutor::new(model, test_config(seed));
     let sharded = ShardedExecutor::with_shards(cheetah.clone(), shards);
+    let distributed = DistributedExecutor::with_shards(cheetah.clone(), shards);
     for (label, q) in all_shapes() {
         let truth = reference::evaluate(db, &q);
         let det = Executor::execute(&cheetah, db, &q);
         let shd = Executor::execute(&sharded, db, &q);
+        // The same shard programs over the clean wire: one report shape.
+        let dst = Executor::execute(&distributed, db, &q);
+        let at = format!("[{label}] distributed at {shards} shards × {workers} workers");
+        assert_eq!(dst.result, shd.result, "{at}");
+        assert_eq!(dst.fetch_checksum, shd.fetch_checksum, "{at}");
+        assert_eq!(
+            dst.prune_stats().processed,
+            shd.prune_stats().processed,
+            "{at}"
+        );
+        assert_eq!(dst.passes, shd.passes, "{at}");
+        assert_eq!(dst.pass_walls.len(), shd.pass_walls.len(), "{at}");
         assert_eq!(
             det.result, truth,
             "[{label}] deterministic diverged from reference"

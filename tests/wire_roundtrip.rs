@@ -45,17 +45,12 @@ proptest! {
         cell_seed in vec(any::<u64>(), 0..40),
         join_pairs in any::<u64>(),
         join_checksum in any::<u64>(),
-        seg_words in 1u64..5,
-        hashes in 1u64..4,
     ) {
         let flat: Vec<u64> = (0..width * tuples)
             .map(|i| flat_seed.get(i as usize % flat_seed.len().max(1)).copied().unwrap_or(i))
             .collect();
         let cells: Vec<u64> = (0..d * w)
             .map(|i| cell_seed.get(i as usize % cell_seed.len().max(1)).copied().unwrap_or(i))
-            .collect();
-        let filter_words: Vec<u64> = (0..seg_words * hashes)
-            .map(|i| cell_seed.get(i as usize % cell_seed.len().max(1)).copied().unwrap_or(!i))
             .collect();
         let variants = vec![
             ShardOutput::Count(count),
@@ -73,7 +68,6 @@ proptest! {
             ShardOutput::Sketch { d, w, threshold, seed, counters: cells },
             ShardOutput::CandidateSums(pairs_of(&pair_words)),
             ShardOutput::JoinAgg { pairs: join_pairs, checksum: join_checksum },
-            ShardOutput::Filter { seg_words, hashes, seed, words: filter_words },
         ];
         for v in variants {
             prop_assert_eq!(through_the_wire(&v), Ok(v.clone()));
