@@ -25,16 +25,13 @@ use cheetah_core::having::{HavingPassOne, HavingPruner};
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
 use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
 use crate::executor::ExecutionReport;
-use crate::master::{fetch_and_checksum, join_survivors, survivors, GroupRun, GroupSink, TupleRun};
-use crate::multipass::{GroupBySumStage, HavingPhases, SIDE_LEFT, SIDE_RIGHT};
+use crate::master::{fetch_and_checksum, join_survivors, survivors, GroupSink, TupleRun};
+use crate::multipass::{SIDE_LEFT, SIDE_RIGHT};
 use crate::query::{Agg, FetchSpec, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
-use crate::sharded::{fingerprint_parts, join_shard, range_parts};
+use crate::sharded::{self, InProcess};
 use crate::stream::{Block, EntryStream, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
-use crate::threaded::{
-    run_phases, run_phases_each, run_stream, Lane, LanePartition, PhaseInput, PrunerStage,
-};
 
 /// Switch-side algorithm configuration (the Table 2 knobs).
 #[derive(Debug, Clone)]
@@ -581,314 +578,21 @@ impl CheetahExecutor {
         (report, armed_out)
     }
 
-    /// Execute on the real-threads pipeline: a persistent worker pool,
-    /// one switch thread and the calling thread as master (wall-clock
-    /// timing, nondeterministic interleaving). **Total over every query
-    /// shape**: single-pass row-pruned queries stream once through
-    /// [`crate::threaded::run_stream`]; the multi-pass flows — JOIN's
-    /// build/probe exchange, HAVING's two-phase group scan, Filter's
-    /// late-materialization fetch, fingerprinted DistinctMulti and the
-    /// register-aggregating GROUP BY SUM/COUNT — run their staged
-    /// programs ([`crate::multipass`]) through
-    /// [`crate::threaded::run_phases`], whose watermark handoff lets
-    /// pass 2 serialization overlap pass 1 pruning. Workers stream
-    /// borrowed [`Lane`] views of the table columns, so no partition is
-    /// ever copied. The returned report always has
+    /// Execute on the real-threads pipeline: one shard of
+    /// [`crate::sharded`]'s per-shape programs over `InProcess(1)` — a
+    /// persistent worker pool, one switch thread and a master, with
+    /// wall-clock timing and nondeterministic interleaving. **Total over
+    /// every query shape.** The returned report has
     /// [`ExecutionReport::wall`] set to the measured wall clock and
-    /// [`ExecutionReport::pass_walls`] to the per-pass switch spans.
+    /// [`ExecutionReport::pass_walls`] to the per-pass switch spans; one
+    /// shard merges nothing, so `merge_walls` is empty and `combine_wall`
+    /// is `None` (the root's time is inside `wall`).
     ///
     /// Pruning *rates* vary run to run (arrival races), but the result is
     /// order-independent and must equal [`Self::execute`]'s.
     pub fn execute_threaded(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let workers = self.model.workers;
-        let cfg = &self.config;
-        let started = Instant::now();
-        let mut report = match query {
-            Query::Distinct { table, column } => {
-                let t = db.table(table);
-                let mut run = run_stream(
-                    range_parts(t, &[t.col_index(column)], (0, t.rows()), workers, false),
-                    backend::distinct(cfg),
-                );
-                let result = QueryResult::values(std::mem::take(&mut run.forwarded.cols[0]));
-                let mut report = self.report(query, t.rows() as u64, run.stats, 1, 0, result);
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::DistinctMulti { table, columns } => {
-                // §5, Example 8: each worker serializes the fingerprint
-                // of its rows' column combination on the fly
-                // ([`Lane::Fingerprint`] — the hashing runs in the pool),
-                // the switch dedups fingerprints, and the master dedups
-                // the surviving real tuples. The original columns ride
-                // switch-blind behind the fingerprint lane.
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let fp = tuple_fingerprinter(cfg);
-                let partitions = fingerprint_parts(t, &cols, (0, t.rows()), workers, &fp);
-                // Streaming master: append each survivor block's real
-                // tuples to one flat buffer as it arrives (batched
-                // per-block loops — no accumulate-then-rescan); the
-                // tuple run dedups.
-                let mut flat = Vec::new();
-                let run = run_phases_each(
-                    vec![PhaseInput {
-                        partitions,
-                        visible_cols: 1,
-                    }],
-                    &mut PrunerStage::new(backend::distinct(cfg)),
-                    |_, _, block| {
-                        block.for_each_row(|row| flat.extend_from_slice(&row[1..]));
-                    },
-                )
-                .pop()
-                .expect("one phase");
-                let result = TupleRun::canonical(cols.len(), flat).into_points();
-                let mut report = self.report(query, t.rows() as u64, run.stats, 1, 0, result);
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::TopN { table, order_by, n } => {
-                let t = db.table(table);
-                let mut run = run_stream(
-                    range_parts(t, &[t.col_index(order_by)], (0, t.rows()), workers, false),
-                    backend::topn(cfg, *n),
-                );
-                let result =
-                    QueryResult::top_values(std::mem::take(&mut run.forwarded.cols[0]), *n);
-                let mut report =
-                    self.report(query, t.rows() as u64, run.stats, 1, *n as u64, result);
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Max | Agg::Min),
-            } => {
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let parts = range_parts(t, &cols, (0, t.rows()), workers, false);
-                let ext = if *agg == Agg::Max {
-                    Extremum::Max
-                } else {
-                    Extremum::Min
-                };
-                let run = run_stream(parts, backend::groupby(cfg, ext));
-                let fwd = &run.forwarded.cols;
-                let groups = GroupRun::from_lanes(&fwd[0], &fwd[1], *agg).into_groups();
-                let mut report = self.report(
-                    query,
-                    t.rows() as u64,
-                    run.stats,
-                    1,
-                    0,
-                    QueryResult::Groups(groups),
-                );
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Sum | Agg::Count),
-            } => {
-                // §6: partial aggregation in switch registers — hits
-                // absorb (pruned), evictions ride the evicting packet,
-                // the FIN drains residuals; the master sums partials.
-                // COUNT's ones lane is synthesized by the workers
-                // ([`Lane::Const`]) but still materialized in flight:
-                // eviction rewrites need a mutable lane for the displaced
-                // partial to ride out on.
-                let t = db.table(table);
-                let ki = t.col_index(key);
-                let vi = t.col_index(val);
-                let partitions = t
-                    .partition_bounds(workers)
-                    .into_iter()
-                    .map(|(s, e)| LanePartition {
-                        rows: e - s,
-                        lanes: vec![
-                            Lane::Slice(&t.col_at(ki)[s..e]),
-                            if *agg == Agg::Sum {
-                                Lane::Slice(&t.col_at(vi)[s..e])
-                            } else {
-                                Lane::Const(1)
-                            },
-                        ],
-                    })
-                    .collect();
-                let mut stage = GroupBySumStage::new(GroupBySumPruner::new(
-                    cfg.groupby_d,
-                    cfg.groupby_w,
-                    cfg.seed,
-                ));
-                let run = run_phases(
-                    vec![PhaseInput {
-                        partitions,
-                        visible_cols: 2,
-                    }],
-                    &mut stage,
-                )
-                .pop()
-                .expect("one phase");
-                let fwd = &run.forwarded.cols;
-                let groups = GroupRun::from_lanes(&fwd[0], &fwd[1], *agg).into_groups();
-                let mut report = self.report(
-                    query,
-                    t.rows() as u64,
-                    run.stats,
-                    1,
-                    0,
-                    QueryResult::Groups(groups),
-                );
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::FilterCount { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let run = run_stream(
-                    range_parts(t, &cols, (0, t.rows()), workers, false),
-                    backend::filter(cfg, predicate),
-                );
-                let fwd_cols: Vec<&[u64]> =
-                    run.forwarded.cols.iter().map(|c| c.as_slice()).collect();
-                let count = (0..run.forwarded.rows())
-                    .filter(|&i| predicate.eval_at(&fwd_cols, i))
-                    .count() as u64;
-                let mut report = self.report(
-                    query,
-                    t.rows() as u64,
-                    run.stats,
-                    1,
-                    0,
-                    QueryResult::Count(count),
-                );
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::Filter { table, predicate } => {
-                // Switch pass over the predicate lanes (synthesized row
-                // ids ride switch-blind), then the §7.1
-                // late-materialization fetch of the surviving row ids —
-                // projected lanes only.
-                let t = db.table(table);
-                let cols: Vec<usize> = predicate.columns.iter().map(|c| t.col_index(c)).collect();
-                let run = run_phases(
-                    vec![PhaseInput {
-                        partitions: range_parts(t, &cols, (0, t.rows()), workers, true),
-                        visible_cols: cols.len(),
-                    }],
-                    &mut PrunerStage::new(backend::filter(cfg, predicate)),
-                )
-                .pop()
-                .expect("one phase");
-                let fwd_cols: Vec<&[u64]> = run.forwarded.cols[..cols.len()]
-                    .iter()
-                    .map(|c| c.as_slice())
-                    .collect();
-                let rids = run.forwarded.cols.last().expect("row-id lane");
-                // Master re-checks the full predicate on survivors.
-                let ids: Vec<u64> = (0..run.forwarded.rows())
-                    .filter(|&i| predicate.eval_at(&fwd_cols, i))
-                    .map(|i| rids[i])
-                    .collect();
-                let fetch = ids.len() as u64;
-                let proj = query.projection(t, &cfg.fetch);
-                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
-                let result = QueryResult::row_ids(ids);
-                let mut report = self.report(query, t.rows() as u64, run.stats, 1, fetch, result);
-                report.fetch_checksum = Some(checksum);
-                report.pass_walls = vec![run.wall];
-                report
-            }
-            Query::Having {
-                table,
-                key,
-                val,
-                threshold,
-            } => {
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let mut program = HavingPhases::new(HavingFlow::new(cfg, *threshold));
-                // Both passes' inputs are views of the same column lanes:
-                // nothing is re-partitioned or copied at the pass flip,
-                // and the pool starts serializing pass 2 while the switch
-                // still drains pass 1.
-                let phase = || PhaseInput {
-                    partitions: range_parts(t, &cols, (0, t.rows()), workers, false),
-                    visible_cols: 2,
-                };
-                // Streaming master: pass-2 candidates fold into the sink a
-                // block at a time (pass-1 announcements carry no sums).
-                let mut sums = GroupSink::new(Agg::Sum);
-                let mut runs =
-                    run_phases_each(vec![phase(), phase()], &mut program, |pass, _, block| {
-                        if pass == 1 {
-                            sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs));
-                        }
-                    });
-                let pass2 = runs.pop().expect("pass 2");
-                let pass1 = runs.pop().expect("pass 1");
-                let mut stats = pass1.stats;
-                stats.merge(pass2.stats);
-                let result = sums.finish().keys_above(*threshold);
-                let mut report = self.report(query, 2 * t.rows() as u64, stats, 2, 0, result);
-                report.pass_walls = vec![pass1.wall, pass2.wall];
-                report
-            }
-            Query::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                let l = db.table(left);
-                let r = db.table(right);
-                let lc = l.col_index(left_col);
-                let rc = r.col_index(right_col);
-                // Lopsided tables take the §4.3 asymmetric flow: the
-                // small side streams once, unpruned, while building its
-                // filter; the big side streams once, pruned against it.
-                // Each table crosses the switch exactly once (vs twice
-                // in the symmetric build-then-probe flow), the master
-                // pairs the same survivors, and the result is identical.
-                // This is one shard's JOIN over the whole tables.
-                let asymmetric = 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows());
-                let shard = join_shard(cfg, (l, lc), (r, rc), asymmetric, None, workers);
-                // Symmetric: build-pass decisions are not probe
-                // decisions, so only the probe pass counts (as in the
-                // deterministic flow). Asymmetric: both single-stream
-                // passes make real decisions — together they decide each
-                // entry exactly once, the same total.
-                let mut stats = shard.phase_stats[1];
-                if asymmetric {
-                    stats.merge(shard.phase_stats[0]);
-                }
-                let (pairs, checksum) = shard.value;
-                let rows = (l.rows() + r.rows()) as u64;
-                let streamed = if asymmetric { rows } else { 2 * rows };
-                let result = QueryResult::JoinSummary { pairs, checksum };
-                let mut report = self.report(query, streamed, stats, 2, pairs, result);
-                report.pass_walls = shard.phase_walls;
-                report
-            }
-            Query::Skyline { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<usize> = columns.iter().map(|c| t.col_index(c)).collect();
-                let dims = cols.len();
-                let parts = range_parts(t, &cols, (0, t.rows()), workers, false);
-                let run = run_stream(parts, backend::skyline(cfg, dims));
-                let result = QueryResult::points(skyline_of(&run.forwarded.to_rows()));
-                let mut report = self.report(query, t.rows() as u64, run.stats, 1, 0, result);
-                report.pass_walls = vec![run.wall];
-                report
-            }
-        };
-        report.wall = Some(started.elapsed());
+        let mut report = sharded::execute_on(self, &mut InProcess(1), db, query);
+        report.combine_wall = None;
         report
     }
 

@@ -260,23 +260,21 @@ impl Executor for CheetahExecutor {
     }
 }
 
-/// The real-threads cluster behind the [`Executor`] seam.
+/// The real-threads cluster behind the [`Executor`] seam: one shard over
+/// `InProcess(1)`.
 ///
-/// **Every** query shape runs on a genuine worker-pool/switch/master
-/// thread topology and reports measured wall-clock in
-/// [`ExecutionReport::wall`] (plus per-pass switch spans in
-/// [`ExecutionReport::pass_walls`]): single-pass row-pruned queries
-/// stream once through [`crate::threaded::run_stream`], and the
-/// multi-pass flows (JOIN's build/probe exchange, HAVING's two-phase
-/// group scan, Filter's late-materialization fetch, fingerprinted
-/// DistinctMulti, and the register-aggregating GROUP BY SUM/COUNT) run
-/// staged switch programs ([`crate::multipass`]) through
-/// [`crate::threaded::run_phases`], whose persistent worker pool flips
-/// phases on per-worker watermarks instead of joining at a barrier.
-/// `timing` keeps the modeled breakdown (same cost model as the
-/// deterministic path, fed the measured pruning stats) so reports stay
-/// comparable across executors; the measured wall clock of the
-/// in-process run lives in `wall`.
+/// **Every** query shape runs its [`crate::sharded`] program on a genuine
+/// worker-pool/switch/master thread topology
+/// ([`crate::threaded::run_phases_each`], whose persistent worker pool
+/// flips phases on per-worker watermarks instead of joining at a
+/// barrier), exactly as one shard of [`crate::sharded::ShardedExecutor`]
+/// does. Reports carry the measured wall clock in
+/// [`ExecutionReport::wall`] and the per-pass switch spans in
+/// [`ExecutionReport::pass_walls`]; one shard merges nothing, so
+/// `merge_walls` is empty and `combine_wall` is `None`. `timing` keeps
+/// the modeled breakdown (same cost model as the deterministic path, fed
+/// the measured pruning stats) so reports stay comparable across
+/// executors.
 #[derive(Debug, Clone)]
 pub struct ThreadedExecutor {
     /// Configuration shared with the deterministic executor.

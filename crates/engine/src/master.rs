@@ -174,16 +174,6 @@ impl GroupRun {
         GroupRun { agg, pairs }
     }
 
-    /// A whole survivor set still in its forwarded lanes, through a
-    /// [`GroupSink`].
-    pub(crate) fn from_lanes(keys: &[u64], vals: &[u64], agg: Agg) -> Self {
-        let mut sink = GroupSink::new(agg);
-        for (&key, &value) in keys.iter().zip(vals) {
-            sink.push(key, value);
-        }
-        sink.finish()
-    }
-
     /// Fold another run of the same aggregate into this one: one linear
     /// pass over both. Associative and commutative, which is all the
     /// shard reduction tree asks of it.
@@ -734,8 +724,11 @@ mod tests {
             let truth = groups_oracle(&pairs, agg);
             let whole = GroupRun::fold(pairs.clone(), agg);
             prop_assert_eq!(&whole.clone().into_groups(), &truth);
-            let (keys, vals): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
-            prop_assert_eq!(&GroupRun::from_lanes(&keys, &vals, agg), &whole);
+            let mut sink = GroupSink::new(agg);
+            for &(key, value) in &pairs {
+                sink.push(key, value);
+            }
+            prop_assert_eq!(&sink.finish(), &whole);
             let threshold = u64::MAX / 2;
             let above = truth.iter().filter(|&(_, &v)| v > threshold).map(|(&k, _)| k);
             prop_assert_eq!(whole.clone().keys_above(threshold), QueryResult::Keys(above.collect()));

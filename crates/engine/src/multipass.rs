@@ -2,32 +2,30 @@
 //!
 //! Each type here implements [`SwitchPhases`] and carries its switch
 //! state (Bloom filters, Count-Min sketch, SUM registers) across the
-//! watermark-driven phase flips of [`crate::threaded::run_phases`], so
-//! the threaded cluster runs the same two-pass flows the deterministic
-//! executor models:
+//! watermark-driven phase flips of [`crate::threaded::run_phases_each`],
+//! so a shard runs the same two-pass flows the deterministic executor
+//! models:
 //!
 //! * [`JoinPhases`] — pass 1 builds `F_A`/`F_B` from both sides' join
 //!   keys, pass 2 probes each side against the *other* side's filter
 //!   (Example 4). Entries are `[side, key, …]`, matching how the switch
 //!   demultiplexes streams by flow id (§7.2).
-//! * [`HavingPhases`] — pass 1 folds `(key, value)` into the Count-Min
-//!   sketch and forwards threshold-crossing announcements, pass 2
-//!   re-streams and forwards candidate-key entries for exact master sums
-//!   (Example 5).
 //! * [`GroupBySumStage`] — a single pass with in-flight rewrites: a hit
 //!   absorbs into a register accumulator (pruned), an eviction rides out
 //!   **on the evicting packet** as a `(key, partial)` rewrite, and the
 //!   FIN drains the residual accumulators (§6).
 //!
-//! All of them work over either switch backend (`cheetah-core`
+//! The JOIN programs work over either switch backend (`cheetah-core`
 //! references or metered `cheetah-pisa` programs) because they wrap the
-//! backend-dispatching flows from [`crate::backend`].
+//! backend-dispatching [`JoinFlow`].
 //!
 //! The second half of this module is the **cross-shard combine layer**
-//! behind [`crate::sharded::ShardedExecutor`]: the shard-local HAVING
-//! programs ([`HavingShardSketch`], [`HavingShardProbe`]) whose sketches
-//! are summed across shards between the passes, and GROUP BY SUM register
-//! re-aggregation with packet-riding evictions ([`ShardSums`]). (JOIN
+//! behind every shard arm: the shard-local HAVING programs
+//! ([`HavingShardSketch`], [`HavingShardProbe`]) whose sketches are
+//! summed across shards between the passes — always on the core
+//! [`HavingPruner`], whatever the backend, because only core counters
+//! merge — and GROUP BY SUM register re-aggregation with packet-riding
+//! evictions ([`ShardSums`]). (JOIN
 //! needs nothing here: both sides are hash-sharded by key, so every
 //! shard runs the whole [`JoinPhases`] flow locally.)
 
@@ -37,7 +35,7 @@ use cheetah_core::decision::Decision;
 use cheetah_core::groupby::{GroupBySumPruner, SumAction};
 use cheetah_core::having::HavingPruner;
 
-use crate::backend::{HavingFlow, JoinFlow};
+use crate::backend::JoinFlow;
 use crate::master::GroupRun;
 use crate::query::Agg;
 use crate::threaded::{ColumnChunk, SwitchPhases};
@@ -117,41 +115,6 @@ impl SwitchPhases for AsymJoinPhases {
         } else {
             // Big side: prune against the small side's filter.
             self.flow.probe_block(sides, keys, out);
-        }
-    }
-}
-
-/// Two-pass HAVING program: sketch + announcements, then candidate scan.
-pub struct HavingPhases {
-    flow: HavingFlow,
-}
-
-impl HavingPhases {
-    /// Wrap a fresh (zeroed-sketch) HAVING flow.
-    pub fn new(flow: HavingFlow) -> Self {
-        HavingPhases { flow }
-    }
-}
-
-impl SwitchPhases for HavingPhases {
-    fn begin_phase(&mut self, phase: usize) {
-        if phase == 1 {
-            self.flow.begin_pass_two();
-        }
-    }
-
-    fn process_cols(
-        &mut self,
-        phase: usize,
-        cols: &[&[u64]],
-        _visible_cols: usize,
-        out: &mut [Decision],
-    ) {
-        let (keys, vals) = (cols[0], cols[1]);
-        if phase == 0 {
-            self.flow.pass_one_block(keys, vals, out);
-        } else {
-            self.flow.pass_two_block(keys, vals, out);
         }
     }
 }
@@ -351,7 +314,8 @@ impl ShardSums {
 mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
-    use crate::threaded::{run_phases, LanePartition, PhaseInput};
+    use crate::threaded::tests::collect_phases;
+    use crate::threaded::{LanePartition, PhaseInput};
     use std::collections::{HashMap, HashSet};
 
     fn two_sided_parts(with_rids: bool) -> Vec<LanePartition<'static>> {
@@ -373,7 +337,7 @@ mod tests {
     fn join_phases_build_then_probe() {
         let cfg = PrunerConfig::default();
         let mut program = JoinPhases::new(JoinFlow::new(&cfg));
-        let runs = run_phases(
+        let runs = collect_phases(
             vec![
                 PhaseInput {
                     partitions: two_sided_parts(false),
@@ -422,7 +386,7 @@ mod tests {
             .into()],
             visible_cols: 2,
         };
-        let runs = run_phases(
+        let runs = collect_phases(
             vec![phase(SIDE_RIGHT, &small), phase(SIDE_LEFT, &big)],
             &mut program,
         );
@@ -441,57 +405,6 @@ mod tests {
         }
         assert_eq!(runs[1].stats.processed, big.len() as u64);
         assert!(runs[1].stats.pruned > 0, "disjoint big-side keys prune");
-    }
-
-    #[test]
-    fn having_phases_never_lose_an_output_key() {
-        let cfg = PrunerConfig::default();
-        let keys: Vec<u64> = (0..4_000u64).map(|i| i % 37).collect();
-        let vals: Vec<u64> = (0..4_000u64).map(|i| i * 7 % 120).collect();
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for (&k, &v) in keys.iter().zip(&vals) {
-            *truth.entry(k).or_insert(0) += v;
-        }
-        let threshold = 6_000u64;
-        let winners: HashSet<u64> = truth
-            .iter()
-            .filter(|&(_, &s)| s > threshold)
-            .map(|(&k, _)| k)
-            .collect();
-        assert!(!winners.is_empty());
-        let part = || -> Vec<LanePartition<'static>> {
-            vec![ColumnChunk {
-                cols: vec![keys.clone(), vals.clone()],
-            }
-            .into()]
-        };
-        let mut program = HavingPhases::new(HavingFlow::new(&cfg, threshold));
-        let runs = run_phases(
-            vec![
-                PhaseInput {
-                    partitions: part(),
-                    visible_cols: 2,
-                },
-                PhaseInput {
-                    partitions: part(),
-                    visible_cols: 2,
-                },
-            ],
-            &mut program,
-        );
-        let mut sums: HashMap<u64, u64> = HashMap::new();
-        for (&k, &v) in runs[1].forwarded.cols[0]
-            .iter()
-            .zip(&runs[1].forwarded.cols[1])
-        {
-            *sums.entry(k).or_insert(0) += v;
-        }
-        let got: HashSet<u64> = sums
-            .into_iter()
-            .filter(|&(_, s)| s > threshold)
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(got, winners, "master output diverged");
     }
 
     #[test]
@@ -556,7 +469,7 @@ mod tests {
         }
         // Starved matrix → constant evictions; totals must still be exact.
         let mut program = GroupBySumStage::new(GroupBySumPruner::new(4, 2, 7));
-        let run = run_phases(
+        let run = collect_phases(
             vec![PhaseInput {
                 partitions: vec![ColumnChunk {
                     cols: vec![keys, vals],

@@ -49,7 +49,7 @@ use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
 use crate::master::GroupRun;
 use crate::query::{Agg, FetchSpec, Query};
-use crate::sharded::{merge_top, ShardedExecutor};
+use crate::sharded::{lopsided, merge_top, ShardedExecutor};
 use crate::table::Database;
 
 /// The worker-count grid the threaded arm races.
@@ -202,8 +202,8 @@ fn sampled_merge_cost(cfg: &PrunerConfig, query: &Query) -> f64 {
 pub enum ExecutorArm {
     /// Single-threaded switch-pruning pipeline ([`CheetahExecutor`]).
     Deterministic,
-    /// Worker-pool/watermark pipeline
-    /// ([`CheetahExecutor::execute_threaded`]).
+    /// Worker-pool/watermark pipeline: one shard's program over
+    /// `InProcess(1)` ([`CheetahExecutor::execute_threaded`]).
     Threaded,
     /// N in-process shard pipelines + streaming tree reduce
     /// ([`ShardedExecutor`]).
@@ -494,15 +494,12 @@ impl Executor for PlannerExecutor {
 
 /// The §4.3 flow decision the threaded/sharded JOIN arms take: lopsided
 /// tables stream the small side once, unpruned, while building its
-/// filter (same rule as [`CheetahExecutor::execute_threaded`]). `false`
-/// for non-joins.
+/// filter (the one rule, `sharded::lopsided`). `false` for non-joins.
 pub fn asymmetric_join(db: &Database, query: &Query) -> bool {
     let Query::Join { left, right, .. } = query else {
         return false;
     };
-    let l = db.table(left).rows();
-    let r = db.table(right).rows();
-    2 * l.min(r) <= l.max(r)
+    lopsided(db.table(left).rows(), db.table(right).rows())
 }
 
 /// Per-shape multiplier for moving a stream from the deterministic loop

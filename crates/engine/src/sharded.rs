@@ -29,6 +29,9 @@
 //!   encoded partial over the §7.2 protocol and folds the decoded ones in
 //!   completion order.
 //!
+//! The threaded executor is the same programs over `InProcess(1)`: one
+//! shard, no merge.
+//!
 //! Reports carry one measured switch span per shard per pass in
 //! [`ExecutionReport::pass_walls`] (shard-major within each pass), the
 //! merge spans in [`ExecutionReport::merge_walls`], and the serial root
@@ -266,12 +269,10 @@ pub(crate) fn run_shard<'env, P, T, R, Sink, Fin>(
 ) -> ShardYield<R>
 where
     P: SwitchPhases,
-    Sink: FnMut(&mut T, usize, SurvivorBlock<'env>),
+    Sink: FnMut(&mut T, SurvivorBlock<'env>),
     Fin: FnOnce(P, T) -> R,
 {
-    let runs = run_phases_each(inputs, &mut program, |phase, _, block| {
-        sink(&mut acc, phase, block)
-    });
+    let runs = run_phases_each(inputs, &mut program, |_, block| sink(&mut acc, block));
     ShardYield {
         value: finish(program, acc),
         phase_stats: runs.iter().map(|r| r.stats).collect(),
@@ -363,6 +364,15 @@ pub(crate) fn key_partition(
     (shards > 1).then(|| hash_partition(cols, 0, shards, cfg.seed ^ SHARD_SALT, with_rids))
 }
 
+/// The §4.3 flow choice: a JOIN whose small side has at most half the big
+/// side's rows streams the small side once, unpruned, while building its
+/// filter, and the big side once against it — each table crosses the
+/// switch once instead of twice. Decided on *global* sizes, so every
+/// shard and every arm agrees.
+pub(crate) fn lopsided(left_rows: usize, right_rows: usize) -> bool {
+    2 * left_rows.min(right_rows) <= left_rows.max(right_rows)
+}
+
 /// One shard's whole JOIN over the shard's lanes of the two sides' key
 /// partitions (`None`: a single shard streams the tables where they lie):
 /// size the flow from the shard's rows, stream the §4.3 asymmetric
@@ -422,7 +432,7 @@ pub(crate) fn join_shard(
             inputs,
             AsymJoinPhases::new(flow),
             acc,
-            |a, _, block| join_sink(a, block),
+            join_sink,
             |_, (lf, rf)| join_survivors(lf, rf),
         )
     } else {
@@ -430,7 +440,7 @@ pub(crate) fn join_shard(
             inputs,
             JoinPhases::new(flow),
             acc,
-            |a, _, block| join_sink(a, block),
+            join_sink,
             |_, (lf, rf)| join_survivors(lf, rf),
         )
     }
@@ -471,7 +481,7 @@ pub(crate) fn sum_shard<P: SwitchPhases>(
         // Forwarded entries carry evicted (key, partial) pairs; the FIN
         // drain — a rebooted shard's pre-reboot drain included — arrives
         // the same way.
-        |acc, _, block| {
+        |acc, block| {
             let (sums, scratch) = acc;
             scratch.clear();
             block.extend_pairs_into(0, 1, scratch);
@@ -590,7 +600,7 @@ pub(crate) trait Transport {
 
 /// The in-process transport over this many shards: one thread per shard,
 /// partials merged up the streaming binomial tree, on the plain stages.
-struct InProcess(usize);
+pub(crate) struct InProcess(pub(crate) usize);
 
 impl Site for InProcess {
     type SumStage = GroupBySumStage;
@@ -777,7 +787,7 @@ pub(crate) fn execute_on<T: Transport>(
                 env,
                 left: (l, lc),
                 right: (r, rc),
-                asymmetric: 2 * l.rows().min(r.rows()) <= l.rows().max(r.rows()),
+                asymmetric: lopsided(l.rows(), r.rows()),
                 sides: side(l, lc).zip(side(r, rc)),
             };
             spans.run(transport, &program)
@@ -864,9 +874,7 @@ impl ShardProgram for CountProgram<'_> {
             0u64,
             // The master re-checks the full predicate on survivors, so a
             // rebooted switch's extra forwards change nothing.
-            |count, _, block| {
-                block.for_each_row(|row| *count += u64::from(self.predicate.eval(row)))
-            },
+            |count, block| block.for_each_row(|row| *count += u64::from(self.predicate.eval(row))),
             |_, count| count,
         )
     }
@@ -920,7 +928,7 @@ impl ShardProgram for FilterProgram<'_> {
             Vec::<u64>::new(),
             // Rows arrive [pred cols…, rid]; the trailing row id rode
             // switch-blind.
-            |ids, _, block| {
+            |ids, block| {
                 block.for_each_row(|row| {
                     if self.predicate.eval(row) {
                         ids.push(row[npred]);
@@ -989,7 +997,7 @@ impl ShardProgram for DistinctProgram<'_> {
             self.0.pass(s, false),
             site.pruner_stage(s, backend::distinct(self.0.env.cfg)),
             Vec::<u64>::new(),
-            |values, _, block| block.extend_lane_into(0, values),
+            |values, block| block.extend_lane_into(0, values),
             |_, mut values| {
                 values.sort_unstable();
                 values.dedup();
@@ -1047,7 +1055,7 @@ impl ShardProgram for DistinctMultiProgram<'_> {
             }],
             site.pruner_stage(s, backend::distinct(env.cfg)),
             Vec::<u64>::new(),
-            |flat, _, block| block.for_each_row(|row| flat.extend_from_slice(&row[1..])),
+            |flat, block| block.for_each_row(|row| flat.extend_from_slice(&row[1..])),
             |_, flat| TupleRun::canonical(cols.len(), flat),
         )
     }
@@ -1101,7 +1109,7 @@ impl ShardProgram for TopNProgram<'_> {
             self.scan.pass(s, false),
             site.pruner_stage(s, backend::topn(self.scan.env.cfg, self.n)),
             Vec::<u64>::new(),
-            |values, _, block| block.extend_lane_into(0, values),
+            |values, block| block.extend_lane_into(0, values),
             |_, values| self.top(values),
         )
     }
@@ -1151,7 +1159,7 @@ impl ShardProgram for ExtremumProgram<'_> {
             self.scan.pass(s, false),
             site.pruner_stage(s, backend::groupby(self.scan.env.cfg, ext)),
             GroupSink::new(self.agg),
-            |groups, _, block| groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
+            |groups, block| groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
             |_, groups| groups.finish(),
         )
     }
@@ -1225,6 +1233,10 @@ impl ShardProgram for SumProgram<'_> {
 
 /// HAVING pass 1: shard-local Count-Min sketches, merged cell-wise. Its
 /// root is the merged sketch the second program probes against.
+///
+/// The one program that ignores `cfg.backend`: it always runs the core
+/// [`HavingPruner`], because merging sketches needs core counters and a
+/// PISA HAVING flow exports none. Decisions are the same either way.
 struct HavingSketchProgram<'s, 'a> {
     scan: &'s Scan<'a>,
     threshold: u64,
@@ -1247,7 +1259,7 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
             (),
             // Shard-local announcements are not global candidates; the
             // merged sketch recomputes them in pass 2.
-            |(), _, _block| {},
+            |(), _| {},
             |program, ()| program.into_pruner(),
         )
     }
@@ -1303,7 +1315,8 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
 }
 
 /// HAVING pass 2: every shard probes the merged sketch and sums its
-/// candidates' values exactly.
+/// candidates' values exactly. Like [`HavingSketchProgram`], always on
+/// the core [`HavingPruner`], whatever `cfg.backend` says.
 struct HavingProbeProgram<'s, 'a> {
     scan: &'s Scan<'a>,
     merged: HavingPruner,
@@ -1318,7 +1331,7 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
             self.scan.pass(s, false),
             HavingShardProbe::new(self.merged.clone()),
             GroupSink::new(Agg::Sum),
-            |sums, _, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
+            |sums, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
             |_, sums| sums.finish(),
         )
     }
@@ -1428,7 +1441,7 @@ impl ShardProgram for SkylineProgram<'_> {
             self.0.pass(s, false),
             site.pruner_stage(s, backend::skyline(self.0.env.cfg, dims)),
             Vec::<Vec<u64>>::new(),
-            |points, _, block| block.for_each_row(|row| points.push(row.to_vec())),
+            |points, block| block.for_each_row(|row| points.push(row.to_vec())),
             |_, points| skyline_of(&points).into_iter().flatten().collect(),
         )
     }

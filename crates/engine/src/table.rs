@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::stream::split_range;
+
 /// A named, columnar, u64-typed table.
 ///
 /// Column lanes are immutable once built and held by shared reference:
@@ -169,17 +171,7 @@ impl Table {
 
     /// Row-range partition bounds for `p` workers: `p` near-equal spans.
     pub fn partition_bounds(&self, p: usize) -> Vec<(usize, usize)> {
-        assert!(p > 0);
-        let per = self.rows / p;
-        let extra = self.rows % p;
-        let mut bounds = Vec::with_capacity(p);
-        let mut start = 0;
-        for i in 0..p {
-            let len = per + usize::from(i < extra);
-            bounds.push((start, start + len));
-            start += len;
-        }
-        bounds
+        split_range(0, self.rows, p)
     }
 }
 

@@ -1,11 +1,13 @@
-//! Real-threads cluster: a **persistent worker pool**, one switch thread
+//! Real-threads pipeline: a **persistent worker pool**, one switch thread
 //! and the master wired with channels, running multi-phase dataflows with
 //! **pipelined phase handoff**.
 //!
-//! The deterministic executor interleaves partitions round-robin; this
-//! module runs the same dataflow with genuine concurrency — worker threads
-//! race into one switch thread (the pruning program runs serialized there,
-//! as the single ASIC pipeline would), and the master thread sinks
+//! This is what one in-process shard runs on. A shard program
+//! ([`crate::sharded`]) hands its phase inputs, switch stage and master
+//! sink to [`run_phases_each`]; the threaded executor is one shard over
+//! `InProcess(1)`, the sharded executor N of them. Worker threads race
+//! into one switch thread (the pruning program runs serialized there, as
+//! the single ASIC pipeline would), and the calling thread sinks
 //! survivors. Entries travel in column-major **blocks** (§9's
 //! multi-entry-packet shape) of [`WIRE_ENTRIES`] entries, serialized
 //! straight from [`Lane`] sources — table column slices, synthesized row
@@ -20,22 +22,21 @@
 //! place. Either way: no per-row `Vec` in the steady state and O(1)
 //! allocations per block.
 //!
-//! Multi-pass queries (§6–§7: JOIN's partition exchange, HAVING's
-//! two-phase group scan, GROUP BY SUM's register aggregation) run through
-//! [`run_phases`]. Unlike the earlier per-phase `thread::scope` design,
-//! [`run_phases`] spawns each worker **exactly once per query**: a worker
-//! receives its partition for every phase up front and streams them
-//! back-to-back, ending each with a per-worker **watermark** (EOF marker)
-//! instead of joining at a global barrier. The switch opens phase `p+1`
-//! — calling [`SwitchPhases::begin_phase`], the control-plane rule flip
-//! of §4.3 — as soon as all watermarks for phase `p` have arrived and the
-//! [`SwitchPhases::fin`] residuals have flushed; blocks that raced ahead
-//! of the flip are parked and replayed the moment their phase opens. So
-//! pass `p+1` serialization overlaps pass `p` pruning and master
-//! completion, the way the paper's switch pipeline never drains between
-//! stages. The staged programs themselves live in [`crate::multipass`];
-//! single-pass queries keep the [`run_stream`] convenience wrapper, which
-//! adapts any [`RowPruner`] via [`PrunerStage`].
+//! Multi-pass programs (§6–§7: JOIN's partition exchange, GROUP BY SUM's
+//! register aggregation) stream every pass through one
+//! [`run_phases_each`] call, which spawns each worker **exactly once per
+//! call**: a worker receives its partition for every phase up front and
+//! streams them back-to-back, ending each with a per-worker **watermark**
+//! (EOF marker) instead of joining at a global barrier. The switch opens
+//! phase `p+1` — calling [`SwitchPhases::begin_phase`], the control-plane
+//! rule flip of §4.3 — as soon as all watermarks for phase `p` have
+//! arrived and the [`SwitchPhases::fin`] residuals have flushed; blocks
+//! that raced ahead of the flip are parked and replayed the moment their
+//! phase opens. So pass `p+1` serialization overlaps pass `p` pruning and
+//! master completion, the way the paper's switch pipeline never drains
+//! between stages. The staged programs themselves live in
+//! [`crate::multipass`]; any [`RowPruner`] runs as a one-phase program
+//! through [`PrunerStage`].
 //!
 //! Block arrival order is nondeterministic, so pruning *rates* vary run
 //! to run, but Cheetah's guarantee is order-independent: the completed
@@ -60,8 +61,8 @@ use crate::stream::{fingerprint_rows, BLOCK_ENTRIES};
 /// time-share cores.
 pub const WIRE_ENTRIES: usize = 8 * BLOCK_ENTRIES;
 
-/// A block in flight (or the master's accumulated survivors):
-/// column-major lanes of equal length.
+/// A materialized block in flight (a rewriting program's block, a FIN
+/// residual): column-major lanes of equal length.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnChunk {
     /// One lane per metadata column.
@@ -69,27 +70,9 @@ pub struct ColumnChunk {
 }
 
 impl ColumnChunk {
-    /// A chunk with `width` empty lanes.
-    pub fn with_width(width: usize) -> Self {
-        ColumnChunk {
-            cols: vec![Vec::new(); width],
-        }
-    }
-
     /// Number of entries.
     pub fn rows(&self) -> usize {
         self.cols.first().map_or(0, Vec::len)
-    }
-
-    /// Materialize entry `i` as an owned row.
-    pub fn row(&self, i: usize) -> Vec<u64> {
-        self.cols.iter().map(|c| c[i]).collect()
-    }
-
-    /// Materialize every entry (for consumers that need owned points,
-    /// e.g. the skyline frontier).
-    pub fn to_rows(&self) -> Vec<Vec<u64>> {
-        (0..self.rows()).map(|i| self.row(i)).collect()
     }
 }
 
@@ -179,7 +162,7 @@ pub struct PhaseInput<'a> {
 /// multi-pass dataflows need.
 ///
 /// One value of this trait lives on the switch thread across **all**
-/// phases of a [`run_phases`] call, so phase-1 state (a join Bloom
+/// phases of a [`run_phases_each`] call, so phase-1 state (a join Bloom
 /// filter, a HAVING sketch, GROUP BY SUM registers) is visible to
 /// phase 2, exactly as the ASIC's register arrays persist between the
 /// control plane's rule flips.
@@ -279,9 +262,6 @@ impl SwitchPhases for PrunerStage {
 /// Outcome of one threaded streaming phase.
 #[derive(Debug, Default)]
 pub struct ThreadedRun {
-    /// Entries the switch forwarded, compacted into flat column lanes in
-    /// master arrival order.
-    pub forwarded: ColumnChunk,
     /// Switch pruning counters for this phase.
     pub stats: PruneStats,
     /// Switch-side span of the phase: from the phase opening
@@ -295,7 +275,7 @@ thread_local! {
     static WORKER_SPAWNS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total worker threads spawned by [`run_phases`] calls made **from the
+/// Total worker threads spawned by [`run_phases_each`] calls made **from the
 /// current thread** — a diagnostic counter for tests asserting the pool
 /// spawns each worker exactly once per query (thread-local, so
 /// concurrently running tests never race it). Drivers that fan pipelines
@@ -497,73 +477,34 @@ impl SurvivorBlock<'_> {
     }
 }
 
-/// Stream `partitions` through `pruner` with the worker pool, one switch
-/// thread, and the calling thread as master — the single-phase
-/// convenience over [`run_phases`].
-pub fn run_stream(
-    partitions: Vec<LanePartition<'_>>,
-    pruner: Box<dyn RowPruner + Send>,
-) -> ThreadedRun {
-    let visible_cols = partitions
-        .iter()
-        .map(LanePartition::width)
-        .max()
-        .unwrap_or(0);
-    let mut stage = PrunerStage::new(pruner);
-    run_phases(
-        vec![PhaseInput {
-            partitions,
-            visible_cols,
-        }],
-        &mut stage,
-    )
-    .pop()
-    .expect("one phase in, one run out")
-}
-
 /// Run a staged switch program over a sequence of streaming phases on a
-/// persistent worker pool, accumulating survivors into flat lanes.
+/// persistent worker pool, with a **streaming master**: every survivor
+/// block is handed to `sink(phase, survivors)` on the calling thread as it
+/// arrives, so masters overlap their completion work with the switch's
+/// later phases. FIN residual chunks arrive through the same sink.
 ///
-/// One thread per worker is spawned **once for the whole query** (plus
+/// One thread per worker is spawned **once for the whole call** (plus
 /// the switch thread; the calling thread is the master). Each worker
 /// streams its partition of every phase back-to-back, closing each with
 /// a watermark; the switch opens phase `p+1` (re-arming the program via
 /// [`SwitchPhases::begin_phase`]) once all of phase `p`'s watermarks have
 /// arrived and its [`SwitchPhases::fin`] residuals have flushed, parking
 /// any blocks that raced ahead of the flip. Returns one [`ThreadedRun`]
-/// per phase, in phase order — callers pick which phases' survivors and
-/// counters matter (a JOIN build pass forwards nothing; its stats are
-/// discarded).
-pub fn run_phases(phases: Vec<PhaseInput<'_>>, switch: &mut dyn SwitchPhases) -> Vec<ThreadedRun> {
-    run_phases_each(phases, switch, |_, run, survivors| {
-        for c in 0..survivors.width().min(run.forwarded.cols.len()) {
-            survivors.extend_lane_into(c, &mut run.forwarded.cols[c]);
-        }
-    })
-}
-
-/// [`run_phases`] with a **streaming master**: every survivor block is
-/// handed to `sink(phase, &mut runs[phase], survivors)` on the master
-/// thread as it arrives, instead of being appended to the run's flat
-/// `forwarded` lanes. Masters that consume survivors block-wise (the
-/// JOIN pairing split, the DistinctMulti tuple materialization) skip a
-/// whole accumulate-then-rescan pass and overlap their completion work
-/// with the switch's later phases. FIN residual chunks arrive through
-/// the same sink.
+/// per phase, in phase order — callers pick which phases' counters
+/// matter (a JOIN build pass forwards nothing; its stats are discarded).
 pub fn run_phases_each<'a, F>(
     phases: Vec<PhaseInput<'a>>,
     switch: &mut dyn SwitchPhases,
     mut sink: F,
 ) -> Vec<ThreadedRun>
 where
-    F: FnMut(usize, &mut ThreadedRun, SurvivorBlock<'a>),
+    F: FnMut(usize, SurvivorBlock<'a>),
 {
     let n_phases = phases.len();
     if n_phases == 0 {
         return Vec::new();
     }
     let n_workers = phases.iter().map(|p| p.partitions.len()).max().unwrap_or(0);
-    let mut widths = Vec::with_capacity(n_phases);
     let mut visibles = Vec::with_capacity(n_phases);
     // Distribute every phase's partitions to the pool up front: worker
     // `w` owns partition `w` of each phase (padded with empty partitions
@@ -578,7 +519,6 @@ where
             .map(LanePartition::width)
             .max()
             .unwrap_or(0);
-        widths.push(width);
         visibles.push(phase.visible_cols.min(width));
         let mut parts = phase.partitions.into_iter();
         for worker_jobs in &mut jobs {
@@ -623,16 +563,10 @@ where
         // Master: the current thread sinks survivor blocks as they
         // arrive, overlapping its completion work with the switch's
         // later phases.
-        let mut runs: Vec<ThreadedRun> = widths
-            .iter()
-            .map(|&w| ThreadedRun {
-                forwarded: ColumnChunk::with_width(w),
-                ..ThreadedRun::default()
-            })
-            .collect();
+        let mut runs: Vec<ThreadedRun> = (0..n_phases).map(|_| ThreadedRun::default()).collect();
         for msg in fwd_rx {
             match msg {
-                MasterMsg::Survivors(phase, survivors) => sink(phase, &mut runs[phase], survivors),
+                MasterMsg::Survivors(phase, survivors) => sink(phase, survivors),
                 MasterMsg::PhaseDone(phase, stats, wall) => {
                     runs[phase].stats = stats;
                     runs[phase].wall = wall;
@@ -879,11 +813,64 @@ fn decide_block<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
     use cheetah_core::groupby::{Extremum, GroupByPruner};
     use std::collections::{HashMap, HashSet};
+
+    /// One phase's run with its survivors collected into flat lanes, in
+    /// master arrival order.
+    pub(crate) struct Collected {
+        pub(crate) forwarded: ColumnChunk,
+        pub(crate) stats: PruneStats,
+        pub(crate) wall: Duration,
+    }
+
+    /// [`run_phases_each`] with a sink that appends every survivor block
+    /// to its phase's lanes.
+    pub(crate) fn collect_phases(
+        phases: Vec<PhaseInput<'_>>,
+        switch: &mut dyn SwitchPhases,
+    ) -> Vec<Collected> {
+        let mut lanes: Vec<ColumnChunk> = phases
+            .iter()
+            .map(|p| {
+                let width = p.partitions.iter().map(LanePartition::width).max();
+                ColumnChunk {
+                    cols: vec![Vec::new(); width.unwrap_or(0)],
+                }
+            })
+            .collect();
+        let runs = run_phases_each(phases, switch, |phase, block| {
+            for (c, lane) in lanes[phase].cols.iter_mut().enumerate() {
+                block.extend_lane_into(c, lane);
+            }
+        });
+        runs.into_iter()
+            .zip(lanes)
+            .map(|(run, forwarded)| Collected {
+                forwarded,
+                stats: run.stats,
+                wall: run.wall,
+            })
+            .collect()
+    }
+
+    /// `partitions` through `pruner` in one phase, every lane visible.
+    fn stream_one_phase(
+        partitions: Vec<LanePartition<'_>>,
+        pruner: Box<dyn RowPruner + Send>,
+    ) -> Collected {
+        let visible_cols = partitions.iter().map(LanePartition::width).max();
+        let phase = PhaseInput {
+            partitions,
+            visible_cols: visible_cols.unwrap_or(0),
+        };
+        collect_phases(vec![phase], &mut PrunerStage::new(pruner))
+            .pop()
+            .expect("one phase in, one run out")
+    }
 
     fn partitions(workers: usize, rows: usize, keys: u64) -> Vec<LanePartition<'static>> {
         (0..workers)
@@ -909,7 +896,7 @@ mod tests {
                 })
                 .collect();
             let pruner = Box::new(DistinctPruner::new(256, 2, EvictionPolicy::Lru, trial));
-            let run = run_stream(parts, pruner);
+            let run = stream_one_phase(parts, pruner);
             let got: HashSet<u64> = run.forwarded.cols[0].iter().copied().collect();
             assert_eq!(got, truth, "trial {trial}: distinct set diverged");
             assert_eq!(run.stats.processed, 8_000);
@@ -944,7 +931,7 @@ mod tests {
             })
             .collect();
         let pruner = Box::new(GroupByPruner::new(64, 4, Extremum::Max, 9));
-        let run = run_stream(parts, pruner);
+        let run = stream_one_phase(parts, pruner);
         let mut got: HashMap<u64, u64> = HashMap::new();
         for (&k, &v) in run.forwarded.cols[0].iter().zip(&run.forwarded.cols[1]) {
             let e = got.entry(k).or_insert(0);
@@ -956,25 +943,21 @@ mod tests {
     #[test]
     fn empty_partitions_complete() {
         let pruner = Box::new(DistinctPruner::new(4, 1, EvictionPolicy::Fifo, 0));
-        let run = run_stream(
+        let run = stream_one_phase(
             vec![
-                ColumnChunk::with_width(1).into(),
-                ColumnChunk::with_width(1).into(),
+                ColumnChunk {
+                    cols: vec![Vec::new()],
+                }
+                .into(),
+                ColumnChunk {
+                    cols: vec![Vec::new()],
+                }
+                .into(),
             ],
             pruner,
         );
         assert_eq!(run.forwarded.rows(), 0);
         assert_eq!(run.stats.processed, 0);
-    }
-
-    #[test]
-    fn column_chunk_row_accessors() {
-        let c = ColumnChunk {
-            cols: vec![vec![1, 2], vec![10, 20]],
-        };
-        assert_eq!(c.rows(), 2);
-        assert_eq!(c.row(1), vec![2, 20]);
-        assert_eq!(c.to_rows(), vec![vec![1, 10], vec![2, 20]]);
     }
 
     #[test]
@@ -1006,7 +989,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let run = run_stream(parts, pruner);
+        let run = stream_one_phase(parts, pruner);
         assert_eq!(run.forwarded.rows(), keys.len());
         assert!(run.forwarded.cols[1].iter().all(|&c| c == 42));
         let mut iota = run.forwarded.cols[2].clone();
@@ -1070,7 +1053,7 @@ mod tests {
             max: 0,
             phases_armed: Vec::new(),
         };
-        let runs = run_phases(
+        let runs = collect_phases(
             vec![
                 PhaseInput {
                     partitions: mk(),
@@ -1125,7 +1108,7 @@ mod tests {
         }
         .into()];
         let mut program = HoldAll { seen: Vec::new() };
-        let run = run_phases(
+        let run = collect_phases(
             vec![PhaseInput {
                 partitions: parts,
                 visible_cols: 1,
@@ -1148,7 +1131,7 @@ mod tests {
         }
         .into()];
         let pruner = Box::new(DistinctPruner::new(16, 2, EvictionPolicy::Lru, 0));
-        let run = run_phases(
+        let run = collect_phases(
             vec![PhaseInput {
                 partitions: parts,
                 visible_cols: 1,
@@ -1172,7 +1155,7 @@ mod tests {
             max: 0,
             phases_armed: Vec::new(),
         };
-        let runs = run_phases(
+        let runs = collect_phases(
             vec![
                 PhaseInput {
                     partitions: mk(),
@@ -1208,7 +1191,7 @@ mod tests {
             max: 0,
             phases_armed: Vec::new(),
         };
-        let runs = run_phases(
+        let runs = collect_phases(
             vec![
                 PhaseInput {
                     partitions: partitions(1, 300, 11),

@@ -7,7 +7,9 @@ use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::backend::SwitchBackend;
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
-use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, Table};
+use cheetah::engine::{
+    Agg, CostModel, Database, Executor, Predicate, Query, ShardedExecutor, Table, ThreadedExecutor,
+};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,6 +115,12 @@ fn pisa_backend_matches_reference_backend_and_oracle() {
     };
     let reference_exec = mk(SwitchBackend::Reference);
     let pisa_exec = mk(SwitchBackend::Pisa);
+    // The shard programs under PISA too — HAVING's run the core sketch
+    // whatever the backend, every other shape the metered programs.
+    let pisa_arms: [Box<dyn Executor>; 2] = [
+        Box::new(ThreadedExecutor::new(mk(SwitchBackend::Pisa))),
+        Box::new(ShardedExecutor::with_shards(mk(SwitchBackend::Pisa), 2)),
+    ];
     for q in queries() {
         let truth = reference::evaluate(&db, &q);
         let a = reference_exec.execute(&db, &q);
@@ -132,6 +140,16 @@ fn pisa_backend_matches_reference_backend_and_oracle() {
             "[{}] processed diverged",
             q.kind()
         );
+        for arm in &pisa_arms {
+            let r = arm.execute(&db, &q);
+            let at = format!("[{}] {} on pisa", q.kind(), arm.name());
+            assert_eq!(r.result, truth, "{at} != oracle");
+            assert_eq!(
+                r.prune_stats().processed,
+                a.prune_stats().processed,
+                "{at}: processed diverged"
+            );
+        }
     }
 }
 

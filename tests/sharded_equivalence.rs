@@ -21,7 +21,7 @@ use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
     Agg, CostModel, Database, DistributedExecutor, Executor, Predicate, Query, ShardedExecutor,
-    Table,
+    Table, ThreadedExecutor,
 };
 
 /// A database over explicit column data (so proptest owns the values).
@@ -165,7 +165,8 @@ fn test_config(seed: u64) -> PrunerConfig {
     }
 }
 
-/// Assert sharded ≡ deterministic ≡ reference for every shape, including
+/// Assert sharded ≡ distributed ≡ threaded ≡ deterministic ≡ reference
+/// for every shape, including
 /// the order-independent checksums (fetch + join pairing live inside the
 /// canonical results / fetch_checksum fields).
 fn assert_equivalent(db: &Database, shards: usize, workers: usize, seed: u64) {
@@ -176,6 +177,7 @@ fn assert_equivalent(db: &Database, shards: usize, workers: usize, seed: u64) {
     let cheetah = CheetahExecutor::new(model, test_config(seed));
     let sharded = ShardedExecutor::with_shards(cheetah.clone(), shards);
     let distributed = DistributedExecutor::with_shards(cheetah.clone(), shards);
+    let threaded = ThreadedExecutor::new(cheetah.clone());
     for (label, q) in all_shapes() {
         let truth = reference::evaluate(db, &q);
         let det = Executor::execute(&cheetah, db, &q);
@@ -192,6 +194,20 @@ fn assert_equivalent(db: &Database, shards: usize, workers: usize, seed: u64) {
         );
         assert_eq!(dst.passes, shd.passes, "{at}");
         assert_eq!(dst.pass_walls.len(), shd.pass_walls.len(), "{at}");
+        // Threaded is the same programs on one shard: one span per pass,
+        // nothing merged.
+        let thr = Executor::execute(&threaded, db, &q);
+        let at = format!("[{label}] threaded × {workers} workers vs {shards} shards");
+        assert_eq!(thr.result, shd.result, "{at}");
+        assert_eq!(thr.fetch_checksum, shd.fetch_checksum, "{at}");
+        assert_eq!(
+            thr.prune_stats().processed,
+            shd.prune_stats().processed,
+            "{at}"
+        );
+        assert_eq!(thr.passes, shd.passes, "{at}");
+        assert_eq!(thr.pass_walls.len(), thr.passes as usize, "{at}");
+        assert_eq!(thr.combine_wall, None, "{at}");
         assert_eq!(
             det.result, truth,
             "[{label}] deterministic diverged from reference"

@@ -160,9 +160,10 @@ fn threaded_multipass_pass_accounting() {
     }
 }
 
-/// The pool contract: `run_phases` spawns each worker thread exactly
-/// once per query, however many passes stream — asserted through the
-/// thread-local spawn counter (`threaded::worker_threads_spawned`).
+/// The pool contract: one program run spawns each worker thread exactly
+/// once, however many passes stream — asserted through the thread-local
+/// spawn counter (`threaded::worker_threads_spawned`). HAVING is two
+/// programs joined by the merged-sketch broadcast, so two pools.
 #[test]
 fn pool_spawns_each_worker_exactly_once_per_query() {
     use cheetah::engine::threaded::worker_threads_spawned;
@@ -180,7 +181,10 @@ fn pool_spawns_each_worker_exactly_once_per_query() {
         // flow: each phase streams one side on `workers` partitions —
         // like every other shape. Two-pass flows must not double that:
         // the pool is reused across the pass flip.
-        let expected = workers as u64;
+        let expected = match q {
+            Query::Having { .. } => 2 * workers as u64,
+            _ => workers as u64,
+        };
         let before = worker_threads_spawned();
         let report = exec.execute(&db, &q);
         assert_eq!(
