@@ -130,6 +130,10 @@ impl CountMinSketch {
     }
 }
 
+/// Keys whose Count-Min estimates [`HavingPruner::pass_two_block`] builds
+/// together: 8 KB of running minima on the stack, one engine block.
+const PROBE_LANE: usize = 1024;
+
 /// Two-pass HAVING pruner for `SUM(val) > c` / `COUNT(*) > c`.
 #[derive(Debug, Clone)]
 pub struct HavingPruner {
@@ -186,9 +190,39 @@ impl HavingPruner {
 
     /// Pass-2 block loop: candidate-key decisions for a key block —
     /// bit-identical to per-entry [`Self::pass_two`] calls.
+    ///
+    /// Sketch-row-major: per 1,024 keys, each of the `d` rows runs one
+    /// hash-and-min pass over a stack lane of running estimates, then one
+    /// threshold compare per entry decides. Every pass is a straight loop
+    /// of independent hashes and loads into one `w`-cell row, where the
+    /// per-entry form hops across all `d` rows and folds a minimum per
+    /// key. Over 400k keys at d = 3, w = 1,024 pass 2 measured 2.2 →
+    /// 1.9 ms. Pass 1 stays entry-major: its lane-first form must carry
+    /// every entry's before/after pair across the rows, and measured
+    /// slower (3.4 → 4.5 ms).
     pub fn pass_two_block(&self, keys: &[u64], out: &mut [Decision]) {
-        for (d, &k) in out.iter_mut().zip(keys) {
-            *d = self.pass_two(k);
+        let CountMinSketch {
+            w,
+            counters,
+            hashes,
+            ..
+        } = &self.sketch;
+        let mut lane = [0u64; PROBE_LANE];
+        for (keys, out) in keys.chunks(PROBE_LANE).zip(out.chunks_mut(PROBE_LANE)) {
+            let estimates = &mut lane[..keys.len()];
+            estimates.fill(u64::MAX);
+            for (hash, row) in hashes.iter().zip(counters.chunks_exact(*w)) {
+                for (est, &k) in estimates.iter_mut().zip(keys) {
+                    *est = (*est).min(row[hash.bucket(k, *w)]);
+                }
+            }
+            for (d, &est) in out.iter_mut().zip(estimates.iter()) {
+                *d = if est > self.threshold {
+                    Decision::Forward
+                } else {
+                    Decision::Prune
+                };
+            }
         }
     }
 
@@ -540,6 +574,35 @@ mod tests {
         let mut got2 = vec![Decision::Prune; keys.len()];
         b.pass_two_block(&keys, &mut got2);
         assert_eq!(got2, expected2, "pass-2 block loop diverged");
+    }
+
+    #[test]
+    fn pass_two_kernel_matches_per_entry_at_every_geometry() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let entries: Vec<(u64, u64)> = (0..5_000)
+            .map(|_| (rng.gen_range(0..400u64), rng.gen_range(0..50u64)))
+            .collect();
+        // Keys the sketch saw and keys it never did, across lane edges.
+        let keys: Vec<u64> = (0..3_000).map(|_| rng.gen_range(0..600u64)).collect();
+        for d in [1, 3, 5] {
+            for w in [1, 7, 1024] {
+                let mut p = HavingPruner::new(d, w, 0, 9);
+                for &(k, v) in &entries {
+                    p.sketch.update(k, v);
+                }
+                // The median estimate: about half the keys forward.
+                let mut estimates: Vec<u64> = keys.iter().map(|&k| p.sketch.estimate(k)).collect();
+                estimates.sort_unstable();
+                p.threshold = estimates[estimates.len() / 2];
+                for len in [0, 1, 1023, 1024, 1025, 3000] {
+                    let block = &keys[..len];
+                    let expected: Vec<Decision> = block.iter().map(|&k| p.pass_two(k)).collect();
+                    let mut got = vec![Decision::Prune; len];
+                    p.pass_two_block(block, &mut got);
+                    assert_eq!(got, expected, "d = {d}, w = {w}, {len} keys");
+                }
+            }
+        }
     }
 
     #[test]

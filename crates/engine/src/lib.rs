@@ -54,7 +54,6 @@
 pub mod backend;
 pub mod cheetah;
 pub mod cost;
-pub mod dag;
 pub mod distributed;
 pub mod executor;
 mod master;

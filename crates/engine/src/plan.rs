@@ -14,8 +14,8 @@
 //!    count, shard count, arm race) reads that shared context instead of
 //!    re-sampling the same first blocks.
 //! 2. **Feasibility.** The query's Table 2 program is packed onto the
-//!    [`SwitchModel`] through [`DagPipeline::check_packing`] (the §6
-//!    placer `serve` already exercises). A program that does not fit —
+//!    [`SwitchModel`] by [`cheetah_pisa::pack::pack`] (the §6 placer
+//!    `serve` already exercises). A program that does not fit —
 //!    SKYLINE at its default `w = 10` needs 23 stages against Tofino's
 //!    12 — rejects every switch-window arm before costing; the
 //!    deterministic arm (no exclusive switch window to reserve) remains.
@@ -36,15 +36,14 @@
 
 use std::time::Instant;
 
-use cheetah_core::decision::{Decision, RowPruner};
 use cheetah_core::distinct::EvictionPolicy;
 use cheetah_core::having::HavingPruner;
 use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
+use cheetah_pisa::pack::pack;
 
 use crate::backend::JoinFlow;
 use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
-use crate::dag::{DagPipeline, DagStage};
 use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
 use crate::master::GroupRun;
@@ -416,17 +415,10 @@ impl PlannerExecutor {
     }
 
     /// Whether the query's Table 2 program packs onto this planner's
-    /// switch budget — [`DagPipeline::check_packing`] over a single-edge
-    /// pipeline declaring the program's [`ResourceUsage`].
+    /// switch budget: the §6 packer over its [`ResourceUsage`] alone.
     pub fn fits_switch(&self, db: &Database, query: &Query) -> bool {
         let usage = query_resources(&self.inner.config, &self.switch, db, query);
-        let dag = DagPipeline::new(vec![DagStage {
-            name: format!("{}-edge", query.kind()),
-            task: Box::new(|row| Some(row.to_vec())),
-            edge_pruner: Box::new(ForwardAll),
-            edge_resources: usage,
-        }]);
-        dag.check_packing(&self.switch).is_ok()
+        pack(&self.switch, &[usage]).is_ok()
     }
 
     /// The fetch projection the plan executes with: projection pushdown
@@ -569,22 +561,6 @@ pub(crate) fn query_resources(
         Query::Skyline { columns, .. } => {
             table2::skyline_aph(columns.len() as u32, cfg.skyline_w as u32)
         }
-    }
-}
-
-/// The feasibility stage's edge pruner: forwards everything. The packing
-/// check only reads the stage's declared resources; no row ever flows.
-struct ForwardAll;
-
-impl RowPruner for ForwardAll {
-    fn process_row(&mut self, _row: &[u64]) -> Decision {
-        Decision::Forward
-    }
-
-    fn reset(&mut self) {}
-
-    fn name(&self) -> &'static str {
-        "planner-feasibility"
     }
 }
 

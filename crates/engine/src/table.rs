@@ -131,8 +131,7 @@ impl Table {
     /// produces exactly the [`Table::row_into`] row. The §7.1 fetch no
     /// longer comes through here (the executors read the same lanes a
     /// block of rows at a time, lane by lane); this is the row-at-a-time
-    /// definition that kernel is tested against, and what streams a
-    /// table's rows into a [`crate::dag`] pipeline.
+    /// definition that kernel is tested against.
     ///
     /// # Examples
     ///

@@ -192,6 +192,18 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 ("v", (0..rows).map(|i| (i % 83 + 1) * 3).collect()),
                 ("w", (0..rows).map(|i| i % 499 + 1).collect()),
                 ("g", (0..rows).map(|i| i % 83 % 13 + 1).collect()),
+                // ≈ 2k keys; keys that do not repeat within 11k rows (nor,
+                // interleaved five ways, within the stream's first 7k
+                // entries); and each row's position in that interleave,
+                // a value every repeat of a key arrives above.
+                ("u", (0..rows).map(|i| i % 2_003 + 1).collect()),
+                ("n", (0..rows).map(|i| i % 11_657).collect()),
+                (
+                    "i",
+                    (0..rows)
+                        .map(|i| i % (rows / 5) * 5 + i / (rows / 5))
+                        .collect(),
+                ),
             ],
         ));
         // No key of `d` is a key of `c`: their JOIN has no survivors.
@@ -238,18 +250,19 @@ fn warm_queries_allocate_o1_not_o_rows() {
             },
         ),
     ];
-    for (name, q) in &rows_free {
-        let cost = |db: &Database| {
-            exec.execute(db, q);
-            let mut allocs = 0;
-            let peak = peak_bytes_during(|| {
-                allocs = allocs_during(|| {
-                    exec.execute(db, q);
-                });
+    let cost = |db: &Database, q: &Query| {
+        exec.execute(db, q);
+        let mut allocs = 0;
+        let peak = peak_bytes_during(|| {
+            allocs = allocs_during(|| {
+                exec.execute(db, q);
             });
-            (peak, allocs)
-        };
-        let ((small_peak, small_allocs), (large_peak, large_allocs)) = (cost(&small), cost(&large));
+        });
+        (peak, allocs)
+    };
+    for (name, q) in &rows_free {
+        let ((small_peak, small_allocs), (large_peak, large_allocs)) =
+            (cost(&small, q), cost(&large, q));
         assert!(
             large_peak.abs_diff(small_peak) <= 16 * 1024,
             "[{name}] peaked at {small_peak} B over 50k rows and {large_peak} B over 200k; \
@@ -259,6 +272,53 @@ fn warm_queries_allocate_o1_not_o_rows() {
             large_allocs <= small_allocs + 4,
             "[{name}] made {small_allocs} allocations over 50k rows and {large_allocs} over \
              200k; the block loop allocates per block again"
+        );
+    }
+
+    // The master's group fold holds what the *groups* need, however many
+    // survivors reach it: a HAVING that forwards every entry of its ≈ 2k
+    // keys (the group table), and a GROUP BY MAX whose keys arrive
+    // near-unique, so the table steps aside for the sort buffer, and whose
+    // rising values forward most repeats. Four times the survivors, the
+    // same allocations and the same peak.
+    let grouped = [
+        (
+            "having-2k-keys",
+            Query::Having {
+                table: "c".into(),
+                key: "u".into(),
+                val: "v".into(),
+                threshold: 0,
+            },
+        ),
+        (
+            "groupby-max-near-unique",
+            Query::GroupBy {
+                table: "c".into(),
+                key: "n".into(),
+                val: "i".into(),
+                agg: Agg::Max,
+            },
+        ),
+    ];
+    for (name, q) in &grouped {
+        let survivors = |db: &Database| exec.execute(db, q).prune_stats().forwarded();
+        let (small_survivors, large_survivors) = (survivors(&small), survivors(&large));
+        assert!(
+            large_survivors > 3 * small_survivors,
+            "[{name}] the pin needs survivors to grow with the rows: \
+             {small_survivors} over 50k rows, {large_survivors} over 200k"
+        );
+        let ((small_peak, small_allocs), (large_peak, large_allocs)) =
+            (cost(&small, q), cost(&large, q));
+        assert!(
+            large_peak.abs_diff(small_peak) <= 16 * 1024,
+            "[{name}] peaked at {small_peak} B over {small_survivors} survivors and \
+             {large_peak} B over {large_survivors}; the group fold holds survivors again"
+        );
+        assert_eq!(
+            small_allocs, large_allocs,
+            "[{name}] the group fold's allocations grew with its survivors"
         );
     }
 
