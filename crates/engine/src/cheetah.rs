@@ -25,12 +25,12 @@ use cheetah_core::having::{HavingPassOne, HavingPruner};
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
 use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
 use crate::executor::ExecutionReport;
-use crate::master::{fetch_and_checksum, join_survivors, survivors, GroupSink, TupleRun};
+use crate::master::{explode, fetch_and_checksum, join_survivors, survivors, GroupSink, TupleRun};
 use crate::multipass::{SIDE_LEFT, SIDE_RIGHT};
 use crate::query::{Agg, FetchSpec, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::sharded::{self, InProcess};
-use crate::stream::{Block, EntryStream, BLOCK_ENTRIES};
+use crate::stream::{EntryStream, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
 
 /// Switch-side algorithm configuration (the Table 2 knobs).
@@ -185,8 +185,8 @@ pub(crate) fn single_pass_table(q: &Query) -> Option<&str> {
     }
 }
 
-/// A single-pass query's metadata columns, in query order (the stream's
-/// column order, which fingerprints and predicate rows rely on).
+/// A query's metadata columns over its one table, in query order (the
+/// stream's column order, which fingerprints and predicates rely on).
 pub(crate) fn query_columns(q: &Query, t: &Table) -> Vec<usize> {
     match q {
         Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
@@ -197,8 +197,10 @@ pub(crate) fn query_columns(q: &Query, t: &Table) -> Vec<usize> {
             columns.iter().map(|c| t.col_index(c)).collect()
         }
         Query::TopN { order_by, .. } => vec![t.col_index(order_by)],
-        Query::GroupBy { key, val, .. } => vec![t.col_index(key), t.col_index(val)],
-        _ => unreachable!("only single-pass shapes stream"),
+        Query::GroupBy { key, val, .. } | Query::Having { key, val, .. } => {
+            vec![t.col_index(key), t.col_index(val)]
+        }
+        Query::Join { .. } => unreachable!("a JOIN streams two tables"),
     }
 }
 
@@ -248,31 +250,34 @@ impl<'q> Recheck<'q> {
         Recheck { predicate, table }
     }
 
-    /// Keep the entries of `idx` (block indices into `cols`) the full
-    /// predicate accepts, in order, compacted without a branch.
-    fn retain<'i>(&self, cols: &[&[u64]], idx: &'i mut [u16]) -> &'i [u16] {
-        let mut accepted = [false; BLOCK_ENTRIES];
-        let accepted = &mut accepted[..idx.len()];
-        match &self.table {
-            Some(table) => table.eval_indexed(&self.predicate.atoms, cols, idx, accepted),
-            None => {
-                for (ok, &i) in accepted.iter_mut().zip(idx.iter()) {
-                    *ok = self.predicate.eval_at(cols, usize::from(i));
+    /// Hand `keep` the entries of `idx` (block indices into `cols`) the
+    /// full predicate accepts, in order, compacted without a branch — one
+    /// [`BLOCK_ENTRIES`] chunk of `idx` at a time.
+    fn retain(&self, cols: &[&[u64]], idx: &[u16], mut keep: impl FnMut(&[u16])) {
+        let (mut accepted, mut kept) = ([false; BLOCK_ENTRIES], [0u16; BLOCK_ENTRIES]);
+        for chunk in idx.chunks(BLOCK_ENTRIES) {
+            let accepted = &mut accepted[..chunk.len()];
+            match &self.table {
+                Some(table) => table.eval_indexed(&self.predicate.atoms, cols, chunk, accepted),
+                None => {
+                    for (ok, &i) in accepted.iter_mut().zip(chunk) {
+                        *ok = self.predicate.eval_at(cols, usize::from(i));
+                    }
                 }
             }
+            let mut n = 0;
+            for (&i, &ok) in chunk.iter().zip(accepted.iter()) {
+                kept[n] = i;
+                n += usize::from(ok);
+            }
+            keep(&kept[..n]);
         }
-        let mut kept = 0;
-        for (j, &ok) in accepted.iter().enumerate() {
-            idx[kept] = idx[j];
-            kept += usize::from(ok);
-        }
-        &idx[..kept]
     }
 }
 
 /// A single-pass query's master completion: what the CMaster does with
 /// each survivor and how the survivors become the result — defined once
-/// for a solo stream and for a member of a shared scan.
+/// for a solo stream, a member of a shared scan and a shard.
 pub(crate) enum Completion<'q> {
     /// FilterCount: re-check the full predicate, count matches.
     Count { check: Recheck<'q>, count: u64 },
@@ -280,9 +285,8 @@ pub(crate) enum Completion<'q> {
     Fetch { check: Recheck<'q>, ids: Vec<u64> },
     /// Distinct / TopN: single-column survivors.
     Values(Vec<u64>),
-    /// Skyline: survivor points.
-    Points(Vec<Vec<u64>>),
-    /// DistinctMulti: survivor tuples back to back in one flat buffer.
+    /// DistinctMulti / Skyline: survivor tuples back to back in one flat
+    /// buffer.
     Tuples { width: usize, flat: Vec<u64> },
     /// GroupBy MAX/MIN: survivor `(key, value)` pairs, folding as they come.
     Groups(GroupSink),
@@ -300,39 +304,38 @@ impl<'q> Completion<'q> {
                 ids: Vec::new(),
             },
             Query::Distinct { .. } | Query::TopN { .. } => Completion::Values(Vec::new()),
-            Query::Skyline { .. } => Completion::Points(Vec::new()),
-            Query::DistinctMulti { columns, .. } => Completion::Tuples {
-                width: columns.len(),
-                flat: Vec::new(),
-            },
+            Query::DistinctMulti { columns, .. } | Query::Skyline { columns, .. } => {
+                Completion::Tuples {
+                    width: columns.len(),
+                    flat: Vec::new(),
+                }
+            }
             Query::GroupBy { agg, .. } => Completion::Groups(GroupSink::new(*agg)),
             _ => unreachable!("only single-pass shapes complete here"),
         }
     }
 
-    /// Take a block's survivors: the entries `decisions` forward, whose
-    /// columns in query order are `cols` (a solo stream's `block.cols`, a
-    /// shared scan's selection of them). One dispatch a block, so each
-    /// shape's survivor loop is its own tight loop over the block's
-    /// survivor indices.
-    pub(crate) fn take(&mut self, block: &Block<'_>, cols: &[&[u64]], decisions: &[Decision]) {
-        let mut idx = [0u16; BLOCK_ENTRIES];
-        let survivors = survivors(decisions, &mut idx);
+    /// Take a block's survivors — the block indices `survivors` (the
+    /// [`survivors`] of its decisions), whose columns in query order are
+    /// `cols` and whose table rows `row_id` names: a solo stream's block,
+    /// a shared scan's selection of its columns, a shard's survivor block.
+    /// One dispatch a block, so each shape's survivor loop is its own
+    /// tight loop over the survivor indices.
+    pub(crate) fn take(
+        &mut self,
+        cols: &[&[u64]],
+        survivors: &[u16],
+        row_id: impl Fn(usize) -> u64,
+    ) {
         let at = |c: usize, i: u16| cols[c][usize::from(i)];
         match self {
             Completion::Count { check, count } => {
-                *count += check.retain(cols, survivors).len() as u64
+                check.retain(cols, survivors, |kept| *count += kept.len() as u64)
             }
-            Completion::Fetch { check, ids } => {
-                let fetched = check.retain(cols, survivors);
-                ids.extend(fetched.iter().map(|&i| block.row_id(usize::from(i))));
-            }
+            Completion::Fetch { check, ids } => check.retain(cols, survivors, |kept| {
+                ids.extend(kept.iter().map(|&i| row_id(usize::from(i))))
+            }),
             Completion::Values(v) => v.extend(survivors.iter().map(|&i| at(0, i))),
-            Completion::Points(v) => v.extend(
-                survivors
-                    .iter()
-                    .map(|&i| (0..cols.len()).map(|c| at(c, i)).collect::<Vec<_>>()),
-            ),
             Completion::Tuples { width, flat } => {
                 // Lane by lane into the tuples' new tail.
                 let start = flat.len();
@@ -368,10 +371,13 @@ impl<'q> Completion<'q> {
                 Query::TopN { n, .. } => (*n as u64, QueryResult::top_values(v, *n), None),
                 _ => (0, QueryResult::values(v), None),
             },
-            Completion::Points(v) => (0, QueryResult::points(skyline_of(&v)), None),
-            Completion::Tuples { width, flat } => {
-                (0, TupleRun::canonical(width, flat).into_points(), None)
-            }
+            Completion::Tuples { width, flat } => match query {
+                Query::Skyline { .. } => {
+                    let frontier = skyline_of(&explode(width, &flat));
+                    (0, QueryResult::points(frontier), None)
+                }
+                _ => (0, TupleRun::canonical(width, flat).into_points(), None),
+            },
             Completion::Groups(groups) => {
                 let groups = groups.finish().into_groups();
                 (0, QueryResult::Groups(groups), None)
@@ -426,12 +432,13 @@ impl CheetahExecutor {
                 let mut stats = PruneStats::default();
                 let mut master = Completion::for_query(query);
                 let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+                let mut idx = [0u16; BLOCK_ENTRIES];
                 let mut blocks = stream.blocks();
                 while let Some(block) = blocks.next_block() {
                     let out = &mut decisions[..block.len];
                     pruner.process_block(block.visible(), out);
                     stats.record_block(out);
-                    master.take(&block, &block.cols, out);
+                    master.take(&block.cols, survivors(out, &mut idx), |i| block.row_id(i));
                 }
                 let (fetch, result, checksum) = master.finish(query, t, cfg);
                 let mut report = self.report(query, t.rows() as u64, stats, 1, fetch, result);
@@ -1067,6 +1074,7 @@ mod tests {
             let stream = EntryStream::interleaved(&t, &cols, 3);
             let mut master = Completion::for_query(&query);
             let mut expected = Vec::new();
+            let mut idx = [0u16; BLOCK_ENTRIES];
             let mut blocks = stream.blocks();
             let mut b = 0;
             while let Some(block) = blocks.next_block() {
@@ -1081,7 +1089,8 @@ mod tests {
                 for i in (0..block.len).filter(|&i| decisions[i].is_forward()) {
                     expected.extend(block.cols.iter().map(|c| c[i]));
                 }
-                master.take(&block, &block.cols, &decisions);
+                let kept = survivors(&decisions, &mut idx);
+                master.take(&block.cols, kept, |i| block.row_id(i));
                 b += 1;
             }
             let Completion::Tuples { flat, .. } = master else {
@@ -1095,14 +1104,11 @@ mod tests {
     fn recheck_keeps_exactly_what_the_full_predicate_accepts() {
         // The original formula, unsupported atoms included, through a
         // truth table at 3 atoms and survivor by survivor at 17 (past the
-        // table's 16-atom cap).
+        // table's 16-atom cap), over a pool-sized block of survivors.
         let mut rng = StdRng::seed_from_u64(9);
+        let entries = 3 * BLOCK_ENTRIES + 5;
         let lanes: Vec<Vec<u64>> = (0..2)
-            .map(|_| {
-                (0..BLOCK_ENTRIES)
-                    .map(|_| rng.gen_range(0..20u64))
-                    .collect()
-            })
+            .map(|_| (0..entries).map(|_| rng.gen_range(0..20u64)).collect())
             .collect();
         let cols: Vec<&[u64]> = lanes.iter().map(Vec::as_slice).collect();
         for arity in [3usize, 17] {
@@ -1124,18 +1130,16 @@ mod tests {
             };
             let check = Recheck::new(&predicate);
             assert_eq!(check.table.is_some(), arity <= 16);
-            let mut idx: Vec<u16> = (0..BLOCK_ENTRIES as u16).filter(|i| i % 5 != 0).collect();
+            let idx: Vec<u16> = (0..entries as u16).filter(|i| i % 5 != 0).collect();
             let expected: Vec<u16> = idx
                 .iter()
                 .copied()
                 .filter(|&i| predicate.eval_at(&cols, usize::from(i)))
                 .collect();
             assert!(!expected.is_empty() && expected.len() < idx.len());
-            assert_eq!(
-                check.retain(&cols, &mut idx),
-                &expected[..],
-                "{arity} atoms"
-            );
+            let mut kept = Vec::new();
+            check.retain(&cols, &idx, |chunk| kept.extend_from_slice(chunk));
+            assert_eq!(kept, expected, "{arity} atoms");
         }
     }
 }

@@ -469,57 +469,71 @@ impl Default for FailurePlan {
     }
 }
 
+/// Where a shard's scheduled mid-stream reboot falls: before entry
+/// `reboot_after` of the shard's stream (`u64::MAX`: never), counted by
+/// the entries decided so far.
+struct RebootClock {
+    reboot_after: u64,
+    seen: u64,
+}
+
+impl RebootClock {
+    /// Decide the next block: `decide` over the whole block, or — when the
+    /// reboot falls inside it — over the entries before it, then `reboot`,
+    /// then `decide` over the rest. The per-entry stream's decisions,
+    /// without its per-entry call.
+    fn block<T: ?Sized>(
+        &mut self,
+        state: &mut T,
+        cols: &[&[u64]],
+        out: &mut [Decision],
+        decide: impl Fn(&mut T, &[&[u64]], &mut [Decision]),
+        reboot: impl FnOnce(&mut T),
+    ) {
+        let n = out.len();
+        let at = self.reboot_after.checked_sub(self.seen);
+        self.seen += n as u64;
+        let Some(at) = at.filter(|&at| at < n as u64).map(|at| at as usize) else {
+            return decide(state, cols, out);
+        };
+        let (head, tail) = out.split_at_mut(at);
+        let (before, after): (Vec<_>, Vec<_>) = cols.iter().map(|c| c.split_at(at)).unzip();
+        decide(state, &before, head);
+        reboot(state);
+        decide(state, &after, tail);
+    }
+}
+
 /// Wraps a [`RowPruner`] so a scheduled mid-stream reboot clears its
 /// soft state exactly once (§3): decisions after the reboot start from
 /// an empty structure, forwarding a superset the master's exact
 /// completion absorbs.
 struct RebootPruner {
     inner: Box<dyn RowPruner + Send>,
-    reboot_after: u64,
-    seen: u64,
-    fired: bool,
+    clock: RebootClock,
     reboots: Arc<AtomicU64>,
-}
-
-impl RebootPruner {
-    fn reboot(&mut self) {
-        self.fired = true;
-        self.inner.reset();
-        self.reboots.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 impl RowPruner for RebootPruner {
     fn process_row(&mut self, row: &[u64]) -> Decision {
-        if !self.fired && self.seen >= self.reboot_after {
-            self.reboot();
-        }
-        self.seen += 1;
-        self.inner.process_row(row)
+        let mut out = [Decision::Prune];
+        let cols: Vec<&[u64]> = row.chunks(1).collect();
+        self.process_block(&cols, &mut out);
+        out[0]
     }
 
-    /// The inner pruner's own block path, split once where the scheduled
-    /// reboot falls inside the block — the row path's decisions, without
-    /// its per-entry call.
     fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
-        let n = out.len();
-        let at = if self.fired {
-            n
-        } else {
-            self.reboot_after.saturating_sub(self.seen).min(n as u64) as usize
-        };
-        self.seen += n as u64;
-        if at == n {
-            return self.inner.process_block(cols, out);
-        }
-        let (head, tail) = out.split_at_mut(at);
-        if at > 0 {
-            let before: Vec<&[u64]> = cols.iter().map(|c| &c[..at]).collect();
-            self.inner.process_block(&before, head);
-        }
-        self.reboot();
-        let after: Vec<&[u64]> = cols.iter().map(|c| &c[at..]).collect();
-        self.inner.process_block(&after, tail);
+        let reboots = &self.reboots;
+        self.clock.block(
+            &mut *self.inner,
+            cols,
+            out,
+            |pruner, cols, out| pruner.process_block(cols, out),
+            |pruner| {
+                pruner.reset();
+                reboots.fetch_add(1, Ordering::Relaxed);
+            },
+        );
     }
 
     fn reset(&mut self) {
@@ -532,48 +546,40 @@ impl RowPruner for RebootPruner {
 }
 
 /// Wraps [`GroupBySumStage`] so a scheduled mid-stream reboot honors
-/// the §6 exception: the registers hold real data, so they are drained
-/// *before* the soft state clears, and the drained partials ride the
-/// FIN residual exactly like §6's packet-riding evictions.
+/// the §6 exception at its scheduled entry: the registers hold real
+/// data, so they are drained *before* the soft state clears, and the
+/// drained partials ride out with the block's evictions.
 pub(crate) struct RebootSumStage {
     inner: GroupBySumStage,
-    reboot_after: u64,
-    seen: u64,
-    fired: bool,
-    drained: Vec<(u64, u64)>,
+    clock: RebootClock,
     reboots: Arc<AtomicU64>,
     drains: Arc<AtomicU64>,
 }
 
 impl SwitchPhases for RebootSumStage {
-    fn rewrites_in_flight(&self) -> bool {
-        true
-    }
-
-    fn process_chunk(
+    fn process_cols(
         &mut self,
         phase: usize,
-        chunk: &mut ColumnChunk,
+        cols: &[&[u64]],
         visible_cols: usize,
         out: &mut [Decision],
     ) {
-        if !self.fired && self.seen >= self.reboot_after {
-            self.fired = true;
-            self.drained.extend(self.inner.drain_registers());
-            self.reboots.fetch_add(1, Ordering::Relaxed);
-            self.drains.fetch_add(1, Ordering::Relaxed);
-        }
-        self.seen += chunk.rows() as u64;
-        self.inner.process_chunk(phase, chunk, visible_cols, out);
+        let (reboots, drains) = (&self.reboots, &self.drains);
+        self.clock.block(
+            &mut self.inner,
+            cols,
+            out,
+            |stage, cols, out| stage.process_cols(phase, cols, visible_cols, out),
+            |stage| {
+                stage.drain_registers();
+                reboots.fetch_add(1, Ordering::Relaxed);
+                drains.fetch_add(1, Ordering::Relaxed);
+            },
+        );
     }
 
-    fn fin(&mut self, phase: usize) -> Option<ColumnChunk> {
-        let mut residual = self.inner.fin(phase).expect("sum stage drains at FIN");
-        for &(k, p) in &self.drained {
-            residual.cols[0].push(k);
-            residual.cols[1].push(p);
-        }
-        Some(residual)
+    fn residual(&mut self, phase: usize, fin: bool) -> Option<ColumnChunk> {
+        self.inner.residual(phase, fin)
     }
 }
 
@@ -670,13 +676,17 @@ struct Faults<'a> {
 }
 
 impl Faults<'_> {
-    /// The scheduled reboot row for shard `s`, or `u64::MAX` (never).
-    fn reboot_after(&self, s: usize) -> u64 {
-        self.plan
+    /// Shard `s`'s reboot clock: its scheduled reboot row, or never.
+    fn clock(&self, s: usize) -> RebootClock {
+        let scheduled = self
+            .plan
             .shard_reboots
             .iter()
-            .find(|&&(shard, _)| shard == s)
-            .map_or(u64::MAX, |&(_, after)| after)
+            .find(|&&(shard, _)| shard == s);
+        RebootClock {
+            reboot_after: scheduled.map_or(u64::MAX, |&(_, after)| after),
+            seen: 0,
+        }
     }
 }
 
@@ -687,9 +697,7 @@ impl Site for Faults<'_> {
     fn pruner_stage(&self, s: usize, inner: Box<dyn RowPruner + Send>) -> PrunerStage {
         PrunerStage::new(Box::new(RebootPruner {
             inner,
-            reboot_after: self.reboot_after(s),
-            seen: 0,
-            fired: false,
+            clock: self.clock(s),
             reboots: Arc::clone(&self.reboots),
         }))
     }
@@ -701,10 +709,7 @@ impl Site for Faults<'_> {
                 cfg.groupby_w,
                 cfg.seed,
             )),
-            reboot_after: self.reboot_after(s),
-            seen: 0,
-            fired: false,
-            drained: Vec::new(),
+            clock: self.clock(s),
             reboots: Arc::clone(&self.reboots),
             drains: Arc::clone(&self.drains),
         }
@@ -961,6 +966,7 @@ mod tests {
     use crate::sharded::tests::db;
     use crate::sharded::ShardYield;
     use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
+    use cheetah_core::groupby::SumAction;
     use std::time::Duration;
 
     fn shapes() -> Vec<Query> {
@@ -1145,38 +1151,115 @@ mod tests {
         );
     }
 
-    /// The reboot wrapper's block path makes the row path's decisions and
-    /// reboots as often, wherever the scheduled reboot falls: never, on
-    /// the first entry, mid-block, exactly on a block boundary, or on the
-    /// last entry.
+    /// Where a scheduled reboot can fall: never, on the first entry,
+    /// mid-block, exactly on a block boundary, or on the last entry.
+    const BLOCK: usize = 64;
+    const REBOOTS: [u64; 5] = [u64::MAX, 0, 100, 2 * BLOCK as u64, 5 * BLOCK as u64 - 1];
+
+    /// The wire transport's stages for shard 0 rebooting before entry
+    /// `reboot_after`.
+    fn rebooting(plan: &FailurePlan) -> Faults<'_> {
+        Faults {
+            plan,
+            reboots: Arc::default(),
+            drains: Arc::default(),
+        }
+    }
+
+    /// The reboot wrapper's block path, its one-entry row path and a plain
+    /// pruner reset before the scheduled entry decide alike, and reboot
+    /// once.
     #[test]
     fn reboot_block_path_equals_the_row_path() {
-        const BLOCK: usize = 64;
         let keys: Vec<u64> = (0..5 * BLOCK as u64).map(|i| i * 7 % 23).collect();
-        let last = keys.len() as u64 - 1;
-        for reboot_after in [u64::MAX, 0, 100, 2 * BLOCK as u64, last] {
-            let wrapped = || {
-                let reboots = Arc::new(AtomicU64::new(0));
-                let pruner = RebootPruner {
-                    inner: Box::new(DistinctPruner::new(8, 2, EvictionPolicy::Lru, 5)),
-                    reboot_after,
-                    seen: 0,
-                    fired: false,
-                    reboots: Arc::clone(&reboots),
-                };
-                (pruner, reboots)
+        let distinct = || Box::new(DistinctPruner::new(8, 2, EvictionPolicy::Lru, 5));
+        for reboot_after in REBOOTS {
+            let mut oracle = distinct();
+            let expected: Vec<Decision> = (keys.iter().enumerate())
+                .map(|(i, &k)| {
+                    if i as u64 == reboot_after {
+                        oracle.reset();
+                    }
+                    oracle.process_row(&[k])
+                })
+                .collect();
+            let plan = FailurePlan {
+                shard_reboots: vec![(0, reboot_after)],
+                ..FailurePlan::default()
             };
-            let (mut rows, row_reboots) = wrapped();
-            let by_row: Vec<Decision> = keys.iter().map(|&k| rows.process_row(&[k])).collect();
-            let (mut blocks, block_reboots) = wrapped();
+            let (rows, blocks) = (rebooting(&plan), rebooting(&plan));
+            let mut by_row = RebootPruner {
+                inner: distinct(),
+                clock: rows.clock(0),
+                reboots: Arc::clone(&rows.reboots),
+            };
+            let by_row: Vec<Decision> = keys.iter().map(|&k| by_row.process_row(&[k])).collect();
+            let mut stage = blocks.pruner_stage(0, distinct());
             let mut by_block = vec![Decision::Prune; keys.len()];
             for (lane, out) in keys.chunks(BLOCK).zip(by_block.chunks_mut(BLOCK)) {
-                blocks.process_block(&[lane], out);
+                stage.process_cols(0, &[lane], 1, out);
             }
-            assert_eq!(by_block, by_row, "reboot after {reboot_after}");
-            let count = |r: &Arc<AtomicU64>| r.load(Ordering::Relaxed);
-            assert_eq!(count(&block_reboots), count(&row_reboots));
-            assert_eq!(count(&row_reboots), u64::from(reboot_after != u64::MAX));
+            assert_eq!(by_row, expected, "reboot after {reboot_after}");
+            assert_eq!(by_block, expected, "reboot after {reboot_after}");
+            let fired = u64::from(reboot_after != u64::MAX);
+            for faults in [&rows, &blocks] {
+                assert_eq!(faults.reboots.load(Ordering::Relaxed), fired);
+            }
+        }
+    }
+
+    /// §6 on the wire: a rebooting register stage drains at its scheduled
+    /// entry, not at the next block — its decisions, and the evicted plus
+    /// drained pairs it ships in order, equal a per-entry register loop
+    /// drained before that entry.
+    #[test]
+    fn reboot_sum_stage_drains_at_its_scheduled_entry() {
+        let keys: Vec<u64> = (0..5 * BLOCK as u64).map(|i| i * 7 % 23).collect();
+        let vals: Vec<u64> = (0..5 * BLOCK as u64).map(|i| i % 11 + 1).collect();
+        let cfg = PrunerConfig {
+            groupby_d: 4,
+            groupby_w: 2,
+            ..PrunerConfig::default()
+        };
+        for reboot_after in REBOOTS {
+            let mut registers = GroupBySumPruner::new(4, 2, cfg.seed);
+            let (mut decided, mut expected) = (Vec::new(), Vec::new());
+            for (i, (&k, &v)) in keys.iter().zip(&vals).enumerate() {
+                if i as u64 == reboot_after {
+                    expected.extend(registers.drain());
+                }
+                decided.push(match registers.process(k, v) {
+                    SumAction::EvictAndForward { key, partial } => {
+                        expected.push((key, partial));
+                        Decision::Forward
+                    }
+                    SumAction::Absorb | SumAction::Start => Decision::Prune,
+                });
+            }
+            expected.extend(registers.drain());
+
+            let plan = FailurePlan {
+                shard_reboots: vec![(0, reboot_after)],
+                ..FailurePlan::default()
+            };
+            let faults = rebooting(&plan);
+            let mut stage = faults.sum_stage(0, &cfg);
+            let (mut shipped, mut by_block) = (Vec::new(), vec![Decision::Prune; keys.len()]);
+            let mut ship = |residual: Option<ColumnChunk>| {
+                let cols = residual.expect("a register stage ships its pairs").cols;
+                shipped.extend(cols[0].iter().copied().zip(cols[1].iter().copied()));
+            };
+            let lanes = keys.chunks(BLOCK).zip(vals.chunks(BLOCK));
+            for ((k, v), out) in lanes.zip(by_block.chunks_mut(BLOCK)) {
+                stage.process_cols(0, &[k, v], 2, out);
+                ship(stage.residual(0, false));
+            }
+            ship(stage.residual(0, true));
+            assert_eq!(by_block, decided, "reboot after {reboot_after}");
+            assert_eq!(shipped, expected, "reboot after {reboot_after}");
+            let fired = u64::from(reboot_after != u64::MAX);
+            assert_eq!(faults.reboots.load(Ordering::Relaxed), fired);
+            assert_eq!(faults.drains.load(Ordering::Relaxed), fired);
         }
     }
 

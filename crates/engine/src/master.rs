@@ -7,8 +7,10 @@
 //! differ in how survivors reach it.
 //!
 //! * **Hand-off**: a block's decisions become its survivors through
-//!   [`survivors`], a branch-free index compaction; the sinks below loop
-//!   over that index list, never over the decisions. At the 10–60%
+//!   [`survivors`], a branch-free index compaction, on every arm — the
+//!   pool's switch thread ships the index list with the block's lanes
+//!   (`threaded::SurvivorBlock`); the sinks below loop over that index
+//!   list, never over the decisions. At the 10–60%
 //!   forward rates the paper's queries produce, a `filter(is_forward)`
 //!   loop mispredicts on a large share of entries — `scan_det`'s JOIN
 //!   cell (57% of its probes forwarded) measured 14.2 ms that way and
@@ -61,17 +63,19 @@ use crate::stream::BLOCK_ENTRIES;
 use crate::table::Table;
 use crate::threaded::SurvivorBlock;
 
-/// The hand-off every block-wise arm makes from the switch to the master:
-/// the block indices of the entries `decisions` forward, ascending, in
-/// the front of `idx`. Branch-free — every index is written and the
-/// cursor advances by the decision — so a forward rate anywhere between
-/// 0 and 1 costs the same, where a `filter(is_forward)` loop mispredicts
-/// on every coin flip the switch made.
-pub(crate) fn survivors<'a>(
-    decisions: &[Decision],
-    idx: &'a mut [u16; BLOCK_ENTRIES],
-) -> &'a mut [u16] {
-    assert!(decisions.len() <= BLOCK_ENTRIES, "one block of decisions");
+/// The hand-off every arm makes from the switch to the master: the block
+/// indices of the entries `decisions` forward, ascending, in the front of
+/// `idx` — a deterministic block's 1,024 entries or a pool's wire block of
+/// 8,192 alike (indices are `u16`, so at most 65,536). Branch-free — every
+/// index is written and the cursor advances by the decision — so a
+/// forward rate anywhere between 0 and 1 costs the same, where a
+/// `filter(is_forward)` loop mispredicts on every coin flip the switch
+/// made.
+pub(crate) fn survivors<'a>(decisions: &[Decision], idx: &'a mut [u16]) -> &'a mut [u16] {
+    assert!(
+        decisions.len() <= idx.len().min(1 << 16),
+        "one block of decisions"
+    );
     let mut kept = 0;
     for (i, d) in decisions.iter().enumerate() {
         idx[kept] = i as u16;
@@ -469,28 +473,16 @@ fn combine(agg: Agg, a: u64, b: u64) -> u64 {
 /// A JOIN's forwarded `(key, row id)` pairs, left side then right.
 pub(crate) type JoinSides = (Vec<(u64, u64)>, Vec<(u64, u64)>);
 
-/// Demux one survivor block of `[side, key, rid]` rows into per-side
+/// Demux one survivor block of `[side, key, rid]` entries into per-side
 /// `(key, rid)` lists — the per-block join sink of every threaded
-/// pipeline. Join partitions are single-sided, so on the zero-copy path
-/// the flow id resolves once per block.
+/// pipeline. Join partitions are single-sided, so the flow id is a
+/// constant lane that resolves once per block.
 pub(crate) fn join_sink(acc: &mut JoinSides, block: SurvivorBlock<'_>) {
-    let (left_fwd, right_fwd) = acc;
+    let (left, right) = acc;
     match block.const_lane(0) {
-        Some(tag) => {
-            let dst = if tag == SIDE_LEFT {
-                left_fwd
-            } else {
-                right_fwd
-            };
-            block.extend_pairs_into(1, 2, dst);
-        }
-        None => block.for_each_row(|row| {
-            if row[0] == SIDE_LEFT {
-                left_fwd.push((row[1], row[2]));
-            } else {
-                right_fwd.push((row[1], row[2]));
-            }
-        }),
+        Some(SIDE_LEFT) => block.extend_pairs_into(1, 2, left),
+        Some(_) => block.extend_pairs_into(1, 2, right),
+        None => unreachable!("join partitions are single-sided"),
     }
 }
 
@@ -664,6 +656,7 @@ mod tests {
 
     use super::*;
     use crate::query::fetch_checksum;
+    use crate::threaded::WIRE_ENTRIES;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -884,6 +877,26 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn survivors_are_the_forwarded_positions(seed in any::<u64>()) {
+            // Around a deterministic block's length and up to a pool's wire
+            // block, at forward rates 0 and 1, alternating and random.
+            let lens = [0, 1, BLOCK_ENTRIES - 1, BLOCK_ENTRIES, BLOCK_ENTRIES + 1, WIRE_ENTRIES];
+            let rates: [&dyn Fn(usize) -> bool; 4] =
+                [&|_| false, &|_| true, &|i| i % 2 == 1, &|i| mix64(seed ^ i as u64) & 1 == 1];
+            for len in lens {
+                for forward in rates {
+                    let decisions: Vec<Decision> = (0..len)
+                        .map(|i| if forward(i) { Decision::Forward } else { Decision::Prune })
+                        .collect();
+                    let positions = (0..len).filter(|&i| decisions[i].is_forward());
+                    let expected: Vec<u16> = positions.map(|i| i as u16).collect();
+                    let mut idx = vec![0u16; len];
+                    prop_assert_eq!(survivors(&decisions, &mut idx), &expected[..]);
+                }
+            }
+        }
 
         #[test]
         fn block_fetch_equals_the_row_loop(

@@ -10,10 +10,11 @@
 //!   keys, pass 2 probes each side against the *other* side's filter
 //!   (Example 4). Entries are `[side, key, …]`, matching how the switch
 //!   demultiplexes streams by flow id (§7.2).
-//! * [`GroupBySumStage`] — a single pass with in-flight rewrites: a hit
-//!   absorbs into a register accumulator (pruned), an eviction rides out
-//!   **on the evicting packet** as a `(key, partial)` rewrite, and the
-//!   FIN drains the residual accumulators (§6).
+//! * [`GroupBySumStage`] — a single pass over the deterministic arm's
+//!   register kernel: a hit absorbs into a register accumulator (pruned),
+//!   an eviction forwards the evicting packet carrying the displaced
+//!   `(key, partial)` — shipped as the block's residual in place of its
+//!   survivors — and the FIN drains the residual accumulators (§6).
 //!
 //! The JOIN programs work over either switch backend (`cheetah-core`
 //! references or metered `cheetah-pisa` programs) because they wrap the
@@ -119,66 +120,72 @@ impl SwitchPhases for AsymJoinPhases {
     }
 }
 
-/// Single-pass GROUP BY SUM/COUNT program over register accumulators.
+/// Single-pass GROUP BY SUM/COUNT program over register accumulators,
+/// deciding each block with the deterministic arm's own kernel,
+/// [`GroupBySumPruner::process_block`].
 ///
-/// Entries are `[key, value]` (`value = 1` for COUNT). Forwarded entries
-/// carry an **evicted** `(key, partial)` pair — not the triggering
-/// entry's own columns — and the FIN flushes whatever still sits in the
-/// registers, so the master reconstructs exact totals by summing every
-/// pair it receives.
+/// Entries are `[key, value]` (`value = 1` for COUNT). An entry is
+/// forwarded when it evicts an accumulator, and what rides out is the
+/// **evicted** `(key, partial)` pair, not the entry: each block ships its
+/// evictions as its residual, in place of its survivors, and the FIN
+/// drains whatever still sits in the registers, so the master
+/// reconstructs exact totals by summing every pair it receives.
 pub struct GroupBySumStage {
     pruner: GroupBySumPruner,
+    /// Pairs bound for the master, `[keys, partials]`: the current
+    /// block's evictions and any drain.
+    out: [Vec<u64>; 2],
 }
 
 impl GroupBySumStage {
     /// Wrap a fresh accumulator matrix.
     pub fn new(pruner: GroupBySumPruner) -> Self {
-        GroupBySumStage { pruner }
+        GroupBySumStage {
+            pruner,
+            out: Default::default(),
+        }
     }
 
-    /// Evacuate every live register as `(key, partial)` pairs, leaving
-    /// the accumulators empty — the §6 exception to "reboot with empty
-    /// states": SUM/COUNT registers hold real data, so a switch about to
-    /// reboot must drain them to the master first. The drained pairs are
-    /// exact partials; re-aggregating them with everything forwarded
-    /// before and after the reboot reconstructs the exact totals.
-    pub fn drain_registers(&mut self) -> Vec<(u64, u64)> {
-        self.pruner.drain()
+    /// Evacuate every live register into the next residual as `(key,
+    /// partial)` pairs, leaving the accumulators empty — the §6 exception
+    /// to "reboot with empty states": SUM/COUNT registers hold real data,
+    /// so a switch about to reboot must drain them to the master first.
+    /// The drained pairs are exact partials; re-aggregating them with
+    /// everything forwarded before and after the reboot reconstructs the
+    /// exact totals.
+    pub fn drain_registers(&mut self) {
+        let drained = self.pruner.drain();
+        let [keys, partials] = &mut self.out;
+        keys.extend(drained.iter().map(|&(key, _)| key));
+        partials.extend(drained.iter().map(|&(_, partial)| partial));
     }
 }
 
 impl SwitchPhases for GroupBySumStage {
-    /// Evictions rewrite the forwarded packet in place, so this program
-    /// requires materialized blocks end to end.
-    fn rewrites_in_flight(&self) -> bool {
-        true
-    }
-
-    fn process_chunk(
+    fn process_cols(
         &mut self,
         _phase: usize,
-        chunk: &mut ColumnChunk,
+        cols: &[&[u64]],
         _visible_cols: usize,
         out: &mut [Decision],
     ) {
-        for (i, d) in out.iter_mut().enumerate() {
-            let (k, v) = (chunk.cols[0][i], chunk.cols[1][i]);
-            *d = match self.pruner.process(k, v) {
-                SumAction::EvictAndForward { key, partial } => {
-                    // The displaced accumulator rides out on this packet.
-                    chunk.cols[0][i] = key;
-                    chunk.cols[1][i] = partial;
-                    Decision::Forward
-                }
-                SumAction::Absorb | SumAction::Start => Decision::Prune,
-            };
-        }
+        let [keys, partials] = &mut self.out;
+        self.pruner
+            .process_block(cols[0], cols[1], out, |key, partial| {
+                keys.push(key);
+                partials.push(partial);
+            });
     }
 
-    fn fin(&mut self, _phase: usize) -> Option<ColumnChunk> {
-        let (keys, sums) = self.pruner.drain().into_iter().unzip();
+    /// The block's evictions; at FIN, the register drain.
+    fn residual(&mut self, _phase: usize, fin: bool) -> Option<ColumnChunk> {
+        if fin {
+            self.drain_registers();
+        }
+        let evicted = !self.out[0].is_empty();
+        let cols = evicted.then(|| self.out.iter_mut().map(std::mem::take).collect());
         Some(ColumnChunk {
-            cols: vec![keys, sums],
+            cols: cols.unwrap_or_default(),
         })
     }
 }
@@ -315,7 +322,7 @@ mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::threaded::tests::collect_phases;
-    use crate::threaded::{LanePartition, PhaseInput};
+    use crate::threaded::{Lane, LanePartition, PhaseInput};
     use std::collections::{HashMap, HashSet};
 
     fn two_sided_parts(with_rids: bool) -> Vec<LanePartition<'static>> {
@@ -459,33 +466,66 @@ mod tests {
         assert_eq!(as_map, truth, "combine must re-aggregate exactly");
     }
 
+    /// SUM and COUNT (the workers' `Const(1)` value lane) on the view
+    /// path. With one worker the blocks reach the switch in stream order,
+    /// so the counters and the pairs shipped — every block's evictions,
+    /// then the FIN drain — are `GroupBySumPruner::process`'s, entry by
+    /// entry; summed, they are the exact totals.
     #[test]
     fn groupby_sum_stage_reconstructs_exact_totals() {
-        let keys: Vec<u64> = (0..5_000u64).map(|i| i * 31 % 97).collect();
-        let vals: Vec<u64> = (0..5_000u64).map(|i| i % 50).collect();
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for (&k, &v) in keys.iter().zip(&vals) {
-            *truth.entry(k).or_insert(0) += v;
-        }
-        // Starved matrix → constant evictions; totals must still be exact.
-        let mut program = GroupBySumStage::new(GroupBySumPruner::new(4, 2, 7));
-        let run = collect_phases(
-            vec![PhaseInput {
-                partitions: vec![ColumnChunk {
-                    cols: vec![keys, vals],
+        // Several wire blocks through a starved matrix: constant evictions.
+        let keys: Vec<u64> = (0..20_000u64).map(|i| i * 31 % 97).collect();
+        let sums: Vec<u64> = (0..20_000u64).map(|i| i % 50).collect();
+        for count in [false, true] {
+            let value = |i: usize| if count { 1 } else { sums[i] };
+            let mut registers = GroupBySumPruner::new(4, 2, 7);
+            let (mut expected, mut forwarded) = (Vec::new(), 0);
+            for (i, &k) in keys.iter().enumerate() {
+                if let SumAction::EvictAndForward { key, partial } = registers.process(k, value(i))
+                {
+                    expected.push((key, partial));
+                    forwarded += 1;
                 }
-                .into()],
-                visible_cols: 2,
-            }],
-            &mut program,
-        )
-        .pop()
-        .unwrap();
-        let mut got: HashMap<u64, u64> = HashMap::new();
-        for (&k, &p) in run.forwarded.cols[0].iter().zip(&run.forwarded.cols[1]) {
-            *got.entry(k).or_insert(0) += p;
+            }
+            expected.extend(registers.drain());
+
+            let vals = if count {
+                Lane::Const(1)
+            } else {
+                Lane::Slice(&sums)
+            };
+            let mut program = GroupBySumStage::new(GroupBySumPruner::new(4, 2, 7));
+            let run = collect_phases(
+                vec![PhaseInput {
+                    partitions: vec![LanePartition {
+                        rows: keys.len(),
+                        lanes: vec![Lane::Slice(&keys), vals],
+                    }],
+                    visible_cols: 2,
+                }],
+                &mut program,
+            )
+            .pop()
+            .unwrap();
+            let lanes = &run.forwarded.cols;
+            let shipped: Vec<(u64, u64)> = lanes[0]
+                .iter()
+                .copied()
+                .zip(lanes[1].iter().copied())
+                .collect();
+            assert_eq!(shipped, expected, "COUNT: {count}");
+            let stats = (run.stats.processed, run.stats.forwarded());
+            assert_eq!(stats, (keys.len() as u64, forwarded), "COUNT: {count}");
+
+            let mut truth: HashMap<u64, u64> = HashMap::new();
+            for (i, &k) in keys.iter().enumerate() {
+                *truth.entry(k).or_insert(0) += value(i);
+            }
+            let mut got: HashMap<u64, u64> = HashMap::new();
+            for (k, p) in shipped {
+                *got.entry(k).or_insert(0) += p;
+            }
+            assert_eq!(got, truth, "evictions + drain must sum exactly");
         }
-        assert_eq!(got, truth, "evictions + drain must sum exactly");
-        assert_eq!(run.stats.processed, 5_000);
     }
 }

@@ -63,6 +63,7 @@ use crate::cheetah::{
     CheetahExecutor, Completion,
 };
 use crate::executor::{ExecutionReport, Executor, ServeReport};
+use crate::master::survivors;
 use crate::query::Query;
 use crate::stream::{fingerprint_rows, EntryStream, SpareRefs, BLOCK_ENTRIES};
 use crate::table::Database;
@@ -330,6 +331,7 @@ impl ServeExecutor {
         // only on stream length), one decision scratch and one
         // column-slice buffer reused throughout.
         let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+        let mut idx = [0u16; BLOCK_ENTRIES];
         let mut spare = SpareRefs::default();
         let mut blocks = stream.blocks();
         while let Some(block) = blocks.next_block() {
@@ -350,7 +352,7 @@ impl ServeExecutor {
                 let out = &mut decisions[..block.len];
                 mq.process_block(i as u16, visible, out);
                 stats[m].record_block(out);
-                states[m].take(&block, &cols, out);
+                states[m].take(&cols, survivors(out, &mut idx), |i| block.row_id(i));
                 spare.put(cols);
             }
         }

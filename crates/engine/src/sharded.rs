@@ -12,8 +12,10 @@
 //!   canonical before it leaves the shard), the associative `merge` of
 //!   two partials, their wire form (`encode` / `decode` over
 //!   [`ShardOutput`], typed errors instead of panics) and the `root` that
-//!   turns the merged partial into the answer. HAVING is two programs
-//!   joined by the merged-sketch broadcast. Shards stream shard-local
+//!   turns the merged partial into the answer. The seven single-pass
+//!   shapes' master sink is the deterministic arm's own,
+//!   `cheetah::Completion::take`; HAVING is two programs joined by the
+//!   merged-sketch broadcast. Shards stream shard-local
 //!   [`LanePartition`] views: zero-copy range splits
 //!   ([`crate::stream::split_range`]), or, for the key-partitioned shapes
 //!   (JOIN, GROUP BY SUM/COUNT), the lanes of **one hash partition a
@@ -43,12 +45,14 @@ use std::time::{Duration, Instant};
 
 use cheetah_core::decision::{PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
-use cheetah_core::groupby::{Extremum, GroupBySumPruner};
+use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 
-use crate::backend;
 use crate::backend::JoinFlow;
-use crate::cheetah::{tuple_fingerprinter, CheetahExecutor, PrunerConfig};
+use crate::cheetah::{
+    query_columns, single_pass_pruner, tuple_fingerprinter, CheetahExecutor, Completion,
+    PrunerConfig,
+};
 use crate::distributed::{verified_rows, CodecError, ShardOutput};
 use crate::executor::{ExecutionReport, Executor};
 use crate::master::{
@@ -59,7 +63,7 @@ use crate::multipass::{
     AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
     SIDE_LEFT, SIDE_RIGHT,
 };
-use crate::query::{Agg, Predicate, Projection, Query, QueryResult};
+use crate::query::{Agg, Projection, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::stream::{hash_partition, split_range, HashPartition};
 use crate::table::{Database, Table};
@@ -697,43 +701,35 @@ pub(crate) fn execute_on<T: Transport>(
         shards: transport.shards(),
     };
     let mut spans = Spans::default();
+    let scan = |table: &str| Scan::over(env, db.table(table), query);
     let (answer, combine) = match query {
-        Query::FilterCount { table, predicate } => {
-            let scan = Scan::over(env, db.table(table), &predicate.columns);
-            spans.run(transport, &CountProgram { scan, predicate })
+        Query::FilterCount { table, .. } => spans.run(transport, &CountProgram(scan(table))),
+        Query::Filter { table, .. } => {
+            let scan = scan(table);
+            let proj = query.projection(scan.t, &env.cfg.fetch);
+            spans.run(transport, &FilterProgram { scan, proj })
         }
-        Query::Filter { table, predicate } => {
-            let t = db.table(table);
-            let program = FilterProgram {
-                proj: query.projection(t, &env.cfg.fetch),
-                scan: Scan::over(env, t, &predicate.columns),
-                predicate,
+        Query::Distinct { table, .. } => spans.run(transport, &DistinctProgram(scan(table))),
+        Query::DistinctMulti { table, .. } => {
+            spans.run(transport, &DistinctMultiProgram(scan(table)))
+        }
+        Query::TopN { table, n, .. } => {
+            let program = TopNProgram {
+                scan: scan(table),
+                n: *n,
             };
             spans.run(transport, &program)
-        }
-        Query::Distinct { table, column } => {
-            let scan = Scan::over(env, db.table(table), [column]);
-            spans.run(transport, &DistinctProgram(scan))
-        }
-        Query::DistinctMulti { table, columns } => {
-            let program = DistinctMultiProgram {
-                scan: Scan::over(env, db.table(table), columns),
-                fp: tuple_fingerprinter(env.cfg),
-            };
-            spans.run(transport, &program)
-        }
-        Query::TopN { table, order_by, n } => {
-            let scan = Scan::over(env, db.table(table), [order_by]);
-            spans.run(transport, &TopNProgram { scan, n: *n })
         }
         Query::GroupBy {
             table,
-            key,
-            val,
             agg: agg @ (Agg::Max | Agg::Min),
+            ..
         } => {
-            let scan = Scan::over(env, db.table(table), [key, val]);
-            spans.run(transport, &ExtremumProgram { scan, agg: *agg })
+            let program = ExtremumProgram {
+                scan: scan(table),
+                agg: *agg,
+            };
+            spans.run(transport, &program)
         }
         Query::GroupBy {
             table,
@@ -753,14 +749,11 @@ pub(crate) fn execute_on<T: Transport>(
             spans.run(transport, &program)
         }
         Query::Having {
-            table,
-            key,
-            val,
-            threshold,
+            table, threshold, ..
         } => {
             // Pass 2 must see global key mass, so the merged sketch is
             // broadcast between the two programs.
-            let scan = Scan::over(env, db.table(table), [key, val]);
+            let scan = scan(table);
             let sketch = HavingSketchProgram {
                 scan: &scan,
                 threshold: *threshold,
@@ -792,10 +785,7 @@ pub(crate) fn execute_on<T: Transport>(
             };
             spans.run(transport, &program)
         }
-        Query::Skyline { table, columns } => {
-            let scan = Scan::over(env, db.table(table), columns);
-            spans.run(transport, &SkylineProgram(scan))
-        }
+        Query::Skyline { table, .. } => spans.run(transport, &SkylineProgram(scan(table))),
     };
     let mut report = inner.report(
         query,
@@ -822,33 +812,74 @@ struct Env<'a> {
     shards: usize,
 }
 
-/// A range-sharded scan: shard `s` streams rows `bounds[s]` of `t` over
-/// the lanes `cols`, every one switch-visible.
+/// A range-sharded scan of one query's table: shard `s` streams rows
+/// `bounds[s]` of `t` over the query's columns.
 struct Scan<'a> {
     env: Env<'a>,
+    query: &'a Query,
     t: &'a Table,
     cols: Vec<usize>,
     bounds: Vec<(usize, usize)>,
+    /// A DistinctMulti's tuple fingerprinter.
+    fp: Option<Fingerprinter>,
 }
 
 impl<'a> Scan<'a> {
-    fn over<'c>(env: Env<'a>, t: &'a Table, names: impl IntoIterator<Item = &'c String>) -> Self {
+    fn over(env: Env<'a>, t: &'a Table, query: &'a Query) -> Self {
+        let distinct_multi = matches!(query, Query::DistinctMulti { .. });
         Scan {
             env,
+            query,
             t,
-            cols: names.into_iter().map(|c| t.col_index(c)).collect(),
+            cols: query_columns(query, t),
             bounds: t.partition_bounds(env.shards),
+            fp: distinct_multi.then(|| tuple_fingerprinter(env.cfg)),
         }
     }
 
-    /// Shard `s`'s one pass, with a trailing switch-blind row-id lane
-    /// when asked for.
-    fn pass(&self, s: usize, with_rids: bool) -> Vec<PhaseInput<'a>> {
-        let Env { workers, .. } = self.env;
+    /// Shard `s`'s one pass. The switch sees the query's columns — a
+    /// DistinctMulti's switch the fingerprint its workers hash them into,
+    /// the columns riding behind it — and a Filter's global row ids ride
+    /// last, switch-blind.
+    fn pass(&self, s: usize) -> Vec<PhaseInput<'_>> {
+        let (t, cols, range, workers) = (self.t, &self.cols, self.bounds[s], self.env.workers);
+        let (partitions, visible_cols) = match &self.fp {
+            Some(fp) => (fingerprint_parts(t, cols, range, workers, fp), 1),
+            None => {
+                let with_rids = matches!(self.query, Query::Filter { .. });
+                (range_parts(t, cols, range, workers, with_rids), cols.len())
+            }
+        };
         vec![PhaseInput {
-            partitions: range_parts(self.t, &self.cols, self.bounds[s], workers, with_rids),
-            visible_cols: self.cols.len(),
+            partitions,
+            visible_cols,
         }]
+    }
+
+    /// Shard `s`'s single-pass body: the query's pruner on the stage
+    /// `site` lends, every survivor block taken by [`Completion::take`] —
+    /// the deterministic arm's and serving's own survivor loop — and the
+    /// completion `finish`ed into the shard's partial.
+    fn complete<S: Site, R>(
+        &self,
+        s: usize,
+        site: &S,
+        finish: impl FnOnce(Completion<'a>) -> R,
+    ) -> ShardYield<R> {
+        let first = usize::from(self.fp.is_some());
+        let columns = first..first + self.cols.len();
+        run_shard(
+            self.pass(s),
+            site.pruner_stage(s, single_pass_pruner(self.env.cfg, self.query)),
+            Completion::for_query(self.query),
+            |master, block| {
+                let cols: Vec<&[u64]> = columns.clone().map(|c| block.lane(c)).collect();
+                // Only a Filter asks, and its row ids are its last lane.
+                let row_id = |i| block.value(columns.end, i);
+                master.take(&cols, block.indices(), row_id);
+            },
+            |_, master| finish(master),
+        )
     }
 
     fn rows(&self) -> u64 {
@@ -858,25 +889,19 @@ impl<'a> Scan<'a> {
 
 /// FILTER COUNT: each shard counts the survivors the full predicate
 /// accepts.
-struct CountProgram<'a> {
-    scan: Scan<'a>,
-    predicate: &'a Predicate,
-}
+struct CountProgram<'a>(Scan<'a>);
 
 impl ShardProgram for CountProgram<'_> {
     type Partial = u64;
     type Root = Answer;
 
+    /// The master re-checks the full predicate on survivors, so a rebooted
+    /// switch's extra forwards change nothing.
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<u64> {
-        run_shard(
-            self.scan.pass(s, false),
-            site.pruner_stage(s, backend::filter(self.scan.env.cfg, self.predicate)),
-            0u64,
-            // The master re-checks the full predicate on survivors, so a
-            // rebooted switch's extra forwards change nothing.
-            |count, block| block.for_each_row(|row| *count += u64::from(self.predicate.eval(row))),
-            |_, count| count,
-        )
+        self.0.complete(s, site, |done| match done {
+            Completion::Count { count, .. } => count,
+            _ => unreachable!("a FilterCount completes as a count"),
+        })
     }
 
     fn merge(&self, acc: &mut u64, other: u64) {
@@ -895,7 +920,7 @@ impl ShardProgram for CountProgram<'_> {
     }
 
     fn root(&self, count: u64) -> Answer {
-        Answer::single(QueryResult::Count(count), self.scan.rows())
+        Answer::single(QueryResult::Count(count), self.0.rows())
     }
 }
 
@@ -912,7 +937,6 @@ struct Fetched {
 /// (§7.1) on its own thread, once; only the projected lanes are read.
 struct FilterProgram<'a> {
     scan: Scan<'a>,
-    predicate: &'a Predicate,
     proj: Projection,
 }
 
@@ -921,34 +945,22 @@ impl ShardProgram for FilterProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Fetched> {
-        let npred = self.scan.cols.len();
-        run_shard(
-            self.scan.pass(s, true),
-            site.pruner_stage(s, backend::filter(self.scan.env.cfg, self.predicate)),
-            Vec::<u64>::new(),
-            // Rows arrive [pred cols…, rid]; the trailing row id rode
-            // switch-blind.
-            |ids, block| {
-                block.for_each_row(|row| {
-                    if self.predicate.eval(row) {
-                        ids.push(row[npred]);
-                    }
-                });
-            },
-            |_, ids| {
-                let (t, cols) = (self.scan.t, self.proj.cols());
-                let (rows, checksum) = if S::SHIPS {
-                    fetch_rows_flat(t, cols, &ids)
-                } else {
-                    (Vec::new(), fetch_and_checksum(t, cols, &ids))
-                };
-                Fetched {
-                    ids,
-                    rows,
-                    checksum,
-                }
-            },
-        )
+        self.scan.complete(s, site, |done| {
+            let Completion::Fetch { ids, .. } = done else {
+                unreachable!("a Filter completes as row ids")
+            };
+            let (t, cols) = (self.scan.t, self.proj.cols());
+            let (rows, checksum) = if S::SHIPS {
+                fetch_rows_flat(t, cols, &ids)
+            } else {
+                (Vec::new(), fetch_and_checksum(t, cols, &ids))
+            };
+            Fetched {
+                ids,
+                rows,
+                checksum,
+            }
+        })
     }
 
     /// The checksum fold is commutative, so shard partials just add.
@@ -993,17 +1005,14 @@ impl ShardProgram for DistinctProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
-        run_shard(
-            self.0.pass(s, false),
-            site.pruner_stage(s, backend::distinct(self.0.env.cfg)),
-            Vec::<u64>::new(),
-            |values, block| block.extend_lane_into(0, values),
-            |_, mut values| {
-                values.sort_unstable();
-                values.dedup();
-                values
-            },
-        )
+        self.0.complete(s, site, |done| {
+            let Completion::Values(mut values) = done else {
+                unreachable!("a Distinct completes as values")
+            };
+            values.sort_unstable();
+            values.dedup();
+            values
+        })
     }
 
     fn merge(&self, acc: &mut Vec<u64>, mut other: Vec<u64>) {
@@ -1030,34 +1039,17 @@ impl ShardProgram for DistinctProgram<'_> {
 /// §5 fingerprint lane, its switch dedups its own fingerprints, and it
 /// canonicalizes its surviving tuples in one flat buffer, so merges are
 /// linear flat-to-flat merges and the root only explodes the last run.
-struct DistinctMultiProgram<'a> {
-    scan: Scan<'a>,
-    fp: Fingerprinter,
-}
+struct DistinctMultiProgram<'a>(Scan<'a>);
 
 impl ShardProgram for DistinctMultiProgram<'_> {
     type Partial = TupleRun;
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<TupleRun> {
-        let Scan {
-            env,
-            t,
-            cols,
-            bounds,
-            ..
-        } = &self.scan;
-        let partitions = fingerprint_parts(t, cols, bounds[s], env.workers, &self.fp);
-        run_shard(
-            vec![PhaseInput {
-                partitions,
-                visible_cols: 1,
-            }],
-            site.pruner_stage(s, backend::distinct(env.cfg)),
-            Vec::<u64>::new(),
-            |flat, block| block.for_each_row(|row| flat.extend_from_slice(&row[1..])),
-            |_, flat| TupleRun::canonical(cols.len(), flat),
-        )
+        self.0.complete(s, site, |done| match done {
+            Completion::Tuples { width, flat } => TupleRun::canonical(width, flat),
+            _ => unreachable!("a DistinctMulti completes as tuples"),
+        })
     }
 
     fn merge(&self, acc: &mut TupleRun, other: TupleRun) {
@@ -1072,7 +1064,7 @@ impl ShardProgram for DistinctMultiProgram<'_> {
     /// A delivered run is re-canonicalized, not trusted.
     fn decode(&self, output: ShardOutput) -> Result<TupleRun, CodecError> {
         match output {
-            ShardOutput::Tuples { width, flat } if width == self.scan.cols.len() as u64 => {
+            ShardOutput::Tuples { width, flat } if width == self.0.cols.len() as u64 => {
                 Ok(TupleRun::canonical(width as usize, flat))
             }
             ShardOutput::Tuples { .. } => Err(CodecError::Malformed),
@@ -1081,7 +1073,7 @@ impl ShardProgram for DistinctMultiProgram<'_> {
     }
 
     fn root(&self, run: TupleRun) -> Answer {
-        Answer::single(run.into_points(), self.scan.rows())
+        Answer::single(run.into_points(), self.0.rows())
     }
 }
 
@@ -1105,13 +1097,10 @@ impl ShardProgram for TopNProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
-        run_shard(
-            self.scan.pass(s, false),
-            site.pruner_stage(s, backend::topn(self.scan.env.cfg, self.n)),
-            Vec::<u64>::new(),
-            |values, block| block.extend_lane_into(0, values),
-            |_, values| self.top(values),
-        )
+        self.scan.complete(s, site, |done| match done {
+            Completion::Values(values) => self.top(values),
+            _ => unreachable!("a TopN completes as values"),
+        })
     }
 
     fn merge(&self, acc: &mut Vec<u64>, other: Vec<u64>) {
@@ -1150,18 +1139,10 @@ impl ShardProgram for ExtremumProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
-        let ext = if self.agg == Agg::Max {
-            Extremum::Max
-        } else {
-            Extremum::Min
-        };
-        run_shard(
-            self.scan.pass(s, false),
-            site.pruner_stage(s, backend::groupby(self.scan.env.cfg, ext)),
-            GroupSink::new(self.agg),
-            |groups, block| groups.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
-            |_, groups| groups.finish(),
-        )
+        self.scan.complete(s, site, |done| match done {
+            Completion::Groups(groups) => groups.finish(),
+            _ => unreachable!("a GROUP BY MAX/MIN completes as groups"),
+        })
     }
 
     fn merge(&self, acc: &mut GroupRun, other: GroupRun) {
@@ -1249,7 +1230,7 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<HavingPruner> {
         let cfg = self.scan.env.cfg;
         run_shard(
-            self.scan.pass(s, false),
+            self.scan.pass(s),
             HavingShardSketch::new(HavingPruner::new(
                 cfg.having_d,
                 cfg.having_w,
@@ -1328,7 +1309,7 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
 
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<GroupRun> {
         run_shard(
-            self.scan.pass(s, false),
+            self.scan.pass(s),
             HavingShardProbe::new(self.merged.clone()),
             GroupSink::new(Agg::Sum),
             |sums, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
@@ -1436,14 +1417,10 @@ impl ShardProgram for SkylineProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
-        let dims = self.0.cols.len();
-        run_shard(
-            self.0.pass(s, false),
-            site.pruner_stage(s, backend::skyline(self.0.env.cfg, dims)),
-            Vec::<Vec<u64>>::new(),
-            |points, block| block.for_each_row(|row| points.push(row.to_vec())),
-            |_, points| skyline_of(&points).into_iter().flatten().collect(),
-        )
+        self.0.complete(s, site, |done| match done {
+            Completion::Tuples { width, flat } => skyline_of(&explode(width, &flat)).concat(),
+            _ => unreachable!("a Skyline completes as tuples"),
+        })
     }
 
     fn merge(&self, acc: &mut Vec<u64>, mut other: Vec<u64>) {

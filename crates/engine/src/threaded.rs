@@ -11,16 +11,16 @@
 //! survivors. Entries travel in column-major **blocks** (§9's
 //! multi-entry-packet shape) of [`WIRE_ENTRIES`] entries, serialized
 //! straight from [`Lane`] sources — table column slices, synthesized row
-//! ids, constant flow tags, worker-computed fingerprints. For read-only
-//! programs the blocks are **zero-copy views**: the descriptor references
-//! the shared lanes, the switch decides it via
-//! [`SwitchPhases::process_cols`], and survivors return to the master as
-//! **index masks** over the same views ([`SurvivorBlock`]) — no entry is
-//! copied anywhere on the path. Programs that rewrite forwarded entries
-//! in flight ([`SwitchPhases::rewrites_in_flight`]) get materialized
-//! blocks, decided by [`SwitchPhases::process_chunk`] and compacted in
-//! place. Either way: no per-row `Vec` in the steady state and O(1)
-//! allocations per block.
+//! ids, constant flow tags, worker-computed fingerprints. The blocks are
+//! **zero-copy views**: the descriptor references the shared lanes, the
+//! switch decides it via [`SwitchPhases::process_cols`], and survivors
+//! return to the master as **index lists** over the same views
+//! ([`SurvivorBlock`]), compacted branch-free by the hand-off every arm
+//! shares (`master::survivors`) — no entry is copied anywhere on the path.
+//! Entries a program ships itself instead — GROUP BY SUM's evicted
+//! `(key, partial)` pairs, a FIN drain ([`SwitchPhases::residual`]) —
+//! reach the master in the same form, every entry a survivor. No per-row
+//! `Vec` in the steady state and O(1) allocations per block.
 //!
 //! Multi-pass programs (§6–§7: JOIN's partition exchange, GROUP BY SUM's
 //! register aggregation) stream every pass through one
@@ -30,13 +30,12 @@
 //! (EOF marker) instead of joining at a global barrier. The switch opens
 //! phase `p+1` — calling [`SwitchPhases::begin_phase`], the control-plane
 //! rule flip of §4.3 — as soon as all watermarks for phase `p` have
-//! arrived and the [`SwitchPhases::fin`] residuals have flushed; blocks
-//! that raced ahead of the flip are parked and replayed the moment their
-//! phase opens. So pass `p+1` serialization overlaps pass `p` pruning and
-//! master completion, the way the paper's switch pipeline never drains
-//! between stages. The staged programs themselves live in
-//! [`crate::multipass`]; any [`RowPruner`] runs as a one-phase program
-//! through [`PrunerStage`].
+//! arrived and its FIN residuals have flushed; blocks that raced ahead of
+//! the flip are parked and replayed the moment their phase opens. So pass
+//! `p+1` serialization overlaps pass `p` pruning and master completion,
+//! the way the paper's switch pipeline never drains between stages. The
+//! staged programs themselves live in [`crate::multipass`]; any
+//! [`RowPruner`] runs as a one-phase program through [`PrunerStage`].
 //!
 //! Block arrival order is nondeterministic, so pruning *rates* vary run
 //! to run, but Cheetah's guarantee is order-independent: the completed
@@ -51,18 +50,19 @@ use std::time::{Duration, Instant};
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
 
+use crate::master::survivors;
 use crate::stream::{fingerprint_rows, BLOCK_ENTRIES};
 
 /// Entries per worker→switch message: eight switch blocks ride one
 /// channel send. The switch still decides [`BLOCK_ENTRIES`]-aligned
-/// lanes in one `process_chunk` call (block loops accept any length);
+/// lanes in one `process_cols` call (block loops accept any length);
 /// batching the *transport* amortizes the channel wakeups, which
 /// otherwise dominate on small hosts where worker, switch and master
 /// time-share cores.
 pub const WIRE_ENTRIES: usize = 8 * BLOCK_ENTRIES;
 
-/// A materialized block in flight (a rewriting program's block, a FIN
-/// residual): column-major lanes of equal length.
+/// Entries a program ships itself ([`SwitchPhases::residual`]): column-major
+/// lanes of equal length.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnChunk {
     /// One lane per metadata column.
@@ -179,58 +179,25 @@ pub trait SwitchPhases: Send {
 
     /// Decide one block over **borrowed** column lanes:
     /// `cols[..visible_cols]` are the switch-visible lanes, `out[i]`
-    /// receives entry `i`'s decision. This is the zero-copy hot path —
-    /// read-only programs implement it, and the pipeline then ships
-    /// survivor **index masks** over shared lane views instead of
-    /// materialized blocks. Programs that must rewrite forwarded entries
-    /// in place (GROUP BY SUM's packet-riding evictions) override
-    /// [`SwitchPhases::process_chunk`] and
-    /// [`SwitchPhases::rewrites_in_flight`] instead; the pipeline never
-    /// hands them borrowed blocks, so their `process_cols` is never
-    /// called.
+    /// receives entry `i`'s decision. Blocks are zero-copy views of the
+    /// shared lanes, and so read-only.
     fn process_cols(
         &mut self,
         phase: usize,
         cols: &[&[u64]],
         visible_cols: usize,
         out: &mut [Decision],
-    ) {
-        let _ = (phase, cols, visible_cols, out);
-        unreachable!("read-only switch programs must implement process_cols");
-    }
+    );
 
-    /// Decide one **materialized** block: like
-    /// [`SwitchPhases::process_cols`], but forwarded entries may be
-    /// rewritten in place — how a GROUP BY SUM eviction rides out on the
-    /// evicting packet (§6). Only programs returning `true` from
-    /// [`SwitchPhases::rewrites_in_flight`] (plus blocks whose lanes had
-    /// to be materialized anyway) receive this call; the default
-    /// delegates to `process_cols`.
-    fn process_chunk(
-        &mut self,
-        phase: usize,
-        chunk: &mut ColumnChunk,
-        visible_cols: usize,
-        out: &mut [Decision],
-    ) {
-        let colrefs: Vec<&[u64]> = chunk.cols.iter().map(|c| c.as_slice()).collect();
-        self.process_cols(phase, &colrefs, visible_cols, out);
-    }
-
-    /// Whether this program rewrites forwarded entries in place. When
-    /// `true`, workers materialize every block (mutable lanes) and the
-    /// switch compacts survivors into the block itself; when `false`
-    /// (default), view-only partitions travel as zero-copy descriptors
-    /// and survivors as index masks.
-    fn rewrites_in_flight(&self) -> bool {
-        false
-    }
-
-    /// FIN hook: residual entries to ship to the master after `phase`'s
-    /// stream drains (e.g. the GROUP BY SUM register drain). Residuals
-    /// are forwarded verbatim and are *not* counted in [`PruneStats`].
-    fn fin(&mut self, phase: usize) -> Option<ColumnChunk> {
-        let _ = phase;
+    /// Entries the program ships itself: asked after every block of
+    /// `phase`, and once more when the phase's stream drains (`fin`).
+    /// `None`, the default, forwards the block's survivors as an index
+    /// list over its lanes. A `Some` residual travels to the master
+    /// *instead* — every entry a survivor, none counted in [`PruneStats`]
+    /// — which is how GROUP BY SUM's evicted `(key, partial)` pairs ride
+    /// out after each block and its registers drain at FIN (§6).
+    fn residual(&mut self, phase: usize, fin: bool) -> Option<ColumnChunk> {
+        let _ = (phase, fin);
         None
     }
 }
@@ -303,8 +270,22 @@ enum LaneView<'a> {
     Const(u64),
     /// Row ids `base, base+1, …`, generated on read.
     Iota(u64),
-    /// Worker-materialized payload (fingerprint lanes, owned test data).
+    /// Worker-materialized payload (fingerprint lanes, owned test data,
+    /// residuals).
     Owned(Vec<u64>),
+}
+
+impl LaneView<'_> {
+    /// Entry `i` of the lane.
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            LaneView::Slice(s) => s[i],
+            LaneView::Owned(v) => v[i],
+            LaneView::Const(v) => *v,
+            LaneView::Iota(base) => base + i as u64,
+        }
+    }
 }
 
 /// A zero-copy block descriptor: `rows` entries over `lanes`.
@@ -314,18 +295,10 @@ struct BlockView<'a> {
     lanes: Vec<LaneView<'a>>,
 }
 
-/// A block on the worker → switch wire.
-enum BlockMsg<'a> {
-    /// Fully materialized (rewriting programs need mutable lanes).
-    Owned(ColumnChunk),
-    /// View descriptor — the switch reads the shared lanes directly.
-    View(BlockView<'a>),
-}
-
 /// Worker → switch traffic: blocks, then one watermark per phase.
 enum SwitchMsg<'a> {
     /// A serialized block of `phase`.
-    Block(usize, BlockMsg<'a>),
+    Block(usize, BlockView<'a>),
     /// Per-worker end-of-phase watermark: this worker has streamed its
     /// whole `phase` partition (it may already be serializing the next).
     Eof(usize),
@@ -339,141 +312,54 @@ enum MasterMsg<'a> {
     PhaseDone(usize, PruneStats, Duration),
 }
 
-/// Read entry `i` of a view lane.
-#[inline]
-fn lane_get(lane: &LaneView<'_>, i: usize) -> u64 {
-    match lane {
-        LaneView::Slice(s) => s[i],
-        LaneView::Owned(v) => v[i],
-        LaneView::Const(v) => *v,
-        LaneView::Iota(base) => base + i as u64,
-    }
-}
-
-/// Visit the index of every set bit in `mask`.
-#[inline]
-fn for_each_set(mask: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in mask.iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            f(w * 64 + m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-    }
-}
-
-/// One block's surviving entries, as delivered to the master sink —
-/// either a compacted materialized block, or a **survivor index mask**
-/// over the shared lane views (the zero-copy path: nothing was copied to
-/// get these entries here).
+/// One block's survivors, the one form every master sink reads: the
+/// block's lanes and the ascending indices of its surviving entries. For
+/// a decided block the lanes are the view the switch read, so nothing was
+/// copied to get the survivors here; a residual's lanes are its own, and
+/// every entry survives.
 #[derive(Debug)]
 pub struct SurvivorBlock<'a> {
-    inner: SurvivorsInner<'a>,
-}
-
-#[derive(Debug)]
-enum SurvivorsInner<'a> {
-    /// In-place-compacted materialized block (rewriting programs, FIN
-    /// residuals).
-    Owned(ColumnChunk),
-    /// Survivor bit-mask over a block view; `kept` bits are set.
-    Masked {
-        view: BlockView<'a>,
-        mask: Vec<u64>,
-        kept: usize,
-    },
+    lanes: Vec<LaneView<'a>>,
+    idx: Vec<u16>,
 }
 
 impl SurvivorBlock<'_> {
-    fn owned(chunk: ColumnChunk) -> SurvivorBlock<'static> {
-        SurvivorBlock {
-            inner: SurvivorsInner::Owned(chunk),
+    /// The survivors' indices into the block, ascending.
+    pub fn indices(&self) -> &[u16] {
+        &self.idx
+    }
+
+    /// Entry `i` of lane `c` (`i` indexes the block, not the survivors).
+    pub fn value(&self, c: usize, i: usize) -> u64 {
+        self.lanes[c].get(i)
+    }
+
+    /// Lane `c`, every entry of the block. Panics on a generated lane (a
+    /// constant or row ids), which has no storage to lend.
+    pub fn lane(&self, c: usize) -> &[u64] {
+        match &self.lanes[c] {
+            LaneView::Slice(s) => s,
+            LaneView::Owned(v) => v,
+            LaneView::Const(_) | LaneView::Iota(_) => panic!("lane {c} is generated"),
         }
     }
 
-    /// Surviving entries in this block.
-    pub fn rows(&self) -> usize {
-        match &self.inner {
-            SurvivorsInner::Owned(c) => c.rows(),
-            SurvivorsInner::Masked { kept, .. } => *kept,
-        }
-    }
-
-    /// Number of lanes.
-    pub fn width(&self) -> usize {
-        match &self.inner {
-            SurvivorsInner::Owned(c) => c.cols.len(),
-            SurvivorsInner::Masked { view, .. } => view.lanes.len(),
-        }
-    }
-
-    /// Append lane `c`'s surviving values onto `out`.
-    pub fn extend_lane_into(&self, c: usize, out: &mut Vec<u64>) {
-        match &self.inner {
-            SurvivorsInner::Owned(chunk) => out.extend_from_slice(&chunk.cols[c]),
-            SurvivorsInner::Masked { view, mask, kept } => match &view.lanes[c] {
-                LaneView::Slice(s) => for_each_set(mask, |i| out.push(s[i])),
-                LaneView::Owned(v) => for_each_set(mask, |i| out.push(v[i])),
-                LaneView::Const(v) => out.extend(std::iter::repeat_n(*v, *kept)),
-                LaneView::Iota(base) => for_each_set(mask, |i| out.push(base + i as u64)),
-            },
-        }
-    }
-
-    /// The lane's constant value, when this block is a zero-copy view
-    /// over a generated constant lane (a flow-id tag): lets sinks
-    /// resolve per-block invariants (join partitions are single-sided)
-    /// once instead of per entry.
+    /// The lane's constant value, when it is a generated constant lane (a
+    /// flow-id tag): lets sinks resolve per-block invariants (join
+    /// partitions are single-sided) once instead of per entry.
     pub fn const_lane(&self, c: usize) -> Option<u64> {
-        match &self.inner {
-            SurvivorsInner::Masked { view, .. } => match view.lanes[c] {
-                LaneView::Const(v) => Some(v),
-                _ => None,
-            },
-            SurvivorsInner::Owned(_) => None,
+        match self.lanes[c] {
+            LaneView::Const(v) => Some(v),
+            _ => None,
         }
     }
 
     /// Append each surviving entry's `(lane c1, lane c2)` values onto
     /// `out` — the tight two-lane sweep behind pairing masters.
     pub fn extend_pairs_into(&self, c1: usize, c2: usize, out: &mut Vec<(u64, u64)>) {
-        match &self.inner {
-            SurvivorsInner::Owned(chunk) => {
-                out.extend(
-                    chunk.cols[c1]
-                        .iter()
-                        .zip(&chunk.cols[c2])
-                        .map(|(&a, &b)| (a, b)),
-                );
-            }
-            SurvivorsInner::Masked { view, mask, .. } => {
-                let (l1, l2) = (&view.lanes[c1], &view.lanes[c2]);
-                for_each_set(mask, |i| out.push((lane_get(l1, i), lane_get(l2, i))));
-            }
-        }
-    }
-
-    /// Visit every surviving entry as a gathered row (one reused scratch
-    /// per call).
-    pub fn for_each_row(&self, mut f: impl FnMut(&[u64])) {
-        let width = self.width();
-        let mut row = vec![0u64; width];
-        match &self.inner {
-            SurvivorsInner::Owned(chunk) => {
-                for i in 0..chunk.rows() {
-                    for (r, c) in row.iter_mut().zip(&chunk.cols) {
-                        *r = c[i];
-                    }
-                    f(&row);
-                }
-            }
-            SurvivorsInner::Masked { view, mask, .. } => for_each_set(mask, |i| {
-                for (r, lane) in row.iter_mut().zip(&view.lanes) {
-                    *r = lane_get(lane, i);
-                }
-                f(&row);
-            }),
-        }
+        let (l1, l2) = (&self.lanes[c1], &self.lanes[c2]);
+        let pair = |&i: &u16| (l1.get(usize::from(i)), l2.get(usize::from(i)));
+        out.extend(self.idx.iter().map(pair));
     }
 }
 
@@ -481,17 +367,17 @@ impl SurvivorBlock<'_> {
 /// persistent worker pool, with a **streaming master**: every survivor
 /// block is handed to `sink(phase, survivors)` on the calling thread as it
 /// arrives, so masters overlap their completion work with the switch's
-/// later phases. FIN residual chunks arrive through the same sink.
+/// later phases. Residuals arrive through the same sink.
 ///
 /// One thread per worker is spawned **once for the whole call** (plus
 /// the switch thread; the calling thread is the master). Each worker
 /// streams its partition of every phase back-to-back, closing each with
 /// a watermark; the switch opens phase `p+1` (re-arming the program via
 /// [`SwitchPhases::begin_phase`]) once all of phase `p`'s watermarks have
-/// arrived and its [`SwitchPhases::fin`] residuals have flushed, parking
-/// any blocks that raced ahead of the flip. Returns one [`ThreadedRun`]
-/// per phase, in phase order — callers pick which phases' counters
-/// matter (a JOIN build pass forwards nothing; its stats are discarded).
+/// arrived and its FIN residuals have flushed, parking any blocks that
+/// raced ahead of the flip. Returns one [`ThreadedRun`] per phase, in
+/// phase order — callers pick which phases' counters matter (a JOIN build
+/// pass forwards nothing; its stats are discarded).
 pub fn run_phases_each<'a, F>(
     phases: Vec<PhaseInput<'a>>,
     switch: &mut dyn SwitchPhases,
@@ -525,33 +411,20 @@ where
             worker_jobs.push((p, parts.next().unwrap_or_default()));
         }
     }
-    // Programs that rewrite entries in flight need every block
-    // materialized (mutable lanes); read-only programs get zero-copy
-    // view descriptors and survivor masks.
-    let materialize_all = switch.rewrites_in_flight();
 
-    // Bounded channels sized by what a message holds. View descriptors
-    // carry no entry data, so a deep buffer lets workers run far ahead
-    // into later phases (the pipelined handoff) at ~zero memory cost.
-    // Materialized blocks are full lane copies, so the rewriting path
-    // keeps a shallow buffer — peak extra memory stays capped at
-    // `MATERIALIZED_DEPTH` wire blocks instead of a whole table copy.
-    const MATERIALIZED_DEPTH: usize = 64;
-    const VIEW_DEPTH: usize = 4096;
-    let depth = if materialize_all {
-        MATERIALIZED_DEPTH
-    } else {
-        VIEW_DEPTH
-    };
-    let (entry_tx, entry_rx) = mpsc::sync_channel::<SwitchMsg<'a>>(depth);
-    let (fwd_tx, fwd_rx) = mpsc::sync_channel::<MasterMsg<'a>>(depth);
+    // View descriptors and index lists carry no entry data, so deep
+    // channels let workers run far ahead into later phases (the pipelined
+    // handoff) at ~zero memory cost.
+    const DEPTH: usize = 4096;
+    let (entry_tx, entry_rx) = mpsc::sync_channel::<SwitchMsg<'a>>(DEPTH);
+    let (fwd_tx, fwd_rx) = mpsc::sync_channel::<MasterMsg<'a>>(DEPTH);
 
     std::thread::scope(|scope| {
         // The pool: spawned once per query, never re-spawned per phase.
         WORKER_SPAWNS.with(|c| c.set(c.get() + n_workers as u64));
         for worker_jobs in jobs {
             let tx = entry_tx.clone();
-            scope.spawn(move || worker_loop(worker_jobs, &tx, materialize_all));
+            scope.spawn(move || worker_loop(worker_jobs, &tx));
         }
         drop(entry_tx);
 
@@ -578,49 +451,31 @@ where
     })
 }
 
-/// One pool worker: serialize each phase's partition into blocks, then
-/// watermark the phase — no joining, no re-spawn between phases.
-///
-/// Pure-view lanes ship as zero-copy descriptors; fingerprint lanes are
-/// computed here (the worker-side hashing of §5) and owned test lanes
-/// are copied per block. Only rewriting programs force fully
-/// materialized blocks.
-fn worker_loop<'a>(
-    jobs: Vec<(usize, LanePartition<'a>)>,
-    tx: &mpsc::SyncSender<SwitchMsg<'a>>,
-    materialize_all: bool,
-) {
+/// One pool worker: serialize each phase's partition into block views,
+/// then watermark the phase — no joining, no re-spawn between phases.
+/// Borrowed and generated lanes ship as zero-copy descriptors;
+/// fingerprint lanes are computed here (the worker-side hashing of §5)
+/// and owned test lanes are copied per block.
+fn worker_loop<'a>(jobs: Vec<(usize, LanePartition<'a>)>, tx: &mpsc::SyncSender<SwitchMsg<'a>>) {
     for (phase, part) in jobs {
         let mut start = 0;
         while start < part.rows {
             let len = (part.rows - start).min(WIRE_ENTRIES);
-            let block = if materialize_all {
-                let mut chunk = ColumnChunk {
-                    cols: Vec::with_capacity(part.lanes.len()),
-                };
-                for lane in &part.lanes {
-                    let mut col = Vec::with_capacity(len);
-                    lane.fill(start, len, &mut col);
-                    chunk.cols.push(col);
-                }
-                BlockMsg::Owned(chunk)
-            } else {
-                let lanes = part
-                    .lanes
-                    .iter()
-                    .map(|lane| match lane {
-                        Lane::Slice(s) => LaneView::Slice(&s[start..start + len]),
-                        Lane::Const(v) => LaneView::Const(*v),
-                        Lane::Iota(base) => LaneView::Iota(base + start as u64),
-                        Lane::Owned(_) | Lane::Fingerprint { .. } => {
-                            let mut col = Vec::with_capacity(len);
-                            lane.fill(start, len, &mut col);
-                            LaneView::Owned(col)
-                        }
-                    })
-                    .collect();
-                BlockMsg::View(BlockView { rows: len, lanes })
-            };
+            let lanes = part
+                .lanes
+                .iter()
+                .map(|lane| match lane {
+                    Lane::Slice(s) => LaneView::Slice(&s[start..start + len]),
+                    Lane::Const(v) => LaneView::Const(*v),
+                    Lane::Iota(base) => LaneView::Iota(base + start as u64),
+                    Lane::Owned(_) | Lane::Fingerprint { .. } => {
+                        let mut col = Vec::with_capacity(len);
+                        lane.fill(start, len, &mut col);
+                        LaneView::Owned(col)
+                    }
+                })
+                .collect();
+            let block = BlockView { rows: len, lanes };
             if !part.lanes.is_empty() && tx.send(SwitchMsg::Block(phase, block)).is_err() {
                 return; // switch gone (panic teardown)
             }
@@ -644,7 +499,7 @@ fn switch_loop<'a>(
     let n_phases = visibles.len();
     let mut scratch = Scratch::default();
     let mut eofs = vec![0usize; n_phases];
-    let mut parked: Vec<Vec<BlockMsg<'a>>> = (0..n_phases).map(|_| Vec::new()).collect();
+    let mut parked: Vec<Vec<BlockView<'a>>> = (0..n_phases).map(|_| Vec::new()).collect();
     let mut stats = PruneStats::default();
     let mut current = 0usize;
     let mut opened_at = Instant::now();
@@ -653,13 +508,8 @@ fn switch_loop<'a>(
         // Flip every phase whose watermarks are all in (possibly several
         // at once when the pool ran far ahead).
         while eofs[current] == n_workers {
-            if let Some(residual) = switch.fin(current) {
-                if residual.rows() > 0 {
-                    let _ = fwd.send(MasterMsg::Survivors(
-                        current,
-                        SurvivorBlock::owned(residual),
-                    ));
-                }
+            if let Some(residual) = switch.residual(current, true) {
+                ship_residual(fwd, current, residual);
             }
             let _ = fwd.send(MasterMsg::PhaseDone(
                 current,
@@ -708,107 +558,98 @@ fn switch_loop<'a>(
     }
 }
 
-/// Reusable switch-thread buffers: the decision scratch and the
-/// materialization lanes for generated (`Const`/`Iota`) visible columns.
+/// Reusable switch-thread buffers: the decision scratch, the survivor
+/// index scratch and the materialization lanes for generated
+/// (`Const`/`Iota`) visible columns.
 #[derive(Default)]
 struct Scratch {
     decisions: Vec<Decision>,
+    idx: Vec<u16>,
     lanes: Vec<Vec<u64>>,
 }
 
-/// Decide one block and forward its survivors. Materialized blocks are
-/// compacted **in place** (the spent block is reused as the survivor
-/// block); view blocks ship back as a **survivor index mask** over the
-/// shared lanes — no survivor value is copied at all. Both hand-offs are
-/// branch-free, like [`crate::master::survivors`]: every entry is written
-/// (or ORed in) and the cursor advances by the decision.
+/// Decide one block and forward its survivors as an **index list** over
+/// the block's own lanes — no survivor value is copied at all — or, when
+/// the program ships a residual instead, that residual.
 fn decide_block<'a>(
     switch: &mut dyn SwitchPhases,
     phase: usize,
     visibles: &[usize],
-    block: BlockMsg<'a>,
+    view: BlockView<'a>,
     scratch: &mut Scratch,
     stats: &mut PruneStats,
     fwd: &mpsc::SyncSender<MasterMsg<'a>>,
 ) {
-    match block {
-        BlockMsg::Owned(mut block) => {
-            let n = block.rows();
-            if n == 0 {
-                return;
+    let n = view.rows;
+    if n == 0 || view.lanes.is_empty() {
+        return;
+    }
+    let visible = visibles[phase].min(view.lanes.len());
+    // Materialize generated visible lanes into reused buffers (borrowed
+    // and owned lanes are read straight through).
+    if scratch.lanes.len() < visible {
+        scratch.lanes.resize_with(visible, Vec::new);
+    }
+    for (c, lane) in view.lanes[..visible].iter().enumerate() {
+        match lane {
+            LaneView::Const(v) => {
+                scratch.lanes[c].clear();
+                scratch.lanes[c].resize(n, *v);
             }
-            scratch
-                .decisions
-                .resize(n.max(scratch.decisions.len()), Decision::Prune);
-            let out = &mut scratch.decisions[..n];
-            switch.process_chunk(phase, &mut block, visibles[phase], out);
-            stats.record_block(out);
-            let mut kept = 0;
-            for col in &mut block.cols {
-                kept = 0;
-                for (i, d) in out.iter().enumerate() {
-                    col[kept] = col[i];
-                    kept += usize::from(d.is_forward());
-                }
-                col.truncate(kept);
+            LaneView::Iota(base) => {
+                scratch.lanes[c].clear();
+                scratch.lanes[c].extend(*base..*base + n as u64);
             }
-            if kept > 0 {
-                let _ = fwd.send(MasterMsg::Survivors(phase, SurvivorBlock::owned(block)));
+            LaneView::Slice(_) | LaneView::Owned(_) => {}
+        }
+    }
+    let colrefs: Vec<&[u64]> = view.lanes[..visible]
+        .iter()
+        .enumerate()
+        .map(|(c, lane)| match lane {
+            LaneView::Slice(s) => *s,
+            LaneView::Owned(v) => v.as_slice(),
+            LaneView::Const(_) | LaneView::Iota(_) => scratch.lanes[c].as_slice(),
+        })
+        .collect();
+    if scratch.decisions.len() < n {
+        scratch.decisions.resize(n, Decision::Prune);
+        scratch.idx.resize(n, 0);
+    }
+    let out = &mut scratch.decisions[..n];
+    switch.process_cols(phase, &colrefs, visible, out);
+    stats.record_block(out);
+    match switch.residual(phase, false) {
+        Some(residual) => ship_residual(fwd, phase, residual),
+        None => {
+            let kept = survivors(out, &mut scratch.idx);
+            if !kept.is_empty() {
+                let survivors = SurvivorBlock {
+                    lanes: view.lanes,
+                    idx: kept.to_vec(),
+                };
+                let _ = fwd.send(MasterMsg::Survivors(phase, survivors));
             }
         }
-        BlockMsg::View(view) => {
-            let n = view.rows;
-            if n == 0 || view.lanes.is_empty() {
-                return;
-            }
-            let visible = visibles[phase].min(view.lanes.len());
-            // Materialize generated visible lanes into reused buffers
-            // (borrowed and owned lanes are read straight through).
-            if scratch.lanes.len() < visible {
-                scratch.lanes.resize_with(visible, Vec::new);
-            }
-            for (c, lane) in view.lanes[..visible].iter().enumerate() {
-                match lane {
-                    LaneView::Const(v) => {
-                        scratch.lanes[c].clear();
-                        scratch.lanes[c].resize(n, *v);
-                    }
-                    LaneView::Iota(base) => {
-                        scratch.lanes[c].clear();
-                        scratch.lanes[c].extend(*base..*base + n as u64);
-                    }
-                    LaneView::Slice(_) | LaneView::Owned(_) => {}
-                }
-            }
-            let colrefs: Vec<&[u64]> = view.lanes[..visible]
-                .iter()
-                .enumerate()
-                .map(|(c, lane)| match lane {
-                    LaneView::Slice(s) => *s,
-                    LaneView::Owned(v) => v.as_slice(),
-                    LaneView::Const(_) | LaneView::Iota(_) => scratch.lanes[c].as_slice(),
-                })
-                .collect();
-            scratch
-                .decisions
-                .resize(n.max(scratch.decisions.len()), Decision::Prune);
-            let out = &mut scratch.decisions[..n];
-            switch.process_cols(phase, &colrefs, visible, out);
-            stats.record_block(out);
-            let mut mask = vec![0u64; n.div_ceil(64)];
-            for (i, d) in out.iter().enumerate() {
-                mask[i / 64] |= u64::from(d.is_forward()) << (i % 64);
-            }
-            let kept = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-            if kept > 0 {
-                let _ = fwd.send(MasterMsg::Survivors(
-                    phase,
-                    SurvivorBlock {
-                        inner: SurvivorsInner::Masked { view, mask, kept },
-                    },
-                ));
-            }
-        }
+    }
+}
+
+/// Forward a program's residual as survivor blocks of at most
+/// [`WIRE_ENTRIES`] entries (so block indices stay `u16`), every entry a
+/// survivor.
+fn ship_residual(fwd: &mpsc::SyncSender<MasterMsg<'_>>, phase: usize, mut residual: ColumnChunk) {
+    while residual.rows() > 0 {
+        let len = residual.rows().min(WIRE_ENTRIES);
+        // Each lane's first `len` entries leave; the rest stay behind.
+        let head = |lane: &mut Vec<u64>| {
+            let rest = lane.split_off(len);
+            LaneView::Owned(std::mem::replace(lane, rest))
+        };
+        let survivors = SurvivorBlock {
+            lanes: residual.cols.iter_mut().map(head).collect(),
+            idx: (0..len as u16).collect(),
+        };
+        let _ = fwd.send(MasterMsg::Survivors(phase, survivors));
     }
 }
 
@@ -844,7 +685,8 @@ pub(crate) mod tests {
             .collect();
         let runs = run_phases_each(phases, switch, |phase, block| {
             for (c, lane) in lanes[phase].cols.iter_mut().enumerate() {
-                block.extend_lane_into(c, lane);
+                let survivors = block.indices().iter();
+                lane.extend(survivors.map(|&i| block.value(c, usize::from(i))));
             }
         });
         runs.into_iter()
@@ -1094,10 +936,12 @@ pub(crate) mod tests {
             out.fill(Decision::Prune);
         }
 
-        fn fin(&mut self, _phase: usize) -> Option<ColumnChunk> {
-            let mut lane = std::mem::take(&mut self.seen);
-            lane.sort_unstable();
-            Some(ColumnChunk { cols: vec![lane] })
+        fn residual(&mut self, _phase: usize, fin: bool) -> Option<ColumnChunk> {
+            fin.then(|| {
+                let mut lane = std::mem::take(&mut self.seen);
+                lane.sort_unstable();
+                ColumnChunk { cols: vec![lane] }
+            })
         }
     }
 

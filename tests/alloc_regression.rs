@@ -347,12 +347,13 @@ fn warm_queries_allocate_o1_not_o_rows() {
          survivors allow {bound} B"
     );
 
-    // The threaded multi-pass path: the persistent pool plus borrowed
-    // lane partitions make warm JOIN/HAVING runs O(1) allocations **per
-    // block** (each in-flight block is one chunk + its lanes; survivor
-    // compaction is in place, partitions are views). The budget charges
-    // a small constant per block plus a fixed pool/channel/result term —
-    // far under the O(rows) a per-entry allocation would cost.
+    // The threaded path: the persistent pool plus borrowed lane
+    // partitions make warm JOIN/HAVING/GROUP BY SUM runs O(1) allocations
+    // **per block** (each in-flight block is a view of its lanes, its
+    // survivors one index list, GROUP BY SUM's one its evictions). The
+    // budget charges a small constant per block plus a fixed
+    // pool/channel/result term — far under the O(rows) a per-entry
+    // allocation would cost.
     let threaded = ThreadedExecutor::new(exec.clone());
     let threaded_queries = [
         (
@@ -376,6 +377,16 @@ fn warm_queries_allocate_o1_not_o_rows() {
             },
             2 * ROWS,
         ),
+        (
+            "threaded-groupby-sum",
+            Query::GroupBy {
+                table: "t".into(),
+                key: "k".into(),
+                val: "v".into(),
+                agg: Agg::Sum,
+            },
+            ROWS,
+        ),
     ];
     for (name, q, streamed) in threaded_queries {
         let warm = threaded.execute(&db, &q);
@@ -397,6 +408,33 @@ fn warm_queries_allocate_o1_not_o_rows() {
              O(1)-per-block guarantee"
         );
     }
+
+    // And what a warm threaded GROUP BY SUM holds does not grow with the
+    // rows: blocks reach the switch as views of the table's lanes and only
+    // evictions travel back, so the same 83 keys over 50k and 200k rows
+    // peak alike — two register matrices, the pool's channels and a
+    // block's scratch. Materialized in flight, its blocks could queue 64
+    // wire blocks of two lanes (8 MiB), and did queue as many as the
+    // workers ran ahead of the switch: 25 over 200k rows.
+    let sum = Query::GroupBy {
+        table: "c".into(),
+        key: "k".into(),
+        val: "v".into(),
+        agg: Agg::Sum,
+    };
+    let sum_peak = |db: &Database| {
+        threaded.execute(db, &sum);
+        peak_bytes_during(|| {
+            threaded.execute(db, &sum);
+        })
+    };
+    let (small_peak, large_peak) = (sum_peak(&small), sum_peak(&large));
+    let wire_block = (2 * 8 * 8 * BLOCK_ENTRIES) as u64;
+    assert!(
+        large_peak.abs_diff(small_peak) < wire_block,
+        "a warm threaded GROUP BY SUM peaked at {small_peak} B over 50k rows and \
+         {large_peak} B over 200k; a wire block of its two lanes is {wire_block} B"
+    );
 
     // The hash partition behind the key-sharded shapes: one shard-id lane,
     // the per-shard counts, and per shard its lanes and the vector of
