@@ -9,9 +9,11 @@
 //!
 //! Partition streams interleave round-robin (the deterministic stand-in
 //! for five NICs feeding one switch; see [`crate::threaded`] for the
-//! real-threads version). JOIN and HAVING make the two passes §4.3
-//! describes; Filter/TopN queries requesting full rows pay a late
-//! materialization fetch (§7.1) that the switch does not touch.
+//! real-threads version). The seven single-pass shapes run one block scan,
+//! which serving runs too, for the flows it packs onto one table; JOIN and
+//! HAVING make the two passes §4.3 describes; Filter/TopN queries
+//! requesting full rows pay a late materialization fetch (§7.1) that the
+//! switch does not touch.
 
 use std::time::Instant;
 
@@ -30,7 +32,7 @@ use crate::multipass::{SIDE_LEFT, SIDE_RIGHT};
 use crate::query::{Agg, FetchSpec, Predicate, Query, QueryResult};
 use crate::reference::skyline_of;
 use crate::sharded::{self, InProcess};
-use crate::stream::{EntryStream, BLOCK_ENTRIES};
+use crate::stream::{fingerprint_rows, EntryStream, SpareRefs, BLOCK_ENTRIES};
 use crate::table::{Database, Table};
 
 /// Switch-side algorithm configuration (the Table 2 knobs).
@@ -317,8 +319,8 @@ impl<'q> Completion<'q> {
 
     /// Take a block's survivors — the block indices `survivors` (the
     /// [`survivors`] of its decisions), whose columns in query order are
-    /// `cols` and whose table rows `row_id` names: a solo stream's block,
-    /// a shared scan's selection of its columns, a shard's survivor block.
+    /// `cols` and whose table rows `row_id` names: a scan's selection of
+    /// its block's columns, a shard's survivor block.
     /// One dispatch a block, so each shape's survivor loop is its own
     /// tight loop over the survivor indices.
     pub(crate) fn take(
@@ -411,40 +413,15 @@ impl CheetahExecutor {
         let workers = self.model.workers;
         let cfg = &self.config;
         let interleave = |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, workers);
+        if let Some(table) = single_pass_table(query) {
+            let mut pruner = single_pass_pruner(cfg, query);
+            let decide =
+                |_, visible: &[&[u64]], out: &mut [Decision]| pruner.process_block(visible, out);
+            let mut reports = self.single_pass_scan(db.table(table), &[query], decide);
+            return (reports.pop().expect("one query, one report"), None);
+        }
         let mut armed_out = None;
         let report = match query {
-            Query::FilterCount { .. }
-            | Query::Filter { .. }
-            | Query::Distinct { .. }
-            | Query::DistinctMulti { .. }
-            | Query::TopN { .. }
-            | Query::Skyline { .. }
-            | Query::GroupBy {
-                agg: Agg::Max | Agg::Min,
-                ..
-            } => {
-                let t = db.table(single_pass_table(query).expect("a single-pass shape"));
-                let mut stream = interleave(t, &query_columns(query, t));
-                if matches!(query, Query::DistinctMulti { .. }) {
-                    stream.fingerprint_lane(&tuple_fingerprinter(cfg));
-                }
-                let mut pruner = single_pass_pruner(cfg, query);
-                let mut stats = PruneStats::default();
-                let mut master = Completion::for_query(query);
-                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-                let mut idx = [0u16; BLOCK_ENTRIES];
-                let mut blocks = stream.blocks();
-                while let Some(block) = blocks.next_block() {
-                    let out = &mut decisions[..block.len];
-                    pruner.process_block(block.visible(), out);
-                    stats.record_block(out);
-                    master.take(&block.cols, survivors(out, &mut idx), |i| block.row_id(i));
-                }
-                let (fetch, result, checksum) = master.finish(query, t, cfg);
-                let mut report = self.report(query, t.rows() as u64, stats, 1, fetch, result);
-                report.fetch_checksum = checksum;
-                report
-            }
             Query::GroupBy {
                 table,
                 key,
@@ -581,8 +558,83 @@ impl CheetahExecutor {
                 let result = QueryResult::JoinSummary { pairs, checksum };
                 self.report(query, streamed, stats, passes, pairs, result)
             }
+            _ => unreachable!("single-pass shapes scan above"),
         };
         (report, armed_out)
+    }
+
+    /// The one single-pass scan — a solo query's, and a shared scan's of
+    /// the single-pass `queries` serving packs onto table `t`: each block
+    /// of the union of their metadata columns is gathered once, and per
+    /// query, in order, `decide(q, visible, decisions)` decides the block
+    /// the query's own solo stream would see (its columns in query order,
+    /// or a DistinctMulti's fingerprint of them), and [`Completion::take`]
+    /// sinks the survivors. Block boundaries depend only on the table and
+    /// worker count, so a query's decisions are those of its solo run
+    /// whatever else shares the scan. One report per query, in order.
+    pub(crate) fn single_pass_scan(
+        &self,
+        t: &Table,
+        queries: &[&Query],
+        mut decide: impl FnMut(usize, &[&[u64]], &mut [Decision]),
+    ) -> Vec<ExecutionReport> {
+        let cfg = &self.config;
+        // The union of the queries' columns, first-appearance order, and
+        // each query's columns as lanes of it.
+        let mut union: Vec<usize> = Vec::new();
+        let lanes: Vec<Vec<usize>> = queries
+            .iter()
+            .map(|q| {
+                let lane = |c| {
+                    let seen = union.iter().position(|&u| u == c);
+                    seen.unwrap_or_else(|| {
+                        union.push(c);
+                        union.len() - 1
+                    })
+                };
+                query_columns(q, t).into_iter().map(lane).collect()
+            })
+            .collect();
+        let stream = EntryStream::interleaved(t, &union, self.model.workers);
+        let fp = tuple_fingerprinter(cfg);
+        let mut fp_lane = Vec::with_capacity(BLOCK_ENTRIES);
+        let mut stats = vec![PruneStats::default(); queries.len()];
+        let mut masters: Vec<Completion<'_>> =
+            queries.iter().map(|q| Completion::for_query(q)).collect();
+        let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+        let mut idx = [0u16; BLOCK_ENTRIES];
+        let mut spare = SpareRefs::default();
+        let mut blocks = stream.blocks();
+        while let Some(block) = blocks.next_block() {
+            for (q, query) in queries.iter().enumerate() {
+                let mut cols = spare.take();
+                cols.extend(lanes[q].iter().map(|&l| block.cols[l]));
+                let key;
+                let visible: &[&[u64]] = if matches!(query, Query::DistinctMulti { .. }) {
+                    fp_lane.clear();
+                    fingerprint_rows(&cols, 0, block.len, &fp, &mut fp_lane);
+                    key = [&fp_lane[..]];
+                    &key
+                } else {
+                    &cols
+                };
+                let out = &mut decisions[..block.len];
+                decide(q, visible, out);
+                stats[q].record_block(out);
+                masters[q].take(&cols, survivors(out, &mut idx), |i| block.row_id(i));
+                spare.put(cols);
+            }
+        }
+        let rows = t.rows() as u64;
+        let finished = queries.iter().zip(masters).zip(stats);
+        finished
+            .map(|((query, master), stats)| {
+                let (fetch, result, checksum) = master.finish(query, t, cfg);
+                let mut report = self.report(query, rows, stats, 1, fetch, result);
+                report.fetch_checksum = checksum;
+                report
+            })
+            .collect()
     }
 
     /// Execute on the real-threads pipeline: one shard of

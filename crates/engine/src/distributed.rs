@@ -1061,7 +1061,7 @@ mod tests {
 
     /// A shard's `Rows` output for rows 3, 1 and 99 of `t`, both lanes.
     fn shipped_rows() -> ShardOutput {
-        let db = db();
+        let db = db(6_000, 2_000);
         let ids = vec![3, 1, 99];
         let (flat, checksum) = fetch_rows_flat(db.table("t"), &[0, 1], &ids);
         ShardOutput::Rows {
@@ -1313,7 +1313,7 @@ mod tests {
 
     #[test]
     fn clean_wire_matches_reference_with_quiet_telemetry() {
-        let db = db();
+        let db = db(6_000, 2_000);
         let e = exec(3, FailurePlan::default());
         for q in &shapes() {
             let truth = reference::evaluate(&db, q);
@@ -1338,7 +1338,7 @@ mod tests {
 
     #[test]
     fn faults_leave_results_exact_and_telemetry_loud() {
-        let db = db();
+        let db = db(6_000, 2_000);
         let truth_exec = exec(3, FailurePlan::default());
         let plan = FailurePlan {
             loss_rate: 0.2,
@@ -1380,7 +1380,7 @@ mod tests {
 
     #[test]
     fn groupby_sum_reboot_drains_registers_first() {
-        let db = db();
+        let db = db(6_000, 2_000);
         let q = Query::GroupBy {
             table: "t".into(),
             key: "k".into(),
@@ -1404,7 +1404,7 @@ mod tests {
 
     #[test]
     fn exhausted_retry_budget_degrades_but_stays_exact() {
-        let db = db();
+        let db = db(6_000, 2_000);
         let q = Query::Distinct {
             table: "t".into(),
             column: "k".into(),

@@ -63,8 +63,8 @@ pub struct ExecutionReport {
     /// each pass (`shards × passes` entries).
     pub pass_walls: Vec<Duration>,
     /// Measured master-side combine span, for executors that merge
-    /// per-shard state (filter unions, sketch summation, register
-    /// re-aggregation, global re-selection) before completing the query.
+    /// per-shard state (filter unions, sketch summation, group-run
+    /// merges, global re-selection) before completing the query.
     /// With the streaming tree reduction this is only the serial tail —
     /// result canonicalization after the reduction root yields — since
     /// the shard merges themselves overlap the switch phases (see

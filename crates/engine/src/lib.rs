@@ -27,8 +27,8 @@
 //!   switch/master threads (wall-clock, non-deterministic interleaving);
 //! * [`sharded`] — the multi-switch executor: N independent pool +
 //!   watermark pipelines over shard-local partition views, merged by a
-//!   per-shape combine layer (filter unions, sketch summation, register
-//!   re-aggregation, global re-selection);
+//!   per-shape combine layer (filter unions, sketch summation, group-run
+//!   merges, global re-selection);
 //! * [`distributed`] — the sharded pipelines run over the real §7.2
 //!   wire protocol ([`cheetah-net`]'s master/worker/switch state
 //!   machines on the simulated fabric), with failure injection, retry

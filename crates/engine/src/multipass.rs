@@ -8,37 +8,34 @@
 //!
 //! * [`JoinPhases`] — pass 1 builds `F_A`/`F_B` from both sides' join
 //!   keys, pass 2 probes each side against the *other* side's filter
-//!   (Example 4). Entries are `[side, key, …]`, matching how the switch
-//!   demultiplexes streams by flow id (§7.2).
+//!   (Example 4); for lopsided tables the same program runs §4.3's
+//!   asymmetric flow, forwarding the small side while it builds. Entries
+//!   are `[side, key, …]`, matching how the switch demultiplexes streams
+//!   by flow id (§7.2).
 //! * [`GroupBySumStage`] — a single pass over the deterministic arm's
 //!   register kernel: a hit absorbs into a register accumulator (pruned),
 //!   an eviction forwards the evicting packet carrying the displaced
 //!   `(key, partial)` — shipped as the block's residual in place of its
-//!   survivors — and the FIN drains the residual accumulators (§6).
+//!   survivors — and the FIN drains the residual accumulators (§6). The
+//!   master folds the pairs in the deterministic arm's own sink.
 //!
-//! The JOIN programs work over either switch backend (`cheetah-core`
-//! references or metered `cheetah-pisa` programs) because they wrap the
+//! The JOIN program works over either switch backend (`cheetah-core`
+//! references or metered `cheetah-pisa` programs) because it wraps the
 //! backend-dispatching [`JoinFlow`].
 //!
-//! The second half of this module is the **cross-shard combine layer**
-//! behind every shard arm: the shard-local HAVING programs
-//! ([`HavingShardSketch`], [`HavingShardProbe`]) whose sketches are
-//! summed across shards between the passes — always on the core
-//! [`HavingPruner`], whatever the backend, because only core counters
-//! merge — and GROUP BY SUM register re-aggregation with packet-riding
-//! evictions ([`ShardSums`]). (JOIN
-//! needs nothing here: both sides are hash-sharded by key, so every
-//! shard runs the whole [`JoinPhases`] flow locally.)
-
-use std::collections::BTreeMap;
+//! The rest of this module is the cross-shard side of HAVING: the
+//! shard-local programs ([`HavingShardSketch`], [`HavingShardProbe`])
+//! whose sketches are summed across shards between the passes — always
+//! on the core [`HavingPruner`], whatever the backend, because only core
+//! counters merge. (JOIN needs nothing of the kind: both sides are
+//! hash-sharded by key, so every shard runs the whole [`JoinPhases`] flow
+//! locally.)
 
 use cheetah_core::decision::Decision;
-use cheetah_core::groupby::{GroupBySumPruner, SumAction};
+use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::HavingPruner;
 
 use crate::backend::JoinFlow;
-use crate::master::GroupRun;
-use crate::query::Agg;
 use crate::threaded::{ColumnChunk, SwitchPhases};
 
 /// Flow-id value tagging left-side (build A / probe A) join entries.
@@ -46,18 +43,29 @@ pub const SIDE_LEFT: u64 = 0;
 /// Flow-id value tagging right-side (build B / probe B) join entries.
 pub const SIDE_RIGHT: u64 = 1;
 
-/// Two-pass JOIN program: build both Bloom filters, then probe — whole
-/// blocks at a time through [`JoinFlow::observe_block`] /
+/// The §4.3 JOIN program: build the Bloom filters in phase 0, probe in
+/// phase 1 — whole blocks at a time through [`JoinFlow::observe_block`] /
 /// [`JoinFlow::probe_block`], so the backend and flow-id dispatch cost
 /// once per block, not once per entry.
+///
+/// Symmetric, both sides build (forwarding nothing) and then both probe
+/// against the *other* side's filter. Asymmetric, for lopsided table
+/// sizes, phase 0 streams only the *small* side, building its filter while
+/// forwarding every entry unpruned, and phase 1 streams the big side
+/// pruned against it: each table crosses the switch once instead of
+/// twice, the master pairs the same survivors, and the result is
+/// identical — Bloom filters have no false negatives, and unpruned
+/// small-side rows without a match simply pair with nothing.
 pub struct JoinPhases {
     flow: JoinFlow,
+    /// Whether the build pass forwards its (small-side) entries.
+    asymmetric: bool,
 }
 
 impl JoinPhases {
-    /// Wrap a fresh (empty-filter) join flow.
-    pub fn new(flow: JoinFlow) -> Self {
-        JoinPhases { flow }
+    /// Wrap a fresh (empty-filter) join flow, symmetric or asymmetric.
+    pub fn new(flow: JoinFlow, asymmetric: bool) -> Self {
+        JoinPhases { flow, asymmetric }
     }
 }
 
@@ -71,50 +79,13 @@ impl SwitchPhases for JoinPhases {
     ) {
         let (sides, keys) = (cols[0], cols[1]);
         if phase == 0 {
-            // Build pass: the input-column stream populates the
-            // filters; nothing continues to the master.
             self.flow.observe_block(sides, keys);
-            out.fill(Decision::Prune);
+            out.fill(if self.asymmetric {
+                Decision::Forward
+            } else {
+                Decision::Prune
+            });
         } else {
-            self.flow.probe_block(sides, keys, out);
-        }
-    }
-}
-
-/// The §4.3 **asymmetric** JOIN program for lopsided table sizes: phase
-/// 0 streams the *small* side once, building its filter while forwarding
-/// every entry unpruned; phase 1 streams the big side once, pruned
-/// against the small side's filter. Each table is streamed exactly once
-/// (vs twice for [`JoinPhases`]), the master pairs the same survivors,
-/// and the result is identical — Bloom filters have no false negatives,
-/// and unpruned small-side rows without a match simply pair with
-/// nothing.
-pub struct AsymJoinPhases {
-    flow: JoinFlow,
-}
-
-impl AsymJoinPhases {
-    /// Wrap a fresh (empty-filter) join flow.
-    pub fn new(flow: JoinFlow) -> Self {
-        AsymJoinPhases { flow }
-    }
-}
-
-impl SwitchPhases for AsymJoinPhases {
-    fn process_cols(
-        &mut self,
-        phase: usize,
-        cols: &[&[u64]],
-        _visible_cols: usize,
-        out: &mut [Decision],
-    ) {
-        let (sides, keys) = (cols[0], cols[1]);
-        if phase == 0 {
-            // Small side: populate its filter, forward everything.
-            self.flow.observe_block(sides, keys);
-            out.fill(Decision::Forward);
-        } else {
-            // Big side: prune against the small side's filter.
             self.flow.probe_block(sides, keys, out);
         }
     }
@@ -191,8 +162,8 @@ impl SwitchPhases for GroupBySumStage {
 }
 
 // --------------------------------------------------------------------------
-// Cross-shard combine layer (§7–§8's multi-worker integration): shard-local
-// phase programs + the master-side merges of their exported switch state.
+// Cross-shard HAVING (§7–§8's multi-worker integration): shard-local phase
+// programs around one merged sketch.
 // --------------------------------------------------------------------------
 
 /// Shard-local HAVING pass 1: fold this shard's `(key, value)` entries
@@ -256,73 +227,13 @@ impl SwitchPhases for HavingShardProbe {
     }
 }
 
-/// One shard's GROUP BY SUM partial state at the combine layer: a
-/// register matrix re-aggregating the shard's `(key, partial)` stream
-/// (switch evictions + FIN drain), with displaced accumulators riding
-/// into `overflow` exactly as §6's evictions ride packets.
-pub struct ShardSums {
-    /// The shard's combine-side accumulator matrix.
-    pub registers: GroupBySumPruner,
-    /// Partials displaced from the matrix during absorption/merging.
-    pub overflow: Vec<(u64, u64)>,
-}
-
-impl ShardSums {
-    /// Fresh combine-side registers (dimensioned like the switch matrix).
-    pub fn new(d: usize, w: usize, seed: u64) -> Self {
-        ShardSums {
-            registers: GroupBySumPruner::new(d, w, seed),
-            overflow: Vec::new(),
-        }
-    }
-
-    /// Absorb one `(key, partial)` pair; a displaced accumulator rides
-    /// into the overflow.
-    pub fn absorb(&mut self, key: u64, partial: u64) {
-        if let SumAction::EvictAndForward { key, partial } = self.registers.process(key, partial) {
-            self.overflow.push((key, partial));
-        }
-    }
-
-    /// Fold another shard's partials into this one — the associative
-    /// merge a reduction tree leans on. The other shard's overflow is
-    /// appended wholesale and its register matrix re-aggregates through
-    /// [`GroupBySumPruner::merge`]; accumulators displaced by the merge
-    /// itself ride into this shard's overflow. Exact because each
-    /// partial either sits in a register cell or rides the overflow —
-    /// nothing is ever dropped, mirroring the switch-side guarantee.
-    pub fn merge(&mut self, mut other: ShardSums) {
-        let ShardSums {
-            registers,
-            overflow,
-        } = self;
-        overflow.append(&mut other.overflow);
-        registers.merge(&mut other.registers, |key, partial| {
-            overflow.push((key, partial));
-        });
-    }
-
-    /// Drain the surviving registers and replay the overflow into exact
-    /// global totals — the last serial step after the tree has reduced
-    /// every shard into one `ShardSums`.
-    pub fn into_totals(self) -> BTreeMap<u64, u64> {
-        self.into_run().into_groups()
-    }
-
-    /// [`ShardSums::into_totals`] as the sorted run the wire ships.
-    pub(crate) fn into_run(mut self) -> GroupRun {
-        let mut partials = self.registers.drain();
-        partials.append(&mut self.overflow);
-        GroupRun::fold(partials, Agg::Sum)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::threaded::tests::collect_phases;
     use crate::threaded::{Lane, LanePartition, PhaseInput};
+    use cheetah_core::groupby::SumAction;
     use std::collections::{HashMap, HashSet};
 
     fn two_sided_parts(with_rids: bool) -> Vec<LanePartition<'static>> {
@@ -343,7 +254,7 @@ mod tests {
     #[test]
     fn join_phases_build_then_probe() {
         let cfg = PrunerConfig::default();
-        let mut program = JoinPhases::new(JoinFlow::new(&cfg));
+        let mut program = JoinPhases::new(JoinFlow::new(&cfg), false);
         let runs = collect_phases(
             vec![
                 PhaseInput {
@@ -377,7 +288,7 @@ mod tests {
     #[test]
     fn asymmetric_join_streams_each_side_once() {
         let cfg = PrunerConfig::default();
-        let mut program = AsymJoinPhases::new(JoinFlow::new(&cfg));
+        let mut program = JoinPhases::new(JoinFlow::new(&cfg), true);
         // Phase 0: the small (right) side builds F_B and forwards all;
         // phase 1: the big (left) side probes F_B.
         let small: Vec<u64> = (40..100).collect();
@@ -442,28 +353,6 @@ mod tests {
         probe.process_cols(1, &[&keys, &vals], 2, &mut out);
         assert!(out[0].is_forward(), "cross-shard winner lost at pass 2");
         assert!(out[1].is_prune(), "unseen key must stay pruned");
-    }
-
-    #[test]
-    fn shard_sums_merge_is_exact_under_register_pressure() {
-        // Starved 2×1 combine registers: constant merge-time evictions.
-        let keys: Vec<u64> = (0..6_000u64).map(|i| i * 13 % 251).collect();
-        let vals: Vec<u64> = (0..6_000u64).map(|i| i % 97).collect();
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        let mut shards: Vec<ShardSums> = (0..3).map(|_| ShardSums::new(2, 1, 3)).collect();
-        for (i, (&k, &v)) in keys.iter().zip(&vals).enumerate() {
-            *truth.entry(k).or_insert(0) += v;
-            shards[i % 3].absorb(k, v);
-        }
-        let merged = shards
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.merge(b);
-                a
-            })
-            .expect("three shards");
-        let as_map: HashMap<u64, u64> = merged.into_totals().into_iter().collect();
-        assert_eq!(as_map, truth, "combine must re-aggregate exactly");
     }
 
     /// SUM and COUNT (the workers' `Const(1)` value lane) on the view

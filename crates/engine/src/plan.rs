@@ -569,26 +569,8 @@ mod tests {
     use super::*;
     use crate::query::QueryResult;
     use crate::reference;
+    use crate::sharded::tests::db;
     use crate::table::Table;
-
-    fn db(rows: usize) -> Database {
-        let mut db = Database::new();
-        db.add(Table::new(
-            "t",
-            vec![
-                ("k", (0..rows as u64).map(|i| i * 7 % 83 + 1).collect()),
-                ("v", (0..rows as u64).map(|i| i * 31 % 9_973).collect()),
-            ],
-        ));
-        db.add(Table::new(
-            "s",
-            vec![(
-                "k",
-                (0..rows as u64 / 4).map(|i| i * 11 % 140 + 40).collect(),
-            )],
-        ));
-        db
-    }
 
     fn planner() -> PlannerExecutor {
         PlannerExecutor::new(CheetahExecutor::new(
@@ -599,7 +581,7 @@ mod tests {
 
     #[test]
     fn probe_is_shared_and_single() {
-        let db = db(4_000);
+        let db = db(4_000, 1_000);
         let exec = planner();
         let q = Query::Distinct {
             table: "t".into(),
@@ -616,7 +598,7 @@ mod tests {
     fn skyline_program_is_infeasible_and_falls_back_deterministic() {
         // SKYLINE APH at the default w=10 needs 23 stages — over the
         // 12-stage Tofino budget (the same overflow `serve` spills on).
-        let db = db(3_000);
+        let db = db(3_000, 750);
         let exec = planner();
         let q = Query::Skyline {
             table: "t".into(),
@@ -633,7 +615,7 @@ mod tests {
 
     #[test]
     fn join_candidates_carry_the_flow_decision() {
-        let db = db(4_000); // t has 4× s's rows → asymmetric flow
+        let db = db(4_000, 1_000); // t has 4× s's rows → asymmetric flow
         let exec = planner();
         let q = Query::Join {
             left: "t".into(),
@@ -657,7 +639,7 @@ mod tests {
 
     #[test]
     fn planned_filter_fetch_pushes_projection_down() {
-        let db = db(2_000);
+        let db = db(2_000, 500);
         let exec = planner();
         let q = Query::Filter {
             table: "t".into(),
@@ -699,7 +681,7 @@ mod tests {
 
     #[test]
     fn misprediction_is_finite_across_shapes() {
-        let db = db(3_000);
+        let db = db(3_000, 750);
         let exec = planner();
         for q in [
             Query::Distinct {

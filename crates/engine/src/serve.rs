@@ -16,13 +16,14 @@
 //!    no epoch can change under it — and no result outlives the call.
 //! 2. **Admission** groups compatible single-pass shapes (filter,
 //!    distinct, top-n, group-by max/min, skyline) by table. Each group
-//!    makes **one** shared [`EntryStream`] pass — each block of the
+//!    makes **one** shared [`crate::stream::EntryStream`] pass — each block of the
 //!    union of the member queries' metadata columns gathered once — with
 //!    per-query [`Decision`] lanes routed through
-//!    [`cheetah_core::multiquery::MultiQueryPruner`] by flow id. The
-//!    interleave order and block boundaries depend only on the table and
-//!    worker count, so every packed query's decisions (and result) are
-//!    bit-identical to a solo [`CheetahExecutor`] run.
+//!    [`cheetah_core::multiquery::MultiQueryPruner`] by flow id. That
+//!    pass is the deterministic arm's own single-pass scan, which a solo
+//!    [`CheetahExecutor`] run makes over its one query with its own
+//!    pruner, so every packed query's decisions (and result) are
+//!    bit-identical to its solo run by construction.
 //! 3. **Packing** admits each flow against the switch resource budget
 //!    ([`SwitchModel`], Table 2 costs). A flow that doesn't fit beside
 //!    its co-residents is *spilled*: it still runs on the switch path,
@@ -53,19 +54,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use cheetah_core::decision::{Decision, PruneStats};
+use cheetah_core::decision::Decision;
 use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
 
 use crate::backend::{HavingFlow, JoinFlow, SwitchBackend};
-use crate::cheetah::{
-    query_columns, single_pass_pruner, single_pass_table, tuple_fingerprinter, ArmedFlow,
-    CheetahExecutor, Completion,
-};
+use crate::cheetah::{single_pass_pruner, single_pass_table, ArmedFlow, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
-use crate::master::survivors;
 use crate::query::Query;
-use crate::stream::{fingerprint_rows, EntryStream, SpareRefs, BLOCK_ENTRIES};
 use crate::table::Database;
 
 /// Report label for everything this front-end produces.
@@ -215,7 +211,19 @@ impl ServeExecutor {
             }
             agg.packed += packed.len() as u64;
             agg.shared_scans += 1;
-            done.extend(self.shared_scan(db, tname, &distinct, &packed, &mut mq));
+            // The deterministic arm's own scan, each member's blocks
+            // routed through the packed pruner by its flow id.
+            let flows: Vec<&Query> = packed.iter().map(|&i| distinct[i]).collect();
+            let decide = |m: usize, visible: &[&[u64]], out: &mut [Decision]| {
+                mq.process_block(packed[m] as u16, visible, out)
+            };
+            let reports = self
+                .cheetah
+                .single_pass_scan(db.table(tname), &flows, decide);
+            done.extend(packed.iter().copied().zip(reports).map(|(i, mut report)| {
+                report.executor = NAME;
+                (i, report)
+            }));
         }
 
         // Bounded pool: workers pull indices off one queue and hand their
@@ -276,101 +284,6 @@ impl ServeExecutor {
         }
         agg.wall = started.elapsed();
         (reports, agg)
-    }
-
-    /// One shared stream pass over `members` (execution-set indices, all
-    /// on table `tname`): union-column blocks, per-flow block routing
-    /// through the packed pruner, per-shape master completion. Mirrors
-    /// [`EntryStream::prune`]'s block loop exactly, so each flow's
-    /// decision sequence is bit-identical to its solo run.
-    fn shared_scan(
-        &self,
-        db: &Database,
-        tname: &str,
-        queries: &[&Query],
-        members: &[usize],
-        mq: &mut MultiQueryPruner,
-    ) -> Vec<(usize, ExecutionReport)> {
-        let t = db.table(tname);
-        let workers = self.cheetah.model.workers;
-        let cfg = &self.cheetah.config;
-
-        // Union of the member queries' metadata columns, first-appearance
-        // order, with each member's query-order mapping into it.
-        let mut union_cols: Vec<usize> = Vec::new();
-        let lanes: Vec<Vec<usize>> = members
-            .iter()
-            .map(|&i| {
-                query_columns(queries[i], t)
-                    .into_iter()
-                    .map(|c| match union_cols.iter().position(|&u| u == c) {
-                        Some(l) => l,
-                        None => {
-                            union_cols.push(c);
-                            union_cols.len() - 1
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let stream = EntryStream::interleaved(t, &union_cols, workers);
-
-        // DistinctMulti flows prune on a fingerprint of their columns
-        // (§5, Example 8) — derived per block exactly as the solo path
-        // does, over the member's columns in query order.
-        let fp = tuple_fingerprinter(cfg);
-        let mut fp_lane = Vec::with_capacity(BLOCK_ENTRIES);
-
-        let mut stats: Vec<PruneStats> = members.iter().map(|_| PruneStats::default()).collect();
-        let mut states: Vec<Completion<'_>> = members
-            .iter()
-            .map(|&i| Completion::for_query(queries[i]))
-            .collect();
-
-        // The block loop: the solo stream's own blocks (boundaries depend
-        // only on stream length), one decision scratch and one
-        // column-slice buffer reused throughout.
-        let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-        let mut idx = [0u16; BLOCK_ENTRIES];
-        let mut spare = SpareRefs::default();
-        let mut blocks = stream.blocks();
-        while let Some(block) = blocks.next_block() {
-            for (m, &i) in members.iter().enumerate() {
-                // The member's columns, in its query order: the block a
-                // solo stream of this query would see.
-                let mut cols = spare.take();
-                cols.extend(lanes[m].iter().map(|&l| block.cols[l]));
-                let key;
-                let visible: &[&[u64]] = if matches!(queries[i], Query::DistinctMulti { .. }) {
-                    fp_lane.clear();
-                    fingerprint_rows(&cols, 0, block.len, &fp, &mut fp_lane);
-                    key = [&fp_lane[..]];
-                    &key
-                } else {
-                    &cols
-                };
-                let out = &mut decisions[..block.len];
-                mq.process_block(i as u16, visible, out);
-                stats[m].record_block(out);
-                states[m].take(&cols, survivors(out, &mut idx), |i| block.row_id(i));
-                spare.put(cols);
-            }
-        }
-
-        let rows = t.rows() as u64;
-        members
-            .iter()
-            .zip(states)
-            .zip(stats)
-            .map(|((&i, state), stats)| {
-                let query = queries[i];
-                let (fetch, result, checksum) = state.finish(query, t, cfg);
-                let mut report = self.cheetah.report(query, rows, stats, 1, fetch, result);
-                report.fetch_checksum = checksum;
-                report.executor = NAME;
-                (i, report)
-            })
-            .collect()
     }
 
     /// One solo query on a pool worker: a relabeled
@@ -458,31 +371,8 @@ mod tests {
     use crate::cost::CostModel;
     use crate::query::Predicate;
     use crate::reference;
-    use crate::table::Table;
+    use crate::sharded::tests::db;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
-
-    fn db(rows: usize) -> Database {
-        let mut db = Database::new();
-        db.add(Table::new(
-            "t",
-            vec![
-                ("k", (0..rows as u64).map(|i| i * 7 % 83 + 1).collect()),
-                ("v", (0..rows as u64).map(|i| i * 31 % 9_973).collect()),
-                ("w", (0..rows as u64).map(|i| i * 13 % 499 + 1).collect()),
-            ],
-        ));
-        db.add(Table::new(
-            "s",
-            vec![
-                (
-                    "k",
-                    (0..rows as u64 / 2).map(|i| i * 11 % 140 + 40).collect(),
-                ),
-                ("x", (0..rows as u64 / 2).map(|i| i * 3 % 97).collect()),
-            ],
-        ));
-        db
-    }
 
     fn serve_exec() -> ServeExecutor {
         ServeExecutor::with_pool(
@@ -527,7 +417,7 @@ mod tests {
 
     #[test]
     fn batch_results_match_solo_runs_in_admission_order() {
-        let db = db(6_000);
+        let db = db(6_000, 3_000);
         let exec = serve_exec();
         let batch = mixed_batch();
         let (reports, agg) = exec.serve(&db, &batch);
@@ -551,7 +441,7 @@ mod tests {
 
     #[test]
     fn repeated_batch_hits_the_cache_with_identical_results() {
-        let db = db(4_000);
+        let db = db(4_000, 2_000);
         let exec = serve_exec();
         let batch = mixed_batch();
         let (first, cold) = exec.serve(&db, &batch);
@@ -567,7 +457,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_cached_state() {
-        let mut db = db(4_000);
+        let mut db = db(4_000, 2_000);
         let exec = serve_exec();
         let batch = mixed_batch();
         exec.serve(&db, &batch);
@@ -589,7 +479,7 @@ mod tests {
         // Skyline at the default w=10 needs 21 stages (Table 2) — more
         // than the 12-stage Tofino budget, so it always spills while its
         // co-resident flows stay packed.
-        let db = db(3_000);
+        let db = db(3_000, 1_500);
         let exec = serve_exec();
         let batch = vec![
             Query::Distinct {
@@ -622,7 +512,7 @@ mod tests {
 
     #[test]
     fn executor_trait_batch_of_one() {
-        let db = db(2_000);
+        let db = db(2_000, 1_000);
         let exec = serve_exec();
         let q = Query::Distinct {
             table: "t".into(),
@@ -650,7 +540,7 @@ mod tests {
         std::env::set_var("SERVE_POOL", "0");
         let exec = ServeExecutor::new(cheetah);
         std::env::remove_var("SERVE_POOL");
-        let db = db(500);
+        let db = db(500, 250);
         let q = Query::Distinct {
             table: "t".into(),
             column: "k".into(),

@@ -60,8 +60,7 @@ use crate::master::{
     JoinSides, TupleRun,
 };
 use crate::multipass::{
-    AsymJoinPhases, GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, ShardSums,
-    SIDE_LEFT, SIDE_RIGHT,
+    GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
 };
 use crate::query::{Agg, Projection, Query, QueryResult};
 use crate::reference::skyline_of;
@@ -136,6 +135,8 @@ pub(crate) struct ShardYield<R> {
 /// One message up the reduction tree: a node's value with every merged
 /// descendant's telemetry folded in.
 struct TreePacket<R> {
+    /// The tree node that sent it.
+    node: usize,
     value: R,
     /// Per-phase pruning stats, summed over every shard merged so far.
     phase_stats: Vec<PruneStats>,
@@ -173,7 +174,8 @@ fn lowbit(s: usize) -> usize {
 /// wrapping-sum checksums, cell-wise sketch sums, sorted-run merges).
 /// Worker spawns observed on the node threads are credited back to the
 /// calling thread's counter so the per-query spawn contract stays
-/// testable.
+/// testable. A node that panics fails the tree rather than hanging it:
+/// its parent panics naming it, and the node's own panic is re-raised.
 fn sharded_tree<R, Node, Merge>(shards: usize, node: Node, merge: Merge) -> Reduced<R>
 where
     R: Send,
@@ -183,18 +185,26 @@ where
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
         .map(|_| mpsc::channel::<TreePacket<R>>())
         .unzip();
+    // Each child holds the only senders to its parent, so a child that
+    // dies before sending closes its parent's channel instead of hanging
+    // it (and, up the tree, the root and the join below).
+    let parents: Vec<_> = (0..shards)
+        .map(|s| (s > 0).then(|| txs[s - lowbit(s)].clone()))
+        .collect();
+    drop(txs);
     let mut packet = std::thread::scope(|scope| {
         let node = &node;
         let merge = &merge;
         let handles: Vec<_> = rxs
             .into_iter()
+            .zip(parents)
             .enumerate()
-            .map(|(s, rx)| {
-                let parent = (s > 0).then(|| txs[s - lowbit(s)].clone());
+            .map(|(s, (rx, parent))| {
                 scope.spawn(move || {
                     let before = worker_threads_spawned();
                     let yielded = node(s);
                     let mut packet = TreePacket {
+                        node: s,
                         value: yielded.value,
                         phase_stats: yielded.phase_stats,
                         walls: yielded
@@ -208,15 +218,19 @@ where
                     // Children of s: offsets 1, 2, 4, … strictly below
                     // lowbit(s) (every power of two for the root),
                     // clipped to the shard count.
-                    let mut children = 0usize;
+                    let mut pending = Vec::new();
                     let mut step = 1usize;
                     while (s == 0 || step < lowbit(s)) && s + step < shards {
-                        children += 1;
+                        pending.push(s + step);
                         step <<= 1;
                     }
+                    let merges = pending.len();
                     let mut merged_here = Duration::ZERO;
-                    for _ in 0..children {
-                        let child = rx.recv().expect("child shard sends exactly once");
+                    while !pending.is_empty() {
+                        let Ok(child) = rx.recv() else {
+                            panic!("shard tree node {s}: child {pending:?} died before sending")
+                        };
+                        pending.retain(|&c| c != child.node);
                         let t0 = Instant::now();
                         merge(&mut packet.value, child.value);
                         merged_here += t0.elapsed();
@@ -226,13 +240,15 @@ where
                         packet.walls.extend(child.walls);
                         packet.merge_spans.extend(child.merge_spans);
                     }
-                    if children > 0 {
+                    if merges > 0 {
                         packet.merge_spans.push((s, merged_here));
                     }
                     let spawned = worker_threads_spawned() - before;
                     match parent {
                         Some(tx) => {
-                            tx.send(packet).expect("parent node outlives its children");
+                            // A parent is gone only if a sibling died first,
+                            // and its own panic names that sibling.
+                            let _ = tx.send(packet);
                             (None, spawned)
                         }
                         None => (Some(packet), spawned),
@@ -242,8 +258,10 @@ where
             .collect();
         let mut spawned = 0;
         let mut root = None;
-        for h in handles {
-            let (p, s) = h.join().expect("shard pipeline panicked");
+        // Descendants first: the highest panicked node did not die of a
+        // dead child, so the panic re-raised is the one that started it.
+        for h in handles.into_iter().rev() {
+            let (p, s) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
             spawned += s;
             root = root.or(p);
         }
@@ -430,24 +448,13 @@ pub(crate) fn join_shard(
             })
             .collect()
     };
-    let acc = JoinSides::default();
-    if asymmetric {
-        run_shard(
-            inputs,
-            AsymJoinPhases::new(flow),
-            acc,
-            join_sink,
-            |_, (lf, rf)| join_survivors(lf, rf),
-        )
-    } else {
-        run_shard(
-            inputs,
-            JoinPhases::new(flow),
-            acc,
-            join_sink,
-            |_, (lf, rf)| join_survivors(lf, rf),
-        )
-    }
+    run_shard(
+        inputs,
+        JoinPhases::new(flow, asymmetric),
+        JoinSides::default(),
+        join_sink,
+        |_, (lf, rf)| join_survivors(lf, rf),
+    )
 }
 
 /// One shard's whole GROUP BY SUM/COUNT on `stage` (the bare §6 register
@@ -455,7 +462,6 @@ pub(crate) fn join_shard(
 /// per-key totals. `lanes` is the shard's key lane and, for SUM, its
 /// value lane — COUNT's ones are synthesized by the workers.
 pub(crate) fn sum_shard<P: SwitchPhases>(
-    cfg: &PrunerConfig,
     lanes: &[impl AsRef<[u64]>],
     stage: P,
     workers: usize,
@@ -472,28 +478,29 @@ pub(crate) fn sum_shard<P: SwitchPhases>(
             ],
         })
         .collect();
-    run_shard(
+    // Forwarded entries carry evicted (key, partial) pairs; the FIN drain
+    // — a rebooted shard's pre-reboot drain included — arrives the same
+    // way.
+    sum_pairs(
         vec![PhaseInput {
             partitions,
             visible_cols: 2,
         }],
         stage,
-        (
-            ShardSums::new(cfg.groupby_d, cfg.groupby_w, cfg.seed),
-            Vec::<(u64, u64)>::new(),
-        ),
-        // Forwarded entries carry evicted (key, partial) pairs; the FIN
-        // drain — a rebooted shard's pre-reboot drain included — arrives
-        // the same way.
-        |acc, block| {
-            let (sums, scratch) = acc;
-            scratch.clear();
-            block.extend_pairs_into(0, 1, scratch);
-            for &(k, p) in scratch.iter() {
-                sums.absorb(k, p);
-            }
-        },
-        |_, (sums, _)| sums.into_run(),
+    )
+}
+
+/// Run `inputs` through `stage` and fold every survivor's `(lane 0, lane
+/// 1)` pair into exact per-key sums in the master's [`GroupSink`] — the
+/// one fold body of the GROUP BY SUM/COUNT shards (register evictions and
+/// drains) and HAVING pass 2 (candidate entries).
+fn sum_pairs<P: SwitchPhases>(inputs: Vec<PhaseInput<'_>>, stage: P) -> ShardYield<GroupRun> {
+    run_shard(
+        inputs,
+        stage,
+        GroupSink::new(Agg::Sum),
+        |sums, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
+        |_, sums| sums.finish(),
     )
 }
 
@@ -1187,8 +1194,8 @@ impl ShardProgram for SumProgram<'_> {
         let Env { cfg, workers, .. } = self.env;
         let stage = site.sum_stage(s, cfg);
         match &self.partition {
-            Some(p) => sum_shard(cfg, &p[s], stage, workers),
-            None => sum_shard(cfg, &self.lanes, stage, workers),
+            Some(p) => sum_shard(&p[s], stage, workers),
+            None => sum_shard(&self.lanes, stage, workers),
         }
     }
 
@@ -1308,12 +1315,9 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<GroupRun> {
-        run_shard(
+        sum_pairs(
             self.scan.pass(s),
             HavingShardProbe::new(self.merged.clone()),
-            GroupSink::new(Agg::Sum),
-            |sums, block| sums.fill(|pairs| block.extend_pairs_into(0, 1, pairs)),
-            |_, sums| sums.finish(),
         )
     }
 
@@ -1455,21 +1459,25 @@ pub(crate) mod tests {
     use crate::reference;
     use crate::table::Table;
 
-    /// The two-table fixture the shard-arm unit tests share.
-    pub(crate) fn db() -> Database {
+    /// The two-table fixture the engine's unit tests share: `t(k, v, w)`
+    /// over `t_rows` rows and `s(k, x)` over `s_rows`, arithmetic lanes
+    /// whose join keys overlap on `40..=83`.
+    pub(crate) fn db(t_rows: usize, s_rows: usize) -> Database {
+        let lane = |rows: usize, f: fn(u64) -> u64| (0..rows as u64).map(f).collect();
         let mut db = Database::new();
         db.add(Table::new(
             "t",
             vec![
-                ("k", (0..6_000u64).map(|i| i * 7 % 83 + 1).collect()),
-                ("v", (0..6_000u64).map(|i| i * 31 % 9_973).collect()),
+                ("k", lane(t_rows, |i| i * 7 % 83 + 1)),
+                ("v", lane(t_rows, |i| i * 31 % 9_973)),
+                ("w", lane(t_rows, |i| i * 13 % 499 + 1)),
             ],
         ));
         db.add(Table::new(
             "s",
             vec![
-                ("k", (0..2_000u64).map(|i| i * 11 % 140 + 40).collect()),
-                ("x", (0..2_000u64).map(|i| i * 3 % 97).collect()),
+                ("k", lane(s_rows, |i| i * 11 % 140 + 40)),
+                ("x", lane(s_rows, |i| i * 3 % 97)),
             ],
         ));
         db
@@ -1484,7 +1492,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sharded_matches_reference_on_representative_shapes() {
-        let db = db();
+        let db = db(6_000, 2_000);
         let queries = [
             Query::Distinct {
                 table: "t".into(),
@@ -1540,7 +1548,7 @@ pub(crate) mod tests {
     /// shard's partition size — and the shards together tile the tables.
     #[test]
     fn hash_sharded_shards_process_exactly_their_partition() {
-        let db = db();
+        let db = db(6_000, 2_000);
         let cfg = PrunerConfig::default();
         let (t, s) = (db.table("t"), db.table("s"));
         let processed =
@@ -1551,7 +1559,7 @@ pub(crate) mod tests {
             let mut total = 0;
             for (shard, lanes) in partition.iter().enumerate() {
                 let stage = GroupBySumStage::new(GroupBySumPruner::new(16, 2, cfg.seed));
-                let y = sum_shard(&cfg, lanes, stage, 2);
+                let y = sum_shard(lanes, stage, 2);
                 let rows = lanes[0].len() as u64;
                 assert_eq!(
                     processed(&y.phase_stats),
@@ -1614,6 +1622,37 @@ pub(crate) mod tests {
                 assert!(outcome.merge_walls.is_empty());
             }
         }
+    }
+
+    /// A shard that dies before sending fails the tree instead of hanging
+    /// it: node 3's parent, node 2, is alive and waiting on it.
+    #[test]
+    fn a_panicking_shard_fails_the_tree_instead_of_hanging_it() {
+        let (tx, rx) = mpsc::channel();
+        // A helper thread, so a hung tree fails the test on the timeout
+        // below instead of hanging it too.
+        let helper = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                let node = |s| {
+                    if s == 3 {
+                        panic!("shard 3 failed");
+                    }
+                    ShardYield {
+                        value: s,
+                        phase_stats: Vec::new(),
+                        phase_walls: Vec::new(),
+                    }
+                };
+                sharded_tree(4, node, |a, b| *a += b).value
+            });
+            let _ = tx.send(outcome.map_err(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the tree hung on a dead shard");
+        helper.join().expect("the helper caught the tree's panic");
+        let panicked = outcome.expect_err("a dead shard fails the tree");
+        assert_eq!(panicked.as_deref(), Some("shard 3 failed"));
     }
 
     #[test]

@@ -503,18 +503,6 @@ impl EntryRef<'_> {
         self.cols.len()
     }
 
-    /// Copy the entry's values into `buf`, reusing its capacity.
-    pub fn gather_into(&self, buf: &mut Vec<u64>) {
-        buf.clear();
-        self.extend_into(buf);
-    }
-
-    /// Append the entry's values onto `buf` — how a sink collects
-    /// survivor tuples back to back in one flat buffer.
-    pub fn extend_into(&self, buf: &mut Vec<u64>) {
-        buf.extend(self.cols.iter().map(|c| c[self.idx]));
-    }
-
     /// The entry's values as an owned row (for survivors that must be
     /// materialized anyway).
     pub fn to_vec(&self) -> Vec<u64> {
@@ -814,13 +802,9 @@ mod tests {
         )
         .unwrap();
         let mut stats = PruneStats::default();
-        let mut buf = Vec::new();
         stream.prune(&mut pruner, &mut stats, |_, e| {
             assert_eq!(e.width(), 2);
-            e.gather_into(&mut buf);
-            assert_eq!(buf, e.to_vec());
-            assert_eq!(buf[0], e.get(0));
-            assert_eq!(buf[1], e.get(1));
+            assert_eq!(e.to_vec(), [e.get(0), e.get(1)]);
         });
         assert_eq!(stats.processed, t.rows() as u64);
         assert_eq!(stats.pruned, 0);

@@ -148,18 +148,6 @@ impl Table {
         buf.extend(cols.iter().map(|&c| self.columns[c][r]));
     }
 
-    /// Width of a projected row over `cols` — entries one
-    /// [`Table::row_into_cols`] gather materializes. Validates the
-    /// indices against the schema in debug builds.
-    pub fn projected_width(&self, cols: &[usize]) -> usize {
-        debug_assert!(
-            cols.iter().all(|&c| c < self.width()),
-            "projected column out of range for table '{}'",
-            self.name
-        );
-        cols.len()
-    }
-
     /// Append a derived column (e.g. the `sourceIP` prefix of Big Data B).
     pub fn add_column(&mut self, name: &str, data: Vec<u64>) {
         assert_eq!(data.len(), self.rows, "column length mismatch");
@@ -253,7 +241,6 @@ mod tests {
         assert_eq!(buf, vec![30, 3, 30], "caller order and repeats honored");
         t.row_into_cols(4, &[], &mut buf);
         assert_eq!(buf, Vec::<u64>::new(), "empty projection is legal");
-        assert_eq!(t.projected_width(&[0, 1]), 2);
         // Full projection in schema order reproduces row_into exactly.
         let mut full = Vec::new();
         t.row_into(1, &mut full);

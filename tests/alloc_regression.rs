@@ -412,10 +412,11 @@ fn warm_queries_allocate_o1_not_o_rows() {
     // And what a warm threaded GROUP BY SUM holds does not grow with the
     // rows: blocks reach the switch as views of the table's lanes and only
     // evictions travel back, so the same 83 keys over 50k and 200k rows
-    // peak alike — two register matrices, the pool's channels and a
-    // block's scratch. Materialized in flight, its blocks could queue 64
-    // wire blocks of two lanes (8 MiB), and did queue as many as the
-    // workers ran ahead of the switch: 25 over 200k rows.
+    // peak alike — the switch's register matrix, the master's group
+    // table, the pool's channels and a block's scratch. Materialized in
+    // flight, its blocks could queue 64 wire blocks of two lanes (8 MiB),
+    // and did queue as many as the workers ran ahead of the switch: 25
+    // over 200k rows.
     let sum = Query::GroupBy {
         table: "c".into(),
         key: "k".into(),
@@ -461,10 +462,10 @@ fn warm_queries_allocate_o1_not_o_rows() {
     // The sharded multi-switch path: per-shard pools over borrowed range
     // views (JOIN, DistinctMulti) or the lanes of that one partition
     // (GROUP BY SUM, JOIN at >1 shard), tree-reduced by associative
-    // merges — register re-aggregation, flat-lane appends, pair-count
+    // merges — sorted group-run merges, flat-lane appends, pair-count
     // sums — none of which may reintroduce a per-row `Vec`. Each shard
-    // merge is O(1) allocations (a buffer append or register fold into
-    // existing state), so the budget charges the same small constant per
+    // merge is O(1) allocations (a buffer append or a linear merge into
+    // one new run), so the budget charges the same small constant per
     // wire block plus a fixed shard/pool/combine term (gather lanes,
     // pair streams, channels, O(groups) results).
     let sharded = ShardedExecutor::with_shards(exec.clone(), 2);

@@ -448,3 +448,39 @@ fn hash_sharded_join_survives_all_keys_in_one_shard() {
         assert_join_equivalent(&db, shards, 23);
     }
 }
+
+/// GROUP BY SUM and COUNT with more groups than the master's group table
+/// holds (16,384): 40k keys over 60k rows put about 20k groups on each of
+/// two hash shards and all 40k on the threaded arm's one, so every shard's
+/// sink folds its register evictions and drain past the table, through
+/// its sort fallback.
+#[test]
+fn sum_shards_fold_more_groups_than_the_group_table_holds() {
+    let rows = 60_000u64;
+    let tk: Vec<u64> = (0..rows).map(|i| i * 7_919 % 40_000).collect();
+    let tv: Vec<u64> = (0..rows).map(|i| i * 31 % 9_973).collect();
+    let tw: Vec<u64> = (0..rows).map(|i| i % 89 + 1).collect();
+    let db = db_from((tk, tv, tw), (vec![1], vec![1]));
+    let cheetah = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
+    let arms: [&dyn Executor; 3] = [
+        &ThreadedExecutor::new(cheetah.clone()),
+        &ShardedExecutor::with_shards(cheetah.clone(), 2),
+        &DistributedExecutor::with_shards(cheetah, 2),
+    ];
+    let sums = all_shapes().into_iter().filter(|(_, q)| {
+        matches!(
+            q,
+            Query::GroupBy {
+                agg: Agg::Sum | Agg::Count,
+                ..
+            }
+        )
+    });
+    for (label, q) in sums {
+        let truth = reference::evaluate(&db, &q);
+        for arm in arms {
+            let run = arm.execute(&db, &q);
+            assert_eq!(run.result, truth, "[{label}] {}", arm.name());
+        }
+    }
+}
