@@ -12,7 +12,7 @@ use cheetah_core::having::{CountMinSketch, HavingPruner};
 use cheetah_core::join::{JoinPruner, RegisterBloomFilter};
 use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
-use cheetah_core::SwitchModel;
+use cheetah_core::{params, SwitchModel};
 use cheetah_pisa::programs::{
     DetTopNProgram, DistinctLruProgram, FilterProgram, GroupByProgram, HavingPhase, HavingProgram,
     JoinMode, RandTopNProgram, RbfJoinProgram, SkylineProgram, SkylineScoring, SwitchProgram,
@@ -110,19 +110,53 @@ pub fn distinct(cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
     }
 }
 
-/// TOP N pruner (randomized or deterministic per the config).
+/// The failure probability a randomized TOP N is sized for (Theorem 2's
+/// δ).
+const TOPN_DELTA: f64 = 1e-4;
+
+/// The switch stage a TOP N query runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TopNGeometry {
+    /// Theorem 2's `d × w` matrix: exact with probability at least 1 − δ.
+    Randomized { d: usize, w: usize },
+    /// `w` speculative thresholds: exact always.
+    Deterministic { w: usize },
+}
+
+/// The one TOP N sizing decision: what [`topn`] builds, and what the
+/// planner and serving's packing charge. The randomized matrix keeps
+/// `cfg.topn_d` rows and takes Theorem 2's columns for `n` at δ = 10⁻⁴,
+/// never fewer than `cfg.topn_w` (so every n ≤ 277 keeps Table 2's
+/// 4096 × 4). Where Theorem 2 gives no columns, or the program's w + 1
+/// stages overflow the pipeline, the deterministic ladder runs instead. A
+/// TOP 0 is sized as a TOP 1: its answer is empty whatever is forwarded.
+pub(crate) fn topn_geometry(cfg: &PrunerConfig, n: usize) -> TopNGeometry {
+    let ladder = TopNGeometry::Deterministic { w: cfg.topn_w };
+    if !cfg.topn_randomized {
+        return ladder;
+    }
+    match params::topn_columns(cfg.topn_d, n.max(1), TOPN_DELTA).map(|w| w.max(cfg.topn_w)) {
+        // The program takes w + 1 stages.
+        Some(w) if w < spec().stages as usize => TopNGeometry::Randomized { d: cfg.topn_d, w },
+        _ => ladder,
+    }
+}
+
+/// TOP N pruner, sized by `topn_geometry`.
 pub fn topn(cfg: &PrunerConfig, n: usize) -> Box<dyn RowPruner + Send> {
-    match (cfg.backend, cfg.topn_randomized) {
-        (SwitchBackend::Reference, true) => {
-            Box::new(RandomizedTopN::new(cfg.topn_d, cfg.topn_w, cfg.seed))
+    let n = n.max(1) as u64;
+    match (cfg.backend, topn_geometry(cfg, n as usize)) {
+        (SwitchBackend::Reference, TopNGeometry::Randomized { d, w }) => {
+            Box::new(RandomizedTopN::new(d, w, cfg.seed))
         }
-        (SwitchBackend::Reference, false) => Box::new(DeterministicTopN::new(n as u64, cfg.topn_w)),
-        (SwitchBackend::Pisa, true) => Box::new(ProgramPruner::new(
-            RandTopNProgram::new(spec(), cfg.topn_d, cfg.topn_w, cfg.seed)
-                .expect("topn program fits"),
+        (SwitchBackend::Reference, TopNGeometry::Deterministic { w }) => {
+            Box::new(DeterministicTopN::new(n, w))
+        }
+        (SwitchBackend::Pisa, TopNGeometry::Randomized { d, w }) => Box::new(ProgramPruner::new(
+            RandTopNProgram::new(spec(), d, w, cfg.seed).expect("topn program fits"),
         )),
-        (SwitchBackend::Pisa, false) => Box::new(ProgramPruner::new(
-            DetTopNProgram::new(spec(), n as u64, cfg.topn_w).expect("topn program fits"),
+        (SwitchBackend::Pisa, TopNGeometry::Deterministic { w }) => Box::new(ProgramPruner::new(
+            DetTopNProgram::new(spec(), n, w).expect("topn program fits"),
         )),
     }
 }
@@ -501,5 +535,39 @@ mod tests {
             decisions
         };
         assert_eq!(run(SwitchBackend::Reference), run(SwitchBackend::Pisa));
+    }
+
+    #[test]
+    fn topn_geometry_follows_n_and_every_n_builds() {
+        use TopNGeometry::{Deterministic, Randomized};
+        let cfg = PrunerConfig::default();
+        let matrix = |w| Randomized { d: 4096, w };
+        // Table 2's default up to n = 277, so perfbench's n ≤ 250 is
+        // untouched; Theorem 2's columns beyond.
+        for n in [0, 1, 250, 277] {
+            assert_eq!(topn_geometry(&cfg, n), matrix(4), "n = {n}");
+        }
+        assert_eq!(topn_geometry(&cfg, 278), matrix(5));
+        assert_eq!(topn_geometry(&cfg, 2_000), matrix(8));
+        // Past 11 columns the program overflows the 12-stage pipeline;
+        // past n ≈ 26k Theorem 2 has no columns at d = 4096.
+        assert_eq!(topn_geometry(&cfg, 10_000), Deterministic { w: 4 });
+        assert_eq!(params::topn_columns(4096, 50_000, TOPN_DELTA), None);
+        assert_eq!(topn_geometry(&cfg, 50_000), Deterministic { w: 4 });
+        let ladder = PrunerConfig {
+            topn_randomized: false,
+            ..PrunerConfig::default()
+        };
+        assert_eq!(topn_geometry(&ladder, 100), Deterministic { w: 4 });
+        for backend in [SwitchBackend::Reference, SwitchBackend::Pisa] {
+            let cfg = PrunerConfig {
+                backend,
+                ..PrunerConfig::default()
+            };
+            for n in [0, 1, 277, 278, 2_000, 4_000, 10_000, 26_000, 50_000] {
+                let mut t = topn(&cfg, n);
+                assert!(t.process_row(&[100]).is_forward(), "{backend:?} n = {n}");
+            }
+        }
     }
 }

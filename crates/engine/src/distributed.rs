@@ -1,7 +1,7 @@
 //! Distributed shards over the wire protocol, with failure injection
 //! and retry/recovery.
 //!
-//! [`crate::sharded`] defines one shard program per query shape and runs
+//! [`crate::sharded`] defines one shard program per dataflow and runs
 //! it over an in-process transport. This module is the second transport,
 //! the way the paper actually deploys it (§3 Figure 1/3, §7.2): every
 //! shard's partial is **encoded to plain `u64` words** ([`ShardOutput`]),

@@ -603,6 +603,16 @@ impl TupleRun {
         self.flat = out;
     }
 
+    /// Words per tuple.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The tuples back to back, in order.
+    pub(crate) fn flat(&self) -> &[u64] {
+        &self.flat
+    }
+
     /// The run as its wire payload: `(width, flat)`, no conversion.
     pub(crate) fn into_parts(self) -> (u64, Vec<u64>) {
         (self.width as u64, self.flat)
@@ -613,6 +623,23 @@ impl TupleRun {
     pub(crate) fn into_points(self) -> QueryResult {
         QueryResult::Points(explode(self.width, &self.flat))
     }
+}
+
+/// Merge two descending candidate lists, keeping the global top `n` —
+/// the associative Top-N reduce.
+pub(crate) fn merge_top(a: &mut Vec<u64>, b: Vec<u64>, n: usize) {
+    let mut merged = Vec::with_capacity(n.min(a.len() + b.len()));
+    let (mut i, mut j) = (0, 0);
+    while merged.len() < n && (i < a.len() || j < b.len()) {
+        if j == b.len() || (i < a.len() && a[i] >= b[j]) {
+            merged.push(a[i]);
+            i += 1;
+        } else {
+            merged.push(b[j]);
+            j += 1;
+        }
+    }
+    *a = merged;
 }
 
 /// Sort and deduplicate `W`-word tuples where they lie, ordered by `key`

@@ -41,14 +41,14 @@ use cheetah_core::having::HavingPruner;
 use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 use cheetah_pisa::pack::pack;
 
-use crate::backend::JoinFlow;
+use crate::backend::{topn_geometry, JoinFlow, TopNGeometry};
 use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
 use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
-use crate::master::GroupRun;
+use crate::master::{merge_top, GroupRun};
 use crate::query::{Agg, FetchSpec, Query};
-use crate::sharded::{lopsided, merge_top, ShardedExecutor};
+use crate::sharded::{lopsided, ShardedExecutor};
 use crate::table::Database;
 
 /// The worker-count grid the threaded arm races.
@@ -537,13 +537,10 @@ pub(crate) fn query_resources(
                 switch.alus_per_stage,
             ),
         },
-        Query::TopN { .. } => {
-            if cfg.topn_randomized {
-                table2::topn_rand(cfg.topn_w as u32, cfg.topn_d as u64)
-            } else {
-                table2::topn_det(cfg.topn_w as u32)
-            }
-        }
+        Query::TopN { n, .. } => match topn_geometry(cfg, *n) {
+            TopNGeometry::Randomized { d, w } => table2::topn_rand(w as u32, d as u64),
+            TopNGeometry::Deterministic { w } => table2::topn_det(w as u32),
+        },
         Query::GroupBy { .. } => table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64),
         Query::Having { .. } => table2::having(
             cfg.having_w as u64,

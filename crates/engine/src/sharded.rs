@@ -1,5 +1,5 @@
 //! Sharded multi-switch execution behind the [`Executor`] seam: one shard
-//! program per query shape, run over one of two transports.
+//! program per dataflow, run over one of two transports.
 //!
 //! The paper scales past one switch by partitioning data across workers
 //! that each run the same pruning program, with a master-side combine
@@ -7,15 +7,16 @@
 //! only how the partial results travel, so this module writes the program
 //! once and the travel twice:
 //!
-//! * A `ShardProgram` is one query shape's shard body (phase inputs →
-//!   switch stage → master sink → finish, yielding a *partial* that is
-//!   canonical before it leaves the shard), the associative `merge` of
-//!   two partials, their wire form (`encode` / `decode` over
-//!   [`ShardOutput`], typed errors instead of panics) and the `root` that
-//!   turns the merged partial into the answer. The seven single-pass
-//!   shapes' master sink is the deterministic arm's own,
-//!   `cheetah::Completion::take`; HAVING is two programs joined by the
-//!   merged-sketch broadcast. Shards stream shard-local
+//! * A `ShardProgram` is one dataflow's shard body (phase inputs →
+//!   switch stage → master sink → partial, canonical before it leaves the
+//!   shard), the associative `merge` of two partials, their wire form
+//!   (`encode` / `decode` over [`ShardOutput`], typed errors instead of
+//!   panics) and the `root` that turns the merged partial into the
+//!   answer. There are five. The seven single-pass shapes share one,
+//!   `SinglePassProgram`, whose sink, partial, merge and root are the
+//!   deterministic arm's own (`cheetah::Completion` → `cheetah::Partial`);
+//!   GROUP BY SUM/COUNT and JOIN have one each, and HAVING is two joined
+//!   by the merged-sketch broadcast. Shards stream shard-local
 //!   [`LanePartition`] views: zero-copy range splits
 //!   ([`crate::stream::split_range`]), or, for the key-partitioned shapes
 //!   (JOIN, GROUP BY SUM/COUNT), the lanes of **one hash partition a
@@ -37,7 +38,7 @@
 //! Reports carry one measured switch span per shard per pass in
 //! [`ExecutionReport::pass_walls`] (shard-major within each pass), the
 //! merge spans in [`ExecutionReport::merge_walls`], and the serial root
-//! (result canonicalization after the last merge) in
+//! (the answer made of the last merge's partial) in
 //! [`ExecutionReport::combine_wall`].
 
 use std::sync::mpsc;
@@ -50,20 +51,16 @@ use cheetah_core::having::{CountMinSketch, HavingPruner};
 
 use crate::backend::JoinFlow;
 use crate::cheetah::{
-    query_columns, single_pass_pruner, tuple_fingerprinter, CheetahExecutor, Completion,
-    PrunerConfig,
+    frontier, query_columns, single_pass_pruner, single_pass_table, tuple_fingerprinter, Answer,
+    CheetahExecutor, Completion, Partial, PrunerConfig,
 };
 use crate::distributed::{verified_rows, CodecError, ShardOutput};
 use crate::executor::{ExecutionReport, Executor};
-use crate::master::{
-    explode, fetch_and_checksum, fetch_rows_flat, join_sink, join_survivors, GroupRun, GroupSink,
-    JoinSides, TupleRun,
-};
+use crate::master::{join_sink, join_survivors, GroupRun, GroupSink, JoinSides, TupleRun};
 use crate::multipass::{
     GroupBySumStage, HavingShardProbe, HavingShardSketch, JoinPhases, SIDE_LEFT, SIDE_RIGHT,
 };
 use crate::query::{Agg, Projection, Query, QueryResult};
-use crate::reference::skyline_of;
 use crate::stream::{hash_partition, split_range, HashPartition};
 use crate::table::{Database, Table};
 use crate::threaded::{
@@ -504,36 +501,6 @@ fn sum_pairs<P: SwitchPhases>(inputs: Vec<PhaseInput<'_>>, stage: P) -> ShardYie
     )
 }
 
-/// Merge two descending candidate lists, keeping the global top `n` —
-/// the associative Top-N reduce.
-pub(crate) fn merge_top(a: &mut Vec<u64>, b: Vec<u64>, n: usize) {
-    let mut merged = Vec::with_capacity(n.min(a.len() + b.len()));
-    let (mut i, mut j) = (0, 0);
-    while merged.len() < n {
-        match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x >= y {
-                    merged.push(x);
-                    i += 1;
-                } else {
-                    merged.push(y);
-                    j += 1;
-                }
-            }
-            (Some(&x), None) => {
-                merged.push(x);
-                i += 1;
-            }
-            (None, Some(&y)) => {
-                merged.push(y);
-                j += 1;
-            }
-            (None, None) => break,
-        }
-    }
-    *a = merged;
-}
-
 // ---------------------------------------------------------------------------
 // Programs and transports.
 // ---------------------------------------------------------------------------
@@ -645,28 +612,6 @@ impl Transport for InProcess {
     }
 }
 
-/// A finished query at the root, with what its report is priced by.
-struct Answer {
-    result: QueryResult,
-    streamed: u64,
-    passes: u32,
-    fetch_rows: u64,
-    fetch_checksum: Option<u64>,
-}
-
-impl Answer {
-    /// A one-pass answer over `streamed` entries that fetched nothing.
-    fn single(result: QueryResult, streamed: u64) -> Self {
-        Answer {
-            result,
-            streamed,
-            passes: 1,
-            fetch_rows: 0,
-            fetch_checksum: None,
-        }
-    }
-}
-
 /// What the report keeps of a query's program runs.
 #[derive(Default)]
 struct Spans {
@@ -709,100 +654,73 @@ pub(crate) fn execute_on<T: Transport>(
     };
     let mut spans = Spans::default();
     let scan = |table: &str| Scan::over(env, db.table(table), query);
-    let (answer, combine) = match query {
-        Query::FilterCount { table, .. } => spans.run(transport, &CountProgram(scan(table))),
-        Query::Filter { table, .. } => {
-            let scan = scan(table);
-            let proj = query.projection(scan.t, &env.cfg.fetch);
-            spans.run(transport, &FilterProgram { scan, proj })
+    // The seven single-pass shapes first: no multi-pass arm below may
+    // catch one (a GROUP BY MAX is not a SUM).
+    let (answer, combine) = if let Some(table) = single_pass_table(query) {
+        let scan = scan(table);
+        let fetch = query.projection(scan.t, &env.cfg.fetch);
+        spans.run(transport, &SinglePassProgram { scan, fetch })
+    } else {
+        match query {
+            Query::GroupBy {
+                table,
+                key,
+                val,
+                agg,
+            } => {
+                let t = db.table(table);
+                let summed = (*agg == Agg::Sum).then_some(val);
+                let lanes: Vec<&[u64]> =
+                    [key].into_iter().chain(summed).map(|c| t.col(c)).collect();
+                let program = SumProgram {
+                    env,
+                    rows: t.rows() as u64,
+                    partition: key_partition(env.cfg, &lanes, env.shards, false),
+                    lanes,
+                };
+                spans.run(transport, &program)
+            }
+            Query::Having {
+                table, threshold, ..
+            } => {
+                // Pass 2 must see global key mass, so the merged sketch is
+                // broadcast between the two programs.
+                let scan = scan(table);
+                let sketch = HavingSketchProgram {
+                    scan: &scan,
+                    threshold: *threshold,
+                };
+                let (merged, _) = spans.run(transport, &sketch);
+                let probe = HavingProbeProgram {
+                    scan: &scan,
+                    merged,
+                };
+                spans.run(transport, &probe)
+            }
+            Query::Join {
+                left,
+                right,
+                left_col,
+                right_col,
+            } => {
+                let (l, r) = (db.table(left), db.table(right));
+                let (lc, rc) = (l.col_index(left_col), r.col_index(right_col));
+                // Both sides by join key under one salt: every occurrence of
+                // a key, left or right, lands on one shard and pairs there.
+                let side = |t: &Table, c| key_partition(env.cfg, &[t.col_at(c)], env.shards, true);
+                let program = JoinProgram {
+                    env,
+                    left: (l, lc),
+                    right: (r, rc),
+                    asymmetric: lopsided(l.rows(), r.rows()),
+                    sides: side(l, lc).zip(side(r, rc)),
+                };
+                spans.run(transport, &program)
+            }
+            _ => unreachable!("every other shape is single-pass"),
         }
-        Query::Distinct { table, .. } => spans.run(transport, &DistinctProgram(scan(table))),
-        Query::DistinctMulti { table, .. } => {
-            spans.run(transport, &DistinctMultiProgram(scan(table)))
-        }
-        Query::TopN { table, n, .. } => {
-            let program = TopNProgram {
-                scan: scan(table),
-                n: *n,
-            };
-            spans.run(transport, &program)
-        }
-        Query::GroupBy {
-            table,
-            agg: agg @ (Agg::Max | Agg::Min),
-            ..
-        } => {
-            let program = ExtremumProgram {
-                scan: scan(table),
-                agg: *agg,
-            };
-            spans.run(transport, &program)
-        }
-        Query::GroupBy {
-            table,
-            key,
-            val,
-            agg,
-        } => {
-            let t = db.table(table);
-            let summed = (*agg == Agg::Sum).then_some(val);
-            let lanes: Vec<&[u64]> = [key].into_iter().chain(summed).map(|c| t.col(c)).collect();
-            let program = SumProgram {
-                env,
-                rows: t.rows() as u64,
-                partition: key_partition(env.cfg, &lanes, env.shards, false),
-                lanes,
-            };
-            spans.run(transport, &program)
-        }
-        Query::Having {
-            table, threshold, ..
-        } => {
-            // Pass 2 must see global key mass, so the merged sketch is
-            // broadcast between the two programs.
-            let scan = scan(table);
-            let sketch = HavingSketchProgram {
-                scan: &scan,
-                threshold: *threshold,
-            };
-            let (merged, _) = spans.run(transport, &sketch);
-            let probe = HavingProbeProgram {
-                scan: &scan,
-                merged,
-            };
-            spans.run(transport, &probe)
-        }
-        Query::Join {
-            left,
-            right,
-            left_col,
-            right_col,
-        } => {
-            let (l, r) = (db.table(left), db.table(right));
-            let (lc, rc) = (l.col_index(left_col), r.col_index(right_col));
-            // Both sides by join key under one salt: every occurrence of
-            // a key, left or right, lands on one shard and pairs there.
-            let side = |t: &Table, c| key_partition(env.cfg, &[t.col_at(c)], env.shards, true);
-            let program = JoinProgram {
-                env,
-                left: (l, lc),
-                right: (r, rc),
-                asymmetric: lopsided(l.rows(), r.rows()),
-                sides: side(l, lc).zip(side(r, rc)),
-            };
-            spans.run(transport, &program)
-        }
-        Query::Skyline { table, .. } => spans.run(transport, &SkylineProgram(scan(table))),
     };
-    let mut report = inner.report(
-        query,
-        answer.streamed,
-        spans.stats,
-        answer.passes,
-        answer.fetch_rows,
-        answer.result,
-    );
-    report.fetch_checksum = answer.fetch_checksum;
+    let mut report = inner.report(query, spans.stats, answer);
     report.pass_walls = spans.pass_walls;
     report.merge_walls = spans.merge_walls;
     report.combine_wall = Some(combine);
@@ -863,312 +781,114 @@ impl<'a> Scan<'a> {
         }]
     }
 
-    /// Shard `s`'s single-pass body: the query's pruner on the stage
-    /// `site` lends, every survivor block taken by [`Completion::take`] —
-    /// the deterministic arm's and serving's own survivor loop — and the
-    /// completion `finish`ed into the shard's partial.
-    fn complete<S: Site, R>(
-        &self,
-        s: usize,
-        site: &S,
-        finish: impl FnOnce(Completion<'a>) -> R,
-    ) -> ShardYield<R> {
-        let first = usize::from(self.fp.is_some());
-        let columns = first..first + self.cols.len();
+    fn rows(&self) -> u64 {
+        self.t.rows() as u64
+    }
+}
+
+/// The seven single-pass shapes' one program. Each shard streams its
+/// range of the table through the query's pruner on the stage `site`
+/// lends, takes every survivor block through [`Completion::take`] — the
+/// deterministic arm's and serving's own survivor loop — and contributes
+/// the canonical [`Partial`] [`Completion::partial`] makes of them; the
+/// partials merge and root as themselves. Rebooted switches only forward
+/// a superset, which the master's completion absorbs.
+struct SinglePassProgram<'a> {
+    scan: Scan<'a>,
+    /// A Filter's §7.1 fetch lanes, which its `Rows` payload ships.
+    fetch: Projection,
+}
+
+impl ShardProgram for SinglePassProgram<'_> {
+    type Partial = Partial;
+    type Root = Answer;
+
+    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Partial> {
+        let Scan { env, query, t, .. } = self.scan;
+        let first = usize::from(self.scan.fp.is_some());
+        let columns = first..first + self.scan.cols.len();
         run_shard(
-            self.pass(s),
-            site.pruner_stage(s, single_pass_pruner(self.env.cfg, self.query)),
-            Completion::for_query(self.query),
+            self.scan.pass(s),
+            site.pruner_stage(s, single_pass_pruner(env.cfg, query)),
+            Completion::for_query(query),
             |master, block| {
                 let cols: Vec<&[u64]> = columns.clone().map(|c| block.lane(c)).collect();
                 // Only a Filter asks, and its row ids are its last lane.
                 let row_id = |i| block.value(columns.end, i);
                 master.take(&cols, block.indices(), row_id);
             },
-            |_, master| finish(master),
+            |_, master| master.partial(query, t, self.fetch.cols(), S::SHIPS),
         )
     }
 
-    fn rows(&self) -> u64 {
-        self.t.rows() as u64
-    }
-}
-
-/// FILTER COUNT: each shard counts the survivors the full predicate
-/// accepts.
-struct CountProgram<'a>(Scan<'a>);
-
-impl ShardProgram for CountProgram<'_> {
-    type Partial = u64;
-    type Root = Answer;
-
-    /// The master re-checks the full predicate on survivors, so a rebooted
-    /// switch's extra forwards change nothing.
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<u64> {
-        self.0.complete(s, site, |done| match done {
-            Completion::Count { count, .. } => count,
-            _ => unreachable!("a FilterCount completes as a count"),
-        })
+    fn merge(&self, acc: &mut Partial, other: Partial) {
+        acc.merge(other);
     }
 
-    fn merge(&self, acc: &mut u64, other: u64) {
-        *acc += other;
-    }
-
-    fn encode(&self, count: u64) -> ShardOutput {
-        ShardOutput::Count(count)
-    }
-
-    fn decode(&self, output: ShardOutput) -> Result<u64, CodecError> {
-        match output {
-            ShardOutput::Count(count) => Ok(count),
-            other => Err(other.unexpected()),
-        }
-    }
-
-    fn root(&self, count: u64) -> Answer {
-        Answer::single(QueryResult::Count(count), self.0.rows())
-    }
-}
-
-/// A FILTER shard's survivors: global row ids, the §7.1 fetch checksum
-/// over their projected rows, and — only when the partial ships — those
-/// rows, row-major.
-struct Fetched {
-    ids: Vec<u64>,
-    rows: Vec<u64>,
-    checksum: u64,
-}
-
-/// FILTER: each shard re-checks its survivors and late-materializes them
-/// (§7.1) on its own thread, once; only the projected lanes are read.
-struct FilterProgram<'a> {
-    scan: Scan<'a>,
-    proj: Projection,
-}
-
-impl ShardProgram for FilterProgram<'_> {
-    type Partial = Fetched;
-    type Root = Answer;
-
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Fetched> {
-        self.scan.complete(s, site, |done| {
-            let Completion::Fetch { ids, .. } = done else {
-                unreachable!("a Filter completes as row ids")
-            };
-            let (t, cols) = (self.scan.t, self.proj.cols());
-            let (rows, checksum) = if S::SHIPS {
-                fetch_rows_flat(t, cols, &ids)
-            } else {
-                (Vec::new(), fetch_and_checksum(t, cols, &ids))
-            };
-            Fetched {
+    /// Onto the variant each shape has always shipped: a Distinct's run
+    /// as `Values`, a DistinctMulti's and a Skyline's as `Tuples`.
+    fn encode(&self, partial: Partial) -> ShardOutput {
+        match partial {
+            Partial::Count(count) => ShardOutput::Count(count),
+            Partial::Fetched {
                 ids,
                 rows,
                 checksum,
+            } => ShardOutput::Rows {
+                width: self.fetch.width() as u64,
+                ids: ids.into_parts().1,
+                flat: rows,
+                checksum,
+            },
+            Partial::Top { values, .. } => ShardOutput::TopCandidates(values),
+            Partial::Tuples(run) if matches!(self.scan.query, Query::Distinct { .. }) => {
+                ShardOutput::Values(run.into_parts().1)
             }
-        })
-    }
-
-    /// The checksum fold is commutative, so shard partials just add.
-    fn merge(&self, acc: &mut Fetched, mut other: Fetched) {
-        acc.ids.append(&mut other.ids);
-        acc.checksum = acc.checksum.wrapping_add(other.checksum);
-    }
-
-    fn encode(&self, fetched: Fetched) -> ShardOutput {
-        ShardOutput::Rows {
-            width: self.proj.width() as u64,
-            ids: fetched.ids,
-            flat: fetched.rows,
-            checksum: fetched.checksum,
-        }
-    }
-
-    fn decode(&self, output: ShardOutput) -> Result<Fetched, CodecError> {
-        let (ids, checksum) = verified_rows(output, self.proj.width())?;
-        Ok(Fetched {
-            ids,
-            rows: Vec::new(),
-            checksum,
-        })
-    }
-
-    fn root(&self, fetched: Fetched) -> Answer {
-        Answer {
-            fetch_rows: fetched.ids.len() as u64,
-            fetch_checksum: Some(fetched.checksum),
-            ..Answer::single(QueryResult::row_ids(fetched.ids), self.scan.rows())
-        }
-    }
-}
-
-/// DISTINCT: each shard's forwarded values, sorted and deduplicated — a
-/// rebooted switch's re-forwarded duplicates vanish before the merge.
-struct DistinctProgram<'a>(Scan<'a>);
-
-impl ShardProgram for DistinctProgram<'_> {
-    type Partial = Vec<u64>;
-    type Root = Answer;
-
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
-        self.0.complete(s, site, |done| {
-            let Completion::Values(mut values) = done else {
-                unreachable!("a Distinct completes as values")
-            };
-            values.sort_unstable();
-            values.dedup();
-            values
-        })
-    }
-
-    fn merge(&self, acc: &mut Vec<u64>, mut other: Vec<u64>) {
-        acc.append(&mut other);
-    }
-
-    fn encode(&self, values: Vec<u64>) -> ShardOutput {
-        ShardOutput::Values(values)
-    }
-
-    fn decode(&self, output: ShardOutput) -> Result<Vec<u64>, CodecError> {
-        match output {
-            ShardOutput::Values(values) => Ok(values),
-            other => Err(other.unexpected()),
-        }
-    }
-
-    fn root(&self, values: Vec<u64>) -> Answer {
-        Answer::single(QueryResult::values(values), self.0.rows())
-    }
-}
-
-/// DistinctMulti, a fingerprint union: each shard's workers compute the
-/// §5 fingerprint lane, its switch dedups its own fingerprints, and it
-/// canonicalizes its surviving tuples in one flat buffer, so merges are
-/// linear flat-to-flat merges and the root only explodes the last run.
-struct DistinctMultiProgram<'a>(Scan<'a>);
-
-impl ShardProgram for DistinctMultiProgram<'_> {
-    type Partial = TupleRun;
-    type Root = Answer;
-
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<TupleRun> {
-        self.0.complete(s, site, |done| match done {
-            Completion::Tuples { width, flat } => TupleRun::canonical(width, flat),
-            _ => unreachable!("a DistinctMulti completes as tuples"),
-        })
-    }
-
-    fn merge(&self, acc: &mut TupleRun, other: TupleRun) {
-        acc.merge(other);
-    }
-
-    fn encode(&self, run: TupleRun) -> ShardOutput {
-        let (width, flat) = run.into_parts();
-        ShardOutput::Tuples { width, flat }
-    }
-
-    /// A delivered run is re-canonicalized, not trusted.
-    fn decode(&self, output: ShardOutput) -> Result<TupleRun, CodecError> {
-        match output {
-            ShardOutput::Tuples { width, flat } if width == self.0.cols.len() as u64 => {
-                Ok(TupleRun::canonical(width as usize, flat))
+            Partial::Tuples(run) | Partial::Frontier(run) => {
+                let (width, flat) = run.into_parts();
+                ShardOutput::Tuples { width, flat }
             }
-            ShardOutput::Tuples { .. } => Err(CodecError::Malformed),
-            other => Err(other.unexpected()),
+            Partial::Groups(run) => ShardOutput::Extrema(run.into_pairs()),
         }
     }
 
-    fn root(&self, run: TupleRun) -> Answer {
-        Answer::single(run.into_points(), self.0.rows())
-    }
-}
-
-/// TOP-N: each shard's forwarded superset collapses to its local top-n
-/// candidates (every true shard winner was forwarded, reboot or not).
-struct TopNProgram<'a> {
-    scan: Scan<'a>,
-    n: usize,
-}
-
-impl TopNProgram<'_> {
-    fn top(&self, mut values: Vec<u64>) -> Vec<u64> {
-        values.sort_unstable_by(|a, b| b.cmp(a));
-        values.truncate(self.n);
-        values
-    }
-}
-
-impl ShardProgram for TopNProgram<'_> {
-    type Partial = Vec<u64>;
-    type Root = Answer;
-
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
-        self.scan.complete(s, site, |done| match done {
-            Completion::Values(values) => self.top(values),
-            _ => unreachable!("a TopN completes as values"),
+    /// Only the query's own variant at the query's own width decodes, and
+    /// a delivered partial is re-canonicalized, not trusted.
+    fn decode(&self, output: ShardOutput) -> Result<Partial, CodecError> {
+        let width = self.scan.cols.len();
+        Ok(match (self.scan.query, output) {
+            (Query::FilterCount { .. }, ShardOutput::Count(count)) => Partial::Count(count),
+            (Query::Filter { .. }, output) => {
+                let (ids, checksum) = verified_rows(output, self.fetch.width())?;
+                Partial::Fetched {
+                    ids: TupleRun::canonical(1, ids),
+                    rows: Vec::new(),
+                    checksum,
+                }
+            }
+            (Query::TopN { n, .. }, ShardOutput::TopCandidates(values)) => Partial::top(values, *n),
+            (Query::Distinct { .. }, ShardOutput::Values(values)) => {
+                Partial::Tuples(TupleRun::canonical(1, values))
+            }
+            (
+                Query::DistinctMulti { .. } | Query::Skyline { .. },
+                ShardOutput::Tuples { width: w, .. },
+            ) if w != width as u64 => return Err(CodecError::Malformed),
+            (Query::DistinctMulti { .. }, ShardOutput::Tuples { flat, .. }) => {
+                Partial::Tuples(TupleRun::canonical(width, flat))
+            }
+            (Query::Skyline { .. }, ShardOutput::Tuples { flat, .. }) => {
+                Partial::Frontier(frontier(width, &flat))
+            }
+            (Query::GroupBy { agg, .. }, ShardOutput::Extrema(pairs)) => {
+                Partial::Groups(GroupRun::fold(pairs, *agg))
+            }
+            (_, other) => return Err(other.unexpected()),
         })
     }
 
-    fn merge(&self, acc: &mut Vec<u64>, other: Vec<u64>) {
-        merge_top(acc, other, self.n);
-    }
-
-    fn encode(&self, top: Vec<u64>) -> ShardOutput {
-        ShardOutput::TopCandidates(top)
-    }
-
-    /// A delivered list is re-sorted and re-cut, not trusted.
-    fn decode(&self, output: ShardOutput) -> Result<Vec<u64>, CodecError> {
-        match output {
-            ShardOutput::TopCandidates(values) => Ok(self.top(values)),
-            other => Err(other.unexpected()),
-        }
-    }
-
-    fn root(&self, top: Vec<u64>) -> Answer {
-        Answer {
-            fetch_rows: self.n as u64,
-            ..Answer::single(QueryResult::top_values(top, self.n), self.scan.rows())
-        }
-    }
-}
-
-/// GROUP BY MAX/MIN: exact per-key extrema over each shard's forwarded
-/// superset — reboot-safe by construction.
-struct ExtremumProgram<'a> {
-    scan: Scan<'a>,
-    agg: Agg,
-}
-
-impl ShardProgram for ExtremumProgram<'_> {
-    type Partial = GroupRun;
-    type Root = Answer;
-
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
-        self.scan.complete(s, site, |done| match done {
-            Completion::Groups(groups) => groups.finish(),
-            _ => unreachable!("a GROUP BY MAX/MIN completes as groups"),
-        })
-    }
-
-    fn merge(&self, acc: &mut GroupRun, other: GroupRun) {
-        acc.merge(other);
-    }
-
-    fn encode(&self, run: GroupRun) -> ShardOutput {
-        ShardOutput::Extrema(run.into_pairs())
-    }
-
-    fn decode(&self, output: ShardOutput) -> Result<GroupRun, CodecError> {
-        match output {
-            ShardOutput::Extrema(pairs) => Ok(GroupRun::fold(pairs, self.agg)),
-            other => Err(other.unexpected()),
-        }
-    }
-
-    fn root(&self, run: GroupRun) -> Answer {
-        Answer::single(QueryResult::Groups(run.into_groups()), self.scan.rows())
+    fn root(&self, merged: Partial) -> Answer {
+        merged.root(self.scan.query, self.scan.rows())
     }
 }
 
@@ -1411,53 +1131,17 @@ impl ShardProgram for JoinProgram<'_> {
     }
 }
 
-/// SKYLINE: each shard's forwarded superset reduced to its local frontier
-/// — one flat, `dims`-wide run — and the root re-runs the exact frontier
-/// over the (much smaller) union.
-struct SkylineProgram<'a>(Scan<'a>);
-
-impl ShardProgram for SkylineProgram<'_> {
-    type Partial = Vec<u64>;
-    type Root = Answer;
-
-    fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Vec<u64>> {
-        self.0.complete(s, site, |done| match done {
-            Completion::Tuples { width, flat } => skyline_of(&explode(width, &flat)).concat(),
-            _ => unreachable!("a Skyline completes as tuples"),
-        })
-    }
-
-    fn merge(&self, acc: &mut Vec<u64>, mut other: Vec<u64>) {
-        acc.append(&mut other);
-    }
-
-    fn encode(&self, flat: Vec<u64>) -> ShardOutput {
-        ShardOutput::Tuples {
-            width: self.0.cols.len() as u64,
-            flat,
-        }
-    }
-
-    fn decode(&self, output: ShardOutput) -> Result<Vec<u64>, CodecError> {
-        match output {
-            ShardOutput::Tuples { width, flat } if width == self.0.cols.len() as u64 => Ok(flat),
-            ShardOutput::Tuples { .. } => Err(CodecError::Malformed),
-            other => Err(other.unexpected()),
-        }
-    }
-
-    fn root(&self, flat: Vec<u64>) -> Answer {
-        let frontier = skyline_of(&explode(self.0.cols.len(), &flat));
-        Answer::single(QueryResult::points(frontier), self.0.rows())
-    }
-}
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
+    use crate::query::Predicate;
     use crate::reference;
     use crate::table::Table;
+    use cheetah_core::filter::{Atom, CmpOp, Formula};
+    use cheetah_core::hash::mix64;
+    use proptest::prelude::*;
 
     /// The two-table fixture the engine's unit tests share: `t(k, v, w)`
     /// over `t_rows` rows and `s(k, x)` over `s_rows`, arithmetic lanes
@@ -1667,5 +1351,124 @@ pub(crate) mod tests {
         let r = Executor::execute(&e, &tiny, &q);
         assert_eq!(r.result, QueryResult::Values(vec![3, 9]));
         assert_eq!(r.pass_walls.len(), 8, "empty shards still report spans");
+    }
+
+    /// One query of each single-pass shape over `db`'s table `t`, both
+    /// GROUP BY extrema among them.
+    fn single_pass_shapes(n: usize) -> Vec<Query> {
+        let t = || "t".to_string();
+        let predicate = Predicate {
+            columns: vec!["v".into(), "w".into()],
+            atoms: vec![
+                Atom::cmp(0, CmpOp::Lt, 6_000),
+                Atom::unsupported(1, CmpOp::Gt, 200),
+            ],
+            formula: Formula::Or(vec![Formula::Atom(0), Formula::Atom(1)]),
+        };
+        let group = |agg| Query::GroupBy {
+            table: t(),
+            key: "k".into(),
+            val: "v".into(),
+            agg,
+        };
+        vec![
+            Query::FilterCount {
+                table: t(),
+                predicate: predicate.clone(),
+            },
+            Query::Filter {
+                table: t(),
+                predicate,
+            },
+            Query::Distinct {
+                table: t(),
+                column: "k".into(),
+            },
+            Query::DistinctMulti {
+                table: t(),
+                columns: vec!["k".into(), "w".into()],
+            },
+            Query::TopN {
+                table: t(),
+                order_by: "v".into(),
+                n,
+            },
+            group(Agg::Max),
+            group(Agg::Min),
+            Query::Skyline {
+                table: t(),
+                columns: vec!["v".into(), "w".into()],
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The partial algebra every single-pass arm rests on: survivors
+        /// split into any chunks, each chunk's completion made a partial
+        /// and the partials merged in any tree order, root to the one-chunk
+        /// answer; and every partial survives its wire round trip (a
+        /// shipped Filter's rows aside, which the master only verifies).
+        #[test]
+        fn single_pass_partials_merge_in_any_order_and_survive_the_wire(
+            rows in 1usize..3_000,
+            forward in 0u64..4,
+            chunks in 1usize..9,
+            seed in any::<u64>(),
+        ) {
+            let db = db(rows, 1);
+            let t = db.table("t");
+            let cfg = PrunerConfig::default();
+            let env = Env { cfg: &cfg, workers: 1, shards: 1 };
+            // Forward rates ¼ to 1; survivors ascend, as a block's do.
+            let survivors: Vec<u16> = (0..rows as u16)
+                .filter(|&i| mix64(seed ^ u64::from(i)) % 4 <= forward)
+                .collect();
+            let mut cuts: Vec<usize> = (1..chunks)
+                .map(|c| mix64(seed.rotate_left(c as u32)) as usize % (survivors.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([survivors.len()]).collect();
+            for q in single_pass_shapes(seed as usize % 60) {
+                let program = SinglePassProgram {
+                    scan: Scan::over(env, t, &q),
+                    fetch: q.projection(t, &cfg.fetch),
+                };
+                let cols: Vec<&[u64]> = program.scan.cols.iter().map(|&c| t.col_at(c)).collect();
+                let partial = |chunk: &[u16]| {
+                    let mut master = Completion::for_query(&q);
+                    master.take(&cols, chunk, |i| i as u64);
+                    master.partial(&q, t, program.fetch.cols(), true)
+                };
+                let answer = |p: Partial| {
+                    let a = p.root(&q, rows as u64);
+                    (a.result, a.fetch_rows, a.fetch_checksum)
+                };
+                let mut parts: Vec<Partial> =
+                    bounds.windows(2).map(|b| partial(&survivors[b[0]..b[1]])).collect();
+                for p in &parts {
+                    let words = program.encode(p.clone()).encode();
+                    let wire = ShardOutput::decode(&words).expect("a well-formed frame");
+                    let mut shipped = p.clone();
+                    if let Partial::Fetched { rows, .. } = &mut shipped {
+                        rows.clear();
+                    }
+                    prop_assert_eq!(program.decode(wire), Ok(shipped), "{}", q.kind());
+                }
+                // A random tree: fold a random partial into another until
+                // one is left.
+                let mut step = seed;
+                while parts.len() > 1 {
+                    step = mix64(step);
+                    let from = step as usize % parts.len();
+                    let other = parts.swap_remove(from);
+                    let into = (step >> 32) as usize % parts.len();
+                    parts[into].merge(other);
+                }
+                let merged = parts.pop().expect("one partial left");
+                prop_assert_eq!(answer(merged), answer(partial(&survivors)), "{}", q.kind());
+            }
+        }
     }
 }

@@ -392,10 +392,14 @@ fn sharded_spawn_counts_are_exactly_shards_times_workers() {
 
 /// Perf-regression guard: with ≥2 workers on the bench-sized JOIN
 /// workload, the pipelined pool must not lose to the deterministic
-/// single-threaded path (generous 1.25× slack to stay CI-safe).
+/// single-threaded path (generous 1.25× slack). The wall-clock comparison
+/// is a release-profile guard — CI runs this test with `--release` — since
+/// a debug build's walls on a shared host race; every profile checks that
+/// the two arms agree.
 #[test]
 fn threaded_join_keeps_pace_with_deterministic() {
     use std::time::Instant;
+    let timed = !cfg!(debug_assertions);
     let db = soak_db(100_000, 36);
     let q = Query::Join {
         left: "t".into(),
@@ -411,23 +415,29 @@ fn threaded_join_keeps_pace_with_deterministic() {
         PrunerConfig::default(),
     );
     let threaded = ThreadedExecutor::new(cheetah.clone());
+    let (det_runs, thr_runs) = if timed { (3, 6) } else { (1, 1) };
     let mut det_best = f64::INFINITY;
-    for _ in 0..3 {
+    let mut det_result = None;
+    for _ in 0..det_runs {
         let t0 = Instant::now();
-        std::hint::black_box(Executor::execute(&cheetah, &db, &q));
+        let r = std::hint::black_box(Executor::execute(&cheetah, &db, &q));
         det_best = det_best.min(t0.elapsed().as_secs_f64());
+        det_result = Some(r.result);
     }
     let mut thr_best = f64::INFINITY;
-    for _ in 0..6 {
+    for _ in 0..thr_runs {
         let r = std::hint::black_box(Executor::execute(&threaded, &db, &q));
         thr_best = thr_best.min(r.wall.expect("measured wall").as_secs_f64());
+        assert_eq!(Some(r.result), det_result, "threaded JOIN diverged");
     }
-    assert!(
-        thr_best <= det_best * 1.25,
-        "threaded JOIN regressed: {:.2}ms threaded vs {:.2}ms deterministic",
-        thr_best * 1e3,
-        det_best * 1e3
-    );
+    if timed {
+        assert!(
+            thr_best <= det_best * 1.25,
+            "threaded JOIN regressed: {:.2}ms threaded vs {:.2}ms deterministic",
+            thr_best * 1e3,
+            det_best * 1e3
+        );
+    }
 }
 
 /// Filter's fetch phase must materialize exactly the deterministic
