@@ -5,7 +5,7 @@
 //! proves the whole query fits the hardware constraints end to end.
 
 use cheetah_core::decision::{Decision, RowPruner};
-use cheetah_core::distinct::DistinctPruner;
+use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
 use cheetah_core::filter::FilterPruner;
 use cheetah_core::groupby::{Extremum, GroupByPruner};
 use cheetah_core::having::{CountMinSketch, HavingPruner};
@@ -21,6 +21,7 @@ use cheetah_pisa::ProgramPruner;
 
 use crate::cheetah::PrunerConfig;
 use crate::query::Predicate;
+use crate::table::Table;
 
 /// Which implementation family the switch runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,20 +95,54 @@ impl<P: RowPruner> RowPruner for NonzeroKey<P> {
     }
 }
 
-/// DISTINCT pruner under the chosen backend.
+/// DISTINCT pruner under the chosen backend, at `cfg`'s own
+/// `distinct_d × distinct_w` (Table 2's matrix unless configured).
 pub fn distinct(cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
+    distinct_sized(cfg, cfg.distinct_d)
+}
+
+/// DISTINCT pruner of `d` rows by `cfg.distinct_w` columns.
+pub(crate) fn distinct_sized(cfg: &PrunerConfig, d: usize) -> Box<dyn RowPruner + Send> {
     match cfg.backend {
         SwitchBackend::Reference => Box::new(DistinctPruner::new(
-            cfg.distinct_d,
+            d,
             cfg.distinct_w,
             cfg.distinct_policy,
             cfg.seed,
         )),
         SwitchBackend::Pisa => Box::new(NonzeroKey::new(ProgramPruner::new(
-            DistinctLruProgram::new(spec(), cfg.distinct_d, cfg.distinct_w, cfg.seed)
+            DistinctLruProgram::new(spec(), d, cfg.distinct_w, cfg.seed)
                 .expect("distinct program fits"),
         ))),
     }
+}
+
+/// The one DISTINCT sizing decision: the matrix rows a DISTINCT or
+/// DistinctMulti over table `t`'s key lanes `cols` runs with, and what the
+/// planner and serving's packing charge. Theorem 1 ties pruning to matrix
+/// cells per distinct key, and D̂, the product of the lanes' distinct
+/// counts, bounds the keys. Past rows / 2 nearly every entry is a new key
+/// and nothing is prunable, so `cfg.distinct_d` stays; otherwise
+/// the rows are ⌈D̂ / w⌉ rounded up to a power of two, never fewer than
+/// `cfg.distinct_d` and never more than one stage's SRAM holds. The
+/// columns, and so every stage charge, stay `cfg.distinct_w`.
+pub(crate) fn distinct_rows(cfg: &PrunerConfig, t: &Table, cols: &[usize]) -> usize {
+    let mut keys: usize = 1;
+    for &c in cols {
+        // The product only grows: stop counting lanes once it is past.
+        keys = keys.saturating_mul(t.distinct_count(c));
+        if keys > t.rows() / 2 {
+            return cfg.distinct_d;
+        }
+    }
+    // A stage holds one LRU column, or as many FIFO columns as it has ALUs.
+    let per_stage = match cfg.distinct_policy {
+        EvictionPolicy::Lru => 1,
+        EvictionPolicy::Fifo => cfg.distinct_w.min(spec().alus_per_stage as usize),
+    };
+    let stage_rows = (spec().sram_per_stage_bits / 64) as usize / per_stage;
+    let rows = keys.div_ceil(cfg.distinct_w).next_power_of_two();
+    rows.min(stage_rows).max(cfg.distinct_d)
 }
 
 /// The failure probability a randomized TOP N is sized for (Theorem 2's
@@ -433,6 +468,73 @@ mod tests {
             assert!(s.process_row(&[10, 10]).is_forward());
             assert!(s.process_row(&[1, 1]).is_prune());
         }
+    }
+
+    #[test]
+    fn distinct_rows_follow_the_key_domain() {
+        let rows = 40_000;
+        let lane = |m: usize| (0..rows).map(|i| (i % m) as u64).collect();
+        let t = Table::new(
+            "t",
+            vec![
+                ("tiny", lane(40)),
+                ("pair", lane(7)),
+                ("half", lane(rows / 2)),
+                ("past", lane(rows / 2 + 1)),
+                ("unique", lane(rows)),
+            ],
+        );
+        let cfg = PrunerConfig::default();
+        let floor = PrunerConfig {
+            distinct_d: 1,
+            ..PrunerConfig::default()
+        };
+        // ⌈D̂ / w⌉ up to a power of two, D̂ the product of the key's counts.
+        assert_eq!(distinct_rows(&floor, &t, &[0]), 32);
+        assert_eq!(distinct_rows(&floor, &t, &[0, 1]), 256);
+        assert_eq!(
+            distinct_rows(&cfg, &t, &[2]),
+            16_384,
+            "D̂ = rows / 2 is sized"
+        );
+        // Table 2's rows are a floor.
+        assert_eq!(distinct_rows(&cfg, &t, &[0, 1]), 4096);
+        // Past rows / 2, near-unique keys included, the configured matrix
+        // runs whatever the floor: nothing there is prunable.
+        for key in [&[3][..], &[4], &[0, 2]] {
+            assert_eq!(distinct_rows(&cfg, &t, key), 4096, "key {key:?}");
+            assert_eq!(distinct_rows(&floor, &t, key), 1, "key {key:?}");
+        }
+        let empty = Table::new("e", vec![("k", Vec::new())]);
+        assert_eq!(distinct_rows(&cfg, &empty, &[0]), 4096);
+    }
+
+    #[test]
+    fn distinct_rows_stop_at_one_stage() {
+        // 600k keys over 1.2M rows ask for 2²⁰ rows at w = 1; one stage
+        // holds 2¹⁹ LRU rows, or 2¹⁸ rows of a two-column FIFO matrix.
+        let t = Table::new(
+            "t",
+            vec![("k", (0..1_200_000).map(|i| i % 600_000).collect())],
+        );
+        let stage = |distinct_policy, distinct_w| {
+            let cfg = PrunerConfig {
+                distinct_policy,
+                distinct_w,
+                ..PrunerConfig::default()
+            };
+            distinct_rows(&cfg, &t, &[0])
+        };
+        assert_eq!(stage(EvictionPolicy::Lru, 1), 1 << 19);
+        assert_eq!(stage(EvictionPolicy::Fifo, 2), 1 << 18);
+        let mut fifo = distinct_sized(
+            &PrunerConfig {
+                distinct_policy: EvictionPolicy::Fifo,
+                ..PrunerConfig::default()
+            },
+            1 << 18,
+        );
+        assert!(fifo.process_row(&[5]).is_forward());
     }
 
     #[test]

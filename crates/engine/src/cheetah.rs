@@ -47,7 +47,10 @@ use crate::table::{Database, Table};
 /// Switch-side algorithm configuration (the Table 2 knobs).
 #[derive(Debug, Clone)]
 pub struct PrunerConfig {
-    /// DISTINCT matrix rows.
+    /// DISTINCT matrix rows, a floor: a DISTINCT or DistinctMulti whose
+    /// key has at most half as many distinct values as the table has rows
+    /// runs more, sized from the key columns' distinct counts
+    /// (`backend::distinct_rows`).
     pub distinct_d: usize,
     /// DISTINCT matrix columns.
     pub distinct_w: usize,
@@ -215,13 +218,19 @@ pub(crate) fn query_columns(q: &Query, t: &Table) -> Vec<usize> {
     }
 }
 
-/// The switch pruner a single-pass query installs.
-pub(crate) fn single_pass_pruner(cfg: &PrunerConfig, q: &Query) -> Box<dyn RowPruner + Send> {
+/// The switch pruner a single-pass query over table `t` installs.
+pub(crate) fn single_pass_pruner(
+    cfg: &PrunerConfig,
+    q: &Query,
+    t: &Table,
+) -> Box<dyn RowPruner + Send> {
     match q {
         Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
             backend::filter(cfg, predicate)
         }
-        Query::Distinct { .. } | Query::DistinctMulti { .. } => backend::distinct(cfg),
+        Query::Distinct { .. } | Query::DistinctMulti { .. } => {
+            backend::distinct_sized(cfg, backend::distinct_rows(cfg, t, &query_columns(q, t)))
+        }
         Query::TopN { n, .. } => backend::topn(cfg, *n),
         Query::GroupBy { agg, .. } => backend::groupby(
             cfg,
@@ -436,10 +445,16 @@ pub(crate) enum Partial {
 }
 
 impl Partial {
-    /// `values`' top `n`, descending.
+    /// `values`' top `n`, descending: selected, then only the `n` kept
+    /// are sorted.
     pub(crate) fn top(mut values: Vec<u64>, n: usize) -> Self {
+        if values.len() > n {
+            if n > 0 {
+                values.select_nth_unstable_by(n - 1, |a, b| b.cmp(a));
+            }
+            values.truncate(n);
+        }
         values.sort_unstable_by(|a, b| b.cmp(a));
-        values.truncate(n);
         Partial::Top { n, values }
     }
 
@@ -555,10 +570,11 @@ impl CheetahExecutor {
         let cfg = &self.config;
         let interleave = |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, workers);
         if let Some(table) = single_pass_table(query) {
-            let mut pruner = single_pass_pruner(cfg, query);
+            let t = db.table(table);
+            let mut pruner = single_pass_pruner(cfg, query, t);
             let decide =
                 |_, visible: &[&[u64]], out: &mut [Decision]| pruner.process_block(visible, out);
-            let mut reports = self.single_pass_scan(db.table(table), &[query], decide);
+            let mut reports = self.single_pass_scan(t, &[query], decide);
             return (reports.pop().expect("one query, one report"), None);
         }
         let mut armed_out = None;
@@ -813,10 +829,6 @@ impl CheetahExecutor {
         const SAMPLE_BLOCKS: usize = 4;
         let cfg = &self.config;
         let (t, cols, mut pruner): (&Table, Vec<usize>, Box<dyn RowPruner + Send>) = match query {
-            Query::DistinctMulti { table, columns } => {
-                let t = db.table(table);
-                (t, vec![t.col_index(&columns[0])], backend::distinct(cfg))
-            }
             Query::GroupBy {
                 table,
                 key,
@@ -866,7 +878,11 @@ impl CheetahExecutor {
             }
             _ => {
                 let t = db.table(single_pass_table(query).expect("a single-pass shape"));
-                (t, query_columns(query, t), single_pass_pruner(cfg, query))
+                (
+                    t,
+                    query_columns(query, t),
+                    single_pass_pruner(cfg, query, t),
+                )
             }
         };
         let sample = t.rows().min(SAMPLE_BLOCKS * BLOCK_ENTRIES);
@@ -1390,6 +1406,82 @@ mod tests {
             for (arm, result) in arms {
                 prop_assert!(result == truth, "{} diverged at n = {} over {} rows", arm, n, rows);
             }
+        }
+
+        /// DISTINCT and DistinctMulti are exact on every arm at every
+        /// geometry their keys size: one to three key columns whose domain
+        /// product is tiny, exactly rows / 2 or one past it, or near-unique,
+        /// over a starved, a small and Table 2's floor.
+        #[test]
+        fn distinct_is_exact_at_every_sized_geometry_on_every_arm(
+            rows in 1usize..4_500,
+            width in 1usize..4,
+            domain in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let half = rows / 2 + (domain == 2) as usize;
+            // Lane c repeats its key every `modulus(c)` rows, so its count
+            // is exactly min(modulus, rows).
+            let modulus = |c: usize| match domain {
+                0 => 3,
+                1 | 2 if c == 0 => half.max(1),
+                1 | 2 => 1,
+                _ => rows,
+            };
+            let lanes: Vec<Vec<u64>> = (0..width)
+                .map(|c| {
+                    let m = modulus(c) as u64;
+                    (0..rows as u64).map(|i| mix64(seed ^ ((c as u64) << 32) ^ (i % m))).collect()
+                })
+                .collect();
+            let names = ["a", "b", "c"];
+            let mut db = Database::new();
+            db.add(Table::new("t", names.iter().copied().zip(lanes).collect()));
+            let q = if width == 1 && seed.is_multiple_of(2) {
+                Query::Distinct { table: "t".into(), column: "a".into() }
+            } else {
+                Query::DistinctMulti {
+                    table: "t".into(),
+                    columns: names[..width].iter().map(|&c| c.into()).collect(),
+                }
+            };
+            let truth = reference::evaluate(&db, &q);
+            let (distinct_d, distinct_w) = [(1, 1), (64, 2), (4096, 2)][(seed >> 8) as usize % 3];
+            let cfg = PrunerConfig { distinct_d, distinct_w, ..PrunerConfig::default() };
+            let exec = CheetahExecutor::new(CostModel::default(), cfg);
+            let sharded = ShardedExecutor::with_shards(exec.clone(), 2);
+            // A co-resident flow, so the DISTINCT packs into a shared scan.
+            let topn = Query::TopN { table: "t".into(), order_by: "a".into(), n: 5 };
+            let served = ServeExecutor::with_pool(exec.clone(), 1)
+                .serve(&db, &[q.clone(), topn])
+                .0;
+            let arms = [
+                ("deterministic", exec.execute(&db, &q).result),
+                ("threaded", exec.execute_threaded(&db, &q).result),
+                ("sharded", Executor::execute(&sharded, &db, &q).result),
+                ("serving", served[0].result.clone()),
+            ];
+            for (arm, result) in arms {
+                prop_assert!(result == truth, "{} diverged: {:?} over {} rows", arm, q, rows);
+            }
+        }
+
+        /// TOP N's selection keeps exactly what sorting every survivor and
+        /// cutting keeps, duplicates included.
+        #[test]
+        fn top_selects_what_sort_and_truncate_keeps(
+            which in 0usize..3,
+            len in any::<u64>(),
+            domain in 1u64..1_000,
+            seed in any::<u64>(),
+        ) {
+            let n = [0, 1, 250][which];
+            let len = (len % (3 * n as u64 + 4)) as usize;
+            let values: Vec<u64> = (0..len as u64).map(|i| mix64(seed ^ i) % domain).collect();
+            let mut sorted = values.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            sorted.truncate(n);
+            prop_assert_eq!(Partial::top(values, n), Partial::Top { n, values: sorted });
         }
     }
 }

@@ -41,8 +41,8 @@ use cheetah_core::having::HavingPruner;
 use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 use cheetah_pisa::pack::pack;
 
-use crate::backend::{topn_geometry, JoinFlow, TopNGeometry};
-use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
+use crate::backend::{distinct_rows, topn_geometry, JoinFlow, TopNGeometry};
+use crate::cheetah::{query_columns, CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
 use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
@@ -527,16 +527,16 @@ pub(crate) fn query_resources(
         Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
             table2::filter(predicate.atoms.len() as u32)
         }
-        Query::Distinct { .. } | Query::DistinctMulti { .. } => match cfg.distinct_policy {
-            EvictionPolicy::Lru => {
-                table2::distinct_lru(cfg.distinct_w as u32, cfg.distinct_d as u64)
+        Query::Distinct { table, .. } | Query::DistinctMulti { table, .. } => {
+            let t = db.table(table);
+            let d = distinct_rows(cfg, t, &query_columns(query, t)) as u64;
+            match cfg.distinct_policy {
+                EvictionPolicy::Lru => table2::distinct_lru(cfg.distinct_w as u32, d),
+                EvictionPolicy::Fifo => {
+                    table2::distinct_fifo(cfg.distinct_w as u32, d, switch.alus_per_stage)
+                }
             }
-            EvictionPolicy::Fifo => table2::distinct_fifo(
-                cfg.distinct_w as u32,
-                cfg.distinct_d as u64,
-                switch.alus_per_stage,
-            ),
-        },
+        }
         Query::TopN { n, .. } => match topn_geometry(cfg, *n) {
             TopNGeometry::Randomized { d, w } => table2::topn_rand(w as u32, d as u64),
             TopNGeometry::Deterministic { w } => table2::topn_det(w as u32),
@@ -608,6 +608,33 @@ mod tests {
         let r = exec.execute(&db, &q);
         assert_eq!(r.result, reference::evaluate(&db, &q));
         assert_eq!(r.plan.expect("planner reports its plan").infeasible, 3);
+    }
+
+    #[test]
+    fn distinct_resources_charge_the_sized_matrix() {
+        // 10k keys over 40k rows: 8,192 × 2; a near-unique key keeps
+        // Table 2's 4,096 × 2. Either way two stages, one per column.
+        let mut db = Database::new();
+        db.add(Table::new(
+            "t",
+            vec![
+                ("k", (0..40_000).map(|i| i % 10_000).collect()),
+                ("u", (0..40_000).collect()),
+            ],
+        ));
+        let exec = planner();
+        let charge = |columns: &[&str]| {
+            let q = Query::DistinctMulti {
+                table: "t".into(),
+                columns: columns.iter().map(|&c| c.into()).collect(),
+            };
+            assert!(exec.fits_switch(&db, &q));
+            let usage = query_resources(&exec.inner.config, &exec.switch, &db, &q);
+            (usage.stages, usage.sram_bits)
+        };
+        assert_eq!(charge(&["k"]), (2, 8_192 * 2 * 64));
+        assert_eq!(charge(&["u"]), (2, 4_096 * 2 * 64));
+        assert_eq!(charge(&["k", "u"]), (2, 4_096 * 2 * 64));
     }
 
     #[test]

@@ -190,10 +190,11 @@ impl ServeExecutor {
                 solo.extend(members);
                 continue;
             }
+            let t = db.table(tname);
             let mut mq = MultiQueryPruner::new();
             let mut packed: Vec<usize> = Vec::new();
             for &i in &members {
-                let pruner = single_pass_pruner(cfg, distinct[i]);
+                let pruner = single_pass_pruner(cfg, distinct[i], t);
                 // One Table 2 mapping for the whole engine: the planner's.
                 let res = crate::plan::query_resources(cfg, &self.switch, db, distinct[i]);
                 match mq.try_add(i as u16, pruner, res, &self.switch) {
@@ -217,9 +218,7 @@ impl ServeExecutor {
             let decide = |m: usize, visible: &[&[u64]], out: &mut [Decision]| {
                 mq.process_block(packed[m] as u16, visible, out)
             };
-            let reports = self
-                .cheetah
-                .single_pass_scan(db.table(tname), &flows, decide);
+            let reports = self.cheetah.single_pass_scan(t, &flows, decide);
             done.extend(packed.iter().copied().zip(reports).map(|(i, mut report)| {
                 report.executor = NAME;
                 (i, report)

@@ -809,7 +809,7 @@ impl ShardProgram for SinglePassProgram<'_> {
         let columns = first..first + self.scan.cols.len();
         run_shard(
             self.scan.pass(s),
-            site.pruner_stage(s, single_pass_pruner(env.cfg, query)),
+            site.pruner_stage(s, single_pass_pruner(env.cfg, query, t)),
             Completion::for_query(query),
             |master, block| {
                 let cols: Vec<&[u64]> = columns.clone().map(|c| block.lane(c)).collect();

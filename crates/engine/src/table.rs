@@ -7,7 +7,7 @@
 //! the Spark setup of §8.2 (five workers, one partition each).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::stream::split_range;
 
@@ -24,6 +24,9 @@ pub struct Table {
     name: String,
     schema: Vec<String>,
     columns: Vec<Arc<Vec<u64>>>,
+    /// Each lane's distinct count, beside it and shared with it by clones
+    /// ([`Table::distinct_count`]).
+    distinct: Vec<Arc<OnceLock<usize>>>,
     rows: usize,
     epoch: u64,
 }
@@ -37,6 +40,7 @@ impl Table {
         Table {
             name: name.into(),
             schema: cols.iter().map(|(n, _)| (*n).to_string()).collect(),
+            distinct: cols.iter().map(|_| Arc::default()).collect(),
             columns: cols.into_iter().map(|(_, c)| Arc::new(c)).collect(),
             rows,
             epoch: 0,
@@ -92,6 +96,19 @@ impl Table {
     /// A column's lane by index, to share rather than copy.
     pub(crate) fn lane(&self, idx: usize) -> Arc<Vec<u64>> {
         Arc::clone(&self.columns[idx])
+    }
+
+    /// The exact number of distinct values in lane `idx`, counted on first
+    /// use (one sort of one copy of the lane) and kept beside the lane:
+    /// clones share it, and an added lane or a replacement table brings its
+    /// own, so no epoch can make it stale.
+    pub(crate) fn distinct_count(&self, idx: usize) -> usize {
+        *self.distinct[idx].get_or_init(|| {
+            let mut values = self.columns[idx].to_vec();
+            values.sort_unstable();
+            values.dedup();
+            values.len()
+        })
     }
 
     /// One full row (across all columns), freshly allocated. Test-only
@@ -153,6 +170,7 @@ impl Table {
         assert_eq!(data.len(), self.rows, "column length mismatch");
         self.schema.push(name.to_string());
         self.columns.push(Arc::new(data));
+        self.distinct.push(Arc::default());
         self.epoch += 1;
     }
 
@@ -210,6 +228,9 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cheetah_core::hash::mix64;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn t() -> Table {
         Table::new(
@@ -316,6 +337,46 @@ mod tests {
         assert_eq!(db.table("t").epoch(), 2);
         db.add(t());
         assert_eq!(db.table("t").epoch(), 3, "always past the replaced epoch");
+    }
+
+    #[test]
+    fn added_and_replacing_lanes_count_their_own_values() {
+        let mut db = Database::new();
+        db.add(t());
+        let copy = db.table("t").clone();
+        assert_eq!(copy.distinct_count(0), 5);
+        assert_eq!(db.table("t").distinct[0].get(), Some(&5), "clones share it");
+        db.table_mut("t").add_column("c", vec![0, 0, 1, 1, 0]);
+        let t = db.table("t");
+        assert_eq!((t.distinct_count(0), t.distinct_count(2)), (5, 2));
+        // A replacement under the same name brings its own lanes and counts.
+        db.add(Table::new("t", vec![("a", vec![7; 5])]));
+        assert_eq!(db.table("t").distinct_count(0), 1);
+        assert_eq!(copy.distinct_count(0), 5, "the old snapshot keeps its own");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The count is exact on empty, single-row, all-equal and random
+        /// lanes over small and full-width domains.
+        #[test]
+        fn distinct_count_matches_a_brute_force_count(
+            rows in 0usize..2_000,
+            shape in 0usize..4,
+            salt in any::<u64>(),
+        ) {
+            let domain = if salt.is_multiple_of(2) { 1 + salt % 300 } else { u64::MAX };
+            let lane: Vec<u64> = match shape {
+                0 => Vec::new(),
+                1 => vec![salt],
+                2 => vec![salt; rows],
+                _ => (0..rows as u64).map(|i| mix64(salt ^ i) % domain).collect(),
+            };
+            let brute = lane.iter().collect::<HashSet<_>>().len();
+            let t = Table::new("t", vec![("a", lane)]);
+            prop_assert_eq!(t.distinct_count(0), brute);
+        }
     }
 
     #[test]
