@@ -37,6 +37,10 @@ pub struct PruneStats {
     pub processed: u64,
     /// Entries dropped by the pruning algorithm.
     pub pruned: u64,
+    /// Entries the switch sent the master on no decision of its own: §6
+    /// register residuals drained at FIN or before a reboot. No core
+    /// pruner sets it.
+    pub drained: u64,
 }
 
 impl PruneStats {
@@ -49,10 +53,11 @@ impl PruneStats {
         }
     }
 
-    /// Entries that survived to the master.
+    /// Entries that reached the master: the survivors and the drained
+    /// residuals.
     #[inline]
     pub fn forwarded(&self) -> u64 {
-        self.processed - self.pruned
+        self.processed - self.pruned + self.drained
     }
 
     /// Fraction of entries pruned, in `[0, 1]`. Zero if nothing processed.
@@ -79,6 +84,7 @@ impl PruneStats {
     pub fn merge(&mut self, other: PruneStats) {
         self.processed += other.processed;
         self.pruned += other.pruned;
+        self.drained += other.drained;
     }
 
     /// Record a whole block of decisions at once (the bulk counterpart of
@@ -230,13 +236,15 @@ mod tests {
         let mut a = PruneStats {
             processed: 10,
             pruned: 4,
+            drained: 0,
         };
         let b = PruneStats {
             processed: 5,
             pruned: 5,
+            drained: 3,
         };
         a.merge(b);
-        assert_eq!(a.processed, 15);
-        assert_eq!(a.pruned, 9);
+        assert_eq!((a.processed, a.pruned, a.drained), (15, 9, 3));
+        assert_eq!(a.forwarded(), 9, "six survivors and three residuals");
     }
 }

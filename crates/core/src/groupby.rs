@@ -182,6 +182,8 @@ pub enum SumAction {
 /// partial sums, so correctness requires [`GroupBySumPruner::drain`] once
 /// the workers' FINs arrive. The master adds up all `(key, partial)` pairs
 /// it receives — evictions plus the final drain — giving exact group sums.
+/// Sums wrap mod 2⁶⁴, as every exact SUM in the engine does, so a partial
+/// folded here or at the master adds up to the same total.
 #[derive(Debug, Clone)]
 pub struct GroupBySumPruner {
     d: usize,
@@ -214,7 +216,7 @@ impl GroupBySumPruner {
         let base = r * self.w;
         let len = self.lens[r] as usize;
         if let Some(i) = self.keys[base..base + len].iter().position(|&k| k == key) {
-            self.sums[base + i] = self.sums[base + i].saturating_add(value);
+            self.sums[base + i] = self.sums[base + i].wrapping_add(value);
             return SumAction::Absorb;
         }
         if len < self.w {
@@ -399,6 +401,19 @@ mod tests {
             *truth.entry(k).or_insert(0) += v;
         }
         assert_eq!(master, truth, "partial aggregation must sum exactly");
+    }
+
+    #[test]
+    fn sum_registers_wrap_mod_2_64() {
+        let mut p = GroupBySumPruner::new(4, 2, 0);
+        for _ in 0..3 {
+            p.process(1, 1 << 63);
+        }
+        p.process(2, u64::MAX);
+        p.process(2, 2);
+        let mut drained = p.drain();
+        drained.sort_unstable();
+        assert_eq!(drained, vec![(1, 1 << 63), (2, 1)]);
     }
 
     #[test]

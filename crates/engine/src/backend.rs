@@ -145,6 +145,17 @@ pub(crate) fn distinct_rows(cfg: &PrunerConfig, t: &Table, cols: &[usize]) -> us
     rows.min(stage_rows).max(cfg.distinct_d)
 }
 
+/// The one HAVING program decision: whether `HAVING SUM(v) > c` over table
+/// `t`'s key lane `key` runs as GROUP BY SUM's §6 register aggregation,
+/// thresholded at the master, instead of §5's two Count-Min passes. Both
+/// are exact at any size; what differs is what reaches the master. Pass 2
+/// forwards every entry of every qualifying key, while the registers
+/// forward their evictions and drain, which stay near zero while D̂(key)
+/// fits half the `groupby_d × groupby_w` matrix.
+pub(crate) fn having_by_registers(cfg: &PrunerConfig, t: &Table, key: usize) -> bool {
+    t.distinct_count(key) <= cfg.groupby_d * cfg.groupby_w / 2
+}
+
 /// The failure probability a randomized TOP N is sized for (Theorem 2's
 /// δ).
 const TOPN_DELTA: f64 = 1e-4;
@@ -507,6 +518,39 @@ mod tests {
         }
         let empty = Table::new("e", vec![("k", Vec::new())]);
         assert_eq!(distinct_rows(&cfg, &empty, &[0]), 4096);
+    }
+
+    #[test]
+    fn having_by_registers_flips_exactly_at_the_cutoff() {
+        // 16,384 keys at Table 2's 4096 × 8: half the matrix.
+        let rows = 40_000;
+        let lane = |m: usize| (0..rows).map(|i| (i % m) as u64).collect();
+        let t = Table::new(
+            "t",
+            vec![
+                ("tiny", lane(25)),
+                ("cutoff", lane(16_384)),
+                ("past", lane(16_385)),
+                ("unique", lane(rows)),
+            ],
+        );
+        let cfg = PrunerConfig::default();
+        let chosen: Vec<bool> = (0..4).map(|c| having_by_registers(&cfg, &t, c)).collect();
+        assert_eq!(chosen, [true, true, false, false]);
+        // The cutoff follows the register matrix, not the Count-Min.
+        let small = PrunerConfig {
+            groupby_d: 25,
+            groupby_w: 2,
+            ..PrunerConfig::default()
+        };
+        assert!(having_by_registers(&small, &t, 0));
+        let smaller = PrunerConfig {
+            groupby_d: 24,
+            ..small
+        };
+        assert!(!having_by_registers(&smaller, &t, 0));
+        let empty = Table::new("e", vec![("k", Vec::new())]);
+        assert!(having_by_registers(&cfg, &empty, 0));
     }
 
     #[test]

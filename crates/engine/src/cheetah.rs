@@ -10,8 +10,10 @@
 //! Partition streams interleave round-robin (the deterministic stand-in
 //! for five NICs feeding one switch; see [`crate::threaded`] for the
 //! real-threads version). The seven single-pass shapes run one block scan,
-//! which serving runs too, for the flows it packs onto one table; JOIN and
-//! HAVING make the two passes §4.3 describes; Filter/TopN queries
+//! which serving runs too, for the flows it packs onto one table; GROUP BY
+//! SUM/COUNT, and a HAVING whose key domain fits the registers, aggregate
+//! in §6 registers in one pass; JOIN and a larger-domain HAVING make the
+//! two passes §4.3 describes; Filter/TopN queries
 //! requesting full rows pay a late materialization fetch (§7.1) that the
 //! switch does not touch.
 //!
@@ -122,7 +124,7 @@ impl Default for PrunerConfig {
 pub struct ThroughputSample {
     /// Measured seconds per switch entry over the sampled blocks.
     pub per_entry_s: f64,
-    /// Streaming passes the query's flow takes (2 for JOIN/HAVING).
+    /// Streaming passes the query's flow takes (2 for JOIN and a two-pass HAVING).
     pub passes: u64,
     /// Entries per pass (the streamed table's rows).
     pub rows: u64,
@@ -197,6 +199,51 @@ pub(crate) fn single_pass_table(q: &Query) -> Option<&str> {
         } => Some(table),
         _ => None,
     }
+}
+
+/// A query that runs as §6 register aggregation: GROUP BY SUM/COUNT, and
+/// a HAVING whose key domain fits the registers
+/// ([`backend::having_by_registers`]).
+pub(crate) struct Registers<'a> {
+    pub(crate) t: &'a Table,
+    /// The key lane, then the summed lane; COUNT sums ones and has none.
+    pub(crate) cols: Vec<usize>,
+    /// A HAVING's threshold: the master keeps the keys whose sum exceeds
+    /// it.
+    pub(crate) threshold: Option<u64>,
+}
+
+/// The register aggregation `q` runs, or `None` for every other program —
+/// the one choice every arm, serving's cache and the planner's charge
+/// follow.
+pub(crate) fn registers<'a>(
+    cfg: &PrunerConfig,
+    db: &'a Database,
+    q: &Query,
+) -> Option<Registers<'a>> {
+    let (table, key, val, threshold) = match q {
+        Query::GroupBy {
+            table,
+            key,
+            val,
+            agg: agg @ (Agg::Sum | Agg::Count),
+        } => (table, key, (*agg == Agg::Sum).then_some(val), None),
+        Query::Having {
+            table,
+            key,
+            val,
+            threshold,
+        } => (table, key, Some(val), Some(*threshold)),
+        _ => return None,
+    };
+    let t = db.table(table);
+    let cols: Vec<usize> = [key]
+        .into_iter()
+        .chain(val)
+        .map(|c| t.col_index(c))
+        .collect();
+    let fits = threshold.is_none() || backend::having_by_registers(cfg, t, cols[0]);
+    fits.then_some(Registers { t, cols, threshold })
 }
 
 /// A query's metadata columns over its one table, in query order (the
@@ -556,10 +603,11 @@ impl CheetahExecutor {
     }
 
     /// [`Self::execute`] with its seam open, for a caller that keeps
-    /// switch state across queries ([`crate::serve`]). A HAVING / JOIN
-    /// given its `armed` flow — switch state that already observed these
-    /// exact tables — skips the observation pass and reports one pass;
-    /// either way the flow comes back armed.
+    /// switch state across queries ([`crate::serve`]). A two-pass HAVING /
+    /// JOIN given its `armed` flow — switch state that already observed
+    /// these exact tables — skips the observation pass and reports one
+    /// pass; either way the flow comes back armed. A register aggregation
+    /// has no observation pass and hands back none.
     pub(crate) fn execute_in(
         &self,
         db: &Database,
@@ -577,45 +625,35 @@ impl CheetahExecutor {
             let mut reports = self.single_pass_scan(t, &[query], decide);
             return (reports.pop().expect("one query, one report"), None);
         }
-        let mut armed_out = None;
-        let report = match query {
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: agg @ (Agg::Sum | Agg::Count),
-            } => {
-                // §6: partial aggregation in switch registers; evictions
-                // ride packets, residuals drain at FIN.
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let mut pruner = GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
-                let mut stats = PruneStats::default();
-                let mut groups = GroupSink::new(*agg);
-                // COUNT folds 1 per entry and never reads the value lane:
-                // blocks never exceed BLOCK_ENTRIES, so one static lane of
-                // 1s serves every block of every query.
-                static ONES: [u64; BLOCK_ENTRIES] = [1; BLOCK_ENTRIES];
-                let sum = *agg == Agg::Sum;
-                let stream = interleave(t, if sum { &cols } else { &cols[..1] });
-                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-                let mut blocks = stream.blocks();
-                while let Some(block) = blocks.next_block() {
-                    let vals = if sum {
-                        block.cols[1]
-                    } else {
-                        &ONES[..block.len]
-                    };
-                    let out = &mut decisions[..block.len];
-                    pruner.process_block(block.cols[0], vals, out, |key, partial| {
-                        groups.push(key, partial)
-                    });
-                    stats.record_block(out);
-                }
-                groups.fill(|partials| partials.extend(pruner.drain()));
-                let result = QueryResult::Groups(groups.finish().into_groups());
-                self.report(query, stats, Answer::single(result, t.rows() as u64))
+        if let Some(Registers { t, cols, threshold }) = registers(cfg, db, query) {
+            // §6: partial aggregation in switch registers; evictions ride
+            // packets, residuals drain at FIN.
+            let mut pruner = GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
+            let mut stats = PruneStats::default();
+            let mut groups = GroupSink::new(Agg::Sum);
+            // COUNT folds 1 per entry and never reads the value lane:
+            // blocks never exceed BLOCK_ENTRIES, so one static lane of 1s
+            // serves every block of every query.
+            static ONES: [u64; BLOCK_ENTRIES] = [1; BLOCK_ENTRIES];
+            let stream = interleave(t, &cols);
+            let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+            let mut blocks = stream.blocks();
+            while let Some(block) = blocks.next_block() {
+                let vals = block.cols.get(1).copied().unwrap_or(&ONES[..block.len]);
+                let out = &mut decisions[..block.len];
+                pruner.process_block(block.cols[0], vals, out, |key, partial| {
+                    groups.push(key, partial)
+                });
+                stats.record_block(out);
             }
+            let drained = pruner.drain();
+            stats.drained += drained.len() as u64;
+            groups.fill(|partials| partials.extend(drained));
+            let result = groups.finish().into_result(threshold);
+            let report = self.report(query, stats, Answer::single(result, t.rows() as u64));
+            return (report, None);
+        }
+        match query {
             Query::Having {
                 table,
                 key,
@@ -658,13 +696,13 @@ impl CheetahExecutor {
                     sums.fill(|pending| pending.extend(forwarded.map(|i| (k[i], v[i]))));
                 }
                 let result = sums.finish().keys_above(*threshold);
-                armed_out = Some(ArmedFlow::Having(flow));
                 let streamed = u64::from(passes) * t.rows() as u64;
                 let answer = Answer {
                     passes,
                     ..Answer::single(result, streamed)
                 };
-                self.report(query, stats, answer)
+                let report = self.report(query, stats, answer);
+                (report, Some(ArmedFlow::Having(flow)))
             }
             Query::Join {
                 left,
@@ -714,7 +752,6 @@ impl CheetahExecutor {
                     fwd
                 });
                 let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
-                armed_out = Some(ArmedFlow::Join(flow));
                 let streamed = u64::from(passes) * (l.rows() + r.rows()) as u64;
                 let result = QueryResult::JoinSummary { pairs, checksum };
                 let answer = Answer {
@@ -722,11 +759,13 @@ impl CheetahExecutor {
                     fetch_rows: pairs,
                     ..Answer::single(result, streamed)
                 };
-                self.report(query, stats, answer)
+                (
+                    self.report(query, stats, answer),
+                    Some(ArmedFlow::Join(flow)),
+                )
             }
-            _ => unreachable!("single-pass shapes scan above"),
-        };
-        (report, armed_out)
+            _ => unreachable!("single-pass shapes and register aggregations ran above"),
+        }
     }
 
     /// The one single-pass scan — a solo query's, and a shared scan's of
@@ -828,72 +867,72 @@ impl CheetahExecutor {
     pub fn sample_throughput(&self, db: &Database, query: &Query) -> Option<ThroughputSample> {
         const SAMPLE_BLOCKS: usize = 4;
         let cfg = &self.config;
-        let (t, cols, mut pruner): (&Table, Vec<usize>, Box<dyn RowPruner + Send>) = match query {
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg: Agg::Sum | Agg::Count,
-            } => {
-                // The MAX register matrix doubles as the SUM/COUNT
-                // accumulator-cost proxy: same row scan, same memory.
-                let t = db.table(table);
-                (
-                    t,
-                    vec![t.col_index(key), t.col_index(val)],
-                    backend::groupby(cfg, Extremum::Max),
-                )
-            }
-            Query::Having {
-                table,
-                key,
-                val,
-                threshold,
-            } => {
-                let t = db.table(table);
-                (
-                    t,
-                    vec![t.col_index(key), t.col_index(val)],
-                    Box::new(HavingPassOne::new(HavingPruner::new(
-                        cfg.having_d,
-                        cfg.having_w,
-                        *threshold,
-                        cfg.seed,
-                    ))),
-                )
-            }
-            Query::Join {
-                left,
-                right,
-                left_col,
-                ..
-            } => {
-                // Probe an empty filter pair of the size the query will
-                // run with: the filter's memory traffic is what the
-                // sample needs to see.
-                let t = db.table(left);
-                let c = t.col_index(left_col);
-                let flow = JoinFlow::sized(cfg, t.rows(), db.table(right).rows());
-                (t, vec![c, c], Box::new(JoinProbe(flow)))
-            }
-            _ => {
-                let t = db.table(single_pass_table(query).expect("a single-pass shape"));
-                (
-                    t,
-                    query_columns(query, t),
-                    single_pass_pruner(cfg, query, t),
-                )
-            }
+        let regs = registers(cfg, db, query);
+        // The two-pass flows stream twice; everything else, register
+        // aggregation included, once.
+        let passes: u64 = match (&regs, query) {
+            (None, Query::Join { .. } | Query::Having { .. }) => 2,
+            _ => 1,
         };
+        let (t, cols, mut pruner): (&Table, Vec<usize>, Box<dyn RowPruner + Send>) =
+            match (regs, query) {
+                (Some(Registers { t, mut cols, .. }), _) => {
+                    // The MAX register matrix doubles as the SUM/COUNT
+                    // accumulator-cost proxy: same row scan, same memory.
+                    cols.resize(2, cols[0]);
+                    (t, cols, backend::groupby(cfg, Extremum::Max))
+                }
+                (
+                    None,
+                    Query::Having {
+                        table,
+                        key,
+                        val,
+                        threshold,
+                    },
+                ) => {
+                    let t = db.table(table);
+                    (
+                        t,
+                        vec![t.col_index(key), t.col_index(val)],
+                        Box::new(HavingPassOne::new(HavingPruner::new(
+                            cfg.having_d,
+                            cfg.having_w,
+                            *threshold,
+                            cfg.seed,
+                        ))),
+                    )
+                }
+                (
+                    None,
+                    Query::Join {
+                        left,
+                        right,
+                        left_col,
+                        ..
+                    },
+                ) => {
+                    // Probe an empty filter pair of the size the query will
+                    // run with: the filter's memory traffic is what the
+                    // sample needs to see.
+                    let t = db.table(left);
+                    let c = t.col_index(left_col);
+                    let flow = JoinFlow::sized(cfg, t.rows(), db.table(right).rows());
+                    (t, vec![c, c], Box::new(JoinProbe(flow)))
+                }
+                (None, _) => {
+                    let t = db.table(single_pass_table(query).expect("a single-pass shape"));
+                    (
+                        t,
+                        query_columns(query, t),
+                        single_pass_pruner(cfg, query, t),
+                    )
+                }
+            };
         let sample = t.rows().min(SAMPLE_BLOCKS * BLOCK_ENTRIES);
         if sample == 0 {
             return None;
         }
-        let passes: u64 = if matches!(query, Query::Join { .. } | Query::Having { .. }) {
-            2
-        } else {
-            1
-        };
         let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
         let mut colrefs: Vec<&[u64]> = Vec::with_capacity(cols.len());
         let t0 = Instant::now();
@@ -961,9 +1000,11 @@ impl CheetahExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{DistributedExecutor, FailurePlan};
     use crate::reference;
     use crate::serve::ServeExecutor;
     use crate::sharded::ShardedExecutor;
+    use crate::spark::SparkExecutor;
     use crate::table::Table;
     use crate::Executor;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
@@ -1189,16 +1230,91 @@ mod tests {
             },
         );
         assert_eq!(j.passes, 2);
-        let h = exec.execute(
-            &db,
-            &Query::Having {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                threshold: 10_000,
-            },
-        );
-        assert_eq!(h.passes, 2);
+        // Past the register cutoff (79 keys against a 16-cell matrix),
+        // HAVING makes §5's two passes; within it, GROUP BY SUM's one.
+        let having = Query::Having {
+            table: "t".into(),
+            key: "k".into(),
+            val: "v".into(),
+            threshold: 10_000,
+        };
+        let starved = PrunerConfig {
+            groupby_d: 8,
+            groupby_w: 2,
+            ..PrunerConfig::default()
+        };
+        let past = CheetahExecutor::new(CostModel::default(), starved).execute(&db, &having);
+        assert_eq!(past.passes, 2);
+        assert_eq!(exec.execute(&db, &having).passes, 1);
+    }
+
+    /// `q`'s result on every arm over `cfg`: deterministic, threaded,
+    /// sharded at `shards`, distributed over a lossy wire, Spark, and
+    /// served twice — the second batch from whatever the first cached.
+    fn every_arm(
+        cfg: &PrunerConfig,
+        db: &Database,
+        q: &Query,
+        shards: usize,
+    ) -> Vec<(&'static str, QueryResult)> {
+        let exec = CheetahExecutor::new(CostModel::default(), cfg.clone());
+        let sharded = ShardedExecutor::with_shards(exec.clone(), shards);
+        let lossy = FailurePlan {
+            loss_rate: 0.05,
+            seed: shards as u64,
+            ..FailurePlan::default()
+        };
+        let distributed = DistributedExecutor::with_failure_plan(exec.clone(), shards, lossy);
+        let serving = ServeExecutor::with_pool(exec.clone(), 1);
+        let served = || {
+            serving
+                .serve(db, std::slice::from_ref(q))
+                .0
+                .remove(0)
+                .result
+        };
+        vec![
+            ("deterministic", exec.execute(db, q).result),
+            ("threaded", exec.execute_threaded(db, q).result),
+            ("sharded", Executor::execute(&sharded, db, q).result),
+            ("distributed", Executor::execute(&distributed, db, q).result),
+            (
+                "spark",
+                SparkExecutor::new(CostModel::default())
+                    .execute(db, q)
+                    .result,
+            ),
+            ("serving", served()),
+            ("serving, warm", served()),
+        ]
+    }
+
+    /// ROADMAP item one's repro: three 2⁶³ values used to saturate in the
+    /// switch registers while the reference wrapped. Every exact SUM now
+    /// wraps mod 2⁶⁴.
+    #[test]
+    fn group_by_sum_wraps_alike_on_every_arm() {
+        let mut db = Database::new();
+        db.add(Table::new(
+            "t",
+            vec![
+                ("k", vec![1, 1, 1, 2]),
+                ("v", vec![1 << 63, 1 << 63, 1 << 63, 5]),
+            ],
+        ));
+        let q = Query::GroupBy {
+            table: "t".into(),
+            key: "k".into(),
+            val: "v".into(),
+            agg: Agg::Sum,
+        };
+        let truth = QueryResult::Groups([(1, 1 << 63), (2, 5)].into_iter().collect());
+        assert_eq!(reference::evaluate(&db, &q), truth);
+        for shards in [1, 2] {
+            for (arm, result) in every_arm(&PrunerConfig::default(), &db, &q, shards) {
+                assert_eq!(result, truth, "{arm} at {shards} shards");
+            }
+        }
     }
 
     #[test]
@@ -1463,6 +1579,104 @@ mod tests {
             ];
             for (arm, result) in arms {
                 prop_assert!(result == truth, "{} diverged: {:?} over {} rows", arm, q, rows);
+            }
+        }
+
+        /// HAVING is exact on both sides of the register cutoff
+        /// `groupby_d · groupby_w / 2`, on every arm: key domains of three
+        /// keys, exactly the cutoff, one past it and near-unique, over three
+        /// register geometries, with thresholds no key, some keys or every
+        /// key clears.
+        #[test]
+        fn having_is_exact_on_both_sides_of_the_register_cutoff_on_every_arm(
+            rows in 1usize..3_000,
+            domain in 0usize..4,
+            geometry in 0usize..3,
+            clears in 0usize..3,
+            shards in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let (groupby_d, groupby_w) = [(4, 2), (64, 2), (128, 8)][geometry];
+            let cutoff = groupby_d * groupby_w / 2;
+            let modulus = [3, cutoff, cutoff + 1, rows][domain] as u64;
+            let keys: Vec<u64> = (0..rows as u64).map(|i| mix64(seed ^ (i % modulus))).collect();
+            let vals: Vec<u64> = (0..rows as u64).map(|i| mix64(!seed ^ i) % 1_000 + 1).collect();
+            let mut db = Database::new();
+            db.add(Table::new("t", vec![("k", keys), ("v", vals)]));
+            let cfg = PrunerConfig { groupby_d, groupby_w, ..PrunerConfig::default() };
+            // `mix64` is a bijection, so the lane holds min(modulus, rows)
+            // distinct keys.
+            let by_registers = modulus.min(rows as u64) <= cutoff as u64;
+            prop_assert_eq!(backend::having_by_registers(&cfg, db.table("t"), 0), by_registers);
+            // Every key's sum is at least 1: a threshold of 0 passes them
+            // all, the largest sum none, the median some.
+            let sums = match reference::evaluate(&db, &Query::GroupBy {
+                table: "t".into(),
+                key: "k".into(),
+                val: "v".into(),
+                agg: Agg::Sum,
+            }) {
+                QueryResult::Groups(groups) => {
+                    let mut sums: Vec<u64> = groups.into_values().collect();
+                    sums.sort_unstable();
+                    sums
+                }
+                other => unreachable!("GROUP BY answers groups, not {:?}", other),
+            };
+            let threshold = [0, sums[sums.len() / 2], sums[sums.len() - 1]][clears];
+            let q = Query::Having {
+                table: "t".into(),
+                key: "k".into(),
+                val: "v".into(),
+                threshold,
+            };
+            let truth = reference::evaluate(&db, &q);
+            let passes = CheetahExecutor::new(CostModel::default(), cfg.clone()).execute(&db, &q).passes;
+            prop_assert_eq!(passes, if by_registers { 1 } else { 2 });
+            for (arm, result) in every_arm(&cfg, &db, &q, shards) {
+                prop_assert!(result == truth, "{} diverged over {} rows, {} keys", arm, rows, modulus);
+            }
+        }
+
+        /// SUM, COUNT and HAVING over values from the top of the u64 range,
+        /// where nearly every sum wraps, agree with the reference on every
+        /// arm — HAVING on both sides of the register cutoff, whose
+        /// Count-Min cells saturate instead, as an upper bound must.
+        #[test]
+        fn sums_wrap_alike_at_the_top_of_the_u64_range_on_every_arm(
+            rows in 1usize..2_000,
+            keys in 1u64..200,
+            spread in 0u32..64,
+            starved in any::<bool>(),
+            shards in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let k: Vec<u64> = (0..rows as u64).map(|i| mix64(seed ^ i) % keys).collect();
+            let v: Vec<u64> = (0..rows as u64)
+                .map(|i| u64::MAX - (mix64(!seed ^ i) >> spread))
+                .collect();
+            let threshold = mix64(seed.rotate_left(17));
+            let mut db = Database::new();
+            db.add(Table::new("t", vec![("k", k), ("v", v)]));
+            let group = |agg| Query::GroupBy {
+                table: "t".into(),
+                key: "k".into(),
+                val: "v".into(),
+                agg,
+            };
+            let having = Query::Having {
+                table: "t".into(),
+                key: "k".into(),
+                val: "v".into(),
+                threshold,
+            };
+            let (groupby_d, groupby_w) = if starved { (2, 1) } else { (4096, 8) };
+            let cfg = PrunerConfig { groupby_d, groupby_w, ..PrunerConfig::default() };
+            for q in [group(Agg::Sum), group(Agg::Count), having] {
+                let truth = reference::evaluate(&db, &q);
+                for (arm, result) in every_arm(&cfg, &db, &q, shards) {
+                    prop_assert!(result == truth, "{} diverged on {}", arm, q.kind());
+                }
             }
         }
 

@@ -1402,6 +1402,43 @@ mod tests {
         );
     }
 
+    /// Every pair the registers drain reaches the master counted as
+    /// forwarded: `t.k`'s 83 keys fit 4096 × 8 without an eviction, so one
+    /// shard drains them once at FIN, and once more before a reboot that
+    /// falls after all of them have been seen.
+    #[test]
+    fn register_drains_count_as_forwarded_a_rebooted_shards_included() {
+        let db = db(6_000, 2_000);
+        let q = Query::GroupBy {
+            table: "t".into(),
+            key: "k".into(),
+            val: "v".into(),
+            agg: Agg::Sum,
+        };
+        for (shard_reboots, drained) in [(vec![], 83), (vec![(0, 1_000)], 2 * 83)] {
+            let plan = FailurePlan {
+                shard_reboots,
+                ..FailurePlan::default()
+            };
+            let stats = Executor::execute(&exec(1, plan), &db, &q).prune_stats();
+            assert_eq!((stats.processed, stats.pruned), (6_000, 6_000));
+            assert_eq!((stats.drained, stats.forwarded()), (drained, drained));
+        }
+        // The deterministic arm counts its drain alike, for a HAVING that
+        // runs the registers too.
+        let having = Query::Having {
+            table: "t".into(),
+            key: "k".into(),
+            val: "v".into(),
+            threshold: 0,
+        };
+        let deterministic = &exec(1, FailurePlan::default()).inner;
+        for q in [q, having] {
+            let stats = deterministic.execute(&db, &q).prune_stats();
+            assert_eq!((stats.drained, stats.forwarded()), (83, 83), "{}", q.kind());
+        }
+    }
+
     #[test]
     fn exhausted_retry_budget_degrades_but_stays_exact() {
         let db = db(6_000, 2_000);

@@ -41,7 +41,8 @@ pub struct ExecutionReport {
     pub first_run: Option<TimingBreakdown>,
     /// Switch pruning statistics, for executors with a switch in the path.
     pub prune: Option<PruneStats>,
-    /// Streaming passes over the data (JOIN/HAVING take two on Cheetah).
+    /// Streaming passes over the data (JOIN, and a HAVING past the
+    /// register cutoff, take two on Cheetah).
     pub passes: u32,
     /// Rows fetched by late materialization (§7.1).
     pub fetch_rows: u64,
@@ -460,9 +461,21 @@ mod tests {
         };
         let r = Executor::execute(&threaded, &db, &q);
         assert!(r.wall.is_some(), "multi-pass flows run on real threads now");
-        assert_eq!(r.passes, 2, "HAVING streams twice");
+        assert_eq!(r.passes, 1, "37 keys aggregate in the GROUP BY registers");
         assert_eq!(r.result, reference::evaluate(&db, &q));
         assert_eq!(r.executor, "threaded");
+        // Past the register cutoff, HAVING streams twice.
+        let starved = CheetahExecutor::new(
+            CostModel::default(),
+            PrunerConfig {
+                groupby_d: 8,
+                groupby_w: 2,
+                ..PrunerConfig::default()
+            },
+        );
+        let r = Executor::execute(&ThreadedExecutor::new(starved), &db, &q);
+        assert_eq!(r.passes, 2, "HAVING streams twice");
+        assert_eq!(r.result, reference::evaluate(&db, &q));
     }
 
     #[test]

@@ -246,6 +246,15 @@ impl GroupRun {
         let keys = self.pairs.into_iter().filter(|&(_, v)| v > threshold);
         QueryResult::Keys(keys.map(|(k, _)| k).collect())
     }
+
+    /// A register aggregation's answer: a HAVING's keys above its
+    /// `threshold`, or else every group.
+    pub(crate) fn into_result(self, threshold: Option<u64>) -> QueryResult {
+        match threshold {
+            Some(threshold) => self.keys_above(threshold),
+            None => QueryResult::Groups(self.into_groups()),
+        }
+    }
 }
 
 /// Slots of a [`GroupSink`]'s table at its largest: 512 KB of pairs and a
@@ -466,7 +475,9 @@ fn combine(agg: Agg, a: u64, b: u64) -> u64 {
     match agg {
         Agg::Max => a.max(b),
         Agg::Min => a.min(b),
-        Agg::Sum | Agg::Count => a + b,
+        // Every exact sum wraps mod 2⁶⁴, as the switch registers and the
+        // reference do.
+        Agg::Sum | Agg::Count => a.wrapping_add(b),
     }
 }
 
@@ -753,7 +764,7 @@ mod tests {
             *e = match agg {
                 Agg::Max => (*e).max(v),
                 Agg::Min => (*e).min(v),
-                Agg::Sum | Agg::Count => *e + v,
+                Agg::Sum | Agg::Count => e.wrapping_add(v),
             };
         }
         groups

@@ -376,7 +376,9 @@ mod tests {
                     forwarded += 1;
                 }
             }
-            expected.extend(registers.drain());
+            let drained = registers.drain();
+            let drains = drained.len() as u64;
+            expected.extend(drained);
 
             let vals = if count {
                 Lane::Const(1)
@@ -403,8 +405,14 @@ mod tests {
                 .zip(lanes[1].iter().copied())
                 .collect();
             assert_eq!(shipped, expected, "COUNT: {count}");
-            let stats = (run.stats.processed, run.stats.forwarded());
-            assert_eq!(stats, (keys.len() as u64, forwarded), "COUNT: {count}");
+            // The FIN drain counts as forwarded, beside the evictions.
+            let stats = (
+                run.stats.processed,
+                run.stats.drained,
+                run.stats.forwarded(),
+            );
+            let counted = (keys.len() as u64, drains, forwarded + drains);
+            assert_eq!(stats, counted, "COUNT: {count}");
 
             let mut truth: HashMap<u64, u64> = HashMap::new();
             for (i, &k) in keys.iter().enumerate() {

@@ -42,7 +42,7 @@ use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 use cheetah_pisa::pack::pack;
 
 use crate::backend::{distinct_rows, topn_geometry, JoinFlow, TopNGeometry};
-use crate::cheetah::{query_columns, CheetahExecutor, PrunerConfig, ThroughputSample};
+use crate::cheetah::{query_columns, registers, CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
 use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
@@ -91,7 +91,7 @@ impl PlanContext {
     pub fn probe(exec: &CheetahExecutor, db: &Database, query: &Query) -> Self {
         PlanContext {
             sample: exec.sample_throughput(db, query),
-            merge_s: sampled_merge_cost(&exec.config, query),
+            merge_s: sampled_merge_cost(&exec.config, db, query),
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
@@ -163,12 +163,9 @@ impl PlanContext {
 /// the per-stage cost the reduction tree pays per level. Shapes whose
 /// merge is a buffer append or an integer sum (partition-local JOIN, the
 /// range shapes) are effectively free per stage.
-fn sampled_merge_cost(cfg: &PrunerConfig, query: &Query) -> f64 {
+fn sampled_merge_cost(cfg: &PrunerConfig, db: &Database, query: &Query) -> f64 {
     match query {
-        Query::GroupBy {
-            agg: Agg::Sum | Agg::Count,
-            ..
-        } => {
+        _ if registers(cfg, db, query).is_some() => {
             // Two register matrices' worth of disjoint-ish keys: the
             // worst-case run a tree stage can see.
             let cells = (cfg.groupby_d * cfg.groupby_w) as u64;
@@ -523,6 +520,7 @@ pub(crate) fn query_resources(
     db: &Database,
     query: &Query,
 ) -> ResourceUsage {
+    let group_by = || table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64);
     match query {
         Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
             table2::filter(predicate.atoms.len() as u32)
@@ -541,7 +539,9 @@ pub(crate) fn query_resources(
             TopNGeometry::Randomized { d, w } => table2::topn_rand(w as u32, d as u64),
             TopNGeometry::Deterministic { w } => table2::topn_det(w as u32),
         },
-        Query::GroupBy { .. } => table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64),
+        // A HAVING that runs GROUP BY SUM's registers is charged them.
+        Query::GroupBy { .. } => group_by(),
+        Query::Having { .. } if registers(cfg, db, query).is_some() => group_by(),
         Query::Having { .. } => table2::having(
             cfg.having_w as u64,
             cfg.having_d as u32,
@@ -635,6 +635,45 @@ mod tests {
         assert_eq!(charge(&["k"]), (2, 8_192 * 2 * 64));
         assert_eq!(charge(&["u"]), (2, 4_096 * 2 * 64));
         assert_eq!(charge(&["k", "u"]), (2, 4_096 * 2 * 64));
+    }
+
+    #[test]
+    fn having_resources_charge_the_chosen_program() {
+        // 25 keys run GROUP BY SUM's registers in one pass; 40k keys,
+        // past half the 4096 × 8 matrix, §5's Count-Min in two.
+        let mut db = Database::new();
+        db.add(Table::new(
+            "t",
+            vec![
+                ("k", (0..40_000).map(|i| i % 25).collect()),
+                ("u", (0..40_000).collect()),
+                ("v", (0..40_000).map(|i| i % 97).collect()),
+            ],
+        ));
+        let exec = planner();
+        let cfg = &exec.inner.config;
+        let having = |key: &str| Query::Having {
+            table: "t".into(),
+            key: key.into(),
+            val: "v".into(),
+            threshold: 1_000,
+        };
+        let charge = |q: &Query| query_resources(cfg, &exec.switch, &db, q);
+        let passes = |q: &Query| exec.inner.sample_throughput(&db, q).expect("rows").passes;
+        let group_by = table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64);
+        let sketch = table2::having(
+            cfg.having_w as u64,
+            cfg.having_d as u32,
+            exec.switch.alus_per_stage,
+        );
+        assert_eq!(charge(&having("k")), group_by);
+        assert_eq!(passes(&having("k")), 1);
+        assert_eq!(charge(&having("u")), sketch);
+        assert_eq!(passes(&having("u")), 2);
+        // What the planner charges is what runs.
+        for (key, runs) in [("k", 1), ("u", 2)] {
+            assert_eq!(exec.inner.execute(&db, &having(key)).passes, runs);
+        }
     }
 
     #[test]

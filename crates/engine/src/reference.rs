@@ -75,7 +75,11 @@ pub fn evaluate(db: &Database, query: &Query) -> QueryResult {
                         let e = groups.entry(*k).or_insert(u64::MAX);
                         *e = (*e).min(*v);
                     }
-                    Agg::Sum => *groups.entry(*k).or_insert(0) += *v,
+                    // Sums wrap mod 2⁶⁴, as every exact SUM does.
+                    Agg::Sum => {
+                        let e = groups.entry(*k).or_insert(0);
+                        *e = e.wrapping_add(*v);
+                    }
                     Agg::Count => *groups.entry(*k).or_insert(0) += 1,
                 }
             }
@@ -90,7 +94,8 @@ pub fn evaluate(db: &Database, query: &Query) -> QueryResult {
             let t = db.table(table);
             let mut sums: HashMap<u64, u64> = HashMap::new();
             for (k, v) in t.col(key).iter().zip(t.col(val)) {
-                *sums.entry(*k).or_insert(0) += *v;
+                let e = sums.entry(*k).or_insert(0);
+                *e = e.wrapping_add(*v);
             }
             QueryResult::keys(
                 sums.into_iter()

@@ -30,9 +30,9 @@
 //!    but alone — one solo [`CheetahExecutor`] pass with the pipeline to
 //!    itself — and is counted in [`ServeReport::spilled`].
 //! 4. **Dispatch** runs everything that can't share a scan (two-pass
-//!    JOIN/HAVING, register-aggregating GROUP BY SUM/COUNT, spills,
-//!    singleton groups) across a bounded worker pool, one executor call
-//!    per query.
+//!    JOIN/HAVING, register aggregation — GROUP BY SUM/COUNT and a HAVING
+//!    over a register-sized key domain —, spills, singleton groups)
+//!    across a bounded worker pool, one executor call per query.
 //!
 //! Shared scans and solo flows all stream views of the table's own
 //! lanes ([`crate::stream`]), one block in flight each: a batch holds no
@@ -41,7 +41,7 @@
 //!
 //! **The filter cache** is the one thing that persists across calls. It
 //! keys the Bloom-filter pair of a JOIN and the Count-Min sketch of a
-//! HAVING on the [`Query`] value, guarded by the epochs of the tables it
+//! two-pass HAVING on the [`Query`] value, guarded by the epochs of the tables it
 //! read. A repeated predicate starts from the cached state and skips its
 //! observation pass — correct because Bloom filters admit no false
 //! negatives and Count-Min never underestimates, so the cached pass-2
@@ -59,7 +59,9 @@ use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
 
 use crate::backend::{HavingFlow, JoinFlow, SwitchBackend};
-use crate::cheetah::{single_pass_pruner, single_pass_table, ArmedFlow, CheetahExecutor};
+use crate::cheetah::{
+    registers, single_pass_pruner, single_pass_table, ArmedFlow, CheetahExecutor,
+};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
 use crate::query::Query;
 use crate::table::Database;
@@ -321,12 +323,16 @@ impl ServeExecutor {
     /// The epochs of the tables a cacheable query reads, in query order.
     /// Cacheable are the two-pass shapes on the reference backend: the
     /// cache stores its state, while metered pisa runs keep their
-    /// registers inside the program and bypass it.
+    /// registers inside the program and bypass it. A HAVING that runs as
+    /// register aggregation has no observation pass, so nothing to cache.
     fn cacheable_epochs(&self, db: &Database, q: &Query) -> Option<Vec<u64>> {
+        let cfg = &self.cheetah.config;
         let epoch = |table: &str| db.table(table).epoch();
         match q {
-            _ if self.cheetah.config.backend != SwitchBackend::Reference => None,
-            Query::Having { table, .. } => Some(vec![epoch(table)]),
+            _ if cfg.backend != SwitchBackend::Reference => None,
+            Query::Having { table, .. } if registers(cfg, db, q).is_none() => {
+                Some(vec![epoch(table)])
+            }
             Query::Join { left, right, .. } => Some(vec![epoch(left), epoch(right)]),
             _ => None,
         }
@@ -373,11 +379,15 @@ mod tests {
     use crate::sharded::tests::db;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
 
+    /// A 256 × 2 register matrix: HAVING aggregates `t.k`'s 83 keys in
+    /// its registers and runs two cached passes over `t.w`'s 499.
     fn serve_exec() -> ServeExecutor {
-        ServeExecutor::with_pool(
-            CheetahExecutor::new(CostModel::default(), PrunerConfig::default()),
-            2,
-        )
+        let cfg = PrunerConfig {
+            groupby_d: 256,
+            groupby_w: 2,
+            ..PrunerConfig::default()
+        };
+        ServeExecutor::with_pool(CheetahExecutor::new(CostModel::default(), cfg), 2)
     }
 
     fn mixed_batch() -> Vec<Query> {
@@ -405,6 +415,12 @@ mod tests {
                 val: "v".into(),
                 threshold: 100_000,
             },
+            Query::Having {
+                table: "t".into(),
+                key: "w".into(),
+                val: "v".into(),
+                threshold: 60_000,
+            },
             Query::Join {
                 left: "t".into(),
                 right: "s".into(),
@@ -430,10 +446,10 @@ mod tests {
             );
             assert_eq!(r.executor, "serving");
         }
-        assert_eq!(agg.queries, 5);
+        assert_eq!(agg.queries, 6);
         assert_eq!(agg.packed, 3, "three single-pass shapes share table t");
         assert_eq!(agg.shared_scans, 1);
-        assert_eq!(agg.solo, 2, "two-pass shapes dispatch solo");
+        assert_eq!(agg.solo, 3, "HAVINGs and the JOIN dispatch solo");
         assert_eq!(agg.cache_misses, 2, "cold cache: both cacheable flows miss");
         assert_eq!(agg.cache_hits, 0);
     }
@@ -446,7 +462,10 @@ mod tests {
         let (first, cold) = exec.serve(&db, &batch);
         let (second, warm) = exec.serve(&db, &batch);
         assert_eq!(cold.cache_hits, 0);
-        assert_eq!(warm.cache_hits, 2, "join + having reuse cached state");
+        assert_eq!(
+            warm.cache_hits, 2,
+            "join + two-pass having reuse cached state; the register having has none"
+        );
         assert_eq!(warm.cache_misses, 0);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.result, b.result, "cache reuse changed a result");

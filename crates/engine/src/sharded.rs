@@ -15,8 +15,10 @@
 //!   answer. There are five. The seven single-pass shapes share one,
 //!   `SinglePassProgram`, whose sink, partial, merge and root are the
 //!   deterministic arm's own (`cheetah::Completion` → `cheetah::Partial`);
-//!   GROUP BY SUM/COUNT and JOIN have one each, and HAVING is two joined
-//!   by the merged-sketch broadcast. Shards stream shard-local
+//!   §6 register aggregation (GROUP BY SUM/COUNT, and a HAVING over a
+//!   register-sized key domain) and JOIN have one each, and a HAVING
+//!   past the register cutoff is two joined by the merged-sketch
+//!   broadcast. Shards stream shard-local
 //!   [`LanePartition`] views: zero-copy range splits
 //!   ([`crate::stream::split_range`]), or, for the key-partitioned shapes
 //!   (JOIN, GROUP BY SUM/COUNT), the lanes of **one hash partition a
@@ -51,8 +53,8 @@ use cheetah_core::having::{CountMinSketch, HavingPruner};
 
 use crate::backend::JoinFlow;
 use crate::cheetah::{
-    frontier, query_columns, single_pass_pruner, single_pass_table, tuple_fingerprinter, Answer,
-    CheetahExecutor, Completion, Partial, PrunerConfig,
+    frontier, query_columns, registers, single_pass_pruner, single_pass_table, tuple_fingerprinter,
+    Answer, CheetahExecutor, Completion, Partial, PrunerConfig, Registers,
 };
 use crate::distributed::{verified_rows, CodecError, ShardOutput};
 use crate::executor::{ExecutionReport, Executor};
@@ -660,26 +662,18 @@ pub(crate) fn execute_on<T: Transport>(
         let scan = scan(table);
         let fetch = query.projection(scan.t, &env.cfg.fetch);
         spans.run(transport, &SinglePassProgram { scan, fetch })
+    } else if let Some(Registers { t, cols, threshold }) = registers(env.cfg, db, query) {
+        let lanes: Vec<&[u64]> = cols.iter().map(|&c| t.col_at(c)).collect();
+        let program = SumProgram {
+            env,
+            rows: t.rows() as u64,
+            partition: key_partition(env.cfg, &lanes, env.shards, false),
+            lanes,
+            threshold,
+        };
+        spans.run(transport, &program)
     } else {
         match query {
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg,
-            } => {
-                let t = db.table(table);
-                let summed = (*agg == Agg::Sum).then_some(val);
-                let lanes: Vec<&[u64]> =
-                    [key].into_iter().chain(summed).map(|c| t.col(c)).collect();
-                let program = SumProgram {
-                    env,
-                    rows: t.rows() as u64,
-                    partition: key_partition(env.cfg, &lanes, env.shards, false),
-                    lanes,
-                };
-                spans.run(transport, &program)
-            }
             Query::Having {
                 table, threshold, ..
             } => {
@@ -717,7 +711,7 @@ pub(crate) fn execute_on<T: Transport>(
                 };
                 spans.run(transport, &program)
             }
-            _ => unreachable!("every other shape is single-pass"),
+            _ => unreachable!("every other shape is single-pass or register aggregation"),
         }
     };
     let mut report = inner.report(query, spans.stats, answer);
@@ -892,18 +886,20 @@ impl ShardProgram for SinglePassProgram<'_> {
     }
 }
 
-/// GROUP BY SUM/COUNT (§6 register aggregation), hash-sharded: every
-/// occurrence of a key lands on one shard, so a key's eviction churn
-/// never multiplies across shards and each shard's drained totals are
-/// exact and disjoint from every other shard's. The table is partitioned
-/// once, before the shards start; a re-dispatched shard streams the same
-/// lanes again.
+/// §6 register aggregation — GROUP BY SUM/COUNT, and a HAVING over a
+/// register-sized key domain — hash-sharded: every occurrence of a key
+/// lands on one shard, so a key's eviction churn never multiplies across
+/// shards and each shard's drained totals are exact and disjoint from
+/// every other shard's. The table is partitioned once, before the shards
+/// start; a re-dispatched shard streams the same lanes again.
 struct SumProgram<'a> {
     env: Env<'a>,
     rows: u64,
     /// The key lane and, for SUM, the value lane.
     lanes: Vec<&'a [u64]>,
     partition: Option<HashPartition>,
+    /// A HAVING's threshold, which the root applies to the merged sums.
+    threshold: Option<u64>,
 }
 
 impl ShardProgram for SumProgram<'_> {
@@ -935,7 +931,7 @@ impl ShardProgram for SumProgram<'_> {
     }
 
     fn root(&self, run: GroupRun) -> Answer {
-        Answer::single(QueryResult::Groups(run.into_groups()), self.rows)
+        Answer::single(run.into_result(self.threshold), self.rows)
     }
 }
 

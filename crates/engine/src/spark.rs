@@ -165,7 +165,10 @@ impl SparkExecutor {
                                 let ent = partial.entry(k).or_insert(u64::MAX);
                                 *ent = (*ent).min(v);
                             }
-                            Agg::Sum => *partial.entry(k).or_insert(0) += v,
+                            Agg::Sum => {
+                                let ent = partial.entry(k).or_insert(0);
+                                *ent = ent.wrapping_add(v);
+                            }
                             Agg::Count => *partial.entry(k).or_insert(0) += 1,
                         }
                     }
@@ -180,7 +183,10 @@ impl SparkExecutor {
                                 let ent = groups.entry(k).or_insert(u64::MAX);
                                 *ent = (*ent).min(v);
                             }
-                            Agg::Sum | Agg::Count => *groups.entry(k).or_insert(0) += v,
+                            Agg::Sum | Agg::Count => {
+                                let ent = groups.entry(k).or_insert(0);
+                                *ent = ent.wrapping_add(v);
+                            }
                         }
                     }
                 }
@@ -201,11 +207,13 @@ impl SparkExecutor {
                 for (s, e) in t.partition_bounds(p) {
                     let mut partial: HashMap<u64, u64> = HashMap::new();
                     for r in s..e {
-                        *partial.entry(keys[r]).or_insert(0) += vals[r];
+                        let ent = partial.entry(keys[r]).or_insert(0);
+                        *ent = ent.wrapping_add(vals[r]);
                     }
                     shuffle += partial.len() as u64;
                     for (k, v) in partial {
-                        *sums.entry(k).or_insert(0) += v;
+                        let ent = sums.entry(k).or_insert(0);
+                        *ent = ent.wrapping_add(v);
                     }
                 }
                 let result = QueryResult::keys(

@@ -193,9 +193,11 @@ pub trait SwitchPhases: Send {
     /// `phase`, and once more when the phase's stream drains (`fin`).
     /// `None`, the default, forwards the block's survivors as an index
     /// list over its lanes. A `Some` residual travels to the master
-    /// *instead* — every entry a survivor, none counted in [`PruneStats`]
-    /// — which is how GROUP BY SUM's evicted `(key, partial)` pairs ride
-    /// out after each block and its registers drain at FIN (§6).
+    /// *instead*, every entry a survivor — which is how GROUP BY SUM's
+    /// evicted `(key, partial)` pairs ride out after each block and its
+    /// registers drain at FIN (§6). The entries beyond the block's
+    /// forwarded decisions, a FIN residual's all, count as
+    /// [`PruneStats::drained`].
     fn residual(&mut self, phase: usize, fin: bool) -> Option<ColumnChunk> {
         let _ = (phase, fin);
         None
@@ -509,6 +511,7 @@ fn switch_loop<'a>(
         // at once when the pool ran far ahead).
         while eofs[current] == n_workers {
             if let Some(residual) = switch.residual(current, true) {
+                stats.drained += residual.rows() as u64;
                 ship_residual(fwd, current, residual);
             }
             let _ = fwd.send(MasterMsg::PhaseDone(
@@ -620,7 +623,12 @@ fn decide_block<'a>(
     switch.process_cols(phase, &colrefs, visible, out);
     stats.record_block(out);
     match switch.residual(phase, false) {
-        Some(residual) => ship_residual(fwd, phase, residual),
+        Some(residual) => {
+            // What rides out beyond the block's forwards is a drain.
+            let forwarded = out.iter().filter(|d| d.is_forward()).count();
+            stats.drained += residual.rows().saturating_sub(forwarded) as u64;
+            ship_residual(fwd, phase, residual)
+        }
         None => {
             let kept = survivors(out, &mut scratch.idx);
             if !kept.is_empty() {
@@ -919,7 +927,7 @@ pub(crate) mod tests {
         assert_eq!(runs[1].stats.forwarded(), 2);
     }
 
-    /// FIN residuals ship after the stream drains, uncounted in stats.
+    /// FIN residuals ship after the stream drains, counted as drained.
     struct HoldAll {
         seen: Vec<u64>,
     }
@@ -946,7 +954,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fin_residuals_reach_the_master_uncounted() {
+    fn fin_residuals_are_counted_as_forwarded() {
         let parts = vec![ColumnChunk {
             cols: vec![vec![5, 1, 4]],
         }
@@ -962,8 +970,12 @@ pub(crate) mod tests {
         .pop()
         .unwrap();
         assert_eq!(run.forwarded.cols[0], vec![1, 4, 5]);
-        assert_eq!(run.stats.processed, 3);
-        assert_eq!(run.stats.forwarded(), 0, "drain entries are not decisions");
+        assert_eq!((run.stats.processed, run.stats.pruned), (3, 3));
+        assert_eq!(
+            run.stats.drained, 3,
+            "every drained entry reaches the master"
+        );
+        assert_eq!(run.stats.forwarded(), 3);
     }
 
     /// Lanes past `visible_cols` must ride through untouched and

@@ -111,9 +111,26 @@ fn db() -> Database {
                 (0..ROWS as u64 / 2).map(|i| i * 11 % 140 + 40).collect(),
             ),
             ("x", (0..ROWS as u64 / 2).map(|i| i * 3 % 97).collect()),
+            // 20,011 keys: past the 16,384 a HAVING aggregates in Table
+            // 2's GROUP BY registers, so a HAVING over them makes §5's two
+            // passes and leaves its sketch in serving's filter cache.
+            (
+                "u",
+                (0..ROWS as u64 / 2).map(|i| i * 7_919 % 20_011).collect(),
+            ),
         ],
     ));
     db
+}
+
+/// A HAVING over `s.u`, whose keys are past the register cutoff.
+fn two_pass_having() -> Query {
+    Query::Having {
+        table: "s".into(),
+        key: "u".into(),
+        val: "x".into(),
+        threshold: 100,
+    }
 }
 
 fn queries() -> Vec<(&'static str, Query)> {
@@ -198,6 +215,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 // a value every repeat of a key arrives above.
                 ("u", (0..rows).map(|i| i % 2_003 + 1).collect()),
                 ("n", (0..rows).map(|i| i % 11_657).collect()),
+                // 20,011 keys, past the register cutoff.
+                ("p", (0..rows).map(|i| i % 20_011).collect()),
                 (
                     "i",
                     (0..rows)
@@ -250,7 +269,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
             },
         ),
     ];
-    let cost = |db: &Database, q: &Query| {
+    // A warm run's peak growth and allocations.
+    let cost_on = |exec: &CheetahExecutor, db: &Database, q: &Query| {
         exec.execute(db, q);
         let mut allocs = 0;
         let peak = peak_bytes_during(|| {
@@ -260,6 +280,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
         });
         (peak, allocs)
     };
+    let cost = |db: &Database, q: &Query| cost_on(&exec, db, q);
     for (name, q) in &rows_free {
         let ((small_peak, small_allocs), (large_peak, large_allocs)) =
             (cost(&small, q), cost(&large, q));
@@ -277,10 +298,19 @@ fn warm_queries_allocate_o1_not_o_rows() {
 
     // The master's group fold holds what the *groups* need, however many
     // survivors reach it: a HAVING that forwards every entry of its ≈ 2k
-    // keys (the group table), and a GROUP BY MAX whose keys arrive
+    // keys (the group table) — past the cutoff of a 1024 × 2 register
+    // matrix, so its pass 2 runs — and a GROUP BY MAX whose keys arrive
     // near-unique, so the table steps aside for the sort buffer, and whose
     // rising values forward most repeats. Four times the survivors, the
     // same allocations and the same peak.
+    let two_pass = CheetahExecutor::new(
+        CostModel::default(),
+        PrunerConfig {
+            groupby_d: 1024,
+            groupby_w: 2,
+            ..PrunerConfig::default()
+        },
+    );
     let grouped = [
         (
             "having-2k-keys",
@@ -290,6 +320,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 val: "v".into(),
                 threshold: 0,
             },
+            &two_pass,
         ),
         (
             "groupby-max-near-unique",
@@ -299,9 +330,12 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 val: "i".into(),
                 agg: Agg::Max,
             },
+            &exec,
         ),
     ];
-    for (name, q) in &grouped {
+    for (name, q, exec) in grouped {
+        let cost = |db: &Database, q: &Query| cost_on(exec, db, q);
+        let q = &q;
         let survivors = |db: &Database| exec.execute(db, q).prune_stats().forwarded();
         let (small_survivors, large_survivors) = (survivors(&small), survivors(&large));
         assert!(
@@ -368,6 +402,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
             2 * (ROWS + ROWS / 2),
         ),
         (
+            // 83 keys: one §6 register pass.
             "threaded-having",
             Query::Having {
                 table: "t".into(),
@@ -375,8 +410,9 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 val: "v".into(),
                 threshold: 100_000,
             },
-            2 * ROWS,
+            ROWS,
         ),
+        ("threaded-having-two-pass", two_pass_having(), ROWS),
         (
             "threaded-groupby-sum",
             Query::GroupBy {
@@ -591,7 +627,9 @@ fn warm_queries_allocate_o1_not_o_rows() {
     // repeated JOIN/HAVING replays cached filter state — one cloned
     // Bloom pair / sketch, a block scratch, amortized survivor growth —
     // so a hit stays O(1) allocations per block, never a rebuilt
-    // observation pass or any per-row bookkeeping.
+    // observation pass or any per-row bookkeeping. A HAVING within the
+    // register cutoff has no observation pass to cache: it neither hits
+    // nor misses, and stays O(1) allocations per block all the same.
     let serving = ServeExecutor::with_pool(exec.clone(), 1);
     let cached_queries = [
         (
@@ -604,9 +642,10 @@ fn warm_queries_allocate_o1_not_o_rows() {
             },
             // A hit probes each side exactly once.
             ROWS + ROWS / 2,
+            1,
         ),
         (
-            "serving-cached-having",
+            "serving-register-having",
             Query::Having {
                 table: "t".into(),
                 key: "k".into(),
@@ -614,9 +653,11 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 threshold: 100_000,
             },
             ROWS,
+            0,
         ),
+        ("serving-cached-having", two_pass_having(), ROWS / 2, 1),
     ];
-    for (name, q, streamed) in cached_queries {
+    for (name, q, streamed, hits) in cached_queries {
         let batch = [q];
         // Populate the cache (miss) and warm the allocator.
         let (warm, _) = serving.serve(&db, &batch);
@@ -627,7 +668,10 @@ fn warm_queries_allocate_o1_not_o_rows() {
             served = Some(serving.serve(&db, &batch));
         });
         let (reports, agg) = served.expect("ran");
-        assert_eq!(agg.cache_hits, 1, "[{name}] warmed run must hit the cache");
+        assert_eq!(
+            agg.cache_hits, hits,
+            "[{name}] warmed run must hit the cache"
+        );
         assert_eq!(agg.cache_misses, 0, "[{name}]");
         assert_eq!(
             reports[0].result, warm[0].result,
@@ -641,8 +685,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
         );
     }
 
-    // Coalescing: a batch that cycles six queries to 32 executes six and
-    // clones the rest, so its peak is the six-query batch's plus the
+    // Coalescing: a batch that cycles seven queries to 32 executes seven
+    // and clones the rest, so its peak is the six-query batch's plus the
     // bytes of the extra answers; nothing but the filter cache outlives
     // the call, so a warm call leaves the heap where it found it and a
     // cold one leaves only the filter cache behind. Same pool-of-one
@@ -663,6 +707,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 val: "v".into(),
                 threshold: 100_000,
             },
+            two_pass_having(),
             Query::Join {
                 left: "t".into(),
                 right: "s".into(),
@@ -687,7 +732,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
         (peak, holding - after, after.saturating_sub(before), agg)
     };
     // What the cache holds: the JOIN's two filters as `sized` builds them
-    // for t ⋈ s, the HAVING sketch, and under 64 KB of keys and map.
+    // for t ⋈ s, the two-pass HAVING's sketch, and under 64 KB of keys and
+    // map.
     let sketch_bytes = (cfg.having_d * cfg.having_w * 8) as u64;
     let cached = join_bytes + sketch_bytes;
     let lane_bytes = (ROWS * 8) as u64;
@@ -698,28 +744,28 @@ fn warm_queries_allocate_o1_not_o_rows() {
         "a cold serve left {cold_left} B behind; the filter cache alone is \
          {cached} B (a retained lane would add {lane_bytes} B)"
     );
-    let (peak6, answers6, left6, agg6) = measure(&distinct);
+    let (peak7, answers7, left7, agg7) = measure(&distinct);
     let (peak32, answers32, left32, agg32) = measure(&cycled);
-    for (agg, left) in [(&agg6, left6), (&agg32, left32)] {
+    for (agg, left) in [(&agg7, left7), (&agg32, left32)] {
         assert_eq!(agg.cache_hits, 2, "{agg:?}");
         assert!(
             left < 4096,
             "a warm serve left {left} B behind; only the filter cache may outlive the call"
         );
     }
-    assert_eq!((agg6.coalesced, agg32.coalesced), (0, 26));
+    assert_eq!((agg7.coalesced, agg32.coalesced), (0, 25));
     assert!(
-        peak32 <= peak6 + (answers32 - answers6) + 4096,
-        "32 admissions of 6 queries peaked at {peak32} B vs {peak6} B for the 6 \
+        peak32 <= peak7 + (answers32 - answers7) + 4096,
+        "32 admissions of 7 queries peaked at {peak32} B vs {peak7} B for the 7 \
          alone plus {} B of cloned answers; what a batch holds must grow \
          with its distinct queries, not its admissions",
-        answers32 - answers6
+        answers32 - answers7
     );
 
     // A served batch of 32 makes no `rows`-sized allocation other than
-    // its results and filter-cache entries. Six shapes over the 200k-row
-    // cycled tables whose survivors and answers stay small (the HAVING
-    // passes no candidate, the JOIN no pair), cycled to 32 and served
+    // its results and filter-cache entries. Seven shapes over the 200k-row
+    // cycled tables whose survivors and answers stay small (the HAVINGs
+    // pass no candidate, the JOIN no pair), cycled to 32 and served
     // warm: the batch may hold the cached filters' working copies and
     // well under one 1.6 MB lane besides, where it used to hold every
     // lane its flows read plus two permutations.
@@ -730,6 +776,13 @@ fn warm_queries_allocate_o1_not_o_rows() {
             Query::Having {
                 table: "c".into(),
                 key: "k".into(),
+                val: "v".into(),
+                threshold: u64::MAX / 2,
+            },
+            // Past the register cutoff: its sketch is cached.
+            Query::Having {
+                table: "c".into(),
+                key: "p".into(),
                 val: "v".into(),
                 threshold: u64::MAX / 2,
             },
@@ -749,7 +802,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
     let mut served = None;
     let peak = peak_bytes_during(|| served = Some(serving.serve(&large, &warm_batch)));
     let (_, agg) = served.expect("ran");
-    assert_eq!((agg.cache_hits, agg.coalesced), (2, 26), "{agg:?}");
+    assert_eq!((agg.cache_hits, agg.coalesced), (2, 25), "{agg:?}");
     let filters = (JoinFlow::side_bits(cfg, 200_000) + JoinFlow::side_bits(cfg, 100_000)) / 8;
     let lane_bytes = 200_000 * 8;
     assert!(

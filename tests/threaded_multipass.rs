@@ -44,6 +44,19 @@ fn soak_db(rows: usize, seed: u64) -> Database {
     db
 }
 
+/// Table 2's configuration, where `soak_db`'s HAVING keys fit the GROUP
+/// BY registers and HAVING aggregates in one pass, and an 8 × 2 register
+/// matrix they do not fit, where §5's two passes run — each with its
+/// HAVING pass count.
+fn having_configs() -> [(PrunerConfig, u32); 2] {
+    let starved = PrunerConfig {
+        groupby_d: 8,
+        groupby_w: 2,
+        ..PrunerConfig::default()
+    };
+    [(PrunerConfig::default(), 1), (starved, 2)]
+}
+
 fn multipass_queries() -> Vec<(&'static str, Query)> {
     vec![
         (
@@ -139,65 +152,66 @@ fn threaded_multipass_soak() {
 #[test]
 fn threaded_multipass_pass_accounting() {
     let db = soak_db(2_000, 32);
-    let exec = ThreadedExecutor::new(CheetahExecutor::new(
-        CostModel::default(),
-        PrunerConfig::default(),
-    ));
-    for (label, q) in multipass_queries() {
-        let report = exec.execute(&db, &q);
-        let expected_passes = match q {
-            Query::Join { .. } | Query::Having { .. } => 2,
-            _ => 1,
-        };
-        assert_eq!(report.passes, expected_passes, "[{label}] pass count");
-        if let Query::Having { .. } = q {
-            assert_eq!(
-                report.prune_stats().processed,
-                2 * db.table("t").rows() as u64,
-                "[{label}] HAVING streams every entry twice"
-            );
+    for (cfg, having_passes) in having_configs() {
+        let exec = ThreadedExecutor::new(CheetahExecutor::new(CostModel::default(), cfg));
+        for (label, q) in multipass_queries() {
+            let report = exec.execute(&db, &q);
+            let expected_passes = match q {
+                Query::Join { .. } => 2,
+                Query::Having { .. } => having_passes,
+                _ => 1,
+            };
+            assert_eq!(report.passes, expected_passes, "[{label}] pass count");
+            if let Query::Having { .. } = q {
+                assert_eq!(
+                    report.prune_stats().processed,
+                    u64::from(having_passes) * db.table("t").rows() as u64,
+                    "[{label}] HAVING streams every entry once a pass"
+                );
+            }
         }
     }
 }
 
 /// The pool contract: one program run spawns each worker thread exactly
 /// once, however many passes stream — asserted through the thread-local
-/// spawn counter (`threaded::worker_threads_spawned`). HAVING is two
-/// programs joined by the merged-sketch broadcast, so two pools.
+/// spawn counter (`threaded::worker_threads_spawned`). A two-pass HAVING
+/// is two programs joined by the merged-sketch broadcast, so two pools.
 #[test]
 fn pool_spawns_each_worker_exactly_once_per_query() {
     use cheetah::engine::threaded::worker_threads_spawned;
     let db = soak_db(2_000, 35);
     let workers = 4;
-    let exec = ThreadedExecutor::new(CheetahExecutor::new(
-        CostModel {
-            workers,
-            ..CostModel::default()
-        },
-        PrunerConfig::default(),
-    ));
-    for (label, q) in multipass_queries() {
-        // soak_db's `s` is half of `t`, so JOIN takes the asymmetric
-        // flow: each phase streams one side on `workers` partitions —
-        // like every other shape. Two-pass flows must not double that:
-        // the pool is reused across the pass flip.
-        let expected = match q {
-            Query::Having { .. } => 2 * workers as u64,
-            _ => workers as u64,
-        };
-        let before = worker_threads_spawned();
-        let report = exec.execute(&db, &q);
-        assert_eq!(
-            worker_threads_spawned() - before,
-            expected,
-            "[{label}] worker threads spawned more than once per query"
-        );
-        assert_eq!(
-            report.pass_walls.len(),
-            report.passes as usize,
-            "[{label}] per-pass switch spans"
-        );
+    let model = CostModel {
+        workers,
+        ..CostModel::default()
+    };
+    for (cfg, having_passes) in having_configs() {
+        let exec = ThreadedExecutor::new(CheetahExecutor::new(model, cfg));
+        for (label, q) in multipass_queries() {
+            // soak_db's `s` is half of `t`, so JOIN takes the asymmetric
+            // flow: each phase streams one side on `workers` partitions —
+            // like every other shape. Two-pass flows must not double that:
+            // the pool is reused across the pass flip.
+            let expected = match q {
+                Query::Having { .. } => u64::from(having_passes) * workers as u64,
+                _ => workers as u64,
+            };
+            let before = worker_threads_spawned();
+            let report = exec.execute(&db, &q);
+            assert_eq!(
+                worker_threads_spawned() - before,
+                expected,
+                "[{label}] worker threads spawned more than once per query"
+            );
+            assert_eq!(
+                report.pass_walls.len(),
+                report.passes as usize,
+                "[{label}] per-pass switch spans"
+            );
+        }
     }
+    let exec = ThreadedExecutor::new(CheetahExecutor::new(model, PrunerConfig::default()));
 
     // A symmetric join (similar-size tables): both sides stream in both
     // phases on 2 × workers partitions — still spawned exactly once.
@@ -305,45 +319,45 @@ fn sharded_shard_skew_soak() {
 /// (partition-local JOIN now included: one two-phase pipeline per shard,
 /// no second sharded pass for a filter union), and an exact multiple
 /// only where the combine layer genuinely needs a second sharded pass
-/// (HAVING's sketch broadcast).
+/// (a two-pass HAVING's sketch broadcast).
 #[test]
 fn sharded_spawn_counts_are_exactly_shards_times_workers() {
     use cheetah::engine::threaded::worker_threads_spawned;
     let db = soak_db(2_000, 39);
     let (shards, workers) = (3usize, 2usize);
-    let exec = ShardedExecutor::with_shards(
-        CheetahExecutor::new(
-            CostModel {
-                workers,
-                ..CostModel::default()
-            },
-            PrunerConfig::default(),
-        ),
-        shards,
-    );
-    for (label, q) in multipass_queries() {
-        // soak_db's `s` is half of `t`, so JOIN takes the asymmetric
-        // flow — but partition-local pairing runs it as ONE two-phase
-        // pipeline per shard (small build, big probe, same pool).
-        // HAVING still runs two sharded passes around the tree-merged
-        // sketch. Every other shape is one pipeline per shard.
-        let expected = match q {
-            Query::Having { .. } => 2 * shards * workers,
-            _ => shards * workers,
-        } as u64;
-        let before = worker_threads_spawned();
-        let report = exec.execute(&db, &q);
-        assert_eq!(
-            worker_threads_spawned() - before,
-            expected,
-            "[{label}] sharded pools must spawn exactly once per shard per pass"
-        );
-        assert_eq!(
-            report.pass_walls.len(),
-            shards * report.passes as usize,
-            "[{label}] per-shard per-pass switch spans"
-        );
+    let model = CostModel {
+        workers,
+        ..CostModel::default()
+    };
+    for (cfg, having_passes) in having_configs() {
+        let exec = ShardedExecutor::with_shards(CheetahExecutor::new(model, cfg), shards);
+        for (label, q) in multipass_queries() {
+            // soak_db's `s` is half of `t`, so JOIN takes the asymmetric
+            // flow — but partition-local pairing runs it as ONE two-phase
+            // pipeline per shard (small build, big probe, same pool).
+            // A two-pass HAVING runs two sharded passes around the
+            // tree-merged sketch. Every other shape is one pipeline per
+            // shard.
+            let expected = match q {
+                Query::Having { .. } => having_passes as usize * shards * workers,
+                _ => shards * workers,
+            } as u64;
+            let before = worker_threads_spawned();
+            let report = exec.execute(&db, &q);
+            assert_eq!(
+                worker_threads_spawned() - before,
+                expected,
+                "[{label}] sharded pools must spawn exactly once per shard per pass"
+            );
+            assert_eq!(
+                report.pass_walls.len(),
+                shards * report.passes as usize,
+                "[{label}] per-shard per-pass switch spans"
+            );
+        }
     }
+    let exec =
+        ShardedExecutor::with_shards(CheetahExecutor::new(model, PrunerConfig::default()), shards);
 
     // A symmetric join (similar-size tables): still one pipeline per
     // shard, but both sides stream in both of its phases, so the pool
