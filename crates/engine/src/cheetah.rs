@@ -221,6 +221,13 @@ pub(crate) fn registers<'a>(
     db: &'a Database,
     q: &Query,
 ) -> Option<Registers<'a>> {
+    aggregation(db, q)
+        .filter(|r| r.threshold.is_none() || backend::having_by_registers(cfg, r.t, r.cols[0]))
+}
+
+/// `q`'s per-key SUM/COUNT aggregation, whatever its key domain: every
+/// GROUP BY SUM/COUNT and every HAVING.
+pub(crate) fn aggregation<'a>(db: &'a Database, q: &Query) -> Option<Registers<'a>> {
     let (table, key, val, threshold) = match q {
         Query::GroupBy {
             table,
@@ -242,8 +249,7 @@ pub(crate) fn registers<'a>(
         .chain(val)
         .map(|c| t.col_index(c))
         .collect();
-    let fits = threshold.is_none() || backend::having_by_registers(cfg, t, cols[0]);
-    fits.then_some(Registers { t, cols, threshold })
+    Some(Registers { t, cols, threshold })
 }
 
 /// A query's metadata columns over its one table, in query order (the
@@ -854,7 +860,7 @@ impl CheetahExecutor {
     /// Pruning *rates* vary run to run (arrival races), but the result is
     /// order-independent and must equal [`Self::execute`]'s.
     pub fn execute_threaded(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let mut report = sharded::execute_on(self, &mut InProcess(1), db, query);
+        let mut report = sharded::report_on(self, &mut InProcess(1), db, query);
         report.combine_wall = None;
         report
     }
@@ -998,7 +1004,7 @@ impl CheetahExecutor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::distributed::{DistributedExecutor, FailurePlan};
     use crate::reference;
@@ -1013,7 +1019,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_db(rows: usize, seed: u64) -> Database {
+    /// The engine's shape-matrix fixture: `t(k, v, w)` over `rows` random
+    /// rows and `s(k, x)` over half as many, join keys overlapping on
+    /// `40..80`.
+    pub(crate) fn random_db(rows: usize, seed: u64) -> Database {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut db = Database::new();
         db.add(Table::new(
@@ -1043,7 +1052,9 @@ mod tests {
         db
     }
 
-    fn all_queries() -> Vec<Query> {
+    /// One query of every shape over [`random_db`], GROUP BY under each
+    /// aggregate and a Filter with an atom the switch cannot evaluate.
+    pub(crate) fn all_queries() -> Vec<Query> {
         vec![
             Query::FilterCount {
                 table: "t".into(),
@@ -1505,6 +1516,7 @@ mod tests {
             let truth = reference::evaluate(&db, &q);
             let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
             let sharded = ShardedExecutor::with_shards(exec.clone(), 2);
+            let distributed = DistributedExecutor::with_shards(exec.clone(), 2);
             // A co-resident flow, so the TOP N packs into a shared scan.
             let distinct = Query::Distinct {
                 table: "t".into(),
@@ -1517,6 +1529,8 @@ mod tests {
                 ("deterministic", exec.execute(&db, &q).result),
                 ("threaded", exec.execute_threaded(&db, &q).result),
                 ("sharded", Executor::execute(&sharded, &db, &q).result),
+                ("distributed", Executor::execute(&distributed, &db, &q).result),
+                ("spark", SparkExecutor::new(CostModel::default()).execute(&db, &q).result),
                 ("serving", served[0].result.clone()),
             ];
             for (arm, result) in arms {

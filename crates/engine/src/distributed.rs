@@ -58,7 +58,7 @@ use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::rows_payload_checksum;
 use crate::multipass::GroupBySumStage;
 use crate::query::Query;
-use crate::sharded::{execute_on, Reduced, ShardProgram, Site, Transport};
+use crate::sharded::{report_on, Reduced, ShardProgram, Site, Transport};
 use crate::table::Database;
 use crate::threaded::{ColumnChunk, PrunerStage, SwitchPhases};
 
@@ -645,7 +645,7 @@ impl DistributedExecutor {
     /// and the resilience telemetry.
     pub fn execute_distributed(&self, db: &Database, query: &Query) -> ExecutionReport {
         let mut wire = Wire::new(&self.plan, self.shards);
-        let mut report = execute_on(&self.inner, &mut wire, db, query);
+        let mut report = report_on(&self.inner, &mut wire, db, query);
         let mut res = wire.res;
         res.shard_reboots += wire.faults.reboots.load(Ordering::Relaxed);
         res.register_drains += wire.faults.drains.load(Ordering::Relaxed);
@@ -691,6 +691,7 @@ impl Faults<'_> {
 }
 
 impl Site for Faults<'_> {
+    type RowStage = PrunerStage;
     type SumStage = RebootSumStage;
     const SHIPS: bool = true;
 
@@ -1297,6 +1298,10 @@ mod tests {
 
         fn root(&self, v: u64) -> u64 {
             v
+        }
+
+        fn shuffled(&self, _: usize, _: &u64) -> u64 {
+            1
         }
     }
 

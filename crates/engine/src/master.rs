@@ -230,6 +230,11 @@ impl GroupRun {
         out.clear();
     }
 
+    /// Keys in the run.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
     /// The pairs, sorted by key — what ships on the wire.
     pub(crate) fn into_pairs(self) -> Vec<(u64, u64)> {
         self.pairs

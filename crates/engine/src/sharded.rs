@@ -29,10 +29,11 @@
 //!   `InProcess` ([`ShardedExecutor`]) runs one thread per shard on the
 //!   plain stages and merges through a **streaming binomial reduction**
 //!   (`sharded_tree`): every node merges child partials as they arrive,
-//!   overlapping shards still streaming. The wire transport
-//!   ([`crate::distributed`]) runs reboot-injecting stages, ships each
-//!   encoded partial over the §7.2 protocol and folds the decoded ones in
-//!   completion order.
+//!   overlapping shards still streaming. `Unpruned` ([`crate::spark`]) is
+//!   the same with the switch turned off: every stage forwards every
+//!   entry. The wire transport ([`crate::distributed`]) runs
+//!   reboot-injecting stages, ships each encoded partial over the §7.2
+//!   protocol and folds the decoded ones in completion order.
 //!
 //! The threaded executor is the same programs over `InProcess(1)`: one
 //! shard, no merge.
@@ -43,18 +44,19 @@
 //! (the answer made of the last merge's partial) in
 //! [`ExecutionReport::combine_wall`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use cheetah_core::decision::{PruneStats, RowPruner};
+use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 
 use crate::backend::JoinFlow;
 use crate::cheetah::{
-    frontier, query_columns, registers, single_pass_pruner, single_pass_table, tuple_fingerprinter,
-    Answer, CheetahExecutor, Completion, Partial, PrunerConfig, Registers,
+    aggregation, frontier, query_columns, registers, single_pass_pruner, single_pass_table,
+    tuple_fingerprinter, Answer, CheetahExecutor, Completion, Partial, PrunerConfig, Registers,
 };
 use crate::distributed::{verified_rows, CodecError, ShardOutput};
 use crate::executor::{ExecutionReport, Executor};
@@ -107,7 +109,7 @@ impl ShardedExecutor {
     /// measured whole-query wall, one switch span per shard per pass, the
     /// per-node merge spans, and the serial combine tail.
     pub fn execute_sharded(&self, db: &Database, query: &Query) -> ExecutionReport {
-        execute_on(&self.inner, &mut InProcess(self.shards), db, query)
+        report_on(&self.inner, &mut InProcess(self.shards), db, query)
     }
 }
 
@@ -301,54 +303,6 @@ where
     }
 }
 
-/// This shard's slice `[s, e)` of a table as `workers` zero-copy lane
-/// partitions (borrowed column slices, optional global row-id lane).
-pub(crate) fn range_parts<'a>(
-    t: &'a Table,
-    cols: &[usize],
-    range: (usize, usize),
-    workers: usize,
-    with_rids: bool,
-) -> Vec<LanePartition<'a>> {
-    split_range(range.0, range.1, workers)
-        .into_iter()
-        .map(|(s, e)| {
-            let mut lanes: Vec<Lane<'a>> = cols
-                .iter()
-                .map(|&c| Lane::Slice(&t.col_at(c)[s..e]))
-                .collect();
-            if with_rids {
-                lanes.push(Lane::Iota(s as u64));
-            }
-            LanePartition { rows: e - s, lanes }
-        })
-        .collect()
-}
-
-/// Rows `range` of `t` as `workers` partitions whose leading lane is the
-/// §5 fingerprint of `cols`, computed by the workers (the hashing runs in
-/// the pool); the columns themselves ride switch-blind behind it.
-pub(crate) fn fingerprint_parts<'a>(
-    t: &'a Table,
-    cols: &[usize],
-    range: (usize, usize),
-    workers: usize,
-    fp: &'a Fingerprinter,
-) -> Vec<LanePartition<'a>> {
-    split_range(range.0, range.1, workers)
-        .into_iter()
-        .map(|(s, e)| {
-            let slices: Vec<&[u64]> = cols.iter().map(|&c| &t.col_at(c)[s..e]).collect();
-            let mut lanes = vec![Lane::Fingerprint {
-                cols: slices.clone(),
-                fp,
-            }];
-            lanes.extend(slices.into_iter().map(Lane::Slice));
-            LanePartition { rows: e - s, lanes }
-        })
-        .collect()
-}
-
 /// One join side's partitions on one shard: §7.2 flow-id tag, key lane
 /// and, when asked for, global row ids — the side's partitioned row-id
 /// lane, or (`None`: the key lane is the table's own) its positions.
@@ -394,18 +348,26 @@ pub(crate) fn lopsided(left_rows: usize, right_rows: usize) -> bool {
     2 * left_rows.min(right_rows) <= left_rows.max(right_rows)
 }
 
+/// How a JOIN's two sides cross a shard's switch: §4.3's two flows, or
+/// both sides once with every entry forwarded — a shuffle hash join.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinPlan {
+    Symmetric,
+    Asymmetric,
+    Unpruned,
+}
+
 /// One shard's whole JOIN over the shard's lanes of the two sides' key
 /// partitions (`None`: a single shard streams the tables where they lie):
-/// size the flow from the shard's rows, stream the §4.3 asymmetric
-/// build-while-forwarding flow (`asymmetric`, decided on *global* sizes so
-/// every shard agrees) or the symmetric build-then-probe flow, and pair
-/// the survivors locally — on the shard's own thread, overlapping other
+/// size the flow from the shard's rows, stream the sides as `plan` says
+/// (decided on *global* sizes, so every shard agrees), and pair the
+/// survivors locally — on the shard's own thread, overlapping other
 /// shards' streams.
 pub(crate) fn join_shard(
     cfg: &PrunerConfig,
     (l, lc): (&Table, usize),
     (r, rc): (&Table, usize),
-    asymmetric: bool,
+    plan: JoinPlan,
     lanes: Option<[&[Vec<u64>]; 2]>,
     workers: usize,
 ) -> ShardYield<(u64, u64)> {
@@ -416,40 +378,38 @@ pub(crate) fn join_shard(
         None => (l.col_at(lc), None, r.col_at(rc), None),
     };
     let (left, right) = ((SIDE_LEFT, lk, lr), (SIDE_RIGHT, rk, rr));
-    let flow = JoinFlow::sized(cfg, left.1.len(), right.1.len());
-    let inputs: Vec<PhaseInput<'_>> = if asymmetric {
-        // Phase 0 streams the small side once, unpruned, building its
-        // filter; phase 1 probes the big side.
-        let (small, big) = if l.rows() <= r.rows() {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        [small, big]
-            .into_iter()
-            .map(|(tag, keys, rids)| PhaseInput {
-                partitions: join_side_parts(tag, keys, rids, workers, true),
-                visible_cols: 2,
-            })
-            .collect()
-    } else {
-        // Both sides build in phase 0 (row ids not needed), both probe
-        // in phase 1.
-        (0..2)
-            .map(|phase| PhaseInput {
-                partitions: [left, right]
-                    .into_iter()
-                    .flat_map(|(tag, keys, rids)| {
-                        join_side_parts(tag, keys, rids, workers, phase == 1)
-                    })
-                    .collect(),
-                visible_cols: 2,
-            })
-            .collect()
+    // Each phase's sides, and whether they carry row ids: only the
+    // phases whose survivors pair need them.
+    let phases = match plan {
+        JoinPlan::Symmetric => vec![(vec![left, right], false), (vec![left, right], true)],
+        JoinPlan::Asymmetric if l.rows() <= r.rows() => {
+            vec![(vec![left], true), (vec![right], true)]
+        }
+        JoinPlan::Asymmetric => vec![(vec![right], true), (vec![left], true)],
+        JoinPlan::Unpruned => vec![(vec![left, right], true)],
     };
+    let inputs = phases
+        .into_iter()
+        .map(|(sides, with_rids)| PhaseInput {
+            partitions: sides
+                .into_iter()
+                .flat_map(|(tag, keys, rids)| join_side_parts(tag, keys, rids, workers, with_rids))
+                .collect(),
+            visible_cols: 2,
+        })
+        .collect();
+    if plan == JoinPlan::Unpruned {
+        return pair(inputs, ForwardAll);
+    }
+    let flow = JoinFlow::sized(cfg, lk.len(), rk.len());
+    pair(inputs, JoinPhases::new(flow, plan == JoinPlan::Asymmetric))
+}
+
+/// Run `inputs` through `stage` and pair the survivors of both sides.
+fn pair<P: SwitchPhases>(inputs: Vec<PhaseInput<'_>>, stage: P) -> ShardYield<(u64, u64)> {
     run_shard(
         inputs,
-        JoinPhases::new(flow, asymmetric),
+        stage,
         JoinSides::default(),
         join_sink,
         |_, (lf, rf)| join_survivors(lf, rf),
@@ -531,6 +491,10 @@ pub(crate) trait ShardProgram: Sync {
     /// The merged partial's answer.
     fn root(&self, merged: Self::Partial) -> Self::Root;
 
+    /// Entries shard `s` puts on the shuffle to produce `partial`: the
+    /// partial's own, or a JOIN's repartitioned rows.
+    fn shuffled(&self, s: usize, partial: &Self::Partial) -> u64;
+
     /// Whether a scheduled mid-compute reboot can resume in-stream. The
     /// multi-pass programs whose in-stream state is not soft (JOIN build
     /// filters, HAVING sketches) re-dispatch the shard instead.
@@ -555,22 +519,29 @@ fn total(passes: &[PruneStats]) -> PruneStats {
 
 /// The stages a transport lends a shard body.
 pub(crate) trait Site: Sync {
+    /// A single-pass shape's stage.
+    type RowStage: SwitchPhases;
     /// GROUP BY SUM/COUNT's register stage.
     type SumStage: SwitchPhases;
 
     /// Shard `s`'s single-pass stage around `pruner`.
-    fn pruner_stage(&self, s: usize, pruner: Box<dyn RowPruner + Send>) -> PrunerStage;
+    fn pruner_stage(&self, s: usize, pruner: Box<dyn RowPruner + Send>) -> Self::RowStage;
 
     /// Shard `s`'s §6 register stage.
     fn sum_stage(&self, s: usize, cfg: &PrunerConfig) -> Self::SumStage;
 
     /// Whether partials leave the process — a FILTER shard then keeps the
     /// rows it fetches, to ship them.
-    const SHIPS: bool;
+    const SHIPS: bool = false;
 }
 
 /// How a program's partials travel from the shards to the root.
 pub(crate) trait Transport {
+    /// Whether the switch prunes. An unpruned transport runs register
+    /// aggregation over range slices and every HAVING through it, and a
+    /// JOIN as one shuffle.
+    const PRUNES: bool = true;
+
     /// Shards every program runs on.
     fn shards(&self) -> usize;
 
@@ -583,8 +554,8 @@ pub(crate) trait Transport {
 pub(crate) struct InProcess(pub(crate) usize);
 
 impl Site for InProcess {
+    type RowStage = PrunerStage;
     type SumStage = GroupBySumStage;
-    const SHIPS: bool = false;
 
     fn pruner_stage(&self, _: usize, pruner: Box<dyn RowPruner + Send>) -> PrunerStage {
         PrunerStage::new(pruner)
@@ -614,60 +585,138 @@ impl Transport for InProcess {
     }
 }
 
+/// A stage that forwards every entry: the switch turned off.
+pub(crate) struct ForwardAll;
+
+impl SwitchPhases for ForwardAll {
+    fn process_cols(&mut self, _: usize, _: &[&[u64]], _: usize, out: &mut [Decision]) {
+        out.fill(Decision::Forward);
+    }
+}
+
+/// The in-process transport with the switch turned off: every stage it
+/// lends forwards every entry, so each shard completes exactly the task a
+/// Spark worker runs over its partition (§2.1), and the shards' partials
+/// merge as the master's.
+pub(crate) struct Unpruned {
+    pub(crate) shards: usize,
+    /// Entries the shards of every program run so far shuffled.
+    pub(crate) shuffled: u64,
+}
+
+impl Site for Unpruned {
+    type RowStage = ForwardAll;
+    type SumStage = ForwardAll;
+
+    fn pruner_stage(&self, _: usize, _: Box<dyn RowPruner + Send>) -> ForwardAll {
+        ForwardAll
+    }
+
+    fn sum_stage(&self, _: usize, _: &PrunerConfig) -> ForwardAll {
+        ForwardAll
+    }
+}
+
+impl Transport for Unpruned {
+    const PRUNES: bool = false;
+
+    fn shards(&self) -> usize {
+        self.shards
+    }
+
+    fn run<P: ShardProgram>(&mut self, program: &P) -> Reduced<P::Partial> {
+        let (site, shuffled) = (&*self, AtomicU64::new(0));
+        let shard = |s| {
+            let shard = program.shard(s, site);
+            shuffled.fetch_add(program.shuffled(s, &shard.value), Ordering::Relaxed);
+            shard
+        };
+        let reduced = sharded_tree(self.shards, shard, |a, b| program.merge(a, b));
+        self.shuffled += shuffled.into_inner();
+        reduced
+    }
+}
+
 /// What the report keeps of a query's program runs.
 #[derive(Default)]
-struct Spans {
+pub(crate) struct Spans {
     stats: PruneStats,
     pass_walls: Vec<Duration>,
     merge_walls: Vec<Duration>,
+    /// The last program's root span.
+    combine: Duration,
 }
 
 impl Spans {
     /// Run `program` over `transport`, keep its spans, and root the merged
-    /// partial; the root's own span is returned beside it.
-    fn run<T: Transport, P: ShardProgram>(
-        &mut self,
-        transport: &mut T,
-        program: &P,
-    ) -> (P::Root, Duration) {
+    /// partial.
+    fn run<T: Transport, P: ShardProgram>(&mut self, transport: &mut T, program: &P) -> P::Root {
         let reduced = transport.run(program);
         self.stats.merge(program.decisions(&reduced.phase_stats));
         self.pass_walls.extend(reduced.pass_walls);
         self.merge_walls.extend(reduced.merge_walls);
         let t0 = Instant::now();
         let root = program.root(reduced.value);
-        (root, t0.elapsed())
+        self.combine = t0.elapsed();
+        root
     }
 }
 
-/// Run `query` through its shard program(s) over `transport` — the one
-/// place a shape picks its program — and price the report.
-pub(crate) fn execute_on<T: Transport>(
+/// [`execute_on`] with `inner`'s switch, priced into `inner`'s report with
+/// the measured spans.
+pub(crate) fn report_on<T: Transport>(
     inner: &CheetahExecutor,
     transport: &mut T,
     db: &Database,
     query: &Query,
 ) -> ExecutionReport {
     let started = Instant::now();
+    let (answer, spans) = execute_on(&inner.config, inner.model.workers, transport, db, query);
+    let mut report = inner.report(query, spans.stats, answer);
+    report.pass_walls = spans.pass_walls;
+    report.merge_walls = spans.merge_walls;
+    report.combine_wall = Some(spans.combine);
+    report.wall = Some(started.elapsed());
+    report
+}
+
+/// Run `query` through its shard program(s) over `transport`, `workers`
+/// pool workers a shard — the one place a shape picks its program — and
+/// hand back the answer and the runs' spans.
+pub(crate) fn execute_on<T: Transport>(
+    cfg: &PrunerConfig,
+    workers: usize,
+    transport: &mut T,
+    db: &Database,
+    query: &Query,
+) -> (Answer, Spans) {
     let env = Env {
-        cfg: &inner.config,
-        workers: inner.model.workers,
+        cfg,
+        workers,
         shards: transport.shards(),
     };
     let mut spans = Spans::default();
     let scan = |table: &str| Scan::over(env, db.table(table), query);
+    let regs = if T::PRUNES {
+        registers(cfg, db, query)
+    } else {
+        aggregation(db, query)
+    };
     // The seven single-pass shapes first: no multi-pass arm below may
     // catch one (a GROUP BY MAX is not a SUM).
-    let (answer, combine) = if let Some(table) = single_pass_table(query) {
+    let answer = if let Some(table) = single_pass_table(query) {
         let scan = scan(table);
-        let fetch = query.projection(scan.t, &env.cfg.fetch);
+        let fetch = query.projection(scan.t, &cfg.fetch);
         spans.run(transport, &SinglePassProgram { scan, fetch })
-    } else if let Some(Registers { t, cols, threshold }) = registers(env.cfg, db, query) {
+    } else if let Some(Registers { t, cols, threshold }) = regs {
         let lanes: Vec<&[u64]> = cols.iter().map(|&c| t.col_at(c)).collect();
         let program = SumProgram {
             env,
             rows: t.rows() as u64,
-            partition: key_partition(env.cfg, &lanes, env.shards, false),
+            partition: T::PRUNES
+                .then(|| key_partition(cfg, &lanes, env.shards, false))
+                .flatten(),
+            bounds: t.partition_bounds(env.shards),
             lanes,
             threshold,
         };
@@ -684,7 +733,7 @@ pub(crate) fn execute_on<T: Transport>(
                     scan: &scan,
                     threshold: *threshold,
                 };
-                let (merged, _) = spans.run(transport, &sketch);
+                let merged = spans.run(transport, &sketch);
                 let probe = HavingProbeProgram {
                     scan: &scan,
                     merged,
@@ -701,12 +750,17 @@ pub(crate) fn execute_on<T: Transport>(
                 let (lc, rc) = (l.col_index(left_col), r.col_index(right_col));
                 // Both sides by join key under one salt: every occurrence of
                 // a key, left or right, lands on one shard and pairs there.
-                let side = |t: &Table, c| key_partition(env.cfg, &[t.col_at(c)], env.shards, true);
+                let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], env.shards, true);
+                let plan = match (T::PRUNES, lopsided(l.rows(), r.rows())) {
+                    (false, _) => JoinPlan::Unpruned,
+                    (true, true) => JoinPlan::Asymmetric,
+                    (true, false) => JoinPlan::Symmetric,
+                };
                 let program = JoinProgram {
                     env,
                     left: (l, lc),
                     right: (r, rc),
-                    asymmetric: lopsided(l.rows(), r.rows()),
+                    plan,
                     sides: side(l, lc).zip(side(r, rc)),
                 };
                 spans.run(transport, &program)
@@ -714,12 +768,7 @@ pub(crate) fn execute_on<T: Transport>(
             _ => unreachable!("every other shape is single-pass or register aggregation"),
         }
     };
-    let mut report = inner.report(query, spans.stats, answer);
-    report.pass_walls = spans.pass_walls;
-    report.merge_walls = spans.merge_walls;
-    report.combine_wall = Some(combine);
-    report.wall = Some(started.elapsed());
-    report
+    (answer, spans)
 }
 
 /// What every program is built against.
@@ -756,27 +805,36 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Shard `s`'s one pass. The switch sees the query's columns — a
-    /// DistinctMulti's switch the fingerprint its workers hash them into,
-    /// the columns riding behind it — and a Filter's global row ids ride
-    /// last, switch-blind.
+    /// Shard `s`'s one pass: its rows as `workers` zero-copy lane
+    /// partitions. The switch sees the query's columns — a DistinctMulti's
+    /// switch the fingerprint its workers hash them into (the hashing runs
+    /// in the pool), the columns riding behind it — and a Filter's global
+    /// row ids ride last, switch-blind.
     fn pass(&self, s: usize) -> Vec<PhaseInput<'_>> {
-        let (t, cols, range, workers) = (self.t, &self.cols, self.bounds[s], self.env.workers);
-        let (partitions, visible_cols) = match &self.fp {
-            Some(fp) => (fingerprint_parts(t, cols, range, workers, fp), 1),
-            None => {
-                let with_rids = matches!(self.query, Query::Filter { .. });
-                (range_parts(t, cols, range, workers, with_rids), cols.len())
-            }
-        };
+        let ((lo, hi), fp) = (self.bounds[s], self.fp.as_ref());
+        let with_rids = matches!(self.query, Query::Filter { .. });
+        let partitions = split_range(lo, hi, self.env.workers)
+            .into_iter()
+            .map(|(a, b)| {
+                let slices: Vec<&[u64]> =
+                    self.cols.iter().map(|&c| &self.t.col_at(c)[a..b]).collect();
+                let fingerprint = fp.map(|fp| Lane::Fingerprint {
+                    cols: slices.clone(),
+                    fp,
+                });
+                let mut lanes: Vec<Lane<'_>> = fingerprint.into_iter().collect();
+                lanes.extend(slices.into_iter().map(Lane::Slice));
+                if with_rids {
+                    lanes.push(Lane::Iota(a as u64));
+                }
+                LanePartition { rows: b - a, lanes }
+            })
+            .collect();
+        let visible_cols = if fp.is_some() { 1 } else { self.cols.len() };
         vec![PhaseInput {
             partitions,
             visible_cols,
         }]
-    }
-
-    fn rows(&self) -> u64 {
-        self.t.rows() as u64
     }
 }
 
@@ -882,7 +940,17 @@ impl ShardProgram for SinglePassProgram<'_> {
     }
 
     fn root(&self, merged: Partial) -> Answer {
-        merged.root(self.scan.query, self.scan.rows())
+        merged.root(self.scan.query, self.scan.t.rows() as u64)
+    }
+
+    fn shuffled(&self, _: usize, partial: &Partial) -> u64 {
+        (match partial {
+            Partial::Count(_) => 1,
+            Partial::Fetched { ids, .. } => ids.flat().len(),
+            Partial::Top { values, .. } => values.len(),
+            Partial::Tuples(run) | Partial::Frontier(run) => run.flat().len() / run.width(),
+            Partial::Groups(run) => run.len(),
+        }) as u64
     }
 }
 
@@ -891,13 +959,18 @@ impl ShardProgram for SinglePassProgram<'_> {
 /// lands on one shard, so a key's eviction churn never multiplies across
 /// shards and each shard's drained totals are exact and disjoint from
 /// every other shard's. The table is partitioned once, before the shards
-/// start; a re-dispatched shard streams the same lanes again.
+/// start; a re-dispatched shard streams the same lanes again. Unpruned,
+/// shards stream range slices, as Spark's tasks do, and their per-key
+/// sums overlap.
 struct SumProgram<'a> {
     env: Env<'a>,
     rows: u64,
     /// The key lane and, for SUM, the value lane.
     lanes: Vec<&'a [u64]>,
+    /// The lanes' hash partition, or `None`: shard `s` streams rows
+    /// `bounds[s]`.
     partition: Option<HashPartition>,
+    bounds: Vec<(usize, usize)>,
     /// A HAVING's threshold, which the root applies to the merged sums.
     threshold: Option<u64>,
 }
@@ -911,7 +984,11 @@ impl ShardProgram for SumProgram<'_> {
         let stage = site.sum_stage(s, cfg);
         match &self.partition {
             Some(p) => sum_shard(&p[s], stage, workers),
-            None => sum_shard(&self.lanes, stage, workers),
+            None => {
+                let (a, b) = self.bounds[s];
+                let lanes: Vec<&[u64]> = self.lanes.iter().map(|l| &l[a..b]).collect();
+                sum_shard(&lanes, stage, workers)
+            }
         }
     }
 
@@ -932,6 +1009,10 @@ impl ShardProgram for SumProgram<'_> {
 
     fn root(&self, run: GroupRun) -> Answer {
         Answer::single(run.into_result(self.threshold), self.rows)
+    }
+
+    fn shuffled(&self, _: usize, run: &GroupRun) -> u64 {
+        run.len() as u64
     }
 }
 
@@ -1013,6 +1094,10 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
         merged
     }
 
+    fn shuffled(&self, _: usize, sketch: &HavingPruner) -> u64 {
+        sketch.sketch().counters().len() as u64
+    }
+
     fn resumable(&self) -> bool {
         false
     }
@@ -1057,9 +1142,13 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
             passes: 2,
             ..Answer::single(
                 sums.keys_above(self.merged.threshold()),
-                2 * self.scan.rows(),
+                2 * self.scan.t.rows() as u64,
             )
         }
+    }
+
+    fn shuffled(&self, _: usize, sums: &GroupRun) -> u64 {
+        sums.len() as u64
     }
 }
 
@@ -1070,7 +1159,7 @@ struct JoinProgram<'a> {
     env: Env<'a>,
     left: (&'a Table, usize),
     right: (&'a Table, usize),
-    asymmetric: bool,
+    plan: JoinPlan,
     sides: Option<(HashPartition, HashPartition)>,
 }
 
@@ -1081,7 +1170,7 @@ impl ShardProgram for JoinProgram<'_> {
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<(u64, u64)> {
         let lanes = self.sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
         let Env { cfg, workers, .. } = self.env;
-        join_shard(cfg, self.left, self.right, self.asymmetric, lanes, workers)
+        join_shard(cfg, self.left, self.right, self.plan, lanes, workers)
     }
 
     fn merge(&self, acc: &mut (u64, u64), other: (u64, u64)) {
@@ -1102,13 +1191,27 @@ impl ShardProgram for JoinProgram<'_> {
 
     fn root(&self, (pairs, checksum): (u64, u64)) -> Answer {
         let rows = (self.left.0.rows() + self.right.0.rows()) as u64;
+        let (streamed, passes) = match self.plan {
+            JoinPlan::Symmetric => (2 * rows, 2),
+            JoinPlan::Asymmetric => (rows, 2),
+            JoinPlan::Unpruned => (rows, 1),
+        };
         Answer {
             result: QueryResult::JoinSummary { pairs, checksum },
-            streamed: if self.asymmetric { rows } else { 2 * rows },
-            passes: 2,
+            streamed,
+            passes,
             fetch_rows: pairs,
             fetch_checksum: None,
         }
+    }
+
+    /// Every row of the shard's sides: a JOIN shuffles its inputs.
+    fn shuffled(&self, s: usize, _: &(u64, u64)) -> u64 {
+        let rows = match &self.sides {
+            Some((lp, rp)) => lp[s][0].len() + rp[s][0].len(),
+            None => self.left.0.rows() + self.right.0.rows(),
+        };
+        rows as u64
     }
 
     fn resumable(&self) -> bool {
@@ -1116,13 +1219,13 @@ impl ShardProgram for JoinProgram<'_> {
     }
 
     /// Symmetric: build-pass decisions are not probe decisions, so only
-    /// the probe pass counts (as on the other executors). Asymmetric: both
-    /// single-stream passes decide each entry exactly once between them.
+    /// the probe pass counts (as on the other executors). Otherwise every
+    /// entry is decided exactly once over the passes.
     fn decisions(&self, passes: &[PruneStats]) -> PruneStats {
-        if self.asymmetric {
-            total(passes)
-        } else {
+        if self.plan == JoinPlan::Symmetric {
             passes[1]
+        } else {
+            total(passes)
         }
     }
 }
@@ -1259,13 +1362,13 @@ pub(crate) mod tests {
             for shard in 0..shards {
                 let sides = [&lp[shard][..], &rp[shard][..]];
                 let [l, r] = sides.map(|lanes| lanes[0].len() as u64);
-                let asym = join_shard(&cfg, (t, 0), (s, 0), true, Some(sides), 2);
+                let asym = join_shard(&cfg, (t, 0), (s, 0), JoinPlan::Asymmetric, Some(sides), 2);
                 assert_eq!(
                     processed(&asym.phase_stats),
                     [r, l],
                     "join shard {shard}/{shards}"
                 );
-                let sym = join_shard(&cfg, (t, 0), (s, 0), false, Some(sides), 2);
+                let sym = join_shard(&cfg, (t, 0), (s, 0), JoinPlan::Symmetric, Some(sides), 2);
                 assert_eq!(
                     processed(&sym.phase_stats),
                     [l + r, l + r],

@@ -2,21 +2,22 @@
 //!
 //! Mirrors the §2.1 flow: each worker runs the query's task over its
 //! partition (computing *real* partial results), ships the much smaller
-//! partials to the master, which merges them. Completion time comes from
-//! the [`CostModel`]: parallel worker tasks, compressed shuffle, master
-//! merge, with the first run paying the JIT/indexing penalty the paper
-//! discards in later figures (§8.2.2).
+//! partials to the master, which merges them. That is exactly a shard
+//! program with the switch turned off, so the baseline runs the shard
+//! programs ([`crate::sharded`]) over an unpruned transport: one range
+//! shard, with one pool worker, per Spark worker. Completion time comes
+//! from the [`CostModel`]: parallel worker tasks, compressed shuffle,
+//! master merge, with the first run paying the JIT/indexing penalty the
+//! paper discards in later figures (§8.2.2).
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-
+use crate::cheetah::PrunerConfig;
 use crate::cost::{
     master_rate, spark_task_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE,
     FALLBACK_TASK_RATE,
 };
 use crate::executor::ExecutionReport;
-use crate::master::fetch_and_checksum;
-use crate::query::{pair_checksum, Agg, FetchSpec, Query, QueryResult};
-use crate::reference::skyline_of;
+use crate::query::{FetchSpec, Query, QueryResult};
+use crate::sharded::{execute_on, Unpruned};
 use crate::table::Database;
 
 /// The baseline executor.
@@ -49,236 +50,19 @@ impl SparkExecutor {
     /// modeled timing. [`ExecutionReport::timing`] is the warm run;
     /// [`ExecutionReport::first_run`] carries the JIT/indexing penalty.
     pub fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let p = self.model.workers;
-        match query {
-            Query::FilterCount { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<&[u64]> = predicate.columns.iter().map(|c| t.col(c)).collect();
-                let mut partials = Vec::with_capacity(p);
-                for (s, e) in t.partition_bounds(p) {
-                    // Worker task straight over the column lanes — no
-                    // per-row scratch fill.
-                    let count = (s..e).filter(|&r| predicate.eval_at(&cols, r)).count() as u64;
-                    partials.push(count);
-                }
-                let result = QueryResult::Count(partials.iter().sum());
-                self.report(query, t.rows() as u64, p as u64, 0, result)
-            }
-            Query::Filter { table, predicate } => {
-                let t = db.table(table);
-                let cols: Vec<&[u64]> = predicate.columns.iter().map(|c| t.col(c)).collect();
-                let mut ids = Vec::new();
-                for (s, e) in t.partition_bounds(p) {
-                    ids.extend(
-                        (s..e)
-                            .filter(|&r| predicate.eval_at(&cols, r))
-                            .map(|r| r as u64),
-                    );
-                }
-                // Late materialization: the same fetch kernel the pruned
-                // executors run — projected lanes only — so the baseline
-                // is not handicapped and every executor's checksum can be
-                // cross-checked.
-                let proj = query.projection(t, &self.fetch);
-                let checksum = fetch_and_checksum(t, proj.cols(), &ids);
-                let shuffle = ids.len() as u64;
-                let result = QueryResult::row_ids(ids);
-                let mut report = self.report(query, t.rows() as u64, shuffle, shuffle, result);
-                report.fetch_checksum = Some(checksum);
-                report
-            }
-            Query::Distinct { table, column } => {
-                let t = db.table(table);
-                let col = t.col(column);
-                let mut partials: Vec<Vec<u64>> = Vec::with_capacity(p);
-                for (s, e) in t.partition_bounds(p) {
-                    let mut set: Vec<u64> = col[s..e].to_vec();
-                    set.sort_unstable();
-                    set.dedup();
-                    partials.push(set);
-                }
-                let shuffle: u64 = partials.iter().map(|s| s.len() as u64).sum();
-                let merged: Vec<u64> = partials.into_iter().flatten().collect();
-                let result = QueryResult::values(merged);
-                self.report(query, t.rows() as u64, shuffle, 0, result)
-            }
-            Query::DistinctMulti { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<&[u64]> = columns.iter().map(|c| t.col(c)).collect();
-                let mut merged: Vec<Vec<u64>> = Vec::new();
-                let mut shuffle = 0u64;
-                for (s, e) in t.partition_bounds(p) {
-                    let mut set: Vec<Vec<u64>> = (s..e)
-                        .map(|r| cols.iter().map(|c| c[r]).collect())
-                        .collect();
-                    set.sort();
-                    set.dedup();
-                    shuffle += set.len() as u64;
-                    merged.extend(set);
-                }
-                let result = QueryResult::points(merged);
-                self.report(query, t.rows() as u64, shuffle, 0, result)
-            }
-            Query::TopN { table, order_by, n } => {
-                let t = db.table(table);
-                let col = t.col(order_by);
-                let mut merged = Vec::with_capacity(p * n);
-                for (s, e) in t.partition_bounds(p) {
-                    // Per-worker heap of the partition's top n.
-                    let mut heap: BinaryHeap<std::cmp::Reverse<u64>> =
-                        BinaryHeap::with_capacity(n + 1);
-                    for &v in &col[s..e] {
-                        if heap.len() < *n {
-                            heap.push(std::cmp::Reverse(v));
-                        } else if v > heap.peek().expect("nonempty").0 {
-                            heap.pop();
-                            heap.push(std::cmp::Reverse(v));
-                        }
-                    }
-                    merged.extend(heap.into_iter().map(|r| r.0));
-                }
-                let shuffle = merged.len() as u64;
-                let result = QueryResult::top_values(merged, *n);
-                self.report(query, t.rows() as u64, shuffle, *n as u64, result)
-            }
-            Query::GroupBy {
-                table,
-                key,
-                val,
-                agg,
-            } => {
-                let t = db.table(table);
-                let keys = t.col(key);
-                let vals = t.col(val);
-                let mut shuffle = 0u64;
-                let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
-                for (s, e) in t.partition_bounds(p) {
-                    let mut partial: HashMap<u64, u64> = HashMap::new();
-                    for r in s..e {
-                        let (k, v) = (keys[r], vals[r]);
-                        match agg {
-                            Agg::Max => {
-                                let ent = partial.entry(k).or_insert(0);
-                                *ent = (*ent).max(v);
-                            }
-                            Agg::Min => {
-                                let ent = partial.entry(k).or_insert(u64::MAX);
-                                *ent = (*ent).min(v);
-                            }
-                            Agg::Sum => {
-                                let ent = partial.entry(k).or_insert(0);
-                                *ent = ent.wrapping_add(v);
-                            }
-                            Agg::Count => *partial.entry(k).or_insert(0) += 1,
-                        }
-                    }
-                    shuffle += partial.len() as u64;
-                    for (k, v) in partial {
-                        match agg {
-                            Agg::Max => {
-                                let ent = groups.entry(k).or_insert(0);
-                                *ent = (*ent).max(v);
-                            }
-                            Agg::Min => {
-                                let ent = groups.entry(k).or_insert(u64::MAX);
-                                *ent = (*ent).min(v);
-                            }
-                            Agg::Sum | Agg::Count => {
-                                let ent = groups.entry(k).or_insert(0);
-                                *ent = ent.wrapping_add(v);
-                            }
-                        }
-                    }
-                }
-                let result = QueryResult::Groups(groups);
-                self.report(query, t.rows() as u64, shuffle, 0, result)
-            }
-            Query::Having {
-                table,
-                key,
-                val,
-                threshold,
-            } => {
-                let t = db.table(table);
-                let keys = t.col(key);
-                let vals = t.col(val);
-                let mut shuffle = 0u64;
-                let mut sums: HashMap<u64, u64> = HashMap::new();
-                for (s, e) in t.partition_bounds(p) {
-                    let mut partial: HashMap<u64, u64> = HashMap::new();
-                    for r in s..e {
-                        let ent = partial.entry(keys[r]).or_insert(0);
-                        *ent = ent.wrapping_add(vals[r]);
-                    }
-                    shuffle += partial.len() as u64;
-                    for (k, v) in partial {
-                        let ent = sums.entry(k).or_insert(0);
-                        *ent = ent.wrapping_add(v);
-                    }
-                }
-                let result = QueryResult::keys(
-                    sums.into_iter()
-                        .filter(|&(_, s)| s > *threshold)
-                        .map(|(k, _)| k)
-                        .collect(),
-                );
-                self.report(query, t.rows() as u64, shuffle, 0, result)
-            }
-            Query::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                let l = db.table(left);
-                let r = db.table(right);
-                let lcol = l.col(left_col);
-                let rcol = r.col(right_col);
-                // Shuffle hash join: repartition both inputs by key hash,
-                // each worker joins its bucket (real results).
-                let hasher = cheetah_core::hash::HashFn::new(0x5a5a);
-                let mut pairs = 0u64;
-                let mut checksum = 0u64;
-                for w in 0..p {
-                    let mut build: HashMap<u64, Vec<u64>> = HashMap::new();
-                    for (row, k) in rcol.iter().enumerate() {
-                        if hasher.bucket(*k, p) == w {
-                            build.entry(*k).or_default().push(row as u64);
-                        }
-                    }
-                    for (lrow, k) in lcol.iter().enumerate() {
-                        if hasher.bucket(*k, p) == w {
-                            if let Some(rrows) = build.get(k) {
-                                for &rrow in rrows {
-                                    pairs += 1;
-                                    checksum = pair_checksum(checksum, *k, lrow as u64, rrow);
-                                }
-                            }
-                        }
-                    }
-                }
-                let rows = (l.rows() + r.rows()) as u64;
-                // Repartitioning ships every row's (key, rowid) once.
-                let result = QueryResult::JoinSummary { pairs, checksum };
-                self.report(query, rows, rows, pairs, result)
-            }
-            Query::Skyline { table, columns } => {
-                let t = db.table(table);
-                let cols: Vec<&[u64]> = columns.iter().map(|c| t.col(c)).collect();
-                let mut merged: Vec<Vec<u64>> = Vec::new();
-                let mut shuffle = 0u64;
-                for (s, e) in t.partition_bounds(p) {
-                    let points: Vec<Vec<u64>> = (s..e)
-                        .map(|r| cols.iter().map(|c| c[r]).collect())
-                        .collect();
-                    let partial = skyline_of(&points);
-                    shuffle += partial.len() as u64;
-                    merged.extend(partial);
-                }
-                let result = QueryResult::points(skyline_of(&merged));
-                self.report(query, t.rows() as u64, shuffle, 0, result)
-            }
-        }
+        let cfg = PrunerConfig {
+            fetch: self.fetch.clone(),
+            ..PrunerConfig::default()
+        };
+        let mut transport = Unpruned {
+            shards: self.model.workers,
+            shuffled: 0,
+        };
+        let (answer, _) = execute_on(&cfg, 1, &mut transport, db, query);
+        let (rows, fetch_rows) = (answer.streamed, answer.fetch_rows);
+        let mut report = self.report(query, rows, transport.shuffled, fetch_rows, answer.result);
+        report.fetch_checksum = answer.fetch_checksum;
+        report
     }
 
     /// Assemble the report from measured sizes + the cost model.
@@ -336,105 +120,16 @@ impl SparkExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cheetah::tests::{all_queries, random_db};
+    use crate::query::Agg;
     use crate::reference;
     use crate::table::Table;
-    use cheetah_core::filter::{Atom, CmpOp, Formula};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_db(rows: usize, seed: u64) -> Database {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut db = Database::new();
-        db.add(Table::new(
-            "t",
-            vec![
-                ("k", (0..rows).map(|_| rng.gen_range(1..100u64)).collect()),
-                (
-                    "v",
-                    (0..rows).map(|_| rng.gen_range(1..10_000u64)).collect(),
-                ),
-                ("w", (0..rows).map(|_| rng.gen_range(1..500u64)).collect()),
-            ],
-        ));
-        db.add(Table::new(
-            "s",
-            vec![
-                (
-                    "k",
-                    (0..rows / 2).map(|_| rng.gen_range(50..150u64)).collect(),
-                ),
-                (
-                    "x",
-                    (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-                ),
-            ],
-        ));
-        db
-    }
-
-    fn queries() -> Vec<Query> {
-        vec![
-            Query::FilterCount {
-                table: "t".into(),
-                predicate: crate::query::Predicate {
-                    columns: vec!["v".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 5000)],
-                    formula: Formula::Atom(0),
-                },
-            },
-            Query::Filter {
-                table: "t".into(),
-                predicate: crate::query::Predicate {
-                    columns: vec!["v".into(), "w".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 500), Atom::cmp(1, CmpOp::Gt, 400)],
-                    formula: Formula::Or(vec![Formula::Atom(0), Formula::Atom(1)]),
-                },
-            },
-            Query::Distinct {
-                table: "t".into(),
-                column: "k".into(),
-            },
-            Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n: 25,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Max,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Sum,
-            },
-            Query::Having {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                threshold: 200_000,
-            },
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
-            Query::Skyline {
-                table: "t".into(),
-                columns: vec!["v".into(), "w".into()],
-            },
-        ]
-    }
 
     #[test]
     fn spark_matches_reference_on_all_query_kinds() {
         let db = random_db(5_000, 1);
         let exec = SparkExecutor::new(CostModel::default());
-        for q in queries() {
+        for q in all_queries() {
             let report = exec.execute(&db, &q);
             let truth = reference::evaluate(&db, &q);
             assert_eq!(report.result, truth, "query {} diverged", q.kind());
@@ -453,6 +148,19 @@ mod tests {
             },
         );
         assert!(r.first_run_total_s() > r.timing.total_s());
+    }
+
+    /// TOP 0 is empty, as on every other arm: the baseline's worker
+    /// tasks used to panic on it.
+    #[test]
+    fn top_zero_is_empty() {
+        let q = Query::TopN {
+            table: "t".into(),
+            order_by: "v".into(),
+            n: 0,
+        };
+        let r = SparkExecutor::new(CostModel::default()).execute(&random_db(100, 3), &q);
+        assert_eq!(r.result, QueryResult::TopValues(Vec::new()));
     }
 
     #[test]
@@ -487,8 +195,90 @@ mod tests {
         );
         assert!(
             r.shuffle_entries < 1_000,
-            "≤99 keys × 5 workers, got {}",
+            "≤79 keys × 5 workers, got {}",
             r.shuffle_entries
         );
+    }
+
+    /// What `q` over `db` prices at `workers`, from the reference evaluator
+    /// over each worker's slice of the table: `(rows scanned, entries
+    /// shuffled, rows fetched)`. A worker ships its slice's partial — a
+    /// HAVING's is its slice's per-key sums, a FilterCount's one count, a
+    /// TopN's at most `n` values — and a JOIN repartitions every row of
+    /// both sides, then fetches its pairs.
+    fn oracle(db: &Database, q: &Query, workers: usize) -> (u64, u64, u64) {
+        let truth = reference::evaluate(db, q);
+        if let (Query::Join { left, right, .. }, QueryResult::JoinSummary { pairs, .. }) =
+            (q, &truth)
+        {
+            let rows = (db.table(left).rows() + db.table(right).rows()) as u64;
+            return (rows, rows, *pairs);
+        }
+        let t = db.table("t");
+        let partial = match q {
+            Query::Having { key, val, .. } => Query::GroupBy {
+                table: "t".into(),
+                key: key.clone(),
+                val: val.clone(),
+                agg: Agg::Sum,
+            },
+            _ => q.clone(),
+        };
+        let shuffle = t
+            .partition_bounds(workers)
+            .into_iter()
+            .map(|(s, e)| {
+                let cols = t
+                    .schema()
+                    .iter()
+                    .map(|c| (c.as_str(), t.col(c)[s..e].to_vec()));
+                let mut slice = Database::new();
+                slice.add(Table::new("t", cols.collect()));
+                reference::evaluate(&slice, &partial).output_size()
+            })
+            .sum();
+        let fetch = match (q, &truth) {
+            (Query::Filter { .. }, QueryResult::RowIds(ids)) => ids.len() as u64,
+            (Query::TopN { n, .. }, _) => *n as u64,
+            _ => 0,
+        };
+        (t.rows() as u64, shuffle, fetch)
+    }
+
+    /// The baseline's modeled inputs — entries shuffled, rows fetched,
+    /// passes — and the timings they price are the per-slice partials'
+    /// on every shape at 1, 3 and 5 workers, a table with fewer rows than
+    /// workers included. Five workers divide a DISTINCT's task time.
+    #[test]
+    fn modeled_inputs_are_the_per_slice_partials() {
+        let at = |workers| {
+            SparkExecutor::new(CostModel {
+                workers,
+                ..CostModel::default()
+            })
+        };
+        for (rows, seed) in [(3, 5), (4_000, 6)] {
+            let db = random_db(rows, seed);
+            for q in all_queries() {
+                let truth = reference::evaluate(&db, &q);
+                for workers in [1, 3, 5] {
+                    let exec = at(workers);
+                    let got = exec.execute(&db, &q);
+                    let (scanned, shuffle, fetch) = oracle(&db, &q, workers);
+                    let want = exec.report(&q, scanned, shuffle, fetch, truth.clone());
+                    let what = format!("{} over {rows} rows at {workers} workers", q.kind());
+                    assert_eq!(got.result, truth, "{what}");
+                    assert_eq!(got.shuffle_entries, shuffle, "{what}: shuffle");
+                    assert_eq!(got.fetch_rows, fetch, "{what}: fetch");
+                    assert_eq!(got.passes, 1, "{what}: passes");
+                    assert_eq!(got.timing, want.timing, "{what}: timing");
+                    assert_eq!(got.first_run, want.first_run, "{what}: first run");
+                }
+                if rows > 3 && matches!(q, Query::Distinct { .. }) {
+                    let (one, five) = (at(1).execute(&db, &q), at(5).execute(&db, &q));
+                    assert!(one.timing.computation_s > 3.0 * five.timing.computation_s);
+                }
+            }
+        }
     }
 }
