@@ -7,10 +7,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use cheetah_bench::bigdata_db;
 use cheetah_engine::cheetah::{CheetahExecutor, PrunerConfig};
-use cheetah_engine::netaccel::NetAccelModel;
 use cheetah_engine::reference;
 use cheetah_engine::spark::SparkExecutor;
-use cheetah_engine::{Agg, CostModel, Executor, NetAccelExecutor, Query, ThreadedExecutor};
+use cheetah_engine::{Agg, CostModel, Executor, Query, ThreadedExecutor};
 
 fn bench_executors(c: &mut Criterion) {
     let rows = 100_000usize;
@@ -45,8 +44,7 @@ fn bench_executors(c: &mut Criterion) {
     let spark = SparkExecutor::new(model);
     let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
     let threaded = ThreadedExecutor::new(cheetah.clone());
-    let netaccel = NetAccelExecutor::new(cheetah.clone(), NetAccelModel::default());
-    let executors: Vec<&dyn Executor> = vec![&spark, &cheetah, &threaded, &netaccel];
+    let executors: Vec<&dyn Executor> = vec![&spark, &cheetah, &threaded];
 
     for (name, q) in &queries {
         let mut g = c.benchmark_group(format!("engine_{name}"));

@@ -18,12 +18,9 @@ use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
 
 use cheetah_engine::cheetah::{CheetahExecutor, PrunerConfig};
-use cheetah_engine::cost::{master_rate, FALLBACK_MASTER_RATE, HARDWARE_COMPARISON};
 use cheetah_engine::executor::run_all as run_executors;
-use cheetah_engine::netaccel::NetAccelModel;
-use cheetah_engine::q3;
 use cheetah_engine::spark::SparkExecutor;
-use cheetah_engine::{Agg, CostModel, ExecutionReport, Executor, Predicate, Query};
+use cheetah_engine::{Agg, CostModel, Database, Executor, Predicate, Query};
 
 use cheetah_workloads::bigdata::{UserVisits, UserVisitsConfig};
 use cheetah_workloads::dist::{rng_for, Zipf};
@@ -31,26 +28,43 @@ use cheetah_workloads::tpch::TpchData;
 
 use rand::Rng;
 
-use crate::{bigdata_db, fmt_frac, header};
+use crate::cost::{self, Rates, TimingBreakdown, DISTINCT, GROUPBY, HARDWARE_COMPARISON, TOPN};
+use crate::netaccel::NetAccelModel;
+use crate::{bigdata_db, fmt_frac, header, q3};
 
 /// Default stream length for the pruning-rate simulations (Figures 10/11).
 pub const SIM_ENTRIES: usize = 1_000_000;
 
-/// Run one query through Spark + Cheetah behind the [`Executor`] trait,
-/// assert result equivalence, and hand back `(spark, cheetah)` — the one
-/// driver loop every completion-time figure shares.
-fn spark_vs_cheetah(
-    spark: &SparkExecutor,
-    cheetah: &CheetahExecutor,
-    db: &cheetah_engine::Database,
-    q: &Query,
-) -> (ExecutionReport, ExecutionReport) {
-    let executors: [&dyn Executor; 2] = [spark, cheetah];
+/// One query's modeled runs on Spark and Cheetah.
+#[derive(Debug, Clone, Copy)]
+pub struct Priced {
+    /// Spark's first run.
+    pub spark_first: TimingBreakdown,
+    /// Spark's warm run.
+    pub spark: TimingBreakdown,
+    /// The worker-task share of Spark's computation.
+    pub spark_task_s: f64,
+    /// Cheetah's run.
+    pub cheetah: TimingBreakdown,
+}
+
+/// Run one query through Spark + Cheetah over `model` behind the
+/// [`Executor`] trait, assert result equivalence, and price both reports
+/// at `model` — the one driver every completion-time figure shares.
+pub fn priced(model: CostModel, db: &Database, q: &Query) -> Priced {
+    let spark = SparkExecutor::new(model);
+    let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
+    let executors: [&dyn Executor; 2] = [&spark, &cheetah];
     let mut reports = run_executors(&executors, db, q);
     let c = reports.pop().expect("cheetah report");
     let s = reports.pop().expect("spark report");
     assert_eq!(s.result, c.result, "{} diverged", q.kind());
-    (s, c)
+    Priced {
+        spark_first: cost::spark_first_run(q, &s, &model),
+        spark: cost::spark(q, &s, &model),
+        spark_task_s: cost::spark_task_s(q, &s, &model),
+        cheetah: cost::cheetah(q, &c, &model),
+    }
 }
 
 // ---------------------------------------------------------------- tables
@@ -132,23 +146,17 @@ pub fn table_3() {
 
 // ---------------------------------------------------------------- fig 5
 
-/// Figure 5: completion times, Cheetah vs Spark (1st run / warm), for the
-/// benchmark queries and each supported operation.
-pub fn fig_5() {
-    header(
-        "Figure 5",
-        "completion time: Cheetah vs Spark across the benchmark",
-        "§8.2.1, Figure 5 (31.7M uservisits / 18M rankings; scaled ×1/100 \
-         with the timing model extrapolating back)",
-    );
+/// Figure 5's bar groups, in print order — Big Data A, B and A+B, TPC-H
+/// Q3, then one query per supported operation: each query's label and
+/// the modeled seconds of Spark's first run, Spark's warm run and
+/// Cheetah's run.
+pub fn fig5_rows() -> Vec<(&'static str, [f64; 3])> {
     // 1/100 of the paper's sample; model_scale restores paper-scale time.
     let db = bigdata_db(317_000, 180_000, 2_000, 0.10, 5);
     let model = CostModel {
         model_scale: 100.0,
         ..CostModel::default()
     };
-    let spark = SparkExecutor::new(model);
-    let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
 
     let a = Query::FilterCount {
         table: "rankings".into(),
@@ -206,44 +214,25 @@ pub fn fig_5() {
             },
         ),
     ];
-
-    println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>14}",
-        "query", "spark 1st", "spark warm", "cheetah", "vs 1st run"
-    );
-    let print_row = |name: &str, s1: f64, s2: f64, c: f64| {
-        println!(
-            "{:<16} {:>10.2} s {:>10.2} s {:>10.2} s {:>12.0}% less",
-            name,
-            s1,
-            s2,
-            c,
-            (1.0 - c / s1) * 100.0
-        );
+    let row = |name, p: Priced| {
+        let runs = [p.spark_first, p.spark, p.cheetah];
+        (name, runs.map(|t| t.total_s()))
     };
 
-    let (ra_s, ra_c) = spark_vs_cheetah(&spark, &cheetah, &db, &a);
-    print_row(
-        "BigData A",
-        ra_s.first_run_total_s(),
-        ra_s.timing.total_s(),
-        ra_c.timing.total_s(),
-    );
-    let (rb_s, rb_c) = spark_vs_cheetah(&spark, &cheetah, &db, &b);
-    print_row(
-        "BigData B",
-        rb_s.first_run_total_s(),
-        rb_s.timing.total_s(),
-        rb_c.timing.total_s(),
-    );
+    let (pa, pb) = (priced(model, &db, &a), priced(model, &db, &b));
+    let mut rows = vec![row("BigData A", pa), row("BigData B", pb)];
     // A+B executed on one pipelined pass: shared setup, overlapped
     // serialization (§8.2.1: "faster than the sum of individual times").
-    let ab_spark_1 = ra_s.first_run_total_s() + rb_s.first_run_total_s() - model.spark_overhead_s;
-    let ab_spark_2 = ra_s.timing.total_s() + rb_s.timing.total_s() - model.spark_overhead_s;
-    let ab_cheetah = ra_c.timing.total_s() + rb_c.timing.total_s()
-        - model.cheetah_setup_s
-        - 0.2 * ra_c.timing.network_s.min(rb_c.timing.network_s);
-    print_row("BigData A+B", ab_spark_1, ab_spark_2, ab_cheetah);
+    rows.push((
+        "BigData A+B",
+        [
+            pa.spark_first.total_s() + pb.spark_first.total_s() - model.spark_overhead_s,
+            pa.spark.total_s() + pb.spark.total_s() - model.spark_overhead_s,
+            pa.cheetah.total_s() + pb.cheetah.total_s()
+                - model.cheetah_setup_s
+                - 0.2 * pa.cheetah.network_s.min(pb.cheetah.network_s),
+        ],
+    ));
 
     // TPC-H Q3 at the paper's default scale, one worker (§8.2).
     let tpch = TpchData::generate(0.02, 9);
@@ -256,25 +245,62 @@ pub fn fig_5() {
     let q3_s2 = q3::spark(&tpch, &q3_model, false);
     let q3_c = q3::cheetah(&tpch, &q3_model, 4 * (8 << 20), 3, 3);
     assert_eq!(q3_s1.result, q3_c.result);
-    print_row(
-        "TPC-H Q3",
-        q3_s1.timing.total_s(),
-        q3_s2.timing.total_s(),
-        q3_c.timing.total_s(),
-    );
+    let q3_runs = [q3_s1.timing, q3_s2.timing, q3_c.timing];
+    rows.push(("TPC-H Q3", q3_runs.map(|t| t.total_s())));
 
-    for (name, q) in singles {
-        let (s, c) = spark_vs_cheetah(&spark, &cheetah, &db, &q);
-        print_row(
+    rows.extend(
+        singles
+            .into_iter()
+            .map(|(name, q)| row(name, priced(model, &db, &q))),
+    );
+    rows
+}
+
+/// Figure 5: completion times, Cheetah vs Spark (1st run / warm), for the
+/// benchmark queries and each supported operation.
+pub fn fig_5() {
+    header(
+        "Figure 5",
+        "completion time: Cheetah vs Spark across the benchmark",
+        "§8.2.1, Figure 5 (31.7M uservisits / 18M rankings; scaled ×1/100 \
+         with the timing model extrapolating back)",
+    );
+    println!(
+        "{:<16} {:>12} {:>12} {:>12} {:>14}",
+        "query", "spark 1st", "spark warm", "cheetah", "vs 1st run"
+    );
+    for (name, [s1, s2, c]) in fig5_rows() {
+        println!(
+            "{:<16} {:>10.2} s {:>10.2} s {:>10.2} s {:>12.0}% less",
             name,
-            s.first_run_total_s(),
-            s.timing.total_s(),
-            c.timing.total_s(),
+            s1,
+            s2,
+            c,
+            (1.0 - c / s1) * 100.0
         );
     }
 }
 
 // ---------------------------------------------------------------- fig 6
+
+/// Figure 6a's runs at 1 to 5 workers, in order.
+pub fn fig6a_rows() -> Vec<Priced> {
+    let db = bigdata_db(300_000, 50_000, 2_000, 0.5, 6);
+    let q = Query::Distinct {
+        table: "uservisits".into(),
+        column: "userAgent".into(),
+    };
+    (1..=5)
+        .map(|workers| {
+            let model = CostModel {
+                workers,
+                model_scale: 100.0,
+                ..CostModel::default()
+            };
+            priced(model, &db, &q)
+        })
+        .collect()
+}
 
 /// Figure 6a: completion vs number of workers (fixed total entries).
 pub fn fig_6a() {
@@ -283,26 +309,13 @@ pub fn fig_6a() {
         "DISTINCT completion time vs number of workers",
         "§8.2.2, Figure 6a (total entries fixed, partitions vary)",
     );
-    let db = bigdata_db(300_000, 50_000, 2_000, 0.5, 6);
-    let q = Query::Distinct {
-        table: "uservisits".into(),
-        column: "userAgent".into(),
-    };
     println!("{:<9} {:>12} {:>12}", "workers", "cheetah", "spark (warm)");
-    for workers in 1..=5 {
-        let model = CostModel {
-            workers,
-            model_scale: 100.0,
-            ..CostModel::default()
-        };
-        let spark = SparkExecutor::new(model);
-        let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
-        let (s, c) = spark_vs_cheetah(&spark, &cheetah, &db, &q);
+    for (workers, p) in (1..).zip(fig6a_rows()) {
         println!(
             "{:<9} {:>10.2} s {:>10.2} s",
             workers,
-            c.timing.total_s(),
-            s.timing.total_s()
+            p.cheetah.total_s(),
+            p.spark.total_s()
         );
     }
 }
@@ -325,19 +338,32 @@ pub fn fig_6b() {
             table: "uservisits".into(),
             column: "userAgent".into(),
         };
-        let spark = SparkExecutor::new(model);
-        let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
-        let (s, c) = spark_vs_cheetah(&spark, &cheetah, &db, &q);
+        let p = priced(model, &db, &q);
         println!(
             "{:<12} {:>10.2} s {:>10.2} s",
             entries * 100,
-            c.timing.total_s(),
-            s.timing.total_s()
+            p.cheetah.total_s(),
+            p.spark.total_s()
         );
     }
 }
 
 // ---------------------------------------------------------------- fig 7
+
+/// Figure 7's rows: result size in percent of a 200K-entry input,
+/// Cheetah's delivery and NetAccel's drain, in seconds.
+pub fn fig7_rows() -> Vec<(u64, f64, f64)> {
+    let input_entries = 200_000u64;
+    let na = NetAccelModel::default();
+    let model = CostModel::default();
+    [1u64, 5, 10, 15, 20, 25, 30, 35, 40]
+        .into_iter()
+        .map(|pct| {
+            let entries = input_entries * pct / 100;
+            (pct, cost::delivery_s(entries, &model), na.drain_s(entries))
+        })
+        .collect()
+}
 
 /// Figure 7: NetAccel's result-drain overhead vs result size (TPC-H Q3
 /// order-key join), against Cheetah's streaming delivery.
@@ -347,20 +373,11 @@ pub fn fig_7() {
         "overhead of moving results out of the switch dataplane",
         "§8.2.4, Figure 7 (NetAccel lower bound: ideal pruning, drain only)",
     );
-    let input_entries = 200_000u64;
-    let na = NetAccelModel::default();
-    let model = CostModel::default();
     println!(
         "{:<22} {:>14} {:>16}",
         "result size (% input)", "cheetah", "NetAccel (bound)"
     );
-    for pct in [1u64, 5, 10, 15, 20, 25, 30, 35, 40] {
-        let entries = input_entries * pct / 100;
-        // Cheetah: results stream to the master inline (already there);
-        // the only cost is receiving + touching them once.
-        let cheetah_s = entries as f64 / master_rate("join").unwrap_or(FALLBACK_MASTER_RATE)
-            + model.transfer_s(entries as f64 * 64.0);
-        let netaccel_s = na.drain_s(entries);
+    for (pct, cheetah_s, netaccel_s) in fig7_rows() {
         println!(
             "{:<22} {:>12.3} s {:>14.3} s",
             format!("{pct}%"),
@@ -372,14 +389,9 @@ pub fn fig_7() {
 
 // ---------------------------------------------------------------- fig 8
 
-/// Figure 8: completion breakdown (computation / network / other) for
-/// Spark, Cheetah@10G and Cheetah@20G on Distinct and Group-By.
-pub fn fig_8() {
-    header(
-        "Figure 8",
-        "delay breakdown at different network rates",
-        "§8.2.3, Figure 8 (Spark's bottleneck is not the network)",
-    );
+/// Figure 8's queries, Distinct then Group-By: each one's label and its
+/// runs at a 10G and a 20G NIC cap.
+pub fn fig8_rows() -> Vec<(&'static str, Priced, Priced)> {
     let db = bigdata_db(317_000, 50_000, 2_000, 0.5, 8);
     let queries: Vec<(&str, Query)> = vec![
         (
@@ -399,45 +411,46 @@ pub fn fig_8() {
             },
         ),
     ];
+    let at = |gbps, q: &Query| {
+        let model = CostModel {
+            nic_gbps: gbps,
+            model_scale: 100.0,
+            ..CostModel::default()
+        };
+        priced(model, &db, q)
+    };
+    queries
+        .into_iter()
+        .map(|(name, q)| (name, at(10.0, &q), at(20.0, &q)))
+        .collect()
+}
+
+/// Figure 8: completion breakdown (computation / network / other) for
+/// Spark, Cheetah@10G and Cheetah@20G on Distinct and Group-By.
+pub fn fig_8() {
+    header(
+        "Figure 8",
+        "delay breakdown at different network rates",
+        "§8.2.3, Figure 8 (Spark's bottleneck is not the network)",
+    );
     println!(
         "{:<10} {:<14} {:>12} {:>10} {:>8} {:>9}",
         "query", "system", "computation", "network", "other", "total"
     );
-    for (name, q) in &queries {
-        let base = CostModel {
-            model_scale: 100.0,
-            ..CostModel::default()
-        };
-        let s = Executor::execute(&SparkExecutor::new(base), &db, q);
-        println!(
-            "{:<10} {:<14} {:>10.2} s {:>8.2} s {:>6.2} s {:>7.2} s",
-            name,
-            "Spark (warm)",
-            s.timing.computation_s,
-            s.timing.network_s,
-            s.timing.other_s,
-            s.timing.total_s()
-        );
-        for gbps in [10.0, 20.0] {
-            let model = CostModel {
-                nic_gbps: gbps,
-                model_scale: 100.0,
-                ..CostModel::default()
-            };
-            let c = Executor::execute(
-                &CheetahExecutor::new(model, PrunerConfig::default()),
-                &db,
-                q,
-            );
-            assert_eq!(c.result, s.result);
+    for (name, p10, p20) in fig8_rows() {
+        for (system, t) in [
+            ("Spark (warm)", p10.spark),
+            ("Cheetah 10G", p10.cheetah),
+            ("Cheetah 20G", p20.cheetah),
+        ] {
             println!(
                 "{:<10} {:<14} {:>10.2} s {:>8.2} s {:>6.2} s {:>7.2} s",
                 name,
-                format!("Cheetah {}G", gbps as u32),
-                c.timing.computation_s,
-                c.timing.network_s,
-                c.timing.other_s,
-                c.timing.total_s()
+                system,
+                t.computation_s,
+                t.network_s,
+                t.other_s,
+                t.total_s()
             );
         }
     }
@@ -465,7 +478,7 @@ pub fn fig_9() {
     // Paper-scale parameters for the blocking model.
     let model_entries = 31_700_000f64;
     let arrival_pps = 10.0e6;
-    let service = |kind: &str| master_rate(kind).unwrap_or(FALLBACK_MASTER_RATE) / 4.0; // conservative master
+    let service = |rates: Rates| rates.master / 4.0; // conservative master
     println!(
         "{:<10} | {:>14} {:>14} {:>14} | {:>11} {:>11} {:>11}",
         "unpruned",
@@ -506,9 +519,9 @@ pub fn fig_9() {
         // model_entries/arrival seconds; the master needs
         // unpruned/service seconds; the excess is the blocking latency.
         let stream_s = model_entries / arrival_pps;
-        let blocking = |kind: &str| {
+        let blocking = |rates| {
             let unpruned = model_entries * pct as f64 / 100.0;
-            (unpruned / service(kind) - stream_s).max(0.0) + unpruned / service(kind) * 0.1
+            (unpruned / service(rates) - stream_s).max(0.0) + unpruned / service(rates) * 0.1
         };
         println!(
             "{:<10} | {:>12.3} s {:>12.3} s {:>12.3} s | {:>9.2} s {:>9.2} s {:>9.2} s",
@@ -516,9 +529,9 @@ pub fn fig_9() {
             topn_meas,
             distinct_meas,
             groupby_meas,
-            blocking("topn"),
-            blocking("distinct"),
-            blocking("groupby")
+            blocking(TOPN),
+            blocking(DISTINCT),
+            blocking(GROUPBY)
         );
     }
 }

@@ -1,8 +1,12 @@
 //! Shared workload setup and formatting for the experiment harness and
 //! the criterion benches. The per-figure experiment logic itself lives in
-//! [`experiments`]; `src/bin/experiments.rs` is a thin CLI over it.
+//! [`experiments`]; `src/bin/experiments.rs` is a thin CLI over it. The
+//! modeled clock ([`cost`], [`netaccel`], [`q3`]) lives here too.
 
+pub mod cost;
 pub mod experiments;
+pub mod netaccel;
+pub mod q3;
 pub mod streaming;
 
 use cheetah_engine::{Database, Table};

@@ -15,11 +15,10 @@ use std::collections::{HashMap, HashSet};
 use cheetah_core::decision::PruneStats;
 use cheetah_core::join::{AsymmetricJoin, BloomFilter};
 
-use crate::cost::{
-    master_rate, spark_task_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE,
-    FALLBACK_TASK_RATE,
-};
+use cheetah_engine::CostModel;
 use cheetah_workloads::tpch::{TpchData, Q3_CUT_DATE, SEGMENT_BUILDING};
+
+use crate::cost::{TimingBreakdown, GROUPBY, JOIN};
 
 /// One Q3 output row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,12 +108,11 @@ pub fn spark(data: &TpchData, model: &CostModel, first_run: bool) -> Q3Report {
         + data.orders.orderkey.len()
         + data.lineitem.orderkey.len()) as u64;
     let per_worker = total_rows.div_ceil(model.workers as u64);
-    let join_s = model.scaled(per_worker) / spark_task_rate("join").unwrap_or(FALLBACK_TASK_RATE);
-    let agg_s = model.scaled(per_worker) / spark_task_rate("groupby").unwrap_or(FALLBACK_TASK_RATE);
+    let join_s = model.scaled(per_worker) / JOIN.task;
+    let agg_s = model.scaled(per_worker) / GROUPBY.task;
     let shuffle_entries = (data.orders.orderkey.len() + data.lineitem.orderkey.len()) as u64;
     let network_s = model.transfer_s(model.scaled(shuffle_entries) * model.shuffle_bytes_per_entry);
-    let merge_s =
-        model.scaled(shuffle_entries / 4) / master_rate("join").unwrap_or(FALLBACK_MASTER_RATE);
+    let merge_s = model.scaled(shuffle_entries / 4) / JOIN.master;
     let factor = if first_run {
         model.first_run_factor
     } else {
@@ -206,8 +204,7 @@ pub fn cheetah(data: &TpchData, model: &CostModel, m_bits: u64, h: usize, seed: 
     let per_worker = streamed.div_ceil(model.workers as u64);
     let serialize_s = model.scaled(per_worker) / model.serialize_cpu_pps;
     let network_s = model.scaled(per_worker) / model.worker_pps();
-    let master_s =
-        model.scaled(stats.forwarded()) / master_rate("join").unwrap_or(FALLBACK_MASTER_RATE);
+    let master_s = model.scaled(stats.forwarded()) / JOIN.master;
     let residual = (master_s - serialize_s.max(network_s)).max(0.0);
     // The un-offloaded stages run at warm-engine speed.
     let non_join_s = spark(data, model, false).timing.computation_s * Q3_NON_JOIN_FRACTION;
@@ -250,21 +247,6 @@ mod tests {
         let d = data();
         let model = CostModel::default();
         assert_eq!(spark(&d, &model, true).result, reference(&d));
-    }
-
-    #[test]
-    fn cheetah_faster_than_spark_first_run() {
-        // Figure 5's TPC-H bar: 64–75% reduction vs first run.
-        let d = data();
-        let model = CostModel::default();
-        let s = spark(&d, &model, true);
-        let c = cheetah(&d, &model, 1 << 20, 3, 7);
-        assert!(
-            c.timing.total_s() < s.timing.total_s(),
-            "cheetah {:.4}s vs spark {:.4}s",
-            c.timing.total_s(),
-            s.timing.total_s()
-        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::{HavingPassOne, HavingPruner};
 
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
-use crate::cost::{master_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE};
+use crate::cost::CostModel;
 use crate::executor::ExecutionReport;
 use crate::master::{
     explode, fetch_and_checksum, fetch_rows_flat, join_survivors, merge_top, survivors, GroupRun,
@@ -574,7 +574,7 @@ pub(crate) fn frontier(width: usize, flat: &[u64]) -> TupleRun {
     TupleRun::canonical(width, skyline_of(&explode(width, flat)).concat())
 }
 
-/// A finished query, with what its report is priced by.
+/// A finished query, with the counters its report carries.
 pub(crate) struct Answer {
     pub(crate) result: QueryResult,
     /// Entries streamed over every pass.
@@ -595,6 +595,39 @@ impl Answer {
             fetch_checksum: None,
         }
     }
+
+    /// The report of an answer the switch decided: the entries it
+    /// forwarded reached the master.
+    pub(crate) fn pruned(self, stats: PruneStats) -> ExecutionReport {
+        self.report("cheetah", Some(stats), stats.forwarded())
+    }
+
+    /// The report of this answer, labeled `executor`: `shuffle_entries`
+    /// reached the master, and `prune` counts the switch's decisions if
+    /// one decided.
+    pub(crate) fn report(
+        self,
+        executor: &'static str,
+        prune: Option<PruneStats>,
+        shuffle_entries: u64,
+    ) -> ExecutionReport {
+        ExecutionReport {
+            executor,
+            result: self.result,
+            prune,
+            passes: self.passes,
+            streamed: self.streamed,
+            fetch_rows: self.fetch_rows,
+            fetch_checksum: self.fetch_checksum,
+            shuffle_entries,
+            wall: None,
+            pass_walls: Vec::new(),
+            combine_wall: None,
+            merge_walls: Vec::new(),
+            resilience: None,
+            plan: None,
+        }
+    }
 }
 
 impl CheetahExecutor {
@@ -603,7 +636,7 @@ impl CheetahExecutor {
         CheetahExecutor { model, config }
     }
 
-    /// Run the query through the switch; real results, modeled timing.
+    /// Run the query through the switch; real results, counted traffic.
     pub fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
         self.execute_in(db, query, None).0
     }
@@ -656,7 +689,7 @@ impl CheetahExecutor {
             stats.drained += drained.len() as u64;
             groups.fill(|partials| partials.extend(drained));
             let result = groups.finish().into_result(threshold);
-            let report = self.report(query, stats, Answer::single(result, t.rows() as u64));
+            let report = Answer::single(result, t.rows() as u64).pruned(stats);
             return (report, None);
         }
         match query {
@@ -707,7 +740,7 @@ impl CheetahExecutor {
                     passes,
                     ..Answer::single(result, streamed)
                 };
-                let report = self.report(query, stats, answer);
+                let report = answer.pruned(stats);
                 (report, Some(ArmedFlow::Having(flow)))
             }
             Query::Join {
@@ -765,10 +798,7 @@ impl CheetahExecutor {
                     fetch_rows: pairs,
                     ..Answer::single(result, streamed)
                 };
-                (
-                    self.report(query, stats, answer),
-                    Some(ArmedFlow::Join(flow)),
-                )
+                (answer.pruned(stats), Some(ArmedFlow::Join(flow)))
             }
             _ => unreachable!("single-pass shapes and register aggregations ran above"),
         }
@@ -842,7 +872,7 @@ impl CheetahExecutor {
             .map(|((query, master), stats)| {
                 let fetch = query.projection(t, &cfg.fetch);
                 let partial = master.partial(query, t, fetch.cols(), false);
-                self.report(query, stats, partial.root(query, rows))
+                partial.root(query, rows).pruned(stats)
             })
             .collect()
     }
@@ -955,51 +985,6 @@ impl CheetahExecutor {
             passes,
             rows: t.rows() as u64,
         })
-    }
-
-    /// Price `answer` into a report: the stream, serialization and master
-    /// completion overlap (pipelining), so the streaming phase costs their
-    /// maximum.
-    pub(crate) fn report(
-        &self,
-        query: &Query,
-        stats: PruneStats,
-        answer: Answer,
-    ) -> ExecutionReport {
-        let m = &self.model;
-        let kind = query.kind();
-        let per_worker = answer.streamed.div_ceil(m.workers as u64);
-        let serialize_s = m.scaled(per_worker) / m.serialize_cpu_pps;
-        let network_s = m.scaled(per_worker) / m.worker_pps();
-        let master_s =
-            m.scaled(stats.forwarded()) / master_rate(kind).unwrap_or(FALLBACK_MASTER_RATE);
-        let fetch_s = m.transfer_s(m.scaled(answer.fetch_rows) * m.fetch_bytes_per_row);
-        let stream_phase = serialize_s.max(network_s).max(master_s);
-        // Residual master work after the stream drains (blocking effect of
-        // Figure 9: only bites when the master is the bottleneck).
-        let residual = (master_s - serialize_s.max(network_s)).max(0.0);
-        let timing = TimingBreakdown {
-            computation_s: master_s.min(stream_phase) * 0.1 + residual,
-            network_s: serialize_s.max(network_s),
-            other_s: m.cheetah_setup_s + m.rule_install_s + fetch_s,
-        };
-        ExecutionReport {
-            executor: "cheetah",
-            result: answer.result,
-            timing,
-            first_run: None,
-            prune: Some(stats),
-            passes: answer.passes,
-            fetch_rows: answer.fetch_rows,
-            fetch_checksum: answer.fetch_checksum,
-            shuffle_entries: stats.forwarded(),
-            wall: None,
-            pass_walls: Vec::new(),
-            combine_wall: None,
-            merge_walls: Vec::new(),
-            resilience: None,
-            plan: None,
-        }
     }
 }
 
@@ -1345,14 +1330,19 @@ pub(crate) mod tests {
     #[test]
     fn threaded_multipass_reports_match_deterministic_shape() {
         // Pass counts, streamed-entry totals and fetch metadata must line
-        // up with the deterministic executor's, so the cost model prices
-        // both paths identically.
+        // up with the deterministic executor's, so the completion-time
+        // model prices both paths identically.
         let db = random_db(4_000, 12);
         let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
         for q in all_queries() {
             let det = exec.execute(&db, &q);
             let thr = exec.execute_threaded(&db, &q);
             assert_eq!(thr.passes, det.passes, "{} pass count", q.kind());
+            // A lopsided JOIN streams one side a pass on threads only
+            // (the §4.3 asymmetric flow).
+            if !matches!(q, Query::Join { .. }) {
+                assert_eq!(thr.streamed, det.streamed, "{} streamed", q.kind());
+            }
             assert_eq!(
                 thr.prune_stats().processed,
                 det.prune_stats().processed,
@@ -1373,32 +1363,6 @@ pub(crate) mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn network_rate_scales_timing() {
-        let db = random_db(30_000, 6);
-        let q = Query::Distinct {
-            table: "t".into(),
-            column: "k".into(),
-        };
-        let run = |gbps| {
-            CheetahExecutor::new(
-                CostModel {
-                    nic_gbps: gbps,
-                    ..CostModel::default()
-                },
-                PrunerConfig::default(),
-            )
-            .execute(&db, &q)
-        };
-        let r10 = run(10.0);
-        let r20 = run(20.0);
-        assert!(
-            r10.timing.network_s > r20.timing.network_s * 1.8,
-            "20G should nearly halve the network phase (Fig 8)"
-        );
-        assert_eq!(r10.result, r20.result);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::rows_payload_checksum;
 use crate::multipass::GroupBySumStage;
 use crate::query::Query;
-use crate::sharded::{report_on, Reduced, ShardProgram, Site, Transport};
+use crate::sharded::{report_on, NewPruner, Reduced, ShardProgram, Site, Transport};
 use crate::table::Database;
 use crate::threaded::{ColumnChunk, PrunerStage, SwitchPhases};
 
@@ -695,9 +695,9 @@ impl Site for Faults<'_> {
     type SumStage = RebootSumStage;
     const SHIPS: bool = true;
 
-    fn pruner_stage(&self, s: usize, inner: Box<dyn RowPruner + Send>) -> PrunerStage {
+    fn pruner_stage(&self, s: usize, inner: NewPruner<'_>) -> PrunerStage {
         PrunerStage::new(Box::new(RebootPruner {
-            inner,
+            inner: inner(),
             clock: self.clock(s),
             reboots: Arc::clone(&self.reboots),
         }))
@@ -1195,7 +1195,7 @@ mod tests {
                 reboots: Arc::clone(&rows.reboots),
             };
             let by_row: Vec<Decision> = keys.iter().map(|&k| by_row.process_row(&[k])).collect();
-            let mut stage = blocks.pruner_stage(0, distinct());
+            let mut stage = blocks.pruner_stage(0, &|| distinct());
             let mut by_block = vec![Decision::Prune; keys.len()];
             for (lane, out) in keys.chunks(BLOCK).zip(by_block.chunks_mut(BLOCK)) {
                 stage.process_cols(0, &[lane], 1, out);

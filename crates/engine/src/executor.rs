@@ -1,22 +1,22 @@
 //! The shared executor seam: one trait, one report type, generic drivers.
 //!
-//! Every way of completing a query in this engine — the Spark-style
-//! baseline ([`SparkExecutor`]), the switch-pruning pipeline
-//! ([`CheetahExecutor`]), the real-threads cluster
-//! ([`ThreadedExecutor`]) and the NetAccel lower-bound comparator
-//! ([`NetAccelExecutor`]) — implements [`Executor`] and returns the same
-//! [`ExecutionReport`]. Tests, benches and the experiment harness drive
-//! all of them through [`run_all`] / [`divergences`] instead of keeping a
-//! hand-rolled loop per executor, and later backends (sharded, async,
-//! multi-switch) plug into the same seam.
+//! Every way of completing a query in this engine implements [`Executor`]
+//! and returns the same [`ExecutionReport`]: the Spark-style baseline
+//! ([`SparkExecutor`]), the deterministic switch-pruning pipeline
+//! ([`CheetahExecutor`]), the real-threads cluster ([`ThreadedExecutor`]),
+//! the multi-switch and wire arms
+//! ([`ShardedExecutor`](crate::ShardedExecutor),
+//! [`DistributedExecutor`](crate::DistributedExecutor)), the serving
+//! front-end ([`ServeExecutor`](crate::ServeExecutor)) and the planner
+//! ([`PlannerExecutor`](crate::PlannerExecutor)). Tests, benches and the
+//! experiment harness drive all of them through [`run_all`] /
+//! [`divergences`] instead of keeping a hand-rolled loop per executor.
 
 use std::time::Duration;
 
 use cheetah_core::decision::PruneStats;
 
 use crate::cheetah::CheetahExecutor;
-use crate::cost::TimingBreakdown;
-use crate::netaccel::NetAccelModel;
 use crate::query::{Query, QueryResult};
 use crate::reference;
 use crate::spark::SparkExecutor;
@@ -24,26 +24,28 @@ use crate::table::Database;
 
 /// Uniform outcome of running one query through any [`Executor`].
 ///
-/// Every executor computes a **real** [`QueryResult`] over real data;
-/// the timing side is modeled (see `cost`). Fields that only some
-/// executors produce are `Option`s with accessors that default sensibly,
-/// so generic drivers never need to know which executor ran.
+/// Every executor computes a **real** [`QueryResult`] over real data and
+/// counts what it moved; every time in it is measured. Modeled completion
+/// times are a function of these counters, priced outside the engine
+/// (`cheetah_bench::cost`). Fields that only some executors produce are
+/// `Option`s with accessors that default sensibly, so generic drivers
+/// never need to know which executor ran.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Name of the executor that produced this report.
     pub executor: &'static str,
     /// The (real) query result.
     pub result: QueryResult,
-    /// Modeled steady-state ("warm") completion breakdown.
-    pub timing: TimingBreakdown,
-    /// Modeled cold-start completion, when the executor distinguishes one
-    /// (Spark's first-run JIT + indexing penalty, §8.2.2).
-    pub first_run: Option<TimingBreakdown>,
     /// Switch pruning statistics, for executors with a switch in the path.
     pub prune: Option<PruneStats>,
     /// Streaming passes over the data (JOIN, and a HAVING past the
     /// register cutoff, take two on Cheetah).
     pub passes: u32,
+    /// Entries the workers streamed, summed over every pass: Spark's rows
+    /// scanned by worker tasks, the entries serialized toward the switch
+    /// on every other arm. A JOIN's build pass counts here but records no
+    /// [`PruneStats`], so `prune.processed` can fall short of it.
+    pub streamed: u64,
     /// Rows fetched by late materialization (§7.1).
     pub fetch_rows: u64,
     /// Order-independent checksum over the late-materialized rows, for
@@ -58,7 +60,7 @@ pub struct ExecutionReport {
     pub wall: Option<Duration>,
     /// Measured switch-side span of each streaming pass (phase open →
     /// FIN flush), for executors that really ran the threaded pipeline.
-    /// Empty for modeled-only executors; its sum is ≤ `wall` (partition
+    /// Empty for the deterministic arm and the Spark baseline; its sum is ≤ `wall` (partition
     /// setup and master completion account for the rest). The sharded
     /// executor reports one span per shard per pass, shard-major within
     /// each pass (`shards × passes` entries).
@@ -196,12 +198,6 @@ impl ServeReport {
 }
 
 impl ExecutionReport {
-    /// Cold-start completion time, falling back to the warm timing for
-    /// executors without a distinct first run.
-    pub fn first_run_total_s(&self) -> f64 {
-        self.first_run.unwrap_or(self.timing).total_s()
-    }
-
     /// Pruning statistics, zeroed for executors without a switch.
     pub fn prune_stats(&self) -> PruneStats {
         self.prune.unwrap_or_default()
@@ -213,7 +209,7 @@ pub trait Executor {
     /// Short name for harness output and report labeling.
     fn name(&self) -> &'static str;
 
-    /// Run `query` against `db`: real result, modeled timing.
+    /// Run `query` against `db` and report its result and counters.
     ///
     /// # Examples
     ///
@@ -272,9 +268,8 @@ impl Executor for CheetahExecutor {
 /// does. Reports carry the measured wall clock in
 /// [`ExecutionReport::wall`] and the per-pass switch spans in
 /// [`ExecutionReport::pass_walls`]; one shard merges nothing, so
-/// `merge_walls` is empty and `combine_wall` is `None`. `timing` keeps
-/// the modeled breakdown (same cost model as the deterministic path, fed
-/// the measured pruning stats) so reports stay comparable across
+/// `merge_walls` is empty and `combine_wall` is `None`. Its counters are
+/// the deterministic arm's vocabulary, so reports stay comparable across
 /// executors.
 #[derive(Debug, Clone)]
 pub struct ThreadedExecutor {
@@ -298,44 +293,6 @@ impl Executor for ThreadedExecutor {
     fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
         let mut report = self.inner.execute_threaded(db, query);
         report.executor = self.name();
-        report
-    }
-}
-
-/// The §8.2.4 NetAccel lower-bound comparator behind the seam.
-///
-/// NetAccel computes queries *on* the switch, so its result must be
-/// **drained** from dataplane registers through the control plane before
-/// anything downstream can use it (Figure 7's dominant cost). As in the
-/// paper, pruning is generously assumed identical to Cheetah's; only the
-/// mandatory drain replaces the master-completion phase, making every
-/// reported time a lower bound on the real system.
-#[derive(Debug, Clone)]
-pub struct NetAccelExecutor {
-    /// The Cheetah pipeline whose pruning NetAccel is assumed to match.
-    pub cheetah: CheetahExecutor,
-    /// Drain/CPU rate model.
-    pub model: NetAccelModel,
-}
-
-impl NetAccelExecutor {
-    /// Comparator over the given pipeline and rate model.
-    pub fn new(cheetah: CheetahExecutor, model: NetAccelModel) -> Self {
-        NetAccelExecutor { cheetah, model }
-    }
-}
-
-impl Executor for NetAccelExecutor {
-    fn name(&self) -> &'static str {
-        "netaccel"
-    }
-
-    fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let mut report = CheetahExecutor::execute(&self.cheetah, db, query);
-        report.executor = self.name();
-        // Same streaming-in cost, but the completion work becomes the
-        // result drain out of the dataplane registers.
-        report.timing.computation_s = self.model.drain_s(report.result.output_size());
         report
     }
 }
@@ -386,27 +343,21 @@ mod tests {
         db
     }
 
-    fn executors() -> (
-        SparkExecutor,
-        CheetahExecutor,
-        ThreadedExecutor,
-        NetAccelExecutor,
-    ) {
+    fn executors() -> (SparkExecutor, CheetahExecutor, ThreadedExecutor) {
         let model = CostModel::default();
         let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
         (
             SparkExecutor::new(model),
             cheetah.clone(),
-            ThreadedExecutor::new(cheetah.clone()),
-            NetAccelExecutor::new(cheetah, NetAccelModel::default()),
+            ThreadedExecutor::new(cheetah),
         )
     }
 
     #[test]
     fn all_executors_agree_through_the_trait() {
         let db = tiny_db();
-        let (spark, cheetah, threaded, netaccel) = executors();
-        let all: Vec<&dyn Executor> = vec![&spark, &cheetah, &threaded, &netaccel];
+        let (spark, cheetah, threaded) = executors();
+        let all: Vec<&dyn Executor> = vec![&spark, &cheetah, &threaded];
         let queries = vec![
             (
                 "distinct",
@@ -431,19 +382,17 @@ mod tests {
     #[test]
     fn report_accessors_default_sensibly() {
         let db = tiny_db();
-        let (spark, cheetah, threaded, _) = executors();
+        let (spark, cheetah, threaded) = executors();
         let q = Query::Distinct {
             table: "t".into(),
             column: "k".into(),
         };
         let s = Executor::execute(&spark, &db, &q);
-        assert!(s.first_run.is_some(), "spark models a cold start");
-        assert!(s.first_run_total_s() > s.timing.total_s());
         assert_eq!(s.prune_stats(), PruneStats::default());
         let c = Executor::execute(&cheetah, &db, &q);
-        assert!(c.first_run.is_none());
-        assert_eq!(c.first_run_total_s(), c.timing.total_s());
         assert!(c.prune_stats().pruned > 0);
+        // One pass over 4,000 rows, scanned or streamed.
+        assert_eq!((s.streamed, c.streamed), (4_000, 4_000));
         let t = Executor::execute(&threaded, &db, &q);
         assert!(t.wall.is_some(), "distinct runs on real threads");
         assert_eq!(t.executor, "threaded");
@@ -452,7 +401,7 @@ mod tests {
     #[test]
     fn threaded_is_total_over_multipass_queries() {
         let db = tiny_db();
-        let (_, _, threaded, _) = executors();
+        let (_, _, threaded) = executors();
         let q = Query::Having {
             table: "t".into(),
             key: "k".into(),
@@ -484,7 +433,7 @@ mod tests {
         // fetch and Cheetah's interleaved-stream fetch must agree iff
         // they materialized the same row set.
         let db = tiny_db();
-        let (spark, cheetah, threaded, netaccel) = executors();
+        let (spark, cheetah, threaded) = executors();
         let q = Query::Filter {
             table: "t".into(),
             predicate: crate::query::Predicate {
@@ -497,7 +446,7 @@ mod tests {
                 formula: cheetah_core::filter::Formula::Atom(0),
             },
         };
-        let reports = run_all(&[&spark, &cheetah, &threaded, &netaccel], &db, &q);
+        let reports = run_all(&[&spark, &cheetah, &threaded], &db, &q);
         let sums: Vec<u64> = reports
             .iter()
             .map(|r| {
@@ -520,33 +469,5 @@ mod tests {
             },
         );
         assert_eq!(d.fetch_checksum, None);
-    }
-
-    #[test]
-    fn netaccel_drain_dominates_cheetah_completion_on_large_results() {
-        let db = tiny_db();
-        let (_, cheetah, _, netaccel) = executors();
-        // Filter with a wide-open predicate → large result to drain.
-        let q = Query::Filter {
-            table: "t".into(),
-            predicate: crate::query::Predicate {
-                columns: vec!["v".into()],
-                atoms: vec![cheetah_core::filter::Atom::cmp(
-                    0,
-                    cheetah_core::filter::CmpOp::Lt,
-                    u64::MAX,
-                )],
-                formula: cheetah_core::filter::Formula::Atom(0),
-            },
-        };
-        let c = Executor::execute(&cheetah, &db, &q);
-        let n = Executor::execute(&netaccel, &db, &q);
-        assert_eq!(c.result, n.result, "lower bound assumes identical pruning");
-        assert!(
-            n.timing.computation_s > c.timing.computation_s,
-            "register drain ({:.4}s) must cost more than streamed completion ({:.4}s)",
-            n.timing.computation_s,
-            c.timing.computation_s
-        );
     }
 }

@@ -16,13 +16,12 @@
 //! * [`query`] — the query specs of Appendix B + canonical results;
 //! * [`mod@reference`] — single-node ground-truth evaluator (test oracle);
 //! * [`spark`] — the baseline executor: per-partition worker tasks,
-//!   shuffled partials, master merge, with an analytic completion-time
-//!   model (first-run penalty, compressed shuffle);
+//!   shuffled partials, master merge (the shard programs with the switch
+//!   turned off);
 //! * [`cheetah`] — the Cheetah executor: CWorker serialization → switch
 //!   pruning ([`cheetah-core`] pruners) → CMaster completion, plus late
-//!   materialization and the 10G/20G network model (the master's fetch
-//!   kernel, group fold and tuple runs are one private `master` module
-//!   every arm below calls);
+//!   materialization (the master's fetch kernel, group fold and tuple
+//!   runs are one private `master` module every arm below calls);
 //! * [`threaded`] — a bounded-channel cluster running real worker/
 //!   switch/master threads (wall-clock, non-deterministic interleaving);
 //! * [`sharded`] — the multi-switch executor: N independent pool +
@@ -33,17 +32,17 @@
 //!   wire protocol ([`cheetah-net`]'s master/worker/switch state
 //!   machines on the simulated fabric), with failure injection, retry
 //!   with bounded backoff, re-dispatch, and §3/§6 reboot recovery;
-//! * [`netaccel`] — the §8.2.4 NetAccel lower-bound comparator (result
-//!   drain from switch registers; switch-CPU offload model of App. F);
 //! * [`serve`] — the concurrent serving front-end: admission scheduling,
 //!   §6 multi-query TCAM packing with spill-to-software, a bounded solo
 //!   dispatch pool, and the cross-query Bloom/Count-Min filter cache;
-//! * [`cost`] — the shared cost model and Table 3's hardware envelopes.
+//! * [`cost`] — the cluster and network parameters ([`CostModel`]); the
+//!   engine reads only its worker count.
 //!
-//! Completion *times* are modeled (no testbed here), but every executor
-//! computes **real query results** over real data, and the integration
-//! tests require Spark-baseline ≡ Cheetah ≡ reference for every query
-//! type.
+//! Every executor computes **real query results** over real data and
+//! reports the counters it moved, and the integration tests require
+//! Spark-baseline ≡ Cheetah ≡ reference for every query type. Completion
+//! *times* are modeled (no testbed here) outside the engine, by the
+//! experiment harness (`cheetah_bench::cost`), from those counters.
 //!
 //! [`cheetah-core`]: cheetah_core
 //! [`cheetah-net`]: cheetah_net
@@ -58,9 +57,7 @@ pub mod distributed;
 pub mod executor;
 mod master;
 pub mod multipass;
-pub mod netaccel;
 pub mod plan;
-pub mod q3;
 pub mod query;
 pub mod reference;
 pub mod serve;
@@ -71,11 +68,9 @@ pub mod table;
 pub mod threaded;
 
 pub use cheetah::CheetahExecutor;
-pub use cost::{CostModel, TimingBreakdown};
+pub use cost::CostModel;
 pub use distributed::{DistributedExecutor, FailurePlan, ShardOutput};
-pub use executor::{
-    ExecutionReport, Executor, NetAccelExecutor, ResilienceReport, ServeReport, ThreadedExecutor,
-};
+pub use executor::{ExecutionReport, Executor, ResilienceReport, ServeReport, ThreadedExecutor};
 pub use plan::{PlanContext, PlanReport, PlannerExecutor};
 pub use query::{Agg, FetchSpec, Predicate, Projection, Query, QueryResult};
 pub use serve::ServeExecutor;

@@ -370,7 +370,7 @@ impl QueryResult {
         QueryResult::Points(v)
     }
 
-    /// Number of output entries (drives the NetAccel drain model, Fig 7).
+    /// Number of output entries.
     pub fn output_size(&self) -> u64 {
         match self {
             QueryResult::Count(_) => 1,

@@ -517,6 +517,9 @@ fn total(passes: &[PruneStats]) -> PruneStats {
     })
 }
 
+/// Builds a single-pass stage's pruner.
+pub(crate) type NewPruner<'a> = &'a dyn Fn() -> Box<dyn RowPruner + Send>;
+
 /// The stages a transport lends a shard body.
 pub(crate) trait Site: Sync {
     /// A single-pass shape's stage.
@@ -524,8 +527,9 @@ pub(crate) trait Site: Sync {
     /// GROUP BY SUM/COUNT's register stage.
     type SumStage: SwitchPhases;
 
-    /// Shard `s`'s single-pass stage around `pruner`.
-    fn pruner_stage(&self, s: usize, pruner: Box<dyn RowPruner + Send>) -> Self::RowStage;
+    /// Shard `s`'s single-pass stage around the pruner `pruner` builds
+    /// (a stage that does not prune never calls it).
+    fn pruner_stage(&self, s: usize, pruner: NewPruner<'_>) -> Self::RowStage;
 
     /// Shard `s`'s §6 register stage.
     fn sum_stage(&self, s: usize, cfg: &PrunerConfig) -> Self::SumStage;
@@ -557,8 +561,8 @@ impl Site for InProcess {
     type RowStage = PrunerStage;
     type SumStage = GroupBySumStage;
 
-    fn pruner_stage(&self, _: usize, pruner: Box<dyn RowPruner + Send>) -> PrunerStage {
-        PrunerStage::new(pruner)
+    fn pruner_stage(&self, _: usize, pruner: NewPruner<'_>) -> PrunerStage {
+        PrunerStage::new(pruner())
     }
 
     fn sum_stage(&self, _: usize, cfg: &PrunerConfig) -> GroupBySumStage {
@@ -608,7 +612,7 @@ impl Site for Unpruned {
     type RowStage = ForwardAll;
     type SumStage = ForwardAll;
 
-    fn pruner_stage(&self, _: usize, _: Box<dyn RowPruner + Send>) -> ForwardAll {
+    fn pruner_stage(&self, _: usize, _: NewPruner<'_>) -> ForwardAll {
         ForwardAll
     }
 
@@ -662,8 +666,8 @@ impl Spans {
     }
 }
 
-/// [`execute_on`] with `inner`'s switch, priced into `inner`'s report with
-/// the measured spans.
+/// [`execute_on`] with `inner`'s switch, reported with the measured
+/// spans.
 pub(crate) fn report_on<T: Transport>(
     inner: &CheetahExecutor,
     transport: &mut T,
@@ -672,7 +676,7 @@ pub(crate) fn report_on<T: Transport>(
 ) -> ExecutionReport {
     let started = Instant::now();
     let (answer, spans) = execute_on(&inner.config, inner.model.workers, transport, db, query);
-    let mut report = inner.report(query, spans.stats, answer);
+    let mut report = answer.pruned(spans.stats);
     report.pass_walls = spans.pass_walls;
     report.merge_walls = spans.merge_walls;
     report.combine_wall = Some(spans.combine);
@@ -696,7 +700,7 @@ pub(crate) fn execute_on<T: Transport>(
         shards: transport.shards(),
     };
     let mut spans = Spans::default();
-    let scan = |table: &str| Scan::over(env, db.table(table), query);
+    let scan = |table: &str| Scan::over(env, db.table(table), query, T::PRUNES);
     let regs = if T::PRUNES {
         registers(cfg, db, query)
     } else {
@@ -788,13 +792,15 @@ struct Scan<'a> {
     t: &'a Table,
     cols: Vec<usize>,
     bounds: Vec<(usize, usize)>,
-    /// A DistinctMulti's tuple fingerprinter.
+    /// A pruned DistinctMulti's tuple fingerprinter.
     fp: Option<Fingerprinter>,
 }
 
 impl<'a> Scan<'a> {
-    fn over(env: Env<'a>, t: &'a Table, query: &'a Query) -> Self {
-        let distinct_multi = matches!(query, Query::DistinctMulti { .. });
+    /// The scan of `t` for `query`; a DistinctMulti's workers hash its
+    /// tuples into a fingerprint lane only for a switch that `prunes`.
+    fn over(env: Env<'a>, t: &'a Table, query: &'a Query, prunes: bool) -> Self {
+        let distinct_multi = prunes && matches!(query, Query::DistinctMulti { .. });
         Scan {
             env,
             query,
@@ -861,7 +867,7 @@ impl ShardProgram for SinglePassProgram<'_> {
         let columns = first..first + self.scan.cols.len();
         run_shard(
             self.scan.pass(s),
-            site.pruner_stage(s, single_pass_pruner(env.cfg, query, t)),
+            site.pruner_stage(s, &|| single_pass_pruner(env.cfg, query, t)),
             Completion::for_query(query),
             |master, block| {
                 let cols: Vec<&[u64]> = columns.clone().map(|c| block.lane(c)).collect();
@@ -1531,7 +1537,7 @@ pub(crate) mod tests {
             let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([survivors.len()]).collect();
             for q in single_pass_shapes(seed as usize % 60) {
                 let program = SinglePassProgram {
-                    scan: Scan::over(env, t, &q),
+                    scan: Scan::over(env, t, &q, true),
                     fetch: q.projection(t, &cfg.fetch),
                 };
                 let cols: Vec<&[u64]> = program.scan.cols.iter().map(|&c| t.col_at(c)).collect();

@@ -5,18 +5,14 @@
 //! partials to the master, which merges them. That is exactly a shard
 //! program with the switch turned off, so the baseline runs the shard
 //! programs ([`crate::sharded`]) over an unpruned transport: one range
-//! shard, with one pool worker, per Spark worker. Completion time comes
-//! from the [`CostModel`]: parallel worker tasks, compressed shuffle,
-//! master merge, with the first run paying the JIT/indexing penalty the
-//! paper discards in later figures (§8.2.2).
+//! shard, with one pool worker, per Spark worker. The report counts the
+//! rows the worker tasks scanned (`streamed`), the partial entries they
+//! shuffled and the rows fetched: what a completion-time model prices.
 
 use crate::cheetah::PrunerConfig;
-use crate::cost::{
-    master_rate, spark_task_rate, CostModel, TimingBreakdown, FALLBACK_MASTER_RATE,
-    FALLBACK_TASK_RATE,
-};
+use crate::cost::CostModel;
 use crate::executor::ExecutionReport;
-use crate::query::{FetchSpec, Query, QueryResult};
+use crate::query::{FetchSpec, Query};
 use crate::sharded::{execute_on, Unpruned};
 use crate::table::Database;
 
@@ -46,9 +42,7 @@ impl SparkExecutor {
         self
     }
 
-    /// Run the query: real partial computation per partition, real merge,
-    /// modeled timing. [`ExecutionReport::timing`] is the warm run;
-    /// [`ExecutionReport::first_run`] carries the JIT/indexing penalty.
+    /// Run the query: real partial computation per partition, real merge.
     pub fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
         let cfg = PrunerConfig {
             fetch: self.fetch.clone(),
@@ -59,61 +53,7 @@ impl SparkExecutor {
             shuffled: 0,
         };
         let (answer, _) = execute_on(&cfg, 1, &mut transport, db, query);
-        let (rows, fetch_rows) = (answer.streamed, answer.fetch_rows);
-        let mut report = self.report(query, rows, transport.shuffled, fetch_rows, answer.result);
-        report.fetch_checksum = answer.fetch_checksum;
-        report
-    }
-
-    /// Assemble the report from measured sizes + the cost model.
-    ///
-    /// * `rows` — total rows scanned by worker tasks;
-    /// * `shuffle_entries` — partial entries shipped to the master;
-    /// * `fetch_rows` — rows fetched by late materialization.
-    fn report(
-        &self,
-        query: &Query,
-        rows: u64,
-        shuffle_entries: u64,
-        fetch_rows: u64,
-        result: QueryResult,
-    ) -> ExecutionReport {
-        let m = &self.model;
-        let kind = query.kind();
-        let max_partition_rows = rows.div_ceil(m.workers as u64);
-        let task_s =
-            m.scaled(max_partition_rows) / spark_task_rate(kind).unwrap_or(FALLBACK_TASK_RATE);
-        let merge_s = m.scaled(shuffle_entries) / master_rate(kind).unwrap_or(FALLBACK_MASTER_RATE);
-        let shuffle_bytes = m.scaled(shuffle_entries) * m.shuffle_bytes_per_entry;
-        let fetch_bytes = m.scaled(fetch_rows) * m.fetch_bytes_per_row;
-        let network_s = m.transfer_s(shuffle_bytes + fetch_bytes);
-        let later_run = TimingBreakdown {
-            computation_s: task_s + merge_s,
-            network_s,
-            other_s: m.spark_overhead_s,
-        };
-        let first_run = TimingBreakdown {
-            computation_s: (task_s + merge_s) * m.first_run_factor,
-            network_s,
-            other_s: m.spark_overhead_s,
-        };
-        ExecutionReport {
-            executor: "spark",
-            result,
-            timing: later_run,
-            first_run: Some(first_run),
-            prune: None,
-            passes: 1,
-            fetch_rows,
-            fetch_checksum: None,
-            shuffle_entries,
-            wall: None,
-            pass_walls: Vec::new(),
-            combine_wall: None,
-            merge_walls: Vec::new(),
-            resilience: None,
-            plan: None,
-        }
+        answer.report("spark", None, transport.shuffled)
     }
 }
 
@@ -121,7 +61,7 @@ impl SparkExecutor {
 mod tests {
     use super::*;
     use crate::cheetah::tests::{all_queries, random_db};
-    use crate::query::Agg;
+    use crate::query::{Agg, QueryResult};
     use crate::reference;
     use crate::table::Table;
 
@@ -136,20 +76,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn first_run_slower_than_later() {
-        let db = random_db(10_000, 2);
-        let exec = SparkExecutor::new(CostModel::default());
-        let r = exec.execute(
-            &db,
-            &Query::Distinct {
-                table: "t".into(),
-                column: "k".into(),
-            },
-        );
-        assert!(r.first_run_total_s() > r.timing.total_s());
-    }
-
     /// TOP 0 is empty, as on every other arm: the baseline's worker
     /// tasks used to panic on it.
     #[test]
@@ -161,23 +87,6 @@ mod tests {
         };
         let r = SparkExecutor::new(CostModel::default()).execute(&random_db(100, 3), &q);
         assert_eq!(r.result, QueryResult::TopValues(Vec::new()));
-    }
-
-    #[test]
-    fn worker_count_divides_task_time() {
-        let db = random_db(10_000, 3);
-        let q = Query::Distinct {
-            table: "t".into(),
-            column: "k".into(),
-        };
-        let t1 = SparkExecutor::new(CostModel {
-            workers: 1,
-            ..CostModel::default()
-        })
-        .execute(&db, &q);
-        let t5 = SparkExecutor::new(CostModel::default()).execute(&db, &q);
-        assert!(t1.timing.computation_s > t5.timing.computation_s * 3.0);
-        assert_eq!(t1.result, t5.result, "parallelism must not change results");
     }
 
     #[test]
@@ -245,10 +154,10 @@ mod tests {
         (t.rows() as u64, shuffle, fetch)
     }
 
-    /// The baseline's modeled inputs — entries shuffled, rows fetched,
-    /// passes — and the timings they price are the per-slice partials'
-    /// on every shape at 1, 3 and 5 workers, a table with fewer rows than
-    /// workers included. Five workers divide a DISTINCT's task time.
+    /// The baseline's modeled inputs — rows scanned, entries shuffled,
+    /// rows fetched, passes — are the per-slice partials' on every shape
+    /// at 1, 3 and 5 workers, a table with fewer rows than workers
+    /// included.
     #[test]
     fn modeled_inputs_are_the_per_slice_partials() {
         let at = |workers| {
@@ -262,21 +171,14 @@ mod tests {
             for q in all_queries() {
                 let truth = reference::evaluate(&db, &q);
                 for workers in [1, 3, 5] {
-                    let exec = at(workers);
-                    let got = exec.execute(&db, &q);
+                    let got = at(workers).execute(&db, &q);
                     let (scanned, shuffle, fetch) = oracle(&db, &q, workers);
-                    let want = exec.report(&q, scanned, shuffle, fetch, truth.clone());
                     let what = format!("{} over {rows} rows at {workers} workers", q.kind());
                     assert_eq!(got.result, truth, "{what}");
+                    assert_eq!(got.streamed, scanned, "{what}: streamed");
                     assert_eq!(got.shuffle_entries, shuffle, "{what}: shuffle");
                     assert_eq!(got.fetch_rows, fetch, "{what}: fetch");
                     assert_eq!(got.passes, 1, "{what}: passes");
-                    assert_eq!(got.timing, want.timing, "{what}: timing");
-                    assert_eq!(got.first_run, want.first_run, "{what}: first run");
-                }
-                if rows > 3 && matches!(q, Query::Distinct { .. }) {
-                    let (one, five) = (at(1).execute(&db, &q), at(5).execute(&db, &q));
-                    assert!(one.timing.computation_s > 3.0 * five.timing.computation_s);
                 }
             }
         }

@@ -11,6 +11,7 @@ use cheetah::engine::spark::SparkExecutor;
 use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, Table};
 use cheetah::workloads::bigdata::{Rankings, UserVisits, UserVisitsConfig};
 use cheetah::workloads::stream::shuffled;
+use cheetah_bench::cost;
 
 fn main() {
     // Scaled-down sample of the paper's 31.7M uservisits / 18M rankings;
@@ -137,9 +138,9 @@ fn main() {
         println!(
             "{:<26} {:>10.2} s {:>10.2} s {:>10.2} s {:>9.1}%",
             name,
-            s.first_run_total_s(),
-            s.timing.total_s(),
-            c.timing.total_s(),
+            cost::spark_first_run(q, &s, &model).total_s(),
+            cost::spark(q, &s, &model).total_s(),
+            cost::cheetah(q, &c, &model).total_s(),
             100.0 * c.prune_stats().pruned_fraction(),
         );
     }

@@ -13,6 +13,7 @@ use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::executor::run_all;
 use cheetah::engine::spark::SparkExecutor;
 use cheetah::engine::{CostModel, Database, Executor, Query, Table};
+use cheetah_bench::cost;
 
 fn main() {
     // A products table: 200k rows, only 1000 distinct sellers.
@@ -66,11 +67,13 @@ fn main() {
         "\n— completion time (modeled, {} workers, 10G) —",
         model.workers
     );
-    println!("Spark (1st run)  : {:>7.3} s", spark.first_run_total_s());
-    println!("Spark (warm)     : {:>7.3} s", spark.timing.total_s());
+    let spark_first = cost::spark_first_run(&query, spark, &model);
+    let spark_warm = cost::spark(&query, spark, &model);
+    println!("Spark (1st run)  : {:>7.3} s", spark_first.total_s());
+    println!("Spark (warm)     : {:>7.3} s", spark_warm.total_s());
     println!(
         "Cheetah          : {:>7.3} s   (pruned {:.1}% at the switch)",
-        cheetah.timing.total_s(),
+        cost::cheetah(&query, cheetah, &model).total_s(),
         100.0 * cheetah.prune_stats().pruned_fraction()
     );
     let distinct_count = match &cheetah.result {

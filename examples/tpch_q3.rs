@@ -5,9 +5,9 @@
 //! cargo run --release --example tpch_q3
 //! ```
 
-use cheetah::engine::q3;
 use cheetah::engine::CostModel;
 use cheetah::workloads::tpch::TpchData;
+use cheetah_bench::q3;
 
 fn main() {
     let scale = 0.02; // 3K customers, 30K orders, ~120K lineitems

@@ -5,7 +5,7 @@
 //! the lanes the query touches, yet must produce exactly the results,
 //! processed counts, and (per fetch spec) row checksums of the
 //! [`FetchSpec::All`] seed behavior. Randomized tables drive every query
-//! shape through all seven executors in both modes, including a
+//! shape through all six executors in both modes, including a
 //! predicate that references one column twice and a pad lane no query
 //! ever reads.
 
@@ -14,12 +14,10 @@ use proptest::prelude::*;
 
 use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
-use cheetah::engine::netaccel::NetAccelModel;
 use cheetah::engine::reference;
 use cheetah::engine::{
-    Agg, CostModel, Database, DistributedExecutor, Executor, FetchSpec, NetAccelExecutor,
-    Predicate, Projection, Query, ServeExecutor, ShardedExecutor, SparkExecutor, Table,
-    ThreadedExecutor,
+    Agg, CostModel, Database, DistributedExecutor, Executor, FetchSpec, Predicate, Projection,
+    Query, ServeExecutor, ShardedExecutor, SparkExecutor, Table, ThreadedExecutor,
 };
 
 /// Build the two test tables; `pad` is referenced by no query below
@@ -134,7 +132,7 @@ fn shapes() -> Vec<(&'static str, Query)> {
     ]
 }
 
-/// All seven executors, configured with one fetch spec.
+/// All six executors, configured with one fetch spec.
 fn executors(fetch: &FetchSpec) -> Vec<Box<dyn Executor>> {
     let model = CostModel::default();
     let cheetah = CheetahExecutor::new(
@@ -148,10 +146,6 @@ fn executors(fetch: &FetchSpec) -> Vec<Box<dyn Executor>> {
         Box::new(SparkExecutor::new(model).with_fetch(fetch.clone())),
         Box::new(cheetah.clone()),
         Box::new(ThreadedExecutor::new(cheetah.clone())),
-        Box::new(NetAccelExecutor::new(
-            cheetah.clone(),
-            NetAccelModel::default(),
-        )),
         Box::new(ShardedExecutor::with_shards(cheetah.clone(), 2)),
         Box::new(DistributedExecutor::with_shards(cheetah.clone(), 2)),
         Box::new(ServeExecutor::with_pool(cheetah, 1)),
