@@ -10,6 +10,7 @@ use cheetah_core::filter::FilterPruner;
 use cheetah_core::groupby::{Extremum, GroupByPruner};
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 use cheetah_core::join::{JoinPruner, RegisterBloomFilter};
+use cheetah_core::resources::{table2, ResourceUsage};
 use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
 use cheetah_core::{params, SwitchModel};
@@ -169,23 +170,61 @@ pub(crate) enum TopNGeometry {
     Deterministic { w: usize },
 }
 
+impl TopNGeometry {
+    /// What the program occupies: Table 2's row, plus, for the randomized
+    /// matrix, the sequence counter that has stage 0 to itself.
+    pub(crate) fn resources(self) -> ResourceUsage {
+        match self {
+            TopNGeometry::Randomized { d, w } => {
+                let counter = ResourceUsage {
+                    stages: 1,
+                    alus: 1,
+                    sram_bits: 64,
+                    tcam_entries: 0,
+                };
+                table2::topn_rand(w as u32, d as u64).plus(counter)
+            }
+            TopNGeometry::Deterministic { w } => table2::topn_det(w as u32),
+        }
+    }
+}
+
 /// The one TOP N sizing decision: what [`topn`] builds, and what the
-/// planner and serving's packing charge. The randomized matrix keeps
-/// `cfg.topn_d` rows and takes Theorem 2's columns for `n` at δ = 10⁻⁴,
-/// never fewer than `cfg.topn_w` (so every n ≤ 277 keeps Table 2's
-/// 4096 × 4). Where Theorem 2 gives no columns, or the program's w + 1
-/// stages overflow the pipeline, the deterministic ladder runs instead. A
-/// TOP 0 is sized as a TOP 1: its answer is empty whatever is forwarded.
+/// planner and serving's packing charge. Of the randomized matrices that
+/// Theorem 2 makes exact with probability 1 − δ at δ = 10⁻⁴ for `n`, it
+/// takes the one with the smallest d·w — and so, by Theorem 3, the fewest
+/// expected forwards — whose w + 1 stages fit the pipeline, with at most
+/// `cfg.topn_d` rows and at least `cfg.topn_w` columns. Where no matrix
+/// fits, the deterministic ladder runs instead. A TOP 0 is sized as a
+/// TOP 1: its answer is empty whatever is forwarded.
 pub(crate) fn topn_geometry(cfg: &PrunerConfig, n: usize) -> TopNGeometry {
     let ladder = TopNGeometry::Deterministic { w: cfg.topn_w };
     if !cfg.topn_randomized {
         return ladder;
     }
-    match params::topn_columns(cfg.topn_d, n.max(1), TOPN_DELTA).map(|w| w.max(cfg.topn_w)) {
-        // The program takes w + 1 stages.
-        Some(w) if w < spec().stages as usize => TopNGeometry::Randomized { d: cfg.topn_d, w },
-        _ => ladder,
-    }
+    let n = n.max(1);
+    let feasible = |d: usize, w: usize| {
+        params::topn_columns(d, n, TOPN_DELTA).is_some_and(|columns| columns <= w)
+    };
+    // The program takes w + 1 stages: its sequence counter sits in stage 0.
+    (cfg.topn_w..spec().stages as usize)
+        .filter(|&w| feasible(cfg.topn_d, w))
+        .map(|w| {
+            // Theorem 2's columns fall as rows grow, so the fewest rows
+            // that w columns serve is a binary search.
+            let (mut lo, mut hi) = (1, cfg.topn_d);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if feasible(mid, w) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            (hi, w)
+        })
+        .min_by_key(|&(d, w)| d * w)
+        .map_or(ladder, |(d, w)| TopNGeometry::Randomized { d, w })
 }
 
 /// TOP N pruner, sized by `topn_geometry`.
@@ -687,17 +726,19 @@ mod tests {
     fn topn_geometry_follows_n_and_every_n_builds() {
         use TopNGeometry::{Deterministic, Randomized};
         let cfg = PrunerConfig::default();
-        let matrix = |w| Randomized { d: 4096, w };
-        // Table 2's default up to n = 277, so perfbench's n ≤ 250 is
-        // untouched; Theorem 2's columns beyond.
-        for n in [0, 1, 250, 277] {
-            assert_eq!(topn_geometry(&cfg, n), matrix(4), "n = {n}");
-        }
-        assert_eq!(topn_geometry(&cfg, 278), matrix(5));
-        assert_eq!(topn_geometry(&cfg, 2_000), matrix(8));
-        // Past 11 columns the program overflows the 12-stage pipeline;
-        // past n ≈ 26k Theorem 2 has no columns at d = 4096.
-        assert_eq!(topn_geometry(&cfg, 10_000), Deterministic { w: 4 });
+        // A TOP 0 or 1 is one row: w ≥ n cells make it exact outright.
+        assert_eq!(topn_geometry(&cfg, 0), Randomized { d: 1, w: 9 });
+        assert_eq!(topn_geometry(&cfg, 1), Randomized { d: 1, w: 9 });
+        assert_eq!(topn_geometry(&cfg, 10), Randomized { d: 11, w: 9 });
+        // Past a handful of rows the 11 columns of a 12-stage pipeline
+        // give the smallest matrix; perfbench's TOP 250 runs 227 × 11
+        // where Table 2's 4096 × 4 forwarded four times as many entries.
+        assert_eq!(topn_geometry(&cfg, 25), Randomized { d: 21, w: 11 });
+        assert_eq!(topn_geometry(&cfg, 250), Randomized { d: 227, w: 11 });
+        assert_eq!(topn_geometry(&cfg, 2_000), Randomized { d: 1_999, w: 11 });
+        // Past 11 columns at 4096 rows the program overflows the
+        // pipeline; past n ≈ 26k Theorem 2 has no columns at d = 4096.
+        assert_eq!(topn_geometry(&cfg, 4_000), Deterministic { w: 4 });
         assert_eq!(params::topn_columns(4096, 50_000, TOPN_DELTA), None);
         assert_eq!(topn_geometry(&cfg, 50_000), Deterministic { w: 4 });
         let ladder = PrunerConfig {
@@ -713,6 +754,47 @@ mod tests {
             for n in [0, 1, 277, 278, 2_000, 4_000, 10_000, 26_000, 50_000] {
                 let mut t = topn(&cfg, n);
                 assert!(t.process_row(&[100]).is_forward(), "{backend:?} n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn topn_geometry_is_the_smallest_feasible_matrix_in_the_budget() {
+        let cfg = PrunerConfig::default();
+        let stages = spec().stages as usize;
+        let feasible = |d: usize, w: usize, n: usize| {
+            params::topn_columns(d, n, TOPN_DELTA).is_some_and(|c| c <= w)
+        };
+        for n in [
+            1, 2, 3, 7, 10, 25, 60, 100, 250, 277, 278, 640, 1_000, 2_000, 3_000, 4_000,
+        ] {
+            // Every (d, w) the budget allows: w + 1 stages, d ≤ topn_d.
+            let best = (1..=cfg.topn_d)
+                .flat_map(|d| (cfg.topn_w..stages).map(move |w| (d, w)))
+                .filter(|&(d, w)| feasible(d, w, n))
+                .map(|(d, w)| d * w)
+                .min();
+            match topn_geometry(&cfg, n) {
+                TopNGeometry::Randomized { d, w } => {
+                    assert!(
+                        feasible(d, w, n) && w < stages && d <= cfg.topn_d,
+                        "n = {n}"
+                    );
+                    assert_eq!(Some(d * w), best, "n = {n}: ({d}, {w}) is not the smallest");
+                    // Never more expected forwards than Table 2's rows at
+                    // Theorem 2's columns, the geometry this replaced.
+                    let columns = params::topn_columns(cfg.topn_d, n, TOPN_DELTA).unwrap();
+                    let old = params::topn_expected_unpruned(
+                        400_000,
+                        cfg.topn_d,
+                        columns.max(cfg.topn_w),
+                    );
+                    assert!(
+                        params::topn_expected_unpruned(400_000, d, w) <= old,
+                        "n = {n}"
+                    );
+                }
+                TopNGeometry::Deterministic { .. } => assert_eq!(best, None, "n = {n}"),
             }
         }
     }

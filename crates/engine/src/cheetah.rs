@@ -60,9 +60,11 @@ pub struct PrunerConfig {
     pub distinct_policy: EvictionPolicy,
     /// Use the randomized TOP N (vs deterministic thresholds).
     pub topn_randomized: bool,
-    /// Randomized TOP N rows.
+    /// Randomized TOP N row cap: `backend::topn_geometry` takes the
+    /// smallest Theorem 2 matrix with at most this many rows.
     pub topn_d: usize,
-    /// Randomized TOP N columns / deterministic threshold count.
+    /// Randomized TOP N column floor, and the deterministic ladder's
+    /// threshold count.
     pub topn_w: usize,
     /// GROUP BY matrix rows.
     pub groupby_d: usize,

@@ -41,7 +41,7 @@ use cheetah_core::having::HavingPruner;
 use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 use cheetah_pisa::pack::pack;
 
-use crate::backend::{distinct_rows, topn_geometry, JoinFlow, TopNGeometry};
+use crate::backend::{distinct_rows, topn_geometry, JoinFlow};
 use crate::cheetah::{query_columns, registers, CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
 use crate::distributed::DistributedExecutor;
@@ -535,10 +535,7 @@ pub(crate) fn query_resources(
                 }
             }
         }
-        Query::TopN { n, .. } => match topn_geometry(cfg, *n) {
-            TopNGeometry::Randomized { d, w } => table2::topn_rand(w as u32, d as u64),
-            TopNGeometry::Deterministic { w } => table2::topn_det(w as u32),
-        },
+        Query::TopN { n, .. } => topn_geometry(cfg, *n).resources(),
         // A HAVING that runs GROUP BY SUM's registers is charged them.
         Query::GroupBy { .. } => group_by(),
         Query::Having { .. } if registers(cfg, db, query).is_some() => group_by(),
@@ -673,6 +670,41 @@ mod tests {
         // What the planner charges is what runs.
         for (key, runs) in [("k", 1), ("u", 2)] {
             assert_eq!(exec.inner.execute(&db, &having(key)).passes, runs);
+        }
+    }
+
+    #[test]
+    fn topn_charge_is_what_its_program_occupies() {
+        use crate::backend::TopNGeometry;
+        use cheetah_pisa::programs::{DetTopNProgram, RandTopNProgram};
+        let db = db(3_000, 750);
+        let exec = planner();
+        let cfg = &exec.inner.config;
+        for n in [0, 1, 25, 250, 1_000, 2_000, 5_000, 50_000] {
+            let q = Query::TopN {
+                table: "t".into(),
+                order_by: "v".into(),
+                n,
+            };
+            let charged = query_resources(cfg, &exec.switch, &db, &q).stages;
+            // The PISA twin at the chosen point, metered.
+            let occupied = match topn_geometry(cfg, n) {
+                TopNGeometry::Randomized { d, w } => {
+                    RandTopNProgram::new(exec.switch, d, w, cfg.seed)
+                        .expect("fits")
+                        .pipeline()
+                        .stages_occupied()
+                }
+                TopNGeometry::Deterministic { w } => {
+                    DetTopNProgram::new(exec.switch, n.max(1) as u64, w)
+                        .expect("fits")
+                        .pipeline()
+                        .stages_occupied()
+                }
+            };
+            assert_eq!(charged, occupied, "n = {n}");
+            assert!(charged <= SwitchModel::tofino_like().stages, "n = {n}");
+            assert!(exec.fits_switch(&db, &q), "n = {n}");
         }
     }
 

@@ -28,7 +28,9 @@
 //!    ([`SwitchModel`], Table 2 costs). A flow that doesn't fit beside
 //!    its co-residents is *spilled*: it still runs on the switch path,
 //!    but alone — one solo [`CheetahExecutor`] pass with the pipeline to
-//!    itself — and is counted in [`ServeReport::spilled`].
+//!    itself — and is counted in [`ServeReport::spilled`]. Every flow is
+//!    charged the geometry its solo run uses, so a TOP N, whose matrix is
+//!    sized to the whole pipeline, packs only where that point fits.
 //! 4. **Dispatch** runs everything that can't share a scan (two-pass
 //!    JOIN/HAVING, register aggregation — GROUP BY SUM/COUNT and a HAVING
 //!    over a register-sized key domain —, spills, singleton groups)
@@ -447,9 +449,12 @@ mod tests {
             assert_eq!(r.executor, "serving");
         }
         assert_eq!(agg.queries, 6);
-        assert_eq!(agg.packed, 3, "three single-pass shapes share table t");
+        // The TOP 25's 21 × 11 matrix takes all 12 stages, so it cannot
+        // sit beside the filter and the DISTINCT and runs alone.
+        assert_eq!(agg.packed, 2, "filter and distinct share table t");
+        assert_eq!(agg.spilled, 1, "the TOP N spills");
         assert_eq!(agg.shared_scans, 1);
-        assert_eq!(agg.solo, 3, "HAVINGs and the JOIN dispatch solo");
+        assert_eq!(agg.solo, 4, "the TOP N, HAVINGs and the JOIN dispatch solo");
         assert_eq!(agg.cache_misses, 2, "cold cache: both cacheable flows miss");
         assert_eq!(agg.cache_hits, 0);
     }
@@ -496,7 +501,8 @@ mod tests {
     fn spill_keeps_results_correct_and_is_counted() {
         // Skyline at the default w=10 needs 21 stages (Table 2) — more
         // than the 12-stage Tofino budget, so it always spills while its
-        // co-resident flows stay packed.
+        // co-resident flows stay packed: the TOP 10's 11 × 9 matrix
+        // takes 10 stages, the DISTINCT the other 2.
         let db = db(3_000, 1_500);
         let exec = serve_exec();
         let batch = vec![

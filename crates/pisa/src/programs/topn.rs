@@ -43,6 +43,11 @@ impl RandTopNProgram {
             d,
         })
     }
+
+    /// The metered pipeline the program is laid out on.
+    pub fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
 }
 
 impl SwitchProgram for RandTopNProgram {
@@ -121,6 +126,11 @@ impl DetTopNProgram {
             n,
             w,
         })
+    }
+
+    /// The metered pipeline the program is laid out on.
+    pub fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
     }
 }
 
