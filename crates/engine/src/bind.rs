@@ -1,0 +1,375 @@
+//! Binding: [`Query::bind`] resolves every table and column a query
+//! names, checks its shape and picks the one `Program` its switch runs
+//! (§3) — once, before any arm streams a row. The deterministic scan, the
+//! pool and Spark transports, serving and the planner all run the
+//! [`Bound`] it returns; a malformed query is a [`QueryError`] here.
+
+use std::fmt;
+
+use crate::backend::having_by_registers;
+use crate::cheetah::PrunerConfig;
+use crate::query::{Agg, FetchSpec, Predicate, Query};
+use crate::sharded::lopsided;
+use crate::table::{Database, Table};
+
+/// The dataflow a bound query runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Program<'a> {
+    /// One row-pruned pass: the shapes serving can pack into a shared
+    /// scan (Filter, DISTINCT, TOP N, GROUP BY MAX/MIN, SKYLINE).
+    SinglePass,
+    /// §6 register aggregation: GROUP BY SUM/COUNT, and a HAVING whose key
+    /// domain fits the registers (`backend::having_by_registers`).
+    Registers {
+        /// A HAVING's threshold; `None` for GROUP BY.
+        threshold: Option<u64>,
+    },
+    /// §5's two-pass HAVING: a Count-Min observation pass, then the
+    /// candidates' entries to the master.
+    Having {
+        /// The HAVING threshold `c`.
+        threshold: u64,
+    },
+    /// §4.3's JOIN of the bound table against `right`'s lane `right_col`.
+    Join {
+        /// The right table.
+        right: &'a Table,
+        /// Whether the pool arms take §4.3's asymmetric flow, streaming
+        /// each side once. The deterministic arm ignores it.
+        lopsided: bool,
+        /// The right join lane.
+        right_col: usize,
+    },
+}
+
+/// A query resolved against a database under one switch configuration:
+/// what every arm runs. Only [`Query::bind`] makes one.
+#[derive(Debug)]
+pub struct Bound<'a> {
+    /// The query as written.
+    pub(crate) query: &'a Query,
+    /// The table it streams (a JOIN's left side).
+    pub(crate) table: &'a Table,
+    /// `table`'s lanes the switch sees, in query order (GROUP BY COUNT
+    /// sums ones and has no value lane).
+    pub(crate) cols: Vec<usize>,
+    /// The program it runs.
+    pub(crate) program: Program<'a>,
+}
+
+/// Why a query cannot run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QueryError {
+    /// The database has no table of this name.
+    UnknownTable(String),
+    /// `(table, column)`: the table has no column of this name.
+    UnknownColumn(String, String),
+    /// A DistinctMulti or SKYLINE (its [`Query::kind`]) names no column.
+    NoColumns(&'static str),
+    /// `(atom, column)`: a predicate atom reads a column the predicate
+    /// does not name.
+    AtomColumn(usize, usize),
+    /// A formula literal names an atom the predicate does not have.
+    FormulaAtom(usize),
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::UnknownTable(t) => write!(f, "no table '{t}'"),
+            QueryError::UnknownColumn(t, c) => write!(f, "no column '{c}' in table '{t}'"),
+            QueryError::NoColumns(kind) => write!(f, "a {kind} query over no columns"),
+            QueryError::AtomColumn(a, c) => write!(f, "predicate atom {a} reads no column {c}"),
+            QueryError::FormulaAtom(a) => write!(f, "formula literal names no atom {a}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+/// `name`'s lane in `t`.
+fn col(t: &Table, name: &str) -> Result<usize, QueryError> {
+    let unknown = || QueryError::UnknownColumn(t.name().into(), name.into());
+    t.position(name).ok_or_else(unknown)
+}
+
+/// Every atom reads one of the predicate's columns, and every formula
+/// literal names one of its atoms.
+fn check(p: &Predicate) -> Result<(), QueryError> {
+    if let Some(a) = p.atoms.iter().position(|a| a.col >= p.columns.len()) {
+        return Err(QueryError::AtomColumn(a, p.atoms[a].col));
+    }
+    match p.formula.atom_ids().pop() {
+        Some(a) if a >= p.atoms.len() => Err(QueryError::FormulaAtom(a)),
+        _ => Ok(()),
+    }
+}
+
+impl Query {
+    /// Resolve this query against `db` and choose its program under
+    /// `cfg`: the one place a query's names are looked up and its shape
+    /// checked. A single-pass query also resolves the names a
+    /// [`FetchSpec::Plus`] projection adds.
+    pub fn bind<'a>(
+        &'a self,
+        db: &'a Database,
+        cfg: &PrunerConfig,
+    ) -> Result<Bound<'a>, QueryError> {
+        let table = |name: &String| {
+            let unknown = || QueryError::UnknownTable(name.clone());
+            db.get(name).ok_or_else(unknown)
+        };
+        // The streamed table and its lanes' names, in query order.
+        let (name, names): (_, Vec<&String>) = match self {
+            Query::FilterCount { table, predicate } | Query::Filter { table, predicate } => {
+                check(predicate)?;
+                (table, predicate.columns.iter().collect())
+            }
+            Query::Distinct { table, column } => (table, vec![column]),
+            Query::TopN {
+                table, order_by, ..
+            } => (table, vec![order_by]),
+            Query::DistinctMulti { table, columns } | Query::Skyline { table, columns } => {
+                if columns.is_empty() {
+                    return Err(QueryError::NoColumns(self.kind()));
+                }
+                (table, columns.iter().collect())
+            }
+            Query::GroupBy {
+                table, key, val, ..
+            }
+            | Query::Having {
+                table, key, val, ..
+            } => (table, vec![key, val]),
+            Query::Join { left, left_col, .. } => (left, vec![left_col]),
+        };
+        let t = table(name)?;
+        let mut cols: Vec<usize> = names
+            .into_iter()
+            .map(|n| col(t, n))
+            .collect::<Result<_, _>>()?;
+        let program = match self {
+            Query::GroupBy { agg, .. } if matches!(agg, Agg::Sum | Agg::Count) => {
+                // COUNT sums ones: no value lane.
+                cols.truncate(if *agg == Agg::Count { 1 } else { 2 });
+                Program::Registers { threshold: None }
+            }
+            Query::Having { threshold, .. } if having_by_registers(cfg, t, cols[0]) => {
+                Program::Registers {
+                    threshold: Some(*threshold),
+                }
+            }
+            Query::Having { threshold, .. } => Program::Having {
+                threshold: *threshold,
+            },
+            Query::Join {
+                right, right_col, ..
+            } => {
+                let r = table(right)?;
+                // The one evaluation of §4.3's flow rule, on global sizes,
+                // so every shard and pool arm agrees. The deterministic arm
+                // ignores it: it streams `2 × (l + r)` where the pool arms
+                // stream `l + r`, and `cheetah_bench::cost::cheetah` prices
+                // it so.
+                Program::Join {
+                    right: r,
+                    right_col: col(r, right_col)?,
+                    lopsided: lopsided(t.rows(), r.rows()),
+                }
+            }
+            _ => Program::SinglePass,
+        };
+        if let (Program::SinglePass, FetchSpec::Plus(names)) = (program, &cfg.fetch) {
+            names.iter().try_for_each(|n| col(t, n).map(drop))?;
+        }
+        Ok(Bound {
+            query: self,
+            table: t,
+            cols,
+            program,
+        })
+    }
+
+    /// [`Query::bind`], panicking with the error's message: how entry
+    /// points returning a bare report reject a malformed query.
+    pub(crate) fn bind_or_panic<'a>(&'a self, db: &'a Database, cfg: &PrunerConfig) -> Bound<'a> {
+        self.bind(db, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use cheetah_core::filter::{Atom, CmpOp, Formula};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::cheetah::tests::{all_queries, random_db};
+    use crate::cheetah::CheetahExecutor;
+    use crate::cost::CostModel;
+
+    /// Every name `q` reads, each with the table whose column it names
+    /// (`None`: it names a table).
+    fn names(q: &mut Query) -> Vec<(Option<String>, &mut String)> {
+        match q {
+            Query::FilterCount { table, predicate } | Query::Filter { table, predicate } => {
+                let t = Some(table.clone());
+                let cols = predicate.columns.iter_mut().map(|c| (t.clone(), c));
+                std::iter::once((None, table)).chain(cols).collect()
+            }
+            Query::DistinctMulti { table, columns } | Query::Skyline { table, columns } => {
+                let t = Some(table.clone());
+                let cols = columns.iter_mut().map(|c| (t.clone(), c));
+                std::iter::once((None, table)).chain(cols).collect()
+            }
+            Query::Distinct { table, column: c }
+            | Query::TopN {
+                table, order_by: c, ..
+            } => {
+                vec![(Some(table.clone()), c), (None, table)]
+            }
+            Query::GroupBy {
+                table, key, val, ..
+            }
+            | Query::Having {
+                table, key, val, ..
+            } => {
+                let t = Some(table.clone());
+                vec![(t.clone(), key), (t, val), (None, table)]
+            }
+            Query::Join {
+                left,
+                right,
+                left_col,
+                right_col,
+            } => vec![
+                (Some(left.clone()), left_col),
+                (Some(right.clone()), right_col),
+                (None, left),
+                (None, right),
+            ],
+        }
+    }
+
+    /// The names of the lanes `q` streams, in query order.
+    fn lanes(q: &Query) -> Vec<&str> {
+        let names: Vec<&String> = match q {
+            Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
+                predicate.columns.iter().collect()
+            }
+            Query::DistinctMulti { columns, .. } | Query::Skyline { columns, .. } => {
+                columns.iter().collect()
+            }
+            Query::Distinct { column: c, .. } | Query::TopN { order_by: c, .. } => vec![c],
+            Query::GroupBy {
+                key,
+                agg: Agg::Count,
+                ..
+            } => vec![key],
+            Query::GroupBy { key, val, .. } | Query::Having { key, val, .. } => vec![key, val],
+            Query::Join { left_col, .. } => vec![left_col],
+        };
+        names.into_iter().map(String::as_str).collect()
+    }
+
+    /// `q`'s bind error under `cfg`, once `CheetahExecutor::execute` is
+    /// seen to panic with its message.
+    fn bind_error(db: &Database, cfg: &PrunerConfig, q: &Query) -> Option<QueryError> {
+        let err = q.bind(db, cfg).err()?;
+        let exec = CheetahExecutor::new(CostModel::default(), cfg.clone());
+        let panic = catch_unwind(AssertUnwindSafe(|| exec.execute(db, q)))
+            .expect_err("a malformed query panics at bind");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+        Some(err)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every query of the shape matrix binds to its program over its
+        /// lanes, a HAVING to registers exactly while its key domain fits
+        /// half the register matrix; every unknown name, empty key list and
+        /// dangling atom or literal is its `QueryError`, and surfaces from
+        /// `execute` as a panic carrying that error's message.
+        #[test]
+        fn bind_resolves_every_query_and_rejects_every_malformed_one(
+            rows in 0usize..600,
+            seed in any::<u64>(),
+            groupby_d in 1usize..128,
+            past in 0usize..3,
+        ) {
+            let db = random_db(rows, seed);
+            let cfg = PrunerConfig { groupby_d, groupby_w: 1, ..PrunerConfig::default() };
+            let (t, s) = (db.table("t"), db.table("s"));
+            let keys: HashSet<&u64> = t.col("k").iter().collect();
+            let by_registers = keys.len() <= groupby_d / 2;
+            for q in all_queries() {
+                let b = q.bind(&db, &cfg).expect("the shape matrix binds");
+                let bound: Vec<&str> = b.cols.iter().map(|&c| b.table.schema()[c].as_str()).collect();
+                prop_assert_eq!(bound, lanes(&q), "{}", q.kind());
+                let ok = match (&q, b.program) {
+                    (Query::GroupBy { agg: Agg::Sum | Agg::Count, .. }, Program::Registers { threshold }) => {
+                        threshold.is_none()
+                    }
+                    (Query::Having { threshold, .. }, Program::Registers { threshold: c }) => {
+                        by_registers && c == Some(*threshold)
+                    }
+                    (Query::Having { threshold, .. }, Program::Having { threshold: c }) => {
+                        !by_registers && c == *threshold
+                    }
+                    (Query::Join { .. }, Program::Join { right, right_col, lopsided: l }) => {
+                        std::ptr::eq(right, s) && right_col == 0 && l == lopsided(t.rows(), s.rows())
+                    }
+                    (Query::GroupBy { agg: Agg::Max | Agg::Min, .. }, Program::SinglePass) => true,
+                    (Query::GroupBy { .. } | Query::Having { .. } | Query::Join { .. }, _) => false,
+                    (_, program) => matches!(program, Program::SinglePass),
+                };
+                prop_assert!(ok, "{} bound to the wrong program", q.kind());
+                prop_assert_eq!(bind_error(&db, &cfg, &q), None);
+
+                // Each name in turn replaced by an unknown one.
+                for i in 0..names(&mut q.clone()).len() {
+                    let mut bad = q.clone();
+                    let (owner, name) = names(&mut bad).swap_remove(i);
+                    *name = "nope".into();
+                    let want = match owner {
+                        Some(table) => QueryError::UnknownColumn(table, "nope".into()),
+                        None => QueryError::UnknownTable("nope".into()),
+                    };
+                    prop_assert_eq!(bind_error(&db, &cfg, &bad), Some(want));
+                }
+
+                // A single-pass query resolves its projection's names too.
+                let plus = PrunerConfig {
+                    fetch: FetchSpec::Plus(vec!["v".into(), "nope".into()]),
+                    ..cfg.clone()
+                };
+                let single = matches!(b.program, Program::SinglePass);
+                let want = single.then(|| QueryError::UnknownColumn("t".into(), "nope".into()));
+                prop_assert_eq!(bind_error(&db, &plus, &q), want);
+            }
+
+            // Key lists over no columns.
+            for q in [
+                Query::DistinctMulti { table: "t".into(), columns: Vec::new() },
+                Query::Skyline { table: "t".into(), columns: Vec::new() },
+            ] {
+                prop_assert_eq!(bind_error(&db, &cfg, &q), Some(QueryError::NoColumns(q.kind())));
+            }
+
+            // An atom past the predicate's columns, a literal past its atoms.
+            let filter = |atoms: Vec<Atom>, formula| Query::FilterCount {
+                table: "t".into(),
+                predicate: Predicate { columns: vec!["v".into(), "w".into()], atoms, formula },
+            };
+            let atoms = vec![Atom::cmp(0, CmpOp::Lt, 5), Atom::cmp(2 + past, CmpOp::Gt, 9)];
+            let q = filter(atoms, Formula::Atom(0));
+            prop_assert_eq!(bind_error(&db, &cfg, &q), Some(QueryError::AtomColumn(1, 2 + past)));
+            let or = Formula::Or(vec![Formula::Atom(0), Formula::NotAtom(1 + past)]);
+            let q = filter(vec![Atom::cmp(1, CmpOp::Lt, 5)], or);
+            prop_assert_eq!(bind_error(&db, &cfg, &q), Some(QueryError::FormulaAtom(1 + past)));
+        }
+    }
+}

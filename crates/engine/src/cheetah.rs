@@ -9,13 +9,10 @@
 //!
 //! Partition streams interleave round-robin (the deterministic stand-in
 //! for five NICs feeding one switch; see [`crate::threaded`] for the
-//! real-threads version). The seven single-pass shapes run one block scan,
-//! which serving runs too, for the flows it packs onto one table; GROUP BY
-//! SUM/COUNT, and a HAVING whose key domain fits the registers, aggregate
-//! in §6 registers in one pass; JOIN and a larger-domain HAVING make the
-//! two passes §4.3 describes; Filter/TopN queries
-//! requesting full rows pay a late materialization fetch (§7.1) that the
-//! switch does not touch.
+//! real-threads version). Each bound `bind::Program` is one dataflow: a
+//! single pass is the block scan serving also runs for the flows it packs
+//! onto one table. Filter/TopN queries requesting full rows pay a late
+//! materialization fetch (§7.1) that the switch does not touch.
 //!
 //! A single-pass query's completion is written once, here, for every arm:
 //! `Completion` sinks a block's survivors and makes them one canonical
@@ -33,6 +30,7 @@ use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::{HavingPassOne, HavingPruner};
 
 use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
+use crate::bind::{Bound, Program};
 use crate::cost::CostModel;
 use crate::executor::ExecutionReport;
 use crate::master::{
@@ -159,132 +157,14 @@ pub(crate) enum ArmedFlow {
     Join(JoinFlow),
 }
 
-/// A JOIN flow's probe pass as a [`RowPruner`] over `[flow id, key]` lanes —
-/// the form [`CheetahExecutor::sample_throughput`] times. Probing writes
-/// nothing, so there is no state to reset.
-struct JoinProbe(JoinFlow);
-
-impl RowPruner for JoinProbe {
-    fn process_row(&mut self, row: &[u64]) -> Decision {
-        let mut out = [Decision::Prune];
-        self.process_block(&[&row[..1], &row[1..2]], &mut out);
-        out[0]
-    }
-
-    fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
-        self.0.probe_block(cols[0], cols[1], out);
-    }
-
-    fn reset(&mut self) {}
-
-    fn name(&self) -> &'static str {
-        "join"
-    }
-}
-
-/// The table a query streams in one row-pruned pass, `None` for shapes
-/// with a dataflow of their own (two-pass flows; GROUP BY SUM/COUNT's
-/// register evictions speak a different block protocol). These are the
-/// shapes [`crate::serve`] can pack into one shared scan.
-pub(crate) fn single_pass_table(q: &Query) -> Option<&str> {
-    match q {
-        Query::FilterCount { table, .. }
-        | Query::Filter { table, .. }
-        | Query::Distinct { table, .. }
-        | Query::DistinctMulti { table, .. }
-        | Query::TopN { table, .. }
-        | Query::Skyline { table, .. }
-        | Query::GroupBy {
-            table,
-            agg: Agg::Max | Agg::Min,
-            ..
-        } => Some(table),
-        _ => None,
-    }
-}
-
-/// A query that runs as §6 register aggregation: GROUP BY SUM/COUNT, and
-/// a HAVING whose key domain fits the registers
-/// ([`backend::having_by_registers`]).
-pub(crate) struct Registers<'a> {
-    pub(crate) t: &'a Table,
-    /// The key lane, then the summed lane; COUNT sums ones and has none.
-    pub(crate) cols: Vec<usize>,
-    /// A HAVING's threshold: the master keeps the keys whose sum exceeds
-    /// it.
-    pub(crate) threshold: Option<u64>,
-}
-
-/// The register aggregation `q` runs, or `None` for every other program —
-/// the one choice every arm, serving's cache and the planner's charge
-/// follow.
-pub(crate) fn registers<'a>(
-    cfg: &PrunerConfig,
-    db: &'a Database,
-    q: &Query,
-) -> Option<Registers<'a>> {
-    aggregation(db, q)
-        .filter(|r| r.threshold.is_none() || backend::having_by_registers(cfg, r.t, r.cols[0]))
-}
-
-/// `q`'s per-key SUM/COUNT aggregation, whatever its key domain: every
-/// GROUP BY SUM/COUNT and every HAVING.
-pub(crate) fn aggregation<'a>(db: &'a Database, q: &Query) -> Option<Registers<'a>> {
-    let (table, key, val, threshold) = match q {
-        Query::GroupBy {
-            table,
-            key,
-            val,
-            agg: agg @ (Agg::Sum | Agg::Count),
-        } => (table, key, (*agg == Agg::Sum).then_some(val), None),
-        Query::Having {
-            table,
-            key,
-            val,
-            threshold,
-        } => (table, key, Some(val), Some(*threshold)),
-        _ => return None,
-    };
-    let t = db.table(table);
-    let cols: Vec<usize> = [key]
-        .into_iter()
-        .chain(val)
-        .map(|c| t.col_index(c))
-        .collect();
-    Some(Registers { t, cols, threshold })
-}
-
-/// A query's metadata columns over its one table, in query order (the
-/// stream's column order, which fingerprints and predicates rely on).
-pub(crate) fn query_columns(q: &Query, t: &Table) -> Vec<usize> {
-    match q {
-        Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
-            predicate.columns.iter().map(|c| t.col_index(c)).collect()
-        }
-        Query::Distinct { column, .. } => vec![t.col_index(column)],
-        Query::DistinctMulti { columns, .. } | Query::Skyline { columns, .. } => {
-            columns.iter().map(|c| t.col_index(c)).collect()
-        }
-        Query::TopN { order_by, .. } => vec![t.col_index(order_by)],
-        Query::GroupBy { key, val, .. } | Query::Having { key, val, .. } => {
-            vec![t.col_index(key), t.col_index(val)]
-        }
-        Query::Join { .. } => unreachable!("a JOIN streams two tables"),
-    }
-}
-
-/// The switch pruner a single-pass query over table `t` installs.
-pub(crate) fn single_pass_pruner(
-    cfg: &PrunerConfig,
-    q: &Query,
-    t: &Table,
-) -> Box<dyn RowPruner + Send> {
-    match q {
+/// The switch pruner a bound single-pass query installs.
+pub(crate) fn single_pass_pruner(cfg: &PrunerConfig, b: &Bound<'_>) -> Box<dyn RowPruner + Send> {
+    match b.query {
         Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
             backend::filter(cfg, predicate)
         }
         Query::Distinct { .. } | Query::DistinctMulti { .. } => {
-            backend::distinct_sized(cfg, backend::distinct_rows(cfg, t, &query_columns(q, t)))
+            backend::distinct_sized(cfg, backend::distinct_rows(cfg, b.table, &b.cols))
         }
         Query::TopN { n, .. } => backend::topn(cfg, *n),
         Query::GroupBy { agg, .. } => backend::groupby(
@@ -369,8 +249,8 @@ pub(crate) enum Completion<'q> {
 }
 
 impl<'q> Completion<'q> {
-    pub(crate) fn for_query(q: &'q Query) -> Self {
-        match q {
+    pub(crate) fn for_query(b: &Bound<'q>) -> Self {
+        match b.query {
             Query::FilterCount { predicate, .. } => Completion::Count {
                 check: Recheck::new(predicate),
                 count: 0,
@@ -380,12 +260,10 @@ impl<'q> Completion<'q> {
                 ids: Vec::new(),
             },
             Query::Distinct { .. } | Query::TopN { .. } => Completion::Values(Vec::new()),
-            Query::DistinctMulti { columns, .. } | Query::Skyline { columns, .. } => {
-                Completion::Tuples {
-                    width: columns.len(),
-                    flat: Vec::new(),
-                }
-            }
+            Query::DistinctMulti { .. } | Query::Skyline { .. } => Completion::Tuples {
+                width: b.cols.len(),
+                flat: Vec::new(),
+            },
             Query::GroupBy { agg, .. } => Completion::Groups(GroupSink::new(*agg)),
             _ => unreachable!("only single-pass shapes complete here"),
         }
@@ -428,28 +306,22 @@ impl<'q> Completion<'q> {
         }
     }
 
-    /// The survivors of `query` over table `t` as its canonical
-    /// [`Partial`], the one place they are sorted or cut. A Filter pays its
-    /// §7.1 late-materialization fetch here, over the lanes `fetch_cols`,
-    /// and keeps the fetched rows only when the partial `ships`.
-    pub(crate) fn partial(
-        self,
-        query: &Query,
-        t: &Table,
-        fetch_cols: &[usize],
-        ships: bool,
-    ) -> Partial {
+    /// The survivors of bound query `b` as its canonical [`Partial`], the
+    /// one place they are sorted or cut. A Filter pays its §7.1
+    /// late-materialization fetch here, over the lanes `fetch_cols`, and
+    /// keeps the fetched rows only when the partial `ships`.
+    pub(crate) fn partial(self, b: &Bound<'_>, fetch_cols: &[usize], ships: bool) -> Partial {
         match self {
             Completion::Count { count, .. } => Partial::Count(count),
             Completion::Fetch { ids, .. } => {
                 // A local fetch walks the survivors in arrival order: on a
                 // 120-lane table, sorted ids fetched 8 ms a round slower.
                 // Shipped rows follow the sorted ids they are checked by.
-                let local = (!ships).then(|| fetch_and_checksum(t, fetch_cols, &ids));
+                let local = (!ships).then(|| fetch_and_checksum(b.table, fetch_cols, &ids));
                 let ids = TupleRun::canonical(1, ids);
                 let (rows, checksum) = match local {
                     Some(checksum) => (Vec::new(), checksum),
-                    None => fetch_rows_flat(t, fetch_cols, ids.flat()),
+                    None => fetch_rows_flat(b.table, fetch_cols, ids.flat()),
                 };
                 Partial::Fetched {
                     ids,
@@ -457,11 +329,11 @@ impl<'q> Completion<'q> {
                     checksum,
                 }
             }
-            Completion::Values(values) => match query {
+            Completion::Values(values) => match b.query {
                 Query::TopN { n, .. } => Partial::top(values, *n),
                 _ => Partial::Tuples(TupleRun::canonical(1, values)),
             },
-            Completion::Tuples { width, flat } => match query {
+            Completion::Tuples { width, flat } => match b.query {
                 Query::Skyline { .. } => Partial::Frontier(frontier(width, &flat)),
                 _ => Partial::Tuples(TupleRun::canonical(width, flat)),
             },
@@ -543,10 +415,10 @@ impl Partial {
         }
     }
 
-    /// The fully merged partial as `query`'s answer over one pass of
-    /// `rows` entries.
-    pub(crate) fn root(self, query: &Query, rows: u64) -> Answer {
-        let answer = |result| Answer::single(result, rows);
+    /// The fully merged partial as bound query `b`'s answer over one pass
+    /// of its table.
+    pub(crate) fn root(self, b: &Bound<'_>) -> Answer {
+        let answer = |result| Answer::single(result, b.table.rows() as u64);
         match self {
             Partial::Count(count) => answer(QueryResult::Count(count)),
             Partial::Fetched { ids, checksum, .. } => {
@@ -561,7 +433,7 @@ impl Partial {
                 fetch_rows: n as u64,
                 ..answer(QueryResult::TopValues(values))
             },
-            Partial::Tuples(run) if matches!(query, Query::Distinct { .. }) => {
+            Partial::Tuples(run) if matches!(b.query, Query::Distinct { .. }) => {
                 answer(QueryResult::Values(run.into_parts().1))
             }
             Partial::Tuples(run) | Partial::Frontier(run) => answer(run.into_points()),
@@ -639,71 +511,71 @@ impl CheetahExecutor {
     }
 
     /// Run the query through the switch; real results, counted traffic.
+    /// A malformed query panics at bind, before any stream is built.
     pub fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        self.execute_in(db, query, None).0
+        let b = query.bind_or_panic(db, &self.config);
+        self.execute_in(&b, None).0
     }
 
-    /// [`Self::execute`] with its seam open, for a caller that keeps
-    /// switch state across queries ([`crate::serve`]). A two-pass HAVING /
-    /// JOIN given its `armed` flow — switch state that already observed
-    /// these exact tables — skips the observation pass and reports one
-    /// pass; either way the flow comes back armed. A register aggregation
-    /// has no observation pass and hands back none.
+    /// [`Self::execute`] of a bound query with its seam open, for a caller
+    /// that keeps switch state across queries ([`crate::serve`]). A
+    /// two-pass HAVING / JOIN given its `armed` flow — switch state that
+    /// already observed these exact tables — skips the observation pass
+    /// and reports one pass; either way the flow comes back armed.
+    ///
+    /// A JOIN ignores [`Program::Join`]'s `lopsided`: both sides stream
+    /// twice, so its report counts `2 × (l + r)` entries where the pool
+    /// arms' §4.3 asymmetric flow counts `l + r`, and
+    /// `cheetah_bench::cost::cheetah` prices it so. The asymmetric flow
+    /// would forward more and end serving's JOIN cache hits.
     pub(crate) fn execute_in(
         &self,
-        db: &Database,
-        query: &Query,
+        b: &Bound<'_>,
         armed: Option<ArmedFlow>,
     ) -> (ExecutionReport, Option<ArmedFlow>) {
-        let workers = self.model.workers;
         let cfg = &self.config;
-        let interleave = |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, workers);
-        if let Some(table) = single_pass_table(query) {
-            let t = db.table(table);
-            let mut pruner = single_pass_pruner(cfg, query, t);
-            let decide =
-                |_, visible: &[&[u64]], out: &mut [Decision]| pruner.process_block(visible, out);
-            let mut reports = self.single_pass_scan(t, &[query], decide);
-            return (reports.pop().expect("one query, one report"), None);
-        }
-        if let Some(Registers { t, cols, threshold }) = registers(cfg, db, query) {
-            // §6: partial aggregation in switch registers; evictions ride
-            // packets, residuals drain at FIN.
-            let mut pruner = GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
-            let mut stats = PruneStats::default();
-            let mut groups = GroupSink::new(Agg::Sum);
-            // COUNT folds 1 per entry and never reads the value lane:
-            // blocks never exceed BLOCK_ENTRIES, so one static lane of 1s
-            // serves every block of every query.
-            static ONES: [u64; BLOCK_ENTRIES] = [1; BLOCK_ENTRIES];
-            let stream = interleave(t, &cols);
-            let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-            let mut blocks = stream.blocks();
-            while let Some(block) = blocks.next_block() {
-                let vals = block.cols.get(1).copied().unwrap_or(&ONES[..block.len]);
-                let out = &mut decisions[..block.len];
-                pruner.process_block(block.cols[0], vals, out, |key, partial| {
-                    groups.push(key, partial)
-                });
-                stats.record_block(out);
+        let (t, cols) = (b.table, &b.cols[..]);
+        let interleave =
+            |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, self.model.workers);
+        match b.program {
+            Program::SinglePass => {
+                let mut pruner = single_pass_pruner(cfg, b);
+                let decide = |_, visible: &[&[u64]], out: &mut [Decision]| {
+                    pruner.process_block(visible, out)
+                };
+                let mut reports = self.single_pass_scan(&[b], decide);
+                (reports.pop().expect("one query, one report"), None)
             }
-            let drained = pruner.drain();
-            stats.drained += drained.len() as u64;
-            groups.fill(|partials| partials.extend(drained));
-            let result = groups.finish().into_result(threshold);
-            let report = Answer::single(result, t.rows() as u64).pruned(stats);
-            return (report, None);
-        }
-        match query {
-            Query::Having {
-                table,
-                key,
-                val,
-                threshold,
-            } => {
-                let t = db.table(table);
-                let cols = [t.col_index(key), t.col_index(val)];
-                let stream = interleave(t, &cols);
+            Program::Registers { threshold } => {
+                // §6: partial aggregation in switch registers; evictions
+                // ride packets, residuals drain at FIN.
+                let mut pruner = GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
+                let mut stats = PruneStats::default();
+                let mut groups = GroupSink::new(Agg::Sum);
+                // COUNT folds 1 per entry and never reads the value lane:
+                // blocks never exceed BLOCK_ENTRIES, so one static lane of
+                // 1s serves every block of every query.
+                static ONES: [u64; BLOCK_ENTRIES] = [1; BLOCK_ENTRIES];
+                let stream = interleave(t, cols);
+                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+                let mut blocks = stream.blocks();
+                while let Some(block) = blocks.next_block() {
+                    let vals = block.cols.get(1).copied().unwrap_or(&ONES[..block.len]);
+                    let out = &mut decisions[..block.len];
+                    pruner.process_block(block.cols[0], vals, out, |key, partial| {
+                        groups.push(key, partial)
+                    });
+                    stats.record_block(out);
+                }
+                let drained = pruner.drain();
+                stats.drained += drained.len() as u64;
+                groups.fill(|partials| partials.extend(drained));
+                let result = groups.finish().into_result(threshold);
+                let report = Answer::single(result, t.rows() as u64).pruned(stats);
+                (report, None)
+            }
+            Program::Having { threshold } => {
+                let stream = interleave(t, cols);
                 let mut stats = PruneStats::default();
                 let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
                 let (mut flow, passes) = match armed {
@@ -712,7 +584,7 @@ impl CheetahExecutor {
                         // Pass 1: sketch + candidate announcements
                         // (straight off the column lanes — no per-row
                         // materialization).
-                        let mut flow = HavingFlow::new(cfg, *threshold);
+                        let mut flow = HavingFlow::new(cfg, threshold);
                         let mut blocks = stream.blocks();
                         while let Some(block) = blocks.next_block() {
                             let out = &mut decisions[..block.len];
@@ -736,7 +608,7 @@ impl CheetahExecutor {
                     let forwarded = survivors(out, &mut idx).iter().map(|&i| usize::from(i));
                     sums.fill(|pending| pending.extend(forwarded.map(|i| (k[i], v[i]))));
                 }
-                let result = sums.finish().keys_above(*threshold);
+                let result = sums.finish().keys_above(threshold);
                 let streamed = u64::from(passes) * t.rows() as u64;
                 let answer = Answer {
                     passes,
@@ -745,16 +617,13 @@ impl CheetahExecutor {
                 let report = answer.pruned(stats);
                 (report, Some(ArmedFlow::Having(flow)))
             }
-            Query::Join {
-                left,
-                right,
-                left_col,
+            Program::Join {
+                right: r,
                 right_col,
+                ..
             } => {
-                let l = db.table(left);
-                let r = db.table(right);
-                let lstream = interleave(l, &[l.col_index(left_col)]);
-                let rstream = interleave(r, &[r.col_index(right_col)]);
+                let lstream = interleave(t, cols);
+                let rstream = interleave(r, &[right_col]);
                 // §7.2 flow-id lanes: a stream is single-sided, so one
                 // constant block of tags serves all of its blocks.
                 static TAGS: [[u64; BLOCK_ENTRIES]; 2] =
@@ -765,7 +634,7 @@ impl CheetahExecutor {
                     _ => {
                         // Pass 1: build both filters (input-column
                         // stream, §4.3).
-                        let mut flow = JoinFlow::sized(cfg, l.rows(), r.rows());
+                        let mut flow = JoinFlow::sized(cfg, t.rows(), r.rows());
                         for (tags, stream) in sides {
                             let mut blocks = stream.blocks();
                             while let Some(block) = blocks.next_block() {
@@ -793,7 +662,7 @@ impl CheetahExecutor {
                     fwd
                 });
                 let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
-                let streamed = u64::from(passes) * (l.rows() + r.rows()) as u64;
+                let streamed = u64::from(passes) * (t.rows() + r.rows()) as u64;
                 let result = QueryResult::JoinSummary { pairs, checksum };
                 let answer = Answer {
                     passes,
@@ -802,40 +671,40 @@ impl CheetahExecutor {
                 };
                 (answer.pruned(stats), Some(ArmedFlow::Join(flow)))
             }
-            _ => unreachable!("single-pass shapes and register aggregations ran above"),
         }
     }
 
     /// The one single-pass scan — a solo query's, and a shared scan's of
-    /// the single-pass `queries` serving packs onto table `t`: each block
-    /// of the union of their metadata columns is gathered once, and per
-    /// query, in order, `decide(q, visible, decisions)` decides the block
-    /// the query's own solo stream would see (its columns in query order,
-    /// or a DistinctMulti's fingerprint of them), and [`Completion::take`]
-    /// sinks the survivors. Block boundaries depend only on the table and
-    /// worker count, so a query's decisions are those of its solo run
-    /// whatever else shares the scan. One report per query, in order.
+    /// the bound single-pass `queries` serving packs onto one table: each
+    /// block of the union of their metadata columns is gathered once, and
+    /// per query, in order, `decide(q, visible, decisions)` decides the
+    /// block the query's own solo stream would see (its columns in query
+    /// order, or a DistinctMulti's fingerprint of them), and
+    /// [`Completion::take`] sinks the survivors. Block boundaries depend
+    /// only on the table and worker count, so a query's decisions are
+    /// those of its solo run whatever else shares the scan. One report per
+    /// query, in order.
     pub(crate) fn single_pass_scan(
         &self,
-        t: &Table,
-        queries: &[&Query],
+        queries: &[&Bound<'_>],
         mut decide: impl FnMut(usize, &[&[u64]], &mut [Decision]),
     ) -> Vec<ExecutionReport> {
         let cfg = &self.config;
+        let t = queries[0].table;
         // The union of the queries' columns, first-appearance order, and
         // each query's columns as lanes of it.
         let mut union: Vec<usize> = Vec::new();
         let lanes: Vec<Vec<usize>> = queries
             .iter()
-            .map(|q| {
-                let lane = |c| {
+            .map(|b| {
+                let lane = |&c: &usize| {
                     let seen = union.iter().position(|&u| u == c);
                     seen.unwrap_or_else(|| {
                         union.push(c);
                         union.len() - 1
                     })
                 };
-                query_columns(q, t).into_iter().map(lane).collect()
+                b.cols.iter().map(lane).collect()
             })
             .collect();
         let stream = EntryStream::interleaved(t, &union, self.model.workers);
@@ -843,17 +712,17 @@ impl CheetahExecutor {
         let mut fp_lane = Vec::with_capacity(BLOCK_ENTRIES);
         let mut stats = vec![PruneStats::default(); queries.len()];
         let mut masters: Vec<Completion<'_>> =
-            queries.iter().map(|q| Completion::for_query(q)).collect();
+            queries.iter().map(|b| Completion::for_query(b)).collect();
         let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
         let mut idx = [0u16; BLOCK_ENTRIES];
         let mut spare = SpareRefs::default();
         let mut blocks = stream.blocks();
         while let Some(block) = blocks.next_block() {
-            for (q, query) in queries.iter().enumerate() {
+            for (q, b) in queries.iter().enumerate() {
                 let mut cols = spare.take();
                 cols.extend(lanes[q].iter().map(|&l| block.cols[l]));
                 let key;
-                let visible: &[&[u64]] = if matches!(query, Query::DistinctMulti { .. }) {
+                let visible: &[&[u64]] = if matches!(b.query, Query::DistinctMulti { .. }) {
                     fp_lane.clear();
                     fingerprint_rows(&cols, 0, block.len, &fp, &mut fp_lane);
                     key = [&fp_lane[..]];
@@ -868,13 +737,12 @@ impl CheetahExecutor {
                 spare.put(cols);
             }
         }
-        let rows = t.rows() as u64;
         let finished = queries.iter().zip(masters).zip(stats);
         finished
-            .map(|((query, master), stats)| {
-                let fetch = query.projection(t, &cfg.fetch);
-                let partial = master.partial(query, t, fetch.cols(), false);
-                partial.root(query, rows).pruned(stats)
+            .map(|((b, master), stats)| {
+                let fetch = b.query.projection(t, &cfg.fetch);
+                let partial = master.partial(b, fetch.cols(), false);
+                partial.root(b).pruned(stats)
             })
             .collect()
     }
@@ -892,7 +760,12 @@ impl CheetahExecutor {
     /// Pruning *rates* vary run to run (arrival races), but the result is
     /// order-independent and must equal [`Self::execute`]'s.
     pub fn execute_threaded(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let mut report = sharded::report_on(self, &mut InProcess(1), db, query);
+        self.threaded(&query.bind_or_panic(db, &self.config))
+    }
+
+    /// [`Self::execute_threaded`] of a bound query.
+    pub(crate) fn threaded(&self, b: &Bound<'_>) -> ExecutionReport {
+        let mut report = sharded::report_on(self, &mut InProcess(1), b);
         report.combine_wall = None;
         report
     }
@@ -903,70 +776,48 @@ impl CheetahExecutor {
     /// (worker count, shard count) share. `None` on an empty table,
     /// where any grid should pick the minimum arm.
     pub fn sample_throughput(&self, db: &Database, query: &Query) -> Option<ThroughputSample> {
+        self.sample(&query.bind_or_panic(db, &self.config))
+    }
+
+    /// [`Self::sample_throughput`] of a bound query.
+    pub(crate) fn sample(&self, b: &Bound<'_>) -> Option<ThroughputSample> {
         const SAMPLE_BLOCKS: usize = 4;
         let cfg = &self.config;
-        let regs = registers(cfg, db, query);
+        let t = b.table;
+        type Decide = Box<dyn FnMut(&[&[u64]], &mut [Decision])>;
+        let prune = |mut p: Box<dyn RowPruner + Send>| -> Decide {
+            Box::new(move |cols: &[&[u64]], out: &mut [Decision]| p.process_block(cols, out))
+        };
         // The two-pass flows stream twice; everything else, register
         // aggregation included, once.
-        let passes: u64 = match (&regs, query) {
-            (None, Query::Join { .. } | Query::Having { .. }) => 2,
-            _ => 1,
+        let (passes, cols, mut decide): (u64, Vec<usize>, Decide) = match b.program {
+            Program::SinglePass => (1, b.cols.clone(), prune(single_pass_pruner(cfg, b))),
+            Program::Registers { .. } => {
+                // The MAX register matrix doubles as the SUM/COUNT
+                // accumulator-cost proxy: same row scan, same memory.
+                let mut cols = b.cols.clone();
+                cols.resize(2, cols[0]);
+                (1, cols, prune(backend::groupby(cfg, Extremum::Max)))
+            }
+            Program::Having { threshold } => {
+                let pruner = HavingPruner::new(cfg.having_d, cfg.having_w, threshold, cfg.seed);
+                (
+                    2,
+                    b.cols.clone(),
+                    prune(Box::new(HavingPassOne::new(pruner))),
+                )
+            }
+            Program::Join { right, .. } => {
+                // Probe an empty filter pair of the size the query will run
+                // with, over `[flow id, key]` lanes: the filter's memory
+                // traffic is what the sample needs to see.
+                let mut flow = JoinFlow::sized(cfg, t.rows(), right.rows());
+                let probe = move |cols: &[&[u64]], out: &mut [Decision]| {
+                    flow.probe_block(cols[0], cols[1], out)
+                };
+                (2, vec![b.cols[0]; 2], Box::new(probe))
+            }
         };
-        let (t, cols, mut pruner): (&Table, Vec<usize>, Box<dyn RowPruner + Send>) =
-            match (regs, query) {
-                (Some(Registers { t, mut cols, .. }), _) => {
-                    // The MAX register matrix doubles as the SUM/COUNT
-                    // accumulator-cost proxy: same row scan, same memory.
-                    cols.resize(2, cols[0]);
-                    (t, cols, backend::groupby(cfg, Extremum::Max))
-                }
-                (
-                    None,
-                    Query::Having {
-                        table,
-                        key,
-                        val,
-                        threshold,
-                    },
-                ) => {
-                    let t = db.table(table);
-                    (
-                        t,
-                        vec![t.col_index(key), t.col_index(val)],
-                        Box::new(HavingPassOne::new(HavingPruner::new(
-                            cfg.having_d,
-                            cfg.having_w,
-                            *threshold,
-                            cfg.seed,
-                        ))),
-                    )
-                }
-                (
-                    None,
-                    Query::Join {
-                        left,
-                        right,
-                        left_col,
-                        ..
-                    },
-                ) => {
-                    // Probe an empty filter pair of the size the query will
-                    // run with: the filter's memory traffic is what the
-                    // sample needs to see.
-                    let t = db.table(left);
-                    let c = t.col_index(left_col);
-                    let flow = JoinFlow::sized(cfg, t.rows(), db.table(right).rows());
-                    (t, vec![c, c], Box::new(JoinProbe(flow)))
-                }
-                (None, _) => {
-                    let t = db.table(single_pass_table(query).expect("a single-pass shape"));
-                    (
-                        t,
-                        query_columns(query, t),
-                        single_pass_pruner(cfg, query, t),
-                    )
-                }
-            };
         let sample = t.rows().min(SAMPLE_BLOCKS * BLOCK_ENTRIES);
         if sample == 0 {
             return None;
@@ -979,7 +830,7 @@ impl CheetahExecutor {
             let len = (sample - start).min(BLOCK_ENTRIES);
             colrefs.clear();
             colrefs.extend(cols.iter().map(|&c| &t.col_at(c)[start..start + len]));
-            pruner.process_block(&colrefs, &mut decisions[..len]);
+            decide(&colrefs, &mut decisions[..len]);
             start += len;
         }
         Some(ThroughputSample {
@@ -1375,16 +1226,20 @@ pub(crate) mod tests {
         // after a block that did append.
         let rows = 5 * BLOCK_ENTRIES - 100;
         let lane = |m: usize| (0..rows).map(|r| (r * m % 97) as u64).collect::<Vec<_>>();
-        let t = Table::new("t", vec![("a", lane(3)), ("b", lane(5)), ("c", lane(11))]);
+        let mut db = Database::new();
+        db.add(Table::new(
+            "t",
+            vec![("a", lane(3)), ("b", lane(5)), ("c", lane(11))],
+        ));
         let names = ["a", "b", "c"];
         for width in 1..=3 {
             let query = Query::DistinctMulti {
                 table: "t".into(),
                 columns: names[..width].iter().map(|&c| c.into()).collect(),
             };
-            let cols: Vec<usize> = (0..width).collect();
-            let stream = EntryStream::interleaved(&t, &cols, 3);
-            let mut master = Completion::for_query(&query);
+            let bound = query.bind(&db, &PrunerConfig::default()).expect("binds");
+            let stream = EntryStream::interleaved(bound.table, &bound.cols, 3);
+            let mut master = Completion::for_query(&bound);
             let mut expected = Vec::new();
             let mut idx = [0u16; BLOCK_ENTRIES];
             let mut blocks = stream.blocks();
@@ -1483,14 +1338,24 @@ pub(crate) mod tests {
             let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
             let sharded = ShardedExecutor::with_shards(exec.clone(), 2);
             let distributed = DistributedExecutor::with_shards(exec.clone(), 2);
-            // A co-resident flow, so the TOP N packs into a shared scan.
+            // A co-resident DISTINCT shares the TOP N's scan only where
+            // both flows' charges fit the pipeline together — a TOP N
+            // matrix of at most 10 stages beside the DISTINCT's 2; past
+            // that, both run solo.
             let distinct = Query::Distinct {
                 table: "t".into(),
                 column: "k".into(),
             };
-            let served = ServeExecutor::with_pool(exec.clone(), 1)
-                .serve(&db, &[q.clone(), distinct])
-                .0;
+            let tofino = cheetah_core::SwitchModel::tofino_like();
+            let charge = |q: &Query| {
+                let b = q.bind(&db, &exec.config).expect("binds");
+                crate::plan::query_resources(&exec.config, &tofino, &b)
+            };
+            let packs = charge(&q).plus(charge(&distinct)).fits(&tofino);
+            let (served, batch) = ServeExecutor::with_pool(exec.clone(), 1)
+                .serve(&db, &[q.clone(), distinct]);
+            let expected = if packs { (2, 0) } else { (0, 2) };
+            prop_assert_eq!((batch.packed, batch.solo), expected, "n = {}", n);
             let arms = [
                 ("deterministic", exec.execute(&db, &q).result),
                 ("threaded", exec.execute_threaded(&db, &q).result),

@@ -644,8 +644,9 @@ impl DistributedExecutor {
     /// shard per pass, the per-fold merge spans, the serial combine tail,
     /// and the resilience telemetry.
     pub fn execute_distributed(&self, db: &Database, query: &Query) -> ExecutionReport {
+        let b = query.bind_or_panic(db, &self.inner.config);
         let mut wire = Wire::new(&self.plan, self.shards);
-        let mut report = report_on(&self.inner, &mut wire, db, query);
+        let mut report = report_on(&self.inner, &mut wire, &b);
         let mut res = wire.res;
         res.shard_reboots += wire.faults.reboots.load(Ordering::Relaxed);
         res.register_drains += wire.faults.drains.load(Ordering::Relaxed);

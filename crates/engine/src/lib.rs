@@ -14,6 +14,8 @@
 //! * [`executor`] — the shared [`Executor`] trait + [`ExecutionReport`]
 //!   every completion strategy below implements and returns;
 //! * [`query`] — the query specs of Appendix B + canonical results;
+//! * [`bind`] — [`Query::bind`]: a query's names resolved, its shape
+//!   checked and its switch program chosen once, before any arm runs it;
 //! * [`mod@reference`] — single-node ground-truth evaluator (test oracle);
 //! * [`spark`] — the baseline executor: per-partition worker tasks,
 //!   shuffled partials, master merge (the shard programs with the switch
@@ -51,6 +53,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backend;
+pub mod bind;
 pub mod cheetah;
 pub mod cost;
 pub mod distributed;
@@ -67,6 +70,7 @@ pub mod stream;
 pub mod table;
 pub mod threaded;
 
+pub use bind::{Bound, QueryError};
 pub use cheetah::CheetahExecutor;
 pub use cost::CostModel;
 pub use distributed::{DistributedExecutor, FailurePlan, ShardOutput};

@@ -22,12 +22,13 @@
 //! 3. **Cost.** Each surviving candidate gets a predicted wall from the
 //!    sampled switch estimate, a per-shape threading factor calibrated
 //!    against the committed `worker_scaling[]`/`shard_scaling[]` grids,
-//!    the measured merge cost, and per-arm setup charges. JOIN
-//!    candidates embed the §4.3 symmetric-vs-asymmetric flow decision
-//!    (lopsided tables stream once per side instead of twice).
+//!    the measured merge cost, and per-arm setup charges. The pool arms'
+//!    JOIN candidates carry the §4.3 flow their bound program runs
+//!    (lopsided tables stream once per side instead of twice); the
+//!    deterministic arm always runs the symmetric flow.
 //! 4. **Pick & execute.** The cheapest candidate runs; ties break toward
-//!    the simpler arm (deterministic ≺ threaded ≺ sharded ≺
-//!    distributed). Filter-shape plans also pick the [`FetchSpec`]:
+//!    the simpler arm (deterministic ≺ threaded ≺ sharded). Filter-shape
+//!    plans also pick the [`FetchSpec`]:
 //!    projection pushdown is never worse, so a default `All` fetch is
 //!    planned down to `Referenced`.
 //! 5. **Measure.** The report's [`PlanReport`] records predicted vs
@@ -42,19 +43,19 @@ use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
 use cheetah_pisa::pack::pack;
 
 use crate::backend::{distinct_rows, topn_geometry, JoinFlow};
-use crate::cheetah::{query_columns, registers, CheetahExecutor, PrunerConfig, ThroughputSample};
+use crate::bind::{Bound, Program};
+use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
-use crate::distributed::DistributedExecutor;
 use crate::executor::{ExecutionReport, Executor};
 use crate::master::{merge_top, GroupRun};
 use crate::query::{Agg, FetchSpec, Query};
-use crate::sharded::{lopsided, ShardedExecutor};
+use crate::sharded::{report_on, InProcess};
 use crate::table::Database;
 
 /// The worker-count grid the threaded arm races.
 pub const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
-/// The shard-count grid the sharded/distributed arms race.
+/// The shard-count grid the sharded arm races.
 pub const SHARD_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// Estimated pipeline spin-up cost per extra shard (threads + channel
@@ -63,15 +64,6 @@ pub const SHARD_SETUP_S: f64 = 1.5e-4;
 
 /// Estimated spin-up cost per extra pool worker on the threaded arm.
 pub const THREAD_SETUP_S: f64 = 8.0e-5;
-
-/// Wire/session setup charge for the distributed arm: codec framing,
-/// simulated-fabric handshakes and the retry machinery are pure overhead
-/// when every shard lives in this process.
-pub const DIST_SETUP_S: f64 = 2.0e-3;
-
-/// Per-entry multiplier for shipping shard output through the §7.2 wire
-/// protocol instead of returning it in-process.
-pub const DIST_WIRE_FACTOR: f64 = 3.0;
 
 /// The shared per-query calibration context: one throughput probe + one
 /// timed representative merge, read by **every** grid, so the stream is
@@ -89,9 +81,14 @@ impl PlanContext {
     /// one representative combine-state merge. `sample` is `None` on an
     /// empty table, where every grid picks its minimum arm.
     pub fn probe(exec: &CheetahExecutor, db: &Database, query: &Query) -> Self {
+        PlanContext::probed(exec, &query.bind_or_panic(db, &exec.config))
+    }
+
+    /// [`PlanContext::probe`] of a bound query.
+    fn probed(exec: &CheetahExecutor, b: &Bound<'_>) -> Self {
         PlanContext {
-            sample: exec.sample_throughput(db, query),
-            merge_s: sampled_merge_cost(&exec.config, db, query),
+            sample: exec.sample(b),
+            merge_s: sampled_merge_cost(&exec.config, b),
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
@@ -163,9 +160,9 @@ impl PlanContext {
 /// the per-stage cost the reduction tree pays per level. Shapes whose
 /// merge is a buffer append or an integer sum (partition-local JOIN, the
 /// range shapes) are effectively free per stage.
-fn sampled_merge_cost(cfg: &PrunerConfig, db: &Database, query: &Query) -> f64 {
-    match query {
-        _ if registers(cfg, db, query).is_some() => {
+fn sampled_merge_cost(cfg: &PrunerConfig, b: &Bound<'_>) -> f64 {
+    match (b.program, b.query) {
+        (Program::Registers { .. }, _) => {
             // Two register matrices' worth of disjoint-ish keys: the
             // worst-case run a tree stage can see.
             let cells = (cfg.groupby_d * cfg.groupby_w) as u64;
@@ -175,14 +172,14 @@ fn sampled_merge_cost(cfg: &PrunerConfig, db: &Database, query: &Query) -> f64 {
             a.merge(b);
             t0.elapsed().as_secs_f64()
         }
-        Query::Having { threshold, .. } => {
-            let mut a = HavingPruner::new(cfg.having_d, cfg.having_w, *threshold, cfg.seed);
-            let b = HavingPruner::new(cfg.having_d, cfg.having_w, *threshold, cfg.seed);
+        (Program::Having { threshold }, _) => {
+            let mut a = HavingPruner::new(cfg.having_d, cfg.having_w, threshold, cfg.seed);
+            let b = HavingPruner::new(cfg.having_d, cfg.having_w, threshold, cfg.seed);
             let t0 = Instant::now();
             a.merge(&b);
             t0.elapsed().as_secs_f64()
         }
-        Query::TopN { n, .. } => {
+        (_, Query::TopN { n, .. }) => {
             let mut a: Vec<u64> = (0..*n as u64).rev().collect();
             let b: Vec<u64> = (0..*n as u64).rev().collect();
             let t0 = Instant::now();
@@ -202,13 +199,8 @@ pub enum ExecutorArm {
     /// `InProcess(1)` ([`CheetahExecutor::execute_threaded`]).
     Threaded,
     /// N in-process shard pipelines + streaming tree reduce
-    /// ([`ShardedExecutor`]).
+    /// ([`crate::ShardedExecutor`]).
     Sharded,
-    /// Shard outputs shipped over the §7.2 wire protocol
-    /// ([`DistributedExecutor`]) — costed so the planner knows what the
-    /// process boundary would charge, picked only when the wire overhead
-    /// amortizes.
-    Distributed,
 }
 
 impl ExecutorArm {
@@ -218,7 +210,6 @@ impl ExecutorArm {
             ExecutorArm::Deterministic => "deterministic",
             ExecutorArm::Threaded => "threaded",
             ExecutorArm::Sharded => "sharded",
-            ExecutorArm::Distributed => "distributed",
         }
     }
 }
@@ -232,8 +223,8 @@ pub struct CandidatePlan {
     pub workers: usize,
     /// Shard count (1 for single-switch arms).
     pub shards: usize,
-    /// Whether a JOIN takes the §4.3 asymmetric flow (decided by table
-    /// lopsidedness; `false` for non-joins).
+    /// Whether a JOIN takes the §4.3 asymmetric flow: a pool arm's lopsided
+    /// JOIN; never on the deterministic arm, which runs the symmetric one.
     pub asymmetric_join: bool,
     /// The late-materialization fetch projection the plan executes with.
     pub fetch: FetchSpec,
@@ -313,32 +304,39 @@ impl PlannerExecutor {
 
     /// Derive, filter and cost the candidate plans for `query`, returning
     /// the winner plus race telemetry. Probes the stream at most once
-    /// (see [`PlanContext::probe`]); never panics, whatever the query —
-    /// uncalibrated shapes ride the documented conservative fallbacks.
+    /// (see [`PlanContext::probe`]); uncalibrated shapes ride the
+    /// documented conservative fallbacks, a malformed query panics at bind.
     pub fn plan(&self, db: &Database, query: &Query) -> Plan {
-        let ctx = PlanContext::probe(&self.inner, db, query);
-        let fetch = self.planned_fetch(query);
-        let asymmetric = asymmetric_join(db, query);
+        self.plan_bound(&query.bind_or_panic(db, &self.inner.config))
+    }
 
+    /// [`Self::plan`] of a bound query.
+    fn plan_bound(&self, b: &Bound<'_>) -> Plan {
+        let ctx = PlanContext::probed(&self.inner, b);
+        let fetch = self.planned_fetch(b.query);
+        let est = ctx.est_switch_s();
+        // The deterministic arm always runs the symmetric JOIN flow.
+        let deterministic = CandidatePlan {
+            arm: ExecutorArm::Deterministic,
+            workers: 1,
+            shards: 1,
+            asymmetric_join: false,
+            fetch: fetch.clone(),
+            predicted_s: est,
+        };
         // An empty table: nothing to race, the minimum arm wins.
         if ctx.sample().is_none() {
             return Plan {
-                chosen: CandidatePlan {
-                    arm: ExecutorArm::Deterministic,
-                    workers: 1,
-                    shards: 1,
-                    asymmetric_join: asymmetric,
-                    fetch,
-                    predicted_s: 0.0,
-                },
+                chosen: deterministic,
                 candidates: 1,
                 infeasible: 0,
                 ctx,
             };
         }
 
-        let est = ctx.est_switch_s();
-        let factor = threaded_factor(query, asymmetric);
+        // The flow a pool arm's JOIN takes.
+        let asymmetric = matches!(b.program, Program::Join { lopsided: true, .. });
+        let factor = threaded_factor(b);
         let workers = ctx.adaptive_workers();
         let shards = ctx.planned_shards();
         let shard_speedup = shards.min(ctx.cores()) as f64;
@@ -348,14 +346,7 @@ impl PlannerExecutor {
             + SHARD_SETUP_S * (shards - 1) as f64;
 
         let mut candidates = vec![
-            CandidatePlan {
-                arm: ExecutorArm::Deterministic,
-                workers: 1,
-                shards: 1,
-                asymmetric_join: asymmetric,
-                fetch: fetch.clone(),
-                predicted_s: est,
-            },
+            deterministic,
             CandidatePlan {
                 arm: ExecutorArm::Threaded,
                 workers,
@@ -369,16 +360,8 @@ impl PlannerExecutor {
                 workers,
                 shards,
                 asymmetric_join: asymmetric,
-                fetch: fetch.clone(),
-                predicted_s: shard_est,
-            },
-            CandidatePlan {
-                arm: ExecutorArm::Distributed,
-                workers,
-                shards: shards.max(2),
-                asymmetric_join: asymmetric,
                 fetch,
-                predicted_s: shard_est * DIST_WIRE_FACTOR + DIST_SETUP_S,
+                predicted_s: shard_est,
             },
         ];
         let total = candidates.len();
@@ -389,7 +372,7 @@ impl PlannerExecutor {
         // costing. The deterministic arm survives as the software
         // fallback (the §6 spill path `serve` already takes).
         let mut infeasible = 0;
-        if !self.fits_switch(db, query) {
+        if !self.fits(b) {
             candidates.retain(|c| c.arm == ExecutorArm::Deterministic);
             infeasible = total - candidates.len();
         }
@@ -414,7 +397,12 @@ impl PlannerExecutor {
     /// Whether the query's Table 2 program packs onto this planner's
     /// switch budget: the §6 packer over its [`ResourceUsage`] alone.
     pub fn fits_switch(&self, db: &Database, query: &Query) -> bool {
-        let usage = query_resources(&self.inner.config, &self.switch, db, query);
+        self.fits(&query.bind_or_panic(db, &self.inner.config))
+    }
+
+    /// [`Self::fits_switch`] of a bound query.
+    fn fits(&self, b: &Bound<'_>) -> bool {
+        let usage = query_resources(&self.inner.config, &self.switch, b);
         pack(&self.switch, &[usage]).is_ok()
     }
 
@@ -436,8 +424,10 @@ impl Executor for PlannerExecutor {
         "planner"
     }
 
+    /// Bind once, plan the bound query and run it on the chosen arm.
     fn execute(&self, db: &Database, query: &Query) -> ExecutionReport {
-        let plan = self.plan(db, query);
+        let b = query.bind_or_panic(db, &self.inner.config);
+        let plan = self.plan_bound(&b);
         let tuned = CheetahExecutor {
             model: CostModel {
                 workers: plan.chosen.workers,
@@ -450,14 +440,9 @@ impl Executor for PlannerExecutor {
         };
         let started = Instant::now();
         let mut report = match plan.chosen.arm {
-            ExecutorArm::Deterministic => tuned.execute(db, query),
-            ExecutorArm::Threaded => tuned.execute_threaded(db, query),
-            ExecutorArm::Sharded => {
-                ShardedExecutor::with_shards(tuned, plan.chosen.shards).execute(db, query)
-            }
-            ExecutorArm::Distributed => {
-                DistributedExecutor::with_shards(tuned, plan.chosen.shards).execute(db, query)
-            }
+            ExecutorArm::Deterministic => tuned.execute_in(&b, None).0,
+            ExecutorArm::Threaded => tuned.threaded(&b),
+            ExecutorArm::Sharded => report_on(&tuned, &mut InProcess(plan.chosen.shards), &b),
         };
         let measured = started.elapsed();
         if report.wall.is_none() {
@@ -481,53 +466,51 @@ impl Executor for PlannerExecutor {
     }
 }
 
-/// The §4.3 flow decision the threaded/sharded JOIN arms take: lopsided
-/// tables stream the small side once, unpruned, while building its
-/// filter (the one rule, `sharded::lopsided`). `false` for non-joins.
-pub fn asymmetric_join(db: &Database, query: &Query) -> bool {
-    let Query::Join { left, right, .. } = query else {
-        return false;
-    };
-    lopsided(db.table(left).rows(), db.table(right).rows())
-}
-
-/// Per-shape multiplier for moving a stream from the deterministic loop
+/// Per-program multiplier for moving a stream from the deterministic loop
 /// to the pool/watermark pipeline, calibrated against the committed
 /// `worker_scaling[]` grid: asymmetric JOIN wins big (half the streamed
 /// entries plus overlap), DistinctMulti overlaps its fingerprint pass,
 /// while the register-aggregating shapes (HAVING, GROUP BY SUM/COUNT)
 /// pay more for phase handoff than the overlap returns.
-fn threaded_factor(query: &Query, asymmetric: bool) -> f64 {
-    match query {
-        Query::Join { .. } if asymmetric => 0.7,
-        Query::Join { .. } => 0.95,
-        Query::DistinctMulti { .. } => 0.85,
-        Query::Having { .. }
-        | Query::GroupBy {
-            agg: Agg::Sum | Agg::Count,
-            ..
-        } => 1.15,
-        _ => 1.05,
+fn threaded_factor(b: &Bound<'_>) -> f64 {
+    match b.program {
+        Program::Join { lopsided: true, .. } => 0.7,
+        Program::Join { .. } => 0.95,
+        Program::Registers { .. } | Program::Having { .. } => 1.15,
+        Program::SinglePass if matches!(b.query, Query::DistinctMulti { .. }) => 0.85,
+        Program::SinglePass => 1.05,
     }
 }
 
-/// The Table 2 resource declaration for **any** query shape — the total
-/// version of the mapping `serve`'s packing uses for its shareable
-/// subset, so the feasibility check covers two-pass programs too.
+/// The Table 2 resource declaration of a bound query's program, for
+/// **any** shape — what serving's packing charges its shareable subset
+/// and the planner's feasibility check charges every program, two-pass
+/// ones too.
 pub(crate) fn query_resources(
     cfg: &PrunerConfig,
     switch: &SwitchModel,
-    db: &Database,
-    query: &Query,
+    b: &Bound<'_>,
 ) -> ResourceUsage {
-    let group_by = || table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64);
-    match query {
-        Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
+    match (b.program, b.query) {
+        // A HAVING that runs GROUP BY SUM's registers is charged them.
+        (Program::Registers { .. }, _) | (_, Query::GroupBy { .. }) => {
+            table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64)
+        }
+        (Program::Having { .. }, _) => table2::having(
+            cfg.having_w as u64,
+            cfg.having_d as u32,
+            switch.alus_per_stage,
+        ),
+        (Program::Join { right, .. }, _) => {
+            // What runs: one register filter per side, sized from its rows.
+            let side = |rows| table2::join_rbf(JoinFlow::side_bits(cfg, rows), cfg.join_h as u32);
+            side(b.table.rows()).plus(side(right.rows()))
+        }
+        (_, Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. }) => {
             table2::filter(predicate.atoms.len() as u32)
         }
-        Query::Distinct { table, .. } | Query::DistinctMulti { table, .. } => {
-            let t = db.table(table);
-            let d = distinct_rows(cfg, t, &query_columns(query, t)) as u64;
+        (_, Query::Distinct { .. } | Query::DistinctMulti { .. }) => {
+            let d = distinct_rows(cfg, b.table, &b.cols) as u64;
             match cfg.distinct_policy {
                 EvictionPolicy::Lru => table2::distinct_lru(cfg.distinct_w as u32, d),
                 EvictionPolicy::Fifo => {
@@ -535,26 +518,9 @@ pub(crate) fn query_resources(
                 }
             }
         }
-        Query::TopN { n, .. } => topn_geometry(cfg, *n).resources(),
-        // A HAVING that runs GROUP BY SUM's registers is charged them.
-        Query::GroupBy { .. } => group_by(),
-        Query::Having { .. } if registers(cfg, db, query).is_some() => group_by(),
-        Query::Having { .. } => table2::having(
-            cfg.having_w as u64,
-            cfg.having_d as u32,
-            switch.alus_per_stage,
-        ),
-        Query::Join { left, right, .. } => {
-            // What runs: one register filter per side, sized from its rows.
-            let side = |t: &str| {
-                let bits = JoinFlow::side_bits(cfg, db.table(t).rows());
-                table2::join_rbf(bits, cfg.join_h as u32)
-            };
-            side(left).plus(side(right))
-        }
-        Query::Skyline { columns, .. } => {
-            table2::skyline_aph(columns.len() as u32, cfg.skyline_w as u32)
-        }
+        (_, Query::TopN { n, .. }) => topn_geometry(cfg, *n).resources(),
+        // SKYLINE, the one single-pass shape left.
+        _ => table2::skyline_aph(b.cols.len() as u32, cfg.skyline_w as u32),
     }
 }
 
@@ -571,6 +537,12 @@ mod tests {
             CostModel::default(),
             PrunerConfig::default(),
         ))
+    }
+
+    /// What `exec` charges `q` over `db`.
+    fn charge(exec: &PlannerExecutor, db: &Database, q: &Query) -> ResourceUsage {
+        let cfg = &exec.inner.config;
+        query_resources(cfg, &exec.switch, &q.bind(db, cfg).expect("binds"))
     }
 
     #[test]
@@ -601,10 +573,10 @@ mod tests {
         assert!(!exec.fits_switch(&db, &q));
         let plan = exec.plan(&db, &q);
         assert_eq!(plan.chosen.arm, ExecutorArm::Deterministic);
-        assert_eq!(plan.infeasible, 3, "three switch-window arms rejected");
+        assert_eq!(plan.infeasible, 2, "both switch-window arms rejected");
         let r = exec.execute(&db, &q);
         assert_eq!(r.result, reference::evaluate(&db, &q));
-        assert_eq!(r.plan.expect("planner reports its plan").infeasible, 3);
+        assert_eq!(r.plan.expect("planner reports its plan").infeasible, 2);
     }
 
     #[test]
@@ -626,7 +598,7 @@ mod tests {
                 columns: columns.iter().map(|&c| c.into()).collect(),
             };
             assert!(exec.fits_switch(&db, &q));
-            let usage = query_resources(&exec.inner.config, &exec.switch, &db, &q);
+            let usage = charge(&exec, &db, &q);
             (usage.stages, usage.sram_bits)
         };
         assert_eq!(charge(&["k"]), (2, 8_192 * 2 * 64));
@@ -655,7 +627,7 @@ mod tests {
             val: "v".into(),
             threshold: 1_000,
         };
-        let charge = |q: &Query| query_resources(cfg, &exec.switch, &db, q);
+        let charge = |q: &Query| charge(&exec, &db, q);
         let passes = |q: &Query| exec.inner.sample_throughput(&db, q).expect("rows").passes;
         let group_by = table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64);
         let sketch = table2::having(
@@ -686,7 +658,7 @@ mod tests {
                 order_by: "v".into(),
                 n,
             };
-            let charged = query_resources(cfg, &exec.switch, &db, &q).stages;
+            let charged = charge(&exec, &db, &q).stages;
             // The PISA twin at the chosen point, metered.
             let occupied = match topn_geometry(cfg, n) {
                 TopNGeometry::Randomized { d, w } => {
@@ -718,14 +690,18 @@ mod tests {
             left_col: "k".into(),
             right_col: "k".into(),
         };
-        assert!(asymmetric_join(&db, &q));
+        let b = q.bind(&db, &exec.inner.config).expect("binds");
+        assert!(matches!(b.program, Program::Join { lopsided: true, .. }));
         let plan = exec.plan(&db, &q);
-        assert!(plan.chosen.asymmetric_join);
-        assert_eq!(plan.candidates, 4);
+        assert_eq!(
+            plan.chosen.asymmetric_join,
+            plan.chosen.arm != ExecutorArm::Deterministic
+        );
+        assert_eq!(plan.candidates, 3);
         // The Table 2 row is what runs: a register filter per side, each
         // a stage, a stateful ALU and its rows' bits plus a pattern table.
         let cfg = &exec.inner.config;
-        let usage = query_resources(cfg, &exec.switch, &db, &q);
+        let usage = query_resources(cfg, &exec.switch, &b);
         let filters = JoinFlow::side_bits(cfg, 4_000) + JoinFlow::side_bits(cfg, 1_000);
         assert_eq!((usage.stages, usage.alus), (2, 2));
         assert_eq!(usage.sram_bits, filters + 2 * 22 * 64);
@@ -772,6 +748,30 @@ mod tests {
         assert_eq!(r.result, QueryResult::Values(vec![]));
         let pr = r.plan.expect("plan present");
         assert!(pr.misprediction().is_finite() && pr.misprediction() > 0.0);
+    }
+
+    /// The report names the JOIN flow that ran: an empty pair plans the
+    /// deterministic arm, which runs the symmetric flow however lopsided
+    /// the tables are.
+    #[test]
+    fn planned_report_names_the_join_flow_that_ran() {
+        let mut db = Database::new();
+        db.add(Table::new("t", vec![("k", vec![])]));
+        db.add(Table::new("s", vec![("k", vec![])]));
+        let q = Query::Join {
+            left: "t".into(),
+            right: "s".into(),
+            left_col: "k".into(),
+            right_col: "k".into(),
+        };
+        let exec = planner();
+        let b = q.bind(&db, &exec.inner.config).expect("binds");
+        assert!(matches!(b.program, Program::Join { lopsided: true, .. }));
+        let r = exec.execute(&db, &q);
+        let plan = r.plan.expect("planner reports its plan");
+        assert_eq!(plan.arm, "deterministic");
+        assert!(!plan.asymmetric_join, "the deterministic arm ran symmetric");
+        assert_eq!(r.passes, 2);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!    itself — and is counted in [`ServeReport::spilled`]. Every flow is
 //!    charged the geometry its solo run uses, so a TOP N, whose matrix is
 //!    sized to the whole pipeline, packs only where that point fits.
-//! 4. **Dispatch** runs everything that can't share a scan (two-pass
-//!    JOIN/HAVING, register aggregation — GROUP BY SUM/COUNT and a HAVING
-//!    over a register-sized key domain —, spills, singleton groups)
-//!    across a bounded worker pool, one executor call per query.
+//! 4. **Dispatch** runs everything that can't share a scan (every
+//!    `bind::Program` but a single pass, spills, singleton groups) across
+//!    a bounded worker pool, one executor call per query.
 //!
 //! Shared scans and solo flows all stream views of the table's own
 //! lanes ([`crate::stream`]), one block in flight each: a batch holds no
@@ -61,9 +60,8 @@ use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
 
 use crate::backend::{HavingFlow, JoinFlow, SwitchBackend};
-use crate::cheetah::{
-    registers, single_pass_pruner, single_pass_table, ArmedFlow, CheetahExecutor,
-};
+use crate::bind::{Bound, Program};
+use crate::cheetah::{single_pass_pruner, ArmedFlow, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
 use crate::query::Query;
 use crate::table::Database;
@@ -148,7 +146,8 @@ impl ServeExecutor {
     /// order** plus the batch-level [`ServeReport`]. Every report —
     /// result, prune counters, passes, fetch — is bit-identical to
     /// running that query alone through [`CheetahExecutor::execute`]
-    /// (or, for a cache hit, its pass-2 half).
+    /// (or, for a cache hit, its pass-2 half). Every distinct query is
+    /// bound before any runs, so a malformed one panics before any stream.
     pub fn serve(&self, db: &Database, queries: &[Query]) -> (Vec<ExecutionReport>, ServeReport) {
         let started = Instant::now();
 
@@ -168,39 +167,41 @@ impl ServeExecutor {
                 })
             })
             .collect();
-        let distinct: Vec<&Query> = first.iter().map(|&i| &queries[i]).collect();
+        let cfg = &self.cheetah.config;
+        let distinct: Vec<Bound<'_>> = first
+            .iter()
+            .map(|&i| queries[i].bind_or_panic(db, cfg))
+            .collect();
         let mut agg = ServeReport {
             queries: queries.len() as u64,
             coalesced: (queries.len() - distinct.len()) as u64,
             ..ServeReport::default()
         };
-        let cfg = &self.cheetah.config;
         let mut done: Vec<(usize, ExecutionReport)> = Vec::with_capacity(distinct.len());
 
         // Admission: group shareable single-pass shapes by table; the
         // rest go straight to the solo pool.
         let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut solo: Vec<usize> = Vec::new();
-        for (i, q) in distinct.iter().enumerate() {
-            match single_pass_table(q) {
-                Some(t) => groups.entry(t).or_default().push(i),
-                None => solo.push(i),
+        for (i, b) in distinct.iter().enumerate() {
+            match b.program {
+                Program::SinglePass => groups.entry(b.table.name()).or_default().push(i),
+                _ => solo.push(i),
             }
         }
 
         // Packing + shared scans, one per table group with co-residents.
-        for (tname, members) in groups {
+        for members in groups.into_values() {
             if members.len() < 2 {
                 solo.extend(members);
                 continue;
             }
-            let t = db.table(tname);
             let mut mq = MultiQueryPruner::new();
             let mut packed: Vec<usize> = Vec::new();
             for &i in &members {
-                let pruner = single_pass_pruner(cfg, distinct[i], t);
+                let pruner = single_pass_pruner(cfg, &distinct[i]);
                 // One Table 2 mapping for the whole engine: the planner's.
-                let res = crate::plan::query_resources(cfg, &self.switch, db, distinct[i]);
+                let res = crate::plan::query_resources(cfg, &self.switch, &distinct[i]);
                 match mq.try_add(i as u16, pruner, res, &self.switch) {
                     Ok(()) => packed.push(i),
                     Err(_) => {
@@ -218,11 +219,11 @@ impl ServeExecutor {
             agg.shared_scans += 1;
             // The deterministic arm's own scan, each member's blocks
             // routed through the packed pruner by its flow id.
-            let flows: Vec<&Query> = packed.iter().map(|&i| distinct[i]).collect();
+            let flows: Vec<&Bound<'_>> = packed.iter().map(|&i| &distinct[i]).collect();
             let decide = |m: usize, visible: &[&[u64]], out: &mut [Decision]| {
                 mq.process_block(packed[m] as u16, visible, out)
             };
-            let reports = self.cheetah.single_pass_scan(t, &flows, decide);
+            let reports = self.cheetah.single_pass_scan(&flows, decide);
             done.extend(packed.iter().copied().zip(reports).map(|(i, mut report)| {
                 report.executor = NAME;
                 (i, report)
@@ -246,7 +247,7 @@ impl ServeExecutor {
                     .unwrap_or_else(PoisonError::into_inner)
                     .pop_front();
                 let Some(i) = next else { break ran };
-                ran.push((i, self.run_solo(db, distinct[i], &hits, &misses)));
+                ran.push((i, self.run_solo(&distinct[i], &hits, &misses)));
             }
         };
         if width <= 1 {
@@ -293,28 +294,22 @@ impl ServeExecutor {
     /// [`CheetahExecutor::execute_in`] call. A cacheable two-pass flow
     /// starts from its cached switch state when the cache holds it (a
     /// hit) and leaves its state there when not.
-    fn run_solo(
-        &self,
-        db: &Database,
-        query: &Query,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> ExecutionReport {
-        let epochs = self.cacheable_epochs(db, query);
+    fn run_solo(&self, b: &Bound<'_>, hits: &AtomicU64, misses: &AtomicU64) -> ExecutionReport {
+        let epochs = self.cacheable_epochs(b);
         let armed = epochs.as_ref().and_then(|epochs| {
             let cache = self.cache();
-            let (_, flow) = cache.get(query).filter(|(cached, _)| cached == epochs)?;
-            rearmed(flow, query)
+            let (_, flow) = cache.get(b.query).filter(|(cached, _)| cached == epochs)?;
+            rearmed(flow, b)
         });
         let hit = armed.is_some();
-        let (mut report, flow) = self.cheetah.execute_in(db, query, armed);
+        let (mut report, flow) = self.cheetah.execute_in(b, armed);
         if let Some(epochs) = epochs {
             if hit {
                 hits.fetch_add(1, Ordering::Relaxed);
             } else {
                 misses.fetch_add(1, Ordering::Relaxed);
                 if let Some(flow) = flow {
-                    self.cache().insert(query.clone(), (epochs, flow));
+                    self.cache().insert(b.query.clone(), (epochs, flow));
                 }
             }
         }
@@ -323,19 +318,15 @@ impl ServeExecutor {
     }
 
     /// The epochs of the tables a cacheable query reads, in query order.
-    /// Cacheable are the two-pass shapes on the reference backend: the
-    /// cache stores its state, while metered pisa runs keep their
+    /// Cacheable are the two-pass programs on the reference backend: the
+    /// cache stores their state, while metered pisa runs keep their
     /// registers inside the program and bypass it. A HAVING that runs as
     /// register aggregation has no observation pass, so nothing to cache.
-    fn cacheable_epochs(&self, db: &Database, q: &Query) -> Option<Vec<u64>> {
-        let cfg = &self.cheetah.config;
-        let epoch = |table: &str| db.table(table).epoch();
-        match q {
-            _ if cfg.backend != SwitchBackend::Reference => None,
-            Query::Having { table, .. } if registers(cfg, db, q).is_none() => {
-                Some(vec![epoch(table)])
-            }
-            Query::Join { left, right, .. } => Some(vec![epoch(left), epoch(right)]),
+    fn cacheable_epochs(&self, b: &Bound<'_>) -> Option<Vec<u64>> {
+        match b.program {
+            _ if self.cheetah.config.backend != SwitchBackend::Reference => None,
+            Program::Having { .. } => Some(vec![b.table.epoch()]),
+            Program::Join { right, .. } => Some(vec![b.table.epoch(), right.epoch()]),
             _ => None,
         }
     }
@@ -356,13 +347,13 @@ impl Executor for ServeExecutor {
 /// query it was cached under (pass 2 never writes that state, so the
 /// cached flow stays as pass 1 left it). `None` under the pisa backend,
 /// whose state lives inside the metered program.
-fn rearmed(cached: &ArmedFlow, query: &Query) -> Option<ArmedFlow> {
-    match (cached, query) {
-        (ArmedFlow::Having(flow), Query::Having { threshold, .. }) => {
-            let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), *threshold);
+fn rearmed(cached: &ArmedFlow, b: &Bound<'_>) -> Option<ArmedFlow> {
+    match (cached, b.program) {
+        (ArmedFlow::Having(flow), Program::Having { threshold }) => {
+            let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), threshold);
             Some(ArmedFlow::Having(flow))
         }
-        (ArmedFlow::Join(flow), Query::Join { .. }) => {
+        (ArmedFlow::Join(flow), Program::Join { .. }) => {
             let (a, b) = flow.filters()?;
             let flow = JoinFlow::from_filters(a.clone(), b.clone());
             Some(ArmedFlow::Join(flow))

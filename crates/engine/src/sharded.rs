@@ -12,13 +12,10 @@
 //!   shard), the associative `merge` of two partials, their wire form
 //!   (`encode` / `decode` over [`ShardOutput`], typed errors instead of
 //!   panics) and the `root` that turns the merged partial into the
-//!   answer. There are five. The seven single-pass shapes share one,
-//!   `SinglePassProgram`, whose sink, partial, merge and root are the
-//!   deterministic arm's own (`cheetah::Completion` → `cheetah::Partial`);
-//!   §6 register aggregation (GROUP BY SUM/COUNT, and a HAVING over a
-//!   register-sized key domain) and JOIN have one each, and a HAVING
-//!   past the register cutoff is two joined by the merged-sketch
-//!   broadcast. Shards stream shard-local
+//!   answer. Each bound `bind::Program` runs one, `SinglePassProgram`'s
+//!   sink, partial, merge and root being the deterministic arm's own
+//!   (`cheetah::Completion` → `cheetah::Partial`); a two-pass HAVING runs
+//!   two joined by the merged-sketch broadcast. Shards stream shard-local
 //!   [`LanePartition`] views: zero-copy range splits
 //!   ([`crate::stream::split_range`]), or, for the key-partitioned shapes
 //!   (JOIN, GROUP BY SUM/COUNT), the lanes of **one hash partition a
@@ -54,9 +51,10 @@ use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 
 use crate::backend::JoinFlow;
+use crate::bind::{Bound, Program};
 use crate::cheetah::{
-    aggregation, frontier, query_columns, registers, single_pass_pruner, single_pass_table,
-    tuple_fingerprinter, Answer, CheetahExecutor, Completion, Partial, PrunerConfig, Registers,
+    frontier, single_pass_pruner, tuple_fingerprinter, Answer, CheetahExecutor, Completion,
+    Partial, PrunerConfig,
 };
 use crate::distributed::{verified_rows, CodecError, ShardOutput};
 use crate::executor::{ExecutionReport, Executor};
@@ -109,7 +107,8 @@ impl ShardedExecutor {
     /// measured whole-query wall, one switch span per shard per pass, the
     /// per-node merge spans, and the serial combine tail.
     pub fn execute_sharded(&self, db: &Database, query: &Query) -> ExecutionReport {
-        report_on(&self.inner, &mut InProcess(self.shards), db, query)
+        let b = query.bind_or_panic(db, &self.inner.config);
+        report_on(&self.inner, &mut InProcess(self.shards), &b)
     }
 }
 
@@ -671,11 +670,10 @@ impl Spans {
 pub(crate) fn report_on<T: Transport>(
     inner: &CheetahExecutor,
     transport: &mut T,
-    db: &Database,
-    query: &Query,
+    b: &Bound<'_>,
 ) -> ExecutionReport {
     let started = Instant::now();
-    let (answer, spans) = execute_on(&inner.config, inner.model.workers, transport, db, query);
+    let (answer, spans) = execute_on(&inner.config, inner.model.workers, transport, b);
     let mut report = answer.pruned(spans.stats);
     report.pass_walls = spans.pass_walls;
     report.merge_walls = spans.merge_walls;
@@ -684,15 +682,14 @@ pub(crate) fn report_on<T: Transport>(
     report
 }
 
-/// Run `query` through its shard program(s) over `transport`, `workers`
-/// pool workers a shard — the one place a shape picks its program — and
-/// hand back the answer and the runs' spans.
+/// Run the bound query's shard program(s) over `transport`, `workers`
+/// pool workers a shard, and hand back the answer and the runs' spans.
+/// Unpruned, a two-pass HAVING runs as register aggregation.
 pub(crate) fn execute_on<T: Transport>(
     cfg: &PrunerConfig,
     workers: usize,
     transport: &mut T,
-    db: &Database,
-    query: &Query,
+    b: &Bound<'_>,
 ) -> (Answer, Spans) {
     let env = Env {
         cfg,
@@ -700,76 +697,62 @@ pub(crate) fn execute_on<T: Transport>(
         shards: transport.shards(),
     };
     let mut spans = Spans::default();
-    let scan = |table: &str| Scan::over(env, db.table(table), query, T::PRUNES);
-    let regs = if T::PRUNES {
-        registers(cfg, db, query)
-    } else {
-        aggregation(db, query)
-    };
-    // The seven single-pass shapes first: no multi-pass arm below may
-    // catch one (a GROUP BY MAX is not a SUM).
-    let answer = if let Some(table) = single_pass_table(query) {
-        let scan = scan(table);
-        let fetch = query.projection(scan.t, &cfg.fetch);
-        spans.run(transport, &SinglePassProgram { scan, fetch })
-    } else if let Some(Registers { t, cols, threshold }) = regs {
-        let lanes: Vec<&[u64]> = cols.iter().map(|&c| t.col_at(c)).collect();
-        let program = SumProgram {
-            env,
-            rows: t.rows() as u64,
-            partition: T::PRUNES
-                .then(|| key_partition(cfg, &lanes, env.shards, false))
-                .flatten(),
-            bounds: t.partition_bounds(env.shards),
-            lanes,
+    let t = b.table;
+    let registers = |threshold| {
+        let lanes: Vec<&[u64]> = b.cols.iter().map(|&c| t.col_at(c)).collect();
+        let partition = T::PRUNES.then(|| key_partition(cfg, &lanes, env.shards, false));
+        SumProgram {
+            scan: Scan::over(env, b, false),
+            partition: partition.flatten(),
             threshold,
-        };
-        spans.run(transport, &program)
-    } else {
-        match query {
-            Query::Having {
-                table, threshold, ..
-            } => {
-                // Pass 2 must see global key mass, so the merged sketch is
-                // broadcast between the two programs.
-                let scan = scan(table);
-                let sketch = HavingSketchProgram {
-                    scan: &scan,
-                    threshold: *threshold,
-                };
-                let merged = spans.run(transport, &sketch);
-                let probe = HavingProbeProgram {
-                    scan: &scan,
-                    merged,
-                };
-                spans.run(transport, &probe)
-            }
-            Query::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                let (l, r) = (db.table(left), db.table(right));
-                let (lc, rc) = (l.col_index(left_col), r.col_index(right_col));
-                // Both sides by join key under one salt: every occurrence of
-                // a key, left or right, lands on one shard and pairs there.
-                let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], env.shards, true);
-                let plan = match (T::PRUNES, lopsided(l.rows(), r.rows())) {
-                    (false, _) => JoinPlan::Unpruned,
-                    (true, true) => JoinPlan::Asymmetric,
-                    (true, false) => JoinPlan::Symmetric,
-                };
-                let program = JoinProgram {
-                    env,
-                    left: (l, lc),
-                    right: (r, rc),
-                    plan,
-                    sides: side(l, lc).zip(side(r, rc)),
-                };
-                spans.run(transport, &program)
-            }
-            _ => unreachable!("every other shape is single-pass or register aggregation"),
+        }
+    };
+    let answer = match b.program {
+        Program::SinglePass => {
+            let fetch = b.query.projection(t, &cfg.fetch);
+            let scan = Scan::over(env, b, T::PRUNES);
+            spans.run(transport, &SinglePassProgram { scan, fetch })
+        }
+        Program::Registers { threshold } => spans.run(transport, &registers(threshold)),
+        Program::Having { threshold } if !T::PRUNES => {
+            spans.run(transport, &registers(Some(threshold)))
+        }
+        Program::Having { threshold } => {
+            // Pass 2 must see global key mass, so the merged sketch is
+            // broadcast between the two programs.
+            let scan = Scan::over(env, b, T::PRUNES);
+            let sketch = HavingSketchProgram {
+                scan: &scan,
+                threshold,
+            };
+            let merged = spans.run(transport, &sketch);
+            let probe = HavingProbeProgram {
+                scan: &scan,
+                merged,
+            };
+            spans.run(transport, &probe)
+        }
+        Program::Join {
+            right: r,
+            right_col: rc,
+            lopsided,
+        } => {
+            // Both sides by join key under one salt: every occurrence of a
+            // key, left or right, lands on one shard and pairs there.
+            let side = |t: &Table, c| key_partition(cfg, &[t.col_at(c)], env.shards, true);
+            let plan = match (T::PRUNES, lopsided) {
+                (false, _) => JoinPlan::Unpruned,
+                (true, true) => JoinPlan::Asymmetric,
+                (true, false) => JoinPlan::Symmetric,
+            };
+            let program = JoinProgram {
+                env,
+                left: (t, b.cols[0]),
+                right: (r, rc),
+                plan,
+                sides: side(t, b.cols[0]).zip(side(r, rc)),
+            };
+            spans.run(transport, &program)
         }
     };
     (answer, spans)
@@ -784,31 +767,34 @@ struct Env<'a> {
     shards: usize,
 }
 
-/// A range-sharded scan of one query's table: shard `s` streams rows
-/// `bounds[s]` of `t` over the query's columns.
+/// A range-sharded scan of a bound query's table: shard `s` streams rows
+/// `bounds[s]` of it over the query's columns.
 struct Scan<'a> {
     env: Env<'a>,
-    query: &'a Query,
-    t: &'a Table,
-    cols: Vec<usize>,
+    b: &'a Bound<'a>,
     bounds: Vec<(usize, usize)>,
     /// A pruned DistinctMulti's tuple fingerprinter.
     fp: Option<Fingerprinter>,
 }
 
 impl<'a> Scan<'a> {
-    /// The scan of `t` for `query`; a DistinctMulti's workers hash its
-    /// tuples into a fingerprint lane only for a switch that `prunes`.
-    fn over(env: Env<'a>, t: &'a Table, query: &'a Query, prunes: bool) -> Self {
-        let distinct_multi = prunes && matches!(query, Query::DistinctMulti { .. });
+    /// The scan for `b`; a DistinctMulti's workers hash its tuples into
+    /// a fingerprint lane only for a switch that `prunes`.
+    fn over(env: Env<'a>, b: &'a Bound<'a>, prunes: bool) -> Self {
+        let distinct_multi = prunes && matches!(b.query, Query::DistinctMulti { .. });
         Scan {
             env,
-            query,
-            t,
-            cols: query_columns(query, t),
-            bounds: t.partition_bounds(env.shards),
+            b,
+            bounds: b.table.partition_bounds(env.shards),
             fp: distinct_multi.then(|| tuple_fingerprinter(env.cfg)),
         }
+    }
+
+    /// Shard `s`'s rows of the query's lanes.
+    fn range(&self, s: usize) -> Vec<&[u64]> {
+        let (lo, hi) = self.bounds[s];
+        let lane = |&c: &usize| &self.b.table.col_at(c)[lo..hi];
+        self.b.cols.iter().map(lane).collect()
     }
 
     /// Shard `s`'s one pass: its rows as `workers` zero-copy lane
@@ -818,12 +804,12 @@ impl<'a> Scan<'a> {
     /// row ids ride last, switch-blind.
     fn pass(&self, s: usize) -> Vec<PhaseInput<'_>> {
         let ((lo, hi), fp) = (self.bounds[s], self.fp.as_ref());
-        let with_rids = matches!(self.query, Query::Filter { .. });
+        let (query, table, cols) = (self.b.query, self.b.table, &self.b.cols);
+        let with_rids = matches!(query, Query::Filter { .. });
         let partitions = split_range(lo, hi, self.env.workers)
             .into_iter()
             .map(|(a, b)| {
-                let slices: Vec<&[u64]> =
-                    self.cols.iter().map(|&c| &self.t.col_at(c)[a..b]).collect();
+                let slices: Vec<&[u64]> = cols.iter().map(|&c| &table.col_at(c)[a..b]).collect();
                 let fingerprint = fp.map(|fp| Lane::Fingerprint {
                     cols: slices.clone(),
                     fp,
@@ -836,7 +822,7 @@ impl<'a> Scan<'a> {
                 LanePartition { rows: b - a, lanes }
             })
             .collect();
-        let visible_cols = if fp.is_some() { 1 } else { self.cols.len() };
+        let visible_cols = if fp.is_some() { 1 } else { cols.len() };
         vec![PhaseInput {
             partitions,
             visible_cols,
@@ -862,20 +848,20 @@ impl ShardProgram for SinglePassProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<Partial> {
-        let Scan { env, query, t, .. } = self.scan;
+        let Scan { env, b, .. } = self.scan;
         let first = usize::from(self.scan.fp.is_some());
-        let columns = first..first + self.scan.cols.len();
+        let columns = first..first + b.cols.len();
         run_shard(
             self.scan.pass(s),
-            site.pruner_stage(s, &|| single_pass_pruner(env.cfg, query, t)),
-            Completion::for_query(query),
+            site.pruner_stage(s, &|| single_pass_pruner(env.cfg, b)),
+            Completion::for_query(b),
             |master, block| {
                 let cols: Vec<&[u64]> = columns.clone().map(|c| block.lane(c)).collect();
                 // Only a Filter asks, and its row ids are its last lane.
                 let row_id = |i| block.value(columns.end, i);
                 master.take(&cols, block.indices(), row_id);
             },
-            |_, master| master.partial(query, t, self.fetch.cols(), S::SHIPS),
+            |_, master| master.partial(b, self.fetch.cols(), S::SHIPS),
         )
     }
 
@@ -899,7 +885,7 @@ impl ShardProgram for SinglePassProgram<'_> {
                 checksum,
             },
             Partial::Top { values, .. } => ShardOutput::TopCandidates(values),
-            Partial::Tuples(run) if matches!(self.scan.query, Query::Distinct { .. }) => {
+            Partial::Tuples(run) if matches!(self.scan.b.query, Query::Distinct { .. }) => {
                 ShardOutput::Values(run.into_parts().1)
             }
             Partial::Tuples(run) | Partial::Frontier(run) => {
@@ -913,8 +899,8 @@ impl ShardProgram for SinglePassProgram<'_> {
     /// Only the query's own variant at the query's own width decodes, and
     /// a delivered partial is re-canonicalized, not trusted.
     fn decode(&self, output: ShardOutput) -> Result<Partial, CodecError> {
-        let width = self.scan.cols.len();
-        Ok(match (self.scan.query, output) {
+        let width = self.scan.b.cols.len();
+        Ok(match (self.scan.b.query, output) {
             (Query::FilterCount { .. }, ShardOutput::Count(count)) => Partial::Count(count),
             (Query::Filter { .. }, output) => {
                 let (ids, checksum) = verified_rows(output, self.fetch.width())?;
@@ -946,7 +932,7 @@ impl ShardProgram for SinglePassProgram<'_> {
     }
 
     fn root(&self, merged: Partial) -> Answer {
-        merged.root(self.scan.query, self.scan.t.rows() as u64)
+        merged.root(self.scan.b)
     }
 
     fn shuffled(&self, _: usize, partial: &Partial) -> u64 {
@@ -969,14 +955,10 @@ impl ShardProgram for SinglePassProgram<'_> {
 /// shards stream range slices, as Spark's tasks do, and their per-key
 /// sums overlap.
 struct SumProgram<'a> {
-    env: Env<'a>,
-    rows: u64,
     /// The key lane and, for SUM, the value lane.
-    lanes: Vec<&'a [u64]>,
-    /// The lanes' hash partition, or `None`: shard `s` streams rows
-    /// `bounds[s]`.
+    scan: Scan<'a>,
+    /// The lanes' hash partition, or `None`: shard `s` streams its range.
     partition: Option<HashPartition>,
-    bounds: Vec<(usize, usize)>,
     /// A HAVING's threshold, which the root applies to the merged sums.
     threshold: Option<u64>,
 }
@@ -986,15 +968,11 @@ impl ShardProgram for SumProgram<'_> {
     type Root = Answer;
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
-        let Env { cfg, workers, .. } = self.env;
+        let Env { cfg, workers, .. } = self.scan.env;
         let stage = site.sum_stage(s, cfg);
         match &self.partition {
             Some(p) => sum_shard(&p[s], stage, workers),
-            None => {
-                let (a, b) = self.bounds[s];
-                let lanes: Vec<&[u64]> = self.lanes.iter().map(|l| &l[a..b]).collect();
-                sum_shard(&lanes, stage, workers)
-            }
+            None => sum_shard(&self.scan.range(s), stage, workers),
         }
     }
 
@@ -1014,7 +992,8 @@ impl ShardProgram for SumProgram<'_> {
     }
 
     fn root(&self, run: GroupRun) -> Answer {
-        Answer::single(run.into_result(self.threshold), self.rows)
+        let rows = self.scan.b.table.rows() as u64;
+        Answer::single(run.into_result(self.threshold), rows)
     }
 
     fn shuffled(&self, _: usize, run: &GroupRun) -> u64 {
@@ -1148,7 +1127,7 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
             passes: 2,
             ..Answer::single(
                 sums.keys_above(self.merged.threshold()),
-                2 * self.scan.t.rows() as u64,
+                2 * self.scan.b.table.rows() as u64,
             )
         }
     }
@@ -1536,18 +1515,19 @@ pub(crate) mod tests {
             cuts.sort_unstable();
             let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([survivors.len()]).collect();
             for q in single_pass_shapes(seed as usize % 60) {
+                let b = q.bind(&db, &cfg).expect("a single-pass shape binds");
                 let program = SinglePassProgram {
-                    scan: Scan::over(env, t, &q, true),
+                    scan: Scan::over(env, &b, true),
                     fetch: q.projection(t, &cfg.fetch),
                 };
-                let cols: Vec<&[u64]> = program.scan.cols.iter().map(|&c| t.col_at(c)).collect();
+                let cols: Vec<&[u64]> = program.scan.b.cols.iter().map(|&c| t.col_at(c)).collect();
                 let partial = |chunk: &[u16]| {
-                    let mut master = Completion::for_query(&q);
+                    let mut master = Completion::for_query(&b);
                     master.take(&cols, chunk, |i| i as u64);
-                    master.partial(&q, t, program.fetch.cols(), true)
+                    master.partial(&b, program.fetch.cols(), true)
                 };
                 let answer = |p: Partial| {
-                    let a = p.root(&q, rows as u64);
+                    let a = p.root(&b);
                     (a.result, a.fetch_rows, a.fetch_checksum)
                 };
                 let mut parts: Vec<Partial> =

@@ -52,7 +52,8 @@ impl SparkExecutor {
             shards: self.model.workers,
             shuffled: 0,
         };
-        let (answer, _) = execute_on(&cfg, 1, &mut transport, db, query);
+        let b = query.bind_or_panic(db, &cfg);
+        let (answer, _) = execute_on(&cfg, 1, &mut transport, &b);
         answer.report("spark", None, transport.shuffled)
     }
 }

@@ -75,11 +75,14 @@ impl Table {
         self.columns.len()
     }
 
-    /// Index of a column by name.
+    /// Index of a column by name, `None` if the table has no such column.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.schema.iter().position(|c| c == name)
+    }
+
+    /// Index of a column by name; panics on unknown names.
     pub fn col_index(&self, name: &str) -> usize {
-        self.schema
-            .iter()
-            .position(|c| c == name)
+        self.position(name)
             .unwrap_or_else(|| panic!("no column '{name}' in table '{}'", self.name))
     }
 
@@ -203,10 +206,14 @@ impl Database {
         self.tables.insert(table.name().to_string(), table);
     }
 
-    /// Look a table up; panics on unknown names (planner bug).
+    /// Look a table up, `None` if there is no such table.
+    pub fn get(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name)
+    }
+
+    /// Look a table up; panics on unknown names.
     pub fn table(&self, name: &str) -> &Table {
-        self.tables
-            .get(name)
+        self.get(name)
             .unwrap_or_else(|| panic!("no table '{name}'"))
     }
 
