@@ -272,6 +272,12 @@ impl TruthTable {
         Ok(TruthTable { atom_ids, table })
     }
 
+    /// The assignments the formula holds under: the match entries the
+    /// control plane installs.
+    pub fn true_entries(&self) -> u64 {
+        self.table.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
     /// Evaluate on a row by computing the atom bit-vector and indexing.
     pub fn eval(&self, atoms: &[Atom], row: &[u64]) -> bool {
         let mut v = 0usize;

@@ -35,14 +35,14 @@ pub enum SwitchBackend {
 }
 
 /// Envelope for the pisa backend's single-pipeline programs.
-fn spec() -> SwitchModel {
+pub(crate) fn spec() -> SwitchModel {
     SwitchModel::tofino_like()
 }
 
-/// SKYLINE needs more stages than one 12-stage pass (Table 2: 23 at the
-/// default w=10); real Tofinos chain pipes / recirculate, modeled here as
-/// a deeper envelope.
-fn skyline_spec() -> SwitchModel {
+/// SKYLINE needs more stages than one 12-stage pass (21 at the default
+/// w=10); real Tofinos chain pipes / recirculate, modeled here as a
+/// deeper envelope.
+pub(crate) fn skyline_spec() -> SwitchModel {
     SwitchModel {
         stages: 40,
         ..SwitchModel::tofino2_like()
@@ -96,26 +96,113 @@ impl<P: RowPruner> RowPruner for NonzeroKey<P> {
     }
 }
 
-/// DISTINCT pruner under the chosen backend, at `cfg`'s own
-/// `distinct_d × distinct_w` (Table 2's matrix unless configured).
-pub fn distinct(cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
-    distinct_sized(cfg, cfg.distinct_d)
+/// A `d × w` register matrix: GROUP BY's and §6's, or a Count-Min sketch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Matrix {
+    pub(crate) d: usize,
+    pub(crate) w: usize,
 }
 
-/// DISTINCT pruner of `d` rows by `cfg.distinct_w` columns.
-pub(crate) fn distinct_sized(cfg: &PrunerConfig, d: usize) -> Box<dyn RowPruner + Send> {
-    match cfg.backend {
-        SwitchBackend::Reference => Box::new(DistinctPruner::new(
-            d,
-            cfg.distinct_w,
-            cfg.distinct_policy,
-            cfg.seed,
-        )),
-        SwitchBackend::Pisa => Box::new(NonzeroKey::new(ProgramPruner::new(
-            DistinctLruProgram::new(spec(), d, cfg.distinct_w, cfg.seed)
-                .expect("distinct program fits"),
-        ))),
+impl Matrix {
+    /// What a GROUP BY matrix occupies: Table 2's `w` stages and ALUs, and
+    /// the `2·d·w·64 + d·64` SRAM bits of its keys, values and cursors.
+    pub(crate) fn group_by(self) -> ResourceUsage {
+        let values = table2::group_by(self.w as u32, self.d as u64);
+        ResourceUsage {
+            sram_bits: 2 * values.sram_bits + self.d as u64 * 64,
+            ..values
+        }
     }
+}
+
+/// A single-pass program at the geometry [`crate::bind`] sizes it to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SinglePass<'q> {
+    /// The predicate's switch-evaluable relaxation.
+    Filter(&'q Predicate),
+    /// A `d × cfg.distinct_w` matrix ([`distinct_rows`]).
+    Distinct { d: usize },
+    /// A TOP `n` at [`topn_geometry`]'s stage.
+    TopN { n: usize, at: TopNGeometry },
+    /// GROUP BY MAX/MIN's matrix.
+    GroupBy(Matrix, Extremum),
+    /// SKYLINE (APH): `w` stored points of `dims` dimensions.
+    Skyline { w: usize, dims: usize },
+}
+
+impl SinglePass<'_> {
+    /// The program's pruner under `cfg.backend`.
+    pub(crate) fn pruner(self, cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
+        use SwitchBackend::{Pisa, Reference};
+        use TopNGeometry::{Deterministic, Randomized};
+        let seed = cfg.seed;
+        match (cfg.backend, self) {
+            (Reference, SinglePass::Filter(p)) => Box::new(
+                FilterPruner::new(p.atoms.clone(), p.formula.clone()).expect("filter compiles"),
+            ),
+            (Pisa, SinglePass::Filter(p)) => Box::new(ProgramPruner::new(
+                FilterProgram::new(spec(), p.atoms.clone(), &p.formula)
+                    .unwrap_or_else(|e| panic!("filter program: {e:?}")),
+            )),
+            (Reference, SinglePass::Distinct { d }) => Box::new(DistinctPruner::new(
+                d,
+                cfg.distinct_w,
+                cfg.distinct_policy,
+                seed,
+            )),
+            (Pisa, SinglePass::Distinct { d }) => Box::new(NonzeroKey::new(ProgramPruner::new(
+                DistinctLruProgram::new(spec(), d, cfg.distinct_w, seed)
+                    .expect("distinct program fits"),
+            ))),
+            (Reference, SinglePass::TopN { n, at }) => match at {
+                Randomized { d, w } => Box::new(RandomizedTopN::new(d, w, seed)),
+                Deterministic { w } => Box::new(DeterministicTopN::new(n.max(1) as u64, w)),
+            },
+            (Pisa, SinglePass::TopN { n, at }) => match at {
+                Randomized { d, w } => Box::new(ProgramPruner::new(
+                    RandTopNProgram::new(spec(), d, w, seed).expect("topn program fits"),
+                )),
+                Deterministic { w } => Box::new(ProgramPruner::new(
+                    DetTopNProgram::new(spec(), n.max(1) as u64, w).expect("topn program fits"),
+                )),
+            },
+            (Reference, SinglePass::GroupBy(m, ext)) => {
+                Box::new(GroupByPruner::new(m.d, m.w, ext, seed))
+            }
+            (Pisa, SinglePass::GroupBy(m, ext)) => Box::new(NonzeroKey::new(ProgramPruner::new(
+                GroupByProgram::new(groupby_spec(m), m.d, m.w, ext, seed)
+                    .expect("groupby program fits"),
+            ))),
+            (Reference, SinglePass::Skyline { w, dims }) => {
+                Box::new(SkylinePruner::new(dims, w, Heuristic::aph_default()))
+            }
+            (Pisa, SinglePass::Skyline { w, dims }) => Box::new(ProgramPruner::new(
+                SkylineProgram::new(
+                    skyline_spec(),
+                    dims,
+                    w,
+                    SkylineScoring::Aph { frac_bits: 8 },
+                )
+                .expect("skyline program fits the deep envelope"),
+            )),
+        }
+    }
+}
+
+/// The envelope GROUP BY's PISA twin runs on: its wide-row scan touches
+/// 2w+1 cells in one stage — legal only under Table 2's `*` shared-memory
+/// assumption, which we model as a stage with matching ALU fan-out.
+pub(crate) fn groupby_spec(m: Matrix) -> SwitchModel {
+    SwitchModel {
+        alus_per_stage: (2 * m.w as u32 + 1).max(spec().alus_per_stage),
+        ..spec()
+    }
+}
+
+/// DISTINCT pruner at `cfg`'s own `distinct_d × distinct_w` (Table 2's
+/// matrix unless configured).
+pub fn distinct(cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
+    SinglePass::Distinct { d: cfg.distinct_d }.pruner(cfg)
 }
 
 /// The one DISTINCT sizing decision: the matrix rows a DISTINCT or
@@ -172,7 +259,8 @@ pub(crate) enum TopNGeometry {
 
 impl TopNGeometry {
     /// What the program occupies: Table 2's row, plus, for the randomized
-    /// matrix, the sequence counter that has stage 0 to itself.
+    /// matrix, the sequence counter that has stage 0 to itself, and for
+    /// the ladder, the seen-count register beside its running minimum.
     pub(crate) fn resources(self) -> ResourceUsage {
         match self {
             TopNGeometry::Randomized { d, w } => {
@@ -184,7 +272,10 @@ impl TopNGeometry {
                 };
                 table2::topn_rand(w as u32, d as u64).plus(counter)
             }
-            TopNGeometry::Deterministic { w } => table2::topn_det(w as u32),
+            TopNGeometry::Deterministic { w } => ResourceUsage {
+                sram_bits: (w as u64 + 2) * 64,
+                ..table2::topn_det(w as u32)
+            },
         }
     }
 }
@@ -229,80 +320,28 @@ pub(crate) fn topn_geometry(cfg: &PrunerConfig, n: usize) -> TopNGeometry {
 
 /// TOP N pruner, sized by `topn_geometry`.
 pub fn topn(cfg: &PrunerConfig, n: usize) -> Box<dyn RowPruner + Send> {
-    let n = n.max(1) as u64;
-    match (cfg.backend, topn_geometry(cfg, n as usize)) {
-        (SwitchBackend::Reference, TopNGeometry::Randomized { d, w }) => {
-            Box::new(RandomizedTopN::new(d, w, cfg.seed))
-        }
-        (SwitchBackend::Reference, TopNGeometry::Deterministic { w }) => {
-            Box::new(DeterministicTopN::new(n, w))
-        }
-        (SwitchBackend::Pisa, TopNGeometry::Randomized { d, w }) => Box::new(ProgramPruner::new(
-            RandTopNProgram::new(spec(), d, w, cfg.seed).expect("topn program fits"),
-        )),
-        (SwitchBackend::Pisa, TopNGeometry::Deterministic { w }) => Box::new(ProgramPruner::new(
-            DetTopNProgram::new(spec(), n, w).expect("topn program fits"),
-        )),
-    }
+    let at = topn_geometry(cfg, n);
+    SinglePass::TopN { n, at }.pruner(cfg)
 }
 
-/// GROUP BY MAX/MIN pruner.
+/// GROUP BY MAX/MIN pruner at `cfg`'s `groupby_d × groupby_w`.
 pub fn groupby(cfg: &PrunerConfig, ext: Extremum) -> Box<dyn RowPruner + Send> {
-    match cfg.backend {
-        SwitchBackend::Reference => Box::new(GroupByPruner::new(
-            cfg.groupby_d,
-            cfg.groupby_w,
-            ext,
-            cfg.seed,
-        )),
-        SwitchBackend::Pisa => {
-            // The wide-row scan touches 2w+1 cells in one stage — legal
-            // only under Table 2's `*` shared-memory assumption, which we
-            // model as a stage with matching ALU fan-out.
-            let wide = SwitchModel {
-                alus_per_stage: (2 * cfg.groupby_w as u32 + 1).max(spec().alus_per_stage),
-                ..spec()
-            };
-            Box::new(NonzeroKey::new(ProgramPruner::new(
-                GroupByProgram::new(wide, cfg.groupby_d, cfg.groupby_w, ext, cfg.seed)
-                    .expect("groupby program fits"),
-            )))
-        }
-    }
+    let (d, w) = (cfg.groupby_d, cfg.groupby_w);
+    SinglePass::GroupBy(Matrix { d, w }, ext).pruner(cfg)
 }
 
 /// Filtering pruner over the predicate's switch-evaluable relaxation.
 pub fn filter(cfg: &PrunerConfig, predicate: &Predicate) -> Box<dyn RowPruner + Send> {
-    match cfg.backend {
-        SwitchBackend::Reference => Box::new(
-            FilterPruner::new(predicate.atoms.clone(), predicate.formula.clone())
-                .expect("filter compiles"),
-        ),
-        SwitchBackend::Pisa => Box::new(ProgramPruner::new(
-            FilterProgram::new(spec(), predicate.atoms.clone(), &predicate.formula)
-                .unwrap_or_else(|e| panic!("filter program: {e:?}")),
-        )),
-    }
+    SinglePass::Filter(predicate).pruner(cfg)
 }
 
-/// SKYLINE pruner (APH heuristic, as the evaluation uses).
+/// SKYLINE pruner storing `cfg.skyline_w` points.
 pub fn skyline(cfg: &PrunerConfig, dims: usize) -> Box<dyn RowPruner + Send> {
-    match cfg.backend {
-        SwitchBackend::Reference => Box::new(SkylinePruner::new(
-            dims,
-            cfg.skyline_w,
-            Heuristic::aph_default(),
-        )),
-        SwitchBackend::Pisa => Box::new(ProgramPruner::new(
-            SkylineProgram::new(
-                skyline_spec(),
-                dims,
-                cfg.skyline_w,
-                SkylineScoring::Aph { frac_bits: 8 },
-            )
-            .expect("skyline program fits the deep envelope"),
-        )),
+    SinglePass::Skyline {
+        w: cfg.skyline_w,
+        dims,
     }
+    .pruner(cfg)
 }
 
 /// Two-pass HAVING flow under either backend.
@@ -314,18 +353,21 @@ pub enum HavingFlow {
 }
 
 impl HavingFlow {
-    /// Build for `HAVING SUM > threshold`.
+    /// Build for `HAVING SUM > threshold` at `cfg`'s sketch.
     pub fn new(cfg: &PrunerConfig, threshold: u64) -> Self {
+        let (d, w) = (cfg.having_d, cfg.having_w);
+        Self::sized(cfg, Matrix { d, w }, threshold)
+    }
+
+    /// Build for `HAVING SUM > threshold` over the Count-Min `sketch`.
+    pub(crate) fn sized(cfg: &PrunerConfig, sketch: Matrix, threshold: u64) -> Self {
+        let Matrix { d, w } = sketch;
         match cfg.backend {
-            SwitchBackend::Reference => HavingFlow::Core(HavingPruner::new(
-                cfg.having_d,
-                cfg.having_w,
-                threshold,
-                cfg.seed,
-            )),
+            SwitchBackend::Reference => {
+                HavingFlow::Core(HavingPruner::new(d, w, threshold, cfg.seed))
+            }
             SwitchBackend::Pisa => HavingFlow::Pisa(
-                HavingProgram::new(spec(), cfg.having_d, cfg.having_w, threshold, cfg.seed)
-                    .expect("having program fits"),
+                HavingProgram::new(spec(), d, w, threshold, cfg.seed).expect("having program fits"),
             ),
         }
     }
@@ -399,23 +441,40 @@ pub enum JoinFlow {
     Pisa(RbfJoinProgram),
 }
 
+/// A JOIN's register Bloom filter pair: each side's filter bits, and the
+/// bits a key sets in its register (Table 2's `H`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JoinFilters {
+    pub(crate) bits: [u64; 2],
+    pub(crate) h: u32,
+}
+
+impl JoinFilters {
+    /// Filters sized for a `left_rows` ⋈ `right_rows` join (see
+    /// [`JoinFlow::side_bits`]). Any size is exact — a Bloom filter has no
+    /// false negatives — so sizing only trades filter memory for
+    /// false-positive forwards.
+    pub(crate) fn sized(cfg: &PrunerConfig, left_rows: usize, right_rows: usize) -> Self {
+        JoinFilters {
+            bits: [left_rows, right_rows].map(|rows| JoinFlow::side_bits(cfg, rows)),
+            h: cfg.join_h as u32,
+        }
+    }
+}
+
 impl JoinFlow {
     /// A flow with both filters at the per-side cap `cfg.join_m_bits` —
     /// what a caller that knows neither cardinality gets.
     pub fn new(cfg: &PrunerConfig) -> Self {
-        Self::sized(cfg, usize::MAX, usize::MAX)
+        Self::sized(cfg, JoinFilters::sized(cfg, usize::MAX, usize::MAX))
     }
 
-    /// A flow whose filters are sized for a `left_rows` ⋈ `right_rows`
-    /// join (see [`Self::side_bits`]). Any size is exact — a Bloom filter
-    /// has no false negatives — so sizing only trades filter memory for
-    /// false-positive forwards.
-    pub fn sized(cfg: &PrunerConfig, left_rows: usize, right_rows: usize) -> Self {
-        let (bits_a, bits_b) = (
-            Self::side_bits(cfg, left_rows),
-            Self::side_bits(cfg, right_rows),
-        );
-        let h = cfg.join_h as u32;
+    /// A flow over the filter pair `filters`.
+    pub(crate) fn sized(cfg: &PrunerConfig, filters: JoinFilters) -> Self {
+        let JoinFilters {
+            bits: [bits_a, bits_b],
+            h,
+        } = filters;
         match cfg.backend {
             SwitchBackend::Reference => JoinFlow::Core(JoinPruner::new(
                 RegisterBloomFilter::new(bits_a, h, cfg.seed),
@@ -610,13 +669,11 @@ mod tests {
         };
         assert_eq!(stage(EvictionPolicy::Lru, 1), 1 << 19);
         assert_eq!(stage(EvictionPolicy::Fifo, 2), 1 << 18);
-        let mut fifo = distinct_sized(
-            &PrunerConfig {
-                distinct_policy: EvictionPolicy::Fifo,
-                ..PrunerConfig::default()
-            },
-            1 << 18,
-        );
+        let fifo_cfg = PrunerConfig {
+            distinct_policy: EvictionPolicy::Fifo,
+            ..PrunerConfig::default()
+        };
+        let mut fifo = SinglePass::Distinct { d: 1 << 18 }.pruner(&fifo_cfg);
         assert!(fifo.process_row(&[5]).is_forward());
     }
 
@@ -645,7 +702,7 @@ mod tests {
             };
             // Lopsided on purpose: each side lands in a filter of its own
             // size on both backends.
-            let mut j = JoinFlow::sized(&cfg, 500, 40);
+            let mut j = JoinFlow::sized(&cfg, JoinFilters::sized(&cfg, 500, 40));
             let sides: Vec<u64> = (0..1_000).map(|i| i % 2).collect();
             let keys: Vec<u64> = (0..1_000).map(|i| i / 2 + 400 * (i % 2)).collect();
             j.observe_block(&sides, &keys);
@@ -691,7 +748,10 @@ mod tests {
             JoinFlow::Pisa(_) => unreachable!("reference backend"),
         };
         assert_eq!(
-            geometry(JoinFlow::sized(&cfg, 400_000, 80_000)),
+            geometry(JoinFlow::sized(
+                &cfg,
+                JoinFilters::sized(&cfg, 400_000, 80_000)
+            )),
             (12_800_000, 2_560_000),
             "each side sized on its own"
         );

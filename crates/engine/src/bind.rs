@@ -1,34 +1,46 @@
 //! Binding: [`Query::bind`] resolves every table and column a query
-//! names, checks its shape and picks the one `Program` its switch runs
-//! (§3) — once, before any arm streams a row. The deterministic scan, the
-//! pool and Spark transports, serving and the planner all run the
+//! names, checks its shape and compiles the one `Program` its switch runs
+//! (§3) — which program, at what geometry, and what it charges the
+//! switch — once, before any arm streams a row. The deterministic scan,
+//! the pool and Spark transports, serving and the planner all run the
 //! [`Bound`] it returns; a malformed query is a [`QueryError`] here.
 
 use std::fmt;
 
-use crate::backend::having_by_registers;
+use cheetah_core::distinct::EvictionPolicy;
+use cheetah_core::filter::TruthTable;
+use cheetah_core::groupby::Extremum;
+use cheetah_core::resources::{table2, ResourceUsage};
+
+use crate::backend::{
+    distinct_rows, having_by_registers, spec, topn_geometry, JoinFilters, Matrix, SinglePass,
+};
 use crate::cheetah::PrunerConfig;
 use crate::query::{Agg, FetchSpec, Predicate, Query};
 use crate::sharded::lopsided;
 use crate::table::{Database, Table};
 
-/// The dataflow a bound query runs.
+/// The dataflow a bound query runs, at the geometry it is built at.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Program<'a> {
     /// One row-pruned pass: the shapes serving can pack into a shared
     /// scan (Filter, DISTINCT, TOP N, GROUP BY MAX/MIN, SKYLINE).
-    SinglePass,
+    SinglePass(SinglePass<'a>),
     /// §6 register aggregation: GROUP BY SUM/COUNT, and a HAVING whose key
     /// domain fits the registers (`backend::having_by_registers`).
     Registers {
         /// A HAVING's threshold; `None` for GROUP BY.
         threshold: Option<u64>,
+        /// The register matrix.
+        matrix: Matrix,
     },
     /// §5's two-pass HAVING: a Count-Min observation pass, then the
     /// candidates' entries to the master.
     Having {
         /// The HAVING threshold `c`.
         threshold: u64,
+        /// The Count-Min sketch.
+        sketch: Matrix,
     },
     /// §4.3's JOIN of the bound table against `right`'s lane `right_col`.
     Join {
@@ -39,6 +51,10 @@ pub(crate) enum Program<'a> {
         lopsided: bool,
         /// The right join lane.
         right_col: usize,
+        /// The filter pair, sized for the whole tables. A shard of a
+        /// sharded JOIN sizes its own pair for its partition, which is
+        /// cut after bind (`sharded::join_shard`).
+        filters: JoinFilters,
     },
 }
 
@@ -55,6 +71,9 @@ pub struct Bound<'a> {
     pub(crate) cols: Vec<usize>,
     /// The program it runs.
     pub(crate) program: Program<'a>,
+    /// What `program` occupies on the switch: what serving's packing and
+    /// the planner's feasibility check charge it.
+    pub(crate) charge: ResourceUsage,
 }
 
 /// Why a query cannot run.
@@ -105,11 +124,70 @@ fn check(p: &Predicate) -> Result<(), QueryError> {
     }
 }
 
+impl Program<'_> {
+    /// What the program occupies on the switch: the stages and SRAM its
+    /// PISA twin allocates (`tests::every_charge_is_what_its_program_occupies`),
+    /// but for two stage counts that stay Table 2's, deviations README's
+    /// paper map records: the filter's, whose twin looks its truth table
+    /// up a stage after its comparisons, and GROUP BY's, whose twin scans
+    /// its row as one widened stage (`backend::groupby_spec`).
+    fn charge(self, cfg: &PrunerConfig) -> ResourceUsage {
+        match self {
+            Program::SinglePass(SinglePass::Filter(p)) => {
+                // A 17-bit match entry per assignment the relaxation takes.
+                let relaxation = p.formula.decompose(&p.atoms);
+                let entries = TruthTable::compile(&relaxation).map_or(0, |t| t.true_entries());
+                ResourceUsage {
+                    sram_bits: 17 * entries,
+                    ..table2::filter(p.atoms.len() as u32)
+                }
+            }
+            Program::SinglePass(SinglePass::Distinct { d }) => {
+                let (w, d) = (cfg.distinct_w as u32, d as u64);
+                match cfg.distinct_policy {
+                    EvictionPolicy::Lru => table2::distinct_lru(w, d),
+                    EvictionPolicy::Fifo => ResourceUsage {
+                        // Each row carries a cursor beside its w keys.
+                        sram_bits: (u64::from(w) + 1) * d * 64,
+                        ..table2::distinct_fifo(w, d, spec().alus_per_stage)
+                    },
+                }
+            }
+            Program::SinglePass(SinglePass::TopN { at, .. }) => at.resources(),
+            Program::SinglePass(SinglePass::GroupBy(m, _))
+            | Program::Registers { matrix: m, .. } => m.group_by(),
+            Program::SinglePass(SinglePass::Skyline { w, dims }) => {
+                // Stage 0 holds the 2¹⁶ − 1 entry log table, then each slot
+                // takes a score stage and a dimensions stage.
+                let aph = table2::skyline_aph(dims as u32, w as u32);
+                ResourceUsage {
+                    stages: 2 * w as u32 + 1,
+                    sram_bits: aph.sram_bits - 32,
+                    ..aph
+                }
+            }
+            Program::Having { sketch, .. } => {
+                table2::having(sketch.w as u64, sketch.d as u32, spec().alus_per_stage)
+            }
+            // A side's filter is a stage, a stateful ALU and its bits. Table
+            // 2's RBF row adds a pattern table, which the twin, deriving each
+            // key's pattern from its hash, does not allocate.
+            Program::Join { filters, .. } => ResourceUsage {
+                stages: 2,
+                alus: 2,
+                sram_bits: filters.bits.iter().sum(),
+                tcam_entries: 0,
+            },
+        }
+    }
+}
+
 impl Query {
-    /// Resolve this query against `db` and choose its program under
-    /// `cfg`: the one place a query's names are looked up and its shape
-    /// checked. A single-pass query also resolves the names a
-    /// [`FetchSpec::Plus`] projection adds.
+    /// Resolve this query against `db` and compile its program under
+    /// `cfg`: the one place a query's names are looked up, its shape
+    /// checked, and its program chosen, sized and charged. A single-pass
+    /// query also resolves the names a [`FetchSpec::Plus`] projection
+    /// adds.
     pub fn bind<'a>(
         &'a self,
         db: &'a Database,
@@ -144,6 +222,10 @@ impl Query {
             Query::Join { left, left_col, .. } => (left, vec![left_col]),
         };
         let t = table(name)?;
+        let groupby = Matrix {
+            d: cfg.groupby_d,
+            w: cfg.groupby_w,
+        };
         let mut cols: Vec<usize> = names
             .into_iter()
             .map(|n| col(t, n))
@@ -152,15 +234,23 @@ impl Query {
             Query::GroupBy { agg, .. } if matches!(agg, Agg::Sum | Agg::Count) => {
                 // COUNT sums ones: no value lane.
                 cols.truncate(if *agg == Agg::Count { 1 } else { 2 });
-                Program::Registers { threshold: None }
+                Program::Registers {
+                    threshold: None,
+                    matrix: groupby,
+                }
             }
             Query::Having { threshold, .. } if having_by_registers(cfg, t, cols[0]) => {
                 Program::Registers {
                     threshold: Some(*threshold),
+                    matrix: groupby,
                 }
             }
             Query::Having { threshold, .. } => Program::Having {
                 threshold: *threshold,
+                sketch: Matrix {
+                    d: cfg.having_d,
+                    w: cfg.having_w,
+                },
             },
             Query::Join {
                 right, right_col, ..
@@ -175,11 +265,34 @@ impl Query {
                     right: r,
                     right_col: col(r, right_col)?,
                     lopsided: lopsided(t.rows(), r.rows()),
+                    filters: JoinFilters::sized(cfg, t.rows(), r.rows()),
                 }
             }
-            _ => Program::SinglePass,
+            Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
+                Program::SinglePass(SinglePass::Filter(predicate))
+            }
+            Query::Distinct { .. } | Query::DistinctMulti { .. } => {
+                let d = distinct_rows(cfg, t, &cols);
+                Program::SinglePass(SinglePass::Distinct { d })
+            }
+            Query::TopN { n, .. } => Program::SinglePass(SinglePass::TopN {
+                n: *n,
+                at: topn_geometry(cfg, *n),
+            }),
+            Query::GroupBy { agg, .. } => {
+                let ext = if *agg == Agg::Max {
+                    Extremum::Max
+                } else {
+                    Extremum::Min
+                };
+                Program::SinglePass(SinglePass::GroupBy(groupby, ext))
+            }
+            Query::Skyline { .. } => Program::SinglePass(SinglePass::Skyline {
+                w: cfg.skyline_w,
+                dims: cols.len(),
+            }),
         };
-        if let (Program::SinglePass, FetchSpec::Plus(names)) = (program, &cfg.fetch) {
+        if let (Program::SinglePass(_), FetchSpec::Plus(names)) = (program, &cfg.fetch) {
             names.iter().try_for_each(|n| col(t, n).map(drop))?;
         }
         Ok(Bound {
@@ -187,6 +300,7 @@ impl Query {
             table: t,
             cols,
             program,
+            charge: program.charge(cfg),
         })
     }
 
@@ -203,12 +317,174 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use cheetah_core::filter::{Atom, CmpOp, Formula};
+    use cheetah_core::SwitchModel;
+    use cheetah_pisa::programs::{
+        DetTopNProgram, DistinctFifoProgram, DistinctLruProgram, FilterProgram, GroupByProgram,
+        HavingProgram, RandTopNProgram, RbfJoinProgram, SkylineProgram, SwitchProgram,
+    };
     use proptest::prelude::*;
 
     use super::*;
+    use crate::backend::{groupby_spec, skyline_spec, TopNGeometry};
     use crate::cheetah::tests::{all_queries, random_db};
     use crate::cheetah::CheetahExecutor;
     use crate::cost::CostModel;
+    use cheetah_pisa::programs::SkylineScoring;
+
+    /// The stages a program's metered pipeline occupies and the SRAM bits
+    /// it allocates.
+    fn metered(program: &impl SwitchProgram) -> (u32, u64) {
+        let pipe = program.pipeline();
+        (pipe.stages_occupied(), pipe.sram_used().iter().sum())
+    }
+
+    /// What the PISA twin of `b`'s program occupies, built at its bound
+    /// geometry on the envelope the pisa backend builds it on.
+    fn twin(cfg: &PrunerConfig, b: &Bound<'_>) -> (u32, u64) {
+        let seed = cfg.seed;
+        match b.program {
+            Program::SinglePass(SinglePass::Filter(p)) => {
+                metered(&FilterProgram::new(spec(), p.atoms.clone(), &p.formula).expect("fits"))
+            }
+            Program::SinglePass(SinglePass::Distinct { d }) => match cfg.distinct_policy {
+                EvictionPolicy::Lru => metered(
+                    &DistinctLruProgram::new(spec(), d, cfg.distinct_w, seed).expect("fits"),
+                ),
+                EvictionPolicy::Fifo => metered(
+                    &DistinctFifoProgram::new(spec(), d, cfg.distinct_w, seed).expect("fits"),
+                ),
+            },
+            Program::SinglePass(SinglePass::TopN { n, at }) => match at {
+                TopNGeometry::Randomized { d, w } => {
+                    metered(&RandTopNProgram::new(spec(), d, w, seed).expect("fits"))
+                }
+                TopNGeometry::Deterministic { w } => {
+                    metered(&DetTopNProgram::new(spec(), n.max(1) as u64, w).expect("fits"))
+                }
+            },
+            Program::SinglePass(SinglePass::GroupBy(m, ext)) => {
+                metered(&GroupByProgram::new(groupby_spec(m), m.d, m.w, ext, seed).expect("fits"))
+            }
+            // §6's registers have no PISA program of their own: GROUP BY
+            // MAX's matrix is their twin, keys, values and cursor alike.
+            Program::Registers { matrix: m, .. } => metered(
+                &GroupByProgram::new(groupby_spec(m), m.d, m.w, Extremum::Max, seed).expect("fits"),
+            ),
+            Program::SinglePass(SinglePass::Skyline { w, dims }) => metered(
+                &SkylineProgram::new(
+                    skyline_spec(),
+                    dims,
+                    w,
+                    SkylineScoring::Aph { frac_bits: 8 },
+                )
+                .expect("fits"),
+            ),
+            Program::Having { threshold, sketch } => metered(
+                &HavingProgram::new(spec(), sketch.d, sketch.w, threshold, seed).expect("fits"),
+            ),
+            Program::Join { filters, .. } => {
+                let JoinFilters { bits: [a, b], h } = filters;
+                metered(&RbfJoinProgram::new(spec(), a, b, h, seed, seed ^ 1).expect("fits"))
+            }
+        }
+    }
+
+    /// Every program is charged what its PISA twin occupies — the metered
+    /// pipeline's stages and summed SRAM — for every shape at the default,
+    /// a sized and a degenerate geometry. Two stage counts stay Table 2's,
+    /// the deviations README's paper map records: GROUP BY's `w` stages,
+    /// which its twin scans as one widened stage, and the filter's one
+    /// stage, whose twin looks its truth table up a stage later.
+    #[test]
+    fn every_charge_is_what_its_program_occupies() {
+        let db = random_db(3_000, 5);
+        let default = PrunerConfig::default();
+        let sized = PrunerConfig {
+            distinct_d: 16,
+            distinct_policy: EvictionPolicy::Fifo,
+            groupby_d: 64,
+            groupby_w: 2,
+            having_d: 2,
+            having_w: 64,
+            skyline_w: 4,
+            join_m_bits: 1 << 12,
+            ..PrunerConfig::default()
+        };
+        let degenerate = PrunerConfig {
+            distinct_d: 1,
+            distinct_w: 1,
+            topn_randomized: false,
+            topn_w: 1,
+            groupby_d: 2,
+            groupby_w: 1,
+            join_m_bits: 64,
+            join_h: 1,
+            having_d: 1,
+            having_w: 2,
+            skyline_w: 1,
+            ..PrunerConfig::default()
+        };
+        let mut queries = all_queries();
+        queries.extend(
+            [0, 1, 25, 250, 1_000, 2_000, 5_000, 50_000].map(|n| Query::TopN {
+                table: "t".into(),
+                order_by: "v".into(),
+                n,
+            }),
+        );
+        let constant = Predicate {
+            columns: Vec::new(),
+            atoms: Vec::new(),
+            formula: Formula::Or(vec![Formula::False, Formula::True]),
+        };
+        queries.extend([
+            Query::FilterCount {
+                table: "t".into(),
+                predicate: constant,
+            },
+            Query::DistinctMulti {
+                table: "t".into(),
+                columns: vec!["k".into(), "w".into()],
+            },
+            Query::Skyline {
+                table: "t".into(),
+                columns: vec!["v".into(), "w".into(), "k".into()],
+            },
+        ]);
+        let tofino = SwitchModel::tofino_like();
+        for (name, cfg) in [
+            ("default", &default),
+            ("sized", &sized),
+            ("degenerate", &degenerate),
+        ] {
+            for q in &queries {
+                let b = q.bind(&db, cfg).expect("binds");
+                let (stages, sram_bits) = twin(cfg, &b);
+                let at = format!("{} at the {name} geometry", q.kind());
+                assert_eq!(b.charge.sram_bits, sram_bits, "{at}");
+                match b.program {
+                    Program::SinglePass(SinglePass::GroupBy(m, _))
+                    | Program::Registers { matrix: m, .. } => {
+                        assert_eq!((b.charge.stages, stages), (m.w as u32, 1), "{at}");
+                    }
+                    Program::SinglePass(SinglePass::Filter(_)) => {
+                        assert_eq!((b.charge.stages, stages), (1, 2), "{at}");
+                    }
+                    _ => assert_eq!(b.charge.stages, stages, "{at}"),
+                }
+                if let Program::SinglePass(SinglePass::TopN { .. }) = b.program {
+                    assert!(b.charge.fits(&tofino), "{at}: a TOP N is sized to fit");
+                }
+            }
+        }
+        // SKYLINE at its default w = 10 never fits the pipeline, so
+        // serving never packs it and the planner never reserves it one.
+        let skyline = &all_queries()[10];
+        assert!(matches!(skyline, Query::Skyline { .. }));
+        let charge = skyline.bind(&db, &default).expect("binds").charge;
+        assert_eq!(charge.stages, 21);
+        assert!(!charge.fits(&tofino));
+    }
 
     /// Every name `q` reads, each with the table whose column it names
     /// (`None`: it names a table).
@@ -310,21 +586,21 @@ mod tests {
                 let bound: Vec<&str> = b.cols.iter().map(|&c| b.table.schema()[c].as_str()).collect();
                 prop_assert_eq!(bound, lanes(&q), "{}", q.kind());
                 let ok = match (&q, b.program) {
-                    (Query::GroupBy { agg: Agg::Sum | Agg::Count, .. }, Program::Registers { threshold }) => {
+                    (Query::GroupBy { agg: Agg::Sum | Agg::Count, .. }, Program::Registers { threshold, .. }) => {
                         threshold.is_none()
                     }
-                    (Query::Having { threshold, .. }, Program::Registers { threshold: c }) => {
+                    (Query::Having { threshold, .. }, Program::Registers { threshold: c, .. }) => {
                         by_registers && c == Some(*threshold)
                     }
-                    (Query::Having { threshold, .. }, Program::Having { threshold: c }) => {
+                    (Query::Having { threshold, .. }, Program::Having { threshold: c, .. }) => {
                         !by_registers && c == *threshold
                     }
-                    (Query::Join { .. }, Program::Join { right, right_col, lopsided: l }) => {
+                    (Query::Join { .. }, Program::Join { right, right_col, lopsided: l, .. }) => {
                         std::ptr::eq(right, s) && right_col == 0 && l == lopsided(t.rows(), s.rows())
                     }
-                    (Query::GroupBy { agg: Agg::Max | Agg::Min, .. }, Program::SinglePass) => true,
+                    (Query::GroupBy { agg: Agg::Max | Agg::Min, .. }, Program::SinglePass(_)) => true,
                     (Query::GroupBy { .. } | Query::Having { .. } | Query::Join { .. }, _) => false,
-                    (_, program) => matches!(program, Program::SinglePass),
+                    (_, program) => matches!(program, Program::SinglePass(_)),
                 };
                 prop_assert!(ok, "{} bound to the wrong program", q.kind());
                 prop_assert_eq!(bind_error(&db, &cfg, &q), None);
@@ -346,7 +622,7 @@ mod tests {
                     fetch: FetchSpec::Plus(vec!["v".into(), "nope".into()]),
                     ..cfg.clone()
                 };
-                let single = matches!(b.program, Program::SinglePass);
+                let single = matches!(b.program, Program::SinglePass(_));
                 let want = single.then(|| QueryError::UnknownColumn("t".into(), "nope".into()));
                 prop_assert_eq!(bind_error(&db, &plus, &q), want);
             }

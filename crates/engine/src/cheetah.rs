@@ -29,7 +29,7 @@ use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::{Extremum, GroupBySumPruner};
 use cheetah_core::having::{HavingPassOne, HavingPruner};
 
-use crate::backend::{self, HavingFlow, JoinFlow, SwitchBackend};
+use crate::backend::{HavingFlow, JoinFlow, SinglePass, SwitchBackend};
 use crate::bind::{Bound, Program};
 use crate::cost::CostModel;
 use crate::executor::ExecutionReport;
@@ -49,8 +49,8 @@ use crate::table::{Database, Table};
 pub struct PrunerConfig {
     /// DISTINCT matrix rows, a floor: a DISTINCT or DistinctMulti whose
     /// key has at most half as many distinct values as the table has rows
-    /// runs more, sized from the key columns' distinct counts
-    /// (`backend::distinct_rows`).
+    /// runs more, which [`Query::bind`] sizes from the key columns'
+    /// distinct counts.
     pub distinct_d: usize,
     /// DISTINCT matrix columns.
     pub distinct_w: usize,
@@ -58,11 +58,11 @@ pub struct PrunerConfig {
     pub distinct_policy: EvictionPolicy,
     /// Use the randomized TOP N (vs deterministic thresholds).
     pub topn_randomized: bool,
-    /// Randomized TOP N row cap: `backend::topn_geometry` takes the
-    /// smallest Theorem 2 matrix with at most this many rows.
+    /// Randomized TOP N row cap: [`Query::bind`] takes the smallest
+    /// Theorem 2 matrix with at most this many rows.
     pub topn_d: usize,
     /// Randomized TOP N column floor, and the deterministic ladder's
-    /// threshold count.
+    /// threshold count; [`Query::bind`] widens the matrix from here.
     pub topn_w: usize,
     /// GROUP BY matrix rows.
     pub groupby_d: usize,
@@ -70,7 +70,7 @@ pub struct PrunerConfig {
     pub groupby_w: usize,
     /// JOIN filter budget per side, in bits (Table 2's `M`): each side's
     /// register Bloom filter is sized from its rows and capped here
-    /// ([`JoinFlow::sized`]).
+    /// ([`JoinFlow::side_bits`], which [`Query::bind`] evaluates).
     pub join_m_bits: u64,
     /// Bits a JOIN key sets in its filter register (Table 2's `H`, 1–10).
     pub join_h: usize,
@@ -157,26 +157,12 @@ pub(crate) enum ArmedFlow {
     Join(JoinFlow),
 }
 
-/// The switch pruner a bound single-pass query installs.
+/// The switch pruner a bound single-pass query installs, at its bound
+/// geometry.
 pub(crate) fn single_pass_pruner(cfg: &PrunerConfig, b: &Bound<'_>) -> Box<dyn RowPruner + Send> {
-    match b.query {
-        Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
-            backend::filter(cfg, predicate)
-        }
-        Query::Distinct { .. } | Query::DistinctMulti { .. } => {
-            backend::distinct_sized(cfg, backend::distinct_rows(cfg, b.table, &b.cols))
-        }
-        Query::TopN { n, .. } => backend::topn(cfg, *n),
-        Query::GroupBy { agg, .. } => backend::groupby(
-            cfg,
-            if *agg == Agg::Max {
-                Extremum::Max
-            } else {
-                Extremum::Min
-            },
-        ),
-        Query::Skyline { columns, .. } => backend::skyline(cfg, columns.len()),
-        _ => unreachable!("only single-pass shapes install a row pruner"),
+    match b.program {
+        Program::SinglePass(p) => p.pruner(cfg),
+        _ => unreachable!("only single-pass programs install a row pruner"),
     }
 }
 
@@ -538,18 +524,18 @@ impl CheetahExecutor {
         let interleave =
             |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, self.model.workers);
         match b.program {
-            Program::SinglePass => {
-                let mut pruner = single_pass_pruner(cfg, b);
+            Program::SinglePass(p) => {
+                let mut pruner = p.pruner(cfg);
                 let decide = |_, visible: &[&[u64]], out: &mut [Decision]| {
                     pruner.process_block(visible, out)
                 };
                 let mut reports = self.single_pass_scan(&[b], decide);
                 (reports.pop().expect("one query, one report"), None)
             }
-            Program::Registers { threshold } => {
+            Program::Registers { threshold, matrix } => {
                 // §6: partial aggregation in switch registers; evictions
                 // ride packets, residuals drain at FIN.
-                let mut pruner = GroupBySumPruner::new(cfg.groupby_d, cfg.groupby_w, cfg.seed);
+                let mut pruner = GroupBySumPruner::new(matrix.d, matrix.w, cfg.seed);
                 let mut stats = PruneStats::default();
                 let mut groups = GroupSink::new(Agg::Sum);
                 // COUNT folds 1 per entry and never reads the value lane:
@@ -574,7 +560,7 @@ impl CheetahExecutor {
                 let report = Answer::single(result, t.rows() as u64).pruned(stats);
                 (report, None)
             }
-            Program::Having { threshold } => {
+            Program::Having { threshold, sketch } => {
                 let stream = interleave(t, cols);
                 let mut stats = PruneStats::default();
                 let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
@@ -584,7 +570,7 @@ impl CheetahExecutor {
                         // Pass 1: sketch + candidate announcements
                         // (straight off the column lanes — no per-row
                         // materialization).
-                        let mut flow = HavingFlow::new(cfg, threshold);
+                        let mut flow = HavingFlow::sized(cfg, sketch, threshold);
                         let mut blocks = stream.blocks();
                         while let Some(block) = blocks.next_block() {
                             let out = &mut decisions[..block.len];
@@ -620,6 +606,7 @@ impl CheetahExecutor {
             Program::Join {
                 right: r,
                 right_col,
+                filters,
                 ..
             } => {
                 let lstream = interleave(t, cols);
@@ -634,7 +621,7 @@ impl CheetahExecutor {
                     _ => {
                         // Pass 1: build both filters (input-column
                         // stream, §4.3).
-                        let mut flow = JoinFlow::sized(cfg, t.rows(), r.rows());
+                        let mut flow = JoinFlow::sized(cfg, filters);
                         for (tags, stream) in sides {
                             let mut blocks = stream.blocks();
                             while let Some(block) = blocks.next_block() {
@@ -791,27 +778,28 @@ impl CheetahExecutor {
         // The two-pass flows stream twice; everything else, register
         // aggregation included, once.
         let (passes, cols, mut decide): (u64, Vec<usize>, Decide) = match b.program {
-            Program::SinglePass => (1, b.cols.clone(), prune(single_pass_pruner(cfg, b))),
-            Program::Registers { .. } => {
+            Program::SinglePass(p) => (1, b.cols.clone(), prune(p.pruner(cfg))),
+            Program::Registers { matrix, .. } => {
                 // The MAX register matrix doubles as the SUM/COUNT
                 // accumulator-cost proxy: same row scan, same memory.
                 let mut cols = b.cols.clone();
                 cols.resize(2, cols[0]);
-                (1, cols, prune(backend::groupby(cfg, Extremum::Max)))
+                let proxy = SinglePass::GroupBy(matrix, Extremum::Max);
+                (1, cols, prune(proxy.pruner(cfg)))
             }
-            Program::Having { threshold } => {
-                let pruner = HavingPruner::new(cfg.having_d, cfg.having_w, threshold, cfg.seed);
+            Program::Having { threshold, sketch } => {
+                let pruner = HavingPruner::new(sketch.d, sketch.w, threshold, cfg.seed);
                 (
                     2,
                     b.cols.clone(),
                     prune(Box::new(HavingPassOne::new(pruner))),
                 )
             }
-            Program::Join { right, .. } => {
+            Program::Join { filters, .. } => {
                 // Probe an empty filter pair of the size the query will run
                 // with, over `[flow id, key]` lanes: the filter's memory
                 // traffic is what the sample needs to see.
-                let mut flow = JoinFlow::sized(cfg, t.rows(), right.rows());
+                let mut flow = JoinFlow::sized(cfg, filters);
                 let probe = move |cols: &[&[u64]], out: &mut [Decision]| {
                     flow.probe_block(cols[0], cols[1], out)
                 };
@@ -844,6 +832,7 @@ impl CheetahExecutor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::backend;
     use crate::distributed::{DistributedExecutor, FailurePlan};
     use crate::reference;
     use crate::serve::ServeExecutor;
@@ -1347,10 +1336,7 @@ pub(crate) mod tests {
                 column: "k".into(),
             };
             let tofino = cheetah_core::SwitchModel::tofino_like();
-            let charge = |q: &Query| {
-                let b = q.bind(&db, &exec.config).expect("binds");
-                crate::plan::query_resources(&exec.config, &tofino, &b)
-            };
+            let charge = |q: &Query| q.bind(&db, &exec.config).expect("binds").charge;
             let packs = charge(&q).plus(charge(&distinct)).fits(&tofino);
             let (served, batch) = ServeExecutor::with_pool(exec.clone(), 1)
                 .serve(&db, &[q.clone(), distinct]);
@@ -1541,6 +1527,153 @@ pub(crate) mod tests {
             sorted.sort_unstable_by(|a, b| b.cmp(a));
             sorted.truncate(n);
             prop_assert_eq!(Partial::top(values, n), Partial::Top { n, values: sorted });
+        }
+
+        /// Every arm answers what the reference answers over a grammar of
+        /// well-formed queries `all_queries()` never draws: predicates over
+        /// zero to three columns, repeats included, with nested constant
+        /// formulas; multi-column keys with repeated columns; TOP N at the
+        /// edges of the table; HAVING at both threshold extremes; and
+        /// self-joins and joins on non-key columns — over tables of 0, 1, 2,
+        /// 7 and 3,000 rows.
+        #[test]
+        fn every_arm_answers_every_query_of_the_grammar(
+            size in 0usize..5,
+            seed in any::<u64>(),
+            shards in 1usize..3,
+        ) {
+            let rows = [0, 1, 2, 7, 3_000][size];
+            let db = random_db(rows, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..8 {
+                let q = grammar_query(&mut rng, rows);
+                let truth = reference::evaluate(&db, &q);
+                for (arm, result) in every_arm(&PrunerConfig::default(), &db, &q, shards) {
+                    prop_assert!(result == truth, "{} diverged over {} rows on {:?}", arm, rows, q);
+                }
+            }
+        }
+    }
+
+    /// One query of the grammar over [`random_db`]'s `t(k, v, w)` and
+    /// `s(k, x)`, where `t` has `rows` rows.
+    fn grammar_query(rng: &mut StdRng, rows: usize) -> Query {
+        const COLS: [&str; 3] = ["k", "v", "w"];
+        let col = |rng: &mut StdRng| COLS[rng.gen_range(0..3usize)].to_string();
+        let cols = |rng: &mut StdRng, min: usize| {
+            let n = rng.gen_range(min..4);
+            (0..n).map(|_| col(rng)).collect::<Vec<_>>()
+        };
+        let t = || "t".to_string();
+        match rng.gen_range(0..8u8) {
+            filter @ 0..=1 => {
+                let columns = cols(rng, 0);
+                let atoms: Vec<Atom> = if columns.is_empty() {
+                    Vec::new()
+                } else {
+                    (0..rng.gen_range(0..4usize))
+                        .map(|_| {
+                            let (c, k) =
+                                (rng.gen_range(0..columns.len()), rng.gen_range(0..10_000));
+                            let op = [CmpOp::Lt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne]
+                                [rng.gen_range(0..4usize)];
+                            if rng.gen_bool(0.25) {
+                                Atom::unsupported(c, op, k)
+                            } else {
+                                Atom::cmp(c, op, k)
+                            }
+                        })
+                        .collect()
+                };
+                let formula = grammar_formula(rng, atoms.len(), 3);
+                let predicate = crate::query::Predicate {
+                    columns,
+                    atoms,
+                    formula,
+                };
+                if filter == 0 {
+                    Query::FilterCount {
+                        table: t(),
+                        predicate,
+                    }
+                } else {
+                    Query::Filter {
+                        table: t(),
+                        predicate,
+                    }
+                }
+            }
+            2 => Query::DistinctMulti {
+                table: t(),
+                columns: cols(rng, 1),
+            },
+            3 => Query::Skyline {
+                table: t(),
+                columns: cols(rng, 1),
+            },
+            4 => {
+                let n = [0, 1, rows, rows + 1][rng.gen_range(0..4usize)];
+                Query::TopN {
+                    table: t(),
+                    order_by: col(rng),
+                    n,
+                }
+            }
+            5 => {
+                let agg = [Agg::Sum, Agg::Count, Agg::Max, Agg::Min][rng.gen_range(0..4usize)];
+                Query::GroupBy {
+                    table: t(),
+                    key: col(rng),
+                    val: col(rng),
+                    agg,
+                }
+            }
+            6 => {
+                let threshold = [0, u64::MAX][rng.gen_range(0..2usize)];
+                Query::Having {
+                    table: t(),
+                    key: col(rng),
+                    val: col(rng),
+                    threshold,
+                }
+            }
+            _ => {
+                // A self-join, a join on a non-key column, or t ⋈ s on k.
+                let sides = [
+                    ("t", col(rng)),
+                    ("s", "x".to_string()),
+                    ("s", "k".to_string()),
+                ];
+                let (right, right_col) = sides[rng.gen_range(0..3usize)].clone();
+                Query::Join {
+                    left: t(),
+                    right: right.into(),
+                    left_col: col(rng),
+                    right_col,
+                }
+            }
+        }
+    }
+
+    /// A formula over `atoms` atoms, nesting `And`/`Or` at most `depth`
+    /// deep around literals and constants.
+    fn grammar_formula(rng: &mut StdRng, atoms: usize, depth: usize) -> Formula {
+        match rng.gen_range(0..if depth == 0 { 4u8 } else { 6 }) {
+            0 => Formula::True,
+            1 => Formula::False,
+            2 if atoms > 0 => Formula::Atom(rng.gen_range(0..atoms)),
+            3 if atoms > 0 => Formula::NotAtom(rng.gen_range(0..atoms)),
+            2 | 3 => Formula::True,
+            nest => {
+                let terms = (0..rng.gen_range(1..4usize))
+                    .map(|_| grammar_formula(rng, atoms, depth - 1))
+                    .collect();
+                if nest == 4 {
+                    Formula::And(terms)
+                } else {
+                    Formula::Or(terms)
+                }
+            }
         }
     }
 }

@@ -53,7 +53,8 @@ use cheetah_net::sim::FaultPlan;
 use cheetah_net::wire::chunk_payload;
 use cheetah_net::{MasterRx, Simulation, SimulationConfig, SwitchNode, WorkerTx};
 
-use crate::cheetah::{CheetahExecutor, PrunerConfig};
+use crate::backend::Matrix;
+use crate::cheetah::CheetahExecutor;
 use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::rows_payload_checksum;
 use crate::multipass::GroupBySumStage;
@@ -704,13 +705,9 @@ impl Site for Faults<'_> {
         }))
     }
 
-    fn sum_stage(&self, s: usize, cfg: &PrunerConfig) -> RebootSumStage {
+    fn sum_stage(&self, s: usize, m: Matrix, seed: u64) -> RebootSumStage {
         RebootSumStage {
-            inner: GroupBySumStage::new(GroupBySumPruner::new(
-                cfg.groupby_d,
-                cfg.groupby_w,
-                cfg.seed,
-            )),
+            inner: GroupBySumStage::new(GroupBySumPruner::new(m.d, m.w, seed)),
             clock: self.clock(s),
             reboots: Arc::clone(&self.reboots),
             drains: Arc::clone(&self.drains),
@@ -1218,13 +1215,9 @@ mod tests {
     fn reboot_sum_stage_drains_at_its_scheduled_entry() {
         let keys: Vec<u64> = (0..5 * BLOCK as u64).map(|i| i * 7 % 23).collect();
         let vals: Vec<u64> = (0..5 * BLOCK as u64).map(|i| i % 11 + 1).collect();
-        let cfg = PrunerConfig {
-            groupby_d: 4,
-            groupby_w: 2,
-            ..PrunerConfig::default()
-        };
+        let seed = PrunerConfig::default().seed;
         for reboot_after in REBOOTS {
-            let mut registers = GroupBySumPruner::new(4, 2, cfg.seed);
+            let mut registers = GroupBySumPruner::new(4, 2, seed);
             let (mut decided, mut expected) = (Vec::new(), Vec::new());
             for (i, (&k, &v)) in keys.iter().zip(&vals).enumerate() {
                 if i as u64 == reboot_after {
@@ -1245,7 +1238,7 @@ mod tests {
                 ..FailurePlan::default()
             };
             let faults = rebooting(&plan);
-            let mut stage = faults.sum_stage(0, &cfg);
+            let mut stage = faults.sum_stage(0, Matrix { d: 4, w: 2 }, seed);
             let (mut shipped, mut by_block) = (Vec::new(), vec![Decision::Prune; keys.len()]);
             let mut ship = |residual: Option<ColumnChunk>| {
                 let cols = residual.expect("a register stage ships its pairs").cols;

@@ -13,11 +13,12 @@
 //!    times one representative combine-state merge; every grid (worker
 //!    count, shard count, arm race) reads that shared context instead of
 //!    re-sampling the same first blocks.
-//! 2. **Feasibility.** The query's Table 2 program is packed onto the
-//!    [`SwitchModel`] by [`cheetah_pisa::pack::pack`] (the §6 placer
-//!    `serve` already exercises). A program that does not fit —
-//!    SKYLINE at its default `w = 10` needs 23 stages against Tofino's
-//!    12 — rejects every switch-window arm before costing; the
+//! 2. **Feasibility.** The charge [`Query::bind`] computed for the
+//!    query's program is packed onto the [`SwitchModel`] by
+//!    [`cheetah_pisa::pack::pack`] (the §6 placer `serve` already
+//!    exercises). A program that does not fit — SKYLINE at its default
+//!    `w = 10` occupies 21 stages against Tofino's 12 — rejects every
+//!    switch-window arm before costing; the
 //!    deterministic arm (no exclusive switch window to reserve) remains.
 //! 3. **Cost.** Each surviving candidate gets a predicted wall from the
 //!    sampled switch estimate, a per-shape threading factor calibrated
@@ -37,12 +38,10 @@
 
 use std::time::Instant;
 
-use cheetah_core::distinct::EvictionPolicy;
 use cheetah_core::having::HavingPruner;
-use cheetah_core::resources::{table2, ResourceUsage, SwitchModel};
+use cheetah_core::resources::SwitchModel;
 use cheetah_pisa::pack::pack;
 
-use crate::backend::{distinct_rows, topn_geometry, JoinFlow};
 use crate::bind::{Bound, Program};
 use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
@@ -162,19 +161,19 @@ impl PlanContext {
 /// range shapes) are effectively free per stage.
 fn sampled_merge_cost(cfg: &PrunerConfig, b: &Bound<'_>) -> f64 {
     match (b.program, b.query) {
-        (Program::Registers { .. }, _) => {
+        (Program::Registers { matrix, .. }, _) => {
             // Two register matrices' worth of disjoint-ish keys: the
             // worst-case run a tree stage can see.
-            let cells = (cfg.groupby_d * cfg.groupby_w) as u64;
+            let cells = (matrix.d * matrix.w) as u64;
             let run = |salt| GroupRun::fold((0..cells).map(|i| (i ^ salt, 1)).collect(), Agg::Sum);
             let (mut a, b) = (run(0), run(0x5555));
             let t0 = Instant::now();
             a.merge(b);
             t0.elapsed().as_secs_f64()
         }
-        (Program::Having { threshold }, _) => {
-            let mut a = HavingPruner::new(cfg.having_d, cfg.having_w, threshold, cfg.seed);
-            let b = HavingPruner::new(cfg.having_d, cfg.having_w, threshold, cfg.seed);
+        (Program::Having { threshold, sketch }, _) => {
+            let mut a = HavingPruner::new(sketch.d, sketch.w, threshold, cfg.seed);
+            let b = HavingPruner::new(sketch.d, sketch.w, threshold, cfg.seed);
             let t0 = Instant::now();
             a.merge(&b);
             t0.elapsed().as_secs_f64()
@@ -367,7 +366,7 @@ impl PlannerExecutor {
         let total = candidates.len();
 
         // Feasibility: every non-deterministic arm reserves a switch
-        // window for the query's Table 2 program; if the program cannot
+        // window for the query's bound program; if its charge cannot
         // pack onto the budget, those candidates are rejected before
         // costing. The deterministic arm survives as the software
         // fallback (the §6 spill path `serve` already takes).
@@ -394,16 +393,15 @@ impl PlannerExecutor {
         }
     }
 
-    /// Whether the query's Table 2 program packs onto this planner's
-    /// switch budget: the §6 packer over its [`ResourceUsage`] alone.
+    /// Whether the query's program packs onto this planner's switch
+    /// budget: the §6 packer over its bound charge alone.
     pub fn fits_switch(&self, db: &Database, query: &Query) -> bool {
         self.fits(&query.bind_or_panic(db, &self.inner.config))
     }
 
     /// [`Self::fits_switch`] of a bound query.
     fn fits(&self, b: &Bound<'_>) -> bool {
-        let usage = query_resources(&self.inner.config, &self.switch, b);
-        pack(&self.switch, &[usage]).is_ok()
+        pack(&self.switch, &[b.charge]).is_ok()
     }
 
     /// The fetch projection the plan executes with: projection pushdown
@@ -477,56 +475,17 @@ fn threaded_factor(b: &Bound<'_>) -> f64 {
         Program::Join { lopsided: true, .. } => 0.7,
         Program::Join { .. } => 0.95,
         Program::Registers { .. } | Program::Having { .. } => 1.15,
-        Program::SinglePass if matches!(b.query, Query::DistinctMulti { .. }) => 0.85,
-        Program::SinglePass => 1.05,
-    }
-}
-
-/// The Table 2 resource declaration of a bound query's program, for
-/// **any** shape — what serving's packing charges its shareable subset
-/// and the planner's feasibility check charges every program, two-pass
-/// ones too.
-pub(crate) fn query_resources(
-    cfg: &PrunerConfig,
-    switch: &SwitchModel,
-    b: &Bound<'_>,
-) -> ResourceUsage {
-    match (b.program, b.query) {
-        // A HAVING that runs GROUP BY SUM's registers is charged them.
-        (Program::Registers { .. }, _) | (_, Query::GroupBy { .. }) => {
-            table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64)
-        }
-        (Program::Having { .. }, _) => table2::having(
-            cfg.having_w as u64,
-            cfg.having_d as u32,
-            switch.alus_per_stage,
-        ),
-        (Program::Join { right, .. }, _) => {
-            // What runs: one register filter per side, sized from its rows.
-            let side = |rows| table2::join_rbf(JoinFlow::side_bits(cfg, rows), cfg.join_h as u32);
-            side(b.table.rows()).plus(side(right.rows()))
-        }
-        (_, Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. }) => {
-            table2::filter(predicate.atoms.len() as u32)
-        }
-        (_, Query::Distinct { .. } | Query::DistinctMulti { .. }) => {
-            let d = distinct_rows(cfg, b.table, &b.cols) as u64;
-            match cfg.distinct_policy {
-                EvictionPolicy::Lru => table2::distinct_lru(cfg.distinct_w as u32, d),
-                EvictionPolicy::Fifo => {
-                    table2::distinct_fifo(cfg.distinct_w as u32, d, switch.alus_per_stage)
-                }
-            }
-        }
-        (_, Query::TopN { n, .. }) => topn_geometry(cfg, *n).resources(),
-        // SKYLINE, the one single-pass shape left.
-        _ => table2::skyline_aph(b.cols.len() as u32, cfg.skyline_w as u32),
+        Program::SinglePass(_) if matches!(b.query, Query::DistinctMulti { .. }) => 0.85,
+        Program::SinglePass(_) => 1.05,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use cheetah_core::resources::{table2, ResourceUsage};
+
     use super::*;
+    use crate::backend::{JoinFlow, Matrix};
     use crate::query::QueryResult;
     use crate::reference;
     use crate::sharded::tests::db;
@@ -541,8 +500,7 @@ mod tests {
 
     /// What `exec` charges `q` over `db`.
     fn charge(exec: &PlannerExecutor, db: &Database, q: &Query) -> ResourceUsage {
-        let cfg = &exec.inner.config;
-        query_resources(cfg, &exec.switch, &q.bind(db, cfg).expect("binds"))
+        q.bind(db, &exec.inner.config).expect("binds").charge
     }
 
     #[test]
@@ -562,7 +520,7 @@ mod tests {
 
     #[test]
     fn skyline_program_is_infeasible_and_falls_back_deterministic() {
-        // SKYLINE APH at the default w=10 needs 23 stages — over the
+        // SKYLINE APH at the default w=10 occupies 21 stages — over the
         // 12-stage Tofino budget (the same overflow `serve` spills on).
         let db = db(3_000, 750);
         let exec = planner();
@@ -629,7 +587,11 @@ mod tests {
         };
         let charge = |q: &Query| charge(&exec, &db, q);
         let passes = |q: &Query| exec.inner.sample_throughput(&db, q).expect("rows").passes;
-        let group_by = table2::group_by(cfg.groupby_w as u32, cfg.groupby_d as u64);
+        let group_by = Matrix {
+            d: cfg.groupby_d,
+            w: cfg.groupby_w,
+        }
+        .group_by();
         let sketch = table2::having(
             cfg.having_w as u64,
             cfg.having_d as u32,
@@ -642,41 +604,6 @@ mod tests {
         // What the planner charges is what runs.
         for (key, runs) in [("k", 1), ("u", 2)] {
             assert_eq!(exec.inner.execute(&db, &having(key)).passes, runs);
-        }
-    }
-
-    #[test]
-    fn topn_charge_is_what_its_program_occupies() {
-        use crate::backend::TopNGeometry;
-        use cheetah_pisa::programs::{DetTopNProgram, RandTopNProgram};
-        let db = db(3_000, 750);
-        let exec = planner();
-        let cfg = &exec.inner.config;
-        for n in [0, 1, 25, 250, 1_000, 2_000, 5_000, 50_000] {
-            let q = Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n,
-            };
-            let charged = charge(&exec, &db, &q).stages;
-            // The PISA twin at the chosen point, metered.
-            let occupied = match topn_geometry(cfg, n) {
-                TopNGeometry::Randomized { d, w } => {
-                    RandTopNProgram::new(exec.switch, d, w, cfg.seed)
-                        .expect("fits")
-                        .pipeline()
-                        .stages_occupied()
-                }
-                TopNGeometry::Deterministic { w } => {
-                    DetTopNProgram::new(exec.switch, n.max(1) as u64, w)
-                        .expect("fits")
-                        .pipeline()
-                        .stages_occupied()
-                }
-            };
-            assert_eq!(charged, occupied, "n = {n}");
-            assert!(charged <= SwitchModel::tofino_like().stages, "n = {n}");
-            assert!(exec.fits_switch(&db, &q), "n = {n}");
         }
     }
 
@@ -698,13 +625,12 @@ mod tests {
             plan.chosen.arm != ExecutorArm::Deterministic
         );
         assert_eq!(plan.candidates, 3);
-        // The Table 2 row is what runs: a register filter per side, each
-        // a stage, a stateful ALU and its rows' bits plus a pattern table.
+        // What runs is charged: a register filter per side, each a stage,
+        // a stateful ALU and its rows' bits.
         let cfg = &exec.inner.config;
-        let usage = query_resources(cfg, &exec.switch, &b);
         let filters = JoinFlow::side_bits(cfg, 4_000) + JoinFlow::side_bits(cfg, 1_000);
-        assert_eq!((usage.stages, usage.alus), (2, 2));
-        assert_eq!(usage.sram_bits, filters + 2 * 22 * 64);
+        assert_eq!((b.charge.stages, b.charge.alus), (2, 2));
+        assert_eq!(b.charge.sram_bits, filters);
         assert_eq!((plan.infeasible, exec.fits_switch(&db, &q)), (0, true));
     }
 

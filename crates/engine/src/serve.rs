@@ -25,12 +25,15 @@
 //!    pruner, so every packed query's decisions (and result) are
 //!    bit-identical to its solo run by construction.
 //! 3. **Packing** admits each flow against the switch resource budget
-//!    ([`SwitchModel`], Table 2 costs). A flow that doesn't fit beside
-//!    its co-residents is *spilled*: it still runs on the switch path,
-//!    but alone — one solo [`CheetahExecutor`] pass with the pipeline to
-//!    itself — and is counted in [`ServeReport::spilled`]. Every flow is
-//!    charged the geometry its solo run uses, so a TOP N, whose matrix is
-//!    sized to the whole pipeline, packs only where that point fits.
+//!    ([`SwitchModel`]) at the charge [`Query::bind`] computed for it. A
+//!    flow that doesn't fit beside its co-residents is *spilled*: it
+//!    still runs on the switch path, but alone — one solo
+//!    [`CheetahExecutor`] pass with the pipeline to itself — and is
+//!    counted in [`ServeReport::spilled`]. Every flow is charged the
+//!    geometry its solo run installs, so a TOP N, whose matrix is sized to
+//!    the whole pipeline, packs only where that point fits, and a SKYLINE
+//!    at its default `w = 10` (21 stages) never fits a Tofino's 12 and
+//!    never packs.
 //! 4. **Dispatch** runs everything that can't share a scan (every
 //!    `bind::Program` but a single pass, spills, singleton groups) across
 //!    a bounded worker pool, one executor call per query.
@@ -185,7 +188,7 @@ impl ServeExecutor {
         let mut solo: Vec<usize> = Vec::new();
         for (i, b) in distinct.iter().enumerate() {
             match b.program {
-                Program::SinglePass => groups.entry(b.table.name()).or_default().push(i),
+                Program::SinglePass(_) => groups.entry(b.table.name()).or_default().push(i),
                 _ => solo.push(i),
             }
         }
@@ -200,9 +203,7 @@ impl ServeExecutor {
             let mut packed: Vec<usize> = Vec::new();
             for &i in &members {
                 let pruner = single_pass_pruner(cfg, &distinct[i]);
-                // One Table 2 mapping for the whole engine: the planner's.
-                let res = crate::plan::query_resources(cfg, &self.switch, &distinct[i]);
-                match mq.try_add(i as u16, pruner, res, &self.switch) {
+                match mq.try_add(i as u16, pruner, distinct[i].charge, &self.switch) {
                     Ok(()) => packed.push(i),
                     Err(_) => {
                         agg.spilled += 1;
@@ -349,7 +350,7 @@ impl Executor for ServeExecutor {
 /// whose state lives inside the metered program.
 fn rearmed(cached: &ArmedFlow, b: &Bound<'_>) -> Option<ArmedFlow> {
     match (cached, b.program) {
-        (ArmedFlow::Having(flow), Program::Having { threshold }) => {
+        (ArmedFlow::Having(flow), Program::Having { threshold, .. }) => {
             let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), threshold);
             Some(ArmedFlow::Having(flow))
         }

@@ -50,7 +50,7 @@ use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 
-use crate::backend::JoinFlow;
+use crate::backend::{JoinFilters, JoinFlow, Matrix};
 use crate::bind::{Bound, Program};
 use crate::cheetah::{
     frontier, single_pass_pruner, tuple_fingerprinter, Answer, CheetahExecutor, Completion,
@@ -358,12 +358,13 @@ pub(crate) enum JoinPlan {
 
 /// One shard's whole JOIN over the shard's lanes of the two sides' key
 /// partitions (`None`: a single shard streams the tables where they lie):
-/// size the flow from the shard's rows, stream the sides as `plan` says
+/// build the flow over `filters`, stream the sides as `plan` says
 /// (decided on *global* sizes, so every shard agrees), and pair the
 /// survivors locally — on the shard's own thread, overlapping other
 /// shards' streams.
 pub(crate) fn join_shard(
     cfg: &PrunerConfig,
+    filters: JoinFilters,
     (l, lc): (&Table, usize),
     (r, rc): (&Table, usize),
     plan: JoinPlan,
@@ -400,7 +401,7 @@ pub(crate) fn join_shard(
     if plan == JoinPlan::Unpruned {
         return pair(inputs, ForwardAll);
     }
-    let flow = JoinFlow::sized(cfg, lk.len(), rk.len());
+    let flow = JoinFlow::sized(cfg, filters);
     pair(inputs, JoinPhases::new(flow, plan == JoinPlan::Asymmetric))
 }
 
@@ -530,8 +531,9 @@ pub(crate) trait Site: Sync {
     /// (a stage that does not prune never calls it).
     fn pruner_stage(&self, s: usize, pruner: NewPruner<'_>) -> Self::RowStage;
 
-    /// Shard `s`'s §6 register stage.
-    fn sum_stage(&self, s: usize, cfg: &PrunerConfig) -> Self::SumStage;
+    /// Shard `s`'s §6 register stage over `matrix` (a stage that does
+    /// not prune builds none).
+    fn sum_stage(&self, s: usize, matrix: Matrix, seed: u64) -> Self::SumStage;
 
     /// Whether partials leave the process — a FILTER shard then keeps the
     /// rows it fetches, to ship them.
@@ -564,12 +566,8 @@ impl Site for InProcess {
         PrunerStage::new(pruner())
     }
 
-    fn sum_stage(&self, _: usize, cfg: &PrunerConfig) -> GroupBySumStage {
-        GroupBySumStage::new(GroupBySumPruner::new(
-            cfg.groupby_d,
-            cfg.groupby_w,
-            cfg.seed,
-        ))
+    fn sum_stage(&self, _: usize, m: Matrix, seed: u64) -> GroupBySumStage {
+        GroupBySumStage::new(GroupBySumPruner::new(m.d, m.w, seed))
     }
 }
 
@@ -615,7 +613,7 @@ impl Site for Unpruned {
         ForwardAll
     }
 
-    fn sum_stage(&self, _: usize, _: &PrunerConfig) -> ForwardAll {
+    fn sum_stage(&self, _: usize, _: Matrix, _: u64) -> ForwardAll {
         ForwardAll
     }
 }
@@ -698,32 +696,38 @@ pub(crate) fn execute_on<T: Transport>(
     };
     let mut spans = Spans::default();
     let t = b.table;
-    let registers = |threshold| {
+    let registers = |threshold, matrix| {
         let lanes: Vec<&[u64]> = b.cols.iter().map(|&c| t.col_at(c)).collect();
         let partition = T::PRUNES.then(|| key_partition(cfg, &lanes, env.shards, false));
         SumProgram {
             scan: Scan::over(env, b, false),
             partition: partition.flatten(),
             threshold,
+            matrix,
         }
     };
     let answer = match b.program {
-        Program::SinglePass => {
+        Program::SinglePass(_) => {
             let fetch = b.query.projection(t, &cfg.fetch);
             let scan = Scan::over(env, b, T::PRUNES);
             spans.run(transport, &SinglePassProgram { scan, fetch })
         }
-        Program::Registers { threshold } => spans.run(transport, &registers(threshold)),
-        Program::Having { threshold } if !T::PRUNES => {
-            spans.run(transport, &registers(Some(threshold)))
+        Program::Registers { threshold, matrix } => {
+            spans.run(transport, &registers(threshold, matrix))
         }
-        Program::Having { threshold } => {
+        // The switch is off, so no register stage is built: the sketch's
+        // geometry only fills the slot.
+        Program::Having { threshold, sketch } if !T::PRUNES => {
+            spans.run(transport, &registers(Some(threshold), sketch))
+        }
+        Program::Having { threshold, sketch } => {
             // Pass 2 must see global key mass, so the merged sketch is
             // broadcast between the two programs.
             let scan = Scan::over(env, b, T::PRUNES);
             let sketch = HavingSketchProgram {
                 scan: &scan,
                 threshold,
+                sketch,
             };
             let merged = spans.run(transport, &sketch);
             let probe = HavingProbeProgram {
@@ -736,6 +740,7 @@ pub(crate) fn execute_on<T: Transport>(
             right: r,
             right_col: rc,
             lopsided,
+            filters,
         } => {
             // Both sides by join key under one salt: every occurrence of a
             // key, left or right, lands on one shard and pairs there.
@@ -747,6 +752,7 @@ pub(crate) fn execute_on<T: Transport>(
             };
             let program = JoinProgram {
                 env,
+                filters,
                 left: (t, b.cols[0]),
                 right: (r, rc),
                 plan,
@@ -961,6 +967,8 @@ struct SumProgram<'a> {
     partition: Option<HashPartition>,
     /// A HAVING's threshold, which the root applies to the merged sums.
     threshold: Option<u64>,
+    /// The register matrix each shard's stage runs.
+    matrix: Matrix,
 }
 
 impl ShardProgram for SumProgram<'_> {
@@ -969,7 +977,7 @@ impl ShardProgram for SumProgram<'_> {
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
         let Env { cfg, workers, .. } = self.scan.env;
-        let stage = site.sum_stage(s, cfg);
+        let stage = site.sum_stage(s, self.matrix, cfg.seed);
         match &self.partition {
             Some(p) => sum_shard(&p[s], stage, workers),
             None => sum_shard(&self.scan.range(s), stage, workers),
@@ -1010,6 +1018,7 @@ impl ShardProgram for SumProgram<'_> {
 struct HavingSketchProgram<'s, 'a> {
     scan: &'s Scan<'a>,
     threshold: u64,
+    sketch: Matrix,
 }
 
 impl ShardProgram for HavingSketchProgram<'_, '_> {
@@ -1017,15 +1026,11 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
     type Root = HavingPruner;
 
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<HavingPruner> {
-        let cfg = self.scan.env.cfg;
+        let Matrix { d, w } = self.sketch;
+        let seed = self.scan.env.cfg.seed;
         run_shard(
             self.scan.pass(s),
-            HavingShardSketch::new(HavingPruner::new(
-                cfg.having_d,
-                cfg.having_w,
-                self.threshold,
-                cfg.seed,
-            )),
+            HavingShardSketch::new(HavingPruner::new(d, w, self.threshold, seed)),
             (),
             // Shard-local announcements are not global candidates; the
             // merged sketch recomputes them in pass 2.
@@ -1039,19 +1044,24 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
     }
 
     fn encode(&self, sketch: HavingPruner) -> ShardOutput {
-        let cfg = self.scan.env.cfg;
         ShardOutput::Sketch {
-            d: cfg.having_d as u64,
-            w: cfg.having_w as u64,
+            d: self.sketch.d as u64,
+            w: self.sketch.w as u64,
             threshold: sketch.threshold(),
-            seed: cfg.seed,
+            seed: self.scan.env.cfg.seed,
             counters: sketch.sketch().counters().to_vec(),
         }
     }
 
     /// Rebuilt cell-exact, and only from this query's geometry.
     fn decode(&self, output: ShardOutput) -> Result<HavingPruner, CodecError> {
-        let cfg = self.scan.env.cfg;
+        let Matrix { d: rows, w: cols } = self.sketch;
+        let expected = (
+            rows as u64,
+            cols as u64,
+            self.threshold,
+            self.scan.env.cfg.seed,
+        );
         match output {
             ShardOutput::Sketch {
                 d,
@@ -1059,14 +1069,7 @@ impl ShardProgram for HavingSketchProgram<'_, '_> {
                 threshold,
                 seed,
                 counters,
-            } if (d, w, threshold, seed)
-                == (
-                    cfg.having_d as u64,
-                    cfg.having_w as u64,
-                    self.threshold,
-                    cfg.seed,
-                ) =>
-            {
+            } if (d, w, threshold, seed) == expected => {
                 let sketch = CountMinSketch::from_parts(d as usize, w as usize, seed, counters);
                 Ok(HavingPruner::from_sketch(sketch, threshold))
             }
@@ -1142,6 +1145,8 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
 /// partitions and its own pairing — and the partials add.
 struct JoinProgram<'a> {
     env: Env<'a>,
+    /// The bound filter pair, for the whole tables.
+    filters: JoinFilters,
     left: (&'a Table, usize),
     right: (&'a Table, usize),
     plan: JoinPlan,
@@ -1155,7 +1160,14 @@ impl ShardProgram for JoinProgram<'_> {
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<(u64, u64)> {
         let lanes = self.sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
         let Env { cfg, workers, .. } = self.env;
-        join_shard(cfg, self.left, self.right, self.plan, lanes, workers)
+        // A shard's switch holds its partition's keys alone: its pair is
+        // sized for its rows, which bind cannot know.
+        let filters = lanes.map_or(self.filters, |[l, r]| {
+            JoinFilters::sized(cfg, l[0].len(), r[0].len())
+        });
+        join_shard(
+            cfg, filters, self.left, self.right, self.plan, lanes, workers,
+        )
     }
 
     fn merge(&self, acc: &mut (u64, u64), other: (u64, u64)) {
@@ -1347,13 +1359,15 @@ pub(crate) mod tests {
             for shard in 0..shards {
                 let sides = [&lp[shard][..], &rp[shard][..]];
                 let [l, r] = sides.map(|lanes| lanes[0].len() as u64);
-                let asym = join_shard(&cfg, (t, 0), (s, 0), JoinPlan::Asymmetric, Some(sides), 2);
+                let filters = JoinFilters::sized(&cfg, l as usize, r as usize);
+                let join = |plan| join_shard(&cfg, filters, (t, 0), (s, 0), plan, Some(sides), 2);
+                let asym = join(JoinPlan::Asymmetric);
                 assert_eq!(
                     processed(&asym.phase_stats),
                     [r, l],
                     "join shard {shard}/{shards}"
                 );
-                let sym = join_shard(&cfg, (t, 0), (s, 0), JoinPlan::Symmetric, Some(sides), 2);
+                let sym = join(JoinPlan::Symmetric);
                 assert_eq!(
                     processed(&sym.phase_stats),
                     [l + r, l + r],

@@ -478,7 +478,7 @@ fn worker_loop<'a>(jobs: Vec<(usize, LanePartition<'a>)>, tx: &mpsc::SyncSender<
                 })
                 .collect();
             let block = BlockView { rows: len, lanes };
-            if !part.lanes.is_empty() && tx.send(SwitchMsg::Block(phase, block)).is_err() {
+            if tx.send(SwitchMsg::Block(phase, block)).is_err() {
                 return; // switch gone (panic teardown)
             }
             start += len;
@@ -583,10 +583,9 @@ fn decide_block<'a>(
     stats: &mut PruneStats,
     fwd: &mpsc::SyncSender<MasterMsg<'a>>,
 ) {
+    // A block is its rows: one that carries no lane (a predicate over no
+    // column) is decided all the same.
     let n = view.rows;
-    if n == 0 || view.lanes.is_empty() {
-        return;
-    }
     let visible = visibles[phase].min(view.lanes.len());
     // Materialize generated visible lanes into reused buffers (borrowed
     // and owned lanes are read straight through).

@@ -53,6 +53,10 @@ impl DistinctLruProgram {
 }
 
 impl SwitchProgram for DistinctLruProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let key = values[0];
         debug_assert_ne!(key, 0, "zero is the empty-cell sentinel");
@@ -122,6 +126,10 @@ impl DistinctFifoProgram {
 }
 
 impl SwitchProgram for DistinctFifoProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let key = values[0];
         debug_assert_ne!(key, 0, "zero is the empty-cell sentinel");

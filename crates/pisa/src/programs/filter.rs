@@ -82,6 +82,10 @@ impl FilterProgram {
 }
 
 impl SwitchProgram for FilterProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let mut ctx = self.pipe.begin_packet(values.len() as u32)?;
         ctx.use_metadata(self.bit_atoms.len() as u32)?;

@@ -47,6 +47,10 @@ impl GroupByProgram {
 }
 
 impl SwitchProgram for GroupByProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let (key, value) = (values[0], values[1]);
         debug_assert_ne!(key, 0, "zero key is the empty-cell sentinel");

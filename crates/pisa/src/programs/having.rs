@@ -70,6 +70,10 @@ impl HavingProgram {
 }
 
 impl SwitchProgram for HavingProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let (key, value) = (values[0], values[1]);
         let mut ctx = self.pipe.begin_packet(2)?;

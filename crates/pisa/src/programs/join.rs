@@ -103,6 +103,10 @@ impl BloomJoinProgram {
 }
 
 impl SwitchProgram for BloomJoinProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let key = values[0];
         let h = self.hashes_a.len();
@@ -229,6 +233,10 @@ impl RbfJoinProgram {
 }
 
 impl SwitchProgram for RbfJoinProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let key = values[0];
         let (side_b, build, reg) = match self.mode {

@@ -39,7 +39,7 @@ pub use seqtrack::{SeqAction, SeqTrackProgram};
 pub use skyline::{SkylineProgram, SkylineScoring};
 pub use topn::{DetTopNProgram, RandTopNProgram};
 
-use crate::pipeline::PipelineViolation;
+use crate::pipeline::{PipelineViolation, SwitchPipeline};
 use cheetah_core::decision::Decision;
 use cheetah_core::resources::ResourceUsage;
 
@@ -56,6 +56,10 @@ pub trait SwitchProgram {
 
     /// Declared resource usage per Table 2 for this configuration.
     fn layout(&self) -> ResourceUsage;
+
+    /// The metered pipeline the program is laid out on: what it occupies,
+    /// beside what [`Self::layout`] declares.
+    fn pipeline(&self) -> &SwitchPipeline;
 
     /// Program name for harness output.
     fn name(&self) -> &'static str;

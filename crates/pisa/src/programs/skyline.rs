@@ -154,6 +154,10 @@ fn dominates(y: &[u64], x: &[u64]) -> bool {
 }
 
 impl SwitchProgram for SkylineProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let point = values[..self.dims].to_vec();
         let point = point.as_slice();

@@ -43,14 +43,13 @@ impl RandTopNProgram {
             d,
         })
     }
-
-    /// The metered pipeline the program is laid out on.
-    pub fn pipeline(&self) -> &SwitchPipeline {
-        &self.pipe
-    }
 }
 
 impl SwitchProgram for RandTopNProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let value = values[0];
         let mut ctx = self.pipe.begin_packet(1)?;
@@ -127,14 +126,13 @@ impl DetTopNProgram {
             w,
         })
     }
-
-    /// The metered pipeline the program is laid out on.
-    pub fn pipeline(&self) -> &SwitchPipeline {
-        &self.pipe
-    }
 }
 
 impl SwitchProgram for DetTopNProgram {
+    fn pipeline(&self) -> &SwitchPipeline {
+        &self.pipe
+    }
+
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let value = values[0];
         let mut ctx = self.pipe.begin_packet(1)?;

@@ -289,7 +289,7 @@ fn serving_packed_batch_is_bit_identical_to_solo_cheetah() {
     // Stage budget on a 12-stage Tofino: the two filters (1 each) and
     // both DISTINCT variants (2 each) pack into 6 stages. The randomized
     // TOP 25 runs its full-pipeline 21 × 11 matrix (12 stages with its
-    // sequence counter), each GROUP BY takes 8 and the SKYLINE 23: none
+    // sequence counter), each GROUP BY takes 8 and the SKYLINE 21: none
     // fits beside the others, so all four spill and run alone.
     assert_eq!(
         agg.packed, 4,
