@@ -1,17 +1,13 @@
-//! CLI driving the per-figure experiment functions.
+//! CLI rendering the per-figure experiment builders.
 //!
 //! ```sh
 //! cargo run --release -p cheetah-bench --bin experiments -- all
 //! cargo run --release -p cheetah-bench --bin experiments -- fig10c fig10e
 //! ```
 
-use cheetah_bench::experiments as exp;
+use cheetah_bench::experiments::{experiment, render, run_all, EXPERIMENTS};
 
-const USAGE: &str = "usage: experiments <id>… | all | --json [path]\n\
-     ids: table2 table3 fig5 fig6a fig6b fig7 fig8 fig9 \
-     fig10a fig10b fig10c fig10d fig10e fig10f \
-     fig11a fig11b fig11c fig11d fig11e fig11f fig12 fig13 ext\n\
-     --json: run the streaming benchmark (row vs block layouts, \
+const JSON_USAGE: &str = "--json: run the streaming benchmark (row vs block layouts, \
      per-query rows/sec + prune rate + wall clock, the threaded \
      multi-pass dataflows, the worker/shard scaling sweeps with \
      combine walls, the cost-based planner sweep: chosen arm + \
@@ -22,17 +18,25 @@ const USAGE: &str = "usage: experiments <id>… | all | --json [path]\n\
      BENCH_streaming.json (or the given path); the snapshot's schema \
      and how to read the speedups are documented in docs/BENCHMARKS.md";
 
+fn usage() -> String {
+    let ids: Vec<String> = EXPERIMENTS.iter().map(|(ids, _)| ids.join(" ")).collect();
+    format!(
+        "usage: experiments <id>… | all | --json [path]\n     ids: {}\n     {JSON_USAGE}",
+        ids.join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        println!("{}", usage());
         return;
     }
     if args.iter().any(|a| a == "--json") {
         // `--json [path]` is a standalone mode: refuse mixtures like
         // `fig5 --json` instead of silently dropping the experiment ids.
         if args[0] != "--json" || args.len() > 2 {
-            eprintln!("--json takes only an optional output path\n{USAGE}");
+            eprintln!("--json takes only an optional output path\n{}", usage());
             std::process::exit(2);
         }
         let path = args
@@ -52,35 +56,14 @@ fn main() {
         return;
     }
     if args.is_empty() {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         std::process::exit(2);
     }
     for arg in &args {
-        match arg.as_str() {
-            "all" => exp::run_all(),
-            "table2" => exp::table_2(),
-            "table3" => exp::table_3(),
-            "fig5" => exp::fig_5(),
-            "fig6a" => exp::fig_6a(),
-            "fig6b" => exp::fig_6b(),
-            "fig7" => exp::fig_7(),
-            "fig8" => exp::fig_8(),
-            "fig9" => exp::fig_9(),
-            "fig10a" => exp::fig_10a(),
-            "fig10b" => exp::fig_10b(),
-            "fig10c" => exp::fig_10c(),
-            "fig10d" => exp::fig_10d(),
-            "fig10e" => exp::fig_10e(),
-            "fig10f" => exp::fig_10f(),
-            "fig11a" => exp::fig_11a(),
-            "fig11b" => exp::fig_11b(),
-            "fig11c" => exp::fig_11c(),
-            "fig11d" => exp::fig_11d(),
-            "fig11e" => exp::fig_11e(),
-            "fig11f" => exp::fig_11f(),
-            "fig12" | "fig13" => exp::fig_12_13(),
-            "ext" | "extensions" => exp::extensions(),
-            other => {
+        match (arg.as_str(), experiment(arg)) {
+            ("all", _) => run_all(),
+            (_, Some(build)) => build().iter().for_each(render),
+            (other, None) => {
                 eprintln!("unknown experiment id '{other}'");
                 std::process::exit(2);
             }

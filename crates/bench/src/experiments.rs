@@ -1,22 +1,30 @@
-//! One function per table/figure of the paper's evaluation. Each prints
-//! the same rows/series the paper plots; EXPERIMENTS.md records the
-//! paper-vs-measured comparison. Run through `cargo run --release -p
-//! cheetah-bench --bin experiments -- <id>|all`.
+//! One builder per table/figure of the paper's evaluation. Each returns
+//! the [`Figure`] it measures — the series the paper plots, under the
+//! paper's caption — and [`render`] prints any of them. README's paper
+//! map records the paper-vs-measured comparison, deviations included, and
+//! `tests/paper_claims.rs` asserts each caption on the returned series.
+//! Run through `cargo run --release -p cheetah-bench --bin experiments --
+//! <id>|all`; [`EXPERIMENTS`] lists the ids.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::time::Instant;
 
+use cheetah_core::batch::{BatchedPruner, DistinctBatchAccess};
 use cheetah_core::decision::PruneStats;
-use cheetah_core::distinct::{CacheMatrix, EvictionPolicy};
+use cheetah_core::distinct::{CacheMatrix, DistinctPruner, EvictionPolicy};
 use cheetah_core::filter::{Atom, CmpOp, Formula};
 use cheetah_core::groupby::{Extremum, GroupByPruner};
 use cheetah_core::having::HavingPruner;
 use cheetah_core::join::{BloomFilter, JoinPruner, KeyFilter, RegisterBloomFilter, Side};
+use cheetah_core::multiswitch::SwitchTree;
 use cheetah_core::opt::{OptDistinct, OptGroupByMax, OptJoin, OptSkyline, OptTopN};
 use cheetah_core::resources::{table2, SwitchModel};
 use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
+use cheetah_core::{Decision, RowPruner};
 
+use cheetah_engine::backend::SwitchBackend;
 use cheetah_engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah_engine::executor::run_all as run_executors;
 use cheetah_engine::spark::SparkExecutor;
@@ -30,10 +38,188 @@ use rand::Rng;
 
 use crate::cost::{self, Rates, TimingBreakdown, DISTINCT, GROUPBY, HARDWARE_COMPARISON, TOPN};
 use crate::netaccel::NetAccelModel;
-use crate::{bigdata_db, fmt_frac, header, q3};
+use crate::{bigdata_db, fmt_frac, q3};
 
 /// Default stream length for the pruning-rate simulations (Figures 10/11).
 pub const SIM_ENTRIES: usize = 1_000_000;
+
+// ---------------------------------------------------------------- figures
+
+/// One table or figure of the evaluation: named series over shared x
+/// labels.
+#[derive(Debug, Clone)]
+pub struct Figure {
+    /// "Table 2", "Figure 10a", …
+    pub id: &'static str,
+    /// What it plots.
+    pub title: &'static str,
+    /// Where the paper shows it and what its caption claims, restated
+    /// where the measured series do not bear the paper's wording out
+    /// (README's paper map records those deviations).
+    pub caption: &'static str,
+    /// The x axis: its name and one label per point.
+    pub x: (&'static str, Vec<String>),
+    /// Each with one value per x label.
+    pub series: Vec<Series>,
+}
+
+/// A named series of a [`Figure`].
+#[derive(Debug, Clone)]
+pub struct Series {
+    /// Its column header.
+    pub name: String,
+    /// Its values, in x order.
+    pub values: Values,
+}
+
+/// A series' values, by how they print.
+#[derive(Debug, Clone)]
+pub enum Values {
+    /// Fractions of a stream (mostly the unpruned one), as [`fmt_frac`]
+    /// prints them.
+    Frac(Vec<f64>),
+    /// Seconds, to the given number of decimal places.
+    Seconds(usize, Vec<f64>),
+    /// Counts.
+    Count(Vec<u64>),
+    /// Preformatted cells.
+    Text(Vec<String>),
+}
+
+impl Values {
+    /// The `i`th value as the figure prints it.
+    fn cell(&self, i: usize) -> String {
+        match self {
+            Values::Frac(v) => fmt_frac(v[i]),
+            Values::Seconds(decimals, v) => format!("{:.*} s", decimals, v[i]),
+            Values::Count(v) => v[i].to_string(),
+            Values::Text(v) => v[i].clone(),
+        }
+    }
+}
+
+/// Print `f`: a header, then one row per x label and one column per
+/// series.
+pub fn render(f: &Figure) {
+    let rule = "=".repeat(64);
+    let (id, title, caption) = (f.id, f.title, f.caption);
+    println!("\n{rule}\n{id}: {title}\npaper reference: {caption}\n{rule}");
+    let (x_name, labels) = &f.x;
+    let head = f.series.iter().map(|s| s.name.clone());
+    let mut rows: Vec<Vec<String>> = vec![[x_name.to_string()].into_iter().chain(head).collect()];
+    for (i, label) in labels.iter().enumerate() {
+        let cells = f.series.iter().map(|s| s.values.cell(i));
+        rows.push([label.clone()].into_iter().chain(cells).collect());
+    }
+    let mut widths = vec![0; rows[0].len()];
+    for row in &rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = cell.chars().count().max(*w);
+        }
+    }
+    for row in &rows {
+        let mut line = format!("{:<w$}", row[0], w = widths[0]);
+        for (cell, w) in row.iter().zip(&widths).skip(1) {
+            line += &format!("  {cell:>w$}");
+        }
+        println!("{}", line.trim_end());
+    }
+}
+
+/// Labels from anything printable.
+fn labels<T: ToString>(xs: impl IntoIterator<Item = T>) -> Vec<String> {
+    xs.into_iter().map(|x| x.to_string()).collect()
+}
+
+/// A series of unpruned fractions.
+fn frac(name: impl Into<String>, v: impl IntoIterator<Item = f64>) -> Series {
+    let (name, values) = (name.into(), Values::Frac(v.into_iter().collect()));
+    Series { name, values }
+}
+
+/// A series of seconds at `decimals` places.
+fn secs(name: &str, decimals: usize, v: impl IntoIterator<Item = f64>) -> Series {
+    let (name, values) = (
+        name.into(),
+        Values::Seconds(decimals, v.into_iter().collect()),
+    );
+    Series { name, values }
+}
+
+/// A series of counts.
+fn count(name: &str, v: impl IntoIterator<Item = u64>) -> Series {
+    let (name, values) = (name.into(), Values::Count(v.into_iter().collect()));
+    Series { name, values }
+}
+
+/// A series of preformatted cells.
+fn text(name: &str, v: impl IntoIterator<Item = String>) -> Series {
+    let (name, values) = (name.into(), Values::Text(v.into_iter().collect()));
+    Series { name, values }
+}
+
+/// `SELECT DISTINCT userAgent FROM uservisits`, the benchmark DISTINCT.
+fn distinct_agents() -> Query {
+    let (table, column) = ("uservisits".into(), "userAgent".into());
+    Query::Distinct { table, column }
+}
+
+/// `SELECT userAgent, MAX(adRevenue) FROM uservisits GROUP BY userAgent`.
+fn max_revenue_by_agent() -> Query {
+    let (table, key, val) = ("uservisits".into(), "userAgent".into(), "adRevenue".into());
+    Query::GroupBy {
+        table,
+        key,
+        val,
+        agg: Agg::Max,
+    }
+}
+
+/// One builder's figures, in print order.
+pub type Build = fn() -> Vec<Figure>;
+
+/// Every experiment in paper order: the ids that select it and its
+/// builder.
+pub const EXPERIMENTS: &[(&[&str], Build)] = &[
+    (&["table2"], || vec![table_2()]),
+    (&["table3"], || vec![table_3()]),
+    (&["fig5"], || vec![fig_5()]),
+    (&["fig6a"], || vec![fig_6a()]),
+    (&["fig6b"], || vec![fig_6b()]),
+    (&["fig7"], || vec![fig_7()]),
+    (&["fig8"], || vec![fig_8()]),
+    (&["fig9"], || vec![fig_9()]),
+    (&["fig10a"], || vec![fig_10a()]),
+    (&["fig10b"], || vec![fig_10b()]),
+    (&["fig10c"], || vec![fig_10c()]),
+    (&["fig10d"], || vec![fig_10d()]),
+    (&["fig10e"], || vec![fig_10e()]),
+    (&["fig10f"], || vec![fig_10f()]),
+    (&["fig11a"], || vec![fig_11a()]),
+    (&["fig11b"], || vec![fig_11b()]),
+    (&["fig11c"], || vec![fig_11c()]),
+    (&["fig11d"], || vec![fig_11d()]),
+    (&["fig11e"], || vec![fig_11e()]),
+    (&["fig11f"], || vec![fig_11f()]),
+    (&["fig12", "fig13"], || vec![fig_12_13()]),
+    (&["ext", "extensions"], extensions),
+];
+
+/// The builder `id` selects.
+pub fn experiment(id: &str) -> Option<Build> {
+    let mut all = EXPERIMENTS.iter();
+    all.find(|(ids, _)| ids.contains(&id))
+        .map(|&(_, build)| build)
+}
+
+/// Render every experiment in paper order.
+pub fn run_all() {
+    for (_, build) in EXPERIMENTS {
+        build().iter().for_each(render);
+    }
+}
+
+// ---------------------------------------------------------------- pricing
 
 /// One query's modeled runs on Spark and Cheetah.
 #[derive(Debug, Clone, Copy)]
@@ -70,13 +256,8 @@ pub fn priced(model: CostModel, db: &Database, q: &Query) -> Priced {
 // ---------------------------------------------------------------- tables
 
 /// Table 2: switch resources per algorithm at its default parameters.
-pub fn table_2() {
-    header(
-        "Table 2",
-        "switch resource consumption per algorithm",
-        "§7, Table 2",
-    );
-    let a = SwitchModel::tofino_like().alus_per_stage;
+pub fn table_2() -> Figure {
+    let (a, m) = (SwitchModel::tofino_like().alus_per_stage, 4 * (8 << 20));
     let rows = [
         (
             "DISTINCT FIFO (w=2, d=4096)",
@@ -88,69 +269,61 @@ pub fn table_2() {
         ("TOP N Det    (N=250, w=4)", table2::topn_det(4)),
         ("TOP N Rand   (w=4, d=4096)", table2::topn_rand(4, 4096)),
         ("GROUP BY     (w=8, d=4096)", table2::group_by(8, 4096)),
-        (
-            "JOIN BF      (M=4MB, H=3)",
-            table2::join_bf(4 * (8 << 20), 3),
-        ),
-        (
-            "JOIN RBF     (M=4MB, H=3)",
-            table2::join_rbf(4 * (8 << 20), 3),
-        ),
+        ("JOIN BF      (M=4MB, H=3)", table2::join_bf(m, 3)),
+        ("JOIN RBF     (M=4MB, H=3)", table2::join_rbf(m, 3)),
         ("HAVING       (w=1024, d=3)", table2::having(1024, 3, a)),
         ("Filtering    (1 predicate)", table2::filter(1)),
     ];
-    println!(
-        "{:<30} {:>7} {:>6} {:>12} {:>8}",
-        "algorithm", "stages", "ALUs", "SRAM", "TCAM"
-    );
-    for (name, u) in rows {
-        let sram = if u.sram_bits >= 8 * 1024 * 1024 {
+    let sram = rows.iter().map(|(_, u)| {
+        if u.sram_bits >= 8 * 1024 * 1024 {
             format!("{:.1} MB", u.sram_bits as f64 / 8.0 / 1024.0 / 1024.0)
         } else {
             format!("{:.1} KB", u.sram_kb())
-        };
-        println!(
-            "{:<30} {:>7} {:>6} {:>12} {:>8}",
-            name, u.stages, u.alus, sram, u.tcam_entries
-        );
+        }
+    });
+    Figure {
+        id: "Table 2",
+        title: "switch resource consumption per algorithm",
+        caption: "§7, Table 2",
+        x: ("algorithm", labels(rows.iter().map(|(name, _)| name))),
+        series: vec![
+            count("stages", rows.iter().map(|(_, u)| u64::from(u.stages))),
+            count("ALUs", rows.iter().map(|(_, u)| u64::from(u.alus))),
+            text("SRAM", sram),
+            count("TCAM", rows.iter().map(|(_, u)| u64::from(u.tcam_entries))),
+        ],
     }
 }
 
 /// Table 3: hardware choices (throughput/latency envelopes).
-pub fn table_3() {
-    header(
-        "Table 3",
-        "hardware performance comparison",
-        "§2/§10, Table 3",
-    );
-    println!(
-        "{:<12} {:>22} {:>18}",
-        "system", "throughput (Gbps)", "latency (µs)"
-    );
-    for hw in HARDWARE_COMPARISON {
-        let tp = if hw.throughput_gbps.0 == hw.throughput_gbps.1 {
-            format!("{:.0}", hw.throughput_gbps.0)
-        } else {
-            format!("{:.0}–{:.0}", hw.throughput_gbps.0, hw.throughput_gbps.1)
-        };
-        let lat = if hw.latency_us.0 == 0.0 {
-            format!("<{:.0}", hw.latency_us.1)
-        } else if hw.latency_us.0 == hw.latency_us.1 {
-            format!("{:.0}", hw.latency_us.0)
-        } else {
-            format!("{:.0}–{:.0}", hw.latency_us.0, hw.latency_us.1)
-        };
-        println!("{:<12} {:>22} {:>18}", hw.name, tp, lat);
+pub fn table_3() -> Figure {
+    let range = |(lo, hi): (f64, f64)| match (lo, hi) {
+        (0.0, hi) => format!("<{hi:.0}"),
+        (lo, hi) if lo == hi => format!("{lo:.0}"),
+        (lo, hi) => format!("{lo:.0}–{hi:.0}"),
+    };
+    let hw = HARDWARE_COMPARISON;
+    Figure {
+        id: "Table 3",
+        title: "hardware performance comparison",
+        caption: "§2/§10, Table 3",
+        x: ("system", labels(hw.iter().map(|h| h.name))),
+        series: vec![
+            text(
+                "throughput (Gbps)",
+                hw.iter().map(|h| range(h.throughput_gbps)),
+            ),
+            text("latency (µs)", hw.iter().map(|h| range(h.latency_us))),
+        ],
     }
 }
 
 // ---------------------------------------------------------------- fig 5
 
-/// Figure 5's bar groups, in print order — Big Data A, B and A+B, TPC-H
-/// Q3, then one query per supported operation: each query's label and
-/// the modeled seconds of Spark's first run, Spark's warm run and
-/// Cheetah's run.
-pub fn fig5_rows() -> Vec<(&'static str, [f64; 3])> {
+/// Figure 5: completion times, Cheetah vs Spark (1st run / warm), for the
+/// Big Data queries A, B and A+B, TPC-H Q3, then one query per supported
+/// operation.
+pub fn fig_5() -> Figure {
     // 1/100 of the paper's sample; model_scale restores paper-scale time.
     let db = bigdata_db(317_000, 180_000, 2_000, 0.10, 5);
     let model = CostModel {
@@ -173,22 +346,8 @@ pub fn fig5_rows() -> Vec<(&'static str, [f64; 3])> {
         agg: Agg::Sum,
     };
     let singles: Vec<(&str, Query)> = vec![
-        (
-            "Distinct",
-            Query::Distinct {
-                table: "uservisits".into(),
-                column: "userAgent".into(),
-            },
-        ),
-        (
-            "GroupBy (Max)",
-            Query::GroupBy {
-                table: "uservisits".into(),
-                key: "userAgent".into(),
-                val: "adRevenue".into(),
-                agg: Agg::Max,
-            },
-        ),
+        ("Distinct", distinct_agents()),
+        ("GroupBy (Max)", max_revenue_by_agent()),
         (
             "Skyline",
             Query::Skyline {
@@ -253,44 +412,33 @@ pub fn fig5_rows() -> Vec<(&'static str, [f64; 3])> {
             .into_iter()
             .map(|(name, q)| row(name, priced(model, &db, &q))),
     );
-    rows
-}
-
-/// Figure 5: completion times, Cheetah vs Spark (1st run / warm), for the
-/// benchmark queries and each supported operation.
-pub fn fig_5() {
-    header(
-        "Figure 5",
-        "completion time: Cheetah vs Spark across the benchmark",
-        "§8.2.1, Figure 5 (31.7M uservisits / 18M rankings; scaled ×1/100 \
+    let run = |i: usize| rows.iter().map(move |(_, runs)| runs[i]);
+    let saved = rows
+        .iter()
+        .map(|(_, [s1, _, c])| format!("{:.0}%", (1.0 - c / s1) * 100.0));
+    Figure {
+        id: "Figure 5",
+        title: "completion time: Cheetah vs Spark across the benchmark",
+        caption: "§8.2.1, Figure 5 (31.7M uservisits / 18M rankings; scaled ×1/100 \
          with the timing model extrapolating back)",
-    );
-    println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>14}",
-        "query", "spark 1st", "spark warm", "cheetah", "vs 1st run"
-    );
-    for (name, [s1, s2, c]) in fig5_rows() {
-        println!(
-            "{:<16} {:>10.2} s {:>10.2} s {:>10.2} s {:>12.0}% less",
-            name,
-            s1,
-            s2,
-            c,
-            (1.0 - c / s1) * 100.0
-        );
+        x: ("query", labels(rows.iter().map(|(name, _)| name))),
+        series: vec![
+            secs("spark 1st", 2, run(0)),
+            secs("spark warm", 2, run(1)),
+            secs("cheetah", 2, run(2)),
+            text("less than 1st", saved),
+        ],
     }
 }
 
 // ---------------------------------------------------------------- fig 6
 
-/// Figure 6a's runs at 1 to 5 workers, in order.
-pub fn fig6a_rows() -> Vec<Priced> {
+/// Figure 6a: DISTINCT completion vs number of workers (fixed total
+/// entries), with Spark's worker-task time and computation beside.
+pub fn fig_6a() -> Figure {
     let db = bigdata_db(300_000, 50_000, 2_000, 0.5, 6);
-    let q = Query::Distinct {
-        table: "uservisits".into(),
-        column: "userAgent".into(),
-    };
-    (1..=5)
+    let q = distinct_agents();
+    let runs: Vec<Priced> = (1..=5)
         .map(|workers| {
             let model = CostModel {
                 workers,
@@ -299,117 +447,83 @@ pub fn fig6a_rows() -> Vec<Priced> {
             };
             priced(model, &db, &q)
         })
-        .collect()
-}
-
-/// Figure 6a: completion vs number of workers (fixed total entries).
-pub fn fig_6a() {
-    header(
-        "Figure 6a",
-        "DISTINCT completion time vs number of workers",
-        "§8.2.2, Figure 6a (total entries fixed, partitions vary)",
-    );
-    println!("{:<9} {:>12} {:>12}", "workers", "cheetah", "spark (warm)");
-    for (workers, p) in (1..).zip(fig6a_rows()) {
-        println!(
-            "{:<9} {:>10.2} s {:>10.2} s",
-            workers,
-            p.cheetah.total_s(),
-            p.spark.total_s()
-        );
+        .collect();
+    let compute = runs.iter().map(|p| p.spark.computation_s);
+    Figure {
+        id: "Figure 6a",
+        title: "DISTINCT completion time vs number of workers",
+        caption: "§8.2.2, Figure 6a (total entries fixed, partitions vary)",
+        x: ("workers", labels(1..=5)),
+        series: vec![
+            secs("cheetah", 2, runs.iter().map(|p| p.cheetah.total_s())),
+            secs("spark (warm)", 2, runs.iter().map(|p| p.spark.total_s())),
+            secs("spark task", 2, runs.iter().map(|p| p.spark_task_s)),
+            secs("spark compute", 2, compute),
+        ],
     }
 }
 
 /// Figure 6b: completion vs total entries (10M / 20M / 30M in the paper).
-pub fn fig_6b() {
-    header(
-        "Figure 6b",
-        "DISTINCT completion time vs number of entries",
-        "§8.2.2, Figure 6b (scaled ×1/100)",
-    );
-    println!("{:<12} {:>12} {:>12}", "entries", "cheetah", "spark (warm)");
-    for entries in [100_000usize, 200_000, 300_000] {
-        let db = bigdata_db(entries, 50_000, 2_000, 0.5, 7);
-        let model = CostModel {
-            model_scale: 100.0,
-            ..CostModel::default()
-        };
-        let q = Query::Distinct {
-            table: "uservisits".into(),
-            column: "userAgent".into(),
-        };
-        let p = priced(model, &db, &q);
-        println!(
-            "{:<12} {:>10.2} s {:>10.2} s",
-            entries * 100,
-            p.cheetah.total_s(),
-            p.spark.total_s()
-        );
+pub fn fig_6b() -> Figure {
+    let entries = [100_000usize, 200_000, 300_000];
+    let runs: Vec<Priced> = entries
+        .iter()
+        .map(|&entries| {
+            let db = bigdata_db(entries, 50_000, 2_000, 0.5, 7);
+            let model = CostModel {
+                model_scale: 100.0,
+                ..CostModel::default()
+            };
+            priced(model, &db, &distinct_agents())
+        })
+        .collect();
+    Figure {
+        id: "Figure 6b",
+        title: "DISTINCT completion time vs number of entries",
+        caption: "§8.2.2, Figure 6b (scaled ×1/100)",
+        x: ("entries", labels(entries.map(|e| e * 100))),
+        series: vec![
+            secs("cheetah", 2, runs.iter().map(|p| p.cheetah.total_s())),
+            secs("spark (warm)", 2, runs.iter().map(|p| p.spark.total_s())),
+        ],
     }
 }
 
 // ---------------------------------------------------------------- fig 7
 
-/// Figure 7's rows: result size in percent of a 200K-entry input,
-/// Cheetah's delivery and NetAccel's drain, in seconds.
-pub fn fig7_rows() -> Vec<(u64, f64, f64)> {
+/// Figure 7: NetAccel's result-drain overhead vs result size (TPC-H Q3
+/// order-key join), against Cheetah's streaming delivery, for results of
+/// 1% to 40% of a 200K-entry input.
+pub fn fig_7() -> Figure {
     let input_entries = 200_000u64;
     let na = NetAccelModel::default();
     let model = CostModel::default();
-    [1u64, 5, 10, 15, 20, 25, 30, 35, 40]
-        .into_iter()
-        .map(|pct| {
-            let entries = input_entries * pct / 100;
-            (pct, cost::delivery_s(entries, &model), na.drain_s(entries))
-        })
-        .collect()
-}
-
-/// Figure 7: NetAccel's result-drain overhead vs result size (TPC-H Q3
-/// order-key join), against Cheetah's streaming delivery.
-pub fn fig_7() {
-    header(
-        "Figure 7",
-        "overhead of moving results out of the switch dataplane",
-        "§8.2.4, Figure 7 (NetAccel lower bound: ideal pruning, drain only)",
-    );
-    println!(
-        "{:<22} {:>14} {:>16}",
-        "result size (% input)", "cheetah", "NetAccel (bound)"
-    );
-    for (pct, cheetah_s, netaccel_s) in fig7_rows() {
-        println!(
-            "{:<22} {:>12.3} s {:>14.3} s",
-            format!("{pct}%"),
-            cheetah_s,
-            netaccel_s
-        );
+    let pcts = [1u64, 5, 10, 15, 20, 25, 30, 35, 40];
+    let entries = pcts.map(|pct| input_entries * pct / 100);
+    Figure {
+        id: "Figure 7",
+        title: "overhead of moving results out of the switch dataplane",
+        caption: "§8.2.4, Figure 7 (NetAccel lower bound: ideal pruning, drain only)",
+        x: (
+            "result size (% input)",
+            labels(pcts.map(|pct| format!("{pct}%"))),
+        ),
+        series: vec![
+            secs("cheetah", 3, entries.map(|e| cost::delivery_s(e, &model))),
+            secs("NetAccel (bound)", 3, entries.map(|e| na.drain_s(e))),
+        ],
     }
 }
 
 // ---------------------------------------------------------------- fig 8
 
-/// Figure 8's queries, Distinct then Group-By: each one's label and its
-/// runs at a 10G and a 20G NIC cap.
-pub fn fig8_rows() -> Vec<(&'static str, Priced, Priced)> {
+/// Figure 8: completion breakdown (computation / network / other) for
+/// Spark, Cheetah@10G and Cheetah@20G on Distinct and Group-By.
+pub fn fig_8() -> Figure {
     let db = bigdata_db(317_000, 50_000, 2_000, 0.5, 8);
     let queries: Vec<(&str, Query)> = vec![
-        (
-            "Distinct",
-            Query::Distinct {
-                table: "uservisits".into(),
-                column: "userAgent".into(),
-            },
-        ),
-        (
-            "Group-By",
-            Query::GroupBy {
-                table: "uservisits".into(),
-                key: "userAgent".into(),
-                val: "adRevenue".into(),
-                agg: Agg::Max,
-            },
-        ),
+        ("Distinct", distinct_agents()),
+        ("Group-By", max_revenue_by_agent()),
     ];
     let at = |gbps, q: &Query| {
         let model = CostModel {
@@ -419,40 +533,29 @@ pub fn fig8_rows() -> Vec<(&'static str, Priced, Priced)> {
         };
         priced(model, &db, q)
     };
-    queries
-        .into_iter()
-        .map(|(name, q)| (name, at(10.0, &q), at(20.0, &q)))
-        .collect()
-}
-
-/// Figure 8: completion breakdown (computation / network / other) for
-/// Spark, Cheetah@10G and Cheetah@20G on Distinct and Group-By.
-pub fn fig_8() {
-    header(
-        "Figure 8",
-        "delay breakdown at different network rates",
-        "§8.2.3, Figure 8 (Spark's bottleneck is not the network)",
-    );
-    println!(
-        "{:<10} {:<14} {:>12} {:>10} {:>8} {:>9}",
-        "query", "system", "computation", "network", "other", "total"
-    );
-    for (name, p10, p20) in fig8_rows() {
+    let mut rows: Vec<(String, TimingBreakdown)> = Vec::new();
+    for (name, q) in queries {
+        let (p10, p20) = (at(10.0, &q), at(20.0, &q));
         for (system, t) in [
             ("Spark (warm)", p10.spark),
             ("Cheetah 10G", p10.cheetah),
             ("Cheetah 20G", p20.cheetah),
         ] {
-            println!(
-                "{:<10} {:<14} {:>10.2} s {:>8.2} s {:>6.2} s {:>7.2} s",
-                name,
-                system,
-                t.computation_s,
-                t.network_s,
-                t.other_s,
-                t.total_s()
-            );
+            rows.push((format!("{name} {system}"), t));
         }
+    }
+    let part = |f: fn(&TimingBreakdown) -> f64| rows.iter().map(move |(_, t)| f(t));
+    Figure {
+        id: "Figure 8",
+        title: "delay breakdown at different network rates",
+        caption: "§8.2.3, Figure 8 (Spark's bottleneck is not the network)",
+        x: ("query system", labels(rows.iter().map(|(label, _)| label))),
+        series: vec![
+            secs("computation", 2, part(|t| t.computation_s)),
+            secs("network", 2, part(|t| t.network_s)),
+            secs("other", 2, part(|t| t.other_s)),
+            secs("total", 2, part(TimingBreakdown::total_s)),
+        ],
     }
 }
 
@@ -464,88 +567,105 @@ pub fn fig_8() {
 /// max-map) over the unpruned entries on this machine; (b) *modeled
 /// blocking* — the §8.3 queueing effect at the paper's arrival/service
 /// rates, where entries buffer up once the master is the bottleneck.
-pub fn fig_9() {
-    header(
-        "Figure 9",
-        "blocking master latency for a given pruning rate",
-        "§8.3, Figure 9 (latency grows super-linearly in the unpruned rate)",
-    );
+pub fn fig_9() -> Figure {
     let m_total = 2_000_000usize;
     let mut rng = rng_for(9, "fig9");
     let keys: Vec<u64> = (0..m_total).map(|_| rng.gen_range(0..100_000)).collect();
     let vals: Vec<u64> = (0..m_total).map(|_| rng.gen()).collect();
+    let pcts = [5u64, 10, 20, 30, 40, 50];
 
-    // Paper-scale parameters for the blocking model.
-    let model_entries = 31_700_000f64;
-    let arrival_pps = 10.0e6;
-    let service = |rates: Rates| rates.master / 4.0; // conservative master
-    println!(
-        "{:<10} | {:>14} {:>14} {:>14} | {:>11} {:>11} {:>11}",
-        "unpruned",
-        "topn meas.",
-        "distinct meas.",
-        "groupby meas.",
-        "topn mdl",
-        "dist mdl",
-        "gby mdl"
-    );
-    for pct in [5u64, 10, 20, 30, 40, 50] {
-        let n = m_total * pct as usize / 100;
-        // Measured: real data structures on this machine.
-        let t0 = Instant::now();
-        let mut heap = std::collections::BinaryHeap::with_capacity(251);
+    // Measured: real data structures over the first `n` entries.
+    let measured = |name, op: &dyn Fn(usize)| {
+        let wall = |pct| {
+            let t0 = Instant::now();
+            op(m_total * pct as usize / 100);
+            t0.elapsed().as_secs_f64()
+        };
+        secs(name, 3, pcts.map(wall))
+    };
+    let topn = measured("topn meas.", &|n| {
+        let mut heap = BinaryHeap::with_capacity(251);
         for &v in &vals[..n] {
-            heap.push(std::cmp::Reverse(v));
+            heap.push(Reverse(v));
             if heap.len() > 250 {
                 heap.pop();
             }
         }
-        let topn_meas = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let mut set = HashSet::with_capacity(1024);
-        for &k in &keys[..n] {
-            set.insert(k);
-        }
-        let distinct_meas = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
+    });
+    let distinct = measured("distinct meas.", &|n| {
+        let mut set: HashSet<u64> = HashSet::with_capacity(1024);
+        set.extend(&keys[..n]);
+    });
+    let groupby = measured("groupby meas.", &|n| {
         let mut map: HashMap<u64, u64> = HashMap::with_capacity(1024);
-        for i in 0..n {
-            let e = map.entry(keys[i]).or_insert(0);
-            *e = (*e).max(vals[i]);
+        for (&k, &v) in keys[..n].iter().zip(&vals[..n]) {
+            let e = map.entry(k).or_insert(0);
+            *e = (*e).max(v);
         }
-        let groupby_meas = t0.elapsed().as_secs_f64();
+    });
 
-        // Modeled blocking at paper scale: the stream takes
-        // model_entries/arrival seconds; the master needs
-        // unpruned/service seconds; the excess is the blocking latency.
-        let stream_s = model_entries / arrival_pps;
-        let blocking = |rates| {
+    // Modeled blocking at paper scale: the stream takes
+    // model_entries/arrival seconds; the master needs unpruned/service
+    // seconds; the excess is the blocking latency.
+    let (model_entries, arrival_pps) = (31_700_000f64, 10.0e6);
+    let stream_s = model_entries / arrival_pps;
+    let modeled = |name, rates: Rates| {
+        let service = rates.master / 4.0; // conservative master
+        let blocking = |pct| {
             let unpruned = model_entries * pct as f64 / 100.0;
-            (unpruned / service(rates) - stream_s).max(0.0) + unpruned / service(rates) * 0.1
+            (unpruned / service - stream_s).max(0.0) + unpruned / service * 0.1
         };
-        println!(
-            "{:<10} | {:>12.3} s {:>12.3} s {:>12.3} s | {:>9.2} s {:>9.2} s {:>9.2} s",
-            format!("{pct}%"),
-            topn_meas,
-            distinct_meas,
-            groupby_meas,
-            blocking(TOPN),
-            blocking(DISTINCT),
-            blocking(GROUPBY)
-        );
+        secs(name, 2, pcts.map(blocking))
+    };
+    Figure {
+        id: "Figure 9",
+        title: "blocking master latency for a given pruning rate",
+        caption: "§8.3, Figure 9 (latency grows super-linearly in the unpruned rate)",
+        x: ("unpruned", labels(pcts.map(|pct| format!("{pct}%")))),
+        series: vec![
+            topn,
+            distinct,
+            groupby,
+            modeled("topn mdl", TOPN),
+            modeled("dist mdl", DISTINCT),
+            modeled("gby mdl", GROUPBY),
+        ],
     }
 }
 
 // ---------------------------------------------------------------- fig 10
 
+/// The unpruned fraction of `process`'s decisions over `stream`.
+fn unpruned<T>(stream: &[T], mut process: impl FnMut(&T) -> Decision) -> f64 {
+    let mut stats = PruneStats::default();
+    for v in stream {
+        stats.record(process(v));
+    }
+    stats.unpruned_fraction()
+}
+
+/// `n` points uniform over `[1, 2¹⁶)²`, SKYLINE's workload.
+fn skyline_points(n: usize, seed: u64, tag: &str) -> Vec<[u64; 2]> {
+    let mut rng = rng_for(seed, tag);
+    let mut coordinate = || rng.gen_range(1..1u64 << 16);
+    (0..n).map(|_| [coordinate(), coordinate()]).collect()
+}
+
+/// `n` keys a side for JOIN, with ~10% key overlap (footnote 10).
+fn join_keys(n: usize, seed: u64, tag: &str) -> (Vec<u64>, Vec<u64>) {
+    let mut rng = rng_for(seed, tag);
+    let a = (0..n).map(|_| rng.gen_range(1..=10_000_000u64)).collect();
+    (
+        a,
+        (0..n)
+            .map(|_| rng.gen_range(9_000_000..=19_000_000u64))
+            .collect(),
+    )
+}
+
 /// Figure 10a: DISTINCT unpruned fraction vs matrix rows `d` (w = 2),
 /// LRU vs FIFO vs OPT.
-pub fn fig_10a() {
-    header(
-        "Figure 10a",
-        "DISTINCT pruning vs resources (w = 2)",
-        "§8.3, Figure 10a (4096×2 prunes ~all duplicates)",
-    );
+pub fn fig_10a() -> Figure {
     let uv = UserVisits::generate(UserVisitsConfig {
         rows: SIM_ENTRIES,
         ua_distinct: 1_000,
@@ -554,80 +674,59 @@ pub fn fig_10a() {
     });
     let stream = &uv.user_agent;
     let mut opt = OptDistinct::new();
-    let mut opt_stats = PruneStats::default();
-    for &v in stream {
-        opt_stats.record(opt.process(v));
-    }
-    println!("{:<8} {:>14} {:>14} {:>14}", "d", "LRU", "FIFO", "OPT");
-    for d in [64usize, 256, 1024, 4096, 16384] {
-        let run = |policy| {
+    let opt = unpruned(stream, |&v| opt.process(v));
+    let ds = [64usize, 256, 1024, 4096, 16384];
+    let run = |policy| {
+        ds.map(|d| {
             let mut m = CacheMatrix::new(d, 2, policy, 3);
-            let mut stats = PruneStats::default();
-            for &v in stream {
-                stats.record(m.process(v));
-            }
-            stats.unpruned_fraction()
-        };
-        println!(
-            "{:<8} {:>14} {:>14} {:>14}",
-            d,
-            fmt_frac(run(EvictionPolicy::Lru)),
-            fmt_frac(run(EvictionPolicy::Fifo)),
-            fmt_frac(opt_stats.unpruned_fraction())
-        );
+            unpruned(stream, |&v| m.process(v))
+        })
+    };
+    Figure {
+        id: "Figure 10a",
+        title: "DISTINCT pruning vs resources (w = 2)",
+        caption: "§8.3, Figure 10a (4096×2 prunes ~all duplicates)",
+        x: ("d", labels(ds)),
+        series: vec![
+            frac("LRU", run(EvictionPolicy::Lru)),
+            frac("FIFO", run(EvictionPolicy::Fifo)),
+            frac("OPT", ds.map(|_| opt)),
+        ],
     }
 }
 
 /// Figure 10b: SKYLINE unpruned fraction vs stored points `w`:
 /// APH / Sum / Baseline / OPT on 2-D data.
-pub fn fig_10b() {
-    header(
-        "Figure 10b",
-        "SKYLINE pruning vs stored points",
-        "§8.3, Figure 10b (APH ≥ Sum ≫ Baseline; APH perfect by w = 20)",
-    );
+pub fn fig_10b() -> Figure {
     let n = SIM_ENTRIES / 2;
-    let mut rng = rng_for(11, "fig10b");
-    let points: Vec<[u64; 2]> = (0..n)
-        .map(|_| [rng.gen_range(1..1u64 << 16), rng.gen_range(1..1u64 << 16)])
-        .collect();
+    let points = skyline_points(n, 11, "fig10b");
     let mut opt = OptSkyline::new();
-    let mut opt_stats = PruneStats::default();
-    for p in &points {
-        opt_stats.record(opt.process(p));
-    }
-    println!(
-        "{:<6} {:>14} {:>14} {:>14} {:>14}",
-        "w", "APH", "Sum", "Baseline", "OPT"
-    );
-    for w in [1usize, 2, 4, 7, 10, 15, 20] {
-        let run = |h: Heuristic| {
-            let mut p = SkylinePruner::new(2, w, h);
-            let mut stats = PruneStats::default();
-            for pt in &points {
-                stats.record(p.process(pt));
-            }
-            stats.unpruned_fraction()
-        };
-        println!(
-            "{:<6} {:>14} {:>14} {:>14} {:>14}",
-            w,
-            fmt_frac(run(Heuristic::aph_default())),
-            fmt_frac(run(Heuristic::Sum)),
-            fmt_frac(run(Heuristic::Baseline)),
-            fmt_frac(opt_stats.unpruned_fraction())
-        );
+    let opt = unpruned(&points, |p| opt.process(p));
+    let ws = [1usize, 2, 4, 7, 10, 15, 20];
+    let run = |h: Heuristic| {
+        ws.map(|w| {
+            let mut p = SkylinePruner::new(2, w, h.clone());
+            unpruned(&points, |pt| p.process(pt))
+        })
+    };
+    Figure {
+        id: "Figure 10b",
+        title: "SKYLINE pruning vs stored points",
+        caption: "§8.3, Figure 10b (APH within 3% of Sum or better, both ≥ 10× Baseline; \
+         APH within 2× of OPT by w = 20)",
+        x: ("w", labels(ws)),
+        series: vec![
+            frac("APH", run(Heuristic::aph_default())),
+            frac("Sum", run(Heuristic::Sum)),
+            frac("Baseline", run(Heuristic::Baseline)),
+            frac("OPT", ws.map(|_| opt)),
+        ],
     }
 }
 
 /// Figure 10c: TOP N unpruned fraction vs matrix width `w` (d = 4096):
 /// deterministic vs randomized vs OPT.
-pub fn fig_10c() {
-    header(
-        "Figure 10c",
-        "TOP N pruning vs matrix width (d = 4096, N = 250)",
-        "§8.3, Figure 10c (randomized ≈ 5× optimal; deterministic far weaker)",
-    );
+pub fn fig_10c() -> Figure {
     let uv = UserVisits::generate(UserVisitsConfig {
         rows: SIM_ENTRIES,
         ua_distinct: 100,
@@ -637,90 +736,66 @@ pub fn fig_10c() {
     let stream = &uv.ad_revenue; // long-tailed ORDER BY column
     let n = 250;
     let mut opt = OptTopN::new(n);
-    let mut opt_stats = PruneStats::default();
-    for &v in stream {
-        opt_stats.record(opt.process(v));
-    }
-    println!("{:<6} {:>14} {:>14} {:>14}", "w", "Det", "Rand", "OPT");
-    for w in [2usize, 4, 6, 8, 12] {
+    let opt = unpruned(stream, |&v| opt.process(v));
+    let ws = [2usize, 4, 6, 8, 12];
+    let det = ws.map(|w| {
         let mut det = DeterministicTopN::new(n as u64, w);
-        let mut det_stats = PruneStats::default();
-        for &v in stream {
-            det_stats.record(det.process(v));
-        }
+        unpruned(stream, |&v| det.process(v))
+    });
+    let rand = ws.map(|w| {
         let mut rnd = RandomizedTopN::new(4096, w, 13);
-        let mut rnd_stats = PruneStats::default();
-        for &v in stream {
-            rnd_stats.record(rnd.process(v));
-        }
-        println!(
-            "{:<6} {:>14} {:>14} {:>14}",
-            w,
-            fmt_frac(det_stats.unpruned_fraction()),
-            fmt_frac(rnd_stats.unpruned_fraction()),
-            fmt_frac(opt_stats.unpruned_fraction())
-        );
+        unpruned(stream, |&v| rnd.process(v))
+    });
+    Figure {
+        id: "Figure 10c",
+        title: "TOP N pruning vs matrix width (d = 4096, N = 250)",
+        caption: "§8.3, Figure 10c (randomized within 20× of optimal at w = 2, 85× at \
+         w = 12; deterministic ≥ 5× weaker up to w = 6, stronger at w = 12)",
+        x: ("w", labels(ws)),
+        series: vec![
+            frac("Det", det),
+            frac("Rand", rand),
+            frac("OPT", ws.map(|_| opt)),
+        ],
     }
 }
 
 /// Figure 10d: GROUP BY (MAX) unpruned fraction vs matrix width `w`.
-pub fn fig_10d() {
-    header(
-        "Figure 10d",
-        "GROUP BY pruning vs matrix width",
-        "§8.3, Figure 10d (99% pruning with 3 stages, all with 9)",
-    );
+pub fn fig_10d() -> Figure {
     let uv = UserVisits::generate(UserVisitsConfig {
         rows: SIM_ENTRIES,
         ua_distinct: 1_000,
         url_distinct: 100,
         seed: 14,
     });
+    let stream: Vec<(u64, u64)> = uv.user_agent.into_iter().zip(uv.ad_revenue).collect();
     let mut opt = OptGroupByMax::new();
-    let mut opt_stats = PruneStats::default();
-    for (k, v) in uv.user_agent.iter().zip(&uv.ad_revenue) {
-        opt_stats.record(opt.process(*k, *v));
-    }
-    println!("{:<6} {:>14} {:>14}", "w", "GroupBy", "OPT");
-    for w in 1usize..=9 {
+    let opt = unpruned(&stream, |&(k, v)| opt.process(k, v));
+    let ws: Vec<usize> = (1..=9).collect();
+    let groupby = ws.iter().map(|&w| {
         let mut p = GroupByPruner::new(512, w, Extremum::Max, 15);
-        let mut stats = PruneStats::default();
-        for (k, v) in uv.user_agent.iter().zip(&uv.ad_revenue) {
-            stats.record(p.process(*k, *v));
-        }
-        println!(
-            "{:<6} {:>14} {:>14}",
-            w,
-            fmt_frac(stats.unpruned_fraction()),
-            fmt_frac(opt_stats.unpruned_fraction())
-        );
+        unpruned(&stream, |&(k, v)| p.process(k, v))
+    });
+    Figure {
+        id: "Figure 10d",
+        title: "GROUP BY pruning vs matrix width",
+        caption: "§8.3, Figure 10d (99% pruning with 5 stages, all with 6)",
+        x: ("w", labels(&ws)),
+        series: vec![
+            frac("GroupBy", groupby),
+            frac("OPT", ws.iter().map(|_| opt)),
+        ],
     }
 }
 
 /// Figure 10e: JOIN unpruned fraction vs Bloom filter size: BF / RBF / OPT.
-pub fn fig_10e() {
-    header(
-        "Figure 10e",
-        "JOIN pruning vs Bloom filter size",
-        "§8.3, Figure 10e (≥1MB for a good rate; BF ≈ RBF; near-OPT at 16MB)",
-    );
+pub fn fig_10e() -> Figure {
     let n = SIM_ENTRIES / 2;
-    let mut rng = rng_for(16, "fig10e");
-    // ~10% key overlap (footnote 10).
-    let a_keys: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=10_000_000u64)).collect();
-    let b_keys: Vec<u64> = (0..n)
-        .map(|_| rng.gen_range(9_000_000..=19_000_000u64))
-        .collect();
+    let (a_keys, b_keys) = join_keys(n, 16, "fig10e");
     let opt = OptJoin::from_keys(b_keys.iter().copied());
-    let mut opt_stats = PruneStats::default();
-    for &k in &a_keys {
-        opt_stats.record(opt.process(k));
-    }
-    println!(
-        "{:<12} {:>14} {:>14} {:>14}",
-        "filter size", "BF", "RBF", "OPT"
-    );
-    for kb in [64u64, 256, 1024, 4096, 16384] {
+    let opt = unpruned(&a_keys, |&k| opt.process(k));
+    let kbs = [64u64, 256, 1024, 4096, 16384];
+    let bf = kbs.map(|kb| {
         let m_bits = kb * 1024 * 8;
         let mut bf = JoinPruner::new(
             BloomFilter::new(m_bits, 3, 1),
@@ -732,30 +807,31 @@ pub fn fig_10e() {
         for &k in &b_keys {
             bf.observe(Side::Right, k);
         }
-        let mut bf_stats = PruneStats::default();
-        for &k in &a_keys {
-            bf_stats.record(bf.prune_decision(Side::Left, k));
-        }
-        let mut rbf_b = RegisterBloomFilter::new(m_bits, 3, 4);
+        unpruned(&a_keys, |&k| bf.prune_decision(Side::Left, k))
+    });
+    let rbf = kbs.map(|kb| {
+        let mut rbf_b = RegisterBloomFilter::new(kb * 1024 * 8, 3, 4);
         for &k in &b_keys {
             rbf_b.insert(k);
         }
-        let mut rbf_stats = PruneStats::default();
-        for &k in &a_keys {
-            rbf_stats.record(if rbf_b.contains(k) {
-                cheetah_core::Decision::Forward
-            } else {
-                cheetah_core::Decision::Prune
-            });
-        }
-        println!(
-            "{:<12} {:>14} {:>14} {:>14}",
-            format!("{} KB", kb),
-            fmt_frac(bf_stats.unpruned_fraction()),
-            fmt_frac(rbf_stats.unpruned_fraction()),
-            fmt_frac(opt_stats.unpruned_fraction())
-        );
+        unpruned(&a_keys, |&k| membership(rbf_b.contains(k)))
+    });
+    Figure {
+        id: "Figure 10e",
+        title: "JOIN pruning vs Bloom filter size",
+        caption: "§8.3, Figure 10e (≥1MB for a good rate; BF ≈ RBF; near-OPT at 16MB)",
+        x: ("filter size", labels(kbs.map(|kb| format!("{kb} KB")))),
+        series: vec![
+            frac("BF", bf),
+            frac("RBF", rbf),
+            frac("OPT", kbs.map(|_| opt)),
+        ],
     }
+}
+
+/// A membership probe's decision: forward what may join.
+fn membership(member: bool) -> Decision {
+    [Decision::Prune, Decision::Forward][usize::from(member)]
 }
 
 /// The HAVING simulation workload: mildly skewed keys over a large
@@ -777,57 +853,43 @@ fn having_workload(rows: usize, keys: usize, seed: u64) -> (Vec<(u64, u64)>, u64
 
 /// Figure 10f: HAVING unpruned fraction vs counters per Count-Min row
 /// (3 rows).
-pub fn fig_10f() {
-    header(
-        "Figure 10f",
-        "HAVING pruning vs counters per row (3 Count-Min rows)",
-        "§8.3, Figure 10f (near-perfect pruning at 1024 counters/row)",
-    );
+pub fn fig_10f() -> Figure {
     let (entries, threshold) = having_workload(SIM_ENTRIES, 5_000, 17);
     let opt_unpruned = cheetah_core::opt::opt_having_unpruned(&entries, threshold);
-    let opt_frac = opt_unpruned as f64 / entries.len() as f64;
-    println!("{:<10} {:>14} {:>14}", "counters", "Having", "OPT");
-    for w in [32usize, 64, 128, 256, 512, 1024] {
+    let opt = opt_unpruned as f64 / entries.len() as f64;
+    let ws = [32usize, 64, 128, 256, 512, 1024];
+    let having = ws.map(|w| {
         let mut p = HavingPruner::new(3, w, threshold, 18);
-        let mut stats = PruneStats::default();
         for &(k, v) in &entries {
             p.pass_one(k, v);
         }
-        for &(k, _) in &entries {
-            stats.record(p.pass_two(k));
-        }
-        println!(
-            "{:<10} {:>14} {:>14}",
-            w,
-            fmt_frac(stats.unpruned_fraction()),
-            fmt_frac(opt_frac)
-        );
+        unpruned(&entries, |&(k, _)| p.pass_two(k))
+    });
+    Figure {
+        id: "Figure 10f",
+        title: "HAVING pruning vs counters per row (3 Count-Min rows)",
+        caption: "§8.3, Figure 10f (near-perfect pruning at 1024 counters/row)",
+        x: ("counters", labels(ws)),
+        series: vec![frac("Having", having), frac("OPT", ws.map(|_| opt))],
     }
 }
 
 // ---------------------------------------------------------------- fig 11
 
-/// Cumulative unpruned fractions at checkpoints along a stream.
-fn cumulative<F: FnMut(usize) -> cheetah_core::Decision>(
-    total: usize,
-    checkpoints: &[usize],
-    mut process: F,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(checkpoints.len());
-    let mut forwarded = 0u64;
-    let mut ci = 0;
-    for i in 0..total {
-        if process(i).is_forward() {
-            forwarded += 1;
-        }
-        if ci < checkpoints.len() && i + 1 == checkpoints[ci] {
+/// Cumulative unpruned fractions at checkpoints `cps` along a stream
+/// that ends at the last one.
+fn cumulative(cps: &[usize], mut process: impl FnMut(usize) -> Decision) -> Vec<f64> {
+    let (mut forwarded, mut out) = (0u64, Vec::with_capacity(cps.len()));
+    for i in 0..cps[cps.len() - 1] {
+        forwarded += u64::from(process(i).is_forward());
+        if cps.contains(&(i + 1)) {
             out.push(forwarded as f64 / (i + 1) as f64);
-            ci += 1;
         }
     }
     out
 }
 
+/// A fifth, two fifths, … of a `total`-entry stream.
 fn checkpoints(total: usize) -> Vec<usize> {
     [0.2, 0.4, 0.6, 0.8, 1.0]
         .iter()
@@ -835,28 +897,13 @@ fn checkpoints(total: usize) -> Vec<usize> {
         .collect()
 }
 
-fn print_scale_table(title: &str, cps: &[usize], series: &[(String, Vec<f64>)]) {
-    print!("{:<12}", title);
-    for cp in cps {
-        print!(" {:>12}", format!("@{}k", cp / 1000));
-    }
-    println!();
-    for (name, vals) in series {
-        print!("{name:<12}");
-        for v in vals {
-            print!(" {:>12}", fmt_frac(*v));
-        }
-        println!();
-    }
+/// Checkpoint labels, in thousands of entries.
+fn thousands(cps: &[usize]) -> Vec<String> {
+    labels(cps.iter().map(|cp| format!("@{}k", cp / 1000)))
 }
 
 /// Figure 11a: DISTINCT pruning vs data scale for several `d`.
-pub fn fig_11a() {
-    header(
-        "Figure 11a",
-        "DISTINCT pruning vs data scale (w = 2)",
-        "§8.3, Figure 11a (improves with scale: first occurrences amortize)",
-    );
+pub fn fig_11a() -> Figure {
     let uv = UserVisits::generate(UserVisitsConfig {
         rows: SIM_ENTRIES,
         ua_distinct: 2_000,
@@ -867,47 +914,47 @@ pub fn fig_11a() {
     let mut series = Vec::new();
     for d in [64usize, 256, 1024, 4096, 16384] {
         let mut m = CacheMatrix::new(d, 2, EvictionPolicy::Lru, 3);
-        let vals = cumulative(uv.len(), &cps, |i| m.process(uv.user_agent[i]));
-        series.push((format!("d={d}"), vals));
+        let vals = cumulative(&cps, |i| m.process(uv.user_agent[i]));
+        series.push(frac(format!("d={d}"), vals));
     }
     let mut opt = OptDistinct::new();
-    let vals = cumulative(uv.len(), &cps, |i| opt.process(uv.user_agent[i]));
-    series.push(("OPT".to_string(), vals));
-    print_scale_table("entries→", &cps, &series);
+    let vals = cumulative(&cps, |i| opt.process(uv.user_agent[i]));
+    series.push(frac("OPT", vals));
+    Figure {
+        id: "Figure 11a",
+        title: "DISTINCT pruning vs data scale (w = 2)",
+        caption: "§8.3, Figure 11a (improves with scale from d = 1024 up, as first \
+         occurrences amortize; d ≤ 256 thrashes, flat within 1%)",
+        x: ("entries", thousands(&cps)),
+        series,
+    }
 }
 
 /// Figure 11b: SKYLINE (APH) pruning vs data scale for several `w`.
-pub fn fig_11b() {
-    header(
-        "Figure 11b",
-        "SKYLINE (APH) pruning vs data scale",
-        "§8.3, Figure 11b (smaller output fraction at scale ⇒ better pruning)",
-    );
+pub fn fig_11b() -> Figure {
     let n = SIM_ENTRIES / 2;
-    let mut rng = rng_for(22, "fig11b");
-    let pts: Vec<[u64; 2]> = (0..n)
-        .map(|_| [rng.gen_range(1..1u64 << 16), rng.gen_range(1..1u64 << 16)])
-        .collect();
+    let pts = skyline_points(n, 22, "fig11b");
     let cps = checkpoints(n);
     let mut series = Vec::new();
     for w in [2usize, 4, 8, 16] {
         let mut p = SkylinePruner::new(2, w, Heuristic::aph_default());
-        let vals = cumulative(n, &cps, |i| p.process(&pts[i]));
-        series.push((format!("w={w}"), vals));
+        let vals = cumulative(&cps, |i| p.process(&pts[i]));
+        series.push(frac(format!("w={w}"), vals));
     }
     let mut opt = OptSkyline::new();
-    let vals = cumulative(n, &cps, |i| opt.process(&pts[i]));
-    series.push(("OPT".to_string(), vals));
-    print_scale_table("entries→", &cps, &series);
+    let vals = cumulative(&cps, |i| opt.process(&pts[i]));
+    series.push(frac("OPT", vals));
+    Figure {
+        id: "Figure 11b",
+        title: "SKYLINE (APH) pruning vs data scale",
+        caption: "§8.3, Figure 11b (smaller output fraction at scale ⇒ better pruning)",
+        x: ("entries", thousands(&cps)),
+        series,
+    }
 }
 
 /// Figure 11c: TOP N pruning vs data scale for several `w` (d = 4096).
-pub fn fig_11c() {
-    header(
-        "Figure 11c",
-        "TOP N (randomized) pruning vs data scale",
-        "§8.3, Figure 11c / Theorem 3's logarithmic dependence on m",
-    );
+pub fn fig_11c() -> Figure {
     let uv = UserVisits::generate(UserVisitsConfig {
         rows: SIM_ENTRIES,
         ua_distinct: 100,
@@ -918,22 +965,23 @@ pub fn fig_11c() {
     let mut series = Vec::new();
     for w in [4usize, 6, 8, 12] {
         let mut p = RandomizedTopN::new(4096, w, 24);
-        let vals = cumulative(uv.len(), &cps, |i| p.process(uv.ad_revenue[i]));
-        series.push((format!("w={w}"), vals));
+        let vals = cumulative(&cps, |i| p.process(uv.ad_revenue[i]));
+        series.push(frac(format!("w={w}"), vals));
     }
     let mut opt = OptTopN::new(250);
-    let vals = cumulative(uv.len(), &cps, |i| opt.process(uv.ad_revenue[i]));
-    series.push(("OPT".to_string(), vals));
-    print_scale_table("entries→", &cps, &series);
+    let vals = cumulative(&cps, |i| opt.process(uv.ad_revenue[i]));
+    series.push(frac("OPT", vals));
+    Figure {
+        id: "Figure 11c",
+        title: "TOP N (randomized) pruning vs data scale",
+        caption: "§8.3, Figure 11c / Theorem 3's logarithmic dependence on m",
+        x: ("entries", thousands(&cps)),
+        series,
+    }
 }
 
 /// Figure 11d: GROUP BY pruning vs data scale for several `w`.
-pub fn fig_11d() {
-    header(
-        "Figure 11d",
-        "GROUP BY pruning vs data scale",
-        "§8.3, Figure 11d",
-    );
+pub fn fig_11d() -> Figure {
     let uv = UserVisits::generate(UserVisitsConfig {
         rows: SIM_ENTRIES,
         ua_distinct: 1_000,
@@ -944,32 +992,25 @@ pub fn fig_11d() {
     let mut series = Vec::new();
     for w in [2usize, 4, 6, 8, 10] {
         let mut p = GroupByPruner::new(512, w, Extremum::Max, 26);
-        let vals = cumulative(uv.len(), &cps, |i| {
-            p.process(uv.user_agent[i], uv.ad_revenue[i])
-        });
-        series.push((format!("w={w}"), vals));
+        let vals = cumulative(&cps, |i| p.process(uv.user_agent[i], uv.ad_revenue[i]));
+        series.push(frac(format!("w={w}"), vals));
     }
     let mut opt = OptGroupByMax::new();
-    let vals = cumulative(uv.len(), &cps, |i| {
-        opt.process(uv.user_agent[i], uv.ad_revenue[i])
-    });
-    series.push(("OPT".to_string(), vals));
-    print_scale_table("entries→", &cps, &series);
+    let vals = cumulative(&cps, |i| opt.process(uv.user_agent[i], uv.ad_revenue[i]));
+    series.push(frac("OPT", vals));
+    Figure {
+        id: "Figure 11d",
+        title: "GROUP BY pruning vs data scale",
+        caption: "§8.3, Figure 11d (improves with scale; w ≥ 6 matches OPT throughout)",
+        x: ("entries", thousands(&cps)),
+        series,
+    }
 }
 
 /// Figure 11e: JOIN pruning vs data scale for several filter sizes.
-pub fn fig_11e() {
-    header(
-        "Figure 11e",
-        "JOIN pruning vs data scale",
-        "§8.3, Figure 11e (false positives accumulate ⇒ degrades with scale)",
-    );
+pub fn fig_11e() -> Figure {
     let n = SIM_ENTRIES / 2;
-    let mut rng = rng_for(27, "fig11e");
-    let a_keys: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=10_000_000u64)).collect();
-    let b_keys: Vec<u64> = (0..n)
-        .map(|_| rng.gen_range(9_000_000..=19_000_000u64))
-        .collect();
+    let (a_keys, b_keys) = join_keys(n, 27, "fig11e");
     let cps = checkpoints(n);
     let mut series = Vec::new();
     for mb in [0.25f64, 1.0, 4.0, 16.0] {
@@ -977,37 +1018,30 @@ pub fn fig_11e() {
         // Filters fill as the B-side streams; probe A-side prefix-aligned
         // (both sides grow together, as in the two-pass flow).
         let mut filter = BloomFilter::new(m_bits, 3, 28);
-        let vals = cumulative(n, &cps, |i| {
+        let vals = cumulative(&cps, |i| {
             filter.insert(b_keys[i]);
-            if filter.contains(a_keys[i]) {
-                cheetah_core::Decision::Forward
-            } else {
-                cheetah_core::Decision::Prune
-            }
+            membership(filter.contains(a_keys[i]))
         });
-        series.push((format!("{mb}MB"), vals));
+        series.push(frac(format!("{mb}MB"), vals));
     }
     // OPT: exact membership of the B prefix.
     let mut seen = HashSet::new();
-    let vals = cumulative(n, &cps, |i| {
+    let vals = cumulative(&cps, |i| {
         seen.insert(b_keys[i]);
-        if seen.contains(&a_keys[i]) {
-            cheetah_core::Decision::Forward
-        } else {
-            cheetah_core::Decision::Prune
-        }
+        membership(seen.contains(&a_keys[i]))
     });
-    series.push(("OPT".to_string(), vals));
-    print_scale_table("entries→", &cps, &series);
+    series.push(frac("OPT", vals));
+    Figure {
+        id: "Figure 11e",
+        title: "JOIN pruning vs data scale",
+        caption: "§8.3, Figure 11e (false positives accumulate ⇒ degrades with scale)",
+        x: ("entries", thousands(&cps)),
+        series,
+    }
 }
 
 /// Figure 11f: HAVING pruning vs data scale for several counter widths.
-pub fn fig_11f() {
-    header(
-        "Figure 11f",
-        "HAVING pruning vs data scale (3 Count-Min rows)",
-        "§8.3, Figure 11f (Count-Min false positives grow with the data)",
-    );
+pub fn fig_11f() -> Figure {
     let (entries, threshold) = having_workload(SIM_ENTRIES, 5_000, 29);
     let cps = checkpoints(entries.len());
     let mut series = Vec::new();
@@ -1022,77 +1056,60 @@ pub fn fig_11f() {
                 p.pass_one(k, v);
             }
             prev = cp;
-            let fwd = entries[..cp]
-                .iter()
-                .filter(|&&(k, _)| p.pass_two(k).is_forward())
-                .count();
-            vals.push(fwd as f64 / cp as f64);
+            vals.push(unpruned(&entries[..cp], |&(k, _)| p.pass_two(k)));
         }
-        series.push((format!("w=2^{}", w.ilog2()), vals));
+        series.push(frac(format!("w=2^{}", w.ilog2()), vals));
     }
     // OPT at each checkpoint (threshold fixed at the full-stream value, as
     // in the paper where c is part of the query).
-    let vals = cps
-        .iter()
-        .map(|&cp| {
-            cheetah_core::opt::opt_having_unpruned(&entries[..cp], threshold) as f64 / cp as f64
-        })
-        .collect();
-    series.push(("OPT".to_string(), vals));
-    print_scale_table("entries→", &cps, &series);
+    let vals = cps.iter().map(|&cp| {
+        cheetah_core::opt::opt_having_unpruned(&entries[..cp], threshold) as f64 / cp as f64
+    });
+    series.push(frac("OPT", vals));
+    Figure {
+        id: "Figure 11f",
+        title: "HAVING pruning vs data scale (3 Count-Min rows)",
+        caption: "§8.3, Figure 11f (Count-Min false positives grow with the data)",
+        x: ("entries", thousands(&cps)),
+        series,
+    }
 }
 
 // ------------------------------------------------------------ fig 12/13
 
 /// Figures 12 and 13: processing on a server vs the switch CPU
 /// (NetAccel's overflow path), for Group-By and Distinct.
-pub fn fig_12_13() {
-    header(
-        "Figures 12/13",
-        "server vs switch-CPU processing time",
-        "Appendix F (the switch CPU neither computes nor moves data fast)",
-    );
+pub fn fig_12_13() -> Figure {
     let na = NetAccelModel::default();
-    println!("{:<14} {:>14} {:>16}", "entries", "server", "switch CPU");
-    for entries in [1_000_000u64, 5_000_000, 10_000_000, 50_000_000, 100_000_000] {
-        println!(
-            "{:<14} {:>12.2} s {:>14.2} s",
-            entries,
-            na.server_s(entries),
-            na.switch_cpu_s(entries)
-        );
+    let entries = [1_000_000u64, 5_000_000, 10_000_000, 50_000_000, 100_000_000];
+    Figure {
+        id: "Figures 12/13",
+        title: "server vs switch-CPU processing time",
+        caption: "Appendix F (the switch CPU neither computes nor moves data fast; one model \
+                  serves Figure 12's Group-By and Figure 13's Distinct: the bottleneck is the \
+                  dataplane→CPU channel and the wimpy core, not the op)",
+        x: ("entries", labels(entries)),
+        series: vec![
+            secs("server", 2, entries.map(|e| na.server_s(e))),
+            secs("switch CPU", 2, entries.map(|e| na.switch_cpu_s(e))),
+        ],
     }
-    println!("(identical model for Figure 12 Group-By and Figure 13 Distinct: the");
-    println!(" bottleneck is the dataplane→CPU channel and the wimpy core, not the op)");
 }
 
 // ------------------------------------------------------------ extensions
 
 /// Beyond the paper's figures: quantify the §9 extensions (multi-entry
 /// packets, switch trees) and the full-stack pisa backend.
-pub fn extensions() {
-    header(
-        "Extensions",
-        "§9 batching + switch trees; reference vs pisa backend",
-        "§9 / footnotes (no corresponding paper figure)",
-    );
-    use cheetah_core::batch::{BatchedPruner, DistinctBatchAccess};
-    use cheetah_core::distinct::DistinctPruner;
-    use cheetah_core::multiswitch::SwitchTree;
-    use cheetah_core::RowPruner;
-    use cheetah_engine::backend::SwitchBackend;
+pub fn extensions() -> Vec<Figure> {
+    const CAPTION: &str = "§9 / footnotes (no corresponding paper figure)";
 
     // Batching sweep: packets sent vs pruning lost.
     let mut rng = rng_for(90, "ext-batch");
     let stream: Vec<u64> = (0..SIM_ENTRIES / 2)
         .map(|_| rng.gen_range(1..2_000u64))
         .collect();
-    println!("— §9 multi-entry packets (DISTINCT, 512×2) —");
-    println!(
-        "{:<18} {:>10} {:>12} {:>10}",
-        "entries/packet", "packets", "unpruned", "skipped"
-    );
-    for per_packet in [1usize, 2, 4, 8] {
+    let per_packet = [1usize, 2, 4, 8];
+    let batched = per_packet.map(|per_packet| {
         let inner = DistinctBatchAccess::new(DistinctPruner::new(512, 2, EvictionPolicy::Lru, 3));
         let mut b = BatchedPruner::new(inner);
         for chunk in stream.chunks(per_packet) {
@@ -1100,95 +1117,85 @@ pub fn extensions() {
             let refs: Vec<&[u64]> = entries.iter().map(|v| v.as_slice()).collect();
             b.process_packet(&refs);
         }
-        println!(
-            "{:<18} {:>10} {:>12} {:>10}",
-            per_packet,
-            b.stats.packets,
-            fmt_frac(b.stats.unpruned_fraction()),
-            b.stats.skipped
-        );
-    }
+        b.stats
+    });
+    let batching = Figure {
+        id: "Extensions",
+        title: "§9 multi-entry packets (DISTINCT, 512×2)",
+        caption: CAPTION,
+        x: ("entries/packet", labels(per_packet)),
+        series: vec![
+            count("packets", batched.iter().map(|s| s.packets)),
+            frac("unpruned", batched.iter().map(|s| s.unpruned_fraction())),
+            count("skipped", batched.iter().map(|s| s.skipped)),
+        ],
+    };
 
     // Switch tree vs a single switch.
-    println!("\n— §9 switch tree vs one switch (DISTINCT, 64×2 each) —");
-    let tree_stream: Vec<u64> = {
-        let mut rng = rng_for(91, "ext-tree");
-        (0..SIM_ENTRIES / 2)
-            .map(|_| rng.gen_range(1..600u64))
-            .collect()
+    let mut rng = rng_for(91, "ext-tree");
+    let tree_stream: Vec<u64> = (0..SIM_ENTRIES / 2)
+        .map(|_| rng.gen_range(1..600u64))
+        .collect();
+    let forwarded = |p: &mut dyn RowPruner| {
+        let fwd = tree_stream
+            .iter()
+            .filter(|&&k| p.process_row(&[k]).is_forward());
+        fwd.count() as u64
     };
-    let mut single = DistinctPruner::new(64, 2, EvictionPolicy::Lru, 2);
-    let single_fwd = tree_stream
-        .iter()
-        .filter(|&&k| single.process(k).is_forward())
-        .count();
-    for leaves in [2usize, 4, 8] {
+    let single_fwd = forwarded(&mut DistinctPruner::new(64, 2, EvictionPolicy::Lru, 2));
+    let leaves = [2usize, 4, 8];
+    let switches = leaves.map(|l| format!("{l} leaves + root"));
+    let tree_fwd = leaves.map(|leaves| {
         let leaf = |s: u64| -> Box<dyn RowPruner + Send> {
             Box::new(DistinctPruner::new(64, 2, EvictionPolicy::Lru, s))
         };
-        let mut tree = SwitchTree::new((0..leaves as u64).map(leaf).collect(), leaf(99), 7);
-        let fwd = tree_stream
-            .iter()
-            .filter(|&&k| tree.process_row(&[k]).is_forward())
-            .count();
-        println!(
-            "{} leaves + root: {:>8} forwarded   (single switch: {single_fwd})",
-            leaves, fwd
-        );
-    }
+        forwarded(&mut SwitchTree::new(
+            (0..leaves as u64).map(leaf).collect(),
+            leaf(99),
+            7,
+        ))
+    });
+    let tree = Figure {
+        id: "Extensions",
+        title: "§9 switch tree vs one switch (DISTINCT, 64×2 each)",
+        caption: CAPTION,
+        x: ("switches", labels(switches)),
+        series: vec![
+            count("forwarded", tree_fwd),
+            count("single switch", leaves.map(|_| single_fwd)),
+        ],
+    };
 
     // Full-stack pisa backend on the benchmark DISTINCT.
-    println!("\n— engine on the metered PISA backend —");
     let db = bigdata_db(100_000, 20_000, 1_000, 0.5, 92);
-    let q = Query::Distinct {
-        table: "uservisits".into(),
-        column: "userAgent".into(),
-    };
-    for (name, backend) in [
-        ("reference", SwitchBackend::Reference),
-        ("pisa", SwitchBackend::Pisa),
-    ] {
-        let exec = CheetahExecutor::new(
-            CostModel::default(),
-            PrunerConfig {
-                backend,
-                ..PrunerConfig::default()
-            },
-        );
-        let started = std::time::Instant::now();
+    let q = distinct_agents();
+    let backends = [SwitchBackend::Reference, SwitchBackend::Pisa];
+    let runs = backends.map(|backend| {
+        let cfg = PrunerConfig {
+            backend,
+            ..PrunerConfig::default()
+        };
+        let exec = CheetahExecutor::new(CostModel::default(), cfg);
+        let started = Instant::now();
         let r = Executor::execute(&exec, &db, &q);
-        println!(
-            "{:<10} backend: pruned {:.4}, result size {}, wall {:?}",
-            name,
-            r.prune_stats().pruned_fraction(),
-            r.result.output_size(),
-            started.elapsed()
-        );
-    }
-}
-
-/// Run every experiment in paper order.
-pub fn run_all() {
-    table_2();
-    table_3();
-    fig_5();
-    fig_6a();
-    fig_6b();
-    fig_7();
-    fig_8();
-    fig_9();
-    fig_10a();
-    fig_10b();
-    fig_10c();
-    fig_10d();
-    fig_10e();
-    fig_10f();
-    fig_11a();
-    fig_11b();
-    fig_11c();
-    fig_11d();
-    fig_11e();
-    fig_11f();
-    fig_12_13();
-    extensions();
+        (r, started.elapsed().as_secs_f64())
+    });
+    let engine = Figure {
+        id: "Extensions",
+        title: "engine on the metered PISA backend",
+        caption: CAPTION,
+        x: ("backend", labels(["reference", "pisa"])),
+        series: vec![
+            frac(
+                "pruned",
+                runs.iter().map(|(r, _)| r.prune_stats().pruned_fraction()),
+            ),
+            count(
+                "result size",
+                runs.iter().map(|(r, _)| r.result.output_size()),
+            ),
+            secs("wall", 4, runs.iter().map(|&(_, wall)| wall)),
+        ],
+    };
+    vec![batching, tree, engine]
 }

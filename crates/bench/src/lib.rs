@@ -76,11 +76,3 @@ pub fn fmt_frac(f: f64) -> String {
         format!("{f:.2e}")
     }
 }
-
-/// Print a standard experiment header.
-pub fn header(id: &str, title: &str, paper: &str) {
-    println!("\n================================================================");
-    println!("{id}: {title}");
-    println!("paper reference: {paper}");
-    println!("================================================================");
-}

@@ -421,6 +421,21 @@ impl FilterPruner {
         &self.switch_formula
     }
 
+    /// The atoms, each marked whether the switch evaluates it.
+    pub fn atoms(&self) -> &[Atom] {
+        &self.atoms
+    }
+
+    /// The full `WHERE` formula.
+    pub fn formula(&self) -> &Formula {
+        &self.original
+    }
+
+    /// The switch formula's compiled truth table.
+    pub fn table(&self) -> &TruthTable {
+        &self.table
+    }
+
     /// Resources: one ALU and one 32-bit constant register per supported
     /// atom (Appendix A.2.2), plus the truth-table match entries.
     pub fn resources(&self) -> ResourceUsage {

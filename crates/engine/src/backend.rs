@@ -116,10 +116,11 @@ impl Matrix {
 }
 
 /// A single-pass program at the geometry [`crate::bind`] sizes it to.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SinglePass<'q> {
-    /// The predicate's switch-evaluable relaxation.
-    Filter(&'q Predicate),
+#[derive(Debug, Clone)]
+pub(crate) enum SinglePass {
+    /// The predicate's switch-evaluable relaxation, compiled once
+    /// ([`relax`]).
+    Filter(Box<FilterPruner>),
     /// A `d × cfg.distinct_w` matrix ([`distinct_rows`]).
     Distinct { d: usize },
     /// A TOP `n` at [`topn_geometry`]'s stage.
@@ -130,18 +131,16 @@ pub(crate) enum SinglePass<'q> {
     Skyline { w: usize, dims: usize },
 }
 
-impl SinglePass<'_> {
+impl SinglePass {
     /// The program's pruner under `cfg.backend`.
-    pub(crate) fn pruner(self, cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
+    pub(crate) fn pruner(&self, cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
         use SwitchBackend::{Pisa, Reference};
         use TopNGeometry::{Deterministic, Randomized};
         let seed = cfg.seed;
-        match (cfg.backend, self) {
-            (Reference, SinglePass::Filter(p)) => Box::new(
-                FilterPruner::new(p.atoms.clone(), p.formula.clone()).expect("filter compiles"),
-            ),
-            (Pisa, SinglePass::Filter(p)) => Box::new(ProgramPruner::new(
-                FilterProgram::new(spec(), p.atoms.clone(), &p.formula)
+        match (cfg.backend, self.clone()) {
+            (Reference, SinglePass::Filter(f)) => f,
+            (Pisa, SinglePass::Filter(f)) => Box::new(ProgramPruner::new(
+                FilterProgram::new(spec(), f.atoms().to_vec(), f.formula())
                     .unwrap_or_else(|e| panic!("filter program: {e:?}")),
             )),
             (Reference, SinglePass::Distinct { d }) => Box::new(DistinctPruner::new(
@@ -330,9 +329,23 @@ pub fn groupby(cfg: &PrunerConfig, ext: Extremum) -> Box<dyn RowPruner + Send> {
     SinglePass::GroupBy(Matrix { d, w }, ext).pruner(cfg)
 }
 
+/// §4.1's relaxation of `p`, at most one stage's ALUs wide: past the
+/// first `alus_per_stage` atoms the relaxation reads, in id order, each
+/// supported atom is relaxed to `True` as an unsupported one is, so both
+/// backends compile the same table. The master re-checks the full
+/// predicate.
+pub(crate) fn relax(p: &Predicate) -> FilterPruner {
+    let mut atoms = p.atoms.clone();
+    let reads = p.formula.decompose(&atoms).atom_ids();
+    for id in reads.into_iter().skip(spec().alus_per_stage as usize) {
+        atoms[id].supported = false;
+    }
+    FilterPruner::new(atoms, p.formula.clone()).expect("a stage's ALUs fit the truth table")
+}
+
 /// Filtering pruner over the predicate's switch-evaluable relaxation.
 pub fn filter(cfg: &PrunerConfig, predicate: &Predicate) -> Box<dyn RowPruner + Send> {
-    SinglePass::Filter(predicate).pruner(cfg)
+    SinglePass::Filter(Box::new(relax(predicate))).pruner(cfg)
 }
 
 /// SKYLINE pruner storing `cfg.skyline_w` points.

@@ -8,12 +8,11 @@
 use std::fmt;
 
 use cheetah_core::distinct::EvictionPolicy;
-use cheetah_core::filter::TruthTable;
 use cheetah_core::groupby::Extremum;
 use cheetah_core::resources::{table2, ResourceUsage};
 
 use crate::backend::{
-    distinct_rows, having_by_registers, spec, topn_geometry, JoinFilters, Matrix, SinglePass,
+    distinct_rows, having_by_registers, relax, spec, topn_geometry, JoinFilters, Matrix, SinglePass,
 };
 use crate::cheetah::PrunerConfig;
 use crate::query::{Agg, FetchSpec, Predicate, Query};
@@ -21,11 +20,11 @@ use crate::sharded::lopsided;
 use crate::table::{Database, Table};
 
 /// The dataflow a bound query runs, at the geometry it is built at.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) enum Program<'a> {
     /// One row-pruned pass: the shapes serving can pack into a shared
     /// scan (Filter, DISTINCT, TOP N, GROUP BY MAX/MIN, SKYLINE).
-    SinglePass(SinglePass<'a>),
+    SinglePass(SinglePass),
     /// §6 register aggregation: GROUP BY SUM/COUNT, and a HAVING whose key
     /// domain fits the registers (`backend::having_by_registers`).
     Registers {
@@ -131,15 +130,15 @@ impl Program<'_> {
     /// paper map records: the filter's, whose twin looks its truth table
     /// up a stage after its comparisons, and GROUP BY's, whose twin scans
     /// its row as one widened stage (`backend::groupby_spec`).
-    fn charge(self, cfg: &PrunerConfig) -> ResourceUsage {
-        match self {
-            Program::SinglePass(SinglePass::Filter(p)) => {
-                // A 17-bit match entry per assignment the relaxation takes.
-                let relaxation = p.formula.decompose(&p.atoms);
-                let entries = TruthTable::compile(&relaxation).map_or(0, |t| t.true_entries());
+    fn charge(&self, cfg: &PrunerConfig) -> ResourceUsage {
+        match *self {
+            Program::SinglePass(SinglePass::Filter(ref f)) => {
+                // An ALU per atom the relaxation reads, and a 17-bit match
+                // entry per assignment it takes.
+                let table = f.table();
                 ResourceUsage {
-                    sram_bits: 17 * entries,
-                    ..table2::filter(p.atoms.len() as u32)
+                    sram_bits: 17 * table.true_entries(),
+                    ..table2::filter(table.arity() as u32)
                 }
             }
             Program::SinglePass(SinglePass::Distinct { d }) => {
@@ -269,7 +268,7 @@ impl Query {
                 }
             }
             Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
-                Program::SinglePass(SinglePass::Filter(predicate))
+                Program::SinglePass(SinglePass::Filter(Box::new(relax(predicate))))
             }
             Query::Distinct { .. } | Query::DistinctMulti { .. } => {
                 let d = distinct_rows(cfg, t, &cols);
@@ -292,15 +291,15 @@ impl Query {
                 dims: cols.len(),
             }),
         };
-        if let (Program::SinglePass(_), FetchSpec::Plus(names)) = (program, &cfg.fetch) {
+        if let (Program::SinglePass(_), FetchSpec::Plus(names)) = (&program, &cfg.fetch) {
             names.iter().try_for_each(|n| col(t, n).map(drop))?;
         }
         Ok(Bound {
             query: self,
             table: t,
             cols,
-            program,
             charge: program.charge(cfg),
+            program,
         })
     }
 
@@ -343,8 +342,8 @@ mod tests {
     fn twin(cfg: &PrunerConfig, b: &Bound<'_>) -> (u32, u64) {
         let seed = cfg.seed;
         match b.program {
-            Program::SinglePass(SinglePass::Filter(p)) => {
-                metered(&FilterProgram::new(spec(), p.atoms.clone(), &p.formula).expect("fits"))
+            Program::SinglePass(SinglePass::Filter(ref f)) => {
+                metered(&FilterProgram::new(spec(), f.atoms().to_vec(), f.formula()).expect("fits"))
             }
             Program::SinglePass(SinglePass::Distinct { d }) => match cfg.distinct_policy {
                 EvictionPolicy::Lru => metered(
@@ -442,6 +441,7 @@ mod tests {
                 table: "t".into(),
                 predicate: constant,
             },
+            wide_filter(24),
             Query::DistinctMulti {
                 table: "t".into(),
                 columns: vec!["k".into(), "w".into()],
@@ -484,6 +484,35 @@ mod tests {
         let charge = skyline.bind(&db, &default).expect("binds").charge;
         assert_eq!(charge.stages, 21);
         assert!(!charge.fits(&tofino));
+    }
+
+    /// `v ≠ 0 ∧ v ≠ 1 ∧ … ∧ v ≠ atoms − 1` over `t`.
+    fn wide_filter(atoms: u64) -> Query {
+        Query::FilterCount {
+            table: "t".into(),
+            predicate: Predicate {
+                columns: vec!["v".into()],
+                atoms: (0..atoms).map(|c| Atom::cmp(0, CmpOp::Ne, c)).collect(),
+                formula: Formula::And((0..atoms as usize).map(Formula::Atom).collect()),
+            },
+        }
+    }
+
+    /// A filter wider than a stage's ALUs binds to its relaxation over the
+    /// first `alus_per_stage` atoms: one stage's comparisons and the one
+    /// match entry their conjunction takes.
+    #[test]
+    fn a_wide_filter_is_charged_what_one_stage_holds() {
+        let db = random_db(300, 1);
+        let q = wide_filter(24);
+        let b = q.bind(&db, &PrunerConfig::default()).expect("binds");
+        let want = ResourceUsage {
+            stages: 1,
+            alus: SwitchModel::tofino_like().alus_per_stage,
+            sram_bits: 17,
+            tcam_entries: 0,
+        };
+        assert_eq!(b.charge, want);
     }
 
     /// Every name `q` reads, each with the table whose column it names
@@ -585,18 +614,18 @@ mod tests {
                 let b = q.bind(&db, &cfg).expect("the shape matrix binds");
                 let bound: Vec<&str> = b.cols.iter().map(|&c| b.table.schema()[c].as_str()).collect();
                 prop_assert_eq!(bound, lanes(&q), "{}", q.kind());
-                let ok = match (&q, b.program) {
+                let ok = match (&q, &b.program) {
                     (Query::GroupBy { agg: Agg::Sum | Agg::Count, .. }, Program::Registers { threshold, .. }) => {
                         threshold.is_none()
                     }
                     (Query::Having { threshold, .. }, Program::Registers { threshold: c, .. }) => {
-                        by_registers && c == Some(*threshold)
+                        by_registers && *c == Some(*threshold)
                     }
                     (Query::Having { threshold, .. }, Program::Having { threshold: c, .. }) => {
-                        !by_registers && c == *threshold
+                        !by_registers && c == threshold
                     }
                     (Query::Join { .. }, Program::Join { right, right_col, lopsided: l, .. }) => {
-                        std::ptr::eq(right, s) && right_col == 0 && l == lopsided(t.rows(), s.rows())
+                        std::ptr::eq(*right, s) && *right_col == 0 && *l == lopsided(t.rows(), s.rows())
                     }
                     (Query::GroupBy { agg: Agg::Max | Agg::Min, .. }, Program::SinglePass(_)) => true,
                     (Query::GroupBy { .. } | Query::Having { .. } | Query::Join { .. }, _) => false,

@@ -160,7 +160,7 @@ pub(crate) enum ArmedFlow {
 /// The switch pruner a bound single-pass query installs, at its bound
 /// geometry.
 pub(crate) fn single_pass_pruner(cfg: &PrunerConfig, b: &Bound<'_>) -> Box<dyn RowPruner + Send> {
-    match b.program {
+    match &b.program {
         Program::SinglePass(p) => p.pruner(cfg),
         _ => unreachable!("only single-pass programs install a row pruner"),
     }
@@ -524,7 +524,7 @@ impl CheetahExecutor {
         let interleave =
             |t: &Table, cols: &[usize]| EntryStream::interleaved(t, cols, self.model.workers);
         match b.program {
-            Program::SinglePass(p) => {
+            Program::SinglePass(ref p) => {
                 let mut pruner = p.pruner(cfg);
                 let decide = |_, visible: &[&[u64]], out: &mut [Decision]| {
                     pruner.process_block(visible, out)
@@ -778,7 +778,7 @@ impl CheetahExecutor {
         // The two-pass flows stream twice; everything else, register
         // aggregation included, once.
         let (passes, cols, mut decide): (u64, Vec<usize>, Decide) = match b.program {
-            Program::SinglePass(p) => (1, b.cols.clone(), prune(p.pruner(cfg))),
+            Program::SinglePass(ref p) => (1, b.cols.clone(), prune(p.pruner(cfg))),
             Program::Registers { matrix, .. } => {
                 // The MAX register matrix doubles as the SUM/COUNT
                 // accumulator-cost proxy: same row scan, same memory.
@@ -1529,10 +1529,10 @@ pub(crate) mod tests {
             prop_assert_eq!(Partial::top(values, n), Partial::Top { n, values: sorted });
         }
 
-        /// Every arm answers what the reference answers over a grammar of
-        /// well-formed queries `all_queries()` never draws: predicates over
-        /// zero to three columns, repeats included, with nested constant
-        /// formulas; multi-column keys with repeated columns; TOP N at the
+        /// Every arm, on both backends, answers what the reference answers
+        /// over a grammar of well-formed queries `all_queries()` never
+        /// draws: predicates of up to twenty atoms over zero to three
+        /// columns, repeats included, with nested constant formulas; multi-column keys with repeated columns; TOP N at the
         /// edges of the table; HAVING at both threshold extremes; and
         /// self-joins and joins on non-key columns — over tables of 0, 1, 2,
         /// 7 and 3,000 rows.
@@ -1548,8 +1548,14 @@ pub(crate) mod tests {
             for _ in 0..8 {
                 let q = grammar_query(&mut rng, rows);
                 let truth = reference::evaluate(&db, &q);
-                for (arm, result) in every_arm(&PrunerConfig::default(), &db, &q, shards) {
-                    prop_assert!(result == truth, "{} diverged over {} rows on {:?}", arm, rows, q);
+                for backend in [SwitchBackend::Reference, SwitchBackend::Pisa] {
+                    let cfg = PrunerConfig { backend, ..PrunerConfig::default() };
+                    for (arm, result) in every_arm(&cfg, &db, &q, shards) {
+                        prop_assert!(
+                            result == truth,
+                            "{} on {:?} diverged over {} rows on {:?}", arm, backend, rows, q
+                        );
+                    }
                 }
             }
         }
@@ -1568,10 +1574,12 @@ pub(crate) mod tests {
         match rng.gen_range(0..8u8) {
             filter @ 0..=1 => {
                 let columns = cols(rng, 0);
+                // Up to twice a stage's ten ALUs: bind relaxes the atoms
+                // past them.
                 let atoms: Vec<Atom> = if columns.is_empty() {
                     Vec::new()
                 } else {
-                    (0..rng.gen_range(0..4usize))
+                    (0..rng.gen_range(0..=20usize))
                         .map(|_| {
                             let (c, k) =
                                 (rng.gen_range(0..columns.len()), rng.gen_range(0..10_000));
@@ -1585,7 +1593,25 @@ pub(crate) mod tests {
                         })
                         .collect()
                 };
-                let formula = grammar_formula(rng, atoms.len(), 3);
+                let formula = if rng.gen_bool(0.5) {
+                    grammar_formula(rng, atoms.len(), 3)
+                } else {
+                    // Every atom once, in one conjunction or disjunction.
+                    let literals = (0..atoms.len())
+                        .map(|i| {
+                            if rng.gen_bool(0.5) {
+                                Formula::Atom(i)
+                            } else {
+                                Formula::NotAtom(i)
+                            }
+                        })
+                        .collect();
+                    if rng.gen_bool(0.5) {
+                        Formula::And(literals)
+                    } else {
+                        Formula::Or(literals)
+                    }
+                };
                 let predicate = crate::query::Predicate {
                     columns,
                     atoms,

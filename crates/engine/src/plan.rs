@@ -160,7 +160,7 @@ impl PlanContext {
 /// merge is a buffer append or an integer sum (partition-local JOIN, the
 /// range shapes) are effectively free per stage.
 fn sampled_merge_cost(cfg: &PrunerConfig, b: &Bound<'_>) -> f64 {
-    match (b.program, b.query) {
+    match (&b.program, b.query) {
         (Program::Registers { matrix, .. }, _) => {
             // Two register matrices' worth of disjoint-ish keys: the
             // worst-case run a tree stage can see.
@@ -172,8 +172,8 @@ fn sampled_merge_cost(cfg: &PrunerConfig, b: &Bound<'_>) -> f64 {
             t0.elapsed().as_secs_f64()
         }
         (Program::Having { threshold, sketch }, _) => {
-            let mut a = HavingPruner::new(sketch.d, sketch.w, threshold, cfg.seed);
-            let b = HavingPruner::new(sketch.d, sketch.w, threshold, cfg.seed);
+            let mut a = HavingPruner::new(sketch.d, sketch.w, *threshold, cfg.seed);
+            let b = HavingPruner::new(sketch.d, sketch.w, *threshold, cfg.seed);
             let t0 = Instant::now();
             a.merge(&b);
             t0.elapsed().as_secs_f64()

@@ -349,9 +349,9 @@ impl Executor for ServeExecutor {
 /// cached flow stays as pass 1 left it). `None` under the pisa backend,
 /// whose state lives inside the metered program.
 fn rearmed(cached: &ArmedFlow, b: &Bound<'_>) -> Option<ArmedFlow> {
-    match (cached, b.program) {
+    match (cached, &b.program) {
         (ArmedFlow::Having(flow), Program::Having { threshold, .. }) => {
-            let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), threshold);
+            let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), *threshold);
             Some(ArmedFlow::Having(flow))
         }
         (ArmedFlow::Join(flow), Program::Join { .. }) => {
