@@ -8,6 +8,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::io::{self, Write};
 use std::time::Instant;
 
 use cheetah_core::batch::{BatchedPruner, DistinctBatchAccess};
@@ -82,6 +83,8 @@ pub enum Values {
     Seconds(usize, Vec<f64>),
     /// Counts.
     Count(Vec<u64>),
+    /// Sizes in bits, printed in KB or, from 1 MB, in MB.
+    Bits(Vec<u64>),
     /// Preformatted cells.
     Text(Vec<String>),
 }
@@ -93,17 +96,24 @@ impl Values {
             Values::Frac(v) => fmt_frac(v[i]),
             Values::Seconds(decimals, v) => format!("{:.*} s", decimals, v[i]),
             Values::Count(v) => v[i].to_string(),
+            Values::Bits(v) if v[i] >= 8 << 20 => {
+                format!("{:.1} MB", v[i] as f64 / (8 << 20) as f64)
+            }
+            Values::Bits(v) => format!("{:.1} KB", v[i] as f64 / (8 << 10) as f64),
             Values::Text(v) => v[i].clone(),
         }
     }
 }
 
-/// Print `f`: a header, then one row per x label and one column per
-/// series.
-pub fn render(f: &Figure) {
+/// Write `f` to `out`: a header, then one row per x label and one column
+/// per series.
+pub fn render(out: &mut impl Write, f: &Figure) -> io::Result<()> {
     let rule = "=".repeat(64);
     let (id, title, caption) = (f.id, f.title, f.caption);
-    println!("\n{rule}\n{id}: {title}\npaper reference: {caption}\n{rule}");
+    writeln!(
+        out,
+        "\n{rule}\n{id}: {title}\npaper reference: {caption}\n{rule}"
+    )?;
     let (x_name, labels) = &f.x;
     let head = f.series.iter().map(|s| s.name.clone());
     let mut rows: Vec<Vec<String>> = vec![[x_name.to_string()].into_iter().chain(head).collect()];
@@ -122,8 +132,9 @@ pub fn render(f: &Figure) {
         for (cell, w) in row.iter().zip(&widths).skip(1) {
             line += &format!("  {cell:>w$}");
         }
-        println!("{}", line.trim_end());
+        writeln!(out, "{}", line.trim_end())?;
     }
+    Ok(())
 }
 
 /// Labels from anything printable.
@@ -149,6 +160,12 @@ fn secs(name: &str, decimals: usize, v: impl IntoIterator<Item = f64>) -> Series
 /// A series of counts.
 fn count(name: &str, v: impl IntoIterator<Item = u64>) -> Series {
     let (name, values) = (name.into(), Values::Count(v.into_iter().collect()));
+    Series { name, values }
+}
+
+/// A series of sizes in bits.
+fn bits(name: &str, v: impl IntoIterator<Item = u64>) -> Series {
+    let (name, values) = (name.into(), Values::Bits(v.into_iter().collect()));
     Series { name, values }
 }
 
@@ -212,11 +229,12 @@ pub fn experiment(id: &str) -> Option<Build> {
         .map(|&(_, build)| build)
 }
 
-/// Render every experiment in paper order.
-pub fn run_all() {
+/// Render every experiment to `out` in paper order.
+pub fn run_all(out: &mut impl Write) -> io::Result<()> {
     for (_, build) in EXPERIMENTS {
-        build().iter().for_each(render);
+        build().iter().try_for_each(|f| render(out, f))?;
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- pricing
@@ -274,13 +292,6 @@ pub fn table_2() -> Figure {
         ("HAVING       (w=1024, d=3)", table2::having(1024, 3, a)),
         ("Filtering    (1 predicate)", table2::filter(1)),
     ];
-    let sram = rows.iter().map(|(_, u)| {
-        if u.sram_bits >= 8 * 1024 * 1024 {
-            format!("{:.1} MB", u.sram_bits as f64 / 8.0 / 1024.0 / 1024.0)
-        } else {
-            format!("{:.1} KB", u.sram_kb())
-        }
-    });
     Figure {
         id: "Table 2",
         title: "switch resource consumption per algorithm",
@@ -289,7 +300,7 @@ pub fn table_2() -> Figure {
         series: vec![
             count("stages", rows.iter().map(|(_, u)| u64::from(u.stages))),
             count("ALUs", rows.iter().map(|(_, u)| u64::from(u.alus))),
-            text("SRAM", sram),
+            bits("SRAM", rows.iter().map(|(_, u)| u.sram_bits)),
             count("TCAM", rows.iter().map(|(_, u)| u64::from(u.tcam_entries))),
         ],
     }
@@ -1198,4 +1209,43 @@ pub fn extensions() -> Vec<Figure> {
         ],
     };
     vec![batching, tree, engine]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader that hangs up after `left` more bytes.
+    struct HangsUp {
+        left: usize,
+    }
+
+    impl Write for HangsUp {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that stops early (`experiments all | head`) is an error
+    /// `render` returns, wherever the pipe closes, not a panic.
+    #[test]
+    fn render_returns_a_closed_pipe_instead_of_panicking() {
+        let f = table_3();
+        let mut whole = Vec::new();
+        render(&mut whole, &f).expect("a Vec takes every byte");
+        for left in [0, 1, whole.len() / 2, whole.len() - 1] {
+            let err = render(&mut HangsUp { left }, &f).expect_err("the pipe closed");
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "after {left} bytes");
+        }
+        render(&mut HangsUp { left: whole.len() }, &f).expect("room for every byte");
+    }
 }

@@ -7,7 +7,6 @@ pub mod cost;
 pub mod experiments;
 pub mod netaccel;
 pub mod q3;
-pub mod streaming;
 
 use cheetah_engine::{Database, Table};
 use cheetah_workloads::bigdata::{Rankings, UserVisits, UserVisitsConfig};

@@ -11,6 +11,7 @@
 //! model or a pruner that breaks a claim fails here. README's paper map
 //! records where the printed caption restates the paper's.
 
+use std::fmt::Debug;
 use std::sync::OnceLock;
 
 use cheetah_bench::cost;
@@ -18,8 +19,17 @@ use cheetah_bench::experiments::{self as exp, priced, Figure, Values, SIM_ENTRIE
 use cheetah_bench::netaccel::NetAccelModel;
 use cheetah_bench::{bigdata_db, q3};
 use cheetah_core::filter::{Atom, CmpOp, Formula};
+use cheetah_core::groupby::Extremum::Max;
+use cheetah_core::SwitchModel;
+use cheetah_engine::backend::{groupby_spec, skyline_spec, spec};
 use cheetah_engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah_engine::{CostModel, Database, Executor, Predicate, Query, Table};
+use cheetah_pisa::programs::SkylineScoring::{Aph, Sum};
+use cheetah_pisa::programs::{
+    BloomJoinProgram, DetTopNProgram, DistinctFifoProgram, DistinctLruProgram, FilterProgram,
+    GroupByProgram, HavingProgram, RandTopNProgram, RbfJoinProgram, SkylineProgram,
+};
+use cheetah_pisa::{PipelineViolation, SwitchProgram};
 use cheetah_workloads::tpch::TpchData;
 
 /// One accessor per figure, each computing its figure once for every
@@ -83,6 +93,153 @@ fn falls(v: &[f64]) -> bool {
 /// `v` never falls.
 fn rises(v: &[f64]) -> bool {
     v.windows(2).all(|p| p[1] >= p[0])
+}
+
+// ------------------------------------------------------------ table 2
+
+/// The series `name` of `f`: counts or sizes in bits.
+fn counts<'f>(f: &'f Figure, name: &str) -> &'f [u64] {
+    let series = f.series.iter().find(|s| s.name == name);
+    match series.map(|s| &s.values) {
+        Some(Values::Count(v) | Values::Bits(v)) => v,
+        _ => panic!("{} has no integer series '{name}'", f.id),
+    }
+}
+
+/// The parameter `key` a Table 2 row label prints, `M=4MB` in bits.
+fn param(label: &str, key: &str) -> usize {
+    let at = label.find(&format!("{key}=")).map(|at| at + key.len() + 1);
+    let rest = &label[at.unwrap_or_else(|| panic!("'{label}' prints no {key}"))..];
+    let digits = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    let n: usize = rest[..digits].parse().expect("a number");
+    if rest[digits..].starts_with("MB") {
+        n * (8 << 20)
+    } else {
+        n
+    }
+}
+
+/// The stages a twin's metered pipeline occupies and the SRAM bits it
+/// allocates.
+fn metered(twin: Result<impl SwitchProgram, impl Debug>) -> (u32, u64) {
+    let pipe = twin.expect("the twin fits");
+    let pipe = pipe.pipeline();
+    (pipe.stages_occupied(), pipe.sram_used().iter().sum())
+}
+
+/// Table 2 against the metered pipeline: every row's PISA twin, built at
+/// the row's printed parameters on the envelope the engine builds it on,
+/// occupies the printed stages and SRAM bits, but for the exact
+/// differences README's paper map records. The `bind` charge tests reach
+/// neither JOIN BF nor SKYLINE SUM, which the engine never builds, nor
+/// TOP N Det at the printed N = 250, w = 4.
+#[test]
+fn table2_rows_are_what_their_pisa_twins_occupy() {
+    let t2 = exp::table_2();
+    let (stages, sram) = (counts(&t2, "stages"), counts(&t2, "SRAM"));
+    assert_eq!(t2.x.1.len(), 11, "one twin per row");
+    for (i, label) in t2.x.1.iter().enumerate() {
+        let p = |key| param(label, key);
+        let algorithm = label.split(" (").next().expect("a name").trim_end();
+        // The twin's (stages, bits) and what it occupies past the row.
+        let (twin, past): ((u32, u64), (i64, i64)) = match algorithm {
+            // A cursor column beside the w keys of each row.
+            "DISTINCT FIFO" => (
+                metered(DistinctFifoProgram::new(spec(), p("d"), p("w"), 0)),
+                (0, 64 * p("d") as i64),
+            ),
+            "DISTINCT LRU" => (
+                metered(DistinctLruProgram::new(spec(), p("d"), p("w"), 0)),
+                (0, 0),
+            ),
+            "SKYLINE SUM" => (
+                metered(SkylineProgram::new(skyline_spec(), p("D"), p("w"), Sum)),
+                (0, 0),
+            ),
+            // 2w + 1 stages, the log table's among them, and a log table
+            // of 2¹⁶ − 1 entries.
+            "SKYLINE APH" => (
+                metered(SkylineProgram::new(
+                    skyline_spec(),
+                    p("D"),
+                    p("w"),
+                    Aph { frac_bits: 8 },
+                )),
+                (-2, -32),
+            ),
+            // A running-minimum register beside the w + 1.
+            "TOP N Det" => (
+                metered(DetTopNProgram::new(spec(), p("N") as u64, p("w"))),
+                (0, 64),
+            ),
+            // A stage holding the sequence counter.
+            "TOP N Rand" => (
+                metered(RandTopNProgram::new(spec(), p("d"), p("w"), 0)),
+                (1, 64),
+            ),
+            // One widened stage scanning w keys, w values and a cursor.
+            "GROUP BY" => {
+                let (d, w) = (p("d"), p("w"));
+                (
+                    metered(GroupByProgram::new(groupby_spec(w), d, w, Max, 0)),
+                    (1 - w as i64, (w as i64 + 1) * d as i64 * 64),
+                )
+            }
+            // A filter per side, each of its H segments rounded up to
+            // whole words: at M = 4 MB, 64 bits more than a Tofino-like
+            // stage holds, so the row is metered on the Tofino-2 envelope.
+            "JOIN BF" => {
+                let (m, h) = (p("M") as u64, p("H"));
+                let segment = m.div_ceil(64 * h as u64) * 64;
+                let third_segment = PipelineViolation::SramBudget {
+                    stage: 0,
+                    requested_bits: segment,
+                    remaining_bits: segment - 64,
+                };
+                let on_tofino = BloomJoinProgram::new(spec(), m, h, 0, 1);
+                assert_eq!(on_tofino.err(), Some(third_segment), "{label}");
+                let deeper = SwitchModel::tofino2_like();
+                (
+                    metered(BloomJoinProgram::new(deeper, m, h, 0, 1)),
+                    (0, m as i64 + 128),
+                )
+            }
+            // A filter per side, each in its stage, and no pattern table:
+            // the twin derives a key's pattern from its hash.
+            "JOIN RBF" => {
+                let (m, h) = (p("M") as u64, p("H") as u32);
+                let patterns = 64u64.div_ceil(u64::from(h)) * 64;
+                (
+                    metered(RbfJoinProgram::new(spec(), m, m, h, 0, 1)),
+                    (1, (m - patterns) as i64),
+                )
+            }
+            "HAVING" => (
+                metered(HavingProgram::new(spec(), p("d"), p("w"), 1, 0)),
+                (0, 0),
+            ),
+            // The truth table looks the comparison up a stage later, in
+            // one 17-bit match entry in place of a 32-bit constant.
+            "Filtering" => {
+                assert!(label.ends_with("(1 predicate)"), "{label}");
+                let lt = vec![Atom::cmp(0, CmpOp::Lt, 1)];
+                (
+                    metered(FilterProgram::new(spec(), lt, &Formula::Atom(0))),
+                    (1, -15),
+                )
+            }
+            other => panic!("Table 2 row '{other}' has no twin"),
+        };
+        let printed = (stages[i] as i64, sram[i] as i64);
+        let metered = (i64::from(twin.0), twin.1 as i64);
+        assert_eq!(
+            (metered.0 - printed.0, metered.1 - printed.1),
+            past,
+            "{label}: twin {metered:?} vs printed {printed:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------------ figures 5–8

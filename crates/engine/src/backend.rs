@@ -35,14 +35,14 @@ pub enum SwitchBackend {
 }
 
 /// Envelope for the pisa backend's single-pipeline programs.
-pub(crate) fn spec() -> SwitchModel {
+pub fn spec() -> SwitchModel {
     SwitchModel::tofino_like()
 }
 
 /// SKYLINE needs more stages than one 12-stage pass (21 at the default
 /// w=10); real Tofinos chain pipes / recirculate, modeled here as a
 /// deeper envelope.
-pub(crate) fn skyline_spec() -> SwitchModel {
+pub fn skyline_spec() -> SwitchModel {
     SwitchModel {
         stages: 40,
         ..SwitchModel::tofino2_like()
@@ -169,7 +169,7 @@ impl SinglePass {
                 Box::new(GroupByPruner::new(m.d, m.w, ext, seed))
             }
             (Pisa, SinglePass::GroupBy(m, ext)) => Box::new(NonzeroKey::new(ProgramPruner::new(
-                GroupByProgram::new(groupby_spec(m), m.d, m.w, ext, seed)
+                GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed)
                     .expect("groupby program fits"),
             ))),
             (Reference, SinglePass::Skyline { w, dims }) => {
@@ -188,12 +188,12 @@ impl SinglePass {
     }
 }
 
-/// The envelope GROUP BY's PISA twin runs on: its wide-row scan touches
+/// The envelope a `w`-column GROUP BY twin runs on: its row scan touches
 /// 2w+1 cells in one stage — legal only under Table 2's `*` shared-memory
 /// assumption, which we model as a stage with matching ALU fan-out.
-pub(crate) fn groupby_spec(m: Matrix) -> SwitchModel {
+pub fn groupby_spec(w: usize) -> SwitchModel {
     SwitchModel {
-        alus_per_stage: (2 * m.w as u32 + 1).max(spec().alus_per_stage),
+        alus_per_stage: (2 * w as u32 + 1).max(spec().alus_per_stage),
         ..spec()
     }
 }

@@ -362,12 +362,13 @@ mod tests {
                 }
             },
             Program::SinglePass(SinglePass::GroupBy(m, ext)) => {
-                metered(&GroupByProgram::new(groupby_spec(m), m.d, m.w, ext, seed).expect("fits"))
+                metered(&GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed).expect("fits"))
             }
             // §6's registers have no PISA program of their own: GROUP BY
             // MAX's matrix is their twin, keys, values and cursor alike.
             Program::Registers { matrix: m, .. } => metered(
-                &GroupByProgram::new(groupby_spec(m), m.d, m.w, Extremum::Max, seed).expect("fits"),
+                &GroupByProgram::new(groupby_spec(m.w), m.d, m.w, Extremum::Max, seed)
+                    .expect("fits"),
             ),
             Program::SinglePass(SinglePass::Skyline { w, dims }) => metered(
                 &SkylineProgram::new(

@@ -1321,6 +1321,10 @@ mod tests {
             assert_eq!(r.executor, "distributed");
             let res = r.resilience.expect("distributed runs report resilience");
             assert_eq!(res.retries, 0, "{}: clean wire retries", q.kind());
+            // A retransmission without loss means the RTO/ACK accounting
+            // resends what the wire delivered.
+            assert_eq!(res.retransmissions, 0, "{}: clean wire resends", q.kind());
+            assert_eq!(res.deadline_expiries, 0, "{}: clean wire stalls", q.kind());
             assert_eq!(res.redispatches, 0);
             assert_eq!(res.losses, 0);
             assert_eq!(res.shard_reboots, 0);

@@ -139,7 +139,7 @@ pub struct ResilienceReport {
 /// (shared-scan packing vs solo pool dispatch vs budget spill) and what
 /// the cross-query filter cache did. Per-query details stay in the
 /// individual [`ExecutionReport`]s; this is the serving layer's own
-/// telemetry — the "queries/sec at N concurrent" number the bench sweeps.
+/// telemetry, which perfbench's `serve.*` metrics read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeReport {
     /// Queries admitted in the batch. Every one is answered exactly one
@@ -174,17 +174,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Aggregate serving throughput: admitted queries over the measured
-    /// batch wall clock (0.0 for an unmeasured or empty batch).
-    pub fn queries_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s > 0.0 {
-            self.queries as f64 / s
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of cacheable lookups served from the cache (0.0 when the
     /// batch had no cacheable flows).
     pub fn cache_hit_rate(&self) -> f64 {

@@ -21,20 +21,19 @@
 //!    switch-window arm before costing; the
 //!    deterministic arm (no exclusive switch window to reserve) remains.
 //! 3. **Cost.** Each surviving candidate gets a predicted wall from the
-//!    sampled switch estimate, a per-shape threading factor calibrated
-//!    against the committed `worker_scaling[]`/`shard_scaling[]` grids,
-//!    the measured merge cost, and per-arm setup charges. The pool arms'
-//!    JOIN candidates carry the §4.3 flow their bound program runs
-//!    (lopsided tables stream once per side instead of twice); the
-//!    deterministic arm always runs the symmetric flow.
+//!    sampled switch estimate, a hand-set per-shape threading factor
+//!    (last calibrated against the worker and shard sweeps of the bench
+//!    snapshot at `d18e408`), the measured merge cost, and per-arm setup
+//!    charges. The pool arms' JOIN candidates carry the §4.3 flow their
+//!    bound program runs (lopsided tables stream once per side instead
+//!    of twice); the deterministic arm always runs the symmetric flow.
 //! 4. **Pick & execute.** The cheapest candidate runs; ties break toward
 //!    the simpler arm (deterministic ≺ threaded ≺ sharded). Filter-shape
 //!    plans also pick the [`FetchSpec`]:
 //!    projection pushdown is never worse, so a default `All` fetch is
 //!    planned down to `Referenced`.
 //! 5. **Measure.** The report's [`PlanReport`] records predicted vs
-//!    measured wall and their ratio — the `planner[]` bench section and
-//!    `scripts/bench_check.sh` gate on it.
+//!    measured wall and their ratio; perfbench's `plan.*` metrics read it.
 
 use std::time::Instant;
 
@@ -465,11 +464,12 @@ impl Executor for PlannerExecutor {
 }
 
 /// Per-program multiplier for moving a stream from the deterministic loop
-/// to the pool/watermark pipeline, calibrated against the committed
-/// `worker_scaling[]` grid: asymmetric JOIN wins big (half the streamed
-/// entries plus overlap), DistinctMulti overlaps its fingerprint pass,
-/// while the register-aggregating shapes (HAVING, GROUP BY SUM/COUNT)
-/// pay more for phase handoff than the overlap returns.
+/// to the pool/watermark pipeline: hand-set constants, last calibrated
+/// against the worker sweep of the bench snapshot at `d18e408`.
+/// Asymmetric JOIN wins big (half the streamed entries plus overlap),
+/// DistinctMulti overlaps its fingerprint pass, while the
+/// register-aggregating shapes (HAVING, GROUP BY SUM/COUNT) pay more for
+/// phase handoff than the overlap returns.
 fn threaded_factor(b: &Bound<'_>) -> f64 {
     match b.program {
         Program::Join { lopsided: true, .. } => 0.7,

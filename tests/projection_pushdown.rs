@@ -273,3 +273,62 @@ fn projection_changes_the_fetch_payload_not_the_result() {
     assert_eq!(plus.cols(), &[1, 2, 3]);
     let _ = Projection::all(t); // facade export stays usable
 }
+
+/// Perf-regression guard for the §7.1 fetch on a wide table: a 2-lane
+/// Filter over 60,000 rows × 120 lanes fetches the same survivors under
+/// both specs, the projected fetch materializes exactly 1/60 of the
+/// full-row fetch's bytes, and — timed only in a release build — it is
+/// no slower than the full-row fetch it replaces.
+#[test]
+fn a_projected_wide_fetch_keeps_pace_with_the_full_row_fetch() {
+    use cheetah::workloads::wide::{WideTable, WideTableConfig};
+    use std::time::Instant;
+    let timed = !cfg!(debug_assertions);
+    let wide = WideTable::generate(WideTableConfig {
+        rows: 60_000,
+        cols: 120,
+        seed: 11,
+    });
+    let names = wide.names.iter().map(String::as_str);
+    let mut db = Database::new();
+    db.add(Table::new("wide", names.zip(wide.columns).collect()));
+    let query = Query::Filter {
+        table: "wide".into(),
+        predicate: Predicate {
+            columns: vec!["c000".into(), "c001".into()],
+            atoms: vec![Atom::cmp(0, CmpOp::Lt, 600), Atom::cmp(1, CmpOp::Le, 48)],
+            formula: Formula::And(vec![Formula::Atom(0), Formula::Atom(1)]),
+        },
+    };
+    // The fastest of a warm run and (timed) three more: its wall, its
+    // report and the bytes its fetch materialized.
+    let run = |fetch: FetchSpec| {
+        let width = query.projection(db.table("wide"), &fetch).bytes_per_row();
+        let cfg = PrunerConfig {
+            fetch,
+            ..PrunerConfig::default()
+        };
+        let exec = CheetahExecutor::new(CostModel::default(), cfg);
+        let runs = (0..if timed { 4 } else { 1 }).map(|_| {
+            let t0 = Instant::now();
+            let r = std::hint::black_box(exec.execute(&db, &query));
+            (t0.elapsed().as_secs_f64(), r)
+        });
+        let (wall, r) = runs.min_by(|a, b| a.0.total_cmp(&b.0)).expect("one run");
+        let bytes = r.fetch_rows * width;
+        (wall, r, bytes)
+    };
+    let (full_s, full, full_bytes) = run(FetchSpec::All);
+    let (proj_s, proj, proj_bytes) = run(FetchSpec::Referenced);
+    assert_eq!(proj.result, full.result);
+    assert!(full.fetch_rows > 0, "the guard needs survivors to fetch");
+    assert_eq!(full_bytes, 60 * proj_bytes, "120 lanes against 2");
+    if timed {
+        assert!(
+            proj_s <= full_s,
+            "projected fetch regressed: {:.2}ms projected vs {:.2}ms full",
+            proj_s * 1e3,
+            full_s * 1e3
+        );
+    }
+}

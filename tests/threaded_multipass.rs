@@ -9,8 +9,10 @@ use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
-    Agg, CostModel, Database, Executor, Predicate, Query, ShardedExecutor, Table, ThreadedExecutor,
+    Agg, CostModel, Database, Executor, PlannerExecutor, Predicate, Query, ShardedExecutor, Table,
+    ThreadedExecutor,
 };
+use std::time::Duration;
 
 const TRIALS: usize = 8;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -452,6 +454,207 @@ fn threaded_join_keeps_pace_with_deterministic() {
             det_best * 1e3
         );
     }
+}
+
+/// The multi-pass shapes over the Big Data tables, as the scaling gates
+/// below run them.
+fn bigdata_multipass() -> Vec<(&'static str, Query)> {
+    let uservisits = || "uservisits".to_string();
+    vec![
+        (
+            "join",
+            Query::Join {
+                left: uservisits(),
+                right: "rankings".into(),
+                left_col: "destURL".into(),
+                right_col: "pageURL".into(),
+            },
+        ),
+        (
+            "having",
+            Query::Having {
+                table: uservisits(),
+                key: "languageCode".into(),
+                val: "adRevenue".into(),
+                threshold: 2_000_000,
+            },
+        ),
+        (
+            "filter_fetch",
+            Query::Filter {
+                table: uservisits(),
+                predicate: Predicate {
+                    columns: vec!["adRevenue".into()],
+                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 100)],
+                    formula: Formula::Atom(0),
+                },
+            },
+        ),
+        (
+            "distinct_multi",
+            Query::DistinctMulti {
+                table: uservisits(),
+                columns: vec!["userAgent".into(), "languageCode".into()],
+            },
+        ),
+        (
+            "groupby_sum",
+            Query::GroupBy {
+                table: uservisits(),
+                key: "sourcePrefix".into(),
+                val: "adRevenue".into(),
+                agg: Agg::Sum,
+            },
+        ),
+    ]
+}
+
+/// Perf-regression guard for sharding and planning on 200,000 Big Data
+/// rows. Four shards must stream JOIN, GROUP BY SUM and DistinctMulti at
+/// no fewer rows a second than one shard; that keeps the serial combine
+/// wall from coming back. For every multi-pass shape, the planner's wall
+/// stays within 1.25× of the best static arm that covers the shape: the
+/// threaded pool at 1, 2 and 4 workers (JOIN, HAVING, DistinctMulti) and
+/// the sharded arm at 1, 2, 4 and 8 shards (JOIN, GROUP BY SUM,
+/// DistinctMulti). Walls are compared only in a release build on at
+/// least four cores; with fewer, four shards time-slice the cores and
+/// cannot win. Every profile checks every run against the reference
+/// oracle, and each sharded run's combine span against its wall.
+#[test]
+fn shards_and_the_planner_keep_pace_on_four_cores() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let timed = !cfg!(debug_assertions) && cores >= 4;
+    let db = cheetah_bench::bigdata_db(200_000, 40_000, 2_000, 0.5, 42);
+    let cheetah = |workers| {
+        let model = CostModel {
+            workers,
+            ..CostModel::default()
+        };
+        CheetahExecutor::new(model, PrunerConfig::default())
+    };
+    let default_workers = CostModel::default().workers;
+    for (label, q) in bigdata_multipass() {
+        let truth = reference::evaluate(&db, &q);
+        // A warm run, then (timed) three more: the report with the
+        // smallest measured wall, and that wall in seconds.
+        let best = |exec: &dyn Executor| {
+            let runs = (0..if timed { 4 } else { 1 }).map(|_| {
+                let r = std::hint::black_box(exec.execute(&db, &q));
+                assert_eq!(r.result, truth, "[{label}] {} diverged", r.executor);
+                (r.wall.expect("measured wall").as_secs_f64(), r)
+            });
+            runs.min_by(|a, b| a.0.total_cmp(&b.0)).expect("one run")
+        };
+        let mut statics = Vec::new();
+        if matches!(label, "join" | "having" | "distinct_multi") {
+            for workers in [1, 2, 4] {
+                statics.push(best(&ThreadedExecutor::new(cheetah(workers))).0);
+            }
+        }
+        if matches!(label, "join" | "groupby_sum" | "distinct_multi") {
+            let mut rows_per_s = Vec::new();
+            for shards in [1, 2, 4, 8] {
+                let exec = ShardedExecutor::with_shards(cheetah(default_workers), shards);
+                let (wall, r) = best(&exec);
+                let combine = r.combine_wall.expect("measured combine").as_secs_f64();
+                assert!(
+                    combine < wall,
+                    "[{label}] {shards} shards: combine outside wall"
+                );
+                assert_eq!(
+                    r.merge_walls.is_empty(),
+                    shards == 1,
+                    "[{label}] {shards} shards"
+                );
+                rows_per_s.push(r.prune_stats().processed as f64 / wall);
+                statics.push(wall);
+            }
+            if timed {
+                let (one, four) = (rows_per_s[0], rows_per_s[2]);
+                assert!(
+                    four >= one,
+                    "[{label}] {four:.0} rows/s at 4 shards < {one:.0} at 1 on {cores} cores: \
+                     the combine wall is back"
+                );
+            }
+        }
+        let (planned, _) = best(&PlannerExecutor::new(cheetah(default_workers)));
+        if let (true, Some(fastest)) = (timed, statics.into_iter().reduce(f64::min)) {
+            assert!(
+                planned <= 1.25 * fastest,
+                "[{label}] planned wall {:.2}ms > 1.25× the best static arm's {:.2}ms \
+                 on {cores} cores",
+                planned * 1e3,
+                fastest * 1e3
+            );
+        }
+    }
+}
+
+/// The worker grid the scaling gate times, on 3,000 Big Data rows: JOIN,
+/// HAVING and DistinctMulti on the threaded pool at 1, 2 and 4 workers
+/// each equal the reference oracle, with a measured wall and rows pruned.
+#[test]
+fn worker_grid_runs_join_having_and_distinct_multi_at_one_two_and_four_workers() {
+    let db = cheetah_bench::bigdata_db(3_000, 600, 2_000, 0.5, 42);
+    let mut cells = 0;
+    for (label, q) in bigdata_multipass() {
+        if !matches!(label, "join" | "having" | "distinct_multi") {
+            continue;
+        }
+        let truth = reference::evaluate(&db, &q);
+        for workers in WORKER_COUNTS {
+            let model = CostModel {
+                workers,
+                ..CostModel::default()
+            };
+            let exec = ThreadedExecutor::new(CheetahExecutor::new(model, PrunerConfig::default()));
+            let r = exec.execute(&db, &q);
+            assert_eq!(r.result, truth, "[{label}] {workers} workers diverged");
+            assert!(
+                r.wall.expect("measured wall") > Duration::ZERO,
+                "[{label}] {workers} workers: wall must be measured"
+            );
+            assert!(r.prune_stats().processed > 0, "[{label}] {workers} workers");
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 9, "3 worker counts × 3 queries");
+}
+
+/// The shard grid the scaling gate times, on 3,000 Big Data rows: JOIN,
+/// GROUP BY SUM and DistinctMulti at 1, 2, 4 and 8 shards each equal the
+/// reference oracle; the combine span is measured inside the query wall,
+/// and tree merges are measured exactly when there is more than one shard.
+#[test]
+fn shard_grid_measures_combine_and_merge_spans_at_one_to_eight_shards() {
+    let db = cheetah_bench::bigdata_db(3_000, 600, 2_000, 0.5, 42);
+    let cheetah = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
+    let mut cells = 0;
+    for (label, q) in bigdata_multipass() {
+        if !matches!(label, "join" | "groupby_sum" | "distinct_multi") {
+            continue;
+        }
+        let truth = reference::evaluate(&db, &q);
+        for shards in [1, 2, 4, 8] {
+            let r = ShardedExecutor::with_shards(cheetah.clone(), shards).execute(&db, &q);
+            assert_eq!(r.result, truth, "[{label}] {shards} shards diverged");
+            let wall = r.wall.expect("measured wall");
+            assert!(wall > Duration::ZERO, "[{label}] {shards} shards");
+            assert!(
+                r.combine_wall.expect("measured combine") < wall,
+                "[{label}] {shards} shards: combine span outside the query wall"
+            );
+            assert_eq!(
+                r.merge_walls.is_empty(),
+                shards == 1,
+                "[{label}] {shards} shards: tree merges measured iff sharded"
+            );
+            assert!(r.prune_stats().processed > 0, "[{label}] {shards} shards");
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 12, "4 shard counts × 3 queries");
 }
 
 /// Filter's fetch phase must materialize exactly the deterministic
