@@ -32,8 +32,9 @@ pub enum Extremum {
 }
 
 impl Extremum {
+    /// Whether `candidate` strictly improves on `incumbent`.
     #[inline]
-    fn improves(self, candidate: u64, incumbent: u64) -> bool {
+    pub fn improves(self, candidate: u64, incumbent: u64) -> bool {
         match self {
             Extremum::Max => candidate > incumbent,
             Extremum::Min => candidate < incumbent,

@@ -28,6 +28,7 @@
 //! | `HAVING SUM/COUNT > c` | [`having`] | deterministic | §4.3 |
 //! | `SKYLINE` | [`skyline`] | deterministic | §4.4 |
 //! | multiple concurrent queries | [`multiquery`] | per-query | §6 |
+//! | dense key domains (beyond the paper) | [`dense`] | exact (OPT) | — |
 //!
 //! Supporting modules: [`hash`] (seedable mixing), [`fingerprint`]
 //! (Theorem 4 sizing), [`params`] (Theorems 1–3 configuration maths,
@@ -46,6 +47,7 @@
 
 pub mod batch;
 pub mod decision;
+pub mod dense;
 pub mod distinct;
 pub mod filter;
 pub mod fingerprint;

@@ -5,9 +5,10 @@
 //! proves the whole query fits the hardware constraints end to end.
 
 use cheetah_core::decision::{Decision, RowPruner};
+use cheetah_core::dense::{DenseDistinct, DenseGroupBy, DenseRegisters, DenseSet, OffsetCode};
 use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
 use cheetah_core::filter::FilterPruner;
-use cheetah_core::groupby::{Extremum, GroupByPruner};
+use cheetah_core::groupby::{Extremum, GroupByPruner, GroupBySumPruner};
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 use cheetah_core::join::{JoinPruner, RegisterBloomFilter};
 use cheetah_core::resources::{table2, ResourceUsage};
@@ -15,8 +16,9 @@ use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
 use cheetah_core::{params, SwitchModel};
 use cheetah_pisa::programs::{
-    DetTopNProgram, DistinctLruProgram, FilterProgram, GroupByProgram, HavingPhase, HavingProgram,
-    JoinMode, RandTopNProgram, RbfJoinProgram, SkylineProgram, SkylineScoring, SwitchProgram,
+    DenseJoinProgram, DenseOp, DenseProgram, DetTopNProgram, DistinctLruProgram, FilterProgram,
+    GroupByProgram, HavingPhase, HavingProgram, JoinMode, JoinProgram, RandTopNProgram,
+    RbfJoinProgram, SkylineProgram, SkylineScoring, SwitchProgram,
 };
 use cheetah_pisa::ProgramPruner;
 
@@ -115,18 +117,102 @@ impl Matrix {
     }
 }
 
+/// Where a program finds a key's registers: Table 2's hashed geometry
+/// `H`, or, where the key's domain fits one stage ([`dense`]), the
+/// array its [`OffsetCode`] indexes. The registers themselves take the
+/// same two forms ([`SumRegisters`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Keys<H, D = OffsetCode> {
+    Hashed(H),
+    Dense(D),
+}
+
+impl<H> Keys<H> {
+    /// Whether the key's offset indexes the registers.
+    pub(crate) fn is_dense(&self) -> bool {
+        matches!(self, Keys::Dense(_))
+    }
+}
+
+impl Keys<Matrix> {
+    /// Empty §6 registers at this geometry.
+    pub(crate) fn sum_registers(&self, seed: u64) -> SumRegisters {
+        match self {
+            Keys::Hashed(m) => Keys::Hashed(GroupBySumPruner::new(m.d, m.w, seed)),
+            Keys::Dense(code) => Keys::Dense(DenseRegisters::new(code.clone())),
+        }
+    }
+}
+
+/// §6's SUM/COUNT registers: a `d × w` accumulator matrix, whose
+/// evictions ride out on packets, or a register per key offset, which
+/// never evicts. Either drains its residuals at FIN.
+pub(crate) type SumRegisters = Keys<GroupBySumPruner, DenseRegisters>;
+
+impl SumRegisters {
+    /// Fold a block of `(key, value)` entries: `out[i]` forwards iff entry
+    /// `i` evicted an accumulator, which rides out via `on_evict(key,
+    /// partial)`.
+    pub(crate) fn process_block(
+        &mut self,
+        keys: &[u64],
+        vals: &[u64],
+        out: &mut [Decision],
+        on_evict: impl FnMut(u64, u64),
+    ) {
+        match self {
+            Keys::Hashed(p) => p.process_block(keys, vals, out, on_evict),
+            Keys::Dense(p) => p.process_block(keys, vals, out),
+        }
+    }
+
+    /// Every residual `(key, partial)`, leaving the registers empty.
+    pub(crate) fn drain(&mut self) -> Vec<(u64, u64)> {
+        match self {
+            Keys::Hashed(p) => p.drain(),
+            Keys::Dense(p) => p.drain(),
+        }
+    }
+}
+
+/// The one dense-domain decision: the offset code over key lanes spanning
+/// `domains`, where the program indexing it fits one stage — a bitmap, or
+/// with `registers` a 64-bit register beside each valid bit — and the
+/// packet carries its lanes (and a register's value) in the header. `None`
+/// where the hashed program runs: a lane is empty, or the range is past
+/// what one stage's SRAM holds (`sram_per_stage_bits` keys of a bitmap,
+/// about a 65th of that of registers).
+pub(crate) fn dense(
+    domains: impl IntoIterator<Item = Option<(u64, u64)>>,
+    registers: bool,
+) -> Option<OffsetCode> {
+    let domains: Vec<(u64, u64)> = domains.into_iter().collect::<Option<_>>()?;
+    let code = OffsetCode::new(&domains)?;
+    let charge = if registers {
+        code.registers()
+    } else {
+        code.bitmap()
+    };
+    let words = (code.lanes() + usize::from(registers)) as u32;
+    let stage = SwitchModel {
+        stages: 1,
+        ..spec()
+    };
+    (charge.fits(&stage) && 64 * words <= stage.phv_bits).then_some(code)
+}
+
 /// A single-pass program at the geometry [`crate::bind`] sizes it to.
 #[derive(Debug, Clone)]
 pub(crate) enum SinglePass {
     /// The predicate's switch-evaluable relaxation, compiled once
     /// ([`relax`]).
     Filter(Box<FilterPruner>),
-    /// A `d × cfg.distinct_w` matrix ([`distinct_rows`]).
-    Distinct { d: usize },
+    /// A `d × cfg.distinct_w` matrix ([`distinct_rows`]), or a bitmap.
+    Distinct(Keys<usize>),
     /// A TOP `n` at [`topn_geometry`]'s stage.
     TopN { n: usize, at: TopNGeometry },
-    /// GROUP BY MAX/MIN's matrix.
-    GroupBy(Matrix, Extremum),
+    /// GROUP BY MAX/MIN's matrix, or registers.
+    GroupBy(Keys<Matrix>, Extremum),
     /// SKYLINE (APH): `w` stored points of `dims` dimensions.
     Skyline { w: usize, dims: usize },
 }
@@ -143,16 +229,21 @@ impl SinglePass {
                 FilterProgram::new(spec(), f.atoms().to_vec(), f.formula())
                     .unwrap_or_else(|e| panic!("filter program: {e:?}")),
             )),
-            (Reference, SinglePass::Distinct { d }) => Box::new(DistinctPruner::new(
+            (Reference, SinglePass::Distinct(Keys::Hashed(d))) => Box::new(DistinctPruner::new(
                 d,
                 cfg.distinct_w,
                 cfg.distinct_policy,
                 seed,
             )),
-            (Pisa, SinglePass::Distinct { d }) => Box::new(NonzeroKey::new(ProgramPruner::new(
-                DistinctLruProgram::new(spec(), d, cfg.distinct_w, seed)
-                    .expect("distinct program fits"),
-            ))),
+            (Pisa, SinglePass::Distinct(Keys::Hashed(d))) => {
+                Box::new(NonzeroKey::new(ProgramPruner::new(
+                    DistinctLruProgram::new(spec(), d, cfg.distinct_w, seed)
+                        .expect("distinct program fits"),
+                )))
+            }
+            (backend, SinglePass::Distinct(Keys::Dense(code))) => {
+                dense_pruner(backend, code, DenseOp::Distinct)
+            }
             (Reference, SinglePass::TopN { n, at }) => match at {
                 Randomized { d, w } => Box::new(RandomizedTopN::new(d, w, seed)),
                 Deterministic { w } => Box::new(DeterministicTopN::new(n.max(1) as u64, w)),
@@ -165,13 +256,18 @@ impl SinglePass {
                     DetTopNProgram::new(spec(), n.max(1) as u64, w).expect("topn program fits"),
                 )),
             },
-            (Reference, SinglePass::GroupBy(m, ext)) => {
+            (Reference, SinglePass::GroupBy(Keys::Hashed(m), ext)) => {
                 Box::new(GroupByPruner::new(m.d, m.w, ext, seed))
             }
-            (Pisa, SinglePass::GroupBy(m, ext)) => Box::new(NonzeroKey::new(ProgramPruner::new(
-                GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed)
-                    .expect("groupby program fits"),
-            ))),
+            (Pisa, SinglePass::GroupBy(Keys::Hashed(m), ext)) => {
+                Box::new(NonzeroKey::new(ProgramPruner::new(
+                    GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed)
+                        .expect("groupby program fits"),
+                )))
+            }
+            (backend, SinglePass::GroupBy(Keys::Dense(code), ext)) => {
+                dense_pruner(backend, code, DenseOp::Extremum(ext))
+            }
             (Reference, SinglePass::Skyline { w, dims }) => {
                 Box::new(SkylinePruner::new(dims, w, Heuristic::aph_default()))
             }
@@ -188,6 +284,23 @@ impl SinglePass {
     }
 }
 
+/// A dense DISTINCT's or GROUP BY MAX/MIN's pruner under `backend`.
+fn dense_pruner(
+    backend: SwitchBackend,
+    code: OffsetCode,
+    op: DenseOp,
+) -> Box<dyn RowPruner + Send> {
+    match (backend, op) {
+        (SwitchBackend::Reference, DenseOp::Distinct) => Box::new(DenseDistinct::new(code)),
+        (SwitchBackend::Reference, DenseOp::Extremum(ext)) => {
+            Box::new(DenseGroupBy::new(code, ext))
+        }
+        (SwitchBackend::Pisa, op) => Box::new(ProgramPruner::new(
+            DenseProgram::new(spec(), code, op).expect("bind sized it to a stage"),
+        )),
+    }
+}
+
 /// The envelope a `w`-column GROUP BY twin runs on: its row scan touches
 /// 2w+1 cells in one stage — legal only under Table 2's `*` shared-memory
 /// assumption, which we model as a stage with matching ALU fan-out.
@@ -201,7 +314,7 @@ pub fn groupby_spec(w: usize) -> SwitchModel {
 /// DISTINCT pruner at `cfg`'s own `distinct_d × distinct_w` (Table 2's
 /// matrix unless configured).
 pub fn distinct(cfg: &PrunerConfig) -> Box<dyn RowPruner + Send> {
-    SinglePass::Distinct { d: cfg.distinct_d }.pruner(cfg)
+    SinglePass::Distinct(Keys::Hashed(cfg.distinct_d)).pruner(cfg)
 }
 
 /// The one DISTINCT sizing decision: the matrix rows a DISTINCT or
@@ -326,7 +439,7 @@ pub fn topn(cfg: &PrunerConfig, n: usize) -> Box<dyn RowPruner + Send> {
 /// GROUP BY MAX/MIN pruner at `cfg`'s `groupby_d × groupby_w`.
 pub fn groupby(cfg: &PrunerConfig, ext: Extremum) -> Box<dyn RowPruner + Send> {
     let (d, w) = (cfg.groupby_d, cfg.groupby_w);
-    SinglePass::GroupBy(Matrix { d, w }, ext).pruner(cfg)
+    SinglePass::GroupBy(Keys::Hashed(Matrix { d, w }), ext).pruner(cfg)
 }
 
 /// §4.1's relaxation of `p`, at most one stage's ALUs wide: past the
@@ -446,12 +559,17 @@ const JOIN_BITS_PER_ROW: u64 = 32;
 
 /// Two-pass JOIN flow under either backend: one register Bloom filter per
 /// side (Table 2's JOIN/RBF row — one stage, one stateful ALU, one memory
-/// access per key), each sized from the rows its side will insert.
+/// access per key), each sized from the rows its side will insert — or,
+/// where both sides' keys span a range a stage holds, one exact bitmap
+/// per side.
 pub enum JoinFlow {
     /// Core register Bloom filters.
     Core(JoinPruner<RegisterBloomFilter>),
-    /// Metered pipeline program.
-    Pisa(RbfJoinProgram),
+    /// Core bitmaps, one a side over the sides' union range.
+    Dense(JoinPruner<DenseSet>),
+    /// Metered pipeline program: the register Bloom filters
+    /// ([`RbfJoinProgram`]) or the bitmaps ([`DenseJoinProgram`]).
+    Pisa(Box<dyn JoinProgram + Send>),
 }
 
 /// A JOIN's register Bloom filter pair: each side's filter bits, and the
@@ -479,24 +597,36 @@ impl JoinFlow {
     /// A flow with both filters at the per-side cap `cfg.join_m_bits` —
     /// what a caller that knows neither cardinality gets.
     pub fn new(cfg: &PrunerConfig) -> Self {
-        Self::sized(cfg, JoinFilters::sized(cfg, usize::MAX, usize::MAX))
+        Self::sized(
+            cfg,
+            &Keys::Hashed(JoinFilters::sized(cfg, usize::MAX, usize::MAX)),
+        )
     }
 
     /// A flow over the filter pair `filters`.
-    pub(crate) fn sized(cfg: &PrunerConfig, filters: JoinFilters) -> Self {
-        let JoinFilters {
-            bits: [bits_a, bits_b],
-            h,
-        } = filters;
-        match cfg.backend {
-            SwitchBackend::Reference => JoinFlow::Core(JoinPruner::new(
-                RegisterBloomFilter::new(bits_a, h, cfg.seed),
-                RegisterBloomFilter::new(bits_b, h, cfg.seed ^ 1),
+    pub(crate) fn sized(cfg: &PrunerConfig, filters: &Keys<JoinFilters>) -> Self {
+        let seed = cfg.seed;
+        match (cfg.backend, filters) {
+            (SwitchBackend::Reference, &Keys::Hashed(JoinFilters { bits: [a, b], h })) => {
+                JoinFlow::Core(JoinPruner::new(
+                    RegisterBloomFilter::new(a, h, seed),
+                    RegisterBloomFilter::new(b, h, seed ^ 1),
+                ))
+            }
+            (SwitchBackend::Reference, Keys::Dense(code)) => {
+                let side = || DenseSet::new(code.clone());
+                JoinFlow::Dense(JoinPruner::new(side(), side()))
+            }
+            (SwitchBackend::Pisa, &Keys::Hashed(JoinFilters { bits: [a, b], h })) => {
+                JoinFlow::Pisa(Box::new(
+                    RbfJoinProgram::new(spec(), a, b, h, seed, seed ^ 1)
+                        .expect("join program fits"),
+                ))
+            }
+            (SwitchBackend::Pisa, Keys::Dense(code)) => JoinFlow::Pisa(Box::new(
+                DenseJoinProgram::new(spec(), code.clone())
+                    .expect("bind sized it to a stage a side"),
             )),
-            SwitchBackend::Pisa => JoinFlow::Pisa(
-                RbfJoinProgram::new(spec(), bits_a, bits_b, h, cfg.seed, cfg.seed ^ 1)
-                    .expect("join program fits"),
-            ),
         }
     }
 
@@ -515,6 +645,7 @@ impl JoinFlow {
     pub fn observe_block(&mut self, sides: &[u64], keys: &[u64]) {
         match self {
             JoinFlow::Core(p) => p.observe_block(sides, keys),
+            JoinFlow::Dense(p) => p.observe_block(sides, keys),
             JoinFlow::Pisa(p) => {
                 for (&s, &k) in sides.iter().zip(keys) {
                     p.set_mode(if s == 0 {
@@ -528,24 +659,16 @@ impl JoinFlow {
         }
     }
 
-    /// Borrow the `(F_A, F_B)` filter pair for export into a cross-query
-    /// cache. `None` on the pisa backend, whose filter state lives inside
+    /// A copy of this flow's filters, armed for the probe pass: how a
+    /// serving layer that cached this join's filters skips the observation
+    /// pass. `None` on the pisa backend, whose filter state lives inside
     /// the metered program — those runs bypass the cache.
-    pub fn filters(&self) -> Option<(&RegisterBloomFilter, &RegisterBloomFilter)> {
+    pub fn rearmed(&self) -> Option<Self> {
         match self {
-            JoinFlow::Core(p) => {
-                let (a, b) = p.filters();
-                Some((a, b))
-            }
+            JoinFlow::Core(p) => Some(JoinFlow::Core(p.clone())),
+            JoinFlow::Dense(p) => Some(JoinFlow::Dense(p.clone())),
             JoinFlow::Pisa(_) => None,
         }
-    }
-
-    /// Rebuild a core flow from cached pass-1 filters, already armed for
-    /// the probe pass: a serving layer that cached this join's filters can
-    /// skip the observation pass entirely.
-    pub fn from_filters(filter_a: RegisterBloomFilter, filter_b: RegisterBloomFilter) -> Self {
-        JoinFlow::Core(JoinPruner::new(filter_a, filter_b))
     }
 
     /// Pass-2 block loop: `out[i]` decides entry `i` against the opposite
@@ -553,6 +676,7 @@ impl JoinFlow {
     pub fn probe_block(&mut self, sides: &[u64], keys: &[u64], out: &mut [Decision]) {
         match self {
             JoinFlow::Core(p) => p.probe_block(sides, keys, out),
+            JoinFlow::Dense(p) => p.probe_block(sides, keys, out),
             JoinFlow::Pisa(p) => {
                 for ((d, &s), &k) in out.iter_mut().zip(sides).zip(keys) {
                     p.set_mode(if s == 0 {
@@ -632,6 +756,28 @@ mod tests {
     }
 
     #[test]
+    fn dense_flips_exactly_at_the_stage_cutoff() {
+        // A stage's 2²⁵ bits hold a bitmap of 2²⁵ keys, and registers of
+        // c keys while 64·c + 64·⌈c/64⌉ ≤ 2²⁵: up to c = ⌊2²⁵/65⌋ = 516,222.
+        let bits = spec().sram_per_stage_bits;
+        assert_eq!(bits, 1 << 25);
+        let lane = |keys: u64| Some((7, 7 + keys - 1));
+        let cells = |code: Option<OffsetCode>| code.map(|c| c.cells());
+        assert_eq!(cells(dense([lane(bits)], false)), Some(bits));
+        assert_eq!(dense([lane(bits + 1)], false), None);
+        assert_eq!(cells(dense([lane(516_222)], true)), Some(516_222));
+        assert_eq!(dense([lane(516_223)], true), None);
+        // Several lanes: ⌈log₂ range⌉ bits each, 25 in all.
+        let multi = |b: u32| [lane(1 << 12), lane(1 << b)];
+        assert_eq!(cells(dense(multi(13), false)), Some(bits));
+        assert_eq!(dense(multi(14), false), None);
+        // An empty lane, or more lanes than the header carries, runs hashed.
+        assert_eq!(dense([lane(3), None], false), None);
+        assert_eq!(cells(dense([lane(2); 4], false)), Some(16));
+        assert_eq!(dense([lane(2); 5], false), None);
+    }
+
+    #[test]
     fn having_by_registers_flips_exactly_at_the_cutoff() {
         // 16,384 keys at Table 2's 4096 × 8: half the matrix.
         let rows = 40_000;
@@ -686,7 +832,7 @@ mod tests {
             distinct_policy: EvictionPolicy::Fifo,
             ..PrunerConfig::default()
         };
-        let mut fifo = SinglePass::Distinct { d: 1 << 18 }.pruner(&fifo_cfg);
+        let mut fifo = SinglePass::Distinct(Keys::Hashed(1 << 18)).pruner(&fifo_cfg);
         assert!(fifo.process_row(&[5]).is_forward());
     }
 
@@ -715,7 +861,7 @@ mod tests {
             };
             // Lopsided on purpose: each side lands in a filter of its own
             // size on both backends.
-            let mut j = JoinFlow::sized(&cfg, JoinFilters::sized(&cfg, 500, 40));
+            let mut j = JoinFlow::sized(&cfg, &Keys::Hashed(JoinFilters::sized(&cfg, 500, 40)));
             let sides: Vec<u64> = (0..1_000).map(|i| i % 2).collect();
             let keys: Vec<u64> = (0..1_000).map(|i| i / 2 + 400 * (i % 2)).collect();
             j.observe_block(&sides, &keys);
@@ -758,12 +904,12 @@ mod tests {
                 let (a, b) = p.filters();
                 (a.bits(), b.bits())
             }
-            JoinFlow::Pisa(_) => unreachable!("reference backend"),
+            JoinFlow::Pisa(_) | JoinFlow::Dense(_) => unreachable!("hashed reference filters"),
         };
         assert_eq!(
             geometry(JoinFlow::sized(
                 &cfg,
-                JoinFilters::sized(&cfg, 400_000, 80_000)
+                &Keys::Hashed(JoinFilters::sized(&cfg, 400_000, 80_000))
             )),
             (12_800_000, 2_560_000),
             "each side sized on its own"

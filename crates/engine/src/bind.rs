@@ -12,7 +12,8 @@ use cheetah_core::groupby::Extremum;
 use cheetah_core::resources::{table2, ResourceUsage};
 
 use crate::backend::{
-    distinct_rows, having_by_registers, relax, spec, topn_geometry, JoinFilters, Matrix, SinglePass,
+    dense, distinct_rows, having_by_registers, relax, spec, topn_geometry, JoinFilters, Keys,
+    Matrix, SinglePass,
 };
 use crate::cheetah::PrunerConfig;
 use crate::query::{Agg, FetchSpec, Predicate, Query};
@@ -26,12 +27,12 @@ pub(crate) enum Program<'a> {
     /// scan (Filter, DISTINCT, TOP N, GROUP BY MAX/MIN, SKYLINE).
     SinglePass(SinglePass),
     /// §6 register aggregation: GROUP BY SUM/COUNT, and a HAVING whose key
-    /// domain fits the registers (`backend::having_by_registers`).
+    /// domain fits the registers (dense, or `backend::having_by_registers`).
     Registers {
         /// A HAVING's threshold; `None` for GROUP BY.
         threshold: Option<u64>,
-        /// The register matrix.
-        matrix: Matrix,
+        /// The register matrix, or a dense array.
+        registers: Keys<Matrix>,
     },
     /// §5's two-pass HAVING: a Count-Min observation pass, then the
     /// candidates' entries to the master.
@@ -50,10 +51,11 @@ pub(crate) enum Program<'a> {
         lopsided: bool,
         /// The right join lane.
         right_col: usize,
-        /// The filter pair, sized for the whole tables. A shard of a
-        /// sharded JOIN sizes its own pair for its partition, which is
-        /// cut after bind (`sharded::join_shard`).
-        filters: JoinFilters,
+        /// The filter pair, sized for the whole tables, or a bitmap per
+        /// side over both lanes' union range. A shard of a sharded JOIN
+        /// sizes its own Bloom pair for its partition, which is cut after
+        /// bind (`sharded::join_shard`).
+        filters: Keys<JoinFilters>,
     },
 }
 
@@ -123,25 +125,51 @@ fn check(p: &Predicate) -> Result<(), QueryError> {
     }
 }
 
+impl Bound<'_> {
+    /// Whether a DistinctMulti's switch sees its tuples as fingerprints
+    /// (§5): a hashed matrix dedups one 64-bit lane, while a dense code is
+    /// composed from the lanes themselves.
+    pub(crate) fn fingerprints(&self) -> bool {
+        let hashed = matches!(
+            &self.program,
+            Program::SinglePass(SinglePass::Distinct(keys)) if !keys.is_dense()
+        );
+        hashed && matches!(self.query, Query::DistinctMulti { .. })
+    }
+}
+
 impl Program<'_> {
     /// What the program occupies on the switch: the stages and SRAM its
     /// PISA twin allocates (`tests::every_charge_is_what_its_program_occupies`),
-    /// but for two stage counts that stay Table 2's, deviations README's
-    /// paper map records: the filter's, whose twin looks its truth table
-    /// up a stage after its comparisons, and GROUP BY's, whose twin scans
-    /// its row as one widened stage (`backend::groupby_spec`).
+    /// but for GROUP BY's hashed matrix, whose `w` stages stay Table 2's, a
+    /// deviation README's paper map records: its twin scans its row as one
+    /// widened stage (`backend::groupby_spec`). A dense program is one
+    /// stage ([`OffsetCode::bitmap`](cheetah_core::dense::OffsetCode::bitmap)),
+    /// a dense JOIN a bitmap in each of two.
     fn charge(&self, cfg: &PrunerConfig) -> ResourceUsage {
         match *self {
             Program::SinglePass(SinglePass::Filter(ref f)) => {
                 // An ALU per atom the relaxation reads, and a 17-bit match
-                // entry per assignment it takes.
+                // entry per assignment it takes; the truth table is looked
+                // up a stage after the comparisons.
                 let table = f.table();
                 ResourceUsage {
+                    stages: 2,
                     sram_bits: 17 * table.true_entries(),
                     ..table2::filter(table.arity() as u32)
                 }
             }
-            Program::SinglePass(SinglePass::Distinct { d }) => {
+            Program::SinglePass(SinglePass::Distinct(Keys::Dense(ref code))) => code.bitmap(),
+            Program::SinglePass(SinglePass::GroupBy(Keys::Dense(ref code), _))
+            | Program::Registers {
+                registers: Keys::Dense(ref code),
+                ..
+            } => code.registers(),
+            Program::Join {
+                filters: Keys::Dense(ref code),
+                ..
+            } => code.bitmap().plus(code.bitmap()),
+            Program::SinglePass(SinglePass::Distinct(Keys::Hashed(d))) => {
                 let (w, d) = (cfg.distinct_w as u32, d as u64);
                 match cfg.distinct_policy {
                     EvictionPolicy::Lru => table2::distinct_lru(w, d),
@@ -153,8 +181,11 @@ impl Program<'_> {
                 }
             }
             Program::SinglePass(SinglePass::TopN { at, .. }) => at.resources(),
-            Program::SinglePass(SinglePass::GroupBy(m, _))
-            | Program::Registers { matrix: m, .. } => m.group_by(),
+            Program::SinglePass(SinglePass::GroupBy(Keys::Hashed(m), _))
+            | Program::Registers {
+                registers: Keys::Hashed(m),
+                ..
+            } => m.group_by(),
             Program::SinglePass(SinglePass::Skyline { w, dims }) => {
                 // Stage 0 holds the 2¹⁶ − 1 entry log table, then each slot
                 // takes a score stage and a dimensions stage.
@@ -171,7 +202,10 @@ impl Program<'_> {
             // A side's filter is a stage, a stateful ALU and its bits. Table
             // 2's RBF row adds a pattern table, which the twin, deriving each
             // key's pattern from its hash, does not allocate.
-            Program::Join { filters, .. } => ResourceUsage {
+            Program::Join {
+                filters: Keys::Hashed(filters),
+                ..
+            } => ResourceUsage {
                 stages: 2,
                 alus: 2,
                 sram_bits: filters.bits.iter().sum(),
@@ -187,6 +221,12 @@ impl Query {
     /// checked, and its program chosen, sized and charged. A single-pass
     /// query also resolves the names a [`FetchSpec::Plus`] projection
     /// adds.
+    ///
+    /// Where a DISTINCT's, GROUP BY's, HAVING's or JOIN's key lanes span a
+    /// range one stage's array holds (`Table::domain`, `backend::dense`),
+    /// the program indexes its registers by the key's offset from the
+    /// lane's minimum instead of hashing, and forwards exactly what an
+    /// unconstrained switch would.
     pub fn bind<'a>(
         &'a self,
         db: &'a Database,
@@ -229,32 +269,49 @@ impl Query {
             .into_iter()
             .map(|n| col(t, n))
             .collect::<Result<_, _>>()?;
+        // The key lane's registers: dense where its domain fits a stage.
+        let registers = |key| dense([t.domain(key)], true).map(Keys::Dense);
         let program = match self {
             Query::GroupBy { agg, .. } if matches!(agg, Agg::Sum | Agg::Count) => {
                 // COUNT sums ones: no value lane.
                 cols.truncate(if *agg == Agg::Count { 1 } else { 2 });
                 Program::Registers {
                     threshold: None,
-                    matrix: groupby,
+                    registers: registers(cols[0]).unwrap_or(Keys::Hashed(groupby)),
                 }
             }
-            Query::Having { threshold, .. } if having_by_registers(cfg, t, cols[0]) => {
-                Program::Registers {
-                    threshold: Some(*threshold),
-                    matrix: groupby,
+            Query::Having { threshold, .. } => {
+                let hashed =
+                    || having_by_registers(cfg, t, cols[0]).then_some(Keys::Hashed(groupby));
+                match registers(cols[0]).or_else(hashed) {
+                    Some(registers) => Program::Registers {
+                        threshold: Some(*threshold),
+                        registers,
+                    },
+                    None => Program::Having {
+                        threshold: *threshold,
+                        sketch: Matrix {
+                            d: cfg.having_d,
+                            w: cfg.having_w,
+                        },
+                    },
                 }
             }
-            Query::Having { threshold, .. } => Program::Having {
-                threshold: *threshold,
-                sketch: Matrix {
-                    d: cfg.having_d,
-                    w: cfg.having_w,
-                },
-            },
             Query::Join {
                 right, right_col, ..
             } => {
                 let r = table(right)?;
+                let right_col = col(r, right_col)?;
+                // One bitmap per side over both lanes' union range, where
+                // it fits a stage.
+                let union = match (t.domain(cols[0]), r.domain(right_col)) {
+                    (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                    (left, right) => left.or(right),
+                };
+                let filters = dense([union], false).map_or_else(
+                    || Keys::Hashed(JoinFilters::sized(cfg, t.rows(), r.rows())),
+                    Keys::Dense,
+                );
                 // The one evaluation of §4.3's flow rule, on global sizes,
                 // so every shard and pool arm agrees. The deterministic arm
                 // ignores it: it streams `2 × (l + r)` where the pool arms
@@ -262,17 +319,18 @@ impl Query {
                 // it so.
                 Program::Join {
                     right: r,
-                    right_col: col(r, right_col)?,
+                    right_col,
                     lopsided: lopsided(t.rows(), r.rows()),
-                    filters: JoinFilters::sized(cfg, t.rows(), r.rows()),
+                    filters,
                 }
             }
             Query::FilterCount { predicate, .. } | Query::Filter { predicate, .. } => {
                 Program::SinglePass(SinglePass::Filter(Box::new(relax(predicate))))
             }
             Query::Distinct { .. } | Query::DistinctMulti { .. } => {
-                let d = distinct_rows(cfg, t, &cols);
-                Program::SinglePass(SinglePass::Distinct { d })
+                let keys = dense(cols.iter().map(|&c| t.domain(c)), false)
+                    .map_or_else(|| Keys::Hashed(distinct_rows(cfg, t, &cols)), Keys::Dense);
+                Program::SinglePass(SinglePass::Distinct(keys))
             }
             Query::TopN { n, .. } => Program::SinglePass(SinglePass::TopN {
                 n: *n,
@@ -284,7 +342,8 @@ impl Query {
                 } else {
                     Extremum::Min
                 };
-                Program::SinglePass(SinglePass::GroupBy(groupby, ext))
+                let keys = registers(cols[0]).unwrap_or(Keys::Hashed(groupby));
+                Program::SinglePass(SinglePass::GroupBy(keys, ext))
             }
             Query::Skyline { .. } => Program::SinglePass(SinglePass::Skyline {
                 w: cfg.skyline_w,
@@ -315,17 +374,19 @@ mod tests {
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    use cheetah_core::dense::OffsetCode;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
     use cheetah_core::SwitchModel;
     use cheetah_pisa::programs::{
-        DetTopNProgram, DistinctFifoProgram, DistinctLruProgram, FilterProgram, GroupByProgram,
-        HavingProgram, RandTopNProgram, RbfJoinProgram, SkylineProgram, SwitchProgram,
+        DenseJoinProgram, DenseOp, DenseProgram, DetTopNProgram, DistinctFifoProgram,
+        DistinctLruProgram, FilterProgram, GroupByProgram, HavingProgram, RandTopNProgram,
+        RbfJoinProgram, SkylineProgram, SwitchProgram,
     };
     use proptest::prelude::*;
 
     use super::*;
     use crate::backend::{groupby_spec, skyline_spec, TopNGeometry};
-    use crate::cheetah::tests::{all_queries, random_db};
+    use crate::cheetah::tests::{all_queries, random_db, wide_db};
     use crate::cheetah::CheetahExecutor;
     use crate::cost::CostModel;
     use cheetah_pisa::programs::SkylineScoring;
@@ -341,11 +402,31 @@ mod tests {
     /// geometry on the envelope the pisa backend builds it on.
     fn twin(cfg: &PrunerConfig, b: &Bound<'_>) -> (u32, u64) {
         let seed = cfg.seed;
+        let dense = |code: &OffsetCode, op| {
+            metered(&DenseProgram::new(spec(), code.clone(), op).expect("fits"))
+        };
         match b.program {
             Program::SinglePass(SinglePass::Filter(ref f)) => {
                 metered(&FilterProgram::new(spec(), f.atoms().to_vec(), f.formula()).expect("fits"))
             }
-            Program::SinglePass(SinglePass::Distinct { d }) => match cfg.distinct_policy {
+            Program::SinglePass(SinglePass::Distinct(Keys::Dense(ref code))) => {
+                dense(code, DenseOp::Distinct)
+            }
+            Program::SinglePass(SinglePass::GroupBy(Keys::Dense(ref code), ext)) => {
+                dense(code, DenseOp::Extremum(ext))
+            }
+            // Dense registers' twin is GROUP BY MAX's array, sums and
+            // touched bits alike.
+            Program::Registers {
+                registers: Keys::Dense(ref code),
+                ..
+            } => dense(code, DenseOp::Extremum(Extremum::Max)),
+            Program::Join {
+                filters: Keys::Dense(ref code),
+                ..
+            } => metered(&DenseJoinProgram::new(spec(), code.clone()).expect("fits")),
+            Program::SinglePass(SinglePass::Distinct(Keys::Hashed(d))) => match cfg.distinct_policy
+            {
                 EvictionPolicy::Lru => metered(
                     &DistinctLruProgram::new(spec(), d, cfg.distinct_w, seed).expect("fits"),
                 ),
@@ -361,12 +442,15 @@ mod tests {
                     metered(&DetTopNProgram::new(spec(), n.max(1) as u64, w).expect("fits"))
                 }
             },
-            Program::SinglePass(SinglePass::GroupBy(m, ext)) => {
+            Program::SinglePass(SinglePass::GroupBy(Keys::Hashed(m), ext)) => {
                 metered(&GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed).expect("fits"))
             }
             // §6's registers have no PISA program of their own: GROUP BY
             // MAX's matrix is their twin, keys, values and cursor alike.
-            Program::Registers { matrix: m, .. } => metered(
+            Program::Registers {
+                registers: Keys::Hashed(m),
+                ..
+            } => metered(
                 &GroupByProgram::new(groupby_spec(m.w), m.d, m.w, Extremum::Max, seed)
                     .expect("fits"),
             ),
@@ -382,19 +466,33 @@ mod tests {
             Program::Having { threshold, sketch } => metered(
                 &HavingProgram::new(spec(), sketch.d, sketch.w, threshold, seed).expect("fits"),
             ),
-            Program::Join { filters, .. } => {
+            Program::Join {
+                filters: Keys::Hashed(filters),
+                ..
+            } => {
                 let JoinFilters { bits: [a, b], h } = filters;
                 metered(&RbfJoinProgram::new(spec(), a, b, h, seed, seed ^ 1).expect("fits"))
             }
         }
     }
 
+    /// The key-indexed form a program takes, if it has one.
+    fn form(program: &Program<'_>) -> Option<(&'static str, bool)> {
+        Some(match program {
+            Program::SinglePass(SinglePass::Distinct(k)) => ("distinct", k.is_dense()),
+            Program::SinglePass(SinglePass::GroupBy(k, _)) => ("group by", k.is_dense()),
+            Program::Registers { registers: k, .. } => ("registers", k.is_dense()),
+            Program::Join { filters: k, .. } => ("join", k.is_dense()),
+            _ => return None,
+        })
+    }
+
     /// Every program is charged what its PISA twin occupies — the metered
     /// pipeline's stages and summed SRAM — for every shape at the default,
-    /// a sized and a degenerate geometry. Two stage counts stay Table 2's,
-    /// the deviations README's paper map records: GROUP BY's `w` stages,
-    /// which its twin scans as one widened stage, and the filter's one
-    /// stage, whose twin looks its truth table up a stage later.
+    /// a sized and a degenerate geometry, over keys that bind dense and
+    /// their wide twins, which bind hashed. One stage count stays Table
+    /// 2's, the deviation README's paper map records: a hashed GROUP BY's
+    /// `w` stages, which its twin scans as one widened stage.
     #[test]
     fn every_charge_is_what_its_program_occupies() {
         let db = random_db(3_000, 5);
@@ -453,29 +551,39 @@ mod tests {
             },
         ]);
         let tofino = SwitchModel::tofino_like();
-        for (name, cfg) in [
-            ("default", &default),
-            ("sized", &sized),
-            ("degenerate", &degenerate),
-        ] {
-            for q in &queries {
-                let b = q.bind(&db, cfg).expect("binds");
-                let (stages, sram_bits) = twin(cfg, &b);
-                let at = format!("{} at the {name} geometry", q.kind());
-                assert_eq!(b.charge.sram_bits, sram_bits, "{at}");
-                match b.program {
-                    Program::SinglePass(SinglePass::GroupBy(m, _))
-                    | Program::Registers { matrix: m, .. } => {
-                        assert_eq!((b.charge.stages, stages), (m.w as u32, 1), "{at}");
+        let mut forms = HashSet::new();
+        for (keys, db) in [("narrow", &db), ("wide", &wide_db(3_000, 5))] {
+            for (name, cfg) in [
+                ("default", &default),
+                ("sized", &sized),
+                ("degenerate", &degenerate),
+            ] {
+                for q in &queries {
+                    let b = q.bind(db, cfg).expect("binds");
+                    forms.extend(form(&b.program));
+                    let (stages, sram_bits) = twin(cfg, &b);
+                    let at = format!("{} over {keys} keys at the {name} geometry", q.kind());
+                    assert_eq!(b.charge.sram_bits, sram_bits, "{at}");
+                    match b.program {
+                        Program::SinglePass(SinglePass::GroupBy(Keys::Hashed(m), _))
+                        | Program::Registers {
+                            registers: Keys::Hashed(m),
+                            ..
+                        } => {
+                            assert_eq!((b.charge.stages, stages), (m.w as u32, 1), "{at}");
+                        }
+                        _ => assert_eq!(b.charge.stages, stages, "{at}"),
                     }
-                    Program::SinglePass(SinglePass::Filter(_)) => {
-                        assert_eq!((b.charge.stages, stages), (1, 2), "{at}");
+                    if let Program::SinglePass(SinglePass::TopN { .. }) = b.program {
+                        assert!(b.charge.fits(&tofino), "{at}: a TOP N is sized to fit");
                     }
-                    _ => assert_eq!(b.charge.stages, stages, "{at}"),
                 }
-                if let Program::SinglePass(SinglePass::TopN { .. }) = b.program {
-                    assert!(b.charge.fits(&tofino), "{at}: a TOP N is sized to fit");
-                }
+            }
+        }
+        // Both forms of every key-indexed program were charged.
+        for shape in ["distinct", "group by", "registers", "join"] {
+            for dense in [false, true] {
+                assert!(forms.contains(&(shape, dense)), "{shape}, dense: {dense}");
             }
         }
         // SKYLINE at its default w = 10 never fits the pipeline, so
@@ -500,15 +608,16 @@ mod tests {
     }
 
     /// A filter wider than a stage's ALUs binds to its relaxation over the
-    /// first `alus_per_stage` atoms: one stage's comparisons and the one
-    /// match entry their conjunction takes.
+    /// first `alus_per_stage` atoms: one stage's comparisons, the one match
+    /// entry their conjunction takes, and the stage after them that looks
+    /// it up (`FilterProgram`'s two).
     #[test]
     fn a_wide_filter_is_charged_what_one_stage_holds() {
         let db = random_db(300, 1);
         let q = wide_filter(24);
         let b = q.bind(&db, &PrunerConfig::default()).expect("binds");
         let want = ResourceUsage {
-            stages: 1,
+            stages: 2,
             alus: SwitchModel::tofino_like().alus_per_stage,
             sram_bits: 17,
             tcam_entries: 0,
@@ -595,41 +704,67 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Every query of the shape matrix binds to its program over its
-        /// lanes, a HAVING to registers exactly while its key domain fits
-        /// half the register matrix; every unknown name, empty key list and
-        /// dangling atom or literal is its `QueryError`, and surfaces from
-        /// `execute` as a panic carrying that error's message.
+        /// lanes: a key lane whose range fits a stage's registers to a
+        /// dense program (`random_db`'s `1..80`, and either fixture's lane
+        /// of one key), any other to the hashed one — a HAVING to hashed
+        /// registers exactly while its key domain fits half the register
+        /// matrix; a JOIN dense exactly where both sides' union range does.
+        /// Every unknown name, empty key list and dangling atom or literal
+        /// is its `QueryError`, and surfaces from `execute` as a panic
+        /// carrying that error's message.
         #[test]
         fn bind_resolves_every_query_and_rejects_every_malformed_one(
             rows in 0usize..600,
             seed in any::<u64>(),
             groupby_d in 1usize..128,
             past in 0usize..3,
+            wide in any::<bool>(),
         ) {
-            let db = random_db(rows, seed);
+            let db = if wide { wide_db(rows, seed) } else { random_db(rows, seed) };
             let cfg = PrunerConfig { groupby_d, groupby_w: 1, ..PrunerConfig::default() };
             let (t, s) = (db.table("t"), db.table("s"));
             let keys: HashSet<&u64> = t.col("k").iter().collect();
             let by_registers = keys.len() <= groupby_d / 2;
+            // 64·c + 64·⌈c/64⌉ register bits fit a stage's 2²⁵ exactly up to
+            // c = ⌊2²⁵/65⌋ = 516,222 keys; a bitmap's 2²⁵ keys are more.
+            let register_keys = spec().sram_per_stage_bits / 65;
+            let fits = |lanes: &[&[u64]]| {
+                let values = lanes.iter().flat_map(|l| l.iter());
+                let span = values.clone().max().zip(values.min()).map(|(hi, lo)| hi - lo);
+                span.is_some_and(|span| span < register_keys)
+            };
+            let dense_key = fits(&[t.col("k")]);
+            let dense_join = fits(&[t.col("k"), s.col("k")]);
             for q in all_queries() {
                 let b = q.bind(&db, &cfg).expect("the shape matrix binds");
                 let bound: Vec<&str> = b.cols.iter().map(|&c| b.table.schema()[c].as_str()).collect();
                 prop_assert_eq!(bound, lanes(&q), "{}", q.kind());
                 let ok = match (&q, &b.program) {
-                    (Query::GroupBy { agg: Agg::Sum | Agg::Count, .. }, Program::Registers { threshold, .. }) => {
-                        threshold.is_none()
+                    (Query::GroupBy { agg: Agg::Sum | Agg::Count, .. }, Program::Registers { threshold, registers }) => {
+                        threshold.is_none() && registers.is_dense() == dense_key
                     }
-                    (Query::Having { threshold, .. }, Program::Registers { threshold: c, .. }) => {
-                        by_registers && *c == Some(*threshold)
+                    (Query::Having { threshold, .. }, Program::Registers { threshold: c, registers }) => {
+                        (dense_key || by_registers)
+                            && registers.is_dense() == dense_key
+                            && *c == Some(*threshold)
                     }
                     (Query::Having { threshold, .. }, Program::Having { threshold: c, .. }) => {
-                        !by_registers && c == threshold
+                        !dense_key && !by_registers && c == threshold
                     }
-                    (Query::Join { .. }, Program::Join { right, right_col, lopsided: l, .. }) => {
-                        std::ptr::eq(*right, s) && *right_col == 0 && *l == lopsided(t.rows(), s.rows())
+                    (Query::Join { .. }, Program::Join { right, right_col, lopsided: l, filters }) => {
+                        std::ptr::eq(*right, s)
+                            && *right_col == 0
+                            && *l == lopsided(t.rows(), s.rows())
+                            && filters.is_dense() == dense_join
                     }
-                    (Query::GroupBy { agg: Agg::Max | Agg::Min, .. }, Program::SinglePass(_)) => true,
-                    (Query::GroupBy { .. } | Query::Having { .. } | Query::Join { .. }, _) => false,
+                    (
+                        Query::GroupBy { agg: Agg::Max | Agg::Min, .. },
+                        Program::SinglePass(SinglePass::GroupBy(keys, _)),
+                    ) => keys.is_dense() == dense_key,
+                    (Query::Distinct { .. }, Program::SinglePass(SinglePass::Distinct(keys))) => {
+                        keys.is_dense() == dense_key
+                    }
+                    (Query::GroupBy { .. } | Query::Having { .. } | Query::Join { .. } | Query::Distinct { .. }, _) => false,
                     (_, program) => matches!(program, Program::SinglePass(_)),
                 };
                 prop_assert!(ok, "{} bound to the wrong program", q.kind());

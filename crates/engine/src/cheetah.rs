@@ -26,7 +26,7 @@ use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::distinct::EvictionPolicy;
 use cheetah_core::filter::TruthTable;
 use cheetah_core::fingerprint::Fingerprinter;
-use cheetah_core::groupby::{Extremum, GroupBySumPruner};
+use cheetah_core::groupby::Extremum;
 use cheetah_core::having::{HavingPassOne, HavingPruner};
 
 use crate::backend::{HavingFlow, JoinFlow, SinglePass, SwitchBackend};
@@ -532,10 +532,13 @@ impl CheetahExecutor {
                 let mut reports = self.single_pass_scan(&[b], decide);
                 (reports.pop().expect("one query, one report"), None)
             }
-            Program::Registers { threshold, matrix } => {
+            Program::Registers {
+                threshold,
+                ref registers,
+            } => {
                 // §6: partial aggregation in switch registers; evictions
                 // ride packets, residuals drain at FIN.
-                let mut pruner = GroupBySumPruner::new(matrix.d, matrix.w, cfg.seed);
+                let mut pruner = registers.sum_registers(cfg.seed);
                 let mut stats = PruneStats::default();
                 let mut groups = GroupSink::new(Agg::Sum);
                 // COUNT folds 1 per entry and never reads the value lane:
@@ -606,7 +609,7 @@ impl CheetahExecutor {
             Program::Join {
                 right: r,
                 right_col,
-                filters,
+                ref filters,
                 ..
             } => {
                 let lstream = interleave(t, cols);
@@ -709,7 +712,7 @@ impl CheetahExecutor {
                 let mut cols = spare.take();
                 cols.extend(lanes[q].iter().map(|&l| block.cols[l]));
                 let key;
-                let visible: &[&[u64]] = if matches!(b.query, Query::DistinctMulti { .. }) {
+                let visible: &[&[u64]] = if b.fingerprints() {
                     fp_lane.clear();
                     fingerprint_rows(&cols, 0, block.len, &fp, &mut fp_lane);
                     key = [&fp_lane[..]];
@@ -779,12 +782,12 @@ impl CheetahExecutor {
         // aggregation included, once.
         let (passes, cols, mut decide): (u64, Vec<usize>, Decide) = match b.program {
             Program::SinglePass(ref p) => (1, b.cols.clone(), prune(p.pruner(cfg))),
-            Program::Registers { matrix, .. } => {
-                // The MAX register matrix doubles as the SUM/COUNT
+            Program::Registers { ref registers, .. } => {
+                // The MAX registers double as the SUM/COUNT
                 // accumulator-cost proxy: same row scan, same memory.
                 let mut cols = b.cols.clone();
                 cols.resize(2, cols[0]);
-                let proxy = SinglePass::GroupBy(matrix, Extremum::Max);
+                let proxy = SinglePass::GroupBy(registers.clone(), Extremum::Max);
                 (1, cols, prune(proxy.pruner(cfg)))
             }
             Program::Having { threshold, sketch } => {
@@ -795,7 +798,7 @@ impl CheetahExecutor {
                     prune(Box::new(HavingPassOne::new(pruner))),
                 )
             }
-            Program::Join { filters, .. } => {
+            Program::Join { ref filters, .. } => {
                 // Probe an empty filter pair of the size the query will run
                 // with, over `[flow id, key]` lanes: the filter's memory
                 // traffic is what the sample needs to see.
@@ -832,7 +835,7 @@ impl CheetahExecutor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::backend;
+    use crate::backend::{self, Keys};
     use crate::distributed::{DistributedExecutor, FailurePlan};
     use crate::reference;
     use crate::serve::ServeExecutor;
@@ -877,6 +880,33 @@ pub(crate) mod tests {
             ],
         ));
         db
+    }
+
+    /// [`random_db`]'s wide-domain twin: the same rows, every value `v`
+    /// spread to `v << 40`, so a key lane's range fits no stage (but for a
+    /// lane of one value) and every key-indexed program binds hashed, where
+    /// `random_db`'s bind dense.
+    pub(crate) fn wide_db(rows: usize, seed: u64) -> Database {
+        let narrow = random_db(rows, seed);
+        let mut db = Database::new();
+        for name in narrow.names() {
+            let t = narrow.table(name);
+            let spread = |c: usize| t.col_at(c).iter().map(|v| v << 40).collect();
+            let lanes = t.schema().iter().enumerate();
+            db.add(Table::new(
+                name,
+                lanes.map(|(c, n)| (n.as_str(), spread(c))).collect(),
+            ));
+        }
+        db
+    }
+
+    /// [`random_db`] and [`wide_db`] over the same rows.
+    fn both_fixtures(rows: usize, seed: u64) -> [(&'static str, Database); 2] {
+        [
+            ("narrow", random_db(rows, seed)),
+            ("wide", wide_db(rows, seed)),
+        ]
     }
 
     /// One query of every shape over [`random_db`], GROUP BY under each
@@ -956,12 +986,18 @@ pub(crate) mod tests {
 
     #[test]
     fn cheetah_matches_reference_on_all_query_kinds() {
-        let db = random_db(8_000, 1);
         let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
-        for q in all_queries() {
-            let report = exec.execute(&db, &q);
-            let truth = reference::evaluate(&db, &q);
-            assert_eq!(report.result, truth, "query {} diverged", q.kind());
+        for (keys, db) in both_fixtures(8_000, 1) {
+            for q in all_queries() {
+                let report = exec.execute(&db, &q);
+                let truth = reference::evaluate(&db, &q);
+                assert_eq!(
+                    report.result,
+                    truth,
+                    "query {} over {keys} keys diverged",
+                    q.kind()
+                );
+            }
         }
     }
 
@@ -1004,12 +1040,18 @@ pub(crate) mod tests {
             skyline_w: 1,
             ..PrunerConfig::default()
         };
-        let db = random_db(3_000, 3);
         let exec = CheetahExecutor::new(CostModel::default(), cfg);
-        for q in all_queries() {
-            let report = exec.execute(&db, &q);
-            let truth = reference::evaluate(&db, &q);
-            assert_eq!(report.result, truth, "starved {} diverged", q.kind());
+        for (keys, db) in both_fixtures(3_000, 3) {
+            for q in all_queries() {
+                let report = exec.execute(&db, &q);
+                let truth = reference::evaluate(&db, &q);
+                assert_eq!(
+                    report.result,
+                    truth,
+                    "starved {} over {keys} keys diverged",
+                    q.kind()
+                );
+            }
         }
     }
 
@@ -1068,22 +1110,28 @@ pub(crate) mod tests {
             },
         );
         assert_eq!(j.passes, 2);
-        // Past the register cutoff (79 keys against a 16-cell matrix),
-        // HAVING makes §5's two passes; within it, GROUP BY SUM's one.
+        // Over wide keys past the register cutoff (79 keys against a
+        // 16-cell matrix), HAVING makes §5's two passes; within it, GROUP
+        // BY SUM's one. Over `1..80`, 79 dense registers take one pass
+        // whatever the matrix.
         let having = Query::Having {
             table: "t".into(),
             key: "k".into(),
             val: "v".into(),
             threshold: 10_000,
         };
-        let starved = PrunerConfig {
-            groupby_d: 8,
-            groupby_w: 2,
-            ..PrunerConfig::default()
-        };
-        let past = CheetahExecutor::new(CostModel::default(), starved).execute(&db, &having);
-        assert_eq!(past.passes, 2);
-        assert_eq!(exec.execute(&db, &having).passes, 1);
+        let starved = CheetahExecutor::new(
+            CostModel::default(),
+            PrunerConfig {
+                groupby_d: 8,
+                groupby_w: 2,
+                ..PrunerConfig::default()
+            },
+        );
+        let wide = wide_db(2_000, 5);
+        assert_eq!(starved.execute(&wide, &having).passes, 2);
+        assert_eq!(exec.execute(&wide, &having).passes, 1);
+        assert_eq!(starved.execute(&db, &having).passes, 1);
     }
 
     /// `q`'s result on every arm over `cfg`: deterministic, threaded,
@@ -1329,8 +1377,8 @@ pub(crate) mod tests {
             let distributed = DistributedExecutor::with_shards(exec.clone(), 2);
             // A co-resident DISTINCT shares the TOP N's scan only where
             // both flows' charges fit the pipeline together — a TOP N
-            // matrix of at most 10 stages beside the DISTINCT's 2; past
-            // that, both run solo.
+            // matrix beside the DISTINCT's 2 stages, or its one where `k`
+            // binds dense; past that, both run solo.
             let distinct = Query::Distinct {
                 table: "t".into(),
                 column: "k".into(),
@@ -1358,12 +1406,15 @@ pub(crate) mod tests {
         /// DISTINCT and DistinctMulti are exact on every arm at every
         /// geometry their keys size: one to three key columns whose domain
         /// product is tiny, exactly rows / 2 or one past it, or near-unique,
-        /// over a starved, a small and Table 2's floor.
+        /// over a starved, a small and Table 2's floor — hashed keys, and
+        /// the same keys as their dense offsets, on either backend.
         #[test]
         fn distinct_is_exact_at_every_sized_geometry_on_every_arm(
             rows in 1usize..4_500,
             width in 1usize..4,
             domain in 0usize..4,
+            dense in any::<bool>(),
+            pisa in any::<bool>(),
             seed in any::<u64>(),
         ) {
             let half = rows / 2 + (domain == 2) as usize;
@@ -1378,12 +1429,23 @@ pub(crate) mod tests {
             let lanes: Vec<Vec<u64>> = (0..width)
                 .map(|c| {
                     let m = modulus(c) as u64;
-                    (0..rows as u64).map(|i| mix64(seed ^ ((c as u64) << 32) ^ (i % m))).collect()
+                    let key = |i: u64| if dense { i % m } else { mix64(seed ^ ((c as u64) << 32) ^ (i % m)) };
+                    (0..rows as u64).map(key).collect()
                 })
                 .collect();
             let names = ["a", "b", "c"];
             let mut db = Database::new();
             db.add(Table::new("t", names.iter().copied().zip(lanes).collect()));
+            // Spread keys bind hashed but for lanes of one key, which fit a
+            // stage however spread; offsets bind dense where their code
+            // does: one lane's range, or ⌈log₂ range⌉ bits a lane, 25 in all.
+            let spans = (0..width).map(|c| modulus(c).min(rows) as u64 - 1);
+            let hashed = if dense {
+                let bits: u32 = spans.map(|s| u64::BITS - s.leading_zeros()).sum();
+                width > 1 && bits > backend::spec().sram_per_stage_bits.ilog2()
+            } else {
+                spans.clone().any(|s| s > 0)
+            };
             let q = if width == 1 && seed.is_multiple_of(2) {
                 Query::Distinct { table: "t".into(), column: "a".into() }
             } else {
@@ -1394,7 +1456,11 @@ pub(crate) mod tests {
             };
             let truth = reference::evaluate(&db, &q);
             let (distinct_d, distinct_w) = [(1, 1), (64, 2), (4096, 2)][(seed >> 8) as usize % 3];
-            let cfg = PrunerConfig { distinct_d, distinct_w, ..PrunerConfig::default() };
+            let backend = if pisa { SwitchBackend::Pisa } else { SwitchBackend::Reference };
+            let cfg = PrunerConfig { distinct_d, distinct_w, backend, ..PrunerConfig::default() };
+            let bound = q.bind(&db, &cfg).expect("binds");
+            let bound_hashed = matches!(bound.program, Program::SinglePass(SinglePass::Distinct(Keys::Hashed(_))));
+            prop_assert_eq!(bound_hashed, hashed);
             let exec = CheetahExecutor::new(CostModel::default(), cfg);
             let sharded = ShardedExecutor::with_shards(exec.clone(), 2);
             // A co-resident flow, so the DISTINCT packs into a shared scan.
@@ -1417,7 +1483,9 @@ pub(crate) mod tests {
         /// `groupby_d · groupby_w / 2`, on every arm: key domains of three
         /// keys, exactly the cutoff, one past it and near-unique, over three
         /// register geometries, with thresholds no key, some keys or every
-        /// key clears.
+        /// key clears — over hashed keys, and over the same keys as dense
+        /// offsets, which one pass of registers takes at any geometry, on
+        /// either backend.
         #[test]
         fn having_is_exact_on_both_sides_of_the_register_cutoff_on_every_arm(
             rows in 1usize..3_000,
@@ -1425,20 +1493,26 @@ pub(crate) mod tests {
             geometry in 0usize..3,
             clears in 0usize..3,
             shards in 1usize..5,
+            dense in any::<bool>(),
+            pisa in any::<bool>(),
             seed in any::<u64>(),
         ) {
             let (groupby_d, groupby_w) = [(4, 2), (64, 2), (128, 8)][geometry];
             let cutoff = groupby_d * groupby_w / 2;
             let modulus = [3, cutoff, cutoff + 1, rows][domain] as u64;
-            let keys: Vec<u64> = (0..rows as u64).map(|i| mix64(seed ^ (i % modulus))).collect();
+            let key = |i: u64| if dense { i % modulus } else { mix64(seed ^ (i % modulus)) };
+            let keys: Vec<u64> = (0..rows as u64).map(key).collect();
             let vals: Vec<u64> = (0..rows as u64).map(|i| mix64(!seed ^ i) % 1_000 + 1).collect();
             let mut db = Database::new();
             db.add(Table::new("t", vec![("k", keys), ("v", vals)]));
-            let cfg = PrunerConfig { groupby_d, groupby_w, ..PrunerConfig::default() };
+            let backend = if pisa { SwitchBackend::Pisa } else { SwitchBackend::Reference };
+            let cfg = PrunerConfig { groupby_d, groupby_w, backend, ..PrunerConfig::default() };
             // `mix64` is a bijection, so the lane holds min(modulus, rows)
             // distinct keys.
             let by_registers = modulus.min(rows as u64) <= cutoff as u64;
             prop_assert_eq!(backend::having_by_registers(&cfg, db.table("t"), 0), by_registers);
+            // One key fits a stage however it is spread.
+            let dense = dense || modulus.min(rows as u64) == 1;
             // Every key's sum is at least 1: a threshold of 0 passes them
             // all, the largest sum none, the median some.
             let sums = match reference::evaluate(&db, &Query::GroupBy {
@@ -1463,7 +1537,7 @@ pub(crate) mod tests {
             };
             let truth = reference::evaluate(&db, &q);
             let passes = CheetahExecutor::new(CostModel::default(), cfg.clone()).execute(&db, &q).passes;
-            prop_assert_eq!(passes, if by_registers { 1 } else { 2 });
+            prop_assert_eq!(passes, if dense || by_registers { 1 } else { 2 });
             for (arm, result) in every_arm(&cfg, &db, &q, shards) {
                 prop_assert!(result == truth, "{} diverged over {} rows, {} keys", arm, rows, modulus);
             }
@@ -1472,17 +1546,22 @@ pub(crate) mod tests {
         /// SUM, COUNT and HAVING over values from the top of the u64 range,
         /// where nearly every sum wraps, agree with the reference on every
         /// arm — HAVING on both sides of the register cutoff, whose
-        /// Count-Min cells saturate instead, as an upper bound must.
+        /// Count-Min cells saturate instead, as an upper bound must — over
+        /// dense keys and the same keys spread wide, on either backend.
         #[test]
         fn sums_wrap_alike_at_the_top_of_the_u64_range_on_every_arm(
             rows in 1usize..2_000,
             keys in 1u64..200,
             spread in 0u32..64,
             starved in any::<bool>(),
+            wide in any::<bool>(),
+            pisa in any::<bool>(),
             shards in 1usize..4,
             seed in any::<u64>(),
         ) {
-            let k: Vec<u64> = (0..rows as u64).map(|i| mix64(seed ^ i) % keys).collect();
+            // Keys below 200 bind dense; spread past a stage, hashed.
+            let shift = if wide { 40 } else { 0 };
+            let k: Vec<u64> = (0..rows as u64).map(|i| (mix64(seed ^ i) % keys) << shift).collect();
             let v: Vec<u64> = (0..rows as u64)
                 .map(|i| u64::MAX - (mix64(!seed ^ i) >> spread))
                 .collect();
@@ -1502,11 +1581,70 @@ pub(crate) mod tests {
                 threshold,
             };
             let (groupby_d, groupby_w) = if starved { (2, 1) } else { (4096, 8) };
-            let cfg = PrunerConfig { groupby_d, groupby_w, ..PrunerConfig::default() };
+            let backend = if pisa { SwitchBackend::Pisa } else { SwitchBackend::Reference };
+            let cfg = PrunerConfig { groupby_d, groupby_w, backend, ..PrunerConfig::default() };
             for q in [group(Agg::Sum), group(Agg::Count), having] {
                 let truth = reference::evaluate(&db, &q);
                 for (arm, result) in every_arm(&cfg, &db, &q, shards) {
                     prop_assert!(result == truth, "{} diverged on {}", arm, q.kind());
+                }
+            }
+        }
+
+        /// Bind chooses a dense program exactly while a key lane's range
+        /// fits one stage — a bitmap's 2²⁵ keys for DISTINCT and JOIN,
+        /// ⌊2²⁵/65⌋ = 516,222 registers for GROUP BY and HAVING — and the
+        /// hashed one a key past it; on both sides, on both backends, every
+        /// arm answers what the reference answers.
+        #[test]
+        fn dense_binds_exactly_inside_the_stage_cutoff_on_every_arm(
+            rows in 2usize..300,
+            past in any::<bool>(),
+            registers in any::<bool>(),
+            base in any::<u32>(),
+            seed in any::<u64>(),
+        ) {
+            let stage = backend::spec().sram_per_stage_bits;
+            let cutoff = if registers { stage / 65 } else { stage };
+            let range = cutoff + u64::from(past);
+            // Both ends of the range, then keys inside it.
+            let (lo, hi) = (u64::from(base), u64::from(base) + range - 1);
+            let keys = (0..rows as u64).map(|i| match i {
+                0 => lo,
+                1 => hi,
+                _ => lo + mix64(seed ^ i) % range,
+            });
+            let vals = (0..rows as u64).map(|i| mix64(!seed ^ i) % 1_000);
+            let mut db = Database::new();
+            db.add(Table::new("t", vec![("k", keys.collect()), ("v", vals.collect())]));
+            let t = || "t".to_string();
+            let queries = if registers {
+                vec![
+                    Query::GroupBy { table: t(), key: "k".into(), val: "v".into(), agg: Agg::Sum },
+                    Query::GroupBy { table: t(), key: "k".into(), val: "v".into(), agg: Agg::Max },
+                    Query::Having { table: t(), key: "k".into(), val: "v".into(), threshold: 500 },
+                ]
+            } else {
+                vec![
+                    Query::Distinct { table: t(), column: "k".into() },
+                    Query::Join { left: t(), right: t(), left_col: "k".into(), right_col: "k".into() },
+                ]
+            };
+            for backend in [SwitchBackend::Reference, SwitchBackend::Pisa] {
+                let cfg = PrunerConfig { backend, ..PrunerConfig::default() };
+                for q in &queries {
+                    let dense = match q.bind(&db, &cfg).expect("binds").program {
+                        Program::SinglePass(SinglePass::Distinct(ref k)) => k.is_dense(),
+                        Program::SinglePass(SinglePass::GroupBy(ref k, _)) => k.is_dense(),
+                        Program::Registers { ref registers, .. } => registers.is_dense(),
+                        Program::Join { ref filters, .. } => filters.is_dense(),
+                        _ => false,
+                    };
+                    prop_assert_eq!(dense, !past, "{} over {} keys", q.kind(), range);
+                    let truth = reference::evaluate(&db, q);
+                    for (arm, result) in every_arm(&cfg, &db, q, 2) {
+                        prop_assert!(result == truth, "{} diverged on {} over {} keys", arm, q.kind(), range);
+                    }
                 }
             }
         }
@@ -1535,7 +1673,8 @@ pub(crate) mod tests {
         /// columns, repeats included, with nested constant formulas; multi-column keys with repeated columns; TOP N at the
         /// edges of the table; HAVING at both threshold extremes; and
         /// self-joins and joins on non-key columns — over tables of 0, 1, 2,
-        /// 7 and 3,000 rows.
+        /// 7 and 3,000 rows, whose keys bind dense, and their wide twins,
+        /// whose keys bind hashed.
         #[test]
         fn every_arm_answers_every_query_of_the_grammar(
             size in 0usize..5,
@@ -1543,18 +1682,20 @@ pub(crate) mod tests {
             shards in 1usize..3,
         ) {
             let rows = [0, 1, 2, 7, 3_000][size];
-            let db = random_db(rows, seed);
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..8 {
-                let q = grammar_query(&mut rng, rows);
-                let truth = reference::evaluate(&db, &q);
-                for backend in [SwitchBackend::Reference, SwitchBackend::Pisa] {
-                    let cfg = PrunerConfig { backend, ..PrunerConfig::default() };
-                    for (arm, result) in every_arm(&cfg, &db, &q, shards) {
-                        prop_assert!(
-                            result == truth,
-                            "{} on {:?} diverged over {} rows on {:?}", arm, backend, rows, q
-                        );
+            for (keys, db) in both_fixtures(rows, seed) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..8 {
+                    let q = grammar_query(&mut rng, rows);
+                    let truth = reference::evaluate(&db, &q);
+                    for backend in [SwitchBackend::Reference, SwitchBackend::Pisa] {
+                        let cfg = PrunerConfig { backend, ..PrunerConfig::default() };
+                        for (arm, result) in every_arm(&cfg, &db, &q, shards) {
+                            prop_assert!(
+                                result == truth,
+                                "{} on {:?} diverged over {} rows of {} keys on {:?}",
+                                arm, backend, rows, keys, q
+                            );
+                        }
                     }
                 }
             }

@@ -48,12 +48,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
-use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_net::sim::FaultPlan;
 use cheetah_net::wire::chunk_payload;
 use cheetah_net::{MasterRx, Simulation, SimulationConfig, SwitchNode, WorkerTx};
 
-use crate::backend::Matrix;
+use crate::backend::{Keys, Matrix};
 use crate::cheetah::CheetahExecutor;
 use crate::executor::{ExecutionReport, Executor, ResilienceReport};
 use crate::master::rows_payload_checksum;
@@ -705,9 +704,9 @@ impl Site for Faults<'_> {
         }))
     }
 
-    fn sum_stage(&self, s: usize, m: Matrix, seed: u64) -> RebootSumStage {
+    fn sum_stage(&self, s: usize, registers: &Keys<Matrix>, seed: u64) -> RebootSumStage {
         RebootSumStage {
-            inner: GroupBySumStage::new(GroupBySumPruner::new(m.d, m.w, seed)),
+            inner: GroupBySumStage::new(registers.sum_registers(seed)),
             clock: self.clock(s),
             reboots: Arc::clone(&self.reboots),
             drains: Arc::clone(&self.drains),
@@ -965,7 +964,7 @@ mod tests {
     use crate::sharded::tests::db;
     use crate::sharded::ShardYield;
     use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
-    use cheetah_core::groupby::SumAction;
+    use cheetah_core::groupby::{GroupBySumPruner, SumAction};
     use std::time::Duration;
 
     fn shapes() -> Vec<Query> {
@@ -1238,7 +1237,7 @@ mod tests {
                 ..FailurePlan::default()
             };
             let faults = rebooting(&plan);
-            let mut stage = faults.sum_stage(0, Matrix { d: 4, w: 2 }, seed);
+            let mut stage = faults.sum_stage(0, &Keys::Hashed(Matrix { d: 4, w: 2 }), seed);
             let (mut shipped, mut by_block) = (Vec::new(), vec![Decision::Prune; keys.len()]);
             let mut ship = |residual: Option<ColumnChunk>| {
                 let cols = residual.expect("a register stage ships its pairs").cols;

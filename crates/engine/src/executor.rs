@@ -402,18 +402,30 @@ mod tests {
         assert_eq!(r.passes, 1, "37 keys aggregate in the GROUP BY registers");
         assert_eq!(r.result, reference::evaluate(&db, &q));
         assert_eq!(r.executor, "threaded");
-        // Past the register cutoff, HAVING streams twice.
-        let starved = CheetahExecutor::new(
+        // The same 37 keys spread past any stage's range and past the
+        // starved register cutoff: HAVING streams twice. Over `1..=37`,
+        // dense registers take one pass at any matrix.
+        let starved = ThreadedExecutor::new(CheetahExecutor::new(
             CostModel::default(),
             PrunerConfig {
                 groupby_d: 8,
                 groupby_w: 2,
                 ..PrunerConfig::default()
             },
-        );
-        let r = Executor::execute(&ThreadedExecutor::new(starved), &db, &q);
+        ));
+        let t = db.table("t");
+        let mut wide = Database::new();
+        wide.add(Table::new(
+            "t",
+            vec![
+                ("k", t.col("k").iter().map(|k| k << 40).collect()),
+                ("v", t.col("v").to_vec()),
+            ],
+        ));
+        let r = Executor::execute(&starved, &wide, &q);
         assert_eq!(r.passes, 2, "HAVING streams twice");
-        assert_eq!(r.result, reference::evaluate(&db, &q));
+        assert_eq!(r.result, reference::evaluate(&wide, &q));
+        assert_eq!(Executor::execute(&starved, &db, &q).passes, 1);
     }
 
     #[test]

@@ -32,10 +32,9 @@
 //! locally.)
 
 use cheetah_core::decision::Decision;
-use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::HavingPruner;
 
-use crate::backend::JoinFlow;
+use crate::backend::{JoinFlow, SumRegisters};
 use crate::threaded::{ColumnChunk, SwitchPhases};
 
 /// Flow-id value tagging left-side (build A / probe A) join entries.
@@ -93,7 +92,7 @@ impl SwitchPhases for JoinPhases {
 
 /// Single-pass GROUP BY SUM/COUNT program over register accumulators,
 /// deciding each block with the deterministic arm's own kernel,
-/// [`GroupBySumPruner::process_block`].
+/// `SumRegisters::process_block`.
 ///
 /// Entries are `[key, value]` (`value = 1` for COUNT). An entry is
 /// forwarded when it evicts an accumulator, and what rides out is the
@@ -102,15 +101,15 @@ impl SwitchPhases for JoinPhases {
 /// drains whatever still sits in the registers, so the master
 /// reconstructs exact totals by summing every pair it receives.
 pub struct GroupBySumStage {
-    pruner: GroupBySumPruner,
+    pruner: SumRegisters,
     /// Pairs bound for the master, `[keys, partials]`: the current
     /// block's evictions and any drain.
     out: [Vec<u64>; 2],
 }
 
 impl GroupBySumStage {
-    /// Wrap a fresh accumulator matrix.
-    pub fn new(pruner: GroupBySumPruner) -> Self {
+    /// Wrap fresh registers: an accumulator matrix, or a dense array.
+    pub(crate) fn new(pruner: SumRegisters) -> Self {
         GroupBySumStage {
             pruner,
             out: Default::default(),
@@ -230,10 +229,11 @@ impl SwitchPhases for HavingShardProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Keys;
     use crate::cheetah::PrunerConfig;
     use crate::threaded::tests::collect_phases;
     use crate::threaded::{Lane, LanePartition, PhaseInput};
-    use cheetah_core::groupby::SumAction;
+    use cheetah_core::groupby::{GroupBySumPruner, SumAction};
     use std::collections::{HashMap, HashSet};
 
     fn two_sided_parts(with_rids: bool) -> Vec<LanePartition<'static>> {
@@ -385,7 +385,8 @@ mod tests {
             } else {
                 Lane::Slice(&sums)
             };
-            let mut program = GroupBySumStage::new(GroupBySumPruner::new(4, 2, 7));
+            let registers = Keys::Hashed(GroupBySumPruner::new(4, 2, 7));
+            let mut program = GroupBySumStage::new(registers);
             let run = collect_phases(
                 vec![PhaseInput {
                     partitions: vec![LanePartition {

@@ -41,6 +41,7 @@ use cheetah_core::having::HavingPruner;
 use cheetah_core::resources::SwitchModel;
 use cheetah_pisa::pack::pack;
 
+use crate::backend::Keys;
 use crate::bind::{Bound, Program};
 use crate::cheetah::{CheetahExecutor, PrunerConfig, ThroughputSample};
 use crate::cost::CostModel;
@@ -160,10 +161,14 @@ impl PlanContext {
 /// range shapes) are effectively free per stage.
 fn sampled_merge_cost(cfg: &PrunerConfig, b: &Bound<'_>) -> f64 {
     match (&b.program, b.query) {
-        (Program::Registers { matrix, .. }, _) => {
+        (Program::Registers { registers, .. }, _) => {
             // Two register matrices' worth of disjoint-ish keys: the
-            // worst-case run a tree stage can see.
-            let cells = (matrix.d * matrix.w) as u64;
+            // worst-case run a tree stage can see (a dense array's, at
+            // most one key a row).
+            let cells = match registers {
+                Keys::Hashed(m) => (m.d * m.w) as u64,
+                Keys::Dense(code) => code.cells().min(b.table.rows() as u64),
+            };
             let run = |salt| GroupRun::fold((0..cells).map(|i| (i ^ salt, 1)).collect(), Agg::Sum);
             let (mut a, b) = (run(0), run(0x5555));
             let t0 = Instant::now();
@@ -485,7 +490,7 @@ mod tests {
     use cheetah_core::resources::{table2, ResourceUsage};
 
     use super::*;
-    use crate::backend::{JoinFlow, Matrix};
+    use crate::backend::Matrix;
     use crate::query::QueryResult;
     use crate::reference;
     use crate::sharded::tests::db;
@@ -539,14 +544,17 @@ mod tests {
 
     #[test]
     fn distinct_resources_charge_the_sized_matrix() {
-        // 10k keys over 40k rows: 8,192 × 2; a near-unique key keeps
-        // Table 2's 4,096 × 2. Either way two stages, one per column.
+        // 10k keys over 40k rows, spread past any stage's range: 8,192 × 2;
+        // a near-unique key keeps Table 2's 4,096 × 2. Either way two
+        // stages, one per column. The same 10k keys as `0..10_000` bind a
+        // one-stage bitmap of ⌈10,000 / 64⌉ = 157 registers.
         let mut db = Database::new();
         db.add(Table::new(
             "t",
             vec![
-                ("k", (0..40_000).map(|i| i % 10_000).collect()),
-                ("u", (0..40_000).collect()),
+                ("k", (0..40_000).map(|i| (i % 10_000) << 40).collect()),
+                ("u", (0..40_000).map(|i| i << 40).collect()),
+                ("d", (0..40_000).map(|i| i % 10_000).collect()),
             ],
         ));
         let exec = planner();
@@ -562,19 +570,23 @@ mod tests {
         assert_eq!(charge(&["k"]), (2, 8_192 * 2 * 64));
         assert_eq!(charge(&["u"]), (2, 4_096 * 2 * 64));
         assert_eq!(charge(&["k", "u"]), (2, 4_096 * 2 * 64));
+        assert_eq!(charge(&["d"]), (1, 157 * 64));
     }
 
     #[test]
     fn having_resources_charge_the_chosen_program() {
-        // 25 keys run GROUP BY SUM's registers in one pass; 40k keys,
-        // past half the 4096 × 8 matrix, §5's Count-Min in two.
+        // Spread past any stage's range, 25 keys run GROUP BY SUM's
+        // registers in one pass; 40k keys, past half the 4096 × 8 matrix,
+        // §5's Count-Min in two. As `0..25`, the 25 keys run one stage of
+        // dense registers: a register each and a register of valid bits.
         let mut db = Database::new();
         db.add(Table::new(
             "t",
             vec![
-                ("k", (0..40_000).map(|i| i % 25).collect()),
-                ("u", (0..40_000).collect()),
+                ("k", (0..40_000).map(|i| (i % 25) << 40).collect()),
+                ("u", (0..40_000).map(|i| i << 40).collect()),
                 ("v", (0..40_000).map(|i| i % 97).collect()),
+                ("d", (0..40_000).map(|i| i % 25).collect()),
             ],
         ));
         let exec = planner();
@@ -601,8 +613,16 @@ mod tests {
         assert_eq!(passes(&having("k")), 1);
         assert_eq!(charge(&having("u")), sketch);
         assert_eq!(passes(&having("u")), 2);
+        let dense = ResourceUsage {
+            stages: 1,
+            alus: 3,
+            sram_bits: 64 + 25 * 64,
+            tcam_entries: 0,
+        };
+        assert_eq!(charge(&having("d")), dense);
+        assert_eq!(passes(&having("d")), 1);
         // What the planner charges is what runs.
-        for (key, runs) in [("k", 1), ("u", 2)] {
+        for (key, runs) in [("k", 1), ("u", 2), ("d", 1)] {
             assert_eq!(exec.inner.execute(&db, &having(key)).passes, runs);
         }
     }
@@ -625,12 +645,11 @@ mod tests {
             plan.chosen.arm != ExecutorArm::Deterministic
         );
         assert_eq!(plan.candidates, 3);
-        // What runs is charged: a register filter per side, each a stage,
-        // a stateful ALU and its rows' bits.
-        let cfg = &exec.inner.config;
-        let filters = JoinFlow::side_bits(cfg, 4_000) + JoinFlow::side_bits(cfg, 1_000);
-        assert_eq!((b.charge.stages, b.charge.alus), (2, 2));
-        assert_eq!(b.charge.sram_bits, filters);
+        // What runs is charged: t.k's `1..=83` and s.k's `40..=179` make
+        // one union range of 179 keys, so a bitmap a side of ⌈179 / 64⌉ = 3
+        // registers, each a stage, the offset's ALU and the bitmap's.
+        assert_eq!((b.charge.stages, b.charge.alus), (2, 4));
+        assert_eq!(b.charge.sram_bits, 2 * 3 * 64);
         assert_eq!((plan.infeasible, exec.fits_switch(&db, &q)), (0, true));
     }
 

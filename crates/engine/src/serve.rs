@@ -62,7 +62,7 @@ use cheetah_core::decision::Decision;
 use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
 
-use crate::backend::{HavingFlow, JoinFlow, SwitchBackend};
+use crate::backend::{HavingFlow, SwitchBackend};
 use crate::bind::{Bound, Program};
 use crate::cheetah::{single_pass_pruner, ArmedFlow, CheetahExecutor};
 use crate::executor::{ExecutionReport, Executor, ServeReport};
@@ -354,11 +354,7 @@ fn rearmed(cached: &ArmedFlow, b: &Bound<'_>) -> Option<ArmedFlow> {
             let flow = HavingFlow::from_sketch(flow.sketch()?.clone(), *threshold);
             Some(ArmedFlow::Having(flow))
         }
-        (ArmedFlow::Join(flow), Program::Join { .. }) => {
-            let (a, b) = flow.filters()?;
-            let flow = JoinFlow::from_filters(a.clone(), b.clone());
-            Some(ArmedFlow::Join(flow))
-        }
+        (ArmedFlow::Join(flow), Program::Join { .. }) => Some(ArmedFlow::Join(flow.rearmed()?)),
         _ => None,
     }
 }
@@ -370,11 +366,28 @@ mod tests {
     use crate::cost::CostModel;
     use crate::query::Predicate;
     use crate::reference;
-    use crate::sharded::tests::db;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
 
-    /// A 256 × 2 register matrix: HAVING aggregates `t.k`'s 83 keys in
-    /// its registers and runs two cached passes over `t.w`'s 499.
+    /// The engine's two-table fixture, plus its keys spread `<< 40` past
+    /// any stage's dense array: `t.ws` (`t.w`'s 499 keys) and `t.ks`,
+    /// `s.ks` (the join keys), so the hashed programs run over them.
+    fn db(t_rows: usize, s_rows: usize) -> Database {
+        let mut db = crate::sharded::tests::db(t_rows, s_rows);
+        for (table, spread) in [
+            ("t", &[("w", "ws"), ("k", "ks")][..]),
+            ("s", &[("k", "ks")]),
+        ] {
+            for &(col, name) in spread {
+                let keys = db.table(table).col(col).iter().map(|k| k << 40).collect();
+                db.table_mut(table).add_column(name, keys);
+            }
+        }
+        db
+    }
+
+    /// A 256 × 2 register matrix: HAVING aggregates `t.k`'s 83 keys in a
+    /// dense register array and runs two cached passes over `t.ws`'s 499
+    /// spread keys, past the matrix's 256.
     fn serve_exec() -> ServeExecutor {
         let cfg = PrunerConfig {
             groupby_d: 256,
@@ -411,7 +424,7 @@ mod tests {
             },
             Query::Having {
                 table: "t".into(),
-                key: "w".into(),
+                key: "ws".into(),
                 val: "v".into(),
                 threshold: 60_000,
             },
@@ -420,6 +433,12 @@ mod tests {
                 right: "s".into(),
                 left_col: "k".into(),
                 right_col: "k".into(),
+            },
+            Query::Join {
+                left: "t".into(),
+                right: "s".into(),
+                left_col: "ks".into(),
+                right_col: "ks".into(),
             },
         ]
     }
@@ -440,14 +459,18 @@ mod tests {
             );
             assert_eq!(r.executor, "serving");
         }
-        assert_eq!(agg.queries, 6);
+        assert_eq!(agg.queries, 7);
         // The TOP 25's 21 × 11 matrix takes all 12 stages, so it cannot
-        // sit beside the filter and the DISTINCT and runs alone.
+        // sit beside the filter (2 stages) and the dense DISTINCT (1) and
+        // runs alone.
         assert_eq!(agg.packed, 2, "filter and distinct share table t");
         assert_eq!(agg.spilled, 1, "the TOP N spills");
         assert_eq!(agg.shared_scans, 1);
-        assert_eq!(agg.solo, 4, "the TOP N, HAVINGs and the JOIN dispatch solo");
-        assert_eq!(agg.cache_misses, 2, "cold cache: both cacheable flows miss");
+        assert_eq!(agg.solo, 5, "the TOP N, HAVINGs and JOINs dispatch solo");
+        // The HAVING over `t.k` runs one register pass and caches nothing;
+        // the two-pass HAVING over `t.ws`, the bitmap JOIN over `k` and
+        // the Bloom JOIN over `ks` each miss.
+        assert_eq!(agg.cache_misses, 3, "cold cache: three flows miss");
         assert_eq!(agg.cache_hits, 0);
     }
 
@@ -460,8 +483,8 @@ mod tests {
         let (second, warm) = exec.serve(&db, &batch);
         assert_eq!(cold.cache_hits, 0);
         assert_eq!(
-            warm.cache_hits, 2,
-            "join + two-pass having reuse cached state; the register having has none"
+            warm.cache_hits, 3,
+            "both joins and the two-pass having reuse cached state; the register having has none"
         );
         assert_eq!(warm.cache_misses, 0);
         for (a, b) in first.iter().zip(&second) {
@@ -483,7 +506,7 @@ mod tests {
             agg.cache_hits, 0,
             "epoch bump must invalidate every entry touching t"
         );
-        assert_eq!(agg.cache_misses, 2);
+        assert_eq!(agg.cache_misses, 3);
         for (q, r) in batch.iter().zip(&reports) {
             assert_eq!(r.result, reference::evaluate(&db, q));
         }
@@ -494,7 +517,7 @@ mod tests {
         // Skyline at the default w=10 needs 21 stages (Table 2) — more
         // than the 12-stage Tofino budget, so it always spills while its
         // co-resident flows stay packed: the TOP 10's 11 × 9 matrix
-        // takes 10 stages, the DISTINCT the other 2.
+        // takes 10 stages, the DISTINCT's bitmap over `1..=83` one.
         let db = db(3_000, 1_500);
         let exec = serve_exec();
         let batch = vec![

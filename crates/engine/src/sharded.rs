@@ -47,10 +47,9 @@ use std::time::{Duration, Instant};
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
-use cheetah_core::groupby::GroupBySumPruner;
 use cheetah_core::having::{CountMinSketch, HavingPruner};
 
-use crate::backend::{JoinFilters, JoinFlow, Matrix};
+use crate::backend::{JoinFilters, JoinFlow, Keys, Matrix};
 use crate::bind::{Bound, Program};
 use crate::cheetah::{
     frontier, single_pass_pruner, tuple_fingerprinter, Answer, CheetahExecutor, Completion,
@@ -364,7 +363,7 @@ pub(crate) enum JoinPlan {
 /// shards' streams.
 pub(crate) fn join_shard(
     cfg: &PrunerConfig,
-    filters: JoinFilters,
+    filters: &Keys<JoinFilters>,
     (l, lc): (&Table, usize),
     (r, rc): (&Table, usize),
     plan: JoinPlan,
@@ -531,9 +530,9 @@ pub(crate) trait Site: Sync {
     /// (a stage that does not prune never calls it).
     fn pruner_stage(&self, s: usize, pruner: NewPruner<'_>) -> Self::RowStage;
 
-    /// Shard `s`'s §6 register stage over `matrix` (a stage that does
+    /// Shard `s`'s §6 register stage at `registers` (a stage that does
     /// not prune builds none).
-    fn sum_stage(&self, s: usize, matrix: Matrix, seed: u64) -> Self::SumStage;
+    fn sum_stage(&self, s: usize, registers: &Keys<Matrix>, seed: u64) -> Self::SumStage;
 
     /// Whether partials leave the process — a FILTER shard then keeps the
     /// rows it fetches, to ship them.
@@ -566,8 +565,8 @@ impl Site for InProcess {
         PrunerStage::new(pruner())
     }
 
-    fn sum_stage(&self, _: usize, m: Matrix, seed: u64) -> GroupBySumStage {
-        GroupBySumStage::new(GroupBySumPruner::new(m.d, m.w, seed))
+    fn sum_stage(&self, _: usize, registers: &Keys<Matrix>, seed: u64) -> GroupBySumStage {
+        GroupBySumStage::new(registers.sum_registers(seed))
     }
 }
 
@@ -613,7 +612,7 @@ impl Site for Unpruned {
         ForwardAll
     }
 
-    fn sum_stage(&self, _: usize, _: Matrix, _: u64) -> ForwardAll {
+    fn sum_stage(&self, _: usize, _: &Keys<Matrix>, _: u64) -> ForwardAll {
         ForwardAll
     }
 }
@@ -696,14 +695,14 @@ pub(crate) fn execute_on<T: Transport>(
     };
     let mut spans = Spans::default();
     let t = b.table;
-    let registers = |threshold, matrix| {
+    let registers = |threshold, registers| {
         let lanes: Vec<&[u64]> = b.cols.iter().map(|&c| t.col_at(c)).collect();
         let partition = T::PRUNES.then(|| key_partition(cfg, &lanes, env.shards, false));
         SumProgram {
             scan: Scan::over(env, b, false),
             partition: partition.flatten(),
             threshold,
-            matrix,
+            registers,
         }
     };
     let answer = match b.program {
@@ -712,13 +711,14 @@ pub(crate) fn execute_on<T: Transport>(
             let scan = Scan::over(env, b, T::PRUNES);
             spans.run(transport, &SinglePassProgram { scan, fetch })
         }
-        Program::Registers { threshold, matrix } => {
-            spans.run(transport, &registers(threshold, matrix))
-        }
+        Program::Registers {
+            threshold,
+            registers: ref at,
+        } => spans.run(transport, &registers(threshold, at.clone())),
         // The switch is off, so no register stage is built: the sketch's
         // geometry only fills the slot.
         Program::Having { threshold, sketch } if !T::PRUNES => {
-            spans.run(transport, &registers(Some(threshold), sketch))
+            spans.run(transport, &registers(Some(threshold), Keys::Hashed(sketch)))
         }
         Program::Having { threshold, sketch } => {
             // Pass 2 must see global key mass, so the merged sketch is
@@ -740,7 +740,7 @@ pub(crate) fn execute_on<T: Transport>(
             right: r,
             right_col: rc,
             lopsided,
-            filters,
+            ref filters,
         } => {
             // Both sides by join key under one salt: every occurrence of a
             // key, left or right, lands on one shard and pairs there.
@@ -752,7 +752,7 @@ pub(crate) fn execute_on<T: Transport>(
             };
             let program = JoinProgram {
                 env,
-                filters,
+                filters: filters.clone(),
                 left: (t, b.cols[0]),
                 right: (r, rc),
                 plan,
@@ -787,12 +787,11 @@ impl<'a> Scan<'a> {
     /// The scan for `b`; a DistinctMulti's workers hash its tuples into
     /// a fingerprint lane only for a switch that `prunes`.
     fn over(env: Env<'a>, b: &'a Bound<'a>, prunes: bool) -> Self {
-        let distinct_multi = prunes && matches!(b.query, Query::DistinctMulti { .. });
         Scan {
             env,
             b,
             bounds: b.table.partition_bounds(env.shards),
-            fp: distinct_multi.then(|| tuple_fingerprinter(env.cfg)),
+            fp: (prunes && b.fingerprints()).then(|| tuple_fingerprinter(env.cfg)),
         }
     }
 
@@ -967,8 +966,8 @@ struct SumProgram<'a> {
     partition: Option<HashPartition>,
     /// A HAVING's threshold, which the root applies to the merged sums.
     threshold: Option<u64>,
-    /// The register matrix each shard's stage runs.
-    matrix: Matrix,
+    /// The registers each shard's stage runs.
+    registers: Keys<Matrix>,
 }
 
 impl ShardProgram for SumProgram<'_> {
@@ -977,7 +976,7 @@ impl ShardProgram for SumProgram<'_> {
 
     fn shard<S: Site>(&self, s: usize, site: &S) -> ShardYield<GroupRun> {
         let Env { cfg, workers, .. } = self.scan.env;
-        let stage = site.sum_stage(s, self.matrix, cfg.seed);
+        let stage = site.sum_stage(s, &self.registers, cfg.seed);
         match &self.partition {
             Some(p) => sum_shard(&p[s], stage, workers),
             None => sum_shard(&self.scan.range(s), stage, workers),
@@ -1146,7 +1145,7 @@ impl ShardProgram for HavingProbeProgram<'_, '_> {
 struct JoinProgram<'a> {
     env: Env<'a>,
     /// The bound filter pair, for the whole tables.
-    filters: JoinFilters,
+    filters: Keys<JoinFilters>,
     left: (&'a Table, usize),
     right: (&'a Table, usize),
     plan: JoinPlan,
@@ -1160,11 +1159,15 @@ impl ShardProgram for JoinProgram<'_> {
     fn shard<S: Site>(&self, s: usize, _: &S) -> ShardYield<(u64, u64)> {
         let lanes = self.sides.as_ref().map(|(lp, rp)| [&lp[s][..], &rp[s][..]]);
         let Env { cfg, workers, .. } = self.env;
-        // A shard's switch holds its partition's keys alone: its pair is
-        // sized for its rows, which bind cannot know.
-        let filters = lanes.map_or(self.filters, |[l, r]| {
-            JoinFilters::sized(cfg, l[0].len(), r[0].len())
-        });
+        // A shard's switch holds its partition's keys alone: its Bloom
+        // pair is sized for its rows, which bind cannot know. A dense pair
+        // spans the keys' range, which partitioning does not narrow.
+        let filters = match (&self.filters, lanes) {
+            (Keys::Hashed(_), Some([l, r])) => {
+                &Keys::Hashed(JoinFilters::sized(cfg, l[0].len(), r[0].len()))
+            }
+            (filters, _) => filters,
+        };
         join_shard(
             cfg, filters, self.left, self.right, self.plan, lanes, workers,
         )
@@ -1236,6 +1239,7 @@ pub(crate) mod tests {
     use crate::reference;
     use crate::table::Table;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
+    use cheetah_core::groupby::GroupBySumPruner;
     use cheetah_core::hash::mix64;
     use proptest::prelude::*;
 
@@ -1338,7 +1342,8 @@ pub(crate) mod tests {
             let partition = key_partition(&cfg, &lanes, shards, false).expect("sharded");
             let mut total = 0;
             for (shard, lanes) in partition.iter().enumerate() {
-                let stage = GroupBySumStage::new(GroupBySumPruner::new(16, 2, cfg.seed));
+                let registers = Keys::Hashed(GroupBySumPruner::new(16, 2, cfg.seed));
+                let stage = GroupBySumStage::new(registers);
                 let y = sum_shard(lanes, stage, 2);
                 let rows = lanes[0].len() as u64;
                 assert_eq!(
@@ -1359,8 +1364,8 @@ pub(crate) mod tests {
             for shard in 0..shards {
                 let sides = [&lp[shard][..], &rp[shard][..]];
                 let [l, r] = sides.map(|lanes| lanes[0].len() as u64);
-                let filters = JoinFilters::sized(&cfg, l as usize, r as usize);
-                let join = |plan| join_shard(&cfg, filters, (t, 0), (s, 0), plan, Some(sides), 2);
+                let filters = Keys::Hashed(JoinFilters::sized(&cfg, l as usize, r as usize));
+                let join = |plan| join_shard(&cfg, &filters, (t, 0), (s, 0), plan, Some(sides), 2);
                 let asym = join(JoinPlan::Asymmetric);
                 assert_eq!(
                     processed(&asym.phase_stats),

@@ -26,10 +26,15 @@ pub struct Table {
     columns: Vec<Arc<Vec<u64>>>,
     /// Each lane's distinct count, beside it and shared with it by clones
     /// ([`Table::distinct_count`]).
-    distinct: Vec<Arc<OnceLock<usize>>>,
+    distinct: Vec<LaneStat<usize>>,
+    /// Each lane's `[min, max]`, kept the same way ([`Table::domain`]).
+    domain: Vec<LaneStat<Option<(u64, u64)>>>,
     rows: usize,
     epoch: u64,
 }
+
+/// A statistic of one lane, found on first use and shared by clones.
+type LaneStat<T> = Arc<OnceLock<T>>;
 
 impl Table {
     /// Build a table from `(column name, data)` pairs (all equal length).
@@ -41,6 +46,7 @@ impl Table {
             name: name.into(),
             schema: cols.iter().map(|(n, _)| (*n).to_string()).collect(),
             distinct: cols.iter().map(|_| Arc::default()).collect(),
+            domain: cols.iter().map(|_| Arc::default()).collect(),
             columns: cols.into_iter().map(|(_, c)| Arc::new(c)).collect(),
             rows,
             epoch: 0,
@@ -114,6 +120,20 @@ impl Table {
         })
     }
 
+    /// Lane `idx`'s `(min, max)`, `None` for an empty lane: found on first
+    /// use in one pass over the lane and kept beside it, as
+    /// [`Table::distinct_count`] is.
+    pub(crate) fn domain(&self, idx: usize) -> Option<(u64, u64)> {
+        *self.domain[idx].get_or_init(|| {
+            let lane = &self.columns[idx];
+            let first = *lane.first()?;
+            Some(
+                lane.iter()
+                    .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
+            )
+        })
+    }
+
     /// One full row (across all columns), freshly allocated. Test-only
     /// convenience: row loops go through [`Table::row_into`] or
     /// [`Table::row_into_cols`], which reuse one buffer per loop.
@@ -174,6 +194,7 @@ impl Table {
         self.schema.push(name.to_string());
         self.columns.push(Arc::new(data));
         self.distinct.push(Arc::default());
+        self.domain.push(Arc::default());
         self.epoch += 1;
     }
 
@@ -362,6 +383,31 @@ mod tests {
         assert_eq!(copy.distinct_count(0), 5, "the old snapshot keeps its own");
     }
 
+    #[test]
+    fn added_and_replacing_lanes_find_their_own_domains() {
+        let mut db = Database::new();
+        db.add(t());
+        let copy = db.table("t").clone();
+        assert_eq!(copy.domain(1), Some((10, 50)));
+        assert_eq!(
+            db.table("t").domain[1].get(),
+            Some(&Some((10, 50))),
+            "clones share it"
+        );
+        db.table_mut("t").add_column("c", vec![9, 0, 4, 4, 2]);
+        let t = db.table("t");
+        assert_eq!((t.domain(0), t.domain(2)), (Some((1, 5)), Some((0, 9))));
+        db.add(Table::new("t", vec![("a", vec![7; 5])]));
+        assert_eq!(db.table("t").domain(0), Some((7, 7)));
+        assert_eq!(
+            copy.domain(0),
+            Some((1, 5)),
+            "the old snapshot keeps its own"
+        );
+        let empty = Table::new("e", vec![("a", Vec::new())]);
+        assert_eq!(empty.domain(0), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -383,6 +429,29 @@ mod tests {
             let brute = lane.iter().collect::<HashSet<_>>().len();
             let t = Table::new("t", vec![("a", lane)]);
             prop_assert_eq!(t.distinct_count(0), brute);
+        }
+
+        /// The cached `(min, max)` is a brute-force scan's on empty,
+        /// single-row, all-equal and random lanes, and `None` exactly on an
+        /// empty lane; a clone shares the cached value.
+        #[test]
+        fn domain_matches_a_brute_force_scan(
+            rows in 0usize..2_000,
+            shape in 0usize..4,
+            salt in any::<u64>(),
+        ) {
+            let domain = if salt.is_multiple_of(2) { 1 + salt % 300 } else { u64::MAX };
+            let lane: Vec<u64> = match shape {
+                0 => Vec::new(),
+                1 => vec![salt],
+                2 => vec![salt; rows],
+                _ => (0..rows as u64).map(|i| mix64(salt ^ i) % domain).collect(),
+            };
+            let brute = lane.iter().min().copied().zip(lane.iter().max().copied());
+            let t = Table::new("t", vec![("a", lane)]);
+            let copy = t.clone();
+            prop_assert_eq!(t.domain(0), brute);
+            prop_assert_eq!(copy.domain[0].get(), Some(&brute));
         }
     }
 

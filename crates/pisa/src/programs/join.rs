@@ -27,6 +27,13 @@ pub enum JoinMode {
     ProbeB,
 }
 
+/// A two-pass JOIN program: a key set per side, built in pass 1 and
+/// probed in pass 2.
+pub trait JoinProgram: SwitchProgram {
+    /// Switch passes/sides (control-plane rule update between passes).
+    fn set_mode(&mut self, mode: JoinMode);
+}
+
 /// Two partitioned Bloom filters (sides A and B) on the pipeline.
 ///
 /// Segment `i` of each side is one register array of `seg_words` cells;
@@ -83,11 +90,6 @@ impl BloomJoinProgram {
         })
     }
 
-    /// Switch passes/sides (control-plane rule update between passes).
-    pub fn set_mode(&mut self, mode: JoinMode) {
-        self.mode = mode;
-    }
-
     /// `(word_index_within_segment, bit_mask)` for hash `i` of a side —
     /// the same arithmetic as the core partitioned filter.
     fn bit_index(&self, side_b: bool, i: usize, key: u64) -> (usize, u64) {
@@ -99,6 +101,12 @@ impl BloomJoinProgram {
         let seg_bits = self.seg_words as u64 * 64;
         let b = ((u128::from(hash.hash(key)) * u128::from(seg_bits)) >> 64) as u64;
         ((b / 64) as usize, 1u64 << (b % 64))
+    }
+}
+
+impl JoinProgram for BloomJoinProgram {
+    fn set_mode(&mut self, mode: JoinMode) {
+        self.mode = mode;
     }
 }
 
@@ -211,11 +219,6 @@ impl RbfJoinProgram {
         })
     }
 
-    /// Switch passes/sides.
-    pub fn set_mode(&mut self, mode: JoinMode) {
-        self.mode = mode;
-    }
-
     fn slot(&self, side_b: bool, key: u64) -> (usize, u64) {
         let (hash, blocks) = if side_b {
             (&self.hash_b, self.blocks_b)
@@ -229,6 +232,12 @@ impl RbfJoinProgram {
             mask |= 1u64 << ((hv >> (6 * i)) & 63);
         }
         (block, mask)
+    }
+}
+
+impl JoinProgram for RbfJoinProgram {
+    fn set_mode(&mut self, mode: JoinMode) {
+        self.mode = mode;
     }
 }
 

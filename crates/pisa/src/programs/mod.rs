@@ -20,7 +20,10 @@
 //! | [`HavingProgram`] | `d` Count-Min row arrays | one RMW per row |
 //! | [`SkylineProgram`] | per-slot score + dim registers | rolling minimum, TCAM log |
 //! | [`FilterProgram`] | constants + truth table | ALU compares + table lookup |
+//! | [`DenseProgram`] | a bitmap (and registers) indexed by `field − min` | single RMW per array |
+//! | [`DenseJoinProgram`] | one bitmap per side indexed by `key − min` | single RMW |
 
+mod dense;
 mod distinct;
 mod filter;
 mod groupby;
@@ -30,11 +33,12 @@ mod seqtrack;
 mod skyline;
 mod topn;
 
+pub use dense::{DenseJoinProgram, DenseOp, DenseProgram};
 pub use distinct::{DistinctFifoProgram, DistinctLruProgram};
 pub use filter::FilterProgram;
 pub use groupby::GroupByProgram;
 pub use having::{HavingPhase, HavingProgram};
-pub use join::{BloomJoinProgram, JoinMode, RbfJoinProgram};
+pub use join::{BloomJoinProgram, JoinMode, JoinProgram, RbfJoinProgram};
 pub use seqtrack::{SeqAction, SeqTrackProgram};
 pub use skyline::{SkylineProgram, SkylineScoring};
 pub use topn::{DetTopNProgram, RandTopNProgram};

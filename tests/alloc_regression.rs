@@ -101,6 +101,12 @@ fn db() -> Database {
             // Small-domain column so DistinctMulti's survivor set stays
             // O(groups): ≤ 83 × 13 distinct (k, g) pairs.
             ("g", (0..ROWS as u64).map(|i| i % 13 + 1).collect()),
+            // `k` spread past any stage's dense bitmap: a JOIN over it
+            // runs the Bloom pair.
+            (
+                "ks",
+                (0..ROWS as u64).map(|i| (i * 7 % 83 + 1) << 40).collect(),
+            ),
         ],
     ));
     db.add(Table::new(
@@ -111,12 +117,21 @@ fn db() -> Database {
                 (0..ROWS as u64 / 2).map(|i| i * 11 % 140 + 40).collect(),
             ),
             ("x", (0..ROWS as u64 / 2).map(|i| i * 3 % 97).collect()),
+            (
+                "ks",
+                (0..ROWS as u64 / 2)
+                    .map(|i| (i * 11 % 140 + 40) << 40)
+                    .collect(),
+            ),
             // 20,011 keys: past the 16,384 a HAVING aggregates in Table
-            // 2's GROUP BY registers, so a HAVING over them makes §5's two
-            // passes and leaves its sketch in serving's filter cache.
+            // 2's GROUP BY registers and spread past any stage's dense
+            // array, so a HAVING over them makes §5's two passes and leaves
+            // its sketch in serving's filter cache.
             (
                 "u",
-                (0..ROWS as u64 / 2).map(|i| i * 7_919 % 20_011).collect(),
+                (0..ROWS as u64 / 2)
+                    .map(|i| (i * 7_919 % 20_011) << 40)
+                    .collect(),
             ),
         ],
     ));
@@ -212,11 +227,13 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 // ≈ 2k keys; keys that do not repeat within 11k rows (nor,
                 // interleaved five ways, within the stream's first 7k
                 // entries); and each row's position in that interleave,
-                // a value every repeat of a key arrives above.
-                ("u", (0..rows).map(|i| i % 2_003 + 1).collect()),
+                // a value every repeat of a key arrives above. The HAVING
+                // keys `u` and `p` are spread past any stage's dense array,
+                // so the hashed programs run.
+                ("u", (0..rows).map(|i| (i % 2_003 + 1) << 40).collect()),
                 ("n", (0..rows).map(|i| i % 11_657).collect()),
                 // 20,011 keys, past the register cutoff.
-                ("p", (0..rows).map(|i| i % 20_011).collect()),
+                ("p", (0..rows).map(|i| (i % 20_011) << 40).collect()),
                 (
                     "i",
                     (0..rows)
@@ -356,30 +373,35 @@ fn warm_queries_allocate_o1_not_o_rows() {
         );
     }
 
-    // A warm deterministic JOIN's peak: two filters sized from 60k and
-    // 30k rows, the survivor pairs (two growing vectors, so up to twice
-    // their 16 bytes each) and the pairing table over the shorter side
-    // (a `u32` chain link per pair and at most four `u32` heads). No key
+    // A warm deterministic JOIN's peak: its filters, the survivor pairs
+    // (two growing vectors, so up to twice their 16 bytes each) and the
+    // pairing table over the shorter side (a `u32` chain link per pair
+    // and at most four `u32` heads). Over `k` the filters are two bitmaps
+    // over the sides' union range `1..=179`, three registers each; over
+    // the spread `ks`, the Bloom pair sized from 60k and 30k rows. No key
     // lane and no permutation: with the two of each it used to hold
     // (`4 × 8 × 45k` bytes) the flow would not fit under this.
-    let join = Query::Join {
-        left: "t".into(),
-        right: "s".into(),
-        left_col: "k".into(),
-        right_col: "k".into(),
-    };
-    let survivors = exec.execute(&db, &join).prune_stats().forwarded();
-    let peak = peak_bytes_during(|| {
-        exec.execute(&db, &join);
-    });
     let cfg = &exec.config;
-    let join_bytes = (JoinFlow::side_bits(cfg, ROWS) + JoinFlow::side_bits(cfg, ROWS / 2)) / 8;
-    let bound = join_bytes + (2 * 16 + 20) * survivors + 64 * 1024;
-    assert!(
-        peak < bound,
-        "a warm JOIN peaked at {peak} B; its filters are {join_bytes} B and its {survivors} \
-         survivors allow {bound} B"
-    );
+    let join_bytes = 2 * 3 * 8;
+    let bloom_bytes = (JoinFlow::side_bits(cfg, ROWS) + JoinFlow::side_bits(cfg, ROWS / 2)) / 8;
+    for (col, filter_bytes) in [("k", join_bytes), ("ks", bloom_bytes)] {
+        let join = Query::Join {
+            left: "t".into(),
+            right: "s".into(),
+            left_col: col.into(),
+            right_col: col.into(),
+        };
+        let survivors = exec.execute(&db, &join).prune_stats().forwarded();
+        let peak = peak_bytes_during(|| {
+            exec.execute(&db, &join);
+        });
+        let bound = filter_bytes + (2 * 16 + 20) * survivors + 64 * 1024;
+        assert!(
+            peak < bound,
+            "a warm JOIN on {col} peaked at {peak} B; its filters are {filter_bytes} B and \
+             its {survivors} survivors allow {bound} B"
+        );
+    }
 
     // The threaded path: the persistent pool plus borrowed lane
     // partitions make warm JOIN/HAVING/GROUP BY SUM runs O(1) allocations
@@ -731,8 +753,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
         let after = LIVE.load(Ordering::Relaxed);
         (peak, holding - after, after.saturating_sub(before), agg)
     };
-    // What the cache holds: the JOIN's two filters as `sized` builds them
-    // for t ⋈ s, the two-pass HAVING's sketch, and under 64 KB of keys and
+    // What the cache holds: the JOIN's two bitmaps for t ⋈ s, the
+    // two-pass HAVING's sketch, and under 64 KB of keys and
     // map.
     let sketch_bytes = (cfg.having_d * cfg.having_w * 8) as u64;
     let cached = join_bytes + sketch_bytes;
@@ -803,7 +825,8 @@ fn warm_queries_allocate_o1_not_o_rows() {
     let peak = peak_bytes_during(|| served = Some(serving.serve(&large, &warm_batch)));
     let (_, agg) = served.expect("ran");
     assert_eq!((agg.cache_hits, agg.coalesced), (2, 25), "{agg:?}");
-    let filters = (JoinFlow::side_bits(cfg, 200_000) + JoinFlow::side_bits(cfg, 100_000)) / 8;
+    // The JOIN's bitmaps over `1..=1_049`: 17 registers a side.
+    let filters = 2 * 17 * 8;
     let lane_bytes = 200_000 * 8;
     assert!(
         peak < filters + sketch_bytes + lane_bytes / 2,
@@ -928,7 +951,13 @@ fn warm_queries_allocate_o1_not_o_rows() {
     dups.add(Table::new(
         "d",
         vec![
-            ("p", (0..ROWS as u64).map(|i| i % DISTINCT_PAIRS).collect()),
+            // Spread past any stage's dense bitmap: the hashed matrix runs.
+            (
+                "p",
+                (0..ROWS as u64)
+                    .map(|i| (i % DISTINCT_PAIRS) << 40)
+                    .collect(),
+            ),
             (
                 "q",
                 (0..ROWS as u64)

@@ -12,14 +12,18 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use cheetah::core::decision::{Decision, RowPruner};
+use cheetah::core::dense::{DenseDistinct, DenseGroupBy, DenseRegisters, OffsetCode};
 use cheetah::core::distinct::{DistinctPruner, EvictionPolicy};
 use cheetah::core::filter::{Atom, CmpOp, FilterPruner, Formula};
 use cheetah::core::groupby::{Extremum, GroupByPruner, GroupBySumPruner, SumAction};
 use cheetah::core::skyline::{Heuristic, SkylinePruner};
 use cheetah::core::topn::{DeterministicTopN, RandomizedTopN};
+use cheetah::core::SwitchModel;
 use cheetah::engine::backend::{self, SwitchBackend};
 use cheetah::engine::cheetah::PrunerConfig;
 use cheetah::engine::Predicate;
+use cheetah::pisa::programs::{DenseOp, DenseProgram};
+use cheetah::pisa::ProgramPruner;
 
 /// Row-path decisions for a column-major stream.
 fn row_decisions(p: &mut dyn RowPruner, cols: &[Vec<u64>], n: usize) -> Vec<Decision> {
@@ -195,6 +199,46 @@ proptest! {
             || Box::new(SkylinePruner::new(2, w, Heuristic::aph_default())),
             &[xs.clone(), ys[..n].to_vec()],
         );
+    }
+
+    /// The dense pruners — DISTINCT over one lane's offset and over a
+    /// two-lane code, GROUP BY MAX/MIN — and their one-stage PISA twin
+    /// behind `ProgramPruner`'s block feed; dense SUM registers drain the
+    /// same totals however the stream is cut into blocks.
+    #[test]
+    fn dense_block_equivalence(
+        keys in vec(0u64..300, 1..1500),
+        vals in vec(0u64..10_000, 1500..1501),
+        base in any::<u32>(),
+        maximize in any::<bool>(),
+    ) {
+        let n = keys.len();
+        let base = u64::from(base);
+        let a: Vec<u64> = keys.iter().map(|k| base + k).collect();
+        let b: Vec<u64> = keys.iter().map(|k| k * 7 % 13).collect();
+        let vals = vals[..n].to_vec();
+        let one = OffsetCode::new(&[(base, base + 299)]).expect("one lane");
+        let two = OffsetCode::new(&[(base, base + 299), (0, 12)]).expect("two lanes");
+        let ext = if maximize { Extremum::Max } else { Extremum::Min };
+        let pisa = |code: &OffsetCode, op| -> Box<dyn RowPruner + Send> {
+            let program = DenseProgram::new(SwitchModel::tofino_like(), code.clone(), op);
+            Box::new(ProgramPruner::new(program.expect("fits a stage")))
+        };
+        assert_equivalent(|| Box::new(DenseDistinct::new(one.clone())), std::slice::from_ref(&a));
+        assert_equivalent(|| Box::new(DenseDistinct::new(two.clone())), &[a.clone(), b.clone()]);
+        assert_equivalent(|| Box::new(DenseGroupBy::new(one.clone(), ext)), &[a.clone(), vals.clone()]);
+        assert_equivalent(|| pisa(&two, DenseOp::Distinct), &[a.clone(), b.clone()]);
+        assert_equivalent(|| pisa(&one, DenseOp::Extremum(ext)), &[a.clone(), vals.clone()]);
+        let mut whole = DenseRegisters::new(one.clone());
+        whole.process_block(&a, &vals, &mut vec![Decision::Forward; n]);
+        let whole = whole.drain();
+        for chunk in [1usize, 7, 64] {
+            let mut sums = DenseRegisters::new(one.clone());
+            for (k, v) in a.chunks(chunk).zip(vals.chunks(chunk)) {
+                sums.process_block(k, v, &mut vec![Decision::Forward; k.len()]);
+            }
+            prop_assert_eq!(sums.drain(), whole.clone(), "chunk {}", chunk);
+        }
     }
 
     /// GROUP BY SUM/COUNT: the block loop must emit the same

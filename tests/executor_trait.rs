@@ -500,29 +500,47 @@ fn distributed_executor_matrix_over_loss_rates_and_query_shapes() {
 #[test]
 fn two_pass_flows_report_their_passes_through_the_trait() {
     let db = appendix_b_db(2_000, 24);
-    // HAVING's 99 keys fit Table 2's GROUP BY registers, which aggregate
-    // it in one pass, but not an 8 × 2 matrix: there §5's two passes run.
+    // The same rows with both tables' keys spread past any stage's range.
+    let mut wide = Database::new();
+    for name in ["t", "s"] {
+        let t = db.table(name);
+        let lanes = t.schema().iter().enumerate().map(|(c, col)| {
+            let spread = if col == "k" { 40 } else { 0 };
+            (
+                col.as_str(),
+                t.col_at(c).iter().map(|v| v << spread).collect(),
+            )
+        });
+        wide.add(Table::new(name, lanes.collect()));
+    }
+    // HAVING's 99 keys, spread, fit Table 2's GROUP BY registers, which
+    // aggregate it in one pass, but not an 8 × 2 matrix: there §5's two
+    // passes run. As `1..100` they fit a stage's dense registers, one pass
+    // at either matrix.
     let starved = PrunerConfig {
         groupby_d: 8,
         groupby_w: 2,
         ..PrunerConfig::default()
     };
-    for (fleet, having_passes) in [(Fleet::new(), 1), (Fleet::with_config(starved), 2)] {
-        for (label, q) in appendix_b_queries() {
-            let expected = match q {
-                Query::Join { .. } => 2,
-                Query::Having { .. } => having_passes,
-                _ => 1,
-            };
-            // Both the deterministic and the threaded path model the same
-            // streaming structure, so their pass counts must agree.
-            for exec in [&fleet.cheetah as &dyn Executor, &fleet.threaded] {
-                let r = exec.execute(&db, &q);
-                assert_eq!(
-                    r.passes, expected,
-                    "[{label}] wrong pass count from {}",
-                    r.executor
-                );
+    let fleets = [(Fleet::new(), 1), (Fleet::with_config(starved), 2)];
+    for (fleet, spread_passes) in fleets {
+        for (db, having_passes) in [(&db, 1), (&wide, spread_passes)] {
+            for (label, q) in appendix_b_queries() {
+                let expected = match q {
+                    Query::Join { .. } => 2,
+                    Query::Having { .. } => having_passes,
+                    _ => 1,
+                };
+                // Both the deterministic and the threaded path model the
+                // same streaming structure, so their pass counts must agree.
+                for exec in [&fleet.cheetah as &dyn Executor, &fleet.threaded] {
+                    let r = exec.execute(db, &q);
+                    assert_eq!(
+                        r.passes, expected,
+                        "[{label}] wrong pass count from {}",
+                        r.executor
+                    );
+                }
             }
         }
     }

@@ -3,17 +3,18 @@
 //! on the same stream — the evidence that the constrained dataplane
 //! faithfully implements the algorithms the theorems analyze.
 
+use cheetah::core::dense::{DenseDistinct, DenseGroupBy, DenseSet, OffsetCode};
 use cheetah::core::distinct::{DistinctPruner, EvictionPolicy};
 use cheetah::core::groupby::{Extremum, GroupByPruner};
 use cheetah::core::having::HavingPruner;
-use cheetah::core::join::{BloomFilter, JoinPruner, RegisterBloomFilter, Side};
+use cheetah::core::join::{BloomFilter, JoinPruner, KeyFilter, RegisterBloomFilter, Side};
 use cheetah::core::skyline::{Heuristic, SkylinePruner};
 use cheetah::core::topn::{DeterministicTopN, RandomizedTopN};
 use cheetah::core::SwitchModel;
 use cheetah::pisa::programs::{
-    BloomJoinProgram, DetTopNProgram, DistinctFifoProgram, DistinctLruProgram, GroupByProgram,
-    HavingPhase, HavingProgram, JoinMode, RandTopNProgram, RbfJoinProgram, SkylineProgram,
-    SkylineScoring,
+    BloomJoinProgram, DenseJoinProgram, DenseOp, DenseProgram, DetTopNProgram, DistinctFifoProgram,
+    DistinctLruProgram, GroupByProgram, HavingPhase, HavingProgram, JoinMode, JoinProgram,
+    RandTopNProgram, RbfJoinProgram, SkylineProgram, SkylineScoring,
 };
 use cheetah::pisa::SwitchProgram;
 
@@ -108,6 +109,40 @@ fn groupby_program_equals_core() {
     }
 }
 
+/// Build both sides on the core pair and its program twin, then probe
+/// each side against the other: every decision must agree.
+fn assert_join_equal<F: KeyFilter>(
+    core: &mut JoinPruner<F>,
+    prog: &mut impl JoinProgram,
+    a_keys: &[u64],
+    b_keys: &[u64],
+    label: &str,
+) {
+    for (mode, side, keys) in [
+        (JoinMode::BuildA, Side::Left, a_keys),
+        (JoinMode::BuildB, Side::Right, b_keys),
+    ] {
+        prog.set_mode(mode);
+        for &k in keys {
+            core.observe(side, k);
+            prog.process(&[k]).unwrap();
+        }
+    }
+    for (mode, side, probes) in [
+        (JoinMode::ProbeA, Side::Left, a_keys),
+        (JoinMode::ProbeB, Side::Right, b_keys),
+    ] {
+        prog.set_mode(mode);
+        for (i, &k) in probes.iter().enumerate() {
+            assert_eq!(
+                core.prune_decision(side, k),
+                prog.process(&[k]).unwrap(),
+                "{side:?} probe {i} diverged at {label}"
+            );
+        }
+    }
+}
+
 #[test]
 fn bloom_join_program_equals_core() {
     let a_keys = keys(8_000, 40_000, 7);
@@ -119,32 +154,13 @@ fn bloom_join_program_equals_core() {
     );
     let mut prog =
         BloomJoinProgram::new(SwitchModel::tofino_like(), m_bits, 3, SEED, SEED ^ 1).unwrap();
-    prog.set_mode(JoinMode::BuildA);
-    for &k in &a_keys {
-        core.observe(Side::Left, k);
-        prog.process(&[k]).unwrap();
-    }
-    prog.set_mode(JoinMode::BuildB);
-    for &k in &b_keys {
-        core.observe(Side::Right, k);
-        prog.process(&[k]).unwrap();
-    }
-    prog.set_mode(JoinMode::ProbeA);
-    for (i, &k) in a_keys.iter().enumerate() {
-        assert_eq!(
-            core.prune_decision(Side::Left, k),
-            prog.process(&[k]).unwrap(),
-            "A probe {i} diverged"
-        );
-    }
-    prog.set_mode(JoinMode::ProbeB);
-    for (i, &k) in b_keys.iter().enumerate() {
-        assert_eq!(
-            core.prune_decision(Side::Right, k),
-            prog.process(&[k]).unwrap(),
-            "B probe {i} diverged"
-        );
-    }
+    assert_join_equal(
+        &mut core,
+        &mut prog,
+        &a_keys,
+        &b_keys,
+        "the partitioned pair",
+    );
 }
 
 #[test]
@@ -160,29 +176,26 @@ fn rbf_join_program_equals_core() {
         );
         let model = SwitchModel::tofino_like();
         let mut prog = RbfJoinProgram::new(model, bits_a, bits_b, 3, SEED, SEED ^ 1).unwrap();
-        prog.set_mode(JoinMode::BuildA);
-        for &k in &a_keys {
-            core.observe(Side::Left, k);
-            prog.process(&[k]).unwrap();
-        }
-        prog.set_mode(JoinMode::BuildB);
-        for &k in &b_keys {
-            core.observe(Side::Right, k);
-            prog.process(&[k]).unwrap();
-        }
-        for (mode, side, probes) in [
-            (JoinMode::ProbeA, Side::Left, &a_keys),
-            (JoinMode::ProbeB, Side::Right, &b_keys),
-        ] {
-            prog.set_mode(mode);
-            for (i, &k) in probes.iter().enumerate() {
-                assert_eq!(
-                    core.prune_decision(side, k),
-                    prog.process(&[k]).unwrap(),
-                    "{side:?} probe {i} diverged at {bits_a}/{bits_b} bits"
-                );
-            }
-        }
+        let label = format!("{bits_a}/{bits_b} bits");
+        assert_join_equal(&mut core, &mut prog, &a_keys, &b_keys, &label);
+    }
+}
+
+#[test]
+fn dense_join_program_equals_core() {
+    // The pair a JOIN over a narrow key runs: a bitmap a side over the
+    // sides' union range, here `[0, 1_499]` and `[1_000, 4_999]` overlapping
+    // on 500 keys, and a range a single register holds.
+    let mut rng = StdRng::seed_from_u64(19);
+    for (a_range, b_range) in [(0..1_500, 1_000..5_000), (7..40, 30..71)] {
+        let a_keys: Vec<u64> = (0..N).map(|_| rng.gen_range(a_range.clone())).collect();
+        let b_keys: Vec<u64> = (0..N).map(|_| rng.gen_range(b_range.clone())).collect();
+        let code = OffsetCode::new(&[(a_range.start, b_range.end - 1)]).unwrap();
+        let side = || DenseSet::new(code.clone());
+        let mut core = JoinPruner::new(side(), side());
+        let mut prog = DenseJoinProgram::new(SwitchModel::tofino_like(), code.clone()).unwrap();
+        let label = format!("{} keys", code.cells());
+        assert_join_equal(&mut core, &mut prog, &a_keys, &b_keys, &label);
     }
 }
 
@@ -250,6 +263,40 @@ fn skyline_aph_program_equals_core() {
             prog.process(&p).unwrap(),
             "point {i} ({p:?}) diverged"
         );
+    }
+}
+
+#[test]
+fn dense_program_equals_core() {
+    // DISTINCT over a two-lane code, GROUP BY MAX and MIN over one lane's
+    // offset: zero keys included, as a dense array needs no sentinel.
+    let mut rng = StdRng::seed_from_u64(17);
+    let a: Vec<u64> = (0..N).map(|_| rng.gen_range(0..1_000)).collect();
+    let b: Vec<u64> = (0..N).map(|_| rng.gen_range(40..60)).collect();
+    let v: Vec<u64> = (0..N).map(|_| rng.gen_range(0..100_000)).collect();
+    let spec = SwitchModel::tofino_like();
+    let two = OffsetCode::new(&[(0, 999), (40, 59)]).unwrap();
+    let mut core = DenseDistinct::new(two.clone());
+    let mut prog = DenseProgram::new(spec, two, DenseOp::Distinct).unwrap();
+    for i in 0..N {
+        let row = [a[i], b[i]];
+        assert_eq!(
+            cheetah::core::RowPruner::process_row(&mut core, &row),
+            prog.process(&row).unwrap(),
+            "distinct entry {i} ({row:?}) diverged"
+        );
+    }
+    let one = OffsetCode::new(&[(0, 999)]).unwrap();
+    for ext in [Extremum::Max, Extremum::Min] {
+        let mut core = DenseGroupBy::new(one.clone(), ext);
+        let mut prog = DenseProgram::new(spec, one.clone(), DenseOp::Extremum(ext)).unwrap();
+        for i in 0..N {
+            assert_eq!(
+                core.process(a[i], v[i]),
+                prog.process(&[a[i], v[i]]).unwrap(),
+                "{ext:?} entry {i} diverged"
+            );
+        }
     }
 }
 

@@ -5,11 +5,14 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use cheetah::core::decision::RowPruner;
+use cheetah::core::dense::{DenseDistinct, DenseGroupBy, OffsetCode};
 use cheetah::core::distinct::{CacheMatrix, EvictionPolicy};
 use cheetah::core::filter::{Atom, CmpOp, FilterPruner, Formula};
 use cheetah::core::groupby::{Extremum, GroupByPruner, GroupBySumPruner, SumAction};
 use cheetah::core::having::HavingPruner;
 use cheetah::core::join::{BloomFilter, KeyFilter, RegisterBloomFilter};
+use cheetah::core::opt::{OptDistinct, OptGroupByMax};
 use cheetah::core::skyline::{dominates, Heuristic, SkylinePruner};
 use cheetah::core::topn::DeterministicTopN;
 use cheetah::net::{Simulation, SimulationConfig, SwitchNode, WorkerTx};
@@ -18,6 +21,44 @@ use std::collections::{HashMap, HashSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Dense DISTINCT, DistinctMulti (a two-lane code) and GROUP BY
+    /// MAX/MIN forward exactly as many entries as `opt`'s unconstrained
+    /// baselines: an offset indexes its own cell, so nothing collides and
+    /// nothing is evicted.
+    #[test]
+    fn dense_pruners_forward_exactly_opts_count(
+        rows in vec((0u64..500, 0u64..20, 0u64..10_000), 1..2_000),
+        base in any::<u32>(),
+    ) {
+        let base = u64::from(base);
+        let key = |&(k, _, _): &(u64, u64, u64)| base + k;
+        let one = OffsetCode::new(&[(base, base + 499)]).expect("one lane");
+        let two = OffsetCode::new(&[(base, base + 499), (0, 19)]).expect("two lanes");
+        let forwarded = |decisions: &mut dyn Iterator<Item = bool>| decisions.filter(|&f| f).count();
+
+        let mut dense = DenseDistinct::new(one.clone());
+        let mut opt = OptDistinct::new();
+        let got = forwarded(&mut rows.iter().map(|r| dense.process_row(&[key(r)]).is_forward()));
+        let want = forwarded(&mut rows.iter().map(|r| opt.process(key(r)).is_forward()));
+        prop_assert_eq!(got, want, "distinct");
+
+        // A tuple's OPT key: the pair, injectively in one word.
+        let mut dense = DenseDistinct::new(two);
+        let mut opt = OptDistinct::new();
+        let got = forwarded(&mut rows.iter().map(|r| dense.process_row(&[key(r), r.1]).is_forward()));
+        let want = forwarded(&mut rows.iter().map(|r| opt.process(key(r) * 20 + r.1).is_forward()));
+        prop_assert_eq!(got, want, "distinct multi");
+
+        // MIN improves where MAX of the complement does.
+        for (ext, flip) in [(Extremum::Max, 0), (Extremum::Min, u64::MAX)] {
+            let mut dense = DenseGroupBy::new(one.clone(), ext);
+            let mut opt = OptGroupByMax::new();
+            let got = forwarded(&mut rows.iter().map(|r| dense.process(key(r), r.2).is_forward()));
+            let want = forwarded(&mut rows.iter().map(|r| opt.process(key(r), flip ^ r.2).is_forward()));
+            prop_assert_eq!(got, want, "{:?}", ext);
+        }
+    }
 
     /// DISTINCT never prunes a first occurrence (no false positives), for
     /// any stream, matrix shape, or policy.

@@ -21,12 +21,38 @@ use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, ServeReport, T
 /// A database over explicit column data (so proptest owns the values).
 fn db_from(t_cols: (Vec<u64>, Vec<u64>, Vec<u64>), s_cols: (Vec<u64>, Vec<u64>)) -> Database {
     let mut db = Database::new();
+    db.add(t_table(t_cols.0, t_cols.1, t_cols.2));
+    let h = spread(&s_cols.0);
     db.add(Table::new(
-        "t",
-        vec![("k", t_cols.0), ("v", t_cols.1), ("w", t_cols.2)],
+        "s",
+        vec![("k", s_cols.0), ("x", s_cols.1), ("h", h)],
     ));
-    db.add(Table::new("s", vec![("k", s_cols.0), ("x", s_cols.1)]));
     db
+}
+
+/// `t(k, v, w, h)`: `h` is `k` spread past any stage's dense array, so a
+/// HAVING over it runs §5's two passes and caches its sketch, where one
+/// over `k` runs one register pass and caches nothing.
+fn t_table(k: Vec<u64>, v: Vec<u64>, w: Vec<u64>) -> Table {
+    let h = spread(&k);
+    Table::new("t", vec![("k", k), ("v", v), ("w", w), ("h", h)])
+}
+
+/// Keys `<< 40`: the same groups and matches over a range no stage holds,
+/// so the hashed programs run — the Count-Min sketch, the Bloom pair.
+fn spread(keys: &[u64]) -> Vec<u64> {
+    keys.iter().map(|k| k << 40).collect()
+}
+
+/// The JOIN `t ⋈ s` on `col`: over `k` it runs a bitmap a side, over `h`
+/// the Bloom pair. Both cache their pass-1 state.
+fn join_on(col: &str) -> Query {
+    Query::Join {
+        left: "t".into(),
+        right: "s".into(),
+        left_col: col.into(),
+        right_col: col.into(),
+    }
 }
 
 /// The query template pool admissions draw from — every shape, so any
@@ -85,16 +111,12 @@ fn templates() -> Vec<Query> {
         },
         Query::Having {
             table: "t".into(),
-            key: "k".into(),
+            key: "h".into(),
             val: "v".into(),
             threshold: 5_000,
         },
-        Query::Join {
-            left: "t".into(),
-            right: "s".into(),
-            left_col: "k".into(),
-            right_col: "k".into(),
-        },
+        join_on("k"),
+        join_on("h"),
         Query::Skyline {
             table: "t".into(),
             columns: vec!["v".into(), "w".into()],
@@ -140,12 +162,19 @@ fn executors(pool: usize, workers: usize, seed: u64) -> (CheetahExecutor, ServeE
 /// The accounting identities every batch must satisfy: each admission is
 /// answered exactly one way, coalescing takes exactly the repeats, only
 /// solo flows can be spills, and the cache sees one lookup per cacheable
-/// *execution* (a coalesced HAVING/JOIN never reaches it).
-fn assert_accounting(batch: &[Query], agg: &ServeReport) {
+/// *execution* (a coalesced HAVING/JOIN never reaches it). Cacheable are
+/// the JOINs and the HAVINGs whose `solo` run takes §5's two passes: one
+/// whose keys fit the registers aggregates them in one pass and caches
+/// nothing.
+fn assert_accounting(solo: &CheetahExecutor, db: &Database, batch: &[Query], agg: &ServeReport) {
     let distinct: HashSet<&Query> = batch.iter().collect();
     let cacheable = distinct
         .iter()
-        .filter(|q| matches!(q, Query::Having { .. } | Query::Join { .. }))
+        .filter(|q| match q {
+            Query::Join { .. } => true,
+            Query::Having { .. } => solo.execute(db, q).passes == 2,
+            _ => false,
+        })
         .count() as u64;
     assert_eq!(agg.queries, batch.len() as u64);
     assert_eq!(
@@ -192,7 +221,7 @@ fn assert_mix_equals_solo(
         }
         let (reports, agg) = serving.serve(db, batch);
         assert_eq!(reports.len(), batch.len(), "lost or duplicated a query");
-        assert_accounting(batch, &agg);
+        assert_accounting(&solo, db, batch, &agg);
         for (q, r) in batch.iter().zip(&reports) {
             let solo_r = solo.execute(db, q);
             assert_eq!(
@@ -230,7 +259,7 @@ proptest! {
     fn any_admission_interleaving_equals_solo_runs(
         t_rows in vec((1u64..50, 1u64..2_000, 1u64..400), 1..200),
         s_keys in vec(20u64..80, 0..100),
-        mix in vec(0usize..12, 1..30),
+        mix in vec(0usize..13, 1..30),
         chunk in 1usize..13,
         pool in 1usize..5,
         seed in any::<u64>(),
@@ -248,7 +277,7 @@ proptest! {
     fn duplicate_heavy_mixes_coalesce_and_equal_solo_runs(
         t_rows in vec((1u64..50, 1u64..2_000, 1u64..400), 1..200),
         s_keys in vec(20u64..80, 0..100),
-        offset in 0usize..12,
+        offset in 0usize..13,
         mix in vec(0usize..5, 1..40),
         chunk in 1usize..41,
         pool in 0usize..3,
@@ -288,7 +317,7 @@ fn pool_of_one_drains_the_full_shapes_matrix_without_deadlock() {
     let batch = templates();
     let (reports, agg) = serving.serve(&db, &batch);
     assert_eq!(reports.len(), batch.len());
-    assert_accounting(&batch, &agg);
+    assert_accounting(&solo, &db, &batch, &agg);
     assert_eq!(agg.coalesced, 0, "the templates are pairwise distinct");
     for (q, r) in batch.iter().zip(&reports) {
         assert_eq!(r.result, solo.execute(&db, q).result, "{}", q.kind());
@@ -297,8 +326,8 @@ fn pool_of_one_drains_the_full_shapes_matrix_without_deadlock() {
 
 /// 128 queries in one batch across an 8-wide pool: every admission must
 /// come back (none lost), in admission order, each equal to its solo
-/// run — twelve executions answering 128 admissions, with the cache
-/// accounting covering exactly the two cacheable executions.
+/// run — thirteen executions answering 128 admissions, with the cache
+/// accounting covering exactly the three cacheable executions.
 #[test]
 fn no_lost_queries_at_128_in_flight() {
     let db = stress_db(2_000);
@@ -307,9 +336,12 @@ fn no_lost_queries_at_128_in_flight() {
     let batch: Vec<Query> = (0..128).map(|i| pool_q[i % pool_q.len()].clone()).collect();
     let (reports, agg) = serving.serve(&db, &batch);
     assert_eq!(reports.len(), 128, "an admission came back unanswered");
-    assert_accounting(&batch, &agg);
-    assert_eq!(agg.coalesced, 128 - 12);
-    assert_eq!(agg.cache_misses, 2, "one HAVING + one JOIN execution");
+    assert_accounting(&solo, &db, &batch, &agg);
+    assert_eq!(agg.coalesced, 128 - 13);
+    assert_eq!(
+        agg.cache_misses, 3,
+        "one HAVING + two JOIN executions (the bitmap and the Bloom pair)"
+    );
     for (q, r) in batch.iter().zip(&reports) {
         let solo_r = solo.execute(&db, q);
         assert_eq!(r.result, solo_r.result, "{} lost under load", q.kind());
@@ -329,7 +361,10 @@ fn warm_cache_serves_repeats_across_batches() {
     let (reports, warm) = serving.serve(&db, &batch);
     assert_eq!(cold.cache_hits, 0);
     assert_eq!(warm.cache_misses, 0, "second pass must be all hits");
-    assert_eq!(warm.cache_hits, 2, "one HAVING + one JOIN template");
+    assert_eq!(
+        warm.cache_hits, 3,
+        "one HAVING + two JOIN templates (the bitmap and the Bloom pair)"
+    );
     for (q, r) in batch.iter().zip(&reports) {
         assert_eq!(r.result, solo.execute(&db, q).result, "{}", q.kind());
     }
@@ -337,34 +372,31 @@ fn warm_cache_serves_repeats_across_batches() {
 
 /// N identical JOINs are one execution: a cold cache records exactly one
 /// miss (not a race of N), the next batch exactly one hit, and all N
-/// answers are the solo report.
+/// answers are the solo report — for the bitmap pair and the Bloom pair.
 #[test]
 fn identical_joins_cost_one_cache_lookup_per_batch() {
     let db = stress_db(2_000);
-    let (solo, serving) = executors(8, 2, 11);
-    let join = Query::Join {
-        left: "t".into(),
-        right: "s".into(),
-        left_col: "k".into(),
-        right_col: "k".into(),
-    };
-    let batch = vec![join.clone(); 9];
-    let truth = solo.execute(&db, &join);
-    let (cold_reports, cold) = serving.serve(&db, &batch);
-    assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1), "{cold:?}");
-    let (warm_reports, warm) = serving.serve(&db, &batch);
-    assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0), "{warm:?}");
-    for agg in [&cold, &warm] {
-        assert_accounting(&batch, agg);
-        assert_eq!((agg.coalesced, agg.solo, agg.packed), (8, 1, 0));
-    }
-    for r in &cold_reports {
-        assert_eq!(r.result, truth.result);
-        assert_eq!(r.prune, truth.prune, "a cold duplicate is the solo report");
-    }
-    for r in &warm_reports {
-        assert_eq!(r.result, truth.result);
-        assert_eq!(r.passes, 1, "a hit skips the build pass");
+    for col in ["k", "h"] {
+        let (solo, serving) = executors(8, 2, 11);
+        let join = join_on(col);
+        let batch = vec![join.clone(); 9];
+        let truth = solo.execute(&db, &join);
+        let (cold_reports, cold) = serving.serve(&db, &batch);
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1), "{cold:?}");
+        let (warm_reports, warm) = serving.serve(&db, &batch);
+        assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0), "{warm:?}");
+        for agg in [&cold, &warm] {
+            assert_accounting(&solo, &db, &batch, agg);
+            assert_eq!((agg.coalesced, agg.solo, agg.packed), (8, 1, 0));
+        }
+        for r in &cold_reports {
+            assert_eq!(r.result, truth.result);
+            assert_eq!(r.prune, truth.prune, "a cold duplicate is the solo report");
+        }
+        for r in &warm_reports {
+            assert_eq!(r.result, truth.result, "join on {col}");
+            assert_eq!(r.passes, 1, "a hit skips the build pass");
+        }
     }
 }
 
@@ -380,16 +412,13 @@ fn answers_do_not_outlive_the_call_that_computed_them() {
     let (before, _) = serving.serve(&db, &batch);
 
     let rows = db.table("t").rows() as u64;
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..rows).map(|i| i * 5 % 61 + 2).collect()),
-            ("v", (0..rows).map(|i| i * 17 % 7_919 + 3).collect()),
-            ("w", (0..rows).map(|i| i * 29 % 311 + 1).collect()),
-        ],
+    db.add(t_table(
+        (0..rows).map(|i| i * 5 % 61 + 2).collect(),
+        (0..rows).map(|i| i * 17 % 7_919 + 3).collect(),
+        (0..rows).map(|i| i * 29 % 311 + 1).collect(),
     ));
     let (after, agg) = serving.serve(&db, &batch);
-    assert_accounting(&batch, &agg);
+    assert_accounting(&solo, &db, &batch, &agg);
     assert_eq!(agg.cache_hits, 0, "the epoch moved under every cached flow");
     for ((q, old), new) in batch.iter().zip(&before).zip(&after) {
         assert_eq!(new.result, solo.execute(&db, q).result, "{}", q.kind());
@@ -433,8 +462,8 @@ proptest! {
 
     /// Serving the cacheable shapes any number of times yields the solo
     /// result every time: the first run misses, every later run hits —
-    /// and neither the Bloom pair nor the Count-Min sketch reuse can
-    /// change a single key or pair.
+    /// and neither the Bloom pair, the bitmap pair nor the Count-Min
+    /// sketch reuse can change a single key or pair.
     #[test]
     fn cached_filter_reuse_never_changes_results(
         t_rows in vec((1u64..50, 1u64..2_000, 1u64..400), 1..200),
@@ -448,25 +477,21 @@ proptest! {
         let batch = [
             Query::Having {
                 table: "t".into(),
-                key: "k".into(),
+                key: "h".into(),
                 val: "v".into(),
                 threshold,
             },
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
+            join_on("k"),
+            join_on("h"),
         ];
         let truth: Vec<_> = batch.iter().map(|q| solo.execute(&db, q)).collect();
         for rep in 0..reps {
             let (reports, agg) = serving.serve(&db, &batch);
             if rep == 0 {
                 prop_assert_eq!(agg.cache_hits, 0, "cold cache cannot hit");
-                prop_assert_eq!(agg.cache_misses, 2);
+                prop_assert_eq!(agg.cache_misses, 3);
             } else {
-                prop_assert_eq!(agg.cache_hits, 2, "warm rep {} must hit", rep);
+                prop_assert_eq!(agg.cache_hits, 3, "warm rep {} must hit", rep);
                 prop_assert_eq!(agg.cache_misses, 0);
             }
             for ((q, r), t) in batch.iter().zip(&reports).zip(&truth) {
@@ -495,16 +520,12 @@ proptest! {
         let batch = [
             Query::Having {
                 table: "t".into(),
-                key: "k".into(),
+                key: "h".into(),
                 val: "v".into(),
                 threshold: 3_000,
             },
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
+            join_on("k"),
+            join_on("h"),
         ];
         serving.serve(&db, &batch); // populate the cache against epoch 0
 
@@ -512,14 +533,11 @@ proptest! {
         // join's left key set and every HAVING group sum.
         let new_tk: Vec<u64> = tk.iter().map(|&k| k + shift % 37).collect();
         let new_tv: Vec<u64> = tv.iter().map(|&v| v.wrapping_mul(3) % 2_000 + 1).collect();
-        db.add(Table::new(
-            "t",
-            vec![("k", new_tk), ("v", new_tv), ("w", tw.clone())],
-        ));
+        db.add(t_table(new_tk, new_tv, tw.clone()));
 
         let (reports, agg) = serving.serve(&db, &batch);
         prop_assert_eq!(agg.cache_hits, 0, "stale epochs must not hit: {:?}", agg);
-        prop_assert_eq!(agg.cache_misses, 2);
+        prop_assert_eq!(agg.cache_misses, 3);
         for (q, r) in batch.iter().zip(&reports) {
             let fresh = solo.execute(&db, q);
             prop_assert_eq!(&r.result, &fresh.result, "{} served stale state", q.kind());
@@ -527,7 +545,7 @@ proptest! {
 
         // And the re-populated cache is hit-correct against the new epoch.
         let (reports2, agg2) = serving.serve(&db, &batch);
-        prop_assert_eq!(agg2.cache_hits, 2);
+        prop_assert_eq!(agg2.cache_hits, 3);
         for (a, b) in reports.iter().zip(&reports2) {
             prop_assert_eq!(&a.result, &b.result);
         }

@@ -22,12 +22,17 @@ fn soak_db(rows: usize, seed: u64) -> Database {
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
+    let k: Vec<u64> = (0..rows).map(|_| rng.gen_range(1..90u64)).collect();
+    // `k` spread past any stage's dense registers: a HAVING over it runs
+    // the hashed programs, two passes once starved.
+    let h = k.iter().map(|k| k << 40).collect();
     db.add(Table::new(
         "t",
         vec![
-            ("k", (0..rows).map(|_| rng.gen_range(1..90u64)).collect()),
+            ("k", k),
             ("v", (0..rows).map(|_| rng.gen_range(1..8_000u64)).collect()),
             ("w", (0..rows).map(|_| rng.gen_range(1..400u64)).collect()),
+            ("h", h),
         ],
     ));
     db.add(Table::new(
@@ -74,7 +79,7 @@ fn multipass_queries() -> Vec<(&'static str, Query)> {
             "having",
             Query::Having {
                 table: "t".into(),
-                key: "k".into(),
+                key: "h".into(),
                 val: "v".into(),
                 threshold: 120_000,
             },
@@ -255,23 +260,23 @@ fn sharded_shard_skew_soak() {
     let mut db = Database::new();
     // ~70% of rows share one key: shard loads are lopsided under the
     // key-partitioned gather, and range shards all see the hot key.
+    let k: Vec<u64> = (0..rows)
+        .map(|_| {
+            if rng.gen_bool(0.7) {
+                7u64
+            } else {
+                rng.gen_range(1..90u64)
+            }
+        })
+        .collect();
+    let h = k.iter().map(|k| k << 40).collect();
     db.add(Table::new(
         "t",
         vec![
-            (
-                "k",
-                (0..rows)
-                    .map(|_| {
-                        if rng.gen_bool(0.7) {
-                            7u64
-                        } else {
-                            rng.gen_range(1..90u64)
-                        }
-                    })
-                    .collect(),
-            ),
+            ("k", k),
             ("v", (0..rows).map(|_| rng.gen_range(1..8_000u64)).collect()),
             ("w", (0..rows).map(|_| rng.gen_range(1..400u64)).collect()),
+            ("h", h),
         ],
     ));
     // Tiny join side: with 4 shards most shard pipelines stream nothing.
