@@ -1,8 +1,13 @@
 //! Switch backend selection: run the query's pruning on the unconstrained
 //! `cheetah-core` references or on the metered `cheetah-pisa` pipeline
-//! programs. Results must be identical either way (the differential tests
-//! guarantee the per-entry decisions are); the pisa backend additionally
-//! proves the whole query fits the hardware constraints end to end.
+//! programs. Both see the same raw entries and decide each alike
+//! (`tests::both_backends_decide_every_entry_alike`), but for a hashed
+//! DISTINCT's or GROUP BY's `u64::MAX` key, which the PISA programs forward
+//! without touching state: their cells hold `k + 1`, and 0 is the empty
+//! cell. The pisa backend additionally proves the query fits the hardware
+//! constraints end to end, but for §6's SUM/COUNT registers, which have no
+//! PISA program, and the pool arms' two-pass HAVING, whose shard sketches
+//! merge as core counters: both run the core pruners on either backend.
 
 use cheetah_core::decision::{Decision, RowPruner};
 use cheetah_core::dense::{DenseDistinct, DenseGroupBy, DenseRegisters, DenseSet, OffsetCode};
@@ -16,9 +21,9 @@ use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
 use cheetah_core::{params, SwitchModel};
 use cheetah_pisa::programs::{
-    DenseJoinProgram, DenseOp, DenseProgram, DetTopNProgram, DistinctLruProgram, FilterProgram,
-    GroupByProgram, HavingPhase, HavingProgram, JoinMode, JoinProgram, RandTopNProgram,
-    RbfJoinProgram, SkylineProgram, SkylineScoring, SwitchProgram,
+    DenseJoinProgram, DenseOp, DenseProgram, DetTopNProgram, DistinctFifoProgram,
+    DistinctLruProgram, FilterProgram, GroupByProgram, HavingPhase, HavingProgram, JoinMode,
+    JoinProgram, RandTopNProgram, RbfJoinProgram, SkylineProgram, SkylineScoring, SwitchProgram,
 };
 use cheetah_pisa::ProgramPruner;
 
@@ -48,53 +53,6 @@ pub fn skyline_spec() -> SwitchModel {
     SwitchModel {
         stages: 40,
         ..SwitchModel::tofino2_like()
-    }
-}
-
-/// Wrapper mapping the key through a nonzero-preserving encoding before a
-/// pisa program (0 is the hardware empty-cell sentinel; the CWorker
-/// applies the same shift on the wire).
-struct NonzeroKey<P> {
-    inner: P,
-    /// Scratch lane holding the current block's shifted keys, reused
-    /// across blocks so the shift costs no steady-state allocation.
-    shifted: Vec<u64>,
-}
-
-impl<P> NonzeroKey<P> {
-    fn new(inner: P) -> Self {
-        NonzeroKey {
-            inner,
-            shifted: Vec::new(),
-        }
-    }
-}
-
-impl<P: RowPruner> RowPruner for NonzeroKey<P> {
-    fn process_row(&mut self, row: &[u64]) -> Decision {
-        self.shifted.clear();
-        self.shifted.extend_from_slice(row);
-        self.shifted[0] = self.shifted[0].wrapping_add(1);
-        let NonzeroKey { inner, shifted } = self;
-        inner.process_row(shifted)
-    }
-
-    fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
-        let NonzeroKey { inner, shifted } = self;
-        shifted.clear();
-        shifted.extend(cols[0].iter().map(|k| k.wrapping_add(1)));
-        let mut swapped: Vec<&[u64]> = Vec::with_capacity(cols.len());
-        swapped.push(shifted.as_slice());
-        swapped.extend_from_slice(&cols[1..]);
-        inner.process_block(&swapped, out);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
     }
 }
 
@@ -236,10 +194,16 @@ impl SinglePass {
                 seed,
             )),
             (Pisa, SinglePass::Distinct(Keys::Hashed(d))) => {
-                Box::new(NonzeroKey::new(ProgramPruner::new(
-                    DistinctLruProgram::new(spec(), d, cfg.distinct_w, seed)
-                        .expect("distinct program fits"),
-                )))
+                let w = cfg.distinct_w;
+                match cfg.distinct_policy {
+                    EvictionPolicy::Lru => Box::new(ProgramPruner::new(
+                        DistinctLruProgram::new(spec(), d, w, seed).expect("distinct program fits"),
+                    )),
+                    EvictionPolicy::Fifo => Box::new(ProgramPruner::new(
+                        DistinctFifoProgram::new(spec(), d, w, seed)
+                            .expect("distinct program fits"),
+                    )),
+                }
             }
             (backend, SinglePass::Distinct(Keys::Dense(code))) => {
                 dense_pruner(backend, code, DenseOp::Distinct)
@@ -259,12 +223,10 @@ impl SinglePass {
             (Reference, SinglePass::GroupBy(Keys::Hashed(m), ext)) => {
                 Box::new(GroupByPruner::new(m.d, m.w, ext, seed))
             }
-            (Pisa, SinglePass::GroupBy(Keys::Hashed(m), ext)) => {
-                Box::new(NonzeroKey::new(ProgramPruner::new(
-                    GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed)
-                        .expect("groupby program fits"),
-                )))
-            }
+            (Pisa, SinglePass::GroupBy(Keys::Hashed(m), ext)) => Box::new(ProgramPruner::new(
+                GroupByProgram::new(groupby_spec(m.w), m.d, m.w, ext, seed)
+                    .expect("groupby program fits"),
+            )),
             (backend, SinglePass::GroupBy(Keys::Dense(code), ext)) => {
                 dense_pruner(backend, code, DenseOp::Extremum(ext))
             }
@@ -694,6 +656,11 @@ impl JoinFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::{Bound, Program};
+    use crate::cheetah::tuple_fingerprinter;
+    use crate::fixture::{self, shape_db, KeyForm};
+    use crate::multipass::{SIDE_LEFT, SIDE_RIGHT};
+    use crate::stream::{fingerprint_rows, BLOCK_ENTRIES};
 
     #[test]
     fn factories_build_under_both_backends() {
@@ -836,8 +803,11 @@ mod tests {
         assert!(fifo.process_row(&[5]).is_forward());
     }
 
+    /// The PISA matrices take every key as it is: 0 is a key like any
+    /// other, and `u64::MAX`, whose cell marker would be the empty cell,
+    /// forwards every time.
     #[test]
-    fn nonzero_shift_preserves_distinctness_for_zero_keys() {
+    fn pisa_matrices_take_zero_and_forward_the_max_key() {
         let cfg = PrunerConfig {
             backend: SwitchBackend::Pisa,
             ..PrunerConfig::default()
@@ -849,6 +819,156 @@ mod tests {
         );
         assert!(d.process_row(&[0]).is_prune(), "zero key duplicate");
         assert!(d.process_row(&[1]).is_forward(), "distinct from zero");
+        let mut g = groupby(&cfg, Extremum::Max);
+        assert!(g.process_row(&[0, 7]).is_forward());
+        assert!(g.process_row(&[0, 7]).is_prune());
+        for _ in 0..2 {
+            assert!(d.process_row(&[u64::MAX]).is_forward());
+            assert!(g.process_row(&[u64::MAX, 7]).is_forward());
+        }
+    }
+
+    /// Every decision the switch makes for `b` under `cfg`, its lanes fed
+    /// `block` entries at a time as the deterministic arm feeds them: a
+    /// single pass's, both passes of §5's HAVING, or a JOIN's probes of
+    /// its left side, then its right, once both filters are built. `None`
+    /// for §6's SUM/COUNT registers, which have no PISA program and run the
+    /// core pruner on either backend.
+    fn decisions(cfg: &PrunerConfig, b: &Bound<'_>, block: usize) -> Option<Vec<Decision>> {
+        let spans = |rows: usize| {
+            (0..rows)
+                .step_by(block)
+                .map(move |s| s..rows.min(s + block))
+        };
+        let lanes = |r: std::ops::Range<usize>| -> Vec<&[u64]> {
+            let t = b.table;
+            b.cols.iter().map(|&c| &t.col_at(c)[r.clone()]).collect()
+        };
+        let rows = b.table.rows();
+        let mut out = Vec::new();
+        match b.program {
+            Program::SinglePass(ref p) => {
+                let mut pruner = p.pruner(cfg);
+                let fp = tuple_fingerprinter(cfg);
+                let mut fp_lane = Vec::new();
+                for r in spans(rows) {
+                    let mut cols = lanes(r.clone());
+                    if b.fingerprints() {
+                        fp_lane.clear();
+                        fingerprint_rows(&cols, 0, r.len(), &fp, &mut fp_lane);
+                        cols = vec![&fp_lane];
+                    }
+                    let at = out.len();
+                    out.resize(at + r.len(), Decision::Prune);
+                    pruner.process_block(&cols, &mut out[at..]);
+                }
+            }
+            Program::Having { threshold, sketch } => {
+                let mut flow = HavingFlow::sized(cfg, sketch, threshold);
+                for pass in [1, 2] {
+                    if pass == 2 {
+                        flow.begin_pass_two();
+                    }
+                    for r in spans(rows) {
+                        let kv = lanes(r.clone());
+                        let at = out.len();
+                        out.resize(at + r.len(), Decision::Prune);
+                        let decided = &mut out[at..];
+                        match pass {
+                            1 => flow.pass_one_block(kv[0], kv[1], decided),
+                            _ => flow.pass_two_block(kv[0], kv[1], decided),
+                        }
+                    }
+                }
+            }
+            Program::Join {
+                right,
+                right_col,
+                ref filters,
+                ..
+            } => {
+                let mut flow = JoinFlow::sized(cfg, filters);
+                let sides = [
+                    (SIDE_LEFT, b.table, b.cols[0]),
+                    (SIDE_RIGHT, right, right_col),
+                ];
+                for (side, t, c) in sides {
+                    for r in spans(t.rows()) {
+                        flow.observe_block(&vec![side; r.len()], &t.col_at(c)[r]);
+                    }
+                }
+                for (side, t, c) in sides {
+                    for r in spans(t.rows()) {
+                        let at = out.len();
+                        out.resize(at + r.len(), Decision::Prune);
+                        flow.probe_block(&vec![side; r.len()], &t.col_at(c)[r], &mut out[at..]);
+                    }
+                }
+            }
+            Program::Registers { .. } => return None,
+        }
+        Some(out)
+    }
+
+    /// The two backends decide every entry alike, block by block: every
+    /// program the shape matrix binds, over keys that bind dense and their
+    /// spread form, which binds the paper's hashed matrices, Bloom pair and
+    /// Count-Min sketch, at Table 2's geometry and a small one (FIFO
+    /// DISTINCT, the TOP N ladder, and a register matrix too small for the
+    /// HAVING keys, so §5's two passes run), fed 1, 61 and `BLOCK_ENTRIES`
+    /// entries at a time. §6's registers have no PISA twin (see
+    /// [`decisions`]), and the fixture holds no `u64::MAX` key, which the
+    /// PISA matrices alone forward without touching state
+    /// (`pisa_matrices_take_zero_and_forward_the_max_key`).
+    #[test]
+    fn both_backends_decide_every_entry_alike() {
+        let small = PrunerConfig {
+            distinct_d: 16,
+            distinct_w: 3,
+            distinct_policy: EvictionPolicy::Fifo,
+            topn_randomized: false,
+            groupby_d: 8,
+            groupby_w: 2,
+            having_d: 2,
+            having_w: 64,
+            join_m_bits: 1 << 12,
+            skyline_w: 4,
+            ..PrunerConfig::default()
+        };
+        let (mut compared, mut diverged) = (Vec::new(), Vec::new());
+        for form in KeyForm::BOTH {
+            let db = shape_db(form, 3_000, 9);
+            for (name, cfg) in [
+                ("Table 2", PrunerConfig::default()),
+                ("small", small.clone()),
+            ] {
+                let on = |backend| PrunerConfig {
+                    backend,
+                    ..cfg.clone()
+                };
+                let (reference, pisa) = (on(SwitchBackend::Reference), on(SwitchBackend::Pisa));
+                for (label, q) in fixture::shapes() {
+                    let b = q.bind(&db, &cfg).expect("the shape matrix binds");
+                    for block in [1, 61, BLOCK_ENTRIES] {
+                        let Some(want) = decisions(&reference, &b, block) else {
+                            continue;
+                        };
+                        let got = decisions(&pisa, &b, block).expect("the same program");
+                        assert_eq!(want.len(), got.len(), "{label}");
+                        let mut blocks = want.chunks(block).zip(got.chunks(block));
+                        if let Some(i) = blocks.position(|(want, got)| want != got) {
+                            let at = format!("{label} over {form:?} keys at {name}");
+                            diverged.push(format!("{at}: block {i} of {block} entries"));
+                        }
+                    }
+                    compared.push((form, b.is_dense()));
+                }
+            }
+        }
+        assert!(diverged.is_empty(), "first diverging blocks: {diverged:#?}");
+        // The hashed and the dense programs were both compared.
+        assert!(compared.contains(&(KeyForm::Spread, Some(false))));
+        assert!(compared.contains(&(KeyForm::Narrow, Some(true))));
     }
 
     #[test]

@@ -126,6 +126,23 @@ fn check(p: &Predicate) -> Result<(), QueryError> {
 }
 
 impl Bound<'_> {
+    /// The key form bind chose: `Some(true)` where the key-indexed program
+    /// (DISTINCT, GROUP BY, §6's registers, a JOIN) indexes a dense array
+    /// by the key's offset, `Some(false)` where it hashes the key, as §5's
+    /// Count-Min HAVING does, and `None` for a program that reads no key.
+    pub fn is_dense(&self) -> Option<bool> {
+        match &self.program {
+            Program::SinglePass(SinglePass::Distinct(keys)) => Some(keys.is_dense()),
+            Program::SinglePass(SinglePass::GroupBy(keys, _))
+            | Program::Registers {
+                registers: keys, ..
+            } => Some(keys.is_dense()),
+            Program::Join { filters, .. } => Some(filters.is_dense()),
+            Program::Having { .. } => Some(false),
+            Program::SinglePass(_) => None,
+        }
+    }
+
     /// Whether a DistinctMulti's switch sees its tuples as fingerprints
     /// (§5): a hashed matrix dedups one 64-bit lane, while a dense code is
     /// composed from the lanes themselves.
@@ -386,9 +403,9 @@ mod tests {
 
     use super::*;
     use crate::backend::{groupby_spec, skyline_spec, TopNGeometry};
-    use crate::cheetah::tests::{all_queries, random_db, wide_db};
     use crate::cheetah::CheetahExecutor;
     use crate::cost::CostModel;
+    use crate::fixture::{self, shape, shape_db, KeyForm};
     use cheetah_pisa::programs::SkylineScoring;
 
     /// The stages a program's metered pipeline occupies and the SRAM bits
@@ -495,7 +512,6 @@ mod tests {
     /// `w` stages, which its twin scans as one widened stage.
     #[test]
     fn every_charge_is_what_its_program_occupies() {
-        let db = random_db(3_000, 5);
         let default = PrunerConfig::default();
         let sized = PrunerConfig {
             distinct_d: 16,
@@ -522,7 +538,7 @@ mod tests {
             skyline_w: 1,
             ..PrunerConfig::default()
         };
-        let mut queries = all_queries();
+        let mut queries: Vec<Query> = fixture::shapes().into_iter().map(|(_, q)| q).collect();
         queries.extend(
             [0, 1, 25, 250, 1_000, 2_000, 5_000, 50_000].map(|n| Query::TopN {
                 table: "t".into(),
@@ -541,10 +557,6 @@ mod tests {
                 predicate: constant,
             },
             wide_filter(24),
-            Query::DistinctMulti {
-                table: "t".into(),
-                columns: vec!["k".into(), "w".into()],
-            },
             Query::Skyline {
                 table: "t".into(),
                 columns: vec!["v".into(), "w".into(), "k".into()],
@@ -552,7 +564,8 @@ mod tests {
         ]);
         let tofino = SwitchModel::tofino_like();
         let mut forms = HashSet::new();
-        for (keys, db) in [("narrow", &db), ("wide", &wide_db(3_000, 5))] {
+        for keys in KeyForm::BOTH {
+            let db = &shape_db(keys, 3_000, 5);
             for (name, cfg) in [
                 ("default", &default),
                 ("sized", &sized),
@@ -562,7 +575,7 @@ mod tests {
                     let b = q.bind(db, cfg).expect("binds");
                     forms.extend(form(&b.program));
                     let (stages, sram_bits) = twin(cfg, &b);
-                    let at = format!("{} over {keys} keys at the {name} geometry", q.kind());
+                    let at = format!("{} over {keys:?} keys at the {name} geometry", q.kind());
                     assert_eq!(b.charge.sram_bits, sram_bits, "{at}");
                     match b.program {
                         Program::SinglePass(SinglePass::GroupBy(Keys::Hashed(m), _))
@@ -588,9 +601,8 @@ mod tests {
         }
         // SKYLINE at its default w = 10 never fits the pipeline, so
         // serving never packs it and the planner never reserves it one.
-        let skyline = &all_queries()[10];
-        assert!(matches!(skyline, Query::Skyline { .. }));
-        let charge = skyline.bind(&db, &default).expect("binds").charge;
+        let db = shape_db(KeyForm::Narrow, 3_000, 5);
+        let charge = shape("skyline").bind(&db, &default).expect("binds").charge;
         assert_eq!(charge.stages, 21);
         assert!(!charge.fits(&tofino));
     }
@@ -613,7 +625,7 @@ mod tests {
     /// it up (`FilterProgram`'s two).
     #[test]
     fn a_wide_filter_is_charged_what_one_stage_holds() {
-        let db = random_db(300, 1);
+        let db = shape_db(KeyForm::Narrow, 300, 1);
         let q = wide_filter(24);
         let b = q.bind(&db, &PrunerConfig::default()).expect("binds");
         let want = ResourceUsage {
@@ -705,8 +717,8 @@ mod tests {
 
         /// Every query of the shape matrix binds to its program over its
         /// lanes: a key lane whose range fits a stage's registers to a
-        /// dense program (`random_db`'s `1..80`, and either fixture's lane
-        /// of one key), any other to the hashed one — a HAVING to hashed
+        /// dense program (the narrow shape matrix's `1..80`, and either
+        /// form's lane of one key), any other to the hashed one — a HAVING to hashed
         /// registers exactly while its key domain fits half the register
         /// matrix; a JOIN dense exactly where both sides' union range does.
         /// Every unknown name, empty key list and dangling atom or literal
@@ -720,7 +732,8 @@ mod tests {
             past in 0usize..3,
             wide in any::<bool>(),
         ) {
-            let db = if wide { wide_db(rows, seed) } else { random_db(rows, seed) };
+            let form = if wide { KeyForm::Spread } else { KeyForm::Narrow };
+            let db = shape_db(form, rows, seed);
             let cfg = PrunerConfig { groupby_d, groupby_w: 1, ..PrunerConfig::default() };
             let (t, s) = (db.table("t"), db.table("s"));
             let keys: HashSet<&u64> = t.col("k").iter().collect();
@@ -735,7 +748,7 @@ mod tests {
             };
             let dense_key = fits(&[t.col("k")]);
             let dense_join = fits(&[t.col("k"), s.col("k")]);
-            for q in all_queries() {
+            for (_, q) in fixture::shapes() {
                 let b = q.bind(&db, &cfg).expect("the shape matrix binds");
                 let bound: Vec<&str> = b.cols.iter().map(|&c| b.table.schema()[c].as_str()).collect();
                 prop_assert_eq!(bound, lanes(&q), "{}", q.kind());

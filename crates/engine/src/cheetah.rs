@@ -833,10 +833,11 @@ impl CheetahExecutor {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::backend::{self, Keys};
     use crate::distributed::{DistributedExecutor, FailurePlan};
+    use crate::fixture::{self, shape_db, KeyForm};
     use crate::reference;
     use crate::serve::ServeExecutor;
     use crate::sharded::ShardedExecutor;
@@ -849,161 +850,26 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The engine's shape-matrix fixture: `t(k, v, w)` over `rows` random
-    /// rows and `s(k, x)` over half as many, join keys overlapping on
-    /// `40..80`.
-    pub(crate) fn random_db(rows: usize, seed: u64) -> Database {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut db = Database::new();
-        db.add(Table::new(
-            "t",
-            vec![
-                ("k", (0..rows).map(|_| rng.gen_range(1..80u64)).collect()),
-                (
-                    "v",
-                    (0..rows).map(|_| rng.gen_range(1..10_000u64)).collect(),
-                ),
-                ("w", (0..rows).map(|_| rng.gen_range(1..500u64)).collect()),
-            ],
-        ));
-        db.add(Table::new(
-            "s",
-            vec![
-                (
-                    "k",
-                    (0..rows / 2).map(|_| rng.gen_range(40..120u64)).collect(),
-                ),
-                (
-                    "x",
-                    (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-                ),
-            ],
-        ));
-        db
-    }
-
-    /// [`random_db`]'s wide-domain twin: the same rows, every value `v`
-    /// spread to `v << 40`, so a key lane's range fits no stage (but for a
-    /// lane of one value) and every key-indexed program binds hashed, where
-    /// `random_db`'s bind dense.
-    pub(crate) fn wide_db(rows: usize, seed: u64) -> Database {
-        let narrow = random_db(rows, seed);
-        let mut db = Database::new();
-        for name in narrow.names() {
-            let t = narrow.table(name);
-            let spread = |c: usize| t.col_at(c).iter().map(|v| v << 40).collect();
-            let lanes = t.schema().iter().enumerate();
-            db.add(Table::new(
-                name,
-                lanes.map(|(c, n)| (n.as_str(), spread(c))).collect(),
-            ));
-        }
-        db
-    }
-
-    /// [`random_db`] and [`wide_db`] over the same rows.
-    fn both_fixtures(rows: usize, seed: u64) -> [(&'static str, Database); 2] {
-        [
-            ("narrow", random_db(rows, seed)),
-            ("wide", wide_db(rows, seed)),
-        ]
-    }
-
-    /// One query of every shape over [`random_db`], GROUP BY under each
-    /// aggregate and a Filter with an atom the switch cannot evaluate.
-    pub(crate) fn all_queries() -> Vec<Query> {
-        vec![
-            Query::FilterCount {
-                table: "t".into(),
-                predicate: crate::query::Predicate {
-                    columns: vec!["v".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 5000)],
-                    formula: Formula::Atom(0),
-                },
-            },
-            Query::Filter {
-                table: "t".into(),
-                predicate: crate::query::Predicate {
-                    columns: vec!["v".into(), "w".into()],
-                    atoms: vec![
-                        Atom::cmp(0, CmpOp::Lt, 300),
-                        Atom::unsupported(1, CmpOp::Gt, 450),
-                    ],
-                    formula: Formula::Or(vec![Formula::Atom(0), Formula::Atom(1)]),
-                },
-            },
-            Query::Distinct {
-                table: "t".into(),
-                column: "k".into(),
-            },
-            Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n: 50,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Max,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Sum,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Count,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Min,
-            },
-            Query::Having {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                threshold: 300_000,
-            },
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
-            Query::Skyline {
-                table: "t".into(),
-                columns: vec!["v".into(), "w".into()],
-            },
-        ]
-    }
-
     #[test]
     fn cheetah_matches_reference_on_all_query_kinds() {
-        let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
-        for (keys, db) in both_fixtures(8_000, 1) {
-            for q in all_queries() {
-                let report = exec.execute(&db, &q);
-                let truth = reference::evaluate(&db, &q);
-                assert_eq!(
-                    report.result,
-                    truth,
-                    "query {} over {keys} keys diverged",
-                    q.kind()
-                );
+        let cfg = PrunerConfig::default();
+        let exec = CheetahExecutor::new(CostModel::default(), cfg.clone());
+        for form in KeyForm::BOTH {
+            let db = shape_db(form, 8_000, 1);
+            let shapes = fixture::shapes();
+            for (label, q) in &shapes {
+                let report = exec.execute(&db, q);
+                let truth = reference::evaluate(&db, q);
+                assert_eq!(report.result, truth, "{label} over {form:?} keys diverged");
             }
+            let queries = shapes.iter().map(|(_, q)| q);
+            assert!(fixture::reached(form, &db, queries, &cfg) > 0, "{form:?}");
         }
     }
 
     #[test]
     fn pruning_actually_happens() {
-        let db = random_db(20_000, 2);
+        let db = shape_db(KeyForm::Narrow, 20_000, 2);
         let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
         // DISTINCT over 79 keys: almost everything is a duplicate.
         let r = exec.execute(
@@ -1040,18 +906,20 @@ pub(crate) mod tests {
             skyline_w: 1,
             ..PrunerConfig::default()
         };
-        let exec = CheetahExecutor::new(CostModel::default(), cfg);
-        for (keys, db) in both_fixtures(3_000, 3) {
-            for q in all_queries() {
-                let report = exec.execute(&db, &q);
-                let truth = reference::evaluate(&db, &q);
+        let exec = CheetahExecutor::new(CostModel::default(), cfg.clone());
+        for form in KeyForm::BOTH {
+            let db = shape_db(form, 3_000, 3);
+            let shapes = fixture::shapes();
+            for (label, q) in &shapes {
+                let report = exec.execute(&db, q);
+                let truth = reference::evaluate(&db, q);
                 assert_eq!(
-                    report.result,
-                    truth,
-                    "starved {} over {keys} keys diverged",
-                    q.kind()
+                    report.result, truth,
+                    "starved {label} over {form:?} keys diverged"
                 );
             }
+            let queries = shapes.iter().map(|(_, q)| q);
+            assert!(fixture::reached(form, &db, queries, &cfg) > 0, "{form:?}");
         }
     }
 
@@ -1068,7 +936,7 @@ pub(crate) mod tests {
         };
         let ladder = backend::TopNGeometry::Deterministic { w: 1 };
         assert_eq!(backend::topn_geometry(&cfg, 50), ladder);
-        let db = random_db(10_000, 7);
+        let db = shape_db(KeyForm::Narrow, 10_000, 7);
         let exec = CheetahExecutor::new(CostModel::default(), cfg);
         let q = Query::TopN {
             table: "t".into(),
@@ -1086,7 +954,7 @@ pub(crate) mod tests {
             topn_w: 4,
             ..PrunerConfig::default()
         };
-        let db = random_db(10_000, 4);
+        let db = shape_db(KeyForm::Narrow, 10_000, 4);
         let exec = CheetahExecutor::new(CostModel::default(), cfg);
         let q = Query::TopN {
             table: "t".into(),
@@ -1098,7 +966,7 @@ pub(crate) mod tests {
 
     #[test]
     fn join_and_having_take_two_passes() {
-        let db = random_db(2_000, 5);
+        let db = shape_db(KeyForm::Narrow, 2_000, 5);
         let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
         let j = exec.execute(
             &db,
@@ -1128,7 +996,7 @@ pub(crate) mod tests {
                 ..PrunerConfig::default()
             },
         );
-        let wide = wide_db(2_000, 5);
+        let wide = shape_db(KeyForm::Spread, 2_000, 5);
         assert_eq!(starved.execute(&wide, &having).passes, 2);
         assert_eq!(exec.execute(&wide, &having).passes, 1);
         assert_eq!(starved.execute(&db, &having).passes, 1);
@@ -1205,9 +1073,9 @@ pub(crate) mod tests {
 
     #[test]
     fn threaded_execution_matches_deterministic_results() {
-        let db = random_db(6_000, 8);
+        let db = shape_db(KeyForm::Narrow, 6_000, 8);
         let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
-        for q in all_queries() {
+        for (_, q) in fixture::shapes() {
             let truth = reference::evaluate(&db, &q);
             let report = exec.execute_threaded(&db, &q);
             assert_eq!(report.result, truth, "threaded {} diverged", q.kind());
@@ -1222,9 +1090,9 @@ pub(crate) mod tests {
         // Pass counts, streamed-entry totals and fetch metadata must line
         // up with the deterministic executor's, so the completion-time
         // model prices both paths identically.
-        let db = random_db(4_000, 12);
+        let db = shape_db(KeyForm::Narrow, 4_000, 12);
         let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
-        for q in all_queries() {
+        for (_, q) in fixture::shapes() {
             let det = exec.execute(&db, &q);
             let thr = exec.execute_threaded(&db, &q);
             assert_eq!(thr.passes, det.passes, "{} pass count", q.kind());
@@ -1668,7 +1536,7 @@ pub(crate) mod tests {
         }
 
         /// Every arm, on both backends, answers what the reference answers
-        /// over a grammar of well-formed queries `all_queries()` never
+        /// over a grammar of well-formed queries `fixture::shapes()` never
         /// draws: predicates of up to twenty atoms over zero to three
         /// columns, repeats included, with nested constant formulas; multi-column keys with repeated columns; TOP N at the
         /// edges of the table; HAVING at both threshold extremes; and
@@ -1682,7 +1550,8 @@ pub(crate) mod tests {
             shards in 1usize..3,
         ) {
             let rows = [0, 1, 2, 7, 3_000][size];
-            for (keys, db) in both_fixtures(rows, seed) {
+            for form in KeyForm::BOTH {
+                let db = shape_db(form, rows, seed);
                 let mut rng = StdRng::seed_from_u64(seed);
                 for _ in 0..8 {
                     let q = grammar_query(&mut rng, rows);
@@ -1692,8 +1561,8 @@ pub(crate) mod tests {
                         for (arm, result) in every_arm(&cfg, &db, &q, shards) {
                             prop_assert!(
                                 result == truth,
-                                "{} on {:?} diverged over {} rows of {} keys on {:?}",
-                                arm, backend, rows, keys, q
+                                "{} on {:?} diverged over {} rows of {:?} keys on {:?}",
+                                arm, backend, rows, form, q
                             );
                         }
                     }
@@ -1702,7 +1571,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// One query of the grammar over [`random_db`]'s `t(k, v, w)` and
+    /// One query of the grammar over [`shape_db`]'s `t(k, v, w)` and
     /// `s(k, x)`, where `t` has `rows` rows.
     fn grammar_query(rng: &mut StdRng, rows: usize) -> Query {
         const COLS: [&str; 3] = ["k", "v", "w"];

@@ -958,46 +958,18 @@ mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
+    use crate::fixture::{self, arithmetic};
     use crate::master::fetch_rows_flat;
     use crate::query::Agg;
     use crate::reference;
-    use crate::sharded::tests::db;
     use crate::sharded::ShardYield;
     use cheetah_core::distinct::{DistinctPruner, EvictionPolicy};
     use cheetah_core::groupby::{GroupBySumPruner, SumAction};
     use std::time::Duration;
 
-    fn shapes() -> Vec<Query> {
-        vec![
-            Query::Distinct {
-                table: "t".into(),
-                column: "k".into(),
-            },
-            Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n: 12,
-            },
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Sum,
-            },
-            Query::Having {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                threshold: 300_000,
-            },
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
-        ]
-    }
+    /// The fixture's shapes the wire tests run: two single-pass merges,
+    /// the register drain and both two-pass flows.
+    const SHAPES: [&str; 5] = ["distinct", "topn", "groupby-sum", "having", "join"];
 
     fn exec(shards: usize, plan: FailurePlan) -> DistributedExecutor {
         DistributedExecutor::with_failure_plan(
@@ -1059,7 +1031,7 @@ mod tests {
 
     /// A shard's `Rows` output for rows 3, 1 and 99 of `t`, both lanes.
     fn shipped_rows() -> ShardOutput {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let ids = vec![3, 1, 99];
         let (flat, checksum) = fetch_rows_flat(db.table("t"), &[0, 1], &ids);
         ShardOutput::Rows {
@@ -1311,9 +1283,9 @@ mod tests {
 
     #[test]
     fn clean_wire_matches_reference_with_quiet_telemetry() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let e = exec(3, FailurePlan::default());
-        for q in &shapes() {
+        for q in &SHAPES.map(fixture::shape) {
             let truth = reference::evaluate(&db, q);
             let r = Executor::execute(&e, &db, q);
             assert_eq!(r.result, truth, "{} diverged", q.kind());
@@ -1340,7 +1312,7 @@ mod tests {
 
     #[test]
     fn faults_leave_results_exact_and_telemetry_loud() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let truth_exec = exec(3, FailurePlan::default());
         let plan = FailurePlan {
             loss_rate: 0.2,
@@ -1355,7 +1327,7 @@ mod tests {
             ..FailurePlan::default()
         };
         let e = exec(3, plan);
-        for q in &shapes() {
+        for q in &SHAPES.map(fixture::shape) {
             let clean = Executor::execute(&truth_exec, &db, q);
             let r = Executor::execute(&e, &db, q);
             assert_eq!(r.result, clean.result, "{} diverged under faults", q.kind());
@@ -1382,7 +1354,7 @@ mod tests {
 
     #[test]
     fn groupby_sum_reboot_drains_registers_first() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let q = Query::GroupBy {
             table: "t".into(),
             key: "k".into(),
@@ -1410,7 +1382,7 @@ mod tests {
     /// falls after all of them have been seen.
     #[test]
     fn register_drains_count_as_forwarded_a_rebooted_shards_included() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let q = Query::GroupBy {
             table: "t".into(),
             key: "k".into(),
@@ -1443,7 +1415,7 @@ mod tests {
 
     #[test]
     fn exhausted_retry_budget_degrades_but_stays_exact() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let q = Query::Distinct {
             table: "t".into(),
             column: "k".into(),

@@ -318,6 +318,7 @@ mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
+    use crate::fixture::KeyForm;
     use crate::table::Table;
 
     fn tiny_db() -> Database {
@@ -418,7 +419,7 @@ mod tests {
         wide.add(Table::new(
             "t",
             vec![
-                ("k", t.col("k").iter().map(|k| k << 40).collect()),
+                ("k", KeyForm::Spread.lane(t.col("k"))),
                 ("v", t.col("v").to_vec()),
             ],
         ));

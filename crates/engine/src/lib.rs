@@ -70,6 +70,13 @@ pub mod stream;
 pub mod table;
 pub mod threaded;
 
+// The integration tests' shared fixture, compiled under the crate's own name.
+#[cfg(test)]
+extern crate self as cheetah_engine;
+#[cfg(test)]
+#[path = "../../../tests/common/fixture.rs"]
+mod fixture;
+
 pub use bind::{Bound, QueryError};
 pub use cheetah::CheetahExecutor;
 pub use cost::CostModel;

@@ -491,9 +491,9 @@ mod tests {
 
     use super::*;
     use crate::backend::Matrix;
+    use crate::fixture::{arithmetic, KeyForm};
     use crate::query::QueryResult;
     use crate::reference;
-    use crate::sharded::tests::db;
     use crate::table::Table;
 
     fn planner() -> PlannerExecutor {
@@ -510,7 +510,7 @@ mod tests {
 
     #[test]
     fn probe_is_shared_and_single() {
-        let db = db(4_000, 1_000);
+        let db = arithmetic(4_000, 1_000);
         let exec = planner();
         let q = Query::Distinct {
             table: "t".into(),
@@ -527,7 +527,7 @@ mod tests {
     fn skyline_program_is_infeasible_and_falls_back_deterministic() {
         // SKYLINE APH at the default w=10 occupies 21 stages — over the
         // 12-stage Tofino budget (the same overflow `serve` spills on).
-        let db = db(3_000, 750);
+        let db = arithmetic(3_000, 750);
         let exec = planner();
         let q = Query::Skyline {
             table: "t".into(),
@@ -552,8 +552,13 @@ mod tests {
         db.add(Table::new(
             "t",
             vec![
-                ("k", (0..40_000).map(|i| (i % 10_000) << 40).collect()),
-                ("u", (0..40_000).map(|i| i << 40).collect()),
+                (
+                    "k",
+                    (0..40_000)
+                        .map(|i| KeyForm::Spread.value(i % 10_000))
+                        .collect(),
+                ),
+                ("u", (0..40_000).map(|i| KeyForm::Spread.value(i)).collect()),
                 ("d", (0..40_000).map(|i| i % 10_000).collect()),
             ],
         ));
@@ -583,8 +588,11 @@ mod tests {
         db.add(Table::new(
             "t",
             vec![
-                ("k", (0..40_000).map(|i| (i % 25) << 40).collect()),
-                ("u", (0..40_000).map(|i| i << 40).collect()),
+                (
+                    "k",
+                    (0..40_000).map(|i| KeyForm::Spread.value(i % 25)).collect(),
+                ),
+                ("u", (0..40_000).map(|i| KeyForm::Spread.value(i)).collect()),
                 ("v", (0..40_000).map(|i| i % 97).collect()),
                 ("d", (0..40_000).map(|i| i % 25).collect()),
             ],
@@ -629,7 +637,7 @@ mod tests {
 
     #[test]
     fn join_candidates_carry_the_flow_decision() {
-        let db = db(4_000, 1_000); // t has 4× s's rows → asymmetric flow
+        let db = arithmetic(4_000, 1_000); // t has 4× s's rows → asymmetric flow
         let exec = planner();
         let q = Query::Join {
             left: "t".into(),
@@ -655,7 +663,7 @@ mod tests {
 
     #[test]
     fn planned_filter_fetch_pushes_projection_down() {
-        let db = db(2_000, 500);
+        let db = arithmetic(2_000, 500);
         let exec = planner();
         let q = Query::Filter {
             table: "t".into(),
@@ -721,7 +729,7 @@ mod tests {
 
     #[test]
     fn misprediction_is_finite_across_shapes() {
-        let db = db(3_000, 750);
+        let db = arithmetic(3_000, 750);
         let exec = planner();
         for q in [
             Query::Distinct {

@@ -160,29 +160,9 @@ pub fn skyline_of(points: &[Vec<u64>]) -> Vec<Vec<u64>> {
 mod tests {
     use super::*;
     use crate::query::Predicate;
-    use crate::table::Table;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.add(Table::new(
-            "ratings",
-            vec![
-                ("name", vec![1, 2, 3, 4, 5]), // Pizza Cheetos Jello Burger Fries
-                ("taste", vec![7, 8, 9, 5, 3]),
-                ("texture", vec![5, 6, 4, 7, 3]),
-            ],
-        ));
-        db.add(Table::new(
-            "products",
-            vec![
-                ("name", vec![4, 1, 6, 3]), // Burger Pizza Fries' Jello
-                ("price", vec![4, 7, 2, 5]),
-                ("seller", vec![10, 20, 10, 30]),
-            ],
-        ));
-        db
-    }
+    use crate::fixture::paper_example;
 
     #[test]
     fn filter_count() {
@@ -194,7 +174,7 @@ mod tests {
                 formula: Formula::Atom(0),
             },
         };
-        assert_eq!(evaluate(&db(), &q), QueryResult::Count(3));
+        assert_eq!(evaluate(&paper_example(), &q), QueryResult::Count(3));
     }
 
     #[test]
@@ -203,7 +183,10 @@ mod tests {
             table: "products".into(),
             column: "seller".into(),
         };
-        assert_eq!(evaluate(&db(), &q), QueryResult::Values(vec![10, 20, 30]));
+        assert_eq!(
+            evaluate(&paper_example(), &q),
+            QueryResult::Values(vec![10, 20, 30])
+        );
     }
 
     #[test]
@@ -213,7 +196,10 @@ mod tests {
             order_by: "taste".into(),
             n: 2,
         };
-        assert_eq!(evaluate(&db(), &q), QueryResult::TopValues(vec![9, 8]));
+        assert_eq!(
+            evaluate(&paper_example(), &q),
+            QueryResult::TopValues(vec![9, 8])
+        );
     }
 
     #[test]
@@ -224,22 +210,22 @@ mod tests {
             val: "price".into(),
             agg,
         };
-        let max = evaluate(&db(), &mk(Agg::Max));
+        let max = evaluate(&paper_example(), &mk(Agg::Max));
         assert_eq!(
             max,
             QueryResult::Groups([(10, 4), (20, 7), (30, 5)].into_iter().collect())
         );
-        let sum = evaluate(&db(), &mk(Agg::Sum));
+        let sum = evaluate(&paper_example(), &mk(Agg::Sum));
         assert_eq!(
             sum,
             QueryResult::Groups([(10, 6), (20, 7), (30, 5)].into_iter().collect())
         );
-        let count = evaluate(&db(), &mk(Agg::Count));
+        let count = evaluate(&paper_example(), &mk(Agg::Count));
         assert_eq!(
             count,
             QueryResult::Groups([(10, 2), (20, 1), (30, 1)].into_iter().collect())
         );
-        let min = evaluate(&db(), &mk(Agg::Min));
+        let min = evaluate(&paper_example(), &mk(Agg::Min));
         assert_eq!(
             min,
             QueryResult::Groups([(10, 2), (20, 7), (30, 5)].into_iter().collect())
@@ -256,7 +242,10 @@ mod tests {
             val: "price".into(),
             threshold: 5,
         };
-        assert_eq!(evaluate(&db(), &q), QueryResult::Keys(vec![10, 20]));
+        assert_eq!(
+            evaluate(&paper_example(), &q),
+            QueryResult::Keys(vec![10, 20])
+        );
     }
 
     #[test]
@@ -269,7 +258,7 @@ mod tests {
             left_col: "name".into(),
             right_col: "name".into(),
         };
-        match evaluate(&db(), &q) {
+        match evaluate(&paper_example(), &q) {
             QueryResult::JoinSummary { pairs, .. } => assert_eq!(pairs, 3),
             other => panic!("unexpected {other:?}"),
         }
@@ -283,7 +272,7 @@ mod tests {
         };
         // {Cheetos(8,6), Jello(9,4), Burger(5,7)}.
         assert_eq!(
-            evaluate(&db(), &q),
+            evaluate(&paper_example(), &q),
             QueryResult::Points(vec![vec![5, 7], vec![8, 6], vec![9, 4]])
         );
     }
@@ -298,7 +287,10 @@ mod tests {
                 formula: Formula::Atom(0),
             },
         };
-        assert_eq!(evaluate(&db(), &q), QueryResult::RowIds(vec![0, 1, 3]));
+        assert_eq!(
+            evaluate(&paper_example(), &q),
+            QueryResult::RowIds(vec![0, 1, 3])
+        );
     }
 
     #[test]

@@ -368,22 +368,12 @@ mod tests {
     use crate::reference;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
 
-    /// The engine's two-table fixture, plus its keys spread `<< 40` past
-    /// any stage's dense array: `t.ws` (`t.w`'s 499 keys) and `t.ks`,
-    /// `s.ks` (the join keys), so the hashed programs run over them.
-    fn db(t_rows: usize, s_rows: usize) -> Database {
-        let mut db = crate::sharded::tests::db(t_rows, s_rows);
-        for (table, spread) in [
-            ("t", &[("w", "ws"), ("k", "ks")][..]),
-            ("s", &[("k", "ks")]),
-        ] {
-            for &(col, name) in spread {
-                let keys = db.table(table).col(col).iter().map(|k| k << 40).collect();
-                db.table_mut(table).add_column(name, keys);
-            }
-        }
-        db
-    }
+    use crate::fixture::{arithmetic, with_spread_twins};
+
+    /// The spread twins the tests read beside the arithmetic fixture's
+    /// lanes: `t.ws` (`t.w`'s 499 keys) and `t.ks`, `s.ks` (the join keys),
+    /// so the hashed programs run over them.
+    const TWINS: &[(&str, &str, &str)] = &[("t", "w", "ws"), ("t", "k", "ks"), ("s", "k", "ks")];
 
     /// A 256 × 2 register matrix: HAVING aggregates `t.k`'s 83 keys in a
     /// dense register array and runs two cached passes over `t.ws`'s 499
@@ -445,7 +435,7 @@ mod tests {
 
     #[test]
     fn batch_results_match_solo_runs_in_admission_order() {
-        let db = db(6_000, 3_000);
+        let db = with_spread_twins(arithmetic(6_000, 3_000), TWINS);
         let exec = serve_exec();
         let batch = mixed_batch();
         let (reports, agg) = exec.serve(&db, &batch);
@@ -476,7 +466,7 @@ mod tests {
 
     #[test]
     fn repeated_batch_hits_the_cache_with_identical_results() {
-        let db = db(4_000, 2_000);
+        let db = with_spread_twins(arithmetic(4_000, 2_000), TWINS);
         let exec = serve_exec();
         let batch = mixed_batch();
         let (first, cold) = exec.serve(&db, &batch);
@@ -495,7 +485,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_cached_state() {
-        let mut db = db(4_000, 2_000);
+        let mut db = with_spread_twins(arithmetic(4_000, 2_000), TWINS);
         let exec = serve_exec();
         let batch = mixed_batch();
         exec.serve(&db, &batch);
@@ -518,7 +508,7 @@ mod tests {
         // than the 12-stage Tofino budget, so it always spills while its
         // co-resident flows stay packed: the TOP 10's 11 × 9 matrix
         // takes 10 stages, the DISTINCT's bitmap over `1..=83` one.
-        let db = db(3_000, 1_500);
+        let db = with_spread_twins(arithmetic(3_000, 1_500), TWINS);
         let exec = serve_exec();
         let batch = vec![
             Query::Distinct {
@@ -551,7 +541,7 @@ mod tests {
 
     #[test]
     fn executor_trait_batch_of_one() {
-        let db = db(2_000, 1_000);
+        let db = with_spread_twins(arithmetic(2_000, 1_000), TWINS);
         let exec = serve_exec();
         let q = Query::Distinct {
             table: "t".into(),
@@ -579,7 +569,7 @@ mod tests {
         std::env::set_var("SERVE_POOL", "0");
         let exec = ServeExecutor::new(cheetah);
         std::env::remove_var("SERVE_POOL");
-        let db = db(500, 250);
+        let db = with_spread_twins(arithmetic(500, 250), TWINS);
         let q = Query::Distinct {
             table: "t".into(),
             column: "k".into(),

@@ -1231,7 +1231,7 @@ impl ShardProgram for JoinProgram<'_> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::cheetah::PrunerConfig;
     use crate::cost::CostModel;
@@ -1243,29 +1243,7 @@ pub(crate) mod tests {
     use cheetah_core::hash::mix64;
     use proptest::prelude::*;
 
-    /// The two-table fixture the engine's unit tests share: `t(k, v, w)`
-    /// over `t_rows` rows and `s(k, x)` over `s_rows`, arithmetic lanes
-    /// whose join keys overlap on `40..=83`.
-    pub(crate) fn db(t_rows: usize, s_rows: usize) -> Database {
-        let lane = |rows: usize, f: fn(u64) -> u64| (0..rows as u64).map(f).collect();
-        let mut db = Database::new();
-        db.add(Table::new(
-            "t",
-            vec![
-                ("k", lane(t_rows, |i| i * 7 % 83 + 1)),
-                ("v", lane(t_rows, |i| i * 31 % 9_973)),
-                ("w", lane(t_rows, |i| i * 13 % 499 + 1)),
-            ],
-        ));
-        db.add(Table::new(
-            "s",
-            vec![
-                ("k", lane(s_rows, |i| i * 11 % 140 + 40)),
-                ("x", lane(s_rows, |i| i * 3 % 97)),
-            ],
-        ));
-        db
-    }
+    use crate::fixture::arithmetic;
 
     fn exec(shards: usize) -> ShardedExecutor {
         ShardedExecutor::with_shards(
@@ -1276,7 +1254,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sharded_matches_reference_on_representative_shapes() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let queries = [
             Query::Distinct {
                 table: "t".into(),
@@ -1332,7 +1310,7 @@ pub(crate) mod tests {
     /// shard's partition size — and the shards together tile the tables.
     #[test]
     fn hash_sharded_shards_process_exactly_their_partition() {
-        let db = db(6_000, 2_000);
+        let db = arithmetic(6_000, 2_000);
         let cfg = PrunerConfig::default();
         let (t, s) = (db.table("t"), db.table("s"));
         let processed =
@@ -1520,7 +1498,7 @@ pub(crate) mod tests {
             chunks in 1usize..9,
             seed in any::<u64>(),
         ) {
-            let db = db(rows, 1);
+            let db = arithmetic(rows, 1);
             let t = db.table("t");
             let cfg = PrunerConfig::default();
             let env = Env { cfg: &cfg, workers: 1, shards: 1 };

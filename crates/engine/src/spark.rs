@@ -61,16 +61,16 @@ impl SparkExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cheetah::tests::{all_queries, random_db};
+    use crate::fixture::{self, shape_db, KeyForm};
     use crate::query::{Agg, QueryResult};
     use crate::reference;
     use crate::table::Table;
 
     #[test]
     fn spark_matches_reference_on_all_query_kinds() {
-        let db = random_db(5_000, 1);
+        let db = shape_db(KeyForm::Narrow, 5_000, 1);
         let exec = SparkExecutor::new(CostModel::default());
-        for q in all_queries() {
+        for (_, q) in fixture::shapes() {
             let report = exec.execute(&db, &q);
             let truth = reference::evaluate(&db, &q);
             assert_eq!(report.result, truth, "query {} diverged", q.kind());
@@ -86,13 +86,14 @@ mod tests {
             order_by: "v".into(),
             n: 0,
         };
-        let r = SparkExecutor::new(CostModel::default()).execute(&random_db(100, 3), &q);
+        let r = SparkExecutor::new(CostModel::default())
+            .execute(&shape_db(KeyForm::Narrow, 100, 3), &q);
         assert_eq!(r.result, QueryResult::TopValues(Vec::new()));
     }
 
     #[test]
     fn shuffle_far_smaller_than_input_for_aggregates() {
-        let db = random_db(50_000, 4);
+        let db = shape_db(KeyForm::Narrow, 50_000, 4);
         let exec = SparkExecutor::new(CostModel::default());
         let r = exec.execute(
             &db,
@@ -168,8 +169,8 @@ mod tests {
             })
         };
         for (rows, seed) in [(3, 5), (4_000, 6)] {
-            let db = random_db(rows, seed);
-            for q in all_queries() {
+            let db = shape_db(KeyForm::Narrow, rows, seed);
+            for (_, q) in fixture::shapes() {
                 let truth = reference::evaluate(&db, &q);
                 for workers in [1, 3, 5] {
                     let got = at(workers).execute(&db, &q);

@@ -1,9 +1,13 @@
 //! DISTINCT as a switch program: LRU (per-stage rolling) and FIFO (wide).
 //!
-//! Empty cells are represented by the value 0, as hardware registers
-//! initialize to zero; CWorkers guarantee nonzero values by sending
-//! fingerprints (a zero fingerprint has probability 2⁻ᶠ; the engine maps
-//! raw keys through a nonzero-preserving encoding).
+//! Hardware registers initialize to zero, so an empty cell is 0 and a
+//! cell holding key `k` stores the marker `k + 1`. The row is hashed from
+//! `k` itself, as the core [`DistinctPruner`] does, so both decide every
+//! key alike. The one key whose marker would be the empty cell is
+//! `u64::MAX`: it is forwarded without touching state, which is always
+//! safe (the master drops a surviving duplicate).
+//!
+//! [`DistinctPruner`]: cheetah_core::distinct::DistinctPruner
 
 use cheetah_core::decision::Decision;
 use cheetah_core::hash::HashFn;
@@ -17,7 +21,8 @@ use crate::programs::SwitchProgram;
 /// The packet performs the paper's rolling replacement: the new value is
 /// written to stage 0, the displaced value to stage 1, and so on. A match
 /// at stage `i` terminates the roll (consuming the duplicate), which makes
-/// the policy move-to-front — true LRU.
+/// the policy move-to-front — true LRU. Every key but `u64::MAX` (see the
+/// module doc) decides as the core matrix does.
 #[derive(Debug)]
 pub struct DistinctLruProgram {
     pipe: SwitchPipeline,
@@ -59,18 +64,20 @@ impl SwitchProgram for DistinctLruProgram {
 
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let key = values[0];
-        debug_assert_ne!(key, 0, "zero is the empty-cell sentinel");
         let mut ctx = self.pipe.begin_packet(1)?;
         // Metadata: the rolling carry (64b) + row index (16b) + found bit.
         ctx.use_metadata(64 + 16 + 1)?;
+        let Some(marker) = key.checked_add(1) else {
+            return Ok(Decision::Forward);
+        };
         let row = ctx.hash_bucket(&self.row_hash, key, self.d);
-        let mut carry = key;
+        let mut carry = marker;
         for &reg in &self.stages {
             let old = ctx.reg_rmw(reg, row, {
                 let carry = carry;
                 move |_| carry
             })?;
-            if old == key {
+            if old == marker {
                 // Duplicate consumed by the roll: move-to-front complete.
                 return Ok(Decision::Prune);
             }
@@ -95,7 +102,7 @@ impl SwitchProgram for DistinctLruProgram {
 
 /// FIFO DISTINCT: one wide array whose rows are `[v₀ … v_{w-1}, cursor]`,
 /// scanned in a single shared-memory access (Table 2's `*` assumption,
-/// `⌈w/A⌉` stages).
+/// `⌈w/A⌉` stages). Cells hold markers, as in [`DistinctLruProgram`].
 #[derive(Debug)]
 pub struct DistinctFifoProgram {
     pipe: SwitchPipeline,
@@ -132,24 +139,26 @@ impl SwitchProgram for DistinctFifoProgram {
 
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let key = values[0];
-        debug_assert_ne!(key, 0, "zero is the empty-cell sentinel");
         let mut ctx = self.pipe.begin_packet(1)?;
         ctx.use_metadata(16 + 1)?;
+        let Some(marker) = key.checked_add(1) else {
+            return Ok(Decision::Forward);
+        };
         let row = ctx.hash_bucket(&self.row_hash, key, self.d);
         let w = self.w;
         let mut pruned = false;
         ctx.reg_rmw_wide(self.rows, row, |cells| {
             let (vals, cursor) = (&cells[..w], cells[w]);
-            if vals.contains(&key) {
+            if vals.contains(&marker) {
                 pruned = true;
                 return Vec::new();
             }
             // Insert at the first empty cell, else at the cursor.
             match vals.iter().position(|&c| c == 0) {
-                Some(i) => vec![(i, key)],
+                Some(i) => vec![(i, marker)],
                 None => {
                     let cur = cursor as usize;
-                    vec![(cur, key), (w, ((cur + 1) % w) as u64)]
+                    vec![(cur, marker), (w, ((cur + 1) % w) as u64)]
                 }
             }
         })?;
@@ -203,6 +212,22 @@ mod tests {
         assert_eq!(p.process(&[9]).unwrap(), Decision::Prune);
         p.reset();
         assert_eq!(p.process(&[9]).unwrap(), Decision::Forward);
+    }
+
+    #[test]
+    fn zero_is_a_key_and_max_forwards_without_state() {
+        let mut lru = DistinctLruProgram::new(SwitchModel::tofino_like(), 1, 1, 7).unwrap();
+        let mut fifo = DistinctFifoProgram::new(SwitchModel::tofino_like(), 1, 1, 7).unwrap();
+        let programs: [&mut dyn SwitchProgram; 2] = [&mut lru, &mut fifo];
+        for p in programs {
+            assert_eq!(p.process(&[0]).unwrap(), Decision::Forward);
+            assert_eq!(p.process(&[0]).unwrap(), Decision::Prune, "{}", p.name());
+            // u64::MAX never enters the one cell: 0 stays cached.
+            for _ in 0..2 {
+                assert_eq!(p.process(&[u64::MAX]).unwrap(), Decision::Forward);
+            }
+            assert_eq!(p.process(&[0]).unwrap(), Decision::Prune, "{}", p.name());
+        }
     }
 
     #[test]

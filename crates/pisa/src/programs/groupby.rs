@@ -12,7 +12,12 @@ use crate::programs::SwitchProgram;
 /// under the shared-memory assumption (one logical access per packet; a
 /// hit writes one value cell, a miss writes a key/value pair + cursor).
 ///
-/// Key 0 is the empty sentinel (CWorkers send nonzero key encodings).
+/// Hardware registers initialize to zero, so an empty key cell is 0 and a
+/// cell holding key `k` stores the marker `k + 1`; the row is hashed from
+/// `k` itself, as the core pruner does, so both decide every key alike.
+/// The one key whose marker would be the empty cell is `u64::MAX`: its
+/// entries are forwarded without touching state, which is always safe
+/// (the master folds every survivor).
 #[derive(Debug)]
 pub struct GroupByProgram {
     pipe: SwitchPipeline,
@@ -53,9 +58,11 @@ impl SwitchProgram for GroupByProgram {
 
     fn process(&mut self, values: &[u64]) -> Result<Decision, PipelineViolation> {
         let (key, value) = (values[0], values[1]);
-        debug_assert_ne!(key, 0, "zero key is the empty-cell sentinel");
         let mut ctx = self.pipe.begin_packet(2)?;
         ctx.use_metadata(16 + 1)?;
+        let Some(marker) = key.checked_add(1) else {
+            return Ok(Decision::Forward);
+        };
         let row = ctx.hash_bucket(&self.row_hash, key, self.d);
         let (w, agg) = (self.w, self.agg);
         let mut decision = Decision::Forward;
@@ -63,7 +70,7 @@ impl SwitchProgram for GroupByProgram {
             let keys = &cells[..w];
             let bests = &cells[w..2 * w];
             let cursor = cells[2 * w] as usize;
-            if let Some(i) = keys.iter().position(|&k| k == key) {
+            if let Some(i) = keys.iter().position(|&k| k == marker) {
                 let improves = match agg {
                     Extremum::Max => value > bests[i],
                     Extremum::Min => value < bests[i],
@@ -75,9 +82,9 @@ impl SwitchProgram for GroupByProgram {
                 return Vec::new();
             }
             match keys.iter().position(|&k| k == 0) {
-                Some(i) => vec![(i, key), (w + i, value)],
+                Some(i) => vec![(i, marker), (w + i, value)],
                 None => vec![
-                    (cursor, key),
+                    (cursor, marker),
                     (w + cursor, value),
                     (2 * w, ((cursor + 1) % w) as u64),
                 ],
@@ -140,6 +147,19 @@ mod tests {
         assert_eq!(p.process(&[1, 5]).unwrap(), Decision::Forward);
         // Key 3 still cached: non-improving duplicate pruned.
         assert_eq!(p.process(&[3, 9]).unwrap(), Decision::Prune);
+    }
+
+    #[test]
+    fn zero_is_a_key_and_max_forwards_without_state() {
+        let mut p =
+            GroupByProgram::new(SwitchModel::tofino_like(), 1, 1, Extremum::Max, 0).unwrap();
+        assert_eq!(p.process(&[0, 10]).unwrap(), Decision::Forward);
+        assert_eq!(p.process(&[0, 9]).unwrap(), Decision::Prune);
+        // u64::MAX never takes the one cell: key 0 stays cached.
+        for v in [10, 9] {
+            assert_eq!(p.process(&[u64::MAX, v]).unwrap(), Decision::Forward);
+        }
+        assert_eq!(p.process(&[0, 9]).unwrap(), Decision::Prune);
     }
 
     #[test]

@@ -15,6 +15,16 @@ use cheetah_pisa::programs::{
 use cheetah_pisa::tcam::{range_to_prefixes, Tcam};
 use cheetah_pisa::SwitchPipeline;
 
+/// A drawn key, its range's top `top` standing for `u64::MAX`: the key the
+/// PISA matrices forward without touching state.
+fn with_max(k: u64, top: u64) -> u64 {
+    if k == top {
+        u64::MAX
+    } else {
+        k
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -63,18 +73,19 @@ proptest! {
         prop_assert!(ctx.reg_rmw(regs[again], indices[again], |v| v).is_err());
     }
 
-    /// The LRU DISTINCT program never errors on nonzero keys and its
-    /// decisions are sane (first occurrence always forwards).
+    /// The LRU DISTINCT program never errors on any key, 0 and `u64::MAX`
+    /// included, and its decisions are sane (first occurrence always
+    /// forwards).
     #[test]
-    fn distinct_program_total_on_nonzero_keys(
-        keys in vec(1u64..500, 1..400),
+    fn distinct_program_total_on_every_key(
+        keys in vec(0u64..=500, 1..400),
         d in 1usize..128,
         w in 1usize..6,
     ) {
         let mut prog =
             DistinctLruProgram::new(SwitchModel::tofino_like(), d, w, 3).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for &k in &keys {
+        for k in keys.into_iter().map(|k| with_max(k, 500)) {
             let dec = prog.process(&[k]).expect("no pipeline violations");
             if seen.insert(k) {
                 prop_assert!(dec.is_forward());
@@ -84,15 +95,15 @@ proptest! {
 
     /// FIFO variant: same totality property under the wide primitive.
     #[test]
-    fn fifo_program_total_on_nonzero_keys(
-        keys in vec(1u64..300, 1..300),
+    fn fifo_program_total_on_every_key(
+        keys in vec(0u64..=300, 1..300),
         d in 1usize..64,
         w in 1usize..5,
     ) {
         let mut prog =
             DistinctFifoProgram::new(SwitchModel::tofino_like(), d, w, 5).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for &k in &keys {
+        for k in keys.into_iter().map(|k| with_max(k, 300)) {
             let dec = prog.process(&[k]).expect("no pipeline violations");
             if seen.insert(k) {
                 prop_assert!(dec.is_forward());
@@ -116,15 +127,16 @@ proptest! {
     /// strict improvement.
     #[test]
     fn groupby_program_never_prunes_improvement(
-        entries in vec((1u64..80, 0u64..10_000), 1..400),
+        entries in vec((0u64..=80, 0u64..10_000), 1..400),
     ) {
+        let entries = entries.into_iter().map(|(k, v)| (with_max(k, 80), v));
         let spec = SwitchModel {
             alus_per_stage: 16,
             ..SwitchModel::tofino_like()
         };
         let mut prog = GroupByProgram::new(spec, 16, 3, Extremum::Max, 2).unwrap();
         let mut best: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for &(k, v) in &entries {
+        for (k, v) in entries {
             let dec = prog.process(&[k, v]).expect("total");
             let cur = best.entry(k).or_insert(0);
             if v > *cur {

@@ -32,6 +32,10 @@ use cheetah::engine::{
     ShardedExecutor, Table, ThreadedExecutor, BLOCK_ENTRIES,
 };
 
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::KeyForm;
+
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -89,55 +93,6 @@ fn peak_bytes_during<F: FnMut()>(mut f: F) -> u64 {
 
 const ROWS: usize = 60_000;
 
-fn db() -> Database {
-    // Deterministic arithmetic data — no RNG allocations to account for.
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..ROWS as u64).map(|i| i * 7 % 83 + 1).collect()),
-            ("v", (0..ROWS as u64).map(|i| i * 31 % 9_973).collect()),
-            ("w", (0..ROWS as u64).map(|i| i * 13 % 499 + 1).collect()),
-            // Small-domain column so DistinctMulti's survivor set stays
-            // O(groups): ≤ 83 × 13 distinct (k, g) pairs.
-            ("g", (0..ROWS as u64).map(|i| i % 13 + 1).collect()),
-            // `k` spread past any stage's dense bitmap: a JOIN over it
-            // runs the Bloom pair.
-            (
-                "ks",
-                (0..ROWS as u64).map(|i| (i * 7 % 83 + 1) << 40).collect(),
-            ),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..ROWS as u64 / 2).map(|i| i * 11 % 140 + 40).collect(),
-            ),
-            ("x", (0..ROWS as u64 / 2).map(|i| i * 3 % 97).collect()),
-            (
-                "ks",
-                (0..ROWS as u64 / 2)
-                    .map(|i| (i * 11 % 140 + 40) << 40)
-                    .collect(),
-            ),
-            // 20,011 keys: past the 16,384 a HAVING aggregates in Table
-            // 2's GROUP BY registers and spread past any stage's dense
-            // array, so a HAVING over them makes §5's two passes and leaves
-            // its sketch in serving's filter cache.
-            (
-                "u",
-                (0..ROWS as u64 / 2)
-                    .map(|i| (i * 7_919 % 20_011) << 40)
-                    .collect(),
-            ),
-        ],
-    ));
-    db
-}
-
 /// A HAVING over `s.u`, whose keys are past the register cutoff.
 fn two_pass_having() -> Query {
     Query::Having {
@@ -148,49 +103,33 @@ fn two_pass_having() -> Query {
     }
 }
 
-fn queries() -> Vec<(&'static str, Query)> {
-    vec![
-        (
-            "filter-count",
-            Query::FilterCount {
-                table: "t".into(),
-                predicate: Predicate {
-                    columns: vec!["v".into(), "w".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 5_000), Atom::cmp(1, CmpOp::Gt, 450)],
-                    formula: Formula::Or(vec![Formula::Atom(0), Formula::Atom(1)]),
-                },
-            },
-        ),
-        (
-            "topn",
-            Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n: 100,
-            },
-        ),
-        (
-            "groupby-max",
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Max,
-            },
-        ),
-    ]
-}
+/// The fixture's shapes whose warm runs the budget pins.
+const WARM: [&str; 3] = ["filter-count", "topn", "groupby-max"];
 
 #[test]
 fn warm_queries_allocate_o1_not_o_rows() {
-    let db = db();
+    // The fixture's arithmetic lanes, deterministic: no RNG allocations
+    // to account for. Beside them, a small-domain column, so
+    // DistinctMulti's survivor set stays O(groups) (≤ 83 × 13 distinct
+    // (k, g) pairs); the join keys spread past any stage's dense bitmap,
+    // `ks`, so a JOIN over them runs the Bloom pair; and 20,011 keys `u`,
+    // past the 16,384 a HAVING aggregates in Table 2's GROUP BY registers
+    // and spread past any stage's dense array, so a HAVING over them makes
+    // §5's two passes and leaves its sketch in serving's filter cache.
+    let mut db = fixture::arithmetic(ROWS, ROWS / 2);
+    let g = (0..ROWS as u64).map(|i| i % 13 + 1).collect();
+    db.table_mut("t").add_column("g", g);
+    let twins = [("t", "k", "ks"), ("s", "k", "ks")];
+    let mut db = fixture::with_spread_twins(db, &twins);
+    let u: Vec<u64> = (0..ROWS as u64 / 2).map(|i| i * 7_919 % 20_011).collect();
+    db.table_mut("s").add_column("u", KeyForm::Spread.lane(&u));
     let exec = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
     // The old per-row layout cost ≥1 allocation per row; the flat layout
     // needs a few dozen (lanes, pruner state, survivors, result). The
     // bound leaves room for O(groups + log survivors) bookkeeping while
     // staying two orders of magnitude under O(rows).
     let budget = (ROWS / 100) as u64;
-    for (name, q) in queries() {
+    for (name, q) in WARM.map(|l| (l, fixture::shape(l))) {
         // Warm run: faults in lazy table state and the allocator itself.
         let warm = exec.execute(&db, &q);
         let mut result = None;
@@ -230,10 +169,20 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 // a value every repeat of a key arrives above. The HAVING
                 // keys `u` and `p` are spread past any stage's dense array,
                 // so the hashed programs run.
-                ("u", (0..rows).map(|i| (i % 2_003 + 1) << 40).collect()),
+                (
+                    "u",
+                    (0..rows)
+                        .map(|i| KeyForm::Spread.value(i % 2_003 + 1))
+                        .collect(),
+                ),
                 ("n", (0..rows).map(|i| i % 11_657).collect()),
                 // 20,011 keys, past the register cutoff.
-                ("p", (0..rows).map(|i| (i % 20_011) << 40).collect()),
+                (
+                    "p",
+                    (0..rows)
+                        .map(|i| KeyForm::Spread.value(i % 20_011))
+                        .collect(),
+                ),
                 (
                     "i",
                     (0..rows)
@@ -715,9 +664,9 @@ fn warm_queries_allocate_o1_not_o_rows() {
     // executor as above (solo flows run inline, so the watermark is
     // deterministic), its cache emptied first.
     serving.clear_cache();
-    let distinct: Vec<Query> = queries()
+    let distinct: Vec<Query> = WARM
+        .map(fixture::shape)
         .into_iter()
-        .map(|(_, q)| q)
         .chain([
             Query::Distinct {
                 table: "t".into(),
@@ -955,7 +904,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
             (
                 "p",
                 (0..ROWS as u64)
-                    .map(|i| (i % DISTINCT_PAIRS) << 40)
+                    .map(|i| KeyForm::Spread.value(i % DISTINCT_PAIRS))
                     .collect(),
             ),
             (

@@ -383,7 +383,7 @@ fn threaded_multipass_equals_reference_under_block_races() {
 
 /// The engine's backend factories under BOTH backends: the boxed pruners
 /// the executors actually stream through must keep the equivalence too
-/// (this covers the pisa `ProgramPruner` feed and the `NonzeroKey` shift).
+/// (this covers the pisa `ProgramPruner` feed).
 #[test]
 fn backend_factories_block_equivalence_both_backends() {
     let keys: Vec<u64> = (0..4000u64).map(|i| i * 31 % 257).collect();

@@ -16,6 +16,21 @@ use cheetah::workloads::stream::shuffled;
 use cheetah::workloads::tpch::TpchData;
 use cheetah_bench::q3;
 
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::KeyForm;
+
+/// The benchmark's key lanes: what its DISTINCT, GROUP BY, HAVING and
+/// JOIN read as keys. [`KeyForm::Spread`] spreads these and leaves the
+/// filtered, ranked and aggregated values as they are.
+const KEYS: &[&str] = &[
+    "userAgent",
+    "languageCode",
+    "sourcePrefix",
+    "destURL",
+    "pageURL",
+];
+
 /// Build the benchmark database at test scale. The paper's footnotes 8/9
 /// permute the nearly-sorted columns; we store shuffled copies alongside.
 fn bigdata_db(rows_uv: usize, rows_rk: usize, seed: u64) -> Database {
@@ -137,39 +152,48 @@ fn benchmark_queries() -> Vec<(&'static str, Query)> {
     ]
 }
 
+/// Both key forms of the benchmark: its keys as generated, which bind
+/// dense, and spread, which bind the paper's hashed programs.
 #[test]
 fn all_executors_and_reference_agree_on_benchmark() {
-    let db = bigdata_db(30_000, 10_000, 11);
+    let cfg = PrunerConfig::default();
     let model = CostModel::default();
     let spark = SparkExecutor::new(model);
-    let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
+    let cheetah = CheetahExecutor::new(model, cfg.clone());
     let threaded = cheetah::engine::ThreadedExecutor::new(cheetah.clone());
     let executors: Vec<&dyn Executor> = vec![&spark, &cheetah, &threaded];
     let queries = benchmark_queries();
-    assert_eq!(
-        divergences(&executors, &db, &queries),
-        Vec::<String>::new(),
-        "every executor must reproduce the reference result"
-    );
+    for form in KeyForm::BOTH {
+        let db = form.apply(bigdata_db(30_000, 10_000, 11), KEYS);
+        assert_eq!(
+            divergences(&executors, &db, &queries),
+            Vec::<String>::new(),
+            "every executor must reproduce the reference result over {form:?} keys"
+        );
+        let reached = fixture::reached(form, &db, queries.iter().map(|(_, q)| q), &cfg);
+        assert!(reached > 0, "no benchmark query reached a {form:?} program");
+    }
 }
 
 #[test]
 fn equivalence_across_worker_counts() {
     // Figure 6b varies the partition count: results must be invariant.
-    let db = bigdata_db(12_000, 6_000, 13);
     let queries = benchmark_queries();
-    for workers in [1usize, 2, 3, 5] {
-        let model = CostModel {
-            workers,
-            ..CostModel::default()
-        };
-        let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
-        let executors: Vec<&dyn Executor> = vec![&cheetah];
-        assert_eq!(
-            divergences(&executors, &db, &queries),
-            Vec::<String>::new(),
-            "diverged at {workers} workers"
-        );
+    for form in KeyForm::BOTH {
+        let db = form.apply(bigdata_db(12_000, 6_000, 13), KEYS);
+        for workers in [1usize, 2, 3, 5] {
+            let model = CostModel {
+                workers,
+                ..CostModel::default()
+            };
+            let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
+            let executors: Vec<&dyn Executor> = vec![&cheetah];
+            assert_eq!(
+                divergences(&executors, &db, &queries),
+                Vec::<String>::new(),
+                "diverged at {workers} workers over {form:?} keys"
+            );
+        }
     }
 }
 
@@ -180,7 +204,6 @@ fn equivalence_across_seeds_and_scales() {
         (2, 20_000, 8_000),
         (3, 9_999, 4_001),
     ] {
-        let db = bigdata_db(uv, rk, seed);
         let model = CostModel::default();
         let cheetah = CheetahExecutor::new(
             model,
@@ -190,11 +213,14 @@ fn equivalence_across_seeds_and_scales() {
             },
         );
         let executors: Vec<&dyn Executor> = vec![&cheetah];
-        assert_eq!(
-            divergences(&executors, &db, &benchmark_queries()),
-            Vec::<String>::new(),
-            "diverged at seed {seed}"
-        );
+        for form in KeyForm::BOTH {
+            let db = form.apply(bigdata_db(uv, rk, seed), KEYS);
+            assert_eq!(
+                divergences(&executors, &db, &benchmark_queries()),
+                Vec::<String>::new(),
+                "diverged at seed {seed} over {form:?} keys"
+            );
+        }
     }
 }
 

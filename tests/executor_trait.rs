@@ -16,40 +16,8 @@ use cheetah::engine::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// A database hitting every query shape: skewed keys for the aggregates,
-/// a second table for the join, multiple value columns for skyline and
-/// multi-column distinct.
-fn appendix_b_db(rows: usize, seed: u64) -> Database {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..rows).map(|_| rng.gen_range(1..100u64)).collect()),
-            (
-                "v",
-                (0..rows).map(|_| rng.gen_range(1..10_000u64)).collect(),
-            ),
-            ("w", (0..rows).map(|_| rng.gen_range(1..500u64)).collect()),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2).map(|_| rng.gen_range(50..150u64)).collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-            ),
-        ],
-    ));
-    db
-}
+#[path = "common/fixture.rs"]
+mod fixture;
 
 /// Appendix B queries (1)–(7) plus the extra shapes the engine supports
 /// (multi-column distinct, full-row filter, every GROUP BY aggregate).
@@ -207,7 +175,7 @@ impl Fleet {
 
 #[test]
 fn every_executor_matches_reference_over_appendix_b() {
-    let db = appendix_b_db(6_000, 21);
+    let db = fixture::random(6_000, &fixture::APPENDIX_B_LANES, 21);
     let fleet = Fleet::new();
     assert_eq!(
         divergences(&fleet.all(), &db, &appendix_b_queries()),
@@ -218,7 +186,7 @@ fn every_executor_matches_reference_over_appendix_b() {
 
 #[test]
 fn reports_are_complete_and_labeled() {
-    let db = appendix_b_db(3_000, 22);
+    let db = fixture::random(3_000, &fixture::APPENDIX_B_LANES, 22);
     let fleet = Fleet::new();
     for (label, q) in appendix_b_queries() {
         let truth = reference::evaluate(&db, &q);
@@ -302,7 +270,7 @@ fn trait_objects_are_boxable_and_send() {
         Box::new(SparkExecutor::new(model)),
         Box::new(CheetahExecutor::new(model, PrunerConfig::default())),
     ];
-    let db = appendix_b_db(1_000, 23);
+    let db = fixture::random(1_000, &fixture::APPENDIX_B_LANES, 23);
     let q = Query::Distinct {
         table: "t".into(),
         column: "k".into(),
@@ -326,7 +294,7 @@ fn threaded_covers_every_query_shape_with_measured_wall_clock() {
     // Filter-with-fetch, DistinctMulti and GROUP BY SUM/COUNT all run
     // their staged dataflow on real threads and report a wall clock,
     // with results equal to the reference under block-arrival races.
-    let db = appendix_b_db(4_000, 25);
+    let db = fixture::random(4_000, &fixture::APPENDIX_B_LANES, 25);
     let fleet = Fleet::new();
     for (label, q) in appendix_b_queries() {
         let truth = reference::evaluate(&db, &q);
@@ -345,7 +313,7 @@ fn threaded_covers_every_query_shape_with_measured_wall_clock() {
 
 #[test]
 fn threaded_reports_one_switch_span_per_pass() {
-    let db = appendix_b_db(3_000, 26);
+    let db = fixture::random(3_000, &fixture::APPENDIX_B_LANES, 26);
     let fleet = Fleet::new();
     for (label, q) in appendix_b_queries() {
         let r = Executor::execute(&fleet.threaded, &db, &q);
@@ -373,7 +341,7 @@ fn sharded_executor_matrix_over_shard_counts_and_query_shapes() {
     // pass plus a measured combine span, and the streaming accounting
     // (passes, processed entries, fetch metadata) matches the reference
     // driver's deterministic reports.
-    let db = appendix_b_db(4_000, 29);
+    let db = fixture::random(4_000, &fixture::APPENDIX_B_LANES, 29);
     let model = CostModel::default();
     let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
     for shards in [1usize, 2, 4] {
@@ -433,7 +401,7 @@ fn distributed_executor_matrix_over_loss_rates_and_query_shapes() {
     // bit-identical to the deterministic reference, processed counts
     // are equal (re-dispatch discards failed work), and every injected
     // fault is visible in the resilience telemetry.
-    let db = appendix_b_db(4_000, 31);
+    let db = fixture::random(4_000, &fixture::APPENDIX_B_LANES, 31);
     let model = CostModel::default();
     let cheetah = CheetahExecutor::new(model, PrunerConfig::default());
     for loss in [0.0, 0.05, 0.2] {
@@ -499,7 +467,7 @@ fn distributed_executor_matrix_over_loss_rates_and_query_shapes() {
 
 #[test]
 fn two_pass_flows_report_their_passes_through_the_trait() {
-    let db = appendix_b_db(2_000, 24);
+    let db = fixture::random(2_000, &fixture::APPENDIX_B_LANES, 24);
     // The same rows with both tables' keys spread past any stage's range.
     let mut wide = Database::new();
     for name in ["t", "s"] {

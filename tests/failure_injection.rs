@@ -16,11 +16,26 @@ use cheetah::core::RowPruner;
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
-    Agg, CostModel, Database, DistributedExecutor, Executor, FailurePlan, Predicate, Query, Table,
+    Agg, CostModel, DistributedExecutor, Executor, FailurePlan, Predicate, Query,
 };
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::Lanes;
+
+/// The fault suite's lanes: 79 keys of `t` and 80 of `s`, overlapping on
+/// `40..80`.
+const FAULT_LANES: Lanes = Lanes {
+    k: 1..80,
+    v: 1..9_000,
+    w: 1..400,
+    s_k: 40..120,
+    x: 1..90,
+    extremes: false,
+};
 
 /// Reboot (reset) the pruner at several points mid-stream; the master's
 /// result must stay exact for every soft-state algorithm.
@@ -219,33 +234,6 @@ fn protocol_seq_state_loss_is_detectable_not_silent() {
 // bit-identical to the single-node reference oracle.
 // ---------------------------------------------------------------------------
 
-fn fault_db(rows: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..rows).map(|_| rng.gen_range(1..80u64)).collect()),
-            ("v", (0..rows).map(|_| rng.gen_range(1..9_000u64)).collect()),
-            ("w", (0..rows).map(|_| rng.gen_range(1..400u64)).collect()),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2).map(|_| rng.gen_range(40..120u64)).collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(1..90u64)).collect(),
-            ),
-        ],
-    ));
-    db
-}
-
 fn base_exec() -> CheetahExecutor {
     CheetahExecutor::new(CostModel::default(), PrunerConfig::default())
 }
@@ -254,7 +242,7 @@ fn base_exec() -> CheetahExecutor {
 /// result stays bit-identical to the reference oracle.
 #[test]
 fn distributed_shard_crash_mid_phase_redispatches_and_stays_exact() {
-    let db = fault_db(3_000, 21);
+    let db = fixture::random(3_000, &FAULT_LANES, 21);
     let q = Query::GroupBy {
         table: "t".into(),
         key: "k".into(),
@@ -286,7 +274,7 @@ fn distributed_shard_crash_mid_phase_redispatches_and_stays_exact() {
 /// counts race with the pool's arrival order and are not compared.)
 #[test]
 fn distributed_redispatch_reuses_the_key_partition() {
-    let db = fault_db(3_000, 24);
+    let db = fixture::random(3_000, &FAULT_LANES, 24);
     let queries = [
         Query::Join {
             left: "t".into(),
@@ -327,7 +315,7 @@ fn distributed_redispatch_reuses_the_key_partition() {
 /// are drained first and the drain is visible in telemetry.
 #[test]
 fn distributed_switch_reboot_between_passes_resumes_soft_state() {
-    let db = fault_db(3_000, 22);
+    let db = fixture::random(3_000, &FAULT_LANES, 22);
 
     // Soft state only: distinct pruner rebooted mid-stream on one shard.
     let q = Query::Distinct {
@@ -371,7 +359,7 @@ fn distributed_switch_reboot_between_passes_resumes_soft_state() {
 /// the result stays exact.
 #[test]
 fn distributed_fin_loss_is_retried_not_silent() {
-    let db = fault_db(3_000, 23);
+    let db = fixture::random(3_000, &FAULT_LANES, 23);
     let q = Query::Filter {
         table: "t".into(),
         predicate: Predicate {
@@ -407,7 +395,7 @@ fn distributed_results_bit_identical_to_reference_under_chaos() {
     };
     let fault_seed = env_u64("FAULT_SEED", 42);
     let loss_rate = env_u64("FAULT_LOSS_PCT", 20) as f64 / 100.0;
-    let db = fault_db(2_500, 24);
+    let db = fixture::random(2_500, &FAULT_LANES, 24);
     let shapes: Vec<(&str, Query)> = vec![
         (
             "count",

@@ -10,12 +10,15 @@ use cheetah::core::resources::table2;
 use cheetah::core::{RowPruner, SwitchModel};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::serve::ServeExecutor;
-use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, Table};
+use cheetah::engine::{Agg, CostModel, Predicate, Query};
 use cheetah::pisa::pack::pack;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+
+#[path = "common/fixture.rs"]
+mod fixture;
 
 #[test]
 fn packed_queries_prune_independently_and_correctly() {
@@ -168,38 +171,6 @@ fn over_subscription_detected() {
 // run of the same query.
 // ---------------------------------------------------------------------------
 
-/// Two-table database exercising every shape: skewed keys, several value
-/// columns, a second table for the join.
-fn serving_db(rows: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..rows).map(|_| rng.gen_range(1..100u64)).collect()),
-            (
-                "v",
-                (0..rows).map(|_| rng.gen_range(1..10_000u64)).collect(),
-            ),
-            ("w", (0..rows).map(|_| rng.gen_range(1..500u64)).collect()),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2).map(|_| rng.gen_range(50..150u64)).collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-            ),
-        ],
-    ));
-    db
-}
-
 /// The full shapes matrix as one serving batch: seven shareable
 /// single-pass shapes on `t` plus the solo-dispatch shapes (register
 /// aggregates, HAVING, JOIN).
@@ -276,7 +247,7 @@ fn shapes_batch() -> Vec<Query> {
 
 #[test]
 fn serving_packed_batch_is_bit_identical_to_solo_cheetah() {
-    let db = serving_db(6_000, 11);
+    let db = fixture::random(6_000, &fixture::APPENDIX_B_LANES, 11);
     let solo = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
     let serving = ServeExecutor::with_pool(
         CheetahExecutor::new(CostModel::default(), PrunerConfig::default()),
@@ -321,7 +292,7 @@ fn serving_packed_batch_is_bit_identical_to_solo_cheetah() {
 
 #[test]
 fn serving_spills_to_software_when_the_switch_is_tiny_and_stays_correct() {
-    let db = serving_db(4_000, 13);
+    let db = fixture::random(4_000, &fixture::APPENDIX_B_LANES, 13);
     let solo = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
     let mut serving = ServeExecutor::with_pool(
         CheetahExecutor::new(CostModel::default(), PrunerConfig::default()),

@@ -3,146 +3,82 @@
 //! PISA pipeline programs — i.e. every evaluated query genuinely fits the
 //! hardware model end to end.
 
-use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::backend::SwitchBackend;
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
-    Agg, CostModel, Database, Executor, Predicate, Query, ShardedExecutor, Table, ThreadedExecutor,
+    CostModel, Database, Executor, Query, ShardedExecutor, Table, ThreadedExecutor,
 };
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn db(rows: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..rows).map(|_| rng.gen_range(0..120u64)).collect()),
-            (
-                "v",
-                (0..rows).map(|_| rng.gen_range(1..50_000u64)).collect(),
-            ),
-            ("w", (0..rows).map(|_| rng.gen_range(1..900u64)).collect()),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2).map(|_| rng.gen_range(60..200u64)).collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-            ),
-        ],
-    ));
-    db
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::{KeyForm, Lanes};
+
+/// 120 keys of `t` from 0 and 140 of `s` from 60, overlapping on
+/// `60..120`.
+const LANES: Lanes = Lanes {
+    k: 0..120,
+    v: 1..50_000,
+    w: 1..900,
+    s_k: 60..200,
+    x: 1..100,
+    extremes: false,
+};
+
+/// The shapes' HAVING threshold: about one key in nine of [`LANES`]' 120
+/// sums past it over 6,000 rows.
+const HAVING_AT: u64 = 1_500_000;
+
+/// The executors under `backend`, with join filters kept
+/// segment-divisible and modest.
+fn exec(backend: SwitchBackend) -> CheetahExecutor {
+    let cfg = PrunerConfig {
+        backend,
+        join_m_bits: 3 * (1 << 16),
+        ..PrunerConfig::default()
+    };
+    CheetahExecutor::new(CostModel::default(), cfg)
 }
 
-fn queries() -> Vec<Query> {
-    vec![
-        Query::FilterCount {
-            table: "t".into(),
-            predicate: Predicate {
-                columns: vec!["v".into()],
-                atoms: vec![Atom::cmp(0, CmpOp::Lt, 20_000)],
-                formula: Formula::Atom(0),
-            },
-        },
-        Query::Distinct {
-            table: "t".into(),
-            column: "k".into(),
-        },
-        Query::DistinctMulti {
-            table: "t".into(),
-            columns: vec!["k".into(), "w".into()],
-        },
-        Query::TopN {
-            table: "t".into(),
-            order_by: "v".into(),
-            n: 40,
-        },
-        Query::GroupBy {
-            table: "t".into(),
-            key: "k".into(),
-            val: "v".into(),
-            agg: Agg::Max,
-        },
-        Query::GroupBy {
-            table: "t".into(),
-            key: "k".into(),
-            val: "v".into(),
-            agg: Agg::Min,
-        },
-        Query::Having {
-            table: "t".into(),
-            key: "k".into(),
-            val: "v".into(),
-            threshold: 1_500_000,
-        },
-        Query::Join {
-            left: "t".into(),
-            right: "s".into(),
-            left_col: "k".into(),
-            right_col: "k".into(),
-        },
-        Query::Skyline {
-            table: "t".into(),
-            columns: vec!["v".into(), "w".into()],
-        },
+/// The shard programs under PISA too: every shape runs the metered
+/// programs but §6's registers, which run the core pruner on either
+/// backend.
+fn pisa_arms() -> [Box<dyn Executor>; 2] {
+    [
+        Box::new(ThreadedExecutor::new(exec(SwitchBackend::Pisa))),
+        Box::new(ShardedExecutor::with_shards(exec(SwitchBackend::Pisa), 2)),
     ]
 }
 
-#[test]
-fn pisa_backend_matches_reference_backend_and_oracle() {
-    let db = db(6_000, 31);
-    let model = CostModel::default();
-    let mk = |backend| {
-        CheetahExecutor::new(
-            model,
-            PrunerConfig {
-                backend,
-                // Keep the join filters segment-divisible and modest.
-                join_m_bits: 3 * (1 << 16),
-                ..PrunerConfig::default()
-            },
-        )
-    };
-    let reference_exec = mk(SwitchBackend::Reference);
-    let pisa_exec = mk(SwitchBackend::Pisa);
-    // The shard programs under PISA too — HAVING's run the core sketch
-    // whatever the backend, every other shape the metered programs.
-    let pisa_arms: [Box<dyn Executor>; 2] = [
-        Box::new(ThreadedExecutor::new(mk(SwitchBackend::Pisa))),
-        Box::new(ShardedExecutor::with_shards(mk(SwitchBackend::Pisa), 2)),
-    ];
-    for q in queries() {
-        let truth = reference::evaluate(&db, &q);
-        let a = reference_exec.execute(&db, &q);
-        let b = pisa_exec.execute(&db, &q);
+/// Every shape of the fixture over `db` answers what the oracle answers on
+/// both backends and on the pool arms under PISA, and where `db` holds no
+/// `u64::MAX` key the two backends forward the same entries.
+fn assert_backends_agree(db: &Database, at: &str, max_key: bool) {
+    let (reference_exec, pisa_exec) = (exec(SwitchBackend::Reference), exec(SwitchBackend::Pisa));
+    for (label, q) in fixture::shapes_at(HAVING_AT) {
+        let truth = reference::evaluate(db, &q);
+        let a = reference_exec.execute(db, &q);
+        let b = pisa_exec.execute(db, &q);
         assert_eq!(
-            a.result,
-            truth,
-            "[{}] reference backend != oracle",
-            q.kind()
+            a.result, truth,
+            "[{label}] {at}: reference backend != oracle"
         );
-        assert_eq!(b.result, truth, "[{}] pisa backend != oracle", q.kind());
-        // The decisions are differential-tested elsewhere; here the
-        // aggregate counts must agree too (same pruning happened).
-        assert_eq!(
-            a.prune_stats().processed,
-            b.prune_stats().processed,
-            "[{}] processed diverged",
-            q.kind()
-        );
-        for arm in &pisa_arms {
-            let r = arm.execute(&db, &q);
-            let at = format!("[{}] {} on pisa", q.kind(), arm.name());
+        assert_eq!(b.result, truth, "[{label}] {at}: pisa backend != oracle");
+        // The per-entry decisions are differential-tested at the backend
+        // seam; here the same pruning must reach the master.
+        if !max_key {
+            assert_eq!(
+                a.prune_stats().forwarded(),
+                b.prune_stats().forwarded(),
+                "[{label}] {at}: forwarded diverged"
+            );
+        }
+        for arm in &pisa_arms() {
+            let r = arm.execute(db, &q);
+            let at = format!("[{label}] {at}: {} on pisa", arm.name());
             assert_eq!(r.result, truth, "{at} != oracle");
             assert_eq!(
                 r.prune_stats().processed,
@@ -151,6 +87,44 @@ fn pisa_backend_matches_reference_backend_and_oracle() {
             );
         }
     }
+}
+
+#[test]
+fn pisa_backend_matches_reference_backend_and_oracle() {
+    let cfg = PrunerConfig::default();
+    for form in KeyForm::BOTH {
+        let db = form.apply(fixture::random(6_000, &LANES, 31), fixture::KEYS);
+        assert!(fixture::having_splits(&db, HAVING_AT), "{form:?}");
+        assert_backends_agree(&db, &format!("{form:?} keys"), false);
+        let shapes = fixture::shapes_at(HAVING_AT);
+        let queries = shapes.iter().map(|(_, q)| q);
+        assert!(fixture::reached(form, &db, queries, &cfg) > 0, "{form:?}");
+    }
+}
+
+/// A key lane holding 0 and `u64::MAX`: the PISA matrices keep `k + 1` in
+/// a cell, 0 being the empty one, so `u64::MAX` is the one key they must
+/// forward without touching state, and 0 a key like any other.
+#[test]
+fn zero_and_max_keys_are_answered_on_both_backends() {
+    let keys = |rows: u64| -> Vec<u64> {
+        let edge = |i: u64| [0, u64::MAX, u64::MAX - 1][i as usize % 3];
+        (0..rows)
+            .map(|i| {
+                if i % 4 == 0 {
+                    edge(i / 4)
+                } else {
+                    KeyForm::Spread.value(i % 37)
+                }
+            })
+            .collect()
+    };
+    let lane = |rows: u64, m: u64| (0..rows).map(|i| i * 7 % m + 1).collect();
+    let db = fixture::tables(
+        [keys(3_000), lane(3_000, 9_973), lane(3_000, 499)],
+        [keys(900), lane(900, 97)],
+    );
+    assert_backends_agree(&db, "keys 0 and u64::MAX", true);
 }
 
 #[test]

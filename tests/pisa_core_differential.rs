@@ -3,6 +3,7 @@
 //! on the same stream — the evidence that the constrained dataplane
 //! faithfully implements the algorithms the theorems analyze.
 
+use cheetah::core::decision::Decision;
 use cheetah::core::dense::{DenseDistinct, DenseGroupBy, DenseSet, OffsetCode};
 use cheetah::core::distinct::{DistinctPruner, EvictionPolicy};
 use cheetah::core::groupby::{Extremum, GroupByPruner};
@@ -24,11 +25,30 @@ use rand::{Rng, SeedableRng};
 const SEED: u64 = 0xd1ff;
 const N: usize = 30_000;
 
-/// Nonzero keys (0 is the pisa empty-cell sentinel; CWorkers guarantee
-/// nonzero encodings).
+/// `n` keys over `0..domain` and `u64::MAX`, each drawn as often.
 fn keys(n: usize, domain: u64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let key = |k| if k == domain { u64::MAX } else { k };
+    (0..n).map(|_| key(rng.gen_range(0..=domain))).collect()
+}
+
+/// `n` values over `1..=domain`: the value lanes beside [`keys`], which
+/// stay nonzero and below the top of the range so the aggregates build up
+/// gradually.
+fn values(n: usize, domain: u64, seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(1..=domain)).collect()
+}
+
+/// What the core pruner decides for key `k` where a PISA matrix stores
+/// `k + 1` in its cells: `u64::MAX`, whose marker would be the empty
+/// cell, forwards without touching state.
+fn marked(k: u64, core: impl FnOnce() -> Decision) -> Decision {
+    if k == u64::MAX {
+        Decision::Forward
+    } else {
+        core()
+    }
 }
 
 #[test]
@@ -37,7 +57,7 @@ fn distinct_lru_program_equals_core() {
     let mut core = DistinctPruner::new(256, 3, EvictionPolicy::Lru, SEED);
     let mut prog = DistinctLruProgram::new(SwitchModel::tofino_like(), 256, 3, SEED).unwrap();
     for (i, &k) in stream.iter().enumerate() {
-        let a = core.process(k);
+        let a = marked(k, || core.process(k));
         let b = prog.process(&[k]).unwrap();
         assert_eq!(a, b, "entry {i} (key {k}) diverged");
     }
@@ -50,7 +70,7 @@ fn distinct_fifo_program_equals_core() {
     let mut prog = DistinctFifoProgram::new(SwitchModel::tofino_like(), 128, 4, SEED).unwrap();
     for (i, &k) in stream.iter().enumerate() {
         assert_eq!(
-            core.process(k),
+            marked(k, || core.process(k)),
             prog.process(&[k]).unwrap(),
             "entry {i} diverged"
         );
@@ -59,7 +79,7 @@ fn distinct_fifo_program_equals_core() {
 
 #[test]
 fn rand_topn_program_equals_core() {
-    let stream = keys(N, 1_000_000, 3);
+    let stream = values(N, 1_000_000, 3);
     let mut core = RandomizedTopN::new(512, 6, SEED);
     let mut prog = RandTopNProgram::new(SwitchModel::tofino_like(), 512, 6, SEED).unwrap();
     for (i, &v) in stream.iter().enumerate() {
@@ -95,13 +115,13 @@ fn det_topn_program_equals_core() {
 #[test]
 fn groupby_program_equals_core() {
     let ks = keys(N, 300, 5);
-    let vs = keys(N, 100_000, 6);
+    let vs = values(N, 100_000, 6);
     for ext in [Extremum::Max, Extremum::Min] {
         let mut core = GroupByPruner::new(64, 4, ext, SEED);
         let mut prog = GroupByProgram::new(SwitchModel::tofino_like(), 64, 4, ext, SEED).unwrap();
         for i in 0..N {
             assert_eq!(
-                core.process(ks[i], vs[i]),
+                marked(ks[i], || core.process(ks[i], vs[i])),
                 prog.process(&[ks[i], vs[i]]).unwrap(),
                 "entry {i} diverged ({ext:?})"
             );
@@ -202,7 +222,7 @@ fn dense_join_program_equals_core() {
 #[test]
 fn having_program_equals_core() {
     let ks = keys(N, 200, 11);
-    let vs = keys(N, 50, 12);
+    let vs = values(N, 50, 12);
     let threshold = 2_000;
     let mut core = HavingPruner::new(3, 256, threshold, SEED);
     let mut prog = HavingProgram::new(SwitchModel::tofino_like(), 3, 256, threshold, SEED).unwrap();
@@ -306,14 +326,14 @@ fn resets_keep_equivalence() {
     let mut core = DistinctPruner::new(64, 2, EvictionPolicy::Lru, SEED);
     let mut prog = DistinctLruProgram::new(SwitchModel::tofino_like(), 64, 2, SEED).unwrap();
     for &k in &keys(2_000, 100, 15) {
-        core.process(k);
+        marked(k, || core.process(k));
         prog.process(&[k]).unwrap();
     }
     cheetah::core::RowPruner::reset(&mut core);
     prog.reset();
     for (i, &k) in keys(2_000, 100, 16).iter().enumerate() {
         assert_eq!(
-            core.process(k),
+            marked(k, || core.process(k)),
             prog.process(&[k]).unwrap(),
             "post-reset entry {i} diverged"
         );

@@ -13,131 +13,12 @@ use cheetah::engine::{
     Agg, CostModel, Database, Executor, PlannerExecutor, Predicate, Query, Table,
 };
 
-/// Same shape family as the executor-trait fleet database: skewed keys,
-/// a join partner, multiple value columns.
-fn planner_db(rows: usize, seed: u64) -> Database {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", (0..rows).map(|_| rng.gen_range(1..100u64)).collect()),
-            (
-                "v",
-                (0..rows).map(|_| rng.gen_range(1..10_000u64)).collect(),
-            ),
-            ("w", (0..rows).map(|_| rng.gen_range(1..500u64)).collect()),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2).map(|_| rng.gen_range(50..150u64)).collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-            ),
-        ],
-    ));
-    db
-}
+#[path = "common/fixture.rs"]
+mod fixture;
 
-fn every_shape() -> Vec<(&'static str, Query)> {
-    vec![
-        (
-            "filter-count",
-            Query::FilterCount {
-                table: "t".into(),
-                predicate: Predicate {
-                    columns: vec!["v".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 5000)],
-                    formula: Formula::Atom(0),
-                },
-            },
-        ),
-        (
-            "filter-rows",
-            Query::Filter {
-                table: "t".into(),
-                predicate: Predicate {
-                    columns: vec!["v".into(), "w".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Lt, 500), Atom::cmp(1, CmpOp::Gt, 400)],
-                    formula: Formula::Or(vec![Formula::Atom(0), Formula::Atom(1)]),
-                },
-            },
-        ),
-        (
-            "distinct",
-            Query::Distinct {
-                table: "t".into(),
-                column: "k".into(),
-            },
-        ),
-        (
-            "distinct-multi",
-            Query::DistinctMulti {
-                table: "t".into(),
-                columns: vec!["k".into(), "w".into()],
-            },
-        ),
-        (
-            "skyline",
-            Query::Skyline {
-                table: "t".into(),
-                columns: vec!["v".into(), "w".into()],
-            },
-        ),
-        (
-            "topn",
-            Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n: 25,
-            },
-        ),
-        (
-            "groupby-max",
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Max,
-            },
-        ),
-        (
-            "groupby-sum",
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Sum,
-            },
-        ),
-        (
-            "join",
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
-        ),
-        (
-            "having",
-            Query::Having {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                threshold: 200_000,
-            },
-        ),
-    ]
-}
+/// The shapes' HAVING threshold: about half of Appendix B's 99 keys sum
+/// past it over 4,000 rows.
+const HAVING_AT: u64 = 200_000;
 
 fn planner() -> PlannerExecutor {
     PlannerExecutor::new(CheetahExecutor::new(
@@ -150,8 +31,9 @@ fn planner() -> PlannerExecutor {
 fn planned_result_equals_reference_for_every_shape_and_seed() {
     let exec = planner();
     for seed in [21u64, 77, 5150] {
-        let db = planner_db(4_000, seed);
-        for (label, q) in every_shape() {
+        let db = fixture::random(4_000, &fixture::APPENDIX_B_LANES, seed);
+        assert!(fixture::having_splits(&db, HAVING_AT), "seed {seed}");
+        for (label, q) in fixture::shapes_at(HAVING_AT) {
             let truth = reference::evaluate(&db, &q);
             let r = exec.execute(&db, &q);
             assert_eq!(r.result, truth, "[{label}] seed {seed}: planner diverged");
@@ -171,8 +53,8 @@ fn planned_result_equals_reference_for_every_shape_and_seed() {
 fn chosen_arms_stay_on_the_tuning_grids() {
     let exec = planner();
     for rows in [600usize, 4_000, 20_000] {
-        let db = planner_db(rows, 33);
-        for (label, q) in every_shape() {
+        let db = fixture::random(rows, &fixture::APPENDIX_B_LANES, 33);
+        for (label, q) in fixture::shapes_at(HAVING_AT) {
             let plan = exec.plan(&db, &q);
             assert!(
                 WORKER_GRID.contains(&plan.chosen.workers),
@@ -210,7 +92,7 @@ fn empty_and_single_row_tables_plan_the_minimum_arm() {
             ],
         ));
         db.add(Table::new("s", vec![("k", vec![]), ("x", vec![])]));
-        for (label, q) in every_shape() {
+        for (label, q) in fixture::shapes_at(HAVING_AT) {
             let plan = exec.plan(&db, &q);
             assert_eq!(
                 (plan.chosen.workers, plan.chosen.shards),
@@ -352,7 +234,7 @@ proptest! {
         ncols in 1usize..3,
     ) {
         let q = build_query(shape, param, n, sel, flip, ncols);
-        let db = planner_db(rows, 91);
+        let db = fixture::random(rows, &fixture::APPENDIX_B_LANES, 91);
         let exec = planner();
         let plan = exec.plan(&db, &q);
         prop_assert!(WORKER_GRID.contains(&plan.chosen.workers));

@@ -16,9 +16,16 @@ use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
-    Agg, CostModel, Database, DistributedExecutor, Executor, FetchSpec, Predicate, Projection,
-    Query, ServeExecutor, ShardedExecutor, SparkExecutor, Table, ThreadedExecutor,
+    CostModel, Database, DistributedExecutor, Executor, FetchSpec, Predicate, Projection, Query,
+    ServeExecutor, ShardedExecutor, SparkExecutor, Table, ThreadedExecutor,
 };
+
+#[path = "common/fixture.rs"]
+mod fixture;
+
+/// The shapes' HAVING threshold, sized to the proptest's tables of at
+/// most 128 rows.
+const HAVING_AT: u64 = 50_000;
 
 /// Build the two test tables; `pad` is referenced by no query below
 /// (the zero-reference edge: projection must drop it everywhere).
@@ -37,99 +44,6 @@ fn build_db(
     ));
     db.add(Table::new("s", vec![("k", sk), ("x", sx)]));
     db
-}
-
-/// Every Appendix B query shape. The first predicate references `v`
-/// twice (atoms 0 and 2) — the duplicate-reference edge: the projected
-/// lane set must still carry `v` exactly once.
-fn shapes() -> Vec<(&'static str, Query)> {
-    vec![
-        (
-            "filter-dup-col",
-            Query::Filter {
-                table: "t".into(),
-                predicate: Predicate {
-                    columns: vec!["v".into(), "w".into(), "v".into()],
-                    atoms: vec![
-                        Atom::cmp(0, CmpOp::Lt, 5_000),
-                        Atom::cmp(1, CmpOp::Gt, 250),
-                        Atom::cmp(2, CmpOp::Gt, 9_000),
-                    ],
-                    formula: Formula::Or(vec![
-                        Formula::And(vec![Formula::Atom(0), Formula::Atom(1)]),
-                        Formula::Atom(2),
-                    ]),
-                },
-            },
-        ),
-        (
-            "filter-count",
-            Query::FilterCount {
-                table: "t".into(),
-                predicate: Predicate {
-                    columns: vec!["w".into()],
-                    atoms: vec![Atom::cmp(0, CmpOp::Le, 200)],
-                    formula: Formula::Atom(0),
-                },
-            },
-        ),
-        (
-            "distinct",
-            Query::Distinct {
-                table: "t".into(),
-                column: "w".into(),
-            },
-        ),
-        (
-            "distinct-multi",
-            Query::DistinctMulti {
-                table: "t".into(),
-                columns: vec!["k".into(), "w".into()],
-            },
-        ),
-        (
-            "topn",
-            Query::TopN {
-                table: "t".into(),
-                order_by: "v".into(),
-                n: 10,
-            },
-        ),
-        (
-            "groupby-max",
-            Query::GroupBy {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                agg: Agg::Max,
-            },
-        ),
-        (
-            "having-sum",
-            Query::Having {
-                table: "t".into(),
-                key: "k".into(),
-                val: "v".into(),
-                threshold: 50_000,
-            },
-        ),
-        (
-            "join",
-            Query::Join {
-                left: "t".into(),
-                right: "s".into(),
-                left_col: "k".into(),
-                right_col: "k".into(),
-            },
-        ),
-        (
-            "skyline",
-            Query::Skyline {
-                table: "t".into(),
-                columns: vec!["v".into(), "w".into()],
-            },
-        ),
-    ]
 }
 
 /// All six executors, configured with one fetch spec.
@@ -178,7 +92,7 @@ proptest! {
         );
         let full = executors(&FetchSpec::All);
         let projected = executors(&FetchSpec::Referenced);
-        for (label, query) in shapes() {
+        for (label, query) in fixture::shapes_at(HAVING_AT) {
             let truth = reference::evaluate(&db, &query);
             for (f, p) in full.iter().zip(&projected) {
                 let fr = f.execute(&db, &query);
@@ -240,7 +154,7 @@ fn projection_changes_the_fetch_payload_not_the_result() {
         (0..n / 2).map(|i| i * 11 % 40 + 10).collect(),
         (0..n / 2).map(|i| i * 3 % 97).collect(),
     );
-    let (label, query) = shapes().remove(0);
+    let (label, query) = fixture::shapes().remove(0);
     assert_eq!(label, "filter-dup-col");
     let t = db.table("t");
 

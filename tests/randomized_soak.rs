@@ -3,113 +3,31 @@
 //! through every query kind on both executors. The pruning equation must
 //! hold everywhere, not just on friendly benchmark data.
 
-use cheetah::core::filter::{Atom, CmpOp, Formula};
 use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::spark::SparkExecutor;
-use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, Table};
+use cheetah::engine::{Agg, CostModel, Database, Query, Table};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::{KeyForm, Lanes};
 
-fn random_db(rows: usize, key_domain: u64, extreme_values: bool, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let gen_val = |rng: &mut StdRng| -> u64 {
-        if extreme_values && rng.gen_bool(0.05) {
-            *[0u64, 1, u64::MAX - 1, u64::MAX / 2]
-                .get(rng.gen_range(0..4usize))
-                .unwrap()
-        } else {
-            rng.gen_range(0..100_000u64)
-        }
-    };
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![
-            (
-                "k",
-                (0..rows)
-                    .map(|_| rng.gen_range(0..key_domain.max(1)))
-                    .collect(),
-            ),
-            ("v", (0..rows).map(|_| gen_val(&mut rng)).collect()),
-            ("w", (0..rows).map(|_| rng.gen_range(1..1_000u64)).collect()),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2)
-                    .map(|_| rng.gen_range(0..key_domain.max(1) * 2))
-                    .collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(0..50u64)).collect(),
-            ),
-        ],
-    ));
-    db
-}
+/// The shapes' HAVING threshold: ten of `t.v`'s average values, so a key
+/// qualifies with about ten rows.
+const HAVING_AT: u64 = 500_000;
 
-fn query_matrix() -> Vec<Query> {
-    vec![
-        Query::FilterCount {
-            table: "t".into(),
-            predicate: Predicate {
-                columns: vec!["v".into(), "w".into()],
-                atoms: vec![
-                    Atom::cmp(0, CmpOp::Ge, 50_000),
-                    Atom::unsupported(1, CmpOp::Lt, 500),
-                ],
-                formula: Formula::And(vec![Formula::Atom(0), Formula::NotAtom(1)]),
-            },
-        },
-        Query::Distinct {
-            table: "t".into(),
-            column: "k".into(),
-        },
-        Query::DistinctMulti {
-            table: "t".into(),
-            columns: vec!["k".into(), "w".into()],
-        },
-        Query::TopN {
-            table: "t".into(),
-            order_by: "v".into(),
-            n: 17,
-        },
-        Query::GroupBy {
-            table: "t".into(),
-            key: "k".into(),
-            val: "v".into(),
-            agg: Agg::Max,
-        },
-        Query::GroupBy {
-            table: "t".into(),
-            key: "k".into(),
-            val: "w".into(),
-            agg: Agg::Sum,
-        },
-        Query::Having {
-            table: "t".into(),
-            key: "k".into(),
-            val: "w".into(),
-            threshold: 5_000,
-        },
-        Query::Join {
-            left: "t".into(),
-            right: "s".into(),
-            left_col: "k".into(),
-            right_col: "k".into(),
-        },
-        Query::Skyline {
-            table: "t".into(),
-            columns: vec!["v".into(), "w".into()],
-        },
-    ]
+/// `t.k` over `domain` keys from 0 and `s.k` over twice as many, so about
+/// half the join keys match; `t.v` takes the extreme values when
+/// `extremes` holds.
+fn lanes(domain: u64, extremes: bool) -> Lanes {
+    Lanes {
+        k: 0..domain.max(1),
+        v: 0..100_000,
+        w: 1..1_000,
+        s_k: 0..domain.max(1) * 2,
+        x: 0..50,
+        extremes,
+    }
 }
 
 #[test]
@@ -125,34 +43,30 @@ fn soak_across_shapes_and_seeds() {
     ];
     let model = CostModel::default();
     let spark = SparkExecutor::new(model);
-    for (si, &(rows, domain, extremes)) in shapes.iter().enumerate() {
-        for seed in 0..3u64 {
-            let db = random_db(rows, domain, extremes, seed * 100 + si as u64);
-            let cheetah = CheetahExecutor::new(
-                model,
-                PrunerConfig {
+    let queries = fixture::shapes_at(HAVING_AT);
+    for form in KeyForm::BOTH {
+        let mut reached = 0;
+        for (si, &(rows, domain, extremes)) in shapes.iter().enumerate() {
+            for seed in 0..3u64 {
+                let drawn = fixture::random(rows, &lanes(domain, extremes), seed * 100 + si as u64);
+                let db = form.apply(drawn, fixture::KEYS);
+                let cfg = PrunerConfig {
                     seed: seed ^ 0x50a_u64 ^ si as u64,
                     ..PrunerConfig::default()
-                },
-            );
-            for q in query_matrix() {
-                let truth = reference::evaluate(&db, &q);
-                let s = spark.execute(&db, &q);
-                assert_eq!(
-                    s.result,
-                    truth,
-                    "spark diverged: shape {si}, seed {seed}, query {}",
-                    q.kind()
-                );
-                let c = cheetah.execute(&db, &q);
-                assert_eq!(
-                    c.result,
-                    truth,
-                    "cheetah diverged: shape {si}, seed {seed}, query {}",
-                    q.kind()
-                );
+                };
+                let cheetah = CheetahExecutor::new(model, cfg.clone());
+                for (label, q) in &queries {
+                    let truth = reference::evaluate(&db, q);
+                    let at = format!("shape {si}, seed {seed}, {form:?} keys, query {label}");
+                    let s = spark.execute(&db, q);
+                    assert_eq!(s.result, truth, "spark diverged: {at}");
+                    let c = cheetah.execute(&db, q);
+                    assert_eq!(c.result, truth, "cheetah diverged: {at}");
+                }
+                reached += fixture::reached(form, &db, queries.iter().map(|(_, q)| q), &cfg);
             }
         }
+        assert!(reached > 0, "no query reached a {form:?} program");
     }
 }
 

@@ -18,31 +18,16 @@ use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::serve::ServeExecutor;
 use cheetah::engine::{Agg, CostModel, Database, Predicate, Query, ServeReport, Table};
 
-/// A database over explicit column data (so proptest owns the values).
-fn db_from(t_cols: (Vec<u64>, Vec<u64>, Vec<u64>), s_cols: (Vec<u64>, Vec<u64>)) -> Database {
-    let mut db = Database::new();
-    db.add(t_table(t_cols.0, t_cols.1, t_cols.2));
-    let h = spread(&s_cols.0);
-    db.add(Table::new(
-        "s",
-        vec![("k", s_cols.0), ("x", s_cols.1), ("h", h)],
-    ));
-    db
-}
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::KeyForm;
 
-/// `t(k, v, w, h)`: `h` is `k` spread past any stage's dense array, so a
-/// HAVING over it runs §5's two passes and caches its sketch, where one
-/// over `k` runs one register pass and caches nothing.
-fn t_table(k: Vec<u64>, v: Vec<u64>, w: Vec<u64>) -> Table {
-    let h = spread(&k);
-    Table::new("t", vec![("k", k), ("v", v), ("w", w), ("h", h)])
-}
-
-/// Keys `<< 40`: the same groups and matches over a range no stage holds,
-/// so the hashed programs run — the Count-Min sketch, the Bloom pair.
-fn spread(keys: &[u64]) -> Vec<u64> {
-    keys.iter().map(|k| k << 40).collect()
-}
+/// `h` beside each table's `k`: its keys spread past any stage's dense
+/// array, so a HAVING over `t.h` runs §5's two passes and caches its
+/// sketch, where one over `k` runs one register pass and caches nothing,
+/// and a JOIN over `h` runs the Bloom pair where one over `k` runs a bitmap
+/// a side.
+const TWINS: &[(&str, &str, &str)] = &[("t", "k", "h"), ("s", "k", "h")];
 
 /// The JOIN `t ⋈ s` on `col`: over `k` it runs a bitmap a side, over `h`
 /// the Bloom pair. Both cache their pass-1 state.
@@ -241,20 +226,34 @@ fn assert_mix_equals_solo(
     }
 }
 
-/// Proptest-owned rows → the two-table fixture.
-fn db_from_rows(t_rows: &[(u64, u64, u64)], s_keys: Vec<u64>) -> Database {
+/// Proptest-owned rows → the two-table fixture with its [`TWINS`], its
+/// keys in `form`.
+fn db_from_rows(form: KeyForm, t_rows: &[(u64, u64, u64)], s_keys: Vec<u64>) -> Database {
     let tk = t_rows.iter().map(|r| r.0).collect();
     let tv = t_rows.iter().map(|r| r.1).collect();
     let tw = t_rows.iter().map(|r| r.2).collect();
     let sx = s_keys.iter().map(|&k| k * 3 % 97).collect();
-    db_from((tk, tv, tw), (s_keys, sx))
+    let db = fixture::tables([tk, tv, tw], [s_keys, sx]);
+    form.apply(fixture::with_spread_twins(db, TWINS), fixture::KEYS)
+}
+
+/// The templates over `db` bind a dense program in the narrow form and a
+/// hashed one in the spread form, wherever `t.k` holds two keys (a lane of
+/// one key binds dense in either).
+fn assert_reaches(form: KeyForm, db: &Database, seed: u64) {
+    let k = db.table("t").col("k");
+    if form == KeyForm::Narrow || k.iter().any(|&x| x != k[0]) {
+        let reached = fixture::reached(form, db, &templates(), &test_config(seed));
+        assert!(reached > 0, "no template reached a {form:?} program");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any interleaving of admissions: arbitrary data, arbitrary query
-    /// mix, arbitrary batch boundaries, arbitrary pool width.
+    /// Any interleaving of admissions: arbitrary data in both key forms,
+    /// arbitrary query mix, arbitrary batch boundaries, arbitrary pool
+    /// width.
     #[test]
     fn any_admission_interleaving_equals_solo_runs(
         t_rows in vec((1u64..50, 1u64..2_000, 1u64..400), 1..200),
@@ -264,8 +263,11 @@ proptest! {
         pool in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let db = db_from_rows(&t_rows, s_keys);
-        assert_mix_equals_solo(&db, &mix, chunk, pool, seed, false);
+        for form in KeyForm::BOTH {
+            let db = db_from_rows(form, &t_rows, s_keys.clone());
+            assert_reaches(form, &db, seed);
+            assert_mix_equals_solo(&db, &mix, chunk, pool, seed, false);
+        }
     }
 
     /// Coalescing is invisible: mixes drawn from a
@@ -283,21 +285,14 @@ proptest! {
         pool in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let db = db_from_rows(&t_rows, s_keys);
         // Five consecutive templates starting anywhere in the pool.
         let mix: Vec<usize> = mix.iter().map(|&i| i + offset).collect();
-        assert_mix_equals_solo(&db, &mix, chunk, [1, 2, 8][pool], seed, true);
+        for form in KeyForm::BOTH {
+            let db = db_from_rows(form, &t_rows, s_keys.clone());
+            assert_reaches(form, &db, seed);
+            assert_mix_equals_solo(&db, &mix, chunk, [1, 2, 8][pool], seed, true);
+        }
     }
-}
-
-/// Deterministic fixture shared by the stress tests below.
-fn stress_db(rows: usize) -> Database {
-    let tk: Vec<u64> = (0..rows as u64).map(|i| i * 7 % 83 + 1).collect();
-    let tv: Vec<u64> = (0..rows as u64).map(|i| i * 31 % 9_973).collect();
-    let tw: Vec<u64> = (0..rows as u64).map(|i| i * 13 % 499 + 1).collect();
-    let sk: Vec<u64> = (0..rows as u64 / 2).map(|i| i * 11 % 140 + 40).collect();
-    let sx: Vec<u64> = (0..rows as u64 / 2).map(|i| i * 3 % 97).collect();
-    db_from((tk, tv, tw), (sk, sx))
 }
 
 /// Pool size 1: the whole solo queue drains through a single worker.
@@ -305,7 +300,7 @@ fn stress_db(rows: usize) -> Database {
 /// a slot lock held across a query run would hang right here.
 #[test]
 fn pool_of_one_drains_the_full_shapes_matrix_without_deadlock() {
-    let db = stress_db(3_000);
+    let db = fixture::with_spread_twins(fixture::arithmetic(3_000, 1_500), TWINS);
     let (solo, _) = executors(1, 2, 42);
     // Pinned at 1 regardless of SERVE_POOL — this canary is only
     // meaningful when a single worker must drain the whole queue.
@@ -330,7 +325,7 @@ fn pool_of_one_drains_the_full_shapes_matrix_without_deadlock() {
 /// accounting covering exactly the three cacheable executions.
 #[test]
 fn no_lost_queries_at_128_in_flight() {
-    let db = stress_db(2_000);
+    let db = fixture::with_spread_twins(fixture::arithmetic(2_000, 1_000), TWINS);
     let (solo, serving) = executors(8, 2, 7);
     let pool_q = templates();
     let batch: Vec<Query> = (0..128).map(|i| pool_q[i % pool_q.len()].clone()).collect();
@@ -354,7 +349,7 @@ fn no_lost_queries_at_128_in_flight() {
 /// first completed.
 #[test]
 fn warm_cache_serves_repeats_across_batches() {
-    let db = stress_db(2_000);
+    let db = fixture::with_spread_twins(fixture::arithmetic(2_000, 1_000), TWINS);
     let (solo, serving) = executors(4, 2, 9);
     let batch = templates();
     let (_, cold) = serving.serve(&db, &batch);
@@ -375,7 +370,7 @@ fn warm_cache_serves_repeats_across_batches() {
 /// answers are the solo report — for the bitmap pair and the Bloom pair.
 #[test]
 fn identical_joins_cost_one_cache_lookup_per_batch() {
-    let db = stress_db(2_000);
+    let db = fixture::with_spread_twins(fixture::arithmetic(2_000, 1_000), TWINS);
     for col in ["k", "h"] {
         let (solo, serving) = executors(8, 2, 11);
         let join = join_on(col);
@@ -405,17 +400,23 @@ fn identical_joins_cost_one_cache_lookup_per_batch() {
 /// batch's answers — leaders and duplicates — track the new data.
 #[test]
 fn answers_do_not_outlive_the_call_that_computed_them() {
-    let mut db = stress_db(1_500);
+    let mut db = fixture::with_spread_twins(fixture::arithmetic(1_500, 750), TWINS);
     let (solo, serving) = executors(2, 2, 5);
     let pool_q = templates();
     let batch: Vec<Query> = (0..36).map(|i| pool_q[i % pool_q.len()].clone()).collect();
     let (before, _) = serving.serve(&db, &batch);
 
     let rows = db.table("t").rows() as u64;
-    db.add(t_table(
-        (0..rows).map(|i| i * 5 % 61 + 2).collect(),
-        (0..rows).map(|i| i * 17 % 7_919 + 3).collect(),
-        (0..rows).map(|i| i * 29 % 311 + 1).collect(),
+    let k: Vec<u64> = (0..rows).map(|i| i * 5 % 61 + 2).collect();
+    let h = KeyForm::Spread.lane(&k);
+    db.add(Table::new(
+        "t",
+        vec![
+            ("k", k),
+            ("v", (0..rows).map(|i| i * 17 % 7_919 + 3).collect()),
+            ("w", (0..rows).map(|i| i * 29 % 311 + 1).collect()),
+            ("h", h),
+        ],
     ));
     let (after, agg) = serving.serve(&db, &batch);
     assert_accounting(&solo, &db, &batch, &agg);
@@ -443,7 +444,7 @@ fn serve_pool_env_var_sizes_the_pool() {
     std::env::remove_var("SERVE_POOL");
     assert_eq!(ServeExecutor::new(mk()).pool(), 4);
     // The pool width is scheduling only — results are identical either way.
-    let db = stress_db(1_000);
+    let db = fixture::with_spread_twins(fixture::arithmetic(1_000, 500), TWINS);
     let batch = templates();
     let (r2, _) = ServeExecutor::with_pool(mk(), 2).serve(&db, &batch);
     let (r8, _) = ServeExecutor::with_pool(mk(), 8).serve(&db, &batch);
@@ -472,7 +473,7 @@ proptest! {
         reps in 2usize..5,
         seed in any::<u64>(),
     ) {
-        let db = db_from_rows(&t_rows, s_keys);
+        let db = db_from_rows(KeyForm::Narrow, &t_rows, s_keys);
         let (solo, serving) = executors(2, 2, seed);
         let batch = [
             Query::Having {
@@ -515,7 +516,8 @@ proptest! {
             t_rows.iter().map(|&(k, v, w)| (k, (v, w))).unzip();
         let (tv, tw): (Vec<u64>, Vec<u64>) = rest.into_iter().unzip();
         let sx: Vec<u64> = s_keys.iter().map(|&k| k * 3 % 97).collect();
-        let mut db = db_from((tk.clone(), tv.clone(), tw.clone()), (s_keys.clone(), sx.clone()));
+        let db = fixture::tables([tk.clone(), tv.clone(), tw.clone()], [s_keys.clone(), sx.clone()]);
+        let mut db = fixture::with_spread_twins(db, TWINS);
         let (solo, serving) = executors(2, 2, seed);
         let batch = [
             Query::Having {
@@ -533,7 +535,8 @@ proptest! {
         // join's left key set and every HAVING group sum.
         let new_tk: Vec<u64> = tk.iter().map(|&k| k + shift % 37).collect();
         let new_tv: Vec<u64> = tv.iter().map(|&v| v.wrapping_mul(3) % 2_000 + 1).collect();
-        db.add(t_table(new_tk, new_tv, tw.clone()));
+        let h = KeyForm::Spread.lane(&new_tk);
+        db.add(Table::new("t", vec![("k", new_tk), ("v", new_tv), ("w", tw.clone()), ("h", h)]));
 
         let (reports, agg) = serving.serve(&db, &batch);
         prop_assert_eq!(agg.cache_hits, 0, "stale epochs must not hit: {:?}", agg);

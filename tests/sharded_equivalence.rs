@@ -21,19 +21,12 @@ use cheetah::engine::cheetah::{CheetahExecutor, PrunerConfig};
 use cheetah::engine::reference;
 use cheetah::engine::{
     Agg, CostModel, Database, DistributedExecutor, Executor, Predicate, Query, ShardedExecutor,
-    Table, ThreadedExecutor,
+    ThreadedExecutor,
 };
 
-/// A database over explicit column data (so proptest owns the values).
-fn db_from(t_cols: (Vec<u64>, Vec<u64>, Vec<u64>), s_cols: (Vec<u64>, Vec<u64>)) -> Database {
-    let mut db = Database::new();
-    db.add(Table::new(
-        "t",
-        vec![("k", t_cols.0), ("v", t_cols.1), ("w", t_cols.2)],
-    ));
-    db.add(Table::new("s", vec![("k", s_cols.0), ("x", s_cols.1)]));
-    db
-}
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::{tables, KeyForm};
 
 /// Every query shape — one per pruner family (filter, distinct matrix,
 /// fingerprinted distinct, top-n, group-by extremum, §6 registers,
@@ -166,10 +159,22 @@ fn test_config(seed: u64) -> PrunerConfig {
 }
 
 /// Assert sharded ≡ distributed ≡ threaded ≡ deterministic ≡ reference
-/// for every shape, including
-/// the order-independent checksums (fetch + join pairing live inside the
-/// canonical results / fetch_checksum fields).
-fn assert_equivalent(db: &Database, shards: usize, workers: usize, seed: u64) {
+/// for every shape over `db` in both key forms, including the
+/// order-independent checksums (fetch + join pairing live inside the
+/// canonical results / fetch_checksum fields). Returns how many shapes
+/// bound a dense program over the narrow form and a hashed one over the
+/// spread form.
+fn assert_equivalent(db: &Database, shards: usize, workers: usize, seed: u64) -> [usize; 2] {
+    KeyForm::BOTH.map(|form| {
+        let db = &form.apply(db.clone(), fixture::KEYS);
+        assert_equivalent_in(db, shards, workers, seed);
+        let shapes = all_shapes();
+        fixture::reached(form, db, shapes.iter().map(|(_, q)| q), &test_config(seed))
+    })
+}
+
+/// [`assert_equivalent`] over `db` as it is.
+fn assert_equivalent_in(db: &Database, shards: usize, workers: usize, seed: u64) {
     let model = CostModel {
         workers,
         ..CostModel::default()
@@ -245,7 +250,7 @@ proptest! {
             t_rows.iter().map(|&(k, v, w)| (k, (v, w))).unzip();
         let (tv, tw): (Vec<u64>, Vec<u64>) = rest.into_iter().unzip();
         let sx: Vec<u64> = s_keys.iter().map(|&k| k * 3 % 97).collect();
-        let db = db_from((tk, tv, tw), (s_keys, sx));
+        let db = tables([tk, tv, tw], [s_keys, sx]);
         assert_equivalent(&db, shards, workers, seed);
     }
 
@@ -267,7 +272,7 @@ proptest! {
             tv.push(v);
         }
         let tw: Vec<u64> = (0..tk.len() as u64).map(|i| i % 300 + 1).collect();
-        let db = db_from((tk, tv, tw), (vec![dominant, 77], vec![5, 9]));
+        let db = tables([tk, tv, tw], [vec![dominant, 77], vec![5, 9]]);
         assert_equivalent(&db, shards, 2, seed);
     }
 }
@@ -275,9 +280,9 @@ proptest! {
 /// Empty tables: every shard is empty, every combine merges nothing.
 #[test]
 fn sharded_handles_empty_tables() {
-    let db = db_from(
-        (Vec::new(), Vec::new(), Vec::new()),
-        (Vec::new(), Vec::new()),
+    let db = tables(
+        [Vec::new(), Vec::new(), Vec::new()],
+        [Vec::new(), Vec::new()],
     );
     for shards in [1usize, 3] {
         assert_equivalent(&db, shards, 2, 7);
@@ -288,9 +293,9 @@ fn sharded_handles_empty_tables() {
 /// pipelines empty (they must still watermark and report spans).
 #[test]
 fn sharded_handles_more_shards_than_rows() {
-    let db = db_from(
-        (vec![5, 5, 9], vec![100, 90, 80], vec![1, 2, 3]),
-        (vec![5], vec![1]),
+    let db = tables(
+        [vec![5, 5, 9], vec![100, 90, 80], vec![1, 2, 3]],
+        [vec![5], vec![1]],
     );
     assert_equivalent(&db, 5, 2, 11);
     let model = CostModel::default();
@@ -314,14 +319,16 @@ fn sharded_handles_keys_straddling_every_boundary() {
     let tw: Vec<u64> = (0..rows).map(|i| i % 211 + 1).collect();
     let sk: Vec<u64> = (0..rows / 2).map(|i| i % 11).collect();
     let sx: Vec<u64> = (0..rows / 2).map(|i| i % 13).collect();
-    let db = db_from((tk, tv, tw), (sk, sx));
+    let db = tables([tk, tv, tw], [sk, sx]);
     for shards in [2usize, 3, 4] {
-        assert_equivalent(&db, shards, 2, 13);
+        let [dense, hashed] = assert_equivalent(&db, shards, 2, 13);
+        assert!(dense > 0 && hashed > 0, "dense {dense}, hashed {hashed}");
     }
 }
 
-/// Run the JOIN shape alone and compare against the deterministic path
-/// (pairs + checksum): the focused probe for partition-local pairing.
+/// Run the JOIN shape alone over `db` in both key forms — the bitmap pair
+/// and the Bloom pair — and compare against the deterministic path (pairs
+/// + checksum): the focused probe for partition-local pairing.
 fn assert_join_equivalent(db: &Database, shards: usize, seed: u64) {
     let model = CostModel {
         workers: 2,
@@ -335,19 +342,25 @@ fn assert_join_equivalent(db: &Database, shards: usize, seed: u64) {
         left_col: "k".into(),
         right_col: "k".into(),
     };
-    let truth = reference::evaluate(db, &q);
-    let det = Executor::execute(&cheetah, db, &q);
-    let shd = Executor::execute(&sharded, db, &q);
-    assert_eq!(det.result, truth, "deterministic join diverged");
-    assert_eq!(
-        shd.result, truth,
-        "partition-local join diverged at {shards} shards"
-    );
-    assert_eq!(
-        shd.prune_stats().processed,
-        det.prune_stats().processed,
-        "hash-sharded join must still decide each entry exactly once"
-    );
+    for form in KeyForm::BOTH {
+        let db = &form.apply(db.clone(), fixture::KEYS);
+        let truth = reference::evaluate(db, &q);
+        let det = Executor::execute(&cheetah, db, &q);
+        let shd = Executor::execute(&sharded, db, &q);
+        assert_eq!(
+            det.result, truth,
+            "deterministic join diverged over {form:?} keys"
+        );
+        assert_eq!(
+            shd.result, truth,
+            "partition-local join diverged at {shards} shards over {form:?} keys"
+        );
+        assert_eq!(
+            shd.prune_stats().processed,
+            det.prune_stats().processed,
+            "hash-sharded join must still decide each entry exactly once"
+        );
+    }
 }
 
 /// The two hash-sharded shapes on both shard arms: the table is
@@ -365,7 +378,7 @@ fn hash_sharded_shapes_stream_every_row_once_on_both_shard_arms() {
     for s_rows in [600u64, 200] {
         let sk: Vec<u64> = (0..s_rows).map(|i| i * 3 % 97).collect();
         let sx: Vec<u64> = (0..s_rows).map(|i| i % 31).collect();
-        let db = db_from((tk.clone(), tv.clone(), tw.clone()), (sk, sx));
+        let db = tables([tk.clone(), tv.clone(), tw.clone()], [sk, sx]);
         let cheetah = CheetahExecutor::new(CostModel::default(), test_config(29));
         let hash_sharded = |q: &Query| match q {
             Query::GroupBy { agg, .. } => matches!(agg, Agg::Sum | Agg::Count),
@@ -409,7 +422,7 @@ fn hash_sharded_join_pairs_keys_across_every_shard() {
         // cross-side multiplicity (m × n pairs per key) crosses shards.
         let sk: Vec<u64> = (0..200u64).map(|i| (i * 3) % span).collect();
         let sx: Vec<u64> = (0..200u64).map(|i| i % 31).collect();
-        let db = db_from((tk, tv, tw), (sk, sx));
+        let db = tables([tk, tv, tw], [sk, sx]);
         assert_join_equivalent(&db, shards, 17);
     }
 }
@@ -424,10 +437,10 @@ fn hash_sharded_join_survives_one_empty_side() {
     let ws: Vec<u64> = (0..300u64).map(|i| i % 7 + 1).collect();
     for shards in [2usize, 4] {
         // Empty right side: the big/probe stream vanishes.
-        let db = db_from((keys.clone(), vals.clone(), ws.clone()), (vec![], vec![]));
+        let db = tables([keys.clone(), vals.clone(), ws.clone()], [vec![], vec![]]);
         assert_join_equivalent(&db, shards, 19);
         // Empty left side: the build stream vanishes instead.
-        let db = db_from((vec![], vec![], vec![]), (keys.clone(), vals.clone()));
+        let db = tables([vec![], vec![], vec![]], [keys.clone(), vals.clone()]);
         assert_join_equivalent(&db, shards, 19);
     }
 }
@@ -444,7 +457,7 @@ fn hash_sharded_join_survives_all_keys_in_one_shard() {
         let tw: Vec<u64> = (0..120u64).map(|i| i % 17 + 1).collect();
         let sk: Vec<u64> = vec![42; 45];
         let sx: Vec<u64> = (0..45u64).map(|i| i % 23).collect();
-        let db = db_from((tk, tv, tw), (sk, sx));
+        let db = tables([tk, tv, tw], [sk, sx]);
         assert_join_equivalent(&db, shards, 23);
     }
 }
@@ -460,7 +473,7 @@ fn sum_shards_fold_more_groups_than_the_group_table_holds() {
     let tk: Vec<u64> = (0..rows).map(|i| i * 7_919 % 40_000).collect();
     let tv: Vec<u64> = (0..rows).map(|i| i * 31 % 9_973).collect();
     let tw: Vec<u64> = (0..rows).map(|i| i % 89 + 1).collect();
-    let db = db_from((tk, tv, tw), (vec![1], vec![1]));
+    let db = tables([tk, tv, tw], [vec![1], vec![1]]);
     let cheetah = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
     let arms: [&dyn Executor; 3] = [
         &ThreadedExecutor::new(cheetah.clone()),

@@ -17,41 +17,25 @@ use std::time::Duration;
 const TRIALS: usize = 8;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn soak_db(rows: usize, seed: u64) -> Database {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    let k: Vec<u64> = (0..rows).map(|_| rng.gen_range(1..90u64)).collect();
-    // `k` spread past any stage's dense registers: a HAVING over it runs
-    // the hashed programs, two passes once starved.
-    let h = k.iter().map(|k| k << 40).collect();
-    db.add(Table::new(
-        "t",
-        vec![
-            ("k", k),
-            ("v", (0..rows).map(|_| rng.gen_range(1..8_000u64)).collect()),
-            ("w", (0..rows).map(|_| rng.gen_range(1..400u64)).collect()),
-            ("h", h),
-        ],
-    ));
-    db.add(Table::new(
-        "s",
-        vec![
-            (
-                "k",
-                (0..rows / 2).map(|_| rng.gen_range(45..140u64)).collect(),
-            ),
-            (
-                "x",
-                (0..rows / 2).map(|_| rng.gen_range(1..100u64)).collect(),
-            ),
-        ],
-    ));
-    db
-}
+#[path = "common/fixture.rs"]
+mod fixture;
+use fixture::{KeyForm, Lanes};
 
-/// Table 2's configuration, where `soak_db`'s HAVING keys fit the GROUP
+/// The soak's lanes: 89 keys of `t` and 95 of `s`, overlapping on `45..90`.
+const SOAK_LANES: Lanes = Lanes {
+    k: 1..90,
+    v: 1..8_000,
+    w: 1..400,
+    s_k: 45..140,
+    x: 1..100,
+    extremes: false,
+};
+
+/// `t.h`: `t.k` spread past any stage's dense registers, so a HAVING over
+/// it runs the hashed programs, two passes once starved.
+const TWIN: &[(&str, &str, &str)] = &[("t", "k", "h")];
+
+/// Table 2's configuration, where the soak's HAVING keys fit the GROUP
 /// BY registers and HAVING aggregates in one pass, and an 8 × 2 register
 /// matrix they do not fit, where §5's two passes run — each with its
 /// HAVING pass count.
@@ -127,7 +111,7 @@ fn multipass_queries() -> Vec<(&'static str, Query)> {
 /// the reference oracle every time, and the wall clock is measured.
 #[test]
 fn threaded_multipass_soak() {
-    let db = soak_db(3_000, 31);
+    let db = fixture::with_spread_twins(fixture::random(3_000, &SOAK_LANES, 31), TWIN);
     for workers in WORKER_COUNTS {
         let exec = ThreadedExecutor::new(CheetahExecutor::new(
             CostModel {
@@ -158,7 +142,7 @@ fn threaded_multipass_soak() {
 /// on the threaded path, so cost-model comparisons stay apples-to-apples.
 #[test]
 fn threaded_multipass_pass_accounting() {
-    let db = soak_db(2_000, 32);
+    let db = fixture::with_spread_twins(fixture::random(2_000, &SOAK_LANES, 32), TWIN);
     for (cfg, having_passes) in having_configs() {
         let exec = ThreadedExecutor::new(CheetahExecutor::new(CostModel::default(), cfg));
         for (label, q) in multipass_queries() {
@@ -187,7 +171,7 @@ fn threaded_multipass_pass_accounting() {
 #[test]
 fn pool_spawns_each_worker_exactly_once_per_query() {
     use cheetah::engine::threaded::worker_threads_spawned;
-    let db = soak_db(2_000, 35);
+    let db = fixture::with_spread_twins(fixture::random(2_000, &SOAK_LANES, 35), TWIN);
     let workers = 4;
     let model = CostModel {
         workers,
@@ -196,7 +180,7 @@ fn pool_spawns_each_worker_exactly_once_per_query() {
     for (cfg, having_passes) in having_configs() {
         let exec = ThreadedExecutor::new(CheetahExecutor::new(model, cfg));
         for (label, q) in multipass_queries() {
-            // soak_db's `s` is half of `t`, so JOIN takes the asymmetric
+            // The soak's `s` is half of `t`, so JOIN takes the asymmetric
             // flow: each phase streams one side on `workers` partitions —
             // like every other shape. Two-pass flows must not double that:
             // the pool is reused across the pass flip.
@@ -269,7 +253,7 @@ fn sharded_shard_skew_soak() {
             }
         })
         .collect();
-    let h = k.iter().map(|k| k << 40).collect();
+    let h = KeyForm::Spread.lane(&k);
     db.add(Table::new(
         "t",
         vec![
@@ -330,7 +314,7 @@ fn sharded_shard_skew_soak() {
 #[test]
 fn sharded_spawn_counts_are_exactly_shards_times_workers() {
     use cheetah::engine::threaded::worker_threads_spawned;
-    let db = soak_db(2_000, 39);
+    let db = fixture::with_spread_twins(fixture::random(2_000, &SOAK_LANES, 39), TWIN);
     let (shards, workers) = (3usize, 2usize);
     let model = CostModel {
         workers,
@@ -339,7 +323,7 @@ fn sharded_spawn_counts_are_exactly_shards_times_workers() {
     for (cfg, having_passes) in having_configs() {
         let exec = ShardedExecutor::with_shards(CheetahExecutor::new(model, cfg), shards);
         for (label, q) in multipass_queries() {
-            // soak_db's `s` is half of `t`, so JOIN takes the asymmetric
+            // The soak's `s` is half of `t`, so JOIN takes the asymmetric
             // flow — but partition-local pairing runs it as ONE two-phase
             // pipeline per shard (small build, big probe, same pool).
             // A two-pass HAVING runs two sharded passes around the
@@ -421,7 +405,7 @@ fn sharded_spawn_counts_are_exactly_shards_times_workers() {
 fn threaded_join_keeps_pace_with_deterministic() {
     use std::time::Instant;
     let timed = !cfg!(debug_assertions);
-    let db = soak_db(100_000, 36);
+    let db = fixture::with_spread_twins(fixture::random(100_000, &SOAK_LANES, 36), TWIN);
     let q = Query::Join {
         left: "t".into(),
         right: "s".into(),
@@ -667,7 +651,7 @@ fn shard_grid_measures_combine_and_merge_spans_at_one_to_eight_shards() {
 /// checksum pins it.
 #[test]
 fn threaded_fetch_checksum_stable_under_races() {
-    let db = soak_db(4_000, 33);
+    let db = fixture::with_spread_twins(fixture::random(4_000, &SOAK_LANES, 33), TWIN);
     let cheetah = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
     let threaded = ThreadedExecutor::new(cheetah.clone());
     let q = multipass_queries()
