@@ -27,7 +27,6 @@
 //! | `JOIN` | [`join`] | deterministic | §4.3 |
 //! | `HAVING SUM/COUNT > c` | [`having`] | deterministic | §4.3 |
 //! | `SKYLINE` | [`skyline`] | deterministic | §4.4 |
-//! | multiple concurrent queries | [`multiquery`] | per-query | §6 |
 //! | dense key domains (beyond the paper) | [`dense`] | exact (OPT) | — |
 //!
 //! Supporting modules: [`hash`] (seedable mixing), [`fingerprint`]
@@ -35,6 +34,10 @@
 //! Lambert W), [`resources`] (Table 2 switch-resource formulas), and
 //! [`opt`] (unconstrained streaming baselines used as the `OPT` curves in
 //! the paper's Figures 10 and 11).
+//!
+//! §6's multiple concurrent queries need no module here: each packed query
+//! runs its own pruner, and whether they share the pipeline is decided by
+//! the per-stage placer `cheetah_pisa::pack` over their [`resources`].
 //!
 //! §9's extensions are implemented too: [`batch`] (multiple entries per
 //! packet with same-row collision skipping) and [`multiswitch`] (a
@@ -55,7 +58,6 @@ pub mod groupby;
 pub mod hash;
 pub mod having;
 pub mod join;
-pub mod multiquery;
 pub mod multiswitch;
 pub mod opt;
 pub mod params;

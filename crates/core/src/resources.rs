@@ -3,8 +3,9 @@
 //! Every Cheetah algorithm is parametric and must fit the pipeline's
 //! per-stage ALU count, SRAM, TCAM and stage budget. This module holds the
 //! closed-form resource formulas from Table 2 plus a simple switch model
-//! with Tofino-like defaults, used both by the experiment reproducing
-//! Table 2 and by the multi-query packer (§6).
+//! with Tofino-like defaults, used by the experiment reproducing Table 2
+//! and by the per-stage placer `cheetah_pisa::pack`, which packs several
+//! queries' usages stage by stage onto one pipeline (§6).
 
 /// Resources one algorithm instance consumes on the switch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,11 +21,13 @@ pub struct ResourceUsage {
 }
 
 impl ResourceUsage {
-    /// Component-wise sum — used when packing several queries (§6).
+    /// Component-wise sum of two parts of one program laid out in
+    /// successive stages (a JOIN's two filters, a TOP N matrix and its
+    /// sequence counter).
     ///
-    /// Summing stages is conservative: Cheetah packs queries that are heavy
-    /// in *different* resources onto the same stages, which the
-    /// `cheetah-pisa` placer models more faithfully.
+    /// Co-resident queries are never summed: the per-stage placer
+    /// `cheetah_pisa::pack` decides whether they share the pipeline, and
+    /// puts queries heavy in *different* resources in the same stages (§6).
     pub fn plus(self, other: ResourceUsage) -> ResourceUsage {
         ResourceUsage {
             stages: self.stages + other.stages,

@@ -846,6 +846,7 @@ mod tests {
     use crate::Executor;
     use cheetah_core::filter::{Atom, CmpOp, Formula};
     use cheetah_core::hash::mix64;
+    use cheetah_pisa::pack::pack;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1244,16 +1245,16 @@ mod tests {
             let sharded = ShardedExecutor::with_shards(exec.clone(), 2);
             let distributed = DistributedExecutor::with_shards(exec.clone(), 2);
             // A co-resident DISTINCT shares the TOP N's scan only where
-            // both flows' charges fit the pipeline together — a TOP N
-            // matrix beside the DISTINCT's 2 stages, or its one where `k`
-            // binds dense; past that, both run solo.
+            // the §6 placer puts both flows' charges on the pipeline
+            // together — the DISTINCT's 2 stages, or its one where `k`
+            // binds dense, beside the TOP N matrix; past that, both run solo.
             let distinct = Query::Distinct {
                 table: "t".into(),
                 column: "k".into(),
             };
             let tofino = cheetah_core::SwitchModel::tofino_like();
             let charge = |q: &Query| q.bind(&db, &exec.config).expect("binds").charge;
-            let packs = charge(&q).plus(charge(&distinct)).fits(&tofino);
+            let packs = pack(&tofino, &[charge(&q), charge(&distinct)]).is_ok();
             let (served, batch) = ServeExecutor::with_pool(exec.clone(), 1)
                 .serve(&db, &[q.clone(), distinct]);
             let expected = if packs { (2, 0) } else { (0, 2) };

@@ -1,5 +1,5 @@
 //! Concurrent multi-query serving: in-flight coalescing, admission, §6
-//! TCAM packing and a bounded executor pool over zero-copy stream views,
+//! stage packing and a bounded executor pool over zero-copy stream views,
 //! plus a cross-query filter cache.
 //!
 //! Every executor in this engine runs exactly one query per call; a
@@ -18,22 +18,19 @@
 //!    distinct, top-n, group-by max/min, skyline) by table. Each group
 //!    makes **one** shared [`crate::stream::EntryStream`] pass — each block of the
 //!    union of the member queries' metadata columns gathered once — with
-//!    per-query [`Decision`] lanes routed through
-//!    [`cheetah_core::multiquery::MultiQueryPruner`] by flow id. That
-//!    pass is the deterministic arm's own single-pass scan, which a solo
-//!    [`CheetahExecutor`] run makes over its one query with its own
-//!    pruner, so every packed query's decisions (and result) are
+//!    each query's [`Decision`] lanes made by the pruner its solo run
+//!    installs. That pass is the deterministic arm's own single-pass
+//!    scan, which a solo [`CheetahExecutor`] run makes over its one
+//!    query, so every packed query's decisions (and result) are
 //!    bit-identical to its solo run by construction.
-//! 3. **Packing** admits each flow against the switch resource budget
-//!    ([`SwitchModel`]) at the charge [`Query::bind`] computed for it. A
-//!    flow that doesn't fit beside its co-residents is *spilled*: it
-//!    still runs on the switch path, but alone — one solo
-//!    [`CheetahExecutor`] pass with the pipeline to itself — and is
-//!    counted in [`ServeReport::spilled`]. Every flow is charged the
-//!    geometry its solo run installs, so a TOP N, whose matrix is sized to
-//!    the whole pipeline, packs only where that point fits, and a SKYLINE
-//!    at its default `w = 10` (21 stages) never fits a Tofino's 12 and
-//!    never packs.
+//! 3. **Packing** admits a group's flows in admission order while the
+//!    §6 placer [`cheetah_pisa::pack::pack`] — the planner's feasibility
+//!    check — still places their [`Query::bind`] charges stage by stage
+//!    on the [`SwitchModel`]. A flow it cannot place beside its
+//!    co-residents is *spilled*: it runs the switch path alone, one solo
+//!    [`CheetahExecutor`] pass with the pipeline to itself, counted in
+//!    [`ServeReport::spilled`]. A SKYLINE at its default `w = 10` (21
+//!    stages) never fits a Tofino's 12 and never packs.
 //! 4. **Dispatch** runs everything that can't share a scan (every
 //!    `bind::Program` but a single pass, spills, singleton groups) across
 //!    a bounded worker pool, one executor call per query.
@@ -59,8 +56,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cheetah_core::decision::Decision;
-use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::SwitchModel;
+use cheetah_pisa::pack::pack;
 
 use crate::backend::{HavingFlow, SwitchBackend};
 use crate::bind::{Bound, Program};
@@ -199,16 +196,16 @@ impl ServeExecutor {
                 solo.extend(members);
                 continue;
             }
-            let mut mq = MultiQueryPruner::new();
+            let mut charges = Vec::new();
             let mut packed: Vec<usize> = Vec::new();
             for &i in &members {
-                let pruner = single_pass_pruner(cfg, &distinct[i]);
-                match mq.try_add(i as u16, pruner, distinct[i].charge, &self.switch) {
-                    Ok(()) => packed.push(i),
-                    Err(_) => {
-                        agg.spilled += 1;
-                        solo.push(i);
-                    }
+                charges.push(distinct[i].charge);
+                if pack(&self.switch, &charges).is_ok() {
+                    packed.push(i);
+                } else {
+                    charges.pop();
+                    agg.spilled += 1;
+                    solo.push(i);
                 }
             }
             if packed.len() < 2 {
@@ -219,10 +216,11 @@ impl ServeExecutor {
             agg.packed += packed.len() as u64;
             agg.shared_scans += 1;
             // The deterministic arm's own scan, each member's blocks
-            // routed through the packed pruner by its flow id.
+            // decided by the pruner its solo run installs.
             let flows: Vec<&Bound<'_>> = packed.iter().map(|&i| &distinct[i]).collect();
+            let mut pruners: Vec<_> = flows.iter().map(|b| single_pass_pruner(cfg, b)).collect();
             let decide = |m: usize, visible: &[&[u64]], out: &mut [Decision]| {
-                mq.process_block(packed[m] as u16, visible, out)
+                pruners[m].process_block(visible, out)
             };
             let reports = self.cheetah.single_pass_scan(&flows, decide);
             done.extend(packed.iter().copied().zip(reports).map(|(i, mut report)| {
@@ -450,18 +448,46 @@ mod tests {
             assert_eq!(r.executor, "serving");
         }
         assert_eq!(agg.queries, 7);
-        // The TOP 25's 21 × 11 matrix takes all 12 stages, so it cannot
-        // sit beside the filter (2 stages) and the dense DISTINCT (1) and
-        // runs alone.
-        assert_eq!(agg.packed, 2, "filter and distinct share table t");
-        assert_eq!(agg.spilled, 1, "the TOP N spills");
+        // The placer smears each charge over its stages: the TOP 25's
+        // 21 × 11 matrix (12 stages, 12 ALUs) takes 1 ALU in every stage,
+        // the filter (2 stages, 1 ALU) 1 in stages 0–1 and the dense
+        // DISTINCT (1 stage, 2 ALUs) 2 in stage 0, so stage 0 holds
+        // 1 + 1 + 2 = 4 of its 10 ALUs and all three share the scan.
+        assert_eq!(agg.packed, 3, "filter, distinct and TOP N share table t");
+        assert_eq!(agg.spilled, 0, "nothing spills");
         assert_eq!(agg.shared_scans, 1);
-        assert_eq!(agg.solo, 5, "the TOP N, HAVINGs and JOINs dispatch solo");
+        assert_eq!(agg.solo, 4, "the HAVINGs and JOINs dispatch solo");
         // The HAVING over `t.k` runs one register pass and caches nothing;
         // the two-pass HAVING over `t.ws`, the bitmap JOIN over `k` and
         // the Bloom JOIN over `ks` each miss.
         assert_eq!(agg.cache_misses, 3, "cold cache: three flows miss");
         assert_eq!(agg.cache_hits, 0);
+    }
+
+    /// More distinct flows in one table group than a `u16` flow id names:
+    /// admission speaks batch indices, so every query is answered; the
+    /// placer packs what fits and the rest spill.
+    #[test]
+    fn a_group_past_u16_flow_ids_answers_every_query() {
+        let mut db = Database::new();
+        db.add(crate::table::Table::new("t", vec![("v", vec![7])]));
+        let batch: Vec<Query> = (0..=u64::from(u16::MAX) + 1)
+            .map(|c| Query::FilterCount {
+                table: "t".into(),
+                predicate: Predicate {
+                    columns: vec!["v".into()],
+                    atoms: vec![Atom::cmp(0, CmpOp::Lt, c)],
+                    formula: Formula::Atom(0),
+                },
+            })
+            .collect();
+        let cheetah = CheetahExecutor::new(CostModel::default(), PrunerConfig::default());
+        let (reports, agg) = ServeExecutor::with_pool(cheetah, 1).serve(&db, &batch);
+        assert_eq!(reports.len(), batch.len(), "one report per query");
+        assert_eq!(agg.packed + agg.solo, batch.len() as u64);
+        for (q, r) in batch.iter().zip(&reports) {
+            assert_eq!(r.result, reference::evaluate(&db, q));
+        }
     }
 
     #[test]
