@@ -31,8 +31,8 @@ use crate::resources::ResourceUsage;
 /// bits each, concatenated, over 2^(their total) cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffsetCode {
-    /// `(min, shift)` per lane.
-    lanes: Vec<(u64, u32)>,
+    /// `(min, shift, bits)` per lane: its offset's width is `bits`.
+    lanes: Vec<(u64, u32, u32)>,
     cells: u64,
 }
 
@@ -40,18 +40,17 @@ impl OffsetCode {
     /// The code over lanes whose values span `domains[i] = (min, max)`:
     /// `None` for no lanes, or where the cells would not fit a `u64`.
     pub fn new(domains: &[(u64, u64)]) -> Option<Self> {
-        let (lanes, cells) = match *domains {
+        let mut shift = 0;
+        let mut lanes = Vec::with_capacity(domains.len());
+        for &(min, max) in domains {
+            let bits = u64::BITS - (max - min).leading_zeros();
+            lanes.push((min, shift, bits));
+            shift += bits;
+        }
+        let cells = match *domains {
             [] => return None,
-            [(min, max)] => (vec![(min, 0)], (max - min).checked_add(1)?),
-            _ => {
-                let mut shift = 0;
-                let mut lanes = Vec::with_capacity(domains.len());
-                for &(min, max) in domains {
-                    lanes.push((min, shift));
-                    shift += u64::BITS - (max - min).leading_zeros();
-                }
-                (lanes, 1u64.checked_shl(shift)?)
-            }
+            [(min, max)] => (max - min).checked_add(1)?,
+            _ => 1u64.checked_shl(shift)?,
         };
         Some(OffsetCode { lanes, cells })
     }
@@ -75,18 +74,39 @@ impl OffsetCode {
     #[inline]
     pub fn code(&self, row: &[u64]) -> usize {
         let offsets = self.lanes.iter().zip(row);
-        offsets.fold(0, |code, (&(min, shift), &v)| {
+        offsets.fold(0, |code, (&(min, shift, _), &v)| {
             code | v.wrapping_sub(min) << shift
         }) as usize
+    }
+
+    /// A tuple's offsets in one word, **first lane most significant**, so
+    /// keys order as their tuples do, lexicographically. [`Self::code`]
+    /// puts lane 0 at shift 0, so sorting codes would order tuples by
+    /// their last lane.
+    #[inline]
+    pub fn pack(&self, tuple: &[u64]) -> u64 {
+        let offsets = self.lanes.iter().zip(tuple);
+        offsets.fold(0, |key, (&(min, _, bits), &v)| {
+            key.wrapping_shl(bits) | v.wrapping_sub(min)
+        })
+    }
+
+    /// The tuple [`Self::pack`] made `key` of, into `tuple`.
+    #[inline]
+    pub fn unpack(&self, mut key: u64, tuple: &mut [u64]) {
+        for (&(min, _, bits), v) in self.lanes.iter().zip(tuple).rev() {
+            *v = (key & u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0)) + min;
+            key = key.checked_shr(bits).unwrap_or(0);
+        }
     }
 
     /// Each entry's code in a column-major block, lane by lane into
     /// `codes`.
     fn codes(&self, cols: &[&[u64]], codes: &mut Vec<u64>) {
-        let (min, _) = self.lanes[0];
+        let (min, ..) = self.lanes[0];
         codes.clear();
         codes.extend(cols[0].iter().map(|v| v.wrapping_sub(min)));
-        for (&(min, shift), lane) in self.lanes.iter().zip(cols).skip(1) {
+        for (&(min, shift, _), lane) in self.lanes.iter().zip(cols).skip(1) {
             for (code, &v) in codes.iter_mut().zip(*lane) {
                 *code |= v.wrapping_sub(min) << shift;
             }
@@ -201,7 +221,7 @@ impl RowPruner for DenseDistinct {
 
     fn process_block(&mut self, cols: &[&[u64]], out: &mut [Decision]) {
         let DenseDistinct { code, seen, codes } = self;
-        if let [(min, _)] = code.lanes[..] {
+        if let [(min, ..)] = code.lanes[..] {
             for (d, &v) in out.iter_mut().zip(cols[0]) {
                 *d = first(seen.test_and_set(v.wrapping_sub(min) as usize));
             }
@@ -401,6 +421,33 @@ mod tests {
         assert_eq!(huge.registers().sram_bits, u64::MAX);
         assert_eq!(OffsetCode::new(&[(0, u64::MAX >> 32); 2]), None);
         assert_eq!(OffsetCode::new(&[]), None);
+    }
+
+    #[test]
+    fn packed_keys_order_as_their_tuples_and_unpack_to_them() {
+        // Spans 3 → 2 bits, 0 → 0 bits, 4 → 3 bits: the first lane lands
+        // in the key's top two bits, where `code` puts it in the bottom.
+        let three = OffsetCode::new(&[(5, 8), (7, 7), (0, 4)]).unwrap();
+        assert_eq!(three.pack(&[6, 7, 3]), 1 << 3 | 3);
+        let mut tuples = Vec::new();
+        for a in 5..=8 {
+            for c in 0..=4 {
+                tuples.push([a, 7, c]);
+            }
+        }
+        let keys: Vec<u64> = tuples.iter().map(|t| three.pack(t)).collect();
+        assert!(keys.windows(2).all(|k| k[0] < k[1]), "keys order as tuples");
+        let mut back = [0; 3];
+        for (t, &key) in tuples.iter().zip(&keys) {
+            three.unpack(key, &mut back);
+            assert_eq!(&back, t);
+        }
+        // One lane packs to its offset, across the whole word.
+        let one = OffsetCode::new(&[(10, 19)]).unwrap();
+        assert_eq!(one.pack(&[19]), 9);
+        let wide = OffsetCode::new(&[(1, u64::MAX)]).unwrap();
+        wide.unpack(wide.pack(&[u64::MAX]), &mut back[..1]);
+        assert_eq!(back[0], u64::MAX);
     }
 
     #[test]

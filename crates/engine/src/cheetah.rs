@@ -29,13 +29,13 @@ use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::Extremum;
 use cheetah_core::having::{HavingPassOne, HavingPruner};
 
-use crate::backend::{HavingFlow, JoinFlow, SinglePass, SwitchBackend};
+use crate::backend::{HavingFlow, JoinFlow, Keys, SinglePass, SwitchBackend};
 use crate::bind::{Bound, Program};
 use crate::cost::CostModel;
 use crate::executor::ExecutionReport;
 use crate::master::{
-    explode, fetch_and_checksum, fetch_rows_flat, join_survivors, merge_top, survivors, GroupRun,
-    GroupSink, TupleRun,
+    explode, fetch_and_checksum, fetch_rows_flat, merge_top, survivors, GroupRun, GroupSink,
+    JoinIndex, TupleRun,
 };
 use crate::multipass::{SIDE_LEFT, SIDE_RIGHT};
 use crate::query::{Agg, FetchSpec, Predicate, Query, QueryResult};
@@ -319,8 +319,12 @@ impl<'q> Completion<'q> {
                 Query::TopN { n, .. } => Partial::top(values, *n),
                 _ => Partial::Tuples(TupleRun::canonical(1, values)),
             },
-            Completion::Tuples { width, flat } => match b.query {
-                Query::Skyline { .. } => Partial::Frontier(frontier(width, &flat)),
+            Completion::Tuples { width, flat } => match (b.query, &b.program) {
+                (Query::Skyline { .. }, _) => Partial::Frontier(frontier(width, &flat)),
+                // A dense DistinctMulti sorts one packed word a tuple.
+                (_, Program::SinglePass(SinglePass::Distinct(Keys::Dense(code)))) => {
+                    Partial::Tuples(TupleRun::packed(code, flat))
+                }
                 _ => Partial::Tuples(TupleRun::canonical(width, flat)),
             },
             Completion::Groups(groups) => Partial::Groups(groups.finish()),
@@ -490,6 +494,30 @@ impl Answer {
     }
 }
 
+/// Pass 2 of one JOIN side in the deterministic arm: prune `stream`'s
+/// blocks (tagged `tags`) against the other side's filter and hand each
+/// survivor's `(key, row id)` to `take` as it is forwarded.
+fn join_pass_two(
+    flow: &mut JoinFlow,
+    (tags, stream): (&[u64; BLOCK_ENTRIES], &EntryStream),
+    stats: &mut PruneStats,
+    mut take: impl FnMut(u64, u64),
+) {
+    let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
+    let mut idx = [0u16; BLOCK_ENTRIES];
+    let mut blocks = stream.blocks();
+    while let Some(block) = blocks.next_block() {
+        let keys = block.cols[0];
+        let out = &mut decisions[..block.len];
+        flow.probe_block(&tags[..block.len], keys, out);
+        stats.record_block(out);
+        for &i in survivors(out, &mut idx).iter() {
+            let i = usize::from(i);
+            take(keys[i], block.row_id(i));
+        }
+    }
+}
+
 impl CheetahExecutor {
     /// An executor with the given model and switch configuration.
     pub fn new(model: CostModel, config: PrunerConfig) -> Self {
@@ -513,7 +541,12 @@ impl CheetahExecutor {
     /// twice, so its report counts `2 × (l + r)` entries where the pool
     /// arms' §4.3 asymmetric flow counts `l + r`, and
     /// `cheetah_bench::cost::cheetah` prices it so. The asymmetric flow
-    /// would forward more and end serving's JOIN cache hits.
+    /// would forward more and end serving's JOIN cache hits. Pass 2
+    /// streams the smaller table first, its survivors building the
+    /// pairing [`JoinIndex`], then the larger, each survivor pairing as
+    /// it is forwarded, so no list of the larger side's survivors exists.
+    /// A pass-2 probe only reads the filters, so the side order decides
+    /// nothing.
     pub(crate) fn execute_in(
         &self,
         b: &Bound<'_>,
@@ -634,24 +667,24 @@ impl CheetahExecutor {
                         (flow, 2)
                     }
                 };
-                // Pass 2: prune each side against the other's filter.
+                // Pass 2: prune each side against the other's filter, the
+                // smaller table first, into the pairing index.
                 let mut stats = PruneStats::default();
-                let mut decisions = [Decision::Prune; BLOCK_ENTRIES];
-                let mut idx = [0u16; BLOCK_ENTRIES];
-                let [left_fwd, right_fwd] = sides.map(|(tags, stream)| {
-                    let mut fwd: Vec<(u64, u64)> = Vec::new();
-                    let mut blocks = stream.blocks();
-                    while let Some(block) = blocks.next_block() {
-                        let keys = block.cols[0];
-                        let out = &mut decisions[..block.len];
-                        flow.probe_block(&tags[..block.len], keys, out);
-                        stats.record_block(out);
-                        let forwarded = survivors(out, &mut idx).iter().map(|&i| usize::from(i));
-                        fwd.extend(forwarded.map(|i| (keys[i], block.row_id(i))));
-                    }
-                    fwd
+                let build_left = t.rows() <= r.rows();
+                let mut sides = sides;
+                if !build_left {
+                    sides.reverse();
+                }
+                let [build_side, probe_side] = sides;
+                let mut build: Vec<(u64, u64)> = Vec::new();
+                join_pass_two(&mut flow, build_side, &mut stats, |key, row| {
+                    build.push((key, row))
                 });
-                let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
+                let mut index = JoinIndex::new(build, build_left, filters);
+                join_pass_two(&mut flow, probe_side, &mut stats, |key, row| {
+                    index.pair(key, row)
+                });
+                let (pairs, checksum) = index.summary();
                 let streamed = u64::from(passes) * (t.rows() + r.rows()) as u64;
                 let result = QueryResult::JoinSummary { pairs, checksum };
                 let answer = Answer {

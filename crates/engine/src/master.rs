@@ -41,22 +41,34 @@
 //!   stays proportional to the groups. Shard partials are sorted
 //!   [`GroupRun`]s and merge linearly; the ordered public map is
 //!   bulk-built once, at the root.
-//! * **Join pairing**: [`join_sink`] splits survivor blocks into per-side
-//!   `(key, row)` lists and [`join_survivors`] pairs them through one
-//!   open-addressed table over the shorter list — neither list is sorted.
+//! * **Join pairing**: one [`JoinIndex`] over one side's `(key, row)`
+//!   survivors, which the other side's survivors probe — neither side is
+//!   sorted.
+//!   Where bind gave the keys a dense code no larger than the hashed
+//!   table would be, the build rows chain behind one head per key offset
+//!   (no hash, no probe loop); elsewhere behind an open-addressed table.
+//!   On `scan_det` (73k build, 200k probe survivors over 160k offsets)
+//!   that and streaming the probe side took the JOIN cell from about 7.7
+//!   to 5.5 ms. The deterministic arm indexes the smaller table's
+//!   survivors and probes the other side's as they are forwarded; the
+//!   pool arms' [`join_sink`] splits survivor blocks into per-side lists
+//!   and [`join_survivors`] indexes the shorter.
 //! * **Tuple runs**: [`TupleRun`] keeps multi-column DISTINCT survivors
 //!   in one flat row-major buffer, sorts them there on a tuple key (not
-//!   the array's slice comparison) and deduplicates, merges flat-to-flat
-//!   up a reduction tree, is what the wire ships, and becomes owned
-//!   tuples exactly once — one allocation per *output* tuple, none per
-//!   survivor.
+//!   the array's slice comparison) and deduplicates — or, under a dense
+//!   code, sorts one packed word a tuple ([`TupleRun::packed`]) — merges
+//!   flat-to-flat up a reduction tree, is what the wire ships, and
+//!   becomes owned tuples exactly once — one allocation per *output*
+//!   tuple, none per survivor.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use cheetah_core::decision::Decision;
+use cheetah_core::dense::OffsetCode;
 use cheetah_core::hash::mix64;
 
+use crate::backend::{JoinFilters, Keys};
 use crate::multipass::SIDE_LEFT;
 use crate::query::{fetch_chain_seed, fetch_chain_step, pair_checksum, Agg, QueryResult};
 use crate::stream::BLOCK_ENTRIES;
@@ -502,57 +514,131 @@ pub(crate) fn join_sink(acc: &mut JoinSides, block: SurvivorBlock<'_>) {
     }
 }
 
-/// CMaster join completion, shared by every JOIN arm: count the
+/// CMaster join completion, shared by the pool and Spark arms: count the
 /// `(left row, right row)` pairs whose keys match and fold their
-/// [`pair_checksum`]. The shorter side is indexed by an open-addressed
-/// table with one slot per distinct key (its rows chained behind the
-/// slot), the longer side probes it; the checksum is a commutative sum,
-/// so the order pairs are met in — and so any sort — is immaterial. The
-/// sharded arms run this per shard over hash-partitioned sides (every
+/// [`pair_checksum`]. The shorter side builds a [`JoinIndex`] over the
+/// bound `keys`, the longer side probes it; the checksum is a commutative
+/// sum, so the order pairs are met in — and so any sort — is immaterial.
+/// The sharded arms run this per shard over hash-partitioned sides (every
 /// occurrence of a key co-locates on one shard, so each match pairs
 /// exactly once) and sum the counts and checksums up their tree.
-pub(crate) fn join_survivors(left: Vec<(u64, u64)>, right: Vec<(u64, u64)>) -> (u64, u64) {
+pub(crate) fn join_survivors(
+    left: Vec<(u64, u64)>,
+    right: Vec<(u64, u64)>,
+    keys: &Keys<JoinFilters>,
+) -> (u64, u64) {
     let build_left = left.len() <= right.len();
     let (build, probe) = if build_left {
-        (&left, &right)
+        (left, right)
     } else {
-        (&right, &left)
+        (right, left)
     };
-    assert!(build.len() < u32::MAX as usize, "build side indexes in u32");
-    // `heads[slot]` is 1 + the index of the latest build pair whose key
-    // owns the slot (0 = free); `prev[i]` continues that key's chain.
-    // At most half the slots fill, so every probe sequence ends.
-    let mask = (2 * build.len()).next_power_of_two() - 1;
-    let mut heads = vec![0u32; mask + 1];
-    let mut prev = vec![0u32; build.len()];
-    let slot_of = |heads: &[u32], key: u64| {
-        let mut slot = mix64(key) as usize & mask;
-        while heads[slot] != 0 && build[heads[slot] as usize - 1].0 != key {
-            slot = (slot + 1) & mask;
-        }
-        slot
-    };
-    for (i, &(key, _)) in build.iter().enumerate() {
-        let slot = slot_of(&heads, key);
-        prev[i] = heads[slot];
-        heads[slot] = i as u32 + 1;
+    let mut index = JoinIndex::new(build, build_left, keys);
+    for &(key, row) in &probe {
+        index.pair(key, row);
     }
-    let (mut pairs, mut checksum) = (0u64, 0u64);
-    for &(key, probe_row) in probe {
-        let mut at = heads[slot_of(&heads, key)];
+    index.summary()
+}
+
+/// A JOIN's build side, indexed for pairing: its `(key, row)` pairs chain
+/// behind one `u32` head per key, and each probe pair meets its key's
+/// chain, counting the matches and folding their [`pair_checksum`]. The
+/// heads are one per key offset `key − min` where bind gave the keys a
+/// dense code no larger than the hashed table — no hash and no probe loop
+/// — and an open-addressed table otherwise. So pairing never holds more
+/// than the table would.
+pub(crate) struct JoinIndex {
+    build: Vec<(u64, u64)>,
+    build_left: bool,
+    slots: Slots,
+    /// `heads[slot]` is 1 + the index of the latest build pair whose key
+    /// owns the slot (0 = free); `prev[i]` continues that key's chain.
+    heads: Vec<u32>,
+    prev: Vec<u32>,
+    pairs: u64,
+    checksum: u64,
+}
+
+/// How a key finds its [`JoinIndex`] head.
+#[derive(Clone, Copy)]
+enum Slots {
+    /// At its offset from the keys' minimum.
+    Offset(u64),
+    /// At its hash under this mask, probing linearly. At most half the
+    /// slots fill, so every probe sequence ends.
+    Hashed(usize),
+}
+
+impl Slots {
+    /// The slot of `heads` that holds `key`'s chain over `build`, or the
+    /// free one it would take.
+    #[inline]
+    fn of(self, heads: &[u32], build: &[(u64, u64)], key: u64) -> usize {
+        match self {
+            Slots::Offset(min) => key.wrapping_sub(min) as usize,
+            Slots::Hashed(mask) => {
+                let mut slot = mix64(key) as usize & mask;
+                while heads[slot] != 0 && build[heads[slot] as usize - 1].0 != key {
+                    slot = (slot + 1) & mask;
+                }
+                slot
+            }
+        }
+    }
+}
+
+impl JoinIndex {
+    /// Index `build`, the left side's pairs if `build_left`, over the
+    /// bound `keys`: the one place pairing reads whether they are dense.
+    pub(crate) fn new(build: Vec<(u64, u64)>, build_left: bool, keys: &Keys<JoinFilters>) -> Self {
+        assert!(build.len() < u32::MAX as usize, "build side indexes in u32");
+        let hashed = (2 * build.len()).next_power_of_two();
+        let (slots, heads) = match keys {
+            Keys::Dense(code) if code.cells() <= hashed as u64 => {
+                (Slots::Offset(code.min()), code.cells() as usize)
+            }
+            _ => (Slots::Hashed(hashed - 1), hashed),
+        };
+        let mut heads = vec![0; heads];
+        let mut prev = vec![0; build.len()];
+        for (i, &(key, _)) in build.iter().enumerate() {
+            let slot = slots.of(&heads, &build, key);
+            prev[i] = heads[slot];
+            heads[slot] = i as u32 + 1;
+        }
+        JoinIndex {
+            build,
+            build_left,
+            slots,
+            heads,
+            prev,
+            pairs: 0,
+            checksum: 0,
+        }
+    }
+
+    /// Pair row `probe_row` of the other side with the build rows of its
+    /// `key`.
+    #[inline]
+    pub(crate) fn pair(&mut self, key: u64, probe_row: u64) {
+        let mut at = self.heads[self.slots.of(&self.heads, &self.build, key)];
         while at != 0 {
-            let build_row = build[at as usize - 1].1;
-            let (lrow, rrow) = if build_left {
+            let build_row = self.build[at as usize - 1].1;
+            let (lrow, rrow) = if self.build_left {
                 (build_row, probe_row)
             } else {
                 (probe_row, build_row)
             };
-            pairs += 1;
-            checksum = pair_checksum(checksum, key, lrow, rrow);
-            at = prev[at as usize - 1];
+            self.pairs += 1;
+            self.checksum = pair_checksum(self.checksum, key, lrow, rrow);
+            at = self.prev[at as usize - 1];
         }
     }
-    (pairs, checksum)
+
+    /// The pairs met so far and their checksum.
+    pub(crate) fn summary(&self) -> (u64, u64) {
+        (self.pairs, self.checksum)
+    }
 }
 
 /// A canonical set of equal-width tuples in one flat row-major buffer:
@@ -587,6 +673,31 @@ impl TupleRun {
             3 => sort_dedup_arrays(&mut flat, |&[a, b, c]: &[u64; 3]| (a, b, c)),
             4 => sort_dedup_arrays(&mut flat, |&[a, b, c, d]: &[u64; 4]| (a, b, c, d)),
             _ => flat = sort_dedup_by_index(width, &flat),
+        }
+        TupleRun { width, flat }
+    }
+
+    /// [`Self::canonical`] of tuples whose lanes a dense `code` spans (a
+    /// dense DISTINCT's survivors): each tuple packs into one word that
+    /// orders as the tuple does ([`OffsetCode::pack`]), so one sort and
+    /// dedup of words replaces the tuple sort. All in place: tuple `i`'s
+    /// key overwrites word `i`, which no later tuple starts at or before,
+    /// and the kept keys unpack from the back, where each tuple's words
+    /// lie at or past its key and past every key still to unpack.
+    pub(crate) fn packed(code: &OffsetCode, mut flat: Vec<u64>) -> Self {
+        let width = code.lanes();
+        assert_eq!(flat.len() % width, 0, "ragged tuple buffer");
+        let tuples = flat.len() / width;
+        for i in 0..tuples {
+            flat[i] = code.pack(&flat[i * width..(i + 1) * width]);
+        }
+        flat.truncate(tuples);
+        sort_dedup_arrays(&mut flat, |&[key]: &[u64; 1]| key);
+        let kept = flat.len();
+        flat.resize(kept * width, 0);
+        for i in (0..kept).rev() {
+            let key = flat[i];
+            code.unpack(key, &mut flat[i * width..(i + 1) * width]);
         }
         TupleRun { width, flat }
     }
@@ -891,20 +1002,48 @@ mod tests {
         (pairs, checksum)
     }
 
+    /// Hashed JOIN keys: the pairing ignores the filters' geometry.
+    const HASHED: Keys<JoinFilters> = Keys::Hashed(JoinFilters {
+        bits: [64; 2],
+        h: 1,
+    });
+
+    /// Dense JOIN keys over `min..min + cells`.
+    fn dense(min: u64, cells: u64) -> Keys<JoinFilters> {
+        Keys::Dense(OffsetCode::new(&[(min, min + cells - 1)]).expect("a range"))
+    }
+
+    /// Every left row against every right row.
+    fn nested_loop_oracle(left: &[(u64, u64)], right: &[(u64, u64)]) -> (u64, u64) {
+        let (mut pairs, mut checksum) = (0u64, 0u64);
+        for &(lkey, lrow) in left {
+            for &(rkey, rrow) in right {
+                if lkey == rkey {
+                    pairs += 1;
+                    checksum = pair_checksum(checksum, lkey, lrow, rrow);
+                }
+            }
+        }
+        (pairs, checksum)
+    }
+
     #[test]
     fn hash_pairing_handles_empty_and_one_sided_input() {
         let some = vec![(7, 0), (7, 1), (9, 2)];
-        assert_eq!(join_survivors(Vec::new(), Vec::new()), (0, 0));
-        assert_eq!(join_survivors(some.clone(), Vec::new()), (0, 0));
-        assert_eq!(join_survivors(Vec::new(), some.clone()), (0, 0));
-        // Sides are not interchangeable: the checksum knows left from right.
-        let other = vec![(7, 5)];
-        let (lr, rl) = (
-            join_survivors(some.clone(), other.clone()),
-            join_survivors(other, some),
-        );
-        assert_eq!((lr.0, rl.0), (2, 2));
-        assert_ne!(lr.1, rl.1);
+        for keys in [HASHED, dense(7, 3)] {
+            assert_eq!(join_survivors(Vec::new(), Vec::new(), &keys), (0, 0));
+            assert_eq!(join_survivors(some.clone(), Vec::new(), &keys), (0, 0));
+            assert_eq!(join_survivors(Vec::new(), some.clone(), &keys), (0, 0));
+            // Sides are not interchangeable: the checksum knows left from
+            // right.
+            let other = vec![(7, 5)];
+            let (lr, rl) = (
+                join_survivors(some.clone(), other.clone(), &keys),
+                join_survivors(other, some.clone(), &keys),
+            );
+            assert_eq!((lr.0, rl.0), (2, 2));
+            assert_ne!(lr.1, rl.1);
+        }
     }
 
     fn merged(mut a: GroupRun, b: &GroupRun) -> GroupRun {
@@ -992,8 +1131,68 @@ mod tests {
             };
             let (left, right) = (side(&raw.0), side(&raw.1));
             prop_assert_eq!(
-                join_survivors(left.clone(), right.clone()),
+                join_survivors(left.clone(), right.clone(), &HASHED),
                 sort_merge_oracle(left, right)
+            );
+        }
+
+        #[test]
+        fn offset_pairing_equals_hashed_pairing_and_the_nested_loop(
+            raw in (vec(any::<u64>(), 0..300), vec(any::<u64>(), 0..300)),
+            cells in 1u64..1_500,
+            min in 0u64..1 << 40,
+        ) {
+            // Keys at offset 0 and at `cells − 1`, a hot key and keys
+            // across the range, so both sides repeat keys many to many;
+            // either side may be empty or the shorter one, and `cells`
+            // falls on both sides of the hashed table's slot count
+            // (2 to 1,024 over these sides).
+            let key = |w: u64| min + match w % 4 {
+                0 => 0,
+                1 => cells - 1,
+                2 => (w >> 8) % 3 % cells,
+                _ => (w >> 8) % cells,
+            };
+            let side = |words: &[u64]| -> Vec<(u64, u64)> {
+                words.iter().enumerate().map(|(row, &w)| (key(w), row as u64)).collect()
+            };
+            let (left, right) = (side(&raw.0), side(&raw.1));
+            let truth = nested_loop_oracle(&left, &right);
+            let dense = dense(min, cells);
+            prop_assert_eq!(join_survivors(left.clone(), right.clone(), &dense), truth);
+            prop_assert_eq!(join_survivors(left.clone(), right.clone(), &HASHED), truth);
+            // The index takes the offset array exactly while it is no
+            // larger than the hashed table.
+            let build = left.len().min(right.len());
+            let index = JoinIndex::new(left[..build].to_vec(), true, &dense);
+            let slots = (2 * build).next_power_of_two() as u64;
+            prop_assert_eq!(matches!(index.slots, Slots::Offset(_)), cells <= slots);
+        }
+
+        #[test]
+        fn packed_sort_equals_the_tuple_sort(
+            width in 2usize..5,
+            lanes in vec((1u64..1 << 40, 0u64..40), 4..5),
+            words in vec(any::<u64>(), 0..600),
+            repeats in 1usize..3,
+        ) {
+            // Lane `c` spans `min..=min + span` (a span of 0 takes no
+            // bits); a tuple at every lane's minimum and one at every
+            // lane's maximum ride along, and the survivors may repeat.
+            let lanes = &lanes[..width];
+            let domains: Vec<(u64, u64)> =
+                lanes.iter().map(|&(min, span)| (min, min + span)).collect();
+            let code = OffsetCode::new(&domains).expect("narrow lanes");
+            let mut flat: Vec<u64> = words
+                .chunks_exact(width)
+                .flat_map(|t| t.iter().zip(lanes).map(|(&w, &(min, span))| min + w % (span + 1)))
+                .collect();
+            flat.extend(domains.iter().map(|&(min, _)| min));
+            flat.extend(domains.iter().map(|&(_, max)| max));
+            let flat = flat.repeat(repeats);
+            prop_assert_eq!(
+                TupleRun::packed(&code, flat.clone()),
+                TupleRun::canonical(width, flat)
             );
         }
 

@@ -398,20 +398,29 @@ pub(crate) fn join_shard(
         })
         .collect();
     if plan == JoinPlan::Unpruned {
-        return pair(inputs, ForwardAll);
+        return pair(inputs, ForwardAll, filters);
     }
     let flow = JoinFlow::sized(cfg, filters);
-    pair(inputs, JoinPhases::new(flow, plan == JoinPlan::Asymmetric))
+    pair(
+        inputs,
+        JoinPhases::new(flow, plan == JoinPlan::Asymmetric),
+        filters,
+    )
 }
 
-/// Run `inputs` through `stage` and pair the survivors of both sides.
-fn pair<P: SwitchPhases>(inputs: Vec<PhaseInput<'_>>, stage: P) -> ShardYield<(u64, u64)> {
+/// Run `inputs` through `stage` and pair the survivors of both sides over
+/// the JOIN's `keys`.
+fn pair<P: SwitchPhases>(
+    inputs: Vec<PhaseInput<'_>>,
+    stage: P,
+    keys: &Keys<JoinFilters>,
+) -> ShardYield<(u64, u64)> {
     run_shard(
         inputs,
         stage,
         JoinSides::default(),
         join_sink,
-        |_, (lf, rf)| join_survivors(lf, rf),
+        |_, (lf, rf)| join_survivors(lf, rf, keys),
     )
 }
 

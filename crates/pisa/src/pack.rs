@@ -3,8 +3,9 @@
 //! Cheetah pre-compiles the algorithm family and packs several live
 //! queries onto one pipeline, splitting per-stage ALUs and SRAM. The
 //! packer places each query's stage span by first-fit over the per-stage
-//! residual budgets — queries heavy in *different* resources (SKYLINE:
-//! stages, JOIN: SRAM) share stages, which is exactly the paper's point.
+//! residual budgets, longest span first — queries heavy in *different*
+//! resources (SKYLINE: stages, JOIN: SRAM) share stages, which is exactly
+//! the paper's point.
 
 use cheetah_core::resources::{ResourceUsage, SwitchModel};
 
@@ -32,7 +33,7 @@ pub struct Packing {
     pub free_tcam: u32,
 }
 
-/// Packing failure: the first query (by input index) that did not fit.
+/// Packing failure: the first query, in placement order, that did not fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoesNotFit {
     /// Index of the query that could not be placed.
@@ -55,15 +56,21 @@ impl std::error::Error for DoesNotFit {}
 ///
 /// Each query's ALUs and SRAM are smeared uniformly over its stage span
 /// (how the Table 2 formulas are derived); the packer slides the span
-/// across the pipeline until every stage in it has the headroom.
+/// across the pipeline until every stage in it has the headroom. Longer
+/// spans are placed first (a stable sort, so equal spans keep input
+/// order): placed in input order, short spans admitted early fill the
+/// front stages, and a 12-stage TOP N admitted after them finds no start.
 pub fn pack(model: &SwitchModel, queries: &[ResourceUsage]) -> Result<Packing, DoesNotFit> {
     let stages = model.stages as usize;
     let mut free_alus = vec![model.alus_per_stage; stages];
     let mut free_sram = vec![model.sram_per_stage_bits; stages];
     let mut free_tcam = model.tcam_entries;
     let mut placements = Vec::with_capacity(queries.len());
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(|&qi| std::cmp::Reverse(queries[qi].stages.max(1)));
 
-    for (qi, q) in queries.iter().enumerate() {
+    for qi in order {
+        let q = &queries[qi];
         if q.tcam_entries > free_tcam {
             return Err(DoesNotFit { query: qi });
         }
@@ -92,6 +99,7 @@ pub fn pack(model: &SwitchModel, queries: &[ResourceUsage]) -> Result<Packing, D
             stages: span as u32,
         });
     }
+    placements.sort_by_key(|p| p.query);
     Ok(Packing {
         placements,
         free_alus,
@@ -178,6 +186,35 @@ mod tests {
         let packing = pack(&model, &[hog, small]).unwrap();
         assert_eq!(packing.placements[0].first_stage, 0);
         assert_eq!(packing.placements[1].first_stage, 1);
+    }
+
+    #[test]
+    fn a_long_span_admitted_after_stage_zero_fills_still_places() {
+        // Ten one-ALU filters fill stage 0's ten ALUs; a 12-stage span
+        // admitted after them needs one ALU in every stage, stage 0
+        // included, so placing in input order leaves it no start. Placed
+        // first, it takes one ALU a stage and the filters spill over to
+        // stage 1.
+        let model = SwitchModel::tofino_like();
+        let filter = ResourceUsage {
+            stages: 1,
+            alus: 1,
+            sram_bits: 64,
+            tcam_entries: 0,
+        };
+        let long = ResourceUsage {
+            stages: 12,
+            alus: 12,
+            sram_bits: 12 * 64,
+            tcam_entries: 0,
+        };
+        let mut queries = vec![filter; 10];
+        queries.push(long);
+        let packing = pack(&model, &queries).expect("the batch fits");
+        let starts: Vec<u32> = packing.placements.iter().map(|p| p.first_stage).collect();
+        assert_eq!(starts, [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]);
+        assert_eq!(packing.placements[10].stages, 12);
+        assert_eq!(packing.free_alus[..2], [0, 8]);
     }
 
     #[test]

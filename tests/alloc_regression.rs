@@ -20,6 +20,7 @@
 //! would cross-pollute the counter).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cheetah::core::filter::{Atom, CmpOp, Formula};
@@ -322,14 +323,19 @@ fn warm_queries_allocate_o1_not_o_rows() {
         );
     }
 
-    // A warm deterministic JOIN's peak: its filters, the survivor pairs
-    // (two growing vectors, so up to twice their 16 bytes each) and the
-    // pairing table over the shorter side (a `u32` chain link per pair
-    // and at most four `u32` heads). Over `k` the filters are two bitmaps
-    // over the sides' union range `1..=179`, three registers each; over
-    // the spread `ks`, the Bloom pair sized from 60k and 30k rows. No key
-    // lane and no permutation: with the two of each it used to hold
-    // (`4 × 8 × 45k` bytes) the flow would not fit under this.
+    // A warm deterministic JOIN's peak: its filters and the pairing
+    // index over the smaller table's survivors — their pairs (a growing
+    // vector, so up to twice their 16 bytes each), a `u32` chain link per
+    // pair and the `u32` heads, at most the hashed table's
+    // `(2 × build).next_power_of_two()`. The larger side probes as it is
+    // forwarded and adds nothing. Its survivors are at least the rows whose
+    // key the smaller side holds (exactly those over the dense `k`), so
+    // the rest of the forwarded entries bound the build side. Over `k` the
+    // filters are two bitmaps over the sides' union range `1..=179`, three
+    // registers each; over the spread `ks`, the Bloom pair sized from 60k
+    // and 30k rows. No key lane and no permutation: with the two of each
+    // it used to hold (`4 × 8 × 45k` bytes) the flow would not fit under
+    // this.
     let cfg = &exec.config;
     let join_bytes = 2 * 3 * 8;
     let bloom_bytes = (JoinFlow::side_bits(cfg, ROWS) + JoinFlow::side_bits(cfg, ROWS / 2)) / 8;
@@ -341,14 +347,18 @@ fn warm_queries_allocate_o1_not_o_rows() {
             right_col: col.into(),
         };
         let survivors = exec.execute(&db, &join).prune_stats().forwarded();
+        let smaller: HashSet<u64> = db.table("s").col(col).iter().copied().collect();
+        let larger = db.table("t").col(col).iter();
+        let build = survivors - larger.filter(|k| smaller.contains(k)).count() as u64;
         let peak = peak_bytes_during(|| {
             exec.execute(&db, &join);
         });
-        let bound = filter_bytes + (2 * 16 + 20) * survivors + 64 * 1024;
+        let index = (2 * 16 + 4) * build + 4 * (2 * build).next_power_of_two();
+        let bound = filter_bytes + index + 64 * 1024;
         assert!(
             peak < bound,
             "a warm JOIN on {col} peaked at {peak} B; its filters are {filter_bytes} B and \
-             its {survivors} survivors allow {bound} B"
+             its at most {build} build-side survivors of {survivors} allow {bound} B"
         );
     }
 
